@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos cluster-test soak serve bench-parallel fmt-check test-arch arch-report
+.PHONY: check build vet test race chaos cluster-test soak serve bench-parallel bench-check fmt-check test-arch arch-report
 
 check: build vet race
 
@@ -61,6 +61,12 @@ bench-parallel:
 		-benchtime=3x -benchmem -timeout 30m . | tee bench.txt
 	$(GO) run ./cmd/benchgate -in bench.txt -gate-allocs 5000 \
 		-out BENCH_parallel_sim.json
+
+# bench/ is its own module (replace gpuscout => ../), so `go build ./...`
+# and `go test ./...` at the root never compile it; this keeps a change
+# to the request path from breaking the repo benchmark unnoticed (~6 s).
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "$$out"; exit 1; fi

@@ -16,50 +16,65 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gpuscout"
+	"gpuscout/internal/advisor"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "gpuscout:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole CLI behind main, separated so tests can drive it
+// in-process. Workload analyses lower to one advisor.Plan and go through
+// advisor.Run — the same pipeline function the daemon executes — so
+// -timeout, -stage-budgets, -verify and -sensitivity mean the same thing
+// here as in a gpuscoutd request.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gpuscout", flag.ExitOnError)
 	var (
-		workload = flag.String("workload", "", "built-in workload to analyze (see -list)")
-		scale    = flag.Int("scale", 0, "workload scale (0 = default)")
-		cubinF   = flag.String("cubin", "", "cubin file to analyze (static analysis)")
-		kernelN  = flag.String("kernel", "", "kernel name within the cubin (default: first)")
-		sassF    = flag.String("sass", "", "SASS text file to analyze (static analysis)")
-		dryRun   = flag.Bool("dry-run", false, "static SASS analysis only, no GPU involvement")
-		verify   = flag.Bool("verify", false, "re-execute each recommendation's paired optimized variant and attach measured verdicts (workload analyses only)")
-		sens     = flag.Bool("sensitivity", false, "re-simulate under the hardware perturbation matrix, attach dominant-resource sensitivity per finding, and rank findings by estimated speedup (workload analyses only)")
-		slices   = flag.Bool("slice", false, "attach a backward def-use slice (producer chain) to each finding's highest-stall PC")
-		archName = flag.String("arch", "sm_70", "GPU architecture (sm_70/V100, sm_60/P100, sm_80/A100; sm70/sm80 also accepted)")
-		archCmp  = flag.String("arch-compare", "", "second architecture: analyze -workload on both and print the cross-arch finding comparison")
-		sample   = flag.Int("sample-sms", 2, "SMs to simulate (sampling)")
-		period   = flag.Float64("sampling-period", 0, "CUPTI sampling period in cycles (0 = default)")
-		list     = flag.Bool("list", false, "list built-in workloads")
-		compare  = flag.String("compare", "", "second workload: print old-vs-new metric comparison")
-		srcView  = flag.Bool("source-view", false, "also print the correlated source/SASS view")
-		jsonOut  = flag.String("json", "", "write the report as JSON to this file")
-		region   = flag.String("region", "", "profile a source-line region, e.g. -region 5:10")
-		timeout  = flag.Duration("timeout", 0, "overall analysis deadline (0 = none); with stage budgets, a slow stage degrades the report instead of failing it")
-		budgetsF = flag.String("stage-budgets", "", `per-stage deadline split "parse,sim,scout,verify" (e.g. "5,55,15,25"; "off" disables staged degradation; empty = defaults)`)
+		workload = fs.String("workload", "", "built-in workload to analyze (see -list)")
+		scale    = fs.Int("scale", 0, "workload scale (0 = default)")
+		cubinF   = fs.String("cubin", "", "cubin file to analyze (static analysis)")
+		kernelN  = fs.String("kernel", "", "kernel name within the cubin (default: first)")
+		sassF    = fs.String("sass", "", "SASS text file to analyze (static analysis)")
+		dryRun   = fs.Bool("dry-run", false, "static SASS analysis only, no GPU involvement")
+		verify   = fs.Bool("verify", false, "re-execute each recommendation's paired optimized variant and attach measured verdicts (workload analyses only)")
+		sens     = fs.Bool("sensitivity", false, "re-simulate under the hardware perturbation matrix, attach dominant-resource sensitivity per finding, and rank findings by estimated speedup (workload analyses only)")
+		slices   = fs.Bool("slice", false, "attach a backward def-use slice (producer chain) to each finding's highest-stall PC")
+		archName = fs.String("arch", "sm_70", "GPU architecture (sm_70/V100, sm_60/P100, sm_80/A100; sm70/sm80 also accepted)")
+		archCmp  = fs.String("arch-compare", "", "second architecture: analyze -workload on both and print the cross-arch finding comparison")
+		sample   = fs.Int("sample-sms", 2, "SMs to simulate (sampling)")
+		period   = fs.Float64("sampling-period", 0, "CUPTI sampling period in cycles (0 = default)")
+		list     = fs.Bool("list", false, "list built-in workloads")
+		compare  = fs.String("compare", "", "second workload: print old-vs-new metric comparison")
+		srcView  = fs.Bool("source-view", false, "also print the correlated source/SASS view")
+		jsonOut  = fs.String("json", "", "write the report as JSON to this file")
+		region   = fs.String("region", "", "profile a source-line region, e.g. -region 5:10")
+		timeout  = fs.Duration("timeout", 0, "overall analysis deadline (0 = none); with stage budgets, a slow stage degrades the report instead of failing it")
+		budgetsF = fs.String("stage-budgets", "", `per-stage deadline split "parse,sim,scout,verify" (e.g. "5,55,15,25"; "off" disables staged degradation; empty = defaults)`)
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage text
 
 	if *list {
 		for _, n := range gpuscout.WorkloadNames() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return nil
 	}
 
 	arch, err := gpuscout.ArchByName(*archName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	budgets, err := gpuscout.ParseStageBudgets(*budgetsF)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	opts := gpuscout.Options{
 		DryRun:         *dryRun,
@@ -76,98 +91,88 @@ func main() {
 	}
 
 	switch {
-	case *workload != "" && *archCmp != "":
-		other, err := gpuscout.ArchByName(*archCmp)
-		if err != nil {
-			fatal(err)
+	case *workload != "":
+		if *dryRun && *verify {
+			return fmt.Errorf("-verify needs the dynamic pillars; drop -dry-run")
 		}
-		cmp, err := gpuscout.AnalyzeWorkloadCrossArch(ctx, *workload, *scale, arch, other, opts, *verify)
-		if err != nil {
-			fatal(err)
+		if *dryRun && *sens {
+			return fmt.Errorf("-sensitivity needs a baseline measurement; drop -dry-run")
 		}
-		fmt.Println(cmp.Render())
-		if *jsonOut != "" {
-			data, err := cmp.MarshalJSON()
+		if *archCmp != "" {
+			other, err := gpuscout.ArchByName(*archCmp)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				fatal(err)
+			cmp, err := gpuscout.AnalyzeWorkloadCrossArch(ctx, *workload, *scale, arch, other, opts, *verify, *sens)
+			if err != nil {
+				return err
 			}
+			fmt.Fprintln(stdout, cmp.Render())
+			if *jsonOut != "" {
+				data, err := cmp.MarshalJSON()
+				if err != nil {
+					return err
+				}
+				return os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
+			}
+			return nil
 		}
 
-	case *workload != "":
-		rep, err := gpuscout.AnalyzeWorkloadContext(ctx, *workload, *scale, arch, opts)
+		out, err := advisor.Run(ctx, advisor.Plan{
+			Arch: arch, Opts: opts, Workload: *workload, Scale: *scale,
+			Verify: *verify, Sensitivity: *sens,
+		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		var verified *gpuscout.VerifySummary
-		if *verify {
-			if *dryRun {
-				fatal(fmt.Errorf("-verify needs the dynamic pillars; drop -dry-run"))
-			}
-			verified, err = gpuscout.VerifyWorkloadReport(rep, *workload, *scale, arch, opts)
-			if err != nil {
-				fatal(err)
-			}
+		rep := out.Report
+		fmt.Fprintln(stdout, rep.Render())
+		if v := out.Verified; v != nil {
+			fmt.Fprintf(stdout, "verification: %d recommendation(s) re-executed — %d confirmed, %d neutral, %d refuted\n",
+				v.Checked, v.Confirmed, v.Neutral, v.Refuted)
 		}
-		var swept *gpuscout.Sensitivity
-		if *sens {
-			if *dryRun {
-				fatal(fmt.Errorf("-sensitivity needs a baseline measurement; drop -dry-run"))
-			}
-			swept, err = gpuscout.SweepWorkloadReportContext(ctx, rep, *workload, *scale, arch, opts)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Println(rep.Render())
-		if verified != nil {
-			fmt.Printf("verification: %d recommendation(s) re-executed — %d confirmed, %d neutral, %d refuted\n",
-				verified.Checked, verified.Confirmed, verified.Neutral, verified.Refuted)
-		}
-		if swept != nil {
-			fmt.Printf("sensitivity: %d perturbation(s) re-simulated — %s\n",
+		if swept := rep.Sensitivity; swept != nil {
+			fmt.Fprintf(stdout, "sensitivity: %d perturbation(s) re-simulated — %s\n",
 				len(swept.Deltas), swept.Summary())
 		}
 		if *srcView {
-			fmt.Println(rep.SourceView())
+			fmt.Fprintln(stdout, rep.SourceView())
 		}
 		if *jsonOut != "" {
 			if err := gpuscout.WriteReportJSON(*jsonOut, rep); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		if *region != "" {
 			var from, to int
 			if _, err := fmt.Sscanf(*region, "%d:%d", &from, &to); err != nil {
-				fatal(fmt.Errorf("bad -region %q (want from:to): %w", *region, err))
+				return fmt.Errorf("bad -region %q (want from:to): %w", *region, err)
 			}
 			prof, err := rep.ProfileRegion(from, to)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Println(prof.Render())
+			fmt.Fprintln(stdout, prof.Render())
 		}
 		if *compare != "" {
 			rep2, err := gpuscout.AnalyzeWorkloadContext(ctx, *compare, *scale, arch, opts)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			cmp, err := gpuscout.Compare(rep, rep2)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Println(cmp.Render())
+			fmt.Fprintln(stdout, cmp.Render())
 		}
 
 	case *cubinF != "":
 		bin, err := gpuscout.LoadCubin(*cubinF)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if len(bin.Kernels) == 0 {
-			fatal(fmt.Errorf("cubin %s holds no kernels", *cubinF))
+			return fmt.Errorf("cubin %s holds no kernels", *cubinF)
 		}
 		// Without -kernel, every kernel in the module is analyzed (the
 		// paper's Configuration stage disassembles the whole cubin).
@@ -175,40 +180,36 @@ func main() {
 		if *kernelN != "" {
 			k, err := bin.Kernel(*kernelN)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			kernels = []*gpuscout.Kernel{k}
 		}
 		for _, k := range kernels {
 			rep, err := gpuscout.DryRun(arch, k)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Println(rep.Render())
+			fmt.Fprintln(stdout, rep.Render())
 		}
 
 	case *sassF != "":
 		text, err := os.ReadFile(*sassF)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		k, err := gpuscout.ParseSASS(string(text))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		rep, err := gpuscout.DryRun(arch, k)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(rep.Render())
+		fmt.Fprintln(stdout, rep.Render())
 
 	default:
-		flag.Usage()
+		fs.Usage()
 		os.Exit(2)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gpuscout:", err)
-	os.Exit(1)
+	return nil
 }

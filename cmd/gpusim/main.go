@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	w, err := workloads.Build(*name, *scale)
+	w, err := workloads.BuildArch(*name, *scale, arch)
 	if err != nil {
 		fatal(err)
 	}

@@ -304,14 +304,9 @@ type VerifySummary = advisor.Summary
 // VerifyWorkloadReport re-executes the paired optimized variant for every
 // finding in a workload report, under the same simulator configuration,
 // and attaches measured Verification blocks. The report must come from a
-// non-dry-run analysis of the named workload at the given scale.
-func VerifyWorkloadReport(rep *Report, name string, scale int, arch Arch, opts Options) (*VerifySummary, error) {
-	return advisor.Verify(context.Background(), rep, name, scale, arch, opts.Sim)
-}
-
-// VerifyWorkloadReportContext is VerifyWorkloadReport with cancellation:
-// each variant launch polls ctx, so per-job timeouts cover the re-runs.
-func VerifyWorkloadReportContext(ctx context.Context, rep *Report, name string, scale int, arch Arch, opts Options) (*VerifySummary, error) {
+// non-dry-run analysis of the named workload at the given scale. Each
+// variant launch polls ctx, so a deadline covers the re-runs.
+func VerifyWorkloadReport(ctx context.Context, rep *Report, name string, scale int, arch Arch, opts Options) (*VerifySummary, error) {
 	return advisor.Verify(ctx, rep, name, scale, arch, opts.Sim)
 }
 
@@ -335,14 +330,9 @@ type StallSlice = scout.StallSlice
 // banks, issue width, scoreboards), attaches the sensitivity analysis to
 // the report and its findings, widens each finding's estimated speedup by
 // the measured headroom, and re-orders the findings by payoff. The report
-// must come from a non-dry-run analysis of the named workload.
-func SweepWorkloadReport(rep *Report, name string, scale int, arch Arch, opts Options) (*Sensitivity, error) {
-	return advisor.Sweep(context.Background(), rep, name, scale, arch, opts.Sim)
-}
-
-// SweepWorkloadReportContext is SweepWorkloadReport with cancellation:
-// every perturbed launch polls ctx, so per-job timeouts cover the sweep.
-func SweepWorkloadReportContext(ctx context.Context, rep *Report, name string, scale int, arch Arch, opts Options) (*Sensitivity, error) {
+// must come from a non-dry-run analysis of the named workload. Every
+// perturbed launch polls ctx, so a deadline covers the sweep.
+func SweepWorkloadReport(ctx context.Context, rep *Report, name string, scale int, arch Arch, opts Options) (*Sensitivity, error) {
 	return advisor.Sweep(ctx, rep, name, scale, arch, opts.Sim)
 }
 
@@ -419,20 +409,13 @@ func NewPeerCache(replicas []string, self string, cfg PeerCacheConfig) *PeerCach
 	return cluster.NewPeerCache(replicas, self, cfg)
 }
 
-// AnalyzeWorkloadContext is AnalyzeWorkload with cancellation, the path
-// the gpuscoutd daemon uses for per-job timeouts. The workload is
-// lowered for arch before analysis, so the report reflects that
-// backend's instruction selection, not just its machine model.
+// AnalyzeWorkloadContext is AnalyzeWorkload with cancellation. The
+// workload is lowered for arch before analysis, so the report reflects
+// that backend's instruction selection, not just its machine model. It
+// runs the same pipeline function as the gpuscoutd daemon and the CLI.
 func AnalyzeWorkloadContext(ctx context.Context, name string, scale int, arch Arch, opts Options) (*Report, error) {
-	w, err := workloads.BuildArch(name, scale, arch)
-	if err != nil {
-		return nil, err
-	}
-	run := func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-		dev := sim.NewDevice(arch)
-		return workloads.ExecuteContext(ctx, w, dev, cfg)
-	}
-	return scout.AnalyzeContext(ctx, arch, w.Kernel, run, opts)
+	out, err := advisor.Run(ctx, advisor.Plan{Arch: arch, Opts: opts, Workload: name, Scale: scale})
+	return out.Report, err
 }
 
 // --- Cross-architecture comparison ---
@@ -455,23 +438,20 @@ func CompareArchReports(base, other *Report) *ArchComparison {
 // architectures and returns the cross-arch comparison. With verify set,
 // each report's recommendations are counterfactually verified first, so
 // the deltas include advisor verdict changes (e.g. a fix confirmed on
-// sm_70 that is moot on sm_80 because cp.async already hides the stall).
-func AnalyzeWorkloadCrossArch(ctx context.Context, name string, scale int, base, other Arch, opts Options, verify bool) (*ArchComparison, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// sm_70 that is moot on sm_80 because cp.async already hides the stall);
+// with sensitivity set, both reports carry their perturbation sweep. A
+// deadline on ctx is split into stage budgets exactly as in the daemon.
+func AnalyzeWorkloadCrossArch(ctx context.Context, name string, scale int, base, other Arch, opts Options, verify, sensitivity bool) (*ArchComparison, error) {
 	reps := make([]*Report, 2)
 	for i, arch := range []Arch{base, other} {
-		rep, err := AnalyzeWorkloadContext(ctx, name, scale, arch, opts)
+		out, err := advisor.Run(ctx, advisor.Plan{
+			Arch: arch, Opts: opts, Workload: name, Scale: scale,
+			Verify: verify, Sensitivity: sensitivity,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("gpuscout: analyze %s on %s: %w", name, arch.SM, err)
 		}
-		if verify {
-			if _, err := advisor.Verify(ctx, rep, name, scale, arch, opts.Sim); err != nil {
-				return nil, fmt.Errorf("gpuscout: verify %s on %s: %w", name, arch.SM, err)
-			}
-		}
-		reps[i] = rep
+		reps[i] = out.Report
 	}
 	return scout.CompareReports(reps[0], reps[1]), nil
 }

@@ -66,54 +66,25 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	c.batchItems.Add(uint64(n))
 
 	// Dedupe across the whole batch before any fan-out.
-	var uniq []*batchSlot
-	fpTo := map[string]int{}
-	idx := make([]int, n)
-	for i := range batch.Requests {
-		fp := batch.Requests[i].Fingerprint()
-		if u, ok := fpTo[fp]; ok {
-			idx[i] = u
-			c.batchDeduped.Inc()
-			continue
-		}
-		fpTo[fp] = len(uniq)
-		idx[i] = len(uniq)
-		uniq = append(uniq, &batchSlot{
-			req:  batch.Requests[i],
-			fp:   fp,
-			done: make(chan struct{}),
-		})
+	first, fps, slot := batch.Dedupe()
+	uniq := make([]*batchSlot, len(first))
+	for k, i := range first {
+		uniq[k] = &batchSlot{req: batch.Requests[i], fp: fps[k], done: make(chan struct{})}
 	}
+	c.batchDeduped.Add(uint64(n - len(first)))
 
 	go c.fanOut(r.Context(), uniq)
 
 	// Stream results in request order; duplicates share their slot.
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if _, err := w.Write([]byte(`{"results":[`)); err != nil {
-		return
-	}
-	for i := 0; i < n; i++ {
-		s := uniq[idx[i]]
+	service.WriteBatchResults(w, n, func(i int) (json.RawMessage, bool) {
+		s := uniq[slot[i]]
 		select {
 		case <-s.done:
+			return s.status, true
 		case <-r.Context().Done():
-			return
+			return nil, false
 		}
-		if i > 0 {
-			if _, err := w.Write([]byte(",")); err != nil {
-				return
-			}
-		}
-		if _, err := w.Write(s.status); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	_, _ = w.Write([]byte("]}"))
+	})
 }
 
 // fanOut runs up to two routing rounds over the undelivered slots: the

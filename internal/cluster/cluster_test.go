@@ -575,6 +575,45 @@ func TestClusterBatchDedupeAndOrder(t *testing.T) {
 	}
 }
 
+// TestClusterBatchDedupeKeepsDistinctOptions is the coordinator half of
+// the service-layer test of the same name: two items naming the same
+// workload, one of them asking for a sweep and stall slices, are two
+// distinct inputs and must each get the report they asked for.
+func TestClusterBatchDedupeKeepsDistinctOptions(t *testing.T) {
+	tc := startCluster(t, 3, service.Config{Workers: 2, QueueDepth: 16})
+
+	resp, body := postJSON(t, tc.front.URL+"/v1/analyze/batch", service.BatchRequest{Requests: []service.AnalyzeRequest{
+		{Workload: "transpose_shared", Scale: 64, SampleSMs: 1},
+		{Workload: "transpose_shared", Scale: 64, SampleSMs: 1, Sensitivity: true, StallSlices: true},
+	}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, body %s", resp.StatusCode, body)
+	}
+	var out service.BatchResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("decode batch response: %v", err)
+	}
+	if len(out.Results) != 2 {
+		t.Fatalf("got %d results, want 2", len(out.Results))
+	}
+	for i, st := range out.Results {
+		if st.State != service.StateDone {
+			t.Fatalf("result %d: state %s (%s)", i, st.State, st.Error)
+		}
+	}
+	if bytes.Contains(out.Results[0].Report, []byte(`"dominant"`)) {
+		t.Error("plain item carries a sensitivity block")
+	}
+	for _, want := range []string{`"dominant"`, `"stall_slices"`} {
+		if !bytes.Contains(out.Results[1].Report, []byte(want)) {
+			t.Errorf("swept item lost %s: it was served the plain item's report", want)
+		}
+	}
+	if v := scrapeMetric(t, tc.front.URL, "gpuscoutd_cluster_batch_deduped_total"); v != 0 {
+		t.Errorf("coordinator deduped %g items, want 0", v)
+	}
+}
+
 // TestClusterBackpressure saturates a single-replica fleet with slow
 // jobs: the worker's own 429 + Retry-After must relay through the
 // coordinator, async job handles must round-trip through the cluster id

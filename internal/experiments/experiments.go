@@ -7,9 +7,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"gpuscout/internal/advisor"
 	"gpuscout/internal/gpu"
 	"gpuscout/internal/sass"
 	"gpuscout/internal/scout"
@@ -69,17 +71,12 @@ func runOne(name string, scale int, cfg sim.Config) (*workloads.Workload, *sim.R
 	return w, res, nil
 }
 
-// analyzeOne runs the full GPUscout pipeline on a workload.
+// analyzeOne runs the full GPUscout pipeline on a workload, on a V100.
 func analyzeOne(name string, scale int, cfg sim.Config) (*scout.Report, error) {
-	w, err := workloads.Build(name, scale)
-	if err != nil {
-		return nil, err
-	}
-	run := func(c sim.Config) (*sim.Result, error) {
-		dev := sim.NewDevice(gpu.V100())
-		return workloads.Execute(w, dev, c)
-	}
-	return scout.Analyze(gpu.V100(), w.Kernel, run, scout.Options{Sim: cfg})
+	out, err := advisor.Run(context.Background(), advisor.Plan{
+		Arch: gpu.V100(), Workload: name, Scale: scale, Opts: scout.Options{Sim: cfg},
+	})
+	return out.Report, err
 }
 
 // Fig2Report regenerates the Fig. 2 sample output: the register-spilling

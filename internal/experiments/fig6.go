@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"gpuscout/internal/gpu"
-	"gpuscout/internal/scout"
 	"gpuscout/internal/sim"
-	"gpuscout/internal/workloads"
 )
 
 // Fig6Point is one matrix size of the Fig. 6 overhead analysis: the time
@@ -43,15 +41,7 @@ func Fig6Overhead(sizes []int, cfg sim.Config) (*Fig6Series, error) {
 	}
 	s := &Fig6Series{}
 	for _, n := range sizes {
-		w, err := workloads.Build("sgemm_naive", n)
-		if err != nil {
-			return nil, err
-		}
-		run := func(c sim.Config) (*sim.Result, error) {
-			dev := sim.NewDevice(arch)
-			return workloads.Execute(w, dev, c)
-		}
-		rep, err := scout.Analyze(arch, w.Kernel, run, scout.Options{Sim: cfg})
+		rep, err := analyzeOne("sgemm_naive", n, cfg)
 		if err != nil {
 			return nil, err
 		}

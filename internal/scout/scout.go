@@ -3,6 +3,7 @@ package scout
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"gpuscout/internal/cupti"
@@ -338,8 +339,15 @@ func correlate(f *Finding, rep *Report) {
 	}
 	// Relevance: how much of the kernel's stalls are of the kinds this
 	// finding points at, at these lines.
-	var atSites, total float64
+	// Summed in line order, not map order: float addition does not
+	// associate, and the report must be byte-identical on every run.
+	lines := make([]int, 0, len(seenLines))
 	for line := range seenLines {
+		lines = append(lines, line)
+	}
+	sort.Ints(lines)
+	var atSites, total float64
+	for _, line := range lines {
 		agg := rep.Samples.AtLine(line)
 		for _, st := range f.RelevantStalls {
 			atSites += agg[st]

@@ -10,9 +10,11 @@ import (
 
 // TestAnalyzeArchCompare: a workload request with arch_compare runs both
 // lowerings and the report payload is the cross-arch comparison document.
+// Each target goes through the shared pipeline, so its verification pass
+// shows up in the verify stage histogram like a plain job's.
 func TestAnalyzeArchCompare(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
-	req := `{"workload":"sgemm_shared","scale":64,"arch":"sm_70","arch_compare":"sm80"}`
+	req := `{"workload":"sgemm_shared","scale":64,"arch":"sm_70","arch_compare":"sm80","verify":true}`
 
 	resp, body := postAnalyze(t, ts, "", req)
 	if resp.StatusCode != http.StatusOK {
@@ -49,6 +51,9 @@ func TestAnalyzeArchCompare(t *testing.T) {
 	}
 	if onlyBase == 0 {
 		t.Errorf("no sm_70-only findings in deltas: %+v", cmp.Deltas)
+	}
+	if n := metricValue(t, ts, `gpuscoutd_stage_seconds_count{stage="verify"}`); n != 2 {
+		t.Errorf(`stage_seconds{stage="verify"} count = %g, want 2 (one per target)`, n)
 	}
 
 	// Identical request again: served from cache.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -22,6 +23,56 @@ type BatchRequest struct {
 // streaming can unmarshal the whole body into this).
 type BatchResponse struct {
 	Results []Status `json:"results"`
+}
+
+// Dedupe folds items that share a request identity (Fingerprint) into
+// one slot each, in order of first appearance: first[k] is the index of
+// the item that introduced slot k, fps[k] its fingerprint, and slot[i]
+// the slot item i resolves to. The worker's and the coordinator's batch
+// handlers both dedupe through it, so an item is folded away on one
+// exactly when it would be on the other.
+func (b *BatchRequest) Dedupe() (first []int, fps []string, slot []int) {
+	slot = make([]int, len(b.Requests))
+	seen := map[string]int{}
+	for i := range b.Requests {
+		fp := b.Requests[i].Fingerprint()
+		k, dup := seen[fp]
+		if !dup {
+			k = len(first)
+			seen[fp] = k
+			first, fps = append(first, i), append(fps, fp)
+		}
+		slot[i] = k
+	}
+	return first, fps, slot
+}
+
+// WriteBatchResults streams a batch response — `{"results":[...]}`, one
+// encoded Status per item in request order, flushed per item so clients
+// see results as they land. next blocks until item i's status is ready
+// and reports false when the client has gone away. The return value is
+// false when the stream was cut short (client gone or a failed write).
+func WriteBatchResults(w http.ResponseWriter, n int, next func(i int) (json.RawMessage, bool)) bool {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	sep := `{"results":[`
+	for i := 0; i < n; i++ {
+		status, ok := next(i)
+		if !ok {
+			return false
+		}
+		_, _ = io.WriteString(w, sep) // a dead connection fails the next write too
+		if _, err := w.Write(status); err != nil {
+			return false
+		}
+		sep = ","
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+	_, err := w.Write([]byte("]}"))
+	return err == nil
 }
 
 // batchEnqueueTimeout bounds how long the handler waits for queue
@@ -69,27 +120,14 @@ func (s *Service) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchRequests.Inc()
 	s.batchItems.Add(uint64(n))
 
-	// Dedupe by input fingerprint: one job per distinct input, shared by
-	// every item that carries it.
-	type slot struct {
-		req AnalyzeRequest
+	// One job per distinct input, shared by every item that carries it.
+	type slotJob struct {
 		job *Job
 		err error
 	}
-	var uniq []*slot
-	fpTo := map[string]int{}
-	idx := make([]int, n) // item index -> uniq index
-	for i := range batch.Requests {
-		fp := batch.Requests[i].Fingerprint()
-		if u, ok := fpTo[fp]; ok {
-			idx[i] = u
-			s.batchDeduped.Inc()
-			continue
-		}
-		fpTo[fp] = len(uniq)
-		idx[i] = len(uniq)
-		uniq = append(uniq, &slot{req: batch.Requests[i]})
-	}
+	first, _, slot := batch.Dedupe()
+	uniq := make([]slotJob, len(first))
+	s.batchDeduped.Add(uint64(n - len(first)))
 
 	// Enqueue each unique job, waiting out transient queue-full periods:
 	// a batch is allowed to be larger than the bounded queue — items
@@ -103,13 +141,14 @@ func (s *Service) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	deadline := time.Now().Add(batchEnqueueTimeout)
-	for _, u := range uniq {
+	for k := range uniq {
+		u := &uniq[k]
 		for {
 			if r.Context().Err() != nil {
 				cancelAll()
 				return
 			}
-			j, err := s.Submit(u.req)
+			j, err := s.Submit(batch.Requests[first[k]])
 			if err == nil {
 				u.job = j
 				break
@@ -133,47 +172,27 @@ func (s *Service) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Stream the results in request order. Duplicates resolve to the
-	// same job, so their Status entries share one report.
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if _, err := w.Write([]byte(`{"results":[`)); err != nil {
-		cancelAll()
-		return
-	}
-	for i := 0; i < n; i++ {
-		u := uniq[idx[i]]
-		var st Status
-		switch {
-		case u.err != nil:
-			st = Status{State: StateFailed, Error: u.err.Error()}
-		default:
+	// Duplicates resolve to the same job, so their Status entries share
+	// one report.
+	if !WriteBatchResults(w, n, func(i int) (json.RawMessage, bool) {
+		u := uniq[slot[i]]
+		st := Status{State: StateFailed}
+		if u.err != nil {
+			st.Error = u.err.Error()
+		} else {
 			select {
 			case <-u.job.Done():
 				st = u.job.Snapshot()
 			case <-r.Context().Done():
-				cancelAll()
-				return
-			}
-		}
-		if i > 0 {
-			if _, err := w.Write([]byte(",")); err != nil {
-				cancelAll()
-				return
+				return nil, false
 			}
 		}
 		b, err := json.Marshal(st)
 		if err != nil {
 			b, _ = json.Marshal(Status{State: StateFailed, Error: "encode status: " + err.Error()})
 		}
-		if _, err := w.Write(b); err != nil {
-			cancelAll()
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		return b, true
+	}) {
+		cancelAll()
 	}
-	_, _ = w.Write([]byte("]}"))
 }

@@ -135,6 +135,51 @@ func TestBatchOrderAndMixedInputs(t *testing.T) {
 	}
 }
 
+// TestBatchDedupeKeepsDistinctOptions: items naming the same workload
+// but asking for different reports (a sweep and stall slices on one of
+// them) must not be folded into one job — the second caller would get
+// the plain report and silently lose what it asked for.
+func TestBatchDedupeKeepsDistinctOptions(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 16})
+
+	resp, out := postBatch(t, ts, BatchRequest{Requests: []AnalyzeRequest{
+		{Workload: "transpose_shared", Scale: 64, SampleSMs: 1},
+		{Workload: "transpose_shared", Scale: 64, SampleSMs: 1, Sensitivity: true, StallSlices: true},
+		{Workload: "transpose_shared", Scale: 64, SampleSMs: 1, TimeoutMS: 60000, SimWorkers: 2},
+	}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d", resp.StatusCode)
+	}
+	if len(out.Results) != 3 {
+		t.Fatalf("got %d results, want 3", len(out.Results))
+	}
+	for i, st := range out.Results {
+		if st.State != StateDone {
+			t.Fatalf("result %d: state %s (%s)", i, st.State, st.Error)
+		}
+	}
+	plain, swept, retimed := out.Results[0], out.Results[1], out.Results[2]
+	if bytes.Contains(plain.Report, []byte(`"dominant"`)) {
+		t.Error("plain item carries a sensitivity block")
+	}
+	for _, want := range []string{`"dominant"`, `"stall_slices"`} {
+		if !bytes.Contains(swept.Report, []byte(want)) {
+			t.Errorf("swept item lost %s: it was served another item's report", want)
+		}
+	}
+	if swept.ID == plain.ID {
+		t.Errorf("swept item shares job %s with the plain item", plain.ID)
+	}
+	// timeout_ms and sim_workers tune how a job runs, not what it
+	// computes: that item still folds into the plain one.
+	if retimed.ID != plain.ID {
+		t.Errorf("item differing only in timeout_ms/sim_workers got its own job %s, want %s", retimed.ID, plain.ID)
+	}
+	if deduped := metricValue(t, ts, "gpuscoutd_batch_deduped_total"); deduped != 1 {
+		t.Errorf("batch deduped = %g, want 1", deduped)
+	}
+}
+
 // TestBatchValidation covers the batch-level 400/413 paths: empty
 // batches, malformed items (failing the whole batch with the offending
 // index), and an item count beyond MaxBatchItems.

@@ -40,17 +40,23 @@ func (e *QuarantineError) Error() string {
 // Unwrap keeps errors.Is(err, ErrQuarantined) working.
 func (e *QuarantineError) Unwrap() error { return ErrQuarantined }
 
-// Fingerprint identifies the analysis input: everything that determines
-// what the pipeline will execute, nothing that merely tunes how
-// (timeout, sim_workers, sampling period). It keys the quarantine
+// Fingerprint is the one request identity: it keys the quarantine
 // breaker, batch deduplication, and — in a cluster — the coordinator's
 // consistent-hash routing, so repeated submissions of the same input
-// land on the same replica's cache.
+// land on the same replica's cache. It hashes the request's own wire
+// form, so a new AnalyzeRequest field is part of the identity unless it
+// is explicitly cleared here. Two fields are:
+//
+//   - timeout_ms bounds how long the job may run, not what it computes
+//     (a report degraded by a short deadline is never cached);
+//   - sim_workers is host parallelism, and the simulator's result is
+//     bit-identical for every worker count.
 func (r *AnalyzeRequest) Fingerprint() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "workload=%s\x00scale=%d\x00sass=%s\x00cubin=%x\x00kernel=%s\x00arch=%s\x00archcmp=%s\x00dry=%t\x00verify=%t",
-		r.Workload, r.Scale, r.SASS, r.Cubin, r.Kernel, r.Arch, r.ArchCompare, r.DryRun, r.Verify)
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	id := *r
+	id.TimeoutMS, id.SimWorkers = 0, 0
+	wire, _ := json.Marshal(&id) // a struct of strings, numbers and bytes cannot fail to marshal
+	sum := sha256.Sum256(wire)
+	return hex.EncodeToString(sum[:16])
 }
 
 // breaker is the per-fingerprint circuit breaker behind quarantine: a

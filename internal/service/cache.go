@@ -8,6 +8,8 @@ import (
 	"io"
 	"sync"
 
+	"gpuscout/internal/advisor"
+	"gpuscout/internal/sass"
 	"gpuscout/internal/scout"
 )
 
@@ -129,4 +131,21 @@ func CacheKey(canonicalSASS, archTag, launch string, opts scout.Options, verify,
 	h.Write([]byte{0})
 	io.WriteString(h, canonicalSASS)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// requestKey is the CacheKey of a resolved request: the base target's
+// canonical SASS, arch tag and options, plus the launch fingerprint — the
+// workload and scale whenever the simulator runs, and the second arch
+// tag for a comparison, so it never shares an entry with the plain
+// report of the same workload.
+func requestKey(req AnalyzeRequest, plans []advisor.Plan) string {
+	base := plans[0]
+	launch := "static"
+	if base.Run != nil || len(plans) == 2 {
+		launch = fmt.Sprintf("workload=%s scale=%d", req.Workload, req.Scale)
+		if len(plans) == 2 {
+			launch += " archcmp=" + plans[1].Arch.SM
+		}
+	}
+	return CacheKey(sass.Print(base.Kernel), base.Arch.SM, launch, base.Opts, req.Verify, req.Sensitivity)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -82,38 +83,63 @@ func TestQuarantine(t *testing.T) {
 
 // TestRetryTransient: a single-shot injected fault fails the first
 // attempt; the retry succeeds and the job finishes clean, with the retry
-// visible in the job status and gpuscoutd_retries_total.
+// visible in the job status and gpuscoutd_retries_total. An arch_compare
+// job resolves under the same parse guard and fault site, so it obeys
+// the same contract.
 func TestRetryTransient(t *testing.T) {
-	faultinject.Reset()
-	t.Cleanup(faultinject.Reset)
-	_, ts := newTestServer(t, Config{
-		Workers: 1, QueueDepth: 4,
-		RetryAttempts: 2, RetryBackoff: time.Millisecond,
-	})
-	disarm, err := faultinject.Arm(faultinject.Fault{
-		Site: "service.resolve", Mode: faultinject.ModeError, Times: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disarm()
+	for name, body := range map[string]string{
+		"plain":        `{"workload":"transpose_naive","scale":32}`,
+		"arch_compare": `{"workload":"transpose_naive","scale":32,"arch_compare":"sm80"}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			faultinject.Reset()
+			t.Cleanup(faultinject.Reset)
+			_, ts := newTestServer(t, Config{
+				Workers: 1, QueueDepth: 4,
+				RetryAttempts: 2, RetryBackoff: time.Millisecond,
+			})
+			arm := func(times int) {
+				t.Helper()
+				if _, err := faultinject.Arm(faultinject.Fault{
+					Site: "service.resolve", Mode: faultinject.ModeError, Times: times,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			analyze := func() (int, Status) {
+				t.Helper()
+				resp, data := postAnalyze(t, ts, "", body)
+				var st Status
+				if err := json.Unmarshal(data, &st); err != nil {
+					t.Fatalf("status %d, non-status body %s", resp.StatusCode, data)
+				}
+				return resp.StatusCode, st
+			}
 
-	resp, body := postAnalyze(t, ts, "", `{"workload":"transpose_naive","scale":32}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, body %s", resp.StatusCode, body)
-	}
-	var st Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if st.State != StateDone {
-		t.Fatalf("state = %s (%s), want done", st.State, st.Error)
-	}
-	if st.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", st.Attempts)
-	}
-	if n := metricValue(t, ts, `gpuscoutd_retries_total`); n != 1 {
-		t.Errorf("retries_total = %g, want 1", n)
+			arm(1)
+			code, st := analyze()
+			if code != http.StatusOK || st.State != StateDone {
+				t.Fatalf("status %d, state = %s (%s), want 200/done", code, st.State, st.Error)
+			}
+			if st.Attempts != 2 {
+				t.Errorf("attempts = %d, want 2", st.Attempts)
+			}
+			if n := metricValue(t, ts, `gpuscoutd_retries_total`); n != 1 {
+				t.Errorf("retries_total = %g, want 1", n)
+			}
+
+			// A fault that outlasts the retries fails the job with the
+			// typed, site-attributed parse-stage error. (The first run's
+			// report is cached, but resolve runs before the cache probe.)
+			arm(2)
+			code, st = analyze()
+			if code != http.StatusUnprocessableEntity || st.State != StateFailed {
+				t.Fatalf("status %d, state = %s, want 422/failed", code, st.State)
+			}
+			if want := "stage parse: service.resolve:"; !strings.HasPrefix(st.Error, want) {
+				t.Errorf("error = %q, want prefix %q", st.Error, want)
+			}
+		})
 	}
 }
 
@@ -179,52 +205,77 @@ func TestVerifyTimeoutShipsUnverified(t *testing.T) {
 // sensitivity sweep: a delay fault makes the sweep's budget slice expire
 // mid-matrix; the skipped perturbations land in the ledger as timeout
 // degradations, the report still ships, and the job finishes StateDone.
+// An arch_compare job runs the same pipeline per target, so it ships the
+// same partial matrix, ticks the same degraded-report counter, and feeds
+// the same sweep histogram.
 func TestSweepTimeoutShipsPartial(t *testing.T) {
-	faultinject.Reset()
-	t.Cleanup(faultinject.Reset)
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	// timeout 2s → sweep slice 500ms; the armed delay overshoots it on
-	// the first matrix entry.
-	disarm, err := faultinject.Arm(faultinject.Fault{
-		Site: "advisor.sweep", Mode: faultinject.ModeDelay, Delay: 700 * time.Millisecond, Times: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disarm()
+	for name, body := range map[string]string{
+		"plain":        `{"workload":"histogram_global","scale":4,"sensitivity":true,"timeout_ms":2000}`,
+		"arch_compare": `{"workload":"histogram_global","scale":4,"arch_compare":"sm80","sensitivity":true,"timeout_ms":2000}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			faultinject.Reset()
+			t.Cleanup(faultinject.Reset)
+			_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+			// timeout 2s → sweep slice 500ms; the armed delay overshoots it
+			// on the first matrix entry (of the base target).
+			disarm, err := faultinject.Arm(faultinject.Fault{
+				Site: "advisor.sweep", Mode: faultinject.ModeDelay, Delay: 700 * time.Millisecond, Times: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer disarm()
 
-	resp, body := postAnalyze(t, ts, "",
-		`{"workload":"histogram_global","scale":4,"sensitivity":true,"timeout_ms":2000}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, body %s", resp.StatusCode, body)
-	}
-	var st Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if st.State != StateDone {
-		t.Fatalf("state = %s (%s), want done", st.State, st.Error)
-	}
-	var rep struct {
-		Degradations []scout.Degradation `json:"degradations"`
-	}
-	if err := json.Unmarshal(st.Report, &rep); err != nil {
-		t.Fatalf("unmarshal report: %v", err)
-	}
-	timeouts := 0
-	for _, d := range rep.Degradations {
-		if d.Site == "advisor.sweep" && d.Kind == scout.DegradeTimeout {
-			timeouts++
-		}
-	}
-	if timeouts == 0 {
-		t.Fatalf("ledger %+v misses sweep timeout entries", rep.Degradations)
-	}
-	if st.Degradations != len(rep.Degradations) {
-		t.Errorf("status degradations = %d, ledger has %d", st.Degradations, len(rep.Degradations))
-	}
-	if n := metricValue(t, ts, `gpuscoutd_degraded_reports_total{kind="verify_timeout"}`); n != 1 {
-		t.Errorf(`degraded_reports_total{kind="verify_timeout"} = %g, want 1`, n)
+			resp, data := postAnalyze(t, ts, "", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, body %s", resp.StatusCode, data)
+			}
+			var st Status
+			if err := json.Unmarshal(data, &st); err != nil {
+				t.Fatalf("unmarshal: %v", err)
+			}
+			if st.State != StateDone {
+				t.Fatalf("state = %s (%s), want done", st.State, st.Error)
+			}
+			// A plain report carries its ledger at the top level, a
+			// comparison inside each of its two full reports.
+			type ledger struct {
+				Degradations []scout.Degradation `json:"degradations"`
+			}
+			var rep struct {
+				ledger
+				Base, Other *ledger
+			}
+			if err := json.Unmarshal(st.Report, &rep); err != nil {
+				t.Fatalf("unmarshal report: %v", err)
+			}
+			entries := rep.Degradations
+			if name == "arch_compare" {
+				if rep.Base == nil || rep.Other == nil {
+					t.Fatalf("comparison lacks its two reports: %.200s", st.Report)
+				}
+				entries = append(rep.Base.Degradations, rep.Other.Degradations...)
+			}
+			timeouts := 0
+			for _, d := range entries {
+				if d.Site == "advisor.sweep" && d.Kind == scout.DegradeTimeout {
+					timeouts++
+				}
+			}
+			if timeouts == 0 {
+				t.Fatalf("ledger %+v misses sweep timeout entries", entries)
+			}
+			if st.Degradations != len(entries) {
+				t.Errorf("status degradations = %d, ledger has %d", st.Degradations, len(entries))
+			}
+			if n := metricValue(t, ts, `gpuscoutd_degraded_reports_total{kind="verify_timeout"}`); n != 1 {
+				t.Errorf(`degraded_reports_total{kind="verify_timeout"} = %g, want 1`, n)
+			}
+			if n := metricValue(t, ts, `gpuscoutd_stage_seconds_count{stage="sweep"}`); n == 0 {
+				t.Error(`stage_seconds{stage="sweep"} never observed the job's sweep`)
+			}
+		})
 	}
 }
 

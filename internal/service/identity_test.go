@@ -1,0 +1,175 @@
+package service
+
+import (
+	"reflect"
+	"testing"
+
+	"gpuscout/internal/sass"
+	"gpuscout/internal/scout"
+	"gpuscout/internal/sim"
+)
+
+// setNonZero gives a struct field a value that differs from its zero
+// value, by kind. Adding a field of a kind not handled here fails the
+// calling test, which is the point: the new field must be classified.
+func setNonZero(t *testing.T, f reflect.Value, name string) {
+	t.Helper()
+	switch f.Kind() {
+	case reflect.String:
+		f.SetString("x")
+	case reflect.Bool:
+		f.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		f.SetInt(3)
+	case reflect.Float64:
+		f.SetFloat(3.5)
+	case reflect.Slice:
+		f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+	default:
+		t.Fatalf("field %s: kind %s not handled — teach setNonZero about it and classify the field", name, f.Kind())
+	}
+}
+
+// TestFingerprintCoversEveryField: every AnalyzeRequest field either
+// changes Fingerprint() or is listed here with the reason it must not.
+// A new request field that is neither fails the test, so the request
+// identity (breaker, batch dedupe, ring routing) cannot silently forget
+// an input that changes the report.
+func TestFingerprintCoversEveryField(t *testing.T) {
+	excluded := map[string]string{
+		"TimeoutMS":  "bounds how long the job runs, not what it computes; degraded reports are never cached",
+		"SimWorkers": "host parallelism; the simulator's result is bit-identical for every worker count",
+	}
+	base := (&AnalyzeRequest{}).Fingerprint()
+	typ := reflect.TypeOf(AnalyzeRequest{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		var req AnalyzeRequest
+		setNonZero(t, reflect.ValueOf(&req).Elem().Field(i), name)
+		changed := req.Fingerprint() != base
+		_, skip := excluded[name]
+		switch {
+		case changed && skip:
+			t.Errorf("%s is in the exclusion table but changes the fingerprint", name)
+		case !changed && !skip:
+			t.Errorf("%s does not change the fingerprint and is not in the exclusion table", name)
+		}
+		delete(excluded, name)
+	}
+	for name := range excluded {
+		t.Errorf("exclusion table names %s, which is not an AnalyzeRequest field", name)
+	}
+}
+
+// TestCacheKeyCoversEveryOption is the same contract for the report
+// cache key over scout.Options and the sim.Config inside it.
+func TestCacheKeyCoversEveryOption(t *testing.T) {
+	excluded := map[string]string{
+		"Sim.Workers": "bit-identical by construction: a report computed at any parallelism serves all of them",
+		"Analyses":    "not settable through any request; the detector set is a function of the arch tag, which is hashed",
+		"Budgets":     "budgets only decide whether a report degrades, and a degraded report is never cached",
+		"Sim":         "a struct: its fields are classified one by one",
+	}
+	key := func(o scout.Options) string { return CacheKey("SASS", "sm_70", "static", o, false, false) }
+	base := key(scout.Options{})
+	check := func(name string, o scout.Options) {
+		changed := key(o) != base
+		_, skip := excluded[name]
+		switch {
+		case changed && skip:
+			t.Errorf("%s is in the exclusion table but changes the cache key", name)
+		case !changed && !skip:
+			t.Errorf("%s does not change the cache key and is not in the exclusion table", name)
+		}
+		delete(excluded, name)
+	}
+
+	typ := reflect.TypeOf(scout.Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		var o scout.Options
+		switch name {
+		case "Sim":
+		case "Budgets":
+			o.Budgets = scout.StageBudgets{Disabled: true}
+		default:
+			setNonZero(t, reflect.ValueOf(&o).Elem().Field(i), name)
+		}
+		check(name, o)
+	}
+	typ = reflect.TypeOf(sim.Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := "Sim." + typ.Field(i).Name
+		var o scout.Options
+		setNonZero(t, reflect.ValueOf(&o.Sim).Elem().Field(i), name)
+		check(name, o)
+	}
+	for name := range excluded {
+		t.Errorf("exclusion table names %s, which is not an option field", name)
+	}
+}
+
+// TestCacheKeyVectors pins CacheKey's output to vectors recorded at the
+// commit before the request path was collapsed: the key is the address
+// of every report in an existing data directory, so a refactor that
+// moves it turns a warm store cold.
+func TestCacheKeyVectors(t *testing.T) {
+	const k = "// kernel _Z4axpyPfS_f\n/*0000*/ LDG.E R0, [R2] ;\n/*0010*/ EXIT ;\n"
+	simulated := "workload=sgemm_naive scale=64"
+	for _, v := range []struct {
+		name, sass, arch, launch string
+		opts                     scout.Options
+		verify, sensitivity      bool
+		want                     string
+	}{
+		{"static", k, "sm_70", "static", scout.Options{DryRun: true}, false, false,
+			"ac5b682794f9980415a0db59703bbf13abf7d10e130dc67fe34f5dc0c0500b65"},
+		{"simulated", k, "sm_70", simulated, scout.Options{Sim: sim.Config{SampleSMs: 2}}, false, false,
+			"b3c3e87e894537c926720bb9ba04f475cbf1d9420c8add29984b4140336af05c"},
+		{"every report knob", k, "sm_70", simulated,
+			scout.Options{SamplingPeriod: 512, StallSlices: true, Sim: sim.Config{SampleSMs: 2}}, true, true,
+			"dd04a2fc35a7a2c384a75bfd817cf162c1b3485162032e4f25f7f6217af522b3"},
+		{"arch compare", k, "sm_80", "workload=sgemm_shared scale=64 archcmp=sm_80",
+			scout.Options{Sim: sim.Config{SampleSMs: 1, Workers: 4, MaxCycles: 1e6}}, true, false,
+			"70f9e520d81caddc12c312e72c06987b2b6c641ee8bd7dbd4654d786c9acce42"},
+		{"excluded fields set", k, "sm_70", simulated,
+			scout.Options{Sim: sim.Config{SampleSMs: 2, Workers: 8}, Budgets: scout.StageBudgets{Disabled: true}, Analyses: scout.AllAnalyses()}, false, false,
+			"b3c3e87e894537c926720bb9ba04f475cbf1d9420c8add29984b4140336af05c"},
+		{"empty kernel", "", "sm_60", "static", scout.Options{}, false, true,
+			"33ed8b8792cfc478af337fc4998265b0ceb9a759ae71dc9ef9b77068a6668460"},
+	} {
+		if got := CacheKey(v.sass, v.arch, v.launch, v.opts, v.verify, v.sensitivity); got != v.want {
+			t.Errorf("%s: CacheKey = %s, want %s", v.name, got, v.want)
+		}
+	}
+}
+
+// TestRequestKeyLaunchFingerprint pins the launch-fingerprint strings a
+// resolved request contributes to its key (the rest is CacheKey's): the
+// literals below are the parent commit's formats, and they are part of
+// the on-disk address just as much as CacheKey's own layout.
+func TestRequestKeyLaunchFingerprint(t *testing.T) {
+	svc, _ := newTestServer(t, Config{Workers: 1})
+	for _, tc := range []struct {
+		req    AnalyzeRequest
+		launch string
+	}{
+		{AnalyzeRequest{Workload: "transpose_naive", Scale: 32}, "workload=transpose_naive scale=32"},
+		{AnalyzeRequest{Workload: "transpose_naive", Scale: 32, DryRun: true}, "static"},
+		{AnalyzeRequest{Workload: "transpose_naive", Scale: 32, ArchCompare: "sm80", Verify: true},
+			"workload=transpose_naive scale=32 archcmp=sm_80"},
+		{AnalyzeRequest{Workload: "transpose_naive", Scale: 32, ArchCompare: "sm80", DryRun: true},
+			"workload=transpose_naive scale=32 archcmp=sm_80"},
+		{AnalyzeRequest{SASS: sass.Print(testKernel(t))}, "static"},
+	} {
+		plans, err := svc.resolve(tc.req)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.req, err)
+		}
+		base := plans[0]
+		want := CacheKey(sass.Print(base.Kernel), "sm_70", tc.launch, base.Opts, tc.req.Verify, tc.req.Sensitivity)
+		if got := requestKey(tc.req, plans); got != want {
+			t.Errorf("%+v: key does not use launch fingerprint %q", tc.req, tc.launch)
+		}
+	}
+}

@@ -141,9 +141,8 @@ type Job struct {
 	ctx         context.Context
 	cancel      context.CancelFunc
 	done        chan struct{}
-	fingerprint string        // quarantine identity of the input
-	timeout     time.Duration // the job's whole deadline budget
-	onFinish    func(State)   // set by the service to journal the tombstone
+	fingerprint string      // quarantine identity of the input
+	onFinish    func(State) // set by the service to journal the tombstone
 
 	mu           sync.Mutex
 	state        State

@@ -162,15 +162,10 @@ func (s *Service) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 // namespaced /internal because it exposes cache internals keyed by
 // CacheKey, not a public API surface.
 func (s *Service) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	data, ok := s.cache.get(key)
-	if !ok {
-		// Disk fallthrough: a replica that restarted since computing the
-		// report can still serve its peers from the persistent store.
-		if data, ok = s.storeGet(key); ok {
-			s.cache.put(key, data)
-		}
-	}
+	// The local half of lookup only: memory, then disk — a replica that
+	// restarted since computing the report can still serve its peers from
+	// the persistent store — and never onward to another peer.
+	data, _, ok := s.lookupLocal(r.PathValue("key"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "cache miss")
 		return

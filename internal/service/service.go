@@ -1,14 +1,15 @@
 // Package service implements gpuscoutd, the long-lived GPUscout analysis
-// service: a bounded job queue feeding a worker pool, a content-addressed
-// LRU report cache in front of the scout.Analyze pipeline, and a
-// hand-rolled Prometheus-format metrics registry — stdlib only.
+// service: a bounded job queue feeding a worker pool, a tiered
+// content-addressed report cache in front of the advisor.Run pipeline,
+// and a hand-rolled Prometheus-format metrics registry — stdlib only.
 //
-// The data path is queue → pool → cache → pipeline: POST /v1/analyze
-// enqueues a job (429 + Retry-After when the queue is full), a worker
-// resolves the kernel (built-in workload, uploaded SASS text, or uploaded
-// cubin), looks its canonical SASS up in the cache, and only on a miss
-// runs the full analysis — under a per-job context whose timeout or
-// cancellation interrupts the simulated launch itself.
+// POST /v1/analyze enqueues a job (429 + Retry-After when the queue is
+// full); a worker then walks the one request path (executeAttempt):
+// resolve the kernel (built-in workload, uploaded SASS text, or uploaded
+// cubin), key it on its canonical SASS, look the key up memory → disk →
+// peer, and only on a miss run analyze → verify → sweep — under a
+// per-job context whose timeout or cancellation interrupts the simulated
+// launch itself — then encode and publish.
 package service
 
 import (
@@ -32,7 +33,6 @@ import (
 	"gpuscout/internal/scout"
 	"gpuscout/internal/sim"
 	"gpuscout/internal/store"
-	"gpuscout/internal/workloads"
 )
 
 // ErrDurability is returned by Submit when the write-ahead journal
@@ -184,8 +184,7 @@ type Service struct {
 	jobs   map[string]*Job
 	order  []string // creation order, for pruning finished jobs
 
-	// Metrics (the observability surface of the queue → pool → cache →
-	// pipeline path).
+	// Metrics (the observability surface of the request path).
 	jobsInflight  *Gauge
 	jobsFinished  map[State]*Counter
 	cacheHits     *Counter
@@ -369,26 +368,13 @@ func (s *Service) recoverJobs(pending []store.PendingJob) {
 			st.AppendTombstone(p.ID, string(StateFailed))
 			continue
 		}
-		if err := s.breaker.check(req.Fingerprint()); err != nil {
+		fp := req.Fingerprint()
+		if err := s.breaker.check(fp); err != nil {
 			s.quarantined.Inc()
 			st.AppendTombstone(p.ID, string(StateCancelled))
 			continue
 		}
-		timeout := s.cfg.DefaultTimeout
-		if req.TimeoutMS > 0 {
-			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		j := newJob(p.ID, req, ctx, cancel)
-		j.fingerprint = req.Fingerprint()
-		j.timeout = timeout
-		j.onFinish = s.tombstoneHook(p.ID)
-
-		s.jobsMu.Lock()
-		s.jobs[p.ID] = j
-		s.order = append(s.order, p.ID)
-		s.pruneLocked()
-		s.jobsMu.Unlock()
+		j := s.admit(p.ID, req, fp)
 
 		// The queue may be smaller than the recovery backlog: wait for
 		// drain rather than dropping acknowledged work.
@@ -400,7 +386,7 @@ func (s *Service) recoverJobs(pending []store.PendingJob) {
 				break
 			}
 			if errors.Is(err, ErrClosed) {
-				cancel()
+				j.cancel()
 				return
 			}
 			time.Sleep(20 * time.Millisecond)
@@ -507,6 +493,28 @@ func (s *Service) retryAfterSeconds() int {
 	return secs
 }
 
+// admit creates the job for an accepted request — under its own
+// deadline, carrying its quarantine identity and journal hook — and
+// registers it for GET /v1/jobs/{id}. Submit and startup recovery share
+// it, so a recovered job is indistinguishable from a fresh one.
+func (s *Service) admit(id string, req AnalyzeRequest, fp string) *Job {
+	timeout := s.cfg.DefaultTimeout
+	if req.TimeoutMS > 0 {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	j := newJob(id, req, ctx, cancel)
+	j.fingerprint = fp
+	j.onFinish = s.tombstoneHook(id)
+
+	s.jobsMu.Lock()
+	s.jobs[id] = j
+	s.order = append(s.order, id)
+	s.pruneLocked()
+	s.jobsMu.Unlock()
+	return j
+}
+
 // Submit validates and enqueues an analysis job. It returns ErrQueueFull
 // when the bounded queue is at capacity and ErrClosed during shutdown;
 // any other error is a request validation failure.
@@ -519,25 +527,11 @@ func (s *Service) Submit(req AnalyzeRequest) (*Job, error) {
 		s.quarantined.Inc()
 		return nil, err
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	id := fmt.Sprintf("j%08d", s.nextID.Add(1))
-	j := newJob(id, req, ctx, cancel)
-	j.fingerprint = fp
-	j.timeout = timeout
-	j.onFinish = s.tombstoneHook(id)
-
-	s.jobsMu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.pruneLocked()
-	s.jobsMu.Unlock()
+	j := s.admit(id, req, fp)
 
 	rollback := func() {
-		cancel()
+		j.cancel()
 		s.jobsMu.Lock()
 		delete(s.jobs, id)
 		if n := len(s.order); n > 0 && s.order[n-1] == id {
@@ -607,9 +601,14 @@ func (s *Service) pruneLocked() {
 // failures (recovered panics, injected faults) with capped exponential
 // backoff + jitter, and feeding the quarantine breaker on final failure.
 func (s *Service) execute(j *Job) {
-	if err := j.ctx.Err(); err != nil {
+	// abort ends a job whose context expired or was cancelled: no verdict
+	// for the breaker, so a half-open probe slot is freed.
+	abort := func(msg string) {
 		s.breaker.release(j.fingerprint)
-		j.finish(s.countFinish(j.interrupted()), nil, "aborted before start: "+err.Error(), false)
+		j.finish(s.countFinish(j.interrupted()), nil, msg, false)
+	}
+	if err := j.ctx.Err(); err != nil {
+		abort("aborted before start: " + err.Error())
 		return
 	}
 	j.markRunning()
@@ -620,29 +619,26 @@ func (s *Service) execute(j *Job) {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		j.setAttempts(attempt)
-		err := s.executeAttempt(j)
-		if err == nil {
+		lastErr = s.executeAttempt(j)
+		if lastErr == nil {
 			if s.breaker.recordSuccess(j.fingerprint) {
 				s.persistBreaker()
 			}
 			return
 		}
-		lastErr = err
-		s.notePanic(err)
+		s.notePanic(lastErr)
 		if j.ctx.Err() != nil {
-			s.breaker.release(j.fingerprint)
-			j.finish(s.countFinish(j.interrupted()), nil, err.Error(), false)
+			abort(lastErr.Error())
 			return
 		}
-		if attempt >= s.cfg.RetryAttempts || !scout.TransientError(err) {
+		if attempt >= s.cfg.RetryAttempts || !scout.TransientError(lastErr) {
 			break
 		}
 		s.retries.Inc()
 		select {
 		case <-time.After(backoffDelay(s.cfg.RetryBackoff, 2*time.Second, attempt)):
 		case <-j.ctx.Done():
-			s.breaker.release(j.fingerprint)
-			j.finish(s.countFinish(j.interrupted()), nil, lastErr.Error(), false)
+			abort(lastErr.Error())
 			return
 		}
 	}
@@ -663,149 +659,111 @@ func (s *Service) notePanic(err error) {
 	}
 }
 
-// storeGet probes the persistent report store after a memory-cache
-// miss; a hit is promoted into the memory tier by the caller. Absent a
-// store it is a silent miss (no metrics tick — there is no disk tier to
-// account for).
-func (s *Service) storeGet(key string) ([]byte, bool) {
+// lookupLocal probes this replica's own tiers: the memory cache, then
+// the persistent store (a warm restart, or a replica rejoining the ring,
+// finds previously computed reports on disk); a disk hit is promoted
+// into the memory tier. Absent a store the disk probe is a silent miss —
+// there is no tier to account for.
+func (s *Service) lookupLocal(key string) (data []byte, fromMemory, ok bool) {
+	if data, ok = s.cache.get(key); ok {
+		return data, true, true
+	}
 	st := s.cfg.Store
 	if st == nil {
-		return nil, false
+		return nil, false, false
 	}
-	data, ok := st.GetReport(key)
-	if ok {
+	if data, ok = st.GetReport(key); ok {
 		s.storeHits.Inc()
+		s.cache.put(key, data)
 	} else {
 		s.storeMisses.Inc()
 	}
-	return data, ok
+	return data, false, ok
 }
 
-// storePut writes a clean report through to the persistent store.
-// Failures are swallowed: the report was already computed and is being
-// returned to the client; losing the disk copy only costs a future
-// recompute.
-func (s *Service) storePut(key, fingerprint string, data []byte) {
+// lookup is the one tiered probe in front of the pipeline: memory → disk
+// → peer → miss. The peer tier exists because, in a cluster, a key this
+// replica has never seen may already be warm in the ring owner's cache
+// (the key was rebalanced here, or we are taking failover traffic): one
+// bounded peer lookup is far cheaper than re-simulating, a hit is
+// written through both local tiers, and any failure falls through.
+func (s *Service) lookup(ctx context.Context, fingerprint, key string) ([]byte, bool) {
+	if data, fromMemory, ok := s.lookupLocal(key); ok {
+		if fromMemory {
+			s.cacheHits.Inc()
+		}
+		return data, true
+	}
+	if s.cfg.PeerFill != nil {
+		if data, ok := s.cfg.PeerFill(ctx, fingerprint, key); ok && len(data) > 0 {
+			s.peerFillHits.Inc()
+			s.publish(key, fingerprint, data)
+			return data, true
+		}
+		s.peerFillMiss.Inc()
+	}
+	s.cacheMisses.Inc()
+	return nil, false
+}
+
+// publish stores report bytes in the memory cache and writes them
+// through to the persistent store. A failed disk write is swallowed: the
+// report is already on its way to the client, and losing the disk copy
+// only costs a future recompute.
+func (s *Service) publish(key, fingerprint string, data []byte) {
+	s.cache.put(key, data)
 	if st := s.cfg.Store; st != nil {
 		_ = st.PutReport(key, fingerprint, data)
 	}
 }
 
-// executeAttempt is one end-to-end pass at a job: resolve the kernel,
-// consult the cache, run the pipeline, encode and cache the report. It
-// returns nil when the job reached a terminal state itself; an error
-// means the attempt failed and the retry loop decides what happens.
+// executeAttempt is one end-to-end pass at a job, every stage of the
+// request path exactly once: resolve → key → lookup → analyze → verify →
+// sweep → (compare) → encode → publish. A plain request resolves to one
+// target, an arch_compare request to two whose reports are diffed; that
+// is the only difference between them. It returns nil when the job
+// reached a terminal state itself; an error means the attempt failed
+// and the retry loop decides what happens.
 func (s *Service) executeAttempt(j *Job) error {
-	if j.req.ArchCompare != "" {
-		return s.executeArchCompare(j)
-	}
-	// Stage 1: build — resolve the request to a kernel + launch harness.
 	t0 := time.Now()
-	k, arch, opts, run, err := s.resolve(j.req)
+	plans, err := s.resolve(j.req)
 	s.stageDuration["build"].Observe(time.Since(t0).Seconds())
 	if err != nil {
 		return err
 	}
-	opts.Budgets = s.cfg.StageBudgets
 
-	// Stage 2: cache probe on the canonical SASS text. A simulated
-	// workload run keys on its launch configuration too — the same SASS
-	// yields different reports at different problem scales.
-	launch := "static"
-	if run != nil {
-		launch = fmt.Sprintf("workload=%s scale=%d", j.req.Workload, j.req.Scale)
-	}
-	key := CacheKey(sass.Print(k), arch.SM, launch, opts, j.req.Verify, j.req.Sensitivity)
-	if data, ok := s.cache.get(key); ok {
-		s.cacheHits.Inc()
+	// The pipeline is not entered on a hit.
+	key := requestKey(j.req, plans)
+	if data, ok := s.lookup(j.ctx, j.fingerprint, key); ok {
 		j.finish(s.countFinish(StateDone), data, "", true)
 		return nil
 	}
 
-	// Stage 2a: persistent-store probe — a warm restart (or a replica
-	// rejoining the ring) finds previously computed reports on disk and
-	// serves them without re-simulating; the hit is promoted into the
-	// memory tier.
-	if data, ok := s.storeGet(key); ok {
-		s.cache.put(key, data)
-		j.finish(s.countFinish(StateDone), data, "", true)
-		return nil
-	}
-
-	// Stage 2b: peer cache-fill — in a cluster, a key this replica has
-	// never seen may already be warm in the ring owner's cache (the key
-	// was rebalanced here, or we are taking failover traffic). One
-	// bounded peer lookup is far cheaper than re-simulating; any failure
-	// falls through to the pipeline.
-	if s.cfg.PeerFill != nil {
-		if data, ok := s.cfg.PeerFill(j.ctx, j.fingerprint, key); ok && len(data) > 0 {
-			s.peerFillHits.Inc()
-			s.cache.put(key, data)
-			s.storePut(key, j.fingerprint, data)
-			j.finish(s.countFinish(StateDone), data, "", true)
-			return nil
-		}
-		s.peerFillMiss.Inc()
-	}
-	s.cacheMisses.Inc()
-
-	// Stage 3: the three-pillar pipeline, under the job's context. Stage
-	// budgets are applied inside: a slow or crashing dynamic pillar comes
-	// back as a degraded static report, not an error.
-	t1 := time.Now()
-	rep, err := scout.AnalyzeContext(j.ctx, arch, k, run, opts)
-	s.stageDuration["analyze"].Observe(time.Since(t1).Seconds())
-	if err != nil {
-		return err
-	}
-
-	// Stage 3b: counterfactual verification — re-execute each paired
-	// optimized variant under the same sim config, inside the verify
-	// budget slice; when the slice expires, remaining findings ship
-	// unverified (recorded in the report's ledger by the advisor).
-	if j.req.Verify {
-		vctx, vcancel := j.ctx, context.CancelFunc(func() {})
-		if !s.cfg.StageBudgets.Disabled && j.timeout > 0 {
-			vctx, vcancel = context.WithTimeout(j.ctx, s.cfg.StageBudgets.SliceOf(scout.StageVerify, j.timeout))
-		}
-		t := time.Now()
-		sum, err := advisor.Verify(vctx, rep, j.req.Workload, j.req.Scale, arch, opts.Sim)
-		vcancel()
-		s.stageDuration["verify"].Observe(time.Since(t).Seconds())
+	// Stage budgets are applied inside the pipeline: a slow or crashing
+	// dynamic pillar, verification or sweep comes back as a degraded
+	// report with ledger entries, not as an error.
+	reps := make([]*scout.Report, len(plans))
+	var ledger []scout.Degradation
+	for i, p := range plans {
+		out, err := advisor.Run(j.ctx, p)
+		s.observeOutcome(p, out)
 		if err != nil {
-			return fmt.Errorf("verify: %w", err)
+			return err
 		}
-		s.verifications[scout.VerdictConfirmed].Add(uint64(sum.Confirmed))
-		s.verifications[scout.VerdictNeutral].Add(uint64(sum.Neutral))
-		s.verifications[scout.VerdictRefuted].Add(uint64(sum.Refuted))
+		reps[i] = out.Report
+		ledger = append(ledger, out.Report.Degradations...)
 	}
-
-	// Stage 3c: sensitivity sweep — re-simulate the workload under the
-	// hardware perturbation matrix, attach dominant-resource sensitivity
-	// to the report and findings, and re-rank findings by estimated
-	// speedup. Shares the verify budget slice (both are re-execution
-	// passes on top of the finished report); an expired slice ships the
-	// remaining perturbations as ledger entries.
-	if j.req.Sensitivity {
-		sctx, scancel := j.ctx, context.CancelFunc(func() {})
-		if !s.cfg.StageBudgets.Disabled && j.timeout > 0 {
-			sctx, scancel = context.WithTimeout(j.ctx, s.cfg.StageBudgets.SliceOf(scout.StageVerify, j.timeout))
-		}
-		t := time.Now()
-		_, err := advisor.Sweep(sctx, rep, j.req.Workload, j.req.Scale, arch, opts.Sim)
-		scancel()
-		s.stageDuration["sweep"].Observe(time.Since(t).Seconds())
-		if err != nil {
-			return fmt.Errorf("sensitivity sweep: %w", err)
-		}
+	var doc json.Marshaler = reps[0]
+	if len(reps) == 2 {
+		doc = scout.CompareReports(reps[0], reps[1])
 	}
 
 	// Degradation accounting: every shipped ledger entry is visible in
 	// /metrics — one degraded_reports tick per distinct stage_kind, one
 	// stage_panics tick per recovered panic.
-	if n := len(rep.Degradations); n > 0 {
+	if len(ledger) > 0 {
 		kinds := map[string]bool{}
-		for _, d := range rep.Degradations {
+		for _, d := range ledger {
 			kinds[d.Stage+"_"+d.Kind] = true
 			if d.Kind == scout.DegradePanic {
 				if c, ok := s.stagePanics[d.Stage]; ok {
@@ -816,160 +774,40 @@ func (s *Service) executeAttempt(j *Job) error {
 		for kind := range kinds {
 			s.degradedCounter(kind).Inc()
 		}
-		j.setDegradations(n)
+		j.setDegradations(len(ledger))
 	}
 
-	// Stage 4: encode once; cache the immutable bytes — but never a
-	// degraded report, so a later identical request gets a chance at the
-	// full result.
-	t2 := time.Now()
-	data, err := rep.MarshalJSON()
-	s.stageDuration["encode"].Observe(time.Since(t2).Seconds())
+	// Encode once; publish the immutable bytes — but never a degraded
+	// report, so a later identical request gets a chance at the full
+	// result.
+	t1 := time.Now()
+	data, err := doc.MarshalJSON()
+	s.stageDuration["encode"].Observe(time.Since(t1).Seconds())
 	if err != nil {
 		return fmt.Errorf("encode report: %w", err)
 	}
-	if len(rep.Degradations) == 0 {
-		s.cache.put(key, data)
-		s.storePut(key, j.fingerprint, data)
+	if len(ledger) == 0 {
+		s.publish(key, j.fingerprint, data)
 	}
 	j.finish(s.countFinish(StateDone), data, "", false)
 	return nil
 }
 
-// executeArchCompare is the cross-arch job path: the workload is lowered
-// and analyzed on both requested architectures and the job's report is
-// the comparison document (finding deltas plus both full reports).
-func (s *Service) executeArchCompare(j *Job) error {
-	req := j.req
-	baseName := req.Arch
-	if baseName == "" {
-		baseName = "sm_70"
+// observeOutcome feeds one pipeline run into the stage histograms and
+// the verdict counters; a stage the plan did not ask for records nothing.
+func (s *Service) observeOutcome(p advisor.Plan, out *advisor.Outcome) {
+	s.stageDuration["analyze"].Observe(out.Analyze.Seconds())
+	if p.Verify {
+		s.stageDuration["verify"].Observe(out.Verify.Seconds())
 	}
-	baseArch, err := gpu.ByName(baseName)
-	if err != nil {
-		return err
+	if p.Sensitivity {
+		s.stageDuration["sweep"].Observe(out.Sweep.Seconds())
 	}
-	otherArch, err := gpu.ByName(req.ArchCompare)
-	if err != nil {
-		return err
+	if sum := out.Verified; sum != nil {
+		s.verifications[scout.VerdictConfirmed].Add(uint64(sum.Confirmed))
+		s.verifications[scout.VerdictNeutral].Add(uint64(sum.Neutral))
+		s.verifications[scout.VerdictRefuted].Add(uint64(sum.Refuted))
 	}
-	simWorkers := req.SimWorkers
-	if simWorkers <= 0 {
-		simWorkers = s.cfg.SimWorkers
-	}
-	opts := scout.Options{
-		DryRun:         req.DryRun,
-		SamplingPeriod: req.SamplingPeriod,
-		StallSlices:    req.StallSlices,
-		Sim:            sim.Config{SampleSMs: req.SampleSMs, Workers: simWorkers},
-		Budgets:        s.cfg.StageBudgets,
-	}
-
-	// Stage 1: build both lowerings up front — the base kernel's
-	// canonical SASS anchors the cache key, and a build error should
-	// fail before any simulation runs.
-	t0 := time.Now()
-	type lowered struct {
-		arch gpu.Arch
-		w    *workloads.Workload
-	}
-	var variants [2]lowered
-	for i, arch := range []gpu.Arch{baseArch, otherArch} {
-		w, err := workloads.BuildArch(req.Workload, req.Scale, arch)
-		if err != nil {
-			s.stageDuration["build"].Observe(time.Since(t0).Seconds())
-			return err
-		}
-		variants[i] = lowered{arch, w}
-	}
-	s.stageDuration["build"].Observe(time.Since(t0).Seconds())
-
-	// Stage 2: cache probe. The launch fingerprint carries the second
-	// arch tag, so a comparison never shares an entry with the plain
-	// report of the same workload.
-	launch := fmt.Sprintf("workload=%s scale=%d archcmp=%s", req.Workload, req.Scale, otherArch.SM)
-	key := CacheKey(sass.Print(variants[0].w.Kernel), baseArch.SM, launch, opts, req.Verify, req.Sensitivity)
-	if data, ok := s.cache.get(key); ok {
-		s.cacheHits.Inc()
-		j.finish(s.countFinish(StateDone), data, "", true)
-		return nil
-	}
-	if data, ok := s.storeGet(key); ok {
-		s.cache.put(key, data)
-		j.finish(s.countFinish(StateDone), data, "", true)
-		return nil
-	}
-	if s.cfg.PeerFill != nil {
-		if data, ok := s.cfg.PeerFill(j.ctx, j.fingerprint, key); ok && len(data) > 0 {
-			s.peerFillHits.Inc()
-			s.cache.put(key, data)
-			s.storePut(key, j.fingerprint, data)
-			j.finish(s.countFinish(StateDone), data, "", true)
-			return nil
-		}
-		s.peerFillMiss.Inc()
-	}
-	s.cacheMisses.Inc()
-
-	// Stage 3: both pipelines (and optional verification), sequentially
-	// under the job's context.
-	t1 := time.Now()
-	reps := make([]*scout.Report, 2)
-	for i, v := range variants {
-		arch, w := v.arch, v.w
-		var run scout.RunContextFunc
-		if !opts.DryRun {
-			run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-				res, err := workloads.ExecuteContext(ctx, w, sim.NewDevice(arch), cfg)
-				if err == nil {
-					s.simWall.Observe(res.Host.WallSeconds)
-					s.simSpeedup.Observe(res.Host.Speedup())
-				}
-				return res, err
-			}
-		}
-		rep, err := scout.AnalyzeContext(j.ctx, arch, w.Kernel, run, opts)
-		if err != nil {
-			s.stageDuration["analyze"].Observe(time.Since(t1).Seconds())
-			return err
-		}
-		if req.Verify {
-			sum, err := advisor.Verify(j.ctx, rep, req.Workload, req.Scale, arch, opts.Sim)
-			if err != nil {
-				s.stageDuration["analyze"].Observe(time.Since(t1).Seconds())
-				return fmt.Errorf("verify on %s: %w", arch.SM, err)
-			}
-			s.verifications[scout.VerdictConfirmed].Add(uint64(sum.Confirmed))
-			s.verifications[scout.VerdictNeutral].Add(uint64(sum.Neutral))
-			s.verifications[scout.VerdictRefuted].Add(uint64(sum.Refuted))
-		}
-		if req.Sensitivity {
-			if _, err := advisor.Sweep(j.ctx, rep, req.Workload, req.Scale, arch, opts.Sim); err != nil {
-				s.stageDuration["analyze"].Observe(time.Since(t1).Seconds())
-				return fmt.Errorf("sensitivity sweep on %s: %w", arch.SM, err)
-			}
-		}
-		reps[i] = rep
-	}
-	s.stageDuration["analyze"].Observe(time.Since(t1).Seconds())
-
-	// Stage 4: diff, encode, cache (only clean runs, as in the plain
-	// path), finish.
-	cmp := scout.CompareReports(reps[0], reps[1])
-	t2 := time.Now()
-	data, err := cmp.MarshalJSON()
-	s.stageDuration["encode"].Observe(time.Since(t2).Seconds())
-	if err != nil {
-		return fmt.Errorf("encode comparison: %w", err)
-	}
-	if n := len(reps[0].Degradations) + len(reps[1].Degradations); n > 0 {
-		j.setDegradations(n)
-	} else {
-		s.cache.put(key, data)
-		s.storePut(key, j.fingerprint, data)
-	}
-	j.finish(s.countFinish(StateDone), data, "", false)
-	return nil
 }
 
 // countFinish bumps the per-state finished counter and passes the state
@@ -985,54 +823,69 @@ func (s *Service) countFinish(st State) State {
 // decode, workload build); the nested sites register their own names.
 var siteResolve = faultinject.Register("service.resolve")
 
-// resolve turns a request into (kernel, arch, options, run func), under
-// a parse-stage panic guard so a crash on malformed input becomes a
-// typed StageError instead of killing the worker. For uploaded SASS and
-// cubins there is no launch harness, so the analysis is forced static
-// (DryRun) — matching the CLI's behavior for -sass/-cubin.
-func (s *Service) resolve(req AnalyzeRequest) (k *sass.Kernel, arch gpu.Arch, opts scout.Options, run scout.RunContextFunc, err error) {
+// resolve lowers a request to its analysis targets — one plan, or two
+// for arch_compare (base arch first) — under a parse-stage panic guard,
+// so a crash on malformed input becomes a typed StageError instead of
+// killing the worker. Workload builds happen here, not in the pipeline:
+// the cache key needs the kernel before the probe.
+func (s *Service) resolve(req AnalyzeRequest) (plans []advisor.Plan, err error) {
 	err = scout.Guard(scout.StageParse, siteResolve, func() error {
 		if e := faultinject.Hit(siteResolve); e != nil {
 			return e
 		}
-		var e error
-		k, arch, opts, run, e = s.resolveRequest(req)
-		return e
+		archNames := []string{req.Arch}
+		if req.Arch == "" {
+			archNames[0] = "sm_70"
+		}
+		if req.ArchCompare != "" {
+			archNames = append(archNames, req.ArchCompare)
+		}
+		for _, name := range archNames {
+			arch, e := gpu.ByName(name)
+			if e != nil {
+				return e
+			}
+			p, e := s.plan(req, arch)
+			if e != nil {
+				return e
+			}
+			plans = append(plans, p)
+		}
+		return nil
 	})
-	return k, arch, opts, run, err
+	return plans, err
 }
 
-func (s *Service) resolveRequest(req AnalyzeRequest) (*sass.Kernel, gpu.Arch, scout.Options, scout.RunContextFunc, error) {
-	archName := req.Arch
-	if archName == "" {
-		archName = "sm_70"
-	}
-	arch, err := gpu.ByName(archName)
-	if err != nil {
-		return nil, gpu.Arch{}, scout.Options{}, nil, err
-	}
+// plan lowers the request for one architecture. For uploaded SASS and
+// cubins there is no launch harness, so the analysis is forced static
+// (DryRun) — matching the CLI's behavior for -sass/-cubin.
+func (s *Service) plan(req AnalyzeRequest, arch gpu.Arch) (advisor.Plan, error) {
 	simWorkers := req.SimWorkers
 	if simWorkers <= 0 {
 		simWorkers = s.cfg.SimWorkers
 	}
-	opts := scout.Options{
-		DryRun:         req.DryRun,
-		SamplingPeriod: req.SamplingPeriod,
-		StallSlices:    req.StallSlices,
-		Sim:            sim.Config{SampleSMs: req.SampleSMs, Workers: simWorkers},
+	p := advisor.Plan{
+		Arch: arch,
+		Opts: scout.Options{
+			DryRun:         req.DryRun || req.Workload == "",
+			SamplingPeriod: req.SamplingPeriod,
+			StallSlices:    req.StallSlices,
+			Sim:            sim.Config{SampleSMs: req.SampleSMs, Workers: simWorkers},
+			Budgets:        s.cfg.StageBudgets,
+		},
+		Workload:    req.Workload,
+		Scale:       req.Scale,
+		Verify:      req.Verify,
+		Sensitivity: req.Sensitivity,
 	}
-
 	switch {
 	case req.Workload != "":
-		w, err := workloads.BuildArch(req.Workload, req.Scale, arch)
-		if err != nil {
-			return nil, gpu.Arch{}, scout.Options{}, nil, err
+		if err := p.Build(); err != nil {
+			return p, err
 		}
-		var run scout.RunContextFunc
-		if !opts.DryRun {
-			run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-				dev := sim.NewDevice(arch)
-				res, err := workloads.ExecuteContext(ctx, w, dev, cfg)
+		if run := p.Run; run != nil {
+			p.Run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+				res, err := run(ctx, cfg)
 				if err == nil {
 					s.simWall.Observe(res.Host.WallSeconds)
 					s.simSpeedup.Observe(res.Host.Speedup())
@@ -1040,31 +893,28 @@ func (s *Service) resolveRequest(req AnalyzeRequest) (*sass.Kernel, gpu.Arch, sc
 				return res, err
 			}
 		}
-		return w.Kernel, arch, opts, run, nil
 
 	case req.SASS != "":
 		k, err := sass.Parse(req.SASS)
 		if err != nil {
-			return nil, gpu.Arch{}, scout.Options{}, nil, fmt.Errorf("parse SASS: %w", err)
+			return p, fmt.Errorf("parse SASS: %w", err)
 		}
-		opts.DryRun = true
-		return k, arch, opts, nil, nil
+		p.Kernel = k
 
 	default: // cubin (validate guarantees exactly one source)
 		bin, err := cubin.Decode(req.Cubin)
 		if err != nil {
-			return nil, gpu.Arch{}, scout.Options{}, nil, err
+			return p, err
 		}
 		if len(bin.Kernels) == 0 {
-			return nil, gpu.Arch{}, scout.Options{}, nil, fmt.Errorf("cubin holds no kernels")
+			return p, fmt.Errorf("cubin holds no kernels")
 		}
-		k := bin.Kernels[0]
+		p.Kernel = bin.Kernels[0]
 		if req.Kernel != "" {
-			if k, err = bin.Kernel(req.Kernel); err != nil {
-				return nil, gpu.Arch{}, scout.Options{}, nil, err
+			if p.Kernel, err = bin.Kernel(req.Kernel); err != nil {
+				return p, err
 			}
 		}
-		opts.DryRun = true
-		return k, arch, opts, nil, nil
 	}
+	return p, nil
 }
