@@ -60,7 +60,7 @@ bench-parallel:
 	$(GO) test -run '^$$' -bench BenchmarkParallelLaunch -cpu 1,4 \
 		-benchtime=3x -benchmem -timeout 30m . | tee bench.txt
 	$(GO) run ./cmd/benchgate -in bench.txt -gate-allocs 5000 \
-		-out BENCH_parallel_sim.json
+		-commit "$$(git rev-parse --short HEAD)" -out BENCH_parallel_sim.json
 
 # bench/ is its own module (replace gpuscout => ../), so `go build ./...`
 # and `go test ./...` at the root never compile it; this keeps a change

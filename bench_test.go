@@ -164,6 +164,9 @@ func BenchmarkParallelLaunch(b *testing.B) {
 	}{
 		{"sgemm_naive", 192},
 		{"jacobi_naive", 512},
+		// The stall-bound row: its miss stream runs ~17x ahead of the LSU
+		// MSHRs, which the two rows above (issue- and memory-bound) hide.
+		{"mixbench_sp_naive", 1},
 	} {
 		b.Run(wl.name, func(b *testing.B) {
 			w, err := gpuscout.BuildWorkload(wl.name, wl.scale)

@@ -24,7 +24,9 @@
 //
 // The -out file is a trajectory: a JSON array of dated entries, one per
 // benchgate run, appended to — never overwritten — so the committed file
-// records how ns/op and allocs/op evolve across changes.
+// records how ns/op and allocs/op evolve across changes. Each entry carries
+// a host record (nproc, GOMAXPROCS, Go version, and the -commit it was
+// built from), because a ratio means nothing without the machine.
 package main
 
 import (
@@ -34,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,10 +90,23 @@ type Report struct {
 	Samples    []Sample `json:"samples"`
 }
 
+// Host says where an entry was measured. benchgate fills it from its own
+// process, so it is right when benchgate runs on the machine, and with
+// the toolchain, that produced the benchmark output — as `make
+// bench-parallel` and the nightly workflow do.
+type Host struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit,omitempty"`
+}
+
 // Entry is one dated run in the trajectory file.
 type Entry struct {
 	Date string `json:"date"`
 	Note string `json:"note,omitempty"`
+	// Host is absent from entries written before it was recorded.
+	Host *Host `json:"host,omitempty"`
 	Report
 }
 
@@ -104,6 +120,7 @@ func main() {
 		gateAllocs = flag.Float64("gate-allocs", 0, "fail when any paired run reports more than this many allocs/op (0 = off; requires -benchmem)")
 		maxDrift   = flag.Float64("max-drift", 0, "fail when a pair's parallel ns/op exceeds the most recent prior trajectory entry's by this factor (0 = off; needs -out history)")
 		note       = flag.String("note", "", "free-form note recorded in the trajectory entry")
+		commit     = flag.String("commit", "", "commit the benchmark was built from, recorded in the trajectory entry's host record")
 	)
 	flag.Parse()
 
@@ -149,7 +166,8 @@ func main() {
 				fmt.Fprintf(os.Stderr, "benchgate: DRIFT — %s\n", v)
 			}
 		}
-		entry := Entry{Date: time.Now().UTC().Format(time.RFC3339), Note: *note, Report: rep}
+		host := &Host{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version(), Commit: *commit}
+		entry := Entry{Date: time.Now().UTC().Format(time.RFC3339), Note: *note, Host: host, Report: rep}
 		if err := appendEntry(*out, entry); err != nil {
 			fatal(err)
 		}

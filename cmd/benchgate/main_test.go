@@ -274,7 +274,8 @@ func TestTrajectoryAppend(t *testing.T) {
 	if err := appendEntry(path, Entry{Date: "2026-08-08T00:00:00Z", Note: "first", Report: rep}); err != nil {
 		t.Fatal(err)
 	}
-	if err := appendEntry(path, Entry{Date: "2026-08-09T00:00:00Z", Note: "second", Report: rep}); err != nil {
+	host := &Host{NProc: 2, GOMAXPROCS: 2, GoVersion: "go1.24.0", Commit: "abc1234"}
+	if err := appendEntry(path, Entry{Date: "2026-08-09T00:00:00Z", Note: "second", Host: host, Report: rep}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := loadTrajectory(path)
@@ -283,6 +284,10 @@ func TestTrajectoryAppend(t *testing.T) {
 	}
 	if len(entries) != 2 || entries[0].Note != "first" || entries[1].Note != "second" {
 		t.Fatalf("trajectory = %+v, want first,second", entries)
+	}
+	// The host record round-trips; entries from before it existed stay nil.
+	if entries[0].Host != nil || entries[1].Host == nil || *entries[1].Host != *host {
+		t.Errorf("host records = %+v, %+v; want nil, %+v", entries[0].Host, entries[1].Host, host)
 	}
 
 	// Legacy single-report file becomes the sole entry on the next append.

@@ -20,7 +20,8 @@ type Plan struct {
 	Opts scout.Options
 	// Workload and Scale name a built-in workload (lowered by Build). The
 	// re-execution passes need them too: recommendation pairs are
-	// workload-keyed and the sweep rebuilds the kernel per perturbed arch.
+	// workload-keyed and the sweep re-lowers the kernel for perturbed
+	// archs that change lowering.
 	Workload string
 	Scale    int
 	// Verify and Sensitivity add the counterfactual re-runs and the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"gpuscout/internal/codegen"
 	"gpuscout/internal/faultinject"
 	"gpuscout/internal/gpu"
 	"gpuscout/internal/scout"
@@ -15,8 +16,35 @@ import (
 // siteSweep covers one perturbed build+run of the sensitivity matrix.
 var siteSweep = faultinject.Register("advisor.sweep")
 
+// sweepLowering hands the sweep the workload lowered for each perturbed
+// arch. Perturbations that leave every descriptor field the backend
+// reads untouched (codegen.SameLowering — 12 of today's 14) share one
+// lowering of the unperturbed arch, built on first use; only the rest
+// (today scoreboards/up|down, which change control-info assignment) are
+// re-lowered, so reusing the baseline SASS never under-reports them.
+type sweepLowering struct {
+	workload string
+	scale    int
+	arch     gpu.Arch
+	base     *workloads.Workload
+}
+
+func (l *sweepLowering) lower(pa gpu.Arch) (*workloads.Workload, error) {
+	if !codegen.SameLowering(l.arch, pa) {
+		return workloads.BuildArch(l.workload, l.scale, pa)
+	}
+	if l.base == nil {
+		w, err := workloads.BuildArch(l.workload, l.scale, l.arch)
+		if err != nil {
+			return nil, err
+		}
+		l.base = w
+	}
+	return l.base, nil
+}
+
 // Sweep runs the microarchitectural sensitivity analysis (Pompougnac et
-// al.): the analyzed kernel is re-built and re-simulated under every
+// al.): the analyzed kernel is re-simulated under every
 // perturbation of the gpu.Perturbations matrix — one hardware resource
 // scaled at a time — and the cycle deltas identify the resource the
 // kernel is actually bound by. The full matrix is attached to the report;
@@ -24,10 +52,6 @@ var siteSweep = faultinject.Register("advisor.sweep")
 // class can involve, and its GPA-style estimated speedup is widened by
 // the measured headroom of its dominant resource. Findings are re-sorted
 // by the updated payoff.
-//
-// The kernel is re-*built* per perturbed arch, not just re-run: the
-// scoreboard-count perturbation changes instruction lowering (control
-// info assignment), so reusing the baseline SASS would under-report it.
 //
 // workload/scale/arch/cfg must match the analyzed run, exactly as for
 // Verify. A dry-run report cannot be swept (no baseline measurement). A
@@ -46,6 +70,7 @@ func Sweep(ctx context.Context, rep *scout.Report, workload string, scale int, a
 	}
 
 	sens := &scout.Sensitivity{BaselineCycles: rep.Result.Cycles}
+	lowering := sweepLowering{workload: workload, scale: scale, arch: arch}
 	for _, p := range gpu.Perturbations() {
 		if err := ctx.Err(); err != nil {
 			if errors.Is(err, context.Canceled) {
@@ -63,7 +88,7 @@ func Sweep(ctx context.Context, rep *scout.Report, workload string, scale int, a
 				return err
 			}
 			pa := p.Apply(arch)
-			w, err := workloads.BuildArch(workload, scale, pa)
+			w, err := lowering.lower(pa)
 			if err != nil {
 				return fmt.Errorf("build under %s: %w", p.ID(), err)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gpuscout/internal/gpu"
+	"gpuscout/internal/sass"
 	"gpuscout/internal/scout"
 	"gpuscout/internal/sim"
 	"gpuscout/internal/workloads"
@@ -206,5 +207,47 @@ func TestSweepHonorsContext(t *testing.T) {
 	cancel()
 	if _, err := Sweep(ctx, rep, "sgemm_naive", 64, gpu.V100(), cfg); err == nil {
 		t.Error("cancelled context did not abort the sweep")
+	}
+}
+
+// TestSweepLoweringReuse pins the sweep's build-once shortcut over the
+// whole matrix: for every perturbation × workload × arch, the kernel the
+// sweep simulates (the shared baseline lowering wherever
+// codegen.SameLowering says the perturbed arch cannot change lowering)
+// must print the same SASS as a fresh BuildArch for the perturbed arch.
+// A descriptor field the backend starts reading without SameLowering
+// learning about it fails here as soon as a perturbation moves it. The
+// reuse count guards the other direction: only the two scoreboard
+// entries may be re-lowered.
+func TestSweepLoweringReuse(t *testing.T) {
+	perts := gpu.Perturbations()
+	for _, arch := range []gpu.Arch{gpu.V100(), gpu.A100()} {
+		for _, name := range workloads.Names() {
+			scale := goldenScale(t, name)
+			lowering := sweepLowering{workload: name, scale: scale, arch: arch}
+			reused := 0
+			for _, p := range perts {
+				pa := p.Apply(arch)
+				got, err := lowering.lower(pa)
+				if err != nil {
+					t.Fatalf("%s/%s under %s: %v", arch.SM, name, p.ID(), err)
+				}
+				fresh, err := workloads.BuildArch(name, scale, pa)
+				if err != nil {
+					t.Fatalf("%s/%s fresh build under %s: %v", arch.SM, name, p.ID(), err)
+				}
+				if sass.Print(got.Kernel) != sass.Print(fresh.Kernel) {
+					t.Errorf("%s/%s under %s: swept kernel differs from a fresh lowering", arch.SM, name, p.ID())
+				}
+				if got == lowering.base {
+					reused++
+				} else if p.Resource != gpu.ResourceScoreboards {
+					t.Errorf("%s/%s: %s re-lowered the kernel", arch.SM, name, p.ID())
+				}
+			}
+			if want := len(perts) - 2; reused != want {
+				t.Errorf("%s/%s: %d perturbations reused the baseline lowering, want %d", arch.SM, name, reused, want)
+			}
+		}
 	}
 }

@@ -6,37 +6,31 @@ import (
 	"gpuscout/internal/gpu"
 )
 
-// TestQueueRingZeroAlloc locks in the allocation-free behavior of the
-// queueRing hot path: once the scratch selection buffer has grown to the
-// queue's size, admit and inflight must not touch the heap again. This
-// guards the fix for the old admit, which copied the queue into a fresh
-// slice and insertion-sorted it on every MSHR-full event.
-func TestQueueRingZeroAlloc(t *testing.T) {
-	q := &queueRing{}
-	fill := func() {
-		q.times = q.times[:0]
-		for i := 0; i < 64; i++ {
-			q.push(float64(100 + i))
-		}
+// TestMSHRTrackerZeroAllocBounded locks in the two resource properties
+// of the MSHR admission path: a warm admit+push never touches the heap,
+// and the tracker holds at most capacity entries however far the miss
+// stream overruns it (the unbounded ring it replaced held 2 047 entries
+// on mixbench_sp_naive at capacity 112).
+func TestMSHRTrackerZeroAllocBounded(t *testing.T) {
+	const capacity = 112
+	m := &mshrTracker{capacity: capacity}
+	now := 0.0
+	step := func() {
+		now++
+		start := m.admit(now)
+		m.push(start + 400)
 	}
-
-	// Warm-up: grow times and scratch to steady-state capacity.
-	fill()
-	q.admit(0, 32)
-
-	allocs := testing.AllocsPerRun(100, func() {
-		fill()
-		if got := q.inflight(0); got != 64 {
-			t.Fatalf("inflight = %d, want 64", got)
-		}
-		// Queue full beyond capacity 32: admission waits for the 33rd
-		// soonest completion, t=132.
-		if got := q.admit(0, 32); got != 132 {
-			t.Fatalf("admit = %v, want 132", got)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm admit/inflight allocated %v times per run, want 0", allocs)
+	for i := 0; i < 100000; i++ {
+		step()
+	}
+	if n := len(m.heap); n > capacity {
+		t.Errorf("tracker holds %d entries after 100000 pushes, want <= %d", n, capacity)
+	}
+	if c := cap(m.heap); c > 2*capacity {
+		t.Errorf("tracker backing array grew to %d, want <= %d", c, 2*capacity)
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("warm admit+push allocated %v times per run, want 0", allocs)
 	}
 }
 

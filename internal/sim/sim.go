@@ -404,6 +404,9 @@ func (e *engine) newSM(id, gidBase int) *smState {
 		mio:  memsys.NewBandwidth(1),                        // 1 transaction/cycle
 		l2bw: memsys.NewBandwidth(a.L2BWBytes / float64(a.NumSMs)),
 		dram: memsys.NewBandwidth(a.DRAMBWBytes / float64(a.NumSMs)),
+
+		lsuMiss: mshrTracker{capacity: a.LSUMSHRs},
+		texMiss: mshrTracker{capacity: a.TEXMSHRs},
 	}
 }
 

@@ -9,12 +9,12 @@ import (
 
 // queueRing tracks completion times of in-flight operations in an issue
 // queue (LG / MIO / TEX). Entries whose completion is in the past no
-// longer occupy a slot.
+// longer occupy a slot. Issue queues stay within a few entries of their
+// depth (classify stops issue once one is full), so linear scans are
+// cheap here; MSHR occupancy, which overfills by orders of magnitude,
+// uses mshrTracker.
 type queueRing struct {
 	times []float64
-	// scratch is the reusable selection buffer of admit; it never holds
-	// state between calls.
-	scratch []float64
 }
 
 func (q *queueRing) push(t float64) { q.times = append(q.times, t) }
@@ -44,65 +44,75 @@ func (q *queueRing) earliest() float64 {
 	return e
 }
 
-// admit returns the earliest time >= now at which a new entry fits under
-// the given capacity: when full, a request waits for the k-th soonest
-// completion. Models MSHR admission. The order statistic is found by
-// quickselect over a reusable scratch buffer — O(n) expected and
-// allocation-free once warm, where the old copy + insertion sort was
-// O(n²) with a fresh slice on every MSHR-full event.
-func (q *queueRing) admit(now float64, capacity int) float64 {
-	n := q.inflight(now)
-	if n < capacity {
-		return now
-	}
-	// Need (n - capacity + 1) completions; find that order statistic.
-	need := n - capacity + 1
-	q.scratch = append(q.scratch[:0], q.times...)
-	return kthSmallest(q.scratch, need-1)
+// mshrTracker models MSHR admission for one L1 miss path: a miss that
+// finds all capacity slots busy waits for the soonest completion that
+// frees one. It keeps only the capacity largest completion times ever
+// pushed, as a min-heap, so admit and push are O(log capacity) and memory
+// is O(capacity) however far the miss stream runs ahead of the slots.
+//
+// With n entries pending at now (completion > now), a full unit admits at
+// the (n-capacity+1)-th smallest pending time, i.e. the capacity-th
+// largest. At least capacity entries are pending exactly when the heap is
+// full and its minimum is > now; the capacity largest times ever pushed
+// are then all pending, so that order statistic is the heap minimum.
+//
+// Precondition: successive admit calls see non-decreasing now. (An entry
+// the heap evicted could otherwise become "pending" again for an earlier
+// now.) It holds because now is always the return value of the pipe's own
+// memsys.Bandwidth.Request, whose busy horizon only moves forward.
+type mshrTracker struct {
+	heap     []float64 // min-heap of the capacity largest completion times
+	capacity int
 }
 
-// kthSmallest returns the k-th smallest value (0-based) of a, partially
-// reordering it in place. Hoare-partition quickselect with
-// median-of-three pivoting; the k-th order statistic is unique, so the
-// result does not depend on pivot choices or tie ordering.
-func kthSmallest(a []float64, k int) float64 {
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if a[mid] < a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi] < a[lo] {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi] < a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		pivot := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < pivot {
-				i++
-			}
-			for a[j] > pivot {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return a[k]
-		}
+// admit returns the earliest time >= now at which a new miss finds a
+// free slot.
+func (m *mshrTracker) admit(now float64) float64 {
+	if len(m.heap) < m.capacity || m.heap[0] <= now {
+		return now
 	}
-	return a[lo]
+	return m.heap[0]
+}
+
+// push records a miss completing at t.
+func (m *mshrTracker) push(t float64) {
+	h := m.heap
+	i := len(h)
+	if i < m.capacity {
+		// Not full: append and sift up.
+		h = append(h, t)
+		for i > 0 {
+			parent := (i - 1) / 2
+			if h[parent] <= t {
+				break
+			}
+			h[i] = h[parent]
+			i = parent
+		}
+		h[i] = t
+		m.heap = h
+		return
+	}
+	if t <= h[0] {
+		return // not among the capacity largest
+	}
+	// Replace the minimum and sift down.
+	i = 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[c] >= t {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = t
 }
 
 // smState is the timing state of one simulated streaming multiprocessor.
@@ -129,7 +139,7 @@ type smState struct {
 	dram *memsys.Bandwidth // DRAM bandwidth slice
 
 	lgQ, mioQ, texQ  queueRing
-	lsuMiss, texMiss queueRing // outstanding L1 misses (MSHR occupancy)
+	lsuMiss, texMiss mshrTracker // outstanding L1 misses (MSHR occupancy)
 
 	fp64Free float64
 	sfuFree  float64
@@ -408,7 +418,7 @@ func (e *engine) memTiming(sm *smState, w *warp, in *sass.Inst, ma memAccess) {
 				} else if !hit {
 					// An L1 miss occupies an MSHR until data returns; when
 					// all MSHRs are busy the miss waits for a free slot.
-					start := sm.lsuMiss.admit(svc, a.LSUMSHRs)
+					start := sm.lsuMiss.admit(svc)
 					lat += (start - svc) + e.l2Access(sm, s, ma.write)
 					sm.lsuMiss.push(svc + lat)
 				}
@@ -509,7 +519,7 @@ func (e *engine) memTiming(sm *smState, w *warp, in *sass.Inst, ma memAccess) {
 			hit := sm.l1.AccessSector(s, false)
 			lat := float64(a.TexLatency)
 			if !hit {
-				start := sm.texMiss.admit(svc, a.TEXMSHRs)
+				start := sm.texMiss.admit(svc)
 				lat += (start - svc) + e.l2Access(sm, s, false)
 				sm.texMiss.push(svc + lat)
 			}
@@ -555,7 +565,7 @@ func (e *engine) asyncCopyTiming(sm *smState, w *warp, active []bool, ma memAcce
 		if svc > svcEnd {
 			svcEnd = svc
 		}
-		start := sm.lsuMiss.admit(svc, a.LSUMSHRs)
+		start := sm.lsuMiss.admit(svc)
 		lat := (start - svc) + e.l2Access(sm, s, false)
 		sm.lsuMiss.push(svc + lat)
 		c.AsyncCopySectors++

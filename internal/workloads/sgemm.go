@@ -43,7 +43,10 @@ func (v SGEMMVariant) String() string {
 	}
 }
 
-const sgemmTile = 16
+const (
+	sgemmTile  = 16
+	sgemmTileK = 4 * sgemmTile // the shared variants stage 64-deep K tiles
+)
 
 var sgemmNaiveSource = []string{
 	/* 1 */ `// naive SGEMM: C = alpha*A*B + beta*C`,
@@ -108,7 +111,9 @@ var sgemmSharedVecSource = []string{
 }
 
 // SGEMM builds one §5.3 variant for N x N matrices (scale = N; <= 0
-// selects 256).
+// selects 256). N must be a multiple of the 16-wide output tile, and for
+// the shared variants of their 64-deep K tile: a partial K tile would
+// read past the matrix edge and compute wrong results.
 func SGEMM(variant SGEMMVariant, n int, arch gpu.Arch) (*Workload, error) {
 	if n <= 0 {
 		n = 256
@@ -120,6 +125,9 @@ func SGEMM(variant SGEMMVariant, n int, arch gpu.Arch) (*Workload, error) {
 	// The naive and restrict variants share the one-dot-product-per-thread
 	// structure; restrict only changes the load path (LDG.E.NC).
 	naiveStyle := variant == SGEMMNaive || variant == SGEMMRestrict
+	if !naiveStyle && n%sgemmTileK != 0 {
+		return nil, fmt.Errorf("workloads: sgemm_%s N=%d not a multiple of its %d-deep K tile", variant, n, sgemmTileK)
+	}
 
 	var file string
 	var source []string
@@ -235,7 +243,7 @@ func SGEMM(variant SGEMMVariant, n int, arch gpu.Arch) (*Workload, error) {
 
 	case SGEMMShared, SGEMMSharedVec:
 		vec := variant == SGEMMSharedVec
-		const tileK = 4 * sgemmTile                    // 64-deep K tiles
+		const tileK = sgemmTileK
 		asBase := b.AllocShared(sgemmTile * tileK * 4) // As[16][64]
 		bsBase := b.AllocShared(tileK * sgemmTile * 4) // Bs[64][16]
 		loadLineA, loadLineB := 8, 9

@@ -3,6 +3,7 @@ package workloads
 import (
 	"testing"
 
+	"gpuscout/internal/gpu"
 	"gpuscout/internal/sass"
 	"gpuscout/internal/sim"
 )
@@ -15,6 +16,44 @@ func TestSGEMMVariantsCorrect(t *testing.T) {
 				t.Error("no cycles")
 			}
 		})
+	}
+}
+
+// TestSGEMMScaleValidation: every variant needs N to be a multiple of the
+// 16-wide output tile, and the shared variants of their 64-deep K tile —
+// at 96 they used to build, read a partial K tile past the matrix edge
+// and fail their own verification (a degraded report at the daemon).
+func TestSGEMMScaleValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		scale  int
+		builds bool
+	}{
+		{"sgemm_naive", 96, true},
+		{"sgemm_restrict", 96, true},
+		{"sgemm_naive", 100, false},
+		{"sgemm_shared", 64, true},
+		{"sgemm_shared", 128, true},
+		{"sgemm_shared", 96, false},
+		{"sgemm_shared_vec", 64, true},
+		{"sgemm_shared_vec", 128, true},
+		{"sgemm_shared_vec", 96, false},
+	} {
+		w, err := Build(tc.name, tc.scale)
+		if !tc.builds {
+			if err == nil {
+				t.Errorf("%s@%d built, want a scale error", tc.name, tc.scale)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s@%d: %v", tc.name, tc.scale, err)
+			continue
+		}
+		// Execute verifies the result against the host reference.
+		if _, err := Execute(w, sim.NewDevice(gpu.V100()), sim.Config{SampleSMs: 1}); err != nil {
+			t.Errorf("%s@%d: %v", tc.name, tc.scale, err)
+		}
 	}
 }
 
