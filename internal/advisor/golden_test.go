@@ -3,6 +3,7 @@ package advisor
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -42,15 +43,12 @@ func goldenScale(t *testing.T, name string) int {
 	return scale
 }
 
-// goldenReport produces the full advisor-v2 report for one workload at
-// the given simulator parallelism, in both text and JSON forms: analysis
-// with backward stall slices, counterfactual verification, and the
-// sensitivity sweep with its payoff-ranked finding order. The goldens
-// lock the complete surface — slice chains, sensitivity matrices, and
-// estimated-speedup ordering included. The SASS-analysis overhead is
-// wall-clock time and is zeroed: everything else in a report is
-// deterministic.
-func goldenReport(t *testing.T, name string, workers int, arch gpu.Arch) (string, []byte) {
+// goldenAnalyze produces the full advisor-v2 report for one workload at
+// the given simulator parallelism: analysis with backward stall slices,
+// counterfactual verification, and the sensitivity sweep with its
+// payoff-ranked finding order. The SASS-analysis overhead is wall-clock
+// time and is zeroed: everything else in a report is deterministic.
+func goldenAnalyze(t *testing.T, name string, workers int, arch gpu.Arch) *scout.Report {
 	t.Helper()
 	scale := goldenScale(t, name)
 	cfg := sim.Config{SampleSMs: 1, Workers: workers}
@@ -73,12 +71,20 @@ func goldenReport(t *testing.T, name string, workers int, arch gpu.Arch) (string
 		t.Fatalf("sweep %s: %v", name, err)
 	}
 	rep.OverheadSASSCycles = 0
-	text := rep.Render()
+	return rep
+}
+
+// goldenReport renders goldenAnalyze's report in both text and JSON
+// forms. The goldens lock the complete surface — slice chains,
+// sensitivity matrices, and estimated-speedup ordering included.
+func goldenReport(t *testing.T, name string, workers int, arch gpu.Arch) (string, []byte) {
+	t.Helper()
+	rep := goldenAnalyze(t, name, workers, arch)
 	js, err := rep.MarshalJSON()
 	if err != nil {
 		t.Fatalf("marshal %s: %v", name, err)
 	}
-	return text, append(js, '\n')
+	return rep.Render(), append(js, '\n')
 }
 
 // runGoldenSuite locks down the full verified report — text and JSON —
@@ -101,18 +107,6 @@ func runGoldenSuite(t *testing.T, arch gpu.Arch, dir string) {
 
 			txtPath := filepath.Join(dir, name+".txt")
 			jsonPath := filepath.Join(dir, name+".json")
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(txtPath), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(txtPath, []byte(text), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(jsonPath, js, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
 			compareGolden(t, txtPath, []byte(text))
 			compareGolden(t, jsonPath, js)
 		})
@@ -135,8 +129,80 @@ func TestGoldenReportsSM80(t *testing.T) {
 	runGoldenSuite(t, gpu.A100(), filepath.Join("testdata", "golden", "sm80"))
 }
 
+// TestGoldenArchCompare pins the cross-arch comparison's wire form (the
+// deltas plus both full reports): sgemm_shared's global-load findings are
+// removed by sm_80's cp.async lowering (only_base deltas), sgemm_naive's
+// persist with an advisor verdict on both sides. Regenerate with:
+// go test ./internal/advisor -run TestGoldenArchCompare -update
+func TestGoldenArchCompare(t *testing.T) {
+	for _, name := range []string{"sgemm_shared", "sgemm_naive"} {
+		t.Run(name, func(t *testing.T) {
+			cmp := scout.CompareReports(goldenAnalyze(t, name, 1, gpu.V100()), goldenAnalyze(t, name, 1, gpu.A100()))
+			js, err := cmp.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareGolden(t, filepath.Join("testdata", "golden", "archcompare_"+name+"_sm70_sm80.json"), append(js, '\n'))
+		})
+	}
+}
+
+// TestGoldenJSONDecodes proves the wire tags are symmetric: every golden
+// report and arch comparison decodes into the exported JSON view and
+// re-encodes to the same bytes, so clients that unmarshal into
+// scout.JSONReport / scout.JSONArchComparison (the daemon tests, bench/)
+// lose nothing.
+func TestGoldenJSONDecodes(t *testing.T) {
+	var paths []string
+	for _, pattern := range []string{"*.json", filepath.Join("sm80", "*.json")} {
+		m, err := filepath.Glob(filepath.Join("testdata", "golden", pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, m...)
+	}
+	if len(paths) < 2*len(workloads.Names())+1 {
+		t.Fatalf("found only %d golden JSON files", len(paths))
+	}
+	for _, path := range paths {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc any = new(scout.JSONReport)
+		if strings.HasPrefix(filepath.Base(path), "archcompare_") {
+			doc = new(scout.JSONArchComparison)
+		}
+		dec := json.NewDecoder(bytes.NewReader(want))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(doc); err != nil {
+			t.Errorf("%s: decode: %v", path, err)
+			continue
+		}
+		got, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			t.Errorf("%s: re-encode: %v", path, err)
+			continue
+		}
+		if got = append(got, '\n'); !bytes.Equal(got, want) {
+			t.Errorf("%s: decode + re-encode changed the document:\n%s", path, firstDiff(string(got), string(want)))
+		}
+	}
+}
+
+// compareGolden checks got against the golden file at path, or rewrites
+// the file under -update.
 func compareGolden(t *testing.T, path string, got []byte) {
 	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)

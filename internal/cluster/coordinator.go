@@ -171,9 +171,6 @@ func (c *Coordinator) Ring() *Ring { return c.ring }
 // Membership exposes the live member view (tests and operators).
 func (c *Coordinator) Membership() *Membership { return c.members }
 
-// Metrics exposes the coordinator's registry.
-func (c *Coordinator) Metrics() *service.Registry { return c.reg }
-
 // Handler returns the coordinator's HTTP API — the same public surface
 // as a worker, so clients need not know whether they talk to one
 // replica or a fleet:

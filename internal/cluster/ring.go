@@ -69,11 +69,6 @@ func hash64(s string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// Members returns the configured replica list (a copy).
-func (r *Ring) Members() []string {
-	return append([]string(nil), r.members...)
-}
-
 // Owner returns the replica that owns key: the member whose vnode is
 // first at or clockwise-after the key's hash.
 func (r *Ring) Owner(key string) string {

@@ -21,9 +21,8 @@ type vset []uint64
 
 func newVset(n int) vset { return make(vset, (n+63)/64) }
 
-func (s vset) add(v kasm.VReg)      { s[v/64] |= 1 << (uint(v) % 64) }
-func (s vset) remove(v kasm.VReg)   { s[v/64] &^= 1 << (uint(v) % 64) }
-func (s vset) has(v kasm.VReg) bool { return s[v/64]&(1<<(uint(v)%64)) != 0 }
+func (s vset) add(v kasm.VReg)    { s[v/64] |= 1 << (uint(v) % 64) }
+func (s vset) remove(v kasm.VReg) { s[v/64] &^= 1 << (uint(v) % 64) }
 
 func (s vset) clone() vset {
 	c := make(vset, len(s))

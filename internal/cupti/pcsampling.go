@@ -43,7 +43,6 @@ type Report struct {
 
 	byPC   map[uint64]*[sim.NumStalls]float64
 	byLine map[int]*[sim.NumStalls]float64
-	kernel [sim.NumStalls]float64 // whole-kernel aggregate
 }
 
 // siteCollect is the fault-injection site covering sample synthesis.
@@ -106,7 +105,6 @@ func Collect(k *sass.Kernel, res *sim.Result, cfg Config) (*Report, error) {
 				r.byLine[line] = lnAgg
 			}
 			lnAgg[s] += n
-			r.kernel[s] += n
 		}
 	}
 	sort.Slice(r.Samples, func(i, j int) bool {
@@ -135,26 +133,6 @@ func (r *Report) AtLine(line int) [sim.NumStalls]float64 {
 	return [sim.NumStalls]float64{}
 }
 
-// StallShareAtPC returns reason s's share of all non-selected samples at
-// pc, in [0,1].
-func (r *Report) StallShareAtPC(pc uint64, s sim.Stall) float64 {
-	a := r.AtPC(pc)
-	return share(a, s)
-}
-
-// StallShareAtLine is StallShareAtPC aggregated over a source line.
-func (r *Report) StallShareAtLine(line int, s sim.Stall) float64 {
-	a := r.AtLine(line)
-	return share(a, s)
-}
-
-// KernelStallShare returns reason s's share across the whole kernel. The
-// aggregate is accumulated in PC order at collection time, so the share
-// is bit-identical across runs and worker counts.
-func (r *Report) KernelStallShare(s sim.Stall) float64 {
-	return share(r.kernel, s)
-}
-
 // TopStallsAtPC returns the stall reasons at pc ordered by sample count,
 // excluding selected/not_selected bookkeeping reasons, limited to max.
 func (r *Report) TopStallsAtPC(pc uint64, max int) []Sample {
@@ -173,20 +151,6 @@ func (r *Report) TopStallsAtPC(pc uint64, max int) []Sample {
 		out = out[:max]
 	}
 	return out
-}
-
-func share(a [sim.NumStalls]float64, s sim.Stall) float64 {
-	var total float64
-	for i := sim.Stall(0); i < sim.NumStalls; i++ {
-		if i == sim.StallSelected {
-			continue
-		}
-		total += a[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	return a[s] / total
 }
 
 // CollectionCycles models the runtime cost of PC sampling for the

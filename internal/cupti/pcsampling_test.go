@@ -78,7 +78,7 @@ func TestCollectBasics(t *testing.T) {
 		t.Errorf("TotalSamples = %v, want %v", r.TotalSamples, want)
 	}
 	// The FMUL at line 4 consumes the load: long_scoreboard must appear.
-	if share := r.StallShareAtLine(4, sim.StallLongScoreboard); share <= 0 {
+	if r.AtLine(4)[sim.StallLongScoreboard] <= 0 {
 		t.Error("no long_scoreboard at the consumer line")
 	}
 	// Line aggregation matches PC aggregation.
@@ -124,28 +124,6 @@ func TestDefaultPeriodAndTopStalls(t *testing.T) {
 	}
 	if _, err := Collect(k, nil, Config{}); err == nil {
 		t.Error("Collect accepted nil result")
-	}
-}
-
-func TestKernelStallShareBounds(t *testing.T) {
-	k, res := sampleKernel(t)
-	r, err := Collect(k, res, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for s := sim.Stall(0); s < sim.NumStalls; s++ {
-		if s == sim.StallSelected {
-			continue
-		}
-		share := r.KernelStallShare(s)
-		if share < 0 || share > 1 {
-			t.Errorf("share(%v) = %v out of [0,1]", s, share)
-		}
-		total += share
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Errorf("stall shares sum to %v, want 1", total)
 	}
 }
 

@@ -50,13 +50,6 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // runOne executes a workload on a fresh V100 and returns its result.
 func runOne(name string, scale int, cfg sim.Config) (*workloads.Workload, *sim.Result, error) {
 	w, err := workloads.Build(name, scale)
@@ -189,7 +182,7 @@ func Jacobi52(size int, cfg sim.Config) (*Table, error) {
 			Paper: "221760 B requested, 11.5% miss",
 			Measured: fmt.Sprintf("%d B requested, %.1f%% miss",
 				32*uint64(float64(rT.Counters.TexSectors)*rT.Scale),
-				100*(1-float64(rT.Counters.TexSectorHits)/float64(maxU64(rT.Counters.TexSectors, 1)))),
+				100*(1-float64(rT.Counters.TexSectorHits)/float64(max(rT.Counters.TexSectors, 1)))),
 			Match: "shape",
 		},
 		Row{
@@ -279,11 +272,4 @@ func CompareDemo() (string, error) {
 		return "", err
 	}
 	return cmp.Render(), nil
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

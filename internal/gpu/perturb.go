@@ -107,14 +107,3 @@ func Perturbations() []Perturbation {
 	}
 	return out
 }
-
-// PerturbationByID resolves "resource/direction" back to its matrix
-// entry.
-func PerturbationByID(id string) (Perturbation, bool) {
-	for _, p := range Perturbations() {
-		if p.ID() == id {
-			return p, true
-		}
-	}
-	return Perturbation{}, false
-}

@@ -46,10 +46,6 @@ func (b *Builder) Line(n int) *Builder {
 // NumParams declares how many 8-byte parameter slots the kernel takes.
 func (b *Builder) NumParams(n int) { b.p.NumParams = n }
 
-// NewVec4 creates an uninitialized 128-bit (4-word) virtual register, for
-// guarded vector loads whose destination must pre-exist.
-func (b *Builder) NewVec4() VReg { return b.newReg(4) }
-
 // AllocShared reserves bytes of static shared memory and returns its byte
 // offset within the block's shared segment.
 func (b *Builder) AllocShared(bytes int) int64 {
@@ -117,9 +113,6 @@ func (b *Builder) CtaidY() VReg { return b.Special(sass.SRCtaidY) }
 
 // NTidX reads blockDim.x.
 func (b *Builder) NTidX() VReg { return b.Special(sass.SRNTidX) }
-
-// NTidY reads blockDim.y.
-func (b *Builder) NTidY() VReg { return b.Special(sass.SRNTidY) }
 
 // NCtaidX reads gridDim.x.
 func (b *Builder) NCtaidX() VReg { return b.Special(sass.SRNCtaidX) }
@@ -317,15 +310,6 @@ func (b *Builder) ISetp(cmp string, a, c VOperand) sass.Pred {
 	return p
 }
 
-// FSetp compares two floats.
-func (b *Builder) FSetp(cmp string, a, c VOperand) sass.Pred {
-	p := b.AllocPred()
-	b.emit(VInst{Op: sass.OpFSETP, Mods: []string{cmp, "AND"},
-		Dst: []VOperand{VPred(p, false), VPred(sass.PT, false)},
-		Src: []VOperand{a, c, VPred(sass.PT, false)}})
-	return p
-}
-
 // --- fp32 ---
 
 // FAdd computes a + c.
@@ -353,11 +337,6 @@ func (b *Builder) FFmaTo(dst VOperand, a, c, d VOperand) {
 // FAddTo computes dst = a + c in place.
 func (b *Builder) FAddTo(dst VOperand, a, c VOperand) {
 	b.emit(VInst{Op: sass.OpFADD, Dst: []VOperand{dst}, Src: []VOperand{a, c}})
-}
-
-// FMulTo computes dst = a * c in place.
-func (b *Builder) FMulTo(dst VOperand, a, c VOperand) {
-	b.emit(VInst{Op: sass.OpFMUL, Dst: []VOperand{dst}, Src: []VOperand{a, c}})
 }
 
 // MufuRcp computes an approximate 1/a on the SFU pipe.
@@ -404,11 +383,6 @@ func (b *Builder) DAddTo(dst VOperand, a, c VOperand) {
 // I2F converts a signed 32-bit integer to float32.
 func (b *Builder) I2F(a VOperand) VReg {
 	return b.conv(sass.OpI2F, []string{"F32", "S32"}, a, 1)
-}
-
-// I2FD converts a signed 32-bit integer to float64.
-func (b *Builder) I2FD(a VOperand) VReg {
-	return b.conv(sass.OpI2F, []string{"F64", "S32"}, a, 2)
 }
 
 // F2I converts float32 to a signed 32-bit integer (truncating).
@@ -483,14 +457,6 @@ func (b *Builder) LdsTo(dst VReg, addr VReg, off int64, widthBytes int) {
 	b.p.Insts[n].Dst = []VOperand{VR(dst)}
 }
 
-// LdgPred emits a guarded global load.
-func (b *Builder) LdgPred(p sass.Pred, neg bool, base VReg, off int64, widthBytes int, nc bool) VReg {
-	n := len(b.p.Insts)
-	d := b.Ldg(base, off, widthBytes, nc)
-	b.p.Insts[n].Pred, b.p.Insts[n].PredNeg = p, neg
-	return d
-}
-
 // Stg stores widthBytes from val to global memory at [base+off].
 func (b *Builder) Stg(base VReg, off int64, val VReg, widthBytes int) {
 	b.wantPair(VR(base), "Stg")
@@ -532,15 +498,6 @@ func widthMods(widthBytes int, what string) []string {
 		return []string{"128"}
 	}
 	panic(fmt.Sprintf("kasm: %s width %d", what, widthBytes))
-}
-
-// AtomAddF32 performs a global atomic float add, returning the old value.
-func (b *Builder) AtomAddF32(base VReg, off int64, val VReg) VReg {
-	b.wantPair(VR(base), "AtomAddF32")
-	d := b.newReg(1)
-	b.emit(VInst{Op: sass.OpATOM, Mods: []string{"E", "ADD", "F32"},
-		Dst: []VOperand{VR(d), VMem(base, off)}, Src: []VOperand{VR(val)}})
-	return d
 }
 
 // RedAddF32 performs a global atomic float add without return value.

@@ -1,5 +1,13 @@
 package memsys
 
+// BankScratch holds reusable buffers for the conflict calculators so the
+// simulator's hot path computes conflicts without heap allocation. The
+// zero value is ready to use; buffers grow on first use and are retained.
+type BankScratch struct {
+	words   []uint64 // distinct word addresses of one access
+	perBank []int    // transaction count per bank
+}
+
 // BankConflicts computes how many serialized transactions a warp's
 // shared-memory access generates on a banked shared memory. Shared memory
 // is organized in NumBanks 4-byte-wide banks; lanes touching different
@@ -12,21 +20,6 @@ package memsys
 //
 // — is exactly (sum of this function over accesses) / (access count):
 // 1.0 means conflict-free, 32 means fully serialized 32-way conflicts.
-func BankConflicts(numBanks int, addrs []uint64, active []bool, widthBytes int) int {
-	var s BankScratch
-	return s.BankConflicts(numBanks, addrs, active, widthBytes)
-}
-
-// BankScratch holds reusable buffers for the conflict calculators so the
-// simulator's hot path computes conflicts without heap allocation. The
-// zero value is ready to use; buffers grow on first use and are retained.
-type BankScratch struct {
-	words   []uint64 // distinct word addresses of one access
-	perBank []int    // transaction count per bank
-}
-
-// BankConflicts is the allocation-free form of the package-level
-// BankConflicts; it produces the identical result for identical inputs.
 func (s *BankScratch) BankConflicts(numBanks int, addrs []uint64, active []bool, widthBytes int) int {
 	// Collect the set of distinct word addresses touched. A warp touches
 	// at most 32 lanes x widthBytes/4 words, so linear dedup over a small
@@ -81,13 +74,6 @@ func (s *BankScratch) bankCounts(numBanks int) []int {
 // memory *atomic* access: unlike plain loads, same-word accesses cannot
 // broadcast — every lane performs a read-modify-write, so the per-bank
 // lane count (including duplicates) bounds the transactions.
-func AtomicConflicts(numBanks int, addrs []uint64, active []bool) int {
-	var s BankScratch
-	return s.AtomicConflicts(numBanks, addrs, active)
-}
-
-// AtomicConflicts is the allocation-free form of the package-level
-// AtomicConflicts; it produces the identical result for identical inputs.
 func (s *BankScratch) AtomicConflicts(numBanks int, addrs []uint64, active []bool) int {
 	perBank := s.bankCounts(numBanks)
 	maxPer := 0
@@ -104,19 +90,13 @@ func (s *BankScratch) AtomicConflicts(numBanks int, addrs []uint64, active []boo
 	return maxPer
 }
 
-// CoalesceSectors returns the distinct sector base addresses a warp's
+// CoalesceSectorsInto returns the distinct sector base addresses a warp's
 // global/local access touches — the unit the L1TEX pipe processes.
 // Perfectly coalesced 32-lane 4-byte accesses produce 4 sectors of 32
 // bytes (one 128-byte line); a stride-N pattern produces up to one sector
-// per lane. The returned slice is in first-touch order.
-func CoalesceSectors(sectorBytes int, addrs []uint64, active []bool, widthBytes int) []uint64 {
-	return CoalesceSectorsInto(nil, sectorBytes, addrs, active, widthBytes)
-}
-
-// CoalesceSectorsInto is CoalesceSectors writing into a caller-provided
-// buffer (reused across calls to keep the simulator's hot path free of
-// heap allocation). It returns buf[:0] extended with the distinct sector
-// bases in first-touch order — identical content to CoalesceSectors.
+// per lane. It writes into a caller-provided buffer (reused across calls
+// to keep the simulator's hot path free of heap allocation) and returns
+// buf[:0] extended with the sector bases in first-touch order.
 func CoalesceSectorsInto(buf []uint64, sectorBytes int, addrs []uint64, active []bool, widthBytes int) []uint64 {
 	// A warp produces at most 32 lanes x widthBytes/4 sector candidates;
 	// linear dedup over the output slice beats a map at that size.

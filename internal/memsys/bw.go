@@ -8,8 +8,6 @@ package memsys
 type Bandwidth struct {
 	BytesPerCycle float64
 	busyUntil     float64
-	totalBytes    uint64
-	totalRequests uint64
 }
 
 // NewBandwidth creates a resource serving bytesPerCycle.
@@ -29,8 +27,6 @@ func (b *Bandwidth) Request(now float64, n int) float64 {
 		start = b.busyUntil
 	}
 	b.busyUntil = start + float64(n)/b.BytesPerCycle
-	b.totalBytes += uint64(n)
-	b.totalRequests++
 	return b.busyUntil
 }
 
@@ -41,17 +37,4 @@ func (b *Bandwidth) QueueDelay(now float64) float64 {
 		return b.busyUntil - now
 	}
 	return 0
-}
-
-// TotalBytes returns the bytes transferred so far.
-func (b *Bandwidth) TotalBytes() uint64 { return b.totalBytes }
-
-// TotalRequests returns the number of transfers so far.
-func (b *Bandwidth) TotalRequests() uint64 { return b.totalRequests }
-
-// Reset clears state and counters.
-func (b *Bandwidth) Reset() {
-	b.busyUntil = 0
-	b.totalBytes = 0
-	b.totalRequests = 0
 }

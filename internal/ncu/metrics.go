@@ -6,7 +6,6 @@ package ncu
 
 import (
 	"fmt"
-	"sort"
 
 	"gpuscout/internal/sass"
 	"gpuscout/internal/sim"
@@ -196,16 +195,6 @@ var byName = func() map[string]*Metric {
 func Lookup(name string) (*Metric, bool) {
 	m, ok := byName[name]
 	return m, ok
-}
-
-// Names lists all registered metric names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for i := range registry {
-		out = append(out, registry[i].Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Value computes a single metric.

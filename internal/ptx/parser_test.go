@@ -5,7 +5,10 @@ import (
 	"strings"
 )
 
-// Parse reads the text form produced by Module.Print back into a Module.
+// Parse is a test-only reader of the text form Module.Print produces: no
+// binary parses PTX text, so it lives beside the tests that use it as the
+// oracle for Print's format and for Lift's opcode/state-space
+// classification (it re-derives both from the instruction text alone).
 // It accepts exactly that dialect: an optional leading comment block, one
 // ".visible .entry NAME()" declaration, and a braced body of ".loc" line
 // markers and ";"-terminated instructions. Instruction opcodes and state

@@ -115,10 +115,6 @@ func BuildCFG(k *Kernel) (*CFG, error) {
 // BlockOf returns the block ID containing instruction index i.
 func (c *CFG) BlockOf(i int) int { return c.blockOf[i] }
 
-// LoopDepth returns the loop nesting depth of instruction index i
-// (0 = not inside any loop).
-func (c *CFG) LoopDepth(i int) int { return c.loopDepth[i] }
-
 // InLoop reports whether instruction index i is inside a natural loop —
 // the paper's "is the register inside a for-loop" check.
 func (c *CFG) InLoop(i int) bool { return c.loopDepth[i] > 0 }

@@ -87,9 +87,6 @@ func TestCFGLoop(t *testing.T) {
 			t.Errorf("inst %d should not be in loop", i)
 		}
 	}
-	if d := cfg.LoopDepth(3); d != 1 {
-		t.Errorf("LoopDepth(3) = %d, want 1", d)
-	}
 }
 
 func TestCFGDiamondPostDominators(t *testing.T) {
@@ -179,32 +176,25 @@ func TestDefUse(t *testing.T) {
 		t.Errorf("LastDefBefore(unwritten reg) = %d, want -1", got)
 	}
 
-	// R2 (load base) is never written: read-only.
-	if !du.IsReadOnly(2) {
-		t.Error("R2 should be read-only")
-	}
-	// R6 is written twice: not read-only.
-	if du.IsReadOnly(6) {
-		t.Error("R6 should not be read-only")
-	}
-
-	// Pointer R2 is only loaded through; pointer R8 is stored through.
-	if du.PointerStoredThrough(2) {
+	// Pointer R2 (the LDG at inst 2) is only loaded through; pointer R8
+	// (the STG at inst 7) is stored through.
+	if du.PointerStoredThroughAt(2, 2) {
 		t.Error("R2 pair should not be stored through")
 	}
-	if !du.PointerStoredThrough(8) {
+	if !du.PointerStoredThroughAt(8, 7) {
 		t.Error("R8 pair should be stored through")
 	}
 
-	// R4 feeds one arithmetic instruction (the FFMA reads it twice, but
-	// instruction-wise it is one arith user; ArithUseCount counts reads).
-	if got := du.ArithUseCount(4); got != 2 {
-		t.Errorf("ArithUseCount(R4) = %d, want 2 (two reads by FFMA)", got)
+	// R4 (loaded at inst 2) feeds one arithmetic instruction (the FFMA
+	// reads it twice, but instruction-wise it is one arith user;
+	// ArithUseCountAt counts reads).
+	if got := du.ArithUseCountAt(4, 2); got != 2 {
+		t.Errorf("ArithUseCountAt(R4, 2) = %d, want 2 (two reads by FFMA)", got)
 	}
-	if du.UseCount(4) != 2 {
-		t.Errorf("UseCount(R4) = %d", du.UseCount(4))
+	if len(du.Uses[4]) != 2 {
+		t.Errorf("Uses[R4] = %v", du.Uses[4])
 	}
-	if du.ArithUseCount(RZ) != 0 || du.UseCount(RZ) != 0 || !du.IsReadOnly(RZ) {
+	if du.ArithUseCountAt(RZ, 0) != 0 {
 		t.Error("RZ must be inert in def-use queries")
 	}
 }

@@ -54,41 +54,14 @@ func (du *DefUse) LastDefBefore(r Reg, i int) int {
 	return last
 }
 
-// IsReadOnly reports whether register r is written at most once (its
-// initializing definition) and only ever read afterwards — the paper's
-// "read-only throughout the kernel" property used by the __restrict__
-// recommendation (§4.5). Registers with zero defs (kernel inputs via
-// constant bank go through MOV/LDC, so this is rare) count as read-only.
-func (du *DefUse) IsReadOnly(r Reg) bool {
-	if r == RZ {
-		return true
-	}
-	return len(du.Defs[r]) <= 1
-}
-
-// PointerStoredThrough reports whether any store or atomic instruction
+// PointerStoredThroughAt reports whether any store or atomic instruction
 // uses register pair (base, base+1) as its memory address — i.e. whether
-// the pointer held in that pair is ever written through. Pointers never
-// stored through are candidates for const __restrict__ (§4.5) and for
-// the texture path (§4.6).
-func (du *DefUse) PointerStoredThrough(base Reg) bool {
-	k := du.Kernel
-	for i := range k.Insts {
-		in := &k.Insts[i]
-		switch in.Op {
-		case OpSTG, OpSTS, OpSTL, OpATOM, OpATOMS, OpRED:
-			if m, ok := in.MemOperand(); ok && m.Reg == base {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// PointerStoredThroughAt is the version-aware form of
-// PointerStoredThrough: physical registers are reused by the allocator,
-// so a store through the same register only aliases the pointer a load at
-// loadIdx uses when both see the same reaching definition of the base.
+// the pointer the load at loadIdx reads through is ever written through.
+// Pointers never stored through are candidates for const __restrict__
+// (§4.5) and for the texture path (§4.6). It is version-aware: physical
+// registers are reused by the allocator, so a store through the same
+// register only aliases the load's pointer when both see the same
+// reaching definition of the base.
 func (du *DefUse) PointerStoredThroughAt(base Reg, loadIdx int) bool {
 	k := du.Kernel
 	ver := du.LastDefBefore(base, loadIdx)
@@ -133,26 +106,11 @@ func (du *DefUse) UseLinesAfter(r Reg, i int) []int {
 	return lines
 }
 
-// ArithUseCount returns how many arithmetic instructions read register r
-// (the Fig. 4 "arithmetic instruction count" on a loaded register).
-func (du *DefUse) ArithUseCount(r Reg) int {
-	if r == RZ {
-		return 0
-	}
-	n := 0
-	k := du.Kernel
-	for _, u := range du.Uses[r] {
-		if IsArith(k.Insts[u].Op) {
-			n++
-		}
-	}
-	return n
-}
-
 // ArithUseCountAt returns how many arithmetic instructions read the value
-// register r holds after its definition at defIdx: uses between defIdx
-// and r's next redefinition. The whole-register ArithUseCount overcounts
-// when the allocator later recycles r for an unrelated value.
+// register r holds after its definition at defIdx (the Fig. 4 "arithmetic
+// instruction count" on a loaded register): uses between defIdx and r's
+// next redefinition, so a register the allocator later recycles for an
+// unrelated value is not overcounted.
 func (du *DefUse) ArithUseCountAt(r Reg, defIdx int) int {
 	if r == RZ {
 		return 0
@@ -172,12 +130,4 @@ func (du *DefUse) ArithUseCountAt(r Reg, defIdx int) int {
 		}
 	}
 	return n
-}
-
-// UseCount returns the total number of reads of register r.
-func (du *DefUse) UseCount(r Reg) int {
-	if r == RZ {
-		return 0
-	}
-	return len(du.Uses[r])
 }

@@ -32,14 +32,8 @@ type Operand struct {
 // R makes a register operand.
 func R(r Reg) Operand { return Operand{Kind: OpdReg, Reg: r} }
 
-// NegR makes a negated (fp) register operand.
-func NegR(r Reg) Operand { return Operand{Kind: OpdReg, Reg: r, Neg: true} }
-
 // P makes a predicate operand.
 func P(p Pred) Operand { return Operand{Kind: OpdPred, Pred: p} }
-
-// NotP makes a negated predicate source operand.
-func NotP(p Pred) Operand { return Operand{Kind: OpdPred, Pred: p, Neg: true} }
 
 // Imm makes an immediate operand.
 func Imm(v int64) Operand { return Operand{Kind: OpdImm, Imm: v} }
@@ -260,29 +254,6 @@ func (in *Inst) SrcRegs(out []Reg) []Reg {
 	for _, o := range in.Dst {
 		if o.Kind == OpdMem {
 			addReg(o.Reg, 2)
-		}
-	}
-	return out
-}
-
-// DstPreds appends every predicate register written (ISETP/FSETP/DSETP).
-func (in *Inst) DstPreds(out []Pred) []Pred {
-	for _, o := range in.Dst {
-		if o.Kind == OpdPred && o.Pred != PT {
-			out = append(out, o.Pred)
-		}
-	}
-	return out
-}
-
-// SrcPreds appends every predicate register read, including the guard.
-func (in *Inst) SrcPreds(out []Pred) []Pred {
-	if in.Pred != PT {
-		out = append(out, in.Pred)
-	}
-	for _, o := range in.Src {
-		if o.Kind == OpdPred && o.Pred != PT {
-			out = append(out, o.Pred)
 		}
 	}
 	return out

@@ -39,14 +39,6 @@ func (k *Kernel) InstAt(pc uint64) *Inst {
 	return &k.Insts[i]
 }
 
-// LineOf returns the source line attributed to pc (0 if unknown).
-func (k *Kernel) LineOf(pc uint64) int {
-	if in := k.InstAt(pc); in != nil {
-		return in.Line
-	}
-	return 0
-}
-
 // SourceLine returns the quoted source text for a 1-based line number,
 // or "" when the source is not embedded.
 func (k *Kernel) SourceLine(line int) string {

@@ -1,5 +1,7 @@
 package sass
 
+import "math/bits"
+
 // Liveness holds per-instruction register liveness information. The paper
 // reports "live register pressure of an instruction" (§3.2) and "the number
 // of additional registers needed by each SASS instruction" (§4.1); both are
@@ -56,16 +58,7 @@ func (s *regSet) union(o regSet) (changed bool) {
 func (s *regSet) count() int {
 	n := 0
 	for _, w := range s {
-		n += popcount64(w)
-	}
-	return n
-}
-
-func popcount64(w uint64) int {
-	n := 0
-	for w != 0 {
-		w &= w - 1
-		n++
+		n += bits.OnesCount64(w)
 	}
 	return n
 }

@@ -116,8 +116,8 @@ func TestLineAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if got.LineOf(6*InstBytes) != 5 {
-		t.Errorf("LineOf(0x60) = %d, want 5", got.LineOf(6*InstBytes))
+	if in := got.InstAt(6 * InstBytes); in == nil || in.Line != 5 {
+		t.Errorf("InstAt(0x60) = %+v, want line 5", in)
 	}
 	pcs := got.PCsForLine(6)
 	if len(pcs) != 2 {
@@ -331,16 +331,6 @@ func TestDstSrcRegs(t *testing.T) {
 	}
 	if got := len(narrow.SrcRegs(nil)); got != 2 {
 		t.Errorf("F2F.F32.F64 SrcRegs count = %d, want 2", got)
-	}
-
-	// Guard predicates show up in SrcPreds; ISETP dsts in DstPreds.
-	is := Inst{Op: OpISETP, Pred: 2, Dst: []Operand{P(0), P(PT)},
-		Src: []Operand{R(1), R(2), NotP(3)}}
-	if got := is.DstPreds(nil); len(got) != 1 || got[0] != 0 {
-		t.Errorf("DstPreds = %v", got)
-	}
-	if got := is.SrcPreds(nil); len(got) != 2 {
-		t.Errorf("SrcPreds = %v, want guard P2 and source P3", got)
 	}
 }
 

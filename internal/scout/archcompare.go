@@ -25,33 +25,24 @@ const (
 // Findings are matched by (analysis, primary source line): source lines
 // are stable across backends while PCs are not.
 type ArchDelta struct {
-	Analysis string
-	Line     int
-	Title    string
-	Status   ArchDeltaStatus
+	Analysis string          `json:"analysis"`
+	Line     int             `json:"line"`
+	Title    string          `json:"title"`
+	Status   ArchDeltaStatus `json:"status"`
 
 	// Severities as rendered strings; empty when the finding is absent
 	// on that arch.
-	BaseSeverity  string
-	OtherSeverity string
+	BaseSeverity  string `json:"base_severity,omitempty"`
+	OtherSeverity string `json:"other_severity,omitempty"`
 
 	// Advisor verdicts ("confirmed"/"neutral"/"refuted"), empty when the
 	// report was not verified or the finding is absent.
-	BaseVerdict  string
-	OtherVerdict string
+	BaseVerdict  string `json:"base_verdict,omitempty"`
+	OtherVerdict string `json:"other_verdict,omitempty"`
 
 	// Note explains the delta when the comparison can attribute it
 	// (e.g. cp.async lowering hiding a global-load stall).
-	Note string
-}
-
-// Differs reports whether the finding's verdict — presence, severity, or
-// advisor verdict — changed between the two architectures.
-func (d *ArchDelta) Differs() bool {
-	if d.Status != DeltaPersists {
-		return true
-	}
-	return d.BaseSeverity != d.OtherSeverity || d.BaseVerdict != d.OtherVerdict
+	Note string `json:"note,omitempty"`
 }
 
 // ArchComparison is the result of analyzing the same kernel on two
@@ -65,7 +56,7 @@ type ArchComparison struct {
 	Deltas    []ArchDelta
 }
 
-// globalLoadAnalyses are the detectors whose findings an async-copy
+// isGlobalLoadAnalysis names the detectors whose findings an async-copy
 // lowering can remove: they all key off LDG instructions that LDGSTS
 // fusion deletes.
 func isGlobalLoadAnalysis(name string) bool {
@@ -175,17 +166,6 @@ func CompareReports(base, other *Report) *ArchComparison {
 	return c
 }
 
-// AnyVerdictDiffers reports whether at least one finding's verdict
-// (presence, severity, or advisor verdict) differs between the arches.
-func (c *ArchComparison) AnyVerdictDiffers() bool {
-	for i := range c.Deltas {
-		if c.Deltas[i].Differs() {
-			return true
-		}
-	}
-	return false
-}
-
 // Render produces the human-readable cross-arch comparison.
 func (c *ArchComparison) Render() string {
 	var b strings.Builder
@@ -242,28 +222,15 @@ func orDash(s string) string {
 	return s
 }
 
-// JSONArchDelta mirrors ArchDelta.
-type JSONArchDelta struct {
-	Analysis      string `json:"analysis"`
-	Line          int    `json:"line"`
-	Title         string `json:"title"`
-	Status        string `json:"status"`
-	BaseSeverity  string `json:"base_severity,omitempty"`
-	OtherSeverity string `json:"other_severity,omitempty"`
-	BaseVerdict   string `json:"base_verdict,omitempty"`
-	OtherVerdict  string `json:"other_verdict,omitempty"`
-	Note          string `json:"note,omitempty"`
-}
-
 // JSONArchComparison is the machine-readable cross-arch comparison: the
 // delta list plus both full reports.
 type JSONArchComparison struct {
-	Kernel    string          `json:"kernel"`
-	BaseArch  string          `json:"base_arch"`
-	OtherArch string          `json:"other_arch"`
-	Deltas    []JSONArchDelta `json:"deltas"`
-	Base      *JSONReport     `json:"base,omitempty"`
-	Other     *JSONReport     `json:"other,omitempty"`
+	Kernel    string      `json:"kernel"`
+	BaseArch  string      `json:"base_arch"`
+	OtherArch string      `json:"other_arch"`
+	Deltas    []ArchDelta `json:"deltas"`
+	Base      *JSONReport `json:"base,omitempty"`
+	Other     *JSONReport `json:"other,omitempty"`
 }
 
 // ToJSON converts the comparison to its serializable form.
@@ -272,20 +239,7 @@ func (c *ArchComparison) ToJSON() *JSONArchComparison {
 		Kernel:    c.Kernel,
 		BaseArch:  c.BaseArch,
 		OtherArch: c.OtherArch,
-	}
-	for i := range c.Deltas {
-		d := &c.Deltas[i]
-		out.Deltas = append(out.Deltas, JSONArchDelta{
-			Analysis:      d.Analysis,
-			Line:          d.Line,
-			Title:         d.Title,
-			Status:        string(d.Status),
-			BaseSeverity:  d.BaseSeverity,
-			OtherSeverity: d.OtherSeverity,
-			BaseVerdict:   d.BaseVerdict,
-			OtherVerdict:  d.OtherVerdict,
-			Note:          d.Note,
-		})
+		Deltas:    c.Deltas,
 	}
 	if c.Base != nil {
 		out.Base = c.Base.ToJSON()

@@ -62,9 +62,6 @@ func TestCompareReportsStatuses(t *testing.T) {
 	if !strings.Contains(ro.Note, "cp.async") || !strings.Contains(ro.Note, "LDGSTS") {
 		t.Errorf("readonly_cache note lacks cp.async attribution: %q", ro.Note)
 	}
-	if !ro.Differs() {
-		t.Error("readonly_cache should differ")
-	}
 
 	bc := byKey["bank_conflict"]
 	if bc.Status != DeltaPersists {
@@ -73,16 +70,13 @@ func TestCompareReportsStatuses(t *testing.T) {
 	if bc.BaseVerdict != "confirmed" || bc.OtherVerdict != "neutral" {
 		t.Errorf("bank_conflict verdicts = %q/%q", bc.BaseVerdict, bc.OtherVerdict)
 	}
-	if !bc.Differs() {
-		t.Error("bank_conflict verdict changed; Differs must be true")
-	}
 	if !strings.Contains(bc.Note, "advisor verdict") {
 		t.Errorf("bank_conflict note = %q, want verdict delta note", bc.Note)
 	}
 
 	rs := byKey["register_spill"]
-	if rs.Status != DeltaPersists || rs.Differs() {
-		t.Errorf("register_spill unchanged on both arches: status=%s differs=%v", rs.Status, rs.Differs())
+	if rs.Status != DeltaPersists || rs.BaseSeverity != rs.OtherSeverity || rs.BaseVerdict != rs.OtherVerdict {
+		t.Errorf("register_spill unchanged on both arches: %+v", *rs)
 	}
 
 	sa := byKey["shared_atomic"]
@@ -91,10 +85,6 @@ func TestCompareReportsStatuses(t *testing.T) {
 	}
 	if sa.Note != "" {
 		t.Errorf("shared_atomic (not a global-load detector) got note %q", sa.Note)
-	}
-
-	if !c.AnyVerdictDiffers() {
-		t.Error("AnyVerdictDiffers = false, want true")
 	}
 
 	out := c.Render()
@@ -139,11 +129,8 @@ func TestCompareReportsDedupAndDryRun(t *testing.T) {
 	if d.BaseSeverity != "present" || d.OtherSeverity != "present" {
 		t.Errorf("dry-run severities = %q/%q, want present/present", d.BaseSeverity, d.OtherSeverity)
 	}
-	if d.Differs() {
-		t.Error("identical presence on both arches must not differ")
-	}
-	if c.AnyVerdictDiffers() {
-		t.Error("AnyVerdictDiffers = true, want false")
+	if d.Status != DeltaPersists {
+		t.Errorf("status = %s, want persists", d.Status)
 	}
 }
 

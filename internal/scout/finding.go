@@ -43,14 +43,14 @@ func (s Severity) String() string {
 // that "the problem description and source code line number are always
 // attached".
 type Site struct {
-	PC   uint64
-	Line int
-	File string
+	PC   uint64 `json:"pc"`
+	File string `json:"file"`
+	Line int    `json:"line"`
 	// SASS is the disassembled instruction at PC.
-	SASS string
+	SASS string `json:"sass"`
 	// Note carries site-specific detail ("register R9", "inside a
 	// for-loop", "spilled by IADD at line 7", ...).
-	Note string
+	Note string `json:"note,omitempty"`
 }
 
 // Finding is one detected (potential) bottleneck.

@@ -31,98 +31,28 @@ type JSONReport struct {
 
 	// Sensitivity is the kernel-wide perturbation sweep (present when the
 	// advisor ran one).
-	Sensitivity *JSONSensitivity `json:"sensitivity,omitempty"`
+	Sensitivity *Sensitivity `json:"sensitivity,omitempty"`
 }
 
-// JSONFinding mirrors Finding.
+// JSONFinding is the wire view of a Finding: the severity as a string and
+// the detector-internal stall/metric lists left out. Sites, slices,
+// sensitivity and verification are the report types themselves, which
+// carry their own wire tags.
 type JSONFinding struct {
-	Analysis       string            `json:"analysis"`
-	Severity       string            `json:"severity"`
-	Title          string            `json:"title"`
-	Problem        string            `json:"problem"`
-	Recommendation string            `json:"recommendation"`
-	InLoop         bool              `json:"in_loop"`
-	EstSpeedup     float64           `json:"est_speedup,omitempty"`
-	StallShare     float64           `json:"relevant_stall_share,omitempty"`
-	Sites          []JSONSite        `json:"sites"`
-	StallSummary   []string          `json:"stall_summary,omitempty"`
-	MetricSummary  []string          `json:"metric_summary,omitempty"`
-	StallSlices    []JSONStallSlice  `json:"stall_slices,omitempty"`
-	Sensitivity    *JSONSensitivity  `json:"sensitivity,omitempty"`
-	Verification   *JSONVerification `json:"verification,omitempty"`
-}
-
-// JSONSensitivity mirrors Sensitivity.
-type JSONSensitivity struct {
-	BaselineCycles float64             `json:"baseline_cycles"`
-	Deltas         []JSONResourceDelta `json:"deltas"`
-	Dominant       string              `json:"dominant,omitempty"`
-	DominantRelief float64             `json:"dominant_relief,omitempty"`
-}
-
-// JSONResourceDelta mirrors ResourceDelta.
-type JSONResourceDelta struct {
-	Resource  string  `json:"resource"`
-	Direction string  `json:"direction"`
-	Factor    float64 `json:"factor"`
-	Cycles    float64 `json:"cycles"`
-	Delta     float64 `json:"delta"`
-	Helps     bool    `json:"helps"`
-}
-
-// JSONStallSlice mirrors StallSlice.
-type JSONStallSlice struct {
-	PC      uint64          `json:"pc"`
-	Line    int             `json:"line"`
-	Stall   string          `json:"stall"`
-	Samples float64         `json:"samples"`
-	Steps   []JSONSliceStep `json:"steps"`
-}
-
-// JSONSliceStep mirrors SliceStep.
-type JSONSliceStep struct {
-	PC    uint64 `json:"pc"`
-	Line  int    `json:"line"`
-	File  string `json:"file"`
-	Depth int    `json:"depth"`
-	Reg   string `json:"reg,omitempty"`
-	SASS  string `json:"sass"`
-}
-
-// JSONVerification mirrors Verification.
-type JSONVerification struct {
-	Workload       string            `json:"workload"`
-	Fixed          string            `json:"fixed"`
-	Change         string            `json:"change,omitempty"`
-	BaselineCycles float64           `json:"baseline_cycles"`
-	FixedCycles    float64           `json:"fixed_cycles"`
-	Speedup        float64           `json:"speedup"`
-	Verdict        string            `json:"verdict"`
-	StallDeltas    []JSONStallDelta  `json:"stall_deltas,omitempty"`
-	MetricDeltas   []JSONMetricDelta `json:"metric_deltas,omitempty"`
-}
-
-// JSONStallDelta mirrors StallDelta.
-type JSONStallDelta struct {
-	Stall  string  `json:"stall"`
-	Before float64 `json:"before"`
-	After  float64 `json:"after"`
-}
-
-// JSONMetricDelta mirrors MetricDelta.
-type JSONMetricDelta struct {
-	Name   string  `json:"name"`
-	Before float64 `json:"before"`
-	After  float64 `json:"after"`
-}
-
-// JSONSite mirrors Site.
-type JSONSite struct {
-	PC   uint64 `json:"pc"`
-	File string `json:"file"`
-	Line int    `json:"line"`
-	SASS string `json:"sass"`
-	Note string `json:"note,omitempty"`
+	Analysis       string        `json:"analysis"`
+	Severity       string        `json:"severity"`
+	Title          string        `json:"title"`
+	Problem        string        `json:"problem"`
+	Recommendation string        `json:"recommendation"`
+	InLoop         bool          `json:"in_loop"`
+	EstSpeedup     float64       `json:"est_speedup,omitempty"`
+	StallShare     float64       `json:"relevant_stall_share,omitempty"`
+	Sites          []Site        `json:"sites"`
+	StallSummary   []string      `json:"stall_summary,omitempty"`
+	MetricSummary  []string      `json:"metric_summary,omitempty"`
+	StallSlices    []StallSlice  `json:"stall_slices,omitempty"`
+	Sensitivity    *Sensitivity  `json:"sensitivity,omitempty"`
+	Verification   *Verification `json:"verification,omitempty"`
 }
 
 // JSONLineHeat mirrors LineHeat.
@@ -140,7 +70,9 @@ type JSONOverhead struct {
 	Metrics  float64 `json:"metrics"`
 }
 
-// ToJSON converts the report to its serializable form.
+// ToJSON converts the report to its serializable form. The view shares
+// the report's sites, slices, sensitivity and verification values; it does
+// not copy them.
 func (r *Report) ToJSON() *JSONReport {
 	out := &JSONReport{
 		Kernel:       r.Kernel,
@@ -159,41 +91,12 @@ func (r *Report) ToJSON() *JSONReport {
 			InLoop:         f.InLoop,
 			EstSpeedup:     f.EstSpeedup,
 			StallShare:     f.RelevantStallShare,
+			Sites:          f.Sites,
 			StallSummary:   f.StallSummary,
 			MetricSummary:  f.MetricSummary,
-		}
-		for _, s := range f.Sites {
-			jf.Sites = append(jf.Sites, JSONSite{
-				PC: s.PC, File: s.File, Line: s.Line, SASS: s.SASS, Note: s.Note,
-			})
-		}
-		for _, sl := range f.StallSlices {
-			js := JSONStallSlice{
-				PC: sl.PC, Line: sl.Line, Stall: sl.Stall, Samples: sl.Samples,
-			}
-			for _, st := range sl.Steps {
-				js.Steps = append(js.Steps, JSONSliceStep(st))
-			}
-			jf.StallSlices = append(jf.StallSlices, js)
-		}
-		jf.Sensitivity = jsonSensitivity(f.Sensitivity)
-		if v := f.Verification; v != nil {
-			jv := &JSONVerification{
-				Workload:       v.Workload,
-				Fixed:          v.Fixed,
-				Change:         v.Change,
-				BaselineCycles: v.BaselineCycles,
-				FixedCycles:    v.FixedCycles,
-				Speedup:        v.Speedup,
-				Verdict:        string(v.Verdict),
-			}
-			for _, sd := range v.StallDeltas {
-				jv.StallDeltas = append(jv.StallDeltas, JSONStallDelta(sd))
-			}
-			for _, md := range v.MetricDeltas {
-				jv.MetricDeltas = append(jv.MetricDeltas, JSONMetricDelta(md))
-			}
-			jf.Verification = jv
+			StallSlices:    f.StallSlices,
+			Sensitivity:    f.Sensitivity,
+			Verification:   f.Verification,
 		}
 		out.Findings = append(out.Findings, jf)
 	}
@@ -226,24 +129,8 @@ func (r *Report) ToJSON() *JSONReport {
 		Sampling: r.OverheadSamplingCycles,
 		Metrics:  r.OverheadMetricsCycles,
 	}
-	out.Sensitivity = jsonSensitivity(r.Sensitivity)
+	out.Sensitivity = r.Sensitivity
 	return out
-}
-
-// jsonSensitivity converts a sweep result (nil-safe).
-func jsonSensitivity(s *Sensitivity) *JSONSensitivity {
-	if s == nil {
-		return nil
-	}
-	js := &JSONSensitivity{
-		BaselineCycles: s.BaselineCycles,
-		Dominant:       s.Dominant,
-		DominantRelief: s.DominantRelief,
-	}
-	for _, d := range s.Deltas {
-		js.Deltas = append(js.Deltas, JSONResourceDelta(d))
-	}
-	return js
 }
 
 // MarshalJSON lets a Report be encoded directly.

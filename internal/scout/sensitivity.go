@@ -17,15 +17,15 @@ const NeutralSensitivity = 1.02
 // count moved.
 type ResourceDelta struct {
 	// Resource and Direction identify the perturbation (gpu.Perturbation).
-	Resource  string
-	Direction string
-	Factor    float64
+	Resource  string  `json:"resource"`
+	Direction string  `json:"direction"`
+	Factor    float64 `json:"factor"`
 	// Cycles is the perturbed run's kernel duration.
-	Cycles float64
+	Cycles float64 `json:"cycles"`
 	// Delta is Cycles - baseline (positive = the perturbation hurt).
-	Delta float64
+	Delta float64 `json:"delta"`
 	// Helps records whether this direction relieves the resource.
-	Helps bool
+	Helps bool `json:"helps"`
 }
 
 // Relief returns baseline/Cycles — the speedup the perturbation bought
@@ -44,15 +44,15 @@ func (d ResourceDelta) Relief(baseline float64) float64 {
 // clears the neutral band, the kernel is not bound by any swept resource.
 type Sensitivity struct {
 	// BaselineCycles is the unperturbed kernel duration.
-	BaselineCycles float64
+	BaselineCycles float64 `json:"baseline_cycles"`
 	// Deltas lists every perturbation run in matrix order.
-	Deltas []ResourceDelta
+	Deltas []ResourceDelta `json:"deltas"`
 	// Dominant names the bottleneck resource ("" when nothing clears the
 	// neutral band).
-	Dominant string
+	Dominant string `json:"dominant,omitempty"`
 	// DominantRelief is the speedup the dominant resource's helping
 	// perturbation bought (1 when Dominant is "").
-	DominantRelief float64
+	DominantRelief float64 `json:"dominant_relief,omitempty"`
 }
 
 // Rank recomputes Dominant/DominantRelief from Deltas: the helping
@@ -145,12 +145,12 @@ func relevantResources(analysis string) []string {
 
 // SliceStep is one instruction on a rendered backward stall slice.
 type SliceStep struct {
-	PC    uint64
-	Line  int
-	File  string
-	Depth int    // def-use hops from the stalled instruction (0 = itself)
-	Reg   string // register whose definition pulled this step in ("" at root)
-	SASS  string
+	PC    uint64 `json:"pc"`
+	Line  int    `json:"line"`
+	File  string `json:"file"`
+	Depth int    `json:"depth"`         // def-use hops from the stalled instruction (0 = itself)
+	Reg   string `json:"reg,omitempty"` // register whose definition pulled this step in ("" at root)
+	SASS  string `json:"sass"`
 }
 
 // StallSlice is the LEO-style causal explanation of one high-stall PC:
@@ -159,13 +159,13 @@ type SliceStep struct {
 // consumer; the cause is upstream.
 type StallSlice struct {
 	// PC/Line locate the stalled instruction the slice explains.
-	PC   uint64
-	Line int
+	PC   uint64 `json:"pc"`
+	Line int    `json:"line"`
 	// Stall names the dominant stall reason sampled at PC.
-	Stall string
+	Stall string `json:"stall"`
 	// Samples counts the (non-bookkeeping) stall samples at PC.
-	Samples float64
+	Samples float64 `json:"samples"`
 	// Steps is the backward slice in program order; the stalled
 	// instruction is the Depth-0 step.
-	Steps []SliceStep
+	Steps []SliceStep `json:"steps"`
 }

@@ -85,7 +85,7 @@ func newPanicError(stage, site string, r any) *StageError {
 	}
 }
 
-// guard runs fn, converting a panic into a *StageError attributed to
+// Guard runs fn, converting a panic into a *StageError attributed to
 // (stage, site). Non-panic errors returned by fn that are not already
 // StageErrors are wrapped so every failure path carries its site.
 func Guard(stage, site string, fn func() error) (err error) {
@@ -123,7 +123,7 @@ const (
 	DegradeError   = "error"
 )
 
-// degradationFrom classifies a stage failure into a ledger entry.
+// DegradationFor classifies a stage failure into a ledger entry.
 // stageCtxExpired tells the classifier the stage's own deadline (not the
 // job's) is what expired.
 func DegradationFor(stage, site string, err error, stageCtxExpired bool) Degradation {

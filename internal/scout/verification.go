@@ -22,9 +22,9 @@ const (
 // MetricDelta is one ncu metric measured before (on the analyzed kernel)
 // and after (on the optimized variant).
 type MetricDelta struct {
-	Name   string
-	Before float64
-	After  float64
+	Name   string  `json:"name"`
+	Before float64 `json:"before"`
+	After  float64 `json:"after"`
 }
 
 // Delta returns the relative change in percent (0 when Before is 0).
@@ -37,9 +37,9 @@ func (d MetricDelta) Delta() float64 {
 
 // StallDelta is one stall reason's share of kernel stalls before/after.
 type StallDelta struct {
-	Stall  string
-	Before float64 // share of stall samples, 0..1
-	After  float64
+	Stall  string  `json:"stall"`
+	Before float64 `json:"before"` // share of stall samples, 0..1
+	After  float64 `json:"after"`
 }
 
 // Verification is the counterfactual evidence attached to a finding: the
@@ -47,23 +47,23 @@ type StallDelta struct {
 // re-ran it under the same sim.Config, and recorded what changed.
 type Verification struct {
 	// Workload is the baseline workload the report analyzed.
-	Workload string
+	Workload string `json:"workload"`
 	// Fixed is the optimized variant that implements the recommendation.
-	Fixed string
+	Fixed string `json:"fixed"`
 	// Change summarizes the source-level difference between the two.
-	Change string
+	Change string `json:"change,omitempty"`
 	// BaselineCycles and FixedCycles are the measured kernel durations.
-	BaselineCycles float64
-	FixedCycles    float64
+	BaselineCycles float64 `json:"baseline_cycles"`
+	FixedCycles    float64 `json:"fixed_cycles"`
 	// Speedup is BaselineCycles / FixedCycles (>1 = the fix helped).
-	Speedup float64
+	Speedup float64 `json:"speedup"`
 	// Verdict grades the measurement.
-	Verdict Verdict
+	Verdict Verdict `json:"verdict"`
 	// StallDeltas covers the finding's relevant stall reasons.
-	StallDeltas []StallDelta
+	StallDeltas []StallDelta `json:"stall_deltas,omitempty"`
 	// MetricDeltas covers the finding's relevant and caution metrics
 	// that changed.
-	MetricDeltas []MetricDelta
+	MetricDeltas []MetricDelta `json:"metric_deltas,omitempty"`
 }
 
 // Grade converts a measured speedup into a verdict. The ±2% band absorbs

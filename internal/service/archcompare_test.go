@@ -45,7 +45,7 @@ func TestAnalyzeArchCompare(t *testing.T) {
 	// cp.async copies.
 	onlyBase := 0
 	for _, d := range cmp.Deltas {
-		if d.Status == string(scout.DeltaOnlyBase) {
+		if d.Status == scout.DeltaOnlyBase {
 			onlyBase++
 		}
 	}

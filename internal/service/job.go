@@ -214,6 +214,11 @@ func (j *Job) finish(state State, report []byte, errMsg string, cacheHit bool) {
 	j.errMsg = errMsg
 	j.cacheHit = cacheHit
 	j.finished = time.Now()
+	// Release the upload: a retained finished job answers Snapshot from
+	// the request's names only, and MaxJobsRetained bodies of up to
+	// MaxUploadBytes each are heap no byte bound covers. (Journal
+	// recovery re-reads the journalled request, not this copy.)
+	j.req.SASS, j.req.Cubin = "", nil
 	hook := j.onFinish
 	j.mu.Unlock()
 	j.cancel() // release the timeout timer

@@ -210,13 +210,6 @@ func (h *Histogram) Observe(v float64) {
 	h.inf++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 func (h *Histogram) render(w io.Writer, name string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

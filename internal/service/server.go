@@ -71,7 +71,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Backpressure: the bounded queue is at capacity. Tell the client
-		// when to come back — estimated from the queue depth and the mean
+		// when to come back — estimated from the queue depth and the p75
 		// recent job duration — instead of buffering unboundedly.
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		writeError(w, http.StatusTooManyRequests, err.Error())

@@ -433,9 +433,6 @@ func (s *Service) degradedCounter(kind string) *Counter {
 	return c
 }
 
-// Metrics exposes the registry (for /metrics and tests).
-func (s *Service) Metrics() *Registry { return s.reg }
-
 // Uptime reports how long the service has been running.
 func (s *Service) Uptime() time.Duration { return time.Since(s.start) }
 

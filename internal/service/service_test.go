@@ -348,6 +348,52 @@ func TestAnalyzeSASSUpload(t *testing.T) {
 	}
 }
 
+// TestFinishedJobReleasesUpload: a retained finished job must not pin
+// its SASS/cubin body, and dropping it must not change what the job
+// reports about itself.
+func TestFinishedJobReleasesUpload(t *testing.T) {
+	svc, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	k := testKernel(t)
+	bin := cubin.New("sm_70")
+	if err := bin.Add(k); err != nil {
+		t.Fatal(err)
+	}
+	data, err := cubin.Encode(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		req  AnalyzeRequest
+		want State
+	}{
+		{"sass", AnalyzeRequest{SASS: sass.Print(k), Arch: "sm_70"}, StateDone},
+		{"cubin", AnalyzeRequest{Cubin: data, Kernel: k.Name, Arch: "sm_70"}, StateDone},
+		{"corrupt cubin", AnalyzeRequest{Cubin: data[:len(data)/2], Kernel: k.Name}, StateFailed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j, err := svc.Submit(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-j.Done()
+			st := j.Snapshot()
+			if st.State != tc.want {
+				t.Fatalf("state = %s (%s), want %s", st.State, st.Error, tc.want)
+			}
+			if st.Kernel != tc.req.Kernel || st.Arch != tc.req.Arch || st.Workload != "" {
+				t.Errorf("snapshot names = %q/%q/%q, want the request's", st.Workload, st.Kernel, st.Arch)
+			}
+			if (tc.want == StateDone) != (len(st.Report) > 0) {
+				t.Errorf("report presence does not match state %s (%d bytes)", st.State, len(st.Report))
+			}
+			if j.req.SASS != "" || j.req.Cubin != nil {
+				t.Errorf("finished job still holds its upload (%d B sass, %d B cubin)", len(j.req.SASS), len(j.req.Cubin))
+			}
+		})
+	}
+}
+
 // TestAnalyzeCubinUpload round-trips a kernel through the cubin codec and
 // the HTTP API, including the corrupt-input path.
 func TestAnalyzeCubinUpload(t *testing.T) {

@@ -68,11 +68,6 @@ func (c *Counters) pcStall(pc uint64) *[NumStalls]float64 {
 	return s
 }
 
-func (c *Counters) addStall(pc uint64, reason Stall, dt float64) {
-	c.StallCycles[reason] += dt
-	c.pcStall(pc)[reason] += dt
-}
-
 // merge folds one SM's counters into c. LaunchContext calls it in fixed
 // SM-ID order for every worker count, so float accumulation order — and
 // hence every value here — is identical between sequential and parallel
@@ -217,14 +212,6 @@ func (r *Result) StallShare(s Stall) float64 {
 		return 0
 	}
 	return r.Counters.StallCycles[s] / total
-}
-
-// StallsAtPC returns the per-reason stall cycles recorded at one PC.
-func (r *Result) StallsAtPC(pc uint64) [NumStalls]float64 {
-	if s := r.Counters.PCStalls[pc]; s != nil {
-		return *s
-	}
-	return [NumStalls]float64{}
 }
 
 // IPC returns issued warp instructions per cycle across the simulated SMs.

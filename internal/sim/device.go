@@ -233,9 +233,6 @@ func (d *Device) store(addr uint64, width int, vals *[4]uint32) error {
 	return nil
 }
 
-// InUse reports allocated device memory in bytes.
-func (d *Device) InUse() uint64 { return d.next }
-
 // MemorySnapshot copies the allocated portion of the device memory
 // arena. Differential tests use it to compare the functional effects of
 // two launches (e.g. sequential vs parallel simulation) byte for byte.

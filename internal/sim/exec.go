@@ -42,8 +42,6 @@ func b32(f float32) uint32     { return math.Float32bits(f) }
 func f64b(bits uint64) float64 { return math.Float64frombits(bits) }
 func b64(f float64) uint64     { return math.Float64bits(f) }
 
-func popcount32(m uint32) int { return bits.OnesCount32(m) }
-
 // val reads a 32-bit source operand for one lane.
 func (e *engine) val(w *warp, o sass.Operand, lane int) (uint32, error) {
 	switch o.Kind {
@@ -269,7 +267,7 @@ func (e *engine) exec(w *warp, in *sass.Inst, execMask uint32) (ma memAccess, er
 
 	case sass.OpPOPC:
 		err = e.intOp(w, in, execMask, func(a, b, c int32) int32 {
-			return int32(popcount32(uint32(a)))
+			return int32(bits.OnesCount32(uint32(a)))
 		})
 
 	case sass.OpISETP, sass.OpFSETP:

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 
 	"gpuscout/internal/memsys"
 	"gpuscout/internal/sass"
@@ -307,7 +308,7 @@ func (e *engine) issue(sm *smState, w *warp) error {
 
 	c := sm.counters
 	c.WarpInsts++
-	c.ThreadInsts += uint64(popcount32(execMask))
+	c.ThreadInsts += uint64(bits.OnesCount32(execMask))
 	sm.opcodeDyn[in.Op]++
 
 	a := &e.arch
@@ -390,7 +391,7 @@ func (e *engine) memTiming(sm *smState, w *warp, in *sass.Inst, ma memAccess) {
 			// Atomics bypass L1 and resolve at the L2 atomic units. Every
 			// active lane is a read-modify-write: lanes hitting the same
 			// address serialize fully — the §4.4 global-atomic cost.
-			lanes := popcount32(ma.mask)
+			lanes := bits.OnesCount32(ma.mask)
 			start := math.Max(now, sm.atomFree)
 			sm.atomFree = start + 2*float64(lanes)
 			svcEnd = sm.atomFree
@@ -480,7 +481,7 @@ func (e *engine) memTiming(sm *smState, w *warp, in *sass.Inst, ma memAccess) {
 			// words in the MIO pipe (§4.4: cheaper than global, but loads
 			// the MIO pipeline).
 			trans = sm.banks.AtomicConflicts(a.SharedBanks, ma.addrs[:], active[:])
-			c.SharedAtomics += uint64(popcount32(ma.mask))
+			c.SharedAtomics += uint64(bits.OnesCount32(ma.mask))
 		} else {
 			trans = sm.banks.BankConflicts(a.SharedBanks, ma.addrs[:], active[:], ma.width)
 		}

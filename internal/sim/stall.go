@@ -107,13 +107,3 @@ func (s Stall) Explain() string {
 	}
 	return "unknown stall reason"
 }
-
-// StallByName resolves a stall-reason name.
-func StallByName(name string) (Stall, bool) {
-	for s := Stall(0); s < NumStalls; s++ {
-		if stallNames[s] == name {
-			return s, true
-		}
-	}
-	return 0, false
-}

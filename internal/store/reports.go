@@ -56,7 +56,6 @@ const (
 type reportEntry struct {
 	bytes int64 // file size, header included
 	mtime time.Time
-	fp    string
 }
 
 // reportPath maps a cache key to its entry file. Keys are hex digests,
@@ -69,8 +68,9 @@ func (s *Store) reportPath(key string) (string, bool) {
 }
 
 // PutReport durably stores one rendered report under its cache key.
-// The fingerprint rides along in the header so recovery and operators
-// can map entries back to inputs without recomputing keys.
+// The fingerprint rides along in the header so operators can map
+// entries back to inputs without recomputing keys; the store indexes
+// entries by key only.
 func (s *Store) PutReport(key, fingerprint string, data []byte) error {
 	path, ok := s.reportPath(key)
 	if !ok {
@@ -119,10 +119,8 @@ func (s *Store) PutReport(key, fingerprint string, data []byte) error {
 	size := int64(len(header) + len(data))
 	if old, ok := s.reports[key]; ok {
 		s.reportBytes -= old.bytes
-	} else {
-		s.fpIndex[fingerprint]++
 	}
-	s.reports[key] = reportEntry{bytes: size, mtime: time.Now(), fp: fingerprint}
+	s.reports[key] = reportEntry{bytes: size, mtime: time.Now()}
 	s.reportBytes += size
 	s.gcLocked()
 	return nil
@@ -146,7 +144,7 @@ func (s *Store) GetReport(key string) ([]byte, bool) {
 		}
 		return nil, false
 	}
-	body, fp, ok := verifyReport(raw)
+	body, ok := verifyReport(raw)
 	if !ok {
 		s.quarantineLocked(key, path)
 		return nil, false
@@ -159,16 +157,15 @@ func (s *Store) GetReport(key string) ([]byte, bool) {
 	} else {
 		// Entry appeared behind the index's back (operator copy-in);
 		// adopt it.
-		s.reports[key] = reportEntry{bytes: int64(len(raw)), mtime: now, fp: fp}
+		s.reports[key] = reportEntry{bytes: int64(len(raw)), mtime: now}
 		s.reportBytes += int64(len(raw))
-		s.fpIndex[fp]++
 	}
 	return body, true
 }
 
 // verifyReport checks an entry's header against its body and returns
-// the body and fingerprint on success.
-func verifyReport(raw []byte) (body []byte, fingerprint string, ok bool) {
+// the body on success.
+func verifyReport(raw []byte) (body []byte, ok bool) {
 	nl := -1
 	limit := len(raw)
 	if limit > reportHeaderMax {
@@ -181,23 +178,23 @@ func verifyReport(raw []byte) (body []byte, fingerprint string, ok bool) {
 		}
 	}
 	if nl < 0 {
-		return nil, "", false
+		return nil, false
 	}
 	fields := strings.Fields(string(raw[:nl]))
 	// "GPUSCOUT-REPORT" "v1" <digest> <len> <fingerprint>
 	if len(fields) != 5 || fields[0]+" "+fields[1] != reportMagic {
-		return nil, "", false
+		return nil, false
 	}
 	n, err := strconv.Atoi(fields[3])
 	if err != nil || n < 0 || n != len(raw)-nl-1 {
-		return nil, "", false
+		return nil, false
 	}
 	body = raw[nl+1:]
 	sum := sha256.Sum256(body)
 	if hex.EncodeToString(sum[:]) != fields[2] {
-		return nil, "", false
+		return nil, false
 	}
-	return body, fields[4], true
+	return body, true
 }
 
 // quarantineLocked moves a bad entry to corrupt/ (never deletes it —
@@ -212,7 +209,6 @@ func (s *Store) quarantineLocked(key, path string) {
 	}
 	if e, ok := s.reports[key]; ok {
 		s.reportBytes -= e.bytes
-		s.dropFingerprintLocked(e.fp)
 		delete(s.reports, key)
 	}
 	s.corrupt++
@@ -247,35 +243,15 @@ func (s *Store) gcLocked() {
 		}
 		e := s.reports[a.key]
 		s.reportBytes -= e.bytes
-		s.dropFingerprintLocked(e.fp)
 		delete(s.reports, a.key)
 		s.evicted++
 	}
 }
 
-// dropFingerprintLocked decrements the fingerprint refcount, removing
-// exhausted entries.
-func (s *Store) dropFingerprintLocked(fp string) {
-	if n := s.fpIndex[fp]; n <= 1 {
-		delete(s.fpIndex, fp)
-	} else {
-		s.fpIndex[fp] = n - 1
-	}
-}
-
-// HasFingerprint reports whether any stored report was computed from
-// the given input fingerprint — the recovery pass's cheap "is this
-// pending job's work already on disk" probe.
-func (s *Store) HasFingerprint(fp string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fpIndex[fp] > 0
-}
-
 // loadReportIndex scans reports/ at Open: orphan temp files from a
-// crashed write are removed, entry headers are read (header line only
-// — bodies are verified lazily on Get), and the byte/mtime index is
-// rebuilt.
+// crashed write are removed, entry headers are checked (header line
+// only — bodies are verified lazily on Get), and the byte/mtime index
+// is rebuilt.
 func (s *Store) loadReportIndex() error {
 	dir := filepath.Join(s.dir, "reports")
 	des, err := os.ReadDir(dir)
@@ -293,34 +269,29 @@ func (s *Store) loadReportIndex() error {
 		if err != nil || !info.Mode().IsRegular() {
 			continue
 		}
-		fp, ok := readEntryFingerprint(path)
-		if !ok {
+		if !validEntryHeader(path) {
 			s.quarantineLocked(name, path)
 			continue
 		}
-		s.reports[name] = reportEntry{bytes: info.Size(), mtime: info.ModTime(), fp: fp}
+		s.reports[name] = reportEntry{bytes: info.Size(), mtime: info.ModTime()}
 		s.reportBytes += info.Size()
-		s.fpIndex[fp]++
 	}
 	s.gcLocked()
 	return nil
 }
 
-// readEntryFingerprint parses just the header line of an entry file.
-func readEntryFingerprint(path string) (string, bool) {
+// validEntryHeader parses just the header line of an entry file.
+func validEntryHeader(path string) bool {
 	f, err := os.Open(path)
 	if err != nil {
-		return "", false
+		return false
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, reportHeaderMax)
 	line, err := r.ReadString('\n')
 	if err != nil {
-		return "", false
+		return false
 	}
 	fields := strings.Fields(strings.TrimSuffix(line, "\n"))
-	if len(fields) != 5 || fields[0]+" "+fields[1] != reportMagic {
-		return "", false
-	}
-	return fields[4], true
+	return len(fields) == 5 && fields[0]+" "+fields[1] == reportMagic
 }

@@ -140,9 +140,8 @@ type Store struct {
 	// Report-store state (reports.go).
 	reports     map[string]reportEntry
 	reportBytes int64
-	fpIndex     map[string]int // fingerprint -> live entry count
-	corrupt     uint64         // entries quarantined since Open
-	evicted     uint64         // entries evicted by GC since Open
+	corrupt     uint64 // entries quarantined since Open
+	evicted     uint64 // entries evicted by GC since Open
 
 	stopSync chan struct{} // FsyncInterval ticker shutdown
 	syncDone chan struct{}
@@ -166,7 +165,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		journalPath: filepath.Join(dir, "journal.wal"),
 		pending:     map[string]PendingJob{},
 		reports:     map[string]reportEntry{},
-		fpIndex:     map[string]int{},
 	}
 	// A compaction that crashed between temp write and rename leaves
 	// journal.tmp; the old journal is still authoritative.
@@ -369,6 +367,3 @@ func (s *Store) Stats() Stats {
 		Dead:               s.dead,
 	}
 }
-
-// Dir returns the data directory path.
-func (s *Store) Dir() string { return s.dir }
