@@ -3,12 +3,18 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos cluster-test soak serve bench-parallel bench-check fmt-check test-arch arch-report
+.PHONY: check build loc vet test race chaos cluster-test soak serve bench-parallel bench-check fmt-check test-arch arch-report
 
 check: build vet race
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines outside bench/: the one number every simplicity PR
+# quotes, before and after, in its CHANGES.md entry (CI prints it next
+# to the build step).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 vet:
 	$(GO) vet ./...

@@ -21,6 +21,7 @@ import (
 
 	"gpuscout"
 	"gpuscout/internal/advisor"
+	"gpuscout/internal/service"
 )
 
 func main() {
@@ -92,11 +93,12 @@ func run(args []string, stdout io.Writer) error {
 
 	switch {
 	case *workload != "":
-		if *dryRun && *verify {
-			return fmt.Errorf("-verify needs the dynamic pillars; drop -dry-run")
-		}
-		if *dryRun && *sens {
-			return fmt.Errorf("-sensitivity needs a baseline measurement; drop -dry-run")
+		// A CLI analysis is a daemon request spelled as flags; the same
+		// shape rules apply (-verify and -sensitivity exclude -dry-run).
+		req := service.AnalyzeRequest{Workload: *workload, Scale: *scale, ArchCompare: *archCmp,
+			DryRun: *dryRun, Verify: *verify, Sensitivity: *sens}
+		if err := req.Validate(); err != nil {
+			return err
 		}
 		if *archCmp != "" {
 			other, err := gpuscout.ArchByName(*archCmp)

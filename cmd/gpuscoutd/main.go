@@ -39,153 +39,124 @@ import (
 	"syscall"
 	"time"
 
-	"gpuscout"
+	"gpuscout/internal/cluster"
+	"gpuscout/internal/scout"
+	"gpuscout/internal/service"
+	"gpuscout/internal/store"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", ":8090", "listen address")
-		mode     = flag.String("mode", "standalone", "process role: standalone, worker (replica with peer cache-fill), or coordinator")
-		version  = flag.Bool("version", false, "print version and exit")
-		workers  = flag.Int("workers", 0, "concurrent analysis workers (0 = #CPUs, capped at 8)")
-		queue    = flag.Int("queue", 64, "bounded job-queue depth (full queue => 429)")
-		cache    = flag.Int("cache", 256, "report-cache capacity in entries (negative disables)")
-		timeout  = flag.Duration("timeout", 2*time.Minute, "default per-job timeout")
-		maxBody  = flag.Int64("max-upload", 8<<20, "max request body bytes (SASS/cubin uploads)")
-		maxBatch = flag.Int("max-batch", 4096, "max requests per /v1/analyze/batch body")
-		retained = flag.Int("retained-jobs", 1024, "finished jobs kept for GET /v1/jobs/{id}")
-		simW     = flag.Int("sim-workers", 1, "default per-launch simulation parallelism (sampled SMs simulated concurrently); jobs may override via sim_workers")
-		budgetsF = flag.String("stage-budgets", "", `per-stage deadline split "parse,sim,scout,verify" (e.g. "5,55,15,25"; "off" disables staged degradation; empty = defaults)`)
-		retries  = flag.Int("retry-attempts", 2, "max execution attempts per job for transient failures (1 disables retry)")
-		backoff  = flag.Duration("retry-backoff", 100*time.Millisecond, "base retry backoff (doubles per attempt, capped, jittered)")
-		quarAft  = flag.Int("quarantine-after", 2, "consecutive failures before an input is quarantined (negative disables)")
-		quarCool = flag.Duration("quarantine-cooldown", 30*time.Second, "how long a quarantined input stays rejected before a probe is admitted")
+// options is everything the command line decides, each flag bound
+// straight to the package config field it sets. -max-upload, -max-batch
+// and -replicas mean the same to a worker and a coordinator.
+type options struct {
+	addr, dataDir, self string
+	version             bool
+	svc                 service.Config // svc.Mode is the process role
+	store               store.Options
+	coord               cluster.Config
+	peer                cluster.PeerCacheConfig
+}
 
-		dataDir   = flag.String("data-dir", "", "crash-safe persistence directory: write-ahead job journal, persistent report store, durable breaker state (empty = in-memory only)")
-		fsyncPol  = flag.String("fsync", "always", "journal/report flush discipline: always (safe default), interval, or never")
-		fsyncIv   = flag.Duration("fsync-interval", 100*time.Millisecond, "journal flush period under -fsync interval")
-		storeMaxB = flag.Int64("store-max-bytes", 1<<30, "persistent report store byte bound; least-recently-used entries are evicted past it (negative = unlimited)")
-		cacheMaxB = flag.Int64("cache-max-bytes", 0, "in-memory report cache byte bound on top of -cache entries (0 = entries-only)")
+// parseFlags is the flag table, split from main so a test can hold its
+// defaults against the packages' own.
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("gpuscoutd", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", ":8090", "listen address")
+	fs.StringVar(&o.svc.Mode, "mode", "standalone", "process role: standalone, worker (replica with peer cache-fill), or coordinator")
+	fs.BoolVar(&o.version, "version", false, "print version and exit")
+	fs.IntVar(&o.svc.Workers, "workers", 0, "concurrent analysis workers (0 = #CPUs, capped at 8)")
+	fs.IntVar(&o.svc.QueueDepth, "queue", 64, "bounded job-queue depth (full queue => 429)")
+	fs.IntVar(&o.svc.CacheEntries, "cache", 256, "report-cache capacity in entries (negative disables)")
+	fs.DurationVar(&o.svc.DefaultTimeout, "timeout", 2*time.Minute, "default per-job timeout")
+	fs.Int64Var(&o.svc.MaxUploadBytes, "max-upload", 8<<20, "max request body bytes (SASS/cubin uploads)")
+	fs.IntVar(&o.svc.MaxBatchItems, "max-batch", 4096, "max requests per /v1/analyze/batch body")
+	fs.IntVar(&o.svc.MaxJobsRetained, "retained-jobs", 1024, "finished jobs kept for GET /v1/jobs/{id}")
+	fs.IntVar(&o.svc.SimWorkers, "sim-workers", 1, "default per-launch simulation parallelism (sampled SMs simulated concurrently); jobs may override via sim_workers")
+	fs.Func("stage-budgets", `per-stage deadline split "parse,sim,scout,verify" (e.g. "5,55,15,25"; "off" disables staged degradation; empty = defaults)`,
+		func(s string) (err error) { o.svc.StageBudgets, err = scout.ParseStageBudgets(s); return err })
+	fs.IntVar(&o.svc.RetryAttempts, "retry-attempts", 2, "max execution attempts per job for transient failures (1 disables retry)")
+	fs.DurationVar(&o.svc.RetryBackoff, "retry-backoff", 100*time.Millisecond, "base retry backoff (doubles per attempt, capped, jittered)")
+	fs.IntVar(&o.svc.QuarantineAfter, "quarantine-after", 2, "consecutive failures before an input is quarantined (negative disables)")
+	fs.DurationVar(&o.svc.QuarantineCooldown, "quarantine-cooldown", 30*time.Second, "how long a quarantined input stays rejected before a probe is admitted")
 
-		replicasF = flag.String("replicas", "", "comma-separated replica base URLs — the cluster's static member list (worker and coordinator modes)")
-		selfF     = flag.String("self", "", "this worker's own advertised base URL, as it appears in -replicas (worker mode)")
-		vnodes    = flag.Int("vnodes", 0, "virtual nodes per replica on the consistent-hash ring (0 = default; must match across the cluster)")
-		healthIv  = flag.Duration("health-interval", 2*time.Second, "coordinator /readyz poll period per replica")
-		peerTmo   = flag.Duration("peer-timeout", 750*time.Millisecond, "worker peer cache-fill budget before falling back to local simulation")
-		proxyTmo  = flag.Duration("proxy-timeout", 5*time.Minute, "coordinator per-attempt proxy timeout")
-	)
-	flag.Parse()
+	fs.StringVar(&o.dataDir, "data-dir", "", "crash-safe persistence directory: write-ahead job journal, persistent report store, durable breaker state (empty = in-memory only)")
+	fs.Func("fsync", "journal/report flush discipline: always (the safe default), interval, or never",
+		func(s string) (err error) { o.store.FsyncPolicy, err = store.ParseFsyncPolicy(s); return err })
+	fs.DurationVar(&o.store.FsyncInterval, "fsync-interval", 100*time.Millisecond, "journal flush period under -fsync interval")
+	fs.Int64Var(&o.store.MaxBytes, "store-max-bytes", 1<<30, "persistent report store byte bound; least-recently-used entries are evicted past it (negative = unlimited)")
+	fs.Int64Var(&o.svc.CacheMaxBytes, "cache-max-bytes", 0, "in-memory report cache byte bound on top of -cache entries (0 = entries-only)")
 
-	if *version {
-		fmt.Printf("gpuscoutd %s (%s, %s/%s)\n",
-			gpuscout.ServiceVersion(), runtime.Version(), runtime.GOOS, runtime.GOARCH)
-		return
-	}
+	fs.Func("replicas", "comma-separated replica base URLs — the cluster's static member list (worker and coordinator modes)",
+		func(s string) error { o.coord.Replicas = splitList(s); return nil })
+	fs.StringVar(&o.self, "self", "", "this worker's own advertised base URL, as it appears in -replicas (worker mode)")
+	fs.DurationVar(&o.coord.HealthInterval, "health-interval", 2*time.Second, "coordinator /readyz poll period per replica")
+	fs.DurationVar(&o.peer.Timeout, "peer-timeout", 750*time.Millisecond, "worker peer cache-fill budget before falling back to local simulation")
+	fs.DurationVar(&o.coord.ProxyTimeout, "proxy-timeout", 5*time.Minute, "coordinator per-attempt proxy timeout")
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage text
+	o.coord.MaxUploadBytes, o.coord.MaxBatchItems = o.svc.MaxUploadBytes, o.svc.MaxBatchItems
 
-	replicas := splitList(*replicasF)
-	switch *mode {
-	case "standalone", "worker", "coordinator":
+	switch o.svc.Mode {
+	case "standalone", "coordinator":
+	case "worker":
+		if len(o.coord.Replicas) == 0 || o.self == "" {
+			return nil, errors.New("-mode worker needs -replicas and -self")
+		}
 	default:
-		fmt.Fprintf(os.Stderr, "gpuscoutd: unknown -mode %q (want standalone, worker, or coordinator)\n", *mode)
-		os.Exit(2)
+		return nil, fmt.Errorf("unknown -mode %q (want standalone, worker, or coordinator)", o.svc.Mode)
 	}
+	return o, nil
+}
 
-	if *mode == "coordinator" {
-		runCoordinator(*addr, gpuscout.ClusterConfig{
-			Replicas:       replicas,
-			VNodes:         *vnodes,
-			HealthInterval: *healthIv,
-			ProxyTimeout:   *proxyTmo,
-			MaxUploadBytes: *maxBody,
-			MaxBatchItems:  *maxBatch,
-		})
-		return
-	}
-
-	budgets, err := gpuscout.ParseStageBudgets(*budgetsF)
+func main() {
+	o, err := parseFlags(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpuscoutd:", err)
 		os.Exit(2)
 	}
-
-	cfg := gpuscout.ServiceConfig{
-		Workers:            *workers,
-		QueueDepth:         *queue,
-		CacheEntries:       *cache,
-		CacheMaxBytes:      *cacheMaxB,
-		DefaultTimeout:     *timeout,
-		MaxUploadBytes:     *maxBody,
-		MaxBatchItems:      *maxBatch,
-		MaxJobsRetained:    *retained,
-		SimWorkers:         *simW,
-		StageBudgets:       budgets,
-		RetryAttempts:      *retries,
-		RetryBackoff:       *backoff,
-		QuarantineAfter:    *quarAft,
-		QuarantineCooldown: *quarCool,
-		Mode:               *mode,
+	if o.version {
+		fmt.Printf("gpuscoutd %s (%s, %s/%s)\n", service.Version, runtime.Version(), runtime.GOOS, runtime.GOARCH)
+		return
+	}
+	if o.svc.Mode == "coordinator" {
+		coord, err := cluster.New(o.coord)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "gpuscoutd:", err)
+			os.Exit(2)
+		}
+		coord.Start() // one synchronous health sweep before the proxy serves
+		serve(o.addr, o.svc.Mode, coord.Handler(), coord.BeginShutdown, coord.Close)
+		return
 	}
 
 	// Durable state: accepted jobs survive a crash (write-ahead journal),
 	// computed reports survive a restart (content-addressed disk store),
 	// and quarantined fingerprints stay quarantined. Worker replicas warm
 	// from disk before asking peers.
-	var st *gpuscout.Store
-	if *dataDir != "" {
-		policy, err := gpuscout.ParseFsyncPolicy(*fsyncPol)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gpuscoutd:", err)
-			os.Exit(2)
-		}
-		st, err = gpuscout.OpenStore(*dataDir, gpuscout.StoreOptions{
-			FsyncPolicy:   policy,
-			FsyncInterval: *fsyncIv,
-			MaxBytes:      *storeMaxB,
-		})
-		if err != nil {
+	if o.dataDir != "" {
+		if o.svc.Store, err = store.Open(o.dataDir, o.store); err != nil {
 			fmt.Fprintln(os.Stderr, "gpuscoutd:", err)
 			os.Exit(1)
 		}
-		cfg.Store = st
 	}
-	if *mode == "worker" {
-		if len(replicas) == 0 || *selfF == "" {
-			fmt.Fprintln(os.Stderr, "gpuscoutd: -mode worker needs -replicas and -self")
-			os.Exit(2)
-		}
-		pc := gpuscout.NewPeerCache(replicas, strings.TrimRight(*selfF, "/"), gpuscout.PeerCacheConfig{
-			VNodes:  *vnodes,
-			Timeout: *peerTmo,
-		})
-		cfg.PeerFill = pc.Fill
+	if o.svc.Mode == "worker" {
+		o.svc.PeerFill = cluster.NewPeerCache(o.coord.Replicas, strings.TrimRight(o.self, "/"), o.peer).Fill
 	}
 
-	svc, err := gpuscout.NewService(cfg)
+	svc, err := service.New(o.svc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpuscoutd:", err)
 		os.Exit(1)
 	}
 	closeCore := func() {
 		svc.Close()
-		if st != nil {
+		if st := o.svc.Store; st != nil {
 			if err := st.Close(); err != nil {
 				log.Printf("gpuscoutd: close data dir: %v", err)
 			}
 		}
 	}
-	serve(*addr, *mode, svc.Handler(), svc.BeginShutdown, closeCore)
-}
-
-// runCoordinator brings up the cluster front-end: health polling first
-// (one synchronous sweep), then the proxy.
-func runCoordinator(addr string, cfg gpuscout.ClusterConfig) {
-	coord, err := gpuscout.NewCoordinator(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gpuscoutd:", err)
-		os.Exit(2)
-	}
-	coord.Start()
-	serve(addr, "coordinator", coord.Handler(), coord.BeginShutdown, coord.Close)
+	serve(o.addr, o.svc.Mode, svc.Handler(), svc.BeginShutdown, closeCore)
 }
 
 // serve runs the HTTP server with the shared graceful-shutdown order:
@@ -213,7 +184,7 @@ func serve(addr, mode string, h http.Handler, beginShutdown, closeCore func()) {
 		close(idle)
 	}()
 
-	log.Printf("gpuscoutd: %s %s listening on %s", mode, gpuscout.ServiceVersion(), addr)
+	log.Printf("gpuscoutd: %s %s listening on %s", mode, service.Version, addr)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "gpuscoutd:", err)
 		os.Exit(1)

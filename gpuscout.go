@@ -29,16 +29,13 @@ import (
 	"os"
 
 	"gpuscout/internal/advisor"
-	"gpuscout/internal/cluster"
 	"gpuscout/internal/codegen"
 	"gpuscout/internal/cubin"
 	"gpuscout/internal/gpu"
 	"gpuscout/internal/kasm"
 	"gpuscout/internal/sass"
 	"gpuscout/internal/scout"
-	"gpuscout/internal/service"
 	"gpuscout/internal/sim"
-	"gpuscout/internal/store"
 	"gpuscout/internal/workloads"
 )
 
@@ -275,6 +272,15 @@ func AnalyzeWorkload(name string, scale int, arch Arch, opts Options) (*Report, 
 	return AnalyzeWorkloadContext(context.Background(), name, scale, arch, opts)
 }
 
+// AnalyzeWorkloadContext is AnalyzeWorkload with cancellation. The
+// workload is lowered for arch before analysis, so the report reflects
+// that backend's instruction selection, not just its machine model. It
+// runs the same pipeline function as the gpuscoutd daemon and the CLI.
+func AnalyzeWorkloadContext(ctx context.Context, name string, scale int, arch Arch, opts Options) (*Report, error) {
+	out, err := advisor.Run(ctx, advisor.Plan{Arch: arch, Opts: opts, Workload: name, Scale: scale})
+	return out.Report, err
+}
+
 // --- Counterfactual verification (the advisor) ---
 
 // Verification is the measured evidence attached to a finding when its
@@ -334,88 +340,6 @@ type StallSlice = scout.StallSlice
 // perturbed launch polls ctx, so a deadline covers the sweep.
 func SweepWorkloadReport(ctx context.Context, rep *Report, name string, scale int, arch Arch, opts Options) (*Sensitivity, error) {
 	return advisor.Sweep(ctx, rep, name, scale, arch, opts.Sim)
-}
-
-// --- The gpuscoutd analysis service ---
-
-// Service is the long-lived analysis service behind cmd/gpuscoutd: a
-// bounded job queue and worker pool, a content-addressed report cache,
-// and a Prometheus-format /metrics endpoint, all fronting the Analyze
-// pipeline. Serve its Handler() with net/http.
-type Service = service.Service
-
-// ServiceConfig tunes the service (workers, queue depth, cache size,
-// per-job timeout, upload cap); the zero value selects defaults.
-type ServiceConfig = service.Config
-
-// AnalyzeServiceRequest is the POST /v1/analyze body: exactly one of a
-// built-in workload name, SASS text, or cubin bytes.
-type AnalyzeServiceRequest = service.AnalyzeRequest
-
-// NewService builds the analysis service and starts its worker pool;
-// call Close to drain it.
-func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }
-
-// ServiceVersion identifies the gpuscoutd build (see /healthz and the
-// -version flag).
-func ServiceVersion() string { return service.Version }
-
-// Store is gpuscoutd's crash-safe persistence layer (-data-dir): the
-// write-ahead job journal, the persistent content-addressed report
-// store behind the in-memory cache, and durable quarantine-breaker
-// state. Wire one into ServiceConfig.Store; close it after the service.
-type Store = store.Store
-
-// StoreOptions tunes a data directory (fsync policy, report-store byte
-// bound, journal compaction threshold); the zero value selects safe
-// defaults (fsync always, 1 GiB).
-type StoreOptions = store.Options
-
-// OpenStore opens (or initializes) a data directory, replaying the job
-// journal and truncating any torn tail left by a crash.
-func OpenStore(dir string, opts StoreOptions) (*Store, error) { return store.Open(dir, opts) }
-
-// ParseFsyncPolicy parses the -fsync flag value ("always", "interval",
-// "never").
-func ParseFsyncPolicy(s string) (store.FsyncPolicy, error) { return store.ParseFsyncPolicy(s) }
-
-// --- Clustered gpuscoutd ---
-
-// Coordinator fronts a fleet of gpuscoutd worker replicas: consistent-
-// hash routing by input fingerprint (cache affinity), failover along
-// the ring, replica-aware backpressure, and batch fan-out. Serve its
-// Handler() with net/http; call Start() first and Close() on shutdown.
-type Coordinator = cluster.Coordinator
-
-// ClusterConfig tunes the coordinator (replica list, vnodes, health
-// poll interval, proxy/batch limits).
-type ClusterConfig = cluster.Config
-
-// NewCoordinator builds a coordinator over a static replica list.
-func NewCoordinator(cfg ClusterConfig) (*Coordinator, error) { return cluster.New(cfg) }
-
-// PeerCache is the worker-side half of the cluster's two-tier cache:
-// wire its Fill method into ServiceConfig.PeerFill so local cache
-// misses try the ring owner's cache before re-simulating.
-type PeerCache = cluster.PeerCache
-
-// PeerCacheConfig tunes the peer cache-fill client.
-type PeerCacheConfig = cluster.PeerCacheConfig
-
-// NewPeerCache builds the fill client for one worker replica. replicas
-// must be the same static list the coordinator is configured with, and
-// self this worker's own advertised URL.
-func NewPeerCache(replicas []string, self string, cfg PeerCacheConfig) *PeerCache {
-	return cluster.NewPeerCache(replicas, self, cfg)
-}
-
-// AnalyzeWorkloadContext is AnalyzeWorkload with cancellation. The
-// workload is lowered for arch before analysis, so the report reflects
-// that backend's instruction selection, not just its machine model. It
-// runs the same pipeline function as the gpuscoutd daemon and the CLI.
-func AnalyzeWorkloadContext(ctx context.Context, name string, scale int, arch Arch, opts Options) (*Report, error) {
-	out, err := advisor.Run(ctx, advisor.Plan{Arch: arch, Opts: opts, Workload: name, Scale: scale})
-	return out.Report, err
 }
 
 // --- Cross-architecture comparison ---

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync"
 
@@ -43,25 +42,11 @@ func failStatus(msg string) json.RawMessage {
 // back in request order as they arrive. A sub-batch that dies partway
 // gets its undelivered items re-routed once to the next usable replica.
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	raw, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
 	var batch service.BatchRequest
-	if err := json.Unmarshal(raw, &batch); err != nil {
-		writeError(w, http.StatusBadRequest, "decode batch: "+err.Error())
+	if !service.DecodeRequest(w, r, c.cfg.MaxUploadBytes, c.cfg.MaxBatchItems, &batch) {
 		return
 	}
 	n := len(batch.Requests)
-	if n == 0 {
-		writeError(w, http.StatusBadRequest, "batch holds no requests")
-		return
-	}
-	if n > c.cfg.MaxBatchItems {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch holds %d requests, limit %d", n, c.cfg.MaxBatchItems))
-		return
-	}
 	c.batchRequests.Inc()
 	c.batchItems.Add(uint64(n))
 

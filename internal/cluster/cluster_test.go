@@ -724,3 +724,97 @@ func waitClusterJobState(t *testing.T, front, id string, want service.State) ser
 	t.Fatalf("job %s never reached %s", id, want)
 	return service.Status{}
 }
+
+// proxiedTotal sums the coordinator's per-replica proxy counters.
+func proxiedTotal(t *testing.T, front string, replicas []string) float64 {
+	t.Helper()
+	var sum float64
+	for _, u := range replicas {
+		sum += scrapeMetric(t, front, fmt.Sprintf("gpuscoutd_cluster_proxied_total{replica=%q}", u))
+	}
+	return sum
+}
+
+// TestCoordinatorRoutesArchSpellingsToOneOwner: every spelling of one
+// architecture is one routing identity, so the six ways to say sm_70
+// warm one replica's cache instead of up to six.
+func TestCoordinatorRoutesArchSpellingsToOneOwner(t *testing.T) {
+	tc := startCluster(t, 5, service.Config{Workers: 2, QueueDepth: 16})
+	for _, spellings := range [][]string{
+		{"", "sm_70", "sm70", "V100", "v100", "Tesla V100"},
+		{"sm_80", "sm80", "A100", "a100"},
+	} {
+		owners := map[string]bool{}
+		for _, sp := range spellings {
+			req := service.AnalyzeRequest{Workload: "transpose_naive", Scale: 32, DryRun: true, Arch: sp}
+			owners[tc.coord.Ring().Owner(req.Fingerprint())] = true
+			if resp, body := postJSON(t, tc.front.URL+"/v1/analyze", req); resp.StatusCode != http.StatusOK {
+				t.Fatalf("arch %q: status %d, body %s", sp, resp.StatusCode, body)
+			}
+		}
+		if len(owners) != 1 {
+			t.Errorf("spellings %q have %d ring owners, want 1", spellings, len(owners))
+		}
+		for owner := range owners {
+			sample := fmt.Sprintf("gpuscoutd_cluster_proxied_total{replica=%q}", owner)
+			if got := scrapeMetric(t, tc.front.URL, sample); got < float64(len(spellings)) {
+				t.Errorf("owner of %q was proxied %g requests, want all %d", spellings, got, len(spellings))
+			}
+		}
+	}
+}
+
+// TestCoordinatorDoorRejectsMalformedRequests: the coordinator decodes
+// and validates through the same front door as a worker, so a malformed
+// request is answered by the coordinator itself — nothing is
+// fingerprinted, routed or proxied first.
+func TestCoordinatorDoorRejectsMalformedRequests(t *testing.T) {
+	tc := startCluster(t, 2, service.Config{Workers: 1, QueueDepth: 4})
+	coord, err := New(Config{Replicas: append([]string(nil), tc.urls...), MaxUploadBytes: 2048, MaxBatchItems: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Start()
+	front := httptest.NewServer(coord.Handler())
+	t.Cleanup(func() {
+		front.Close()
+		coord.Close()
+	})
+
+	ok := `{"workload":"transpose_naive","scale":32,"dry_run":true}`
+	for _, c := range []struct {
+		name, path, body string
+		status           int
+		mention          string
+	}{
+		{"unknown field", "/v1/analyze", `{"workload":"transpose_naive","scael":32}`, http.StatusBadRequest, "scael"},
+		{"no source", "/v1/analyze", `{"scale":32}`, http.StatusBadRequest, "exactly one of"},
+		{"oversized body", "/v1/analyze", `{"sass":"` + strings.Repeat("a", 4096) + `"}`, http.StatusRequestEntityTooLarge, "too large"},
+		{"invalid batch item", "/v1/analyze/batch", `{"requests":[` + ok + `,{"sass":"x","verify":true}]}`, http.StatusBadRequest, "request 1:"},
+		{"empty batch", "/v1/analyze/batch", `{"requests":[]}`, http.StatusBadRequest, "no requests"},
+		{"batch over the item limit", "/v1/analyze/batch", `{"requests":[` + ok + `,` + ok + `,` + ok + `]}`, http.StatusRequestEntityTooLarge, "limit 2"},
+	} {
+		resp, err := http.Post(front.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.status || !strings.Contains(string(body), c.mention) {
+			t.Errorf("%s: status %d body %s, want %d mentioning %q", c.name, resp.StatusCode, body, c.status, c.mention)
+		}
+	}
+	if got := proxiedTotal(t, front.URL, tc.urls); got != 0 {
+		t.Errorf("coordinator proxied %g malformed requests to workers, want 0", got)
+	}
+
+	// The door is not in the way of a well-formed request.
+	resp, err := http.Post(front.URL+"/v1/analyze", "application/json", strings.NewReader(ok))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := proxiedTotal(t, front.URL, tc.urls); resp.StatusCode != http.StatusOK || got != 1 {
+		t.Errorf("well-formed request: status %d, proxied %g; want 200 and 1", resp.StatusCode, got)
+	}
+}

@@ -29,9 +29,6 @@ type Config struct {
 	// (e.g. "http://10.0.0.1:8090"). The ring is built over exactly this
 	// list; health checks decide which members are routable.
 	Replicas []string
-	// VNodes per replica on the ring (default DefaultVNodes). Must match
-	// the workers' PeerCacheConfig.VNodes.
-	VNodes int
 	// HealthInterval is the /readyz poll period (default 2s).
 	HealthInterval time.Duration
 	// ProxyTimeout bounds one proxied attempt, response body included.
@@ -57,9 +54,6 @@ func (c *Config) applyDefaults() error {
 			return fmt.Errorf("cluster: replica list has an empty or duplicate entry: %q", r)
 		}
 		seen[c.Replicas[i]] = true
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
@@ -113,7 +107,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:      cfg,
-		ring:     NewRing(cfg.Replicas, cfg.VNodes),
+		ring:     NewRing(cfg.Replicas),
 		members:  newMembership(cfg.Replicas, cfg.HealthInterval, cfg.Client),
 		client:   cfg.Client,
 		reg:      service.NewRegistry(),
@@ -196,49 +190,18 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-// readBody slurps a bounded request body, mapping the size limit to 413.
-func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxUploadBytes))
-	if err != nil {
-		if _, ok := err.(*http.MaxBytesError); ok {
-			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
-		} else {
-			writeError(w, http.StatusBadRequest, "read body: "+err.Error())
-		}
-		return nil, false
-	}
-	return raw, true
-}
-
-// handleAnalyze routes one analysis to its fingerprint's ring owner.
+// handleAnalyze routes one analysis to its fingerprint's ring owner. The
+// request comes through the same front door as on a worker, so a
+// malformed one is answered here instead of being routed and proxied;
+// the tee keeps the bytes the door consumed for forwarding.
 func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	raw, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
+	var raw bytes.Buffer
+	r.Body = io.NopCloser(io.TeeReader(r.Body, &raw))
 	var req service.AnalyzeRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
+	if !service.DecodeRequest(w, r, c.cfg.MaxUploadBytes, c.cfg.MaxBatchItems, &req) {
 		return
 	}
-	fp := req.Fingerprint()
-	path := "/v1/analyze"
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	c.routeByKey(w, r, fp, http.MethodPost, path, raw)
+	c.routeByKey(w, r, req.Fingerprint(), http.MethodPost, r.URL.RequestURI(), raw.Bytes())
 }
 
 // routeByKey walks fp's ring preference chain, proxying to the first
@@ -288,11 +251,11 @@ func (c *Coordinator) routeByKey(w http.ResponseWriter, r *http.Request, fp, met
 	c.shed.Inc()
 	if sawNotReady {
 		w.Header().Set("Retry-After", strconv.Itoa(c.members.RetryAfterHint()))
-		writeError(w, http.StatusTooManyRequests,
+		service.WriteError(w, http.StatusTooManyRequests,
 			"cluster: all replicas for this key are saturated or draining")
 		return
 	}
-	writeError(w, http.StatusServiceUnavailable, "cluster: no replica available")
+	service.WriteError(w, http.StatusServiceUnavailable, "cluster: no replica available")
 }
 
 // forward performs one buffered proxy attempt. Buffering the whole
@@ -338,7 +301,7 @@ func (c *Coordinator) relay(w http.ResponseWriter, url string, resp *http.Respon
 		}
 		if json.Unmarshal(data, &acc) == nil && acc.JobID != "" {
 			rid := fmt.Sprintf("r%d-%s", c.repIndex[url], acc.JobID)
-			writeJSON(w, http.StatusAccepted, map[string]string{
+			service.WriteJSON(w, http.StatusAccepted, map[string]string{
 				"job_id":     rid,
 				"status_url": "/v1/jobs/" + rid,
 			})
@@ -361,14 +324,14 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rest, ok := strings.CutPrefix(id, "r")
 	if !ok {
-		writeError(w, http.StatusNotFound,
+		service.WriteError(w, http.StatusNotFound,
 			"unknown job id (coordinator job ids look like r0-j00000001)")
 		return
 	}
 	idxStr, local, ok := strings.Cut(rest, "-")
 	idx, err := strconv.Atoi(idxStr)
 	if !ok || err != nil || idx < 0 || idx >= len(c.cfg.Replicas) || local == "" {
-		writeError(w, http.StatusNotFound,
+		service.WriteError(w, http.StatusNotFound,
 			"unknown job id (coordinator job ids look like r0-j00000001)")
 		return
 	}
@@ -376,7 +339,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	resp, data, err := c.forward(r.Context(), url, r.Method, "/v1/jobs/"+local, nil)
 	if err != nil {
 		c.members.MarkDown(url, err.Error())
-		writeError(w, http.StatusBadGateway, "replica unreachable: "+err.Error())
+		service.WriteError(w, http.StatusBadGateway, "replica unreachable: "+err.Error())
 		return
 	}
 	c.relay(w, url, resp, data)
@@ -397,11 +360,11 @@ func (c *Coordinator) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		c.relay(w, url, resp, data)
 		return
 	}
-	writeError(w, http.StatusServiceUnavailable, "cluster: no replica available")
+	service.WriteError(w, http.StatusServiceUnavailable, "cluster: no replica available")
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"version":        service.Version,
 		"go":             runtime.Version(),
@@ -427,7 +390,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		status = "degraded"
 		reason = fmt.Sprintf("%d/%d replicas up", up, total)
 	}
-	writeJSON(w, code, map[string]any{
+	service.WriteJSON(w, code, map[string]any{
 		"status":   status,
 		"reason":   reason,
 		"replicas": c.members.Snapshot(),

@@ -17,8 +17,6 @@ var sitePeerFill = faultinject.Register("cluster.peerfill")
 // PeerCacheConfig tunes the worker-side cache-fill client. The zero
 // value selects defaults.
 type PeerCacheConfig struct {
-	// VNodes must match the coordinator's ring (default DefaultVNodes).
-	VNodes int
 	// Timeout bounds one whole Fill attempt, peers included. It should
 	// be far below a simulation's cost and is a hard budget: when it
 	// expires the worker simulates locally (default 750ms).
@@ -62,7 +60,7 @@ func NewPeerCache(replicas []string, self string, cfg PeerCacheConfig) *PeerCach
 		client = &http.Client{}
 	}
 	return &PeerCache{
-		ring:     NewRing(replicas, cfg.VNodes),
+		ring:     NewRing(replicas),
 		self:     self,
 		client:   client,
 		timeout:  cfg.Timeout,

@@ -21,11 +21,13 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the default number of virtual nodes each replica
-// projects onto the ring. More vnodes smooth the key distribution
-// (stddev ~ 1/sqrt(vnodes)); 64 keeps per-replica load within a few
-// percent of even for small fleets while the ring stays tiny.
-const DefaultVNodes = 64
+// vnodes is the number of virtual nodes each replica projects onto the
+// ring. More vnodes smooth the key distribution (stddev ~
+// 1/sqrt(vnodes)); 64 keeps per-replica load within a few percent of
+// even for small fleets while the ring stays tiny. A constant, not an
+// option: the coordinator and every worker's peer cache must place keys
+// identically, so the value may not differ anywhere in a cluster.
+const vnodes = 64
 
 // Ring is an immutable consistent-hash ring over a static replica list.
 // Health is deliberately not the ring's concern: membership changes
@@ -43,13 +45,9 @@ type ringPoint struct {
 	member int // index into members
 }
 
-// NewRing builds the ring from the configured replica URLs. vnodes <= 0
-// selects DefaultVNodes. Order of members does not matter: placement
-// depends only on each member's name.
-func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// NewRing builds the ring from the configured replica URLs. Order of
+// members does not matter: placement depends only on each member's name.
+func NewRing(members []string) *Ring {
 	r := &Ring{members: append([]string(nil), members...)}
 	r.points = make([]ringPoint, 0, len(r.members)*vnodes)
 	for mi, m := range r.members {

@@ -17,10 +17,10 @@ func ringMembers(n int) []string {
 // rebuilding the ring, in any member order, maps every key identically.
 func TestRingDeterminism(t *testing.T) {
 	members := ringMembers(5)
-	a := NewRing(members, 0)
-	b := NewRing(members, 0)
+	a := NewRing(members)
+	b := NewRing(members)
 	reversed := []string{members[4], members[3], members[2], members[1], members[0]}
-	c := NewRing(reversed, 0)
+	c := NewRing(reversed)
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("fp-%04d", i)
 		if a.Owner(key) != b.Owner(key) {
@@ -36,7 +36,7 @@ func TestRingDeterminism(t *testing.T) {
 // Owner, and covers the whole fleet when asked.
 func TestRingOwnersPreference(t *testing.T) {
 	members := ringMembers(5)
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("fp-%04d", i)
 		owners := r.Owners(key, len(members))
@@ -59,12 +59,12 @@ func TestRingOwnersPreference(t *testing.T) {
 	}
 }
 
-// TestRingBalance: with DefaultVNodes the key space spreads within a
+// TestRingBalance: with 64 vnodes the key space spreads within a
 // reasonable factor of even — no replica owns a dominant share and none
 // starves.
 func TestRingBalance(t *testing.T) {
 	members := ringMembers(5)
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	counts := map[string]int{}
 	const keys = 5000
 	for i := 0; i < keys; i++ {
@@ -87,7 +87,7 @@ func TestRingBalance(t *testing.T) {
 // its owner, because the preference chain is walked, not rebuilt.
 func TestRingFailoverStability(t *testing.T) {
 	members := ringMembers(5)
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	dead := members[2]
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("fp-%04d", i)
@@ -104,14 +104,14 @@ func TestRingFailoverStability(t *testing.T) {
 }
 
 func TestRingEdgeCases(t *testing.T) {
-	var empty *Ring = NewRing(nil, 0)
+	var empty *Ring = NewRing(nil)
 	if got := empty.Owner("x"); got != "" {
 		t.Errorf("empty ring Owner = %q, want empty", got)
 	}
 	if got := empty.Owners("x", 3); got != nil {
 		t.Errorf("empty ring Owners = %v, want nil", got)
 	}
-	one := NewRing([]string{"http://a"}, 4)
+	one := NewRing([]string{"http://a"})
 	if got := one.Owner("anything"); got != "http://a" {
 		t.Errorf("single-member ring Owner = %q", got)
 	}

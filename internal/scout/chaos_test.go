@@ -27,8 +27,8 @@ import (
 // stays fast while still reaching every pipeline stage.
 func chaosScale(name string) int {
 	switch {
-	case strings.HasPrefix(name, "jacobi"):
-		return 64
+	case strings.HasPrefix(name, "jacobi"), strings.HasPrefix(name, "sgemm_shared"):
+		return 64 // the tiled sgemm variants need a multiple of their 64-deep K tile
 	case strings.HasPrefix(name, "sgemm"), strings.HasPrefix(name, "transpose"):
 		return 32
 	default:

@@ -12,21 +12,17 @@ import (
 // addresses (spatial locality, as in the paper's Listing 1 where loads hit
 // [R2] and [R2+-0x8]) are candidates for texture memory, whose dedicated
 // cache is optimized for spatially-local accesses.
-type TextureAnalysis struct {
-	// Window is the byte distance within which two loads off the same
-	// base count as spatially local; defaults to 32 (one sector).
-	Window int64
-}
+type TextureAnalysis struct{}
+
+// textureWindow is the byte distance within which two loads off the
+// same base count as spatially local: one sector.
+const textureWindow = 32
 
 // Name implements Analysis.
 func (TextureAnalysis) Name() string { return "texture_memory" }
 
 // Detect implements Analysis.
-func (a TextureAnalysis) Detect(v *KernelView) []Finding {
-	window := a.Window
-	if window <= 0 {
-		window = 32
-	}
+func (TextureAnalysis) Detect(v *KernelView) []Finding {
 	k := v.Kernel
 	type group struct {
 		base sass.Reg
@@ -67,7 +63,7 @@ func (a TextureAnalysis) Detect(v *KernelView) []Finding {
 	var findings []Finding
 	for _, key := range keys {
 		g := groups[key]
-		if len(g.idxs) < 2 || !withinWindow(g.offs, window) {
+		if len(g.idxs) < 2 || !withinWindow(g.offs) {
 			continue
 		}
 		f := Finding{
@@ -75,7 +71,7 @@ func (a TextureAnalysis) Detect(v *KernelView) []Finding {
 			Title:    "Spatially-local read-only loads: consider texture memory",
 			Problem: fmt.Sprintf(
 				"%d read-only global loads off base %s access adjacent addresses (offsets within %d bytes) — a spatially-local pattern the texture cache is optimized for",
-				len(g.idxs), g.base, window),
+				len(g.idxs), g.base, textureWindow),
 			Recommendation: "fetch this data through texture memory (tex2D()/texture objects) or, for a more maintainable alternative, stage it in shared memory",
 			RelevantStalls: []sim.Stall{sim.StallLongScoreboard},
 			RelevantMetrics: []string{
@@ -104,13 +100,13 @@ func (a TextureAnalysis) Detect(v *KernelView) []Finding {
 }
 
 // withinWindow reports whether at least two distinct offsets lie within
-// the window of each other.
-func withinWindow(offs []int64, window int64) bool {
+// textureWindow bytes of each other.
+func withinWindow(offs []int64) bool {
 	s := append([]int64(nil), offs...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	for i := 1; i < len(s); i++ {
 		d := s[i] - s[i-1]
-		if d != 0 && d <= window {
+		if d != 0 && d <= textureWindow {
 			return true
 		}
 	}

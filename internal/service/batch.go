@@ -25,6 +25,25 @@ type BatchResponse struct {
 	Results []Status `json:"results"`
 }
 
+// check is the batch's shape rule at the front door: non-empty, at most
+// maxItems, and every item valid — a malformed item fails the whole
+// batch with its index, before any work is routed or enqueued.
+func (b *BatchRequest) check(maxItems int) error {
+	n := len(b.Requests)
+	if n == 0 {
+		return errors.New("batch holds no requests")
+	}
+	if n > maxItems {
+		return fmt.Errorf("batch holds %d requests, limit %d: %w", n, maxItems, errTooLarge)
+	}
+	for i := range b.Requests {
+		if err := b.Requests[i].Validate(); err != nil {
+			return fmt.Errorf("request %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Dedupe folds items that share a request identity (Fingerprint) into
 // one slot each, in order of first appearance: first[k] is the index of
 // the item that introduced slot k, fps[k] its fingerprint, and slot[i]
@@ -86,37 +105,11 @@ const batchEnqueueTimeout = 2 * time.Minute
 // items in one batch would otherwise all miss the cache and each burn a
 // worker on the same simulation.
 func (s *Service) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var batch BatchRequest
-	if err := dec.Decode(&batch); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decode batch: "+err.Error())
+	if !DecodeRequest(w, r, s.cfg.MaxUploadBytes, s.cfg.MaxBatchItems, &batch) {
 		return
 	}
 	n := len(batch.Requests)
-	if n == 0 {
-		writeError(w, http.StatusBadRequest, "batch holds no requests")
-		return
-	}
-	if n > s.cfg.MaxBatchItems {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch holds %d requests, limit %d", n, s.cfg.MaxBatchItems))
-		return
-	}
-	// Validate everything up front: a malformed item fails the whole
-	// batch with its index, before any work is enqueued.
-	for i := range batch.Requests {
-		if err := batch.Requests[i].validate(); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("request %d: %v", i, err))
-			return
-		}
-	}
 	s.batchRequests.Inc()
 	s.batchItems.Add(uint64(n))
 

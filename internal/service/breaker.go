@@ -11,6 +11,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"gpuscout/internal/gpu"
 )
 
 // ErrQuarantined is returned by Submit for an input fingerprint whose
@@ -51,12 +53,33 @@ func (e *QuarantineError) Unwrap() error { return ErrQuarantined }
 //     (a report degraded by a short deadline is never cached);
 //   - sim_workers is host parallelism, and the simulator's result is
 //     bit-identical for every worker count.
+//
+// The two architecture fields are hashed as their canonical SM tag, so
+// every spelling of one architecture ("", "sm_70", "sm70", "V100", ...)
+// is one identity, as it already is one CacheKey.
 func (r *AnalyzeRequest) Fingerprint() string {
 	id := *r
 	id.TimeoutMS, id.SimWorkers = 0, 0
+	if id.Arch == "" {
+		id.Arch = defaultArch
+	}
+	id.Arch, id.ArchCompare = archTag(id.Arch), archTag(id.ArchCompare)
 	wire, _ := json.Marshal(&id) // a struct of strings, numbers and bytes cannot fail to marshal
 	sum := sha256.Sum256(wire)
 	return hex.EncodeToString(sum[:16])
+}
+
+// defaultArch is the architecture of a request that names none.
+const defaultArch = "sm_70"
+
+// archTag maps a spelling gpu.ByName accepts to that architecture's SM
+// tag. An unknown name stays as written: it keeps an identity of its
+// own and fails at resolve, as a job.
+func archTag(name string) string {
+	if a, err := gpu.ByName(name); err == nil {
+		return a.SM
+	}
+	return name
 }
 
 // breaker is the per-fingerprint circuit breaker behind quarantine: a

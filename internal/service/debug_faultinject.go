@@ -29,7 +29,7 @@ func (s *Service) registerDebugHandlers(mux *http.ServeMux) {
 				"fired":     faultinject.Fired(site),
 			}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"sites": faultinject.Sites(),
 			"armed": armed,
 		})
@@ -43,12 +43,12 @@ func (s *Service) registerDebugHandlers(mux *http.ServeMux) {
 			Times    int    `json:"times"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
+			WriteError(w, http.StatusBadRequest, "decode request: "+err.Error())
 			return
 		}
 		mode, err := faultinject.ParseMode(req.Mode)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		if _, err := faultinject.Arm(faultinject.Fault{
@@ -58,18 +58,18 @@ func (s *Service) registerDebugHandlers(mux *http.ServeMux) {
 			SkipHits: req.SkipHits,
 			Times:    req.Times,
 		}); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"armed": req.Site})
+		WriteJSON(w, http.StatusOK, map[string]string{"armed": req.Site})
 	})
 	mux.HandleFunc("DELETE /debug/faultinject", func(w http.ResponseWriter, r *http.Request) {
 		if site := r.URL.Query().Get("site"); site != "" {
 			faultinject.Disarm(site)
-			writeJSON(w, http.StatusOK, map[string]string{"disarmed": site})
+			WriteJSON(w, http.StatusOK, map[string]string{"disarmed": site})
 			return
 		}
 		faultinject.Reset()
-		writeJSON(w, http.StatusOK, map[string]string{"disarmed": "all"})
+		WriteJSON(w, http.StatusOK, map[string]string{"disarmed": "all"})
 	})
 }

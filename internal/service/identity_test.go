@@ -2,6 +2,7 @@ package service
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"gpuscout/internal/sass"
@@ -171,5 +172,84 @@ func TestRequestKeyLaunchFingerprint(t *testing.T) {
 		if got := requestKey(tc.req, plans); got != want {
 			t.Errorf("%+v: key does not use launch fingerprint %q", tc.req, tc.launch)
 		}
+	}
+}
+
+// archSpellings lists, per architecture, every spelling gpu.ByName
+// accepts ("" is the default architecture).
+var archSpellings = map[string][]string{
+	"sm_70": {"", "sm_70", "sm70", "V100", "v100", "Tesla V100"},
+	"sm_80": {"sm_80", "sm80", "A100", "a100"},
+}
+
+// TestFingerprintCanonicalArch: every spelling of one architecture, on
+// arch and on arch_compare, is one request identity — one breaker entry,
+// one batch slot, one ring owner — as it already is one CacheKey. An
+// unknown name keeps an identity of its own, and is still rejected where
+// it always was: at resolve, as a failed job.
+func TestFingerprintCanonicalArch(t *testing.T) {
+	seen := map[string]string{} // fingerprint -> the arch it belongs to
+	for _, field := range []string{"arch", "arch_compare"} {
+		for tag, spellings := range archSpellings {
+			want := ""
+			for _, sp := range spellings {
+				if field == "arch_compare" && sp == "" {
+					continue // no arch_compare is a plain request, not a spelling of sm_70
+				}
+				req := AnalyzeRequest{Workload: "sgemm_naive", Scale: 64}
+				if field == "arch" {
+					req.Arch = sp
+				} else {
+					req.ArchCompare = sp
+				}
+				fp := req.Fingerprint()
+				if want == "" {
+					want = fp
+				}
+				if fp != want {
+					t.Errorf("%s=%q: fingerprint %s, other spellings of %s have %s", field, sp, fp, tag, want)
+				}
+			}
+			if prev, dup := seen[want]; dup {
+				t.Errorf("%s %s shares a fingerprint with %s", field, tag, prev)
+			}
+			seen[want] = field + " " + tag
+		}
+	}
+
+	// The canonical spelling is the explicit SM tag, so requests that
+	// always spelled it that way kept their identity (and their ring owner
+	// and breaker entry): these literals were recorded before
+	// canonicalisation.
+	for want, req := range map[string]AnalyzeRequest{
+		"d8628dde949097bfd31bf49191b980ef": {Workload: "sgemm_naive", Scale: 64, Arch: "sm_70"},
+		"3a0bbaf2c5781c6c44526e8778150fe3": {Workload: "sgemm_naive", Scale: 64, Arch: "sm_80", Verify: true, StallSlices: true},
+		"fd83900659e05d46811ef8a01cf34e32": {Workload: "sgemm_naive", Scale: 64, Arch: "sm_70", ArchCompare: "sm_80"},
+	} {
+		if got := req.Fingerprint(); got != want {
+			t.Errorf("%+v: fingerprint moved to %s, was %s", req, got, want)
+		}
+	}
+
+	var batch BatchRequest
+	for _, sp := range archSpellings["sm_70"] {
+		batch.Requests = append(batch.Requests, AnalyzeRequest{Workload: "sgemm_naive", Scale: 64, Arch: sp})
+	}
+	if first, _, _ := batch.Dedupe(); len(first) != 1 {
+		t.Errorf("a batch of %d spellings of sm_70 dedupes to %d jobs, want 1", len(batch.Requests), len(first))
+	}
+
+	unknown := AnalyzeRequest{Workload: "sgemm_naive", Scale: 64, Arch: "sm_999"}
+	if prev, dup := seen[unknown.Fingerprint()]; dup {
+		t.Errorf("unknown arch shares a fingerprint with %s", prev)
+	}
+	svc, _ := newTestServer(t, Config{Workers: 1})
+	j, err := svc.Submit(unknown)
+	if err != nil {
+		t.Fatalf("unknown arch rejected at the door (%v); it is a resolve failure", err)
+	}
+	<-j.Done()
+	if st := j.Snapshot(); st.State != StateFailed || !strings.Contains(st.Error, "unknown architecture") {
+		t.Errorf("unknown arch: state=%s error=%q, want failed at resolve", st.State, st.Error)
 	}
 }

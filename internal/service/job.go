@@ -87,8 +87,10 @@ type AnalyzeRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// validate checks the request shape without building anything.
-func (r *AnalyzeRequest) validate() error {
+// Validate checks the request shape without building anything. Every
+// entry applies it: the HTTP front door, Submit (library callers skip
+// the door), journal recovery and the gpuscout CLI.
+func (r *AnalyzeRequest) Validate() error {
 	sources := 0
 	if r.Workload != "" {
 		sources++
@@ -131,6 +133,8 @@ func (r *AnalyzeRequest) validate() error {
 	}
 	return nil
 }
+
+func (r *AnalyzeRequest) check(int) error { return r.Validate() }
 
 // Job is one queued or executed analysis.
 type Job struct {

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -40,7 +41,8 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with an indented JSON document.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -48,22 +50,49 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+// WriteError answers with the API's error document, {"error": msg}.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]string{"error": msg})
+}
+
+// errTooLarge marks a shape failure that is answered 413 rather than 400.
+var errTooLarge = errors.New("request too large")
+
+// requestBody is what the front door admits: an AnalyzeRequest or a
+// BatchRequest, each checking its own shape (maxItems bounds a batch).
+type requestBody interface{ check(maxItems int) error }
+
+// DecodeRequest is the one front door for analysis requests, shared by
+// the worker's and the coordinator's single and batch endpoints: the body
+// is bounded to maxBytes, decoded strictly (an unknown field is an
+// error, not a silently ignored option) and shape-checked before anyone
+// fingerprints, routes or enqueues it. On failure it has answered 413
+// (body or batch over its limit) or 400 and reports false. The body is
+// streamed into the decoder, never buffered whole.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64, maxItems int, req requestBody) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(req)
+	if err != nil {
+		err = fmt.Errorf("decode request: %w", err)
+	} else {
+		err = req.check(maxItems)
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig), errors.Is(err, errTooLarge):
+		WriteError(w, http.StatusRequestEntityTooLarge, err.Error())
+	default:
+		WriteError(w, http.StatusBadRequest, err.Error())
+	}
+	return false
 }
 
 func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req AnalyzeRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
+	if !DecodeRequest(w, r, s.cfg.MaxUploadBytes, s.cfg.MaxBatchItems, &req) {
 		return
 	}
 
@@ -74,13 +103,13 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// when to come back — estimated from the queue depth and the p75
 		// recent job duration — instead of buffering unboundedly.
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests, err.Error())
+		WriteError(w, http.StatusTooManyRequests, err.Error())
 		return
 	case errors.Is(err, ErrClosed), errors.Is(err, ErrDurability):
 		// ErrDurability: the write-ahead journal could not record the
 		// job, so acknowledging it would risk silent loss — the client
 		// should retry against a healthy replica.
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	case errors.Is(err, ErrQuarantined):
 		// The input's circuit breaker is open: answer immediately with
@@ -94,15 +123,15 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			}
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
 		}
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
 	if async := r.URL.Query().Get("async"); async != "" && async != "0" {
-		writeJSON(w, http.StatusAccepted, map[string]string{
+		WriteJSON(w, http.StatusAccepted, map[string]string{
 			"job_id":     j.ID,
 			"status_url": "/v1/jobs/" + j.ID,
 		})
@@ -113,7 +142,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// client disconnects — nobody is left to read the report.
 	select {
 	case <-j.Done():
-		writeJSON(w, statusCode(j.StateNow()), j.Snapshot())
+		WriteJSON(w, statusCode(j.StateNow()), j.Snapshot())
 	case <-r.Context().Done():
 		j.Cancel()
 	}
@@ -136,24 +165,24 @@ func statusCode(st State) int {
 func (s *Service) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.Snapshot())
+	WriteJSON(w, http.StatusOK, j.Snapshot())
 }
 
 func (s *Service) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	j.Cancel()
-	writeJSON(w, http.StatusOK, j.Snapshot())
+	WriteJSON(w, http.StatusOK, j.Snapshot())
 }
 
 func (s *Service) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{"workloads": workloads.Names()})
+	WriteJSON(w, http.StatusOK, map[string][]string{"workloads": workloads.Names()})
 }
 
 // handleCacheGet is the peer cache-fill endpoint: a replica that misses
@@ -167,7 +196,7 @@ func (s *Service) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	// the persistent store — and never onward to another peer.
 	data, _, ok := s.lookupLocal(r.PathValue("key"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "cache miss")
+		WriteError(w, http.StatusNotFound, "cache miss")
 		return
 	}
 	s.peerServes.Inc()
@@ -212,7 +241,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		body["data_dir"] = dd
 		body["recovered_jobs"] = s.RecoveredJobs()
 	}
-	writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
 // handleReadyz is the readiness probe: 503 while the queue is saturated
@@ -226,7 +255,7 @@ func (s *Service) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		code = http.StatusServiceUnavailable
 		status = "not ready"
 	}
-	writeJSON(w, code, map[string]any{
+	WriteJSON(w, code, map[string]any{
 		"status":      status,
 		"reason":      reason,
 		"queue_depth": s.pool.depth(),

@@ -364,7 +364,7 @@ func (s *Service) recoverJobs(pending []store.PendingJob) {
 			st.AppendTombstone(p.ID, string(StateFailed))
 			continue
 		}
-		if err := req.validate(); err != nil {
+		if err := req.Validate(); err != nil {
 			st.AppendTombstone(p.ID, string(StateFailed))
 			continue
 		}
@@ -516,7 +516,7 @@ func (s *Service) admit(id string, req AnalyzeRequest, fp string) *Job {
 // when the bounded queue is at capacity and ErrClosed during shutdown;
 // any other error is a request validation failure.
 func (s *Service) Submit(req AnalyzeRequest) (*Job, error) {
-	if err := req.validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	fp := req.Fingerprint()
@@ -832,7 +832,7 @@ func (s *Service) resolve(req AnalyzeRequest) (plans []advisor.Plan, err error) 
 		}
 		archNames := []string{req.Arch}
 		if req.Arch == "" {
-			archNames[0] = "sm_70"
+			archNames[0] = defaultArch
 		}
 		if req.ArchCompare != "" {
 			archNames = append(archNames, req.ArchCompare)

@@ -581,7 +581,7 @@ func TestSimWorkersPlumbing(t *testing.T) {
 // TestSimWorkersValidation rejects negative sim_workers.
 func TestSimWorkersValidation(t *testing.T) {
 	req := AnalyzeRequest{Workload: "transpose_naive", SimWorkers: -1}
-	if err := req.validate(); err == nil {
+	if err := req.Validate(); err == nil {
 		t.Error("negative sim_workers accepted")
 	}
 }

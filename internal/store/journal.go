@@ -14,10 +14,11 @@ import (
 )
 
 // The write-ahead job journal is a single append-only file of framed
-// records. Every accepted async/batch job is appended *before* it is
-// enqueued — the acknowledgement the client receives is backed by bytes
-// on disk — and every terminal transition (done, failed, cancelled,
-// timeout) is appended as a tombstone. On startup a recovery pass
+// records. Every accepted job, sync, async or batch alike (they all
+// enter through Submit), is appended *before* it is enqueued — the
+// acknowledgement the client receives is backed by bytes on disk — and
+// every terminal transition (done, failed, cancelled, timeout) is
+// appended as a tombstone. On startup a recovery pass
 // replays the journal: accepts without a tombstone are the jobs a crash
 // interrupted, and the service re-enqueues them.
 //
@@ -345,7 +346,9 @@ func (s *Store) compactLocked() error {
 	old := s.journalF
 	s.journalF = f
 	old.Close()
-	s.syncDir()
+	if s.opts.FsyncPolicy == FsyncAlways {
+		syncDir(s.dir)
+	}
 	s.journalLen = newLen
 	s.records = records
 	// Rebuild pendingOrder without tombstoned gaps while we hold the

@@ -84,38 +84,12 @@ func (s *Store) PutReport(key, fingerprint string, data []byte) error {
 	if s.dead {
 		return ErrDead
 	}
-	dir := filepath.Join(s.dir, "reports")
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: report temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	_, err = tmp.WriteString(header)
-	if err == nil {
-		_, err = tmp.Write(data)
-	}
-	if err == nil && s.opts.FsyncPolicy == FsyncAlways {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmpName)
+	// A fired kill site leaves the entry as a temp file only: Open removes
+	// the orphan and the report is recomputed on the next request
+	// (self-heal by recompute).
+	if err := s.replaceFileLocked(path, ".tmp-*", siteReportRename, []byte(header), data); err != nil {
 		return fmt.Errorf("store: report write: %w", err)
 	}
-	if err := faultinject.Hit(siteReportRename); err != nil {
-		// Crash point: the entry exists only as a temp file. The rename
-		// never happens; Open removes the orphan and the report is
-		// recomputed on the next request (self-heal by recompute).
-		s.dead = true
-		return fmt.Errorf("store: report rename: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: report rename: %w", err)
-	}
-	s.syncDir()
 	size := int64(len(header) + len(data))
 	if old, ok := s.reports[key]; ok {
 		s.reportBytes -= old.bytes

@@ -33,6 +33,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"gpuscout/internal/faultinject"
 )
 
 // ErrDead is returned by every operation after the store has hit an
@@ -167,8 +169,13 @@ func Open(dir string, opts Options) (*Store, error) {
 		reports:     map[string]reportEntry{},
 	}
 	// A compaction that crashed between temp write and rename leaves
-	// journal.tmp; the old journal is still authoritative.
+	// journal.tmp; the old journal is still authoritative. A breaker save
+	// that crashed there leaves a .breaker-* temp beside the old state.
 	os.Remove(filepath.Join(dir, "journal.tmp"))
+	orphans, _ := filepath.Glob(filepath.Join(dir, ".breaker-*"))
+	for _, o := range orphans {
+		os.Remove(o)
+	}
 
 	if err := s.loadReportIndex(); err != nil {
 		return nil, fmt.Errorf("store: scan reports: %w", err)
@@ -235,17 +242,59 @@ func (s *Store) syncLoop(stop <-chan struct{}, done chan<- struct{}) {
 	}
 }
 
-// syncDir flushes the data directory's own metadata (new names after a
-// rename) under FsyncAlways. Errors are swallowed: directory fsync is
-// best-effort hardening on filesystems that need it.
-func (s *Store) syncDir() {
-	if s.opts.FsyncPolicy != FsyncAlways {
-		return
-	}
-	if d, err := os.Open(s.dir); err == nil {
+// syncDir flushes a directory's own metadata (new names after a rename);
+// callers do so under FsyncAlways. Errors are swallowed: directory fsync
+// is best-effort hardening on filesystems that need it. A variable so a
+// test can observe which directory a write flushes.
+var syncDir = func(dir string) {
+	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
+}
+
+// replaceFileLocked atomically replaces dst with the concatenated parts:
+// a temp file (named by pattern) in dst's own directory, fsync per
+// policy, rename onto dst, then a flush of that directory so the new
+// name is durable too. A crash at any instruction leaves dst whole —
+// old or new — and at most an orphan temp file, which Open sweeps.
+// killSite, when set, is the crash point between write and rename.
+func (s *Store) replaceFileLocked(dst, pattern, killSite string, parts ...[]byte) error {
+	dir, always := filepath.Dir(dst), s.opts.FsyncPolicy == FsyncAlways
+	tmp, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if err == nil {
+			_, err = tmp.Write(p)
+		}
+	}
+	if err == nil && always {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && killSite != "" {
+		if err = faultinject.Hit(killSite); err != nil {
+			// Crash point: the new content exists only as the temp file
+			// and the rename never happens.
+			s.dead = true
+			return err
+		}
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), dst)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if always {
+		syncDir(dir)
+	}
+	return nil
 }
 
 // Close flushes and closes the journal. The store must not be used
@@ -284,27 +333,9 @@ func (s *Store) SaveBreaker(data []byte) error {
 	if s.dead {
 		return ErrDead
 	}
-	path := filepath.Join(s.dir, "breaker.json")
-	tmp, err := os.CreateTemp(s.dir, ".breaker-*")
-	if err != nil {
-		return fmt.Errorf("store: breaker temp: %w", err)
-	}
-	name := tmp.Name()
-	_, err = tmp.Write(data)
-	if err == nil && s.opts.FsyncPolicy == FsyncAlways {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(name, path)
-	}
-	if err != nil {
-		os.Remove(name)
+	if err := s.replaceFileLocked(filepath.Join(s.dir, "breaker.json"), ".breaker-*", "", data); err != nil {
 		return fmt.Errorf("store: save breaker: %w", err)
 	}
-	s.syncDir()
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -339,13 +340,20 @@ func TestReportStoreOrphanTempCleanup(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, "reports"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	orphan := filepath.Join(dir, "reports", ".tmp-crashed123")
-	if err := os.WriteFile(orphan, []byte("half a report"), 0o644); err != nil {
-		t.Fatal(err)
+	orphans := []string{
+		filepath.Join(dir, "reports", ".tmp-crashed123"), // a report write that died before its rename
+		filepath.Join(dir, ".breaker-123"),               // a breaker save that did
+	}
+	for _, orphan := range orphans {
+		if err := os.WriteFile(orphan, []byte("half a file"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := openTest(t, dir, Options{})
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Error("orphan temp file survived Open")
+	for _, orphan := range orphans {
+		if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+			t.Errorf("orphan temp file %s survived Open", orphan)
+		}
 	}
 	if st := s.Stats(); st.ReportEntries != 0 {
 		t.Errorf("orphan counted as an entry: %+v", st)
@@ -407,16 +415,37 @@ func TestBreakerStatePersistence(t *testing.T) {
 	}
 }
 
+// TestFsyncPolicies: every policy round-trips, and under FsyncAlways a
+// replaced file's rename is made durable by flushing the directory that
+// holds the file — reports/ for an entry, the data dir for the breaker —
+// while the other policies flush no directory at all.
 func TestFsyncPolicies(t *testing.T) {
+	realSyncDir := syncDir
+	t.Cleanup(func() { syncDir = realSyncDir })
 	for _, p := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
 		t.Run(p.String(), func(t *testing.T) {
 			dir := t.TempDir()
+			var flushed []string
+			syncDir = func(d string) {
+				flushed = append(flushed, d)
+				realSyncDir(d)
+			}
 			s := openTest(t, dir, Options{FsyncPolicy: p, FsyncInterval: 5 * time.Millisecond})
 			if err := s.AppendAccept("j00000001", "fp", req("w")); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.PutReport(strings.Repeat("77", 32), "fp", []byte("data")); err != nil {
 				t.Fatal(err)
+			}
+			if err := s.SaveBreaker([]byte(`{"entries":{}}`)); err != nil {
+				t.Fatal(err)
+			}
+			want := []string{filepath.Join(dir, "reports"), dir}
+			if p != FsyncAlways {
+				want = nil
+			}
+			if !slices.Equal(flushed, want) {
+				t.Errorf("directories flushed = %q, want %q", flushed, want)
 			}
 			if p == FsyncInterval {
 				time.Sleep(25 * time.Millisecond) // let the ticker run
