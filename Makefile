@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build loc vet test race chaos cluster-test soak serve bench-parallel bench-check fmt-check test-arch arch-report
+.PHONY: check build loc vet test smoke race chaos cluster-test soak serve bench-parallel bench-check fmt-check test-arch arch-report
 
 check: build vet race
 
@@ -21,6 +21,22 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Runs the programs `go build ./...` only compiles: the four examples
+# (each exits non-zero when its own expectation fails), gpusim, its
+# disassembly fed back through `gpuscout -sass` (the blank line ends the
+# SASS, launch statistics follow), and one experiment (~5 s).
+smoke:
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for e in heattransfer mixbench quickstart sgemm; do \
+		echo "smoke: examples/$$e"; $(GO) run ./examples/$$e > /dev/null; \
+	done; \
+	echo "smoke: gpusim -disas | gpuscout -sass"; \
+	$(GO) run ./cmd/gpusim -workload transpose_naive -scale 32 -disas | sed '/^$$/q' > "$$tmp/k.sass"; \
+	$(GO) run ./cmd/gpuscout -sass "$$tmp/k.sass" -json "$$tmp/k.json" | grep -q 'analysis: readonly_cache'; \
+	test -s "$$tmp/k.json"; \
+	echo "smoke: experiments -run fig2 -fast"; \
+	$(GO) run ./cmd/experiments -run fig2 -fast | grep -q 'Register spilling'
 
 # The simulator-heavy packages are slow under the race detector on
 # small machines; raise the per-package timeout well past the default.

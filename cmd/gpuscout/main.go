@@ -21,6 +21,7 @@ import (
 
 	"gpuscout"
 	"gpuscout/internal/advisor"
+	"gpuscout/internal/cubin"
 	"gpuscout/internal/service"
 )
 
@@ -58,7 +59,7 @@ func run(args []string, stdout io.Writer) error {
 		jsonOut  = fs.String("json", "", "write the report as JSON to this file")
 		region   = fs.String("region", "", "profile a source-line region, e.g. -region 5:10")
 		timeout  = fs.Duration("timeout", 0, "overall analysis deadline (0 = none); with stage budgets, a slow stage degrades the report instead of failing it")
-		budgetsF = fs.String("stage-budgets", "", `per-stage deadline split "parse,sim,scout,verify" (e.g. "5,55,15,25"; "off" disables staged degradation; empty = defaults)`)
+		budgetsF = fs.String("stage-budgets", "on", `"on" splits -timeout across stages (parse 5% / sim 55% / scout 15% / verify 25%); "off" disables staged degradation`)
 	)
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage text
 
@@ -91,15 +92,43 @@ func run(args []string, stdout io.Writer) error {
 		defer cancel()
 	}
 
-	switch {
-	case *workload != "":
-		// A CLI analysis is a daemon request spelled as flags; the same
-		// shape rules apply (-verify and -sensitivity exclude -dry-run).
-		req := service.AnalyzeRequest{Workload: *workload, Scale: *scale, ArchCompare: *archCmp,
-			DryRun: *dryRun, Verify: *verify, Sensitivity: *sens}
-		if err := req.Validate(); err != nil {
+	// A CLI analysis is a daemon request spelled as flags, whichever of
+	// the three source forms it names: the same shape rules apply (one
+	// source; -verify, -sensitivity and -arch-compare need a workload and
+	// exclude -dry-run), with the daemon's own messages.
+	if *workload == "" && *cubinF == "" && *sassF == "" {
+		fs.Usage()
+		os.Exit(2)
+	}
+	req := service.AnalyzeRequest{Workload: *workload, Scale: *scale, Kernel: *kernelN, ArchCompare: *archCmp,
+		DryRun: *dryRun, Verify: *verify, Sensitivity: *sens}
+	if *cubinF != "" {
+		if req.Cubin, err = os.ReadFile(*cubinF); err != nil {
 			return err
 		}
+	}
+	if *sassF != "" {
+		text, err := os.ReadFile(*sassF)
+		if err != nil {
+			return err
+		}
+		req.SASS = string(text)
+	}
+	if err := req.Validate(); err != nil {
+		return err
+	}
+	// These three read the dynamic data of one workload report; anywhere
+	// else they would be dropped, so they are refused instead.
+	if (req.Workload == "" || req.ArchCompare != "") && (*compare != "" || *region != "" || *srcView) {
+		return fmt.Errorf("-compare, -region and -source-view need a single workload report (not an uploaded kernel or -arch-compare)")
+	}
+
+	// Uploaded kernels are analyzed statically, every kernel of a cubin
+	// unless -kernel selects one (the paper's Configuration stage
+	// disassembles the whole cubin).
+	var kernels []*gpuscout.Kernel
+	switch {
+	case req.Workload != "":
 		if *archCmp != "" {
 			other, err := gpuscout.ArchByName(*archCmp)
 			if err != nil {
@@ -167,51 +196,46 @@ func run(args []string, stdout io.Writer) error {
 			}
 			fmt.Fprintln(stdout, cmp.Render())
 		}
+		return nil
 
-	case *cubinF != "":
-		bin, err := gpuscout.LoadCubin(*cubinF)
+	case len(req.Cubin) > 0:
+		bin, err := cubin.Decode(req.Cubin)
 		if err != nil {
 			return err
 		}
 		if len(bin.Kernels) == 0 {
 			return fmt.Errorf("cubin %s holds no kernels", *cubinF)
 		}
-		// Without -kernel, every kernel in the module is analyzed (the
-		// paper's Configuration stage disassembles the whole cubin).
-		kernels := bin.Kernels
-		if *kernelN != "" {
-			k, err := bin.Kernel(*kernelN)
+		kernels = bin.Kernels
+		if req.Kernel != "" {
+			k, err := bin.Kernel(req.Kernel)
 			if err != nil {
 				return err
 			}
 			kernels = []*gpuscout.Kernel{k}
 		}
-		for _, k := range kernels {
-			rep, err := gpuscout.DryRun(arch, k)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, rep.Render())
+		if *jsonOut != "" && len(kernels) != 1 {
+			return fmt.Errorf("-json writes one report, but cubin %s holds %d kernels: select one with -kernel", *cubinF, len(kernels))
 		}
 
-	case *sassF != "":
-		text, err := os.ReadFile(*sassF)
+	default:
+		k, err := gpuscout.ParseSASS(req.SASS)
 		if err != nil {
 			return err
 		}
-		k, err := gpuscout.ParseSASS(string(text))
-		if err != nil {
-			return err
-		}
+		kernels = []*gpuscout.Kernel{k}
+	}
+	for _, k := range kernels {
 		rep, err := gpuscout.DryRun(arch, k)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout, rep.Render())
-
-	default:
-		fs.Usage()
-		os.Exit(2)
+		if *jsonOut != "" {
+			if err := gpuscout.WriteReportJSON(*jsonOut, rep); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gpuscout"
 	"gpuscout/internal/faultinject"
 	"gpuscout/internal/scout"
 )
@@ -81,5 +82,118 @@ func TestTimeoutBoundsVerify(t *testing.T) {
 		if f.Verification != nil {
 			t.Errorf("finding %s verified despite the verify slice expiring", f.Analysis)
 		}
+	}
+}
+
+// uploadFixtures writes one workload's SASS text, a two-kernel cubin and
+// a one-kernel cubin into a temp dir.
+func uploadFixtures(t *testing.T) (sassPath, cubinTwo, cubinOne string) {
+	t.Helper()
+	dir := t.TempDir()
+	var kernels []*gpuscout.Kernel
+	for _, name := range []string{"transpose_naive", "sgemm_naive"} {
+		w, err := gpuscout.BuildWorkload(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels = append(kernels, w.Kernel)
+	}
+	sassPath = filepath.Join(dir, "k.sass")
+	if err := os.WriteFile(sassPath, []byte(gpuscout.PrintSASS(kernels[0])), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cubinTwo, cubinOne = filepath.Join(dir, "two.cubin"), filepath.Join(dir, "one.cubin")
+	for path, ks := range map[string][]*gpuscout.Kernel{cubinTwo: kernels, cubinOne: kernels[:1]} {
+		if err := gpuscout.SaveCubin(path, &gpuscout.Binary{Arch: "sm_70", Kernels: ks}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sassPath, cubinTwo, cubinOne
+}
+
+// TestUploadFlagsRefusedNotDropped: a flag an uploaded-kernel analysis
+// cannot honour is an error — the daemon's own message where the daemon
+// has the rule — instead of a plain static report with exit status 0.
+func TestUploadFlagsRefusedNotDropped(t *testing.T) {
+	sassPath, cubinTwo, _ := uploadFixtures(t)
+	out := filepath.Join(t.TempDir(), "out.json")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-sass", sassPath, "-verify"}, "verify needs a workload analysis"},
+		{[]string{"-cubin", cubinTwo, "-sensitivity"}, "sensitivity needs a workload analysis"},
+		{[]string{"-sass", sassPath, "-arch-compare", "sm_80"}, "arch_compare needs a workload analysis"},
+		{[]string{"-sass", sassPath, "-kernel", "k"}, "kernel selects a kernel within a cubin"},
+		{[]string{"-sass", sassPath, "-workload", "sgemm_naive"}, "exactly one of workload, sass, cubin"},
+		{[]string{"-sass", sassPath, "-source-view"}, "need a single workload report"},
+		{[]string{"-cubin", cubinTwo, "-region", "3:5"}, "need a single workload report"},
+		{[]string{"-sass", sassPath, "-compare", "sgemm_shared"}, "need a single workload report"},
+		{[]string{"-workload", "transpose_naive", "-dry-run", "-arch-compare", "sm_80", "-region", "3:5"}, "need a single workload report"},
+		{[]string{"-cubin", cubinTwo, "-json", out}, "holds 2 kernels: select one with -kernel"},
+		{[]string{"-sass", sassPath, "-verify", "-sensitivity", "-arch-compare", "sm_80", "-json", out, "-source-view", "-region", "3:5"},
+			"verify needs a workload analysis"},
+	} {
+		var stdout bytes.Buffer
+		err := run(tc.args, &stdout)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one containing %q", tc.args, err, tc.want)
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("%v: printed a report before refusing", tc.args)
+		}
+		if _, statErr := os.Stat(out); statErr == nil {
+			t.Errorf("%v: wrote %s despite refusing", tc.args, out)
+		}
+	}
+}
+
+// TestUploadJSON: -json is honoured for the static report of one uploaded
+// kernel, whichever way the one kernel was named.
+func TestUploadJSON(t *testing.T) {
+	sassPath, cubinTwo, cubinOne := uploadFixtures(t)
+	for _, args := range [][]string{
+		{"-sass", sassPath},
+		{"-cubin", cubinOne},
+		{"-cubin", cubinTwo, "-kernel", "_Z9transposePKfPfi"},
+	} {
+		out := filepath.Join(t.TempDir(), "out.json")
+		var stdout bytes.Buffer
+		if err := run(append(args, "-json", out), &stdout); err != nil {
+			t.Errorf("%v: %v", args, err)
+			continue
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Errorf("%v: -json wrote nothing: %v", args, err)
+			continue
+		}
+		var rep scout.JSONReport
+		if err := json.Unmarshal(data, &rep); err != nil || rep.Kernel != "_Z9transposePKfPfi" || !rep.DryRun {
+			t.Errorf("%v: -json document = kernel %q dry_run %v (%v)", args, rep.Kernel, rep.DryRun, err)
+		}
+	}
+	// Without -json a multi-kernel cubin still reports every kernel.
+	var stdout bytes.Buffer
+	if err := run([]string{"-cubin", cubinTwo}, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(stdout.String(), "GPUscout report — kernel"); n != 2 {
+		t.Errorf("two-kernel cubin rendered %d reports, want 2", n)
+	}
+}
+
+// TestStageBudgetsFlag: the flag is a switch; the pre-PR-16 weight list
+// is an error naming the fixed split.
+func TestStageBudgetsFlag(t *testing.T) {
+	var stdout bytes.Buffer
+	for _, v := range []string{"on", "off"} {
+		if err := run([]string{"-workload", "transpose_naive", "-dry-run", "-stage-budgets", v}, &stdout); err != nil {
+			t.Errorf("-stage-budgets %s: %v", v, err)
+		}
+	}
+	err := run([]string{"-workload", "transpose_naive", "-dry-run", "-stage-budgets", "5,55,15,25"}, &stdout)
+	if err == nil || !strings.Contains(err.Error(), "sim 55%") {
+		t.Errorf("-stage-budgets weight list: err = %v, want one naming the fixed split", err)
 	}
 }

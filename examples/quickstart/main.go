@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -89,8 +90,8 @@ func main() {
 		res.Cycles, 100*res.AchievedOccupancy)
 
 	// 3. Analyze with GPUscout: the full three-pillar workflow.
-	rep, err := gpuscout.Analyze(arch, kernel,
-		func(cfg gpuscout.SimConfig) (*gpuscout.SimResult, error) {
+	rep, err := gpuscout.Analyze(context.Background(), arch, kernel,
+		func(ctx context.Context, cfg gpuscout.SimConfig) (*gpuscout.SimResult, error) {
 			d := gpuscout.NewDevice(arch)
 			ib := d.MustAlloc(4 * n)
 			ob := d.MustAlloc(4 * n)
@@ -99,7 +100,7 @@ func main() {
 			}
 			s := spec
 			s.Params = []uint64{ib.Addr, ob.Addr, uint64(math.Float32bits(2.5))}
-			return gpuscout.Launch(d, s, cfg)
+			return gpuscout.LaunchContext(ctx, d, s, cfg)
 		},
 		gpuscout.Options{Sim: gpuscout.SimConfig{SampleSMs: 4}})
 	if err != nil {

@@ -158,7 +158,7 @@ func LaunchContext(ctx context.Context, dev *Device, spec LaunchSpec, cfg SimCon
 
 // --- GPUscout analysis ---
 
-// Options configure an analysis run (DryRun, sampling period, detectors).
+// Options configure an analysis run (DryRun, sampling period, simulator).
 type Options = scout.Options
 
 // Report is a full GPUscout report; call Render for the text form.
@@ -170,40 +170,29 @@ type Report = scout.Report
 // exactly why it does not.
 type Degradation = scout.Degradation
 
-// StageBudgets splits a deadline into per-stage slices so one slow stage
-// degrades the report instead of timing the whole analysis out. The zero
-// value uses DefaultStageBudgets; set Disabled for whole-deadline
-// semantics.
+// StageBudgets splits a deadline into per-stage slices (parse 5% / sim
+// 55% / scout 15% / verify 25%) so one slow stage degrades the report
+// instead of timing the whole analysis out; set Disabled for
+// whole-deadline semantics.
 type StageBudgets = scout.StageBudgets
 
-// DefaultStageBudgets is the standard deadline split
-// (parse 5% / sim 55% / scout 15% / verify 25%).
-func DefaultStageBudgets() StageBudgets { return scout.DefaultStageBudgets() }
-
-// ParseStageBudgets parses the -stage-budgets flag syntax: "" for the
-// defaults, "off" to disable staged degradation, or four comma-separated
-// weights for parse,sim,scout,verify (only the ratio matters).
+// ParseStageBudgets parses the -stage-budgets flag syntax: "on" (or "")
+// for the fixed split, "off" to disable staged degradation.
 func ParseStageBudgets(s string) (StageBudgets, error) { return scout.ParseStageBudgets(s) }
 
 // Finding is one detected bottleneck with sites, stalls and metrics.
 type Finding = scout.Finding
 
-// RunFunc launches the analyzed kernel once for the dynamic pillars.
-type RunFunc = scout.RunFunc
-
-// RunContextFunc is RunFunc with cancellation; forward ctx into
-// LaunchContext so aborting the analysis interrupts the launch.
-type RunContextFunc = scout.RunContextFunc
+// RunFunc launches the analyzed kernel once for the dynamic pillars;
+// forward ctx into LaunchContext so aborting the analysis interrupts the
+// launch.
+type RunFunc = scout.RunContextFunc
 
 // Analyze performs the full GPUscout workflow on a kernel: static SASS
-// analysis, warp-stall sampling, metric collection, and evaluation.
-func Analyze(arch Arch, k *Kernel, run RunFunc, opts Options) (*Report, error) {
-	return scout.Analyze(arch, k, run, opts)
-}
-
-// AnalyzeContext is Analyze with cancellation: ctx is checked between the
-// pillars and handed to run, so cancelling it interrupts the workflow.
-func AnalyzeContext(ctx context.Context, arch Arch, k *Kernel, run RunContextFunc, opts Options) (*Report, error) {
+// analysis, warp-stall sampling, metric collection, and evaluation. ctx
+// is checked between the pillars and handed to run, so cancelling it
+// interrupts the workflow.
+func Analyze(ctx context.Context, arch Arch, k *Kernel, run RunFunc, opts Options) (*Report, error) {
 	return scout.AnalyzeContext(ctx, arch, k, run, opts)
 }
 
@@ -211,7 +200,7 @@ func AnalyzeContext(ctx context.Context, arch Arch, k *Kernel, run RunContextFun
 // the tool's --dry-run mode, which also serves architectures ncu does not
 // support.
 func DryRun(arch Arch, k *Kernel) (*Report, error) {
-	return scout.Analyze(arch, k, nil, Options{DryRun: true})
+	return scout.AnalyzeContext(context.Background(), arch, k, nil, Options{DryRun: true})
 }
 
 // WriteReportJSON writes a report's machine-readable form to a file —

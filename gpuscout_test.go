@@ -1,6 +1,7 @@
 package gpuscout_test
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -99,7 +100,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Analyze via the public facade.
-	rep, err := gpuscout.Analyze(arch, k, func(cfg gpuscout.SimConfig) (*gpuscout.SimResult, error) {
+	rep, err := gpuscout.Analyze(context.Background(), arch, k, func(ctx context.Context, cfg gpuscout.SimConfig) (*gpuscout.SimResult, error) {
 		d := gpuscout.NewDevice(arch)
 		ib := d.MustAlloc(4 * n)
 		ob := d.MustAlloc(4 * n)
@@ -108,7 +109,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		}
 		s := spec
 		s.Params = []uint64{ib.Addr, ob.Addr, uint64(math.Float32bits(3))}
-		return gpuscout.Launch(d, s, cfg)
+		return gpuscout.LaunchContext(ctx, d, s, cfg)
 	}, gpuscout.Options{Sim: gpuscout.SimConfig{SampleSMs: 2}})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)

@@ -208,7 +208,7 @@ func TestVerifyRejectsDryRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := scout.Analyze(gpu.V100(), w.Kernel, nil, scout.Options{DryRun: true})
+	rep, err := scout.AnalyzeContext(context.Background(), gpu.V100(), w.Kernel, nil, scout.Options{DryRun: true})
 	if err != nil {
 		t.Fatal(err)
 	}

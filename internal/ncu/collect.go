@@ -25,42 +25,23 @@ type MetricSet struct {
 	OverheadCycles float64
 }
 
-// Collector models the ncu CLI: which metrics to gather and the replay
-// cost structure.
+// Collector models the ncu CLI on one architecture.
 type Collector struct {
 	Arch gpu.Arch
-	// MetricsPerPass is how many metrics fit in one replay pass
-	// (hardware counter multiplexing); default 8.
-	MetricsPerPass int
-	// ReplayFactor is the slowdown of one profiled replay relative to the
-	// bare kernel (serialization, cache-control, counter readout);
-	// default 5.
-	ReplayFactor float64
-	// FixedCyclesPerPass models per-pass setup/teardown; default 4e6
-	// cycles (~3 ms at V100 clocks).
-	FixedCyclesPerPass float64
 }
 
-func (c Collector) metricsPerPass() int {
-	if c.MetricsPerPass <= 0 {
-		return 8
-	}
-	return c.MetricsPerPass
-}
-
-func (c Collector) replayFactor() float64 {
-	if c.ReplayFactor <= 0 {
-		return 5
-	}
-	return c.ReplayFactor
-}
-
-func (c Collector) fixedPerPass() float64 {
-	if c.FixedCyclesPerPass <= 0 {
-		return 4e6
-	}
-	return c.FixedCyclesPerPass
-}
+// The replay cost structure of a collection run.
+const (
+	// metricsPerPass is how many metrics fit in one replay pass
+	// (hardware counter multiplexing).
+	metricsPerPass = 8
+	// replayFactor is the slowdown of one profiled replay relative to the
+	// bare kernel (serialization, cache-control, counter readout).
+	replayFactor = 5
+	// fixedCyclesPerPass models per-pass setup/teardown (~3 ms at V100
+	// clocks).
+	fixedCyclesPerPass = 4e6
+)
 
 // Collect computes the named metrics for a finished launch. It fails on
 // unknown metric names and on architectures ncu does not support
@@ -89,8 +70,8 @@ func (c Collector) Collect(ctx Context, names []string) (*MetricSet, error) {
 		ms.Values[n] = v
 	}
 	uniq := len(ms.Values)
-	ms.Passes = (uniq + c.metricsPerPass() - 1) / c.metricsPerPass()
-	ms.OverheadCycles = float64(ms.Passes) * (ctx.Result.Cycles*c.replayFactor() + c.fixedPerPass())
+	ms.Passes = (uniq + metricsPerPass - 1) / metricsPerPass
+	ms.OverheadCycles = float64(ms.Passes) * (ctx.Result.Cycles*replayFactor + fixedCyclesPerPass)
 	return ms, nil
 }
 

@@ -56,17 +56,6 @@ type ArchComparison struct {
 	Deltas    []ArchDelta
 }
 
-// isGlobalLoadAnalysis names the detectors whose findings an async-copy
-// lowering can remove: they all key off LDG instructions that LDGSTS
-// fusion deletes.
-func isGlobalLoadAnalysis(name string) bool {
-	switch name {
-	case "readonly_cache", "vectorized_load", "texture_memory":
-		return true
-	}
-	return false
-}
-
 func verdictOf(f *Finding) string {
 	if f.Verification == nil {
 		return ""
@@ -135,7 +124,7 @@ func CompareReports(base, other *Report) *ArchComparison {
 			}
 		} else {
 			d.Status = DeltaOnlyBase
-			if otherHasAsync && isGlobalLoadAnalysis(f.Analysis) {
+			if otherHasAsync && detectors[f.Analysis].FusedByLDGSTS {
 				d.Note = fmt.Sprintf("the %s backend lowered this LDG+STS staging to a cp.async-style copy (LDGSTS): "+
 					"the global load bypasses the register file and its latency hides behind the next barrier, "+
 					"so there is no global-load stall left to optimize", c.OtherArch)

@@ -3,6 +3,7 @@ package scout
 import (
 	"fmt"
 
+	"gpuscout/internal/gpu"
 	"gpuscout/internal/sass"
 	"gpuscout/internal/sim"
 )
@@ -23,6 +24,25 @@ type BankConflictAnalysis struct {
 // Name implements Analysis.
 func (BankConflictAnalysis) Name() string { return "bank_conflicts" }
 
+// Describe implements Analysis.
+func (BankConflictAnalysis) Describe() Description {
+	return Description{Resources: []string{gpu.ResourceSharedBanks}, DerivedMetrics: bankConflictRatio}
+}
+
+// bankConflictRatio is the derived metric this detector shares with
+// §4.3: transactions per access approximates the n-way bank conflict
+// (1 = conflict-free, 32 = fully serialized).
+func bankConflictRatio(m *MetricLines) {
+	acc := m.val("smsp__inst_executed_op_shared_ld.sum")
+	trans := m.val("l1tex__data_pipe_lsu_wavefronts_mem_shared_op_ld.sum")
+	if acc > 0 {
+		m.add("shared-memory bank conflict ratio = %.4g transactions / %.4g accesses = %.2f-way (1.0 = conflict-free)",
+			trans, acc, trans/acc)
+	} else {
+		m.add("kernel currently uses no shared memory; after the change, watch the bank-conflict ratio (transactions/accesses)")
+	}
+}
+
 // Detect implements Analysis.
 func (a BankConflictAnalysis) Detect(v *KernelView) []Finding {
 	banks := a.Banks
@@ -32,8 +52,8 @@ func (a BankConflictAnalysis) Detect(v *KernelView) []Finding {
 	rowBytes := int64(banks * 4)
 	k := v.Kernel
 
-	var sites []Site
-	inLoop := false
+	var idxs []int
+	var strides []int64
 	for i := range k.Insts {
 		in := &k.Insts[i]
 		if in.Op != sass.OpLDS && in.Op != sass.OpSTS {
@@ -44,20 +64,11 @@ func (a BankConflictAnalysis) Detect(v *KernelView) []Finding {
 			continue
 		}
 		stride, lane := a.laneStride(v, mem.Reg, i)
-		if !lane || stride <= 0 || stride%rowBytes != 0 {
-			continue
+		if lane && stride > 0 && stride%rowBytes == 0 {
+			idxs, strides = append(idxs, i), append(strides, stride)
 		}
-		ways := banks
-		note := fmt.Sprintf(
-			"shared address = threadIdx.x * %d bytes: every lane maps to the same bank (predicted %d-way conflict)",
-			stride, ways)
-		if v.CFG.InLoop(i) {
-			inLoop = true
-			note += "; inside a for-loop"
-		}
-		sites = append(sites, v.site(i, note))
 	}
-	if len(sites) == 0 {
+	if len(idxs) == 0 {
 		return nil
 	}
 	f := Finding{
@@ -65,10 +76,8 @@ func (a BankConflictAnalysis) Detect(v *KernelView) []Finding {
 		Title:    "Shared-memory bank conflicts predicted",
 		Problem: fmt.Sprintf(
 			"%d shared-memory access(es) stride threadIdx.x by a multiple of %d bytes, so all 32 lanes of a warp hit one bank and serialize",
-			len(sites), rowBytes),
+			len(idxs), rowBytes),
 		Recommendation: "pad the shared array's row pitch (e.g. [32][33] instead of [32][32]) or swizzle the indexing so consecutive lanes touch consecutive banks",
-		Sites:          sites,
-		InLoop:         inLoop,
 		RelevantStalls: []sim.Stall{sim.StallShortScoreboard, sim.StallMIOThrottle},
 		RelevantMetrics: []string{
 			// The §4.3 ratio: transactions / accesses.
@@ -78,6 +87,11 @@ func (a BankConflictAnalysis) Detect(v *KernelView) []Finding {
 			"smsp__warp_issue_stalled_mio_throttle_per_warp_active.pct",
 		},
 	}
+	v.addSites(&f, idxs, "; inside a for-loop", func(n, _ int) string {
+		return fmt.Sprintf(
+			"shared address = threadIdx.x * %d bytes: every lane maps to the same bank (predicted %d-way conflict)",
+			strides[n], banks)
+	})
 	return []Finding{f}
 }
 

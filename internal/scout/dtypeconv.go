@@ -3,6 +3,7 @@ package scout
 import (
 	"fmt"
 
+	"gpuscout/internal/gpu"
 	"gpuscout/internal/sass"
 	"gpuscout/internal/sim"
 )
@@ -16,26 +17,36 @@ type DtypeConvAnalysis struct{}
 // Name implements Analysis.
 func (DtypeConvAnalysis) Name() string { return "datatype_conversion" }
 
+// Describe implements Analysis.
+func (DtypeConvAnalysis) Describe() Description {
+	return Description{
+		Resources: []string{gpu.ResourceIssueWidth, gpu.ResourceScoreboards},
+		DerivedMetrics: func(m *MetricLines) {
+			total := m.val("smsp__inst_executed.sum")
+			if res := m.rep.Result; total > 0 && res != nil {
+				conv := float64(res.Counters.OpcodeDyn[sass.OpI2F]+
+					res.Counters.OpcodeDyn[sass.OpF2I]+
+					res.Counters.OpcodeDyn[sass.OpF2F]+
+					res.Counters.OpcodeDyn[sass.OpI2I]) * res.Scale
+				m.add("conversions are %.2f%% of all executed warp instructions (%.4g of %.4g)",
+					100*conv/total, conv, total)
+			}
+		},
+	}
+}
+
 // Detect implements Analysis.
 func (DtypeConvAnalysis) Detect(v *KernelView) []Finding {
 	k := v.Kernel
-	var sites []Site
+	var idxs []int
 	counts := map[sass.Opcode]int{}
-	inLoop := false
 	for i := range k.Insts {
-		in := &k.Insts[i]
-		if !sass.IsConversion(in.Op) {
-			continue
+		if sass.IsConversion(k.Insts[i].Op) {
+			counts[k.Insts[i].Op]++
+			idxs = append(idxs, i)
 		}
-		counts[in.Op]++
-		note := in.Mnemonic() + " conversion"
-		if v.CFG.InLoop(i) {
-			inLoop = true
-			note += "; inside a for-loop"
-		}
-		sites = append(sites, v.site(i, note))
 	}
-	if len(sites) == 0 {
+	if len(idxs) == 0 {
 		return nil
 	}
 	f := Finding{
@@ -43,14 +54,13 @@ func (DtypeConvAnalysis) Detect(v *KernelView) []Finding {
 		Title:    "Datatype conversions detected",
 		Problem: fmt.Sprintf(
 			"%d datatype conversion(s): %d I2F, %d F2I, %d F2F, %d I2I — each costs extra instructions and pipeline utilization",
-			len(sites), counts[sass.OpI2F], counts[sass.OpF2I], counts[sass.OpF2F], counts[sass.OpI2I]),
+			len(idxs), counts[sass.OpI2F], counts[sass.OpF2I], counts[sass.OpF2F], counts[sass.OpI2I]),
 		Recommendation: "avoid mixing datatypes where feasible (match literal types, keep loop indices out of floating-point expressions); some conversions are inherent to the algorithm and cannot be removed",
-		Sites:          sites,
-		InLoop:         inLoop,
 		RelevantStalls: []sim.Stall{sim.StallWait, sim.StallMathPipeThrottle},
 		RelevantMetrics: []string{
 			"smsp__inst_executed.sum",
 		},
 	}
+	v.addSites(&f, idxs, "; inside a for-loop", func(_, i int) string { return k.Insts[i].Mnemonic() + " conversion" })
 	return []Finding{f}
 }

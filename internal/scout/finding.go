@@ -55,7 +55,7 @@ type Site struct {
 
 // Finding is one detected (potential) bottleneck.
 type Finding struct {
-	// Analysis names the detector, e.g. "vectorized_load".
+	// Analysis names the detector (its Analysis.Name).
 	Analysis string
 	// Title is the one-line recommendation headline.
 	Title string
@@ -152,15 +152,48 @@ type Analysis interface {
 	Name() string
 	// Detect runs the static pattern search on the prepared kernel view.
 	Detect(k *KernelView) []Finding
+	// Describe returns what the rest of the core needs to know about the
+	// detector's bottleneck class.
+	Describe() Description
+}
+
+// Description holds a detector's facts beyond its match.
+type Description struct {
+	// Resources lists the hardware resources (gpu.ResourceNames) the
+	// bottleneck class can be bound by; a finding's sensitivity block is
+	// filtered to them so the attribution stays causal, not correlational.
+	Resources []string
+	// DerivedMetrics appends the detector's derived-metric formula (§2.3,
+	// §4.2, §4.3) to a correlated finding's metric summary.
+	DerivedMetrics func(m *MetricLines)
+	// FusedByLDGSTS is set when the detector keys on the LDGs an
+	// async-copy lowering (LDGSTS fusion) deletes, so a finding missing on
+	// such an architecture is explained rather than merely absent.
+	FusedByLDGSTS bool
 }
 
 // KernelView bundles the kernel with the static analyses every detector
-// needs (CFG/loops, liveness, def-use), computed once.
+// needs (CFG/loops, liveness, def-use, the global-load index), computed
+// once.
 type KernelView struct {
 	Kernel   *sass.Kernel
 	CFG      *sass.CFG
 	Liveness *sass.Liveness
 	DefUse   *sass.DefUse
+	// Loads indexes the kernel's global loads (LDG with a memory operand):
+	// groups sorted by (Base, Def), each group's loads in program order.
+	// It is the only LDG scan the detectors share (§4.1, §4.3, §4.5, §4.6).
+	Loads []LoadGroup
+}
+
+// LoadGroup holds the global loads off one value of one base register.
+// Loads combine, alias or form a window only while the base holds the
+// same value, so the key is the register plus its reaching definition.
+type LoadGroup struct {
+	Base sass.Reg
+	Def  int     // DefUse.LastDefBefore(Base, load); -1 = live on entry
+	Idxs []int   // instruction indices, program order
+	Offs []int64 // immediate offsets, parallel to Idxs
 }
 
 // NewKernelView prepares the shared static analyses.
@@ -172,22 +205,83 @@ func NewKernelView(k *sass.Kernel) (*KernelView, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scout: %w", err)
 	}
-	return &KernelView{
+	v := &KernelView{
 		Kernel:   k,
 		CFG:      cfg,
 		Liveness: sass.ComputeLiveness(cfg),
 		DefUse:   sass.ComputeDefUse(k),
-	}, nil
+	}
+	at := map[[2]int]int{} // (base, def) -> position in v.Loads before sorting
+	for i := range k.Insts {
+		if k.Insts[i].Op != sass.OpLDG {
+			continue
+		}
+		mem, ok := k.Insts[i].MemOperand()
+		if !ok {
+			continue
+		}
+		key := [2]int{int(mem.Reg), v.DefUse.LastDefBefore(mem.Reg, i)}
+		n, seen := at[key]
+		if !seen {
+			n, at[key] = len(v.Loads), len(v.Loads)
+			v.Loads = append(v.Loads, LoadGroup{Base: mem.Reg, Def: key[1]})
+		}
+		v.Loads[n].Idxs = append(v.Loads[n].Idxs, i)
+		v.Loads[n].Offs = append(v.Loads[n].Offs, mem.Imm)
+	}
+	sort.Slice(v.Loads, func(i, j int) bool {
+		if v.Loads[i].Base != v.Loads[j].Base {
+			return v.Loads[i].Base < v.Loads[j].Base
+		}
+		return v.Loads[i].Def < v.Loads[j].Def
+	})
+	return v, nil
 }
 
-// site builds a Site for instruction index i.
-func (v *KernelView) site(i int, note string) Site {
-	in := &v.Kernel.Insts[i]
-	file := in.File
-	if file == "" {
-		file = v.Kernel.SourceFile
+// loadGroups returns the load index restricted to the loads keep
+// accepts; groups left empty are dropped.
+func (v *KernelView) loadGroups(keep func(i int) bool) []LoadGroup {
+	var out []LoadGroup
+	for _, g := range v.Loads {
+		f := LoadGroup{Base: g.Base, Def: g.Def}
+		for n, i := range g.Idxs {
+			if keep(i) {
+				f.Idxs = append(f.Idxs, i)
+				f.Offs = append(f.Offs, g.Offs[n])
+			}
+		}
+		if len(f.Idxs) > 0 {
+			out = append(out, f)
+		}
 	}
-	return Site{PC: in.PC, Line: in.Line, File: file, SASS: in.String(), Note: note}
+	return out
+}
+
+// readOnlyLoad reports whether the indexed load at i could take the
+// read-only data path (§4.5, §4.6): it is not already LDG.NC and its
+// pointer is never stored through.
+func (v *KernelView) readOnlyLoad(i int) bool {
+	in := &v.Kernel.Insts[i]
+	mem, _ := in.MemOperand()
+	return !in.IsNC() && !v.DefUse.PointerStoredThroughAt(mem.Reg, i)
+}
+
+// addSites appends one site per instruction index, in the order given,
+// noted by note(n, i). An instruction inside a loop marks the finding
+// InLoop and gets loopNote appended to its note.
+func (v *KernelView) addSites(f *Finding, idxs []int, loopNote string, note func(n, i int) string) {
+	for n, i := range idxs {
+		in := &v.Kernel.Insts[i]
+		s := Site{PC: in.PC, Line: in.Line, File: in.File, SASS: in.String(), Note: note(n, i)}
+		if s.File == "" {
+			s.File = v.Kernel.SourceFile
+		}
+		if v.CFG.InLoop(i) {
+			f.InLoop = true
+			s.Note += loopNote
+		}
+		f.Sites = append(f.Sites, s)
+	}
 }
 
 // Report is the full result of one GPUscout run on one kernel.

@@ -1,6 +1,7 @@
 package scout_test
 
 import (
+	"context"
 	"testing"
 
 	"gpuscout/internal/gpu"
@@ -42,7 +43,7 @@ func TestDetectorsSilentOnOptimizedVariants(t *testing.T) {
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
-				rep, err := scout.Analyze(arch, w.Kernel, nil, scout.Options{DryRun: true})
+				rep, err := scout.AnalyzeContext(context.Background(), arch, w.Kernel, nil, scout.Options{DryRun: true})
 				if err != nil {
 					t.Fatalf("analyze: %v", err)
 				}
@@ -95,7 +96,7 @@ func TestDetectorsFireOnBaselines(t *testing.T) {
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
-				rep, err := scout.Analyze(arch, w.Kernel, nil, scout.Options{DryRun: true})
+				rep, err := scout.AnalyzeContext(context.Background(), arch, w.Kernel, nil, scout.Options{DryRun: true})
 				if err != nil {
 					t.Fatalf("analyze: %v", err)
 				}

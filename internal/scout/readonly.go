@@ -2,9 +2,8 @@ package scout
 
 import (
 	"fmt"
-	"sort"
 
-	"gpuscout/internal/sass"
+	"gpuscout/internal/gpu"
 	"gpuscout/internal/sim"
 )
 
@@ -18,34 +17,35 @@ type ReadOnlyAnalysis struct{}
 // Name implements Analysis.
 func (ReadOnlyAnalysis) Name() string { return "readonly_cache" }
 
+// Describe implements Analysis. Read-only/texture routing pays off when
+// cache capacity or memory latency is the binding resource.
+func (ReadOnlyAnalysis) Describe() Description {
+	return Description{
+		Resources:     []string{gpu.ResourceL1Capacity, gpu.ResourceL2Capacity, gpu.ResourceDRAMLatency},
+		FusedByLDGSTS: true,
+		DerivedMetrics: func(m *MetricLines) {
+			tex := m.val("l1tex__t_sectors_pipe_tex_mem_texture.sum")
+			if tex > 0 {
+				m.add("texture/read-only path: %.4g sectors requested (%.4g B), %.1f%% hit the texture cache",
+					tex, tex*m.secB, m.val("l1tex__t_sector_pipe_tex_mem_texture_hit_rate.pct"))
+			}
+		},
+	}
+}
+
 // Detect implements Analysis.
 func (ReadOnlyAnalysis) Detect(v *KernelView) []Finding {
-	k := v.Kernel
-	// Group candidate loads by base-pointer register.
-	byBase := map[sass.Reg][]int{}
-	for i := range k.Insts {
-		in := &k.Insts[i]
-		if in.Op != sass.OpLDG || in.IsNC() {
-			continue
-		}
-		mem, ok := in.MemOperand()
-		if !ok || v.DefUse.PointerStoredThroughAt(mem.Reg, i) {
-			continue
-		}
-		byBase[mem.Reg] = append(byBase[mem.Reg], i)
-	}
-	if len(byBase) == 0 {
-		return nil
-	}
-	bases := make([]sass.Reg, 0, len(byBase))
-	for b := range byBase {
-		bases = append(bases, b)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-
+	// One finding per base-pointer register: the index lists a register's
+	// groups adjacently and in definition order, which for one register is
+	// program order, so concatenating them keeps the sites ordered.
+	groups := v.loadGroups(v.readOnlyLoad)
 	var findings []Finding
-	for _, base := range bases {
-		idxs := byBase[base]
+	for n := 0; n < len(groups); {
+		base := groups[n].Base
+		var idxs []int
+		for ; n < len(groups) && groups[n].Base == base; n++ {
+			idxs = append(idxs, groups[n].Idxs...)
+		}
 		f := Finding{
 			Analysis: "readonly_cache",
 			Title:    "Mark read-only pointer with const __restrict__",
@@ -66,13 +66,9 @@ func (ReadOnlyAnalysis) Detect(v *KernelView) []Finding {
 				"sm__warps_active.avg.pct_of_peak_sustained_active",
 			},
 		}
-		for _, i := range idxs {
-			note := "read-only load; +%d registers live here"
-			f.Sites = append(f.Sites, v.site(i, fmt.Sprintf(note, v.Liveness.ExtraRegs(i))))
-			if v.CFG.InLoop(i) {
-				f.InLoop = true
-			}
-		}
+		v.addSites(&f, idxs, "", func(_, i int) string {
+			return fmt.Sprintf("read-only load; +%d registers live here", v.Liveness.ExtraRegs(i))
+		})
 		findings = append(findings, f)
 	}
 	return findings

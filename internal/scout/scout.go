@@ -14,12 +14,6 @@ import (
 	"gpuscout/internal/sim"
 )
 
-// AllAnalyses returns the full §4 detector set in paper order, tuned
-// for the default Volta-class target.
-func AllAnalyses() []Analysis {
-	return AllAnalysesFor(gpu.V100())
-}
-
 // AllAnalysesFor returns the §4 detector set parameterized by the
 // target architecture's descriptor tables (shared-memory bank count
 // today; any future detector knob belongs here too).
@@ -47,8 +41,6 @@ type Options struct {
 	SamplingPeriod float64
 	// Sim configures the simulated launches.
 	Sim sim.Config
-	// Analyses overrides the detector set (nil = AllAnalyses).
-	Analyses []Analysis
 	// StallSlices attaches a backward def-use slice to each finding: the
 	// producer chain from address arithmetic through the load to the
 	// stalled consumer at the finding's highest-stall PC (LEO-style).
@@ -56,49 +48,34 @@ type Options struct {
 	StallSlices bool
 	// Budgets splits the context deadline (when there is one) into
 	// per-stage slices so a slow stage degrades the report instead of
-	// timing out the whole job. The zero value uses DefaultStageBudgets;
+	// timing out the whole job. The zero value applies the fixed split;
 	// set Disabled to restore whole-deadline semantics.
 	Budgets StageBudgets
 }
 
-// RunFunc launches the kernel once and returns the simulation result.
-// GPUscout invokes it for the dynamic pillars; the static pillar never
-// needs it.
-type RunFunc func(cfg sim.Config) (*sim.Result, error)
-
-// RunContextFunc is RunFunc with cancellation: implementations should
-// forward ctx into sim.LaunchContext so that aborting the analysis
-// actually interrupts the simulated launch.
+// RunContextFunc launches the kernel once and returns the simulation
+// result. GPUscout invokes it for the dynamic pillars; the static pillar
+// never needs it. Implementations should forward ctx into
+// sim.LaunchContext so that aborting the analysis actually interrupts
+// the simulated launch.
 type RunContextFunc func(ctx context.Context, cfg sim.Config) (*sim.Result, error)
 
-// Analyze performs the full GPUscout workflow (§3.1) on one kernel:
-// static code instrumentation, dynamic data collection (PC sampling and
-// ncu metrics, unless DryRun), and data evaluation.
-func Analyze(arch gpu.Arch, k *sass.Kernel, run RunFunc, opts Options) (*Report, error) {
-	var rc RunContextFunc
-	if run != nil {
-		rc = func(_ context.Context, cfg sim.Config) (*sim.Result, error) { return run(cfg) }
-	}
-	return AnalyzeContext(context.Background(), arch, k, rc, opts)
-}
-
-// AnalyzeContext is Analyze with cancellation and fault tolerance: the
-// context deadline (when present) is split into per-stage budgets, every
-// stage runs under a panic guard, and failures degrade the report —
-// recorded in Report.Degradations — instead of abandoning it. A parse
-// failure is still fatal (there is nothing to report on); a failing or
-// slow dynamic pillar falls back to the static-only report; a panicking
-// detector drops only its own findings.
+// AnalyzeContext performs the full GPUscout workflow (§3.1) on one
+// kernel: static code instrumentation, dynamic data collection (PC
+// sampling and ncu metrics, unless DryRun), and data evaluation — with
+// cancellation and fault tolerance: the context deadline (when present)
+// is split into per-stage budgets, every stage runs under a panic guard,
+// and failures degrade the report — recorded in Report.Degradations —
+// instead of abandoning it. A parse failure is still fatal (there is
+// nothing to report on); a failing or slow dynamic pillar falls back to
+// the static-only report; a panicking detector drops only its own
+// findings.
 func AnalyzeContext(ctx context.Context, arch gpu.Arch, k *sass.Kernel, run RunContextFunc, opts Options) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("scout: %w", err)
-	}
-	analyses := opts.Analyses
-	if analyses == nil {
-		analyses = AllAnalysesFor(arch)
 	}
 	budgets := opts.Budgets
 	var total time.Duration
@@ -138,7 +115,7 @@ func AnalyzeContext(ctx context.Context, arch gpu.Arch, k *sass.Kernel, run RunC
 	// Per-detector isolation: a panicking detector loses its own findings
 	// and nothing else; once the static budget is spent, the remaining
 	// detectors are skipped, each loss named in the ledger.
-	for _, a := range analyses {
+	for _, a := range AllAnalysesFor(arch) {
 		site := DetectorSite(a.Name())
 		if !staticDeadline.IsZero() && time.Now().After(staticDeadline) {
 			rep.Degradations = append(rep.Degradations, Degradation{
@@ -176,6 +153,7 @@ func AnalyzeContext(ctx context.Context, arch gpu.Arch, k *sass.Kernel, run RunC
 		simCtx, cancel = context.WithTimeout(ctx, budgets.SliceOf(StageSim, total))
 	}
 	err := runDynamicPillars(simCtx, arch, k, run, opts, rep)
+	sliceExpired := simCtx.Err() != nil // read before cancel() makes it true
 	cancel()
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -190,7 +168,7 @@ func AnalyzeContext(ctx context.Context, arch gpu.Arch, k *sass.Kernel, run RunC
 			rep.Findings[fi].MetricSummary = nil
 		}
 		rep.Degradations = append(rep.Degradations,
-			DegradationFor(StageSim, "sim.launch", err, simCtx.Err() != nil))
+			DegradationFor(StageSim, "sim.launch", err, sliceExpired))
 		sortFindings(rep.Findings)
 		return rep, nil
 	}
@@ -464,85 +442,40 @@ func stallList(ss []sim.Stall) string {
 	return out
 }
 
-// metricSummary renders the per-finding metric analysis, including the
-// derived formulas the paper describes (§2.3, §4.2, §4.3).
+// MetricLines is what a detector's derived-metric formula (§2.3, §4.2,
+// §4.3) reads — the collected metrics, the launch result, the sector
+// size — and the summary lines it appends to.
+type MetricLines struct {
+	rep *Report
+	// secB is the L1 sector size of the report's architecture (32 B on
+	// Volta, wider on Ampere-class targets).
+	secB  float64
+	lines []string
+}
+
+func (m *MetricLines) add(format string, args ...interface{}) {
+	m.lines = append(m.lines, fmt.Sprintf(format, args...))
+}
+
+func (m *MetricLines) val(name string) float64 {
+	v, _ := m.rep.Metrics.Get(name)
+	return v
+}
+
+// metricSummary renders the per-finding metric analysis: the finding's
+// relevant metrics, then its detector's derived formula.
 func metricSummary(f *Finding, rep *Report) []string {
-	ms := rep.Metrics
-	var out []string
-	add := func(format string, args ...interface{}) {
-		out = append(out, fmt.Sprintf(format, args...))
-	}
-	val := func(name string) float64 {
-		v, _ := ms.Get(name)
-		return v
+	m := &MetricLines{rep: rep, secB: 32}
+	if a, err := gpu.ByName(rep.Arch); err == nil && a.L1SectorBytes > 0 {
+		m.secB = float64(a.L1SectorBytes)
 	}
 	for _, name := range f.RelevantMetrics {
-		if m, ok := ncu.Lookup(name); ok {
-			add("%s = %.6g %s (%s)", name, val(name), m.Unit, m.Description)
+		if d, ok := ncu.Lookup(name); ok {
+			m.add("%s = %.6g %s (%s)", name, m.val(name), d.Unit, d.Description)
 		}
 	}
-	// Sector size comes from the report's architecture descriptor (32 B
-	// on Volta, wider on Ampere-class targets).
-	secB := 32.0
-	if a, err := gpu.ByName(rep.Arch); err == nil && a.L1SectorBytes > 0 {
-		secB = float64(a.L1SectorBytes)
+	if derive := detectors[f.Analysis].DerivedMetrics; derive != nil {
+		derive(m)
 	}
-	switch f.Analysis {
-	case "register_spilling":
-		localInsts := val("smsp__inst_executed_op_local_ld.sum") + val("smsp__inst_executed_op_local_st.sum")
-		missPct := 100 - val("l1tex__t_sector_pipe_lsu_mem_local_op_ld_hit_rate.pct")
-		numSMs := float64(rep.Result.NumSMs)
-		// §2.3: #SMs * (% cache miss) * (local memory instructions).
-		add("estimated queries to L2 due to local memory = #SMs x miss%% x local insts = %.0f x %.1f%% x %.0f = %.4g",
-			numSMs, missPct, localInsts/numSMs, missPct/100*localInsts)
-		localSect := val("l1tex__t_sectors_pipe_lsu_mem_local_op_ld.sum") + val("l1tex__t_sectors_pipe_lsu_mem_local_op_st.sum")
-		totalSect := localSect + val("l1tex__t_sectors_pipe_lsu_mem_global_op_ld.sum") + val("l1tex__t_sectors_pipe_lsu_mem_global_op_st.sum")
-		if totalSect > 0 {
-			add("local memory causes %.1f%% of the L1TEX sector traffic (%.4g of %.4g sectors, %.4g B)",
-				100*localSect/totalSect, localSect, totalSect, localSect*secB)
-		}
-	case "vectorized_load":
-		ldInsts := val("smsp__inst_executed_op_global_ld.sum")
-		sectors := val("l1tex__t_sectors_pipe_lsu_mem_global_op_ld.sum")
-		if ldInsts > 0 {
-			add("global loads execute %.4g instructions moving %.4g sectors (%.2f sectors/instruction); vectorizing reduces the instruction count",
-				ldInsts, sectors, sectors/ldInsts)
-		}
-		add("current register pressure: %.0f registers/thread at %.1f%% achieved occupancy — check both after vectorizing",
-			val("launch__registers_per_thread"),
-			val("sm__warps_active.avg.pct_of_peak_sustained_active"))
-	case "shared_memory", "bank_conflicts":
-		acc := val("smsp__inst_executed_op_shared_ld.sum")
-		trans := val("l1tex__data_pipe_lsu_wavefronts_mem_shared_op_ld.sum")
-		if acc > 0 {
-			// §4.3: transactions per access approximates the n-way bank
-			// conflict (1 = conflict-free, 32 = fully serialized).
-			add("shared-memory bank conflict ratio = %.4g transactions / %.4g accesses = %.2f-way (1.0 = conflict-free)",
-				trans, acc, trans/acc)
-		} else {
-			add("kernel currently uses no shared memory; after the change, watch the bank-conflict ratio (transactions/accesses)")
-		}
-	case "shared_atomics":
-		add("global atomics: %.4g thread ops; shared atomics: %.4g thread ops; atomic requests usually miss L1 entirely and resolve in L2 (hit rate %.1f%%) or DRAM",
-			val("smsp__sass_inst_executed_op_global_atom.sum"),
-			val("smsp__sass_inst_executed_op_shared_atom.sum"),
-			val("lts__t_sector_hit_rate.pct"))
-	case "texture_memory", "readonly_cache":
-		tex := val("l1tex__t_sectors_pipe_tex_mem_texture.sum")
-		if tex > 0 {
-			add("texture/read-only path: %.4g sectors requested (%.4g B), %.1f%% hit the texture cache",
-				tex, tex*secB, val("l1tex__t_sector_pipe_tex_mem_texture_hit_rate.pct"))
-		}
-	case "datatype_conversion":
-		total := val("smsp__inst_executed.sum")
-		if total > 0 && rep.Result != nil {
-			conv := float64(rep.Result.Counters.OpcodeDyn[sass.OpI2F]+
-				rep.Result.Counters.OpcodeDyn[sass.OpF2I]+
-				rep.Result.Counters.OpcodeDyn[sass.OpF2F]+
-				rep.Result.Counters.OpcodeDyn[sass.OpI2I]) * rep.Result.Scale
-			add("conversions are %.2f%% of all executed warp instructions (%.4g of %.4g)",
-				100*conv/total, conv, total)
-		}
-	}
-	return out
+	return m.lines
 }

@@ -1,6 +1,7 @@
 package scout
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,11 +17,11 @@ func analyzeWorkload(t *testing.T, name string, scale int, opts Options) *Report
 	if err != nil {
 		t.Fatalf("Build(%s): %v", name, err)
 	}
-	run := func(cfg sim.Config) (*sim.Result, error) {
+	run := func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 		dev := sim.NewDevice(gpu.V100())
-		return workloads.Execute(w, dev, cfg)
+		return workloads.ExecuteContext(ctx, w, dev, cfg)
 	}
-	rep, err := Analyze(gpu.V100(), w.Kernel, run, opts)
+	rep, err := AnalyzeContext(context.Background(), gpu.V100(), w.Kernel, run, opts)
 	if err != nil {
 		t.Fatalf("Analyze(%s): %v", name, err)
 	}
@@ -203,7 +204,7 @@ func TestDryRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Analyze(gpu.P100(), w.Kernel, nil, Options{DryRun: true})
+	rep, err := AnalyzeContext(context.Background(), gpu.P100(), w.Kernel, nil, Options{DryRun: true})
 	if err != nil {
 		t.Fatalf("dry run: %v", err)
 	}

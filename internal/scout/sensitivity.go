@@ -83,8 +83,12 @@ func (s *Sensitivity) FilterFor(analysis string) *Sensitivity {
 	if s == nil {
 		return nil
 	}
+	desc, known := detectors[analysis]
+	if !known { // an analysis the core does not know keeps every resource
+		desc.Resources = gpu.ResourceNames()
+	}
 	keep := map[string]bool{}
-	for _, r := range relevantResources(analysis) {
+	for _, r := range desc.Resources {
 		keep[r] = true
 	}
 	out := &Sensitivity{BaselineCycles: s.BaselineCycles}
@@ -105,42 +109,6 @@ func (s *Sensitivity) Summary() string {
 	}
 	return fmt.Sprintf("dominant resource: %s — relieving it runs the kernel %.2fx faster",
 		s.Dominant, s.DominantRelief)
-}
-
-// relevantResources maps a detector to the hardware resources its
-// bottleneck class can be bound by; the per-finding sensitivity block is
-// filtered to these so the attribution stays causal, not correlational.
-func relevantResources(analysis string) []string {
-	switch analysis {
-	case "vectorized_load":
-		// Instruction-count bound global loads: issue slots, memory
-		// latency hiding (scoreboards), and raw DRAM throughput.
-		return []string{gpu.ResourceDRAMBandwidth, gpu.ResourceDRAMLatency,
-			gpu.ResourceIssueWidth, gpu.ResourceScoreboards}
-	case "register_spilling":
-		// Spills live in local memory: L1/L2 capacity absorb them,
-		// latency exposes them.
-		return []string{gpu.ResourceL1Capacity, gpu.ResourceL2Capacity,
-			gpu.ResourceDRAMLatency}
-	case "shared_memory":
-		// Staging into shared memory trades global latency/bandwidth for
-		// bank-limited on-chip accesses.
-		return []string{gpu.ResourceDRAMLatency, gpu.ResourceDRAMBandwidth,
-			gpu.ResourceL1Capacity, gpu.ResourceSharedBanks}
-	case "shared_atomics":
-		return []string{gpu.ResourceDRAMLatency, gpu.ResourceL2Capacity,
-			gpu.ResourceSharedBanks}
-	case "readonly_cache", "texture_memory":
-		// Read-only/texture routing pays off when cache capacity or
-		// memory latency is the binding resource.
-		return []string{gpu.ResourceL1Capacity, gpu.ResourceL2Capacity,
-			gpu.ResourceDRAMLatency}
-	case "datatype_conversion":
-		return []string{gpu.ResourceIssueWidth, gpu.ResourceScoreboards}
-	case "bank_conflicts":
-		return []string{gpu.ResourceSharedBanks}
-	}
-	return gpu.ResourceNames()
 }
 
 // SliceStep is one instruction on a rendered backward stall slice.

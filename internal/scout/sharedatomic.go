@@ -3,6 +3,7 @@ package scout
 import (
 	"fmt"
 
+	"gpuscout/internal/gpu"
 	"gpuscout/internal/ptx"
 	"gpuscout/internal/sass"
 	"gpuscout/internal/sim"
@@ -16,6 +17,19 @@ type SharedAtomicAnalysis struct{}
 
 // Name implements Analysis.
 func (SharedAtomicAnalysis) Name() string { return "shared_atomics" }
+
+// Describe implements Analysis.
+func (SharedAtomicAnalysis) Describe() Description {
+	return Description{
+		Resources: []string{gpu.ResourceDRAMLatency, gpu.ResourceL2Capacity, gpu.ResourceSharedBanks},
+		DerivedMetrics: func(m *MetricLines) {
+			m.add("global atomics: %.4g thread ops; shared atomics: %.4g thread ops; atomic requests usually miss L1 entirely and resolve in L2 (hit rate %.1f%%) or DRAM",
+				m.val("smsp__sass_inst_executed_op_global_atom.sum"),
+				m.val("smsp__sass_inst_executed_op_shared_atom.sum"),
+				m.val("lts__t_sector_hit_rate.pct"))
+		},
+	}
+}
 
 // Detect implements Analysis.
 func (SharedAtomicAnalysis) Detect(v *KernelView) []Finding {
@@ -49,18 +63,15 @@ func (SharedAtomicAnalysis) Detect(v *KernelView) []Finding {
 
 	// Locate the SASS sites and the loop amplification the paper warns
 	// about ("especially detected in a for-loop").
+	var idxs []int
 	for i := range k.Insts {
-		in := &k.Insts[i]
-		if in.Op != sass.OpATOM && in.Op != sass.OpRED {
-			continue
+		if k.Insts[i].Op == sass.OpATOM || k.Insts[i].Op == sass.OpRED {
+			idxs = append(idxs, i)
 		}
-		note := "global atomic (" + in.Mnemonic() + "); typically a 100% L1 miss, resolved in L2 or DRAM"
-		if v.CFG.InLoop(i) {
-			f.InLoop = true
-			note += "; inside a for-loop: repeated serialization amplifies the penalty"
-		}
-		f.Sites = append(f.Sites, v.site(i, note))
 	}
+	v.addSites(&f, idxs, "; inside a for-loop: repeated serialization amplifies the penalty", func(_, i int) string {
+		return "global atomic (" + k.Insts[i].Mnemonic() + "); typically a 100% L1 miss, resolved in L2 or DRAM"
+	})
 	if f.InLoop {
 		f.Severity = SeverityWarning
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"gpuscout/internal/gpu"
 	"gpuscout/internal/sass"
 	"gpuscout/internal/sim"
 )
@@ -12,47 +13,67 @@ import (
 // used repeatedly — the same address loaded more than once, or a load
 // inside a for-loop feeding several arithmetic instructions — are
 // candidates for staging in shared memory.
-type SharedMemAnalysis struct {
-	// MinArithUses is the Fig. 4 arithmetic-instruction threshold;
-	// defaults to 2.
-	MinArithUses int
-}
+type SharedMemAnalysis struct{}
+
+// minArithUses is the Fig. 4 arithmetic-instruction threshold.
+const minArithUses = 2
 
 // Name implements Analysis.
 func (SharedMemAnalysis) Name() string { return "shared_memory" }
 
-// Detect implements Analysis.
-func (a SharedMemAnalysis) Detect(v *KernelView) []Finding {
-	minUses := a.MinArithUses
-	if minUses <= 0 {
-		minUses = 2
+// stagingCautions lists what to watch after any of the three patterns'
+// fix moves data into shared memory (§4.3): the bank-conflict ratio
+// (transactions/accesses) and MIO pressure.
+func stagingCautions() []string {
+	return []string{
+		"l1tex__data_pipe_lsu_wavefronts_mem_shared_op_ld.sum",
+		"smsp__inst_executed_op_shared_ld.sum",
+		"smsp__warp_issue_stalled_mio_throttle_per_warp_active.pct",
+		"smsp__warp_issue_stalled_short_scoreboard_per_warp_active.pct",
 	}
+}
+
+// Describe implements Analysis. Staging into shared memory trades global
+// latency/bandwidth for bank-limited on-chip accesses.
+func (SharedMemAnalysis) Describe() Description {
+	return Description{
+		Resources: []string{gpu.ResourceDRAMLatency, gpu.ResourceDRAMBandwidth,
+			gpu.ResourceL1Capacity, gpu.ResourceSharedBanks},
+		DerivedMetrics: bankConflictRatio,
+	}
+}
+
+// Detect implements Analysis. Each pattern flags loads of the global-load
+// index, keyed by instruction index so its sites sort into program order.
+func (SharedMemAnalysis) Detect(v *KernelView) []Finding {
 	k := v.Kernel
-
-	// Count repeated loads per (base, base version, offset) address.
-	type addrKey struct {
-		base sass.Reg
-		def  int
-		off  int64
-	}
-	loadsAt := map[addrKey][]int{}
-	for i := range k.Insts {
-		in := &k.Insts[i]
-		if in.Op != sass.OpLDG {
-			continue
+	reused, stencil, uniform := map[int]string{}, map[int]string{}, map[int]string{}
+	tainted := tidXTaint(v)
+	for _, g := range v.Loads {
+		// Loads per (base, base version, offset) address, and the window
+		// the group's distinct offsets span.
+		loadsAt := map[int64]int{}
+		lo, hi := g.Offs[0], g.Offs[0] // a group is never empty
+		for _, off := range g.Offs {
+			lo, hi = min(lo, off), max(hi, off)
+			loadsAt[off]++
 		}
-		mem, ok := in.MemOperand()
-		if !ok {
-			continue
-		}
-		key := addrKey{mem.Reg, v.DefUse.LastDefBefore(mem.Reg, i), mem.Imm}
-		loadsAt[key] = append(loadsAt[key], i)
-	}
-
-	var candidates []int
-	notes := map[int]string{}
-	for _, idxs := range loadsAt {
-		for _, i := range idxs {
+		// Second pattern (§5.2 Jacobi): a stencil neighborhood. Several loads
+		// off the SAME base address at small offsets straddling zero mean each
+		// thread fetches its own element plus neighbors — adjacent threads
+		// re-fetch overlapping data from global memory, the halo pattern whose
+		// repair is shared-memory tiling. The within-thread reuse check below
+		// cannot see this: every loaded value is used once per thread, the
+		// reuse is across threads. A centered window: at least three distinct
+		// offsets, neighbors on both sides of the thread's own element, within
+		// a cache line each way.
+		window := len(loadsAt) >= 3 && lo < 0 && hi > 0 && hi-lo <= 256
+		for n, i := range g.Idxs {
+			if window {
+				stencil[i] = fmt.Sprintf(
+					"neighbor load at offset %+d of a %d-point window [%+d..%+d]",
+					g.Offs[n], len(loadsAt), lo, hi)
+			}
 			in := &k.Insts[i]
 			if len(in.Dst) == 0 || in.Dst[0].Kind != sass.OpdReg {
 				continue
@@ -63,110 +84,51 @@ func (a SharedMemAnalysis) Detect(v *KernelView) []Finding {
 			// be credited to the load (sgemm_shared's staging loads would
 			// otherwise inherit the tile-compute FFMAs).
 			arith := v.DefUse.ArithUseCountAt(dst, i)
-			repeated := len(idxs) > 1
+			repeated := loadsAt[g.Offs[n]] > 1
 			inLoop := v.CFG.InLoop(i)
 			// Fig. 4: repeated access to the same data AND arithmetic use;
 			// a loop amplifies the load's execution count.
-			if arith < minUses || (!repeated && !inLoop) {
-				continue
+			if arith >= minArithUses && (repeated || inLoop) {
+				note := fmt.Sprintf("register %s: %d arithmetic use(s)", dst, arith)
+				if repeated {
+					note += fmt.Sprintf("; address loaded %d times", loadsAt[g.Offs[n]])
+				}
+				if inLoop {
+					note += "; load inside a for-loop (repeated global requests)"
+				}
+				reused[i] = note
 			}
-			note := fmt.Sprintf("register %s: %d arithmetic use(s)", dst, arith)
-			if repeated {
-				note += fmt.Sprintf("; address loaded %d times", len(idxs))
-			}
-			if inLoop {
-				note += "; load inside a for-loop (repeated global requests)"
-			}
-			candidates = append(candidates, i)
-			notes[i] = note
-		}
-	}
-	// Second pattern (§5.2 Jacobi): a stencil neighborhood. Several loads
-	// off the SAME base address at small offsets straddling zero mean each
-	// thread fetches its own element plus neighbors — adjacent threads
-	// re-fetch overlapping data from global memory, the halo pattern whose
-	// repair is shared-memory tiling. The within-thread reuse check above
-	// cannot see this: every loaded value is used once per thread, the
-	// reuse is across threads.
-	type baseKey struct {
-		base sass.Reg
-		def  int
-	}
-	groups := map[baseKey]map[int64][]int{}
-	for key, idxs := range loadsAt {
-		bk := baseKey{key.base, key.def}
-		if groups[bk] == nil {
-			groups[bk] = map[int64][]int{}
-		}
-		groups[bk][key.off] = append(groups[bk][key.off], idxs...)
-	}
-	var stencilSites []int
-	stencilNotes := map[int]string{}
-	for _, offs := range groups {
-		var min, max int64
-		distinct := 0
-		for off := range offs {
-			if distinct == 0 || off < min {
-				min = off
-			}
-			if distinct == 0 || off > max {
-				max = off
-			}
-			distinct++
-		}
-		// A centered window: at least three distinct offsets, neighbors on
-		// both sides of the thread's own element, within a cache line each
-		// way.
-		if distinct < 3 || min >= 0 || max <= 0 || max-min > 256 {
-			continue
-		}
-		for off, idxs := range offs {
-			for _, i := range idxs {
-				stencilSites = append(stencilSites, i)
-				stencilNotes[i] = fmt.Sprintf(
-					"neighbor load at offset %+d of a %d-point window [%+d..%+d]",
-					off, distinct, min, max)
+			// Third pattern (§5.3 SGEMM): a warp-uniform load in a loop. When a
+			// loop load's address never depends on tid.x, all 32 lanes of a warp
+			// request the same element every iteration — data that one thread
+			// could stage into shared memory for the whole block. The naive SGEMM
+			// inner product is the canonical case: its k-walking operand varies
+			// only with the loop counter and tid.y.
+			if inLoop && arith > 0 && !tainted[regDef{g.Base, g.Def}] {
+				uniform[i] = fmt.Sprintf(
+					"address (base %s) is uniform across the warp: every lane requests the same element each iteration",
+					dst)
 			}
 		}
 	}
-
-	// Third pattern (§5.3 SGEMM): a warp-uniform load in a loop. When a
-	// loop load's address never depends on tid.x, all 32 lanes of a warp
-	// request the same element every iteration — data that one thread
-	// could stage into shared memory for the whole block. The naive SGEMM
-	// inner product is the canonical case: its k-walking operand varies
-	// only with the loop counter and tid.y.
-	tainted := tidXTaint(v)
-	var uniformSites []int
-	uniformNotes := map[int]string{}
-	for key, idxs := range loadsAt {
-		if tainted[regDef{key.base, key.def}] {
-			continue
+	// flag attaches one pattern's loads to its finding, in program order.
+	flag := func(f *Finding, notes map[int]string) {
+		idxs := make([]int, 0, len(notes))
+		for i := range notes {
+			idxs = append(idxs, i)
 		}
-		for _, i := range idxs {
-			in := &k.Insts[i]
-			if !v.CFG.InLoop(i) || len(in.Dst) == 0 || in.Dst[0].Kind != sass.OpdReg {
-				continue
-			}
-			if v.DefUse.ArithUseCountAt(in.Dst[0].Reg, i) == 0 {
-				continue
-			}
-			uniformSites = append(uniformSites, i)
-			uniformNotes[i] = fmt.Sprintf(
-				"address (base %s) is uniform across the warp: every lane requests the same element each iteration",
-				in.Dst[0].Reg)
-		}
+		sort.Ints(idxs)
+		v.addSites(f, idxs, "", func(_, i int) string { return notes[i] })
 	}
 
 	var out []Finding
-	if len(uniformSites) > 0 {
-		sort.Ints(uniformSites)
+	if len(uniform) > 0 {
 		uf := Finding{
 			Analysis: "shared_memory",
 			Title:    "Stage warp-uniform loop data in shared memory",
 			Problem: fmt.Sprintf(
 				"%d global load(s) in a loop use an address that does not depend on threadIdx.x; all 32 lanes of each warp fetch the same element every iteration, multiplying global traffic for data the block shares",
-				len(uniformSites)),
+				len(uniform)),
 			Recommendation: "stage the shared operand into __shared__ memory cooperatively (each thread copies a slice, then __syncthreads()), and read it from the tile inside the loop",
 			InLoop:         true,
 			RelevantStalls: []sim.Stall{sim.StallLongScoreboard},
@@ -174,26 +136,18 @@ func (a SharedMemAnalysis) Detect(v *KernelView) []Finding {
 				"smsp__inst_executed_op_global_ld.sum",
 				"smsp__warp_issue_stalled_long_scoreboard_per_warp_active.pct",
 			},
-			CautionMetrics: []string{
-				"l1tex__data_pipe_lsu_wavefronts_mem_shared_op_ld.sum",
-				"smsp__inst_executed_op_shared_ld.sum",
-				"smsp__warp_issue_stalled_mio_throttle_per_warp_active.pct",
-				"smsp__warp_issue_stalled_short_scoreboard_per_warp_active.pct",
-			},
+			CautionMetrics: stagingCautions(),
 		}
-		for _, i := range uniformSites {
-			uf.Sites = append(uf.Sites, v.site(i, uniformNotes[i]))
-		}
+		flag(&uf, uniform)
 		out = append(out, uf)
 	}
-	if len(stencilSites) > 0 {
-		sort.Ints(stencilSites)
+	if len(stencil) > 0 {
 		sf := Finding{
 			Analysis: "shared_memory",
 			Title:    "Stage the stencil neighborhood in shared memory",
 			Problem: fmt.Sprintf(
 				"%d global load(s) fetch a window of neighboring elements around each thread's own; adjacent threads re-request overlapping data from global memory every iteration",
-				len(stencilSites)),
+				len(stencil)),
 			Recommendation: "tile the block's working set (plus a halo) into __shared__ memory once, synchronize with __syncthreads(), and read neighbors from the tile; overlapping fetches then hit shared memory instead of L1TEX",
 			RelevantStalls: []sim.Stall{sim.StallLongScoreboard},
 			RelevantMetrics: []string{
@@ -201,53 +155,30 @@ func (a SharedMemAnalysis) Detect(v *KernelView) []Finding {
 				"l1tex__t_sectors_pipe_lsu_mem_global_op_ld.sum",
 				"l1tex__t_sector_pipe_lsu_mem_global_op_ld_hit_rate.pct",
 			},
-			CautionMetrics: []string{
-				"l1tex__data_pipe_lsu_wavefronts_mem_shared_op_ld.sum",
-				"smsp__inst_executed_op_shared_ld.sum",
-				"smsp__warp_issue_stalled_mio_throttle_per_warp_active.pct",
-				"smsp__warp_issue_stalled_short_scoreboard_per_warp_active.pct",
-			},
+			CautionMetrics: stagingCautions(),
 		}
-		for _, i := range stencilSites {
-			if v.CFG.InLoop(i) {
-				sf.InLoop = true
-			}
-			sf.Sites = append(sf.Sites, v.site(i, stencilNotes[i]))
-		}
+		flag(&sf, stencil)
 		out = append(out, sf)
 	}
 
-	if len(candidates) == 0 {
+	if len(reused) == 0 {
 		return out
 	}
-	sort.Ints(candidates)
 
 	f := Finding{
 		Analysis: "shared_memory",
 		Title:    "Consider staging reused global data in shared memory",
 		Problem: fmt.Sprintf(
 			"%d global load(s) feed repeated arithmetic on the same data; every repetition pays global-memory latency that shared memory (low-latency, per-block) would avoid",
-			len(candidates)),
+			len(reused)),
 		Recommendation: "copy the reused data into __shared__ memory once per block (with __syncthreads()), and compute from there; profitable only when the data is reused enough to amortize the staging cost",
 		RelevantStalls: []sim.Stall{sim.StallLongScoreboard},
 		RelevantMetrics: []string{
 			"smsp__inst_executed_op_global_ld.sum",
 			"smsp__warp_issue_stalled_long_scoreboard_per_warp_active.pct",
 		},
-		CautionMetrics: []string{
-			// §4.3: watch the bank-conflict ratio (transactions/accesses)
-			// and MIO pressure after the change.
-			"l1tex__data_pipe_lsu_wavefronts_mem_shared_op_ld.sum",
-			"smsp__inst_executed_op_shared_ld.sum",
-			"smsp__warp_issue_stalled_mio_throttle_per_warp_active.pct",
-			"smsp__warp_issue_stalled_short_scoreboard_per_warp_active.pct",
-		},
+		CautionMetrics: stagingCautions(),
 	}
-	for _, i := range candidates {
-		if v.CFG.InLoop(i) {
-			f.InLoop = true
-		}
-		f.Sites = append(f.Sites, v.site(i, notes[i]))
-	}
+	flag(&f, reused)
 	return append(out, f)
 }

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"time"
 
 	"gpuscout/internal/faultinject"
+	"gpuscout/internal/gpu"
 )
 
 // Pipeline stage names, shared by StageError, Degradation, StageBudgets
@@ -31,8 +31,8 @@ const (
 type StageError struct {
 	// Stage is one of StageParse/StageScout/StageSim/StageVerify.
 	Stage string
-	// Site names the instrumented location, e.g. "cubin.decode" or
-	// "scout.detector.bank_conflicts".
+	// Site names the instrumented location, e.g. "cubin.decode" or a
+	// DetectorSite.
 	Site string
 	// Err is the underlying error (for a panic, a synthesized one).
 	Err error
@@ -142,50 +142,22 @@ func DegradationFor(stage, site string, err error, stageCtxExpired bool) Degrada
 	return d
 }
 
-// StageBudgets splits a job's deadline into per-stage slices, as
-// fractions of the total budget. Each stage's slice is measured from the
-// moment the stage starts, so time an early stage leaves unused rolls
-// forward; the job deadline still caps everything. The zero value means
-// "use the defaults" (parse 5% / sim 55% / scout 15% / verify 25%);
-// Disabled turns staged degradation off so a slow simulation consumes
-// the whole job budget and times the job out, pre-PR-5 style.
+// StageBudgets splits a job's deadline into per-stage slices, as fixed
+// fractions of the total budget (parse 5% / sim 55% / scout 15% /
+// verify 25%). Each stage's slice is measured from the moment the stage
+// starts, so time an early stage leaves unused rolls forward; the job
+// deadline still caps everything. Disabled turns staged degradation off
+// so a slow simulation consumes the whole job budget and times the job
+// out, pre-PR-5 style.
 type StageBudgets struct {
-	Parse  float64
-	Sim    float64
-	Scout  float64
-	Verify float64
 	// Disabled turns staged deadlines off entirely.
 	Disabled bool
 }
 
-// DefaultStageBudgets returns the standard split.
-func DefaultStageBudgets() StageBudgets {
-	return StageBudgets{Parse: 0.05, Sim: 0.55, Scout: 0.15, Verify: 0.25}
-}
+// stageFraction is the fixed split; stageSplit spells it for messages.
+var stageFraction = map[string]float64{StageParse: 0.05, StageSim: 0.55, StageScout: 0.15, StageVerify: 0.25}
 
-// normalized resolves the zero value to the defaults and rescales the
-// fractions to sum to 1. Negative fractions are clamped to 0.
-func (b StageBudgets) normalized() StageBudgets {
-	if b.Disabled {
-		return b
-	}
-	clamp := func(v float64) float64 {
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
-	b.Parse, b.Sim, b.Scout, b.Verify = clamp(b.Parse), clamp(b.Sim), clamp(b.Scout), clamp(b.Verify)
-	sum := b.Parse + b.Sim + b.Scout + b.Verify
-	if sum == 0 {
-		return DefaultStageBudgets()
-	}
-	b.Parse /= sum
-	b.Sim /= sum
-	b.Scout /= sum
-	b.Verify /= sum
-	return b
-}
+const stageSplit = "parse 5% / sim 55% / scout 15% / verify 25%"
 
 // SliceOf returns the stage's share of a total job budget (zero when
 // staged deadlines are disabled or the stage is unknown).
@@ -193,73 +165,25 @@ func (b StageBudgets) SliceOf(stage string, total time.Duration) time.Duration {
 	if b.Disabled || total <= 0 {
 		return 0
 	}
-	n := b.normalized()
-	var frac float64
-	switch stage {
-	case StageParse:
-		frac = n.Parse
-	case StageSim:
-		frac = n.Sim
-	case StageScout:
-		frac = n.Scout
-	case StageVerify:
-		frac = n.Verify
-	}
-	return time.Duration(frac * float64(total))
+	return time.Duration(stageFraction[stage] * float64(total))
 }
 
-// String renders the budgets in the -stage-budgets flag syntax.
-func (b StageBudgets) String() string {
-	if b.Disabled {
-		return "off"
-	}
-	n := b.normalized()
-	pct := func(v float64) string {
-		// Precision 10 hides normalization round-off (55.00000000000001).
-		return strconv.FormatFloat(v*100, 'g', 10, 64)
-	}
-	return pct(n.Parse) + "," + pct(n.Sim) + "," + pct(n.Scout) + "," + pct(n.Verify)
-}
-
-// ParseStageBudgets parses the -stage-budgets flag: "off" disables
-// staged degradation; otherwise four comma-separated non-negative
-// weights for parse,sim,scout,verify (percentages or fractions — only
-// the ratio matters), e.g. "5,55,15,25". An empty string selects the
-// defaults.
+// ParseStageBudgets parses the -stage-budgets flag: "on" (or empty, the
+// default) splits the deadline by the fixed fractions, "off" disables
+// staged degradation. The split itself is not configurable.
 func ParseStageBudgets(s string) (StageBudgets, error) {
-	s = strings.TrimSpace(s)
-	switch s {
-	case "":
+	switch strings.TrimSpace(s) {
+	case "", "on":
 		return StageBudgets{}, nil
-	case "off", "none", "disabled":
+	case "off":
 		return StageBudgets{Disabled: true}, nil
 	}
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return StageBudgets{}, fmt.Errorf("stage budgets %q: want four comma-separated weights (parse,sim,scout,verify) or \"off\"", s)
-	}
-	vals := make([]float64, 4)
-	sum := 0.0
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return StageBudgets{}, fmt.Errorf("stage budgets %q: weight %d: %w", s, i+1, err)
-		}
-		if v < 0 {
-			return StageBudgets{}, fmt.Errorf("stage budgets %q: weight %d is negative", s, i+1)
-		}
-		vals[i] = v
-		sum += v
-	}
-	if sum == 0 {
-		return StageBudgets{}, fmt.Errorf("stage budgets %q: all weights are zero", s)
-	}
-	return StageBudgets{Parse: vals[0], Sim: vals[1], Scout: vals[2], Verify: vals[3]}, nil
+	return StageBudgets{}, fmt.Errorf("stage budgets %q: want \"on\" or \"off\" (the split is fixed: %s)", s, stageSplit)
 }
 
 // Fault-injection sites owned by the scout pipeline. The per-detector
-// sites are registered in an init in scout.go (they derive from the
-// detector set).
+// sites are registered in the init below (they derive from the detector
+// set).
 var (
 	siteParse     = faultinject.Register("scout.parse")
 	siteCorrelate = faultinject.Register("scout.correlate")
@@ -269,8 +193,13 @@ var (
 // DetectorSite names the fault-injection site of one detector.
 func DetectorSite(name string) string { return "scout.detector." + name }
 
+// detectors finds a detector's description by the name its findings
+// carry (Finding.Analysis); none of it depends on the architecture.
+var detectors = map[string]Description{}
+
 func init() {
-	for _, a := range AllAnalyses() {
+	for _, a := range AllAnalysesFor(gpu.V100()) {
 		faultinject.Register(DetectorSite(a.Name()))
+		detectors[a.Name()] = a.Describe()
 	}
 }

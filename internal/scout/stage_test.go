@@ -10,6 +10,7 @@ import (
 
 	_ "gpuscout/internal/cubin" // registers cubin.decode for TestDetectorSitesRegistered
 	"gpuscout/internal/faultinject"
+	"gpuscout/internal/gpu"
 )
 
 func TestGuardPassesThroughSuccess(t *testing.T) {
@@ -126,65 +127,40 @@ func TestDegradationFor(t *testing.T) {
 }
 
 func TestParseStageBudgets(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    string // expected String() of the parsed value
-		wantErr bool
-	}{
-		{"", DefaultStageBudgets().String(), false},
-		{"off", "off", false},
-		{"none", "off", false},
-		{"disabled", "off", false},
-		{"5,55,15,25", "5,55,15,25", false},
-		{" 5, 55 ,15,25 ", "5,55,15,25", false},
-		{"0.05,0.55,0.15,0.25", "5,55,15,25", false}, // only the ratio matters
-		{"1,1,1,1", "25,25,25,25", false},
-		{"10,55,15", "", true},      // three weights
-		{"10,55,15,25,5", "", true}, // five weights
-		{"10,nope,15,25", "", true}, // not a number
-		{"10,-55,15,25", "", true},  // negative
-		{"0,0,0,0", "", true},       // all zero
+	for in, want := range map[string]StageBudgets{"": {}, "on": {}, " on ": {}, "off": {Disabled: true}} {
+		if b, err := ParseStageBudgets(in); err != nil || b != want {
+			t.Errorf("ParseStageBudgets(%q) = %+v, %v; want %+v", in, b, err, want)
+		}
 	}
-	for _, tc := range cases {
-		b, err := ParseStageBudgets(tc.in)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("ParseStageBudgets(%q) = %v, want error", tc.in, b)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseStageBudgets(%q): %v", tc.in, err)
-			continue
-		}
-		if got := b.String(); got != tc.want {
-			t.Errorf("ParseStageBudgets(%q).String() = %q, want %q", tc.in, got, tc.want)
+	// The split is a constant: a weight list (the pre-PR-16 syntax) and
+	// junk are flag errors that name it.
+	for _, in := range []string{"5,55,15,25", "1,1,1,1", "none", "disabled", "nope"} {
+		b, err := ParseStageBudgets(in)
+		if err == nil {
+			t.Errorf("ParseStageBudgets(%q) = %+v, want error", in, b)
+		} else if !strings.Contains(err.Error(), "parse 5% / sim 55% / scout 15% / verify 25%") {
+			t.Errorf("ParseStageBudgets(%q): error %q does not name the fixed split", in, err)
 		}
 	}
 }
 
 func TestStageBudgetSlices(t *testing.T) {
-	b := DefaultStageBudgets()
+	var b StageBudgets
 	total := 1000 * time.Millisecond
-	if got := b.SliceOf(StageSim, total); got != 550*time.Millisecond {
-		t.Errorf("sim slice = %v, want 550ms", got)
-	}
-	if got := b.SliceOf(StageVerify, total); got != 250*time.Millisecond {
-		t.Errorf("verify slice = %v, want 250ms", got)
+	for stage, want := range map[string]time.Duration{
+		StageParse: 50 * time.Millisecond, StageSim: 550 * time.Millisecond,
+		StageScout: 150 * time.Millisecond, StageVerify: 250 * time.Millisecond,
+		"bogus": 0,
+	} {
+		if got := b.SliceOf(stage, total); got != want {
+			t.Errorf("%s slice = %v, want %v", stage, got, want)
+		}
 	}
 	if got := (StageBudgets{Disabled: true}).SliceOf(StageSim, total); got != 0 {
 		t.Errorf("disabled slice = %v, want 0", got)
 	}
-	if got := b.SliceOf("bogus", total); got != 0 {
-		t.Errorf("unknown-stage slice = %v, want 0", got)
-	}
-	// The zero value behaves as the defaults.
-	if got := (StageBudgets{}).SliceOf(StageSim, total); got != 550*time.Millisecond {
-		t.Errorf("zero-value sim slice = %v, want 550ms", got)
-	}
-	// Weights rescale: sim gets everything when the others are zero.
-	if got := (StageBudgets{Sim: 3}).SliceOf(StageSim, total); got != total {
-		t.Errorf("sim-only slice = %v, want %v", got, total)
+	if got := b.SliceOf(StageSim, 0); got != 0 {
+		t.Errorf("slice of no deadline = %v, want 0", got)
 	}
 }
 
@@ -194,7 +170,7 @@ func TestDetectorSitesRegistered(t *testing.T) {
 	for _, s := range sites {
 		have[s] = true
 	}
-	for _, a := range AllAnalyses() {
+	for _, a := range AllAnalysesFor(gpu.V100()) {
 		if site := DetectorSite(a.Name()); !have[site] {
 			t.Errorf("detector site %s not registered", site)
 		}

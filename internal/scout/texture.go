@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"gpuscout/internal/sass"
 	"gpuscout/internal/sim"
 )
 
@@ -21,49 +20,15 @@ const textureWindow = 32
 // Name implements Analysis.
 func (TextureAnalysis) Name() string { return "texture_memory" }
 
+// Describe implements Analysis: the bottleneck class is §4.5's, the
+// read-only data path.
+func (TextureAnalysis) Describe() Description { return ReadOnlyAnalysis{}.Describe() }
+
 // Detect implements Analysis.
 func (TextureAnalysis) Detect(v *KernelView) []Finding {
-	k := v.Kernel
-	type group struct {
-		base sass.Reg
-		idxs []int
-		offs []int64
-	}
-	groups := map[[2]int64]*group{}
-	for i := range k.Insts {
-		in := &k.Insts[i]
-		if in.Op != sass.OpLDG || in.IsNC() {
-			continue
-		}
-		mem, ok := in.MemOperand()
-		if !ok || v.DefUse.PointerStoredThroughAt(mem.Reg, i) {
-			continue
-		}
-		key := [2]int64{int64(mem.Reg), int64(v.DefUse.LastDefBefore(mem.Reg, i))}
-		g := groups[key]
-		if g == nil {
-			g = &group{base: mem.Reg}
-			groups[key] = g
-		}
-		g.idxs = append(g.idxs, i)
-		g.offs = append(g.offs, mem.Imm)
-	}
-
-	keys := make([][2]int64, 0, len(groups))
-	for key := range groups {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-
 	var findings []Finding
-	for _, key := range keys {
-		g := groups[key]
-		if len(g.idxs) < 2 || !withinWindow(g.offs) {
+	for _, g := range v.loadGroups(v.readOnlyLoad) {
+		if len(g.Idxs) < 2 || !withinWindow(g.Offs) {
 			continue
 		}
 		f := Finding{
@@ -71,7 +36,7 @@ func (TextureAnalysis) Detect(v *KernelView) []Finding {
 			Title:    "Spatially-local read-only loads: consider texture memory",
 			Problem: fmt.Sprintf(
 				"%d read-only global loads off base %s access adjacent addresses (offsets within %d bytes) — a spatially-local pattern the texture cache is optimized for",
-				len(g.idxs), g.base, textureWindow),
+				len(g.Idxs), g.Base, textureWindow),
 			Recommendation: "fetch this data through texture memory (tex2D()/texture objects) or, for a more maintainable alternative, stage it in shared memory",
 			RelevantStalls: []sim.Stall{sim.StallLongScoreboard},
 			RelevantMetrics: []string{
@@ -86,14 +51,9 @@ func (TextureAnalysis) Detect(v *KernelView) []Finding {
 				"l1tex__t_sector_pipe_tex_mem_texture_hit_rate.pct",
 			},
 		}
-		for n, i := range g.idxs {
-			note := fmt.Sprintf("read-only load at offset %+d from [%s]", g.offs[n], g.base)
-			if v.CFG.InLoop(i) {
-				f.InLoop = true
-				note += "; inside a for-loop"
-			}
-			f.Sites = append(f.Sites, v.site(i, note))
-		}
+		v.addSites(&f, g.Idxs, "; inside a for-loop", func(n, _ int) string {
+			return fmt.Sprintf("read-only load at offset %+d from [%s]", g.Offs[n], g.Base)
+		})
 		findings = append(findings, f)
 	}
 	return findings

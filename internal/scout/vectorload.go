@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"gpuscout/internal/sass"
+	"gpuscout/internal/gpu"
 	"gpuscout/internal/sim"
 )
 
@@ -16,52 +16,40 @@ type VectorLoadAnalysis struct{}
 // Name implements Analysis.
 func (VectorLoadAnalysis) Name() string { return "vectorized_load" }
 
-// loadGroup keys loads by (base register, reaching definition of base):
-// loads only combine if the base holds the same value.
-type loadGroup struct {
-	base    sass.Reg
-	baseDef int
-	idxs    []int // instruction indices
-	offs    []int64
+// Describe implements Analysis. Instruction-count bound global loads:
+// issue slots, memory latency hiding (scoreboards), and raw DRAM
+// throughput.
+func (VectorLoadAnalysis) Describe() Description {
+	return Description{
+		Resources: []string{gpu.ResourceDRAMBandwidth, gpu.ResourceDRAMLatency,
+			gpu.ResourceIssueWidth, gpu.ResourceScoreboards},
+		FusedByLDGSTS: true,
+		DerivedMetrics: func(m *MetricLines) {
+			ldInsts := m.val("smsp__inst_executed_op_global_ld.sum")
+			sectors := m.val("l1tex__t_sectors_pipe_lsu_mem_global_op_ld.sum")
+			if ldInsts > 0 {
+				m.add("global loads execute %.4g instructions moving %.4g sectors (%.2f sectors/instruction); vectorizing reduces the instruction count",
+					ldInsts, sectors, sectors/ldInsts)
+			}
+			m.add("current register pressure: %.0f registers/thread at %.1f%% achieved occupancy — check both after vectorizing",
+				m.val("launch__registers_per_thread"),
+				m.val("sm__warps_active.avg.pct_of_peak_sustained_active"))
+		},
+	}
+}
+
+// narrowLoad reports whether the indexed load at i is a scalar 32-bit
+// LDG, the only kind that can be widened.
+func (v *KernelView) narrowLoad(i int) bool {
+	in := &v.Kernel.Insts[i]
+	return !in.IsVectorized() && in.WidthBytes() == 4
 }
 
 // Detect implements Analysis.
 func (VectorLoadAnalysis) Detect(v *KernelView) []Finding {
-	k := v.Kernel
-	groups := map[[2]int64]*loadGroup{}
-	for i := range k.Insts {
-		in := &k.Insts[i]
-		if in.Op != sass.OpLDG || in.IsVectorized() || in.WidthBytes() != 4 {
-			continue
-		}
-		mem, ok := in.MemOperand()
-		if !ok {
-			continue
-		}
-		key := [2]int64{int64(mem.Reg), int64(v.DefUse.LastDefBefore(mem.Reg, i))}
-		g := groups[key]
-		if g == nil {
-			g = &loadGroup{base: mem.Reg, baseDef: int(key[1])}
-			groups[key] = g
-		}
-		g.idxs = append(g.idxs, i)
-		g.offs = append(g.offs, mem.Imm)
-	}
-
 	var findings []Finding
-	keys := make([][2]int64, 0, len(groups))
-	for key := range groups {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, key := range keys {
-		g := groups[key]
-		run := longestAdjacentRun(g.offs)
+	for _, g := range v.loadGroups(v.narrowLoad) {
+		run := longestAdjacentRun(g.Offs)
 		if run < 2 {
 			continue
 		}
@@ -74,7 +62,7 @@ func (VectorLoadAnalysis) Detect(v *KernelView) []Finding {
 			Title:    "Use vectorized global loads",
 			Problem: fmt.Sprintf(
 				"%d non-vectorized 32-bit global loads (LDG.E) read adjacent addresses off base register %s; each costs one instruction and one memory transaction",
-				len(g.idxs), g.base),
+				len(g.Idxs), g.Base),
 			Recommendation: fmt.Sprintf(
 				"combine adjacent loads into %s vectorized accesses (e.g. reinterpret_cast<float4*>), reducing the number of load instructions executed", width),
 			RelevantStalls: []sim.Stall{sim.StallLongScoreboard, sim.StallLGThrottle},
@@ -88,17 +76,10 @@ func (VectorLoadAnalysis) Detect(v *KernelView) []Finding {
 				"sm__warps_active.avg.pct_of_peak_sustained_active",
 			},
 		}
-		inLoop := false
-		for n, i := range g.idxs {
-			note := fmt.Sprintf("offset %+d from [%s]; +%d registers live here",
-				g.offs[n], g.base, v.Liveness.ExtraRegs(i))
-			if v.CFG.InLoop(i) {
-				inLoop = true
-				note += "; inside a for-loop"
-			}
-			f.Sites = append(f.Sites, v.site(i, note))
-		}
-		f.InLoop = inLoop
+		v.addSites(&f, g.Idxs, "; inside a for-loop", func(n, i int) string {
+			return fmt.Sprintf("offset %+d from [%s]; +%d registers live here",
+				g.Offs[n], g.Base, v.Liveness.ExtraRegs(i))
+		})
 		findings = append(findings, f)
 	}
 	return findings

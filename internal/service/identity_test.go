@@ -67,7 +67,6 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 func TestCacheKeyCoversEveryOption(t *testing.T) {
 	excluded := map[string]string{
 		"Sim.Workers": "bit-identical by construction: a report computed at any parallelism serves all of them",
-		"Analyses":    "not settable through any request; the detector set is a function of the arch tag, which is hashed",
 		"Budgets":     "budgets only decide whether a report degrades, and a degraded report is never cached",
 		"Sim":         "a struct: its fields are classified one by one",
 	}
@@ -134,7 +133,7 @@ func TestCacheKeyVectors(t *testing.T) {
 			scout.Options{Sim: sim.Config{SampleSMs: 1, Workers: 4, MaxCycles: 1e6}}, true, false,
 			"70f9e520d81caddc12c312e72c06987b2b6c641ee8bd7dbd4654d786c9acce42"},
 		{"excluded fields set", k, "sm_70", simulated,
-			scout.Options{Sim: sim.Config{SampleSMs: 2, Workers: 8}, Budgets: scout.StageBudgets{Disabled: true}, Analyses: scout.AllAnalyses()}, false, false,
+			scout.Options{Sim: sim.Config{SampleSMs: 2, Workers: 8}, Budgets: scout.StageBudgets{Disabled: true}}, false, false,
 			"b3c3e87e894537c926720bb9ba04f475cbf1d9420c8add29984b4140336af05c"},
 		{"empty kernel", "", "sm_60", "static", scout.Options{}, false, true,
 			"33ed8b8792cfc478af337fc4998265b0ceb9a759ae71dc9ef9b77068a6668460"},

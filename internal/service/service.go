@@ -61,8 +61,8 @@ type Config struct {
 	MaxJobsRetained int
 	// StageBudgets splits each job's timeout across pipeline stages so a
 	// slow stage degrades the report instead of timing the job out. The
-	// zero value applies scout.DefaultStageBudgets (parse 5% / sim 55% /
-	// scout 15% / verify 25%); set Disabled for whole-deadline semantics.
+	// zero value applies the fixed split (parse 5% / sim 55% / scout 15% /
+	// verify 25%); set Disabled for whole-deadline semantics.
 	StageBudgets scout.StageBudgets
 	// RetryAttempts is the total number of execution attempts for a job
 	// whose failure is transient — a recovered panic or injected fault

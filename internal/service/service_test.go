@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"gpuscout/internal/cubin"
 	"gpuscout/internal/sass"
 	"gpuscout/internal/scout"
+	"gpuscout/internal/sim"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
@@ -245,6 +247,60 @@ func TestJobTimeout(t *testing.T) {
 	}
 	if n := metricValue(t, ts, `gpuscoutd_jobs_finished_total{state="timeout"}`); n != 1 {
 		t.Errorf("timeout counter = %g, want 1", n)
+	}
+}
+
+// TestOversizedScaleDegradesWithoutAllocating: scale is client input and
+// a workload's footprint grows with it (sgemm_naive@8192 is 768 MiB of
+// matrices, 1.6 GB resident before the bound existed), so a launch over
+// sim.MaxDeviceBytes is refused before any of it is allocated. The job
+// still finishes — a static report whose ledger names the bound — on the
+// first attempt, and under a deadline the refusal is an error, not a
+// timeout.
+func TestOversizedScaleDegradesWithoutAllocating(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	resp, body := postAnalyze(t, ts, "", `{"workload":"sgemm_naive","scale":8192,"timeout_ms":2000}`)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200 (body %s)", resp.StatusCode, body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= sim.MaxDeviceBytes {
+		t.Errorf("answering the request allocated %d MiB, over the %d MiB bound it was refused for",
+			grew>>20, sim.MaxDeviceBytes>>20)
+	}
+	if elapsed > time.Second {
+		t.Errorf("refusal took %v, want a fail-fast answer", elapsed)
+	}
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if st.State != StateDone || st.Attempts > 1 {
+		t.Fatalf("state = %s after %d attempt(s) (error %q), want done on the first", st.State, st.Attempts, st.Error)
+	}
+	var rep struct {
+		DryRun       bool                `json:"dry_run"`
+		Degradations []scout.Degradation `json:"degradations"`
+	}
+	if err := json.Unmarshal(st.Report, &rep); err != nil {
+		t.Fatalf("unmarshal report: %v", err)
+	}
+	if !rep.DryRun || len(rep.Degradations) != 1 {
+		t.Fatalf("report dry_run=%v ledger %+v, want a static report with one entry", rep.DryRun, rep.Degradations)
+	}
+	if d := rep.Degradations[0]; d.Stage != scout.StageSim || d.Site != "sim.launch" || d.Kind != scout.DegradeError ||
+		!strings.Contains(d.Detail, "at most 128 MiB per device") {
+		t.Errorf("ledger entry %+v, want sim/sim.launch/error naming the 128 MiB bound", d)
+	}
+	if n := metricValue(t, ts, `gpuscoutd_degraded_reports_total{kind="sim_error"}`); n != 1 {
+		t.Errorf(`degraded_reports_total{kind="sim_error"} = %g, want 1`, n)
+	}
+	if n := metricValue(t, ts, "gpuscoutd_retries_total"); n != 0 {
+		t.Errorf("retries_total = %g, want 0: the refusal is deterministic", n)
 	}
 }
 

@@ -13,6 +13,14 @@ import (
 // detectable.
 const memBase uint64 = 0x7f0000000
 
+// MaxDeviceBytes bounds the device memory one Device hands out. The
+// simulator backs every allocated byte with host memory, and a workload's
+// footprint grows with a request's scale, so the modeled DRAM size
+// (16 GiB on a V100) is no protection for the host: 128 MiB is ~12x the
+// largest footprint any shipped test, benchmark request, example or
+// experiment allocates (10 MiB).
+const MaxDeviceBytes = 128 << 20
+
 // Device models one GPU: its global memory arena and texture bindings.
 // It plays the role of the CUDA runtime for examples and benchmarks
 // (Alloc ~ cudaMalloc, CopyToDevice ~ cudaMemcpy).
@@ -53,11 +61,15 @@ func (d *Device) Alloc(n int) (Buffer, error) {
 	if d.next+uint64(aligned) > uint64(d.Arch.DRAMBytes) {
 		return Buffer{}, fmt.Errorf("sim: device out of memory (%d requested, %d in use)", n, d.next)
 	}
+	if d.next+uint64(aligned) > MaxDeviceBytes {
+		return Buffer{}, fmt.Errorf("sim: launch footprint over the host bound (%d B requested, %d B in use, at most %d MiB per device)",
+			n, d.next, MaxDeviceBytes>>20)
+	}
 	off := d.next
 	d.next += uint64(aligned)
 	need := int(d.next)
 	if need > len(d.mem) {
-		grown := make([]byte, need*2)
+		grown := make([]byte, min(need*2, MaxDeviceBytes))
 		copy(grown, d.mem)
 		d.mem = grown
 	}

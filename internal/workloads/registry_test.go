@@ -2,7 +2,11 @@ package workloads
 
 import (
 	"sort"
+	"strings"
 	"testing"
+
+	"gpuscout/internal/gpu"
+	"gpuscout/internal/sim"
 )
 
 // TestNamesSortedAndStable pins the registry's determinism contract: Names
@@ -77,5 +81,25 @@ func TestBuildUnknownNamesRegistry(t *testing.T) {
 	_, err := Build("no_such_workload", 0)
 	if err == nil {
 		t.Fatal("expected error for unknown workload")
+	}
+}
+
+// TestPrepareWithinHostBound: sim.MaxDeviceBytes does not bite anywhere
+// near the scales in use (the largest launch any test, benchmark request,
+// example or experiment prepares is 10 MiB; sgemm at 2048 needs 48), and
+// a scale past it fails at the first allocation with the bound named.
+func TestPrepareWithinHostBound(t *testing.T) {
+	for scale, wantErr := range map[int]bool{2048: false, 8192: true} {
+		w, err := Build("sgemm_naive", scale)
+		if err != nil {
+			t.Fatalf("Build(sgemm_naive, %d): %v", scale, err)
+		}
+		_, err = w.Prepare(sim.NewDevice(gpu.V100()))
+		if wantErr && (err == nil || !strings.Contains(err.Error(), "at most 128 MiB per device")) {
+			t.Errorf("Prepare at scale %d: err = %v, want the host bound", scale, err)
+		}
+		if !wantErr && err != nil {
+			t.Errorf("Prepare at scale %d: %v", scale, err)
+		}
 	}
 }
