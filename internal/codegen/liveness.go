@@ -46,7 +46,7 @@ func (s vset) union(o vset) (changed bool) {
 // element write both reads and writes it).
 func defsUses(p *kasm.Program, in *kasm.VInst) (defs []kasm.VReg, fullDef bool, uses []kasm.VReg) {
 	fullDef = true
-	written := writtenWords(in)
+	written, _, _ := sass.OperandWords(in.Op, in.Mods)
 	for _, o := range in.Dst {
 		switch o.Kind {
 		case kasm.VOpdReg:
@@ -73,39 +73,6 @@ func defsUses(p *kasm.Program, in *kasm.VInst) (defs []kasm.VReg, fullDef bool, 
 		}
 	}
 	return defs, fullDef, uses
-}
-
-// writtenWords returns how many 32-bit words the instruction writes to its
-// (first) register destination.
-func writtenWords(in *kasm.VInst) int {
-	hasMod := func(m string) bool {
-		for _, s := range in.Mods {
-			if s == m {
-				return true
-			}
-		}
-		return false
-	}
-	switch {
-	case sass.IsLoad(in.Op) || in.Op == sass.OpATOM || in.Op == sass.OpATOMS:
-		switch {
-		case hasMod("128"):
-			return 4
-		case hasMod("64"):
-			return 2
-		default:
-			return 1
-		}
-	case sass.ClassOf(in.Op) == sass.ClassFP64:
-		return 2
-	case in.Op == sass.OpIMAD && hasMod("WIDE"):
-		return 2
-	case (in.Op == sass.OpF2F || in.Op == sass.OpI2F || in.Op == sass.OpI2I) &&
-		len(in.Mods) > 0 && in.Mods[0] == "F64":
-		return 2
-	default:
-		return 1
-	}
 }
 
 // computeVLiveness runs the dataflow. Successor structure comes from

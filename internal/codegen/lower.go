@@ -178,7 +178,8 @@ func (sp *spiller) rewrite(p *kasm.Program, spilled []kasm.VReg, noSpill map[kas
 				if isDst && o.Kind == kasm.VOpdReg {
 					// Partial writes must load-modify-store; full writes
 					// only store.
-					partial := o.Elem != 0 || writtenWords(&in) < p.WidthOf(v)
+					written, _, _ := sass.OperandWords(in.Op, in.Mods)
+					partial := o.Elem != 0 || written < p.WidthOf(v)
 					if partial && !contains(loads, v) {
 						loads = append(loads, v)
 					}

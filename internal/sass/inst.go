@@ -115,8 +115,10 @@ type Inst struct {
 }
 
 // HasMod reports whether the instruction carries the given dot modifier.
-func (in *Inst) HasMod(m string) bool {
-	for _, s := range in.Mods {
+func (in *Inst) HasMod(m string) bool { return hasMod(in.Mods, m) }
+
+func hasMod(mods []string, m string) bool {
+	for _, s := range mods {
 		if s == m {
 			return true
 		}
@@ -135,11 +137,13 @@ func (in *Inst) Mnemonic() string {
 // WidthBytes returns the per-thread access width of a memory instruction
 // in bytes: 4 by default, 8 with a ".64" modifier, 16 with ".128".
 // Texture fetches return the texel size (4).
-func (in *Inst) WidthBytes() int {
+func (in *Inst) WidthBytes() int { return widthBytes(in.Mods) }
+
+func widthBytes(mods []string) int {
 	switch {
-	case in.HasMod("128"):
+	case hasMod(mods, "128"):
 		return 16
-	case in.HasMod("64"):
+	case hasMod(mods, "64"):
 		return 8
 	default:
 		return 4
@@ -171,32 +175,49 @@ func (in *Inst) MemOperand() (Operand, bool) {
 	return Operand{}, false
 }
 
-// regPairWidth returns how many consecutive registers an operand of this
-// instruction occupies, given the instruction's width/type modifiers.
-func (in *Inst) regPairWidth() int {
-	n := in.WidthBytes() / 4
-	if n < 1 {
-		n = 1
+// OperandWords is the width rule: how many consecutive 32-bit registers an
+// instruction with this opcode and modifiers writes through each register
+// destination (dst), reads through each register source (src), and reads
+// through its final register source (last — IMAD.WIDE's 64-bit
+// accumulator; src otherwise). Memory-operand bases are not covered: they
+// are address pairs whatever the opcode.
+func OperandWords(op Opcode, mods []string) (dst, src, last int) {
+	dst, src = 1, 1
+	switch c := ClassOf(op); {
+	case c == ClassALU:
+		switch op {
+		case OpIMAD:
+			if hasMod(mods, "WIDE") {
+				return 2, 1, 2
+			}
+		case OpF2F, OpI2F, OpI2I:
+			// Conversions name the destination type first: F2F.F64.F32
+			// widens, F2F.F32.F64 narrows (its source is a pair).
+			if len(mods) >= 1 && mods[0] == "F64" {
+				dst = 2
+			}
+			if op == OpF2F && len(mods) >= 2 && mods[0] == "F32" && mods[1] == "F64" {
+				src = 2
+			}
+		}
+	case c == ClassFP64:
+		dst, src = 2, 2
+	case IsLoad(op):
+		dst = widthBytes(mods) / 4
+	case IsStore(op) || op == OpRED:
+		src = widthBytes(mods) / 4
+	case op == OpATOM || op == OpATOMS:
+		dst = widthBytes(mods) / 4
+		src = dst
 	}
-	return n
+	return dst, src, src
 }
 
 // DstRegs appends to out every architectural register written by the
 // instruction, expanding register pairs/quads for wide operations, and
 // returns the extended slice. RZ writes are skipped.
 func (in *Inst) DstRegs(out []Reg) []Reg {
-	wide := 1
-	switch {
-	case IsLoad(in.Op) || in.Op == OpATOM || in.Op == OpATOMS:
-		wide = in.regPairWidth()
-	case ClassOf(in.Op) == ClassFP64:
-		wide = 2
-	case in.Op == OpIMAD && in.HasMod("WIDE"):
-		wide = 2
-	case (in.Op == OpF2F || in.Op == OpI2F || in.Op == OpI2I) &&
-		len(in.Mods) >= 1 && in.Mods[0] == "F64":
-		wide = 2 // conversions name the destination type first: F2F.F64.F32
-	}
+	wide, _, _ := OperandWords(in.Op, in.Mods)
 	for _, o := range in.Dst {
 		if o.Kind != OpdReg || o.Reg.IsZ() {
 			continue
@@ -221,29 +242,13 @@ func (in *Inst) SrcRegs(out []Reg) []Reg {
 			out = append(out, r+Reg(i))
 		}
 	}
-	srcWide := 1
-	switch {
-	case IsStore(in.Op) || in.Op == OpATOM || in.Op == OpATOMS || in.Op == OpRED:
-		srcWide = in.regPairWidth()
-	case ClassOf(in.Op) == ClassFP64:
-		srcWide = 2
-	case in.Op == OpF2F && len(in.Mods) >= 2 && in.Mods[0] == "F32" && in.Mods[1] == "F64":
-		// F2F.F32.F64 narrows: source is a pair.
-		srcWide = 2
-	}
-	isIMADWide := in.Op == OpIMAD && in.HasMod("WIDE")
+	_, srcWide, lastWide := OperandWords(in.Op, in.Mods)
 	for i, o := range in.Src {
 		switch o.Kind {
 		case OpdReg:
 			w := srcWide
-			if isIMADWide {
-				// IMAD.WIDE Rd, Ra, Rb, Rc: a and b are 32-bit, the
-				// accumulator c (last source) is a 64-bit pair.
-				if i == len(in.Src)-1 {
-					w = 2
-				} else {
-					w = 1
-				}
+			if i == len(in.Src)-1 {
+				w = lastWide
 			}
 			addReg(o.Reg, w)
 		case OpdMem:

@@ -22,10 +22,10 @@ const initStackCap = 8
 // allocate/reset/reuse discipline described in DESIGN.md.
 //
 // A slot covers one resident block and its warpsPerBlock warps; slot
-// indices are invisible to the timing model (global warp IDs, which feed
+// indices are invisible to the timing model: global warp IDs, which feed
 // scheduling order and local-memory addressing, keep increasing
-// monotonically across re-uses), so arena recycling is bit-identical to
-// the old allocate-per-block behavior.
+// monotonically across re-uses, so which slot a CTA lands in never
+// changes a result.
 type launchArena struct {
 	numRegs       int
 	localBytes    int // per-thread local memory bytes
@@ -37,9 +37,12 @@ type launchArena struct {
 
 	blockWarps []*warp // slots*warpsPerBlock backing for blockState.warps
 
-	regs     [][32]uint32 // slots*warpsPerBlock*numRegs
-	regReady []float64    // same shape as regs
-	regSrc   []sass.Class // same shape as regs
+	// Every warp's register file has one row more than the kernel has
+	// registers: row numRegs is never written, so it reads as zero in
+	// every lane — the row RZ and lane-invariant operands are read from.
+	regs     [][32]uint32 // slots*warpsPerBlock*(numRegs+1)
+	regReady []float64    // slots*warpsPerBlock*numRegs
+	regSrc   []sass.Class // same shape as regReady
 	localMem []byte       // slots*warpsPerBlock*32*localBytes
 	shared   []byte       // slots*sharedBytes
 	stacks   []divEntry   // slots*warpsPerBlock*initStackCap
@@ -55,6 +58,7 @@ type launchArena struct {
 // carved exactly once — resets only zero their contents.
 func newLaunchArena(k *sass.Kernel, block Dim3, slots int) *launchArena {
 	wpb := (block.Count() + 31) / 32
+	rows := k.NumRegs + 1 // the kernel's registers and the zero row
 	a := &launchArena{
 		numRegs:       k.NumRegs,
 		localBytes:    k.LocalBytes,
@@ -63,7 +67,7 @@ func newLaunchArena(k *sass.Kernel, block Dim3, slots int) *launchArena {
 		warps:         make([]warp, slots*wpb),
 		blocks:        make([]blockState, slots),
 		blockWarps:    make([]*warp, slots*wpb),
-		regs:          make([][32]uint32, slots*wpb*k.NumRegs),
+		regs:          make([][32]uint32, slots*wpb*rows),
 		regReady:      make([]float64, slots*wpb*k.NumRegs),
 		regSrc:        make([]sass.Class, slots*wpb*k.NumRegs),
 		stacks:        make([]divEntry, slots*wpb*initStackCap),
@@ -84,7 +88,7 @@ func newLaunchArena(k *sass.Kernel, block Dim3, slots int) *launchArena {
 		for i := 0; i < wpb; i++ {
 			wi := s*wpb + i
 			w := &a.warps[wi]
-			w.regs = a.regs[wi*k.NumRegs : (wi+1)*k.NumRegs : (wi+1)*k.NumRegs]
+			w.regs = a.regs[wi*rows : (wi+1)*rows : (wi+1)*rows]
 			w.regReady = a.regReady[wi*k.NumRegs : (wi+1)*k.NumRegs : (wi+1)*k.NumRegs]
 			w.regSrc = a.regSrc[wi*k.NumRegs : (wi+1)*k.NumRegs : (wi+1)*k.NumRegs]
 			if k.LocalBytes > 0 {
@@ -126,9 +130,9 @@ func (a *launchArena) releaseBlock(b *blockState) {
 }
 
 // resetWarp re-initializes warp i of block b (slot view selection) to
-// the state newly allocated warps had in the pre-arena simulator: zeroed
-// registers, predicates, scoreboard and local memory, empty divergence
-// stack, PC 0, and the in-block active-lane mask.
+// the state a warp starts a CTA in: zeroed registers, predicates,
+// scoreboard and local memory, empty divergence stack, PC 0, and the
+// in-block active-lane mask.
 func (a *launchArena) resetWarp(b *blockState, i, gid int) *warp {
 	w := &a.warps[b.slot*a.warpsPerBlock+i]
 	regs := w.regs

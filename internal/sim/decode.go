@@ -1,0 +1,627 @@
+package sim
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/bits"
+
+	"gpuscout/internal/sass"
+)
+
+// decoded is one instruction resolved for execution, built once per launch
+// by decode. Everything the executor and the scheduler would otherwise
+// re-derive per issue from modifier strings and operand unions is settled
+// here, and everything that would make execution index out of the
+// register or predicate file is rejected here.
+type decoded struct {
+	in *sass.Inst
+	// op is in.Op, except that a register-to-register operation whose
+	// destination is RZ has no architectural effect and executes as OpNOP.
+	op sass.Opcode
+
+	// Scoreboard lists. dep is the instruction's source registers followed
+	// by its destination registers: classify keeps the first of several
+	// equally late blockers (strict >), so this order decides which pipe a
+	// stall is attributed to. dst is the destination tail of dep.
+	dep, dst []sass.Reg
+
+	// reconv is where the lanes of a divergent BRA rejoin: its immediate
+	// post-dominator, or the kernel end when one side exits.
+	reconv uint64
+
+	// src are the value operands the opcode reads; unused slots read 0.
+	src [3]operand
+	// fn is the per-lane function of a register-to-register operation
+	// (result in the low 32 bits unless the destination is a pair), and
+	// the read-modify-write combine fn(old, operand, 0) of an atomic.
+	fn func(a, b, c uint64) uint64
+	// reg and words name the registers moved per lane: the destination of
+	// an ALU operation, load or atomic, the source of a store. words is 0
+	// when reg is RZ (writes are discarded, stores write zeros).
+	reg   sass.Reg
+	words int
+
+	// SETP: comparison, operand type and the two destination predicates.
+	cmp   cmpOp
+	num   numKind
+	dpred [2]sass.Pred
+
+	shfl shflMode
+
+	// Memory instructions: the static half of the access descriptor and
+	// the address operand; sdst is LDGSTS's shared-memory destination.
+	mem        memDesc
+	addr, sdst address
+
+	// constErr is set when a source names a constant outside bank 0's
+	// extent. It is raised when the instruction issues with at least one
+	// guarded-active lane, so dead or predicated-off code may carry one.
+	constErr error
+}
+
+type operandKind uint8
+
+const (
+	// kindReg reads one register row. RZ and every lane-invariant 32-bit
+	// source (immediate, in-range constant, PT, a special register fixed
+	// for the launch) are the warp's zero row with the value in bits.
+	kindReg     operandKind = iota
+	kindPair                // a 64-bit register pair (reg, reg+1)
+	kindUniform             // a lane-invariant 64-bit value: a constant pair, RZ as a pair
+	kindSpecial
+	kindPred
+)
+
+// operand is one pre-resolved source. bits is XORed into what is read: the
+// sign bit of a negated register (-R4), 1 for a negated predicate (!P0),
+// the whole value of a lane-invariant operand.
+type operand struct {
+	kind operandKind
+	reg  sass.Reg
+	pred sass.Pred
+	sr   sass.SpecialReg
+	bits uint64
+}
+
+// get reads the operand for one lane: zero-extended for a 32-bit source,
+// all 64 bits for a pair. Nearly every dynamic operand is a kindReg, which
+// is answered here so the call inlines into the lane loops.
+func (o *operand) get(w *warp, lane int) uint64 {
+	if o.kind == kindReg {
+		return uint64(w.regs[o.reg][lane]) ^ o.bits
+	}
+	return o.getOther(w, lane)
+}
+
+func (o *operand) getOther(w *warp, lane int) uint64 {
+	switch o.kind {
+	case kindPair:
+		return (uint64(w.regs[o.reg][lane]) | uint64(w.regs[o.reg+1][lane])<<32) ^ o.bits
+	case kindSpecial:
+		return uint64(w.special(o.sr, lane))
+	case kindPred:
+		if w.preds[o.pred][lane] {
+			return 1 ^ o.bits
+		}
+	}
+	return o.bits
+}
+
+// address is a memory operand [base+off]; a base of RZ reads 0.
+type address struct {
+	base operand
+	off  int64
+}
+
+// offset applies the base(+RZ)+imm rule of the segment spaces (local,
+// shared, constant): the byte offset, and whether width bytes at it fit in
+// a segment of size bytes.
+func (a *address) offset(w *warp, lane, width, size int) (int, bool) {
+	off := int(int32(a.base.get(w, lane))) + int(a.off)
+	return off, off >= 0 && off <= size-width
+}
+
+type cmpOp uint8
+
+const (
+	cmpLT cmpOp = iota
+	cmpLE
+	cmpGT
+	cmpGE
+	cmpEQ
+	cmpNE
+)
+
+var cmpByName = map[string]cmpOp{
+	"LT": cmpLT, "LE": cmpLE, "GT": cmpGT, "GE": cmpGE, "EQ": cmpEQ, "NE": cmpNE,
+}
+
+func compare[T int32 | uint32 | float32](op cmpOp, a, b T) bool {
+	switch op {
+	case cmpLT:
+		return a < b
+	case cmpLE:
+		return a <= b
+	case cmpGT:
+		return a > b
+	case cmpGE:
+		return a >= b
+	case cmpEQ:
+		return a == b
+	}
+	return a != b
+}
+
+type numKind uint8
+
+const (
+	numS32 numKind = iota
+	numU32
+	numF32
+)
+
+type shflMode uint8
+
+const (
+	shflDown shflMode = iota
+	shflUp
+	shflBfly
+	shflIdx
+)
+
+func f32(v uint64) float32 { return math.Float32frombits(uint32(v)) }
+func b32(f float32) uint64 { return uint64(math.Float32bits(f)) }
+func f64(v uint64) float64 { return math.Float64frombits(v) }
+func b64(f float64) uint64 { return math.Float64bits(f) }
+
+// decode builds the launch's instruction table, or returns an error naming
+// the PC of the first instruction the executor could not run: a register
+// outside the kernel's register file, a missing operand or modifier, an
+// operand kind the opcode cannot read, an opcode that is not modeled.
+func (e *engine) decode() ([]decoded, error) {
+	cfg, err := sass.BuildCFG(e.kernel)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	insts := e.kernel.Insts
+	code := make([]decoded, len(insts))
+	// Views carved before an append regrows flat stay valid: their
+	// contents are final, the old backing array just lives on with them.
+	var flat []sass.Reg
+	zero := e.uniform(0, 1)
+	for i := range insts {
+		in, d := &insts[i], &code[i]
+		d.in, d.op = in, in.Op
+		d.src = [3]operand{zero, zero, zero}
+		lo := len(flat)
+		flat = in.SrcRegs(flat)
+		mid := len(flat)
+		flat = in.DstRegs(flat)
+		d.dep, d.dst = flat[lo:len(flat):len(flat)], flat[mid:len(flat):len(flat)]
+		if in.Op == sass.OpBRA {
+			var ok bool
+			if d.reconv, ok = cfg.IPDomPC(i); !ok {
+				d.reconv = uint64(len(insts)) * sass.InstBytes
+			}
+		}
+		if err := e.decodeInst(d); err != nil {
+			return nil, fmt.Errorf("sim: kernel %s at PC %#x: %w", e.kernel.Name, in.PC, err)
+		}
+	}
+	return code, nil
+}
+
+func (e *engine) decodeInst(d *decoded) error {
+	in := d.in
+	if in.Pred > sass.PT {
+		return fmt.Errorf("guard predicate %d does not exist", in.Pred)
+	}
+	dstW, srcW, lastW := sass.OperandWords(in.Op, in.Mods)
+	nsrc := 0 // value operands the opcode reads
+	switch in.Op {
+	case sass.OpBRA, sass.OpEXIT, sass.OpBAR, sass.OpNOP, sass.OpMEMBAR, sass.OpRET:
+		return nil
+	case sass.OpLDG, sass.OpSTG, sass.OpLDL, sass.OpSTL, sass.OpLDS, sass.OpSTS,
+		sass.OpLDC, sass.OpTEX, sass.OpATOM, sass.OpATOMS, sass.OpRED, sass.OpLDGSTS:
+		return e.decodeMem(d, dstW, srcW)
+
+	case sass.OpISETP, sass.OpFSETP:
+		if len(in.Mods) == 0 {
+			return fmt.Errorf("%s without a comparison modifier", in.Op)
+		}
+		var ok bool
+		if d.cmp, ok = cmpByName[in.Mods[0]]; !ok {
+			return fmt.Errorf("%s comparison %q not modeled", in.Op, in.Mods[0])
+		}
+		switch {
+		case in.Op == sass.OpFSETP:
+			d.num = numF32
+		case in.HasMod("U32"):
+			d.num = numU32
+		}
+		d.dpred = [2]sass.Pred{sass.PT, sass.PT}
+		if len(in.Dst) == 0 {
+			return fmt.Errorf("%s without a destination predicate", in.Op)
+		}
+		for i, o := range in.Dst[:min(2, len(in.Dst))] {
+			if o.Kind != sass.OpdPred || o.Pred > sass.PT {
+				return fmt.Errorf("%s cannot write %v", in.Op, o)
+			}
+			d.dpred[i] = o.Pred
+		}
+		return e.sources(d, 3, srcW, lastW)
+
+	case sass.OpSHFL:
+		switch {
+		case in.HasMod("DOWN"):
+			d.shfl = shflDown
+		case in.HasMod("UP"):
+			d.shfl = shflUp
+		case in.HasMod("BFLY"):
+			d.shfl = shflBfly
+		case in.HasMod("IDX"):
+			d.shfl = shflIdx
+		default:
+			return fmt.Errorf("SHFL variant %v not modeled", in.Mods)
+		}
+		nsrc = 2
+
+	case sass.OpMOV, sass.OpS2R, sass.OpI2I:
+		d.fn, nsrc = func(a, _, _ uint64) uint64 { return a }, 1
+	case sass.OpIADD3:
+		d.fn, nsrc = iadd3, 3
+	case sass.OpIMAD:
+		// The low 32 bits of a*b+c are the 32-bit multiply-add; with
+		// zero-extended a and b all 64 are IMAD.WIDE.U32.
+		d.fn, nsrc = func(a, b, c uint64) uint64 { return a*b + c }, 3
+		if dstW == 2 && !in.HasMod("U32") {
+			d.fn = func(a, b, c uint64) uint64 { return uint64(int64(int32(a))*int64(int32(b))) + c }
+		}
+	case sass.OpLOP3:
+		d.fn, nsrc = func(a, b, _ uint64) uint64 { return a & b }, 2
+		switch {
+		case in.HasMod("OR"):
+			d.fn = func(a, b, _ uint64) uint64 { return a | b }
+		case in.HasMod("XOR"):
+			d.fn = func(a, b, _ uint64) uint64 { return a ^ b }
+		}
+	case sass.OpSHF:
+		d.fn, nsrc = func(a, b, _ uint64) uint64 { return a >> (b & 31) }, 2
+		if in.HasMod("L") {
+			d.fn = func(a, b, _ uint64) uint64 { return a << (b & 31) }
+		}
+	case sass.OpSEL:
+		d.fn, nsrc = func(a, b, p uint64) uint64 {
+			if p != 0 {
+				return a
+			}
+			return b
+		}, 3
+	case sass.OpIMNMX:
+		d.fn, nsrc = imax, 2
+		if in.HasMod("MIN") {
+			d.fn = imin
+		}
+	case sass.OpIABS:
+		d.fn, nsrc = func(a, _, _ uint64) uint64 {
+			if int32(a) < 0 {
+				return -a
+			}
+			return a
+		}, 1
+	case sass.OpPOPC:
+		d.fn, nsrc = func(a, _, _ uint64) uint64 { return uint64(bits.OnesCount32(uint32(a))) }, 1
+
+	case sass.OpFADD:
+		d.fn, nsrc = func(a, b, _ uint64) uint64 { return b32(f32(a) + f32(b)) }, 2
+	case sass.OpFMUL:
+		d.fn, nsrc = func(a, b, _ uint64) uint64 { return b32(f32(a) * f32(b)) }, 2
+	case sass.OpFFMA:
+		d.fn, nsrc = func(a, b, c uint64) uint64 { return b32(f32(a)*f32(b) + f32(c)) }, 3
+	case sass.OpFMNMX:
+		// NaN compares false: MAX then yields a, MIN yields b.
+		d.fn, nsrc = func(a, b, _ uint64) uint64 {
+			if f32(a) < f32(b) {
+				return b
+			}
+			return a
+		}, 2
+		if in.HasMod("MIN") {
+			d.fn = func(a, b, _ uint64) uint64 {
+				if f32(a) < f32(b) {
+					return a
+				}
+				return b
+			}
+		}
+	case sass.OpMUFU:
+		nsrc = 1
+		switch {
+		case in.HasMod("RCP"):
+			d.fn = func(a, _, _ uint64) uint64 { return b32(1 / f32(a)) }
+		case in.HasMod("SQRT"):
+			d.fn = func(a, _, _ uint64) uint64 { return b32(float32(math.Sqrt(float64(f32(a))))) }
+		case in.HasMod("RSQ"):
+			d.fn = func(a, _, _ uint64) uint64 { return b32(float32(1 / math.Sqrt(float64(f32(a))))) }
+		default:
+			return fmt.Errorf("MUFU variant %v not modeled", in.Mods)
+		}
+
+	case sass.OpDADD:
+		d.fn, nsrc = func(a, b, _ uint64) uint64 { return b64(f64(a) + f64(b)) }, 2
+	case sass.OpDMUL:
+		d.fn, nsrc = func(a, b, _ uint64) uint64 { return b64(f64(a) * f64(b)) }, 2
+	case sass.OpDFMA:
+		d.fn, nsrc = func(a, b, c uint64) uint64 { return b64(f64(a)*f64(b) + f64(c)) }, 3
+
+	case sass.OpI2F:
+		d.fn, nsrc = func(a, _, _ uint64) uint64 { return b32(float32(int32(a))) }, 1
+		if dstW == 2 {
+			d.fn = func(a, _, _ uint64) uint64 { return b64(float64(int32(a))) }
+		}
+	case sass.OpF2I:
+		d.fn, nsrc = func(a, _, _ uint64) uint64 { return uint64(int32(f32(a))) }, 1
+	case sass.OpF2F:
+		nsrc = 1
+		switch {
+		case dstW == 2:
+			d.fn = func(a, _, _ uint64) uint64 { return b64(float64(f32(a))) }
+		case srcW == 2:
+			d.fn = func(a, _, _ uint64) uint64 { return b32(float32(f64(a))) }
+		default:
+			return fmt.Errorf("F2F needs .F64.F32 or .F32.F64, has %v", in.Mods)
+		}
+
+	default:
+		return fmt.Errorf("opcode %s not modeled", in.Op)
+	}
+
+	var err error
+	if d.reg, d.words, err = e.dest(in, dstW); err != nil {
+		return err
+	}
+	if d.words == 0 {
+		d.op = sass.OpNOP
+	}
+	return e.sources(d, nsrc, srcW, lastW)
+}
+
+// decodeMem resolves a memory instruction: its space and direction, the
+// address operand(s), and the registers or value moved.
+func (e *engine) decodeMem(d *decoded, dstW, srcW int) error {
+	in := d.in
+	m := &d.mem
+	m.space = sass.ClassOf(in.Op)
+	m.width = in.WidthBytes()
+	m.nc = m.space == sass.ClassGlobal && in.IsNC()
+
+	var err error
+	if in.Op == sass.OpTEX {
+		m.width = 4 // one float32 texel
+		if d.reg, d.words, err = e.dest(in, 1); err != nil {
+			return err
+		}
+		return e.sources(d, 3, 1, 1)
+	}
+
+	mem, ok := in.MemOperand()
+	if in.Op == sass.OpLDGSTS {
+		if len(in.Dst) == 0 || in.Dst[0].Kind != sass.OpdMem ||
+			len(in.Src) == 0 || in.Src[0].Kind != sass.OpdMem {
+			return fmt.Errorf("LDGSTS needs shared-dst and global-src memory operands")
+		}
+		m.async = true
+		mem = in.Src[0]
+		if d.sdst, err = e.address(in.Dst[0], sass.ClassShared); err != nil {
+			return err
+		}
+	} else if !ok {
+		return fmt.Errorf("%s without memory operand", in.Op)
+	}
+	if d.addr, err = e.address(mem, m.space); err != nil {
+		return err
+	}
+
+	switch in.Op {
+	case sass.OpLDG, sass.OpLDL, sass.OpLDS, sass.OpLDC:
+		d.reg, d.words, err = e.dest(in, dstW)
+	case sass.OpSTG, sass.OpSTL, sass.OpSTS:
+		m.write = true
+		if len(in.Src) == 0 || in.Src[0].Kind != sass.OpdReg {
+			return fmt.Errorf("%s needs a register to store", in.Op)
+		}
+		if d.reg = in.Src[0].Reg; !d.reg.IsZ() {
+			d.words = srcW
+			err = e.inFile(d.reg, srcW)
+		}
+	case sass.OpATOM, sass.OpATOMS, sass.OpRED:
+		m.atomic, m.write = true, true
+		m.width = 4 // atomics are modeled on 32-bit words
+		d.fn = atomFn(in)
+		if in.Op != sass.OpRED && len(in.Dst) > 0 && in.Dst[0].Kind == sass.OpdReg {
+			if d.reg, d.words, err = e.dest(in, 1); err != nil {
+				return err
+			}
+		}
+		err = e.sources(d, 1, 1, 1)
+	}
+	return err
+}
+
+// Lane functions shared by an ALU opcode and the integer atomic of the
+// same name.
+func iadd3(a, b, c uint64) uint64 { return a + b + c }
+
+func imin(a, b, _ uint64) uint64 {
+	if int32(a) < int32(b) {
+		return a
+	}
+	return b
+}
+
+func imax(a, b, _ uint64) uint64 {
+	if int32(a) < int32(b) {
+		return b
+	}
+	return a
+}
+
+// atomFn picks the read-modify-write combine fn(old, v, 0) of
+// ATOM/ATOMS/RED; without an operation modifier it is an integer add,
+// like a bare .ADD. A float MIN/MAX keeps old when either side is a NaN.
+func atomFn(in *sass.Inst) func(old, v, _ uint64) uint64 {
+	isF32 := in.HasMod("F32")
+	switch {
+	case in.HasMod("ADD"):
+		if isF32 {
+			return func(old, v, _ uint64) uint64 { return b32(f32(old) + f32(v)) }
+		}
+	case in.HasMod("MIN"):
+		if isF32 {
+			return func(old, v, _ uint64) uint64 {
+				if f32(v) < f32(old) {
+					return v
+				}
+				return old
+			}
+		}
+		return imin
+	case in.HasMod("MAX"):
+		if isF32 {
+			return func(old, v, _ uint64) uint64 {
+				if f32(v) > f32(old) {
+					return v
+				}
+				return old
+			}
+		}
+		return imax
+	case in.HasMod("EXCH"):
+		return func(_, v, _ uint64) uint64 { return v }
+	}
+	return iadd3
+}
+
+// inFile checks that registers r..r+words-1 exist in the kernel's register
+// file — what makes indexing warp.regs with a decoded register safe.
+func (e *engine) inFile(r sass.Reg, words int) error {
+	if int(r)+words > e.kernel.NumRegs {
+		return fmt.Errorf("%s (%d registers wide) is outside the kernel's %d registers", r, words, e.kernel.NumRegs)
+	}
+	return nil
+}
+
+// dest resolves the register destination Dst[0] of an instruction writing
+// words registers per lane; RZ discards the write (0 words).
+func (e *engine) dest(in *sass.Inst, words int) (sass.Reg, int, error) {
+	if len(in.Dst) == 0 || in.Dst[0].Kind != sass.OpdReg {
+		return 0, 0, fmt.Errorf("%s without a register destination", in.Op)
+	}
+	r := in.Dst[0].Reg
+	if r.IsZ() {
+		return r, 0, nil
+	}
+	return r, words, e.inFile(r, words)
+}
+
+// sources resolves the first n of in.Src as value operands, each words
+// registers wide and the n-th lastWords wide.
+func (e *engine) sources(d *decoded, n, words, lastWords int) error {
+	if len(d.in.Src) < n {
+		return fmt.Errorf("%s needs %d source operands, has %d", d.in.Op, n, len(d.in.Src))
+	}
+	for i := 0; i < n; i++ {
+		if i == n-1 {
+			words = lastWords
+		}
+		var err error
+		if d.src[i], err = e.resolve(d, d.in.Src[i], words); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// address resolves a memory operand: global addresses are register pairs,
+// the segment spaces (local, shared, constant) index with one register.
+func (e *engine) address(o sass.Operand, space sass.Class) (address, error) {
+	words := 1
+	if space == sass.ClassGlobal {
+		words = 2
+	}
+	base, err := e.resolve(nil, sass.R(o.Reg), words)
+	return address{base: base, off: o.Imm}, err
+}
+
+// uniform is a lane-invariant operand: 32-bit ones read the zero row.
+func (e *engine) uniform(v uint64, words int) operand {
+	if words == 2 {
+		return operand{kind: kindUniform, bits: v}
+	}
+	return operand{reg: sass.Reg(e.kernel.NumRegs), bits: v}
+}
+
+// resolve pre-resolves source o for a read of words (1 or 2) registers. An
+// out-of-range constant is not an error here: it is recorded in
+// d.constErr and reads as 0.
+func (e *engine) resolve(d *decoded, o sass.Operand, words int) (operand, error) {
+	switch o.Kind {
+	case sass.OpdReg:
+		var flip uint64
+		if o.Neg {
+			flip = 1 << (32*words - 1)
+		}
+		if o.Reg.IsZ() {
+			return e.uniform(flip, words), nil
+		}
+		kind := kindReg
+		if words == 2 {
+			kind = kindPair
+		}
+		return operand{kind: kind, reg: o.Reg, bits: flip}, e.inFile(o.Reg, words)
+	case sass.OpdConst:
+		if o.Bank != 0 || o.Imm < 0 || int(o.Imm)+4*words > len(e.constMem) {
+			if words == 2 {
+				d.constErr = fmt.Errorf("constant pair c[%#x][%#x] out of range", o.Bank, o.Imm)
+			} else {
+				d.constErr = fmt.Errorf("constant c[%#x][%#x] out of range", o.Bank, o.Imm)
+			}
+			return e.uniform(0, words), nil
+		}
+		if words == 2 {
+			return e.uniform(binary.LittleEndian.Uint64(e.constMem[o.Imm:]), 2), nil
+		}
+		return e.uniform(uint64(binary.LittleEndian.Uint32(e.constMem[o.Imm:])), 1), nil
+	}
+	if words == 1 {
+		switch o.Kind {
+		case sass.OpdImm:
+			return e.uniform(uint64(uint32(o.Imm)), 1), nil
+		case sass.OpdSpecial:
+			switch o.Special {
+			case sass.SRNTidX:
+				return e.uniform(uint64(uint32(e.block.X)), 1), nil
+			case sass.SRNTidY:
+				return e.uniform(uint64(uint32(e.block.Y)), 1), nil
+			case sass.SRNCtaidX:
+				return e.uniform(uint64(uint32(e.grid.X)), 1), nil
+			case sass.SRNCtaidY:
+				return e.uniform(uint64(uint32(e.grid.Y)), 1), nil
+			}
+			return operand{kind: kindSpecial, sr: o.Special}, nil
+		case sass.OpdPred:
+			var flip uint64
+			if o.Neg {
+				flip = 1
+			}
+			switch {
+			case o.Pred == sass.PT:
+				return e.uniform(1^flip, 1), nil
+			case o.Pred < sass.PT:
+				return operand{kind: kindPred, pred: o.Pred, bits: flip}, nil
+			}
+		}
+	}
+	return operand{}, fmt.Errorf("unreadable %d-bit operand %v", 32*words, o)
+}

@@ -86,10 +86,10 @@ func (d *Device) MustAlloc(n int) Buffer {
 }
 
 func (d *Device) slice(addr uint64, n int) ([]byte, error) {
-	if addr < memBase || addr+uint64(n) > memBase+d.next {
+	off := addr - memBase
+	if addr < memBase || off > d.next || uint64(n) > d.next-off {
 		return nil, fmt.Errorf("sim: device address %#x+%d out of bounds", addr, n)
 	}
-	off := addr - memBase
 	return d.mem[off : off+uint64(n)], nil
 }
 

@@ -3,279 +3,125 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"gpuscout/internal/sass"
 )
 
 // execMem functionally executes a memory instruction and returns its
-// access descriptor for the timing model.
-func (e *engine) execMem(w *warp, in *sass.Inst, execMask uint32) (memAccess, error) {
-	ma := memAccess{valid: execMask != 0, mask: execMask, width: in.WidthBytes()}
-
-	mem, hasMem := in.MemOperand()
-	lanes := func(f func(lane int) error) error {
-		for lane := 0; lane < 32; lane++ {
-			if execMask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			if err := f(lane); err != nil {
-				return err
-			}
+// access descriptor for the timing model. Every memory opcode is an
+// address rule (locate, one per space) followed by a word move (one per
+// direction: load, store, atomic read-modify-write, async copy).
+func (e *engine) execMem(w *warp, d *decoded, execMask uint32) (memAccess, error) {
+	ma := memAccess{memDesc: d.mem, valid: execMask != 0, mask: execMask}
+	var tex Texture
+	if d.mem.space == sass.ClassTexture {
+		var err error
+		if tex, err = e.dev.texture(int(d.src[2].get(w, 0))); err != nil {
+			return ma, err
 		}
-		return nil
 	}
-
-	switch in.Op {
-	case sass.OpLDG, sass.OpSTG, sass.OpATOM, sass.OpRED:
-		ma.space = sass.ClassGlobal
-		ma.nc = in.IsNC()
-		if !hasMem {
-			return ma, fmt.Errorf("%s without memory operand", in.Op)
-		}
-		switch in.Op {
-		case sass.OpLDG:
-			err := lanes(func(lane int) error {
-				addr := w.rd64(mem.Reg, lane) + uint64(mem.Imm)
-				ma.addrs[lane] = addr
-				var buf [4]uint32
-				if err := e.dev.load(addr, ma.width, &buf); err != nil {
-					return err
-				}
-				for i := 0; i < ma.width/4; i++ {
-					w.wr(in.Dst[0].Reg+sass.Reg(i), lane, buf[i])
-				}
-				return nil
-			})
-			return ma, err
-		case sass.OpSTG:
-			ma.write = true
-			err := lanes(func(lane int) error {
-				addr := w.rd64(mem.Reg, lane) + uint64(mem.Imm)
-				ma.addrs[lane] = addr
-				var buf [4]uint32
-				for i := 0; i < ma.width/4; i++ {
-					buf[i] = w.rd(in.Src[0].Reg+sass.Reg(i), lane)
-				}
-				return e.dev.store(addr, ma.width, &buf)
-			})
-			return ma, err
-		default: // ATOM / RED
-			ma.atomic = true
-			ma.write = true
-			ma.width = 4
-			err := lanes(func(lane int) error {
-				addr := w.rd64(mem.Reg, lane) + uint64(mem.Imm)
-				ma.addrs[lane] = addr
-				v, err := e.val(w, in.Src[0], lane)
-				if err != nil {
-					return err
-				}
-				old, err := e.atomGlobal(addr, in, v)
-				if err != nil {
-					return err
-				}
-				if in.Op == sass.OpATOM && in.Dst[0].Kind == sass.OpdReg {
-					w.wr(in.Dst[0].Reg, lane, old)
-				}
-				return nil
-			})
+	le := binary.LittleEndian
+	for m := execMask; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		mem, err := e.locate(w, d, &tex, lane, &ma.addrs[lane])
+		if err != nil {
 			return ma, err
 		}
+		switch {
+		case d.mem.async:
+			// cp.async-style global→shared copy (sm_80+): data moves from
+			// global memory straight into the shared segment, bypassing
+			// the register file and L1. The timing model sees the global
+			// side (ma.addrs) and tracks completion against the block's
+			// barrier.
+			shared := w.block.shared
+			off, ok := d.sdst.offset(w, lane, d.mem.width, len(shared))
+			if !ok {
+				return ma, fmt.Errorf("async copy to shared at %d exceeds %d bytes of shared memory", off, len(shared))
+			}
+			copy(shared[off:], mem)
+		case d.mem.atomic:
+			v := uint32(d.src[0].get(w, lane))
+			if d.mem.space == sass.ClassGlobal {
+				// The read-modify-write holds the address's atomic-unit
+				// shard lock so concurrently simulated SMs never lose an
+				// update.
+				mu := e.atomics.lock(ma.addrs[lane])
+				mu.Lock()
+				v = d.rmw(mem, v)
+				mu.Unlock()
+			} else {
+				v = d.rmw(mem, v)
+			}
+			if d.words != 0 {
+				w.regs[d.reg][lane] = v
+			}
+		case d.mem.write:
+			if d.words == 0 {
+				clear(mem) // the stored register is RZ
+			}
+			for i := 0; i < d.words; i++ {
+				le.PutUint32(mem[4*i:], w.regs[d.reg+sass.Reg(i)][lane])
+			}
+		default:
+			for i := 0; i < d.words; i++ {
+				w.regs[d.reg+sass.Reg(i)][lane] = le.Uint32(mem[4*i:])
+			}
+		}
+	}
+	return ma, nil
+}
 
-	case sass.OpLDL, sass.OpSTL:
-		ma.space = sass.ClassLocal
+// rmw applies the atomic's combine to the word at mem with operand v and
+// returns the old value.
+func (d *decoded) rmw(mem []byte, v uint32) uint32 {
+	old := binary.LittleEndian.Uint32(mem)
+	binary.LittleEndian.PutUint32(mem, uint32(d.fn(uint64(old), uint64(v), 0)))
+	return old
+}
+
+// locate applies the address rule of the instruction's space for one lane:
+// it returns the width bytes the lane addresses and stores in *taddr the
+// address the timing model sees.
+func (e *engine) locate(w *warp, d *decoded, tex *Texture, lane int, taddr *uint64) ([]byte, error) {
+	width := d.mem.width
+	switch d.mem.space {
+	case sass.ClassGlobal:
+		*taddr = d.addr.base.get(w, lane) + uint64(d.addr.off)
+	case sass.ClassTexture:
+		x := clamp(int(int32(d.src[0].get(w, lane))), tex.Width)
+		y := clamp(int(int32(d.src[1].get(w, lane))), tex.Height)
+		*taddr = tex.Base + uint64(y*tex.Width+x)*4
+
+	case sass.ClassLocal:
 		localBytes := len(w.localMem) / 32
-		laneAddr := func(lane int) (int, error) {
-			base := uint32(0)
-			if mem.Reg != sass.RZ {
-				base = w.rd(mem.Reg, lane)
-			}
-			off := int(int32(base)) + int(mem.Imm)
-			if off < 0 || off+ma.width > localBytes {
-				return 0, fmt.Errorf("local access at %d exceeds %d bytes of local memory", off, localBytes)
-			}
-			// The per-lane global-equivalent address interleaves threads,
-			// which is how local memory is physically laid out (coalesced
-			// across the warp); this feeds the cache model.
-			ma.addrs[lane] = e.localBase + uint64(w.gid)*uint64(32*localBytes) +
-				uint64(off)*32 + uint64(lane*4)
-			return lane*localBytes + off, nil
+		off, ok := d.addr.offset(w, lane, width, localBytes)
+		if !ok {
+			return nil, fmt.Errorf("local access at %d exceeds %d bytes of local memory", off, localBytes)
 		}
-		if in.Op == sass.OpLDL {
-			err := lanes(func(lane int) error {
-				off, err := laneAddr(lane)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < ma.width/4; i++ {
-					w.wr(in.Dst[0].Reg+sass.Reg(i), lane, binary.LittleEndian.Uint32(w.localMem[off+4*i:]))
-				}
-				return nil
-			})
-			return ma, err
-		}
-		ma.write = true
-		err := lanes(func(lane int) error {
-			off, err := laneAddr(lane)
-			if err != nil {
-				return err
-			}
-			for i := 0; i < ma.width/4; i++ {
-				binary.LittleEndian.PutUint32(w.localMem[off+4*i:], w.rd(in.Src[0].Reg+sass.Reg(i), lane))
-			}
-			return nil
-		})
-		return ma, err
-
-	case sass.OpLDS, sass.OpSTS, sass.OpATOMS:
-		ma.space = sass.ClassShared
+		// The per-lane global-equivalent address interleaves threads,
+		// which is how local memory is physically laid out (coalesced
+		// across the warp); this feeds the cache model.
+		*taddr = e.localBase + uint64(w.gid)*uint64(32*localBytes) +
+			uint64(off)*32 + uint64(lane*4)
+		return w.localMem[lane*localBytes+off:][:width], nil
+	case sass.ClassShared:
 		shared := w.block.shared
-		laneOff := func(lane int) (int, error) {
-			base := uint32(0)
-			if mem.Reg != sass.RZ {
-				base = w.rd(mem.Reg, lane)
-			}
-			off := int(int32(base)) + int(mem.Imm)
-			if off < 0 || off+ma.width > len(shared) {
-				return 0, fmt.Errorf("shared access at %d exceeds %d bytes of shared memory", off, len(shared))
-			}
-			ma.addrs[lane] = uint64(off)
-			return off, nil
+		off, ok := d.addr.offset(w, lane, width, len(shared))
+		if !ok {
+			return nil, fmt.Errorf("shared access at %d exceeds %d bytes of shared memory", off, len(shared))
 		}
-		switch in.Op {
-		case sass.OpLDS:
-			err := lanes(func(lane int) error {
-				off, err := laneOff(lane)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < ma.width/4; i++ {
-					w.wr(in.Dst[0].Reg+sass.Reg(i), lane, binary.LittleEndian.Uint32(shared[off+4*i:]))
-				}
-				return nil
-			})
-			return ma, err
-		case sass.OpSTS:
-			ma.write = true
-			err := lanes(func(lane int) error {
-				off, err := laneOff(lane)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < ma.width/4; i++ {
-					binary.LittleEndian.PutUint32(shared[off+4*i:], w.rd(in.Src[0].Reg+sass.Reg(i), lane))
-				}
-				return nil
-			})
-			return ma, err
-		default: // ATOMS
-			ma.atomic = true
-			ma.write = true
-			ma.width = 4
-			err := lanes(func(lane int) error {
-				off, err := laneOff(lane)
-				if err != nil {
-					return err
-				}
-				v, err := e.val(w, in.Src[0], lane)
-				if err != nil {
-					return err
-				}
-				old := binary.LittleEndian.Uint32(shared[off:])
-				binary.LittleEndian.PutUint32(shared[off:], atomApply(in, old, v))
-				if in.Dst[0].Kind == sass.OpdReg {
-					w.wr(in.Dst[0].Reg, lane, old)
-				}
-				return nil
-			})
-			return ma, err
+		*taddr = uint64(off)
+		return shared[off:][:width], nil
+	default: // sass.ClassConst
+		off, ok := d.addr.offset(w, lane, width, len(e.constMem))
+		if !ok {
+			return nil, fmt.Errorf("LDC offset %#x out of constant bank", off)
 		}
-
-	case sass.OpLDGSTS:
-		// cp.async-style global→shared copy (sm_80+): data moves from
-		// global memory straight into the shared segment, bypassing the
-		// register file and L1. Dst[0] is the shared address, Src[0] the
-		// global address; the timing model sees the global side (ma.addrs)
-		// and tracks completion against the block's barrier.
-		ma.space = sass.ClassGlobal
-		ma.async = true
-		shared := w.block.shared
-		if len(in.Dst) == 0 || in.Dst[0].Kind != sass.OpdMem ||
-			len(in.Src) == 0 || in.Src[0].Kind != sass.OpdMem {
-			return ma, fmt.Errorf("LDGSTS needs shared-dst and global-src memory operands")
-		}
-		sdst, gsrc := in.Dst[0], in.Src[0]
-		err := lanes(func(lane int) error {
-			gaddr := w.rd64(gsrc.Reg, lane) + uint64(gsrc.Imm)
-			ma.addrs[lane] = gaddr
-			base := uint32(0)
-			if sdst.Reg != sass.RZ {
-				base = w.rd(sdst.Reg, lane)
-			}
-			off := int(int32(base)) + int(sdst.Imm)
-			if off < 0 || off+ma.width > len(shared) {
-				return fmt.Errorf("async copy to shared at %d exceeds %d bytes of shared memory", off, len(shared))
-			}
-			var buf [4]uint32
-			if err := e.dev.load(gaddr, ma.width, &buf); err != nil {
-				return err
-			}
-			for i := 0; i < ma.width/4; i++ {
-				binary.LittleEndian.PutUint32(shared[off+4*i:], buf[i])
-			}
-			return nil
-		})
-		return ma, err
-
-	case sass.OpLDC:
-		ma.space = sass.ClassConst
-		err := lanes(func(lane int) error {
-			base := uint32(0)
-			if hasMem && mem.Reg != sass.RZ {
-				base = w.rd(mem.Reg, lane)
-			}
-			off := int64(int32(base))
-			if hasMem {
-				off += mem.Imm
-			}
-			if off < 0 || int(off)+4 > len(e.constMem) {
-				return fmt.Errorf("LDC offset %#x out of constant bank", off)
-			}
-			w.wr(in.Dst[0].Reg, lane, binary.LittleEndian.Uint32(e.constMem[off:]))
-			return nil
-		})
-		return ma, err
-
-	case sass.OpTEX:
-		ma.space = sass.ClassTexture
-		ma.width = 4
-		texID64, err := e.val(w, in.Src[2], 0)
-		if err != nil {
-			return ma, err
-		}
-		tex, err := e.dev.texture(int(texID64))
-		if err != nil {
-			return ma, err
-		}
-		err = lanes(func(lane int) error {
-			xv, err1 := e.val(w, in.Src[0], lane)
-			yv, err2 := e.val(w, in.Src[1], lane)
-			if err := firstErr(err1, err2); err != nil {
-				return err
-			}
-			x, y := clamp(int(int32(xv)), tex.Width), clamp(int(int32(yv)), tex.Height)
-			addr := tex.Base + uint64(y*tex.Width+x)*4
-			ma.addrs[lane] = addr
-			var buf [4]uint32
-			if err := e.dev.load(addr, 4, &buf); err != nil {
-				return err
-			}
-			w.wr(in.Dst[0].Reg, lane, buf[0])
-			return nil
-		})
-		return ma, err
+		return e.constMem[off:][:width], nil
 	}
-	return ma, fmt.Errorf("execMem: %s unhandled", in.Op)
+	return e.dev.slice(*taddr, width)
 }
 
 func clamp(v, n int) int {
@@ -286,60 +132,4 @@ func clamp(v, n int) int {
 		return n - 1
 	}
 	return v
-}
-
-// atomGlobal applies a global atomic to device memory, returning the old
-// 32-bit value. The read-modify-write holds the address's atomic-unit
-// shard lock so concurrently simulated SMs never lose an update.
-func (e *engine) atomGlobal(addr uint64, in *sass.Inst, v uint32) (uint32, error) {
-	mu := e.atomics.lock(addr)
-	mu.Lock()
-	defer mu.Unlock()
-	var buf [4]uint32
-	if err := e.dev.load(addr, 4, &buf); err != nil {
-		return 0, err
-	}
-	old := buf[0]
-	buf[0] = atomApply(in, old, v)
-	if err := e.dev.store(addr, 4, &buf); err != nil {
-		return 0, err
-	}
-	return old, nil
-}
-
-// atomApply computes the read-modify-write result for ATOM/ATOMS/RED.
-func atomApply(in *sass.Inst, old, v uint32) uint32 {
-	isF32 := in.HasMod("F32")
-	switch {
-	case in.HasMod("ADD"):
-		if isF32 {
-			return b32(f32(old) + f32(v))
-		}
-		return old + v
-	case in.HasMod("MIN"):
-		if isF32 {
-			if f32(v) < f32(old) {
-				return v
-			}
-			return old
-		}
-		if int32(v) < int32(old) {
-			return v
-		}
-		return old
-	case in.HasMod("MAX"):
-		if isF32 {
-			if f32(v) > f32(old) {
-				return v
-			}
-			return old
-		}
-		if int32(v) > int32(old) {
-			return v
-		}
-		return old
-	case in.HasMod("EXCH"):
-		return v
-	}
-	return old + v
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gpuscout/internal/faultinject"
@@ -30,9 +31,10 @@ type Config struct {
 	// owns its timing state, counters, and L2/DRAM bandwidth slice, so
 	// SMs are independent up to device memory; cross-SM global atomics
 	// serialize in an address-sharded atomic unit. 0 uses GOMAXPROCS;
-	// 1 is the sequential reference path. Every worker count produces
-	// the same Result bit for bit (fixed SM-ID merge order; see the
-	// determinism note on Result).
+	// with 1 the SMs run one after another in SM-ID order, the reference
+	// the parallel differentials compare against. Every worker count
+	// produces the same Result bit for bit (fixed SM-ID merge order; see
+	// the determinism note on Result).
 	Workers int
 }
 
@@ -64,23 +66,23 @@ type engine struct {
 	constMem []byte
 	atomics  atomicUnit
 
-	reconvPC  []uint64
-	hasReconv []bool
-
-	// Per-instruction register lists, precomputed once per launch so the
-	// scheduler's eligibility test (classify) and writeback (setDstReady)
-	// never re-derive operands on the hot path. depRegs[i] is instruction
-	// i's sources followed by its destinations — the exact order the old
-	// per-issue SrcRegs+DstRegs calls produced, which the strict-`>`
-	// tie-break in classify depends on. Both are views into one flat
-	// backing slice.
-	depRegs [][]sass.Reg
-	dstRegs [][]sass.Reg
+	// code is the kernel decoded for this launch, indexed by
+	// PC / sass.InstBytes.
+	code []decoded
 
 	// localBase is a synthetic address region where per-thread local
 	// memory lives for cache-modeling purposes.
 	localBase uint64
 }
+
+// Bounds on what a kernel header may declare, for the host's sake (like
+// MaxDeviceBytes): every resident thread's local memory and the constant
+// bank are backed by host memory. 16 KiB of spill space per thread is 256x
+// what any shipped workload uses; 64 KiB is a hardware constant bank.
+const (
+	maxLocalBytes = 16 << 10
+	maxConstBytes = 64 << 10
+)
 
 // paramBase mirrors kasm.ParamBase without importing it (sim is below
 // kasm in the package DAG).
@@ -108,6 +110,10 @@ func LaunchContext(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config
 	if err := k.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
+	if k.NumRegs < 0 || k.SharedBytes < 0 || k.LocalBytes < 0 || k.LocalBytes > maxLocalBytes || k.ConstBytes > maxConstBytes {
+		return nil, fmt.Errorf("sim: kernel %s declares regs=%d shared=%d local=%d const=%d; need 0 <= local <= %d, const <= %d, none negative",
+			k.Name, k.NumRegs, k.SharedBytes, k.LocalBytes, k.ConstBytes, maxLocalBytes, maxConstBytes)
+	}
 	if spec.Grid.X <= 0 || spec.Grid.Y < 0 || spec.Grid.Z < 0 ||
 		spec.Block.X <= 0 || spec.Block.Y < 0 || spec.Block.Z < 0 {
 		return nil, fmt.Errorf("sim: empty grid/block %v/%v", spec.Grid, spec.Block)
@@ -124,11 +130,6 @@ func LaunchContext(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config
 	}
 	if cfg.MaxCycles <= 0 {
 		cfg.MaxCycles = 2e8
-	}
-
-	cfgCFG, err := sass.BuildCFG(k)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
 	}
 
 	e := &engine{
@@ -154,16 +155,9 @@ func LaunchContext(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config
 		e.constMem = grown
 	}
 
-	// Precompute per-instruction reconvergence PCs.
-	e.reconvPC = make([]uint64, len(k.Insts))
-	e.hasReconv = make([]bool, len(k.Insts))
-	for i := range k.Insts {
-		if k.Insts[i].Op == sass.OpBRA {
-			pc, ok := cfgCFG.IPDomPC(i)
-			e.reconvPC[i], e.hasReconv[i] = pc, ok
-		}
+	if e.code, err = e.decode(); err != nil {
+		return nil, err
 	}
-	e.precomputeRegLists()
 
 	// Distribute blocks round-robin over all NumSMs; simulate a sample.
 	totalBlocks := spec.Grid.Count()
@@ -207,51 +201,38 @@ func LaunchContext(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config
 		workers = len(plans)
 	}
 
+	// A pool of `workers` goroutines takes the plans in order from a
+	// shared counter. A failing SM cancels its siblings through runCtx so
+	// the launch aborts promptly instead of simulating doomed SMs to the
+	// end.
 	sms := make([]*smState, len(plans))
 	smSeconds := make([]float64, len(plans))
+	errs := make([]error, len(plans))
 	wallStart := time.Now()
-	if workers <= 1 {
-		// Sequential reference path: same per-SM states, same merge.
-		for i, p := range plans {
-			sm := e.newSM(p.id, p.gidBase)
-			t0 := time.Now()
-			if err := e.runSM(ctx, sm, p.blocks); err != nil {
-				return nil, err
-			}
-			smSeconds[i] = time.Since(t0).Seconds()
-			sms[i] = sm
-		}
-	} else {
-		// One goroutine per sampled SM, at most `workers` running. A
-		// failing SM cancels its siblings through runCtx so the launch
-		// aborts promptly instead of simulating doomed SMs to the end.
-		runCtx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		errs := make([]error, len(plans))
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i := range plans {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for n := 0; n < workers; n++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(plans); i = int(next.Add(1)) - 1 {
 				p := plans[i]
 				sm := e.newSM(p.id, p.gidBase)
 				t0 := time.Now()
-				if err := e.runSM(runCtx, sm, p.blocks); err != nil {
-					errs[i] = err
+				if errs[i] = e.runSM(runCtx, sm, p.blocks); errs[i] != nil {
 					cancel()
 					return
 				}
 				smSeconds[i] = time.Since(t0).Seconds()
 				sms[i] = sm
-			}(i)
-		}
-		wg.Wait()
-		if err := firstSMError(ctx, errs); err != nil {
-			return nil, err
-		}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := firstSMError(ctx, errs); err != nil {
+		return nil, err
 	}
 
 	// Deterministic reduction: merge per-SM counters in fixed SM-ID
@@ -344,37 +325,6 @@ func blocksForSM(grid Dim3, smID, numSMs int) []Dim3 {
 	return out
 }
 
-// ipdomPC returns the reconvergence PC of the branch at instruction idx.
-func (e *engine) ipdomPC(idx int) (uint64, bool) {
-	return e.reconvPC[idx], e.hasReconv[idx]
-}
-
-// precomputeRegLists builds e.depRegs / e.dstRegs: per-instruction
-// dependency (sources then destinations) and destination register lists,
-// carved out of two flat backing slices once the totals are known.
-func (e *engine) precomputeRegLists() {
-	insts := e.kernel.Insts
-	var depFlat, dstFlat []sass.Reg
-	depEnd := make([]int, len(insts))
-	dstEnd := make([]int, len(insts))
-	for i := range insts {
-		in := &insts[i]
-		depFlat = in.SrcRegs(depFlat)
-		depFlat = in.DstRegs(depFlat)
-		depEnd[i] = len(depFlat)
-		dstFlat = in.DstRegs(dstFlat)
-		dstEnd[i] = len(dstFlat)
-	}
-	e.depRegs = make([][]sass.Reg, len(insts))
-	e.dstRegs = make([][]sass.Reg, len(insts))
-	start, dstart := 0, 0
-	for i := range insts {
-		e.depRegs[i] = depFlat[start:depEnd[i]:depEnd[i]]
-		e.dstRegs[i] = dstFlat[dstart:dstEnd[i]:dstEnd[i]]
-		start, dstart = depEnd[i], dstEnd[i]
-	}
-}
-
 // newSM builds the per-SM timing state with this SM's bandwidth slices,
 // its own counters, and its deterministic global-warp-ID base.
 func (e *engine) newSM(id, gidBase int) *smState {
@@ -438,12 +388,10 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 	}
 
 	// prevDT is the last round's time step, attributed to the warps'
-	// end-of-round classifications during the next round's scan. Folding
-	// the attribution pass into the classification pass visits the same
-	// live warps in the same gid order with the same skips (issued and
-	// newly launched warps have clsValid=false, done warps are compacted
-	// out where the old pass skipped them), so every per-counter float
-	// accumulation sequence is unchanged.
+	// end-of-round classifications during the next round's scan. The scan
+	// visits live warps in gid order and skips those without a valid
+	// classification (just issued or just launched), which fixes the
+	// order of every per-counter float accumulation.
 	prevDT := 0.0
 	for iter := 0; ; iter++ {
 		// Cancellation poll: cheap enough amortized over 1024 scheduler
@@ -461,9 +409,9 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 		// snapshots of the warp list below stay valid. First compact done
 		// warps out (every remaining loop skips them anyway; removal keeps
 		// the scans short), then recycle freed arena slots for pending
-		// CTAs. Refilling here instead of inside retireWarp is timing-
-		// equivalent: new warps were only ever considered starting the
-		// next round, and their readyAt is a don't-care below sm.now.
+		// CTAs. Refill happens only here, between rounds: a new warp is
+		// first considered in the round after its slot was freed, and its
+		// readyAt is a don't-care below sm.now.
 		if sm.needCompact {
 			sm.needCompact = false
 			live := sm.warps[:0]

@@ -172,8 +172,8 @@ type smState struct {
 	banks     memsys.BankScratch
 }
 
-// addStall attributes dt warp-cycles of stall reason `reason` at pc,
-// writing the dense per-instruction slice instead of a map.
+// addStall attributes dt warp-cycles of stall reason `reason` at pc in
+// the dense per-instruction slice.
 func (sm *smState) addStall(pc uint64, reason Stall, dt float64) {
 	sm.counters.StallCycles[reason] += dt
 	idx := int(pc / sass.InstBytes)
@@ -184,8 +184,8 @@ func (sm *smState) addStall(pc uint64, reason Stall, dt float64) {
 }
 
 // foldDense materializes the dense stall/opcode counters into the
-// exported Counters maps — once per launch, in instruction order, with
-// exactly the keys the map-based hot path would have produced.
+// exported Counters maps — once per launch, in instruction order, with a
+// key only for a PC or opcode that was touched.
 func (sm *smState) foldDense() {
 	for idx := range sm.pcStalls {
 		arr := &sm.pcStalls[idx]
@@ -228,19 +228,20 @@ func (e *engine) classify(sm *smState, w *warp) wclass {
 	if w.readyAt > sm.now {
 		return wclass{reason: w.waitReason, event: w.readyAt, pc: w.pc}
 	}
-	in := e.kernel.InstAt(w.pc)
-	if in == nil {
-		// Should be unreachable: Validate guarantees EXIT termination.
+	idx := int(w.pc / sass.InstBytes)
+	if idx >= len(e.code) {
+		// The warp ran past the last instruction (a path without EXIT):
+		// it never issues again and the launch ends in the deadlock error.
 		return wclass{reason: StallDrain, event: math.Inf(1), pc: w.pc}
 	}
+	d := &e.code[idx]
+	in := d.in
 
-	// Register dependencies (dynamic scoreboard), from the per-launch
-	// precomputed source+destination register lists.
-	regs := e.depRegs[int(w.pc/sass.InstBytes)]
+	// Register dependencies (dynamic scoreboard).
 	var blockUntil float64
 	var blockClass sass.Class
 	blocked := false
-	for _, r := range regs {
+	for _, r := range d.dep {
 		if int(r) < len(w.regReady) && w.regReady[r] > sm.now {
 			if !blocked || w.regReady[r] > blockUntil {
 				blockUntil = w.regReady[r]
@@ -299,9 +300,10 @@ func stallForClass(c sass.Class) Stall {
 // issue executes one instruction for warp w and applies its timing
 // effects. Returns the executed instruction for accounting.
 func (e *engine) issue(sm *smState, w *warp) error {
-	in := e.kernel.InstAt(w.pc)
+	d := &e.code[w.pc/sass.InstBytes]
+	in := d.in
 	execMask := w.guardMask(in)
-	ma, err := e.exec(w, in, execMask)
+	ma, err := e.exec(w, d, execMask)
 	if err != nil {
 		return err
 	}
@@ -332,7 +334,7 @@ func (e *engine) issue(sm *smState, w *warp) error {
 	}
 
 	if ma.valid {
-		e.memTiming(sm, w, in, ma)
+		e.memTiming(sm, w, d, ma)
 		return nil
 	}
 
@@ -341,24 +343,24 @@ func (e *engine) issue(sm *smState, w *warp) error {
 		// Shuffles execute on the MIO pipe on Volta: consumers see a
 		// short-scoreboard dependency.
 		svc := sm.mio.Request(sm.now, 1)
-		e.setDstReady(sm, w, in, (svc-sm.now)+float64(a.SharedLatency), sass.ClassShared)
+		e.setDstReady(sm, w, d, (svc-sm.now)+float64(a.SharedLatency), sass.ClassShared)
 		return nil
 	}
 	switch sass.ClassOf(in.Op) {
 	case sass.ClassALU:
-		e.setDstReady(sm, w, in, float64(a.ALULatency), sass.ClassALU)
+		e.setDstReady(sm, w, d, float64(a.ALULatency), sass.ClassALU)
 	case sass.ClassFP64:
 		sm.fp64Free = sm.now + float64(a.FP64IssueRate)
-		e.setDstReady(sm, w, in, float64(a.FP64Latency), sass.ClassALU)
+		e.setDstReady(sm, w, d, float64(a.FP64Latency), sass.ClassALU)
 	case sass.ClassSFU:
 		sm.sfuFree = sm.now + float64(a.SFUIssueRate)
-		e.setDstReady(sm, w, in, float64(a.SFULatency), sass.ClassALU)
+		e.setDstReady(sm, w, d, float64(a.SFULatency), sass.ClassALU)
 	}
 	return nil
 }
 
-func (e *engine) setDstReady(sm *smState, w *warp, in *sass.Inst, latency float64, src sass.Class) {
-	for _, r := range e.dstRegs[int(in.PC/sass.InstBytes)] {
+func (e *engine) setDstReady(sm *smState, w *warp, d *decoded, latency float64, src sass.Class) {
+	for _, r := range d.dst {
 		if int(r) < len(w.regReady) {
 			w.regReady[r] = sm.now + latency
 			w.regSrc[r] = src
@@ -368,10 +370,11 @@ func (e *engine) setDstReady(sm *smState, w *warp, in *sass.Inst, latency float6
 
 // memTiming applies the memory-system cost of an executed access and
 // schedules the destination registers' availability.
-func (e *engine) memTiming(sm *smState, w *warp, in *sass.Inst, ma memAccess) {
+func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma memAccess) {
 	a := &e.arch
 	c := sm.counters
 	now := sm.now
+	op := d.in.Op
 	var active [32]bool
 	for lane := 0; lane < 32; lane++ {
 		active[lane] = ma.mask&(1<<uint(lane)) != 0
@@ -380,21 +383,20 @@ func (e *engine) memTiming(sm *smState, w *warp, in *sass.Inst, ma memAccess) {
 	switch ma.space {
 	case sass.ClassGlobal, sass.ClassLocal:
 		if ma.async {
-			e.asyncCopyTiming(sm, w, active[:], ma)
+			e.asyncCopyTiming(sm, w, active[:], &ma)
 			return
 		}
-		sectors := memsys.CoalesceSectorsInto(sm.sectorBuf, a.L1SectorBytes, ma.addrs[:], active[:], ma.width)
-		sm.sectorBuf = sectors[:0]
-		done := now
-		svcEnd := now
+		var done, svcEnd float64
 		if ma.atomic {
 			// Atomics bypass L1 and resolve at the L2 atomic units. Every
 			// active lane is a read-modify-write: lanes hitting the same
 			// address serialize fully — the §4.4 global-atomic cost.
+			sectors := memsys.CoalesceSectorsInto(sm.sectorBuf, a.L1SectorBytes, ma.addrs[:], active[:], ma.width)
+			sm.sectorBuf = sectors[:0]
 			lanes := bits.OnesCount32(ma.mask)
 			start := math.Max(now, sm.atomFree)
 			sm.atomFree = start + 2*float64(lanes)
-			svcEnd = sm.atomFree
+			done, svcEnd = now, sm.atomFree
 			for _, s := range sectors {
 				lat := e.l2Access(sm, s, true)
 				if t := sm.atomFree + lat; t > done {
@@ -403,74 +405,43 @@ func (e *engine) memTiming(sm *smState, w *warp, in *sass.Inst, ma memAccess) {
 			}
 			c.GlobalAtomics += uint64(lanes)
 		} else {
-			useRO := ma.nc
-			for _, s := range sectors {
-				svc := sm.lsu.Request(now, a.L1SectorBytes)
-				if svc > svcEnd {
-					svcEnd = svc
-				}
-				hit := sm.l1.AccessSector(s, ma.write)
-				lat := float64(a.L1HitLatency)
-				if ma.write {
-					// Volta's L1 is write-through: every store sector goes
-					// to L2 regardless of the L1 state (uncoalesced stores
-					// therefore hammer L2 bandwidth).
-					e.l2Access(sm, s, true)
-				} else if !hit {
-					// An L1 miss occupies an MSHR until data returns; when
-					// all MSHRs are busy the miss waits for a free slot.
-					start := sm.lsuMiss.admit(svc)
-					lat += (start - svc) + e.l2Access(sm, s, ma.write)
-					sm.lsuMiss.push(svc + lat)
-				}
-				if useRO {
-					c.TexSectors++
-					if hit {
-						c.TexSectorHits++
-					}
-				} else if ma.space == sass.ClassGlobal {
-					if ma.write {
-						c.GlobalStSectors++
-					} else {
-						c.GlobalLdSectors++
-						if hit {
-							c.GlobalLdSectorHits++
-						}
-					}
-				} else {
-					if ma.write {
-						c.LocalStSectors++
-					} else {
-						c.LocalLdSectors++
-						if hit {
-							c.LocalLdSectorHits++
-						}
-					}
-				}
-				if t := svc + lat; t > done {
-					done = t
-				}
+			var n, hits uint64
+			done, svcEnd, n, hits = e.sectorWalk(sm, &ma, active[:], sm.lsu, &sm.lsuMiss, float64(a.L1HitLatency), true)
+			switch {
+			case ma.nc:
+				c.TexSectors += n
+				c.TexSectorHits += hits
+			case ma.space == sass.ClassGlobal && ma.write:
+				c.GlobalStSectors += n
+			case ma.space == sass.ClassGlobal:
+				c.GlobalLdSectors += n
+				c.GlobalLdSectorHits += hits
+			case ma.write:
+				c.LocalStSectors += n
+			default:
+				c.LocalLdSectors += n
+				c.LocalLdSectorHits += hits
 			}
 		}
 		// The LG instruction queue holds the request until the L1TEX unit
 		// accepts it (service), not until data returns — lg_throttle is
 		// about issue backlog (§3.2).
 		sm.lgQ.push(svcEnd)
-		if sass.IsLoad(in.Op) || (ma.atomic && in.Op == sass.OpATOM) {
-			e.setDstReady(sm, w, in, done-now, ma.space)
+		if sass.IsLoad(op) || op == sass.OpATOM {
+			e.setDstReady(sm, w, d, done-now, ma.space)
 		} else if svcEnd > w.lastStoreDone {
 			// Stores are posted: the warp may exit once the write is
 			// accepted by the memory system, not when it lands in DRAM.
 			w.lastStoreDone = svcEnd
 		}
-		switch {
-		case in.Op == sass.OpLDG:
+		switch op {
+		case sass.OpLDG:
 			c.GlobalLdInsts++
-		case in.Op == sass.OpSTG:
+		case sass.OpSTG:
 			c.GlobalStInsts++
-		case in.Op == sass.OpLDL:
+		case sass.OpLDL:
 			c.LocalLdInsts++
-		case in.Op == sass.OpSTL:
+		case sass.OpSTL:
 			c.LocalStInsts++
 		}
 
@@ -491,12 +462,12 @@ func (e *engine) memTiming(sm *smState, w *warp, in *sass.Inst, ma memAccess) {
 		svc := sm.mio.Request(now, trans)
 		done := svc + float64(a.SharedLatency)
 		sm.mioQ.push(svc)
-		if in.Op == sass.OpLDS || in.Op == sass.OpATOMS {
-			e.setDstReady(sm, w, in, done-now, sass.ClassShared)
+		if op == sass.OpLDS || op == sass.OpATOMS {
+			e.setDstReady(sm, w, d, done-now, sass.ClassShared)
 		} else if svc > w.lastStoreDone {
 			w.lastStoreDone = svc
 		}
-		switch in.Op {
+		switch op {
 		case sass.OpLDS:
 			c.SharedLdInsts++
 			c.SharedLdTrans += uint64(trans)
@@ -508,33 +479,12 @@ func (e *engine) memTiming(sm *smState, w *warp, in *sass.Inst, ma memAccess) {
 		}
 
 	case sass.ClassTexture:
-		sectors := memsys.CoalesceSectorsInto(sm.sectorBuf, a.L1SectorBytes, ma.addrs[:], active[:], ma.width)
-		sm.sectorBuf = sectors[:0]
-		done := now
-		svcEnd := now
-		for _, s := range sectors {
-			svc := sm.texu.Request(now, a.L1SectorBytes)
-			if svc > svcEnd {
-				svcEnd = svc
-			}
-			hit := sm.l1.AccessSector(s, false)
-			lat := float64(a.TexLatency)
-			if !hit {
-				start := sm.texMiss.admit(svc)
-				lat += (start - svc) + e.l2Access(sm, s, false)
-				sm.texMiss.push(svc + lat)
-			}
-			c.TexSectors++
-			if hit {
-				c.TexSectorHits++
-			}
-			if t := svc + lat; t > done {
-				done = t
-			}
-		}
+		done, svcEnd, n, hits := e.sectorWalk(sm, &ma, active[:], sm.texu, &sm.texMiss, float64(a.TexLatency), true)
+		c.TexSectors += n
+		c.TexSectorHits += hits
 		sm.texQ.push(svcEnd)
 		c.TexInsts++
-		e.setDstReady(sm, w, in, done-now, sass.ClassTexture)
+		e.setDstReady(sm, w, d, done-now, sass.ClassTexture)
 
 	case sass.ClassConst:
 		// Constant cache: fast uniform path; latency from the arch
@@ -543,8 +493,49 @@ func (e *engine) memTiming(sm *smState, w *warp, in *sass.Inst, ma memAccess) {
 		if lat <= 0 {
 			lat = 8
 		}
-		e.setDstReady(sm, w, in, lat, sass.ClassALU)
+		e.setDstReady(sm, w, d, lat, sass.ClassALU)
 	}
+}
+
+// sectorWalk coalesces a global, local or texture access into sectors and
+// sends each through pipe → L1 (unless bypassed) → MSHR admission → L2. It
+// returns when the last sector's data is back (done), when the pipe has
+// accepted the last sector (svcEnd), and the sector and L1-hit counts for
+// the caller's counters. The floats depend only on the state of pipe,
+// sm.l1, mshr and the L2/DRAM slices, and those see exactly one call
+// sequence per sector, in sector order; nothing else may be interleaved.
+func (e *engine) sectorWalk(sm *smState, ma *memAccess, active []bool, pipe *memsys.Bandwidth, mshr *mshrTracker, baseLat float64, useL1 bool) (done, svcEnd float64, n, hits uint64) {
+	a := &e.arch
+	sectors := memsys.CoalesceSectorsInto(sm.sectorBuf, a.L1SectorBytes, ma.addrs[:], active, ma.width)
+	sm.sectorBuf = sectors[:0]
+	done, svcEnd = sm.now, sm.now
+	for _, s := range sectors {
+		svc := pipe.Request(sm.now, a.L1SectorBytes)
+		if svc > svcEnd {
+			svcEnd = svc
+		}
+		hit := useL1 && sm.l1.AccessSector(s, ma.write)
+		lat := baseLat
+		if ma.write {
+			// Volta's L1 is write-through: every store sector goes to L2
+			// regardless of the L1 state (uncoalesced stores therefore
+			// hammer L2 bandwidth).
+			e.l2Access(sm, s, true)
+		} else if !hit {
+			// An L1 miss occupies an MSHR until data returns; when all
+			// MSHRs are busy the miss waits for a free slot.
+			start := mshr.admit(svc)
+			lat += (start - svc) + e.l2Access(sm, s, false)
+			mshr.push(svc + lat)
+		}
+		if hit {
+			hits++
+		}
+		if t := svc + lat; t > done {
+			done = t
+		}
+	}
+	return done, svcEnd, uint64(len(sectors)), hits
 }
 
 // asyncCopyTiming models one cp.async-style LDGSTS: the global read
@@ -553,27 +544,10 @@ func (e *engine) memTiming(sm *smState, w *warp, in *sass.Inst, ma memAccess) {
 // immediately — the latency is only observed at the next barrier, which
 // waits for the block's outstanding copies (blockState.asyncDone). That
 // deferred wait is exactly how cp.async hides global-load stalls.
-func (e *engine) asyncCopyTiming(sm *smState, w *warp, active []bool, ma memAccess) {
-	a := &e.arch
+func (e *engine) asyncCopyTiming(sm *smState, w *warp, active []bool, ma *memAccess) {
 	c := sm.counters
-	now := sm.now
-	sectors := memsys.CoalesceSectorsInto(sm.sectorBuf, a.L1SectorBytes, ma.addrs[:], active, ma.width)
-	sm.sectorBuf = sectors[:0]
-	done := now
-	svcEnd := now
-	for _, s := range sectors {
-		svc := sm.lsu.Request(now, a.L1SectorBytes)
-		if svc > svcEnd {
-			svcEnd = svc
-		}
-		start := sm.lsuMiss.admit(svc)
-		lat := (start - svc) + e.l2Access(sm, s, false)
-		sm.lsuMiss.push(svc + lat)
-		c.AsyncCopySectors++
-		if t := svc + lat; t > done {
-			done = t
-		}
-	}
+	done, svcEnd, n, _ := e.sectorWalk(sm, ma, active, sm.lsu, &sm.lsuMiss, 0, false)
+	c.AsyncCopySectors += n
 	sm.lgQ.push(svcEnd)
 	c.AsyncCopyInsts++
 	if b := w.block; done > b.asyncDone {
@@ -646,8 +620,7 @@ func (e *engine) checkBarrier(sm *smState, b *blockState) {
 // retireWarp handles warp completion. When the whole block retires its
 // arena slot is released; the scheduler loop recycles it for a pending
 // CTA at the top of its next iteration (never mid-iteration, so the
-// loop's warp-list snapshot stays valid and scheduling order matches the
-// old allocate-on-retire behavior exactly).
+// loop's warp-list snapshot stays valid).
 func (e *engine) retireWarp(sm *smState, w *warp) {
 	b := w.block
 	b.liveWarps--
@@ -657,9 +630,8 @@ func (e *engine) retireWarp(sm *smState, w *warp) {
 		return
 	}
 	// Block finished: drop greedy-scheduler pointers into its warps (the
-	// structs are about to be recycled; the old path left them done
-	// forever, which the greedy check rejected the same way), then free
-	// the slot.
+	// structs are about to be recycled for another CTA), then free the
+	// slot.
 	for i, lp := range sm.lastPick {
 		if lp != nil && lp.block == b {
 			sm.lastPick[i] = nil

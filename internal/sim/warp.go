@@ -70,7 +70,7 @@ type warp struct {
 	stack  []divEntry
 	done   bool
 
-	regs  [][32]uint32 // [NumRegs][lane]
+	regs  [][32]uint32 // [NumRegs+1][lane]; the last row is the zero row
 	preds [sass.NumPreds][32]bool
 
 	localMem []byte // 32 * LocalBytes, lane-major segments
@@ -103,27 +103,27 @@ func (w *warp) laneTid(lane int) Dim3 {
 	return Dim3{X: lin % dx, Y: (lin / dx) % dy, Z: lin / (dx * dy)}
 }
 
-func (w *warp) rd(r sass.Reg, lane int) uint32 {
-	if r == sass.RZ {
-		return 0
+// special reads a per-thread special register (S2R and special-register
+// sources); the launch-constant ones are folded to values at decode.
+func (w *warp) special(sr sass.SpecialReg, lane int) uint32 {
+	tid := w.laneTid(lane)
+	switch sr {
+	case sass.SRTidX:
+		return uint32(tid.X)
+	case sass.SRTidY:
+		return uint32(tid.Y)
+	case sass.SRTidZ:
+		return uint32(tid.Z)
+	case sass.SRCtaidX:
+		return uint32(w.block.idx.X)
+	case sass.SRCtaidY:
+		return uint32(w.block.idx.Y)
+	case sass.SRCtaidZ:
+		return uint32(w.block.idx.Z)
+	case sass.SRLaneID:
+		return uint32(lane)
 	}
-	return w.regs[r][lane]
-}
-
-func (w *warp) wr(r sass.Reg, lane int, v uint32) {
-	if r == sass.RZ {
-		return
-	}
-	w.regs[r][lane] = v
-}
-
-func (w *warp) rd64(r sass.Reg, lane int) uint64 {
-	return uint64(w.rd(r, lane)) | uint64(w.rd(r+1, lane))<<32
-}
-
-func (w *warp) wr64(r sass.Reg, lane int, v uint64) {
-	w.wr(r, lane, uint32(v))
-	w.wr(r+1, lane, uint32(v>>32))
+	return 0
 }
 
 func (w *warp) rdPred(p sass.Pred, lane int) bool {
