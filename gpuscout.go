@@ -322,11 +322,13 @@ type StallSlice = scout.StallSlice
 
 // SweepWorkloadReport re-simulates the analyzed workload under the
 // perturbation matrix (±L1/L2 capacity, DRAM latency/bandwidth, shared
-// banks, issue width, scoreboards), attaches the sensitivity analysis to
-// the report and its findings, widens each finding's estimated speedup by
-// the measured headroom, and re-orders the findings by payoff. The report
-// must come from a non-dry-run analysis of the named workload. Every
-// perturbed launch polls ctx, so a deadline covers the sweep.
+// banks, issue width — twelve runs of one lowering), attaches the
+// sensitivity analysis to the report and its findings, widens each
+// finding's stall-based speedup ceiling by the measured headroom, and
+// re-orders the findings by payoff; sweeping an already swept report
+// changes nothing. The report must come from a non-dry-run analysis of
+// the named workload. Every perturbed launch polls ctx, so a deadline
+// covers the sweep.
 func SweepWorkloadReport(ctx context.Context, rep *Report, name string, scale int, arch Arch, opts Options) (*Sensitivity, error) {
 	return advisor.Sweep(ctx, rep, name, scale, arch, opts.Sim)
 }

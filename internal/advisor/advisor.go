@@ -118,7 +118,6 @@ func (s *Summary) Add(v scout.Verdict) {
 // fixedRun is one executed optimized variant, shared by all findings that
 // map to it.
 type fixedRun struct {
-	pair    Pair
 	result  *sim.Result
 	metrics *ncu.MetricSet
 }
@@ -162,13 +161,9 @@ func Verify(ctx context.Context, rep *scout.Report, workload string, scale int, 
 		return summary, nil
 	}
 
-	// Pass 2: execute each distinct variant once and collect its metrics.
-	// Each variant runs under its own panic guard: a crashing or failing
-	// variant leaves only the findings mapped to it unverified, recorded
-	// in the report's degradation ledger. When the verify budget (the ctx
-	// deadline) expires, the remaining variants are skipped the same way —
-	// findings ship unverified rather than the job timing out. An explicit
-	// cancellation still aborts the whole pass.
+	// Pass 2: execute each distinct variant once and collect its metrics,
+	// each under rerun's rule: a failing or skipped variant leaves only the
+	// findings mapped to it unverified, recorded in the ledger.
 	runs := map[string]*fixedRun{}
 	fixedNames := make([]string, 0, len(needed))
 	for name := range needed {
@@ -176,21 +171,7 @@ func Verify(ctx context.Context, rep *scout.Report, workload string, scale int, 
 	}
 	sort.Strings(fixedNames)
 	for _, name := range fixedNames {
-		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil, fmt.Errorf("advisor: %w", err)
-			}
-			rep.Degradations = append(rep.Degradations, scout.Degradation{
-				Stage: scout.StageVerify, Site: siteVerify, Kind: scout.DegradeTimeout,
-				Detail: fmt.Sprintf("variant %s skipped: verify budget exhausted; paired findings ship unverified", name),
-			})
-			continue
-		}
-		run := &fixedRun{}
-		if err := scout.Guard(scout.StageVerify, siteVerify, func() error {
-			if err := faultinject.Hit(siteVerify); err != nil {
-				return err
-			}
+		err := rerun(ctx, rep, siteVerify, "variant "+name, "verify budget exhausted; paired findings ship unverified", "unverified", func() error {
 			// The variant must be lowered for the same backend as the
 			// baseline, or the comparison measures the arch, not the fix.
 			w, err := workloads.BuildArch(name, scale, arch)
@@ -206,18 +187,12 @@ func Verify(ctx context.Context, rep *scout.Report, workload string, scale int, 
 			if err != nil {
 				return fmt.Errorf("collect variant metrics %s: %w", name, err)
 			}
-			run.result, run.metrics = res, ms
+			runs[name] = &fixedRun{result: res, metrics: ms}
 			return nil
-		}); err != nil {
-			if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-				return nil, fmt.Errorf("advisor: %w", err)
-			}
-			d := scout.DegradationFor(scout.StageVerify, siteVerify, err, ctx.Err() != nil)
-			d.Detail = fmt.Sprintf("variant %s unverified: %s", name, d.Detail)
-			rep.Degradations = append(rep.Degradations, d)
-			continue
+		})
+		if err != nil {
+			return nil, err
 		}
-		runs[name] = run
 	}
 
 	// Pass 3: attach a Verification block to each paired finding, each
@@ -276,6 +251,42 @@ func Verify(ctx context.Context, rep *scout.Report, workload string, scale int, 
 		}
 	}
 	return summary, nil
+}
+
+// rerun runs one item of a re-execution pass — a verify variant, a sweep
+// perturbation — under the one rule both passes share. A budget (ctx
+// deadline) that has already expired skips the item into the ledger: the
+// report ships without it rather than the job timing out. Otherwise fn
+// runs behind the site's fault hook and panic guard and records its own
+// result; a failing or crashing item loses only itself, classified into
+// the ledger. label names the item ("variant X"); skipped and lost are
+// its two loss texts. Only an explicit cancellation, before or during
+// the item, returns an error: it aborts the whole pass.
+func rerun(ctx context.Context, rep *scout.Report, site, label, skipped, lost string, fn func() error) error {
+	if err := ctx.Err(); err != nil {
+		if errors.Is(err, context.Canceled) {
+			return fmt.Errorf("advisor: %w", err)
+		}
+		rep.Degradations = append(rep.Degradations, scout.Degradation{
+			Stage: scout.StageVerify, Site: site, Kind: scout.DegradeTimeout,
+			Detail: fmt.Sprintf("%s skipped: %s", label, skipped),
+		})
+		return nil
+	}
+	if err := scout.Guard(scout.StageVerify, site, func() error {
+		if err := faultinject.Hit(site); err != nil {
+			return err
+		}
+		return fn()
+	}); err != nil {
+		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
+			return fmt.Errorf("advisor: %w", err)
+		}
+		d := scout.DegradationFor(scout.StageVerify, site, err, ctx.Err() != nil)
+		d.Detail = fmt.Sprintf("%s %s: %s", label, lost, d.Detail)
+		rep.Degradations = append(rep.Degradations, d)
+	}
+	return nil
 }
 
 // appendUnique appends the names not already present, preserving order.

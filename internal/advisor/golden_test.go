@@ -147,12 +147,10 @@ func TestGoldenArchCompare(t *testing.T) {
 	}
 }
 
-// TestGoldenJSONDecodes proves the wire tags are symmetric: every golden
-// report and arch comparison decodes into the exported JSON view and
-// re-encodes to the same bytes, so clients that unmarshal into
-// scout.JSONReport / scout.JSONArchComparison (the daemon tests, bench/)
-// lose nothing.
-func TestGoldenJSONDecodes(t *testing.T) {
+// goldenJSONPaths lists every committed golden JSON document: both
+// arches' reports and the arch comparisons.
+func goldenJSONPaths(t *testing.T) []string {
+	t.Helper()
 	var paths []string
 	for _, pattern := range []string{"*.json", filepath.Join("sm80", "*.json")} {
 		m, err := filepath.Glob(filepath.Join("testdata", "golden", pattern))
@@ -164,7 +162,16 @@ func TestGoldenJSONDecodes(t *testing.T) {
 	if len(paths) < 2*len(workloads.Names())+1 {
 		t.Fatalf("found only %d golden JSON files", len(paths))
 	}
-	for _, path := range paths {
+	return paths
+}
+
+// TestGoldenJSONDecodes proves the wire tags are symmetric: every golden
+// report and arch comparison decodes into the exported JSON view and
+// re-encodes to the same bytes, so clients that unmarshal into
+// scout.JSONReport / scout.JSONArchComparison (the daemon tests, bench/)
+// lose nothing.
+func TestGoldenJSONDecodes(t *testing.T) {
+	for _, path := range goldenJSONPaths(t) {
 		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -20,8 +20,8 @@ type Plan struct {
 	Opts scout.Options
 	// Workload and Scale name a built-in workload (lowered by Build). The
 	// re-execution passes need them too: recommendation pairs are
-	// workload-keyed and the sweep re-lowers the kernel for perturbed
-	// archs that change lowering.
+	// workload-keyed and the sweep lowers the kernel itself, once, for
+	// its perturbed re-runs.
 	Workload string
 	Scale    int
 	// Verify and Sensitivity add the counterfactual re-runs and the

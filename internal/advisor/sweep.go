@@ -2,10 +2,8 @@ package advisor
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"gpuscout/internal/codegen"
 	"gpuscout/internal/faultinject"
 	"gpuscout/internal/gpu"
 	"gpuscout/internal/scout"
@@ -13,35 +11,13 @@ import (
 	"gpuscout/internal/workloads"
 )
 
-// siteSweep covers one perturbed build+run of the sensitivity matrix.
+// siteSweep covers one perturbed run of the sensitivity matrix (and, in
+// the first one, the build they all share).
 var siteSweep = faultinject.Register("advisor.sweep")
 
-// sweepLowering hands the sweep the workload lowered for each perturbed
-// arch. Perturbations that leave every descriptor field the backend
-// reads untouched (codegen.SameLowering — 12 of today's 14) share one
-// lowering of the unperturbed arch, built on first use; only the rest
-// (today scoreboards/up|down, which change control-info assignment) are
-// re-lowered, so reusing the baseline SASS never under-reports them.
-type sweepLowering struct {
-	workload string
-	scale    int
-	arch     gpu.Arch
-	base     *workloads.Workload
-}
-
-func (l *sweepLowering) lower(pa gpu.Arch) (*workloads.Workload, error) {
-	if !codegen.SameLowering(l.arch, pa) {
-		return workloads.BuildArch(l.workload, l.scale, pa)
-	}
-	if l.base == nil {
-		w, err := workloads.BuildArch(l.workload, l.scale, l.arch)
-		if err != nil {
-			return nil, err
-		}
-		l.base = w
-	}
-	return l.base, nil
-}
+// buildArch is workloads.BuildArch; a variable only so
+// TestSweepLoweringReuse can count the sweep's lowerings.
+var buildArch = workloads.BuildArch
 
 // Sweep runs the microarchitectural sensitivity analysis (Pompougnac et
 // al.): the analyzed kernel is re-simulated under every
@@ -70,70 +46,38 @@ func Sweep(ctx context.Context, rep *scout.Report, workload string, scale int, a
 	}
 
 	sens := &scout.Sensitivity{BaselineCycles: rep.Result.Cycles}
-	lowering := sweepLowering{workload: workload, scale: scale, arch: arch}
+	// One lowering serves the whole matrix (see gpu.Perturbation.Apply),
+	// built inside the first cell's guard: a failing build fails every
+	// cell the same way, one ledger entry per missing perturbation.
+	var base *workloads.Workload
 	for _, p := range gpu.Perturbations() {
-		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil, fmt.Errorf("advisor: %w", err)
+		err := rerun(ctx, rep, siteSweep, "perturbation "+p.ID(), "sweep budget exhausted", "missing from sweep", func() error {
+			if base == nil {
+				w, err := buildArch(workload, scale, arch)
+				if err != nil {
+					return fmt.Errorf("build under %s: %w", p.ID(), err)
+				}
+				base = w
 			}
-			rep.Degradations = append(rep.Degradations, scout.Degradation{
-				Stage: scout.StageVerify, Site: siteSweep, Kind: scout.DegradeTimeout,
-				Detail: fmt.Sprintf("perturbation %s skipped: sweep budget exhausted", p.ID()),
-			})
-			continue
-		}
-		var cycles float64
-		if err := scout.Guard(scout.StageVerify, siteSweep, func() error {
-			if err := faultinject.Hit(siteSweep); err != nil {
-				return err
-			}
-			pa := p.Apply(arch)
-			w, err := lowering.lower(pa)
-			if err != nil {
-				return fmt.Errorf("build under %s: %w", p.ID(), err)
-			}
-			res, err := workloads.ExecuteContext(ctx, w, sim.NewDevice(pa), cfg)
+			res, err := workloads.ExecuteContext(ctx, base, sim.NewDevice(p.Apply(arch)), cfg)
 			if err != nil {
 				return fmt.Errorf("run under %s: %w", p.ID(), err)
 			}
-			cycles = res.Cycles
+			sens.Deltas = append(sens.Deltas, scout.ResourceDelta{
+				Resource:  p.Resource,
+				Direction: p.Direction,
+				Factor:    p.Factor,
+				Cycles:    res.Cycles,
+				Delta:     res.Cycles - sens.BaselineCycles,
+				Helps:     p.Helps,
+			})
 			return nil
-		}); err != nil {
-			if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-				return nil, fmt.Errorf("advisor: %w", err)
-			}
-			d := scout.DegradationFor(scout.StageVerify, siteSweep, err, ctx.Err() != nil)
-			d.Detail = fmt.Sprintf("perturbation %s missing from sweep: %s", p.ID(), d.Detail)
-			rep.Degradations = append(rep.Degradations, d)
-			continue
-		}
-		sens.Deltas = append(sens.Deltas, scout.ResourceDelta{
-			Resource:  p.Resource,
-			Direction: p.Direction,
-			Factor:    p.Factor,
-			Cycles:    cycles,
-			Delta:     cycles - sens.BaselineCycles,
-			Helps:     p.Helps,
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	sens.Rank()
-	rep.Sensitivity = sens
-
-	// Attach per-finding filtered views and fold the measured headroom
-	// into the payoff estimate: the stall-based ceiling says how much of
-	// the kernel the finding touches; the dominant resource's relief says
-	// how much a real fix in that class actually buys.
-	for i := range rep.Findings {
-		f := &rep.Findings[i]
-		fs := sens.FilterFor(f.Analysis)
-		f.Sensitivity = fs
-		if f.EstSpeedup > 0 && fs.Dominant != "" {
-			headroom := fs.DominantRelief - 1
-			if headroom > 0 {
-				f.EstSpeedup *= 1 + headroom
-			}
-		}
-	}
-	rep.SortFindings()
+	rep.AttachSensitivity(sens)
 	return sens, nil
 }

@@ -1,7 +1,11 @@
 package advisor
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -210,44 +214,142 @@ func TestSweepHonorsContext(t *testing.T) {
 	}
 }
 
-// TestSweepLoweringReuse pins the sweep's build-once shortcut over the
-// whole matrix: for every perturbation × workload × arch, the kernel the
-// sweep simulates (the shared baseline lowering wherever
-// codegen.SameLowering says the perturbed arch cannot change lowering)
-// must print the same SASS as a fresh BuildArch for the perturbed arch.
-// A descriptor field the backend starts reading without SameLowering
-// learning about it fails here as soon as a perturbation moves it. The
-// reuse count guards the other direction: only the two scoreboard
-// entries may be re-lowered.
+// TestSweepLoweringReuse pins the invariant the sweep's single lowering
+// rests on (gpu.Perturbation.Apply): for every perturbation × workload ×
+// arch, a fresh BuildArch for the perturbed arch must print the SASS of
+// the unperturbed build — the one kernel Sweep simulates under all of
+// them. A perturbation that starts moving a field codegen reads fails
+// here instead of silently simulating the wrong kernel. The second half
+// guards the other direction: one Sweep lowers its workload once.
 func TestSweepLoweringReuse(t *testing.T) {
 	perts := gpu.Perturbations()
 	for _, arch := range []gpu.Arch{gpu.V100(), gpu.A100()} {
 		for _, name := range workloads.Names() {
 			scale := goldenScale(t, name)
-			lowering := sweepLowering{workload: name, scale: scale, arch: arch}
-			reused := 0
+			base, err := workloads.BuildArch(name, scale, arch)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", arch.SM, name, err)
+			}
+			want := sass.Print(base.Kernel)
 			for _, p := range perts {
-				pa := p.Apply(arch)
-				got, err := lowering.lower(pa)
-				if err != nil {
-					t.Fatalf("%s/%s under %s: %v", arch.SM, name, p.ID(), err)
-				}
-				fresh, err := workloads.BuildArch(name, scale, pa)
+				fresh, err := workloads.BuildArch(name, scale, p.Apply(arch))
 				if err != nil {
 					t.Fatalf("%s/%s fresh build under %s: %v", arch.SM, name, p.ID(), err)
 				}
-				if sass.Print(got.Kernel) != sass.Print(fresh.Kernel) {
-					t.Errorf("%s/%s under %s: swept kernel differs from a fresh lowering", arch.SM, name, p.ID())
-				}
-				if got == lowering.base {
-					reused++
-				} else if p.Resource != gpu.ResourceScoreboards {
-					t.Errorf("%s/%s: %s re-lowered the kernel", arch.SM, name, p.ID())
+				if sass.Print(fresh.Kernel) != want {
+					t.Errorf("%s/%s under %s: a fresh lowering differs from the kernel the sweep simulates", arch.SM, name, p.ID())
 				}
 			}
-			if want := len(perts) - 2; reused != want {
-				t.Errorf("%s/%s: %d perturbations reused the baseline lowering, want %d", arch.SM, name, reused, want)
+		}
+	}
+
+	builds := 0
+	buildArch = func(name string, scale int, arch gpu.Arch) (*workloads.Workload, error) {
+		builds++
+		return workloads.BuildArch(name, scale, arch)
+	}
+	defer func() { buildArch = workloads.BuildArch }()
+	cfg := sim.Config{SampleSMs: 1}
+	rep := analyze(t, "transpose_naive", 64, cfg)
+	s, err := Sweep(context.Background(), rep, "transpose_naive", 64, gpu.V100(), cfg)
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	if len(s.Deltas) != len(perts) || builds != 1 {
+		t.Errorf("sweep ran %d of %d perturbations over %d lowerings, want one lowering", len(s.Deltas), len(perts), builds)
+	}
+}
+
+// TestSweepFailingBuildCostsOneEntryPerCell: the shared lowering is
+// built inside the cells' guard, so a workload that does not build
+// ships the report without a matrix and with one ledger entry per
+// missing perturbation, not an error.
+func TestSweepFailingBuildCostsOneEntryPerCell(t *testing.T) {
+	cfg := sim.Config{SampleSMs: 1}
+	rep := analyze(t, "transpose_naive", 64, cfg)
+	s, err := Sweep(context.Background(), rep, "no_such_workload", 64, gpu.V100(), cfg)
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	perts := gpu.Perturbations()
+	if len(s.Deltas) != 0 || len(rep.Degradations) != len(perts) {
+		t.Fatalf("got %d deltas and %d ledger entries, want 0 and %d", len(s.Deltas), len(rep.Degradations), len(perts))
+	}
+	for i, d := range rep.Degradations {
+		id := perts[i].ID()
+		if d.Stage != scout.StageVerify || d.Site != "advisor.sweep" || d.Kind != scout.DegradeError ||
+			!strings.HasPrefix(d.Detail, "perturbation "+id+" missing from sweep: ") ||
+			!strings.Contains(d.Detail, "build under "+id+": workloads: unknown workload") {
+			t.Errorf("entry %d = %+v, want a verify/advisor.sweep/error entry for %s's failed build", i, d, id)
+		}
+	}
+}
+
+// TestSweepTwiceIsIdempotent: the payoff widening starts from the
+// stall-based ceiling, not from what the finding already holds, so
+// sweeping a swept report neither compounds the estimates nor reorders
+// the findings.
+func TestSweepTwiceIsIdempotent(t *testing.T) {
+	cfg := sim.Config{SampleSMs: 1}
+	rep := analyze(t, "jacobi_naive", 128, cfg)
+	var docs [2][]byte
+	for i := range docs {
+		if _, err := Sweep(context.Background(), rep, "jacobi_naive", 128, gpu.V100(), cfg); err != nil {
+			t.Fatalf("Sweep %d: %v", i+1, err)
+		}
+		var err error
+		if docs[i], err = rep.MarshalJSON(); err != nil {
+			t.Fatalf("MarshalJSON: %v", err)
+		}
+	}
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Errorf("a second sweep changed the report:\n%s", firstDiff(string(docs[1]), string(docs[0])))
+	}
+}
+
+// TestEveryPerturbationMovesSomeKernel keeps an inert axis out of the
+// matrix: every entry of gpu.Perturbations must move cycles in at least
+// one committed golden report. An axis the simulator cannot see (the
+// removed scoreboards axis: 100 of 100 golden cells at delta 0) prints a
+// "+0.00%" the model never measured. One axis the simulator does read
+// also moves no golden: at the golden scales every kernel's L1 working
+// set fits half the cache, so l1_capacity's witness is a swept
+// jacobi_naive at its case-study scale — the only simulation here.
+func TestEveryPerturbationMovesSomeKernel(t *testing.T) {
+	moved := map[string]bool{}
+	note := func(s *scout.Sensitivity) {
+		for _, d := range s.Deltas {
+			if d.Delta != 0 {
+				moved[d.Resource+"/"+d.Direction] = true
 			}
+		}
+	}
+	for _, path := range goldenJSONPaths(t) {
+		if strings.HasPrefix(filepath.Base(path), "archcompare_") {
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep scout.JSONReport
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if rep.Sensitivity == nil {
+			t.Fatalf("%s: no kernel-wide sensitivity block", path)
+		}
+		note(rep.Sensitivity)
+	}
+	cfg := sim.Config{SampleSMs: 1}
+	s, err := Sweep(context.Background(), analyze(t, "jacobi_naive", 512, cfg), "jacobi_naive", 512, gpu.V100(), cfg)
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	note(s)
+	for _, p := range gpu.Perturbations() {
+		if !moved[p.ID()] {
+			t.Errorf("%s moves cycles in no golden report: the simulator does not read what it scales", p.ID())
 		}
 	}
 }

@@ -92,18 +92,6 @@ func Compile(p *kasm.Program, opts Options) (*sass.Kernel, error) {
 	return k, nil
 }
 
-// SameLowering reports whether Compile produces the same kernel for two
-// targets: it compares every descriptor field Compile reads (the name
-// that selects the default target, the SM tag stamped on the kernel, the
-// register ceiling, and the whole ISA block). Callers that re-simulate
-// one kernel under many hardware what-ifs use it to skip re-lowering; a
-// field Compile starts reading must be added here, which the advisor's
-// perturbation-matrix lowering test enforces.
-func SameLowering(a, b gpu.Arch) bool {
-	return a.Name == b.Name && a.SM == b.SM &&
-		a.MaxRegsPerThread == b.MaxRegsPerThread && a.ISA == b.ISA
-}
-
 func cloneProgram(p *kasm.Program) *kasm.Program {
 	c := *p
 	c.Insts = make([]kasm.VInst, len(p.Insts))

@@ -1,7 +1,5 @@
 package gpu
 
-import "fmt"
-
 // Perturbation is one microarchitectural what-if: a single hardware
 // resource scaled by a factor, leaving everything else untouched. The
 // advisor's sensitivity analysis (following Pompougnac et al.: "from
@@ -31,7 +29,6 @@ const (
 	ResourceDRAMBandwidth = "dram_bandwidth"
 	ResourceSharedBanks   = "shared_banks"
 	ResourceIssueWidth    = "issue_width"
-	ResourceScoreboards   = "scoreboards"
 )
 
 // ResourceNames lists every perturbed resource in matrix order.
@@ -43,22 +40,23 @@ func ResourceNames() []string {
 		ResourceDRAMBandwidth,
 		ResourceSharedBanks,
 		ResourceIssueWidth,
-		ResourceScoreboards,
 	}
 }
 
 // ID is the stable identifier used in reports and JSON: "resource/dir".
 func (p Perturbation) ID() string { return p.Resource + "/" + p.Direction }
 
-// String describes the perturbation for report text.
-func (p Perturbation) String() string {
-	return fmt.Sprintf("%s x%g", p.Resource, p.Factor)
-}
-
 // Apply returns a copy of arch with the perturbation applied. Integer
 // resources are clamped to stay valid (at least one cache set, one bank,
-// one scheduler, one scoreboard slot); the simulator further clamps the
-// scheduler count to its per-SM picker width.
+// one scheduler); the simulator further clamps the scheduler count to
+// its per-SM picker width.
+//
+// Invariant: a perturbation moves only fields the simulator reads and
+// codegen does not, so one lowering of a kernel serves the whole matrix
+// (the advisor's sweep relies on it; TestSweepLoweringReuse enforces
+// it). A resource only codegen reads — ISA.Scoreboards, whose control
+// info the simulator never consults — cannot move cycles and has no
+// place here (TestEveryPerturbationMovesSomeKernel).
 func (p Perturbation) Apply(a Arch) Arch {
 	switch p.Resource {
 	case ResourceL1Capacity:
@@ -76,8 +74,6 @@ func (p Perturbation) Apply(a Arch) Arch {
 		if a.NumSchedulers > 8 {
 			a.NumSchedulers = 8 // simulator picker width
 		}
-	case ResourceScoreboards:
-		a.ISA.Scoreboards = scaleInt(a.ISA.Scoreboards, p.Factor, 1)
 	}
 	return a
 }

@@ -54,8 +54,6 @@ func TestPerturbationApply(t *testing.T) {
 				return float64(arch.SharedBanks)
 			case ResourceIssueWidth:
 				return float64(arch.NumSchedulers)
-			case ResourceScoreboards:
-				return float64(arch.ISA.Scoreboards)
 			}
 			t.Fatalf("unknown resource %s", p.Resource)
 			return 0
@@ -82,8 +80,6 @@ func TestPerturbationApply(t *testing.T) {
 			restored.SharedBanks = base.SharedBanks
 		case ResourceIssueWidth:
 			restored.NumSchedulers = base.NumSchedulers
-		case ResourceScoreboards:
-			restored.ISA.Scoreboards = base.ISA.Scoreboards
 		}
 		if restored != base {
 			t.Errorf("%s: perturbation touched more than its resource", p.ID())
@@ -95,14 +91,9 @@ func TestPerturbationApply(t *testing.T) {
 // down must not produce degenerate hardware.
 func TestPerturbationClamps(t *testing.T) {
 	a := V100()
-	a.ISA.Scoreboards = 1
 	a.SharedBanks = 1
 	a.NumSchedulers = 1
-	down := Perturbation{Resource: ResourceScoreboards, Direction: "down", Factor: 0.5}
-	if got := down.Apply(a).ISA.Scoreboards; got != 1 {
-		t.Errorf("scoreboards clamped to %d, want 1", got)
-	}
-	down.Resource = ResourceSharedBanks
+	down := Perturbation{Resource: ResourceSharedBanks, Direction: "down", Factor: 0.5}
 	if got := down.Apply(a).SharedBanks; got != 1 {
 		t.Errorf("banks clamped to %d, want 1", got)
 	}

@@ -123,13 +123,13 @@ func TestLoadIndexMatchesScan(t *testing.T) {
 // them cross-arch comparisons, pin their text byte for byte.
 func TestDetectorDescriptions(t *testing.T) {
 	recorded := map[string][]string{
-		"vectorized_load":     {gpu.ResourceDRAMBandwidth, gpu.ResourceDRAMLatency, gpu.ResourceIssueWidth, gpu.ResourceScoreboards},
+		"vectorized_load":     {gpu.ResourceDRAMBandwidth, gpu.ResourceDRAMLatency, gpu.ResourceIssueWidth},
 		"register_spilling":   {gpu.ResourceL1Capacity, gpu.ResourceL2Capacity, gpu.ResourceDRAMLatency},
 		"shared_memory":       {gpu.ResourceDRAMLatency, gpu.ResourceDRAMBandwidth, gpu.ResourceL1Capacity, gpu.ResourceSharedBanks},
 		"shared_atomics":      {gpu.ResourceDRAMLatency, gpu.ResourceL2Capacity, gpu.ResourceSharedBanks},
 		"readonly_cache":      {gpu.ResourceL1Capacity, gpu.ResourceL2Capacity, gpu.ResourceDRAMLatency},
 		"texture_memory":      {gpu.ResourceL1Capacity, gpu.ResourceL2Capacity, gpu.ResourceDRAMLatency},
-		"datatype_conversion": {gpu.ResourceIssueWidth, gpu.ResourceScoreboards},
+		"datatype_conversion": {gpu.ResourceIssueWidth},
 		"bank_conflicts":      {gpu.ResourceSharedBanks},
 	}
 	known := map[string]bool{}

@@ -20,7 +20,7 @@ func (DtypeConvAnalysis) Name() string { return "datatype_conversion" }
 // Describe implements Analysis.
 func (DtypeConvAnalysis) Describe() Description {
 	return Description{
-		Resources: []string{gpu.ResourceIssueWidth, gpu.ResourceScoreboards},
+		Resources: []string{gpu.ResourceIssueWidth},
 		DerivedMetrics: func(m *MetricLines) {
 			total := m.val("smsp__inst_executed.sum")
 			if res := m.rep.Result; total > 0 && res != nil {

@@ -140,10 +140,6 @@ func sortFindings(fs []Finding) {
 	})
 }
 
-// SortFindings re-applies the report's payoff ordering. The advisor calls
-// it after a sensitivity sweep widens the estimated speedups.
-func (r *Report) SortFindings() { sortFindings(r.Findings) }
-
 // Analysis is one standalone SASS detector. The modular design mirrors
 // §3: "all analyses are standalone, hence new bottleneck analyses can
 // easily be added".

@@ -32,8 +32,8 @@ func TestSweepNeutralOnOptimizedVariants(t *testing.T) {
 	}{
 		{"transpose_padded", 64, []string{gpu.ResourceSharedBanks}},
 		{"spill_relief", 0, []string{gpu.ResourceL1Capacity, gpu.ResourceL2Capacity}},
-		{"mixbench_sp_vec4", 4, []string{gpu.ResourceIssueWidth, gpu.ResourceScoreboards}},
-		{"mixbench_int_vec4", 4, []string{gpu.ResourceIssueWidth, gpu.ResourceScoreboards}},
+		{"mixbench_sp_vec4", 4, []string{gpu.ResourceIssueWidth}},
+		{"mixbench_int_vec4", 4, []string{gpu.ResourceIssueWidth}},
 		{"jacobi_texture", 128, []string{gpu.ResourceL1Capacity}},
 		{"jacobi_restrict", 128, []string{gpu.ResourceL1Capacity}},
 		{"jacobi_shared", 128, []string{gpu.ResourceSharedBanks}},

@@ -354,21 +354,49 @@ func correlate(f *Finding, rep *Report) {
 		"relevant stalls (%s) at the flagged lines account for %.1f%% of all kernel stall samples",
 		stallList(f.RelevantStalls), 100*relevantShare))
 
-	// GPA-style payoff ceiling: if every stall this finding attributes
-	// vanished, the kernel could at best run 1/(1-frac)x faster, where
-	// frac is the finding's share of stalls scaled by how much of the
-	// issue opportunity stalls actually cost (Amdahl over exposed stall
-	// cycles). The advisor's sensitivity sweep later widens this with
-	// measured headroom.
 	f.RelevantStallShare = relevantShare
-	frac := relevantShare * exposedStallFraction(rep.Result)
-	if frac > 0.95 {
-		frac = 0.95
-	}
-	f.EstSpeedup = 1 / (1 - frac)
+	f.EstSpeedup = stallCeiling(relevantShare, rep.Result)
 
 	// Metric analysis.
 	f.MetricSummary = metricSummary(f, rep)
+}
+
+// stallCeiling is the GPA-style payoff ceiling: if every stall a finding
+// attributes vanished, the kernel could at best run 1/(1-frac)x faster,
+// where frac is the finding's share of stalls scaled by how much of the
+// issue opportunity stalls actually cost (Amdahl over exposed stall
+// cycles). AttachSensitivity widens it with measured headroom.
+func stallCeiling(relevantShare float64, res *sim.Result) float64 {
+	frac := relevantShare * exposedStallFraction(res)
+	if frac > 0.95 {
+		frac = 0.95
+	}
+	return 1 / (1 - frac)
+}
+
+// AttachSensitivity attaches a finished sweep to the report: the full
+// matrix on the report, on each finding the view filtered to the
+// resources its bottleneck class can involve, and each payoff estimate
+// widened by that view's measured headroom — the stall-based ceiling
+// says how much of the kernel the finding touches; the dominant
+// resource's relief says how much a real fix in that class actually
+// buys. The widening starts from the ceiling, not from whatever the
+// finding holds, so sweeping a swept report changes nothing. Findings
+// are re-sorted by the updated payoff.
+func (r *Report) AttachSensitivity(s *Sensitivity) {
+	r.Sensitivity = s
+	for i := range r.Findings {
+		f := &r.Findings[i]
+		f.Sensitivity = s.FilterFor(f.Analysis)
+		if f.EstSpeedup == 0 {
+			continue // correlate failed on this finding: it stays unpriced
+		}
+		f.EstSpeedup = stallCeiling(f.RelevantStallShare, r.Result)
+		if headroom := f.Sensitivity.DominantRelief - 1; f.Sensitivity.Dominant != "" && headroom > 0 {
+			f.EstSpeedup *= 1 + headroom
+		}
+	}
+	sortFindings(r.Findings)
 }
 
 // exposedStallFraction is the fraction of issue opportunities lost to

@@ -17,12 +17,11 @@ type VectorLoadAnalysis struct{}
 func (VectorLoadAnalysis) Name() string { return "vectorized_load" }
 
 // Describe implements Analysis. Instruction-count bound global loads:
-// issue slots, memory latency hiding (scoreboards), and raw DRAM
-// throughput.
+// issue slots, memory latency, and raw DRAM throughput.
 func (VectorLoadAnalysis) Describe() Description {
 	return Description{
 		Resources: []string{gpu.ResourceDRAMBandwidth, gpu.ResourceDRAMLatency,
-			gpu.ResourceIssueWidth, gpu.ResourceScoreboards},
+			gpu.ResourceIssueWidth},
 		FusedByLDGSTS: true,
 		DerivedMetrics: func(m *MetricLines) {
 			ldInsts := m.val("smsp__inst_executed_op_global_ld.sum")

@@ -6,9 +6,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"gpuscout/internal/advisor"
+	"gpuscout/internal/gpu"
 	"gpuscout/internal/sass"
 	"gpuscout/internal/scout"
 )
@@ -122,12 +124,24 @@ func CacheKey(canonicalSASS, archTag, launch string, opts scout.Options, verify,
 	h.Write([]byte{0})
 	io.WriteString(h, launch)
 	h.Write([]byte{0})
+	// A swept report is addressed by the matrix it was swept under, not
+	// by a bare "true": a change to gpu.Perturbations re-keys every swept
+	// report, so a warm -data-dir never serves a report with another
+	// matrix's rows. Unswept reports keep hashing "false".
+	swept := "false"
+	if sensitivity {
+		var ids []string
+		for _, p := range gpu.Perturbations() {
+			ids = append(ids, p.ID())
+		}
+		swept = strings.Join(ids, ",")
+	}
 	// opts.Sim.Workers is deliberately not fingerprinted: the simulator
 	// guarantees bit-identical results for every worker count, so a
 	// report computed at any parallelism serves requests at all of them.
-	fmt.Fprintf(h, "dryrun=%t period=%g samplesms=%d maxcycles=%g verify=%t sensitivity=%t slices=%t",
+	fmt.Fprintf(h, "dryrun=%t period=%g samplesms=%d maxcycles=%g verify=%t sensitivity=%s slices=%t",
 		opts.DryRun, opts.SamplingPeriod, opts.Sim.SampleSMs, opts.Sim.MaxCycles,
-		verify, sensitivity, opts.StallSlices)
+		verify, swept, opts.StallSlices)
 	h.Write([]byte{0})
 	io.WriteString(h, canonicalSASS)
 	return hex.EncodeToString(h.Sum(nil))

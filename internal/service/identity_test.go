@@ -112,7 +112,10 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 // TestCacheKeyVectors pins CacheKey's output to vectors recorded at the
 // commit before the request path was collapsed: the key is the address
 // of every report in an existing data directory, so a refactor that
-// moves it turns a warm store cold.
+// moves it turns a warm store cold. The two sensitivity vectors hash
+// the perturbation matrix's IDs and were re-recorded when the matrix
+// went from 14 rows to 12: they move whenever gpu.Perturbations does,
+// which is the point — a swept report is only valid for its matrix.
 func TestCacheKeyVectors(t *testing.T) {
 	const k = "// kernel _Z4axpyPfS_f\n/*0000*/ LDG.E R0, [R2] ;\n/*0010*/ EXIT ;\n"
 	simulated := "workload=sgemm_naive scale=64"
@@ -128,7 +131,7 @@ func TestCacheKeyVectors(t *testing.T) {
 			"b3c3e87e894537c926720bb9ba04f475cbf1d9420c8add29984b4140336af05c"},
 		{"every report knob", k, "sm_70", simulated,
 			scout.Options{SamplingPeriod: 512, StallSlices: true, Sim: sim.Config{SampleSMs: 2}}, true, true,
-			"dd04a2fc35a7a2c384a75bfd817cf162c1b3485162032e4f25f7f6217af522b3"},
+			"afde42c1a1d1824c3ff00f1cf1460e531eb1f9449624b869d9b5a1025c59a350"},
 		{"arch compare", k, "sm_80", "workload=sgemm_shared scale=64 archcmp=sm_80",
 			scout.Options{Sim: sim.Config{SampleSMs: 1, Workers: 4, MaxCycles: 1e6}}, true, false,
 			"70f9e520d81caddc12c312e72c06987b2b6c641ee8bd7dbd4654d786c9acce42"},
@@ -136,7 +139,7 @@ func TestCacheKeyVectors(t *testing.T) {
 			scout.Options{Sim: sim.Config{SampleSMs: 2, Workers: 8}, Budgets: scout.StageBudgets{Disabled: true}}, false, false,
 			"b3c3e87e894537c926720bb9ba04f475cbf1d9420c8add29984b4140336af05c"},
 		{"empty kernel", "", "sm_60", "static", scout.Options{}, false, true,
-			"33ed8b8792cfc478af337fc4998265b0ceb9a759ae71dc9ef9b77068a6668460"},
+			"6e890cf4597545d456f26297e11900731868c52f6b663d49b3997b188f8ed2ab"},
 	} {
 		if got := CacheKey(v.sass, v.arch, v.launch, v.opts, v.verify, v.sensitivity); got != v.want {
 			t.Errorf("%s: CacheKey = %s, want %s", v.name, got, v.want)

@@ -34,7 +34,27 @@ func differentialScale(name string) int {
 // a sweep's dominant resource could depend on the daemon's parallelism.
 // One workload per family keeps the matrix affordable; the plain
 // differential test still covers every workload on the stock config.
+//
+// Two what-ifs run here that the matrix no longer holds: scoreboard slots
+// doubled and halved. Only codegen reads them (control info the simulator
+// never consults), so they are the one case whose lowering differs from
+// stock, and they carry the reason the axis left the matrix as an
+// assertion: their cycles must equal the stock arch's. If that ever
+// fails, the simulator has started reading control info and the axis
+// means something again.
 func TestPerturbedParallelDifferential(t *testing.T) {
+	type whatIf struct {
+		id    string
+		apply func(gpu.Arch) gpu.Arch
+	}
+	var whatIfs []whatIf
+	for _, p := range gpu.Perturbations() {
+		whatIfs = append(whatIfs, whatIf{p.ID(), p.Apply})
+	}
+	codegenOnly := len(whatIfs)
+	whatIfs = append(whatIfs,
+		whatIf{"scoreboards/up", func(a gpu.Arch) gpu.Arch { a.ISA.Scoreboards *= 2; return a }},
+		whatIf{"scoreboards/down", func(a gpu.Arch) gpu.Arch { a.ISA.Scoreboards /= 2; return a }})
 	reps := []string{
 		"mixbench_sp_naive", "jacobi_naive", "sgemm_naive",
 		"transpose_shared", "spill_pressure", "histogram_shared",
@@ -43,11 +63,10 @@ func TestPerturbedParallelDifferential(t *testing.T) {
 	cfg := sim.Config{SampleSMs: 4}
 	for _, arch := range []gpu.Arch{gpu.V100(), gpu.A100()} {
 		for _, name := range reps {
-			for _, p := range gpu.Perturbations() {
-				p := p
-				t.Run(arch.SM+"/"+name+"/"+p.ID(), func(t *testing.T) {
-					pa := p.Apply(arch)
-					run := func(workers int) (*sim.Result, []byte) {
+			for i, p := range whatIfs {
+				i, p := i, p
+				t.Run(arch.SM+"/"+name+"/"+p.id, func(t *testing.T) {
+					run := func(pa gpu.Arch, workers int) (*sim.Result, []byte) {
 						w, err := BuildArch(name, differentialScale(name), pa)
 						if err != nil {
 							t.Fatalf("BuildArch: %v", err)
@@ -61,15 +80,20 @@ func TestPerturbedParallelDifferential(t *testing.T) {
 						}
 						return res, dev.MemorySnapshot()
 					}
-					seqRes, seqMem := run(1)
-					parRes, parMem := run(4)
+					seqRes, seqMem := run(p.apply(arch), 1)
+					parRes, parMem := run(p.apply(arch), 4)
 					seqRes.Host, parRes.Host = sim.HostStats{}, sim.HostStats{}
 					if !reflect.DeepEqual(seqRes, parRes) {
 						t.Errorf("Result differs between Workers=1 and Workers=4 under %s:\nseq: %+v\npar: %+v",
-							p.ID(), seqRes, parRes)
+							p.id, seqRes, parRes)
 					}
 					if !reflect.DeepEqual(seqMem, parMem) {
-						t.Errorf("device memory differs between Workers=1 and Workers=4 under %s", p.ID())
+						t.Errorf("device memory differs between Workers=1 and Workers=4 under %s", p.id)
+					}
+					if i >= codegenOnly {
+						if stock, _ := run(arch, 1); stock.Cycles != seqRes.Cycles {
+							t.Errorf("%s moved cycles %g -> %g: the simulator now reads control info", p.id, stock.Cycles, seqRes.Cycles)
+						}
 					}
 				})
 			}
