@@ -13,10 +13,12 @@ build:
 # Non-test Go lines outside bench/: the one number every simplicity PR
 # quotes, before and after, in its CHANGES.md entry (CI prints it next
 # to the build step), then the same count for internal/sim, the largest
-# package.
+# package, and internal/workloads, the model kernels.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
-	@printf 'internal/sim %s\n' "$$(find internal/sim -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
+	@for p in internal/sim internal/workloads; do \
+		printf '%s %s\n' "$$p" "$$(find $$p -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"; \
+	done
 
 vet:
 	$(GO) vet ./...

@@ -440,10 +440,10 @@ func (b *Builder) LdgTo(dst VReg, base VReg, off int64, widthBytes int, nc bool)
 		panic(fmt.Sprintf("kasm: LdgTo width mismatch: dst %d words, load %dB", b.p.WidthOf(dst), widthBytes))
 	}
 	n := len(b.p.Insts)
-	tmp := b.Ldg(base, off, widthBytes, nc)
-	// Rewrite the freshly emitted load to target dst instead of tmp; the
-	// temporary vreg simply goes unused.
-	_ = tmp
+	// Rewrite the freshly emitted load to target dst. The vreg Ldg made
+	// for it goes unused but stays allocated: it numbers every virtual
+	// register after it, which the pinned workload kernels depend on.
+	_ = b.Ldg(base, off, widthBytes, nc)
 	b.p.Insts[n].Dst = []VOperand{VR(dst)}
 }
 

@@ -50,18 +50,16 @@ var histSharedSource = []string{
 	/* 13 */ `}`,
 }
 
-// Histogram builds the workload; shared selects the optimized variant.
-// scale is elements per thread (<= 0 selects 16).
-func Histogram(shared bool, scale int, arch gpu.Arch) (*Workload, error) {
-	perThr := scale
-	if perThr <= 0 {
-		perThr = histPerThr
-	}
-	name, file, source := "_Z4histPKiPfi", "hist.cu", histGlobalSource
+var histogramScale = scaleRule{means: "elements per thread", def: histPerThr, multiple: 1}
+
+// histogram builds one variant; shared is the optimized one.
+func histogram(name, variant string, perThr int, arch gpu.Arch) (*Workload, error) {
+	shared := variant == "shared"
+	mangled, file, source := "_Z4histPKiPfi", "hist.cu", histGlobalSource
 	if shared {
-		name, file, source = "_Z6hist_sPKiPfi", "hist_s.cu", histSharedSource
+		mangled, file, source = "_Z6hist_sPKiPfi", "hist_s.cu", histSharedSource
 	}
-	b := kasm.NewBuilder(name, arch.SM, file)
+	b := kasm.NewBuilder(mangled, arch.SM, file)
 	b.SetSource(source)
 	b.NumParams(3)
 
@@ -92,8 +90,7 @@ func Histogram(shared bool, scale int, arch gpu.Arch) (*Workload, error) {
 	}
 
 	b.Line(4)
-	off := b.Shl(kasm.VR(gid), 2)
-	addr := b.IMadWide(kasm.VR(off), kasm.VImm(1), in)
+	addr := elemAddr(b, gid, in)
 	gridSize := b.IMul(kasm.VR(ntid), kasm.VR(b.NCtaidX()))
 	stride := b.Shl(kasm.VR(gridSize), 2)
 	i := b.MovImm(0)
@@ -116,10 +113,7 @@ func Histogram(shared bool, scale int, arch gpu.Arch) (*Workload, error) {
 	}
 	b.Line(loopLine - 1)
 	b.IAddTo(kasm.VRElem(addr, 0), kasm.VRElem(addr, 0), kasm.VR(stride))
-	b.IAddTo(kasm.VR(i), kasm.VR(i), kasm.VImm(1))
-	p := b.ISetp("LT", kasm.VR(i), kasm.VImm(int64(perThr)))
-	b.BraIf(p, false, "elems")
-	b.FreePred(p)
+	loopWhileLess(b, i, 1, kasm.VImm(int64(perThr)), "elems")
 
 	if shared {
 		b.Line(11)
@@ -135,51 +129,22 @@ func Histogram(shared bool, scale int, arch gpu.Arch) (*Workload, error) {
 	}
 	b.Exit()
 
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	k, err := codegen.Compile(prog, codegen.Options{Arch: arch})
-	if err != nil {
-		return nil, err
-	}
-
-	threads := histBlock * histBlocks
-	variant := "global"
-	if shared {
-		variant = "shared"
-	}
-	w := &Workload{
-		Name:        "histogram_" + variant,
-		Description: fmt.Sprintf("64-bin histogram with %s atomics, %d elements/thread", variant, perThr),
-		Kernel:      k,
-		Prepare: func(dev *sim.Device) (*Run, error) {
-			inBuf, err := dev.Alloc(4 * threads * perThr)
-			if err != nil {
-				return nil, err
-			}
-			binBuf, err := dev.Alloc(4 * histBins)
-			if err != nil {
-				return nil, err
-			}
+	const threads = histBlock * histBlocks
+	desc := fmt.Sprintf("64-bin histogram with %s atomics, %d elements/thread", variant, perThr)
+	return compile(b, codegen.Options{Arch: arch}, name, desc, launch{
+		grid:  sim.D1(histBlocks),
+		block: sim.D1(histBlock),
+		sizes: []int{4 * threads * perThr, 4 * histBins}, // in, bins
+		params: func(bufs []sim.Buffer) []uint64 {
+			return []uint64{bufs[0].Addr, bufs[1].Addr, uint64(uint32(perThr))}
+		},
+		host: func() ([]any, checkFunc) {
 			data := make([]int32, threads*perThr)
 			for idx := range data {
 				data[idx] = int32((idx*7 + idx/3) % 251)
 			}
-			if err := dev.WriteI32(inBuf, data); err != nil {
-				return nil, err
-			}
-			if err := dev.WriteF32(binBuf, make([]float32, histBins)); err != nil {
-				return nil, err
-			}
-			spec := sim.LaunchSpec{
-				Kernel: k,
-				Grid:   sim.D1(histBlocks),
-				Block:  sim.D1(histBlock),
-				Params: []uint64{inBuf.Addr, binBuf.Addr, uint64(uint32(perThr))},
-			}
-			verify := func(dev *sim.Device, res *sim.Result) error {
-				got, err := dev.ReadF32(binBuf, histBins)
+			return []any{data}, func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
+				got, err := dev.ReadF32(bufs[1], histBins)
 				if err != nil {
 					return err
 				}
@@ -199,13 +164,6 @@ func Histogram(shared bool, scale int, arch gpu.Arch) (*Workload, error) {
 				}
 				return nil
 			}
-			return &Run{Spec: spec, Verify: verify}, nil
 		},
-	}
-	return w, nil
-}
-
-func init() {
-	register("histogram_global", func(scale int, arch gpu.Arch) (*Workload, error) { return Histogram(false, scale, arch) })
-	register("histogram_shared", func(scale int, arch gpu.Arch) (*Workload, error) { return Histogram(true, scale, arch) })
+	})
 }

@@ -27,29 +27,6 @@ import (
 //	restrict — loads through the read-only cache (const __restrict__, §4.5)
 //	shared   — 16x16 tile staged in shared memory, halo from global
 
-// JacobiVariant selects the §5.2 kernel version.
-type JacobiVariant int
-
-const (
-	JacobiNaive JacobiVariant = iota
-	JacobiTexture
-	JacobiRestrict
-	JacobiShared
-)
-
-func (v JacobiVariant) String() string {
-	switch v {
-	case JacobiNaive:
-		return "naive"
-	case JacobiTexture:
-		return "texture"
-	case JacobiRestrict:
-		return "restrict"
-	default:
-		return "shared"
-	}
-}
-
 const (
 	jacobiBx = 16
 	jacobiBy = 16
@@ -73,15 +50,10 @@ var jacobiSource = []string{
 	/* 14 */ `}`,
 }
 
-// Jacobi builds one §5.2 variant over a width x height grid (scale sets
-// both; <= 0 selects 512).
-func Jacobi(variant JacobiVariant, size int, arch gpu.Arch) (*Workload, error) {
-	if size <= 0 {
-		size = 512
-	}
-	if size%jacobiBx != 0 {
-		return nil, fmt.Errorf("workloads: jacobi size %d not a multiple of %d", size, jacobiBx)
-	}
+var jacobiScale = scaleRule{means: "grid width and height", def: 512, multiple: jacobiBx}
+
+// jacobi builds one §5.2 variant over a size x size grid.
+func jacobi(name, variant string, size int, arch gpu.Arch) (*Workload, error) {
 	W, H := size, size
 
 	b := kasm.NewBuilder("_Z11jacobi_stepPKfPfiif", arch.SM, "jacobi.cu")
@@ -122,13 +94,12 @@ func Jacobi(variant JacobiVariant, size int, arch gpu.Arch) (*Workload, error) {
 	// Byte offset helper: (row*W + col) * 4 from the input base.
 	addrOf := func(row, col kasm.VReg) kasm.VReg {
 		lin := b.IMad(kasm.VR(row), kasm.VR(wReg), kasm.VR(col))
-		off := b.Shl(kasm.VR(lin), 2)
-		return b.IMadWide(kasm.VR(off), kasm.VImm(1), in)
+		return elemAddr(b, lin, in)
 	}
 
 	var told, top, bottom, left, right kasm.VReg
 	switch variant {
-	case JacobiTexture:
+	case "texture":
 		b.Line(8)
 		told = b.Tex2D(0, kasm.VR(x), kasm.VR(y))
 		b.Line(9)
@@ -138,7 +109,7 @@ func Jacobi(variant JacobiVariant, size int, arch gpu.Arch) (*Workload, error) {
 		left = b.Tex2D(0, kasm.VR(xm), kasm.VR(y))
 		right = b.Tex2D(0, kasm.VR(xp), kasm.VR(y))
 
-	case JacobiShared:
+	case "shared":
 		// Stage the block's 16x16 tile; halo cells come from global.
 		sh := b.AllocShared(jacobiBx * jacobiBy * 4)
 		b.Line(8)
@@ -173,7 +144,7 @@ func Jacobi(variant JacobiVariant, size int, arch gpu.Arch) (*Workload, error) {
 		b.FreePred(pRight)
 
 	default: // naive and restrict
-		nc := variant == JacobiRestrict
+		nc := variant == "restrict"
 		// Like nvcc's CSE, center/left/right share one base address with
 		// constant +-4 byte displacements (cf. the paper's Listing 1) —
 		// interior threads never clamp, and the boundary correction below
@@ -231,79 +202,45 @@ func Jacobi(variant JacobiVariant, size int, arch gpu.Arch) (*Workload, error) {
 	res := b.FFma(kasm.VR(kReg), kasm.VR(sum), kasm.VR(told))
 	b.FFmaTo(kasm.VR(res), kasm.VR(src), kasm.VImm(int64(math.Float32bits(1e-6))), kasm.VR(res))
 	oLin := b.IMad(kasm.VR(y), kasm.VR(wReg), kasm.VR(x))
-	oOff := b.Shl(kasm.VR(oLin), 2)
-	oAddr := b.IMadWide(kasm.VR(oOff), kasm.VImm(1), out)
+	oAddr := elemAddr(b, oLin, out)
 	b.Stg(oAddr, 0, res, 4)
 	b.Exit()
 
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	k, err := codegen.Compile(prog, codegen.Options{Arch: arch})
-	if err != nil {
-		return nil, err
-	}
-
-	w := &Workload{
-		Name:        "jacobi_" + variant.String(),
-		Description: fmt.Sprintf("2D heat-transfer Jacobi step, %s variant, %dx%d grid", variant, W, H),
-		Kernel:      k,
-		Prepare: func(dev *sim.Device) (*Run, error) {
-			inBuf, err := dev.Alloc(4 * W * H)
-			if err != nil {
-				return nil, err
+	l := launch{
+		grid:  sim.D2(W/jacobiBx, H/jacobiBy),
+		block: sim.D2(jacobiBx, jacobiBy),
+		sizes: []int{4 * W * H, 4 * W * H}, // in, out
+		params: func(bufs []sim.Buffer) []uint64 {
+			return []uint64{
+				bufs[0].Addr, bufs[1].Addr,
+				uint64(uint32(W)), uint64(uint32(H)),
+				uint64(math.Float32bits(jacobiK)),
 			}
-			outBuf, err := dev.Alloc(4 * W * H)
-			if err != nil {
-				return nil, err
-			}
+		},
+		host: func() ([]any, checkFunc) {
 			data := make([]float32, W*H)
 			for i := range data {
 				data[i] = float32((i*31)%97) * 0.01
 			}
-			if err := dev.WriteF32(inBuf, data); err != nil {
-				return nil, err
-			}
-			if variant == JacobiTexture {
-				if _, err := dev.BindTexture2D(inBuf, W, H); err != nil {
-					return nil, err
-				}
-			}
-			spec := sim.LaunchSpec{
-				Kernel: k,
-				Grid:   sim.D2(W/jacobiBx, H/jacobiBy),
-				Block:  sim.D2(jacobiBx, jacobiBy),
-				Params: []uint64{
-					inBuf.Addr, outBuf.Addr,
-					uint64(uint32(W)), uint64(uint32(H)),
-					uint64(math.Float32bits(jacobiK)),
-				},
-			}
-			verify := func(dev *sim.Device, res *sim.Result) error {
-				got, err := dev.ReadF32(outBuf, W*H)
+			return []any{data}, func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
+				got, err := dev.ReadF32(bufs[1], W*H)
 				if err != nil {
 					return err
 				}
 				return jacobiVerify(data, got, W, H, res)
 			}
-			return &Run{Spec: spec, Verify: verify}, nil
 		},
 	}
-	return w, nil
+	if variant == "texture" {
+		l.tex = [2]int{W, H}
+	}
+	desc := fmt.Sprintf("2D heat-transfer Jacobi step, %s variant, %dx%d grid", variant, W, H)
+	return compile(b, codegen.Options{Arch: arch}, name, desc, l)
 }
 
 // jacobiRef computes the host reference for one cell.
 func jacobiRef(in []float32, W, H, x, y int) float32 {
-	clampI := func(v, n int) int {
-		if v < 0 {
-			return 0
-		}
-		if v >= n {
-			return n - 1
-		}
-		return v
-	}
+	clampI := func(v, n int) int { return min(max(v, 0), n-1) }
 	xm, xp := clampI(x-1, W), clampI(x+1, W)
 	ym, yp := clampI(y-1, H), clampI(y+1, H)
 	told := in[y*W+x]
@@ -337,11 +274,4 @@ func jacobiVerify(in, got []float32, W, H int, res *sim.Result) error {
 		}
 	}
 	return nil
-}
-
-func init() {
-	register("jacobi_naive", func(scale int, arch gpu.Arch) (*Workload, error) { return Jacobi(JacobiNaive, scale, arch) })
-	register("jacobi_texture", func(scale int, arch gpu.Arch) (*Workload, error) { return Jacobi(JacobiTexture, scale, arch) })
-	register("jacobi_restrict", func(scale int, arch gpu.Arch) (*Workload, error) { return Jacobi(JacobiRestrict, scale, arch) })
-	register("jacobi_shared", func(scale int, arch gpu.Arch) (*Workload, error) { return Jacobi(JacobiShared, scale, arch) })
 }

@@ -1,8 +1,10 @@
 package workloads
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"gpuscout/internal/codegen"
 	"gpuscout/internal/gpu"
@@ -17,26 +19,6 @@ import (
 // addresses — exactly the §4.1 pattern GPUscout flags — and the "vec"
 // variant applies the paper's fix: 128-bit vectorized loads
 // (reinterpret_cast<float4*>, Listing 2).
-
-// MixType selects the mixbench datatype variant.
-type MixType int
-
-const (
-	MixSP  MixType = iota // single-precision float
-	MixDP                 // double precision
-	MixInt                // 32-bit integer
-)
-
-func (t MixType) String() string {
-	switch t {
-	case MixSP:
-		return "sp"
-	case MixDP:
-		return "dp"
-	default:
-		return "int"
-	}
-}
 
 const (
 	mixGranularity = 8   // elements per thread, divisible by 4 (§5.1)
@@ -61,22 +43,34 @@ var mixbenchSource = []string{
 	/* 14 */ `}`,
 }
 
-// Mixbench builds one variant. computeIterations <= 0 selects the paper's
-// 96. vectorized applies the Listing-2 float4/double4/int4 modification.
-func Mixbench(t MixType, vectorized bool, computeIterations int, arch gpu.Arch) (*Workload, error) {
-	if computeIterations <= 0 {
-		computeIterations = 96
-	}
-	elem := 4
-	if t == MixDP {
-		elem = 8
-	}
-	variant := "naive"
-	if vectorized {
-		variant = "vec4"
-	}
-	name := fmt.Sprintf("_Z14benchmark_func%s%sPS_", map[MixType]string{MixSP: "f", MixDP: "d", MixInt: "i"}[t], "")
-	b := kasm.NewBuilder(name, arch.SM, "mixbench.cu")
+var mixbenchScale = scaleRule{means: "compute iterations", def: 96, multiple: 1}
+
+// mixTypes has one row per datatype: the mangled-name suffix, the element
+// size, the builder calls for mad and sum, and the launch.
+var mixTypes = map[string]struct {
+	mangled string
+	elem    int
+	fma     func(b *kasm.Builder, a, c, d kasm.VOperand) kasm.VReg
+	fmaTo   func(b *kasm.Builder, dst, a, c, d kasm.VOperand)
+	add     func(b *kasm.Builder, a, c kasm.VOperand) kasm.VReg
+	addTo   func(b *kasm.Builder, dst, a, c kasm.VOperand)
+	launch  launch
+}{
+	"sp": {"f", 4, (*kasm.Builder).FFma, (*kasm.Builder).FFmaTo, (*kasm.Builder).FAdd, (*kasm.Builder).FAddTo,
+		mixLaunch(float32(0.01), uint64(math.Float32bits(0.01)), mixFloats[float32], 1e-5, (*sim.Device).ReadF32)},
+	"dp": {"d", 8, (*kasm.Builder).DFma, (*kasm.Builder).DFmaTo, (*kasm.Builder).DAdd, (*kasm.Builder).DAddTo,
+		mixLaunch(0.01, math.Float64bits(0.01), mixFloats[float64], 1e-12, (*sim.Device).ReadF64)},
+	"int": {"i", 4, (*kasm.Builder).IMad, (*kasm.Builder).IMadTo, (*kasm.Builder).IAdd, (*kasm.Builder).IAddTo,
+		mixLaunch(int32(3), 3, mixInts, 0, (*sim.Device).ReadI32)},
+}
+
+// mixbench builds one variant ("<type>_naive" or "<type>_vec4", the
+// latter with the Listing-2 float4/double4/int4 modification).
+func mixbench(name, variant string, computeIterations int, arch gpu.Arch) (*Workload, error) {
+	tag, loads, _ := strings.Cut(variant, "_")
+	t, vectorized := mixTypes[tag], loads == "vec4"
+	elem := t.elem
+	b := kasm.NewBuilder("_Z14benchmark_func"+t.mangled+"PS_", arch.SM, "mixbench.cu")
 	b.SetSource(mixbenchSource)
 	b.NumParams(2)
 
@@ -92,7 +86,7 @@ func Mixbench(t MixType, vectorized bool, computeIterations int, arch gpu.Arch) 
 
 	// seed in a register (pair for DP).
 	var seed kasm.VReg
-	if t == MixDP {
+	if elem == 8 {
 		seed = b.ParamF64(0)
 	} else {
 		seed = b.Param32(0)
@@ -102,263 +96,96 @@ func Mixbench(t MixType, vectorized bool, computeIterations int, arch gpu.Arch) 
 	b.Line(5)
 	i := b.MovImm(0)
 
-	elemsPerVec := 16 / elem
-	numVecs := mixGranularity / elemsPerVec
-	var tmps []kasm.VReg // naive: one vreg per element; vec: quad vregs
-
+	// elems are the per-thread values after the loop body: one vreg per
+	// element (naive), or the elements of the 128-bit quads (vec4; a
+	// double takes two 32-bit slots).
+	var elems []kasm.VOperand
 	b.LabelName("iter_loop")
 	if !vectorized {
-		tmps = tmps[:0]
 		for j := 0; j < mixGranularity; j++ {
 			b.Line(7)
 			v := b.Ldg(base, int64(j*elem), elem, false)
 			b.Line(8)
-			tmps = append(tmps, mixMad(b, t, v, seed))
+			elems = append(elems, kasm.VR(t.fma(b, kasm.VR(v), kasm.VR(v), kasm.VR(seed))))
 		}
 	} else {
-		tmps = tmps[:0]
-		for v := 0; v < numVecs; v++ {
+		for v := 0; v < mixGranularity*elem/16; v++ {
 			b.Line(7)
 			q := b.Ldg(base, int64(v*16), 16, false)
 			b.Line(8)
-			mixMadVec(b, t, q, seed)
-			tmps = append(tmps, q)
+			for e := 0; e < 4; e += elem / 4 {
+				d := kasm.VRElem(q, e)
+				t.fmaTo(b, d, d, d, kasm.VR(seed))
+				elems = append(elems, d)
+			}
 		}
 	}
 	b.Line(5)
-	b.IAddTo(kasm.VR(i), kasm.VR(i), kasm.VImm(1))
-	p := b.ISetp("LT", kasm.VR(i), kasm.VImm(int64(computeIterations)))
-	b.BraIf(p, false, "iter_loop")
-	b.FreePred(p)
+	loopWhileLess(b, i, 1, kasm.VImm(int64(computeIterations)), "iter_loop")
 
 	// Reduce and store.
 	b.Line(12)
-	sum := mixSum(b, t, vectorized, tmps)
+	sum := t.add(b, elems[0], elems[1])
+	for _, e := range elems[2:] {
+		t.addTo(b, kasm.VR(sum), kasm.VR(sum), e)
+	}
 	b.Line(13)
 	b.Stg(base, 0, sum, elem)
 	b.Exit()
 
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	k, err := codegen.Compile(prog, codegen.Options{Arch: arch})
-	if err != nil {
-		return nil, err
-	}
+	desc := fmt.Sprintf("mixbench %s MAD kernel (%s loads, %d iterations)", tag, loads, computeIterations)
+	return compile(b, codegen.Options{Arch: arch}, name, desc, t.launch)
+}
 
-	threads := mixBlock * mixBlocks
-	w := &Workload{
-		Name:        fmt.Sprintf("mixbench_%s_%s", t, variant),
-		Description: fmt.Sprintf("mixbench %s MAD kernel (%s loads, %d iterations)", t, variant, computeIterations),
-		Kernel:      k,
-		Prepare: func(dev *sim.Device) (*Run, error) {
-			buf, err := dev.Alloc(threads * mixGranularity * elem)
-			if err != nil {
-				return nil, err
+// The data patterns. Each is its own loop so that its modulus is a
+// constant: a variable one costs a division per element, 1.3 M per Prepare.
+func mixFloats[T float32 | float64](data []T) {
+	for idx := range data {
+		data[idx] = T(idx%17) * 0.125
+	}
+}
+
+func mixInts(data []int32) {
+	for idx := range data {
+		data[idx] = int32(idx % 13)
+	}
+}
+
+// mixLaunch is the launch for one datatype: the data pattern fill writes,
+// every thread's sum checked against the host's within tol (0: exactly).
+func mixLaunch[T float32 | float64 | int32](seed T, seedBits uint64, fill func([]T), tol float64,
+	read func(*sim.Device, sim.Buffer, int) ([]T, error)) launch {
+	const threads = mixBlock * mixBlocks
+	return launch{
+		grid:  sim.D1(mixBlocks),
+		block: sim.D1(mixBlock),
+		sizes: []int{threads * mixGranularity * binary.Size(seed)},
+		params: func(bufs []sim.Buffer) []uint64 {
+			return []uint64{seedBits, bufs[0].Addr}
+		},
+		host: func() ([]any, checkFunc) {
+			data := make([]T, threads*mixGranularity)
+			fill(data)
+			return []any{data}, func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
+				got, err := read(dev, bufs[0], len(data))
+				if err != nil {
+					return err
+				}
+				for th := 0; th < threads; th++ {
+					if !res.BlockRan(th / mixBlock) {
+						continue
+					}
+					base := th * mixGranularity
+					var want T
+					for _, v := range data[base : base+mixGranularity] {
+						want += v*v + seed
+					}
+					if g := got[base]; !almostEqual(float64(g), float64(want), tol) {
+						return fmt.Errorf("thread %d: sum = %v, want %v", th, g, want)
+					}
+				}
+				return nil
 			}
-			var params []uint64
-			verify := func(dev *sim.Device, res *sim.Result) error { return nil }
-			switch t {
-			case MixDP:
-				seedVal := 0.01
-				data := make([]float64, threads*mixGranularity)
-				for idx := range data {
-					data[idx] = float64(idx%17) * 0.125
-				}
-				if err := dev.WriteF64(buf, data); err != nil {
-					return nil, err
-				}
-				params = []uint64{math.Float64bits(seedVal), buf.Addr}
-				verify = func(dev *sim.Device, res *sim.Result) error {
-					got, err := dev.ReadF64(buf, threads*mixGranularity)
-					if err != nil {
-						return err
-					}
-					return mixVerifyF64(data, got, seedVal, threads, res)
-				}
-			case MixInt:
-				seedVal := int32(3)
-				data := make([]int32, threads*mixGranularity)
-				for idx := range data {
-					data[idx] = int32(idx % 13)
-				}
-				if err := dev.WriteI32(buf, data); err != nil {
-					return nil, err
-				}
-				params = []uint64{uint64(uint32(seedVal)), buf.Addr}
-				verify = func(dev *sim.Device, res *sim.Result) error {
-					got, err := dev.ReadI32(buf, threads*mixGranularity)
-					if err != nil {
-						return err
-					}
-					return mixVerifyI32(data, got, seedVal, threads, res)
-				}
-			default:
-				seedVal := float32(0.01)
-				data := make([]float32, threads*mixGranularity)
-				for idx := range data {
-					data[idx] = float32(idx%17) * 0.125
-				}
-				if err := dev.WriteF32(buf, data); err != nil {
-					return nil, err
-				}
-				params = []uint64{uint64(math.Float32bits(seedVal)), buf.Addr}
-				verify = func(dev *sim.Device, res *sim.Result) error {
-					got, err := dev.ReadF32(buf, threads*mixGranularity)
-					if err != nil {
-						return err
-					}
-					return mixVerifyF32(data, got, seedVal, threads, res)
-				}
-			}
-			return &Run{
-				Spec: sim.LaunchSpec{
-					Kernel: k,
-					Grid:   sim.D1(mixBlocks),
-					Block:  sim.D1(mixBlock),
-					Params: params,
-				},
-				Verify: verify,
-			}, nil
 		},
 	}
-	return w, nil
-}
-
-// mixMad emits tmps = mad(v, v, seed) for a scalar element.
-func mixMad(b *kasm.Builder, t MixType, v, seed kasm.VReg) kasm.VReg {
-	switch t {
-	case MixDP:
-		return b.DFma(kasm.VR(v), kasm.VR(v), kasm.VR(seed))
-	case MixInt:
-		return b.IMad(kasm.VR(v), kasm.VR(v), kasm.VR(seed))
-	default:
-		return b.FFma(kasm.VR(v), kasm.VR(v), kasm.VR(seed))
-	}
-}
-
-// mixMadVec applies the mad element-wise, in place, to a 128-bit vector.
-func mixMadVec(b *kasm.Builder, t MixType, q, seed kasm.VReg) {
-	switch t {
-	case MixDP:
-		for e := 0; e < 4; e += 2 {
-			d := kasm.VRElem(q, e)
-			b.DFmaTo(d, d, d, kasm.VR(seed))
-		}
-	case MixInt:
-		for e := 0; e < 4; e++ {
-			d := kasm.VRElem(q, e)
-			b.IMadTo(d, d, d, kasm.VR(seed))
-		}
-	default:
-		for e := 0; e < 4; e++ {
-			d := kasm.VRElem(q, e)
-			b.FFmaTo(d, d, d, kasm.VR(seed))
-		}
-	}
-}
-
-// mixSum reduces the element registers to one scalar (pair for DP).
-func mixSum(b *kasm.Builder, t MixType, vectorized bool, tmps []kasm.VReg) kasm.VReg {
-	type elemRef = kasm.VOperand
-	var elems []elemRef
-	if vectorized {
-		step := 1
-		if t == MixDP {
-			step = 2
-		}
-		for _, q := range tmps {
-			for e := 0; e < 4; e += step {
-				elems = append(elems, kasm.VRElem(q, e))
-			}
-		}
-	} else {
-		for _, v := range tmps {
-			elems = append(elems, kasm.VR(v))
-		}
-	}
-	switch t {
-	case MixDP:
-		sum := b.DAdd(elems[0], elems[1])
-		for _, e := range elems[2:] {
-			b.DAddTo(kasm.VR(sum), kasm.VR(sum), e)
-		}
-		return sum
-	case MixInt:
-		sum := b.IAdd(elems[0], elems[1])
-		for _, e := range elems[2:] {
-			b.IAddTo(kasm.VR(sum), kasm.VR(sum), e)
-		}
-		return sum
-	default:
-		sum := b.FAdd(elems[0], elems[1])
-		for _, e := range elems[2:] {
-			b.FAddTo(kasm.VR(sum), kasm.VR(sum), e)
-		}
-		return sum
-	}
-}
-
-func mixVerifyF32(orig, got []float32, seed float32, threads int, res *sim.Result) error {
-	for th := 0; th < threads; th++ {
-		if !res.BlockRan(th / mixBlock) {
-			continue
-		}
-		base := th * mixGranularity
-		var want float32
-		for j := 0; j < mixGranularity; j++ {
-			v := orig[base+j]
-			want += v*v + seed
-		}
-		if g := got[base]; !almostEqual(float64(g), float64(want), 1e-5) {
-			return fmt.Errorf("thread %d: sum = %v, want %v", th, g, want)
-		}
-	}
-	return nil
-}
-
-func mixVerifyF64(orig, got []float64, seed float64, threads int, res *sim.Result) error {
-	for th := 0; th < threads; th++ {
-		if !res.BlockRan(th / mixBlock) {
-			continue
-		}
-		base := th * mixGranularity
-		var want float64
-		for j := 0; j < mixGranularity; j++ {
-			v := orig[base+j]
-			want += v*v + seed
-		}
-		if g := got[base]; !almostEqual(g, want, 1e-12) {
-			return fmt.Errorf("thread %d: sum = %v, want %v", th, g, want)
-		}
-	}
-	return nil
-}
-
-func mixVerifyI32(orig, got []int32, seed int32, threads int, res *sim.Result) error {
-	for th := 0; th < threads; th++ {
-		if !res.BlockRan(th / mixBlock) {
-			continue
-		}
-		base := th * mixGranularity
-		var want int32
-		for j := 0; j < mixGranularity; j++ {
-			v := orig[base+j]
-			want += v*v + seed
-		}
-		if g := got[base]; g != want {
-			return fmt.Errorf("thread %d: sum = %d, want %d", th, g, want)
-		}
-	}
-	return nil
-}
-
-func init() {
-	register("mixbench_sp_naive", func(scale int, arch gpu.Arch) (*Workload, error) { return Mixbench(MixSP, false, scale, arch) })
-	register("mixbench_sp_vec4", func(scale int, arch gpu.Arch) (*Workload, error) { return Mixbench(MixSP, true, scale, arch) })
-	register("mixbench_dp_naive", func(scale int, arch gpu.Arch) (*Workload, error) { return Mixbench(MixDP, false, scale, arch) })
-	register("mixbench_dp_vec4", func(scale int, arch gpu.Arch) (*Workload, error) { return Mixbench(MixDP, true, scale, arch) })
-	register("mixbench_int_naive", func(scale int, arch gpu.Arch) (*Workload, error) { return Mixbench(MixInt, false, scale, arch) })
-	register("mixbench_int_vec4", func(scale int, arch gpu.Arch) (*Workload, error) { return Mixbench(MixInt, true, scale, arch) })
 }

@@ -39,13 +39,16 @@ var redShflSource = []string{
 	/* 8 */ `}`,
 }
 
-// Reduction builds one variant. scale is unused (fixed size).
-func Reduction(shfl bool, arch gpu.Arch) (*Workload, error) {
-	name, file, source := "_Z6reducePKfPf", "reduce.cu", redAtomicSource
+var reductionScale = scaleRule{means: "ignored: the array is fixed at one element per thread", multiple: 1}
+
+// reduction builds one variant.
+func reduction(name, variant string, _ int, arch gpu.Arch) (*Workload, error) {
+	shfl := variant == "shfl"
+	mangled, file, source := "_Z6reducePKfPf", "reduce.cu", redAtomicSource
 	if shfl {
-		name, file, source = "_Z8reduce_wPKfPf", "reduce_w.cu", redShflSource
+		mangled, file, source = "_Z8reduce_wPKfPf", "reduce_w.cu", redShflSource
 	}
-	b := kasm.NewBuilder(name, arch.SM, file)
+	b := kasm.NewBuilder(mangled, arch.SM, file)
 	b.SetSource(source)
 	b.NumParams(2)
 
@@ -57,8 +60,7 @@ func Reduction(shfl bool, arch gpu.Arch) (*Workload, error) {
 	in := b.ParamPtr(0)
 	sum := b.ParamPtr(1)
 	b.Line(4)
-	off := b.Shl(kasm.VR(gid), 2)
-	addr := b.IMadWide(kasm.VR(off), kasm.VImm(1), in)
+	addr := elemAddr(b, gid, in)
 	v := b.Ldg(addr, 0, 4, false)
 
 	if !shfl {
@@ -78,51 +80,21 @@ func Reduction(shfl bool, arch gpu.Arch) (*Workload, error) {
 	}
 	b.Exit()
 
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	k, err := codegen.Compile(prog, codegen.Options{Arch: arch})
-	if err != nil {
-		return nil, err
-	}
-
-	threads := redBlock * redBlocks
-	variant := "atomic"
-	if shfl {
-		variant = "shfl"
-	}
-	w := &Workload{
-		Name:        "reduction_" + variant,
-		Description: fmt.Sprintf("array sum reduction, %s variant", variant),
-		Kernel:      k,
-		Prepare: func(dev *sim.Device) (*Run, error) {
-			inBuf, err := dev.Alloc(4 * threads)
-			if err != nil {
-				return nil, err
-			}
-			sumBuf, err := dev.Alloc(16)
-			if err != nil {
-				return nil, err
-			}
+	const threads = redBlock * redBlocks
+	return compile(b, codegen.Options{Arch: arch}, name, fmt.Sprintf("array sum reduction, %s variant", variant), launch{
+		grid:  sim.D1(redBlocks),
+		block: sim.D1(redBlock),
+		sizes: []int{4 * threads, 16}, // in, sum
+		params: func(bufs []sim.Buffer) []uint64 {
+			return []uint64{bufs[0].Addr, bufs[1].Addr}
+		},
+		host: func() ([]any, checkFunc) {
 			data := make([]float32, threads)
 			for i := range data {
 				data[i] = float32(i % 8) // small ints: fp addition is exact
 			}
-			if err := dev.WriteF32(inBuf, data); err != nil {
-				return nil, err
-			}
-			if err := dev.WriteF32(sumBuf, []float32{0}); err != nil {
-				return nil, err
-			}
-			spec := sim.LaunchSpec{
-				Kernel: k,
-				Grid:   sim.D1(redBlocks),
-				Block:  sim.D1(redBlock),
-				Params: []uint64{inBuf.Addr, sumBuf.Addr},
-			}
-			verify := func(dev *sim.Device, res *sim.Result) error {
-				got, err := dev.ReadF32(sumBuf, 1)
+			return []any{data}, func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
+				got, err := dev.ReadF32(bufs[1], 1)
 				if err != nil {
 					return err
 				}
@@ -137,13 +109,6 @@ func Reduction(shfl bool, arch gpu.Arch) (*Workload, error) {
 				}
 				return nil
 			}
-			return &Run{Spec: spec, Verify: verify}, nil
 		},
-	}
-	return w, nil
-}
-
-func init() {
-	register("reduction_atomic", func(scale int, arch gpu.Arch) (*Workload, error) { return Reduction(false, arch) })
-	register("reduction_shfl", func(scale int, arch gpu.Arch) (*Workload, error) { return Reduction(true, arch) })
+	})
 }

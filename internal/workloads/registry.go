@@ -5,12 +5,16 @@
 //
 // Each kernel is written against the kasm builder to mirror what nvcc
 // emits for the corresponding CUDA source (which is embedded, so reports
-// can quote source lines), then compiled by internal/codegen.
+// can quote source lines), then compiled by internal/codegen. A family
+// file holds a kernel body, a data pattern and a host reference; compile
+// (harness.go) is the one launch harness under all of them, and this file
+// the table of names and the rule for scales.
 package workloads
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"gpuscout/internal/gpu"
@@ -41,11 +45,84 @@ type Workload struct {
 	Prepare func(dev *sim.Device) (*Run, error)
 }
 
-// Factory builds a workload at a given problem scale (the meaning of
-// "scale" is workload-specific; see each constructor) for a target
+// Factory builds a workload at a given problem scale (what "scale" means
+// is workload-specific; see each family's scaleRule) for a target
 // architecture. The kernels themselves are written against the
 // arch-neutral kasm IR; the arch drives codegen's per-target lowering.
 type Factory func(scale int, arch gpu.Arch) (*Workload, error)
+
+// maxScale bounds every workload's scale. Every kernel parameter and loop
+// bound in the package is 32 bits wide and every footprint formula is
+// plain int arithmetic: up to this bound no formula overflows int64 and
+// every value fits its 32-bit slot; past it no data-sized family fits
+// sim.MaxDeviceBytes anyway, and an iteration count over 16 M is not a
+// launch anyone waits for.
+const maxScale = 1 << 24
+
+// scaleRule is how a family reads the scale of a request.
+type scaleRule struct {
+	means    string // what scale is, quoted in the errors
+	def      int    // the scale that <= 0 selects
+	multiple int    // every accepted scale is a multiple of it
+}
+
+// apply resolves a requested scale to the one the family builds at.
+func (r scaleRule) apply(name string, scale int) (int, error) {
+	switch {
+	case scale <= 0:
+		return r.def, nil
+	case scale > maxScale:
+		return 0, fmt.Errorf("workloads: %s: scale %d (%s) is over the bound of %d", name, scale, r.means, maxScale)
+	case scale%r.multiple != 0:
+		return 0, fmt.Errorf("workloads: %s: scale %d (%s) is not a multiple of %d", name, scale, r.means, r.multiple)
+	}
+	return scale, nil
+}
+
+// registry is every workload: its name, the family that builds it, the
+// family's variant it selects, and how it reads scale.
+var registry = []struct {
+	name    string
+	family  func(name, variant string, scale int, arch gpu.Arch) (*Workload, error)
+	variant string
+	scale   scaleRule
+}{
+	{"histogram_global", histogram, "global", histogramScale},
+	{"histogram_shared", histogram, "shared", histogramScale},
+	{"jacobi_naive", jacobi, "naive", jacobiScale},
+	{"jacobi_restrict", jacobi, "restrict", jacobiScale},
+	{"jacobi_shared", jacobi, "shared", jacobiScale},
+	{"jacobi_texture", jacobi, "texture", jacobiScale},
+	{"mixbench_dp_naive", mixbench, "dp_naive", mixbenchScale},
+	{"mixbench_dp_vec4", mixbench, "dp_vec4", mixbenchScale},
+	{"mixbench_int_naive", mixbench, "int_naive", mixbenchScale},
+	{"mixbench_int_vec4", mixbench, "int_vec4", mixbenchScale},
+	{"mixbench_sp_naive", mixbench, "sp_naive", mixbenchScale},
+	{"mixbench_sp_vec4", mixbench, "sp_vec4", mixbenchScale},
+	{"reduction_atomic", reduction, "atomic", reductionScale},
+	{"reduction_shfl", reduction, "shfl", reductionScale},
+	{"sgemm_naive", sgemm, "naive", sgemmScale},
+	{"sgemm_restrict", sgemm, "restrict", sgemmScale},
+	{"sgemm_shared", sgemm, "shared", sgemmTiledScale},
+	{"sgemm_shared_vec", sgemm, "shared_vec", sgemmTiledScale},
+	{"spill_pressure", spill, "pressure", spillScale},
+	{"spill_relief", spill, "relief", spillScale},
+	{"transpose_naive", transpose, "naive", transposeScale},
+	{"transpose_padded", transpose, "padded", transposeScale},
+	{"transpose_shared", transpose, "shared", transposeScale},
+}
+
+func init() {
+	for _, e := range registry {
+		register(e.name, func(scale int, arch gpu.Arch) (*Workload, error) {
+			n, err := e.scale.apply(e.name, scale)
+			if err != nil {
+				return nil, err
+			}
+			return e.family(e.name, e.variant, n, arch)
+		})
+	}
+}
 
 var (
 	factories = map[string]Factory{}
@@ -124,18 +201,5 @@ func ExecuteContext(ctx context.Context, w *Workload, dev *sim.Device, cfg sim.C
 // almostEqual compares floats with a relative tolerance, for verifying
 // kernels whose operation order differs from the host reference.
 func almostEqual(a, b, relTol float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	m := a
-	if m < 0 {
-		m = -m
-	}
-	if bb := b; bb > m {
-		m = bb
-	} else if -bb > m {
-		m = -bb
-	}
-	return d <= relTol*m+1e-6
+	return math.Abs(a-b) <= relTol*max(math.Abs(a), math.Abs(b))+1e-6
 }

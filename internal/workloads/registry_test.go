@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -81,6 +82,59 @@ func TestBuildUnknownNamesRegistry(t *testing.T) {
 	_, err := Build("no_such_workload", 0)
 	if err == nil {
 		t.Fatal("expected error for unknown workload")
+	}
+	names := Names()
+	if !sort.StringsAreSorted(names) || !strings.Contains(err.Error(), fmt.Sprint(names)) {
+		t.Errorf("error %q does not list the sorted registry %v", err, names)
+	}
+}
+
+// TestScaleBound: every kernel parameter and loop bound is 32 bits wide
+// and every footprint is int arithmetic, so a scale past maxScale is a
+// build error naming the bound — it used to run as scale mod 2^32 under
+// the requested scale's label (mixbench), overflow the footprint and
+// panic in make (histogram), or reach Alloc as 0 bytes (sgemm).
+func TestScaleBound(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		scale int
+	}{
+		{"mixbench_sp_naive", 4294967298},
+		{"mixbench_sp_naive", 9000000000000000000},
+		{"histogram_global", 140737488355329},
+		{"sgemm_naive", 4294967296},
+		{"reduction_atomic", maxScale + 1},
+	} {
+		_, err := Build(tc.name, tc.scale)
+		if err == nil || !strings.Contains(err.Error(), tc.name) || !strings.Contains(err.Error(), fmt.Sprint(maxScale)) {
+			t.Errorf("Build(%s, %d): err = %v, want the scale bound named", tc.name, tc.scale, err)
+		}
+	}
+	if _, err := Build("spill_pressure", maxScale); err != nil {
+		t.Errorf("Build(spill_pressure, maxScale): %v", err)
+	}
+}
+
+// TestScaleGrid runs every workload over a grid of scales: either the
+// build is refused with an error naming the workload and the multiple its
+// tiling needs, or the launch verifies against the host reference.
+func TestScaleGrid(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for _, scale := range []int{1, 2, 3, 16, 17, 32, 48, 64, 96} {
+				w, err := Build(name, scale)
+				if err != nil {
+					if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "not a multiple of") {
+						t.Errorf("@%d: build error %q does not name the workload and the multiple", scale, err)
+					}
+					continue
+				}
+				if _, err := Execute(w, sim.NewDevice(gpu.V100()), sim.Config{SampleSMs: 1}); err != nil {
+					t.Errorf("@%d: %v", scale, err)
+				}
+			}
+		})
 	}
 }
 

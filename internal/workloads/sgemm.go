@@ -7,7 +7,6 @@ import (
 	"gpuscout/internal/codegen"
 	"gpuscout/internal/gpu"
 	"gpuscout/internal/kasm"
-	"gpuscout/internal/sass"
 	"gpuscout/internal/sim"
 )
 
@@ -19,29 +18,6 @@ import (
 //	             paper's first fix: 54x)
 //	shared_vec — tile loads vectorized with float4 (the second fix: +8.5%,
 //	             at the cost of a large register-count increase)
-
-// SGEMMVariant selects the §5.3 kernel version.
-type SGEMMVariant int
-
-const (
-	SGEMMNaive SGEMMVariant = iota
-	SGEMMRestrict
-	SGEMMShared
-	SGEMMSharedVec
-)
-
-func (v SGEMMVariant) String() string {
-	switch v {
-	case SGEMMNaive:
-		return "naive"
-	case SGEMMRestrict:
-		return "restrict"
-	case SGEMMShared:
-		return "shared"
-	default:
-		return "shared_vec"
-	}
-}
 
 const (
 	sgemmTile  = 16
@@ -110,45 +86,40 @@ var sgemmSharedVecSource = []string{
 	/* 16 */ `}`,
 }
 
-// SGEMM builds one §5.3 variant for N x N matrices (scale = N; <= 0
-// selects 256). N must be a multiple of the 16-wide output tile, and for
-// the shared variants of their 64-deep K tile: a partial K tile would
-// read past the matrix edge and compute wrong results.
-func SGEMM(variant SGEMMVariant, n int, arch gpu.Arch) (*Workload, error) {
-	if n <= 0 {
-		n = 256
-	}
-	if n%sgemmTile != 0 {
-		return nil, fmt.Errorf("workloads: sgemm N=%d not a multiple of %d", n, sgemmTile)
-	}
+// N must be a multiple of the 16-wide output tile, and for the shared
+// variants of their 64-deep K tile: a partial K tile would read past the
+// matrix edge and compute wrong results.
+var (
+	sgemmScale      = scaleRule{means: "matrix dimension N", def: 256, multiple: sgemmTile}
+	sgemmTiledScale = scaleRule{means: "matrix dimension N", def: 256, multiple: sgemmTileK}
+)
 
+// sgemmVariants: source file, its text, and the line of the epilogue.
+var sgemmVariants = map[string]struct {
+	file    string
+	source  []string
+	epiLine int
+}{
+	"naive":      {"sgemm.cu", sgemmNaiveSource, 8},
+	"restrict":   {"sgemm_restrict.cu", sgemmRestrictSource, 8},
+	"shared":     {"sgemm_shared.cu", sgemmSharedSource, 15},
+	"shared_vec": {"sgemm_shared_vec.cu", sgemmSharedVecSource, 17},
+}
+
+// sgemm builds one §5.3 variant for N x N matrices.
+func sgemm(name, variant string, n int, arch gpu.Arch) (*Workload, error) {
 	// The naive and restrict variants share the one-dot-product-per-thread
 	// structure; restrict only changes the load path (LDG.E.NC).
-	naiveStyle := variant == SGEMMNaive || variant == SGEMMRestrict
-	if !naiveStyle && n%sgemmTileK != 0 {
-		return nil, fmt.Errorf("workloads: sgemm_%s N=%d not a multiple of its %d-deep K tile", variant, n, sgemmTileK)
-	}
-
-	var file string
-	var source []string
-	switch variant {
-	case SGEMMNaive:
-		file, source = "sgemm.cu", sgemmNaiveSource
-	case SGEMMRestrict:
-		file, source = "sgemm_restrict.cu", sgemmRestrictSource
-	case SGEMMShared:
-		file, source = "sgemm_shared.cu", sgemmSharedSource
-	default:
-		file, source = "sgemm_shared_vec.cu", sgemmSharedVecSource
-	}
-	b := kasm.NewBuilder("_Z5sgemm"+variant.String(), arch.SM, file)
-	b.SetSource(source)
+	naiveStyle := variant == "naive" || variant == "restrict"
+	v := sgemmVariants[variant]
+	b := kasm.NewBuilder("_Z5sgemm"+variant, arch.SM, v.file)
+	b.SetSource(v.source)
 	b.NumParams(6)
 
 	// Common prologue: col, row, pointers, acc.
-	lineCol, lineRow := 3, 4
+	lineCol, lineAcc := 3, 5
 	if !naiveStyle {
-		lineCol, lineRow = 5, 5
+		lineCol, lineAcc = 5, 6
 	}
 	b.Line(lineCol)
 	tx := b.TidX()
@@ -161,11 +132,10 @@ func SGEMM(variant SGEMMVariant, n int, arch gpu.Arch) (*Workload, error) {
 		// lanes of a warp read A (and write C) with stride N — the
 		// uncoalesced pattern whose repair is worth 54x.
 		row = b.IMad(kasm.VR(bx), kasm.VImm(sgemmTile), kasm.VR(tx))
-		b.Line(lineRow)
+		b.Line(4)
 		col = b.IMad(kasm.VR(by), kasm.VImm(sgemmTile), kasm.VR(ty))
 	} else {
 		col = b.IMad(kasm.VR(bx), kasm.VImm(sgemmTile), kasm.VR(tx))
-		b.Line(lineRow)
 		row = b.IMad(kasm.VR(by), kasm.VImm(sgemmTile), kasm.VR(ty))
 	}
 
@@ -174,23 +144,16 @@ func SGEMM(variant SGEMMVariant, n int, arch gpu.Arch) (*Workload, error) {
 	bPtr := b.ParamPtr(3)
 	cPtr := b.ParamPtr(5)
 
-	accLine := 5
-	if !naiveStyle {
-		accLine = 6
-	}
-	b.Line(accLine)
+	b.Line(lineAcc)
 	acc := b.MovImmF32(0)
 
-	switch variant {
-	case SGEMMNaive, SGEMMRestrict:
-		nc := variant == SGEMMRestrict
+	if naiveStyle {
+		nc := variant == "restrict"
 		// aAddr = A + row*N*4 ; bAddr = B + col*4 ; step 4 and 4N.
 		b.Line(6)
 		rowN := b.IMul(kasm.VR(row), kasm.VR(nReg))
-		aOff := b.Shl(kasm.VR(rowN), 2)
-		aAddr := b.IMadWide(kasm.VR(aOff), kasm.VImm(1), aPtr)
-		bOff := b.Shl(kasm.VR(col), 2)
-		bAddr := b.IMadWide(kasm.VR(bOff), kasm.VImm(1), bPtr)
+		aAddr := elemAddr(b, rowN, aPtr)
+		bAddr := elemAddr(b, col, bPtr)
 		strideB := b.Shl(kasm.VR(nReg), 2)
 		k := b.MovImm(0)
 		if !nc {
@@ -202,10 +165,7 @@ func SGEMM(variant SGEMMVariant, n int, arch gpu.Arch) (*Workload, error) {
 			b.Line(6)
 			b.IAddTo(kasm.VRElem(aAddr, 0), kasm.VRElem(aAddr, 0), kasm.VImm(4))
 			b.IAddTo(kasm.VRElem(bAddr, 0), kasm.VRElem(bAddr, 0), kasm.VR(strideB))
-			b.IAddTo(kasm.VR(k), kasm.VR(k), kasm.VImm(1))
-			p := b.ISetp("LT", kasm.VR(k), kasm.VR(nReg))
-			b.BraIf(p, false, "kloop")
-			b.FreePred(p)
+			loopWhileLess(b, k, 1, kasm.VR(nReg), "kloop")
 		} else {
 			// __restrict__ guarantees A and B cannot alias the C store, so
 			// ptxas unrolls the dot-product loop by 4 and batches the
@@ -235,27 +195,21 @@ func SGEMM(variant SGEMMVariant, n int, arch gpu.Arch) (*Workload, error) {
 			for i := 0; i < unroll; i++ {
 				b.IAddTo(kasm.VRElem(bAddrs[i], 0), kasm.VRElem(bAddrs[i], 0), kasm.VR(strideB4))
 			}
-			b.IAddTo(kasm.VR(k), kasm.VR(k), kasm.VImm(unroll))
-			p := b.ISetp("LT", kasm.VR(k), kasm.VR(nReg))
-			b.BraIf(p, false, "kloop")
-			b.FreePred(p)
+			loopWhileLess(b, k, unroll, kasm.VR(nReg), "kloop")
 		}
 
-	case SGEMMShared, SGEMMSharedVec:
-		vec := variant == SGEMMSharedVec
+	} else {
+		vec := variant == "shared_vec"
 		const tileK = sgemmTileK
 		asBase := b.AllocShared(sgemmTile * tileK * 4) // As[16][64]
 		bsBase := b.AllocShared(tileK * sgemmTile * 4) // Bs[64][16]
-		loadLineA, loadLineB := 8, 9
-		innerLine, barLine := 12, 10
-		if vec {
-			innerLine = 12
-		}
 
 		b.Line(7)
 		rowN := b.IMul(kasm.VR(row), kasm.VR(nReg))
-		stride4N := b.Shl(kasm.VR(nReg), 4) // 4*N floats = 16*N bytes per 16 rows? (16*N*4 computed below)
-		_ = stride4N
+		// Unused, and not removable: it is the SHF.L R13, R9, 0x4 at 0x00f0
+		// of the pinned sgemm_shared kernels, and the virtual register it
+		// takes numbers every one after it.
+		b.Shl(kasm.VR(nReg), 4)
 		strideTile := b.Shl(kasm.VR(nReg), 8)  // tileK*N*4 = 64*N*4 bytes
 		strideRow16 := b.Shl(kasm.VR(nReg), 6) // 16 rows of B = 16*N*4 bytes
 
@@ -265,12 +219,10 @@ func SGEMM(variant SGEMMVariant, n int, arch gpu.Arch) (*Workload, error) {
 		if !vec {
 			// Scalar: thread loads As[ty][tx+16i] and Bs[ty+16i][tx].
 			aLin := b.IAdd(kasm.VR(rowN), kasm.VR(tx))
-			aOff := b.Shl(kasm.VR(aLin), 2)
-			aAddr = b.IMadWide(kasm.VR(aOff), kasm.VImm(1), aPtr)
+			aAddr = elemAddr(b, aLin, aPtr)
 			tyN := b.IMul(kasm.VR(ty), kasm.VR(nReg))
 			bLin := b.IAdd(kasm.VR(tyN), kasm.VR(col))
-			bOff := b.Shl(kasm.VR(bLin), 2)
-			b0 := b.IMadWide(kasm.VR(bOff), kasm.VImm(1), bPtr)
+			b0 := elemAddr(b, bLin, bPtr)
 			bAddrs = append(bAddrs, b0)
 			for i := 1; i < 4; i++ {
 				bAddrs = append(bAddrs, b.IMadWide(kasm.VR(strideRow16), kasm.VImm(int64(i)), b0))
@@ -281,16 +233,14 @@ func SGEMM(variant SGEMMVariant, n int, arch gpu.Arch) (*Workload, error) {
 			// Vectorized: thread loads As[ty][tx*4..] and Bs row lin/4,
 			// column group lin%4, each as one float4.
 			aLin := b.IAdd(kasm.VR(rowN), kasm.VR(b.Shl(kasm.VR(tx), 2)))
-			aOff := b.Shl(kasm.VR(aLin), 2)
-			aAddr = b.IMadWide(kasm.VR(aOff), kasm.VImm(1), aPtr)
+			aAddr = elemAddr(b, aLin, aPtr)
 			lin := b.IMad(kasm.VR(ty), kasm.VImm(sgemmTile), kasm.VR(tx))
 			bRow := b.Shr(kasm.VR(lin), 2)
 			colGrp := b.And(kasm.VR(lin), kasm.VImm(3))
 			colBase := b.IMad(kasm.VR(bx), kasm.VImm(sgemmTile), kasm.VR(b.Shl(kasm.VR(colGrp), 2)))
 			bRowN := b.IMul(kasm.VR(bRow), kasm.VR(nReg))
 			bLin := b.IAdd(kasm.VR(bRowN), kasm.VR(colBase))
-			bOff := b.Shl(kasm.VR(bLin), 2)
-			bAddrs = append(bAddrs, b.IMadWide(kasm.VR(bOff), kasm.VImm(1), bPtr))
+			bAddrs = append(bAddrs, elemAddr(b, bLin, bPtr))
 			shAStore = b.IMad(kasm.VR(ty), kasm.VImm(tileK*4), kasm.VR(b.Shl(kasm.VR(tx), 4)))
 			shBStore = b.IMad(kasm.VR(bRow), kasm.VImm(sgemmTile*4), kasm.VR(b.Shl(kasm.VR(colGrp), 4)))
 		}
@@ -302,20 +252,20 @@ func SGEMM(variant SGEMMVariant, n int, arch gpu.Arch) (*Workload, error) {
 		if !vec {
 			// Issue all global loads first (overlapping their latency),
 			// then drain into the tiles.
-			b.Line(loadLineA)
+			b.Line(8)
 			var avs, bvs []kasm.VReg
 			for i := 0; i < 4; i++ {
 				avs = append(avs, b.Ldg(aAddr, int64(16*4*i), 4, false))
 			}
-			b.Line(loadLineB)
+			b.Line(9)
 			for i := 0; i < 4; i++ {
 				bvs = append(bvs, b.Ldg(bAddrs[i], 0, 4, false))
 			}
-			b.Line(loadLineA)
+			b.Line(8)
 			for i := 0; i < 4; i++ {
 				b.Sts(shAStore, asBase+int64(16*4*i), avs[i], 4)
 			}
-			b.Line(loadLineB)
+			b.Line(9)
 			for i := 0; i < 4; i++ {
 				b.Sts(shBStore, bsBase+int64(16*sgemmTile*4*i), bvs[i], 4)
 			}
@@ -329,9 +279,9 @@ func SGEMM(variant SGEMMVariant, n int, arch gpu.Arch) (*Workload, error) {
 			b.Line(9)
 			b.Sts(shBStore, bsBase, bq, 16)
 		}
-		b.Line(barLine)
+		b.Line(10)
 		b.Bar()
-		b.Line(innerLine)
+		b.Line(12)
 		for j := 0; j < tileK; j++ {
 			av := b.Lds(shA, asBase+int64(j*4), 4)
 			bvv := b.Lds(shBLd, bsBase+int64(j*sgemmTile*4), 4)
@@ -342,61 +292,38 @@ func SGEMM(variant SGEMMVariant, n int, arch gpu.Arch) (*Workload, error) {
 		for _, ba := range bAddrs {
 			b.IAddTo(kasm.VRElem(ba, 0), kasm.VRElem(ba, 0), kasm.VR(strideTile))
 		}
-		b.Line(barLine + 3)
+		b.Line(13)
 		b.Bar()
-		b.IAddTo(kasm.VR(kk), kasm.VR(kk), kasm.VImm(tileK))
-		p := b.ISetp("LT", kasm.VR(kk), kasm.VR(nReg))
-		b.BraIf(p, false, "kkloop")
-		b.FreePred(p)
+		loopWhileLess(b, kk, tileK, kasm.VR(nReg), "kkloop")
 	}
 
 	// Epilogue: C[row*N+col] = alpha*acc + beta*C[...].
-	epiLine := 8
-	if variant == SGEMMShared {
-		epiLine = 15
-	} else if variant == SGEMMSharedVec {
-		epiLine = 17
-	}
-	b.Line(epiLine)
+	b.Line(v.epiLine)
 	alpha := b.Param32(1)
 	beta := b.Param32(4)
 	cLin := b.IMad(kasm.VR(row), kasm.VR(nReg), kasm.VR(col))
-	cOff := b.Shl(kasm.VR(cLin), 2)
-	cAddr := b.IMadWide(kasm.VR(cOff), kasm.VImm(1), cPtr)
+	cAddr := elemAddr(b, cLin, cPtr)
 	cOld := b.Ldg(cAddr, 0, 4, false)
 	resv := b.FMul(kasm.VR(alpha), kasm.VR(acc))
 	b.FFmaTo(kasm.VR(resv), kasm.VR(beta), kasm.VR(cOld), kasm.VR(resv))
 	b.Stg(cAddr, 0, resv, 4)
 	b.Exit()
 
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	k, err := codegen.Compile(prog, codegen.Options{Arch: arch})
-	if err != nil {
-		return nil, err
-	}
-
 	const alphaV, betaV = float32(1.0), float32(0.5)
-	w := &Workload{
-		Name:        "sgemm_" + variant.String(),
-		Description: fmt.Sprintf("SGEMM %s, %dx%d matrices", variant, n, n),
-		Kernel:      k,
-		Prepare: func(dev *sim.Device) (*Run, error) {
-			bytes := 4 * n * n
-			aBuf, err := dev.Alloc(bytes)
-			if err != nil {
-				return nil, err
+	return compile(b, codegen.Options{Arch: arch}, name, fmt.Sprintf("SGEMM %s, %dx%d matrices", variant, n, n), launch{
+		grid:  sim.D2(n/sgemmTile, n/sgemmTile),
+		block: sim.D2(sgemmTile, sgemmTile),
+		sizes: []int{4 * n * n, 4 * n * n, 4 * n * n}, // A, B, C
+		params: func(bufs []sim.Buffer) []uint64 {
+			return []uint64{
+				uint64(uint32(n)),
+				uint64(math.Float32bits(alphaV)),
+				bufs[0].Addr, bufs[1].Addr,
+				uint64(math.Float32bits(betaV)),
+				bufs[2].Addr,
 			}
-			bBuf, err := dev.Alloc(bytes)
-			if err != nil {
-				return nil, err
-			}
-			cBuf, err := dev.Alloc(bytes)
-			if err != nil {
-				return nil, err
-			}
+		},
+		host: func() ([]any, checkFunc) {
 			aH := make([]float32, n*n)
 			bH := make([]float32, n*n)
 			cH := make([]float32, n*n)
@@ -405,38 +332,15 @@ func SGEMM(variant SGEMMVariant, n int, arch gpu.Arch) (*Workload, error) {
 				bH[i] = float32((i*13)%19) * 0.03
 				cH[i] = float32(i%11) * 0.1
 			}
-			if err := dev.WriteF32(aBuf, aH); err != nil {
-				return nil, err
-			}
-			if err := dev.WriteF32(bBuf, bH); err != nil {
-				return nil, err
-			}
-			if err := dev.WriteF32(cBuf, cH); err != nil {
-				return nil, err
-			}
-			spec := sim.LaunchSpec{
-				Kernel: k,
-				Grid:   sim.D2(n/sgemmTile, n/sgemmTile),
-				Block:  sim.D2(sgemmTile, sgemmTile),
-				Params: []uint64{
-					uint64(uint32(n)),
-					uint64(math.Float32bits(alphaV)),
-					aBuf.Addr, bBuf.Addr,
-					uint64(math.Float32bits(betaV)),
-					cBuf.Addr,
-				},
-			}
-			verify := func(dev *sim.Device, res *sim.Result) error {
-				got, err := dev.ReadF32(cBuf, n*n)
+			return []any{aH, bH, cH}, func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
+				got, err := dev.ReadF32(bufs[2], n*n)
 				if err != nil {
 					return err
 				}
 				return sgemmVerify(aH, bH, cH, got, n, alphaV, betaV, naiveStyle, res)
 			}
-			return &Run{Spec: spec, Verify: verify}, nil
 		},
-	}
-	return w, nil
+	})
 }
 
 // sgemmVerify checks simulated blocks (capped for large N).
@@ -472,13 +376,3 @@ func sgemmVerify(aH, bH, cH, got []float32, n int, alpha, beta float32, naive bo
 	}
 	return nil
 }
-
-func init() {
-	register("sgemm_naive", func(scale int, arch gpu.Arch) (*Workload, error) { return SGEMM(SGEMMNaive, scale, arch) })
-	register("sgemm_restrict", func(scale int, arch gpu.Arch) (*Workload, error) { return SGEMM(SGEMMRestrict, scale, arch) })
-	register("sgemm_shared", func(scale int, arch gpu.Arch) (*Workload, error) { return SGEMM(SGEMMShared, scale, arch) })
-	register("sgemm_shared_vec", func(scale int, arch gpu.Arch) (*Workload, error) { return SGEMM(SGEMMSharedVec, scale, arch) })
-}
-
-// Compile-time checks that variants stay registered in sass terms.
-var _ = sass.OpLDS

@@ -38,24 +38,18 @@ var spillSource = []string{
 	/* 11 */ `}`,
 }
 
-// SpillPressureWorkload builds the workload; scale is the iteration count
-// (<= 0 selects 32).
-func SpillPressureWorkload(scale int, arch gpu.Arch) (*Workload, error) {
-	return spillWorkload(scale, spillBudget, arch)
-}
+var spillScale = scaleRule{means: "loop iterations", def: spillIters, multiple: 1}
 
-// SpillReliefWorkload is the same kernel compiled without the register
-// cap — the §4.2 fix (raise -maxrregcount / drop the launch-bounds
-// constraint) — so the advisor can re-execute the recommendation and
-// measure the spill traffic disappearing.
-func SpillReliefWorkload(scale int, arch gpu.Arch) (*Workload, error) {
-	return spillWorkload(scale, 0, arch)
-}
-
-func spillWorkload(scale, maxRegs int, arch gpu.Arch) (*Workload, error) {
-	iters := scale
-	if iters <= 0 {
-		iters = spillIters
+// spill builds the kernel under the spillBudget register cap ("pressure")
+// or without one ("relief"): the §4.2 fix (raise -maxrregcount / drop the
+// launch-bounds constraint), so the advisor can re-execute the
+// recommendation and measure the spill traffic disappearing.
+func spill(name, variant string, iters int, arch gpu.Arch) (*Workload, error) {
+	maxRegs := 0
+	desc := "register-pressure kernel compiled without a register cap (no spills)"
+	if variant == "pressure" {
+		maxRegs = spillBudget
+		desc = fmt.Sprintf("register-pressure kernel compiled with maxrregcount=%d (forces spills)", maxRegs)
 	}
 	b := kasm.NewBuilder("_Z8pressurePKfPfi", arch.SM, "pressure.cu")
 	b.SetSource(spillSource)
@@ -86,10 +80,7 @@ func spillWorkload(scale, maxRegs int, arch gpu.Arch) (*Workload, error) {
 		b.FFmaTo(kasm.VR(accs[j]), kasm.VR(accs[j]), kasm.VR(accs[(j+1)%spillValues]), kasm.VR(half))
 	}
 	b.Line(6)
-	b.IAddTo(kasm.VR(i), kasm.VR(i), kasm.VImm(1))
-	p := b.ISetp("LT", kasm.VR(i), kasm.VImm(int64(iters)))
-	b.BraIf(p, false, "iters")
-	b.FreePred(p)
+	loopWhileLess(b, i, 1, kasm.VImm(int64(iters)), "iters")
 
 	b.Line(9)
 	sum := b.FAdd(kasm.VR(accs[0]), kasm.VR(accs[1]))
@@ -97,55 +88,25 @@ func spillWorkload(scale, maxRegs int, arch gpu.Arch) (*Workload, error) {
 		b.FAddTo(kasm.VR(sum), kasm.VR(sum), kasm.VR(accs[j]))
 	}
 	b.Line(10)
-	oOff := b.Shl(kasm.VR(gid), 2)
-	oAddr := b.IMadWide(kasm.VR(oOff), kasm.VImm(1), out)
+	oAddr := elemAddr(b, gid, out)
 	b.Stg(oAddr, 0, sum, 4)
 	b.Exit()
 
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	k, err := codegen.Compile(prog, codegen.Options{MaxRegs: maxRegs, Arch: arch})
-	if err != nil {
-		return nil, err
-	}
-
-	name := "spill_pressure"
-	desc := fmt.Sprintf("register-pressure kernel compiled with maxrregcount=%d (forces spills)", maxRegs)
-	if maxRegs <= 0 {
-		name = "spill_relief"
-		desc = "register-pressure kernel compiled without a register cap (no spills)"
-	}
-	threads := spillBlock * spillBlocks
-	w := &Workload{
-		Name:        name,
-		Description: desc,
-		Kernel:      k,
-		Prepare: func(dev *sim.Device) (*Run, error) {
-			inBuf, err := dev.Alloc(4 * threads * spillValues)
-			if err != nil {
-				return nil, err
-			}
-			outBuf, err := dev.Alloc(4 * threads)
-			if err != nil {
-				return nil, err
-			}
+	const threads = spillBlock * spillBlocks
+	return compile(b, codegen.Options{MaxRegs: maxRegs, Arch: arch}, name, desc, launch{
+		grid:  sim.D1(spillBlocks),
+		block: sim.D1(spillBlock),
+		sizes: []int{4 * threads * spillValues, 4 * threads}, // in, out
+		params: func(bufs []sim.Buffer) []uint64 {
+			return []uint64{bufs[0].Addr, bufs[1].Addr, uint64(uint32(iters))}
+		},
+		host: func() ([]any, checkFunc) {
 			data := make([]float32, threads*spillValues)
 			for idx := range data {
 				data[idx] = 0.1 + float32(idx%5)*0.08
 			}
-			if err := dev.WriteF32(inBuf, data); err != nil {
-				return nil, err
-			}
-			spec := sim.LaunchSpec{
-				Kernel: k,
-				Grid:   sim.D1(spillBlocks),
-				Block:  sim.D1(spillBlock),
-				Params: []uint64{inBuf.Addr, outBuf.Addr, uint64(uint32(iters))},
-			}
-			verify := func(dev *sim.Device, res *sim.Result) error {
-				got, err := dev.ReadF32(outBuf, threads)
+			return []any{data}, func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
+				got, err := dev.ReadF32(bufs[1], threads)
 				if err != nil {
 					return err
 				}
@@ -171,13 +132,6 @@ func spillWorkload(scale, maxRegs int, arch gpu.Arch) (*Workload, error) {
 				}
 				return nil
 			}
-			return &Run{Spec: spec, Verify: verify}, nil
 		},
-	}
-	return w, nil
-}
-
-func init() {
-	register("spill_pressure", SpillPressureWorkload)
-	register("spill_relief", SpillReliefWorkload)
+	})
 }

@@ -24,28 +24,12 @@ const (
 	transRows = 8 // block is 32 x 8; each thread moves 4 elements
 )
 
-// TransposeVariant selects the kernel version.
-type TransposeVariant int
-
-const (
-	TransposeNaive TransposeVariant = iota
-	TransposeShared
-	TransposePadded
-)
-
-func (v TransposeVariant) String() string {
-	switch v {
-	case TransposeNaive:
-		return "naive"
-	case TransposeShared:
-		return "shared"
-	default:
-		return "padded"
-	}
-}
-
-var transposeSources = map[TransposeVariant][]string{
-	TransposeNaive: {
+// transposeVariants: the mangled kernel name and the source text.
+var transposeVariants = map[string]struct {
+	mangled string
+	source  []string
+}{
+	"naive": {"_Z9transposePKfPfi", []string{
 		/* 1 */ `// naive transpose: out[x][y] = in[y][x]`,
 		/* 2 */ `__global__ void transpose(const float* in, float* out, int N) {`,
 		/* 3 */ `  int x = blockIdx.x*32 + threadIdx.x;`,
@@ -53,8 +37,8 @@ var transposeSources = map[TransposeVariant][]string{
 		/* 5 */ `  for (int i = 0; i < 32; i += 8)`,
 		/* 6 */ `    out[x*N + (y+i)] = in[(y+i)*N + x];  // strided stores`,
 		/* 7 */ `}`,
-	},
-	TransposeShared: {
+	}},
+	"shared": {"_Z11transpose_sPKfPfi", []string{
 		/* 1 */ `// tiled transpose, unpadded tile: 32-way bank conflicts`,
 		/* 2 */ `__global__ void transpose_s(const float* in, float* out, int N) {`,
 		/* 3 */ `  __shared__ float tile[32][32];`,
@@ -66,8 +50,8 @@ var transposeSources = map[TransposeVariant][]string{
 		/* 9 */ `  for (int i = 0; i < 32; i += 8)`,
 		/* 10 */ `    out[(ty+i)*N + tx] = tile[threadIdx.x][threadIdx.y+i];  // column read`,
 		/* 11 */ `}`,
-	},
-	TransposePadded: {
+	}},
+	"padded": {"_Z11transpose_pPKfPfi", []string{
 		/* 1 */ `// tiled transpose, padded tile: conflict-free`,
 		/* 2 */ `__global__ void transpose_p(const float* in, float* out, int N) {`,
 		/* 3 */ `  __shared__ float tile[32][33];  // +1 padding column`,
@@ -79,30 +63,20 @@ var transposeSources = map[TransposeVariant][]string{
 		/* 9 */ `  for (int i = 0; i < 32; i += 8)`,
 		/* 10 */ `    out[(ty+i)*N + tx] = tile[threadIdx.x][threadIdx.y+i];`,
 		/* 11 */ `}`,
-	},
+	}},
 }
 
-// Transpose builds one variant for an N x N float matrix (scale = N;
-// <= 0 selects 256).
-func Transpose(variant TransposeVariant, n int, arch gpu.Arch) (*Workload, error) {
-	if n <= 0 {
-		n = 256
-	}
-	if n%transTile != 0 {
-		return nil, fmt.Errorf("workloads: transpose N=%d not a multiple of %d", n, transTile)
-	}
-	name := map[TransposeVariant]string{
-		TransposeNaive:  "_Z9transposePKfPfi",
-		TransposeShared: "_Z11transpose_sPKfPfi",
-		TransposePadded: "_Z11transpose_pPKfPfi",
-	}[variant]
-	file := "transpose_" + variant.String() + ".cu"
-	b := kasm.NewBuilder(name, arch.SM, file)
-	b.SetSource(transposeSources[variant])
+var transposeScale = scaleRule{means: "matrix dimension N", def: 256, multiple: transTile}
+
+// transpose builds one variant for an N x N float matrix.
+func transpose(name, variant string, n int, arch gpu.Arch) (*Workload, error) {
+	v := transposeVariants[variant]
+	b := kasm.NewBuilder(v.mangled, arch.SM, name+".cu")
+	b.SetSource(v.source)
 	b.NumParams(3)
 
 	pitch := transTile // tile row pitch in floats
-	if variant == TransposePadded {
+	if variant == "padded" {
 		pitch = transTile + 1
 	}
 
@@ -121,18 +95,16 @@ func Transpose(variant TransposeVariant, n int, arch gpu.Arch) (*Workload, error
 	b.Line(6)
 	yN := b.IMul(kasm.VR(y), kasm.VR(nReg))
 	inLin := b.IAdd(kasm.VR(yN), kasm.VR(x))
-	inOff := b.Shl(kasm.VR(inLin), 2)
-	inAddr := b.IMadWide(kasm.VR(inOff), kasm.VImm(1), in)
+	inAddr := elemAddr(b, inLin, in)
 	strideIn := b.Shl(kasm.VR(nReg), 5) // 8 rows * N * 4 bytes
 
 	switch variant {
-	case TransposeNaive:
+	case "naive":
 		// out address for (x, y): out + (x*N + y)*4; the +i steps are
 		// immediate offsets (stride 8 floats).
 		xN := b.IMul(kasm.VR(x), kasm.VR(nReg))
 		outLin := b.IAdd(kasm.VR(xN), kasm.VR(y))
-		outOff := b.Shl(kasm.VR(outLin), 2)
-		outAddr := b.IMadWide(kasm.VR(outOff), kasm.VImm(1), out)
+		outAddr := elemAddr(b, outLin, out)
 		for step := 0; step < transTile/transRows; step++ {
 			addr := inAddr
 			if step > 0 {
@@ -142,7 +114,7 @@ func Transpose(variant TransposeVariant, n int, arch gpu.Arch) (*Workload, error
 			b.Stg(outAddr, int64(step*transRows*4), v, 4)
 		}
 
-	case TransposeShared, TransposePadded:
+	default: // shared and padded
 		tile := b.AllocShared(transTile * pitch * 4)
 		// Store tile[ty+i][tx].
 		stOff := b.IMad(kasm.VR(ty), kasm.VImm(int64(pitch*4)), kasm.VR(b.Shl(kasm.VR(tx), 2)))
@@ -164,8 +136,7 @@ func Transpose(variant TransposeVariant, n int, arch gpu.Arch) (*Workload, error
 		oty := b.IMad(kasm.VR(bx), kasm.VImm(transTile), kasm.VR(ty))
 		otyN := b.IMul(kasm.VR(oty), kasm.VR(nReg))
 		oLin := b.IAdd(kasm.VR(otyN), kasm.VR(otx))
-		oOff := b.Shl(kasm.VR(oLin), 2)
-		outAddr := b.IMadWide(kasm.VR(oOff), kasm.VImm(1), out)
+		outAddr := elemAddr(b, oLin, out)
 		for step := 0; step < transTile/transRows; step++ {
 			v := b.Lds(ldOff, tile+int64(step*transRows*4), 4)
 			addr := outAddr
@@ -177,43 +148,20 @@ func Transpose(variant TransposeVariant, n int, arch gpu.Arch) (*Workload, error
 	}
 	b.Exit()
 
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	k, err := codegen.Compile(prog, codegen.Options{Arch: arch})
-	if err != nil {
-		return nil, err
-	}
-
-	w := &Workload{
-		Name:        "transpose_" + variant.String(),
-		Description: fmt.Sprintf("%dx%d matrix transpose, %s variant", n, n, variant),
-		Kernel:      k,
-		Prepare: func(dev *sim.Device) (*Run, error) {
-			inBuf, err := dev.Alloc(4 * n * n)
-			if err != nil {
-				return nil, err
-			}
-			outBuf, err := dev.Alloc(4 * n * n)
-			if err != nil {
-				return nil, err
-			}
+	return compile(b, codegen.Options{Arch: arch}, name, fmt.Sprintf("%dx%d matrix transpose, %s variant", n, n, variant), launch{
+		grid:  sim.D2(n/transTile, n/transTile),
+		block: sim.D2(transTile, transRows),
+		sizes: []int{4 * n * n, 4 * n * n}, // in, out
+		params: func(bufs []sim.Buffer) []uint64 {
+			return []uint64{bufs[0].Addr, bufs[1].Addr, uint64(uint32(n))}
+		},
+		host: func() ([]any, checkFunc) {
 			data := make([]float32, n*n)
 			for i := range data {
 				data[i] = float32(i%1021) * 0.5
 			}
-			if err := dev.WriteF32(inBuf, data); err != nil {
-				return nil, err
-			}
-			spec := sim.LaunchSpec{
-				Kernel: k,
-				Grid:   sim.D2(n/transTile, n/transTile),
-				Block:  sim.D2(transTile, transRows),
-				Params: []uint64{inBuf.Addr, outBuf.Addr, uint64(uint32(n))},
-			}
-			verify := func(dev *sim.Device, res *sim.Result) error {
-				got, err := dev.ReadF32(outBuf, n*n)
+			return []any{data}, func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
+				got, err := dev.ReadF32(bufs[1], n*n)
 				if err != nil {
 					return err
 				}
@@ -234,14 +182,6 @@ func Transpose(variant TransposeVariant, n int, arch gpu.Arch) (*Workload, error
 				}
 				return nil
 			}
-			return &Run{Spec: spec, Verify: verify}, nil
 		},
-	}
-	return w, nil
-}
-
-func init() {
-	register("transpose_naive", func(scale int, arch gpu.Arch) (*Workload, error) { return Transpose(TransposeNaive, scale, arch) })
-	register("transpose_shared", func(scale int, arch gpu.Arch) (*Workload, error) { return Transpose(TransposeShared, scale, arch) })
-	register("transpose_padded", func(scale int, arch gpu.Arch) (*Workload, error) { return Transpose(TransposePadded, scale, arch) })
+	})
 }
