@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build loc vet test smoke race chaos cluster-test soak serve bench-parallel bench-check fmt-check test-arch arch-report
+.PHONY: check build loc vet test smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
 
 check: build vet race
 
@@ -42,6 +42,29 @@ smoke:
 	echo "smoke: experiments -run fig2 -fast"; \
 	$(GO) run ./cmd/experiments -run fig2 -fast | grep -q 'Register spilling'
 
+# End-to-end causal-layer smoke (CI job of the same name): one workload
+# per family through the CLI with the sensitivity sweep and stall slicing
+# on, both architectures. Every report must carry the matrix, the summary
+# line and a payoff; at least one must carry a producer chain. The size
+# of the matrix is pinned where it is computed (cmd/gpuscout's tests),
+# not here. Reports stay in sensitivity-reports/ (CI uploads them).
+sensitivity-smoke:
+	@set -e; mkdir -p sensitivity-reports; \
+	for arch in sm70 sm80; do \
+		for spec in "mixbench_sp_naive 8" "jacobi_naive 128" "sgemm_naive 64" \
+				"transpose_shared 64" "spill_pressure 8" "histogram_global 4" \
+				"reduction_atomic 0"; do \
+			set -- $$spec; out="sensitivity-reports/$$1-$$arch.txt"; \
+			echo "== $$1 scale $$2 ($$arch)"; \
+			$(GO) run ./cmd/gpuscout -workload "$$1" -scale "$$2" \
+				-arch "$$arch" -sample-sms 1 -sensitivity -slice > "$$out"; \
+			grep -q "Sensitivity matrix (kernel cycles under perturbed hardware)" "$$out"; \
+			grep -Eq "sensitivity: [0-9]+ perturbation\(s\) re-simulated" "$$out"; \
+			grep -q "Payoff:  estimated speedup ceiling" "$$out"; \
+		done; \
+	done; \
+	grep -l "Stall slice (producer chain" sensitivity-reports/*.txt
+
 # The simulator-heavy packages are slow under the race detector on
 # small machines; raise the per-package timeout well past the default.
 race:
@@ -74,19 +97,6 @@ soak:
 # Run the analysis service locally.
 serve:
 	$(GO) run ./cmd/gpuscoutd -addr :8090
-
-# Parallel-simulation benchmark + regression gate (what the nightly
-# bench workflow runs); appends a dated entry to the
-# BENCH_parallel_sim.json trajectory. The allocs/op ceiling (-gate-allocs)
-# catches the hot path regressing back to per-cycle heap churn: a warm
-# launch sits near 1-1.5k allocs (all launch setup), two orders of
-# magnitude under the ceiling only if someone reintroduces per-warp or
-# per-instruction allocation.
-bench-parallel:
-	$(GO) test -run '^$$' -bench BenchmarkParallelLaunch -cpu 1,4 \
-		-benchtime=3x -benchmem -timeout 30m . | tee bench.txt
-	$(GO) run ./cmd/benchgate -in bench.txt -gate-allocs 5000 \
-		-commit "$$(git rev-parse --short HEAD)" -out BENCH_parallel_sim.json
 
 # bench/ is its own module (replace gpuscout => ../), so `go build ./...`
 # and `go test ./...` at the root never compile it; this keeps a change

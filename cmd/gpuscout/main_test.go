@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"gpuscout"
 	"gpuscout/internal/faultinject"
+	"gpuscout/internal/gpu"
 	"gpuscout/internal/scout"
 )
 
@@ -36,6 +38,22 @@ func TestArchCompareHonoursSensitivity(t *testing.T) {
 		if rep == nil || rep.Sensitivity == nil || len(rep.Sensitivity.Deltas) == 0 {
 			t.Errorf("%s report carries no sensitivity sweep", side)
 		}
+	}
+}
+
+// TestSensitivitySummaryCountsTheMatrix pins the size of the sweep where
+// it is computed: the summary line (which `make sensitivity-smoke` greps
+// for, number left open) reports one re-simulation per entry of
+// gpu.Perturbations().
+func TestSensitivitySummaryCountsTheMatrix(t *testing.T) {
+	var stdout bytes.Buffer
+	if err := run([]string{"-workload", "transpose_shared", "-scale", "64", "-sample-sms", "1",
+		"-sensitivity"}, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("sensitivity: %d perturbation(s) re-simulated", len(gpu.Perturbations()))
+	if !strings.Contains(stdout.String(), want) {
+		t.Errorf("output lacks %q", want)
 	}
 }
 

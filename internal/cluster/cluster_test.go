@@ -62,7 +62,7 @@ func startCluster(t *testing.T, n int, svcCfg service.Config) *testCluster {
 		tc.svcs = append(tc.svcs, svc)
 		tc.servers = append(tc.servers, ts)
 	}
-	coord, err := New(Config{Replicas: append([]string(nil), tc.urls...)})
+	coord, err := New(Config{Replicas: tc.urls})
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
@@ -764,13 +764,43 @@ func TestCoordinatorRoutesArchSpellingsToOneOwner(t *testing.T) {
 	}
 }
 
+// TestNewLeavesCallersReplicaSlice: trailing slashes are trimmed in the
+// coordinator's own copy of the list, not in the slice it was handed.
+func TestNewLeavesCallersReplicaSlice(t *testing.T) {
+	urls := []string{"http://127.0.0.1:1/", "http://127.0.0.1:2//"}
+	coord, err := New(Config{Replicas: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if urls[0] != "http://127.0.0.1:1/" || urls[1] != "http://127.0.0.1:2//" {
+		t.Errorf("New edited the caller's slice: %q", urls)
+	}
+	if got := coord.Membership().Snapshot(); got[0].URL != "http://127.0.0.1:1" || got[1].URL != "http://127.0.0.1:2" {
+		t.Errorf("replicas not normalised: %+v", got)
+	}
+}
+
+// TestCloseWithoutStart: a coordinator built only to inspect its ring has
+// no poller to wait for, so Close returns at once.
+func TestCloseWithoutStart(t *testing.T) {
+	coord, err := New(Config{Replicas: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	begin := time.Now()
+	coord.Close()
+	if d := time.Since(begin); d > time.Second {
+		t.Errorf("Close without Start took %v", d)
+	}
+}
+
 // TestCoordinatorDoorRejectsMalformedRequests: the coordinator decodes
 // and validates through the same front door as a worker, so a malformed
 // request is answered by the coordinator itself — nothing is
 // fingerprinted, routed or proxied first.
 func TestCoordinatorDoorRejectsMalformedRequests(t *testing.T) {
 	tc := startCluster(t, 2, service.Config{Workers: 1, QueueDepth: 4})
-	coord, err := New(Config{Replicas: append([]string(nil), tc.urls...), MaxUploadBytes: 2048, MaxBatchItems: 2})
+	coord, err := New(Config{Replicas: tc.urls, MaxUploadBytes: 2048, MaxBatchItems: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,14 +47,17 @@ func (c *Config) applyDefaults() error {
 	if len(c.Replicas) == 0 {
 		return fmt.Errorf("cluster: no replicas configured")
 	}
+	// Normalised into a copy: the caller's slice is not ours to edit.
+	replicas := make([]string, len(c.Replicas))
 	seen := map[string]bool{}
 	for i, r := range c.Replicas {
-		c.Replicas[i] = strings.TrimRight(r, "/")
-		if c.Replicas[i] == "" || seen[c.Replicas[i]] {
+		replicas[i] = strings.TrimRight(r, "/")
+		if replicas[i] == "" || seen[replicas[i]] {
 			return fmt.Errorf("cluster: replica list has an empty or duplicate entry: %q", r)
 		}
-		seen[c.Replicas[i]] = true
+		seen[replicas[i]] = true
 	}
+	c.Replicas = replicas
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
 	}
@@ -229,7 +232,7 @@ func (c *Coordinator) routeByKey(w http.ResponseWriter, r *http.Request, fp, met
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			// The replica itself is refusing (draining): treat like the
 			// poll had already said not-ready and keep walking.
-			c.members.byURL[url].setState(ReplicaNotReady, "503 from proxy")
+			c.members.MarkNotReady(url, "503 from proxy")
 			c.failovers.Inc()
 			sawNotReady = true
 			continue

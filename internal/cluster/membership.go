@@ -82,7 +82,6 @@ func newMembership(urls []string, interval time.Duration, client *http.Client) *
 		client:   client,
 		interval: interval,
 		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	for _, u := range urls {
 		rep := &replica{url: u}
@@ -98,8 +97,10 @@ func newMembership(urls []string, interval time.Duration, client *http.Client) *
 // background until Stop.
 func (m *Membership) Start() {
 	m.PollNow()
+	done := make(chan struct{})
+	m.done = done
 	go func() {
-		defer close(m.done)
+		defer close(done)
 		t := time.NewTicker(m.interval)
 		defer t.Stop()
 		for {
@@ -113,12 +114,13 @@ func (m *Membership) Start() {
 	}()
 }
 
-// Stop ends background polling.
+// Stop ends background polling and waits for the poller to exit; on a
+// membership that was never started there is nothing to wait for. Call it
+// from the goroutine that called Start, or after Start has returned.
 func (m *Membership) Stop() {
 	m.stopOnce.Do(func() { close(m.stop) })
-	select {
-	case <-m.done:
-	case <-time.After(5 * time.Second):
+	if m.done != nil {
+		<-m.done // at most one sweep away: every probe carries a 2 s deadline
 	}
 }
 
@@ -184,6 +186,14 @@ func (m *Membership) State(url string) ReplicaState {
 func (m *Membership) MarkDown(url, reason string) {
 	if rep, ok := m.byURL[url]; ok {
 		rep.setState(ReplicaDown, reason)
+	}
+}
+
+// MarkNotReady records a replica's own 503 on a proxied request the same
+// way: alive but refusing, until a poll sees it ready again.
+func (m *Membership) MarkNotReady(url, reason string) {
+	if rep, ok := m.byURL[url]; ok {
+		rep.setState(ReplicaNotReady, reason)
 	}
 }
 

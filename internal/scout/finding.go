@@ -39,6 +39,20 @@ func (s Severity) String() string {
 	}
 }
 
+// MarshalText is the severity's wire form: its String.
+func (s Severity) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText reads the wire form back.
+func (s *Severity) UnmarshalText(text []byte) error {
+	for v := SeverityInfo; v <= SeverityCritical; v++ {
+		if v.String() == string(text) {
+			*s = v
+			return nil
+		}
+	}
+	return fmt.Errorf("scout: unknown severity %q", text)
+}
+
 // Site is one code location a finding points at: the paper's promise is
 // that "the problem description and source code line number are always
 // attached".
@@ -53,61 +67,62 @@ type Site struct {
 	Note string `json:"note,omitempty"`
 }
 
-// Finding is one detected (potential) bottleneck.
+// Finding is one detected (potential) bottleneck. It is its own wire
+// form: the fields are declared in the order, and under the names, a JSON
+// report lists them; the detector-internal correlation lists are left out.
 type Finding struct {
 	// Analysis names the detector (its Analysis.Name).
-	Analysis string
+	Analysis string `json:"analysis"`
+	// Severity is filled by the dynamic pillars (INFO in --dry-run).
+	Severity Severity `json:"severity"`
 	// Title is the one-line recommendation headline.
-	Title string
+	Title string `json:"title"`
 	// Problem explains the detected pattern.
-	Problem string
+	Problem string `json:"problem"`
 	// Recommendation tells the user what change to consider.
-	Recommendation string
-	// Sites are the code locations involved, in program order.
-	Sites []Site
+	Recommendation string `json:"recommendation"`
 	// InLoop reports whether the pattern sits inside a loop, which
 	// amplifies it (§4.3, §4.4).
-	InLoop bool
-	// RelevantStalls lists the stall reasons to inspect for this finding
-	// (correlated by the Warp Stalls pillar).
-	RelevantStalls []sim.Stall
-	// RelevantMetrics lists ncu metric names that assess the finding.
-	RelevantMetrics []string
-	// CautionMetrics lists metrics to watch after applying the fix
-	// (e.g. register pressure after vectorizing, MIO stalls after
-	// switching to shared atomics).
-	CautionMetrics []string
-
-	// Filled by the dynamic pillars (empty in --dry-run):
-	Severity Severity
-	// StallSummary lines describe the dominant stalls at the sites.
-	StallSummary []string
-	// MetricSummary lines present the metric analysis.
-	MetricSummary []string
-
-	// Verification is the measured counterfactual evidence for the
-	// recommendation, attached by the advisor when the analysis ran with
-	// verification enabled and an optimized variant is paired with this
-	// finding (nil otherwise).
-	Verification *Verification
-
-	// RelevantStallShare is the fraction of all kernel stall samples that
-	// are of this finding's relevant kinds at its flagged lines (the
-	// attribution correlate computes; 0 in --dry-run).
-	RelevantStallShare float64
+	InLoop bool `json:"in_loop"`
 	// EstSpeedup is the GPA-style modeled payoff ceiling: how much faster
 	// the kernel could run if this finding's stalls were eliminated,
 	// widened by measured sensitivity headroom when a sweep ran. Reports
 	// are ordered by it (0 in --dry-run; ≥1 otherwise).
-	EstSpeedup float64
-	// Sensitivity is this finding's view of the microarchitectural sweep:
-	// the perturbed re-simulations of the resources its bottleneck class
-	// can be bound by (nil unless the advisor ran a sweep).
-	Sensitivity *Sensitivity
+	EstSpeedup float64 `json:"est_speedup,omitempty"`
+	// RelevantStallShare is the fraction of all kernel stall samples that
+	// are of this finding's relevant kinds at its flagged lines (the
+	// attribution correlate computes; 0 in --dry-run).
+	RelevantStallShare float64 `json:"relevant_stall_share,omitempty"`
+	// Sites are the code locations involved, in program order.
+	Sites []Site `json:"sites"`
+	// StallSummary lines describe the dominant stalls at the sites
+	// (dynamic pillars; empty in --dry-run).
+	StallSummary []string `json:"stall_summary,omitempty"`
+	// MetricSummary lines present the metric analysis (likewise).
+	MetricSummary []string `json:"metric_summary,omitempty"`
 	// StallSlices are the backward producer chains explaining the
 	// highest-stall PCs at this finding's sites (nil unless the run asked
 	// for slices).
-	StallSlices []StallSlice
+	StallSlices []StallSlice `json:"stall_slices,omitempty"`
+	// Sensitivity is this finding's view of the microarchitectural sweep:
+	// the perturbed re-simulations of the resources its bottleneck class
+	// can be bound by (nil unless the advisor ran a sweep).
+	Sensitivity *Sensitivity `json:"sensitivity,omitempty"`
+	// Verification is the measured counterfactual evidence for the
+	// recommendation, attached by the advisor when the analysis ran with
+	// verification enabled and an optimized variant is paired with this
+	// finding (nil otherwise).
+	Verification *Verification `json:"verification,omitempty"`
+
+	// RelevantStalls lists the stall reasons to inspect for this finding
+	// (correlated by the Warp Stalls pillar).
+	RelevantStalls []sim.Stall `json:"-"`
+	// RelevantMetrics lists ncu metric names that assess the finding.
+	RelevantMetrics []string `json:"-"`
+	// CautionMetrics lists metrics to watch after applying the fix
+	// (e.g. register pressure after vectorizing, MIO stalls after
+	// switching to shared atomics).
+	CautionMetrics []string `json:"-"`
 }
 
 // PrimaryLine returns the first site's source line (0 when none).

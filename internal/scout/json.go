@@ -10,10 +10,10 @@ import (
 // frontend (the paper's planned visualization, Fig. 7) needs, without the
 // internal simulator state.
 type JSONReport struct {
-	Kernel   string        `json:"kernel"`
-	Arch     string        `json:"arch"`
-	DryRun   bool          `json:"dry_run"`
-	Findings []JSONFinding `json:"findings"`
+	Kernel   string    `json:"kernel"`
+	Arch     string    `json:"arch"`
+	DryRun   bool      `json:"dry_run"`
+	Findings []Finding `json:"findings"`
 
 	// Degradations lists what this report lost to stage failures; absent
 	// on a clean run, so undegraded reports are byte-identical to pre-PR-5
@@ -34,27 +34,6 @@ type JSONReport struct {
 	Sensitivity *Sensitivity `json:"sensitivity,omitempty"`
 }
 
-// JSONFinding is the wire view of a Finding: the severity as a string and
-// the detector-internal stall/metric lists left out. Sites, slices,
-// sensitivity and verification are the report types themselves, which
-// carry their own wire tags.
-type JSONFinding struct {
-	Analysis       string        `json:"analysis"`
-	Severity       string        `json:"severity"`
-	Title          string        `json:"title"`
-	Problem        string        `json:"problem"`
-	Recommendation string        `json:"recommendation"`
-	InLoop         bool          `json:"in_loop"`
-	EstSpeedup     float64       `json:"est_speedup,omitempty"`
-	StallShare     float64       `json:"relevant_stall_share,omitempty"`
-	Sites          []Site        `json:"sites"`
-	StallSummary   []string      `json:"stall_summary,omitempty"`
-	MetricSummary  []string      `json:"metric_summary,omitempty"`
-	StallSlices    []StallSlice  `json:"stall_slices,omitempty"`
-	Sensitivity    *Sensitivity  `json:"sensitivity,omitempty"`
-	Verification   *Verification `json:"verification,omitempty"`
-}
-
 // JSONLineHeat mirrors LineHeat.
 type JSONLineHeat struct {
 	Line     int     `json:"line"`
@@ -71,34 +50,14 @@ type JSONOverhead struct {
 }
 
 // ToJSON converts the report to its serializable form. The view shares
-// the report's sites, slices, sensitivity and verification values; it does
-// not copy them.
+// the report's findings and sensitivity; it does not copy them.
 func (r *Report) ToJSON() *JSONReport {
 	out := &JSONReport{
 		Kernel:       r.Kernel,
 		Arch:         r.Arch,
 		DryRun:       r.DryRun,
+		Findings:     r.Findings,
 		Degradations: r.Degradations,
-	}
-	for i := range r.Findings {
-		f := &r.Findings[i]
-		jf := JSONFinding{
-			Analysis:       f.Analysis,
-			Severity:       f.Severity.String(),
-			Title:          f.Title,
-			Problem:        f.Problem,
-			Recommendation: f.Recommendation,
-			InLoop:         f.InLoop,
-			EstSpeedup:     f.EstSpeedup,
-			StallShare:     f.RelevantStallShare,
-			Sites:          f.Sites,
-			StallSummary:   f.StallSummary,
-			MetricSummary:  f.MetricSummary,
-			StallSlices:    f.StallSlices,
-			Sensitivity:    f.Sensitivity,
-			Verification:   f.Verification,
-		}
-		out.Findings = append(out.Findings, jf)
 	}
 	if r.DryRun {
 		return out

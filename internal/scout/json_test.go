@@ -24,19 +24,23 @@ func TestReportJSON(t *testing.T) {
 		t.Fatal("no findings serialized")
 	}
 	spill := false
-	for _, f := range got.Findings {
+	for i, f := range got.Findings {
 		if f.Analysis == "register_spilling" {
 			spill = true
 			if len(f.Sites) == 0 || f.Sites[0].Line == 0 || f.Sites[0].SASS == "" {
 				t.Errorf("spill sites incomplete: %+v", f.Sites)
 			}
-			if f.Severity == "" || len(f.StallSummary) == 0 {
+			if f.Severity != rep.Findings[i].Severity || len(f.StallSummary) == 0 {
 				t.Error("dynamic correlation missing from JSON")
 			}
 		}
 	}
 	if !spill {
 		t.Error("register_spilling not serialized")
+	}
+	var sev Severity
+	if err := json.Unmarshal([]byte(`"LOUD"`), &sev); err == nil {
+		t.Error("an unknown severity decoded without error")
 	}
 	if got.KernelCycles <= 0 || len(got.Metrics) == 0 || len(got.StallShares) == 0 {
 		t.Error("dynamic sections missing")

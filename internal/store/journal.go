@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -39,7 +38,8 @@ import (
 // jobs, it is rewritten as one snapshot marker followed by an accept
 // per still-pending job (temp file + fsync + rename, the same
 // atomicity discipline as report entries). A "snap" record therefore
-// means "forget everything replayed so far" — replay handles snapshots
+// means "forget every job replayed so far" (the highest job ID it
+// carries outlives the records that held it) — replay handles snapshots
 // at any position, not only record zero, so a journal produced by a
 // crashed compaction glued to an older log still replays sanely.
 
@@ -64,13 +64,14 @@ const recMaxBytes = 64 << 20
 const (
 	opAccept = "accept" // job acknowledged: id, fp, req
 	opTomb   = "tomb"   // job reached a terminal state: id, out
-	opSnap   = "snap"   // compaction marker: forget all prior records
+	opSnap   = "snap"   // compaction marker: forget all prior records; id = highest ever
 )
 
 // rec is the JSON payload of one journal frame.
 type rec struct {
 	Op string `json:"op"`
-	// ID is the job handle ("j00000007"); accept and tomb records.
+	// ID is the job handle ("j00000007") of an accept or tomb record; on
+	// a snap record, the highest handle the compacted-away log had seen.
 	ID string `json:"id,omitempty"`
 	// FP is the input fingerprint (accept records) — the identity the
 	// report store and cluster routing key on.
@@ -133,57 +134,74 @@ func replayJournal(data []byte) (recs []rec, validLen int64) {
 	}
 }
 
-// reduce folds a replayed record sequence into the live-job state:
-// pending jobs in acknowledgement order, plus the highest job ID ever
-// seen (so a restarted daemon resumes its ID sequence past every
-// handle a client may still hold). Duplicate accepts keep the latest
-// request bytes; duplicate tombstones are harmless; an accept after a
-// tombstone re-opens the job (the only way that sequence is written is
-// an ID reused after the journal recorded its predecessor's end).
-func reduce(recs []rec) (pending []PendingJob, lastID string) {
-	live := map[string]PendingJob{}
-	var order []string
-	for _, r := range recs {
-		switch r.Op {
-		case opAccept:
-			if r.ID == "" {
-				continue
-			}
-			if r.ID > lastID {
-				lastID = r.ID
-			}
-			if _, ok := live[r.ID]; !ok {
-				order = append(order, r.ID)
-			}
-			live[r.ID] = PendingJob{ID: r.ID, Fingerprint: r.FP, Req: r.Req}
-		case opTomb:
-			if r.ID > lastID {
-				lastID = r.ID
-			}
-			delete(live, r.ID)
-		case opSnap:
-			// Compaction marker: everything before it is superseded.
-			live = map[string]PendingJob{}
-			order = nil
-		default:
-			// Unknown op from a newer version: skip the record, keep the
-			// rest of the journal.
-		}
-	}
-	seen := map[string]bool{}
-	for _, id := range order {
-		if p, ok := live[id]; ok && !seen[id] {
-			seen[id] = true
-			pending = append(pending, p)
-		}
-	}
-	return pending, lastID
+// liveJobs is the journal's live-job state, and apply the one fold that
+// produces it: Open applies every replayed record, the append path each
+// record it has just written, compaction the records of the snapshot it
+// renames into place — so the live store and a replay of its journal
+// cannot disagree. The zero value is an empty journal.
+type liveJobs struct {
+	jobs map[string]PendingJob
+	// order holds job IDs as first acknowledged; it keeps tombstoned IDs
+	// and repeats a re-accepted one until the next snapshot (pending
+	// skips both), so it grows only between compactions.
+	order []string
+	// lastID is the highest job ID ever recorded (see LastJobID).
+	lastID string
 }
 
-// appendRecord frames and writes one record, honoring the fsync policy
-// and the mid-append kill site. The write is deliberately split in two
-// so an injected crash leaves a genuinely torn frame on disk — the
-// exact artifact a real mid-append power cut produces.
+// apply folds one record in. Duplicate accepts keep the latest request
+// bytes; duplicate tombstones are harmless; an accept after a tombstone
+// re-opens the job at its first position (the only way that sequence is
+// written is an ID reused after the journal recorded its predecessor's
+// end). A snapshot forgets every job before it but not the highest ID,
+// which it carries.
+func (l *liveJobs) apply(r rec) {
+	switch r.Op {
+	case opAccept:
+		if r.ID == "" {
+			return
+		}
+		if l.jobs == nil {
+			l.jobs = map[string]PendingJob{}
+		}
+		if _, ok := l.jobs[r.ID]; !ok {
+			l.order = append(l.order, r.ID)
+		}
+		l.jobs[r.ID] = PendingJob{ID: r.ID, Fingerprint: r.FP, Req: r.Req}
+	case opTomb:
+		delete(l.jobs, r.ID)
+	case opSnap:
+		// Compaction marker: everything before it is superseded.
+		l.jobs, l.order = nil, nil
+	default:
+		// Unknown op from a newer version: skip the record, keep the
+		// rest of the journal.
+		return
+	}
+	if r.ID > l.lastID {
+		l.lastID = r.ID
+	}
+}
+
+// pending lists the live jobs in acknowledgement order.
+func (l *liveJobs) pending() []PendingJob {
+	out := make([]PendingJob, 0, len(l.jobs))
+	seen := make(map[string]bool, len(l.jobs))
+	for _, id := range l.order {
+		if p, ok := l.jobs[id]; ok && !seen[id] {
+			seen[id] = true
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// appendRecordLocked frames and writes one record, honoring the fsync
+// policy and the mid-append kill site, folds it into the live-job state,
+// and compacts once the log carries CompactAfter more records than live
+// jobs. The write is deliberately split in two so an injected crash
+// leaves a genuinely torn frame on disk — the exact artifact a real
+// mid-append power cut produces.
 func (s *Store) appendRecordLocked(r rec) error {
 	if s.dead {
 		return ErrDead
@@ -218,6 +236,10 @@ func (s *Store) appendRecordLocked(r rec) error {
 			return fmt.Errorf("store: journal fsync: %w", err)
 		}
 	}
+	s.live.apply(r)
+	if s.records-len(s.live.jobs) >= s.opts.CompactAfter {
+		return s.compactLocked()
+	}
 	return nil
 }
 
@@ -227,17 +249,7 @@ func (s *Store) appendRecordLocked(r rec) error {
 func (s *Store) AppendAccept(id, fingerprint string, req json.RawMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendRecordLocked(rec{Op: opAccept, ID: id, FP: fingerprint, Req: req}); err != nil {
-		return err
-	}
-	if _, ok := s.pending[id]; !ok {
-		s.pendingOrder = append(s.pendingOrder, id)
-	}
-	s.pending[id] = PendingJob{ID: id, Fingerprint: fingerprint, Req: req}
-	if id > s.lastJobID {
-		s.lastJobID = id
-	}
-	return s.maybeCompactLocked()
+	return s.appendRecordLocked(rec{Op: opAccept, ID: id, FP: fingerprint, Req: req})
 }
 
 // AppendTombstone journals a job's terminal state. A missing tombstone
@@ -257,28 +269,12 @@ func (s *Store) AppendTombstone(id, outcome string) error {
 		s.dead = true
 		return fmt.Errorf("store: journal tombstone: %w", err)
 	}
-	if err := s.appendRecordLocked(rec{Op: opTomb, ID: id, Out: outcome}); err != nil {
-		return err
-	}
-	if _, ok := s.pending[id]; ok {
-		delete(s.pending, id)
-	}
-	return s.maybeCompactLocked()
+	return s.appendRecordLocked(rec{Op: opTomb, ID: id, Out: outcome})
 }
 
-// maybeCompactLocked rewrites the journal once the log carries
-// compactAfter more records than live jobs: the snapshot is one snap
-// marker plus an accept per pending job, written to a temp file and
-// renamed over the journal so a crash at any point leaves exactly one
-// valid journal on disk.
-func (s *Store) maybeCompactLocked() error {
-	live := len(s.pending)
-	if s.records-live < s.opts.CompactAfter {
-		return nil
-	}
-	return s.compactLocked()
-}
-
+// compactLocked rewrites the journal as one snap marker plus an accept
+// per pending job, written to a temp file and renamed over the journal so
+// a crash at any point leaves exactly one valid journal on disk.
 func (s *Store) compactLocked() error {
 	if s.dead {
 		return ErrDead
@@ -289,34 +285,32 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	now := time.Now().UnixNano()
+	var next liveJobs // the state the rewritten journal replays to
+	var newLen int64
+	records := 0
 	write := func(r rec) error {
+		r.T = now
 		payload, err := json.Marshal(r)
 		if err != nil {
 			return err
 		}
-		_, err = tmp.Write(encodeFrame(payload))
-		return err
+		frame := encodeFrame(payload)
+		if _, err := tmp.Write(frame); err != nil {
+			return err
+		}
+		next.apply(r)
+		records++
+		newLen += int64(len(frame))
+		return nil
 	}
-	var newLen int64
-	records := 1
-	err = write(rec{Op: opSnap, T: now})
-	if err == nil {
-		for _, id := range s.pendingOrder {
-			p, ok := s.pending[id]
-			if !ok {
-				continue
-			}
-			if err = write(rec{Op: opAccept, ID: p.ID, FP: p.Fingerprint, Req: p.Req, T: now}); err != nil {
-				break
-			}
-			records++
+	err = write(rec{Op: opSnap, ID: s.live.lastID})
+	for _, p := range s.live.pending() {
+		if err == nil {
+			err = write(rec{Op: opAccept, ID: p.ID, FP: p.Fingerprint, Req: p.Req})
 		}
 	}
 	if err == nil {
 		err = tmp.Sync()
-	}
-	if err == nil {
-		newLen, err = tmp.Seek(0, io.SeekEnd)
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
@@ -351,15 +345,7 @@ func (s *Store) compactLocked() error {
 	}
 	s.journalLen = newLen
 	s.records = records
-	// Rebuild pendingOrder without tombstoned gaps while we hold the
-	// lock anyway — it only ever grows between compactions.
-	order := s.pendingOrder[:0]
-	for _, id := range s.pendingOrder {
-		if _, ok := s.pending[id]; ok {
-			order = append(order, id)
-		}
-	}
-	s.pendingOrder = order
+	s.live = next
 	s.lastCompaction = time.Now()
 	s.compactions++
 	return nil
@@ -378,13 +364,7 @@ func (s *Store) Compact() error {
 func (s *Store) Pending() []PendingJob {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]PendingJob, 0, len(s.pending))
-	for _, id := range s.pendingOrder {
-		if p, ok := s.pending[id]; ok {
-			out = append(out, p)
-		}
-	}
-	return out
+	return s.live.pending()
 }
 
 // LastJobID returns the highest job ID the journal has ever recorded
@@ -394,5 +374,5 @@ func (s *Store) Pending() []PendingJob {
 func (s *Store) LastJobID() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lastJobID
+	return s.live.lastID
 }

@@ -103,7 +103,8 @@ func (s *Store) PutReport(key, fingerprint string, data []byte) error {
 // GetReport returns the verified report bytes for key. A checksum or
 // framing failure quarantines the entry to corrupt/ and reports a miss
 // — corrupt bytes are never returned. A hit refreshes the entry's
-// recency (mtime) for the byte-bounded GC.
+// recency (mtime) for the byte-bounded GC. A dead store reports a miss
+// without touching the directory.
 func (s *Store) GetReport(key string) ([]byte, bool) {
 	path, ok := s.reportPath(key)
 	if !ok {
@@ -111,6 +112,9 @@ func (s *Store) GetReport(key string) ([]byte, bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.dead {
+		return nil, false
+	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		if !os.IsNotExist(err) {

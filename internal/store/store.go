@@ -132,9 +132,7 @@ type Store struct {
 	// Journal state (journal.go).
 	journalLen     int64
 	records        int
-	pending        map[string]PendingJob
-	pendingOrder   []string
-	lastJobID      string
+	live           liveJobs
 	lastCompaction time.Time
 	compactions    uint64
 	recoveredTorn  bool // replay hit a torn/corrupt tail at Open
@@ -165,7 +163,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:         dir,
 		opts:        opts,
 		journalPath: filepath.Join(dir, "journal.wal"),
-		pending:     map[string]PendingJob{},
 		reports:     map[string]reportEntry{},
 	}
 	// A compaction that crashed between temp write and rename leaves
@@ -189,12 +186,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	recs, validLen := replayJournal(data)
 	s.recoveredTorn = validLen < int64(len(data))
-	pending, lastID := reduce(recs)
-	for _, p := range pending {
-		s.pending[p.ID] = p
-		s.pendingOrder = append(s.pendingOrder, p.ID)
+	for _, r := range recs {
+		s.live.apply(r)
 	}
-	s.lastJobID = lastID
 	s.records = len(recs)
 	s.journalLen = validLen
 
@@ -387,8 +381,8 @@ func (s *Store) Stats() Stats {
 		ReportEntries:      len(s.reports),
 		ReportBytes:        s.reportBytes,
 		JournalRecords:     s.records,
-		JournalLiveJobs:    len(s.pending),
-		JournalLag:         s.records - len(s.pending),
+		JournalLiveJobs:    len(s.live.jobs),
+		JournalLag:         s.records - len(s.live.jobs),
 		JournalBytes:       s.journalLen,
 		LastCompaction:     s.lastCompaction,
 		Compactions:        s.compactions,

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -203,6 +205,18 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	if got := s2.LastJobID(); got != "j00000099" {
 		t.Errorf("LastJobID = %q, want j00000099", got)
+	}
+
+	// ...also once the record that held it has been compacted away.
+	if err := s2.AppendTombstone("j00000099", "done"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	if got := openTest(t, dir, Options{}).LastJobID(); got != "j00000099" {
+		t.Errorf("LastJobID after the highest job was compacted away = %q, want j00000099", got)
 	}
 }
 
@@ -479,12 +493,80 @@ func TestParseFsyncPolicy(t *testing.T) {
 func TestStoreDeadAfterClose(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{})
+	key := strings.Repeat("bb", 32)
+	if err := s.PutReport(key, "fp", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	// Torn behind the store's back: a live GetReport would quarantine it.
+	entry := filepath.Join(dir, "reports", key)
+	if err := os.WriteFile(entry, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s.Close()
+	if _, ok := s.GetReport(key); ok {
+		t.Error("get on closed store hit")
+	}
+	if _, err := os.Stat(entry); err != nil {
+		t.Errorf("get on closed store moved the entry: %v", err)
+	}
 	if err := s.AppendAccept("j00000001", "fp", req("w")); err == nil {
 		t.Error("append on closed store succeeded")
 	}
 	if err := s.PutReport(strings.Repeat("aa", 32), "fp", []byte("x")); err == nil {
 		t.Error("put on closed store succeeded")
+	}
+}
+
+// reduce folds a record sequence the way Open does and returns what a
+// store opened on it would answer from Pending and LastJobID.
+func reduce(recs []rec) (pending []PendingJob, lastID string) {
+	var l liveJobs
+	for _, r := range recs {
+		l.apply(r)
+	}
+	return l.pending(), l.lastID
+}
+
+// TestLiveStateEqualsReplay: whatever a store has appended and compacted,
+// its Pending and LastJobID are those of a fresh Open of its directory —
+// including after a re-accepted ID, duplicate and orphan tombstones, and
+// a compaction that dropped the record holding the highest ID.
+func TestLiveStateEqualsReplay(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dir := t.TempDir()
+		s := openTest(t, dir, Options{FsyncPolicy: FsyncNever, CompactAfter: 6 + rng.Intn(20)})
+		for i := 0; i < 120; i++ {
+			id := fmt.Sprintf("j%08d", 1+rng.Intn(12)) // few IDs: re-accepts and repeats are common
+			var err error
+			switch n := rng.Intn(10); {
+			case n < 5:
+				err = s.AppendAccept(id, fmt.Sprintf("fp-%d", i), req(fmt.Sprint(i)))
+			case n < 9:
+				err = s.AppendTombstone(id, "done")
+			default:
+				err = s.Compact()
+			}
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, i, err)
+			}
+			if i%10 != 9 {
+				continue
+			}
+			// Nothing is torn, so a second Open of the live directory
+			// truncates nothing: a pure replay.
+			fresh, err := Open(dir, Options{FsyncPolicy: FsyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := s.Pending(), fresh.Pending(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: live Pending\n  %+v\nreplayed\n  %+v", seed, i, got, want)
+			}
+			if got, want := s.LastJobID(), fresh.LastJobID(); got != want {
+				t.Fatalf("seed %d step %d: live LastJobID %q, replayed %q", seed, i, got, want)
+			}
+			fresh.Close()
+		}
 	}
 }
 

@@ -157,3 +157,36 @@ func TestPrepareWithinHostBound(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmLaunchAllocsBounded holds sim.TestLaunchAllocsBounded's budget
+// on real kernels: a warm launch of an issue-bound, a memory-bound and a
+// stall-bound workload (bench/'s sim_large rows) allocates for launch
+// setup only. Measured 943-1 446 across the three; the per-warp and
+// per-instruction heap traffic the arena removed was 43k-298k.
+func TestWarmLaunchAllocsBounded(t *testing.T) {
+	const maxAllocs = 5000
+	for _, tc := range []struct {
+		name  string
+		scale int
+	}{{"sgemm_naive", 192}, {"jacobi_naive", 512}, {"mixbench_sp_naive", 1}} {
+		w, err := Build(tc.name, tc.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := sim.NewDevice(gpu.V100())
+		run, err := w.Prepare(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// AllocsPerRun's own warm-up call settles device pages and pools.
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := sim.Launch(dev, run.Spec, sim.Config{SampleSMs: 8, Workers: 1}); err != nil {
+				t.Fatalf("%s: Launch: %v", tc.name, err)
+			}
+		})
+		if allocs > maxAllocs {
+			t.Errorf("%s@%d: warm Launch allocated %.0f times, want <= %d", tc.name, tc.scale, allocs, maxAllocs)
+		}
+		t.Logf("%s@%d: %.0f allocs per warm launch", tc.name, tc.scale, allocs)
+	}
+}
