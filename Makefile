@@ -29,7 +29,8 @@ test:
 # Runs the programs `go build ./...` only compiles: the four examples
 # (each exits non-zero when its own expectation fails), gpusim, its
 # disassembly fed back through `gpuscout -sass` (the blank line ends the
-# SASS, launch statistics follow), and one experiment (~5 s).
+# SASS, launch statistics follow), the purity check — one swept, sliced
+# request run twice must write the same bytes — and one experiment (~6 s).
 smoke:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	for e in heattransfer mixbench quickstart sgemm; do \
@@ -39,6 +40,12 @@ smoke:
 	$(GO) run ./cmd/gpusim -workload transpose_naive -scale 32 -disas | sed '/^$$/q' > "$$tmp/k.sass"; \
 	$(GO) run ./cmd/gpuscout -sass "$$tmp/k.sass" -json "$$tmp/k.json" | grep -q 'analysis: readonly_cache'; \
 	test -s "$$tmp/k.json"; \
+	echo "smoke: the same request twice, cmp the reports"; \
+	for n in 1 2; do \
+		$(GO) run ./cmd/gpuscout -workload transpose_naive -scale 32 -sample-sms 1 \
+			-sensitivity -slice -json "$$tmp/run$$n.json" > /dev/null; \
+	done; \
+	cmp "$$tmp/run1.json" "$$tmp/run2.json"; \
 	echo "smoke: experiments -run fig2 -fast"; \
 	$(GO) run ./cmd/experiments -run fig2 -fast | grep -q 'Register spilling'
 

@@ -14,6 +14,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -22,6 +23,7 @@ import (
 	"gpuscout"
 	"gpuscout/internal/advisor"
 	"gpuscout/internal/cubin"
+	"gpuscout/internal/scout"
 	"gpuscout/internal/service"
 )
 
@@ -32,18 +34,35 @@ func main() {
 	}
 }
 
+// analyze runs one request the way a gpuscoutd worker does: the shared
+// lowering (service.Resolve), then the one pipeline function per plan —
+// two plans for -arch-compare, base architecture first.
+func analyze(ctx context.Context, req service.AnalyzeRequest, budgets scout.StageBudgets) ([]*advisor.Outcome, error) {
+	plans, err := service.Resolve(req, 0, budgets)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]*advisor.Outcome, len(plans))
+	for i, p := range plans {
+		if outs[i], err = advisor.Run(ctx, p); err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
+}
+
 // run is the whole CLI behind main, separated so tests can drive it
-// in-process. Workload analyses lower to one advisor.Plan and go through
-// advisor.Run — the same pipeline function the daemon executes — so
-// -timeout, -stage-budgets, -verify and -sensitivity mean the same thing
-// here as in a gpuscoutd request.
+// in-process. The flags spell one daemon request, which takes the
+// daemon's path — Validate, service.Resolve, advisor.Run — so every flag
+// means the same thing here as its field does in a gpuscoutd body, and
+// -json writes the bytes the daemon would answer with.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gpuscout", flag.ExitOnError)
 	var (
 		workload = fs.String("workload", "", "built-in workload to analyze (see -list)")
 		scale    = fs.Int("scale", 0, "workload scale (0 = default)")
 		cubinF   = fs.String("cubin", "", "cubin file to analyze (static analysis)")
-		kernelN  = fs.String("kernel", "", "kernel name within the cubin (default: first)")
+		kernelN  = fs.String("kernel", "", "kernel name within the cubin (default: every kernel)")
 		sassF    = fs.String("sass", "", "SASS text file to analyze (static analysis)")
 		dryRun   = fs.Bool("dry-run", false, "static SASS analysis only, no GPU involvement")
 		verify   = fs.Bool("verify", false, "re-execute each recommendation's paired optimized variant and attach measured verdicts (workload analyses only)")
@@ -70,20 +89,9 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	arch, err := gpuscout.ArchByName(*archName)
-	if err != nil {
-		return err
-	}
 	budgets, err := gpuscout.ParseStageBudgets(*budgetsF)
 	if err != nil {
 		return err
-	}
-	opts := gpuscout.Options{
-		DryRun:         *dryRun,
-		SamplingPeriod: *period,
-		Sim:            gpuscout.SimConfig{SampleSMs: *sample},
-		Budgets:        budgets,
-		StallSlices:    *slices,
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -92,16 +100,16 @@ func run(args []string, stdout io.Writer) error {
 		defer cancel()
 	}
 
-	// A CLI analysis is a daemon request spelled as flags, whichever of
-	// the three source forms it names: the same shape rules apply (one
-	// source; -verify, -sensitivity and -arch-compare need a workload and
-	// exclude -dry-run), with the daemon's own messages.
+	// The same shape rules apply as at the daemon (one source; -verify,
+	// -sensitivity and -arch-compare need a workload and exclude
+	// -dry-run), with the daemon's own messages.
 	if *workload == "" && *cubinF == "" && *sassF == "" {
 		fs.Usage()
 		os.Exit(2)
 	}
-	req := service.AnalyzeRequest{Workload: *workload, Scale: *scale, Kernel: *kernelN, ArchCompare: *archCmp,
-		DryRun: *dryRun, Verify: *verify, Sensitivity: *sens}
+	req := service.AnalyzeRequest{Workload: *workload, Scale: *scale, Kernel: *kernelN,
+		Arch: *archName, ArchCompare: *archCmp, DryRun: *dryRun, Verify: *verify, Sensitivity: *sens,
+		StallSlices: *slices, SamplingPeriod: *period, SampleSMs: *sample}
 	if *cubinF != "" {
 		if req.Cubin, err = os.ReadFile(*cubinF); err != nil {
 			return err
@@ -123,54 +131,63 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-compare, -region and -source-view need a single workload report (not an uploaded kernel or -arch-compare)")
 	}
 
-	// Uploaded kernels are analyzed statically, every kernel of a cubin
-	// unless -kernel selects one (the paper's Configuration stage
-	// disassembles the whole cubin).
-	var kernels []*gpuscout.Kernel
-	switch {
-	case req.Workload != "":
-		if *archCmp != "" {
-			other, err := gpuscout.ArchByName(*archCmp)
-			if err != nil {
-				return err
-			}
-			cmp, err := gpuscout.AnalyzeWorkloadCrossArch(ctx, *workload, *scale, arch, other, opts, *verify, *sens)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, cmp.Render())
-			if *jsonOut != "" {
-				data, err := cmp.MarshalJSON()
-				if err != nil {
-					return err
-				}
-				return os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
-			}
-			return nil
-		}
-
-		out, err := advisor.Run(ctx, advisor.Plan{
-			Arch: arch, Opts: opts, Workload: *workload, Scale: *scale,
-			Verify: *verify, Sensitivity: *sens,
-		})
+	// A request names one kernel; a cubin without -kernel is one request
+	// per kernel it holds (the paper's Configuration stage disassembles
+	// the whole cubin).
+	kernels := []string{req.Kernel}
+	if len(req.Cubin) > 0 && req.Kernel == "" {
+		bin, err := cubin.Decode(req.Cubin)
 		if err != nil {
 			return err
 		}
-		rep := out.Report
-		fmt.Fprintln(stdout, rep.Render())
-		if v := out.Verified; v != nil {
-			fmt.Fprintf(stdout, "verification: %d recommendation(s) re-executed — %d confirmed, %d neutral, %d refuted\n",
-				v.Checked, v.Confirmed, v.Neutral, v.Refuted)
+		if len(bin.Kernels) == 0 {
+			return fmt.Errorf("cubin %s holds no kernels", *cubinF)
 		}
-		if swept := rep.Sensitivity; swept != nil {
-			fmt.Fprintf(stdout, "sensitivity: %d perturbation(s) re-simulated — %s\n",
-				len(swept.Deltas), swept.Summary())
+		kernels = kernels[:0]
+		for _, k := range bin.Kernels {
+			kernels = append(kernels, k.Name)
+		}
+		if *jsonOut != "" && len(kernels) != 1 {
+			return fmt.Errorf("-json writes one report, but cubin %s holds %d kernels: select one with -kernel", *cubinF, len(kernels))
+		}
+	}
+	for _, req.Kernel = range kernels {
+		outs, err := analyze(ctx, req, budgets)
+		if err != nil {
+			return err
+		}
+		rep := outs[0].Report
+		var doc interface {
+			json.Marshaler
+			Render() string
+		} = rep
+		if len(outs) == 2 {
+			doc = scout.CompareReports(rep, outs[1].Report)
+		}
+		fmt.Fprintln(stdout, doc.Render())
+		if len(outs) == 1 {
+			if v := outs[0].Verified; v != nil {
+				fmt.Fprintf(stdout, "verification: %d recommendation(s) re-executed — %d confirmed, %d neutral, %d refuted\n",
+					v.Checked, v.Confirmed, v.Neutral, v.Refuted)
+			}
+			if swept := rep.Sensitivity; swept != nil {
+				fmt.Fprintf(stdout, "sensitivity: %d perturbation(s) re-simulated — %s\n",
+					len(swept.Deltas), swept.Summary())
+			}
+			if !rep.DryRun {
+				// Host wall time: measured, so beside the report, not in it.
+				fmt.Fprintf(stdout, "static analysis: %.3g Mcycles of host time at the modeled clock\n", rep.OverheadSASSCycles/1e6)
+			}
 		}
 		if *srcView {
 			fmt.Fprintln(stdout, rep.SourceView())
 		}
 		if *jsonOut != "" {
-			if err := gpuscout.WriteReportJSON(*jsonOut, rep); err != nil {
+			data, err := doc.MarshalJSON()
+			if err != nil {
+				return err
+			}
+			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
 				return err
 			}
 		}
@@ -186,55 +203,17 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintln(stdout, prof.Render())
 		}
 		if *compare != "" {
-			rep2, err := gpuscout.AnalyzeWorkloadContext(ctx, *compare, *scale, arch, opts)
+			other := req
+			other.Workload, other.Verify, other.Sensitivity = *compare, false, false
+			outs2, err := analyze(ctx, other, budgets)
 			if err != nil {
 				return err
 			}
-			cmp, err := gpuscout.Compare(rep, rep2)
+			cmp, err := gpuscout.Compare(rep, outs2[0].Report)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintln(stdout, cmp.Render())
-		}
-		return nil
-
-	case len(req.Cubin) > 0:
-		bin, err := cubin.Decode(req.Cubin)
-		if err != nil {
-			return err
-		}
-		if len(bin.Kernels) == 0 {
-			return fmt.Errorf("cubin %s holds no kernels", *cubinF)
-		}
-		kernels = bin.Kernels
-		if req.Kernel != "" {
-			k, err := bin.Kernel(req.Kernel)
-			if err != nil {
-				return err
-			}
-			kernels = []*gpuscout.Kernel{k}
-		}
-		if *jsonOut != "" && len(kernels) != 1 {
-			return fmt.Errorf("-json writes one report, but cubin %s holds %d kernels: select one with -kernel", *cubinF, len(kernels))
-		}
-
-	default:
-		k, err := gpuscout.ParseSASS(req.SASS)
-		if err != nil {
-			return err
-		}
-		kernels = []*gpuscout.Kernel{k}
-	}
-	for _, k := range kernels {
-		rep, err := gpuscout.DryRun(arch, k)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, rep.Render())
-		if *jsonOut != "" {
-			if err := gpuscout.WriteReportJSON(*jsonOut, rep); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +16,7 @@ import (
 	"gpuscout/internal/faultinject"
 	"gpuscout/internal/gpu"
 	"gpuscout/internal/scout"
+	"gpuscout/internal/service"
 )
 
 // TestArchCompareHonoursSensitivity: -arch-compare runs the same
@@ -201,8 +204,8 @@ func TestUploadJSON(t *testing.T) {
 	}
 }
 
-// TestStageBudgetsFlag: the flag is a switch; the pre-PR-16 weight list
-// is an error naming the fixed split.
+// TestStageBudgetsFlag: the flag is a switch; a weight list is an error
+// naming the fixed split.
 func TestStageBudgetsFlag(t *testing.T) {
 	var stdout bytes.Buffer
 	for _, v := range []string{"on", "off"} {
@@ -213,5 +216,75 @@ func TestStageBudgetsFlag(t *testing.T) {
 	err := run([]string{"-workload", "transpose_naive", "-dry-run", "-stage-budgets", "5,55,15,25"}, &stdout)
 	if err == nil || !strings.Contains(err.Error(), "sim 55%") {
 		t.Errorf("-stage-budgets weight list: err = %v, want one naming the fixed split", err)
+	}
+}
+
+// TestCLIAndDaemonAgree pins the one lowering: a request spelled as flags
+// and the same request posted to a daemon yield the same document, byte
+// for byte — for a workload with every pass on, both upload forms and an
+// arch comparison. (The envelope nests the document one level deeper;
+// re-indenting it from column zero is the only thing done to either.)
+func TestCLIAndDaemonAgree(t *testing.T) {
+	svc, err := service.New(service.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() { ts.Close(); svc.Close() })
+
+	sassPath, cubinTwo, _ := uploadFixtures(t)
+	sassText, err := os.ReadFile(sassPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cubinBytes, err := os.ReadFile(cubinTwo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		req  service.AnalyzeRequest
+	}{
+		{[]string{"-workload", "transpose_shared", "-scale", "64", "-sample-sms", "1", "-verify", "-sensitivity", "-slice"},
+			service.AnalyzeRequest{Workload: "transpose_shared", Scale: 64, SampleSMs: 1, Verify: true, Sensitivity: true, StallSlices: true}},
+		{[]string{"-sass", sassPath},
+			service.AnalyzeRequest{SASS: string(sassText)}},
+		{[]string{"-cubin", cubinTwo, "-kernel", "_Z9transposePKfPfi", "-arch", "sm80"},
+			service.AnalyzeRequest{Cubin: cubinBytes, Kernel: "_Z9transposePKfPfi", Arch: "sm80"}},
+		{[]string{"-workload", "sgemm_shared", "-scale", "64", "-sample-sms", "1", "-arch-compare", "sm80", "-verify"},
+			service.AnalyzeRequest{Workload: "sgemm_shared", Scale: 64, SampleSMs: 1, ArchCompare: "sm80", Verify: true}},
+	} {
+		out := filepath.Join(t.TempDir(), "out.json")
+		var stdout bytes.Buffer
+		if err := run(append(tc.args, "-json", out), &stdout); err != nil {
+			t.Errorf("%v: %v", tc.args, err)
+			continue
+		}
+		fromCLI, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st service.Status
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil || st.State != service.StateDone {
+			t.Fatalf("%v: daemon answered %d, state %q (%v): %s", tc.args, resp.StatusCode, st.State, err, st.Error)
+		}
+		var fromDaemon bytes.Buffer
+		if err := json.Indent(&fromDaemon, st.Report, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bytes.TrimSuffix(fromCLI, []byte("\n")), fromDaemon.Bytes()) {
+			t.Errorf("%v: -json wrote %d bytes, the daemon's report is %d bytes, and they differ", tc.args, len(fromCLI), fromDaemon.Len())
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Command gpusim runs a kernel on the simulated GPU and prints raw
 // simulation data: duration, occupancy, stall breakdown, cache/DRAM
-// counters, and optionally the disassembly or the PTX view. It is the
-// "just run it" companion to the gpuscout analysis CLI.
+// counters, and optionally the disassembly. It is the "just run it"
+// companion to the gpuscout analysis CLI.
 package main
 
 import (
@@ -12,7 +12,6 @@ import (
 
 	"gpuscout"
 	"gpuscout/internal/gpu"
-	"gpuscout/internal/ptx"
 	"gpuscout/internal/sim"
 	"gpuscout/internal/workloads"
 )
@@ -24,7 +23,6 @@ func main() {
 		archName = flag.String("arch", "sm_70", "GPU architecture")
 		sample   = flag.Int("sample-sms", 2, "SMs to simulate")
 		disas    = flag.Bool("disas", false, "print the kernel disassembly")
-		ptxView  = flag.Bool("ptx", false, "print the PTX view")
 	)
 	flag.Parse()
 	if *name == "" {
@@ -41,9 +39,6 @@ func main() {
 	}
 	if *disas {
 		fmt.Println(gpuscout.PrintSASS(w.Kernel))
-	}
-	if *ptxView {
-		fmt.Println(ptx.Lift(w.Kernel).Print())
 	}
 
 	dev := sim.NewDevice(arch)

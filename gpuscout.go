@@ -203,16 +203,6 @@ func DryRun(arch Arch, k *Kernel) (*Report, error) {
 	return scout.AnalyzeContext(context.Background(), arch, k, nil, Options{DryRun: true})
 }
 
-// WriteReportJSON writes a report's machine-readable form to a file —
-// the data the paper's planned visual frontend (Fig. 7) would consume.
-func WriteReportJSON(path string, rep *Report) error {
-	data, err := rep.MarshalJSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // A100 returns an Ampere GPU description (extensibility demo: the
 // analyses run unchanged on newer architectures).
 func A100() Arch { return gpu.A100() }
@@ -293,18 +283,6 @@ type RecommendationPair = advisor.Pair
 // RecommendationPairs lists the advisor's recommendation->variant table.
 func RecommendationPairs() []RecommendationPair { return advisor.Pairs() }
 
-// VerifySummary counts the verdicts of one verification pass.
-type VerifySummary = advisor.Summary
-
-// VerifyWorkloadReport re-executes the paired optimized variant for every
-// finding in a workload report, under the same simulator configuration,
-// and attaches measured Verification blocks. The report must come from a
-// non-dry-run analysis of the named workload at the given scale. Each
-// variant launch polls ctx, so a deadline covers the re-runs.
-func VerifyWorkloadReport(ctx context.Context, rep *Report, name string, scale int, arch Arch, opts Options) (*VerifySummary, error) {
-	return advisor.Verify(ctx, rep, name, scale, arch, opts.Sim)
-}
-
 // --- Sensitivity sweeps (advisor v2) ---
 
 // Sensitivity is a microarchitectural sensitivity sweep: the analyzed
@@ -320,19 +298,6 @@ type ResourceDelta = scout.ResourceDelta
 // (enable with Options.StallSlices).
 type StallSlice = scout.StallSlice
 
-// SweepWorkloadReport re-simulates the analyzed workload under the
-// perturbation matrix (±L1/L2 capacity, DRAM latency/bandwidth, shared
-// banks, issue width — twelve runs of one lowering), attaches the
-// sensitivity analysis to the report and its findings, widens each
-// finding's stall-based speedup ceiling by the measured headroom, and
-// re-orders the findings by payoff; sweeping an already swept report
-// changes nothing. The report must come from a non-dry-run analysis of
-// the named workload. Every perturbed launch polls ctx, so a deadline
-// covers the sweep.
-func SweepWorkloadReport(ctx context.Context, rep *Report, name string, scale int, arch Arch, opts Options) (*Sensitivity, error) {
-	return advisor.Sweep(ctx, rep, name, scale, arch, opts.Sim)
-}
-
 // --- Cross-architecture comparison ---
 
 // ArchComparison is the cross-arch report: the same workload analyzed
@@ -347,26 +312,4 @@ type ArchDelta = scout.ArchDelta
 // different architectures.
 func CompareArchReports(base, other *Report) *ArchComparison {
 	return scout.CompareReports(base, other)
-}
-
-// AnalyzeWorkloadCrossArch analyzes the named workload on two
-// architectures and returns the cross-arch comparison. With verify set,
-// each report's recommendations are counterfactually verified first, so
-// the deltas include advisor verdict changes (e.g. a fix confirmed on
-// sm_70 that is moot on sm_80 because cp.async already hides the stall);
-// with sensitivity set, both reports carry their perturbation sweep. A
-// deadline on ctx is split into stage budgets exactly as in the daemon.
-func AnalyzeWorkloadCrossArch(ctx context.Context, name string, scale int, base, other Arch, opts Options, verify, sensitivity bool) (*ArchComparison, error) {
-	reps := make([]*Report, 2)
-	for i, arch := range []Arch{base, other} {
-		out, err := advisor.Run(ctx, advisor.Plan{
-			Arch: arch, Opts: opts, Workload: name, Scale: scale,
-			Verify: verify, Sensitivity: sensitivity,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("gpuscout: analyze %s on %s: %w", name, arch.SM, err)
-		}
-		reps[i] = out.Report
-	}
-	return scout.CompareReports(reps[0], reps[1]), nil
 }

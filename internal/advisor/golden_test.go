@@ -46,8 +46,7 @@ func goldenScale(t *testing.T, name string) int {
 // goldenAnalyze produces the full advisor-v2 report for one workload at
 // the given simulator parallelism: analysis with backward stall slices,
 // counterfactual verification, and the sensitivity sweep with its
-// payoff-ranked finding order. The SASS-analysis overhead is wall-clock
-// time and is zeroed: everything else in a report is deterministic.
+// payoff-ranked finding order.
 func goldenAnalyze(t *testing.T, name string, workers int, arch gpu.Arch) *scout.Report {
 	t.Helper()
 	scale := goldenScale(t, name)
@@ -70,7 +69,6 @@ func goldenAnalyze(t *testing.T, name string, workers int, arch gpu.Arch) *scout
 	if _, err := Sweep(context.Background(), rep, name, scale, arch, cfg); err != nil {
 		t.Fatalf("sweep %s: %v", name, err)
 	}
-	rep.OverheadSASSCycles = 0
 	return rep
 }
 

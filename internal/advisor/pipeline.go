@@ -20,8 +20,8 @@ type Plan struct {
 	Opts scout.Options
 	// Workload and Scale name a built-in workload (lowered by Build). The
 	// re-execution passes need them too: recommendation pairs are
-	// workload-keyed and the sweep lowers the kernel itself, once, for
-	// its perturbed re-runs.
+	// workload-keyed, and the sweep of a plan that arrived with its
+	// Kernel already set lowers the workload itself.
 	Workload string
 	Scale    int
 	// Verify and Sensitivity add the counterfactual re-runs and the
@@ -31,6 +31,9 @@ type Plan struct {
 	// uploaded kernel arrives with Kernel set and no Run (static only).
 	Kernel *sass.Kernel
 	Run    scout.RunContextFunc
+
+	// built is Build's lowering, which the sweep re-simulates as is.
+	built *workloads.Workload
 }
 
 // Build lowers the named workload for p.Arch, filling Kernel and — unless
@@ -42,11 +45,11 @@ func (p *Plan) Build() error {
 		return nil
 	}
 	arch := p.Arch
-	w, err := workloads.BuildArch(p.Workload, p.Scale, arch)
+	w, err := buildArch(p.Workload, p.Scale, arch)
 	if err != nil {
 		return err
 	}
-	p.Kernel = w.Kernel
+	p.Kernel, p.built = w.Kernel, w
 	if !p.Opts.DryRun {
 		p.Run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 			return workloads.ExecuteContext(ctx, w, sim.NewDevice(arch), cfg)
@@ -108,7 +111,7 @@ func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	if p.Sensitivity {
 		sctx, cancel := budgeted()
 		t := time.Now()
-		_, err = Sweep(sctx, rep, p.Workload, p.Scale, p.Arch, p.Opts.Sim)
+		_, err = sweep(sctx, rep, p.built, p.Workload, p.Scale, p.Arch, p.Opts.Sim)
 		out.Sweep = time.Since(t)
 		cancel()
 		if err != nil {

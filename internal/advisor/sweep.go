@@ -16,7 +16,8 @@ import (
 var siteSweep = faultinject.Register("advisor.sweep")
 
 // buildArch is workloads.BuildArch; a variable only so
-// TestSweepLoweringReuse can count the sweep's lowerings.
+// TestSweepLoweringReuse can count the lowerings of a sweep and of a
+// whole Run.
 var buildArch = workloads.BuildArch
 
 // Sweep runs the microarchitectural sensitivity analysis (Pompougnac et
@@ -35,6 +36,12 @@ var buildArch = workloads.BuildArch
 // the degradation ledger; an expired deadline skips the remaining
 // entries the same way, while an explicit cancellation aborts the pass.
 func Sweep(ctx context.Context, rep *scout.Report, workload string, scale int, arch gpu.Arch, cfg sim.Config) (*scout.Sensitivity, error) {
+	return sweep(ctx, rep, nil, workload, scale, arch, cfg)
+}
+
+// sweep is Sweep over base, the analyzed run's own lowering when the
+// caller (Run) still holds it; nil lowers the workload here.
+func sweep(ctx context.Context, rep *scout.Report, base *workloads.Workload, workload string, scale int, arch gpu.Arch, cfg sim.Config) (*scout.Sensitivity, error) {
 	if rep == nil {
 		return nil, fmt.Errorf("advisor: nil report")
 	}
@@ -46,10 +53,10 @@ func Sweep(ctx context.Context, rep *scout.Report, workload string, scale int, a
 	}
 
 	sens := &scout.Sensitivity{BaselineCycles: rep.Result.Cycles}
-	// One lowering serves the whole matrix (see gpu.Perturbation.Apply),
-	// built inside the first cell's guard: a failing build fails every
-	// cell the same way, one ledger entry per missing perturbation.
-	var base *workloads.Workload
+	// One lowering serves the whole matrix (see gpu.Perturbation.Apply);
+	// a missing one is built inside the first cell's guard: a failing
+	// build fails every cell the same way, one ledger entry per missing
+	// perturbation.
 	for _, p := range gpu.Perturbations() {
 		err := rerun(ctx, rep, siteSweep, "perturbation "+p.ID(), "sweep budget exhausted", "missing from sweep", func() error {
 			if base == nil {

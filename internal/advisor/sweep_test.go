@@ -220,7 +220,8 @@ func TestSweepHonorsContext(t *testing.T) {
 // the unperturbed build — the one kernel Sweep simulates under all of
 // them. A perturbation that starts moving a field codegen reads fails
 // here instead of silently simulating the wrong kernel. The second half
-// guards the other direction: one Sweep lowers its workload once.
+// guards the other direction: one Sweep lowers its workload once, and a
+// whole swept Run — Plan.Build included — lowers it once as well.
 func TestSweepLoweringReuse(t *testing.T) {
 	perts := gpu.Perturbations()
 	for _, arch := range []gpu.Arch{gpu.V100(), gpu.A100()} {
@@ -257,6 +258,16 @@ func TestSweepLoweringReuse(t *testing.T) {
 	}
 	if len(s.Deltas) != len(perts) || builds != 1 {
 		t.Errorf("sweep ran %d of %d perturbations over %d lowerings, want one lowering", len(s.Deltas), len(perts), builds)
+	}
+
+	builds = 0
+	out, err := Run(context.Background(), Plan{Arch: gpu.V100(), Opts: scout.Options{Sim: cfg},
+		Workload: "transpose_naive", Scale: 64, Sensitivity: true})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if swept := out.Report.Sensitivity; swept == nil || len(swept.Deltas) != len(perts) || builds != 1 {
+		t.Errorf("a swept Run made %d lowerings (sensitivity %+v), want one", builds, swept)
 	}
 }
 

@@ -273,16 +273,6 @@ func ClassOf(op Opcode) Class {
 	}
 }
 
-// IsMemory reports whether the opcode accesses a memory space.
-func IsMemory(op Opcode) bool {
-	switch op {
-	case OpLDG, OpSTG, OpLDS, OpSTS, OpLDL, OpSTL, OpLDC, OpTEX, OpATOM, OpATOMS, OpRED,
-		OpLDGSTS:
-		return true
-	}
-	return false
-}
-
 // IsLoad reports whether the opcode reads memory into registers.
 func IsLoad(op Opcode) bool {
 	switch op {

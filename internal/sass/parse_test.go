@@ -341,9 +341,6 @@ func TestOpcodeClassification(t *testing.T) {
 		ClassOf(OpBRA) != ClassControl || ClassOf(OpFFMA) != ClassALU {
 		t.Error("ClassOf misclassifies an opcode")
 	}
-	if !IsMemory(OpATOM) || IsMemory(OpFFMA) {
-		t.Error("IsMemory wrong")
-	}
 	if !IsLoad(OpTEX) || IsLoad(OpSTG) {
 		t.Error("IsLoad wrong")
 	}

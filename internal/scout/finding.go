@@ -317,9 +317,11 @@ type Report struct {
 	// report either carries the data or an entry naming why it does not.
 	Degradations []Degradation
 
-	// Overhead accounting for the Fig. 6 analysis, in modeled SM cycles
-	// (SASS analysis time is real wall time converted at the modeled
-	// clock for comparability).
+	// Overhead accounting for the Fig. 6 analysis, in modeled SM cycles.
+	// OverheadSASSCycles is the host wall time of the static analysis
+	// converted at the modeled clock: like sim.Result.Host it is outside
+	// the determinism guarantee, and neither MarshalJSON nor Render emits
+	// it — the document holds only the two modeled numbers.
 	OverheadSASSCycles     float64
 	OverheadSamplingCycles float64
 	OverheadMetricsCycles  float64

@@ -141,9 +141,8 @@ func (r *Report) Render() string {
 				fmt.Fprintf(&b, "  %-55s %14.6g %s\n", name, v, unit)
 			}
 		}
-		fmt.Fprintf(&b, "\nOverhead: SASS analysis %.3g Mcycles | PC sampling %.3g Mcycles | metrics %.3g Mcycles (%d ncu passes) | bare kernel %.3g Mcycles\n",
-			r.OverheadSASSCycles/1e6, r.OverheadSamplingCycles/1e6,
-			r.OverheadMetricsCycles/1e6, r.Metrics.Passes, r.KernelCycles/1e6)
+		fmt.Fprintf(&b, "\nOverhead: PC sampling %.3g Mcycles | metrics %.3g Mcycles (%d ncu passes) | bare kernel %.3g Mcycles\n",
+			r.OverheadSamplingCycles/1e6, r.OverheadMetricsCycles/1e6, r.Metrics.Passes, r.KernelCycles/1e6)
 	}
 
 	if s := r.Sensitivity; s != nil {

@@ -2,10 +2,13 @@ package scout
 
 import (
 	"context"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
 	"gpuscout/internal/gpu"
+	"gpuscout/internal/sass"
 	"gpuscout/internal/sim"
 	"gpuscout/internal/workloads"
 )
@@ -194,6 +197,51 @@ func TestAtomicsFindings(t *testing.T) {
 	mS := findingsByAnalysis(repS)
 	if len(mS["shared_atomics"]) > 0 && mS["shared_atomics"][0].InLoop {
 		t.Error("shared variant's merge atomic flagged as in-loop")
+	}
+}
+
+// TestSharedAtomicsCountsMatchOpcodes: the two counts the §4.4 finding
+// quotes are the kernel's ATOM+RED and ATOMS instructions, for every
+// workload on both backends — counted here on the printed SASS, not on
+// the decoded opcodes the detector walks. A kernel without global
+// atomics has no finding, whatever it does in shared memory.
+func TestSharedAtomicsCountsMatchOpcodes(t *testing.T) {
+	mnemonic := regexp.MustCompile(`(?m)^\s*/\*[0-9a-f]+\*/\s+(?:@\S+\s+)?(ATOMS|ATOM|RED)\b`)
+	fired := 0
+	for _, arch := range []gpu.Arch{gpu.V100(), gpu.A100()} {
+		for _, name := range workloads.Names() {
+			w, err := workloads.BuildArch(name, 0, arch)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", arch.SM, name, err)
+			}
+			global, shared := 0, 0
+			for _, m := range mnemonic.FindAllStringSubmatch(sass.Print(w.Kernel), -1) {
+				if m[1] == "ATOMS" {
+					shared++
+				} else {
+					global++
+				}
+			}
+			rep, err := AnalyzeContext(context.Background(), arch, w.Kernel, nil, Options{DryRun: true})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", arch.SM, name, err)
+			}
+			found := findingsByAnalysis(rep)["shared_atomics"]
+			if global == 0 {
+				if len(found) != 0 {
+					t.Errorf("%s/%s: a finding without a global atomic", arch.SM, name)
+				}
+				continue
+			}
+			want := fmt.Sprintf("PTX analysis finds %d global atomic(s) (atom.global/red.global) vs %d shared atomic(s);", global, shared)
+			if len(found) != 1 || !strings.HasPrefix(found[0].Problem, want) || len(found[0].Sites) != global {
+				t.Errorf("%s/%s: findings %+v, want one with %d sites starting %q", arch.SM, name, found, global, want)
+			}
+			fired++
+		}
+	}
+	if fired < 6 {
+		t.Errorf("only %d builds carry global atomics; the test lost its subjects", fired)
 	}
 }
 

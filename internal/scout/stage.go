@@ -148,7 +148,7 @@ func DegradationFor(stage, site string, err error, stageCtxExpired bool) Degrada
 // starts, so time an early stage leaves unused rolls forward; the job
 // deadline still caps everything. Disabled turns staged degradation off
 // so a slow simulation consumes the whole job budget and times the job
-// out, pre-PR-5 style.
+// out.
 type StageBudgets struct {
 	// Disabled turns staged deadlines off entirely.
 	Disabled bool

@@ -132,8 +132,8 @@ func TestParseStageBudgets(t *testing.T) {
 			t.Errorf("ParseStageBudgets(%q) = %+v, %v; want %+v", in, b, err, want)
 		}
 	}
-	// The split is a constant: a weight list (the pre-PR-16 syntax) and
-	// junk are flag errors that name it.
+	// The split is a constant: a weight list and junk are flag errors
+	// that name it.
 	for _, in := range []string{"5,55,15,25", "1,1,1,1", "none", "disabled", "nope"} {
 		b, err := ParseStageBudgets(in)
 		if err == nil {

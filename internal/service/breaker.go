@@ -98,9 +98,13 @@ type breaker struct {
 type breakerEntry struct {
 	failures int
 	lastErr  string
-	openedAt time.Time
-	probing  bool // a half-open probe is in flight; admit no others
+	failedAt time.Time // the last failure; an open entry's cool-down runs from it
+	probing  bool      // a half-open probe is in flight; admit no others
 }
+
+// forgetOpenAfter is how many cool-downs an open entry may sit unprobed
+// before it is forgotten: nobody has resubmitted the input in that long.
+const forgetOpenAfter = 10
 
 func newBreaker(after int, cooldown time.Duration) *breaker {
 	return &breaker{after: after, cooldown: cooldown, entries: map[string]*breakerEntry{}}
@@ -123,12 +127,12 @@ func (b *breaker) check(fp string) error {
 	if !ok || e.failures < b.after {
 		return nil
 	}
-	if !e.probing && time.Since(e.openedAt) >= b.cooldown {
+	if !e.probing && time.Since(e.failedAt) >= b.cooldown {
 		// Half-open: this caller is the one probe.
 		e.probing = true
 		return nil
 	}
-	retry := b.cooldown - time.Since(e.openedAt)
+	retry := b.cooldown - time.Since(e.failedAt)
 	if retry < time.Second {
 		// Cool-down elapsed but a probe is in flight: its verdict lands
 		// within one job, so "come back shortly".
@@ -153,9 +157,7 @@ func (b *breaker) recordFailure(fp, errMsg string) {
 	e.probing = false
 	e.failures++
 	e.lastErr = errMsg
-	if e.failures >= b.after {
-		e.openedAt = time.Now()
-	}
+	e.failedAt = time.Now()
 }
 
 // recordSuccess clears fp's failure history, reporting whether an entry
@@ -191,7 +193,7 @@ func (b *breaker) openCount() int {
 	defer b.mu.Unlock()
 	n := 0
 	for _, e := range b.entries {
-		if e.failures >= b.after && time.Since(e.openedAt) < b.cooldown {
+		if e.failures >= b.after && time.Since(e.failedAt) < b.cooldown {
 			n++
 		}
 	}
@@ -204,16 +206,30 @@ func (b *breaker) openCount() int {
 type breakerEntryJSON struct {
 	Failures int       `json:"failures"`
 	LastErr  string    `json:"last_err,omitempty"`
-	OpenedAt time.Time `json:"opened_at,omitempty"`
+	FailedAt time.Time `json:"opened_at,omitempty"` // the name predates sub-threshold entries carrying it
 }
 
 // exportJSON snapshots the breaker's entries for persistence, so a
-// restart cannot un-quarantine a poison fingerprint.
+// restart cannot un-quarantine a poison fingerprint. It is also where
+// the map is kept bounded — it runs after every failed job — by
+// forgetting the entries that no longer decide anything: one below the
+// threshold whose last failure is more than a cool-down old (failures
+// that far apart are not consecutive), and an open one nobody has probed
+// for forgetOpenAfter cool-downs. A stream of distinct failing inputs
+// therefore holds one cool-down's worth of entries, not all of them.
 func (b *breaker) exportJSON() []byte {
 	b.mu.Lock()
 	out := make(map[string]breakerEntryJSON, len(b.entries))
 	for fp, e := range b.entries {
-		out[fp] = breakerEntryJSON{Failures: e.failures, LastErr: e.lastErr, OpenedAt: e.openedAt}
+		limit := b.cooldown
+		if e.failures >= b.after {
+			limit = forgetOpenAfter * b.cooldown
+		}
+		if !e.probing && time.Since(e.failedAt) > limit {
+			delete(b.entries, fp)
+			continue
+		}
+		out[fp] = breakerEntryJSON{Failures: e.failures, LastErr: e.lastErr, FailedAt: e.failedAt}
 	}
 	b.mu.Unlock()
 	data, _ := json.Marshal(out)
@@ -230,7 +246,7 @@ func (b *breaker) importJSON(data []byte) {
 	}
 	b.mu.Lock()
 	for fp, e := range in {
-		b.entries[fp] = &breakerEntry{failures: e.Failures, lastErr: e.LastErr, openedAt: e.OpenedAt}
+		b.entries[fp] = &breakerEntry{failures: e.Failures, lastErr: e.LastErr, failedAt: e.FailedAt}
 	}
 	b.mu.Unlock()
 }

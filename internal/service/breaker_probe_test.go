@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -154,5 +155,50 @@ func TestQuarantineHalfOpenConcurrentProbes(t *testing.T) {
 	}
 	if n := metricValue(t, ts, `gpuscoutd_quarantined_total`); n != herd-1 {
 		t.Errorf("quarantined_total = %g, want %d", n, herd-1)
+	}
+}
+
+// TestBreakerStaysBounded: the breaker's map and its persisted form hold
+// what can still decide a submission, not every input that ever failed.
+// A stream of distinct one-shot failures (each followed by the export
+// execute makes after a failed job) keeps about one cool-down's worth of
+// entries; an open entry nobody resubmits is forgotten after
+// forgetOpenAfter cool-downs; and a persisted open entry still inside
+// that window survives the load and the next export.
+func TestBreakerStaysBounded(t *testing.T) {
+	const cooldown = time.Millisecond
+	b := newBreaker(2, cooldown)
+	var persisted []byte
+	for i := 0; i < 10000; i++ {
+		b.recordFailure(fmt.Sprintf("upload-%05d", i), "parse SASS: unexpected token")
+		persisted = b.exportJSON()
+	}
+	b.mu.Lock()
+	n := len(b.entries)
+	b.mu.Unlock()
+	if n > 1000 || len(persisted) > 1000*200 {
+		t.Errorf("10000 distinct one-shot failures left %d entries and a %d-byte breaker.json", n, len(persisted))
+	}
+
+	b.recordFailure("poison", "boom")
+	b.recordFailure("poison", "boom")
+	if err := b.check("poison"); err == nil {
+		t.Fatal("two consecutive failures did not open the breaker")
+	}
+	time.Sleep((forgetOpenAfter + 5) * cooldown)
+	b.exportJSON()
+	b.mu.Lock()
+	_, kept := b.entries["poison"]
+	b.mu.Unlock()
+	if kept {
+		t.Errorf("an open entry unprobed for %d cool-downs was kept", forgetOpenAfter)
+	}
+
+	loaded := newBreaker(2, time.Hour)
+	loaded.importJSON([]byte(`{"poison":{"failures":2,"last_err":"boom","opened_at":"` +
+		time.Now().Format(time.RFC3339Nano) + `"}}`))
+	loaded.exportJSON()
+	if err := loaded.check("poison"); !errors.Is(err, ErrQuarantined) {
+		t.Errorf("a loaded open entry: check = %v, want quarantined", err)
 	}
 }

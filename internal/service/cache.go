@@ -119,7 +119,7 @@ func (c *reportCache) bytesUsed() int64 {
 // changes the report bytes, so each is part of the address.
 func CacheKey(canonicalSASS, archTag, launch string, opts scout.Options, verify, sensitivity bool) string {
 	h := sha256.New()
-	io.WriteString(h, "gpuscoutd-report-v3\x00")
+	io.WriteString(h, "gpuscoutd-report-v4\x00")
 	io.WriteString(h, archTag)
 	h.Write([]byte{0})
 	io.WriteString(h, launch)

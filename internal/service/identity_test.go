@@ -109,13 +109,14 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 	}
 }
 
-// TestCacheKeyVectors pins CacheKey's output to vectors recorded at the
-// commit before the request path was collapsed: the key is the address
-// of every report in an existing data directory, so a refactor that
-// moves it turns a warm store cold. The two sensitivity vectors hash
-// the perturbation matrix's IDs and were re-recorded when the matrix
-// went from 14 rows to 12: they move whenever gpu.Perturbations does,
-// which is the point — a swept report is only valid for its matrix.
+// TestCacheKeyVectors pins CacheKey's output to recorded vectors: the
+// key is the address of every report in an existing data directory, so a
+// refactor that moves it turns a warm store cold. All six move with the
+// schema literal ("gpuscoutd-report-v4": the stored document changed, so
+// older entries must not be served). The two sensitivity vectors also
+// hash the perturbation matrix's IDs: they move whenever
+// gpu.Perturbations does, which is the point — a swept report is only
+// valid for its matrix.
 func TestCacheKeyVectors(t *testing.T) {
 	const k = "// kernel _Z4axpyPfS_f\n/*0000*/ LDG.E R0, [R2] ;\n/*0010*/ EXIT ;\n"
 	simulated := "workload=sgemm_naive scale=64"
@@ -126,20 +127,20 @@ func TestCacheKeyVectors(t *testing.T) {
 		want                     string
 	}{
 		{"static", k, "sm_70", "static", scout.Options{DryRun: true}, false, false,
-			"ac5b682794f9980415a0db59703bbf13abf7d10e130dc67fe34f5dc0c0500b65"},
+			"5dabfaac542c0a700f226b459279189cd3cb67e67324cf9ad6121ca2d66c26f0"},
 		{"simulated", k, "sm_70", simulated, scout.Options{Sim: sim.Config{SampleSMs: 2}}, false, false,
-			"b3c3e87e894537c926720bb9ba04f475cbf1d9420c8add29984b4140336af05c"},
+			"e330544fde4543b5aa4d3543fa6ec61c0c12eccf0b7bbd4e404ebfc9361f439c"},
 		{"every report knob", k, "sm_70", simulated,
 			scout.Options{SamplingPeriod: 512, StallSlices: true, Sim: sim.Config{SampleSMs: 2}}, true, true,
-			"afde42c1a1d1824c3ff00f1cf1460e531eb1f9449624b869d9b5a1025c59a350"},
+			"a109ce30dc2275408de9d1fef1e7dbf0762c3b6b05e2a2a2a4a8ef64d5649167"},
 		{"arch compare", k, "sm_80", "workload=sgemm_shared scale=64 archcmp=sm_80",
 			scout.Options{Sim: sim.Config{SampleSMs: 1, Workers: 4, MaxCycles: 1e6}}, true, false,
-			"70f9e520d81caddc12c312e72c06987b2b6c641ee8bd7dbd4654d786c9acce42"},
+			"d3371701bf6318c9f70418afc26d4e24eab06480b809ebdda902f374e53d7e97"},
 		{"excluded fields set", k, "sm_70", simulated,
 			scout.Options{Sim: sim.Config{SampleSMs: 2, Workers: 8}, Budgets: scout.StageBudgets{Disabled: true}}, false, false,
-			"b3c3e87e894537c926720bb9ba04f475cbf1d9420c8add29984b4140336af05c"},
+			"e330544fde4543b5aa4d3543fa6ec61c0c12eccf0b7bbd4e404ebfc9361f439c"},
 		{"empty kernel", "", "sm_60", "static", scout.Options{}, false, true,
-			"6e890cf4597545d456f26297e11900731868c52f6b663d49b3997b188f8ed2ab"},
+			"965b3cc7b452fb1130270311923b1916414f8b93aa7685894fa8c2acabd7005a"},
 	} {
 		if got := CacheKey(v.sass, v.arch, v.launch, v.opts, v.verify, v.sensitivity); got != v.want {
 			t.Errorf("%s: CacheKey = %s, want %s", v.name, got, v.want)
@@ -152,7 +153,6 @@ func TestCacheKeyVectors(t *testing.T) {
 // literals below are the parent commit's formats, and they are part of
 // the on-disk address just as much as CacheKey's own layout.
 func TestRequestKeyLaunchFingerprint(t *testing.T) {
-	svc, _ := newTestServer(t, Config{Workers: 1})
 	for _, tc := range []struct {
 		req    AnalyzeRequest
 		launch string
@@ -165,7 +165,7 @@ func TestRequestKeyLaunchFingerprint(t *testing.T) {
 			"workload=transpose_naive scale=32 archcmp=sm_80"},
 		{AnalyzeRequest{SASS: sass.Print(testKernel(t))}, "static"},
 	} {
-		plans, err := svc.resolve(tc.req)
+		plans, err := Resolve(tc.req, 1, scout.StageBudgets{})
 		if err != nil {
 			t.Fatalf("%+v: %v", tc.req, err)
 		}

@@ -574,24 +574,21 @@ func (s *Service) Job(id string) (*Job, bool) {
 }
 
 // pruneLocked evicts the oldest *finished* jobs once over the retention
-// cap; queued and running jobs are never evicted.
+// cap; queued and running jobs are never evicted. It works from the head
+// of the creation order: in the steady state the oldest retained job is
+// finished and one admit evicts exactly that entry, and a live entry is
+// only stepped over, so the walk is bounded by the jobs in flight. (An
+// id a rolled-back Submit left behind is dropped when the walk meets it.)
 func (s *Service) pruneLocked() {
-	if len(s.jobs) <= s.cfg.MaxJobsRetained {
-		return
-	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		j, ok := s.jobs[id]
-		if !ok {
+	for i := 0; len(s.jobs) > s.cfg.MaxJobsRetained && i < len(s.order); {
+		id := s.order[i]
+		if j, ok := s.jobs[id]; ok && !j.StateNow().Terminal() {
+			i++
 			continue
 		}
-		if len(s.jobs) > s.cfg.MaxJobsRetained && j.StateNow().Terminal() {
-			delete(s.jobs, id)
-			continue
-		}
-		kept = append(kept, id)
+		delete(s.jobs, id)
+		s.order = append(s.order[:i], s.order[i+1:]...)
 	}
-	s.order = kept
 }
 
 // execute runs one job on a worker goroutine, retrying transient stage
@@ -723,7 +720,7 @@ func (s *Service) publish(key, fingerprint string, data []byte) {
 // and the retry loop decides what happens.
 func (s *Service) executeAttempt(j *Job) error {
 	t0 := time.Now()
-	plans, err := s.resolve(j.req)
+	plans, err := Resolve(j.req, s.cfg.SimWorkers, s.cfg.StageBudgets)
 	s.stageDuration["build"].Observe(time.Since(t0).Seconds())
 	if err != nil {
 		return err
@@ -742,6 +739,16 @@ func (s *Service) executeAttempt(j *Job) error {
 	reps := make([]*scout.Report, len(plans))
 	var ledger []scout.Degradation
 	for i, p := range plans {
+		if run := p.Run; run != nil {
+			p.Run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+				res, err := run(ctx, cfg)
+				if err == nil {
+					s.simWall.Observe(res.Host.WallSeconds)
+					s.simSpeedup.Observe(res.Host.Speedup())
+				}
+				return res, err
+			}
+		}
 		out, err := advisor.Run(j.ctx, p)
 		s.observeOutcome(p, out)
 		if err != nil {
@@ -820,12 +827,19 @@ func (s *Service) countFinish(st State) State {
 // decode, workload build); the nested sites register their own names.
 var siteResolve = faultinject.Register("service.resolve")
 
-// resolve lowers a request to its analysis targets — one plan, or two
+// Resolve lowers a request to its analysis targets — one plan, or two
 // for arch_compare (base arch first) — under a parse-stage panic guard,
 // so a crash on malformed input becomes a typed StageError instead of
-// killing the worker. Workload builds happen here, not in the pipeline:
-// the cache key needs the kernel before the probe.
-func (s *Service) resolve(req AnalyzeRequest) (plans []advisor.Plan, err error) {
+// killing the worker. It is the one lowering: the daemon and the
+// gpuscout CLI both reach advisor.Run through it. Workload builds happen
+// here, not in the pipeline: the cache key needs the kernel before the
+// probe. Uploaded SASS and cubins have no launch harness, so their
+// analysis is forced static (DryRun). simWorkers applies when the
+// request sets no sim_workers of its own.
+func Resolve(req AnalyzeRequest, simWorkers int, budgets scout.StageBudgets) (plans []advisor.Plan, err error) {
+	if req.SimWorkers > 0 {
+		simWorkers = req.SimWorkers
+	}
 	err = scout.Guard(scout.StageParse, siteResolve, func() error {
 		if e := faultinject.Hit(siteResolve); e != nil {
 			return e
@@ -842,7 +856,30 @@ func (s *Service) resolve(req AnalyzeRequest) (plans []advisor.Plan, err error) 
 			if e != nil {
 				return e
 			}
-			p, e := s.plan(req, arch)
+			p := advisor.Plan{
+				Arch: arch,
+				Opts: scout.Options{
+					DryRun:         req.DryRun || req.Workload == "",
+					SamplingPeriod: req.SamplingPeriod,
+					StallSlices:    req.StallSlices,
+					Sim:            sim.Config{SampleSMs: req.SampleSMs, Workers: simWorkers},
+					Budgets:        budgets,
+				},
+				Workload:    req.Workload,
+				Scale:       req.Scale,
+				Verify:      req.Verify,
+				Sensitivity: req.Sensitivity,
+			}
+			switch {
+			case req.Workload != "":
+				e = p.Build()
+			case req.SASS != "":
+				if p.Kernel, e = sass.Parse(req.SASS); e != nil {
+					e = fmt.Errorf("parse SASS: %w", e)
+				}
+			default: // cubin (Validate guarantees exactly one source)
+				p.Kernel, e = cubinKernel(req.Cubin, req.Kernel)
+			}
 			if e != nil {
 				return e
 			}
@@ -853,65 +890,18 @@ func (s *Service) resolve(req AnalyzeRequest) (plans []advisor.Plan, err error) 
 	return plans, err
 }
 
-// plan lowers the request for one architecture. For uploaded SASS and
-// cubins there is no launch harness, so the analysis is forced static
-// (DryRun) — matching the CLI's behavior for -sass/-cubin.
-func (s *Service) plan(req AnalyzeRequest, arch gpu.Arch) (advisor.Plan, error) {
-	simWorkers := req.SimWorkers
-	if simWorkers <= 0 {
-		simWorkers = s.cfg.SimWorkers
+// cubinKernel decodes an uploaded container and selects the named kernel
+// (the first when name is empty).
+func cubinKernel(data []byte, name string) (*sass.Kernel, error) {
+	bin, err := cubin.Decode(data)
+	if err != nil {
+		return nil, err
 	}
-	p := advisor.Plan{
-		Arch: arch,
-		Opts: scout.Options{
-			DryRun:         req.DryRun || req.Workload == "",
-			SamplingPeriod: req.SamplingPeriod,
-			StallSlices:    req.StallSlices,
-			Sim:            sim.Config{SampleSMs: req.SampleSMs, Workers: simWorkers},
-			Budgets:        s.cfg.StageBudgets,
-		},
-		Workload:    req.Workload,
-		Scale:       req.Scale,
-		Verify:      req.Verify,
-		Sensitivity: req.Sensitivity,
+	if len(bin.Kernels) == 0 {
+		return nil, fmt.Errorf("cubin holds no kernels")
 	}
-	switch {
-	case req.Workload != "":
-		if err := p.Build(); err != nil {
-			return p, err
-		}
-		if run := p.Run; run != nil {
-			p.Run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-				res, err := run(ctx, cfg)
-				if err == nil {
-					s.simWall.Observe(res.Host.WallSeconds)
-					s.simSpeedup.Observe(res.Host.Speedup())
-				}
-				return res, err
-			}
-		}
-
-	case req.SASS != "":
-		k, err := sass.Parse(req.SASS)
-		if err != nil {
-			return p, fmt.Errorf("parse SASS: %w", err)
-		}
-		p.Kernel = k
-
-	default: // cubin (validate guarantees exactly one source)
-		bin, err := cubin.Decode(req.Cubin)
-		if err != nil {
-			return p, err
-		}
-		if len(bin.Kernels) == 0 {
-			return p, fmt.Errorf("cubin holds no kernels")
-		}
-		p.Kernel = bin.Kernels[0]
-		if req.Kernel != "" {
-			if p.Kernel, err = bin.Kernel(req.Kernel); err != nil {
-				return p, err
-			}
-		}
+	if name != "" {
+		return bin.Kernel(name)
 	}
-	return p, nil
+	return bin.Kernels[0], nil
 }

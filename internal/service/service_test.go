@@ -641,3 +641,57 @@ func TestSimWorkersValidation(t *testing.T) {
 		t.Error("negative sim_workers accepted")
 	}
 }
+
+// TestPruneEvictsOldestFinishedFirst drives the job registry to three
+// times its retention cap, with a few jobs that never finish interleaved,
+// and checks after every admit that the retained set is what the rule
+// says — over the cap, finished jobs go oldest first and a queued or
+// running job never goes — against a whole-list scan of that rule kept
+// here as the reference.
+func TestPruneEvictsOldestFinishedFirst(t *testing.T) {
+	const retain = 16
+	svc, _ := newTestServer(t, Config{Workers: 1, MaxJobsRetained: retain})
+	req := AnalyzeRequest{Workload: "transpose_naive", DryRun: true}
+
+	type entry struct {
+		id   string
+		done bool
+	}
+	var model []entry
+	for n := 1; n <= 3*retain; n++ {
+		id := fmt.Sprintf("t%04d", n)
+		j := svc.admit(id, req, req.Fingerprint()) // prunes with the new job still queued
+		model = append(model, entry{id: id})
+		over := len(model) - retain
+		kept := model[:0]
+		for _, m := range model {
+			if over > 0 && m.done {
+				over--
+				continue
+			}
+			kept = append(kept, m)
+		}
+		model = kept
+
+		svc.jobsMu.Lock()
+		if len(svc.order) != len(svc.jobs) || len(svc.order) != len(model) {
+			t.Fatalf("after %s: %d order entries, %d jobs, reference holds %d", id, len(svc.order), len(svc.jobs), len(model))
+		}
+		for i, m := range model {
+			if _, ok := svc.jobs[m.id]; !ok || svc.order[i] != m.id {
+				t.Fatalf("after %s: position %d holds %s (registered %v), reference holds %s", id, i, svc.order[i], ok, m.id)
+			}
+		}
+		svc.jobsMu.Unlock()
+
+		if n%5 != 2 { // every fifth job is long-running: it stays queued to the end
+			j.finish(StateDone, nil, "", false)
+			model[len(model)-1].done = true
+		}
+	}
+	for n := 2; n <= 3*retain; n += 5 {
+		if _, ok := svc.Job(fmt.Sprintf("t%04d", n)); !ok {
+			t.Errorf("live job t%04d was evicted", n)
+		}
+	}
+}

@@ -4,7 +4,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io/fs"
 	"net/http"
@@ -89,22 +88,6 @@ func endLife(svc *Service, ts *httptest.Server) {
 		svc.cfg.Store.Close()
 	}
 	faultinject.Reset()
-}
-
-func analyzeOK(t *testing.T, ts *httptest.Server, body string) Status {
-	t.Helper()
-	resp, data := postAnalyze(t, ts, "", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("analyze %s: status %d, body %s", body, resp.StatusCode, data)
-	}
-	var st Status
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if st.State != StateDone || len(st.Report) == 0 {
-		t.Fatalf("analyze %s: state=%s, want done with report", body, st.State)
-	}
-	return st
 }
 
 // TestChaosDaemonMidJournalAppend kills the daemon inside the
@@ -217,33 +200,11 @@ func TestChaosDaemonMidTombstone(t *testing.T) {
 	}
 }
 
-// normalizeReport zeroes the one legitimately non-deterministic report
-// field — overhead_cycles.sass is derived from host wall-clock timing
-// (scout.Report.OverheadSASSCycles) — so recomputed reports can be
-// compared structurally. Store-served reports never need this: they
-// are the original bytes.
-func normalizeReport(t *testing.T, data []byte) []byte {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatalf("normalize report: %v", err)
-	}
-	if oc, ok := m["overhead_cycles"].(map[string]any); ok {
-		oc["sass"] = 0
-	}
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // TestChaosDaemonMidReportRename kills the daemon between a report's
 // temp write and its rename: the client already has the report, the
 // disk copy is lost, and the restarted daemon self-heals by
-// recomputing — identical to both the first life and a never-crashed
-// control daemon (modulo the wall-clock overhead field), with zero
-// corrupt entries.
+// recomputing — byte-identical to both the first life and a
+// never-crashed control daemon, with zero corrupt entries.
 func TestChaosDaemonMidReportRename(t *testing.T) {
 	dir := t.TempDir()
 	preserveDataDir(t, dir)
@@ -251,14 +212,14 @@ func TestChaosDaemonMidReportRename(t *testing.T) {
 
 	// Control: a daemon that never crashes, for report identity.
 	_, ctrl := newStoreServer(t, t.TempDir(), Config{Workers: 1, QueueDepth: 8})
-	control := normalizeReport(t, analyzeOK(t, ctrl, baseline).Report)
+	control := analyzeOK(t, ctrl, baseline).Report
 
 	svc, ts := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 8})
 	armStoreFault(t, "store.report.rename")
 	// The pipeline runs and the client is answered; only the disk
 	// write-through dies (swallowed — the report exists in memory).
 	first := analyzeOK(t, ts, baseline).Report
-	if !bytes.Equal(control, normalizeReport(t, first)) {
+	if !bytes.Equal(control, first) {
 		t.Fatal("first life diverged from the control daemon")
 	}
 	if faultinject.Fired("store.report.rename") == 0 {
@@ -278,7 +239,7 @@ func TestChaosDaemonMidReportRename(t *testing.T) {
 			t.Fatalf("GET recovered job: status %d", resp.StatusCode)
 		}
 		if st.State == StateDone {
-			if !bytes.Equal(control, normalizeReport(t, st.Report)) {
+			if !bytes.Equal(control, st.Report) {
 				t.Fatal("recomputed report diverged from the control daemon")
 			}
 			break
@@ -314,9 +275,9 @@ func TestChaosDaemonMidReportRename(t *testing.T) {
 	svc3, ts3 := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 8})
 	waitRecovered(t, svc3)
 	st3 := analyzeOK(t, ts3, baseline)
-	if !st3.CacheHit || !bytes.Equal(control, normalizeReport(t, st3.Report)) {
+	if !st3.CacheHit || !bytes.Equal(control, st3.Report) {
 		t.Errorf("third life: cacheHit=%v identical=%v, want disk-served identical report",
-			st3.CacheHit, bytes.Equal(control, normalizeReport(t, st3.Report)))
+			st3.CacheHit, bytes.Equal(control, st3.Report))
 	}
 }
 

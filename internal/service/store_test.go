@@ -45,6 +45,77 @@ func waitRecovered(t *testing.T, svc *Service) {
 	t.Fatal("recovery never finished")
 }
 
+// analyzeOK posts one synchronous analysis that must come back done.
+func analyzeOK(t *testing.T, ts *httptest.Server, body string) Status {
+	t.Helper()
+	resp, data := postAnalyze(t, ts, "", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze %s: status %d, body %s", body, resp.StatusCode, data)
+	}
+	var st Status
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if st.State != StateDone || len(st.Report) == 0 {
+		t.Fatalf("analyze %s: state=%s, want done with report", body, st.State)
+	}
+	return st
+}
+
+// TestRecomputeEqualsCache: a report is a function of its request, so
+// every way of obtaining it yields the same bytes — computed on a miss,
+// served from the memory cache, recomputed by a daemon with no cache at
+// all, and read back from disk after a restart. One workload per family,
+// plain and with every re-execution pass on; the bodies are compared
+// raw.
+func TestRecomputeEqualsCache(t *testing.T) {
+	var bodies []string
+	for _, w := range []string{
+		`"mixbench_sp_naive","scale":8`, `"jacobi_naive","scale":128`, `"sgemm_naive","scale":64`,
+		`"transpose_shared","scale":64`, `"spill_pressure","scale":8`, `"histogram_global","scale":4`,
+		`"reduction_atomic"`,
+	} {
+		bodies = append(bodies,
+			`{"workload":`+w+`,"sample_sms":1}`,
+			`{"workload":`+w+`,"sample_sms":1,"verify":true,"sensitivity":true,"stall_slices":true}`)
+	}
+	dir := t.TempDir()
+	svc, ts := newStoreServer(t, dir, Config{Workers: 2, QueueDepth: 8})
+	_, uncached := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheEntries: -1})
+	first := map[string][]byte{}
+	for _, body := range bodies {
+		miss, hit, recomputed := analyzeOK(t, ts, body), analyzeOK(t, ts, body), analyzeOK(t, uncached, body)
+		if miss.CacheHit || !hit.CacheHit || recomputed.CacheHit {
+			t.Fatalf("%s: cache_hit = %v, %v, %v; want a miss, a hit and a recomputation", body, miss.CacheHit, hit.CacheHit, recomputed.CacheHit)
+		}
+		if miss.Degradations != 0 {
+			t.Fatalf("%s: degraded report (%d ledger entries) is never cached", body, miss.Degradations)
+		}
+		if !bytes.Equal(miss.Report, hit.Report) {
+			t.Errorf("%s: the cached report differs from the computed one", body)
+		}
+		if !bytes.Equal(miss.Report, recomputed.Report) {
+			t.Errorf("%s: a recomputation differs from the cached report", body)
+		}
+		first[body] = miss.Report
+	}
+	ts.Close()
+	svc.Close()
+	svc.cfg.Store.Close()
+
+	svc2, ts2 := newStoreServer(t, dir, Config{Workers: 2, QueueDepth: 8})
+	waitRecovered(t, svc2)
+	for _, body := range bodies {
+		if disk := analyzeOK(t, ts2, body); !disk.CacheHit || !bytes.Equal(first[body], disk.Report) {
+			t.Errorf("%s: after a restart cache_hit=%v identical=%v, want the first life's bytes from disk",
+				body, disk.CacheHit, bytes.Equal(first[body], disk.Report))
+		}
+	}
+	if hits := metricValue(t, ts2, "gpuscoutd_store_hits_total"); hits != float64(len(bodies)) {
+		t.Errorf("store hits = %g, want %d", hits, len(bodies))
+	}
+}
+
 // TestWarmRestartServesFromDisk is the tentpole acceptance test: a
 // restarted daemon (fresh memory cache, same data-dir) serves
 // previously computed fingerprints from the persistent store without
