@@ -32,8 +32,21 @@ type Plan struct {
 	Kernel *sass.Kernel
 	Run    scout.RunContextFunc
 
-	// built is Build's lowering, which the sweep re-simulates as is.
-	built *workloads.Workload
+	// built is Build's lowering and, once Run ran with Sensitivity set,
+	// that baseline run's recording: what the sweep replays.
+	built *baseline
+}
+
+// baseline is the analyzed launch as a sweep needs it. It is shared by
+// pointer so that the copy of a Plan that Run receives sees what the Run
+// closure of the original recorded.
+type baseline struct {
+	w *workloads.Workload
+	// recorded says a recording execution of w has run; rec is its
+	// recording, nil when the launch is not replayable (sim.Record) and
+	// every cell re-executes.
+	recorded bool
+	rec      *sim.Recording
 }
 
 // Build lowers the named workload for p.Arch, filling Kernel and — unless
@@ -49,10 +62,20 @@ func (p *Plan) Build() error {
 	if err != nil {
 		return err
 	}
-	p.Kernel, p.built = w.Kernel, w
-	if !p.Opts.DryRun {
-		p.Run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-			return workloads.ExecuteContext(ctx, w, sim.NewDevice(arch), cfg)
+	b := &baseline{w: w}
+	p.Kernel, p.built = w.Kernel, b
+	if p.Opts.DryRun {
+		return nil
+	}
+	p.Run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+		return workloads.ExecuteContext(ctx, w, sim.NewDevice(arch), cfg)
+	}
+	if p.Sensitivity {
+		// The sweep times this very execution under each perturbation.
+		p.Run = func(ctx context.Context, cfg sim.Config) (res *sim.Result, err error) {
+			res, b.rec, err = workloads.RecordContext(ctx, w, sim.NewDevice(arch), cfg)
+			b.recorded = err == nil
+			return res, err
 		}
 	}
 	return nil

@@ -30,18 +30,23 @@ var buildArch = workloads.BuildArch
 // the measured headroom of its dominant resource. Findings are re-sorted
 // by the updated payoff.
 //
-// workload/scale/arch/cfg must match the analyzed run, exactly as for
-// Verify. A dry-run report cannot be swept (no baseline measurement). A
-// failing perturbation run drops only its own matrix entry, recorded in
-// the degradation ledger; an expired deadline skips the remaining
-// entries the same way, while an explicit cancellation aborts the pass.
+// The kernel executes once, recorded, on the unperturbed arch; every
+// cell is a replay of that recording under the perturbed one
+// (sim.Recording.Replay), or a full execution when the launch is not
+// replayable. workload/scale/arch/cfg must match the analyzed run,
+// exactly as for Verify: a recording execution that does not reproduce
+// the report's cycle count is an error. A dry-run report cannot be swept
+// (no baseline measurement). A failing perturbation run drops only its
+// own matrix entry, recorded in the degradation ledger; an expired
+// deadline skips the remaining entries the same way, while an explicit
+// cancellation aborts the pass.
 func Sweep(ctx context.Context, rep *scout.Report, workload string, scale int, arch gpu.Arch, cfg sim.Config) (*scout.Sensitivity, error) {
 	return sweep(ctx, rep, nil, workload, scale, arch, cfg)
 }
 
-// sweep is Sweep over base, the analyzed run's own lowering when the
-// caller (Run) still holds it; nil lowers the workload here.
-func sweep(ctx context.Context, rep *scout.Report, base *workloads.Workload, workload string, scale int, arch gpu.Arch, cfg sim.Config) (*scout.Sensitivity, error) {
+// sweep is Sweep over base, the analyzed run's own lowering and recording
+// when the caller (Run) still holds them; nil lowers and records here.
+func sweep(ctx context.Context, rep *scout.Report, base *baseline, workload string, scale int, arch gpu.Arch, cfg sim.Config) (*scout.Sensitivity, error) {
 	if rep == nil {
 		return nil, fmt.Errorf("advisor: nil report")
 	}
@@ -51,22 +56,44 @@ func sweep(ctx context.Context, rep *scout.Report, base *workloads.Workload, wor
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if base == nil {
+		base = &baseline{}
+	}
 
 	sens := &scout.Sensitivity{BaselineCycles: rep.Result.Cycles}
-	// One lowering serves the whole matrix (see gpu.Perturbation.Apply);
-	// a missing one is built inside the first cell's guard: a failing
-	// build fails every cell the same way, one ledger entry per missing
-	// perturbation.
+	// One lowering and one execution serve the whole matrix (see
+	// gpu.Perturbation.Apply); missing ones are made inside the first
+	// cell's guard: a failing build fails every cell the same way, one
+	// ledger entry per missing perturbation.
+	var mismatch error
 	for _, p := range gpu.Perturbations() {
 		err := rerun(ctx, rep, siteSweep, "perturbation "+p.ID(), "sweep budget exhausted", "missing from sweep", func() error {
-			if base == nil {
+			if base.w == nil {
 				w, err := buildArch(workload, scale, arch)
 				if err != nil {
 					return fmt.Errorf("build under %s: %w", p.ID(), err)
 				}
-				base = w
+				base.w = w
 			}
-			res, err := workloads.ExecuteContext(ctx, base, sim.NewDevice(p.Apply(arch)), cfg)
+			if !base.recorded {
+				res, rec, err := workloads.RecordContext(ctx, base.w, sim.NewDevice(arch), cfg)
+				if err != nil {
+					return fmt.Errorf("recording run for %s: %w", p.ID(), err)
+				}
+				if res.Cycles != sens.BaselineCycles {
+					mismatch = fmt.Errorf("advisor: sweep of %s@%d on %s ran %v cycles unperturbed, the report measured %v: not the analyzed run",
+						workload, scale, arch.SM, res.Cycles, sens.BaselineCycles)
+					return nil
+				}
+				base.recorded, base.rec = true, rec
+			}
+			var res *sim.Result
+			var err error
+			if base.rec != nil {
+				res, err = base.rec.Replay(ctx, p.Apply(arch))
+			} else {
+				res, err = workloads.ExecuteContext(ctx, base.w, sim.NewDevice(p.Apply(arch)), cfg)
+			}
 			if err != nil {
 				return fmt.Errorf("run under %s: %w", p.ID(), err)
 			}
@@ -80,6 +107,9 @@ func sweep(ctx context.Context, rep *scout.Report, base *workloads.Workload, wor
 			})
 			return nil
 		})
+		if err == nil {
+			err = mismatch
+		}
 		if err != nil {
 			return nil, err
 		}

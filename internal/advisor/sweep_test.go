@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"gpuscout/internal/faultinject"
 	"gpuscout/internal/gpu"
 	"gpuscout/internal/sass"
 	"gpuscout/internal/scout"
@@ -220,8 +222,10 @@ func TestSweepHonorsContext(t *testing.T) {
 // the unperturbed build — the one kernel Sweep simulates under all of
 // them. A perturbation that starts moving a field codegen reads fails
 // here instead of silently simulating the wrong kernel. The second half
-// guards the other direction: one Sweep lowers its workload once, and a
-// whole swept Run — Plan.Build included — lowers it once as well.
+// guards the other direction: one Sweep lowers its workload once and
+// executes it once (its recording run; every cell is a replay), and a
+// whole swept Run — Plan.Build included — lowers it once and executes
+// nothing beyond the analyzed run: no cell calls Prepare.
 func TestSweepLoweringReuse(t *testing.T) {
 	perts := gpu.Perturbations()
 	for _, arch := range []gpu.Arch{gpu.V100(), gpu.A100()} {
@@ -244,30 +248,170 @@ func TestSweepLoweringReuse(t *testing.T) {
 		}
 	}
 
-	builds := 0
-	buildArch = func(name string, scale int, arch gpu.Arch) (*workloads.Workload, error) {
-		builds++
-		return workloads.BuildArch(name, scale, arch)
-	}
-	defer func() { buildArch = workloads.BuildArch }()
+	builds, prepares := countLowerings(t)
 	cfg := sim.Config{SampleSMs: 1}
 	rep := analyze(t, "transpose_naive", 64, cfg)
 	s, err := Sweep(context.Background(), rep, "transpose_naive", 64, gpu.V100(), cfg)
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}
-	if len(s.Deltas) != len(perts) || builds != 1 {
-		t.Errorf("sweep ran %d of %d perturbations over %d lowerings, want one lowering", len(s.Deltas), len(perts), builds)
+	if len(s.Deltas) != len(perts) || *builds != 1 || *prepares != 1 {
+		t.Errorf("sweep ran %d of %d perturbations over %d lowerings and %d executions, want one of each", len(s.Deltas), len(perts), *builds, *prepares)
 	}
 
-	builds = 0
+	*builds, *prepares = 0, 0
 	out, err := Run(context.Background(), Plan{Arch: gpu.V100(), Opts: scout.Options{Sim: cfg},
 		Workload: "transpose_naive", Scale: 64, Sensitivity: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if swept := out.Report.Sensitivity; swept == nil || len(swept.Deltas) != len(perts) || builds != 1 {
-		t.Errorf("a swept Run made %d lowerings (sensitivity %+v), want one", builds, swept)
+	if swept := out.Report.Sensitivity; swept == nil || len(swept.Deltas) != len(perts) || *builds != 1 || *prepares != 1 {
+		t.Errorf("a swept Run made %d lowerings and %d executions (sensitivity %+v), want one lowering and the baseline execution alone", *builds, *prepares, swept)
+	}
+}
+
+// countLowerings points the buildArch hook, for the rest of the test, at a
+// BuildArch that counts its calls and the Prepare calls — the executions
+// — of the workloads it returns.
+func countLowerings(t *testing.T) (builds, prepares *int) {
+	builds, prepares = new(int), new(int)
+	buildArch = func(name string, scale int, arch gpu.Arch) (*workloads.Workload, error) {
+		*builds++
+		w, err := workloads.BuildArch(name, scale, arch)
+		if err == nil {
+			prepare := w.Prepare
+			w.Prepare = func(dev *sim.Device) (*workloads.Run, error) {
+				*prepares++
+				return prepare(dev)
+			}
+		}
+		return w, err
+	}
+	t.Cleanup(func() { buildArch = workloads.BuildArch })
+	return builds, prepares
+}
+
+// TestSweepRefusesAnotherRunsReport: Sweep's precondition — workload,
+// scale, arch and cfg are the analyzed run's — is checked, not trusted:
+// its recording execution must reproduce the report's cycle count, or it
+// returns an error naming both numbers and attaches nothing.
+func TestSweepRefusesAnotherRunsReport(t *testing.T) {
+	cfg := sim.Config{SampleSMs: 1}
+	rep := analyze(t, "sgemm_naive", 64, cfg)
+	s, err := Sweep(context.Background(), rep, "sgemm_naive", 128, gpu.V100(), cfg)
+	if err == nil {
+		t.Fatalf("a report of scale 64 was swept at scale 128: %+v", s)
+	}
+	other := analyze(t, "sgemm_naive", 128, cfg)
+	for _, cycles := range []float64{rep.Result.Cycles, other.Result.Cycles} {
+		if want := fmt.Sprint(cycles); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s cycles", err, want)
+		}
+	}
+	if rep.Sensitivity != nil || len(rep.Degradations) != 0 {
+		t.Errorf("the refused sweep left sensitivity %+v and ledger %+v on the report", rep.Sensitivity, rep.Degradations)
+	}
+}
+
+// atomBranchKernel is not replayable: every thread takes a ticket with an
+// ATOM whose return value decides a branch, so which threads run the
+// extra store depends on the order the warps reached the atomic — on
+// timing.
+const atomBranchKernel = `.kernel atom_branch sm_70 regs=8 shared=0 local=0 const=368
+/*0000*/ MOV R2, c[0x0][0x160] ;
+/*0010*/ MOV R3, c[0x0][0x164] ;
+/*0020*/ MOV R5, 0x1 ;
+/*0030*/ ATOM.E.ADD R4, [R2], R5 ;
+/*0040*/ ISETP.GE.AND P0, PT, R4, 0x40, PT ;
+/*0050*/ @P0 BRA 0x80 ;
+/*0060*/ SHF.L R6, R4, 0x2, RZ ;
+/*0070*/ STG.E.SYS [R2+0x100], R6 ;
+/*0080*/ EXIT ;
+`
+
+// TestNonReplayableFallsBack: a launch whose instruction stream depends
+// on timing is refused at record time, and its sweep re-executes every
+// cell as sweeps did before recordings — with the same numbers as
+// executing each perturbation by hand.
+func TestNonReplayableFallsBack(t *testing.T) {
+	k, err := sass.Parse(atomBranchKernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	executions := 0
+	w := &workloads.Workload{Name: "atom_branch", Kernel: k, Prepare: func(dev *sim.Device) (*workloads.Run, error) {
+		executions++
+		buf, err := dev.Alloc(4096)
+		if err != nil {
+			return nil, err
+		}
+		return &workloads.Run{Spec: sim.LaunchSpec{Kernel: k, Grid: sim.D1(8), Block: sim.D1(128), Params: []uint64{buf.Addr}}}, nil
+	}}
+	arch, cfg, ctx := gpu.V100(), sim.Config{SampleSMs: 2, Workers: 1}, context.Background()
+	res, rec, err := workloads.RecordContext(ctx, w, sim.NewDevice(arch), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec != nil {
+		t.Fatal("a kernel that branches on an ATOM's return value was recorded")
+	}
+
+	rep := &scout.Report{Kernel: k.Name, Arch: arch.SM, Result: res}
+	executions = 0
+	perts := gpu.Perturbations()
+	s, err := sweep(ctx, rep, &baseline{w: w, recorded: true}, w.Name, 0, arch, cfg)
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	if len(s.Deltas) != len(perts) || executions != len(perts) || len(rep.Degradations) != 0 {
+		t.Fatalf("fallback sweep: %d deltas from %d executions, ledger %+v; want %d of each and no entry", len(s.Deltas), executions, rep.Degradations, len(perts))
+	}
+	for i, p := range perts {
+		want, err := workloads.ExecuteContext(ctx, w, sim.NewDevice(p.Apply(arch)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Deltas[i].Cycles != want.Cycles {
+			t.Errorf("%s: the sweep measured %v cycles, a re-execution %v", p.ID(), s.Deltas[i].Cycles, want.Cycles)
+		}
+	}
+}
+
+// TestChaosReplayedCellLaunchFault: a replayed cell still passes through
+// sim.launch's fault hook inside advisor.rerun's guard, so a launch fault
+// during cell k costs exactly cell k — one ledger entry, the other eleven
+// measured — as it did when cells executed.
+func TestChaosReplayedCellLaunchFault(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	perts := gpu.Perturbations()
+	const k = 5 // the cell that fails, 1-based
+	// Hit 1 is the analyzed (recorded) launch; cell k is hit k+1.
+	if _, err := faultinject.Arm(faultinject.Fault{Site: "sim.launch", Mode: faultinject.ModeError, SkipHits: k, Times: 1}); err != nil {
+		t.Fatal(err)
+	}
+	_, prepares := countLowerings(t)
+	out, err := Run(context.Background(), Plan{Arch: gpu.V100(), Opts: scout.Options{Sim: sim.Config{SampleSMs: 1}},
+		Workload: "transpose_naive", Scale: 64, Sensitivity: true})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	rep := out.Report
+	if *prepares != 1 {
+		t.Fatalf("%d executions: the cells of this sweep were not replays", *prepares)
+	}
+	if rep.Sensitivity == nil || len(rep.Sensitivity.Deltas) != len(perts)-1 || len(rep.Degradations) != 1 {
+		t.Fatalf("sensitivity %+v, ledger %+v; want %d cells and one entry", rep.Sensitivity, rep.Degradations, len(perts)-1)
+	}
+	lost := perts[k-1]
+	for _, d := range rep.Sensitivity.Deltas {
+		if d.Resource == lost.Resource && d.Direction == lost.Direction {
+			t.Errorf("cell %s was measured although its launch faulted", lost.ID())
+		}
+	}
+	if d := rep.Degradations[0]; d.Stage != scout.StageVerify || d.Site != "advisor.sweep" || d.Kind != scout.DegradeError ||
+		!strings.HasPrefix(d.Detail, "perturbation "+lost.ID()+" missing from sweep: ") || !strings.Contains(d.Detail, "sim.launch") {
+		t.Errorf("ledger entry %+v, want verify/advisor.sweep/error for %s naming sim.launch", d, lost.ID())
 	}
 }
 

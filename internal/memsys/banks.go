@@ -1,5 +1,7 @@
 package memsys
 
+import "math/bits"
+
 // BankScratch holds reusable buffers for the conflict calculators so the
 // simulator's hot path computes conflicts without heap allocation. The
 // zero value is ready to use; buffers grow on first use and are retained.
@@ -12,7 +14,8 @@ type BankScratch struct {
 // shared-memory access generates on a banked shared memory. Shared memory
 // is organized in NumBanks 4-byte-wide banks; lanes touching different
 // 32-bit words that map to the same bank serialize, while lanes reading
-// the *same* word broadcast in one transaction.
+// the *same* word broadcast in one transaction. mask selects the lanes
+// (bit i: addrs[i]) that take part.
 //
 // The paper's §4.3 bank-conflict ratio —
 //
@@ -20,15 +23,13 @@ type BankScratch struct {
 //
 // — is exactly (sum of this function over accesses) / (access count):
 // 1.0 means conflict-free, 32 means fully serialized 32-way conflicts.
-func (s *BankScratch) BankConflicts(numBanks int, addrs []uint64, active []bool, widthBytes int) int {
+func (s *BankScratch) BankConflicts(numBanks int, addrs []uint64, mask uint32, widthBytes int) int {
 	// Collect the set of distinct word addresses touched. A warp touches
 	// at most 32 lanes x widthBytes/4 words, so linear dedup over a small
 	// slice beats a map.
 	words := s.words[:0]
-	for lane, a := range addrs {
-		if lane < len(active) && !active[lane] {
-			continue
-		}
+	for m := mask; m != 0; m &= m - 1 {
+		a := addrs[bits.TrailingZeros32(m)]
 		for w := 0; w < widthBytes; w += 4 {
 			word := (a + uint64(w)) / 4
 			seen := false
@@ -74,13 +75,11 @@ func (s *BankScratch) bankCounts(numBanks int) []int {
 // memory *atomic* access: unlike plain loads, same-word accesses cannot
 // broadcast — every lane performs a read-modify-write, so the per-bank
 // lane count (including duplicates) bounds the transactions.
-func (s *BankScratch) AtomicConflicts(numBanks int, addrs []uint64, active []bool) int {
+func (s *BankScratch) AtomicConflicts(numBanks int, addrs []uint64, mask uint32) int {
 	perBank := s.bankCounts(numBanks)
 	maxPer := 0
-	for lane, a := range addrs {
-		if lane < len(active) && !active[lane] {
-			continue
-		}
+	for m := mask; m != 0; m &= m - 1 {
+		a := addrs[bits.TrailingZeros32(m)]
 		bank := int((a / 4) % uint64(numBanks))
 		perBank[bank]++
 		if perBank[bank] > maxPer {
@@ -97,14 +96,12 @@ func (s *BankScratch) AtomicConflicts(numBanks int, addrs []uint64, active []boo
 // per lane. It writes into a caller-provided buffer (reused across calls
 // to keep the simulator's hot path free of heap allocation) and returns
 // buf[:0] extended with the sector bases in first-touch order.
-func CoalesceSectorsInto(buf []uint64, sectorBytes int, addrs []uint64, active []bool, widthBytes int) []uint64 {
+func CoalesceSectorsInto(buf []uint64, sectorBytes int, addrs []uint64, mask uint32, widthBytes int) []uint64 {
 	// A warp produces at most 32 lanes x widthBytes/4 sector candidates;
 	// linear dedup over the output slice beats a map at that size.
 	order := buf[:0]
-	for lane, a := range addrs {
-		if lane < len(active) && !active[lane] {
-			continue
-		}
+	for m := mask; m != 0; m &= m - 1 {
+		a := addrs[bits.TrailingZeros32(m)]
 		for w := 0; w < widthBytes; w += 4 {
 			s := (a + uint64(w)) / uint64(sectorBytes) * uint64(sectorBytes)
 			// Adjacent lanes usually land in the same sector (that is what

@@ -129,16 +129,10 @@ func TestBandwidthMonotone(t *testing.T) {
 	}
 }
 
-func allActive() []bool {
-	a := make([]bool, 32)
-	for i := range a {
-		a[i] = true
-	}
-	return a
-}
+// allActive is the lane mask of a full warp.
+const allActive = ^uint32(0)
 
 func TestBankConflicts(t *testing.T) {
-	active := allActive()
 	var s BankScratch // reused across the cases, as the simulator does
 
 	// Conflict-free: lane i touches word i.
@@ -146,7 +140,7 @@ func TestBankConflicts(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(i * 4)
 	}
-	if got := s.BankConflicts(32, addrs, active, 4); got != 1 {
+	if got := s.BankConflicts(32, addrs, allActive, 4); got != 1 {
 		t.Errorf("sequential access: %d transactions, want 1", got)
 	}
 
@@ -154,7 +148,7 @@ func TestBankConflicts(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 128
 	}
-	if got := s.BankConflicts(32, addrs, active, 4); got != 1 {
+	if got := s.BankConflicts(32, addrs, allActive, 4); got != 1 {
 		t.Errorf("broadcast: %d transactions, want 1", got)
 	}
 
@@ -162,7 +156,7 @@ func TestBankConflicts(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(i * 32 * 4)
 	}
-	if got := s.BankConflicts(32, addrs, active, 4); got != 32 {
+	if got := s.BankConflicts(32, addrs, allActive, 4); got != 32 {
 		t.Errorf("stride-32: %d transactions, want 32", got)
 	}
 
@@ -170,27 +164,24 @@ func TestBankConflicts(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(i * 8)
 	}
-	if got := s.BankConflicts(32, addrs, active, 4); got != 2 {
+	if got := s.BankConflicts(32, addrs, allActive, 4); got != 2 {
 		t.Errorf("stride-2: %d transactions, want 2", got)
 	}
 
 	// Inactive lanes do not conflict.
-	inactive := make([]bool, 32)
-	inactive[0] = true
+	const inactive = uint32(1) // lane 0 alone
 	for i := range addrs {
 		addrs[i] = 0
 	}
 	if got := s.BankConflicts(32, addrs, inactive, 4); got != 1 {
 		t.Errorf("single active lane: %d, want 1", got)
 	}
-	none := make([]bool, 32)
-	if got := s.BankConflicts(32, addrs, none, 4); got != 0 {
+	if got := s.BankConflicts(32, addrs, 0, 4); got != 0 {
 		t.Errorf("no active lanes: %d, want 0", got)
 	}
 }
 
 func TestCoalesceSectors(t *testing.T) {
-	active := allActive()
 	var buf []uint64 // reused across the cases, as the simulator does
 	addrs := make([]uint64, 32)
 
@@ -198,7 +189,7 @@ func TestCoalesceSectors(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 0x1000 + uint64(i*4)
 	}
-	if buf = CoalesceSectorsInto(buf, 32, addrs, active, 4); len(buf) != 4 {
+	if buf = CoalesceSectorsInto(buf, 32, addrs, allActive, 4); len(buf) != 4 {
 		t.Errorf("coalesced: %d sectors, want 4", len(buf))
 	}
 
@@ -206,7 +197,7 @@ func TestCoalesceSectors(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 0x1000 + uint64(i*16)
 	}
-	if buf = CoalesceSectorsInto(buf, 32, addrs, active, 16); len(buf) != 16 {
+	if buf = CoalesceSectorsInto(buf, 32, addrs, allActive, 16); len(buf) != 16 {
 		t.Errorf("float4: %d sectors, want 16", len(buf))
 	}
 
@@ -214,7 +205,7 @@ func TestCoalesceSectors(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(i * 128)
 	}
-	if buf = CoalesceSectorsInto(buf, 32, addrs, active, 4); len(buf) != 32 {
+	if buf = CoalesceSectorsInto(buf, 32, addrs, allActive, 4); len(buf) != 32 {
 		t.Errorf("strided: %d sectors, want 32", len(buf))
 	}
 
@@ -222,7 +213,7 @@ func TestCoalesceSectors(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 0x2000
 	}
-	if buf = CoalesceSectorsInto(buf, 32, addrs, active, 4); len(buf) != 1 {
+	if buf = CoalesceSectorsInto(buf, 32, addrs, allActive, 4); len(buf) != 1 {
 		t.Errorf("uniform: %d sectors, want 1", len(buf))
 	}
 }

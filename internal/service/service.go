@@ -13,6 +13,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -790,6 +791,10 @@ func (s *Service) executeAttempt(j *Job) error {
 	if err != nil {
 		return fmt.Errorf("encode report: %w", err)
 	}
+	// MarshalIndent returns a buffer sized for its worst case, a third
+	// larger than a report; the job registry and the cache keep these
+	// bytes as long as they keep the entry, so hand them an exact copy.
+	data = bytes.Clone(data)
 	if len(ledger) == 0 {
 		s.publish(key, j.fingerprint, data)
 	}

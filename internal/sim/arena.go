@@ -27,9 +27,6 @@ const initStackCap = 8
 // monotonically across re-uses, so which slot a CTA lands in never
 // changes a result.
 type launchArena struct {
-	numRegs       int
-	localBytes    int // per-thread local memory bytes
-	sharedBytes   int
 	warpsPerBlock int
 
 	warps  []warp       // slots*warpsPerBlock structs
@@ -55,14 +52,18 @@ type launchArena struct {
 
 // newLaunchArena sizes an arena for `slots` simultaneously resident
 // blocks of the current kernel and carves all per-warp views. Views are
-// carved exactly once — resets only zero their contents.
-func newLaunchArena(k *sass.Kernel, block Dim3, slots int) *launchArena {
+// carved exactly once — resets only zero their contents. Without
+// functional — a replay, which executes nothing — the arena has only the
+// timing state: no register files, local or shared memory or divergence
+// stacks.
+func newLaunchArena(k *sass.Kernel, block Dim3, slots int, functional bool) *launchArena {
 	wpb := (block.Count() + 31) / 32
 	rows := k.NumRegs + 1 // the kernel's registers and the zero row
+	localBytes, sharedBytes, stackCap := k.LocalBytes, k.SharedBytes, initStackCap
+	if !functional {
+		rows, localBytes, sharedBytes, stackCap = 0, 0, 0, 0
+	}
 	a := &launchArena{
-		numRegs:       k.NumRegs,
-		localBytes:    k.LocalBytes,
-		sharedBytes:   k.SharedBytes,
 		warpsPerBlock: wpb,
 		warps:         make([]warp, slots*wpb),
 		blocks:        make([]blockState, slots),
@@ -70,20 +71,20 @@ func newLaunchArena(k *sass.Kernel, block Dim3, slots int) *launchArena {
 		regs:          make([][32]uint32, slots*wpb*rows),
 		regReady:      make([]float64, slots*wpb*k.NumRegs),
 		regSrc:        make([]sass.Class, slots*wpb*k.NumRegs),
-		stacks:        make([]divEntry, slots*wpb*initStackCap),
+		stacks:        make([]divEntry, slots*wpb*stackCap),
 		freeSlots:     make([]int, 0, slots),
 	}
-	if k.LocalBytes > 0 {
-		a.localMem = make([]byte, slots*wpb*32*k.LocalBytes)
+	if localBytes > 0 {
+		a.localMem = make([]byte, slots*wpb*32*localBytes)
 	}
-	if k.SharedBytes > 0 {
-		a.shared = make([]byte, slots*k.SharedBytes)
+	if sharedBytes > 0 {
+		a.shared = make([]byte, slots*sharedBytes)
 	}
 	for s := 0; s < slots; s++ {
 		b := &a.blocks[s]
 		b.slot = s
-		if k.SharedBytes > 0 {
-			b.shared = a.shared[s*k.SharedBytes : (s+1)*k.SharedBytes : (s+1)*k.SharedBytes]
+		if sharedBytes > 0 {
+			b.shared = a.shared[s*sharedBytes : (s+1)*sharedBytes : (s+1)*sharedBytes]
 		}
 		for i := 0; i < wpb; i++ {
 			wi := s*wpb + i
@@ -91,13 +92,13 @@ func newLaunchArena(k *sass.Kernel, block Dim3, slots int) *launchArena {
 			w.regs = a.regs[wi*rows : (wi+1)*rows : (wi+1)*rows]
 			w.regReady = a.regReady[wi*k.NumRegs : (wi+1)*k.NumRegs : (wi+1)*k.NumRegs]
 			w.regSrc = a.regSrc[wi*k.NumRegs : (wi+1)*k.NumRegs : (wi+1)*k.NumRegs]
-			if k.LocalBytes > 0 {
-				lb := 32 * k.LocalBytes
+			if localBytes > 0 {
+				lb := 32 * localBytes
 				w.localMem = a.localMem[wi*lb : (wi+1)*lb : (wi+1)*lb]
 			}
 			// Three-index slicing caps the view so a deeper stack
 			// reallocates instead of stomping the neighbor's segment.
-			w.stack = a.stacks[wi*initStackCap : wi*initStackCap : (wi+1)*initStackCap]
+			w.stack = a.stacks[wi*stackCap : wi*stackCap : (wi+1)*stackCap]
 		}
 		a.freeSlots = append(a.freeSlots, s)
 	}
@@ -164,6 +165,7 @@ func (a *launchArena) resetWarp(b *blockState, i, gid int) *warp {
 	w.lastStoreDone = 0
 	w.cls = wclass{}
 	w.clsValid = false
+	w.stream, w.at, w.memAt = nil, 0, 0
 	// Activate only lanes whose linear thread id is inside the block.
 	threads := b.dim.Count()
 	for lane := 0; lane < 32; lane++ {

@@ -67,13 +67,32 @@ func (d *Device) Alloc(n int) (Buffer, error) {
 	}
 	off := d.next
 	d.next += uint64(aligned)
-	need := int(d.next)
-	if need > len(d.mem) {
-		grown := make([]byte, min(need*2, MaxDeviceBytes))
-		copy(grown, d.mem)
-		d.mem = grown
-	}
 	return Buffer{Addr: memBase + off, Size: n}, nil
+}
+
+// materialize backs every allocated byte with host memory. Alloc only
+// hands out addresses; the host accessors and launch call this before
+// they touch memory, so buffers allocated together — a workload's whole
+// launch — cost one allocation of exactly their total and no copy. Only an
+// image that already holds data grows with headroom.
+func (d *Device) materialize() {
+	need := int(d.next)
+	if need <= len(d.mem) {
+		return
+	}
+	if len(d.mem) > 0 {
+		need = min(need*2, MaxDeviceBytes)
+	}
+	grown := make([]byte, need)
+	copy(grown, d.mem)
+	d.mem = grown
+}
+
+// host is slice for the host side of the device: the accessors below,
+// which may be the first to touch a fresh allocation.
+func (d *Device) host(addr uint64, n int) ([]byte, error) {
+	d.materialize()
+	return d.slice(addr, n)
 }
 
 // MustAlloc is Alloc for tests and examples with static sizes.
@@ -98,7 +117,7 @@ func (d *Device) CopyToDevice(dst Buffer, src []byte) error {
 	if len(src) > dst.Size {
 		return fmt.Errorf("sim: copy of %d bytes into %d-byte buffer", len(src), dst.Size)
 	}
-	s, err := d.slice(dst.Addr, len(src))
+	s, err := d.host(dst.Addr, len(src))
 	if err != nil {
 		return err
 	}
@@ -111,7 +130,7 @@ func (d *Device) CopyFromDevice(dst []byte, src Buffer) error {
 	if len(dst) > src.Size {
 		return fmt.Errorf("sim: copy of %d bytes from %d-byte buffer", len(dst), src.Size)
 	}
-	s, err := d.slice(src.Addr, len(dst))
+	s, err := d.host(src.Addr, len(dst))
 	if err != nil {
 		return err
 	}
@@ -124,7 +143,7 @@ func (d *Device) WriteF32(dst Buffer, vals []float32) error {
 	if len(vals)*4 > dst.Size {
 		return fmt.Errorf("sim: %d floats exceed %d-byte buffer", len(vals), dst.Size)
 	}
-	s, err := d.slice(dst.Addr, len(vals)*4)
+	s, err := d.host(dst.Addr, len(vals)*4)
 	if err != nil {
 		return err
 	}
@@ -136,7 +155,7 @@ func (d *Device) WriteF32(dst Buffer, vals []float32) error {
 
 // ReadF32 reads n float32 values from a buffer.
 func (d *Device) ReadF32(src Buffer, n int) ([]float32, error) {
-	s, err := d.slice(src.Addr, n*4)
+	s, err := d.host(src.Addr, n*4)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +171,7 @@ func (d *Device) WriteF64(dst Buffer, vals []float64) error {
 	if len(vals)*8 > dst.Size {
 		return fmt.Errorf("sim: %d doubles exceed %d-byte buffer", len(vals), dst.Size)
 	}
-	s, err := d.slice(dst.Addr, len(vals)*8)
+	s, err := d.host(dst.Addr, len(vals)*8)
 	if err != nil {
 		return err
 	}
@@ -164,7 +183,7 @@ func (d *Device) WriteF64(dst Buffer, vals []float64) error {
 
 // ReadF64 reads n float64 values from a buffer.
 func (d *Device) ReadF64(src Buffer, n int) ([]float64, error) {
-	s, err := d.slice(src.Addr, n*8)
+	s, err := d.host(src.Addr, n*8)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +199,7 @@ func (d *Device) WriteI32(dst Buffer, vals []int32) error {
 	if len(vals)*4 > dst.Size {
 		return fmt.Errorf("sim: %d ints exceed %d-byte buffer", len(vals), dst.Size)
 	}
-	s, err := d.slice(dst.Addr, len(vals)*4)
+	s, err := d.host(dst.Addr, len(vals)*4)
 	if err != nil {
 		return err
 	}
@@ -192,7 +211,7 @@ func (d *Device) WriteI32(dst Buffer, vals []int32) error {
 
 // ReadI32 reads n int32 values from a buffer.
 func (d *Device) ReadI32(src Buffer, n int) ([]int32, error) {
-	s, err := d.slice(src.Addr, n*4)
+	s, err := d.host(src.Addr, n*4)
 	if err != nil {
 		return nil, err
 	}
@@ -221,34 +240,11 @@ func (d *Device) texture(id int) (Texture, error) {
 	return d.texes[id], nil
 }
 
-// load reads width bytes at addr (little-endian, zero-extended to 16B).
-func (d *Device) load(addr uint64, width int, out *[4]uint32) error {
-	s, err := d.slice(addr, width)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < width/4; i++ {
-		out[i] = binary.LittleEndian.Uint32(s[i*4:])
-	}
-	return nil
-}
-
-// store writes width bytes at addr.
-func (d *Device) store(addr uint64, width int, vals *[4]uint32) error {
-	s, err := d.slice(addr, width)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < width/4; i++ {
-		binary.LittleEndian.PutUint32(s[i*4:], vals[i])
-	}
-	return nil
-}
-
 // MemorySnapshot copies the allocated portion of the device memory
 // arena. Differential tests use it to compare the functional effects of
 // two launches (e.g. sequential vs parallel simulation) byte for byte.
 func (d *Device) MemorySnapshot() []byte {
+	d.materialize()
 	out := make([]byte, d.next)
 	copy(out, d.mem[:d.next])
 	return out

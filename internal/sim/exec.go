@@ -42,21 +42,22 @@ func (e *execError) Unwrap() error { return e.Err }
 
 // exec functionally executes one decoded instruction for all
 // guarded-active lanes and advances the PC. Memory behaviour is reported
-// for the timing model. execMask is the caller-computed guard mask (issue
-// already needs it for thread-instruction accounting; warp state is
-// unchanged in between, so computing it once is exact).
-func (e *engine) exec(w *warp, d *decoded, execMask uint32) (ma memAccess, err error) {
+// for the timing model in *ma, which the caller passes zeroed. execMask is
+// the caller-computed guard mask (issue already needs it for
+// thread-instruction accounting; warp state is unchanged in between, so
+// computing it once is exact).
+func (e *engine) exec(w *warp, d *decoded, execMask uint32, ma *memAccess) error {
 	in := d.in
 	nextPC := in.PC + sass.InstBytes
 	if d.constErr != nil && execMask != 0 {
-		return ma, e.fault(in, d.constErr)
+		return e.fault(in, d.constErr)
 	}
 
 	switch d.op {
 	case sass.OpLDG, sass.OpSTG, sass.OpLDL, sass.OpSTL, sass.OpLDS, sass.OpSTS,
 		sass.OpLDC, sass.OpTEX, sass.OpATOM, sass.OpATOMS, sass.OpRED, sass.OpLDGSTS:
-		if ma, err = e.execMem(w, d, execMask); err != nil {
-			return ma, e.fault(in, err)
+		if err := e.execMem(w, d, execMask, ma); err != nil {
+			return e.fault(in, err)
 		}
 
 	case sass.OpISETP, sass.OpFSETP:
@@ -128,7 +129,7 @@ func (e *engine) exec(w *warp, d *decoded, execMask uint32) (ma memAccess, err e
 			w.pc = nextPC
 		}
 		w.maybeReconverge()
-		return ma, nil
+		return nil
 
 	case sass.OpEXIT:
 		w.active &^= execMask
@@ -137,7 +138,7 @@ func (e *engine) exec(w *warp, d *decoded, execMask uint32) (ma memAccess, err e
 			w.pc = nextPC
 		}
 		w.maybeReconverge()
-		return ma, nil
+		return nil
 
 	case sass.OpBAR, sass.OpNOP, sass.OpMEMBAR, sass.OpRET:
 		// BAR timing handled by the engine; functionally a no-op here.
@@ -156,7 +157,7 @@ func (e *engine) exec(w *warp, d *decoded, execMask uint32) (ma memAccess, err e
 	}
 	w.pc = nextPC
 	w.maybeReconverge()
-	return ma, nil
+	return nil
 }
 
 func (e *engine) fault(in *sass.Inst, err error) error {

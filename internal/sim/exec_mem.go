@@ -8,17 +8,17 @@ import (
 	"gpuscout/internal/sass"
 )
 
-// execMem functionally executes a memory instruction and returns its
+// execMem functionally executes a memory instruction and fills in its
 // access descriptor for the timing model. Every memory opcode is an
 // address rule (locate, one per space) followed by a word move (one per
 // direction: load, store, atomic read-modify-write, async copy).
-func (e *engine) execMem(w *warp, d *decoded, execMask uint32) (memAccess, error) {
-	ma := memAccess{memDesc: d.mem, valid: execMask != 0, mask: execMask}
+func (e *engine) execMem(w *warp, d *decoded, execMask uint32, ma *memAccess) error {
+	ma.memDesc, ma.valid, ma.mask = d.mem, execMask != 0, execMask
 	var tex Texture
 	if d.mem.space == sass.ClassTexture {
 		var err error
 		if tex, err = e.dev.texture(int(d.src[2].get(w, 0))); err != nil {
-			return ma, err
+			return err
 		}
 	}
 	le := binary.LittleEndian
@@ -26,7 +26,7 @@ func (e *engine) execMem(w *warp, d *decoded, execMask uint32) (memAccess, error
 		lane := bits.TrailingZeros32(m)
 		mem, err := e.locate(w, d, &tex, lane, &ma.addrs[lane])
 		if err != nil {
-			return ma, err
+			return err
 		}
 		switch {
 		case d.mem.async:
@@ -38,7 +38,7 @@ func (e *engine) execMem(w *warp, d *decoded, execMask uint32) (memAccess, error
 			shared := w.block.shared
 			off, ok := d.sdst.offset(w, lane, d.mem.width, len(shared))
 			if !ok {
-				return ma, fmt.Errorf("async copy to shared at %d exceeds %d bytes of shared memory", off, len(shared))
+				return fmt.Errorf("async copy to shared at %d exceeds %d bytes of shared memory", off, len(shared))
 			}
 			copy(shared[off:], mem)
 		case d.mem.atomic:
@@ -70,7 +70,7 @@ func (e *engine) execMem(w *warp, d *decoded, execMask uint32) (memAccess, error
 			}
 		}
 	}
-	return ma, nil
+	return nil
 }
 
 // rmw applies the atomic's combine to the word at mem with operand v and

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"gpuscout/internal/gpu"
@@ -10,6 +12,9 @@ import (
 // FuzzLaunch feeds arbitrary SASS text through the parser and, when it
 // parses and validates, launches one 32-thread block of it: Launch must
 // return — a result or an error — and never panic, whatever the kernel.
+// And whenever the launch succeeds and was recorded, replaying the
+// recording on the same arch must return the same Result (wall time
+// excepted): the record/replay seam loses nothing the timing model reads.
 // The committed seeds (testdata/fuzz/FuzzLaunch) are the disassembly of
 // every registered workload on sm_70 and sm_80 plus the kernels that used
 // to crash the executor (RZ as a register pair, a read beyond regs=, a
@@ -35,7 +40,18 @@ func FuzzLaunch(f *testing.F) {
 			params[i] = buf.Addr
 		}
 		params[len(params)-1] = 64
-		_, _ = Launch(dev, LaunchSpec{Kernel: k, Grid: D1(1), Block: D1(32), Params: params},
+		res, rec, err := Record(context.Background(), dev, LaunchSpec{Kernel: k, Grid: D1(1), Block: D1(32), Params: params},
 			Config{SampleSMs: 1, Workers: 1, MaxCycles: 20000})
+		if err != nil || rec == nil {
+			return
+		}
+		again, err := rec.Replay(context.Background(), arch)
+		if err != nil {
+			t.Fatalf("replay of a recorded launch: %v", err)
+		}
+		res.Host, again.Host = HostStats{}, HostStats{}
+		if !reflect.DeepEqual(res, again) {
+			t.Errorf("replay on the recorded arch differs from the recorded launch:\nrecorded: %+v\nreplayed: %+v", res, again)
+		}
 	})
 }

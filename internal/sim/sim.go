@@ -49,30 +49,56 @@ type LaunchSpec struct {
 	Params []uint64
 }
 
-// engine holds everything one simulated launch needs. During the SM
-// phase the engine is shared read-only between SM goroutines; all
-// mutable per-SM state (timing, counters, warp IDs) lives in smState,
-// and the only cross-SM writes — global atomics — go through atomics.
-type engine struct {
-	ctx    context.Context
-	dev    *Device
-	arch   gpu.Arch
+// program is the part of a launch that no timing can change: the kernel,
+// its geometry and decode table, and which SM runs which blocks under
+// which warp IDs. A Recording keeps it for its replays.
+type program struct {
 	kernel *sass.Kernel
 	grid   Dim3
 	block  Dim3
 	cfg    Config
 	occ    gpu.Occupancy
 
-	constMem []byte
-	atomics  atomicUnit
-
 	// code is the kernel decoded for this launch, indexed by
 	// PC / sass.InstBytes.
 	code []decoded
 
+	// plans is the per-SM work. Global warp IDs feed scheduling order and
+	// local-memory addressing, so each SM gets a precomputed base equal to
+	// the warps launched by the SMs before it — the exact IDs a sequential
+	// pass over the SMs would assign.
+	plans []smPlan
+}
+
+type smPlan struct {
+	id      int
+	blocks  []Dim3
+	gidBase int
+}
+
+// engine holds everything one simulated launch needs. During the SM
+// phase the engine is shared read-only between SM goroutines; all
+// mutable per-SM state (timing, counters, warp IDs, its part of a
+// recording) lives in smState, and the only cross-SM writes — global
+// atomics — go through atomics.
+type engine struct {
+	program
+	ctx  context.Context
+	dev  *Device
+	arch gpu.Arch
+
+	constMem []byte
+	atomics  atomicUnit
+
 	// localBase is a synthetic address region where per-thread local
 	// memory lives for cache-modeling purposes.
 	localBase uint64
+
+	// rec, when set, is the recording this launch writes (one smRecording
+	// per SM) or, with replay set, the one it takes every instruction's
+	// outcome from instead of executing it.
+	rec    *Recording
+	replay bool
 }
 
 // Bounds on what a kernel header may declare, for the host's sake (like
@@ -100,30 +126,35 @@ func Launch(dev *Device, spec LaunchSpec, cfg Config) (*Result, error) {
 // it is cancelled or its deadline passes, returning an error satisfying
 // errors.Is(err, ctx.Err()).
 func LaunchContext(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config) (*Result, error) {
+	res, _, err := launch(ctx, dev, spec, cfg, false)
+	return res, err
+}
+
+func launch(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config, record bool) (*Result, *Recording, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := faultinject.Hit(siteLaunch); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return nil, nil, fmt.Errorf("sim: %w", err)
 	}
 	k := spec.Kernel
 	if err := k.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return nil, nil, fmt.Errorf("sim: %w", err)
 	}
 	if k.NumRegs < 0 || k.SharedBytes < 0 || k.LocalBytes < 0 || k.LocalBytes > maxLocalBytes || k.ConstBytes > maxConstBytes {
-		return nil, fmt.Errorf("sim: kernel %s declares regs=%d shared=%d local=%d const=%d; need 0 <= local <= %d, const <= %d, none negative",
+		return nil, nil, fmt.Errorf("sim: kernel %s declares regs=%d shared=%d local=%d const=%d; need 0 <= local <= %d, const <= %d, none negative",
 			k.Name, k.NumRegs, k.SharedBytes, k.LocalBytes, k.ConstBytes, maxLocalBytes, maxConstBytes)
 	}
 	if spec.Grid.X <= 0 || spec.Grid.Y < 0 || spec.Grid.Z < 0 ||
 		spec.Block.X <= 0 || spec.Block.Y < 0 || spec.Block.Z < 0 {
-		return nil, fmt.Errorf("sim: empty grid/block %v/%v", spec.Grid, spec.Block)
+		return nil, nil, fmt.Errorf("sim: empty grid/block %v/%v", spec.Grid, spec.Block)
 	}
 	if spec.Block.Count() > dev.Arch.MaxThreadsPerBlock {
-		return nil, fmt.Errorf("sim: block of %d threads exceeds limit %d", spec.Block.Count(), dev.Arch.MaxThreadsPerBlock)
+		return nil, nil, fmt.Errorf("sim: block of %d threads exceeds limit %d", spec.Block.Count(), dev.Arch.MaxThreadsPerBlock)
 	}
 	occ, err := gpu.ComputeOccupancy(dev.Arch, k.NumRegs, k.SharedBytes, spec.Block.Count())
 	if err != nil {
-		return nil, fmt.Errorf("sim: occupancy: %w", err)
+		return nil, nil, fmt.Errorf("sim: occupancy: %w", err)
 	}
 	if cfg.SampleSMs <= 0 {
 		cfg.SampleSMs = 4
@@ -133,16 +164,13 @@ func LaunchContext(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config
 	}
 
 	e := &engine{
+		program:   program{kernel: k, grid: spec.Grid, block: spec.Block, cfg: cfg, occ: occ},
 		ctx:       ctx,
 		dev:       dev,
 		arch:      dev.Arch,
-		kernel:    k,
-		grid:      spec.Grid,
-		block:     spec.Block,
-		cfg:       cfg,
-		occ:       occ,
 		localBase: memBase + uint64(dev.Arch.DRAMBytes) + (1 << 40),
 	}
+	dev.materialize()
 
 	// Parameter area in constant bank 0.
 	e.constMem = make([]byte, paramBase+8*len(spec.Params))
@@ -156,44 +184,44 @@ func LaunchContext(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config
 	}
 
 	if e.code, err = e.decode(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Distribute blocks round-robin over all NumSMs; simulate a sample.
-	totalBlocks := spec.Grid.Count()
-	simSMs := e.arch.NumSMs
-	if simSMs > cfg.SampleSMs {
-		simSMs = cfg.SampleSMs
-	}
-	if simSMs > totalBlocks {
-		simSMs = totalBlocks
-	}
-
-	// Plan the per-SM work up front. Global warp IDs feed scheduling
-	// order and local-memory addressing, so each SM gets a precomputed
-	// base equal to the warps launched by the SMs before it — the exact
-	// IDs a sequential pass over the SMs would assign.
 	warpsPerBlock := (spec.Block.Count() + 31) / 32
-	type smPlan struct {
-		id      int
-		blocks  []Dim3
-		gidBase int
-	}
-	var plans []smPlan
 	simulatedBlocks := 0
-	for smID := 0; smID < simSMs; smID++ {
+	for smID, n := 0, e.simSMs(); smID < n; smID++ {
 		blocks := blocksForSM(spec.Grid, smID, e.arch.NumSMs)
 		if len(blocks) == 0 {
 			continue
 		}
-		plans = append(plans, smPlan{id: smID, blocks: blocks, gidBase: simulatedBlocks * warpsPerBlock})
+		e.plans = append(e.plans, smPlan{id: smID, blocks: blocks, gidBase: simulatedBlocks * warpsPerBlock})
 		simulatedBlocks += len(blocks)
 	}
 	if simulatedBlocks == 0 {
-		return nil, fmt.Errorf("sim: no blocks simulated")
+		return nil, nil, fmt.Errorf("sim: no blocks simulated")
 	}
 
-	workers := cfg.Workers
+	if record && replayable(e.code) {
+		e.rec = &Recording{program: e.program, arch: e.arch, sms: make([]smRecording, len(e.plans))}
+	}
+	res, err := e.run()
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, e.rec.complete(), nil
+}
+
+// simSMs is how many SMs the launch samples.
+func (e *engine) simSMs() int {
+	return min(e.arch.NumSMs, e.cfg.SampleSMs, e.grid.Count())
+}
+
+// run simulates the planned SMs — executing, or replaying e.rec — and
+// reduces them to the launch's Result.
+func (e *engine) run() (*Result, error) {
+	plans := e.plans
+	workers := e.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -209,7 +237,7 @@ func LaunchContext(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config
 	smSeconds := make([]float64, len(plans))
 	errs := make([]error, len(plans))
 	wallStart := time.Now()
-	runCtx, cancel := context.WithCancel(ctx)
+	runCtx, cancel := context.WithCancel(e.ctx)
 	defer cancel()
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -218,10 +246,9 @@ func LaunchContext(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(plans); i = int(next.Add(1)) - 1 {
-				p := plans[i]
-				sm := e.newSM(p.id, p.gidBase)
+				sm := e.newSM(i)
 				t0 := time.Now()
-				if errs[i] = e.runSM(runCtx, sm, p.blocks); errs[i] != nil {
+				if errs[i] = e.runSM(runCtx, sm, plans[i].blocks); errs[i] != nil {
 					cancel()
 					return
 				}
@@ -231,7 +258,7 @@ func LaunchContext(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config
 		}()
 	}
 	wg.Wait()
-	if err := firstSMError(ctx, errs); err != nil {
+	if err := firstSMError(e.ctx, errs); err != nil {
 		return nil, err
 	}
 
@@ -241,6 +268,7 @@ func LaunchContext(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config
 	merged := newCounters()
 	var maxFinish, smSecondsTotal float64
 	smFinish := make([]float64, len(sms))
+	simulatedBlocks := 0
 	for i, sm := range sms {
 		merged.merge(sm.counters)
 		smFinish[i] = sm.now
@@ -248,21 +276,22 @@ func LaunchContext(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config
 			maxFinish = sm.now
 		}
 		smSecondsTotal += smSeconds[i]
+		simulatedBlocks += len(plans[i].blocks)
 	}
 
-	scale := float64(totalBlocks) / float64(simulatedBlocks)
+	totalBlocks := e.grid.Count()
 	res := &Result{
-		Kernel:          k.Name,
-		Grid:            spec.Grid,
-		Block:           spec.Block,
+		Kernel:          e.kernel.Name,
+		Grid:            e.grid,
+		Block:           e.block,
 		Cycles:          maxFinish,
 		DurationSec:     e.arch.CyclesToSeconds(uint64(maxFinish)),
-		Occupancy:       occ,
-		Scale:           scale,
+		Occupancy:       e.occ,
+		Scale:           float64(totalBlocks) / float64(simulatedBlocks),
 		SimulatedBlocks: simulatedBlocks,
 		TotalBlocks:     totalBlocks,
 		NumSMs:          e.arch.NumSMs,
-		SimulatedSMs:    simSMs,
+		SimulatedSMs:    e.simSMs(),
 		SMFinish:        smFinish,
 		Counters:        merged,
 		Host: HostStats{
@@ -325,10 +354,15 @@ func blocksForSM(grid Dim3, smID, numSMs int) []Dim3 {
 	return out
 }
 
-// newSM builds the per-SM timing state with this SM's bandwidth slices,
-// its own counters, and its deterministic global-warp-ID base.
-func (e *engine) newSM(id, gidBase int) *smState {
-	a := &e.arch
+// newSM builds the timing state of the SM of plan i with this SM's
+// bandwidth slices, its own counters, its deterministic global-warp-ID
+// base and, when the launch records or replays, its own recording.
+func (e *engine) newSM(i int) *smState {
+	a, p := &e.arch, &e.plans[i]
+	var rec *smRecording
+	if e.rec != nil {
+		rec = &e.rec.sms[i]
+	}
 	l2SliceBytes := a.L2Bytes / a.NumSMs
 	// Keep cache geometry valid: at least one set of full associativity.
 	minBytes := a.L2LineBytes * a.L2Ways
@@ -338,8 +372,10 @@ func (e *engine) newSM(id, gidBase int) *smState {
 		l2SliceBytes = l2SliceBytes / minBytes * minBytes
 	}
 	return &smState{
-		id:       id,
-		nextGid:  gidBase,
+		id:       p.id,
+		gidBase:  p.gidBase,
+		nextGid:  p.gidBase,
+		rec:      rec,
 		counters: newCounters(),
 		l1: memsys.NewCache(memsys.CacheConfig{
 			Name: "l1tex", TotalBytes: a.L1Bytes, LineBytes: a.L1LineBytes,
@@ -374,7 +410,11 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 	// for the resident-block window; slots recycle as CTAs retire. The
 	// dense stall/opcode counters are folded into the map-shaped Counters
 	// once at the end.
-	sm.arena = newLaunchArena(e.kernel, e.block, resident)
+	sm.arena = newLaunchArena(e.kernel, e.block, resident, !e.replay)
+	if sm.rec != nil && !e.replay {
+		sm.rec.warps = make([]warpStream, len(blockIdxs)*sm.arena.warpsPerBlock)
+		sm.rec.budget = maxRecordingBytes / len(e.plans)
+	}
 	sm.pcStalls = make([][NumStalls]float64, len(e.kernel.Insts)+1)
 	sm.opcodeDyn = make([]uint64, sass.NumOpcodes)
 	for i := 0; i < resident; i++ {

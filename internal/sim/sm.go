@@ -127,9 +127,11 @@ type smState struct {
 	// counters accumulates this SM's events; LaunchContext merges the
 	// per-SM instances in SM-ID order.
 	counters *Counters
-	// nextGid is the next global warp index, seeded per SM so parallel
-	// runs assign the same IDs a sequential pass would.
-	nextGid int
+	// nextGid is the next global warp index, seeded per SM (gidBase) so
+	// parallel runs assign the same IDs a sequential pass would.
+	gidBase, nextGid int
+	// rec is this SM's part of the recording the launch writes or replays.
+	rec *smRecording
 
 	l1   *memsys.Cache     // unified L1TEX data cache (global/local/texture)
 	l2   *memsys.Cache     // this SM's slice of the chip L2
@@ -298,14 +300,29 @@ func stallForClass(c sass.Class) Stall {
 }
 
 // issue executes one instruction for warp w and applies its timing
-// effects. Returns the executed instruction for accounting.
+// effects. What the instruction did — the lanes it ran on, where it left
+// the warp, the memory it touched — comes from exec or, in a replay, from
+// the warp's recorded stream; that is the only difference between the
+// two, and everything from here down is the timing model they share.
 func (e *engine) issue(sm *smState, w *warp) error {
 	d := &e.code[w.pc/sass.InstBytes]
 	in := d.in
-	execMask := w.guardMask(in)
-	ma, err := e.exec(w, d, execMask)
-	if err != nil {
-		return err
+	var execMask uint32
+	var ma *memAccess // the instruction's memory access, if it made one
+	if e.replay {
+		execMask, ma = w.next(d)
+	} else {
+		var live memAccess
+		execMask = w.guardMask(in)
+		if err := e.exec(w, d, execMask, &live); err != nil {
+			return err
+		}
+		if live.valid {
+			ma = &live
+		}
+		if w.stream != nil {
+			sm.rec.add(w, execMask, ma)
+		}
 	}
 
 	c := sm.counters
@@ -333,7 +350,7 @@ func (e *engine) issue(sm *smState, w *warp) error {
 		}
 	}
 
-	if ma.valid {
+	if ma != nil {
 		e.memTiming(sm, w, d, ma)
 		return nil
 	}
@@ -370,20 +387,16 @@ func (e *engine) setDstReady(sm *smState, w *warp, d *decoded, latency float64, 
 
 // memTiming applies the memory-system cost of an executed access and
 // schedules the destination registers' availability.
-func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma memAccess) {
+func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma *memAccess) {
 	a := &e.arch
 	c := sm.counters
 	now := sm.now
 	op := d.in.Op
-	var active [32]bool
-	for lane := 0; lane < 32; lane++ {
-		active[lane] = ma.mask&(1<<uint(lane)) != 0
-	}
 
 	switch ma.space {
 	case sass.ClassGlobal, sass.ClassLocal:
 		if ma.async {
-			e.asyncCopyTiming(sm, w, active[:], &ma)
+			e.asyncCopyTiming(sm, w, ma)
 			return
 		}
 		var done, svcEnd float64
@@ -391,7 +404,7 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma memAccess) {
 			// Atomics bypass L1 and resolve at the L2 atomic units. Every
 			// active lane is a read-modify-write: lanes hitting the same
 			// address serialize fully — the §4.4 global-atomic cost.
-			sectors := memsys.CoalesceSectorsInto(sm.sectorBuf, a.L1SectorBytes, ma.addrs[:], active[:], ma.width)
+			sectors := memsys.CoalesceSectorsInto(sm.sectorBuf, a.L1SectorBytes, ma.addrs[:], ma.mask, ma.width)
 			sm.sectorBuf = sectors[:0]
 			lanes := bits.OnesCount32(ma.mask)
 			start := math.Max(now, sm.atomFree)
@@ -406,7 +419,7 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma memAccess) {
 			c.GlobalAtomics += uint64(lanes)
 		} else {
 			var n, hits uint64
-			done, svcEnd, n, hits = e.sectorWalk(sm, &ma, active[:], sm.lsu, &sm.lsuMiss, float64(a.L1HitLatency), true)
+			done, svcEnd, n, hits = e.sectorWalk(sm, ma, sm.lsu, &sm.lsuMiss, float64(a.L1HitLatency), true)
 			switch {
 			case ma.nc:
 				c.TexSectors += n
@@ -451,10 +464,10 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma memAccess) {
 			// Shared atomics serialize per lane on conflicting banks and
 			// words in the MIO pipe (§4.4: cheaper than global, but loads
 			// the MIO pipeline).
-			trans = sm.banks.AtomicConflicts(a.SharedBanks, ma.addrs[:], active[:])
+			trans = sm.banks.AtomicConflicts(a.SharedBanks, ma.addrs[:], ma.mask)
 			c.SharedAtomics += uint64(bits.OnesCount32(ma.mask))
 		} else {
-			trans = sm.banks.BankConflicts(a.SharedBanks, ma.addrs[:], active[:], ma.width)
+			trans = sm.banks.BankConflicts(a.SharedBanks, ma.addrs[:], ma.mask, ma.width)
 		}
 		if trans == 0 {
 			trans = 1
@@ -479,7 +492,7 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma memAccess) {
 		}
 
 	case sass.ClassTexture:
-		done, svcEnd, n, hits := e.sectorWalk(sm, &ma, active[:], sm.texu, &sm.texMiss, float64(a.TexLatency), true)
+		done, svcEnd, n, hits := e.sectorWalk(sm, ma, sm.texu, &sm.texMiss, float64(a.TexLatency), true)
 		c.TexSectors += n
 		c.TexSectorHits += hits
 		sm.texQ.push(svcEnd)
@@ -504,9 +517,9 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma memAccess) {
 // the caller's counters. The floats depend only on the state of pipe,
 // sm.l1, mshr and the L2/DRAM slices, and those see exactly one call
 // sequence per sector, in sector order; nothing else may be interleaved.
-func (e *engine) sectorWalk(sm *smState, ma *memAccess, active []bool, pipe *memsys.Bandwidth, mshr *mshrTracker, baseLat float64, useL1 bool) (done, svcEnd float64, n, hits uint64) {
+func (e *engine) sectorWalk(sm *smState, ma *memAccess, pipe *memsys.Bandwidth, mshr *mshrTracker, baseLat float64, useL1 bool) (done, svcEnd float64, n, hits uint64) {
 	a := &e.arch
-	sectors := memsys.CoalesceSectorsInto(sm.sectorBuf, a.L1SectorBytes, ma.addrs[:], active, ma.width)
+	sectors := memsys.CoalesceSectorsInto(sm.sectorBuf, a.L1SectorBytes, ma.addrs[:], ma.mask, ma.width)
 	sm.sectorBuf = sectors[:0]
 	done, svcEnd = sm.now, sm.now
 	for _, s := range sectors {
@@ -544,9 +557,9 @@ func (e *engine) sectorWalk(sm *smState, ma *memAccess, active []bool, pipe *mem
 // immediately — the latency is only observed at the next barrier, which
 // waits for the block's outstanding copies (blockState.asyncDone). That
 // deferred wait is exactly how cp.async hides global-load stalls.
-func (e *engine) asyncCopyTiming(sm *smState, w *warp, active []bool, ma *memAccess) {
+func (e *engine) asyncCopyTiming(sm *smState, w *warp, ma *memAccess) {
 	c := sm.counters
-	done, svcEnd, n, _ := e.sectorWalk(sm, ma, active, sm.lsu, &sm.lsuMiss, 0, false)
+	done, svcEnd, n, _ := e.sectorWalk(sm, ma, sm.lsu, &sm.lsuMiss, 0, false)
 	c.AsyncCopySectors += n
 	sm.lgQ.push(svcEnd)
 	c.AsyncCopyInsts++
@@ -647,6 +660,9 @@ func (e *engine) launchBlock(sm *smState, idx Dim3) {
 	nb.liveWarps = warps
 	for i := 0; i < warps; i++ {
 		w := sm.arena.resetWarp(nb, i, sm.nextGid)
+		if sm.rec != nil {
+			w.stream = &sm.rec.warps[w.gid-sm.gidBase]
+		}
 		sm.nextGid++
 		w.readyAt = sm.now
 		w.waitReason = StallWait

@@ -88,6 +88,11 @@ type warp struct {
 	// warp's state changes).
 	cls      wclass
 	clsValid bool
+
+	// stream is this warp's part of the launch's recording, when there is
+	// one; a replay reads on from insts[at] and mem[memAt].
+	stream    *warpStream
+	at, memAt int
 }
 
 // laneTid returns the (x,y,z) thread index of a lane in this warp.

@@ -182,20 +182,39 @@ func Execute(w *Workload, dev *sim.Device, cfg sim.Config) (*sim.Result, error) 
 // ExecuteContext is Execute with cancellation: the simulated launch polls
 // ctx and aborts promptly when it is cancelled.
 func ExecuteContext(ctx context.Context, w *Workload, dev *sim.Device, cfg sim.Config) (*sim.Result, error) {
+	res, _, err := execute(ctx, w, dev, cfg, false)
+	return res, err
+}
+
+// RecordContext is ExecuteContext that also returns the launch's
+// recording for sim.Recording.Replay — nil when the launch is not
+// replayable (see sim.Record). The host check has then vouched for the
+// very instruction stream every replay times.
+func RecordContext(ctx context.Context, w *Workload, dev *sim.Device, cfg sim.Config) (*sim.Result, *sim.Recording, error) {
+	return execute(ctx, w, dev, cfg, true)
+}
+
+func execute(ctx context.Context, w *Workload, dev *sim.Device, cfg sim.Config, record bool) (*sim.Result, *sim.Recording, error) {
 	run, err := w.Prepare(dev)
 	if err != nil {
-		return nil, fmt.Errorf("workloads: prepare %s: %w", w.Name, err)
+		return nil, nil, fmt.Errorf("workloads: prepare %s: %w", w.Name, err)
 	}
-	res, err := sim.LaunchContext(ctx, dev, run.Spec, cfg)
+	var res *sim.Result
+	var rec *sim.Recording
+	if record {
+		res, rec, err = sim.Record(ctx, dev, run.Spec, cfg)
+	} else {
+		res, err = sim.LaunchContext(ctx, dev, run.Spec, cfg)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("workloads: launch %s: %w", w.Name, err)
+		return nil, nil, fmt.Errorf("workloads: launch %s: %w", w.Name, err)
 	}
 	if run.Verify != nil {
 		if err := run.Verify(dev, res); err != nil {
-			return nil, fmt.Errorf("workloads: verify %s: %w", w.Name, err)
+			return nil, nil, fmt.Errorf("workloads: verify %s: %w", w.Name, err)
 		}
 	}
-	return res, nil
+	return res, rec, nil
 }
 
 // almostEqual compares floats with a relative tolerance, for verifying
