@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build loc vet test smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
+.PHONY: check build loc digest vet test smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
 
 check: build vet race
 
@@ -19,6 +19,13 @@ loc:
 	@for p in internal/sim internal/workloads; do \
 		printf '%s %s\n' "$$p" "$$(find $$p -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"; \
 	done
+
+# The model digest of the tree: the constant every stored report's key
+# starts from (service.modelDigest). After a change that means to move a
+# golden or a pinned build: regenerate with -update, `make digest`, paste
+# the value into internal/service/cache.go, re-record TestCacheKeyVectors.
+digest:
+	@$(GO) test ./internal/service -run 'TestModelDigestCoversGoldens$$' -count=1 -v | sed -n 's/.*model digest: //p'
 
 vet:
 	$(GO) vet ./...

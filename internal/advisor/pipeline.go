@@ -14,71 +14,29 @@ import (
 
 // Plan is one analysis target: the form every front end — the daemon's
 // job executor, the library facade, the CLI — lowers a request to before
-// handing it to Run.
+// handing it to Run. It names its target; nothing in it is lowered yet.
 type Plan struct {
 	Arch gpu.Arch
 	Opts scout.Options
-	// Workload and Scale name a built-in workload (lowered by Build). The
+	// Workload and Scale name a built-in workload, which Run lowers. The
 	// re-execution passes need them too: recommendation pairs are
-	// workload-keyed, and the sweep of a plan that arrived with its
-	// Kernel already set lowers the workload itself.
+	// workload-keyed.
 	Workload string
 	Scale    int
 	// Verify and Sensitivity add the counterfactual re-runs and the
 	// perturbation sweep on top of the finished report.
 	Verify, Sensitivity bool
-	// Kernel is the analyzed kernel and Run its launch harness. An
-	// uploaded kernel arrives with Kernel set and no Run (static only).
+	// Kernel, when set, is an uploaded kernel, analyzed as it stands: it
+	// has no launch harness, so the analysis is static.
 	Kernel *sass.Kernel
-	Run    scout.RunContextFunc
-
-	// built is Build's lowering and, once Run ran with Sensitivity set,
-	// that baseline run's recording: what the sweep replays.
-	built *baseline
 }
 
-// baseline is the analyzed launch as a sweep needs it. It is shared by
-// pointer so that the copy of a Plan that Run receives sees what the Run
-// closure of the original recorded.
+// baseline is the analyzed launch as a sweep needs it: the lowered
+// workload and the recording of its execution — nil when the launch is
+// not replayable (sim.Record) and every cell re-executes.
 type baseline struct {
-	w *workloads.Workload
-	// recorded says a recording execution of w has run; rec is its
-	// recording, nil when the launch is not replayable (sim.Record) and
-	// every cell re-executes.
-	recorded bool
-	rec      *sim.Recording
-}
-
-// Build lowers the named workload for p.Arch, filling Kernel and — unless
-// the plan is a dry run — Run. It is a no-op once Kernel is set: the
-// daemon, which keys its cache on the canonical SASS, builds before it
-// probes, and Run does not build again.
-func (p *Plan) Build() error {
-	if p.Kernel != nil {
-		return nil
-	}
-	arch := p.Arch
-	w, err := buildArch(p.Workload, p.Scale, arch)
-	if err != nil {
-		return err
-	}
-	b := &baseline{w: w}
-	p.Kernel, p.built = w.Kernel, b
-	if p.Opts.DryRun {
-		return nil
-	}
-	p.Run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-		return workloads.ExecuteContext(ctx, w, sim.NewDevice(arch), cfg)
-	}
-	if p.Sensitivity {
-		// The sweep times this very execution under each perturbation.
-		p.Run = func(ctx context.Context, cfg sim.Config) (res *sim.Result, err error) {
-			res, b.rec, err = workloads.RecordContext(ctx, w, sim.NewDevice(arch), cfg)
-			b.recorded = err == nil
-			return res, err
-		}
-	}
-	return nil
+	w   *workloads.Workload
+	rec *sim.Recording
 }
 
 // Outcome is what one Run produced. It is non-nil even when Run fails
@@ -88,25 +46,52 @@ type Outcome struct {
 	// Verified counts the verification verdicts (nil unless the plan
 	// asked for them); the sweep's result is Report.Sensitivity.
 	Verified *Summary
-	// Analyze, Verify and Sweep are the wall time of each stage that ran.
-	Analyze, Verify, Sweep time.Duration
+	// Build, Analyze, Verify and Sweep are the wall time of each stage
+	// that ran (Build: lowering the workload; zero for an upload).
+	Build, Analyze, Verify, Sweep time.Duration
 }
 
-// Run is the analyze → verify → sweep pipeline, the one place the three
-// are sequenced. When ctx carries a deadline and stage budgets are on,
-// the verify budget slice is derived here, once, from the time left at
-// entry; verification and the sweep (both re-execution passes over the
-// finished report) each get a slice of that size measured from their
-// own start. An expired slice ships the remaining findings unverified or
-// the remaining perturbations as ledger entries; the caller's deadline
-// and an explicit cancel still abort with an error.
+// Run is the lower → analyze → verify → sweep pipeline, the one place
+// the four are sequenced and the only place a workload is lowered — under
+// a parse-stage guard, so a crash in codegen is a typed StageError. When
+// ctx carries a deadline and stage budgets are on, the verify budget
+// slice is derived here, once, from the time left at entry; verification
+// and the sweep (both re-execution passes over the finished report) each
+// get a slice of that size measured from their own start. An expired
+// slice ships the remaining findings unverified or the remaining
+// perturbations as ledger entries; the caller's deadline and an explicit
+// cancel still abort with an error.
 func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	out := &Outcome{}
-	if err := p.Build(); err != nil {
-		return out, err
+	kernel := p.Kernel
+	var run scout.RunContextFunc
+	var base *baseline
+	if kernel == nil {
+		base = &baseline{}
+		t := time.Now()
+		err := scout.Guard(scout.StageParse, "advisor.lower", func() (err error) {
+			base.w, err = buildArch(p.Workload, p.Scale, p.Arch)
+			return err
+		})
+		out.Build = time.Since(t)
+		if err != nil {
+			return out, err
+		}
+		kernel = base.w.Kernel
+		if !p.Opts.DryRun {
+			// With Sensitivity the sweep times this very execution under
+			// each perturbation, so it is recorded.
+			run = func(ctx context.Context, cfg sim.Config) (res *sim.Result, err error) {
+				if !p.Sensitivity {
+					return workloads.ExecuteContext(ctx, base.w, sim.NewDevice(p.Arch), cfg)
+				}
+				res, base.rec, err = workloads.RecordContext(ctx, base.w, sim.NewDevice(p.Arch), cfg)
+				return res, err
+			}
+		}
 	}
 	// budgeted derives one re-execution pass's context from the slice.
 	budgeted := func() (context.Context, context.CancelFunc) { return ctx, func() {} }
@@ -116,7 +101,7 @@ func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	}
 
 	t := time.Now()
-	rep, err := scout.AnalyzeContext(ctx, p.Arch, p.Kernel, p.Run, p.Opts)
+	rep, err := scout.AnalyzeContext(ctx, p.Arch, kernel, run, p.Opts)
 	out.Analyze = time.Since(t)
 	if err != nil {
 		return out, err
@@ -134,7 +119,7 @@ func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	if p.Sensitivity {
 		sctx, cancel := budgeted()
 		t := time.Now()
-		_, err = sweep(sctx, rep, p.built, p.Workload, p.Scale, p.Arch, p.Opts.Sim)
+		_, err = sweep(sctx, rep, base, p.Workload, p.Scale, p.Arch, p.Opts.Sim)
 		out.Sweep = time.Since(t)
 		cancel()
 		if err != nil {

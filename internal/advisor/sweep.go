@@ -45,7 +45,7 @@ func Sweep(ctx context.Context, rep *scout.Report, workload string, scale int, a
 }
 
 // sweep is Sweep over base, the analyzed run's own lowering and recording
-// when the caller (Run) still holds them; nil lowers and records here.
+// when the caller (Run) holds them; nil lowers and records here.
 func sweep(ctx context.Context, rep *scout.Report, base *baseline, workload string, scale int, arch gpu.Arch, cfg sim.Config) (*scout.Sensitivity, error) {
 	if rep == nil {
 		return nil, fmt.Errorf("advisor: nil report")
@@ -56,27 +56,21 @@ func sweep(ctx context.Context, rep *scout.Report, base *baseline, workload stri
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if base == nil {
-		base = &baseline{}
-	}
 
 	sens := &scout.Sensitivity{BaselineCycles: rep.Result.Cycles}
 	// One lowering and one execution serve the whole matrix (see
-	// gpu.Perturbation.Apply); missing ones are made inside the first
-	// cell's guard: a failing build fails every cell the same way, one
-	// ledger entry per missing perturbation.
+	// gpu.Perturbation.Apply); when missing they are made inside the
+	// first cell's guard: a failing build fails every cell the same way,
+	// one ledger entry per missing perturbation.
 	var mismatch error
 	for _, p := range gpu.Perturbations() {
 		err := rerun(ctx, rep, siteSweep, "perturbation "+p.ID(), "sweep budget exhausted", "missing from sweep", func() error {
-			if base.w == nil {
+			if base == nil {
 				w, err := buildArch(workload, scale, arch)
 				if err != nil {
 					return fmt.Errorf("build under %s: %w", p.ID(), err)
 				}
-				base.w = w
-			}
-			if !base.recorded {
-				res, rec, err := workloads.RecordContext(ctx, base.w, sim.NewDevice(arch), cfg)
+				res, rec, err := workloads.RecordContext(ctx, w, sim.NewDevice(arch), cfg)
 				if err != nil {
 					return fmt.Errorf("recording run for %s: %w", p.ID(), err)
 				}
@@ -85,7 +79,7 @@ func sweep(ctx context.Context, rep *scout.Report, base *baseline, workload stri
 						workload, scale, arch.SM, res.Cycles, sens.BaselineCycles)
 					return nil
 				}
-				base.recorded, base.rec = true, rec
+				base = &baseline{w: w, rec: rec}
 			}
 			var res *sim.Result
 			var err error

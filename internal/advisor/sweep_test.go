@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -224,8 +225,11 @@ func TestSweepHonorsContext(t *testing.T) {
 // here instead of silently simulating the wrong kernel. The second half
 // guards the other direction: one Sweep lowers its workload once and
 // executes it once (its recording run; every cell is a replay), and a
-// whole swept Run — Plan.Build included — lowers it once and executes
-// nothing beyond the analyzed run: no cell calls Prepare.
+// whole swept Run lowers it once and executes nothing beyond the analyzed
+// run: no cell calls Prepare. Run is the only place a plan is lowered, and
+// it keeps nothing between calls: a plain Run is one lowering and one
+// execution, a dry run one lowering and none, and a second Run of the
+// same Plan value lowers and executes again.
 func TestSweepLoweringReuse(t *testing.T) {
 	perts := gpu.Perturbations()
 	for _, arch := range []gpu.Arch{gpu.V100(), gpu.A100()} {
@@ -267,6 +271,42 @@ func TestSweepLoweringReuse(t *testing.T) {
 	}
 	if swept := out.Report.Sensitivity; swept == nil || len(swept.Deltas) != len(perts) || *builds != 1 || *prepares != 1 {
 		t.Errorf("a swept Run made %d lowerings and %d executions (sensitivity %+v), want one lowering and the baseline execution alone", *builds, *prepares, swept)
+	}
+
+	plain := Plan{Arch: gpu.V100(), Opts: scout.Options{Sim: cfg}, Workload: "transpose_naive", Scale: 64}
+	dry := plain
+	dry.Opts.DryRun = true
+	for _, tc := range []struct {
+		name                  string
+		p                     Plan
+		runs, builds, prepare int
+	}{{"plain", plain, 1, 1, 1}, {"dry run", dry, 1, 1, 0}, {"the same Plan twice", plain, 2, 2, 2}} {
+		*builds, *prepares = 0, 0
+		for i := 0; i < tc.runs; i++ {
+			out, err := Run(context.Background(), tc.p)
+			if err != nil || out.Report.DryRun != tc.p.Opts.DryRun || out.Build <= 0 {
+				t.Fatalf("%s: Run: %v (outcome %+v)", tc.name, err, out)
+			}
+		}
+		if *builds != tc.builds || *prepares != tc.prepare {
+			t.Errorf("%s: %d lowerings and %d executions, want %d and %d", tc.name, *builds, *prepares, tc.builds, tc.prepare)
+		}
+	}
+}
+
+// TestRunGuardsLowering: lowering happens inside Run, on a daemon worker,
+// so a crash in codegen must come back as a typed parse-stage StageError
+// — transient, like every recovered panic — and not unwind the caller.
+func TestRunGuardsLowering(t *testing.T) {
+	buildArch = func(string, int, gpu.Arch) (*workloads.Workload, error) { panic("codegen bug") }
+	t.Cleanup(func() { buildArch = workloads.BuildArch })
+	out, err := Run(context.Background(), Plan{Arch: gpu.V100(), Workload: "transpose_naive", Scale: 64})
+	var se *scout.StageError
+	if !errors.As(err, &se) || se.Stage != scout.StageParse || se.PanicValue == nil || !scout.TransientError(err) {
+		t.Fatalf("Run: err = %v, want a transient parse-stage panic StageError", err)
+	}
+	if out == nil || out.Report != nil {
+		t.Errorf("outcome %+v, want non-nil without a report", out)
 	}
 }
 
@@ -359,7 +399,7 @@ func TestNonReplayableFallsBack(t *testing.T) {
 	rep := &scout.Report{Kernel: k.Name, Arch: arch.SM, Result: res}
 	executions = 0
 	perts := gpu.Perturbations()
-	s, err := sweep(ctx, rep, &baseline{w: w, recorded: true}, w.Name, 0, arch, cfg)
+	s, err := sweep(ctx, rep, &baseline{w: w}, w.Name, 0, arch, cfg)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}

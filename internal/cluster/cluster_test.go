@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -846,5 +847,61 @@ func TestCoordinatorDoorRejectsMalformedRequests(t *testing.T) {
 	resp.Body.Close()
 	if got := proxiedTotal(t, front.URL, tc.urls); resp.StatusCode != http.StatusOK || got != 1 {
 		t.Errorf("well-formed request: status %d, proxied %g; want 200 and 1", resp.StatusCode, got)
+	}
+}
+
+// TestCoordinatorRefusesOverLimitReply: forward buffers a replica's
+// answer up to a bound. An answer past it used to be cut at the bound and
+// relayed — half a JSON document under the replica's 200. It is a 502
+// naming the bound now, from the first owner alone: the replica is alive
+// and the next owner would produce the same body, so nothing fails over
+// and nobody is marked down. An answer of exactly the bound passes whole.
+func TestCoordinatorRefusesOverLimitReply(t *testing.T) {
+	const limit = 1 << 10
+	var asked, size atomic.Int32
+	size.Store(limit + 1)
+	stub := func() *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/analyze" {
+				return // /readyz: 200
+			}
+			asked.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprintf(w, `{"pad":"%s"}`, strings.Repeat("x", int(size.Load())-len(`{"pad":""}`)))
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	urls := []string{stub().URL, stub().URL}
+	coord, err := New(Config{Replicas: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.maxReply = limit
+	coord.Start()
+	t.Cleanup(coord.Close)
+	front := httptest.NewServer(coord.Handler())
+	t.Cleanup(front.Close)
+
+	req := service.AnalyzeRequest{Workload: "transpose_naive", DryRun: true}
+	resp, body := postJSON(t, front.URL+"/v1/analyze", req)
+	var doc struct{ Error string }
+	if err := json.Unmarshal(body, &doc); err != nil || resp.StatusCode != http.StatusBadGateway || !strings.Contains(doc.Error, "1024 bytes") {
+		t.Errorf("over-limit reply: status %d, body %.120s; want a 502 error document naming the 1024-byte bound", resp.StatusCode, body)
+	}
+	if n := asked.Load(); n != 1 {
+		t.Errorf("%d replicas were asked, want the owner alone (no failover)", n)
+	}
+	if n := scrapeMetric(t, front.URL, "gpuscoutd_cluster_failovers_total"); n != 0 {
+		t.Errorf("failovers = %g, want 0", n)
+	}
+	if up := coord.Membership().UpCount(); up != 2 {
+		t.Errorf("%d replicas up after an over-limit reply, want 2", up)
+	}
+
+	size.Store(limit)
+	resp, body = postJSON(t, front.URL+"/v1/analyze", req)
+	if resp.StatusCode != http.StatusOK || len(body) != limit || !json.Valid(body) {
+		t.Errorf("reply of exactly the bound: status %d, %d bytes; want the replica's 200 and all %d bytes", resp.StatusCode, len(body), limit)
 	}
 }

@@ -90,6 +90,7 @@ type Coordinator struct {
 	start    time.Time
 	draining atomic.Bool
 	repIndex map[string]int // replica URL -> position in cfg.Replicas
+	maxReply int64          // bound on one buffered replica answer (tests lower it)
 
 	proxied        map[string]*service.Counter
 	failovers      *service.Counter
@@ -116,6 +117,7 @@ func New(cfg Config) (*Coordinator, error) {
 		reg:      service.NewRegistry(),
 		start:    time.Now(),
 		repIndex: map[string]int{},
+		maxReply: 64 << 20,
 		proxied:  map[string]*service.Counter{},
 	}
 	for i, r := range cfg.Replicas {
@@ -264,7 +266,11 @@ func (c *Coordinator) routeByKey(w http.ResponseWriter, r *http.Request, fp, met
 // forward performs one buffered proxy attempt. Buffering the whole
 // response before relaying is what makes failover safe: a replica dying
 // mid-response surfaces here as an error with nothing yet written to
-// the client, so the next candidate can be tried transparently.
+// the client, so the next candidate can be tried transparently. An
+// answer over the buffer's bound is not that kind of error — the replica
+// is alive and the next owner would produce the same body — so it comes
+// back as the coordinator's own 502 naming the bound, for the caller to
+// relay, rather than as the part that fit under the replica's 200.
 func (c *Coordinator) forward(ctx context.Context, url, method, pathq string, body []byte) (*http.Response, []byte, error) {
 	if err := faultinject.Hit(siteProxy); err != nil {
 		return nil, nil, err
@@ -287,9 +293,14 @@ func (c *Coordinator) forward(ctx context.Context, url, method, pathq string, bo
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, c.maxReply+1))
 	if err != nil {
 		return nil, nil, err
+	}
+	if int64(len(data)) > c.maxReply {
+		resp.StatusCode = http.StatusBadGateway // headers stay: every proxied answer is JSON
+		data, _ = json.Marshal(map[string]string{"error": fmt.Sprintf(
+			"cluster: replica %s answered with more than the %d bytes the coordinator relays", url, c.maxReply)})
 	}
 	return resp, data, nil
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gpuscout/internal/gpu"
+	"gpuscout/internal/workloads"
 )
 
 // ErrQuarantined is returned by Submit for an input fingerprint whose
@@ -56,7 +57,9 @@ func (e *QuarantineError) Unwrap() error { return ErrQuarantined }
 //
 // The two architecture fields are hashed as their canonical SM tag, so
 // every spelling of one architecture ("", "sm_70", "sm70", "V100", ...)
-// is one identity, as it already is one CacheKey.
+// is one identity, as it already is one CacheKey; likewise a workload's
+// scale is hashed as resolved, so 0 and the family's default are one
+// identity (an unresolvable one stays as written, like an unknown arch).
 func (r *AnalyzeRequest) Fingerprint() string {
 	id := *r
 	id.TimeoutMS, id.SimWorkers = 0, 0
@@ -64,6 +67,11 @@ func (r *AnalyzeRequest) Fingerprint() string {
 		id.Arch = defaultArch
 	}
 	id.Arch, id.ArchCompare = archTag(id.Arch), archTag(id.ArchCompare)
+	if id.Workload != "" {
+		if n, err := workloads.Scale(id.Workload, id.Scale); err == nil {
+			id.Scale = n
+		}
+	}
 	wire, _ := json.Marshal(&id) // a struct of strings, numbers and bytes cannot fail to marshal
 	sum := sha256.Sum256(wire)
 	return hex.EncodeToString(sum[:16])

@@ -99,17 +99,27 @@ func (c *reportCache) bytesUsed() int64 {
 	return c.bytes
 }
 
-// CacheKey is the content address of one analysis: the SHA-256 of the
-// kernel's canonical SASS text, the target architecture tag, the launch
-// fingerprint, and the analysis options that change the report.
+// modelDigest versions every stored report: the first 12 hex digits of a
+// SHA-256 over each file under internal/advisor/testdata/golden (sorted
+// relative path, then bytes) and internal/workloads/testdata/pinned.json.
+// TestModelDigestCoversGoldens fails with the value to paste (`make
+// digest` prints it) when the tree no longer hashes to it, so no golden
+// or pinned build moves — simulator, detector, renderer, codegen —
+// without reports stored under the older model becoming unreachable. A
+// change no golden scale shows needs a golden that shows it (DESIGN §7).
+const modelDigest = "39653a2bce7b"
+
+// CacheKey is the address of one analysis report: the SHA-256 of the
+// model digest, the target architecture tag, the launch fingerprint, the
+// analysis options that change the report and — under the launch "static"
+// only — the kernel's canonical SASS text.
 //
-// The launch fingerprint exists because the same kernel SASS produces
-// different reports at different problem scales once the simulator runs:
-// a workload's grid dimensions and memory traffic depend on the scale,
-// which never appears in the machine code. Static (dry-run) analyses use
-// the fixed fingerprint "static" — there the report depends only on the
-// kernel — so identical kernels share one entry regardless of whether
-// they arrived as a workload name, SASS text, or a cubin.
+// A report about a built-in workload is addressed by name: its launch
+// fingerprint carries workload and resolved scale, which determine the
+// kernel, so under a named launch canonicalSASS is not hashed (the daemon
+// does not have it then; bench/, which does, passes it). A report about
+// an uploaded kernel is addressed by content: "static" and its canonical
+// SASS, so a kernel has one entry as SASS text and as a cubin.
 //
 // verify distinguishes reports with counterfactual Verification blocks
 // from plain ones: the same analysis with verification enabled carries
@@ -119,7 +129,7 @@ func (c *reportCache) bytesUsed() int64 {
 // changes the report bytes, so each is part of the address.
 func CacheKey(canonicalSASS, archTag, launch string, opts scout.Options, verify, sensitivity bool) string {
 	h := sha256.New()
-	io.WriteString(h, "gpuscoutd-report-v4\x00")
+	io.WriteString(h, "gpuscoutd-report-"+modelDigest+"\x00")
 	io.WriteString(h, archTag)
 	h.Write([]byte{0})
 	io.WriteString(h, launch)
@@ -143,23 +153,25 @@ func CacheKey(canonicalSASS, archTag, launch string, opts scout.Options, verify,
 		opts.DryRun, opts.SamplingPeriod, opts.Sim.SampleSMs, opts.Sim.MaxCycles,
 		verify, swept, opts.StallSlices)
 	h.Write([]byte{0})
-	io.WriteString(h, canonicalSASS)
+	if launch == "static" {
+		io.WriteString(h, canonicalSASS)
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// requestKey is the CacheKey of a resolved request: the base target's
-// canonical SASS, arch tag and options, plus the launch fingerprint — the
-// workload and scale whenever the simulator runs, and the second arch
-// tag for a comparison, so it never shares an entry with the plain
-// report of the same workload.
-func requestKey(req AnalyzeRequest, plans []advisor.Plan) string {
+// requestKey is the CacheKey of a resolved request, by what its report is
+// about: an uploaded kernel's canonical SASS, or a built-in workload's
+// name and resolved scale — no kernel is needed, or lowered, for those —
+// plus the second arch tag for a comparison, so it never shares an entry
+// with the plain report of the same workload.
+func requestKey(plans []advisor.Plan) string {
 	base := plans[0]
-	launch := "static"
-	if base.Run != nil || len(plans) == 2 {
-		launch = fmt.Sprintf("workload=%s scale=%d", req.Workload, req.Scale)
-		if len(plans) == 2 {
-			launch += " archcmp=" + plans[1].Arch.SM
-		}
+	if base.Kernel != nil {
+		return CacheKey(sass.Print(base.Kernel), base.Arch.SM, "static", base.Opts, base.Verify, base.Sensitivity)
 	}
-	return CacheKey(sass.Print(base.Kernel), base.Arch.SM, launch, base.Opts, req.Verify, req.Sensitivity)
+	launch := fmt.Sprintf("workload=%s scale=%d", base.Workload, base.Scale)
+	if len(plans) == 2 {
+		launch += " archcmp=" + plans[1].Arch.SM
+	}
+	return CacheKey("", base.Arch.SM, launch, base.Opts, base.Verify, base.Sensitivity)
 }

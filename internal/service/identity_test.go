@@ -1,13 +1,26 @@
 package service
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"io"
+	"io/fs"
+	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"gpuscout/internal/cubin"
 	"gpuscout/internal/sass"
 	"gpuscout/internal/scout"
 	"gpuscout/internal/sim"
+	"gpuscout/internal/workloads"
 )
 
 // setNonZero gives a struct field a value that differs from its zero
@@ -109,14 +122,58 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 	}
 }
 
+// TestModelDigestCoversGoldens recomputes modelDigest from the tree (the
+// rule is in the constant's comment). A mismatch means a golden report or
+// a pinned build moved: paste the printed value into cache.go, which
+// re-keys every stored report — that is the point. `make digest` runs
+// this test with -v and prints the logged value.
+func TestModelDigestCoversGoldens(t *testing.T) {
+	h := sha256.New()
+	add := func(root, rel string) {
+		data, err := os.ReadFile(filepath.Join(root, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.WriteString(h, filepath.ToSlash(rel))
+		h.Write(data)
+	}
+	const goldens = "../advisor/testdata/golden"
+	var rels []string
+	err := filepath.WalkDir(goldens, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(goldens, path)
+			rels = append(rels, filepath.ToSlash(rel))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rels) == 0 {
+		t.Fatal("no golden reports found")
+	}
+	sort.Strings(rels)
+	for _, rel := range rels {
+		add(goldens, rel)
+	}
+	add("../workloads/testdata", "pinned.json")
+	got := hex.EncodeToString(h.Sum(nil))[:12]
+	t.Logf("model digest: %s", got)
+	if got != modelDigest {
+		t.Errorf("modelDigest is %q but the %d goldens and pinned.json hash to %q: a report or build moved — set the constant in cache.go to the new value", modelDigest, len(rels), got)
+	}
+}
+
 // TestCacheKeyVectors pins CacheKey's output to recorded vectors: the
 // key is the address of every report in an existing data directory, so a
-// refactor that moves it turns a warm store cold. All six move with the
-// schema literal ("gpuscoutd-report-v4": the stored document changed, so
-// older entries must not be served). The two sensitivity vectors also
-// hash the perturbation matrix's IDs: they move whenever
-// gpu.Perturbations does, which is the point — a swept report is only
-// valid for its matrix.
+// refactor that moves it turns a warm store cold. All six move with
+// modelDigest (the stored documents' model changed, so older entries must
+// not be served); the four under a named launch also stopped hashing
+// their SASS argument — a named launch determines its kernel — which the
+// loop asserts: there the key ignores the SASS, under "static" it does
+// not. The two sensitivity vectors also hash the perturbation matrix's
+// IDs: they move whenever gpu.Perturbations does, which is the point — a
+// swept report is only valid for its matrix.
 func TestCacheKeyVectors(t *testing.T) {
 	const k = "// kernel _Z4axpyPfS_f\n/*0000*/ LDG.E R0, [R2] ;\n/*0010*/ EXIT ;\n"
 	simulated := "workload=sgemm_naive scale=64"
@@ -127,53 +184,224 @@ func TestCacheKeyVectors(t *testing.T) {
 		want                     string
 	}{
 		{"static", k, "sm_70", "static", scout.Options{DryRun: true}, false, false,
-			"5dabfaac542c0a700f226b459279189cd3cb67e67324cf9ad6121ca2d66c26f0"},
+			"c836d3c8407353c67dc62f92e51af7579364a56521a6d6d38cb4b39a6c81b50d"},
 		{"simulated", k, "sm_70", simulated, scout.Options{Sim: sim.Config{SampleSMs: 2}}, false, false,
-			"e330544fde4543b5aa4d3543fa6ec61c0c12eccf0b7bbd4e404ebfc9361f439c"},
+			"34b504bb9029e9b3b90323ced2325c73caf5d1d03a419c1f6d5b161845a7bfb5"},
 		{"every report knob", k, "sm_70", simulated,
 			scout.Options{SamplingPeriod: 512, StallSlices: true, Sim: sim.Config{SampleSMs: 2}}, true, true,
-			"a109ce30dc2275408de9d1fef1e7dbf0762c3b6b05e2a2a2a4a8ef64d5649167"},
+			"428cd255a0f251e8cb3266ac3ae24955f8d4fdbb4a1fe036ff45a4ebaf672ecf"},
 		{"arch compare", k, "sm_80", "workload=sgemm_shared scale=64 archcmp=sm_80",
 			scout.Options{Sim: sim.Config{SampleSMs: 1, Workers: 4, MaxCycles: 1e6}}, true, false,
-			"d3371701bf6318c9f70418afc26d4e24eab06480b809ebdda902f374e53d7e97"},
+			"bed923dc7c94c3f53eefa60ae94ea705037a96a32ac9e04f1ce1c39a24381a08"},
 		{"excluded fields set", k, "sm_70", simulated,
 			scout.Options{Sim: sim.Config{SampleSMs: 2, Workers: 8}, Budgets: scout.StageBudgets{Disabled: true}}, false, false,
-			"e330544fde4543b5aa4d3543fa6ec61c0c12eccf0b7bbd4e404ebfc9361f439c"},
+			"34b504bb9029e9b3b90323ced2325c73caf5d1d03a419c1f6d5b161845a7bfb5"},
 		{"empty kernel", "", "sm_60", "static", scout.Options{}, false, true,
-			"965b3cc7b452fb1130270311923b1916414f8b93aa7685894fa8c2acabd7005a"},
+			"133cd9aeeb58ca2f52ab972bc71a94fdbb8f27cf59be18ca768df8bc0350b836"},
 	} {
 		if got := CacheKey(v.sass, v.arch, v.launch, v.opts, v.verify, v.sensitivity); got != v.want {
 			t.Errorf("%s: CacheKey = %s, want %s", v.name, got, v.want)
 		}
+		other := CacheKey(v.sass+"NOP ;\n", v.arch, v.launch, v.opts, v.verify, v.sensitivity)
+		if byContent := v.launch == "static"; (other != v.want) != byContent {
+			t.Errorf("%s: launch %q, key depends on the SASS: %t, want %t", v.name, v.launch, other != v.want, byContent)
+		}
 	}
 }
 
-// TestRequestKeyLaunchFingerprint pins the launch-fingerprint strings a
-// resolved request contributes to its key (the rest is CacheKey's): the
-// literals below are the parent commit's formats, and they are part of
-// the on-disk address just as much as CacheKey's own layout.
+// TestRequestKeyLaunchFingerprint pins the one rule of requestKey: a
+// report about a built-in workload is addressed by name — no SASS, the
+// launch fingerprint "workload=<name> scale=<resolved>[ archcmp=<tag>]",
+// dry run or not — and a report about an upload by content, under
+// "static". The literals are part of the on-disk address just as much as
+// CacheKey's own layout. A dry_run workload request used to be addressed
+// like an upload of its printed SASS and to share that upload's entry;
+// that is given up, because it is the one case that needed the kernel
+// lowered before the lookup — every hit paid a compile for it — and no
+// known traffic sends the pair.
 func TestRequestKeyLaunchFingerprint(t *testing.T) {
+	upload := sass.Print(testKernel(t))
 	for _, tc := range []struct {
-		req    AnalyzeRequest
-		launch string
+		req          AnalyzeRequest
+		sass, launch string
 	}{
-		{AnalyzeRequest{Workload: "transpose_naive", Scale: 32}, "workload=transpose_naive scale=32"},
-		{AnalyzeRequest{Workload: "transpose_naive", Scale: 32, DryRun: true}, "static"},
+		{AnalyzeRequest{Workload: "transpose_naive", Scale: 32}, "", "workload=transpose_naive scale=32"},
+		{AnalyzeRequest{Workload: "transpose_naive"}, "", "workload=transpose_naive scale=256"},
+		{AnalyzeRequest{Workload: "transpose_naive", Scale: 32, DryRun: true}, "", "workload=transpose_naive scale=32"},
 		{AnalyzeRequest{Workload: "transpose_naive", Scale: 32, ArchCompare: "sm80", Verify: true},
-			"workload=transpose_naive scale=32 archcmp=sm_80"},
+			"", "workload=transpose_naive scale=32 archcmp=sm_80"},
 		{AnalyzeRequest{Workload: "transpose_naive", Scale: 32, ArchCompare: "sm80", DryRun: true},
-			"workload=transpose_naive scale=32 archcmp=sm_80"},
-		{AnalyzeRequest{SASS: sass.Print(testKernel(t))}, "static"},
+			"", "workload=transpose_naive scale=32 archcmp=sm_80"},
+		{AnalyzeRequest{SASS: upload}, upload, "static"},
 	} {
 		plans, err := Resolve(tc.req, 1, scout.StageBudgets{})
 		if err != nil {
 			t.Fatalf("%+v: %v", tc.req, err)
 		}
-		base := plans[0]
-		want := CacheKey(sass.Print(base.Kernel), "sm_70", tc.launch, base.Opts, tc.req.Verify, tc.req.Sensitivity)
-		if got := requestKey(tc.req, plans); got != want {
+		want := CacheKey(tc.sass, "sm_70", tc.launch, plans[0].Opts, tc.req.Verify, tc.req.Sensitivity)
+		if got := requestKey(plans); got != want {
 			t.Errorf("%+v: key does not use launch fingerprint %q", tc.req, tc.launch)
 		}
+	}
+
+	// The given-up case, stated: the dry run of a workload and an upload
+	// of the very SASS it lowers to are two entries now.
+	w, err := workloads.Build("transpose_naive", 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, _ := Resolve(AnalyzeRequest{Workload: "transpose_naive", Scale: 32, DryRun: true}, 1, scout.StageBudgets{})
+	uploaded, err := Resolve(AnalyzeRequest{SASS: sass.Print(w.Kernel)}, 1, scout.StageBudgets{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if requestKey(named) == requestKey(uploaded) {
+		t.Error("a dry_run workload request shares a key with an upload of its SASS: the key read a lowered kernel")
+	}
+}
+
+// unresolvable is the workload requests Resolve refuses, each with the
+// build's own message (the parent's texts: they are what a client sees).
+var unresolvable = []struct {
+	req AnalyzeRequest
+	err string
+}{
+	{AnalyzeRequest{Workload: "nope"}, `workloads: unknown workload "nope" (have [`},
+	{AnalyzeRequest{Workload: "sgemm_shared", Scale: 96}, "workloads: sgemm_shared: scale 96 (matrix dimension N) is not a multiple of 64"},
+	{AnalyzeRequest{Workload: "sgemm_naive", Scale: 1 << 32}, "workloads: sgemm_naive: scale 4294967296 (matrix dimension N) is over the bound of 16777216"},
+}
+
+// TestResolveLowersNothing: Resolve reads names. Every plan of a workload
+// request — plain, dry run, swept, compared — comes back without a
+// kernel, with the resolved scale, and is addressable as it stands; an
+// unknown name and an illegal scale fail there with the build's own
+// messages. The SASS-text and cubin forms of one kernel resolve to plans
+// with equal keys.
+func TestResolveLowersNothing(t *testing.T) {
+	for _, req := range []AnalyzeRequest{
+		{Workload: "sgemm_naive", Scale: 64},
+		{Workload: "sgemm_naive"},
+		{Workload: "sgemm_naive", Scale: 64, DryRun: true},
+		{Workload: "sgemm_naive", Scale: 64, Verify: true, Sensitivity: true, StallSlices: true},
+		{Workload: "sgemm_shared", Scale: 64, Arch: "sm80", ArchCompare: "sm70"},
+	} {
+		plans, err := Resolve(req, 1, scout.StageBudgets{})
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		wantScale, _ := workloads.Scale(req.Workload, req.Scale)
+		for _, p := range plans {
+			if p.Kernel != nil || p.Workload != req.Workload || p.Scale != wantScale {
+				t.Errorf("%+v: plan has kernel %v, workload %q, scale %d; want no kernel and %s@%d", req, p.Kernel != nil, p.Workload, p.Scale, req.Workload, wantScale)
+			}
+		}
+		if key := requestKey(plans); len(key) != 64 {
+			t.Errorf("%+v: key %q", req, key)
+		}
+	}
+	for _, tc := range unresolvable {
+		req, want := tc.req, "stage parse: service.resolve: "+tc.err
+		if _, err := Resolve(req, 1, scout.StageBudgets{}); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%+v: err = %v, want prefix %q", req, err, want)
+		}
+	}
+
+	k := testKernel(t)
+	bin := cubin.New("sm_70")
+	if err := bin.Add(k); err != nil {
+		t.Fatal(err)
+	}
+	data, err := cubin.Encode(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := Resolve(AnalyzeRequest{SASS: sass.Print(k)}, 1, scout.StageBudgets{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	container, err := Resolve(AnalyzeRequest{Cubin: data}, 1, scout.StageBudgets{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(text) != 1 || len(container) != 1 || text[0].Kernel == nil || container[0].Kernel == nil {
+		t.Fatalf("uploads resolve to %d and %d plans, want one each, kernel set", len(text), len(container))
+	}
+	if requestKey(text) != requestKey(container) {
+		t.Error("the SASS-text and cubin forms of one kernel have different keys")
+	}
+}
+
+// TestInvalidWorkloadFailsBeforeAnyTier: moving the lowering behind the
+// lookup must not move the name and scale check with it. An unknown
+// workload and an illegal scale are answered 422 with the build's own
+// message before any tier — a peer included — is asked; a valid request
+// asks the peer exactly once, on its miss.
+func TestInvalidWorkloadFailsBeforeAnyTier(t *testing.T) {
+	var probes atomic.Int32
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4,
+		PeerFill: func(context.Context, string, string) ([]byte, bool) {
+			probes.Add(1)
+			return nil, false
+		}})
+	for _, tc := range unresolvable {
+		reqBody, _ := json.Marshal(tc.req)
+		body, want := string(reqBody), "stage parse: service.resolve: "+tc.err
+		resp, data := postAnalyze(t, ts, "", body)
+		var st Status
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatalf("%s: body %s", body, data)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity || st.State != StateFailed || !strings.HasPrefix(st.Error, want) {
+			t.Errorf("%s: status %d, state %s, error %q; want 422/failed/%q", body, resp.StatusCode, st.State, st.Error, want)
+		}
+	}
+	if n := probes.Load(); n != 0 {
+		t.Errorf("PeerFill was asked %d times about requests that cannot resolve", n)
+	}
+	for i, wantHit := range []bool{false, true} {
+		resp, data := postAnalyze(t, ts, "", `{"workload":"transpose_naive","scale":32,"dry_run":true}`)
+		var st Status
+		if err := json.Unmarshal(data, &st); err != nil || resp.StatusCode != http.StatusOK || st.CacheHit != wantHit {
+			t.Fatalf("valid request %d: status %d, body %s", i, resp.StatusCode, data)
+		}
+	}
+	if n := probes.Load(); n != 1 {
+		t.Errorf("PeerFill was asked %d times for one miss and one memory hit, want 1", n)
+	}
+}
+
+// TestDefaultScaleIsOneAddress: scale 0 and the family's default scale
+// are one request — one fingerprint (breaker entry, batch slot, ring
+// owner) and one report key — where they used to be two simulations of
+// byte-identical reports. One workload per family.
+func TestDefaultScaleIsOneAddress(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	for _, w := range []string{"histogram_global", "jacobi_naive", "mixbench_sp_naive", "reduction_atomic",
+		"sgemm_naive", "sgemm_shared", "spill_pressure", "transpose_naive"} {
+		def, err := workloads.Scale(w, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		implicit, explicit := AnalyzeRequest{Workload: w, DryRun: true}, AnalyzeRequest{Workload: w, Scale: def, DryRun: true}
+		if implicit.Fingerprint() != explicit.Fingerprint() {
+			t.Errorf("%s: scale 0 and scale %d have different fingerprints", w, def)
+		}
+		for i, req := range []AnalyzeRequest{implicit, explicit} {
+			body, _ := json.Marshal(req)
+			resp, data := postAnalyze(t, ts, "", string(body))
+			var st Status
+			if err := json.Unmarshal(data, &st); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d, body %s", w, resp.StatusCode, data)
+			}
+			if st.CacheHit != (i == 1) {
+				t.Errorf("%s request %d (scale %d): cache_hit = %v, want a miss then a hit", w, i, req.Scale, st.CacheHit)
+			}
+		}
+	}
+	var batch BatchRequest
+	batch.Requests = []AnalyzeRequest{{Workload: "sgemm_naive"}, {Workload: "sgemm_naive", Scale: 256}}
+	if first, _, _ := batch.Dedupe(); len(first) != 1 {
+		t.Errorf("a batch of scale 0 and the default scale dedupes to %d jobs, want 1", len(first))
 	}
 }
 

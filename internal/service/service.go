@@ -5,9 +5,9 @@
 //
 // POST /v1/analyze enqueues a job (429 + Retry-After when the queue is
 // full); a worker then walks the one request path (executeAttempt):
-// resolve the kernel (built-in workload, uploaded SASS text, or uploaded
-// cubin), key it on its canonical SASS, look the key up memory → disk →
-// peer, and only on a miss run analyze → verify → sweep — under a
+// resolve the target (a built-in workload's name and scale, or an
+// uploaded kernel's SASS), key it, look the key up memory → disk → peer,
+// and only on a miss run lower → analyze → verify → sweep — under a
 // per-job context whose timeout or cancellation interrupts the simulated
 // launch itself — then encode and publish.
 package service
@@ -34,6 +34,7 @@ import (
 	"gpuscout/internal/scout"
 	"gpuscout/internal/sim"
 	"gpuscout/internal/store"
+	"gpuscout/internal/workloads"
 )
 
 // ErrDurability is returned by Submit when the write-ahead journal
@@ -301,7 +302,7 @@ func New(cfg Config) (*Service, error) {
 	s.stageDuration = map[string]*Histogram{}
 	for _, stage := range []string{"build", "analyze", "verify", "sweep", "encode"} {
 		s.stageDuration[stage] = r.NewHistogram("gpuscoutd_stage_seconds",
-			"Per-stage job latency: build (kernel resolution), analyze (pipeline), verify (counterfactual re-runs), sweep (perturbation re-simulation), encode (report JSON).",
+			"Per-stage job latency: build (request resolution plus, on a miss, lowering), analyze (pipeline), verify (counterfactual re-runs), sweep (perturbation re-simulation), encode (report JSON).",
 			nil, Label{"stage", stage})
 	}
 	r.NewGaugeFunc("gpuscoutd_sim_workers_default",
@@ -713,22 +714,25 @@ func (s *Service) publish(key, fingerprint string, data []byte) {
 }
 
 // executeAttempt is one end-to-end pass at a job, every stage of the
-// request path exactly once: resolve → key → lookup → analyze → verify →
-// sweep → (compare) → encode → publish. A plain request resolves to one
+// request path exactly once: resolve → key → lookup → lower → analyze →
+// verify → sweep → (compare) → encode → publish. A hit compiles nothing:
+// lowering is the pipeline's first step. A plain request resolves to one
 // target, an arch_compare request to two whose reports are diffed; that
 // is the only difference between them. It returns nil when the job
 // reached a terminal state itself; an error means the attempt failed
 // and the retry loop decides what happens.
 func (s *Service) executeAttempt(j *Job) error {
+	// "build" is resolve plus, on a miss, each target's lowering.
 	t0 := time.Now()
 	plans, err := Resolve(j.req, s.cfg.SimWorkers, s.cfg.StageBudgets)
-	s.stageDuration["build"].Observe(time.Since(t0).Seconds())
+	build := time.Since(t0)
+	defer func() { s.stageDuration["build"].Observe(build.Seconds()) }()
 	if err != nil {
 		return err
 	}
 
 	// The pipeline is not entered on a hit.
-	key := requestKey(j.req, plans)
+	key := requestKey(plans)
 	if data, ok := s.lookup(j.ctx, j.fingerprint, key); ok {
 		j.finish(s.countFinish(StateDone), data, "", true)
 		return nil
@@ -740,17 +744,8 @@ func (s *Service) executeAttempt(j *Job) error {
 	reps := make([]*scout.Report, len(plans))
 	var ledger []scout.Degradation
 	for i, p := range plans {
-		if run := p.Run; run != nil {
-			p.Run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-				res, err := run(ctx, cfg)
-				if err == nil {
-					s.simWall.Observe(res.Host.WallSeconds)
-					s.simSpeedup.Observe(res.Host.Speedup())
-				}
-				return res, err
-			}
-		}
 		out, err := advisor.Run(j.ctx, p)
+		build += out.Build
 		s.observeOutcome(p, out)
 		if err != nil {
 			return err
@@ -806,6 +801,10 @@ func (s *Service) executeAttempt(j *Job) error {
 // the verdict counters; a stage the plan did not ask for records nothing.
 func (s *Service) observeOutcome(p advisor.Plan, out *advisor.Outcome) {
 	s.stageDuration["analyze"].Observe(out.Analyze.Seconds())
+	if rep := out.Report; rep != nil && rep.Result != nil {
+		s.simWall.Observe(rep.Result.Host.WallSeconds)
+		s.simSpeedup.Observe(rep.Result.Host.Speedup())
+	}
 	if p.Verify {
 		s.stageDuration["verify"].Observe(out.Verify.Seconds())
 	}
@@ -828,19 +827,22 @@ func (s *Service) countFinish(st State) State {
 	return st
 }
 
-// siteResolve covers the whole kernel-resolution step (SASS parse, cubin
-// decode, workload build); the nested sites register their own names.
+// siteResolve covers the whole resolution step (workload name and scale
+// check, SASS parse, cubin decode); the nested sites register their own.
 var siteResolve = faultinject.Register("service.resolve")
 
 // Resolve lowers a request to its analysis targets — one plan, or two
 // for arch_compare (base arch first) — under a parse-stage panic guard,
 // so a crash on malformed input becomes a typed StageError instead of
-// killing the worker. It is the one lowering: the daemon and the
-// gpuscout CLI both reach advisor.Run through it. Workload builds happen
-// here, not in the pipeline: the cache key needs the kernel before the
-// probe. Uploaded SASS and cubins have no launch harness, so their
-// analysis is forced static (DryRun). simWorkers applies when the
-// request sets no sim_workers of its own.
+// killing the worker. It is the one lowering of a request: the daemon and
+// the gpuscout CLI both reach advisor.Run through it. It compiles
+// nothing: a workload's name and scale are checked against the registry
+// (so they fail here, before any cache tier is probed) and its plan has
+// the resolved scale and no kernel — advisor.Run lowers it, on a miss.
+// An upload is parsed here, its content being what its report is
+// addressed by; it has no launch harness, so its analysis is forced
+// static (DryRun). simWorkers applies when the request sets no
+// sim_workers of its own.
 func Resolve(req AnalyzeRequest, simWorkers int, budgets scout.StageBudgets) (plans []advisor.Plan, err error) {
 	if req.SimWorkers > 0 {
 		simWorkers = req.SimWorkers
@@ -871,13 +873,12 @@ func Resolve(req AnalyzeRequest, simWorkers int, budgets scout.StageBudgets) (pl
 					Budgets:        budgets,
 				},
 				Workload:    req.Workload,
-				Scale:       req.Scale,
 				Verify:      req.Verify,
 				Sensitivity: req.Sensitivity,
 			}
 			switch {
 			case req.Workload != "":
-				e = p.Build()
+				p.Scale, e = workloads.Scale(req.Workload, req.Scale)
 			case req.SASS != "":
 				if p.Kernel, e = sass.Parse(req.SASS); e != nil {
 					e = fmt.Errorf("parse SASS: %w", e)

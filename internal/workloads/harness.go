@@ -43,9 +43,9 @@ type checkFunc func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error
 //     pinned tests compare.
 //   - Device allocation precedes host data generation (l.host), so a scale
 //     past sim.MaxDeviceBytes fails at Alloc before a host slice exists.
-//   - Host data is produced per Prepare, never here: the daemon builds a
-//     workload on every request, cache hits included, and a build must
-//     cost one lowering and nothing else.
+//   - Host data is produced per Prepare, never here: a build costs one
+//     lowering and nothing else, and every Prepare — a sweep's recording
+//     run, a Verify variant — starts from fresh data.
 func compile(b *kasm.Builder, opts codegen.Options, name, description string, l launch) (*Workload, error) {
 	prog, err := b.Build()
 	if err != nil {

@@ -45,12 +45,6 @@ type Workload struct {
 	Prepare func(dev *sim.Device) (*Run, error)
 }
 
-// Factory builds a workload at a given problem scale (what "scale" means
-// is workload-specific; see each family's scaleRule) for a target
-// architecture. The kernels themselves are written against the
-// arch-neutral kasm IR; the arch drives codegen's per-target lowering.
-type Factory func(scale int, arch gpu.Arch) (*Workload, error)
-
 // maxScale bounds every workload's scale. Every kernel parameter and loop
 // bound in the package is 32 bits wide and every footprint formula is
 // plain int arithmetic: up to this bound no formula overflows int64 and
@@ -79,14 +73,18 @@ func (r scaleRule) apply(name string, scale int) (int, error) {
 	return scale, nil
 }
 
-// registry is every workload: its name, the family that builds it, the
-// family's variant it selects, and how it reads scale.
-var registry = []struct {
+type entry struct {
 	name    string
 	family  func(name, variant string, scale int, arch gpu.Arch) (*Workload, error)
 	variant string
 	scale   scaleRule
-}{
+}
+
+// registry is every workload, one entry each: its name, the family that
+// builds it, the family's variant it selects, and how it reads scale. It
+// is sorted by name: lookup searches it, and callers that iterate it (the
+// golden suite, the CLI's listing, the daemon) must see one fixed order.
+var registry = []entry{
 	{"histogram_global", histogram, "global", histogramScale},
 	{"histogram_shared", histogram, "shared", histogramScale},
 	{"jacobi_naive", jacobi, "naive", jacobiScale},
@@ -112,44 +110,33 @@ var registry = []struct {
 	{"transpose_shared", transpose, "shared", transposeScale},
 }
 
-func init() {
-	for _, e := range registry {
-		register(e.name, func(scale int, arch gpu.Arch) (*Workload, error) {
-			n, err := e.scale.apply(e.name, scale)
-			if err != nil {
-				return nil, err
-			}
-			return e.family(e.name, e.variant, n, arch)
-		})
+// lookup finds name's row and resolves the requested scale against its
+// rule: all of a request for a workload that is checked before lowering.
+func lookup(name string, scale int) (entry, int, error) {
+	i := sort.Search(len(registry), func(i int) bool { return registry[i].name >= name })
+	if i == len(registry) || registry[i].name != name {
+		return entry{}, 0, fmt.Errorf("workloads: unknown workload %q (have %v)", name, Names())
 	}
-}
-
-var (
-	factories = map[string]Factory{}
-	// names holds the registered names in sorted order, maintained at
-	// registration time. Callers that iterate the registry (the golden
-	// suite, the CLI's workload listing, the daemon) must never see Go's
-	// randomized map order.
-	names []string
-)
-
-func register(name string, f Factory) {
-	if _, dup := factories[name]; dup {
-		panic(fmt.Sprintf("workloads: duplicate %q", name))
-	}
-	factories[name] = f
-	i := sort.SearchStrings(names, name)
-	names = append(names, "")
-	copy(names[i+1:], names[i:])
-	names[i] = name
+	n, err := registry[i].scale.apply(name, scale)
+	return registry[i], n, err
 }
 
 // Names lists registered workload names, sorted. The returned slice is a
 // copy; callers may mutate it freely.
 func Names() []string {
-	out := make([]string, len(names))
-	copy(out, names)
+	out := make([]string, len(registry))
+	for i, e := range registry {
+		out[i] = e.name
+	}
 	return out
+}
+
+// Scale checks a request for a workload without lowering it: the scale
+// name is built at when asked for scale (0 selects the family's default),
+// or BuildArch's error for an unknown name or a scale the family refuses.
+func Scale(name string, scale int) (resolved int, err error) {
+	_, resolved, err = lookup(name, scale)
+	return resolved, err
 }
 
 // Build constructs a registered workload at the given scale (0 selects
@@ -163,14 +150,14 @@ func Build(name string, scale int) (*Workload, error) {
 // arch's codegen backend (e.g. LDG+STS fused into cp.async-style LDGSTS
 // on sm_80).
 func BuildArch(name string, scale int, arch gpu.Arch) (*Workload, error) {
-	f, ok := factories[name]
-	if !ok {
-		return nil, fmt.Errorf("workloads: unknown workload %q (have %v)", name, Names())
+	e, n, err := lookup(name, scale)
+	if err != nil {
+		return nil, err
 	}
 	if arch.Name == "" {
 		arch = gpu.V100()
 	}
-	return f(scale, arch)
+	return e.family(name, e.variant, n, arch)
 }
 
 // Execute prepares and launches the workload on a fresh device, verifies

@@ -10,28 +10,24 @@ import (
 	"gpuscout/internal/sim"
 )
 
-// TestNamesSortedAndStable pins the registry's determinism contract: Names
-// is sorted, duplicate-free, consistent with the factories map, and hands
-// out an independent copy each call.
+// TestNamesSortedAndStable pins the registry's determinism contract: the
+// table is strictly sorted by name — which is what lets lookup search it
+// and makes every name unique — Names is that order, and each call hands
+// out an independent copy.
 func TestNamesSortedAndStable(t *testing.T) {
 	got := Names()
-	if len(got) == 0 {
-		t.Fatal("no workloads registered")
+	if len(got) == 0 || len(got) != len(registry) {
+		t.Fatalf("Names() has %d entries, the registry %d", len(got), len(registry))
 	}
-	if !sort.StringsAreSorted(got) {
-		t.Errorf("Names() not sorted: %v", got)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] == got[i-1] {
-			t.Errorf("duplicate name %q", got[i])
+	for i, e := range registry {
+		if got[i] != e.name {
+			t.Errorf("Names()[%d] = %q, the registry's row is %q", i, got[i], e.name)
 		}
-	}
-	if len(got) != len(factories) {
-		t.Errorf("Names() has %d entries, factories map has %d", len(got), len(factories))
-	}
-	for _, n := range got {
-		if _, ok := factories[n]; !ok {
-			t.Errorf("Names() lists %q but it is not in the factories map", n)
+		if i > 0 && registry[i-1].name >= e.name {
+			t.Errorf("registry row %d %q does not sort after %q: names must be unique and in order", i, e.name, registry[i-1].name)
+		}
+		if row, _, err := lookup(e.name, 0); err != nil || row.name != e.name || row.variant != e.variant {
+			t.Errorf("lookup(%q) = row %q/%q, %v", e.name, row.name, row.variant, err)
 		}
 	}
 	// Mutating the returned slice must not corrupt the registry.
@@ -41,39 +37,34 @@ func TestNamesSortedAndStable(t *testing.T) {
 	}
 }
 
-// TestRegisterInsertsSorted exercises the insertion path directly: names
-// arriving in arbitrary order land in sorted position.
-func TestRegisterInsertsSorted(t *testing.T) {
-	defer func(f map[string]Factory, n []string) { factories, names = f, n }(factories, names)
-	factories = map[string]Factory{}
-	names = nil
-	for _, n := range []string{"mango", "apple", "zebra", "kiwi"} {
-		register(n, nil)
-	}
-	want := []string{"apple", "kiwi", "mango", "zebra"}
-	got := Names()
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
+// TestScaleIsBuildsFirstHalf: Scale answers, without lowering, exactly
+// what BuildArch would — the same error text for an unknown name, a scale
+// over the bound and a scale the tiling refuses, and otherwise the scale
+// the build runs at (0 and the family default are one build).
+func TestScaleIsBuildsFirstHalf(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		scale int
+	}{
+		{"no_such_workload", 0}, {"", 64}, {"zz_past_the_last_row", 1},
+		{"sgemm_shared", 96}, {"transpose_naive", 33}, {"jacobi_naive", 8},
+		{"reduction_atomic", maxScale + 1}, {"mixbench_sp_naive", 4294967298},
+	} {
+		_, buildErr := Build(tc.name, tc.scale)
+		_, err := Scale(tc.name, tc.scale)
+		if err == nil || buildErr == nil || err.Error() != buildErr.Error() {
+			t.Errorf("Scale(%q, %d) = %v, Build says %v", tc.name, tc.scale, err, buildErr)
 		}
 	}
-}
-
-// TestRegisterPanicsOnDuplicate locks in the duplicate guard.
-func TestRegisterPanicsOnDuplicate(t *testing.T) {
-	defer func(f map[string]Factory, n []string) { factories, names = f, n }(factories, names)
-	factories = map[string]Factory{}
-	names = nil
-	register("once", nil)
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate register did not panic")
+	for _, e := range registry {
+		def, err := Scale(e.name, 0)
+		if err != nil || def != e.scale.def {
+			t.Errorf("Scale(%s, 0) = %d, %v; want the family default %d", e.name, def, err, e.scale.def)
 		}
-	}()
-	register("once", nil)
+		if again, err := Scale(e.name, def); err != nil || again != def {
+			t.Errorf("Scale(%s, %d) = %d, %v; the default scale must resolve to itself", e.name, def, again, err)
+		}
+	}
 }
 
 // TestBuildUnknownNamesRegistry checks the error path mentions the sorted
