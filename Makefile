@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build loc digest vet test smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
+.PHONY: check build loc digest vet test pool-width smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
 
 check: build vet race
 
@@ -32,6 +32,14 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Width-independence of the re-execution passes (CI: build-test). Run
+# fans a sweep's cells and Verify's variants out over GOMAXPROCS workers;
+# -cpu 1,4 runs the goldens, sweep and verify tests at width 1 (the serial
+# reference) and at width 4, so a report that depends on the width fails
+# a byte comparison at one of them.
+pool-width:
+	$(GO) test -count=1 -cpu 1,4 -run 'Golden|Sweep|Verify' ./internal/advisor
 
 # Runs the programs `go build ./...` only compiles: the four examples
 # (each exits non-zero when its own expectation fails), gpusim, its

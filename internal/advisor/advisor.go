@@ -14,7 +14,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"gpuscout/internal/faultinject"
 	"gpuscout/internal/gpu"
@@ -161,17 +164,18 @@ func Verify(ctx context.Context, rep *scout.Report, workload string, scale int, 
 		return summary, nil
 	}
 
-	// Pass 2: execute each distinct variant once and collect its metrics,
-	// each under rerun's rule: a failing or skipped variant leaves only the
-	// findings mapped to it unverified, recorded in the ledger.
-	runs := map[string]*fixedRun{}
+	// Pass 2: execute each distinct variant once, in sorted order, and
+	// collect its metrics under rerun's rule: a failing or skipped variant
+	// leaves only its findings unverified, recorded in the ledger.
 	fixedNames := make([]string, 0, len(needed))
 	for name := range needed {
 		fixedNames = append(fixedNames, name)
 	}
 	sort.Strings(fixedNames)
-	for _, name := range fixedNames {
-		err := rerun(ctx, rep, siteVerify, "variant "+name, "verify budget exhausted; paired findings ship unverified", "unverified", func() error {
+	runs := make([]*fixedRun, len(fixedNames))
+	if err := rerunAll(ctx, rep, siteVerify, "verify budget exhausted; paired findings ship unverified", "unverified", len(fixedNames),
+		func(i int) string { return "variant " + fixedNames[i] }, func(i int) error {
+			name := fixedNames[i]
 			// The variant must be lowered for the same backend as the
 			// baseline, or the comparison measures the arch, not the fix.
 			w, err := workloads.BuildArch(name, scale, arch)
@@ -187,12 +191,10 @@ func Verify(ctx context.Context, rep *scout.Report, workload string, scale int, 
 			if err != nil {
 				return fmt.Errorf("collect variant metrics %s: %w", name, err)
 			}
-			runs[name] = &fixedRun{result: res, metrics: ms}
+			runs[i] = &fixedRun{result: res, metrics: ms}
 			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		}); err != nil {
+		return nil, err
 	}
 
 	// Pass 3: attach a Verification block to each paired finding, each
@@ -204,8 +206,8 @@ func Verify(ctx context.Context, rep *scout.Report, workload string, scale int, 
 		if !ok {
 			continue
 		}
-		run, ok := runs[p.Fixed]
-		if !ok {
+		run := runs[sort.SearchStrings(fixedNames, p.Fixed)]
+		if run == nil {
 			continue // variant failed or was skipped; already in the ledger
 		}
 		if err := scout.Guard(scout.StageVerify, siteAttach, func() error {
@@ -253,40 +255,73 @@ func Verify(ctx context.Context, rep *scout.Report, workload string, scale int, 
 	return summary, nil
 }
 
-// rerun runs one item of a re-execution pass — a verify variant, a sweep
-// perturbation — under the one rule both passes share. A budget (ctx
-// deadline) that has already expired skips the item into the ledger: the
-// report ships without it rather than the job timing out. Otherwise fn
-// runs behind the site's fault hook and panic guard and records its own
-// result; a failing or crashing item loses only itself, classified into
-// the ledger. label names the item ("variant X"); skipped and lost are
-// its two loss texts. Only an explicit cancellation, before or during
-// the item, returns an error: it aborts the whole pass.
-func rerun(ctx context.Context, rep *scout.Report, site, label, skipped, lost string, fn func() error) error {
+// rerunAll runs a re-execution pass — Verify's variants, the sweep's
+// perturbations — as the n independent items it is: item i, named
+// label(i), is fn(i) under rerun's rule and fills a result slot of its
+// own. Items run on min(GOMAXPROCS, n) goroutines taking indices from one
+// counter (sim's engine recipe one level up); once every worker has
+// exited, the ledger is appended to rep in item order, so the report is
+// the same at any width. An abort means ctx is done, so later items end
+// at rerun's first check; the pass returns the lowest-index abort.
+func rerunAll(ctx context.Context, rep *scout.Report, site, skipped, lost string, n int, label func(int) string, fn func(int) error) error {
+	ledger := make([]*scout.Degradation, n)
+	aborts := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				ledger[i], aborts[i] = rerun(ctx, site, label(i), skipped, lost, func() error { return fn(i) })
+			}
+		}()
+	}
+	wg.Wait()
+	for i, d := range ledger {
+		if aborts[i] != nil {
+			return aborts[i]
+		}
+		if d != nil {
+			rep.Degradations = append(rep.Degradations, *d)
+		}
+	}
+	return nil
+}
+
+// rerun runs one item of a re-execution pass under the rule both passes
+// share. An item starts only if its budget (ctx deadline) has not
+// expired, else it is skipped into a ledger entry: the report ships
+// without it rather than the job timing out. fn runs behind the site's
+// fault hook and panic guard; a failing or crashing item — one ended by
+// its own ctx poll when the budget expires mid-flight included — loses
+// only itself, classified into its entry. label names the item, skipped
+// and lost are the loss texts. An explicit cancel is an error: it aborts.
+func rerun(ctx context.Context, site, label, skipped, lost string, fn func() error) (*scout.Degradation, error) {
 	if err := ctx.Err(); err != nil {
 		if errors.Is(err, context.Canceled) {
-			return fmt.Errorf("advisor: %w", err)
+			return nil, fmt.Errorf("advisor: %w", err)
 		}
-		rep.Degradations = append(rep.Degradations, scout.Degradation{
+		return &scout.Degradation{
 			Stage: scout.StageVerify, Site: site, Kind: scout.DegradeTimeout,
 			Detail: fmt.Sprintf("%s skipped: %s", label, skipped),
-		})
-		return nil
+		}, nil
 	}
-	if err := scout.Guard(scout.StageVerify, site, func() error {
+	err := scout.Guard(scout.StageVerify, site, func() error {
 		if err := faultinject.Hit(site); err != nil {
 			return err
 		}
 		return fn()
-	}); err != nil {
-		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-			return fmt.Errorf("advisor: %w", err)
-		}
-		d := scout.DegradationFor(scout.StageVerify, site, err, ctx.Err() != nil)
-		d.Detail = fmt.Sprintf("%s %s: %s", label, lost, d.Detail)
-		rep.Degradations = append(rep.Degradations, d)
+	})
+	if err == nil {
+		return nil, nil
 	}
-	return nil
+	if errors.Is(err, context.Canceled) && ctx.Err() != nil {
+		return nil, fmt.Errorf("advisor: %w", err)
+	}
+	d := scout.DegradationFor(scout.StageVerify, site, err, ctx.Err() != nil)
+	d.Detail = fmt.Sprintf("%s %s: %s", label, lost, d.Detail)
+	return &d, nil
 }
 
 // appendUnique appends the names not already present, preserving order.

@@ -11,8 +11,8 @@ import (
 	"gpuscout/internal/workloads"
 )
 
-// siteSweep covers one perturbed run of the sensitivity matrix (and, in
-// the first one, the build they all share).
+// siteSweep covers one perturbed run of the sensitivity matrix; its guard
+// also covers the build they all share.
 var siteSweep = faultinject.Register("advisor.sweep")
 
 // buildArch is workloads.BuildArch; a variable only so
@@ -59,27 +59,34 @@ func sweep(ctx context.Context, rep *scout.Report, base *baseline, workload stri
 
 	sens := &scout.Sensitivity{BaselineCycles: rep.Result.Cycles}
 	// One lowering and one execution serve the whole matrix (see
-	// gpu.Perturbation.Apply); when missing they are made inside the
-	// first cell's guard: a failing build fails every cell the same way,
-	// one ledger entry per missing perturbation.
-	var mismatch error
-	for _, p := range gpu.Perturbations() {
-		err := rerun(ctx, rep, siteSweep, "perturbation "+p.ID(), "sweep budget exhausted", "missing from sweep", func() error {
-			if base == nil {
-				w, err := buildArch(workload, scale, arch)
-				if err != nil {
-					return fmt.Errorf("build under %s: %w", p.ID(), err)
-				}
-				res, rec, err := workloads.RecordContext(ctx, w, sim.NewDevice(arch), cfg)
-				if err != nil {
-					return fmt.Errorf("recording run for %s: %w", p.ID(), err)
-				}
-				if res.Cycles != sens.BaselineCycles {
-					mismatch = fmt.Errorf("advisor: sweep of %s@%d on %s ran %v cycles unperturbed, the report measured %v: not the analyzed run",
-						workload, scale, arch.SM, res.Cycles, sens.BaselineCycles)
-					return nil
-				}
-				base = &baseline{w: w, rec: rec}
+	// gpu.Perturbation.Apply); when missing they are made here, before the
+	// cells, under the site's panic guard: a failing build or recording
+	// fails every cell the same way, one ledger entry per perturbation.
+	var baseErr error
+	if base == nil {
+		var res *sim.Result
+		base = &baseline{}
+		if err := scout.Guard(scout.StageVerify, siteSweep, func() error {
+			if base.w, baseErr = buildArch(workload, scale, arch); baseErr == nil {
+				res, base.rec, baseErr = workloads.RecordContext(ctx, base.w, sim.NewDevice(arch), cfg)
+			}
+			return nil
+		}); err != nil {
+			baseErr = err
+		}
+		if baseErr == nil && res.Cycles != sens.BaselineCycles {
+			return nil, fmt.Errorf("advisor: sweep of %s@%d on %s ran %v cycles unperturbed, the report measured %v: not the analyzed run",
+				workload, scale, arch.SM, res.Cycles, sens.BaselineCycles)
+		}
+	}
+
+	perts := gpu.Perturbations()
+	cells := make([]*scout.ResourceDelta, len(perts))
+	if err := rerunAll(ctx, rep, siteSweep, "sweep budget exhausted", "missing from sweep", len(perts),
+		func(i int) string { return "perturbation " + perts[i].ID() }, func(i int) error {
+			p := perts[i]
+			if baseErr != nil {
+				return fmt.Errorf("build under %s: %w", p.ID(), baseErr)
 			}
 			var res *sim.Result
 			var err error
@@ -91,21 +98,15 @@ func sweep(ctx context.Context, rep *scout.Report, base *baseline, workload stri
 			if err != nil {
 				return fmt.Errorf("run under %s: %w", p.ID(), err)
 			}
-			sens.Deltas = append(sens.Deltas, scout.ResourceDelta{
-				Resource:  p.Resource,
-				Direction: p.Direction,
-				Factor:    p.Factor,
-				Cycles:    res.Cycles,
-				Delta:     res.Cycles - sens.BaselineCycles,
-				Helps:     p.Helps,
-			})
+			cells[i] = &scout.ResourceDelta{Resource: p.Resource, Direction: p.Direction, Factor: p.Factor,
+				Cycles: res.Cycles, Delta: res.Cycles - sens.BaselineCycles, Helps: p.Helps}
 			return nil
-		})
-		if err == nil {
-			err = mismatch
-		}
-		if err != nil {
-			return nil, err
+		}); err != nil {
+		return nil, err
+	}
+	for _, d := range cells {
+		if d != nil { // a lost cell is already in the ledger
+			sens.Deltas = append(sens.Deltas, *d)
 		}
 	}
 	sens.Rank()

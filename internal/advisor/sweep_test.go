@@ -8,8 +8,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gpuscout/internal/faultinject"
 	"gpuscout/internal/gpu"
@@ -259,37 +262,40 @@ func TestSweepLoweringReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}
-	if len(s.Deltas) != len(perts) || *builds != 1 || *prepares != 1 {
-		t.Errorf("sweep ran %d of %d perturbations over %d lowerings and %d executions, want one of each", len(s.Deltas), len(perts), *builds, *prepares)
+	if len(s.Deltas) != len(perts) || builds.Load() != 1 || prepares.Load() != 1 {
+		t.Errorf("sweep ran %d of %d perturbations over %d lowerings and %d executions, want one of each", len(s.Deltas), len(perts), builds.Load(), prepares.Load())
 	}
 
-	*builds, *prepares = 0, 0
+	builds.Store(0)
+	prepares.Store(0)
 	out, err := Run(context.Background(), Plan{Arch: gpu.V100(), Opts: scout.Options{Sim: cfg},
 		Workload: "transpose_naive", Scale: 64, Sensitivity: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if swept := out.Report.Sensitivity; swept == nil || len(swept.Deltas) != len(perts) || *builds != 1 || *prepares != 1 {
-		t.Errorf("a swept Run made %d lowerings and %d executions (sensitivity %+v), want one lowering and the baseline execution alone", *builds, *prepares, swept)
+	if swept := out.Report.Sensitivity; swept == nil || len(swept.Deltas) != len(perts) || builds.Load() != 1 || prepares.Load() != 1 {
+		t.Errorf("a swept Run made %d lowerings and %d executions (sensitivity %+v), want one lowering and the baseline execution alone", builds.Load(), prepares.Load(), swept)
 	}
 
 	plain := Plan{Arch: gpu.V100(), Opts: scout.Options{Sim: cfg}, Workload: "transpose_naive", Scale: 64}
 	dry := plain
 	dry.Opts.DryRun = true
 	for _, tc := range []struct {
-		name                  string
-		p                     Plan
-		runs, builds, prepare int
+		name            string
+		p               Plan
+		runs            int
+		builds, prepare int64
 	}{{"plain", plain, 1, 1, 1}, {"dry run", dry, 1, 1, 0}, {"the same Plan twice", plain, 2, 2, 2}} {
-		*builds, *prepares = 0, 0
+		builds.Store(0)
+		prepares.Store(0)
 		for i := 0; i < tc.runs; i++ {
 			out, err := Run(context.Background(), tc.p)
 			if err != nil || out.Report.DryRun != tc.p.Opts.DryRun || out.Build <= 0 {
 				t.Fatalf("%s: Run: %v (outcome %+v)", tc.name, err, out)
 			}
 		}
-		if *builds != tc.builds || *prepares != tc.prepare {
-			t.Errorf("%s: %d lowerings and %d executions, want %d and %d", tc.name, *builds, *prepares, tc.builds, tc.prepare)
+		if builds.Load() != tc.builds || prepares.Load() != tc.prepare {
+			t.Errorf("%s: %d lowerings and %d executions, want %d and %d", tc.name, builds.Load(), prepares.Load(), tc.builds, tc.prepare)
 		}
 	}
 }
@@ -312,16 +318,17 @@ func TestRunGuardsLowering(t *testing.T) {
 
 // countLowerings points the buildArch hook, for the rest of the test, at a
 // BuildArch that counts its calls and the Prepare calls — the executions
-// — of the workloads it returns.
-func countLowerings(t *testing.T) (builds, prepares *int) {
-	builds, prepares = new(int), new(int)
+// — of the workloads it returns. The counters are atomic: a pass's cells
+// run concurrently.
+func countLowerings(t *testing.T) (builds, prepares *atomic.Int64) {
+	builds, prepares = new(atomic.Int64), new(atomic.Int64)
 	buildArch = func(name string, scale int, arch gpu.Arch) (*workloads.Workload, error) {
-		*builds++
+		builds.Add(1)
 		w, err := workloads.BuildArch(name, scale, arch)
 		if err == nil {
 			prepare := w.Prepare
 			w.Prepare = func(dev *sim.Device) (*workloads.Run, error) {
-				*prepares++
+				prepares.Add(1)
 				return prepare(dev)
 			}
 		}
@@ -378,9 +385,9 @@ func TestNonReplayableFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	executions := 0
+	var executions atomic.Int64 // the fallback's cells execute concurrently
 	w := &workloads.Workload{Name: "atom_branch", Kernel: k, Prepare: func(dev *sim.Device) (*workloads.Run, error) {
-		executions++
+		executions.Add(1)
 		buf, err := dev.Alloc(4096)
 		if err != nil {
 			return nil, err
@@ -397,14 +404,14 @@ func TestNonReplayableFallsBack(t *testing.T) {
 	}
 
 	rep := &scout.Report{Kernel: k.Name, Arch: arch.SM, Result: res}
-	executions = 0
+	executions.Store(0)
 	perts := gpu.Perturbations()
 	s, err := sweep(ctx, rep, &baseline{w: w}, w.Name, 0, arch, cfg)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
-	if len(s.Deltas) != len(perts) || executions != len(perts) || len(rep.Degradations) != 0 {
-		t.Fatalf("fallback sweep: %d deltas from %d executions, ledger %+v; want %d of each and no entry", len(s.Deltas), executions, rep.Degradations, len(perts))
+	if len(s.Deltas) != len(perts) || executions.Load() != int64(len(perts)) || len(rep.Degradations) != 0 {
+		t.Fatalf("fallback sweep: %d deltas from %d executions, ledger %+v; want %d of each and no entry", len(s.Deltas), executions.Load(), rep.Degradations, len(perts))
 	}
 	for i, p := range perts {
 		want, err := workloads.ExecuteContext(ctx, w, sim.NewDevice(p.Apply(arch)), cfg)
@@ -419,15 +426,16 @@ func TestNonReplayableFallsBack(t *testing.T) {
 
 // TestChaosReplayedCellLaunchFault: a replayed cell still passes through
 // sim.launch's fault hook inside advisor.rerun's guard, so a launch fault
-// during cell k costs exactly cell k — one ledger entry, the other eleven
-// measured — as it did when cells executed.
+// during one cell costs exactly that cell — one ledger entry, the other
+// eleven measured. The fault is armed on the 6th sim.launch hit (hit 1 is
+// the analyzed, recorded launch), but the cells run concurrently, so
+// which cell takes that hit depends on timing: the test finds the lost
+// cell from the matrix and checks what holds for any of them.
 func TestChaosReplayedCellLaunchFault(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 	perts := gpu.Perturbations()
-	const k = 5 // the cell that fails, 1-based
-	// Hit 1 is the analyzed (recorded) launch; cell k is hit k+1.
-	if _, err := faultinject.Arm(faultinject.Fault{Site: "sim.launch", Mode: faultinject.ModeError, SkipHits: k, Times: 1}); err != nil {
+	if _, err := faultinject.Arm(faultinject.Fault{Site: "sim.launch", Mode: faultinject.ModeError, SkipHits: 5, Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	_, prepares := countLowerings(t)
@@ -437,21 +445,62 @@ func TestChaosReplayedCellLaunchFault(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	rep := out.Report
-	if *prepares != 1 {
-		t.Fatalf("%d executions: the cells of this sweep were not replays", *prepares)
+	if prepares.Load() != 1 {
+		t.Fatalf("%d executions: the cells of this sweep were not replays", prepares.Load())
 	}
 	if rep.Sensitivity == nil || len(rep.Sensitivity.Deltas) != len(perts)-1 || len(rep.Degradations) != 1 {
 		t.Fatalf("sensitivity %+v, ledger %+v; want %d cells and one entry", rep.Sensitivity, rep.Degradations, len(perts)-1)
 	}
-	lost := perts[k-1]
-	for _, d := range rep.Sensitivity.Deltas {
-		if d.Resource == lost.Resource && d.Direction == lost.Direction {
-			t.Errorf("cell %s was measured although its launch faulted", lost.ID())
+	// The deltas must be the matrix in perturbation order with one cell
+	// left out — the first position that disagrees — and that cell is the
+	// one the ledger entry names.
+	k := len(perts) - 1
+	for i, d := range rep.Sensitivity.Deltas {
+		if d.Resource != perts[i].Resource || d.Direction != perts[i].Direction {
+			k = i
+			break
+		}
+	}
+	lost := perts[k]
+	for i, d := range rep.Sensitivity.Deltas[k:] {
+		if p := perts[k+1+i]; d.Resource != p.Resource || d.Direction != p.Direction {
+			t.Errorf("delta %d is %s/%s, want %s: the measured cells are not in matrix order", k+i, d.Resource, d.Direction, p.ID())
 		}
 	}
 	if d := rep.Degradations[0]; d.Stage != scout.StageVerify || d.Site != "advisor.sweep" || d.Kind != scout.DegradeError ||
 		!strings.HasPrefix(d.Detail, "perturbation "+lost.ID()+" missing from sweep: ") || !strings.Contains(d.Detail, "sim.launch") {
 		t.Errorf("ledger entry %+v, want verify/advisor.sweep/error for %s naming sim.launch", d, lost.ID())
+	}
+}
+
+// TestRunCancelledMidPass: an explicit cancel while a pass's items are in
+// flight aborts Run with a wrapped context.Canceled, and Run returns only
+// after every worker of the pool has exited.
+func TestRunCancelledMidPass(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	if _, err := faultinject.Arm(faultinject.Fault{Site: "advisor.sweep", Mode: faultinject.ModeDelay, Delay: 200 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for faultinject.Fired("advisor.sweep") == 0 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	out, err := Run(ctx, Plan{Arch: gpu.V100(), Opts: scout.Options{Sim: sim.Config{SampleSMs: 1}},
+		Workload: "transpose_naive", Scale: 64, Sensitivity: true})
+	if !errors.Is(err, context.Canceled) || out.Report != nil {
+		t.Fatalf("Run: err = %v, report %v; want a wrapped context.Canceled and no report", err, out.Report != nil)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the cancelled Run, %d before", n, before)
 	}
 }
 

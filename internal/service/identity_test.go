@@ -403,6 +403,28 @@ func TestDefaultScaleIsOneAddress(t *testing.T) {
 	if first, _, _ := batch.Dedupe(); len(first) != 1 {
 		t.Errorf("a batch of scale 0 and the default scale dedupes to %d jobs, want 1", len(first))
 	}
+
+	// A family that ignores scale has one address for every accepted one:
+	// reduction's scale 5 is its scale 0.
+	five, zero := AnalyzeRequest{Workload: "reduction_shfl", Scale: 5, DryRun: true}, AnalyzeRequest{Workload: "reduction_shfl", DryRun: true}
+	if five.Fingerprint() != zero.Fingerprint() {
+		t.Error("reduction_shfl: scale 5 and scale 0 have different fingerprints")
+	}
+	for i, req := range []AnalyzeRequest{five, zero} {
+		body, _ := json.Marshal(req)
+		resp, data := postAnalyze(t, ts, "", string(body))
+		var st Status
+		if err := json.Unmarshal(data, &st); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("reduction_shfl: status %d, body %s", resp.StatusCode, data)
+		}
+		if st.CacheHit != (i == 1) {
+			t.Errorf("reduction_shfl request %d (scale %d): cache_hit = %v, want a miss then a hit", i, req.Scale, st.CacheHit)
+		}
+	}
+	batch.Requests = []AnalyzeRequest{five, zero}
+	if first, _, _ := batch.Dedupe(); len(first) != 1 {
+		t.Errorf("a reduction batch of scale 5 and scale 0 dedupes to %d jobs, want 1", len(first))
+	}
 }
 
 // archSpellings lists, per architecture, every spelling gpu.ByName

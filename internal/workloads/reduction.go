@@ -39,7 +39,7 @@ var redShflSource = []string{
 	/* 8 */ `}`,
 }
 
-var reductionScale = scaleRule{means: "ignored: the array is fixed at one element per thread", multiple: 1}
+var reductionScale = scaleRule{means: "ignored: the array is fixed at one element per thread", multiple: 1, fixed: true}
 
 // reduction builds one variant.
 func reduction(name, variant string, _ int, arch gpu.Arch) (*Workload, error) {

@@ -58,6 +58,7 @@ type scaleRule struct {
 	means    string // what scale is, quoted in the errors
 	def      int    // the scale that <= 0 selects
 	multiple int    // every accepted scale is a multiple of it
+	fixed    bool   // the family ignores scale: every accepted one is def
 }
 
 // apply resolves a requested scale to the one the family builds at.
@@ -69,6 +70,8 @@ func (r scaleRule) apply(name string, scale int) (int, error) {
 		return 0, fmt.Errorf("workloads: %s: scale %d (%s) is over the bound of %d", name, scale, r.means, maxScale)
 	case scale%r.multiple != 0:
 		return 0, fmt.Errorf("workloads: %s: scale %d (%s) is not a multiple of %d", name, scale, r.means, r.multiple)
+	case r.fixed:
+		return r.def, nil
 	}
 	return scale, nil
 }
