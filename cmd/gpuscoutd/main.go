@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -50,6 +51,7 @@ import (
 // and -replicas mean the same to a worker and a coordinator.
 type options struct {
 	addr, dataDir, self string
+	pprof               string // net/http/pprof listen address; "" = off
 	version             bool
 	svc                 service.Config // svc.Mode is the process role
 	store               store.Options
@@ -65,6 +67,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.addr, "addr", ":8090", "listen address")
 	fs.StringVar(&o.svc.Mode, "mode", "standalone", "process role: standalone, worker (replica with peer cache-fill), or coordinator")
 	fs.BoolVar(&o.version, "version", false, "print version and exit")
+	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof (/debug/pprof/) on this address, a listener of its own (empty = off)")
 	fs.IntVar(&o.svc.Workers, "workers", 0, "concurrent analysis workers (0 = #CPUs, capped at 8)")
 	fs.IntVar(&o.svc.QueueDepth, "queue", 64, "bounded job-queue depth (full queue => 429)")
 	fs.IntVar(&o.svc.CacheEntries, "cache", 256, "report-cache capacity in entries (negative disables)")
@@ -117,6 +120,14 @@ func main() {
 	if o.version {
 		fmt.Printf("gpuscoutd %s (%s, %s/%s)\n", service.Version, runtime.Version(), runtime.GOOS, runtime.GOARCH)
 		return
+	}
+	if o.pprof != "" {
+		go func() {
+			log.Printf("gpuscoutd: pprof listening on %s", o.pprof)
+			if err := http.ListenAndServe(o.pprof, pprofHandler()); err != nil {
+				log.Printf("gpuscoutd: pprof: %v", err)
+			}
+		}()
 	}
 	if o.svc.Mode == "coordinator" {
 		coord, err := cluster.New(o.coord)
@@ -190,6 +201,19 @@ func serve(addr, mode string, h http.Handler, beginShutdown, closeCore func()) {
 		os.Exit(1)
 	}
 	<-idle
+}
+
+// pprofHandler serves the runtime profiles under /debug/pprof/. It is
+// mounted only on the -pprof listener: the API handlers are their own
+// muxes, so the API address answers 404 there.
+func pprofHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // splitList parses a comma-separated URL list, trimming blanks.

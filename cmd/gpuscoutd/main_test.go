@@ -1,6 +1,8 @@
 package main
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -94,5 +96,42 @@ func TestParseFlags(t *testing.T) {
 	}
 	if o.svc.MaxUploadBytes != 99 || o.coord.MaxUploadBytes != 99 || o.store.FsyncPolicy != store.FsyncNever {
 		t.Errorf("flags not bound: upload %d/%d fsync %v", o.svc.MaxUploadBytes, o.coord.MaxUploadBytes, o.store.FsyncPolicy)
+	}
+}
+
+// TestPprofOnItsOwnListener: profiles are off unless -pprof names an
+// address, are served by the handler that listener mounts, and never by
+// the API handler of either role.
+func TestPprofOnItsOwnListener(t *testing.T) {
+	if o, _ := parseFlags(nil); o.pprof != "" {
+		t.Errorf("-pprof defaults to %q, want off", o.pprof)
+	}
+	o, err := parseFlags([]string{"-pprof", "127.0.0.1:6060"})
+	if err != nil || o.pprof != "127.0.0.1:6060" {
+		t.Fatalf("-pprof not bound: %q, %v", o.pprof, err)
+	}
+
+	const path = "/debug/pprof/cmdline"
+	get := func(h http.Handler) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code
+	}
+	if code := get(pprofHandler()); code != http.StatusOK {
+		t.Errorf("pprof handler: GET %s = %d, want 200", path, code)
+	}
+	svc, err := service.New(service.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	coord, err := cluster.New(cluster.Config{Replicas: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for role, h := range map[string]http.Handler{"service": svc.Handler(), "coordinator": coord.Handler()} {
+		if code := get(h); code != http.StatusNotFound {
+			t.Errorf("%s API handler: GET %s = %d, want 404", role, path, code)
+		}
 	}
 }

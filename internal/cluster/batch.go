@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"sync"
 
@@ -61,11 +62,11 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	go c.fanOut(r.Context(), uniq)
 
 	// Stream results in request order; duplicates share their slot.
-	service.WriteBatchResults(w, n, func(i int) (json.RawMessage, bool) {
+	service.WriteBatchResults(w, n, func(i int) (net.Buffers, bool) {
 		s := uniq[slot[i]]
 		select {
 		case <-s.done:
-			return s.status, true
+			return net.Buffers{s.status}, true
 		case <-r.Context().Done():
 			return nil, false
 		}

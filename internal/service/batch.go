@@ -1,10 +1,10 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"time"
 )
@@ -69,9 +69,10 @@ func (b *BatchRequest) Dedupe() (first []int, fps []string, slot []int) {
 // WriteBatchResults streams a batch response — `{"results":[...]}`, one
 // encoded Status per item in request order, flushed per item so clients
 // see results as they land. next blocks until item i's status is ready
-// and reports false when the client has gone away. The return value is
-// false when the stream was cut short (client gone or a failed write).
-func WriteBatchResults(w http.ResponseWriter, n int, next func(i int) (json.RawMessage, bool)) bool {
+// (the pieces of one JSON document, written in order) and reports false
+// when the client has gone away. The return value is false when the
+// stream was cut short (client gone or a failed write).
+func WriteBatchResults(w http.ResponseWriter, n int, next func(i int) (net.Buffers, bool)) bool {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -82,7 +83,7 @@ func WriteBatchResults(w http.ResponseWriter, n int, next func(i int) (json.RawM
 			return false
 		}
 		_, _ = io.WriteString(w, sep) // a dead connection fails the next write too
-		if _, err := w.Write(status); err != nil {
+		if _, err := status.WriteTo(w); err != nil {
 			return false
 		}
 		sep = ","
@@ -167,7 +168,7 @@ func (s *Service) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Duplicates resolve to the same job, so their Status entries share
 	// one report.
-	if !WriteBatchResults(w, n, func(i int) (json.RawMessage, bool) {
+	if !WriteBatchResults(w, n, func(i int) (net.Buffers, bool) {
 		u := uniq[slot[i]]
 		st := Status{State: StateFailed}
 		if u.err != nil {
@@ -180,11 +181,7 @@ func (s *Service) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 				return nil, false
 			}
 		}
-		b, err := json.Marshal(st)
-		if err != nil {
-			b, _ = json.Marshal(Status{State: StateFailed, Error: "encode status: " + err.Error()})
-		}
-		return b, true
+		return encodeStatus(st), true
 	}) {
 		cancelAll()
 	}

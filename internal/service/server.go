@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -48,6 +49,45 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// encodeStatus is a job status's wire form, as pieces to write in order.
+// The envelope is encoded as WriteJSON encodes it; the report member,
+// when there is one, is the job's stored bytes themselves — the
+// document MarshalJSON produced on a miss, read back from the store or
+// accepted from a peer — spliced in after `"report": ` and never
+// decoded, compacted or re-indented. Report is Status's last field, so
+// the splice lands where the encoder would have put it.
+func encodeStatus(st Status) net.Buffers {
+	report := st.Report
+	st.Report = nil
+	env, _ := json.MarshalIndent(st, "", "  ") // no Status field can fail to marshal
+	if len(report) == 0 {
+		return net.Buffers{env}
+	}
+	return net.Buffers{env[:len(env)-len("\n}")], reportMember, report, docEnd}
+}
+
+var (
+	reportMember = []byte(",\n  \"report\": ")
+	docEnd       = []byte("\n}")
+	newline      = []byte("\n")
+)
+
+// writeStatus answers with a job's status document (encodeStatus) and a
+// trailing newline, as WriteJSON would.
+func writeStatus(w http.ResponseWriter, code int, st Status) {
+	body := encodeStatus(st)
+	n := len("\n")
+	for _, b := range body {
+		n += len(b)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(code)
+	if _, err := body.WriteTo(w); err == nil {
+		_, _ = w.Write(newline)
+	}
 }
 
 // WriteError answers with the API's error document, {"error": msg}.
@@ -142,7 +182,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// client disconnects — nobody is left to read the report.
 	select {
 	case <-j.Done():
-		WriteJSON(w, statusCode(j.StateNow()), j.Snapshot())
+		writeStatus(w, statusCode(j.StateNow()), j.Snapshot())
 	case <-r.Context().Done():
 		j.Cancel()
 	}
@@ -168,7 +208,7 @@ func (s *Service) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	WriteJSON(w, http.StatusOK, j.Snapshot())
+	writeStatus(w, http.StatusOK, j.Snapshot())
 }
 
 func (s *Service) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -178,7 +218,7 @@ func (s *Service) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.Cancel()
-	WriteJSON(w, http.StatusOK, j.Snapshot())
+	writeStatus(w, http.StatusOK, j.Snapshot())
 }
 
 func (s *Service) handleWorkloads(w http.ResponseWriter, _ *http.Request) {

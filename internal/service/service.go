@@ -93,10 +93,10 @@ type Config struct {
 	// before the pipeline runs: given the job's input fingerprint and
 	// report cache key it may return the marshaled report bytes from a
 	// peer replica's cache (the cluster's two-tier cache-fill protocol).
-	// A returned report is stored locally and served as a cache hit; a
-	// miss, error, or timeout inside the hook silently falls through to
-	// local simulation — peer fill is an optimization, never a
-	// dependency.
+	// A returned report that is valid JSON is stored locally and served
+	// as a cache hit; anything else, and a miss, error, or timeout inside
+	// the hook, silently falls through to local simulation — peer fill is
+	// an optimization, never a dependency.
 	PeerFill func(ctx context.Context, fingerprint, cacheKey string) ([]byte, bool)
 	// Store, when set, is the crash-safe persistence layer under
 	// -data-dir: accepted jobs are journaled before they are
@@ -581,6 +581,8 @@ func (s *Service) Job(id string) (*Job, bool) {
 // finished and one admit evicts exactly that entry, and a live entry is
 // only stepped over, so the walk is bounded by the jobs in flight. (An
 // id a rolled-back Submit left behind is dropped when the walk meets it.)
+// An eviction moves the i live ids ahead of it up one slot and drops the
+// head, so it costs the jobs stepped over, not the jobs retained.
 func (s *Service) pruneLocked() {
 	for i := 0; len(s.jobs) > s.cfg.MaxJobsRetained && i < len(s.order); {
 		id := s.order[i]
@@ -589,7 +591,8 @@ func (s *Service) pruneLocked() {
 			continue
 		}
 		delete(s.jobs, id)
-		s.order = append(s.order[:i], s.order[i+1:]...)
+		copy(s.order[1:i+1], s.order[:i])
+		s.order = s.order[1:]
 	}
 }
 
@@ -683,6 +686,10 @@ func (s *Service) lookupLocal(key string) (data []byte, fromMemory, ok bool) {
 // (the key was rebalanced here, or we are taking failover traffic): one
 // bounded peer lookup is far cheaper than re-simulating, a hit is
 // written through both local tiers, and any failure falls through.
+// A peer's bytes are the one report source from outside this process
+// (the local tiers hold what MarshalJSON produced, the store's behind a
+// checksum), and every answer splices a report in verbatim: bytes that
+// are not JSON are refused here, once per fill, and count as a miss.
 func (s *Service) lookup(ctx context.Context, fingerprint, key string) ([]byte, bool) {
 	if data, fromMemory, ok := s.lookupLocal(key); ok {
 		if fromMemory {
@@ -691,7 +698,7 @@ func (s *Service) lookup(ctx context.Context, fingerprint, key string) ([]byte, 
 		return data, true
 	}
 	if s.cfg.PeerFill != nil {
-		if data, ok := s.cfg.PeerFill(ctx, fingerprint, key); ok && len(data) > 0 {
+		if data, ok := s.cfg.PeerFill(ctx, fingerprint, key); ok && len(data) > 0 && json.Valid(data) {
 			s.peerFillHits.Inc()
 			s.publish(key, fingerprint, data)
 			return data, true
