@@ -1,9 +1,10 @@
 # Developer entry points. `make check` is the full gate (build + vet +
-# race-enabled tests) referenced from README.md.
+# race-enabled tests) referenced from README.md; `make race-sim` is its
+# fast slice for the simulator's concurrent paths (CI: build-test).
 
 GO ?= go
 
-.PHONY: check build loc digest vet test pool-width smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
+.PHONY: check build loc digest vet test pool-width race-sim smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
 
 check: build vet race
 
@@ -40,6 +41,13 @@ test:
 # a byte comparison at one of them.
 pool-width:
 	$(GO) test -count=1 -cpu 1,4 -run 'Golden|Sweep|Verify' ./internal/advisor
+
+# The concurrent first touch of demand-filled device pages, the parallel
+# per-SM differentials and replay, under the race detector (~3.5 min on 2
+# CPUs; CI: build-test, so every change exercises it, not only the 30-minute
+# race job).
+race-sim:
+	$(GO) test -race -count=1 -run 'Fill|Parallel|Differential|Replay' ./internal/sim ./internal/workloads
 
 # Runs the programs `go build ./...` only compiles: the four examples
 # (each exits non-zero when its own expectation fails), gpusim, its

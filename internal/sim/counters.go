@@ -129,8 +129,9 @@ func (c *Counters) merge(o *Counters) {
 // HostStats reports host-side execution statistics of one launch: how
 // long the SM-simulation phase took on the wall clock, the aggregate
 // time the individual SMs consumed (their ratio is the achieved parallel
-// speedup), and the worker cap in effect. Host values vary run to run
-// and are excluded from the determinism guarantee below.
+// speedup), the worker cap in effect, and the input pages the launch
+// filled on demand. Host values vary run to run and are excluded from the
+// determinism guarantee below.
 type HostStats struct {
 	// Workers is the effective concurrency cap (after resolving 0 to
 	// GOMAXPROCS and clamping to the number of sampled SMs with work).
@@ -140,6 +141,10 @@ type HostStats struct {
 	// SMSeconds sums each SM's individual host simulation time; with
 	// perfect scaling WallSeconds approaches SMSeconds / Workers.
 	SMSeconds float64
+	// FilledPages counts the 4 KiB pages of Device.Fill'ed memory this
+	// launch filled on first touch: what sampling left it to write of the
+	// input, pages filled before the launch (by a host accessor) excluded.
+	FilledPages int
 }
 
 // Speedup returns the achieved parallel speedup of the launch

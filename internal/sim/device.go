@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"gpuscout/internal/gpu"
 )
@@ -21,6 +23,9 @@ const memBase uint64 = 0x7f0000000
 // experiment allocates (10 MiB).
 const MaxDeviceBytes = 128 << 20
 
+// pageShift sets the granule of demand filling: 4 KiB pages of the image.
+const pageShift = 12
+
 // Device models one GPU: its global memory arena and texture bindings.
 // It plays the role of the CUDA runtime for examples and benchmarks
 // (Alloc ~ cudaMalloc, CopyToDevice ~ cudaMemcpy).
@@ -30,6 +35,25 @@ type Device struct {
 	mem   []byte
 	next  uint64 // next free offset
 	texes []Texture
+
+	// Demand filling (Fill). fills is every generator declared, in order;
+	// nil while none is, which is the one branch an access pays then.
+	// pages holds one state word per page of the image: 0 when the bytes
+	// in mem are its contents, else 1 + the index of the first fill still
+	// to be applied to it. A page is filled under fillMu and published by
+	// an atomic store of 0; filled counts the pages filled so far.
+	fills  []fill
+	pages  []atomic.Uint32
+	fillMu sync.Mutex
+	filled int
+}
+
+// fill is one Fill declaration: element i of the width-byte words at
+// image offset off..off+size holds gen(i).
+type fill struct {
+	off, size uint64
+	width     int
+	gen       func(i int) uint64
 }
 
 // Buffer is a device memory allocation.
@@ -109,7 +133,97 @@ func (d *Device) slice(addr uint64, n int) ([]byte, error) {
 	if addr < memBase || off > d.next || uint64(n) > d.next-off {
 		return nil, fmt.Errorf("sim: device address %#x+%d out of bounds", addr, n)
 	}
+	// A lane access spans one page, almost always a ready one: check it
+	// here and leave the rest to touch.
+	if p := off >> pageShift; d.fills != nil && n > 0 && p < uint64(len(d.pages)) &&
+		(d.pages[p].Load() != 0 || (off+uint64(n)-1)>>pageShift != p) {
+		d.touch(off, off+uint64(n))
+	}
 	return d.mem[off : off+uint64(n)], nil
+}
+
+// Fill declares that element i of buf holds gen(i), stored as a width-byte
+// (4 or 8) little-endian word, for every i < buf.Size/width. No element is
+// written now (the image is backed, as by any host accessor): each 4 KiB
+// page of the buffer is filled from its generators the first time a lane
+// access, a host accessor or MemorySnapshot touches it, so a launch that
+// samples a few SMs pays only for the pages they read. A later Fill or
+// host write over the same bytes overrides it, as an eager write would.
+// gen must be a pure function of i that does not call the Device: it runs
+// under the device's fill lock, on any goroutine of a launch, for any
+// subset of the elements, in any order. Fill itself, like Alloc, must not
+// run concurrently with a launch on the same device.
+func (d *Device) Fill(buf Buffer, width int, gen func(i int) uint64) error {
+	off := buf.Addr - memBase
+	switch {
+	case width != 4 && width != 8:
+		return fmt.Errorf("sim: Fill width %d, want 4 or 8", width)
+	case gen == nil:
+		return fmt.Errorf("sim: Fill without a generator")
+	case buf.Addr < memBase || buf.Size <= 0 || off > d.next || uint64(buf.Size) > d.next-off:
+		return fmt.Errorf("sim: Fill of device address %#x+%d out of bounds", buf.Addr, buf.Size)
+	case buf.Size%width != 0 || off%uint64(width) != 0:
+		return fmt.Errorf("sim: Fill of %d-byte words over a %d-byte buffer at %#x: size or address is not a multiple of the width",
+			width, buf.Size, buf.Addr)
+	}
+	d.materialize()
+	f := fill{off: off, size: uint64(buf.Size), width: width, gen: gen}
+	first, last := off>>pageShift, (off+f.size-1)>>pageShift
+	if n := int(last) + 1; n > len(d.pages) {
+		grown := make([]atomic.Uint32, n)
+		for p := range d.pages {
+			grown[p].Store(d.pages[p].Load())
+		}
+		d.pages = grown
+	}
+	for p := first; p <= last; p++ {
+		d.pages[p].CompareAndSwap(0, uint32(len(d.fills))+1)
+	}
+	d.fills = append(d.fills, f)
+	return nil
+}
+
+// touch fills the pending pages overlapping image bytes [lo, hi), lo < hi.
+func (d *Device) touch(lo, hi uint64) {
+	end := min((hi-1)>>pageShift+1, uint64(len(d.pages)))
+	for p := lo >> pageShift; p < end; p++ {
+		if d.pages[p].Load() != 0 {
+			d.fillPage(p)
+		}
+	}
+}
+
+// fillPage applies to page p, in declaration order, every fill declared
+// since p was last filled. Concurrent first touches serialize on fillMu;
+// the loser finds the page published and returns.
+func (d *Device) fillPage(p uint64) {
+	d.fillMu.Lock()
+	defer d.fillMu.Unlock()
+	first := d.pages[p].Load()
+	if first == 0 {
+		return
+	}
+	lo, hi := p<<pageShift, (p+1)<<pageShift
+	for _, f := range d.fills[first-1:] {
+		if f.off >= hi || f.off+f.size <= lo {
+			continue
+		}
+		w := uint64(f.width)
+		i0 := (max(lo, f.off) - f.off) / w
+		i1 := (min(hi, f.off+f.size) - f.off) / w
+		dst, i := d.mem[f.off+i0*w:f.off+i1*w], int(i0)
+		if w == 4 {
+			for ; len(dst) >= 4; i, dst = i+1, dst[4:] {
+				binary.LittleEndian.PutUint32(dst, uint32(f.gen(i)))
+			}
+		} else {
+			for ; len(dst) >= 8; i, dst = i+1, dst[8:] {
+				binary.LittleEndian.PutUint64(dst, f.gen(i))
+			}
+		}
+	}
+	d.filled++
+	d.pages[p].Store(0)
 }
 
 // CopyToDevice writes host bytes into device memory.
@@ -245,6 +359,10 @@ func (d *Device) texture(id int) (Texture, error) {
 // two launches (e.g. sequential vs parallel simulation) byte for byte.
 func (d *Device) MemorySnapshot() []byte {
 	d.materialize()
+	if d.fills != nil {
+		d.touch(0, d.next)
+		d.fills, d.pages = nil, nil
+	}
 	out := make([]byte, d.next)
 	copy(out, d.mem[:d.next])
 	return out

@@ -205,10 +205,12 @@ func launch(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config, recor
 	if record && replayable(e.code) {
 		e.rec = &Recording{program: e.program, arch: e.arch, sms: make([]smRecording, len(e.plans))}
 	}
+	filled := dev.filled
 	res, err := e.run()
 	if err != nil {
 		return nil, nil, err
 	}
+	res.Host.FilledPages = dev.filled - filled
 	return res, e.rec.complete(), nil
 }
 

@@ -134,36 +134,32 @@ func histogram(name, variant string, perThr int, arch gpu.Arch) (*Workload, erro
 	return compile(b, codegen.Options{Arch: arch}, name, desc, launch{
 		grid:  sim.D1(histBlocks),
 		block: sim.D1(histBlock),
-		sizes: []int{4 * threads * perThr, 4 * histBins}, // in, bins
+		bufs:  []buffer{{4 * threads * perThr, histInput}, {4 * histBins, nil}}, // in, bins
 		params: func(bufs []sim.Buffer) []uint64 {
 			return []uint64{bufs[0].Addr, bufs[1].Addr, uint64(uint32(perThr))}
 		},
-		host: func() ([]any, checkFunc) {
-			data := make([]int32, threads*perThr)
-			for idx := range data {
-				data[idx] = int32((idx*7 + idx/3) % 251)
+		check: func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
+			got, err := dev.ReadF32(bufs[1], histBins)
+			if err != nil {
+				return err
 			}
-			return []any{data}, func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
-				got, err := dev.ReadF32(bufs[1], histBins)
-				if err != nil {
-					return err
+			want := make([]float32, histBins)
+			for th := 0; th < threads; th++ {
+				if !res.BlockRan(th / histBlock) {
+					continue
 				}
-				want := make([]float32, histBins)
-				for th := 0; th < threads; th++ {
-					if !res.BlockRan(th / histBlock) {
-						continue
-					}
-					for e := 0; e < perThr; e++ {
-						want[data[e*threads+th]&(histBins-1)]++
-					}
+				for e := 0; e < perThr; e++ {
+					want[histInput(e*threads+th)&(histBins-1)]++
 				}
-				for bn := range want {
-					if got[bn] != want[bn] {
-						return fmt.Errorf("bin %d = %v, want %v", bn, got[bn], want[bn])
-					}
-				}
-				return nil
 			}
+			for bn := range want {
+				if got[bn] != want[bn] {
+					return fmt.Errorf("bin %d = %v, want %v", bn, got[bn], want[bn])
+				}
+			}
+			return nil
 		},
 	})
 }
+
+func histInput(idx int) int32 { return int32((idx*7 + idx/3) % 251) }

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 
 	"gpuscout/internal/codegen"
 	"gpuscout/internal/kasm"
@@ -10,42 +11,63 @@ import (
 
 // launch is what is particular to one workload's launch, as data: the
 // geometry, the device buffers, and the two functions that need host
-// code — how parameter words follow from buffer addresses, and the data
-// pattern with its host reference.
+// code — how parameter words follow from buffer addresses, and the check
+// of the results against the host reference.
 type launch struct {
 	grid, block sim.Dim3
-	// sizes are the device buffers in bytes, in allocation order.
-	sizes []int
+	// bufs are the device buffers, in allocation order.
+	bufs []buffer
 	// tex, when non-zero, is the {width, height} of a 2-D float texture
 	// bound over buffer 0.
 	tex [2]int
 	// params builds the kernel parameter words from the allocated buffers
-	// (bufs[i] belongs to sizes[i]).
+	// (bufs[i] belongs to l.bufs[i]).
 	params func(bufs []sim.Buffer) []uint64
-	// host generates the input data and returns each buffer's initial
-	// contents — a []float32, []float64 or []int32, or nil for a buffer
-	// left as allocated (zero) — and the check of the device results
-	// against the host reference. The check sees the simulation result
+	// check compares the device results with the host reference, which it
+	// computes from the same fill functions. It sees the simulation result
 	// so it can skip blocks SM sampling did not run (sim.Result.BlockRan).
-	host func() (contents []any, check checkFunc)
+	check checkFunc
+}
+
+// buffer is one device buffer: its size and its initial contents as a
+// function of the element index — a func(int) float32, func(int) float64
+// or func(int) int32, or nil for a buffer left as allocated (zero).
+type buffer struct {
+	bytes int
+	fill  any
 }
 
 type checkFunc func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error
 
+// generator is fill as a sim.Device.Fill word generator and its width.
+func generator(fill any) (int, func(int) uint64, error) {
+	switch f := fill.(type) {
+	case func(int) float32:
+		return 4, func(i int) uint64 { return uint64(math.Float32bits(f(i))) }, nil
+	case func(int) float64:
+		return 8, func(i int) uint64 { return math.Float64bits(f(i)) }, nil
+	case func(int) int32:
+		return 4, func(i int) uint64 { return uint64(uint32(f(i))) }, nil
+	}
+	return 0, nil, fmt.Errorf("unsupported fill %T", fill)
+}
+
 // compile lowers a family's finished kernel body and wraps it with its
 // launch. It is the only place in the package that builds and compiles a
-// program, allocates or writes device memory, binds a texture or
+// program, allocates or fills device memory, binds a texture or
 // assembles a LaunchSpec, and three conditions hold here for every
 // workload:
 //
-//   - Buffers are allocated in the listed order and all before any write:
+//   - Buffers are allocated in the listed order and all before any fill:
 //     their addresses are part of the device image the differential and
 //     pinned tests compare.
-//   - Device allocation precedes host data generation (l.host), so a scale
-//     past sim.MaxDeviceBytes fails at Alloc before a host slice exists.
-//   - Host data is produced per Prepare, never here: a build costs one
-//     lowering and nothing else, and every Prepare — a sweep's recording
-//     run, a Verify variant — starts from fresh data.
+//   - Contents are declared, never written: each fill becomes one
+//     sim.Device.Fill, so a Prepare writes no input (it backs the zeroed
+//     image), a launch fills the pages its sampled SMs touch, and a scale
+//     past sim.MaxDeviceBytes fails at Alloc having built nothing.
+//   - Everything else — generators, checks — is built once, here, and
+//     every Prepare — a sweep's recording run, a Verify variant — starts
+//     from the same image.
 func compile(b *kasm.Builder, opts codegen.Options, name, description string, l launch) (*Workload, error) {
 	prog, err := b.Build()
 	if err != nil {
@@ -55,29 +77,29 @@ func compile(b *kasm.Builder, opts codegen.Options, name, description string, l 
 	if err != nil {
 		return nil, err
 	}
+	widths := make([]int, len(l.bufs))
+	gens := make([]func(int) uint64, len(l.bufs))
+	for i, buf := range l.bufs {
+		if buf.fill == nil {
+			continue
+		}
+		if widths[i], gens[i], err = generator(buf.fill); err != nil {
+			return nil, fmt.Errorf("workloads: %s: buffer %d: %w", name, i, err)
+		}
+	}
 	prepare := func(dev *sim.Device) (*Run, error) {
-		bufs := make([]sim.Buffer, len(l.sizes))
-		for i, n := range l.sizes {
+		bufs := make([]sim.Buffer, len(l.bufs))
+		for i, buf := range l.bufs {
 			var err error
-			if bufs[i], err = dev.Alloc(n); err != nil {
+			if bufs[i], err = dev.Alloc(buf.bytes); err != nil {
 				return nil, err
 			}
 		}
-		contents, check := l.host()
-		for i, c := range contents {
-			var err error
-			switch vals := c.(type) {
-			case nil:
-			case []float32:
-				err = dev.WriteF32(bufs[i], vals)
-			case []float64:
-				err = dev.WriteF64(bufs[i], vals)
-			case []int32:
-				err = dev.WriteI32(bufs[i], vals)
-			default:
-				err = fmt.Errorf("buffer %d: unsupported contents %T", i, c)
+		for i, gen := range gens {
+			if gen == nil {
+				continue
 			}
-			if err != nil {
+			if err := dev.Fill(bufs[i], widths[i], gen); err != nil {
 				return nil, err
 			}
 		}
@@ -89,7 +111,7 @@ func compile(b *kasm.Builder, opts codegen.Options, name, description string, l 
 		return &Run{
 			Spec: sim.LaunchSpec{Kernel: k, Grid: l.grid, Block: l.block, Params: l.params(bufs)},
 			Verify: func(dev *sim.Device, res *sim.Result) error {
-				return check(dev, bufs, res)
+				return l.check(dev, bufs, res)
 			},
 		}, nil
 	}

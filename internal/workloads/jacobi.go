@@ -209,7 +209,7 @@ func jacobi(name, variant string, size int, arch gpu.Arch) (*Workload, error) {
 	l := launch{
 		grid:  sim.D2(W/jacobiBx, H/jacobiBy),
 		block: sim.D2(jacobiBx, jacobiBy),
-		sizes: []int{4 * W * H, 4 * W * H}, // in, out
+		bufs:  []buffer{{4 * W * H, jacobiInput}, {4 * W * H, nil}}, // in, out
 		params: func(bufs []sim.Buffer) []uint64 {
 			return []uint64{
 				bufs[0].Addr, bufs[1].Addr,
@@ -217,18 +217,12 @@ func jacobi(name, variant string, size int, arch gpu.Arch) (*Workload, error) {
 				uint64(math.Float32bits(jacobiK)),
 			}
 		},
-		host: func() ([]any, checkFunc) {
-			data := make([]float32, W*H)
-			for i := range data {
-				data[i] = float32((i*31)%97) * 0.01
+		check: func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
+			got, err := dev.ReadF32(bufs[1], W*H)
+			if err != nil {
+				return err
 			}
-			return []any{data}, func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
-				got, err := dev.ReadF32(bufs[1], W*H)
-				if err != nil {
-					return err
-				}
-				return jacobiVerify(data, got, W, H, res)
-			}
+			return jacobiVerify(got, W, H, res)
 		},
 	}
 	if variant == "texture" {
@@ -238,14 +232,17 @@ func jacobi(name, variant string, size int, arch gpu.Arch) (*Workload, error) {
 	return compile(b, codegen.Options{Arch: arch}, name, desc, l)
 }
 
+func jacobiInput(i int) float32 { return float32((i*31)%97) * 0.01 }
+
 // jacobiRef computes the host reference for one cell.
-func jacobiRef(in []float32, W, H, x, y int) float32 {
+func jacobiRef(W, H, x, y int) float32 {
+	in := jacobiInput
 	clampI := func(v, n int) int { return min(max(v, 0), n-1) }
 	xm, xp := clampI(x-1, W), clampI(x+1, W)
 	ym, yp := clampI(y-1, H), clampI(y+1, H)
-	told := in[y*W+x]
-	top, bottom := in[ym*W+x], in[yp*W+x]
-	left, right := in[y*W+xm], in[y*W+xp]
+	told := in(y*W + x)
+	top, bottom := in(ym*W+x), in(yp*W+x)
+	left, right := in(y*W+xm), in(y*W+xp)
 	rcp := func(f float32) float32 { return 1 / f }
 	sx := float32(x) * rcp(float32(W))
 	sy := float32(y) * rcp(float32(H))
@@ -258,7 +255,7 @@ func jacobiRef(in []float32, W, H, x, y int) float32 {
 	return src*1e-6 + res
 }
 
-func jacobiVerify(in, got []float32, W, H int, res *sim.Result) error {
+func jacobiVerify(got []float32, W, H int, res *sim.Result) error {
 	gridX := W / jacobiBx
 	for y := 0; y < H; y++ {
 		for x := 0; x < W; x++ {
@@ -266,7 +263,7 @@ func jacobiVerify(in, got []float32, W, H int, res *sim.Result) error {
 			if !res.BlockRan(blockLin) {
 				continue
 			}
-			want := jacobiRef(in, W, H, x, y)
+			want := jacobiRef(W, H, x, y)
 			g := got[y*W+x]
 			if !almostEqual(float64(g), float64(want), 1e-4) {
 				return fmt.Errorf("cell (%d,%d) = %v, want %v", x, y, g, want)

@@ -57,11 +57,11 @@ var mixTypes = map[string]struct {
 	launch  launch
 }{
 	"sp": {"f", 4, (*kasm.Builder).FFma, (*kasm.Builder).FFmaTo, (*kasm.Builder).FAdd, (*kasm.Builder).FAddTo,
-		mixLaunch(float32(0.01), uint64(math.Float32bits(0.01)), mixFloats[float32], 1e-5, (*sim.Device).ReadF32)},
+		mixLaunch(float32(0.01), uint64(math.Float32bits(0.01)), mixFloat[float32], 1e-5, (*sim.Device).ReadF32)},
 	"dp": {"d", 8, (*kasm.Builder).DFma, (*kasm.Builder).DFmaTo, (*kasm.Builder).DAdd, (*kasm.Builder).DAddTo,
-		mixLaunch(0.01, math.Float64bits(0.01), mixFloats[float64], 1e-12, (*sim.Device).ReadF64)},
+		mixLaunch(0.01, math.Float64bits(0.01), mixFloat[float64], 1e-12, (*sim.Device).ReadF64)},
 	"int": {"i", 4, (*kasm.Builder).IMad, (*kasm.Builder).IMadTo, (*kasm.Builder).IAdd, (*kasm.Builder).IAddTo,
-		mixLaunch(int32(3), 3, mixInts, 0, (*sim.Device).ReadI32)},
+		mixLaunch(int32(3), 3, mixInt, 0, (*sim.Device).ReadI32)},
 }
 
 // mixbench builds one variant ("<type>_naive" or "<type>_vec4", the
@@ -137,62 +137,49 @@ func mixbench(name, variant string, computeIterations int, arch gpu.Arch) (*Work
 	return compile(b, codegen.Options{Arch: arch}, name, desc, t.launch)
 }
 
-// The data patterns. Each is its own loop so that its modulus is a
-// constant: a variable one costs a division per element, 1.3 M per Prepare.
-func mixFloats[T float32 | float64](data []T) {
-	for idx := range data {
-		data[idx] = T(idx%17) * 0.125
-	}
-}
+// The data patterns, as functions of the element index.
+func mixFloat[T float32 | float64](idx int) T { return T(idx%17) * 0.125 }
 
-func mixInts(data []int32) {
-	for idx := range data {
-		data[idx] = int32(idx % 13)
-	}
-}
+func mixInt(idx int) int32 { return int32(idx % 13) }
 
-// mixLaunch is the launch for one datatype: the data pattern fill writes,
+// mixLaunch is the launch for one datatype: the data pattern fill,
 // every thread's sum checked against the host's within tol (0: exactly).
-func mixLaunch[T float32 | float64 | int32](seed T, seedBits uint64, fill func([]T), tol float64,
+func mixLaunch[T float32 | float64 | int32](seed T, seedBits uint64, fill func(int) T, tol float64,
 	read func(*sim.Device, sim.Buffer, int) ([]T, error)) launch {
 	const threads = mixBlock * mixBlocks
 	return launch{
 		grid:  sim.D1(mixBlocks),
 		block: sim.D1(mixBlock),
-		sizes: []int{threads * mixGranularity * binary.Size(seed)},
+		bufs:  []buffer{{threads * mixGranularity * binary.Size(seed), fill}},
 		params: func(bufs []sim.Buffer) []uint64 {
 			return []uint64{seedBits, bufs[0].Addr}
 		},
-		host: func() ([]any, checkFunc) {
-			data := make([]T, threads*mixGranularity)
-			fill(data)
-			return []any{data}, func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
-				// Block by block, and only the blocks SM sampling ran: reading
-				// the whole buffer back is a 5 MB copy for the 2.5 % of it a
-				// two-SM sample wrote.
-				const perBlock = mixBlock * mixGranularity
-				size := perBlock * binary.Size(seed)
-				for blk := 0; blk < mixBlocks; blk++ {
-					if !res.BlockRan(blk) {
-						continue
+		check: func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
+			// Block by block, and only the blocks SM sampling ran: reading
+			// the whole buffer back is a 5 MB copy for the 2.5 % of it a
+			// two-SM sample wrote.
+			const perBlock = mixBlock * mixGranularity
+			size := perBlock * binary.Size(seed)
+			for blk := 0; blk < mixBlocks; blk++ {
+				if !res.BlockRan(blk) {
+					continue
+				}
+				got, err := read(dev, sim.Buffer{Addr: bufs[0].Addr + uint64(blk*size), Size: size}, perBlock)
+				if err != nil {
+					return err
+				}
+				for base := 0; base < perBlock; base += mixGranularity {
+					first := blk*perBlock + base
+					var want T
+					for j := first; j < first+mixGranularity; j++ {
+						want += fill(j)*fill(j) + seed
 					}
-					got, err := read(dev, sim.Buffer{Addr: bufs[0].Addr + uint64(blk*size), Size: size}, perBlock)
-					if err != nil {
-						return err
-					}
-					in := data[blk*perBlock:][:perBlock]
-					for base := 0; base < perBlock; base += mixGranularity {
-						var want T
-						for _, v := range in[base : base+mixGranularity] {
-							want += v*v + seed
-						}
-						if g := got[base]; !almostEqual(float64(g), float64(want), tol) {
-							return fmt.Errorf("thread %d: sum = %v, want %v", (blk*perBlock+base)/mixGranularity, g, want)
-						}
+					if g := got[base]; !almostEqual(float64(g), float64(want), tol) {
+						return fmt.Errorf("thread %d: sum = %v, want %v", first/mixGranularity, g, want)
 					}
 				}
-				return nil
 			}
+			return nil
 		},
 	}
 }

@@ -84,31 +84,27 @@ func reduction(name, variant string, _ int, arch gpu.Arch) (*Workload, error) {
 	return compile(b, codegen.Options{Arch: arch}, name, fmt.Sprintf("array sum reduction, %s variant", variant), launch{
 		grid:  sim.D1(redBlocks),
 		block: sim.D1(redBlock),
-		sizes: []int{4 * threads, 16}, // in, sum
+		bufs:  []buffer{{4 * threads, redInput}, {16, nil}}, // in, sum
 		params: func(bufs []sim.Buffer) []uint64 {
 			return []uint64{bufs[0].Addr, bufs[1].Addr}
 		},
-		host: func() ([]any, checkFunc) {
-			data := make([]float32, threads)
-			for i := range data {
-				data[i] = float32(i % 8) // small ints: fp addition is exact
+		check: func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
+			got, err := dev.ReadF32(bufs[1], 1)
+			if err != nil {
+				return err
 			}
-			return []any{data}, func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
-				got, err := dev.ReadF32(bufs[1], 1)
-				if err != nil {
-					return err
+			var want float32
+			for th := 0; th < threads; th++ {
+				if res.BlockRan(th / redBlock) {
+					want += redInput(th)
 				}
-				var want float32
-				for th := 0; th < threads; th++ {
-					if res.BlockRan(th / redBlock) {
-						want += data[th]
-					}
-				}
-				if got[0] != want {
-					return fmt.Errorf("sum = %v, want %v", got[0], want)
-				}
-				return nil
 			}
+			if got[0] != want {
+				return fmt.Errorf("sum = %v, want %v", got[0], want)
+			}
+			return nil
 		},
 	})
 }
+
+func redInput(i int) float32 { return float32(i % 8) } // small ints: fp addition is exact

@@ -40,8 +40,8 @@ type Workload struct {
 	Description string
 	// Kernel is the compiled SASS.
 	Kernel *sass.Kernel
-	// Prepare allocates and initializes device buffers and returns the
-	// launch.
+	// Prepare allocates the device buffers, declares their contents
+	// (sim.Device.Fill: filled on first touch) and returns the launch.
 	Prepare func(dev *sim.Device) (*Run, error)
 }
 

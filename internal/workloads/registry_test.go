@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gpuscout/internal/gpu"
+	"gpuscout/internal/sass"
 	"gpuscout/internal/sim"
 )
 
@@ -179,5 +180,32 @@ func TestWarmLaunchAllocsBounded(t *testing.T) {
 			t.Errorf("%s@%d: warm Launch allocated %.0f times, want <= %d", tc.name, tc.scale, allocs, maxAllocs)
 		}
 		t.Logf("%s@%d: %.0f allocs per warm launch", tc.name, tc.scale, allocs)
+	}
+}
+
+// TestEveryAcceptedScaleIsRead audits the scale rules for the class of
+// bug reduction_* had: a scale accepted but not read. Two accepted scales
+// of a family must give two launches — a different kernel, grid or
+// parameter words — unless the rule says the family is fixed, in which
+// case they must give one.
+func TestEveryAcceptedScaleIsRead(t *testing.T) {
+	launchOf := func(name string, scale int) string {
+		w, err := Build(name, scale)
+		if err != nil {
+			t.Fatalf("Build(%s, %d): %v", name, scale, err)
+		}
+		run, err := w.Prepare(sim.NewDevice(gpu.V100()))
+		if err != nil {
+			t.Fatalf("Prepare(%s@%d): %v", name, scale, err)
+		}
+		return fmt.Sprint(sass.Print(w.Kernel), run.Spec.Grid, run.Spec.Block, run.Spec.Params)
+	}
+	for _, e := range registry {
+		other := e.scale.def + e.scale.multiple
+		same := launchOf(e.name, e.scale.def) == launchOf(e.name, other)
+		if same != e.scale.fixed {
+			t.Errorf("%s: scales %d and %d give the same launch: %v, the rule's fixed: %v",
+				e.name, e.scale.def, other, same, e.scale.fixed)
+		}
 	}
 }

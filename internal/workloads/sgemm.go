@@ -313,7 +313,7 @@ func sgemm(name, variant string, n int, arch gpu.Arch) (*Workload, error) {
 	return compile(b, codegen.Options{Arch: arch}, name, fmt.Sprintf("SGEMM %s, %dx%d matrices", variant, n, n), launch{
 		grid:  sim.D2(n/sgemmTile, n/sgemmTile),
 		block: sim.D2(sgemmTile, sgemmTile),
-		sizes: []int{4 * n * n, 4 * n * n, 4 * n * n}, // A, B, C
+		bufs:  []buffer{{4 * n * n, sgemmA}, {4 * n * n, sgemmB}, {4 * n * n, sgemmC}},
 		params: func(bufs []sim.Buffer) []uint64 {
 			return []uint64{
 				uint64(uint32(n)),
@@ -323,28 +323,20 @@ func sgemm(name, variant string, n int, arch gpu.Arch) (*Workload, error) {
 				bufs[2].Addr,
 			}
 		},
-		host: func() ([]any, checkFunc) {
-			aH := make([]float32, n*n)
-			bH := make([]float32, n*n)
-			cH := make([]float32, n*n)
-			for i := range aH {
-				aH[i] = float32((i*7)%23) * 0.05
-				bH[i] = float32((i*13)%19) * 0.03
-				cH[i] = float32(i%11) * 0.1
-			}
-			return []any{aH, bH, cH}, func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
-				got, err := dev.ReadF32(bufs[2], n*n)
-				if err != nil {
-					return err
-				}
-				return sgemmVerify(aH, bH, cH, got, n, alphaV, betaV, naiveStyle, res)
-			}
+		check: func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
+			return sgemmVerify(dev, bufs[2], n, alphaV, betaV, naiveStyle, res)
 		},
 	})
 }
 
-// sgemmVerify checks simulated blocks (capped for large N).
-func sgemmVerify(aH, bH, cH, got []float32, n int, alpha, beta float32, naive bool, res *sim.Result) error {
+// The inputs: A, B and the C that beta scales.
+func sgemmA(i int) float32 { return float32((i*7)%23) * 0.05 }
+func sgemmB(i int) float32 { return float32((i*13)%19) * 0.03 }
+func sgemmC(i int) float32 { return float32(i%11) * 0.1 }
+
+// sgemmVerify checks simulated blocks (capped for large N), reading back
+// only their 16x16 tiles of c.
+func sgemmVerify(dev *sim.Device, c sim.Buffer, n int, alpha, beta float32, naive bool, res *sim.Result) error {
 	gridX := n / sgemmTile
 	checked := 0
 	for blin := 0; blin < gridX*gridX && checked < 4; blin++ {
@@ -352,20 +344,23 @@ func sgemmVerify(aH, bH, cH, got []float32, n int, alpha, beta float32, naive bo
 			continue
 		}
 		checked++
-		bx, by := blin%gridX, blin/gridX
-		for ty := 0; ty < sgemmTile; ty++ {
-			for tx := 0; tx < sgemmTile; tx++ {
-				row, col := by*sgemmTile+ty, bx*sgemmTile+tx
-				if naive {
-					row, col = bx*sgemmTile+tx, by*sgemmTile+ty
-				}
+		// Either mapping puts a block's cells in 16 rows of 16 columns.
+		rows, cols := (blin/gridX)*sgemmTile, (blin%gridX)*sgemmTile
+		if naive {
+			rows, cols = cols, rows
+		}
+		for row := rows; row < rows+sgemmTile; row++ {
+			got, err := dev.ReadF32(sim.Buffer{Addr: c.Addr + uint64(4*(row*n+cols)), Size: 4 * sgemmTile}, sgemmTile)
+			if err != nil {
+				return err
+			}
+			for col := cols; col < cols+sgemmTile; col++ {
 				var acc float32
 				for k := 0; k < n; k++ {
-					acc += aH[row*n+k] * bH[k*n+col]
+					acc += sgemmA(row*n+k) * sgemmB(k*n+col)
 				}
-				want := alpha*acc + beta*cH[row*n+col]
-				g := got[row*n+col]
-				if !almostEqual(float64(g), float64(want), 1e-3) {
+				want := alpha*acc + beta*sgemmC(row*n+col)
+				if g := got[col-cols]; !almostEqual(float64(g), float64(want), 1e-3) {
 					return fmt.Errorf("C[%d,%d] = %v, want %v", row, col, g, want)
 				}
 			}

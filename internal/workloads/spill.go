@@ -96,42 +96,40 @@ func spill(name, variant string, iters int, arch gpu.Arch) (*Workload, error) {
 	return compile(b, codegen.Options{MaxRegs: maxRegs, Arch: arch}, name, desc, launch{
 		grid:  sim.D1(spillBlocks),
 		block: sim.D1(spillBlock),
-		sizes: []int{4 * threads * spillValues, 4 * threads}, // in, out
+		bufs:  []buffer{{4 * threads * spillValues, spillInput}, {4 * threads, nil}}, // in, out
 		params: func(bufs []sim.Buffer) []uint64 {
 			return []uint64{bufs[0].Addr, bufs[1].Addr, uint64(uint32(iters))}
 		},
-		host: func() ([]any, checkFunc) {
-			data := make([]float32, threads*spillValues)
-			for idx := range data {
-				data[idx] = 0.1 + float32(idx%5)*0.08
+		check: func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
+			got, err := dev.ReadF32(bufs[1], threads)
+			if err != nil {
+				return err
 			}
-			return []any{data}, func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
-				got, err := dev.ReadF32(bufs[1], threads)
-				if err != nil {
-					return err
+			var acc [spillValues]float32
+			for th := 0; th < threads; th++ {
+				if !res.BlockRan(th / spillBlock) {
+					continue
 				}
-				for th := 0; th < threads; th++ {
-					if !res.BlockRan(th / spillBlock) {
-						continue
-					}
-					acc := make([]float32, spillValues)
-					copy(acc, data[th*spillValues:(th+1)*spillValues])
-					for it := 0; it < iters; it++ {
-						for j := 0; j < spillValues; j++ {
-							acc[j] = acc[j]*acc[(j+1)%spillValues] + 0.1
-						}
-					}
-					var want float32
+				for j := range acc {
+					acc[j] = spillInput(th*spillValues + j)
+				}
+				for it := 0; it < iters; it++ {
 					for j := 0; j < spillValues; j++ {
-						want += acc[j]
-					}
-					if g := got[th]; !almostEqual(float64(g), float64(want), 1e-4) &&
-						!(math.IsInf(float64(want), 0) && math.IsInf(float64(g), 0)) {
-						return fmt.Errorf("thread %d: %v, want %v", th, g, want)
+						acc[j] = acc[j]*acc[(j+1)%spillValues] + 0.1
 					}
 				}
-				return nil
+				var want float32
+				for j := 0; j < spillValues; j++ {
+					want += acc[j]
+				}
+				if g := got[th]; !almostEqual(float64(g), float64(want), 1e-4) &&
+					!(math.IsInf(float64(want), 0) && math.IsInf(float64(g), 0)) {
+					return fmt.Errorf("thread %d: %v, want %v", th, g, want)
+				}
 			}
+			return nil
 		},
 	})
 }
+
+func spillInput(idx int) float32 { return 0.1 + float32(idx%5)*0.08 }

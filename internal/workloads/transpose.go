@@ -151,37 +151,33 @@ func transpose(name, variant string, n int, arch gpu.Arch) (*Workload, error) {
 	return compile(b, codegen.Options{Arch: arch}, name, fmt.Sprintf("%dx%d matrix transpose, %s variant", n, n, variant), launch{
 		grid:  sim.D2(n/transTile, n/transTile),
 		block: sim.D2(transTile, transRows),
-		sizes: []int{4 * n * n, 4 * n * n}, // in, out
+		bufs:  []buffer{{4 * n * n, transInput}, {4 * n * n, nil}}, // in, out
 		params: func(bufs []sim.Buffer) []uint64 {
 			return []uint64{bufs[0].Addr, bufs[1].Addr, uint64(uint32(n))}
 		},
-		host: func() ([]any, checkFunc) {
-			data := make([]float32, n*n)
-			for i := range data {
-				data[i] = float32(i%1021) * 0.5
+		check: func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
+			got, err := dev.ReadF32(bufs[1], n*n)
+			if err != nil {
+				return err
 			}
-			return []any{data}, func(dev *sim.Device, bufs []sim.Buffer, res *sim.Result) error {
-				got, err := dev.ReadF32(bufs[1], n*n)
-				if err != nil {
-					return err
+			gridX := n / transTile
+			for blin := 0; blin < gridX*gridX; blin++ {
+				if !res.BlockRan(blin) {
+					continue
 				}
-				gridX := n / transTile
-				for blin := 0; blin < gridX*gridX; blin++ {
-					if !res.BlockRan(blin) {
-						continue
-					}
-					bxi, byi := blin%gridX, blin/gridX
-					for dy := 0; dy < transTile; dy++ {
-						for dx := 0; dx < transTile; dx++ {
-							xx, yy := bxi*transTile+dx, byi*transTile+dy
-							if got[xx*n+yy] != data[yy*n+xx] {
-								return fmt.Errorf("out[%d][%d] = %v, want %v", xx, yy, got[xx*n+yy], data[yy*n+xx])
-							}
+				bxi, byi := blin%gridX, blin/gridX
+				for dy := 0; dy < transTile; dy++ {
+					for dx := 0; dx < transTile; dx++ {
+						xx, yy := bxi*transTile+dx, byi*transTile+dy
+						if want := transInput(yy*n + xx); got[xx*n+yy] != want {
+							return fmt.Errorf("out[%d][%d] = %v, want %v", xx, yy, got[xx*n+yy], want)
 						}
 					}
 				}
-				return nil
 			}
+			return nil
 		},
 	})
 }
+
+func transInput(i int) float32 { return float32(i%1021) * 0.5 }
