@@ -50,17 +50,18 @@ race-sim:
 	$(GO) test -race -count=1 -run 'Fill|Parallel|Differential|Replay' ./internal/sim ./internal/workloads
 
 # Runs the programs `go build ./...` only compiles: the four examples
-# (each exits non-zero when its own expectation fails), gpusim, its
-# disassembly fed back through `gpuscout -sass` (the blank line ends the
-# SASS, launch statistics follow), the purity check — one swept, sliced
-# request run twice must write the same bytes — and one experiment (~6 s).
+# (each exits non-zero when its own expectation fails), `gpuscout sim`,
+# its disassembly fed back through `gpuscout -sass` (the blank line ends
+# the SASS, launch statistics follow), the purity check — one swept,
+# sliced request run twice must write the same bytes — and one
+# experiment, `gpuscout experiments` (~6 s).
 smoke:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	for e in heattransfer mixbench quickstart sgemm; do \
 		echo "smoke: examples/$$e"; $(GO) run ./examples/$$e > /dev/null; \
 	done; \
-	echo "smoke: gpusim -disas | gpuscout -sass"; \
-	$(GO) run ./cmd/gpusim -workload transpose_naive -scale 32 -disas | sed '/^$$/q' > "$$tmp/k.sass"; \
+	echo "smoke: gpuscout sim -disas | gpuscout -sass"; \
+	$(GO) run ./cmd/gpuscout sim -workload transpose_naive -scale 32 -disas | sed '/^$$/q' > "$$tmp/k.sass"; \
 	$(GO) run ./cmd/gpuscout -sass "$$tmp/k.sass" -json "$$tmp/k.json" | grep -q 'analysis: readonly_cache'; \
 	test -s "$$tmp/k.json"; \
 	echo "smoke: the same request twice, cmp the reports"; \
@@ -69,8 +70,8 @@ smoke:
 			-sensitivity -slice -json "$$tmp/run$$n.json" > /dev/null; \
 	done; \
 	cmp "$$tmp/run1.json" "$$tmp/run2.json"; \
-	echo "smoke: experiments -run fig2 -fast"; \
-	$(GO) run ./cmd/experiments -run fig2 -fast | grep -q 'Register spilling'
+	echo "smoke: gpuscout experiments -run fig2 -fast"; \
+	$(GO) run ./cmd/gpuscout experiments -run fig2 -fast | grep -q 'Register spilling'
 
 # End-to-end causal-layer smoke (CI job of the same name): one workload
 # per family through the CLI with the sensitivity sweep and stall slicing

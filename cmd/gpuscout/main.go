@@ -10,11 +10,14 @@
 //	gpuscout -list                                   list built-in workloads
 //	gpuscout -compare other_workload                 metric diff vs -workload
 //	gpuscout -workload w -arch-compare sm80          cross-arch finding diff
+//	gpuscout sim -workload sgemm_naive -disas        raw simulation data
+//	gpuscout experiments -run fig2 -fast             the paper's evaluation
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,15 +33,25 @@ import (
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gpuscout:", err)
+		var usage usageError
+		if errors.As(err, &usage) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
+// usageError is a command line that names no work to do: main exits 2 on
+// it, as the flag package does on a bad flag.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
 // analyze runs one request the way a gpuscoutd worker does: the shared
 // lowering (service.Resolve), then the one pipeline function per plan —
 // two plans for -arch-compare, base architecture first.
-func analyze(ctx context.Context, req service.AnalyzeRequest, budgets scout.StageBudgets) ([]*advisor.Outcome, error) {
-	plans, err := service.Resolve(req, 0, budgets)
+func analyze(ctx context.Context, req service.AnalyzeRequest) ([]*advisor.Outcome, error) {
+	plans, err := service.Resolve(req, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -55,8 +68,17 @@ func analyze(ctx context.Context, req service.AnalyzeRequest, budgets scout.Stag
 // in-process. The flags spell one daemon request, which takes the
 // daemon's path — Validate, service.Resolve, advisor.Run — so every flag
 // means the same thing here as its field does in a gpuscoutd body, and
-// -json writes the bytes the daemon would answer with.
+// -json writes the bytes the daemon would answer with. A first argument
+// of "sim" or "experiments" selects that subcommand instead.
 func run(args []string, stdout io.Writer) error {
+	if len(args) > 0 {
+		switch args[0] {
+		case "sim":
+			return runSim(args[1:], stdout)
+		case "experiments":
+			return runExperiments(args[1:], stdout)
+		}
+	}
 	fs := flag.NewFlagSet("gpuscout", flag.ExitOnError)
 	var (
 		workload = fs.String("workload", "", "built-in workload to analyze (see -list)")
@@ -77,8 +99,7 @@ func run(args []string, stdout io.Writer) error {
 		srcView  = fs.Bool("source-view", false, "also print the correlated source/SASS view")
 		jsonOut  = fs.String("json", "", "write the report as JSON to this file")
 		region   = fs.String("region", "", "profile a source-line region, e.g. -region 5:10")
-		timeout  = fs.Duration("timeout", 0, "overall analysis deadline (0 = none); with stage budgets, a slow stage degrades the report instead of failing it")
-		budgetsF = fs.String("stage-budgets", "on", `"on" splits -timeout across stages (parse 5% / sim 55% / scout 15% / verify 25%); "off" disables staged degradation`)
+		timeout  = fs.Duration("timeout", 0, "overall analysis deadline (0 = none), split across stages (parse 5% / sim 55% / scout 15% / verify 25%) so a slow stage degrades the report instead of failing it")
 	)
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage text
 
@@ -89,10 +110,6 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	budgets, err := gpuscout.ParseStageBudgets(*budgetsF)
-	if err != nil {
-		return err
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -105,12 +122,13 @@ func run(args []string, stdout io.Writer) error {
 	// -dry-run), with the daemon's own messages.
 	if *workload == "" && *cubinF == "" && *sassF == "" {
 		fs.Usage()
-		os.Exit(2)
+		return usageError("nothing to analyze: give -workload, -cubin or -sass")
 	}
 	req := service.AnalyzeRequest{Workload: *workload, Scale: *scale, Kernel: *kernelN,
 		Arch: *archName, ArchCompare: *archCmp, DryRun: *dryRun, Verify: *verify, Sensitivity: *sens,
 		StallSlices: *slices, SamplingPeriod: *period, SampleSMs: *sample}
 	if *cubinF != "" {
+		var err error
 		if req.Cubin, err = os.ReadFile(*cubinF); err != nil {
 			return err
 		}
@@ -152,7 +170,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	for _, req.Kernel = range kernels {
-		outs, err := analyze(ctx, req, budgets)
+		outs, err := analyze(ctx, req)
 		if err != nil {
 			return err
 		}
@@ -205,7 +223,7 @@ func run(args []string, stdout io.Writer) error {
 		if *compare != "" {
 			other := req
 			other.Workload, other.Verify, other.Sensitivity = *compare, false, false
-			outs2, err := analyze(ctx, other, budgets)
+			outs2, err := analyze(ctx, other)
 			if err != nil {
 				return err
 			}

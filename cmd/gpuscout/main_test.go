@@ -15,6 +15,7 @@ import (
 	"gpuscout"
 	"gpuscout/internal/faultinject"
 	"gpuscout/internal/gpu"
+	"gpuscout/internal/sass"
 	"gpuscout/internal/scout"
 	"gpuscout/internal/service"
 )
@@ -33,11 +34,11 @@ func TestArchCompareHonoursSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cmp scout.JSONArchComparison
+	var cmp scout.ArchComparison
 	if err := json.Unmarshal(data, &cmp); err != nil {
 		t.Fatalf("-json output is not an arch comparison: %v", err)
 	}
-	for side, rep := range map[string]*scout.JSONReport{"base": cmp.Base, "other": cmp.Other} {
+	for side, rep := range map[string]*scout.Report{"base": cmp.Base, "other": cmp.Other} {
 		if rep == nil || rep.Sensitivity == nil || len(rep.Sensitivity.Deltas) == 0 {
 			t.Errorf("%s report carries no sensitivity sweep", side)
 		}
@@ -86,7 +87,7 @@ func TestTimeoutBoundsVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep scout.JSONReport
+	var rep scout.Report
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestUploadJSON(t *testing.T) {
 			t.Errorf("%v: -json wrote nothing: %v", args, err)
 			continue
 		}
-		var rep scout.JSONReport
+		var rep scout.Report
 		if err := json.Unmarshal(data, &rep); err != nil || rep.Kernel != "_Z9transposePKfPfi" || !rep.DryRun {
 			t.Errorf("%v: -json document = kernel %q dry_run %v (%v)", args, rep.Kernel, rep.DryRun, err)
 		}
@@ -204,18 +205,39 @@ func TestUploadJSON(t *testing.T) {
 	}
 }
 
-// TestStageBudgetsFlag: the flag is a switch; a weight list is an error
-// naming the fixed split.
-func TestStageBudgetsFlag(t *testing.T) {
+// TestSimDisassemblyParses: `gpuscout sim -disas` prints the kernel's
+// SASS up to the first blank line (launch statistics follow), and that
+// text is what -sass reads back.
+func TestSimDisassemblyParses(t *testing.T) {
 	var stdout bytes.Buffer
-	for _, v := range []string{"on", "off"} {
-		if err := run([]string{"-workload", "transpose_naive", "-dry-run", "-stage-budgets", v}, &stdout); err != nil {
-			t.Errorf("-stage-budgets %s: %v", v, err)
-		}
+	if err := run([]string{"sim", "-workload", "transpose_naive", "-scale", "32", "-disas"}, &stdout); err != nil {
+		t.Fatal(err)
 	}
-	err := run([]string{"-workload", "transpose_naive", "-dry-run", "-stage-budgets", "5,55,15,25"}, &stdout)
-	if err == nil || !strings.Contains(err.Error(), "sim 55%") {
-		t.Errorf("-stage-budgets weight list: err = %v, want one naming the fixed split", err)
+	text, stats, ok := strings.Cut(stdout.String(), "\n\n")
+	if !ok || !strings.Contains(stats, "warp stalls (share of stall cycles):") {
+		t.Fatalf("no launch statistics after the disassembly:\n%s", stdout.String())
+	}
+	if _, err := sass.Parse(text); err != nil {
+		t.Errorf("sim -disas output does not parse: %v", err)
+	}
+}
+
+// TestExperimentsSubcommand: -run is checked against the table before
+// anything runs, and one experiment prints its artifact.
+func TestExperimentsSubcommand(t *testing.T) {
+	var stdout bytes.Buffer
+	err := run([]string{"experiments", "-run", "nope"}, &stdout)
+	if err == nil || !strings.Contains(err.Error(), "valid: all, fig2, fig5,") {
+		t.Errorf("-run nope: err = %v, want one naming the valid list", err)
+	}
+	if stdout.Len() > 0 {
+		t.Errorf("-run nope ran something:\n%s", stdout.String())
+	}
+	if err := run([]string{"experiments", "-run", "fig2", "-fast"}, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stdout.String(), "Register spilling") {
+		t.Errorf("experiments -run fig2 output lacks \"Register spilling\":\n%s", stdout.String())
 	}
 }
 

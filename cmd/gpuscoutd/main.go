@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"gpuscout/internal/cluster"
-	"gpuscout/internal/scout"
 	"gpuscout/internal/service"
 	"gpuscout/internal/store"
 )
@@ -76,8 +75,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.svc.MaxBatchItems, "max-batch", 4096, "max requests per /v1/analyze/batch body")
 	fs.IntVar(&o.svc.MaxJobsRetained, "retained-jobs", 1024, "finished jobs kept for GET /v1/jobs/{id}")
 	fs.IntVar(&o.svc.SimWorkers, "sim-workers", 1, "default per-launch simulation parallelism (sampled SMs simulated concurrently); jobs may override via sim_workers")
-	fs.Func("stage-budgets", `"on" splits each job's deadline across stages (parse 5% / sim 55% / scout 15% / verify 25%); "off" disables staged degradation (default "on")`,
-		func(s string) (err error) { o.svc.StageBudgets, err = scout.ParseStageBudgets(s); return err })
 	fs.IntVar(&o.svc.RetryAttempts, "retry-attempts", 2, "max execution attempts per job for transient failures (1 disables retry)")
 	fs.DurationVar(&o.svc.RetryBackoff, "retry-backoff", 100*time.Millisecond, "base retry backoff (doubles per attempt, capped, jittered)")
 	fs.IntVar(&o.svc.QuarantineAfter, "quarantine-after", 2, "consecutive failures before an input is quarantined (negative disables)")

@@ -170,16 +170,6 @@ type Report = scout.Report
 // exactly why it does not.
 type Degradation = scout.Degradation
 
-// StageBudgets splits a deadline into per-stage slices (parse 5% / sim
-// 55% / scout 15% / verify 25%) so one slow stage degrades the report
-// instead of timing the whole analysis out; set Disabled for
-// whole-deadline semantics.
-type StageBudgets = scout.StageBudgets
-
-// ParseStageBudgets parses the -stage-budgets flag syntax: "on" (or "")
-// for the fixed split, "off" to disable staged degradation.
-func ParseStageBudgets(s string) (StageBudgets, error) { return scout.ParseStageBudgets(s) }
-
 // Finding is one detected bottleneck with sites, stalls and metrics.
 type Finding = scout.Finding
 

@@ -164,19 +164,19 @@ func goldenJSONPaths(t *testing.T) []string {
 }
 
 // TestGoldenJSONDecodes proves the wire tags are symmetric: every golden
-// report and arch comparison decodes into the exported JSON view and
-// re-encodes to the same bytes, so clients that unmarshal into
-// scout.JSONReport / scout.JSONArchComparison (the daemon tests, bench/)
-// lose nothing.
+// report and arch comparison decodes into scout.Report /
+// scout.ArchComparison, the types the analysis builds, with no unknown
+// field, and their MarshalJSON re-encodes the same bytes — so a report
+// read back from the cache, the store or a peer loses nothing.
 func TestGoldenJSONDecodes(t *testing.T) {
 	for _, path := range goldenJSONPaths(t) {
 		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var doc any = new(scout.JSONReport)
+		var doc json.Marshaler = new(scout.Report)
 		if strings.HasPrefix(filepath.Base(path), "archcompare_") {
-			doc = new(scout.JSONArchComparison)
+			doc = new(scout.ArchComparison)
 		}
 		dec := json.NewDecoder(bytes.NewReader(want))
 		dec.DisallowUnknownFields()
@@ -184,7 +184,7 @@ func TestGoldenJSONDecodes(t *testing.T) {
 			t.Errorf("%s: decode: %v", path, err)
 			continue
 		}
-		got, err := json.MarshalIndent(doc, "", "  ")
+		got, err := doc.MarshalJSON()
 		if err != nil {
 			t.Errorf("%s: re-encode: %v", path, err)
 			continue

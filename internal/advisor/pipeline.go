@@ -54,13 +54,13 @@ type Outcome struct {
 // Run is the lower → analyze → verify → sweep pipeline, the one place
 // the four are sequenced and the only place a workload is lowered — under
 // a parse-stage guard, so a crash in codegen is a typed StageError. When
-// ctx carries a deadline and stage budgets are on, the verify budget
-// slice is derived here, once, from the time left at entry; verification
-// and the sweep (both re-execution passes over the finished report) each
-// get a slice of that size measured from their own start. An expired
-// slice ships the remaining findings unverified or the remaining
-// perturbations as ledger entries; the caller's deadline and an explicit
-// cancel still abort with an error.
+// ctx carries a deadline, the verify budget slice is derived here, once,
+// from the time left at entry; verification and the sweep (both
+// re-execution passes over the finished report) each get a slice of that
+// size measured from their own start. An expired slice ships the
+// remaining findings unverified or the remaining perturbations as ledger
+// entries; the caller's deadline and an explicit cancel still abort with
+// an error.
 func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -95,8 +95,7 @@ func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	}
 	// budgeted derives one re-execution pass's context from the slice.
 	budgeted := func() (context.Context, context.CancelFunc) { return ctx, func() {} }
-	if deadline, ok := ctx.Deadline(); ok && !p.Opts.Budgets.Disabled {
-		slice := p.Opts.Budgets.SliceOf(scout.StageVerify, time.Until(deadline))
+	if slice, ok := scout.StageSlice(ctx, scout.StageVerify); ok {
 		budgeted = func() (context.Context, context.CancelFunc) { return context.WithTimeout(ctx, slice) }
 	}
 

@@ -576,7 +576,7 @@ func TestEveryPerturbationMovesSomeKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep scout.JSONReport
+		var rep scout.Report
 		if err := json.Unmarshal(data, &rep); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}

@@ -824,6 +824,8 @@ func TestCoordinatorDoorRejectsMalformedRequests(t *testing.T) {
 		{"invalid batch item", "/v1/analyze/batch", `{"requests":[` + ok + `,{"sass":"x","verify":true}]}`, http.StatusBadRequest, "request 1:"},
 		{"empty batch", "/v1/analyze/batch", `{"requests":[]}`, http.StatusBadRequest, "no requests"},
 		{"batch over the item limit", "/v1/analyze/batch", `{"requests":[` + ok + `,` + ok + `,` + ok + `]}`, http.StatusRequestEntityTooLarge, "limit 2"},
+		{"trailing document", "/v1/analyze", `{"workload":"transpose_naive"}{"verify":true}`, http.StatusBadRequest, "decode request: trailing data"},
+		{"trailing batch document", "/v1/analyze/batch", `{"requests":[` + ok + `]} {"requests":[]}`, http.StatusBadRequest, "decode request: trailing data"},
 	} {
 		resp, err := http.Post(front.URL+c.path, "application/json", strings.NewReader(c.body))
 		if err != nil {

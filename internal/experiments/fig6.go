@@ -45,12 +45,15 @@ func Fig6Overhead(sizes []int, cfg sim.Config) (*Fig6Series, error) {
 		if err != nil {
 			return nil, err
 		}
+		if rep.Overhead == nil {
+			return nil, fmt.Errorf("fig6: sgemm_naive@%d has no dynamic data: %+v", n, rep.Degradations)
+		}
 		p := Fig6Point{
 			N:          n,
 			KernelMs:   toMs(rep.KernelCycles),
 			SASSMs:     toMs(rep.OverheadSASSCycles),
-			SamplingMs: toMs(rep.OverheadSamplingCycles),
-			MetricsMs:  toMs(rep.OverheadMetricsCycles),
+			SamplingMs: toMs(rep.Overhead.Sampling),
+			MetricsMs:  toMs(rep.Overhead.Metrics),
 		}
 		p.TotalMs = p.SASSMs + p.SamplingMs + p.MetricsMs
 		if p.KernelMs > 0 {

@@ -1,6 +1,7 @@
 package ncu
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -90,3 +91,10 @@ func (ms *MetricSet) SortedNames() []string {
 	sort.Strings(out)
 	return out
 }
+
+// MarshalJSON is the set's wire form: its value map. The rest stays in
+// memory; a report carries the collection's cost in its overhead block.
+func (ms *MetricSet) MarshalJSON() ([]byte, error) { return json.Marshal(ms.Values) }
+
+// UnmarshalJSON reads the wire form back.
+func (ms *MetricSet) UnmarshalJSON(data []byte) error { return json.Unmarshal(data, &ms.Values) }

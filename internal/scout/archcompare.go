@@ -46,14 +46,15 @@ type ArchDelta struct {
 }
 
 // ArchComparison is the result of analyzing the same kernel on two
-// architectures and diffing the findings.
+// architectures and diffing the findings. Its wire form is the delta
+// list plus both full reports.
 type ArchComparison struct {
-	Kernel    string
-	BaseArch  string
-	OtherArch string
-	Base      *Report
-	Other     *Report
-	Deltas    []ArchDelta
+	Kernel    string      `json:"kernel"`
+	BaseArch  string      `json:"base_arch"`
+	OtherArch string      `json:"other_arch"`
+	Deltas    []ArchDelta `json:"deltas"`
+	Base      *Report     `json:"base,omitempty"`
+	Other     *Report     `json:"other,omitempty"`
 }
 
 func verdictOf(f *Finding) string {
@@ -161,7 +162,7 @@ func (c *ArchComparison) Render() string {
 	fmt.Fprintf(&b, "GPUscout cross-arch comparison — kernel %s (%s vs %s)\n",
 		c.Kernel, c.BaseArch, c.OtherArch)
 	cyc := func(r *Report) string {
-		if r.Result == nil {
+		if r.DryRun {
 			return "static-only"
 		}
 		return fmt.Sprintf("%.0f cycles", r.KernelCycles)
@@ -211,35 +212,9 @@ func orDash(s string) string {
 	return s
 }
 
-// JSONArchComparison is the machine-readable cross-arch comparison: the
-// delta list plus both full reports.
-type JSONArchComparison struct {
-	Kernel    string      `json:"kernel"`
-	BaseArch  string      `json:"base_arch"`
-	OtherArch string      `json:"other_arch"`
-	Deltas    []ArchDelta `json:"deltas"`
-	Base      *JSONReport `json:"base,omitempty"`
-	Other     *JSONReport `json:"other,omitempty"`
-}
-
-// ToJSON converts the comparison to its serializable form.
-func (c *ArchComparison) ToJSON() *JSONArchComparison {
-	out := &JSONArchComparison{
-		Kernel:    c.Kernel,
-		BaseArch:  c.BaseArch,
-		OtherArch: c.OtherArch,
-		Deltas:    c.Deltas,
-	}
-	if c.Base != nil {
-		out.Base = c.Base.ToJSON()
-	}
-	if c.Other != nil {
-		out.Other = c.Other.ToJSON()
-	}
-	return out
-}
-
-// MarshalJSON lets an ArchComparison be encoded directly.
+// MarshalJSON encodes the comparison indented, through a local type
+// without the method.
 func (c *ArchComparison) MarshalJSON() ([]byte, error) {
-	return json.MarshalIndent(c.ToJSON(), "", "  ")
+	type wire ArchComparison
+	return json.MarshalIndent((*wire)(c), "", "  ")
 }

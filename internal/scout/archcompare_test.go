@@ -144,7 +144,7 @@ func TestArchComparisonJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var round JSONArchComparison
+	var round ArchComparison
 	if err := json.Unmarshal(data, &round); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}

@@ -295,38 +295,51 @@ func (v *KernelView) addSites(f *Finding, idxs []int, loopNote string, note func
 	}
 }
 
-// Report is the full result of one GPUscout run on one kernel.
+// Report is the full result of one GPUscout run on one kernel. It is its
+// own wire form: the tagged fields, in wire order, are everything a
+// frontend (the paper's planned visualization, Fig. 7) needs, and a
+// report decoded from the cache, the store or a peer is this type. The
+// simulator state and the host-time measurement stay in memory.
 type Report struct {
-	Kernel   string
-	Arch     string
-	DryRun   bool
-	Findings []Finding
-
-	// Dynamic data (nil in --dry-run).
-	Result  *sim.Result
-	Samples *cupti.Report
-	Metrics *ncu.MetricSet
-
-	// Sensitivity is the full perturbation-matrix sweep for the kernel,
-	// attached by the advisor (nil unless a sweep ran). Per-finding
-	// filtered views live on the findings.
-	Sensitivity *Sensitivity
+	Kernel   string    `json:"kernel"`
+	Arch     string    `json:"arch"`
+	DryRun   bool      `json:"dry_run"`
+	Findings []Finding `json:"findings"`
 
 	// Degradations is the ledger of everything this report lost to stage
 	// failures or exhausted stage budgets — empty on a clean run. A
 	// report either carries the data or an entry naming why it does not.
-	Degradations []Degradation
+	Degradations []Degradation `json:"degradations,omitempty"`
 
-	// Overhead accounting for the Fig. 6 analysis, in modeled SM cycles.
+	// Dynamic data, filled once by the dynamic pillars (zero in --dry-run).
+	KernelCycles      float64               `json:"kernel_cycles,omitempty"`
+	AchievedOccupancy float64               `json:"achieved_occupancy,omitempty"`
+	Metrics           *ncu.MetricSet        `json:"metrics,omitempty"`
+	StallShares       map[sim.Stall]float64 `json:"stall_shares,omitempty"`
+	// HottestLines is the ten-line "where should I look first" profile.
+	HottestLines []LineHeat `json:"hottest_lines,omitempty"`
+	Overhead     *Overhead  `json:"overhead_cycles,omitempty"`
+
+	// Sensitivity is the full perturbation-matrix sweep for the kernel,
+	// attached by the advisor (nil unless a sweep ran). Per-finding
+	// filtered views live on the findings.
+	Sensitivity *Sensitivity `json:"sensitivity,omitempty"`
+
+	Result  *sim.Result   `json:"-"`
+	Samples *cupti.Report `json:"-"`
 	// OverheadSASSCycles is the host wall time of the static analysis
-	// converted at the modeled clock: like sim.Result.Host it is outside
-	// the determinism guarantee, and neither MarshalJSON nor Render emits
-	// it — the document holds only the two modeled numbers.
-	OverheadSASSCycles     float64
-	OverheadSamplingCycles float64
-	OverheadMetricsCycles  float64
-	KernelCycles           float64
+	// converted at the modeled clock (Fig. 6's third column): like
+	// sim.Result.Host it is outside the determinism guarantee, and neither
+	// MarshalJSON nor Render emits it.
+	OverheadSASSCycles float64 `json:"-"`
 
 	kernel *sass.Kernel // for quoting embedded source in the report
 	view   *KernelView  // static analyses, for stall correlation
+}
+
+// Overhead is the modeled part of the Fig. 6 accounting, in SM cycles:
+// the PC-sampling pass and the ncu replay passes.
+type Overhead struct {
+	Sampling float64 `json:"sampling"`
+	Metrics  float64 `json:"metrics"`
 }

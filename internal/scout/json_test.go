@@ -13,7 +13,7 @@ func TestReportJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MarshalJSON: %v", err)
 	}
-	var got JSONReport
+	var got Report
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
@@ -42,13 +42,23 @@ func TestReportJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(`"LOUD"`), &sev); err == nil {
 		t.Error("an unknown severity decoded without error")
 	}
-	if got.KernelCycles <= 0 || len(got.Metrics) == 0 || len(got.StallShares) == 0 {
+	for st := sim.Stall(0); st < sim.NumStalls; st++ {
+		var back sim.Stall
+		if text, err := st.MarshalText(); err != nil || back.UnmarshalText(text) != nil || back != st {
+			t.Errorf("stall %s: text round trip gave %s", st, back)
+		}
+	}
+	var stall sim.Stall
+	if err := json.Unmarshal([]byte(`"napping"`), &stall); err == nil {
+		t.Error("an unknown stall decoded without error")
+	}
+	if got.KernelCycles <= 0 || got.Metrics == nil || len(got.Metrics.Values) == 0 || len(got.StallShares) == 0 {
 		t.Error("dynamic sections missing")
 	}
-	if len(got.HottestLines) == 0 {
+	if len(got.HottestLines) == 0 || got.HottestLines[0].TopStall != rep.HottestLines[0].TopStall {
 		t.Error("hottest lines missing")
 	}
-	if got.Overhead() == nil {
+	if got.Overhead == nil || *got.Overhead != *rep.Overhead {
 		t.Error("overhead missing")
 	}
 
@@ -58,14 +68,11 @@ func TestReportJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dgot JSONReport
+	var dgot Report
 	if err := json.Unmarshal(data, &dgot); err != nil {
 		t.Fatal(err)
 	}
-	if !dgot.DryRun || dgot.KernelCycles != 0 || len(dgot.Metrics) != 0 {
+	if !dgot.DryRun || dgot.KernelCycles != 0 || dgot.Metrics != nil {
 		t.Errorf("dry-run JSON carries dynamic data: %+v", dgot)
 	}
 }
-
-// Overhead is a test accessor (the field is a pointer for omitempty).
-func (r *JSONReport) Overhead() *JSONOverhead { return r.OverheadCycles }

@@ -1,11 +1,19 @@
 package scout
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
 	"gpuscout/internal/ncu"
 )
+
+// MarshalJSON encodes the report indented. The local type has the fields
+// without the method, so MarshalIndent encodes them instead of recursing.
+func (r *Report) MarshalJSON() ([]byte, error) {
+	type wire Report
+	return json.MarshalIndent((*wire)(r), "", "  ")
+}
 
 // Render produces the text report printed to the terminal, following the
 // three-section structure of the paper's Fig. 2/Fig. 5 sample outputs:
@@ -142,7 +150,7 @@ func (r *Report) Render() string {
 			}
 		}
 		fmt.Fprintf(&b, "\nOverhead: PC sampling %.3g Mcycles | metrics %.3g Mcycles (%d ncu passes) | bare kernel %.3g Mcycles\n",
-			r.OverheadSamplingCycles/1e6, r.OverheadMetricsCycles/1e6, r.Metrics.Passes, r.KernelCycles/1e6)
+			r.Overhead.Sampling/1e6, r.Overhead.Metrics/1e6, r.Metrics.Passes, r.KernelCycles/1e6)
 	}
 
 	if s := r.Sensitivity; s != nil {

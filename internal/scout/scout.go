@@ -46,11 +46,6 @@ type Options struct {
 	// stalled consumer at the finding's highest-stall PC (LEO-style).
 	// Needs the dynamic pillars, so it is ignored in --dry-run.
 	StallSlices bool
-	// Budgets splits the context deadline (when there is one) into
-	// per-stage slices so a slow stage degrades the report instead of
-	// timing out the whole job. The zero value applies the fixed split;
-	// set Disabled to restore whole-deadline semantics.
-	Budgets StageBudgets
 }
 
 // RunContextFunc launches the kernel once and returns the simulation
@@ -77,17 +72,16 @@ func AnalyzeContext(ctx context.Context, arch gpu.Arch, k *sass.Kernel, run RunC
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("scout: %w", err)
 	}
-	budgets := opts.Budgets
-	var total time.Duration
-	if deadline, ok := ctx.Deadline(); ok && !budgets.Disabled {
-		total = time.Until(deadline)
-	}
+	// Every stage's slice is a share of the time left at entry.
+	parseSlice, sliced := StageSlice(ctx, StageParse)
+	scoutSlice, _ := StageSlice(ctx, StageScout)
+	simSlice, _ := StageSlice(ctx, StageSim)
 
 	// --- Pillar 1: static SASS analysis. ---
 	start := time.Now()
 	var staticDeadline time.Time
-	if total > 0 {
-		staticDeadline = start.Add(budgets.SliceOf(StageParse, total) + budgets.SliceOf(StageScout, total))
+	if sliced {
+		staticDeadline = start.Add(parseSlice + scoutSlice)
 	}
 	var view *KernelView
 	if err := Guard(StageParse, siteParse, func() error {
@@ -149,8 +143,8 @@ func AnalyzeContext(ctx context.Context, arch gpu.Arch, k *sass.Kernel, run RunC
 	// report rather than surfacing an empty timeout, unless the *job*
 	// context itself is done (then the caller's deadline governs).
 	simCtx, cancel := ctx, context.CancelFunc(func() {})
-	if total > 0 {
-		simCtx, cancel = context.WithTimeout(ctx, budgets.SliceOf(StageSim, total))
+	if sliced {
+		simCtx, cancel = context.WithTimeout(ctx, simSlice)
 	}
 	err := runDynamicPillars(simCtx, arch, k, run, opts, rep)
 	sliceExpired := simCtx.Err() != nil // read before cancel() makes it true
@@ -161,7 +155,8 @@ func AnalyzeContext(ctx context.Context, arch gpu.Arch, k *sass.Kernel, run RunC
 		}
 		rep.DryRun = true
 		rep.Result, rep.Samples, rep.Metrics = nil, nil, nil
-		rep.KernelCycles, rep.OverheadSamplingCycles, rep.OverheadMetricsCycles = 0, 0, 0
+		rep.KernelCycles, rep.AchievedOccupancy = 0, 0
+		rep.StallShares, rep.HottestLines, rep.Overhead = nil, nil, nil
 		for fi := range rep.Findings {
 			rep.Findings[fi].Severity = 0
 			rep.Findings[fi].StallSummary = nil
@@ -234,7 +229,18 @@ func runDynamicPillars(ctx context.Context, arch gpu.Arch, k *sass.Kernel, run R
 	}
 	rep.Result = res
 	rep.KernelCycles = res.Cycles
-	rep.OverheadSamplingCycles = cupti.CollectionCycles(res)
+	rep.AchievedOccupancy = res.AchievedOccupancy
+	rep.StallShares = map[sim.Stall]float64{}
+	for s := sim.Stall(0); s < sim.NumStalls; s++ {
+		if share := res.StallShare(s); s != sim.StallSelected && share > 0 {
+			rep.StallShares[s] = share
+		}
+	}
+	// The "where should I look first" list: the ten hottest lines.
+	hot := rep.lineHeats()
+	sort.Slice(hot, func(i, j int) bool { return hot[i].Samples > hot[j].Samples })
+	rep.HottestLines = hot[:min(len(hot), 10)]
+	rep.Overhead = &Overhead{Sampling: cupti.CollectionCycles(res)}
 
 	// --- Pillar 3: kernel-wide metrics (ncu). ---
 	// "The number of collected metrics is kept to minimum" (§3): only the
@@ -258,7 +264,7 @@ func runDynamicPillars(ctx context.Context, arch gpu.Arch, k *sass.Kernel, run R
 			return err
 		}
 		rep.Metrics = ms
-		rep.OverheadMetricsCycles = ms.OverheadCycles
+		rep.Overhead.Metrics = ms.OverheadCycles
 		return nil
 	})
 }

@@ -2,7 +2,6 @@ package scout
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"gpuscout/internal/sim"
@@ -40,18 +39,11 @@ func (r *Report) SourceView() string {
 		}
 	}
 
-	// Total samples for normalization (dry runs have none).
-	var total float64
-	if r.Samples != nil {
-		for l := range lineSet(r) {
-			agg := r.Samples.AtLine(l)
-			for s := sim.Stall(0); s < sim.NumStalls; s++ {
-				if s == sim.StallSelected || s == sim.StallNotSelected {
-					continue
-				}
-				total += agg[s]
-			}
-		}
+	// Each line's share of the stall samples (dry runs have none, and no
+	// heat column).
+	share := map[int]float64{}
+	for _, h := range r.lineHeats() {
+		share[h.Line] = h.Share
 	}
 
 	lines := r.kernel.Lines()
@@ -73,17 +65,8 @@ func (r *Report) SourceView() string {
 			continue
 		}
 		heat := ""
-		if r.Samples != nil && total > 0 {
-			agg := r.Samples.AtLine(line)
-			var lineTotal float64
-			for s := sim.Stall(0); s < sim.NumStalls; s++ {
-				if s == sim.StallSelected || s == sim.StallNotSelected {
-					continue
-				}
-				lineTotal += agg[s]
-			}
-			share := lineTotal / total
-			heat = fmt.Sprintf("%5.1f%% %-10s", 100*share, bar(share, 10))
+		if len(share) > 0 {
+			heat = fmt.Sprintf("%5.1f%% %-10s", 100*share[line], bar(share[line], 10))
 		}
 		mark := "  "
 		if len(flagged[line]) > 0 {
@@ -111,15 +94,6 @@ func (r *Report) SourceView() string {
 	return b.String()
 }
 
-// lineSet collects the lines with attributed instructions.
-func lineSet(r *Report) map[int]bool {
-	set := map[int]bool{}
-	for _, l := range r.kernel.Lines() {
-		set[l] = true
-	}
-	return set
-}
-
 // bar renders a proportional ASCII bar.
 func bar(share float64, width int) string {
 	n := int(share*float64(width) + 0.5)
@@ -129,9 +103,10 @@ func bar(share float64, width int) string {
 	return strings.Repeat("#", n)
 }
 
-// HottestLines returns the source lines ordered by stall-sample share
-// (descending), up to max entries — the "where should I look first" list.
-func (r *Report) HottestLines(max int) []LineHeat {
+// lineHeats is the per-line stall profile in line order: every attributed
+// line with stall samples, its share of all (non-bookkeeping) stall
+// samples and its dominant stall.
+func (r *Report) lineHeats() []LineHeat {
 	if r.Samples == nil || r.kernel == nil {
 		return nil
 	}
@@ -158,22 +133,16 @@ func (r *Report) HottestLines(max int) []LineHeat {
 		out = append(out, LineHeat{Line: line, Samples: lineTotal, TopStall: topStall, Source: r.kernel.SourceLine(line)})
 	}
 	for i := range out {
-		if total > 0 {
-			out[i].Share = out[i].Samples / total
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Samples > out[j].Samples })
-	if len(out) > max {
-		out = out[:max]
+		out[i].Share = out[i].Samples / total
 	}
 	return out
 }
 
 // LineHeat is one entry of the hottest-lines profile.
 type LineHeat struct {
-	Line     int
-	Source   string
-	Samples  float64
-	Share    float64
-	TopStall sim.Stall
+	Line     int       `json:"line"`
+	Source   string    `json:"source,omitempty"`
+	Samples  float64   `json:"-"`
+	Share    float64   `json:"share"`
+	TopStall sim.Stall `json:"top_stall"`
 }

@@ -43,11 +43,11 @@ func TestSourceViewDryRun(t *testing.T) {
 
 func TestHottestLines(t *testing.T) {
 	rep := analyzeWorkload(t, "mixbench_sp_naive", 8, Options{Sim: sim.Config{SampleSMs: 1}})
-	hot := rep.HottestLines(3)
+	hot := rep.HottestLines
 	if len(hot) == 0 {
 		t.Fatal("no hottest lines")
 	}
-	if len(hot) > 3 {
+	if len(hot) > 10 {
 		t.Fatalf("limit ignored: %d entries", len(hot))
 	}
 	for i := 1; i < len(hot); i++ {
@@ -71,7 +71,7 @@ func TestHottestLines(t *testing.T) {
 	}
 	// Dry runs have no heat data.
 	dry := analyzeWorkload(t, "mixbench_sp_naive", 4, Options{DryRun: true})
-	if dry.HottestLines(3) != nil {
+	if dry.HottestLines != nil {
 		t.Error("dry run returned heat data")
 	}
 }

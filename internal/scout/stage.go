@@ -5,16 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"strings"
 	"time"
 
 	"gpuscout/internal/faultinject"
 	"gpuscout/internal/gpu"
 )
 
-// Pipeline stage names, shared by StageError, Degradation, StageBudgets
-// and the service metrics. "parse" covers kernel resolution (SASS parse,
-// cubin decode, workload build, KernelView construction); "scout" the
+// Pipeline stage names, shared by StageError, Degradation, the deadline
+// slices and the service metrics. "parse" covers kernel resolution (SASS
+// parse, cubin decode, workload build, KernelView construction); "scout" the
 // static detector passes; "sim" the dynamic pillars (simulated launch,
 // PC-sampling and metric collection); "verify" the advisor's
 // counterfactual re-runs.
@@ -142,43 +141,21 @@ func DegradationFor(stage, site string, err error, stageCtxExpired bool) Degrada
 	return d
 }
 
-// StageBudgets splits a job's deadline into per-stage slices, as fixed
-// fractions of the total budget (parse 5% / sim 55% / scout 15% /
-// verify 25%). Each stage's slice is measured from the moment the stage
-// starts, so time an early stage leaves unused rolls forward; the job
-// deadline still caps everything. Disabled turns staged degradation off
-// so a slow simulation consumes the whole job budget and times the job
-// out.
-type StageBudgets struct {
-	// Disabled turns staged deadlines off entirely.
-	Disabled bool
-}
-
-// stageFraction is the fixed split; stageSplit spells it for messages.
+// The job deadline splits into per-stage slices, as fixed fractions of
+// the total budget (parse 5% / sim 55% / scout 15% / verify 25%). Each
+// stage's slice is measured from the moment the stage starts, so time an
+// early stage leaves unused rolls forward; the job deadline still caps
+// everything. Without a deadline there are no slices.
 var stageFraction = map[string]float64{StageParse: 0.05, StageSim: 0.55, StageScout: 0.15, StageVerify: 0.25}
 
-const stageSplit = "parse 5% / sim 55% / scout 15% / verify 25%"
-
-// SliceOf returns the stage's share of a total job budget (zero when
-// staged deadlines are disabled or the stage is unknown).
-func (b StageBudgets) SliceOf(stage string, total time.Duration) time.Duration {
-	if b.Disabled || total <= 0 {
-		return 0
+// StageSlice returns the stage's share of the time ctx has left (zero
+// for an unknown stage), and whether ctx has a deadline at all.
+func StageSlice(ctx context.Context, stage string) (time.Duration, bool) {
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		return 0, false
 	}
-	return time.Duration(stageFraction[stage] * float64(total))
-}
-
-// ParseStageBudgets parses the -stage-budgets flag: "on" (or empty, the
-// default) splits the deadline by the fixed fractions, "off" disables
-// staged degradation. The split itself is not configurable.
-func ParseStageBudgets(s string) (StageBudgets, error) {
-	switch strings.TrimSpace(s) {
-	case "", "on":
-		return StageBudgets{}, nil
-	case "off":
-		return StageBudgets{Disabled: true}, nil
-	}
-	return StageBudgets{}, fmt.Errorf("stage budgets %q: want \"on\" or \"off\" (the split is fixed: %s)", s, stageSplit)
+	return time.Duration(stageFraction[stage] * float64(time.Until(deadline))), true
 }
 
 // Fault-injection sites owned by the scout pipeline. The per-detector

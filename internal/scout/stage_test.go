@@ -126,41 +126,22 @@ func TestDegradationFor(t *testing.T) {
 	}
 }
 
-func TestParseStageBudgets(t *testing.T) {
-	for in, want := range map[string]StageBudgets{"": {}, "on": {}, " on ": {}, "off": {Disabled: true}} {
-		if b, err := ParseStageBudgets(in); err != nil || b != want {
-			t.Errorf("ParseStageBudgets(%q) = %+v, %v; want %+v", in, b, err, want)
-		}
-	}
-	// The split is a constant: a weight list and junk are flag errors
-	// that name it.
-	for _, in := range []string{"5,55,15,25", "1,1,1,1", "none", "disabled", "nope"} {
-		b, err := ParseStageBudgets(in)
-		if err == nil {
-			t.Errorf("ParseStageBudgets(%q) = %+v, want error", in, b)
-		} else if !strings.Contains(err.Error(), "parse 5% / sim 55% / scout 15% / verify 25%") {
-			t.Errorf("ParseStageBudgets(%q): error %q does not name the fixed split", in, err)
-		}
-	}
-}
-
 func TestStageBudgetSlices(t *testing.T) {
-	var b StageBudgets
-	total := 1000 * time.Millisecond
+	// A deadline 1000s out: each slice is its fraction of the time left,
+	// less the microseconds this test takes to ask.
+	ctx, cancel := context.WithTimeout(context.Background(), 1000*time.Second)
+	defer cancel()
 	for stage, want := range map[string]time.Duration{
-		StageParse: 50 * time.Millisecond, StageSim: 550 * time.Millisecond,
-		StageScout: 150 * time.Millisecond, StageVerify: 250 * time.Millisecond,
+		StageParse: 50 * time.Second, StageSim: 550 * time.Second,
+		StageScout: 150 * time.Second, StageVerify: 250 * time.Second,
 		"bogus": 0,
 	} {
-		if got := b.SliceOf(stage, total); got != want {
-			t.Errorf("%s slice = %v, want %v", stage, got, want)
+		if got, ok := StageSlice(ctx, stage); !ok || got > want || got < want-want/1000 {
+			t.Errorf("%s slice = %v (deadline %v), want %v", stage, got, ok, want)
 		}
 	}
-	if got := (StageBudgets{Disabled: true}).SliceOf(StageSim, total); got != 0 {
-		t.Errorf("disabled slice = %v, want 0", got)
-	}
-	if got := b.SliceOf(StageSim, 0); got != 0 {
-		t.Errorf("slice of no deadline = %v, want 0", got)
+	if got, ok := StageSlice(context.Background(), StageVerify); ok || got != 0 {
+		t.Errorf("a context without a deadline has a verify slice of %v", got)
 	}
 }
 

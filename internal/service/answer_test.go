@@ -15,8 +15,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"gpuscout/internal/scout"
 )
 
 // TestAnswerIsStoredBytes: a report has one byte form, and the status
@@ -37,7 +35,7 @@ func answerPathsAgree(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	plans, err := Resolve(req, 1, scout.StageBudgets{})
+	plans, err := Resolve(req, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

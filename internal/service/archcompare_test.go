@@ -27,7 +27,7 @@ func TestAnalyzeArchCompare(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("state = %s (%s), want done", st.State, st.Error)
 	}
-	var cmp scout.JSONArchComparison
+	var cmp scout.ArchComparison
 	if err := json.Unmarshal(st.Report, &cmp); err != nil {
 		t.Fatalf("report is not an arch comparison: %v\n%.200s", err, st.Report)
 	}
@@ -82,7 +82,7 @@ func TestAnalyzeArchCompare(t *testing.T) {
 	if st3.CacheHit {
 		t.Error("plain request hit the arch-compare cache entry")
 	}
-	var plain scout.JSONReport
+	var plain scout.Report
 	if err := json.Unmarshal(st3.Report, &plain); err != nil {
 		t.Fatalf("plain report: %v", err)
 	}

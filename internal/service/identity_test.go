@@ -80,7 +80,6 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 func TestCacheKeyCoversEveryOption(t *testing.T) {
 	excluded := map[string]string{
 		"Sim.Workers": "bit-identical by construction: a report computed at any parallelism serves all of them",
-		"Budgets":     "budgets only decide whether a report degrades, and a degraded report is never cached",
 		"Sim":         "a struct: its fields are classified one by one",
 	}
 	key := func(o scout.Options) string { return CacheKey("SASS", "sm_70", "static", o, false, false) }
@@ -101,11 +100,7 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
 		var o scout.Options
-		switch name {
-		case "Sim":
-		case "Budgets":
-			o.Budgets = scout.StageBudgets{Disabled: true}
-		default:
+		if name != "Sim" {
 			setNonZero(t, reflect.ValueOf(&o).Elem().Field(i), name)
 		}
 		check(name, o)
@@ -194,7 +189,7 @@ func TestCacheKeyVectors(t *testing.T) {
 			scout.Options{Sim: sim.Config{SampleSMs: 1, Workers: 4, MaxCycles: 1e6}}, true, false,
 			"bed923dc7c94c3f53eefa60ae94ea705037a96a32ac9e04f1ce1c39a24381a08"},
 		{"excluded fields set", k, "sm_70", simulated,
-			scout.Options{Sim: sim.Config{SampleSMs: 2, Workers: 8}, Budgets: scout.StageBudgets{Disabled: true}}, false, false,
+			scout.Options{Sim: sim.Config{SampleSMs: 2, Workers: 8}}, false, false,
 			"34b504bb9029e9b3b90323ced2325c73caf5d1d03a419c1f6d5b161845a7bfb5"},
 		{"empty kernel", "", "sm_60", "static", scout.Options{}, false, true,
 			"133cd9aeeb58ca2f52ab972bc71a94fdbb8f27cf59be18ca768df8bc0350b836"},
@@ -234,7 +229,7 @@ func TestRequestKeyLaunchFingerprint(t *testing.T) {
 			"", "workload=transpose_naive scale=32 archcmp=sm_80"},
 		{AnalyzeRequest{SASS: upload}, upload, "static"},
 	} {
-		plans, err := Resolve(tc.req, 1, scout.StageBudgets{})
+		plans, err := Resolve(tc.req, 1)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc.req, err)
 		}
@@ -250,8 +245,8 @@ func TestRequestKeyLaunchFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	named, _ := Resolve(AnalyzeRequest{Workload: "transpose_naive", Scale: 32, DryRun: true}, 1, scout.StageBudgets{})
-	uploaded, err := Resolve(AnalyzeRequest{SASS: sass.Print(w.Kernel)}, 1, scout.StageBudgets{})
+	named, _ := Resolve(AnalyzeRequest{Workload: "transpose_naive", Scale: 32, DryRun: true}, 1)
+	uploaded, err := Resolve(AnalyzeRequest{SASS: sass.Print(w.Kernel)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +280,7 @@ func TestResolveLowersNothing(t *testing.T) {
 		{Workload: "sgemm_naive", Scale: 64, Verify: true, Sensitivity: true, StallSlices: true},
 		{Workload: "sgemm_shared", Scale: 64, Arch: "sm80", ArchCompare: "sm70"},
 	} {
-		plans, err := Resolve(req, 1, scout.StageBudgets{})
+		plans, err := Resolve(req, 1)
 		if err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}
@@ -301,7 +296,7 @@ func TestResolveLowersNothing(t *testing.T) {
 	}
 	for _, tc := range unresolvable {
 		req, want := tc.req, "stage parse: service.resolve: "+tc.err
-		if _, err := Resolve(req, 1, scout.StageBudgets{}); err == nil || !strings.HasPrefix(err.Error(), want) {
+		if _, err := Resolve(req, 1); err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Errorf("%+v: err = %v, want prefix %q", req, err, want)
 		}
 	}
@@ -315,11 +310,11 @@ func TestResolveLowersNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, err := Resolve(AnalyzeRequest{SASS: sass.Print(k)}, 1, scout.StageBudgets{})
+	text, err := Resolve(AnalyzeRequest{SASS: sass.Print(k)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	container, err := Resolve(AnalyzeRequest{Cubin: data}, 1, scout.StageBudgets{})
+	container, err := Resolve(AnalyzeRequest{Cubin: data}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -108,11 +109,20 @@ type requestBody interface{ check(maxItems int) error }
 // error, not a silently ignored option) and shape-checked before anyone
 // fingerprints, routes or enqueues it. On failure it has answered 413
 // (body or batch over its limit) or 400 and reports false. The body is
-// streamed into the decoder, never buffered whole.
+// one JSON document, streamed into the decoder, never buffered whole.
 func DecodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64, maxItems int, req requestBody) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(req)
+	if err == nil {
+		// One document per body: whatever follows it is refused, not
+		// silently dropped.
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("trailing data after the request document")
+		} else if err == io.EOF {
+			err = nil
+		}
+	}
 	if err != nil {
 		err = fmt.Errorf("decode request: %w", err)
 	} else {

@@ -61,11 +61,6 @@ type Config struct {
 	// MaxJobsRetained caps how many finished jobs are kept for
 	// GET /v1/jobs/{id} before the oldest are pruned (default 1024).
 	MaxJobsRetained int
-	// StageBudgets splits each job's timeout across pipeline stages so a
-	// slow stage degrades the report instead of timing the job out. The
-	// zero value applies the fixed split (parse 5% / sim 55% / scout 15% /
-	// verify 25%); set Disabled for whole-deadline semantics.
-	StageBudgets scout.StageBudgets
 	// RetryAttempts is the total number of execution attempts for a job
 	// whose failure is transient — a recovered panic or injected fault
 	// (default 2; 1 disables retrying).
@@ -731,7 +726,7 @@ func (s *Service) publish(key, fingerprint string, data []byte) {
 func (s *Service) executeAttempt(j *Job) error {
 	// "build" is resolve plus, on a miss, each target's lowering.
 	t0 := time.Now()
-	plans, err := Resolve(j.req, s.cfg.SimWorkers, s.cfg.StageBudgets)
+	plans, err := Resolve(j.req, s.cfg.SimWorkers)
 	build := time.Since(t0)
 	defer func() { s.stageDuration["build"].Observe(build.Seconds()) }()
 	if err != nil {
@@ -850,7 +845,7 @@ var siteResolve = faultinject.Register("service.resolve")
 // addressed by; it has no launch harness, so its analysis is forced
 // static (DryRun). simWorkers applies when the request sets no
 // sim_workers of its own.
-func Resolve(req AnalyzeRequest, simWorkers int, budgets scout.StageBudgets) (plans []advisor.Plan, err error) {
+func Resolve(req AnalyzeRequest, simWorkers int) (plans []advisor.Plan, err error) {
 	if req.SimWorkers > 0 {
 		simWorkers = req.SimWorkers
 	}
@@ -877,7 +872,6 @@ func Resolve(req AnalyzeRequest, simWorkers int, budgets scout.StageBudgets) (pl
 					SamplingPeriod: req.SamplingPeriod,
 					StallSlices:    req.StallSlices,
 					Sim:            sim.Config{SampleSMs: req.SampleSMs, Workers: simWorkers},
-					Budgets:        budgets,
 				},
 				Workload:    req.Workload,
 				Verify:      req.Verify,

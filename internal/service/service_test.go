@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gpuscout/internal/cubin"
+	"gpuscout/internal/faultinject"
 	"gpuscout/internal/sass"
 	"gpuscout/internal/scout"
 	"gpuscout/internal/sim"
@@ -221,16 +222,24 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
-// TestJobTimeout gives a heavy job a tiny deadline and expects the
-// simulation to be interrupted, reporting state "timeout".
-// TestJobTimeout covers the pre-degradation semantics: with stage
-// budgets disabled, a job whose simulation outlives the whole deadline
-// times out and reports 504.
+// TestJobTimeout: a job whose deadline passes while it waits for a worker
+// is never started — it reports state "timeout" and 504. (A deadline that
+// passes mid-analysis degrades the report instead: the stage slices.)
 func TestJobTimeout(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		Workers: 1, QueueDepth: 4,
-		StageBudgets: scout.StageBudgets{Disabled: true},
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	// Hold the one worker on the first job while the second one waits.
+	disarm, err := faultinject.Arm(faultinject.Fault{
+		Site: "service.resolve", Mode: faultinject.ModeDelay, Delay: 300 * time.Millisecond, Times: 1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disarm()
+	if resp, body := postAnalyze(t, ts, "?async=1", `{"workload":"transpose_naive","scale":32,"dry_run":true}`); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("job 1: status %d, want 202 (body %s)", resp.StatusCode, body)
+	}
 	resp, body := postAnalyze(t, ts, "", `{"workload":"sgemm_naive","timeout_ms":20}`)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (body %s)", resp.StatusCode, body)
@@ -304,8 +313,8 @@ func TestOversizedScaleDegradesWithoutAllocating(t *testing.T) {
 	}
 }
 
-// TestSimTimeoutDegrades is the staged-deadline acceptance path: with
-// budgets on (the default), a sim slice too small for the launch yields
+// TestSimTimeoutDegrades is the staged-deadline acceptance path: a sim
+// slice too small for the launch yields
 // a degraded static-only report — StateDone, ledger naming sim.launch —
 // instead of an empty StateTimeout, and the degradation is visible in
 // gpuscoutd_degraded_reports_total{kind="sim_timeout"}.

@@ -15,6 +15,8 @@
 // order so the Result is bit-identical for every worker count.
 package sim
 
+import "fmt"
+
 // Stall classifies why a warp could not issue (or that it did). The set
 // mirrors the CUPTI/Nsight stall taxonomy the paper discusses; the string
 // forms match the smsp__pcsamp_warp_stall_* suffixes.
@@ -73,6 +75,20 @@ func (s Stall) String() string {
 		return stallNames[s]
 	}
 	return "unknown"
+}
+
+// MarshalText is the stall's wire form: its String.
+func (s Stall) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText reads the wire form back.
+func (s *Stall) UnmarshalText(text []byte) error {
+	for v := Stall(0); v < NumStalls; v++ {
+		if v.String() == string(text) {
+			*s = v
+			return nil
+		}
+	}
+	return fmt.Errorf("sim: unknown stall %q", text)
 }
 
 // Explain returns the verbose interpretation GPUscout prints alongside a
