@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build loc digest vet test pool-width race-sim smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
+.PHONY: check build loc digest vet test bench-sass pool-width race-sim smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
 
 check: build vet race
 
@@ -33,6 +33,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The SASS printer and parser benchmarks on two workloads, next to the
+# reference parser they replaced (internal/sass/oracle_test.go); CI's
+# build-test job runs them at BENCHTIME=1x so they compile and run.
+BENCHTIME ?= 1s
+bench-sass:
+	$(GO) test ./internal/sass -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME)
 
 # Width-independence of the re-execution passes (CI: build-test). Run
 # fans a sweep's cells and Verify's variants out over GOMAXPROCS workers;

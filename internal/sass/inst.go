@@ -1,9 +1,6 @@
 package sass
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // OperandKind discriminates the operand union in Operand.
 type OperandKind uint8
@@ -47,38 +44,7 @@ func Const(bank int, off int64) Operand { return Operand{Kind: OpdConst, Bank: b
 // SR makes a special-register operand.
 func SR(s SpecialReg) Operand { return Operand{Kind: OpdSpecial, Special: s} }
 
-func (o Operand) String() string {
-	switch o.Kind {
-	case OpdReg:
-		if o.Neg {
-			return "-" + o.Reg.String()
-		}
-		return o.Reg.String()
-	case OpdPred:
-		if o.Neg {
-			return "!" + o.Pred.String()
-		}
-		return o.Pred.String()
-	case OpdImm:
-		if o.Imm < 0 {
-			return fmt.Sprintf("-0x%x", -o.Imm)
-		}
-		return fmt.Sprintf("0x%x", o.Imm)
-	case OpdMem:
-		if o.Imm == 0 {
-			return fmt.Sprintf("[%s]", o.Reg)
-		}
-		if o.Imm < 0 {
-			return fmt.Sprintf("[%s+-0x%x]", o.Reg, -o.Imm)
-		}
-		return fmt.Sprintf("[%s+0x%x]", o.Reg, o.Imm)
-	case OpdConst:
-		return fmt.Sprintf("c[0x%x][0x%x]", o.Bank, o.Imm)
-	case OpdSpecial:
-		return o.Special.String()
-	}
-	return "<none>"
-}
+func (o Operand) String() string { return string(o.appendText(make([]byte, 0, 48))) }
 
 // Ctrl is the Volta-style per-instruction control information: compile-time
 // scheduling hints that the hardware (and our simulator) obeys. Loads set a
@@ -264,43 +230,4 @@ func (in *Inst) SrcRegs(out []Reg) []Reg {
 	return out
 }
 
-func (in *Inst) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "/*%04x*/ ", in.PC)
-	if in.Pred != PT {
-		if in.PredNeg {
-			b.WriteString("@!")
-		} else {
-			b.WriteString("@")
-		}
-		b.WriteString(in.Pred.String())
-		b.WriteString(" ")
-	}
-	b.WriteString(in.Mnemonic())
-	n := 0
-	writeOpd := func(o Operand) {
-		if n == 0 {
-			b.WriteString(" ")
-		} else {
-			b.WriteString(", ")
-		}
-		b.WriteString(o.String())
-		n++
-	}
-	for _, o := range in.Dst {
-		writeOpd(o)
-	}
-	for _, o := range in.Src {
-		writeOpd(o)
-	}
-	if in.Op == OpBRA {
-		if n == 0 {
-			b.WriteString(" ")
-		} else {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "0x%x", in.Target)
-	}
-	b.WriteString(" ;")
-	return b.String()
-}
+func (in *Inst) String() string { return string(in.appendText(make([]byte, 0, 96))) }

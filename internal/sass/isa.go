@@ -26,12 +26,7 @@ const RZ Reg = 255
 // thread (R0..R254).
 const NumArchRegs = 255
 
-func (r Reg) String() string {
-	if r == RZ {
-		return "RZ"
-	}
-	return fmt.Sprintf("R%d", r)
-}
+func (r Reg) String() string { return string(r.appendText(make([]byte, 0, 8))) }
 
 // IsZ reports whether the register is the zero register.
 func (r Reg) IsZ() bool { return r == RZ }
@@ -46,12 +41,7 @@ const PT Pred = 7
 // NumPreds is the number of allocatable predicate registers per thread.
 const NumPreds = 7
 
-func (p Pred) String() string {
-	if p == PT {
-		return "PT"
-	}
-	return fmt.Sprintf("P%d", p)
-}
+func (p Pred) String() string { return string(p.appendText(make([]byte, 0, 8))) }
 
 // Opcode identifies the base operation of an instruction. Variants
 // (width, cache policy, comparison op, conversion types, ...) are carried

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // ParseError reports a parse failure with its 1-based text line number.
@@ -35,12 +36,17 @@ func numDsts(op Opcode) int {
 // Parse reads the text format produced by Print and reconstructs the
 // kernel. It is the GPUscout "Configuration" stage's disassembler
 // ingestion path: the static analysis never needs the CUDA source.
+// It is one pass, a line at a time, keeping substrings of text and
+// cutting operand and modifier slices from shared chunks (see take).
 func Parse(text string) (*Kernel, error) {
 	k := &Kernel{}
+	p := parser{n: len(text)/56 + 1} // printed lines average 58-79 bytes
 	curLine, curFile := 0, ""
 	sawHeader := false
-	for ln, raw := range strings.Split(text, "\n") {
-		textLine := ln + 1
+	rest := text
+	for textLine, more := 1, true; more; textLine++ {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
 		s := strings.TrimSpace(raw)
 		if s == "" {
 			continue
@@ -66,15 +72,17 @@ func Parse(text string) (*Kernel, error) {
 		case strings.HasPrefix(s, "//"):
 			// Plain comment.
 		case strings.HasPrefix(s, "/*"):
-			in, err := parseInst(s)
-			if err != nil {
+			if k.Insts == nil {
+				k.Insts = make([]Inst, 0, p.n)
+			}
+			k.Insts = append(k.Insts, Inst{Pred: PT, Ctrl: DefaultCtrl(), Line: curLine})
+			in := &k.Insts[len(k.Insts)-1]
+			if err := p.inst(in, s); err != nil {
 				return nil, &ParseError{textLine, err.Error()}
 			}
-			in.Line = curLine
 			if curFile != k.SourceFile {
 				in.File = curFile
 			}
-			k.Insts = append(k.Insts, in)
 		default:
 			return nil, &ParseError{textLine, fmt.Sprintf("unrecognized line %q", s)}
 		}
@@ -83,6 +91,25 @@ func Parse(text string) (*Kernel, error) {
 		return nil, &ParseError{0, "missing .kernel header"}
 	}
 	return k, nil
+}
+
+// parser cuts instructions' operand and modifier slices from chunks
+// sized for n instructions of (on average) 2.8 operands, 0.4 modifiers.
+type parser struct {
+	opds []Operand
+	mods []string
+	n    int
+}
+
+// take returns the next n elements of *chunk, capped so that appending
+// reallocates, starting a new chunk of max(n, size) when n do not fit.
+func take[T any](chunk *[]T, n, size int) []T {
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make([]T, 0, max(n, size))
+	}
+	*chunk = c[:len(c)+n]
+	return c[len(c) : len(c)+n : len(c)+n]
 }
 
 func parseHeader(k *Kernel, s string) error {
@@ -125,7 +152,10 @@ func parseLineMarker(s string) (file string, line int, err error) {
 	if !strings.HasPrefix(rest, `"`) || end < 1 {
 		return "", 0, fmt.Errorf("malformed line marker %q", s)
 	}
-	file = rest[1:end]
+	// The name is a Go string literal, as Print quotes it.
+	if file, err = strconv.Unquote(rest[:end+1]); err != nil {
+		return "", 0, fmt.Errorf("malformed line marker %q: %v", s, err)
+	}
 	line, err = strconv.Atoi(strings.TrimSpace(rest[end+len(`", line `):]))
 	if err != nil {
 		return "", 0, fmt.Errorf("malformed line marker %q: %v", s, err)
@@ -133,23 +163,19 @@ func parseLineMarker(s string) (file string, line int, err error) {
 	return file, line, nil
 }
 
-func parseInst(s string) (Inst, error) {
-	in := Inst{Pred: PT, Ctrl: DefaultCtrl()}
-
-	// /*PC*/ prefix.
-	if !strings.HasPrefix(s, "/*") {
-		return in, fmt.Errorf("missing PC comment in %q", s)
-	}
+// inst parses one "/*PC*/ ..." line into in, which holds the defaults
+// (unguarded, DefaultCtrl) and the current source line.
+func (p *parser) inst(in *Inst, s string) error {
 	// Search after the opening "/*": in a degenerate "/*/" the closing
 	// marker would otherwise match overlapping the opener.
 	close := strings.Index(s[2:], "*/")
 	if close < 0 {
-		return in, fmt.Errorf("unterminated PC comment in %q", s)
+		return fmt.Errorf("unterminated PC comment in %q", s)
 	}
 	close += 2
 	pc, err := strconv.ParseUint(strings.TrimSpace(s[2:close]), 16, 64)
 	if err != nil {
-		return in, fmt.Errorf("bad PC in %q: %v", s, err)
+		return fmt.Errorf("bad PC in %q: %v", s, err)
 	}
 	in.PC = pc
 	s = strings.TrimSpace(s[close+2:])
@@ -157,15 +183,12 @@ func parseInst(s string) (Inst, error) {
 	// Control info suffix after ';'.
 	body, ctrl, found := strings.Cut(s, ";")
 	if !found {
-		return in, fmt.Errorf("missing ';' in %q", s)
+		return fmt.Errorf("missing ';' in %q", s)
 	}
-	ctrl = strings.TrimSpace(ctrl)
-	if ctrl != "" {
-		c, err := parseCtrl(ctrl)
-		if err != nil {
-			return in, err
+	if ctrl = strings.TrimSpace(ctrl); ctrl != "" {
+		if in.Ctrl, err = parseCtrl(ctrl); err != nil {
+			return err
 		}
-		in.Ctrl = c
 	}
 	body = strings.TrimSpace(body)
 
@@ -173,73 +196,61 @@ func parseInst(s string) (Inst, error) {
 	if strings.HasPrefix(body, "@") {
 		guard, rest, ok := strings.Cut(body, " ")
 		if !ok {
-			return in, fmt.Errorf("guarded instruction with no opcode: %q", body)
+			return fmt.Errorf("guarded instruction with no opcode: %q", body)
 		}
-		g := strings.TrimPrefix(guard, "@")
+		g := guard[1:]
 		if strings.HasPrefix(g, "!") {
 			in.PredNeg = true
 			g = g[1:]
 		}
-		p, err := parsePredName(g)
-		if err != nil {
-			return in, err
+		if in.Pred, err = parsePredName(g); err != nil {
+			return err
 		}
-		in.Pred = p
 		body = strings.TrimSpace(rest)
 	}
 
-	// Mnemonic.
+	// Mnemonic: the opcode, then any dot modifiers.
 	mnem, operands, _ := strings.Cut(body, " ")
-	parts := strings.Split(mnem, ".")
-	op, ok := OpcodeByName(parts[0])
+	name, mods, hasMods := strings.Cut(mnem, ".")
+	op, ok := OpcodeByName(name)
 	if !ok {
-		return in, fmt.Errorf("unknown opcode %q", parts[0])
+		return fmt.Errorf("unknown opcode %q", name)
 	}
 	in.Op = op
-	if len(parts) > 1 {
-		in.Mods = parts[1:]
+	if hasMods {
+		in.Mods = take(&p.mods, strings.Count(mods, ".")+1, p.n)
+		for i := range in.Mods {
+			in.Mods[i], mods, _ = strings.Cut(mods, ".")
+		}
 	}
 
-	// Operands.
-	operands = strings.TrimSpace(operands)
+	// Operands: comma-separated, each trimmed.
 	var opds []Operand
-	if operands != "" {
-		for _, tok := range splitOperands(operands) {
-			o, err := parseOperand(tok)
-			if err != nil {
-				return in, err
+	if operands = strings.TrimSpace(operands); operands != "" {
+		opds = take(&p.opds, strings.Count(operands, ",")+1, 3*p.n)
+		for i := range opds {
+			var tok string
+			tok, operands, _ = strings.Cut(operands, ",")
+			if opds[i], err = parseOperand(strings.TrimSpace(tok)); err != nil {
+				return err
 			}
-			opds = append(opds, o)
 		}
 	}
 	if op == OpBRA {
 		if len(opds) == 0 || opds[len(opds)-1].Kind != OpdImm {
-			return in, fmt.Errorf("BRA without target in %q", body)
+			return fmt.Errorf("BRA without target in %q", body)
 		}
 		in.Target = uint64(opds[len(opds)-1].Imm)
 		opds = opds[:len(opds)-1]
 	}
-	nd := numDsts(op)
-	if nd > len(opds) {
-		nd = len(opds)
-	}
+	nd := min(numDsts(op), len(opds))
 	if nd > 0 {
 		in.Dst = opds[:nd:nd]
 	}
 	if nd < len(opds) {
 		in.Src = opds[nd:]
 	}
-	return in, nil
-}
-
-func splitOperands(s string) []string {
-	// Commas never nest in our operand grammar except inside c[..][..]
-	// (none) — a flat split suffices.
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
+	return nil
 }
 
 func parsePredName(s string) (Pred, error) {
@@ -333,6 +344,9 @@ func parseOperand(tok string) (Operand, error) {
 		if err != nil {
 			return Operand{}, err
 		}
+		if bank < 0 || off < 0 { // c[-0x1][0x10] would not print canonically
+			return Operand{}, fmt.Errorf("negative constant bank or offset in %q", tok)
+		}
 		return Const(int(bank), off), nil
 	case strings.HasPrefix(tok, "SR_"):
 		sr, ok := SpecialRegByName(tok)
@@ -367,12 +381,24 @@ func parseOperand(tok string) (Operand, error) {
 	}
 }
 
+// parseCtrl reads "& wr=W rd=R wt=0xM st=S [Y]", fields in any order and
+// spacing; the layout Print writes is read at fixed offsets first.
 func parseCtrl(s string) (Ctrl, error) {
+	if c, ok := printedCtrl(s); ok {
+		return c, nil
+	}
 	c := DefaultCtrl()
 	if !strings.HasPrefix(s, "&") {
 		return c, fmt.Errorf("malformed control info %q", s)
 	}
-	for _, f := range strings.Fields(strings.TrimPrefix(s, "&")) {
+	// The fields strings.Fields would split out, without the slice.
+	for rest := strings.TrimLeftFunc(s[1:], unicode.IsSpace); rest != ""; rest = strings.TrimLeftFunc(rest, unicode.IsSpace) {
+		end := strings.IndexFunc(rest, unicode.IsSpace)
+		if end < 0 {
+			end = len(rest)
+		}
+		f := rest[:end]
+		rest = rest[end:]
 		if f == "Y" {
 			c.Yield = true
 			continue
@@ -413,4 +439,20 @@ func parseCtrl(s string) (Ctrl, error) {
 		}
 	}
 	return c, nil
+}
+
+// printedCtrl reads control info laid out exactly as Print writes it; it
+// is false for any other text, which the field loop reads the same way.
+func printedCtrl(s string) (Ctrl, bool) {
+	if len(s) < 23 || s[:5] != "& wr=" || s[6:10] != " rd=" || s[11:17] != " wt=0x" {
+		return Ctrl{}, false
+	}
+	wt, st, found := strings.Cut(s[17:], " st=")
+	st, yield := strings.CutSuffix(st, " Y")
+	w, werr := strconv.ParseUint(wt, 16, 8)
+	n, serr := strconv.ParseUint(st, 10, 8)
+	// A slot is one of "-012345", NoBar for '-'; -2 marks anything else.
+	wr, rd := strings.IndexByte("-012345", s[5])-1, strings.IndexByte("-012345", s[10])-1
+	return Ctrl{Stall: uint8(n), Yield: yield, WrBar: int8(wr), RdBar: int8(rd), WaitMask: uint8(w)},
+		found && werr == nil && serr == nil && w <= 0x3f && n <= 15 && wr >= -1 && rd >= -1
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -160,6 +162,28 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64, labels ...
 
 func (g *gaugeFunc) render(w io.Writer, name string) {
 	fmt.Fprintf(w, "%s%s %s\n", name, g.labels, formatFloat(g.fn()))
+}
+
+// registerRuntimeGauges exposes Go runtime state, read on scrape only.
+func registerRuntimeGauges(r *Registry) {
+	read := func(name string) float64 {
+		s := []metrics.Sample{{Name: name}}
+		metrics.Read(s)
+		if s[0].Value.Kind() == metrics.KindUint64 {
+			return float64(s[0].Value.Uint64())
+		}
+		return s[0].Value.Float64()
+	}
+	r.NewGaugeFunc("gpuscoutd_go_goroutines", "Goroutines that currently exist.",
+		func() float64 { return read("/sched/goroutines:goroutines") })
+	r.NewGaugeFunc("gpuscoutd_go_heap_inuse_bytes", "Bytes in in-use heap spans: objects plus fragmentation.",
+		func() float64 {
+			return read("/memory/classes/heap/objects:bytes") + read("/memory/classes/heap/unused:bytes")
+		})
+	r.NewGaugeFunc("gpuscoutd_go_gc_cycles_total", "Completed GC cycles since the process started.",
+		func() float64 { return read("/gc/cycles/total:gc-cycles") })
+	r.NewGaugeFunc("gpuscoutd_go_gc_pause_seconds_total", "Wall time the GC has stopped the world (pause CPU time over GOMAXPROCS).",
+		func() float64 { return read("/cpu/classes/gc/pause:cpu-seconds") / float64(runtime.GOMAXPROCS(0)) })
 }
 
 // --- Histogram ---

@@ -131,6 +131,23 @@ func TestAnalyzeCacheHit(t *testing.T) {
 	}
 }
 
+// TestRuntimeGauges scrapes the Go runtime gauges: the scrape's own
+// handler goroutine exists and the heap holds the service, so those two
+// are positive; the GC totals exist and are not negative.
+func TestRuntimeGauges(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	for _, name := range []string{"gpuscoutd_go_goroutines", "gpuscoutd_go_heap_inuse_bytes"} {
+		if v := metricValue(t, ts, name); v <= 0 {
+			t.Errorf("%s = %g, want > 0", name, v)
+		}
+	}
+	for _, name := range []string{"gpuscoutd_go_gc_cycles_total", "gpuscoutd_go_gc_pause_seconds_total"} {
+		if v := metricValue(t, ts, name); v < 0 {
+			t.Errorf("%s = %g, want >= 0", name, v)
+		}
+	}
+}
+
 // TestCacheScaleMiss: a simulated workload at a different problem scale
 // must NOT hit the cache — the kernel SASS is identical across scales,
 // but the simulated report (grid, traffic, stalls) is not. Regression

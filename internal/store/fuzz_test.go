@@ -2,19 +2,56 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"reflect"
 	"testing"
 )
 
-// frames builds a journal byte stream from records (test/fuzz seeds).
+// frames builds a journal byte stream from records (test/fuzz seeds) the
+// reference way: each payload is json.Marshal of the whole record.
 func frames(recs ...rec) []byte {
 	var buf bytes.Buffer
 	for _, r := range recs {
 		payload, _ := json.Marshal(r)
-		buf.Write(encodeFrame(payload))
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+		buf.Write(hdr[:])
+		buf.Write(payload)
 	}
 	return buf.Bytes()
+}
+
+// TestJournalFrameIsMarshal pins encodeRecord to the reference framing:
+// splicing Req in verbatim gives the bytes json.Marshal of the whole
+// record gave, for requests whose SASS holds what the encoder escapes
+// (<, >, &, U+2028, quotes, newlines), with and without a timestamp, and
+// for tombstones and snapshots.
+func TestJournalFrameIsMarshal(t *testing.T) {
+	sass := "\t.kernel k sm_70 regs=8\n\t.file \"a<b>&c\u2028\\\"d\"\n\t/*0000*/ EXIT ;  & wr=- rd=- wt=0x0 st=1\n"
+	body, err := json.Marshal(struct {
+		SASS string `json:"sass"`
+		Arch string `json:"arch,omitempty"`
+	}{sass, "sm_70"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []rec
+	for _, ts := range []int64{0, 1_700_000_000_123_456_789} {
+		recs = append(recs,
+			rec{Op: opAccept, ID: "j00000001", FP: "fp<&>", Req: body, T: ts},
+			rec{Op: opAccept, ID: "j00000002", T: ts},
+			rec{Op: opTomb, ID: "j00000001", Out: "done", T: ts},
+			rec{Op: opSnap, ID: "j00000002", T: ts},
+			rec{Op: opSnap, T: ts})
+	}
+	for _, r := range recs {
+		if got, want := encodeRecord(r), frames(r); !bytes.Equal(got, want) {
+			t.Errorf("%s %s t=%d: frame\n%q\nwant\n%q", r.Op, r.ID, r.T, got, want)
+		}
+	}
 }
 
 // FuzzJournalReplay drives the journal decoder with arbitrary bytes —

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"gpuscout/internal/faultinject"
@@ -95,13 +96,24 @@ type PendingJob struct {
 	Req         json.RawMessage
 }
 
-// encodeFrame wraps one payload in the length+CRC frame.
-func encodeFrame(payload []byte) []byte {
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
-	return buf
+// encodeRecord frames one record, its payload json.Marshal(r) byte for
+// byte: the short fields go through the encoder, and Req (megabytes, see
+// AppendAccept) and T, rec's last fields, are appended after them.
+func encodeRecord(r rec) []byte {
+	req, t := r.Req, r.T
+	r.Req, r.T = nil, 0
+	head, _ := json.Marshal(r) // strings only: cannot fail
+	frame := append(make([]byte, 8, 8+len(head)+len(req)+32), head[:len(head)-1]...)
+	if len(req) > 0 {
+		frame = append(append(frame, `,"req":`...), req...)
+	}
+	if t != 0 {
+		frame = strconv.AppendInt(append(frame, `,"t":`...), t, 10)
+	}
+	frame = append(frame, '}')
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(frame)-8))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[8:]))
+	return frame
 }
 
 // replayJournal decodes frames from data until the first torn or
@@ -207,11 +219,7 @@ func (s *Store) appendRecordLocked(r rec) error {
 		return ErrDead
 	}
 	r.T = time.Now().UnixNano()
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("store: encode journal record: %w", err)
-	}
-	frame := encodeFrame(payload)
+	frame := encodeRecord(r)
 	half := len(frame) / 2
 	if _, err := s.journalF.Write(frame[:half]); err != nil {
 		s.dead = true
@@ -246,6 +254,9 @@ func (s *Store) appendRecordLocked(r rec) error {
 // AppendAccept journals one acknowledged job before it is enqueued.
 // The service must not acknowledge the job to the client until this
 // returns nil: the write-ahead property is exactly that ordering.
+// req must be json.Marshal output (compact, HTML-escaped), as Submit's
+// is: the frame carries it verbatim, and compaction re-writes it as
+// replayed, so frames equal json.Marshal of the record.
 func (s *Store) AppendAccept(id, fingerprint string, req json.RawMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -290,11 +301,7 @@ func (s *Store) compactLocked() error {
 	records := 0
 	write := func(r rec) error {
 		r.T = now
-		payload, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		frame := encodeFrame(payload)
+		frame := encodeRecord(r)
 		if _, err := tmp.Write(frame); err != nil {
 			return err
 		}
