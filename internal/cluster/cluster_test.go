@@ -795,6 +795,28 @@ func TestCloseWithoutStart(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRuntimeGauges: the coordinator's /metrics carries the
+// same Go runtime gauges as a worker's.
+func TestCoordinatorRuntimeGauges(t *testing.T) {
+	coord, err := New(Config{Replicas: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	front := httptest.NewServer(coord.Handler())
+	t.Cleanup(front.Close)
+	for _, name := range []string{"gpuscoutd_go_goroutines", "gpuscoutd_go_heap_inuse_bytes"} {
+		if v := scrapeMetric(t, front.URL, name); v <= 0 {
+			t.Errorf("%s = %g, want > 0", name, v)
+		}
+	}
+	for _, name := range []string{"gpuscoutd_go_gc_cycles_total", "gpuscoutd_go_gc_pause_seconds_total"} {
+		if v := scrapeMetric(t, front.URL, name); v < 0 {
+			t.Errorf("%s = %g, want >= 0", name, v)
+		}
+	}
+}
+
 // TestCoordinatorDoorRejectsMalformedRequests: the coordinator decodes
 // and validates through the same front door as a worker, so a malformed
 // request is answered by the coordinator itself — nothing is

@@ -148,6 +148,7 @@ func New(cfg Config) (*Coordinator, error) {
 		"Batch items folded into an earlier item's slot before fan-out (shared fingerprint).")
 	c.batchReroutes = reg.NewCounter("gpuscoutd_cluster_batch_reroutes_total",
 		"Batch items re-sent to another replica after a partial sub-batch failure.")
+	service.RegisterRuntimeGauges(reg)
 	return c, nil
 }
 

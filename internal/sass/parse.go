@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // ParseError reports a parse failure with its 1-based text line number.
@@ -52,6 +53,18 @@ func Parse(text string) (*Kernel, error) {
 			continue
 		}
 		switch {
+		case strings.HasPrefix(s, "/*"):
+			if k.Insts == nil {
+				k.Insts = make([]Inst, 0, p.n)
+			}
+			k.Insts = append(k.Insts, Inst{Pred: PT, Ctrl: DefaultCtrl(), Line: curLine})
+			in := &k.Insts[len(k.Insts)-1]
+			if err := p.inst(in, s); err != nil {
+				return nil, &ParseError{textLine, err.Error()}
+			}
+			if curFile != k.SourceFile {
+				in.File = curFile
+			}
 		case strings.HasPrefix(s, ".kernel "):
 			if err := parseHeader(k, s); err != nil {
 				return nil, &ParseError{textLine, err.Error()}
@@ -71,18 +84,6 @@ func Parse(text string) (*Kernel, error) {
 			curFile, curLine = file, line
 		case strings.HasPrefix(s, "//"):
 			// Plain comment.
-		case strings.HasPrefix(s, "/*"):
-			if k.Insts == nil {
-				k.Insts = make([]Inst, 0, p.n)
-			}
-			k.Insts = append(k.Insts, Inst{Pred: PT, Ctrl: DefaultCtrl(), Line: curLine})
-			in := &k.Insts[len(k.Insts)-1]
-			if err := p.inst(in, s); err != nil {
-				return nil, &ParseError{textLine, err.Error()}
-			}
-			if curFile != k.SourceFile {
-				in.File = curFile
-			}
 		default:
 			return nil, &ParseError{textLine, fmt.Sprintf("unrecognized line %q", s)}
 		}
@@ -382,23 +383,13 @@ func parseOperand(tok string) (Operand, error) {
 }
 
 // parseCtrl reads "& wr=W rd=R wt=0xM st=S [Y]", fields in any order and
-// spacing; the layout Print writes is read at fixed offsets first.
+// spacing.
 func parseCtrl(s string) (Ctrl, error) {
-	if c, ok := printedCtrl(s); ok {
-		return c, nil
-	}
 	c := DefaultCtrl()
 	if !strings.HasPrefix(s, "&") {
 		return c, fmt.Errorf("malformed control info %q", s)
 	}
-	// The fields strings.Fields would split out, without the slice.
-	for rest := strings.TrimLeftFunc(s[1:], unicode.IsSpace); rest != ""; rest = strings.TrimLeftFunc(rest, unicode.IsSpace) {
-		end := strings.IndexFunc(rest, unicode.IsSpace)
-		if end < 0 {
-			end = len(rest)
-		}
-		f := rest[:end]
-		rest = rest[end:]
+	for f, rest := nextField(s[1:]); f != ""; f, rest = nextField(rest) {
 		if f == "Y" {
 			c.Yield = true
 			continue
@@ -441,18 +432,28 @@ func parseCtrl(s string) (Ctrl, error) {
 	return c, nil
 }
 
-// printedCtrl reads control info laid out exactly as Print writes it; it
-// is false for any other text, which the field loop reads the same way.
-func printedCtrl(s string) (Ctrl, bool) {
-	if len(s) < 23 || s[:5] != "& wr=" || s[6:10] != " rd=" || s[11:17] != " wt=0x" {
-		return Ctrl{}, false
+// nextField returns the first field of s as strings.Fields splits it, and
+// the text after that field, without building the slice. A printable
+// ASCII byte is tested directly; only control bytes and multi-byte runes
+// go through unicode.IsSpace.
+func nextField(s string) (field, rest string) {
+	start := -1
+	for i := 0; i < len(s); {
+		r, n := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRuneInString(s[i:])
+		}
+		if r == ' ' || (r < ' ' || r >= utf8.RuneSelf) && unicode.IsSpace(r) {
+			if start >= 0 {
+				return s[start:i], s[i:]
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += n
 	}
-	wt, st, found := strings.Cut(s[17:], " st=")
-	st, yield := strings.CutSuffix(st, " Y")
-	w, werr := strconv.ParseUint(wt, 16, 8)
-	n, serr := strconv.ParseUint(st, 10, 8)
-	// A slot is one of "-012345", NoBar for '-'; -2 marks anything else.
-	wr, rd := strings.IndexByte("-012345", s[5])-1, strings.IndexByte("-012345", s[10])-1
-	return Ctrl{Stall: uint8(n), Yield: yield, WrBar: int8(wr), RdBar: int8(rd), WaitMask: uint8(w)},
-		found && werr == nil && serr == nil && w <= 0x3f && n <= 15 && wr >= -1 && rd >= -1
+	if start < 0 {
+		return "", ""
+	}
+	return s[start:], ""
 }

@@ -164,8 +164,10 @@ func (g *gaugeFunc) render(w io.Writer, name string) {
 	fmt.Fprintf(w, "%s%s %s\n", name, g.labels, formatFloat(g.fn()))
 }
 
-// registerRuntimeGauges exposes Go runtime state, read on scrape only.
-func registerRuntimeGauges(r *Registry) {
+// RegisterRuntimeGauges exposes Go runtime state, read on scrape only.
+// Both gpuscoutd roles register it: a worker in New, the coordinator in
+// cluster.New.
+func RegisterRuntimeGauges(r *Registry) {
 	read := func(name string) float64 {
 		s := []metrics.Sample{{Name: name}}
 		metrics.Read(s)

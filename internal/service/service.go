@@ -326,7 +326,7 @@ func New(cfg Config) (*Service, error) {
 	r.NewGaugeFunc("gpuscoutd_quarantine_open",
 		"Input fingerprints currently held by the circuit breaker.",
 		func() float64 { return float64(s.breaker.openCount()) })
-	registerRuntimeGauges(r)
+	RegisterRuntimeGauges(r)
 	// Pre-register the common degraded-report kinds so the series render
 	// from zero; rarer kinds appear on first use.
 	for _, kind := range []string{

@@ -254,10 +254,15 @@ func (s *Store) appendRecordLocked(r rec) error {
 // AppendAccept journals one acknowledged job before it is enqueued.
 // The service must not acknowledge the job to the client until this
 // returns nil: the write-ahead property is exactly that ordering.
-// req must be json.Marshal output (compact, HTML-escaped), as Submit's
+// req should be json.Marshal output (compact, HTML-escaped), as Submit's
 // is: the frame carries it verbatim, and compaction re-writes it as
-// replayed, so frames equal json.Marshal of the record.
+// replayed, so frames equal json.Marshal of the record. req that is not
+// JSON at all is refused here, before the lock: its frame would pass its
+// CRC yet end replay, dropping every record after it.
 func (s *Store) AppendAccept(id, fingerprint string, req json.RawMessage) error {
+	if len(req) > 0 && !json.Valid(req) {
+		return fmt.Errorf("store: encode journal record: req is not valid JSON")
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.appendRecordLocked(rec{Op: opAccept, ID: id, FP: fingerprint, Req: req})

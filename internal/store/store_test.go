@@ -64,6 +64,33 @@ func TestJournalAcceptTombstoneRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalRefusesMalformedReq: a req that is not JSON is refused before
+// it is framed, so it cannot end a later replay early; the accepts around
+// it still replay.
+func TestJournalRefusesMalformedReq(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{})
+	if err := s.AppendAccept("j00000001", "fp-a", req("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendAccept("j00000002", "fp-bad", json.RawMessage(`{"workload":`)); err == nil {
+		t.Fatal("AppendAccept took a req that is not JSON")
+	}
+	if err := s.AppendAccept("j00000003", "fp-c", req("c")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, p := range openTest(t, dir, Options{}).Pending() {
+		ids = append(ids, p.ID)
+	}
+	if want := []string{"j00000001", "j00000003"}; !slices.Equal(ids, want) {
+		t.Errorf("pending after restart = %v, want %v", ids, want)
+	}
+}
+
 // TestJournalTornTail truncates the journal at every byte boundary of
 // its final record: replay must recover exactly the records before the
 // cut, never panic, and the reopened journal must accept appends that
