@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build loc digest vet test bench-sass pool-width race-sim smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
+.PHONY: check build loc digest vet test test-faultinject bench-sass pool-width race-sim smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
 
 check: build vet race
 
@@ -33,6 +33,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The fault-injection build of the packages whose tests arm faults over
+# HTTP and kill the store mid-write, without the race detector (~10 s;
+# CI: build-test, after Test). `make chaos` is the same tag under -race.
+test-faultinject:
+	$(GO) test -count=1 -tags faultinject ./internal/service/ ./internal/store/ ./internal/cluster/
 
 # The SASS printer and parser benchmarks on two workloads, next to the
 # reference parser they replaced (internal/sass/oracle_test.go); CI's

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -927,5 +929,46 @@ func TestCoordinatorRefusesOverLimitReply(t *testing.T) {
 	resp, body = postJSON(t, front.URL+"/v1/analyze", req)
 	if resp.StatusCode != http.StatusOK || len(body) != limit || !json.Valid(body) {
 		t.Errorf("reply of exactly the bound: status %d, %d bytes; want the replica's 200 and all %d bytes", resp.StatusCode, len(body), limit)
+	}
+}
+
+// TestForwardReadsDeclaredLength: forward sizes its buffer from the
+// reply's Content-Length, and a body that does not match the length it
+// declared reads as io.ReadAll reads it: one cut short is an error, and
+// one that runs past it is cut at the declared length.
+func TestForwardReadsDeclaredLength(t *testing.T) {
+	var declared, sent atomic.Value
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, rw, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		fmt.Fprintf(rw, "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+			declared.Load().(int), sent.Load().(string))
+		rw.Flush()
+	}))
+	t.Cleanup(ts.Close)
+	coord, err := New(Config{Replicas: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	forward := func(n int, body string) ([]byte, error) {
+		declared.Store(n)
+		sent.Store(body)
+		_, data, err := coord.forward(context.Background(), ts.URL, http.MethodPost, "/v1/analyze", []byte(`{}`))
+		return data, err
+	}
+
+	if data, err := forward(7, `{"a":1}`); err != nil || string(data) != `{"a":1}` {
+		t.Errorf("exact body: %q, %v; want the 7 bytes", data, err)
+	}
+	if data, err := forward(100, `{"a":1}`); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("short body: %q, %v; want io.ErrUnexpectedEOF", data, err)
+	}
+	if data, err := forward(3, `{"a":1}`); err != nil || string(data) != `{"a` {
+		t.Errorf("long body: %q, %v; want the 3 declared bytes", data, err)
 	}
 }

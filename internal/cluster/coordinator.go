@@ -294,10 +294,14 @@ func (c *Coordinator) forward(ctx context.Context, url, method, pathq string, bo
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, c.maxReply+1))
-	if err != nil {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n >= 0 && n <= c.maxReply {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom grows only when < MinRead bytes are free
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, c.maxReply+1)); err != nil {
 		return nil, nil, err
 	}
+	data := buf.Bytes()
 	if int64(len(data)) > c.maxReply {
 		resp.StatusCode = http.StatusBadGateway // headers stay: every proxied answer is JSON
 		data, _ = json.Marshal(map[string]string{"error": fmt.Sprintf(

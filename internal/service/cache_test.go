@@ -175,7 +175,7 @@ func TestPoolBackpressureAndShutdown(t *testing.T) {
 	p := newPool(1, 1, func(j *Job) {
 		started <- j.ID
 		<-block
-		j.finish(StateDone, nil, "", false)
+		j.finish(StateDone, nil, "", "")
 	})
 
 	j := func(id string) *Job { return newJob(id, AnalyzeRequest{}, context.Background(), func() {}) }

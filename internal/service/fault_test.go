@@ -364,7 +364,7 @@ func TestRetryAfterComputed(t *testing.T) {
 	}
 	// Stall the worker so submissions pile up deterministically.
 	disarm, err := faultinject.Arm(faultinject.Fault{
-		Site: "service.resolve", Mode: faultinject.ModeDelay, Delay: 250 * time.Millisecond, Times: 64,
+		Site: "service.attempt", Mode: faultinject.ModeDelay, Delay: 250 * time.Millisecond, Times: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

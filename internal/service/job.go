@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -25,6 +26,8 @@ const (
 	// StateTimeout: the per-job deadline expired mid-analysis.
 	StateTimeout State = "timeout"
 )
+
+const tierMemory, tierDisk, tierPeer, tierSimulated = "memory", "disk", "peer", "simulated" // Status.Tier
 
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool {
@@ -145,17 +148,18 @@ type Job struct {
 	ctx         context.Context
 	cancel      context.CancelFunc
 	done        chan struct{}
-	fingerprint string      // quarantine identity of the input
-	onFinish    func(State) // set by the service to journal the tombstone
+	fingerprint string                     // quarantine identity of the input
+	onFinish    func(State)                // set by the service to journal the tombstone
+	resolved    atomic.Pointer[resolution] // Submit's, taken by the first attempt
 
 	mu           sync.Mutex
 	state        State
 	report       []byte // marshaled report JSON, set on StateDone
 	errMsg       string
-	cacheHit     bool
-	userAbort    bool // Cancel() was called (vs deadline expiry)
-	attempts     int  // execution attempts (>1 after a transient retry)
-	degradations int  // ledger entries in the shipped report
+	tier         string // who answered: a lookup tier or tierSimulated
+	userAbort    bool   // Cancel() was called (vs deadline expiry)
+	attempts     int    // execution attempts (>1 after a transient retry)
+	degradations int    // ledger entries in the shipped report
 	created      time.Time
 	started      time.Time
 	finished     time.Time
@@ -207,7 +211,7 @@ func (j *Job) setDegradations(n int) {
 }
 
 // finish moves the job to a terminal state exactly once.
-func (j *Job) finish(state State, report []byte, errMsg string, cacheHit bool) {
+func (j *Job) finish(state State, report []byte, errMsg string, tier string) {
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
@@ -216,13 +220,14 @@ func (j *Job) finish(state State, report []byte, errMsg string, cacheHit bool) {
 	j.state = state
 	j.report = report
 	j.errMsg = errMsg
-	j.cacheHit = cacheHit
+	j.tier = tier
 	j.finished = time.Now()
-	// Release the upload: a retained finished job answers Snapshot from
-	// the request's names only, and MaxJobsRetained bodies of up to
-	// MaxUploadBytes each are heap no byte bound covers. (Journal
-	// recovery re-reads the journalled request, not this copy.)
+	// Release the upload and its parse: a retained finished job answers
+	// Snapshot from the request's names only, and MaxJobsRetained bodies
+	// of up to MaxUploadBytes each are heap no byte bound covers.
+	// (Journal recovery re-reads the journalled request, not this copy.)
 	j.req.SASS, j.req.Cubin = "", nil
+	j.resolved.Store(nil)
 	hook := j.onFinish
 	j.mu.Unlock()
 	j.cancel() // release the timeout timer
@@ -259,6 +264,7 @@ type Status struct {
 	Kernel   string `json:"kernel,omitempty"`
 	Arch     string `json:"arch,omitempty"`
 	CacheHit bool   `json:"cache_hit"`
+	Tier     string `json:"tier,omitempty"` // who answered: memory, disk, peer (a cache hit) or simulated
 	Error    string `json:"error,omitempty"`
 	// Attempts is set past 1 when transient failures were retried.
 	Attempts int `json:"attempts,omitempty"`
@@ -281,7 +287,8 @@ func (j *Job) Snapshot() Status {
 		Workload:     j.req.Workload,
 		Kernel:       j.req.Kernel,
 		Arch:         j.req.Arch,
-		CacheHit:     j.cacheHit,
+		CacheHit:     j.tier != "" && j.tier != tierSimulated,
+		Tier:         j.tier,
 		Error:        j.errMsg,
 		Attempts:     j.attempts,
 		Degradations: j.degradations,

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrQueueFull is returned by Submit when the bounded job queue is at
@@ -20,9 +21,9 @@ var ErrClosed = errors.New("service: shutting down")
 type pool struct {
 	run    func(*Job)
 	wg     sync.WaitGroup
-	mu     sync.RWMutex // guards closed vs. sends on queue
+	mu     sync.RWMutex // orders closing against sends on queue
 	queue  chan *Job
-	closed bool
+	closed atomic.Bool
 }
 
 func newPool(workers, depth int, run func(*Job)) *pool {
@@ -43,7 +44,7 @@ func newPool(workers, depth int, run func(*Job)) *pool {
 func (p *pool) trySubmit(j *Job) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if p.closed {
+	if p.closed.Load() {
 		return ErrClosed
 	}
 	select {
@@ -63,9 +64,7 @@ func (p *pool) depth() int { return len(p.queue) }
 // stop.
 func (p *pool) shutdown() {
 	p.mu.Lock()
-	already := p.closed
-	p.closed = true
-	if !already {
+	if !p.closed.Swap(true) {
 		close(p.queue)
 	}
 	p.mu.Unlock()

@@ -244,8 +244,11 @@ func (s *Service) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	// The local half of lookup only: memory, then disk — a replica that
 	// restarted since computing the report can still serve its peers from
 	// the persistent store — and never onward to another peer.
-	data, _, ok := s.lookupLocal(r.PathValue("key"))
-	if !ok {
+	data, tier := s.lookupLocal(r.PathValue("key"))
+	if tier == "" {
+		if s.cfg.Store != nil {
+			s.storeMisses.Inc()
+		}
 		WriteError(w, http.StatusNotFound, "cache miss")
 		return
 	}

@@ -3,13 +3,13 @@
 // content-addressed report cache in front of the advisor.Run pipeline,
 // and a hand-rolled Prometheus-format metrics registry — stdlib only.
 //
-// POST /v1/analyze enqueues a job (429 + Retry-After when the queue is
-// full); a worker then walks the one request path (executeAttempt):
-// resolve the target (a built-in workload's name and scale, or an
-// uploaded kernel's SASS), key it, look the key up memory → disk → peer,
-// and only on a miss run lower → analyze → verify → sweep — under a
-// per-job context whose timeout or cancellation interrupts the simulated
-// launch itself — then encode and publish.
+// POST /v1/analyze resolves the target (a workload's name and scale, or
+// an upload's SASS) and keys it; a hit in memory or on disk is answered
+// at once, a miss is enqueued (429 + Retry-After when the queue is full)
+// for a worker to walk the one request path (executeAttempt): lookup
+// memory → disk → peer, and only on a miss lower → analyze → verify →
+// sweep — under a per-job context whose timeout or cancellation
+// interrupts the simulated launch itself — then encode and publish.
 package service
 
 import (
@@ -174,8 +174,8 @@ type Service struct {
 	draining   atomic.Bool // readiness flipped off before shutdown
 	recovering atomic.Bool // journal replay re-enqueueing jobs; /readyz 503
 
-	nextID         atomic.Uint64
-	recoveredCount atomic.Uint64 // jobs re-enqueued from the journal at startup
+	idMu              sync.Mutex
+	nextID, idCeiling uint64 // last handle issued, highest the journal reserved
 
 	jobsMu sync.Mutex
 	jobs   map[string]*Job
@@ -222,8 +222,9 @@ func New(cfg Config) (*Service, error) {
 	}
 	// Durable state first: reload the breaker (a restart must not
 	// un-quarantine a poison input) and resume the job-ID sequence past
-	// every handle the journal has ever recorded, so recovered jobs keep
-	// their IDs and new jobs cannot collide with them.
+	// every handle the journal has ever recorded or reserved, so
+	// recovered jobs keep their IDs and new jobs cannot collide with
+	// them, then reserve the first block (a failure leaves it to newID).
 	var pendingJobs []store.PendingJob
 	if st := cfg.Store; st != nil {
 		if data, ok := st.LoadBreaker(); ok {
@@ -231,10 +232,11 @@ func New(cfg Config) (*Service, error) {
 		}
 		if last := st.LastJobID(); strings.HasPrefix(last, "j") {
 			if n, err := strconv.ParseUint(last[1:], 10, 64); err == nil {
-				s.nextID.Store(n)
+				s.nextID, s.idCeiling = n, n
 			}
 		}
 		pendingJobs = st.Pending()
+		s.reserveIDsLocked(s.nextID + 1)
 	}
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.execute)
 
@@ -358,11 +360,7 @@ func (s *Service) recoverJobs(pending []store.PendingJob) {
 	st := s.cfg.Store
 	for _, p := range pending {
 		var req AnalyzeRequest
-		if err := json.Unmarshal(p.Req, &req); err != nil {
-			st.AppendTombstone(p.ID, string(StateFailed))
-			continue
-		}
-		if err := req.Validate(); err != nil {
+		if err := json.Unmarshal(p.Req, &req); err != nil || req.Validate() != nil {
 			st.AppendTombstone(p.ID, string(StateFailed))
 			continue
 		}
@@ -372,34 +370,19 @@ func (s *Service) recoverJobs(pending []store.PendingJob) {
 			st.AppendTombstone(p.ID, string(StateCancelled))
 			continue
 		}
-		j := s.admit(p.ID, req, fp)
+		j := s.admit(p.ID, req, fp, nil)
 
 		// The queue may be smaller than the recovery backlog: wait for
 		// drain rather than dropping acknowledged work.
-		for {
-			err := s.pool.trySubmit(j)
-			if err == nil {
-				s.recoveredJobs.Inc()
-				s.recoveredCount.Add(1)
-				break
-			}
+		for err := s.pool.trySubmit(j); err != nil; err = s.pool.trySubmit(j) {
 			if errors.Is(err, ErrClosed) {
 				j.cancel()
 				return
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
+		s.recoveredJobs.Inc()
 	}
-}
-
-// tombstoneHook journals a job's terminal state; attached to every job
-// when a store is configured.
-func (s *Service) tombstoneHook(id string) func(State) {
-	st := s.cfg.Store
-	if st == nil {
-		return nil
-	}
-	return func(terminal State) { st.AppendTombstone(id, string(terminal)) }
 }
 
 // persistBreaker writes the breaker's current state through the store,
@@ -414,7 +397,7 @@ func (s *Service) persistBreaker() {
 
 // RecoveredJobs reports how many journaled jobs startup recovery has
 // re-enqueued (surfaced by /healthz).
-func (s *Service) RecoveredJobs() uint64 { return s.recoveredCount.Load() }
+func (s *Service) RecoveredJobs() uint64 { return s.recoveredJobs.Value() }
 
 // degradedCounter finds or registers the degraded-report counter for one
 // "<stage>_<kind>" label value.
@@ -491,8 +474,9 @@ func (s *Service) retryAfterSeconds() int {
 // admit creates the job for an accepted request — under its own
 // deadline, carrying its quarantine identity and journal hook — and
 // registers it for GET /v1/jobs/{id}. Submit and startup recovery share
-// it, so a recovered job is indistinguishable from a fresh one.
-func (s *Service) admit(id string, req AnalyzeRequest, fp string) *Job {
+// it, so a recovered job is indistinguishable from a fresh one; Submit's
+// resolution (nil on recovery) rides along for the first attempt.
+func (s *Service) admit(id string, req AnalyzeRequest, fp string, res *resolution) *Job {
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -500,19 +484,26 @@ func (s *Service) admit(id string, req AnalyzeRequest, fp string) *Job {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	j := newJob(id, req, ctx, cancel)
 	j.fingerprint = fp
-	j.onFinish = s.tombstoneHook(id)
-
-	s.jobsMu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.pruneLocked()
-	s.jobsMu.Unlock()
+	j.resolved.Store(res)
+	if st := s.cfg.Store; st != nil { // journal the terminal state: the job's tombstone
+		j.onFinish = func(terminal State) { st.AppendTombstone(id, string(terminal)) }
+	}
+	s.register(j)
 	return j
 }
 
-// Submit validates and enqueues an analysis job. It returns ErrQueueFull
-// when the bounded queue is at capacity and ErrClosed during shutdown;
-// any other error is a request validation failure.
+func (s *Service) register(j *Job) { // for GET /v1/jobs/{id}
+	s.jobsMu.Lock()
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+	s.pruneLocked()
+	s.jobsMu.Unlock()
+}
+
+// Submit answers a local hit with a finished job (no journal record,
+// worker or queue slot) and journals and enqueues a miss. It returns
+// ErrQueueFull when the queue is full, ErrClosed during shutdown and
+// ErrDurability on a dead store (hit or not), else a validation error.
 func (s *Service) Submit(req AnalyzeRequest) (*Job, error) {
 	if err := req.Validate(); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
@@ -522,8 +513,35 @@ func (s *Service) Submit(req AnalyzeRequest) (*Job, error) {
 		s.quarantined.Inc()
 		return nil, err
 	}
-	id := fmt.Sprintf("j%08d", s.nextID.Add(1))
-	j := s.admit(id, req, fp)
+	if s.pool.closed.Load() {
+		return nil, ErrClosed
+	}
+	if st := s.cfg.Store; st != nil && st.Stats().Dead {
+		return nil, fmt.Errorf("%w: %v", ErrDurability, store.ErrDead)
+	}
+	id, err := s.newID()
+	if err != nil {
+		return nil, err
+	}
+	// The worker's first step: a miss hands it (or its error) to attempt 1.
+	res := s.resolve(req)
+	if res.err == nil {
+		if data, tier := s.lookupLocal(res.key); tier != "" {
+			if tier == tierMemory {
+				s.cacheHits.Inc()
+			}
+			s.stageDuration["build"].Observe(res.took.Seconds())
+			if s.breaker.recordSuccess(fp) {
+				s.persistBreaker()
+			}
+			j := newJob(id, req, context.Background(), func() {})
+			j.started, j.attempts = j.created, 1
+			j.finish(s.countFinish(StateDone), data, "", tier)
+			s.register(j)
+			return j, nil
+		}
+	}
+	j := s.admit(id, req, fp, res)
 
 	rollback := func() {
 		j.cancel()
@@ -563,6 +581,33 @@ func (s *Service) Submit(req AnalyzeRequest) (*Job, error) {
 	return j, nil
 }
 
+const idBlock = 1024 // job handles one journal reservation covers
+
+// newID issues the next job handle (ErrDurability: none reservable).
+func (s *Service) newID() (string, error) {
+	s.idMu.Lock()
+	defer s.idMu.Unlock()
+	if err := s.reserveIDsLocked(s.nextID + 1); err != nil {
+		return "", err
+	}
+	s.nextID++
+	return fmt.Sprintf("j%08d", s.nextID), nil
+}
+
+// reserveIDsLocked makes handle n issuable. With a store, handles are
+// issued only up to a ceiling the journal has reserved, a block at a
+// time, and a restart resumes past it (LastJobID), so no handle is
+// issued twice, a local hit's included, which has no record of its own.
+func (s *Service) reserveIDsLocked(n uint64) error {
+	for s.cfg.Store != nil && n > s.idCeiling {
+		if err := s.cfg.Store.ReserveJobIDs(fmt.Sprintf("j%08d", s.idCeiling+idBlock)); err != nil {
+			return fmt.Errorf("%w: %v", ErrDurability, err)
+		}
+		s.idCeiling += idBlock
+	}
+	return nil
+}
+
 // Job looks up a submitted job by ID.
 func (s *Service) Job(id string) (*Job, bool) {
 	s.jobsMu.Lock()
@@ -600,7 +645,7 @@ func (s *Service) execute(j *Job) {
 	// for the breaker, so a half-open probe slot is freed.
 	abort := func(msg string) {
 		s.breaker.release(j.fingerprint)
-		j.finish(s.countFinish(j.interrupted()), nil, msg, false)
+		j.finish(s.countFinish(j.interrupted()), nil, msg, "")
 	}
 	if err := j.ctx.Err(); err != nil {
 		abort("aborted before start: " + err.Error())
@@ -639,7 +684,7 @@ func (s *Service) execute(j *Job) {
 	}
 	s.breaker.recordFailure(j.fingerprint, lastErr.Error())
 	s.persistBreaker()
-	j.finish(s.countFinish(StateFailed), nil, lastErr.Error(), false)
+	j.finish(s.countFinish(StateFailed), nil, lastErr.Error(), "")
 }
 
 // notePanic counts a fatal recovered panic in the stage-panic metric.
@@ -657,52 +702,53 @@ func (s *Service) notePanic(err error) {
 // lookupLocal probes this replica's own tiers: the memory cache, then
 // the persistent store (a warm restart, or a replica rejoining the ring,
 // finds previously computed reports on disk); a disk hit is promoted
-// into the memory tier. Absent a store the disk probe is a silent miss —
-// there is no tier to account for.
-func (s *Service) lookupLocal(key string) (data []byte, fromMemory, ok bool) {
-	if data, ok = s.cache.get(key); ok {
-		return data, true, true
+// into the memory tier. It returns the tier that answered ("" on a
+// miss); the caller counts a memory hit and, with a store, a disk miss
+// (not Submit: a worker's lookup follows its miss).
+func (s *Service) lookupLocal(key string) (data []byte, tier string) {
+	if data, ok := s.cache.get(key); ok {
+		return data, tierMemory
 	}
-	st := s.cfg.Store
-	if st == nil {
-		return nil, false, false
+	if st := s.cfg.Store; st != nil {
+		if data, ok := st.GetReport(key); ok {
+			s.storeHits.Inc()
+			s.cache.put(key, data)
+			return data, tierDisk
+		}
 	}
-	if data, ok = st.GetReport(key); ok {
-		s.storeHits.Inc()
-		s.cache.put(key, data)
-	} else {
-		s.storeMisses.Inc()
-	}
-	return data, false, ok
+	return nil, ""
 }
 
 // lookup is the one tiered probe in front of the pipeline: memory → disk
-// → peer → miss. The peer tier exists because, in a cluster, a key this
-// replica has never seen may already be warm in the ring owner's cache
-// (the key was rebalanced here, or we are taking failover traffic): one
-// bounded peer lookup is far cheaper than re-simulating, a hit is
-// written through both local tiers, and any failure falls through.
+// → peer → miss (tier ""). The peer tier exists because, in a cluster, a
+// key this replica has never seen may already be warm in the ring
+// owner's cache (the key was rebalanced here, or we are taking failover
+// traffic): one bounded peer lookup is far cheaper than re-simulating, a
+// hit is written through both local tiers, and any failure falls through.
 // A peer's bytes are the one report source from outside this process
 // (the local tiers hold what MarshalJSON produced, the store's behind a
 // checksum), and every answer splices a report in verbatim: bytes that
 // are not JSON are refused here, once per fill, and count as a miss.
-func (s *Service) lookup(ctx context.Context, fingerprint, key string) ([]byte, bool) {
-	if data, fromMemory, ok := s.lookupLocal(key); ok {
-		if fromMemory {
+func (s *Service) lookup(ctx context.Context, fingerprint, key string) (data []byte, tier string) {
+	if data, tier = s.lookupLocal(key); tier != "" {
+		if tier == tierMemory {
 			s.cacheHits.Inc()
 		}
-		return data, true
+		return data, tier
+	}
+	if s.cfg.Store != nil {
+		s.storeMisses.Inc()
 	}
 	if s.cfg.PeerFill != nil {
 		if data, ok := s.cfg.PeerFill(ctx, fingerprint, key); ok && len(data) > 0 && json.Valid(data) {
 			s.peerFillHits.Inc()
 			s.publish(key, fingerprint, data)
-			return data, true
+			return data, tierPeer
 		}
 		s.peerFillMiss.Inc()
 	}
 	s.cacheMisses.Inc()
-	return nil, false
+	return nil, ""
 }
 
 // publish stores report bytes in the memory cache and writes them
@@ -725,19 +771,24 @@ func (s *Service) publish(key, fingerprint string, data []byte) {
 // reached a terminal state itself; an error means the attempt failed
 // and the retry loop decides what happens.
 func (s *Service) executeAttempt(j *Job) error {
-	// "build" is resolve plus, on a miss, each target's lowering.
-	t0 := time.Now()
-	plans, err := Resolve(j.req, s.cfg.SimWorkers)
-	build := time.Since(t0)
-	defer func() { s.stageDuration["build"].Observe(build.Seconds()) }()
-	if err != nil {
+	if err := scout.Guard(scout.StageParse, siteAttempt, func() error { return faultinject.Hit(siteAttempt) }); err != nil {
 		return err
+	}
+	res := j.resolved.Swap(nil) // the first attempt's, made at Submit
+	if res == nil {             // a retry, or a job recovered from the journal
+		res = s.resolve(j.req)
+	}
+	// "build" is resolve plus, on a miss, each target's lowering.
+	build := res.took
+	defer func() { s.stageDuration["build"].Observe(build.Seconds()) }()
+	if res.err != nil {
+		return res.err
 	}
 
 	// The pipeline is not entered on a hit.
-	key := requestKey(plans)
-	if data, ok := s.lookup(j.ctx, j.fingerprint, key); ok {
-		j.finish(s.countFinish(StateDone), data, "", true)
+	plans, key := res.plans, res.key
+	if data, tier := s.lookup(j.ctx, j.fingerprint, key); tier != "" {
+		j.finish(s.countFinish(StateDone), data, "", tier)
 		return nil
 	}
 
@@ -796,7 +847,7 @@ func (s *Service) executeAttempt(j *Job) error {
 	if len(ledger) == 0 {
 		s.publish(key, j.fingerprint, data)
 	}
-	j.finish(s.countFinish(StateDone), data, "", false)
+	j.finish(s.countFinish(StateDone), data, "", tierSimulated)
 	return nil
 }
 
@@ -832,7 +883,25 @@ func (s *Service) countFinish(st State) State {
 
 // siteResolve covers the whole resolution step (workload name and scale
 // check, SASS parse, cubin decode); the nested sites register their own.
-var siteResolve = faultinject.Register("service.resolve")
+// siteAttempt opens every worker attempt, which a local hit never makes.
+var siteResolve, siteAttempt = faultinject.Register("service.resolve"), faultinject.Register("service.attempt")
+
+// resolution is a request's plans and report key, or its error.
+type resolution struct {
+	plans []advisor.Plan
+	key   string
+	err   error
+	took  time.Duration
+}
+
+func (s *Service) resolve(req AnalyzeRequest) *resolution {
+	t0, r := time.Now(), &resolution{}
+	if r.plans, r.err = Resolve(req, s.cfg.SimWorkers); r.err == nil {
+		r.key = requestKey(r.plans)
+	}
+	r.took = time.Since(t0)
+	return r
+}
 
 // Resolve lowers a request to its analysis targets — one plan, or two
 // for arch_compare (base arch first) — under a parse-stage panic guard,

@@ -248,7 +248,7 @@ func TestJobTimeout(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	// Hold the one worker on the first job while the second one waits.
 	disarm, err := faultinject.Arm(faultinject.Fault{
-		Site: "service.resolve", Mode: faultinject.ModeDelay, Delay: 300 * time.Millisecond, Times: 1,
+		Site: "service.attempt", Mode: faultinject.ModeDelay, Delay: 300 * time.Millisecond, Times: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -686,7 +686,7 @@ func TestPruneEvictsOldestFinishedFirst(t *testing.T) {
 	var model []entry
 	for n := 1; n <= 3*retain; n++ {
 		id := fmt.Sprintf("t%04d", n)
-		j := svc.admit(id, req, req.Fingerprint()) // prunes with the new job still queued
+		j := svc.admit(id, req, req.Fingerprint(), nil) // prunes with the new job still queued
 		model = append(model, entry{id: id})
 		over := len(model) - retain
 		kept := model[:0]
@@ -711,7 +711,7 @@ func TestPruneEvictsOldestFinishedFirst(t *testing.T) {
 		svc.jobsMu.Unlock()
 
 		if n%5 != 2 { // every fifth job is long-running: it stays queued to the end
-			j.finish(StateDone, nil, "", false)
+			j.finish(StateDone, nil, "", "")
 			model[len(model)-1].done = true
 		}
 	}

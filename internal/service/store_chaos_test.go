@@ -302,12 +302,18 @@ func TestChaosDaemonMidCompactRename(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	analyzeOK(t, ts, baseline)
 
+	// Distinct dry runs: each is a miss, journaled as an accept and a
+	// tombstone (a local hit is answered at Submit and journals nothing).
+	churn := func(i int) string {
+		return fmt.Sprintf(`{"workload":"transpose_naive","dry_run":true,"scale":%d}`, 32*(i+1))
+	}
+
 	armStoreFault(t, "store.compact.rename")
 	// Churn finished jobs until the journal lag trips a compaction into
 	// the armed rename. Submissions may start failing 503 once the
 	// store is dead; the loop only cares that the site fired.
 	for i := 0; i < 30 && faultinject.Fired("store.compact.rename") == 0; i++ {
-		resp, _ := postAnalyze(t, ts, "", baseline)
+		resp, _ := postAnalyze(t, ts, "", churn(i))
 		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("churn %d: status %d", i, resp.StatusCode)
 		}
@@ -343,7 +349,7 @@ func TestChaosDaemonMidCompactRename(t *testing.T) {
 		t.Error("baseline not served from the persistent store after a crashed compaction")
 	}
 	for i := 0; i < 8; i++ {
-		analyzeOK(t, ts2, baseline)
+		analyzeOK(t, ts2, churn(100+i))
 	}
 	var hz map[string]any
 	getJSON(t, ts2.URL+"/healthz", &hz)

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
+	"gpuscout/internal/faultinject"
 	"gpuscout/internal/store"
 )
 
@@ -319,5 +321,251 @@ func TestCacheMaxBytesBound(t *testing.T) {
 	c.put("k2", make([]byte, 10))
 	if got := c.bytesUsed(); got != 10 {
 		t.Errorf("bytesUsed after update = %d, want 10", got)
+	}
+}
+
+// TestLocalHitAnsweredAtSubmit: a request whose report is in memory or on
+// disk is answered by Submit itself. It writes no journal record, needs
+// no worker and no queue slot, and its status and metrics are those of a
+// hit a worker serves. A dead store or a closed service still refuses it.
+func TestLocalHitAnsweredAtSubmit(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	dir := t.TempDir()
+	bodies := []string{
+		`{"workload":"transpose_naive","scale":32,"dry_run":true}`,
+		`{"workload":"jacobi_naive","scale":32,"dry_run":true}`,
+		`{"workload":"histogram_global","scale":4,"dry_run":true}`,
+	}
+	svc, ts := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 1})
+	st := svc.cfg.Store
+	metric := func(ts *httptest.Server, name string) float64 { return metricValue(t, ts, name) }
+	const done = `gpuscoutd_jobs_finished_total{state="done"}`
+	// comparable drops what differs between two answers of one request:
+	// the handle and the clock.
+	comparable := func(s Status) Status {
+		if s.StartedAt == nil || s.FinishedAt == nil {
+			t.Errorf("%s: started_at %v finished_at %v, want both", s.ID, s.StartedAt, s.FinishedAt)
+		}
+		s.ID, s.CreatedAt, s.StartedAt, s.FinishedAt = "", time.Time{}, nil, nil
+		return s
+	}
+	// carried reports a job's state and whether it holds Submit's plans.
+	carried := func(id string) (State, bool) {
+		j, ok := svc.Job(id)
+		if !ok {
+			t.Fatalf("job %s not registered", id)
+		}
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.state, j.resolved.Load() != nil
+	}
+	wait := func(id string) Status {
+		t.Helper()
+		j, _ := svc.Job(id)
+		<-j.Done()
+		if _, held := carried(id); held {
+			t.Errorf("finished job %s still holds its plans", id)
+		}
+		return j.Snapshot()
+	}
+	postAsync := func(body string, wantCode int) string {
+		t.Helper()
+		resp, data := postAnalyze(t, ts, "?async=1", body)
+		if resp.StatusCode != wantCode {
+			t.Fatalf("%s: status %d, want %d (body %s)", body, resp.StatusCode, wantCode, data)
+		}
+		var acc struct {
+			JobID string `json:"job_id"`
+		}
+		_ = json.Unmarshal(data, &acc)
+		return acc.JobID
+	}
+
+	// A worker-served hit, for reference: the first job holds the only
+	// worker while an identical second one queues, so the second finds
+	// the first's report when its turn comes.
+	disarm, err := faultinject.Arm(faultinject.Fault{
+		Site: "service.attempt", Mode: faultinject.ModeDelay, Delay: 100 * time.Millisecond, Times: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss, queued := postAsync(bodies[0], http.StatusAccepted), postAsync(bodies[0], http.StatusAccepted)
+	if state, held := carried(queued); state == StateQueued && !held {
+		t.Error("a queued miss does not carry Submit's resolution")
+	}
+	missSt, workerHit := wait(miss), wait(queued)
+	disarm()
+	if missSt.Tier != tierSimulated || missSt.CacheHit {
+		t.Errorf("miss: tier %q cache_hit %v, want simulated", missSt.Tier, missSt.CacheHit)
+	}
+	for _, body := range bodies[1:] {
+		if st := analyzeOK(t, ts, body); st.Tier != tierSimulated {
+			t.Errorf("%s: first answer tier %q, want simulated", body, st.Tier)
+		}
+	}
+
+	// N memory hits: no journal record, the counters a worker would move.
+	records := st.Stats().JournalRecords
+	hits0, misses0, done0 := metric(ts, "gpuscoutd_cache_hits_total"), metric(ts, "gpuscoutd_cache_misses_total"), metric(ts, done)
+	var memoryHit Status
+	for i, body := range bodies {
+		hit := analyzeOK(t, ts, body)
+		if hit.Tier != tierMemory || !hit.CacheHit {
+			t.Errorf("%s: tier %q cache_hit %v, want a memory hit", body, hit.Tier, hit.CacheHit)
+		}
+		if i == 0 {
+			memoryHit = hit
+		}
+	}
+	if got := st.Stats().JournalRecords; got != records {
+		t.Errorf("memory hits wrote %d journal records", got-records)
+	}
+	n := float64(len(bodies))
+	if got := metric(ts, "gpuscoutd_cache_hits_total") - hits0; got != n {
+		t.Errorf("cache_hits_total moved %g, want %g", got, n)
+	}
+	if got := metric(ts, "gpuscoutd_cache_misses_total") - misses0; got != 0 {
+		t.Errorf("cache_misses_total moved %g, want 0", got)
+	}
+	if got := metric(ts, done) - done0; got != n {
+		t.Errorf("jobs_finished_total{done} moved %g, want %g", got, n)
+	}
+	if a, b := comparable(workerHit), comparable(memoryHit); !reflect.DeepEqual(a, b) {
+		t.Errorf("hit at Submit differs from a worker-served hit:\n%+v\n%+v", b, a)
+	}
+	if memoryHit.Attempts != 1 {
+		t.Errorf("attempts = %d, want 1", memoryHit.Attempts)
+	}
+	var polled Status
+	getJSON(t, ts.URL+"/v1/jobs/"+memoryHit.ID, &polled)
+	if polled.State != StateDone || polled.Tier != tierMemory {
+		t.Errorf("GET /v1/jobs/%s: state %s tier %q, want done from memory", memoryHit.ID, polled.State, polled.Tier)
+	}
+
+	// With the only worker stalled and the queue full, a miss is shed and
+	// a hit is still answered. The queued job's deadline passes before
+	// the worker reaches it: finish, not an attempt, drops its plans.
+	if _, err := faultinject.Arm(faultinject.Fault{
+		Site: "service.attempt", Mode: faultinject.ModeDelay, Delay: 300 * time.Millisecond, Times: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	running := postAsync(`{"workload":"transpose_naive","scale":64,"dry_run":true}`, http.StatusAccepted)
+	for state, _ := carried(running); state == StateQueued; state, _ = carried(running) {
+		time.Sleep(time.Millisecond)
+	}
+	waiting := postAsync(`{"workload":"transpose_naive","scale":96,"dry_run":true,"timeout_ms":50}`, http.StatusAccepted)
+	postAsync(`{"workload":"transpose_naive","scale":128,"dry_run":true}`, http.StatusTooManyRequests)
+	if hit := analyzeOK(t, ts, bodies[1]); hit.Tier != tierMemory {
+		t.Errorf("hit behind a full queue: tier %q, want memory", hit.Tier)
+	}
+	wait(running)
+	if st := wait(waiting); st.State != StateTimeout {
+		t.Errorf("queued job: state %s, want timeout", st.State)
+	}
+	records = st.Stats().JournalRecords
+
+	// An async hit's handle, which no record of its own backs.
+	hitID := postAsync(bodies[2], http.StatusAccepted)
+	if got := st.Stats().JournalRecords; got != records {
+		t.Errorf("an async hit wrote %d journal records", got-records)
+	}
+
+	// A restart: the same requests are disk hits, still unjournaled.
+	ts.Close()
+	svc.Close()
+	st.Close()
+	svc, ts = newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 1})
+	waitRecovered(t, svc)
+	st = svc.cfg.Store
+	if got := st.Stats().JournalRecords; got > records+1 {
+		t.Fatalf("restart grew the journal from %d to %d records; want at most its id reservation", records, got)
+	}
+	records = st.Stats().JournalRecords
+	for _, body := range bodies {
+		if hit := analyzeOK(t, ts, body); hit.Tier != tierDisk || !hit.CacheHit || hit.Attempts != 1 {
+			t.Errorf("%s after a restart: tier %q cache_hit %v attempts %d, want a disk hit", body, hit.Tier, hit.CacheHit, hit.Attempts)
+		} else if hit.ID <= hitID {
+			t.Errorf("%s after a restart: handle %s, want one past the pre-restart hit's %s", body, hit.ID, hitID)
+		}
+	}
+	if got := st.Stats().JournalRecords; got != records {
+		t.Errorf("disk hits wrote %d journal records", got-records)
+	}
+	if got := metric(ts, "gpuscoutd_store_hits_total"); got != n {
+		t.Errorf("store_hits_total = %g, want %g", got, n)
+	}
+	if got := metric(ts, "gpuscoutd_cache_hits_total") + metric(ts, "gpuscoutd_cache_misses_total"); got != 0 {
+		t.Errorf("disk hits moved cache_hits + cache_misses by %g, want 0", got)
+	}
+	if got := metric(ts, done); got != n {
+		t.Errorf("jobs_finished_total{done} = %g, want %g", got, n)
+	}
+
+	// The sequence resumes past every handle issued before, the hit's
+	// included: polling it finds no job rather than another request's.
+	if _, ok := svc.Job(hitID); ok {
+		t.Errorf("the pre-restart hit's handle %s names a job after the restart", hitID)
+	}
+	if id := postAsync(`{"workload":"transpose_naive","scale":160,"dry_run":true}`, http.StatusAccepted); id <= hitID {
+		t.Errorf("first miss after a restart got %s, want a handle past the pre-restart hit's %s", id, hitID)
+	} else {
+		wait(id)
+	}
+
+	// Refusals come before any lookup: a dead store, then a closed
+	// service, turn even a memory hit away.
+	var req AnalyzeRequest
+	if err := json.Unmarshal([]byte(bodies[0]), &req); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if _, err := svc.Submit(req); !errors.Is(err, ErrDurability) {
+		t.Errorf("hit on a dead store: err = %v, want ErrDurability", err)
+	}
+	svc.Close()
+	if _, err := svc.Submit(req); !errors.Is(err, ErrClosed) {
+		t.Errorf("hit on a closed service: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestQueuedMissFindsDiskReport: with the memory tier off, a miss queued
+// behind an identical one finds the report its twin published on disk
+// when its turn comes, instead of simulating again, and the store miss
+// it saw at Submit is not counted twice.
+func TestQueuedMissFindsDiskReport(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	svc, ts := newStoreServer(t, t.TempDir(), Config{Workers: 1, QueueDepth: 1, CacheEntries: -1})
+	if _, err := faultinject.Arm(faultinject.Fault{
+		Site: "service.attempt", Mode: faultinject.ModeDelay, Delay: 100 * time.Millisecond, Times: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const body = `{"workload":"transpose_naive","scale":32,"dry_run":true}`
+	var tiers []string
+	var jobs []*Job
+	for i := 0; i < 2; i++ {
+		resp, data := postAnalyze(t, ts, "?async=1", body)
+		var acc struct {
+			JobID string `json:"job_id"`
+		}
+		if err := json.Unmarshal(data, &acc); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d, body %s", i, resp.StatusCode, data)
+		}
+		j, _ := svc.Job(acc.JobID)
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		<-j.Done()
+		tiers = append(tiers, j.Snapshot().Tier)
+	}
+	if tiers[0] != tierSimulated || tiers[1] != tierDisk {
+		t.Errorf("tiers %v, want [simulated disk]", tiers)
+	}
+	if hits, misses := metricValue(t, ts, "gpuscoutd_store_hits_total"), metricValue(t, ts, "gpuscoutd_store_misses_total"); hits != 1 || misses != 1 {
+		t.Errorf("store hits %g misses %g, want 1 and 1", hits, misses)
 	}
 }

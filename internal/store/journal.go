@@ -14,13 +14,15 @@ import (
 )
 
 // The write-ahead job journal is a single append-only file of framed
-// records. Every accepted job, sync, async or batch alike (they all
-// enter through Submit), is appended *before* it is enqueued — the
-// acknowledgement the client receives is backed by bytes on disk — and
-// every terminal transition (done, failed, cancelled, timeout) is
-// appended as a tombstone. On startup a recovery pass
-// replays the journal: accepts without a tombstone are the jobs a crash
-// interrupted, and the service re-enqueues them.
+// records. Every job a worker will run, sync, async or batch alike
+// (they all enter through Submit), is appended *before* it is enqueued
+// — the acknowledgement the client receives is backed by bytes on disk
+// — and every terminal transition (done, failed, cancelled, timeout) is
+// appended as a tombstone. A job answered at Submit has no record; an
+// "ids" record reserves a block of handles for such jobs ahead of use.
+// On startup a recovery pass replays the journal: accepts without a
+// tombstone are the jobs a crash interrupted, and the service
+// re-enqueues them.
 //
 // Frame layout (little-endian):
 //
@@ -66,13 +68,15 @@ const (
 	opAccept = "accept" // job acknowledged: id, fp, req
 	opTomb   = "tomb"   // job reached a terminal state: id, out
 	opSnap   = "snap"   // compaction marker: forget all prior records; id = highest ever
+	opIDs    = "ids"    // job handles up to id may be issued without a record of their own
 )
 
 // rec is the JSON payload of one journal frame.
 type rec struct {
 	Op string `json:"op"`
 	// ID is the job handle ("j00000007") of an accept or tomb record; on
-	// a snap record, the highest handle the compacted-away log had seen.
+	// a snap record, the highest handle the compacted-away log had seen;
+	// on an ids record, the highest handle the service may issue.
 	ID string `json:"id,omitempty"`
 	// FP is the input fingerprint (accept records) — the identity the
 	// report store and cluster routing key on.
@@ -185,6 +189,8 @@ func (l *liveJobs) apply(r rec) {
 	case opSnap:
 		// Compaction marker: everything before it is superseded.
 		l.jobs, l.order = nil, nil
+	case opIDs:
+		// A block of handles reserved: only the highest ID moves.
 	default:
 		// Unknown op from a newer version: skip the record, keep the
 		// rest of the journal.
@@ -266,6 +272,14 @@ func (s *Store) AppendAccept(id, fingerprint string, req json.RawMessage) error 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.appendRecordLocked(rec{Op: opAccept, ID: id, FP: fingerprint, Req: req})
+}
+
+// ReserveJobIDs journals that handles up to through may be issued with
+// no record of their own (a local hit's), so LastJobID passes them all.
+func (s *Store) ReserveJobIDs(through string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.appendRecordLocked(rec{Op: opIDs, ID: through})
 }
 
 // AppendTombstone journals a job's terminal state. A missing tombstone
@@ -379,10 +393,10 @@ func (s *Store) Pending() []PendingJob {
 	return s.live.pending()
 }
 
-// LastJobID returns the highest job ID the journal has ever recorded
-// (lexicographic — job IDs are fixed-width), so a restarted daemon can
-// resume its ID sequence without colliding with handles clients still
-// hold. Empty when the journal has never seen a job.
+// LastJobID returns the highest job ID the journal has ever recorded or
+// reserved (lexicographic — job IDs are fixed-width), so a restarted
+// daemon can resume its ID sequence without colliding with handles
+// clients still hold. Empty when the journal has never seen a job.
 func (s *Store) LastJobID() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -247,6 +247,38 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
+// TestReserveJobIDs: a reserved block of handles moves LastJobID as an
+// accept would, holds no job, and outlives a restart and a compaction; a
+// later accept inside the block does not lower it.
+func TestReserveJobIDs(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{})
+	if err := s.ReserveJobIDs("j00001024"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendAccept("j00000007", "fp", req("sgemm_naive")); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.LastJobID(); got != "j00001024" {
+		t.Errorf("LastJobID = %q, want the reserved j00001024", got)
+	}
+	if p := s.Pending(); len(p) != 1 || p[0].ID != "j00000007" {
+		t.Errorf("pending = %+v, want only j00000007", p)
+	}
+	s.Close()
+	s2 := openTest(t, dir, Options{})
+	if got := s2.LastJobID(); got != "j00001024" {
+		t.Errorf("LastJobID after a restart = %q, want j00001024", got)
+	}
+	if err := s2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	if got := openTest(t, dir, Options{}).LastJobID(); got != "j00001024" {
+		t.Errorf("LastJobID after a compaction = %q, want j00001024", got)
+	}
+}
+
 func TestReportStoreRoundTripAndRecency(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{})
