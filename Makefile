@@ -35,10 +35,13 @@ test:
 	$(GO) test ./...
 
 # The fault-injection build of the packages whose tests arm faults over
-# HTTP and kill the store mid-write, without the race detector (~10 s;
-# CI: build-test, after Test). `make chaos` is the same tag under -race.
+# HTTP and kill the store mid-write, and of the advisor's chaos tests (a
+# sweep cell's and a verify variant's fault and budget rules), without
+# the race detector (~10 s; CI: build-test, after Test). `make chaos` is
+# the same tag under -race.
 test-faultinject:
 	$(GO) test -count=1 -tags faultinject ./internal/service/ ./internal/store/ ./internal/cluster/
+	$(GO) test -count=1 -tags faultinject -run 'Chaos' ./internal/advisor/
 
 # The SASS printer and parser benchmarks on two workloads, next to the
 # reference parser they replaced (internal/sass/oracle_test.go); CI's

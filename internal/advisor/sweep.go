@@ -30,16 +30,19 @@ var buildArch = workloads.BuildArch
 // the measured headroom of its dominant resource. Findings are re-sorted
 // by the updated payoff.
 //
-// The kernel executes once, recorded, on the unperturbed arch; every
-// cell is a replay of that recording under the perturbed one
-// (sim.Recording.Replay), or a full execution when the launch is not
-// replayable. workload/scale/arch/cfg must match the analyzed run,
-// exactly as for Verify: a recording execution that does not reproduce
-// the report's cycle count is an error. A dry-run report cannot be swept
-// (no baseline measurement). A failing perturbation run drops only its
-// own matrix entry, recorded in the degradation ledger; an expired
-// deadline skips the remaining entries the same way, while an explicit
-// cancellation aborts the pass.
+// The kernel executes once, recorded, on the unperturbed arch. A cell is
+// a replay of that recording under the perturbed arch (Recording.Replay)
+// unless Recording.Inert proves the replay would measure the baseline:
+// every shared access costs as before on the new bank count, or no set of
+// the old or new cache geometry holds more of an SM's lines than it has
+// ways. A launch that is not replayable executes every cell.
+// workload/scale/arch/cfg must match the analyzed run, exactly as for
+// Verify: a recording execution that does not reproduce the report's
+// cycle count is an error. A dry-run report cannot be swept (no baseline
+// measurement). A failing perturbation run drops only its own matrix
+// entry, recorded in the degradation ledger; an expired deadline skips
+// the remaining entries the same way, while an explicit cancellation
+// aborts the pass.
 func Sweep(ctx context.Context, rep *scout.Report, workload string, scale int, arch gpu.Arch, cfg sim.Config) (*scout.Sensitivity, error) {
 	return sweep(ctx, rep, nil, workload, scale, arch, cfg)
 }
@@ -88,12 +91,13 @@ func sweep(ctx context.Context, rep *scout.Report, base *baseline, workload stri
 			if baseErr != nil {
 				return fmt.Errorf("build under %s: %w", p.ID(), baseErr)
 			}
-			var res *sim.Result
+			pa := p.Apply(arch)
+			res := &sim.Result{Cycles: sens.BaselineCycles} // what a proved cell's replay measures
 			var err error
-			if base.rec != nil {
-				res, err = base.rec.Replay(ctx, p.Apply(arch))
-			} else {
-				res, err = workloads.ExecuteContext(ctx, base.w, sim.NewDevice(p.Apply(arch)), cfg)
+			if base.rec == nil {
+				res, err = workloads.ExecuteContext(ctx, base.w, sim.NewDevice(pa), cfg)
+			} else if !base.rec.Inert(pa) {
+				res, err = base.rec.Replay(ctx, pa)
 			}
 			if err != nil {
 				return fmt.Errorf("run under %s: %w", p.ID(), err)

@@ -227,9 +227,9 @@ func TestSweepHonorsContext(t *testing.T) {
 // them. A perturbation that starts moving a field codegen reads fails
 // here instead of silently simulating the wrong kernel. The second half
 // guards the other direction: one Sweep lowers its workload once and
-// executes it once (its recording run; every cell is a replay), and a
-// whole swept Run lowers it once and executes nothing beyond the analyzed
-// run: no cell calls Prepare. Run is the only place a plan is lowered, and
+// executes it once (its recording run; every cell is a replay or proved
+// inert), and a whole swept Run lowers it once and executes nothing
+// beyond the analyzed run: no cell calls Prepare. Run is the only place a plan is lowered, and
 // it keeps nothing between calls: a plain Run is one lowering and one
 // execution, a dry run one lowering and none, and a second Run of the
 // same Plan value lowers and executes again.
@@ -430,7 +430,11 @@ func TestNonReplayableFallsBack(t *testing.T) {
 // eleven measured. The fault is armed on the 6th sim.launch hit (hit 1 is
 // the analyzed, recorded launch), but the cells run concurrently, so
 // which cell takes that hit depends on timing: the test finds the lost
-// cell from the matrix and checks what holds for any of them.
+// cell from the matrix and checks what holds for any of them. A cell the
+// recording proves inert replays nothing and never reaches sim.launch;
+// the hit still lands on a replay, because the six cells of the axes the
+// proof does not cover (dram_latency, dram_bandwidth, issue_width) always
+// replay. TestChaosProvedCellSiteFault covers the proved cells.
 func TestChaosReplayedCellLaunchFault(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
@@ -470,6 +474,51 @@ func TestChaosReplayedCellLaunchFault(t *testing.T) {
 	if d := rep.Degradations[0]; d.Stage != scout.StageVerify || d.Site != "advisor.sweep" || d.Kind != scout.DegradeError ||
 		!strings.HasPrefix(d.Detail, "perturbation "+lost.ID()+" missing from sweep: ") || !strings.Contains(d.Detail, "sim.launch") {
 		t.Errorf("ledger entry %+v, want verify/advisor.sweep/error for %s naming sim.launch", d, lost.ID())
+	}
+}
+
+// TestChaosProvedCellSiteFault: a cell the recording proves inert skips
+// its replay, not advisor.rerun's fault hook and panic guard, so when the
+// advisor.sweep site fails every cell — proved or replayed — costs
+// exactly one ledger entry, in matrix order, and none is measured.
+func TestChaosProvedCellSiteFault(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	p := Plan{Arch: gpu.V100(), Opts: scout.Options{Sim: sim.Config{SampleSMs: 1}},
+		Workload: "transpose_naive", Scale: 64, Sensitivity: true}
+	w, err := workloads.BuildArch(p.Workload, p.Scale, p.Arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rec, err := workloads.RecordContext(context.Background(), w, sim.NewDevice(p.Arch), p.Opts.Sim)
+	if err != nil || rec == nil {
+		t.Fatalf("record: %v (recording %v)", err, rec)
+	}
+	perts, proved := gpu.Perturbations(), 0
+	for _, pert := range perts {
+		if rec.Inert(pert.Apply(p.Arch)) {
+			proved++
+		}
+	}
+	if proved == 0 {
+		t.Fatal("no cell of this sweep is proved inert: the test would not reach a proved cell")
+	}
+	if _, err := faultinject.Arm(faultinject.Fault{Site: "advisor.sweep", Mode: faultinject.ModeError}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := Run(context.Background(), p)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	rep := out.Report
+	if rep.Sensitivity == nil || len(rep.Sensitivity.Deltas) != 0 || len(rep.Degradations) != len(perts) {
+		t.Fatalf("sensitivity %+v, ledger %+v; want no cell and %d entries", rep.Sensitivity, rep.Degradations, len(perts))
+	}
+	for i, d := range rep.Degradations {
+		if id := perts[i].ID(); d.Site != "advisor.sweep" || d.Kind != scout.DegradeError ||
+			!strings.HasPrefix(d.Detail, "perturbation "+id+" missing from sweep: ") || !strings.Contains(d.Detail, "injected") {
+			t.Errorf("entry %d = %+v, want an injected advisor.sweep error for %s", i, d, id)
+		}
 	}
 }
 

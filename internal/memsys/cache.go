@@ -64,6 +64,23 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 }
 
+// Fits reports whether no set is asked for more of lines (distinct address
+// / LineBytes; never for a set geometry NewCache refuses) than it has ways:
+// then it never evicts them, and hits exactly when an unbounded cache would.
+func (cfg CacheConfig) Fits(lines []uint64) bool {
+	if cfg.LineBytes <= 0 || cfg.Ways <= 0 || cfg.TotalBytes <= 0 || cfg.TotalBytes%(cfg.LineBytes*cfg.Ways) != 0 {
+		return false
+	}
+	perSet := make([]int, cfg.TotalBytes/(cfg.LineBytes*cfg.Ways))
+	for _, l := range lines {
+		set := int(l) % len(perSet)
+		if perSet[set]++; perSet[set] > cfg.Ways {
+			return false
+		}
+	}
+	return true
+}
+
 // AccessSector looks up the 32-byte (SectorBytes) sector containing addr,
 // fills it on miss, and reports whether it hit. write distinguishes read
 // and write traffic in the stats; the model is write-allocate.

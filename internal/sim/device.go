@@ -280,21 +280,6 @@ func (d *Device) ReadF32(src Buffer, n int) ([]float32, error) {
 	return out, nil
 }
 
-// WriteF64 fills a buffer with float64 values.
-func (d *Device) WriteF64(dst Buffer, vals []float64) error {
-	if len(vals)*8 > dst.Size {
-		return fmt.Errorf("sim: %d doubles exceed %d-byte buffer", len(vals), dst.Size)
-	}
-	s, err := d.host(dst.Addr, len(vals)*8)
-	if err != nil {
-		return err
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(s[i*8:], math.Float64bits(v))
-	}
-	return nil
-}
-
 // ReadF64 reads n float64 values from a buffer.
 func (d *Device) ReadF64(src Buffer, n int) ([]float64, error) {
 	s, err := d.host(src.Addr, n*8)

@@ -8,6 +8,7 @@ import (
 
 	"gpuscout/internal/faultinject"
 	"gpuscout/internal/gpu"
+	"gpuscout/internal/memsys"
 	"gpuscout/internal/sass"
 )
 
@@ -38,8 +39,9 @@ type Recording struct {
 type smRecording struct {
 	warps  []warpStream // indexed by gid - gidBase
 	bytes  int
-	budget int  // this SM's share of maxRecordingBytes
-	over   bool // the budget ran out; the streams were dropped
+	budget int      // this SM's share of maxRecordingBytes
+	over   bool     // the budget ran out; the streams were dropped
+	lines  []uint64 // the footprint (see complete)
 }
 
 type warpStream struct {
@@ -140,17 +142,69 @@ func readsBeforeOverwrite(code []decoded, from int, reg sass.Reg) bool {
 	return false
 }
 
-// complete returns r if every SM kept its streams, else nil.
+// complete returns r if every SM kept its streams, else nil, taking each
+// SM's footprint: the L1 lines its global, local and texture accesses
+// touched (all its L1 and L2 slice can have held), sorted and distinct.
 func (r *Recording) complete() *Recording {
 	if r == nil {
 		return nil
 	}
 	for i := range r.sms {
-		if r.sms[i].over {
+		sm := &r.sms[i]
+		if sm.over {
 			return nil
 		}
+		var bases []uint64
+		var seen [256]uint64 // 1 + a line recently kept, by line mod 256: most repeats stop here
+		for _, ws := range sm.warps {
+			for j := range ws.mem {
+				if ma := &ws.mem[j]; ma.space != sass.ClassShared && ma.space != sass.ClassConst {
+					bases = memsys.CoalesceSectorsInto(bases, r.arch.L1LineBytes, ma.addrs[:], ma.mask, ma.width)
+					for _, b := range bases {
+						if l := b / uint64(r.arch.L1LineBytes); seen[l%256] != l+1 {
+							seen[l%256] = l + 1
+							sm.lines = append(sm.lines, l)
+						}
+					}
+				}
+			}
+		}
+		slices.Sort(sm.lines)
+		sm.lines = slices.Clip(slices.Compact(sm.lines))
 	}
 	return r
+}
+
+// Inert reports whether Replay(ctx, arch) is proved to return what a
+// replay on the recorded arch does: arch may differ from it in SharedBanks
+// if no shared access changes its cost (nothing else reads them), and in
+// L1Bytes and L2Bytes if on every SM both geometries of that cache (or L2
+// slice) fit the footprint. Any other difference is refused.
+func (r *Recording) Inert(arch gpu.Arch) bool {
+	was := r.arch
+	was.L1Bytes, was.L2Bytes, was.SharedBanks = arch.L1Bytes, arch.L2Bytes, arch.SharedBanks
+	if was != arch {
+		return false
+	}
+	l1, l2 := caches(&r.arch)
+	pl1, pl2 := caches(&arch)
+	var banks memsys.BankScratch
+	for i := range r.sms {
+		sm := &r.sms[i]
+		if l1 != pl1 && !(l1.Fits(sm.lines) && pl1.Fits(sm.lines)) ||
+			l2 != pl2 && !(l2.LineBytes == l1.LineBytes && l2.Fits(sm.lines) && pl2.Fits(sm.lines)) {
+			return false
+		}
+		for _, ws := range sm.warps {
+			for j := range ws.mem {
+				if ma := &ws.mem[j]; ma.space == sass.ClassShared && arch.SharedBanks != r.arch.SharedBanks &&
+					sharedTrans(&banks, r.arch.SharedBanks, ma) != sharedTrans(&banks, arch.SharedBanks, ma) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // Record is LaunchContext that also returns the launch's Recording. The

@@ -365,37 +365,33 @@ func (e *engine) newSM(i int) *smState {
 	if e.rec != nil {
 		rec = &e.rec.sms[i]
 	}
-	l2SliceBytes := a.L2Bytes / a.NumSMs
-	// Keep cache geometry valid: at least one set of full associativity.
-	minBytes := a.L2LineBytes * a.L2Ways
-	if l2SliceBytes < minBytes {
-		l2SliceBytes = minBytes
-	} else {
-		l2SliceBytes = l2SliceBytes / minBytes * minBytes
-	}
+	l1, l2 := caches(a)
 	return &smState{
 		id:       p.id,
 		gidBase:  p.gidBase,
 		nextGid:  p.gidBase,
 		rec:      rec,
 		counters: newCounters(),
-		l1: memsys.NewCache(memsys.CacheConfig{
-			Name: "l1tex", TotalBytes: a.L1Bytes, LineBytes: a.L1LineBytes,
-			SectorBytes: a.L1SectorBytes, Ways: a.L1Ways,
-		}),
-		l2: memsys.NewCache(memsys.CacheConfig{
-			Name: "lts", TotalBytes: l2SliceBytes, LineBytes: a.L2LineBytes,
-			SectorBytes: a.L1SectorBytes, Ways: a.L2Ways,
-		}),
-		lsu:  memsys.NewBandwidth(float64(a.L1SectorBytes)), // 1 sector/cycle
-		texu: memsys.NewBandwidth(float64(a.L1SectorBytes)), // 1 sector/cycle
-		mio:  memsys.NewBandwidth(1),                        // 1 transaction/cycle
-		l2bw: memsys.NewBandwidth(a.L2BWBytes / float64(a.NumSMs)),
-		dram: memsys.NewBandwidth(a.DRAMBWBytes / float64(a.NumSMs)),
+		l1:       memsys.NewCache(l1),
+		l2:       memsys.NewCache(l2),
+		lsu:      memsys.NewBandwidth(float64(a.L1SectorBytes)), // 1 sector/cycle
+		texu:     memsys.NewBandwidth(float64(a.L1SectorBytes)), // 1 sector/cycle
+		mio:      memsys.NewBandwidth(1),                        // 1 transaction/cycle
+		l2bw:     memsys.NewBandwidth(a.L2BWBytes / float64(a.NumSMs)),
+		dram:     memsys.NewBandwidth(a.DRAMBWBytes / float64(a.NumSMs)),
 
 		lsuMiss: mshrTracker{capacity: a.LSUMSHRs},
 		texMiss: mshrTracker{capacity: a.TEXMSHRs},
 	}
+}
+
+// caches returns a's geometry of an SM's L1 and L2 slice: newSM's and Inert's.
+func caches(a *gpu.Arch) (l1, l2 memsys.CacheConfig) {
+	// Keep the slice valid: at least one set of full associativity.
+	set := a.L2LineBytes * a.L2Ways
+	slice := max(a.L2Bytes/a.NumSMs/set*set, set)
+	return memsys.CacheConfig{Name: "l1tex", TotalBytes: a.L1Bytes, LineBytes: a.L1LineBytes, SectorBytes: a.L1SectorBytes, Ways: a.L1Ways},
+		memsys.CacheConfig{Name: "lts", TotalBytes: slice, LineBytes: a.L2LineBytes, SectorBytes: a.L1SectorBytes, Ways: a.L2Ways}
 }
 
 // runSM simulates all blocks assigned to one SM; sm.now holds its

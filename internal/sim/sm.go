@@ -459,18 +459,9 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma *memAccess) {
 		}
 
 	case sass.ClassShared:
-		var trans int
+		trans := sharedTrans(&sm.banks, a.SharedBanks, ma)
 		if ma.atomic {
-			// Shared atomics serialize per lane on conflicting banks and
-			// words in the MIO pipe (§4.4: cheaper than global, but loads
-			// the MIO pipeline).
-			trans = sm.banks.AtomicConflicts(a.SharedBanks, ma.addrs[:], ma.mask)
 			c.SharedAtomics += uint64(bits.OnesCount32(ma.mask))
-		} else {
-			trans = sm.banks.BankConflicts(a.SharedBanks, ma.addrs[:], ma.mask, ma.width)
-		}
-		if trans == 0 {
-			trans = 1
 		}
 		svc := sm.mio.Request(now, trans)
 		done := svc + float64(a.SharedLatency)
@@ -508,6 +499,17 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma *memAccess) {
 		}
 		e.setDstReady(sm, w, d, lat, sass.ClassALU)
 	}
+}
+
+// sharedTrans is the MIO transactions (≥ 1) a shared access costs on numBanks banks.
+func sharedTrans(s *memsys.BankScratch, numBanks int, ma *memAccess) int {
+	if ma.atomic {
+		// Shared atomics serialize per lane on conflicting banks and words
+		// in the MIO pipe (§4.4: cheaper than global, but loads the MIO
+		// pipeline).
+		return max(s.AtomicConflicts(numBanks, ma.addrs[:], ma.mask), 1)
+	}
+	return max(s.BankConflicts(numBanks, ma.addrs[:], ma.mask, ma.width), 1)
 }
 
 // sectorWalk coalesces a global, local or texture access into sectors and

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"gpuscout/internal/gpu"
@@ -94,9 +95,29 @@ func sameResult(a, b *sim.Result) string {
 // perturbation does; and replayed under the recorded arch, the recorded
 // run's own. Every named build must be replayable; there is no exception
 // to list.
+//
+// It is also the oracle of Recording.Inert: a cell the recording proves
+// inert must replay bit for bit as the recorded arch does — a mismatch is
+// a wrong proof — and when every subtest ran, each cell the proof covers
+// (l1_capacity, l2_capacity, shared_banks, up and down) must have been
+// proved somewhere, so a proof that never says yes fails too.
 func TestReplayMatchesResimulation(t *testing.T) {
 	ctx := context.Background()
 	perts := gpu.Perturbations()
+	var mu sync.Mutex
+	proved := map[string]int{}
+	cases, ran := 0, 0
+	t.Cleanup(func() {
+		t.Logf("%d of %d cases ran; cells proved inert: %v", ran, cases, proved)
+		if ran < cases {
+			return
+		}
+		for _, p := range perts {
+			if r := p.Resource; (r == gpu.ResourceL1Capacity || r == gpu.ResourceL2Capacity || r == gpu.ResourceSharedBanks) && proved[p.ID()] == 0 {
+				t.Errorf("%s is never proved inert", p.ID())
+			}
+		}
+	})
 	for _, arch := range []gpu.Arch{gpu.V100(), gpu.A100()} {
 		for _, name := range Names() {
 			scales := replayScales[name[:strings.IndexByte(name, '_')]]
@@ -104,13 +125,18 @@ func TestReplayMatchesResimulation(t *testing.T) {
 				if i == 1 && scale == scales[0] {
 					continue
 				}
+				cases++
 				t.Run(fmt.Sprintf("%s/%s@%d", arch.SM, name, scale), func(t *testing.T) {
 					t.Parallel()
+					mu.Lock()
+					ran++
+					mu.Unlock()
 					w, err := BuildArch(name, scale, arch)
 					if err != nil {
 						t.Fatal(err)
 					}
 					var recs [2]*sim.Recording
+					var sames [2]*sim.Result
 					for i, workers := range []int{1, 4} {
 						cfg := sim.Config{SampleSMs: 2, Workers: workers}
 						res, rec, err := RecordContext(ctx, w, sim.NewDevice(arch), cfg)
@@ -127,7 +153,7 @@ func TestReplayMatchesResimulation(t *testing.T) {
 						if d := sameResult(res, same); d != "" {
 							t.Errorf("Workers=%d: replay on the recorded arch differs from the recorded run: %s", workers, d)
 						}
-						recs[i] = rec
+						recs[i], sames[i] = rec, same
 					}
 					for _, p := range perts {
 						pa := p.Apply(arch)
@@ -142,6 +168,17 @@ func TestReplayMatchesResimulation(t *testing.T) {
 							}
 							if d := sameResult(want, got); d != "" {
 								t.Errorf("%s: replay of recording %d differs from re-execution: %s", p.ID(), i, d)
+							}
+							if !rec.Inert(pa) {
+								continue
+							}
+							if d := sameResult(sames[i], got); d != "" {
+								t.Errorf("%s: recording %d proves the cell inert, but its replay moves: %s", p.ID(), i, d)
+							}
+							if i == 0 {
+								mu.Lock()
+								proved[p.ID()]++
+								mu.Unlock()
 							}
 						}
 					}
