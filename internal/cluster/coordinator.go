@@ -118,36 +118,24 @@ func New(cfg Config) (*Coordinator, error) {
 		start:    time.Now(),
 		repIndex: map[string]int{},
 		maxReply: 64 << 20,
-		proxied:  map[string]*service.Counter{},
 	}
 	for i, r := range cfg.Replicas {
 		c.repIndex[r] = i
 	}
 	reg := c.reg
-	reg.NewGaugeFunc("gpuscoutd_cluster_replicas",
-		"Replicas in the configured member list.",
-		func() float64 { return float64(len(c.cfg.Replicas)) })
-	reg.NewGaugeFunc("gpuscoutd_cluster_replicas_up",
-		"Replicas currently routable (last /readyz probe answered 200).",
-		func() float64 { return float64(c.members.UpCount()) })
-	for _, r := range cfg.Replicas {
-		c.proxied[r] = reg.NewCounter("gpuscoutd_cluster_proxied_total",
-			"Requests proxied to each replica.", service.Label{Name: "replica", Value: r})
-	}
-	c.failovers = reg.NewCounter("gpuscoutd_cluster_failovers_total",
-		"Proxy attempts abandoned for a dead or refusing replica and retried on the next ring owner.")
-	c.affinityBreaks = reg.NewCounter("gpuscoutd_cluster_affinity_breaks_total",
-		"Requests served by a replica other than their first-preference ring owner.")
-	c.shed = reg.NewCounter("gpuscoutd_cluster_shed_total",
-		"Requests the coordinator answered 429/503 itself because no replica could take them.")
-	c.batchRequests = reg.NewCounter("gpuscoutd_cluster_batch_requests_total",
-		"POST /v1/analyze/batch requests accepted by the coordinator.")
-	c.batchItems = reg.NewCounter("gpuscoutd_cluster_batch_items_total",
-		"Analysis requests carried inside coordinator batch bodies.")
-	c.batchDeduped = reg.NewCounter("gpuscoutd_cluster_batch_deduped_total",
-		"Batch items folded into an earlier item's slot before fan-out (shared fingerprint).")
-	c.batchReroutes = reg.NewCounter("gpuscoutd_cluster_batch_reroutes_total",
-		"Batch items re-sent to another replica after a partial sub-batch failure.")
+	reg.Register([]service.Instrument{
+		{Name: "gpuscoutd_cluster_replicas", Help: "Replicas in the configured member list.", Read: func() float64 { return float64(len(c.cfg.Replicas)) }},
+		{Name: "gpuscoutd_cluster_replicas_up", Help: "Replicas currently routable (last /readyz probe answered 200).", Read: func() float64 { return float64(c.members.UpCount()) }},
+		{Name: "gpuscoutd_cluster_failovers_total", Help: "Proxy attempts abandoned for a dead or refusing replica and retried on the next ring owner.", Counter: &c.failovers},
+		{Name: "gpuscoutd_cluster_affinity_breaks_total", Help: "Requests served by a replica other than their first-preference ring owner.", Counter: &c.affinityBreaks},
+		{Name: "gpuscoutd_cluster_shed_total", Help: "Requests the coordinator answered 429/503 itself because no replica could take them.", Counter: &c.shed},
+		{Name: "gpuscoutd_cluster_batch_requests_total", Help: "POST /v1/analyze/batch requests accepted by the coordinator.", Counter: &c.batchRequests},
+		{Name: "gpuscoutd_cluster_batch_items_total", Help: "Analysis requests carried inside coordinator batch bodies.", Counter: &c.batchItems},
+		{Name: "gpuscoutd_cluster_batch_deduped_total", Help: "Batch items folded into an earlier item's slot before fan-out (shared fingerprint).", Counter: &c.batchDeduped},
+		{Name: "gpuscoutd_cluster_batch_reroutes_total", Help: "Batch items re-sent to another replica after a partial sub-batch failure.", Counter: &c.batchReroutes},
+	}...)
+	c.proxied = reg.NewCounterVec("gpuscoutd_cluster_proxied_total",
+		"Requests proxied to each replica.", "replica", cfg.Replicas...)
 	service.RegisterRuntimeGauges(reg)
 	return c, nil
 }

@@ -17,10 +17,12 @@ func sampleKernel(t *testing.T) (*sass.Kernel, *sim.Result) {
 	b := kasm.NewBuilder("_Zsample", "sm_70", "s.cu")
 	b.NumParams(2)
 	b.Line(2)
-	tid := b.TidX()
+	// One element per thread of the grid: the blocks run on separate SMs
+	// at once, so indexing by threadIdx.x alone would race their stores.
+	gid := b.IMad(kasm.VR(b.CtaidX()), kasm.VR(b.NTidX()), kasm.VR(b.TidX()))
 	in := b.ParamPtr(0)
 	out := b.ParamPtr(1)
-	off := b.Shl(kasm.VR(tid), 2)
+	off := b.Shl(kasm.VR(gid), 2)
 	addr := b.IMadWide(kasm.VR(off), kasm.VImm(1), in)
 	b.Line(3)
 	v := b.Ldg(addr, 0, 4, false)

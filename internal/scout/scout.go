@@ -3,6 +3,7 @@ package scout
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -138,15 +139,18 @@ func AnalyzeContext(ctx context.Context, arch gpu.Arch, k *sass.Kernel, run RunC
 		return rep, nil
 	}
 
-	// --- Pillars 2+3 under the sim budget slice. Any failure here —
-	// panic, error, or the slice expiring — degrades to the static-only
-	// report rather than surfacing an empty timeout, unless the *job*
-	// context itself is done (then the caller's deadline governs).
+	// --- Pillars 2+3 under the sim budget slice, filling a copy of the
+	// static report. Any failure here — panic, error, or the slice
+	// expiring — ships the static report itself, the --dry-run report
+	// plus a ledger entry, rather than surfacing an empty timeout, unless
+	// the *job* context itself is done (then the caller's deadline
+	// governs).
 	simCtx, cancel := ctx, context.CancelFunc(func() {})
 	if sliced {
 		simCtx, cancel = context.WithTimeout(ctx, simSlice)
 	}
-	err := runDynamicPillars(simCtx, arch, k, run, opts, rep)
+	dyn := *rep
+	err := runDynamicPillars(simCtx, arch, k, run, opts, &dyn)
 	sliceExpired := simCtx.Err() != nil // read before cancel() makes it true
 	cancel()
 	if err != nil {
@@ -154,14 +158,6 @@ func AnalyzeContext(ctx context.Context, arch gpu.Arch, k *sass.Kernel, run RunC
 			return nil, fmt.Errorf("scout: %w", ctxErr)
 		}
 		rep.DryRun = true
-		rep.Result, rep.Samples, rep.Metrics = nil, nil, nil
-		rep.KernelCycles, rep.AchievedOccupancy = 0, 0
-		rep.StallShares, rep.HottestLines, rep.Overhead = nil, nil, nil
-		for fi := range rep.Findings {
-			rep.Findings[fi].Severity = 0
-			rep.Findings[fi].StallSummary = nil
-			rep.Findings[fi].MetricSummary = nil
-		}
 		rep.Degradations = append(rep.Degradations,
 			DegradationFor(StageSim, "sim.launch", err, sliceExpired))
 		sortFindings(rep.Findings)
@@ -169,7 +165,9 @@ func AnalyzeContext(ctx context.Context, arch gpu.Arch, k *sass.Kernel, run RunC
 	}
 
 	// --- Data evaluation: correlate stalls and metrics per finding. A
-	// correlation failure leaves that one finding static-shaped.
+	// correlation failure reverts that one finding to its static copy.
+	rep = &dyn
+	static := slices.Clone(rep.Findings)
 	for fi := range rep.Findings {
 		f := &rep.Findings[fi]
 		if err := Guard(StageScout, siteCorrelate, func() error {
@@ -179,9 +177,7 @@ func AnalyzeContext(ctx context.Context, arch gpu.Arch, k *sass.Kernel, run RunC
 			correlate(f, rep)
 			return nil
 		}); err != nil {
-			f.Severity = 0
-			f.StallSummary = nil
-			f.MetricSummary = nil
+			*f = static[fi]
 			rep.Degradations = append(rep.Degradations, DegradationFor(StageScout, siteCorrelate, err, false))
 		}
 		if opts.StallSlices {

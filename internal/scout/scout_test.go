@@ -1,6 +1,7 @@
 package scout
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"regexp"
@@ -268,6 +269,40 @@ func TestDryRun(t *testing.T) {
 	text := rep.Render()
 	if !strings.Contains(text, "dry run") {
 		t.Error("rendered report does not mention dry run")
+	}
+}
+
+// TestSimFailureShipsDryRunReport: the fallback when the dynamic pillars
+// fail is the --dry-run report (§3.1), byte for byte once the ledger is
+// set aside — no static severity reset, no finding reordered.
+func TestSimFailureShipsDryRunReport(t *testing.T) {
+	fail := func(context.Context, sim.Config) (*sim.Result, error) {
+		return nil, fmt.Errorf("device lost")
+	}
+	for _, arch := range []gpu.Arch{gpu.V100(), gpu.A100()} {
+		for _, name := range workloads.Names() {
+			w, err := workloads.BuildArch(name, 0, arch)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", arch.SM, name, err)
+			}
+			dry, err := AnalyzeContext(context.Background(), arch, w.Kernel, nil, Options{DryRun: true})
+			if err != nil {
+				t.Fatalf("%s/%s dry run: %v", arch.SM, name, err)
+			}
+			degraded, err := AnalyzeContext(context.Background(), arch, w.Kernel, fail, Options{})
+			if err != nil {
+				t.Fatalf("%s/%s failed run: %v", arch.SM, name, err)
+			}
+			if n := len(degraded.Degradations); n != 1 || degraded.Degradations[0].Stage != StageSim {
+				t.Fatalf("%s/%s: ledger %+v, want one sim entry", arch.SM, name, degraded.Degradations)
+			}
+			degraded.Degradations = nil
+			want, _ := dry.MarshalJSON()
+			got, _ := degraded.MarshalJSON()
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s/%s: sim-degraded report differs from the dry run:\n%s\nwant\n%s", arch.SM, name, got, want)
+			}
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package service
 
 import (
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -97,6 +99,69 @@ func (c *reportCache) bytesUsed() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
+}
+
+// lookupLocal probes this replica's own tiers: the memory cache, then
+// the persistent store (a warm restart, or a replica rejoining the ring,
+// finds previously computed reports on disk); a disk hit is promoted
+// into the memory tier. It returns the tier that answered ("" on a
+// miss); the caller counts a memory hit and, with a store, a disk miss
+// (not Submit: a worker's lookup follows its miss).
+func (s *Service) lookupLocal(key string) (data []byte, tier string) {
+	if data, ok := s.cache.get(key); ok {
+		return data, tierMemory
+	}
+	if st := s.cfg.Store; st != nil {
+		if data, ok := st.GetReport(key); ok {
+			s.storeHits.Inc()
+			s.cache.put(key, data)
+			return data, tierDisk
+		}
+	}
+	return nil, ""
+}
+
+// lookup is the one tiered probe in front of the pipeline: memory → disk
+// → peer → miss (tier ""). The peer tier exists because, in a cluster, a
+// key this replica has never seen may already be warm in the ring
+// owner's cache (the key was rebalanced here, or we are taking failover
+// traffic): one bounded peer lookup is far cheaper than re-simulating, a
+// hit is written through both local tiers, and any failure falls through.
+// A peer's bytes are the one report source from outside this process
+// (the local tiers hold what MarshalJSON produced, the store's behind a
+// checksum), and every answer splices a report in verbatim: bytes that
+// are not JSON are refused here, once per fill, and count as a miss.
+func (s *Service) lookup(ctx context.Context, fingerprint, key string) (data []byte, tier string) {
+	if data, tier = s.lookupLocal(key); tier != "" {
+		if tier == tierMemory {
+			s.cacheHits.Inc()
+		}
+		return data, tier
+	}
+	if s.cfg.Store != nil {
+		s.storeMisses.Inc()
+	}
+	if s.cfg.PeerFill != nil {
+		if data, ok := s.cfg.PeerFill(ctx, fingerprint, key); ok && len(data) > 0 && json.Valid(data) {
+			s.peerFillHits.Inc()
+			s.publish(key, fingerprint, data)
+			return data, tierPeer
+		}
+		s.peerFillMiss.Inc()
+	}
+	s.cacheMisses.Inc()
+	return nil, ""
+}
+
+// publish stores report bytes in the memory cache and writes them
+// through to the persistent store. A failed disk write is swallowed: the
+// report is already on its way to the client, and losing the disk copy
+// only costs a future recompute.
+func (s *Service) publish(key, fingerprint string, data []byte) {
+	s.cache.put(key, data)
+	if st := s.cfg.Store; st != nil {
+		_ = st.PutReport(key, fingerprint, data)
+	}
 }
 
 // modelDigest versions every stored report: the first 12 hex digits of a

@@ -65,9 +65,11 @@ func TestChaosServiceDebugEndpoint(t *testing.T) {
 		t.Fatalf("fresh listing: %d sites, %d armed", len(listing.Sites), len(listing.Armed))
 	}
 
-	submit := func() Status {
+	// Every entry of a shipped ledger is a registered degraded_reports
+	// series, and counted there.
+	submitBody := func(req string) Status {
 		t.Helper()
-		resp, body := postAnalyze(t, ts, "", `{"workload":"histogram_shared","scale":4}`)
+		resp, body := postAnalyze(t, ts, "", req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d, body %s", resp.StatusCode, body)
 		}
@@ -75,8 +77,18 @@ func TestChaosServiceDebugEndpoint(t *testing.T) {
 		if err := json.Unmarshal(body, &st); err != nil {
 			t.Fatalf("unmarshal: %v", err)
 		}
+		var rep scout.Report
+		if err := json.Unmarshal(st.Report, &rep); err != nil {
+			t.Fatalf("unmarshal report: %v", err)
+		}
+		for _, d := range rep.Degradations {
+			if metricValue(t, ts, fmt.Sprintf(`gpuscoutd_degraded_reports_total{kind="%s_%s"}`, d.Stage, d.Kind)) < 1 {
+				t.Errorf("ledger entry %s_%s shipped uncounted", d.Stage, d.Kind)
+			}
+		}
 		return st
 	}
+	submit := func() Status { return submitBody(`{"workload":"histogram_shared","scale":4}`) }
 
 	// A detector panic degrades the report; the daemon survives.
 	debugArm(t, ts.URL, scout.DetectorSite("shared_atomics"), "panic", 0, 1)
@@ -101,6 +113,13 @@ func TestChaosServiceDebugEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(string(st.Report), `"dry_run": true`) {
 		t.Error("sim fault did not fall back to a static report")
+	}
+	debugReset(t, ts.URL)
+
+	// A failing verify variant costs only its own verification.
+	debugArm(t, ts.URL, "advisor.verify", "error", 0, 1)
+	if st := submitBody(`{"workload":"histogram_global","scale":4,"verify":true}`); st.State != StateDone || st.Degradations == 0 {
+		t.Fatalf("verify fault: state=%s degradations=%d, want degraded done", st.State, st.Degradations)
 	}
 	debugReset(t, ts.URL)
 

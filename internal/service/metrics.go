@@ -84,6 +84,25 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 }
 
+// Instrument is one row of an instrument table: a plain counter stored
+// through Counter, or a gauge whose value Read returns at scrape time.
+type Instrument struct {
+	Name, Help string
+	Counter    **Counter
+	Read       func() float64
+}
+
+// Register registers one family per row of an instrument table.
+func (r *Registry) Register(table ...Instrument) {
+	for _, in := range table {
+		if in.Read != nil {
+			r.NewGaugeFunc(in.Name, in.Help, in.Read)
+		} else {
+			*in.Counter = r.NewCounter(in.Name, in.Help)
+		}
+	}
+}
+
 // --- Counter ---
 
 // Counter is a monotonically increasing integer counter.
@@ -97,6 +116,16 @@ func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
 	c := &Counter{labels: labelString(labels)}
 	r.familyFor(name, help, "counter").add(r, c)
 	return c
+}
+
+// NewCounterVec registers one counter family with a series per value of
+// its one label, each rendered from zero, keyed by value.
+func (r *Registry) NewCounterVec(name, help, label string, values ...string) map[string]*Counter {
+	vec := make(map[string]*Counter, len(values))
+	for _, v := range values {
+		vec[v] = r.NewCounter(name, help, Label{label, v})
+	}
+	return vec
 }
 
 // Inc adds one.

@@ -33,6 +33,21 @@ func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	return svc, ts
 }
 
+// retained is what job retention holds: the registry's entries and the
+// creation order pruning walks.
+func retained(s *Service) [2]int {
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	return [2]int{len(s.jobs), len(s.order)}
+}
+
+// lastIssuedID is the most recent handle newID issued.
+func lastIssuedID(s *Service) string {
+	s.idMu.Lock()
+	defer s.idMu.Unlock()
+	return fmt.Sprintf("j%08d", s.nextID)
+}
+
 func postAnalyze(t *testing.T, ts *httptest.Server, query string, body string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/analyze"+query, "application/json", strings.NewReader(body))
@@ -189,7 +204,7 @@ func TestCacheScaleMiss(t *testing.T) {
 // TestQueueBackpressure fills the bounded queue and expects 429 +
 // Retry-After on the next submission.
 func TestQueueBackpressure(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	svc, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	// Full three-pillar run at a scale that stays in flight long enough
 	// for the cancel below to land while the job is still running.
 	slow := `{"workload":"sgemm_naive","scale":512}`
@@ -213,10 +228,18 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Fatalf("job 2: status %d, body %s", resp.StatusCode, body)
 	}
 
-	// Job 3 must be shed with backpressure.
+	// Job 3 must be shed with backpressure, and a shed job never existed:
+	// its handle names nothing and retention holds what it held.
+	before := retained(svc)
 	resp, body = postAnalyze(t, ts, "?async=1", slow)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("job 3: status %d, want 429 (body %s)", resp.StatusCode, body)
+	}
+	if _, ok := svc.Job(lastIssuedID(svc)); ok {
+		t.Errorf("shed job 3 is registered as %s", lastIssuedID(svc))
+	}
+	if got := retained(svc); got != before {
+		t.Errorf("shedding job 3 moved retention (jobs, order) from %v to %v", before, got)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 response missing Retry-After header")
@@ -686,7 +709,8 @@ func TestPruneEvictsOldestFinishedFirst(t *testing.T) {
 	var model []entry
 	for n := 1; n <= 3*retain; n++ {
 		id := fmt.Sprintf("t%04d", n)
-		j := svc.admit(id, req, req.Fingerprint(), nil) // prunes with the new job still queued
+		j := svc.admit(id, req, req.Fingerprint(), nil)
+		svc.register(j) // prunes with the new job still queued
 		model = append(model, entry{id: id})
 		over := len(model) - retain
 		kept := model[:0]

@@ -103,9 +103,18 @@ func TestChaosDaemonMidJournalAppend(t *testing.T) {
 	want := analyzeOK(t, ts, baseline).Report
 
 	armStoreFault(t, "store.journal.append")
+	before := retained(svc)
 	resp, _ := postAnalyze(t, ts, "", `{"workload":"jacobi_naive","scale":32}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("torn accept: status %d, want 503 (job must not be acknowledged)", resp.StatusCode)
+	}
+	// A refused job never existed: its handle names nothing and
+	// retention holds what it held.
+	if _, ok := svc.Job(lastIssuedID(svc)); ok {
+		t.Errorf("the refused job is registered as %s", lastIssuedID(svc))
+	}
+	if got := retained(svc); got != before {
+		t.Errorf("a refused accept moved retention (jobs, order) from %v to %v", before, got)
 	}
 	// Fail-stop: the daemon refuses all further work rather than
 	// acknowledging jobs the dead journal cannot record.

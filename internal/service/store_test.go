@@ -522,8 +522,12 @@ func TestLocalHitAnsweredAtSubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Close()
+	before := retained(svc)
 	if _, err := svc.Submit(req); !errors.Is(err, ErrDurability) {
 		t.Errorf("hit on a dead store: err = %v, want ErrDurability", err)
+	}
+	if got := retained(svc); got != before {
+		t.Errorf("a refused Submit moved retention (jobs, order) from %v to %v", before, got)
 	}
 	svc.Close()
 	if _, err := svc.Submit(req); !errors.Is(err, ErrClosed) {
