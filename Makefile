@@ -126,10 +126,11 @@ chaos:
 # In-process multi-replica cluster suite: 5 workers + a coordinator on
 # loopback, Zipf-skewed load, mid-load failover, batch fan-out — run
 # repeatedly under the race detector as a bounded soak (~30s), plus the
-# worker-side batch/cache/backpressure tests it builds on.
+# worker-side batch/cache/backpressure tests it builds on, the pool's
+# waiting enqueue and startup recovery through it.
 cluster-test:
 	$(GO) test -race -count=3 -timeout 15m ./internal/cluster/
-	$(GO) test -race -run 'Batch|Healthz|Churn|DurationRing|ConcurrentSubmissions' \
+	$(GO) test -race -run 'Batch|Healthz|Churn|DurationRing|ConcurrentSubmissions|Pool|Recovery' \
 		-timeout 10m ./internal/service/
 
 # Durable-state soak: SOAK_CYCLES crash/restart cycles over one

@@ -110,3 +110,55 @@ func TestChaosVerifyBudgetExpiresMidFlight(t *testing.T) {
 	}
 	accountedOnce(t, []string{"jacobi_restrict", "jacobi_shared", "jacobi_texture"}, measured, ledger, "variant ")
 }
+
+// TestChaosStaticFallbackSkipsPasses: when the dynamic pillars fail and
+// the report falls back to static, a requested verify or sweep is not
+// run against the missing baseline; Run ships the static report with one
+// ledger entry per skipped pass.
+func TestChaosStaticFallbackSkipsPasses(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		verify, sensitivity bool
+		sites               []string
+	}{
+		{"verify", true, false, []string{"advisor.verify"}},
+		{"sensitivity", false, true, []string{"advisor.sweep"}},
+		{"both", true, true, []string{"advisor.verify", "advisor.sweep"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faultinject.Reset()
+			t.Cleanup(faultinject.Reset)
+			if _, err := faultinject.Arm(faultinject.Fault{Site: "cupti.collect", Mode: faultinject.ModeError, Times: 1}); err != nil {
+				t.Fatal(err)
+			}
+			out, err := Run(context.Background(), Plan{Arch: gpu.V100(), Workload: "histogram_global", Scale: 4,
+				Verify: tc.verify, Sensitivity: tc.sensitivity})
+			if err != nil {
+				t.Fatalf("Run: %v; a static fallback ships a report", err)
+			}
+			rep := out.Report
+			if !rep.DryRun || rep.Sensitivity != nil {
+				t.Fatalf("report: dry_run %t, sensitivity %v; want the static fallback", rep.DryRun, rep.Sensitivity)
+			}
+			var skipped []string
+			for _, d := range rep.Degradations {
+				if d.Stage != scout.StageVerify {
+					continue
+				}
+				if d.Kind != scout.DegradeError || !strings.Contains(d.Detail, "fell back to static") {
+					t.Errorf("ledger entry %+v, want an error naming the fallback", d)
+				}
+				skipped = append(skipped, d.Site)
+			}
+			if strings.Join(skipped, ",") != strings.Join(tc.sites, ",") {
+				t.Errorf("skipped passes %v, want %v", skipped, tc.sites)
+			}
+			if out.Verified != nil {
+				t.Errorf("verified %+v for a report with no baseline", out.Verified)
+			}
+			if !out.Fallback || out.Verify != 0 || out.Sweep != 0 {
+				t.Errorf("outcome: fallback %t, verify %v, sweep %v; want the fallback and no pass timed", out.Fallback, out.Verify, out.Sweep)
+			}
+		})
+	}
+}

@@ -49,6 +49,9 @@ type Outcome struct {
 	// Build, Analyze, Verify and Sweep are the wall time of each stage
 	// that ran (Build: lowering the workload; zero for an upload).
 	Build, Analyze, Verify, Sweep time.Duration
+	// Fallback is set when the dynamic pillars failed and the report fell
+	// back to static: the requested verify and sweep were skipped.
+	Fallback bool
 }
 
 // Run is the lower → analyze → verify → sweep pipeline, the one place
@@ -104,6 +107,21 @@ func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	out.Analyze = time.Since(t)
 	if err != nil {
 		return out, err
+	}
+	if out.Fallback = rep.DryRun && !p.Opts.DryRun; out.Fallback {
+		// With no baseline to re-execute against, each requested pass
+		// ships as one ledger entry instead of failing the job.
+		skipped := func(site string) scout.Degradation {
+			return scout.Degradation{Stage: scout.StageVerify, Site: site, Kind: scout.DegradeError,
+				Detail: "skipped: the report fell back to static analysis (no baseline measurement)"}
+		}
+		if p.Verify {
+			rep.Degradations = append(rep.Degradations, skipped(siteVerify))
+		}
+		if p.Sensitivity {
+			rep.Degradations = append(rep.Degradations, skipped(siteSweep))
+		}
+		p.Verify, p.Sensitivity = false, false
 	}
 	if p.Verify {
 		vctx, cancel := budgeted()

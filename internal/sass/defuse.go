@@ -1,5 +1,7 @@
 package sass
 
+import "slices"
+
 // DefUse indexes, per architectural register, where it is defined (written)
 // and used (read). Several detectors rely on it:
 //
@@ -78,32 +80,27 @@ func (du *DefUse) PointerStoredThroughAt(base Reg, loadIdx int) bool {
 	return false
 }
 
-// UseLinesAfter returns the source lines of instructions that read
-// register r at or after instruction index i, before r is redefined.
-// GPUscout uses this to widen stall correlation to the consumers of a
-// flagged load (stalls surface at the dependent instruction).
-func (du *DefUse) UseLinesAfter(r Reg, i int) []int {
+// UsesAfter returns the indices of the instructions that read the value
+// register r holds after instruction i — its uses after i up to and
+// including r's next redefinition, in program order. The slice aliases
+// Uses[r]; do not modify it. Stalls surface at these consumers, so
+// scout's stall correlation and attribution read them, as does
+// ArithUseCountAt.
+func (du *DefUse) UsesAfter(r Reg, i int) []int {
 	if r == RZ {
 		return nil
 	}
-	k := du.Kernel
-	// Find the next redefinition after i.
-	next := len(k.Insts)
+	next := len(du.Kernel.Insts)
 	for _, d := range du.Defs[r] {
 		if d > i {
 			next = d
 			break
 		}
 	}
-	var lines []int
-	for _, u := range du.Uses[r] {
-		if u > i && u <= next {
-			if l := k.Insts[u].Line; l > 0 {
-				lines = append(lines, l)
-			}
-		}
-	}
-	return lines
+	uses := du.Uses[r]
+	lo, _ := slices.BinarySearch(uses, i+1)
+	hi, _ := slices.BinarySearch(uses, next+1)
+	return uses[lo:hi]
 }
 
 // ArithUseCountAt returns how many arithmetic instructions read the value
@@ -112,20 +109,9 @@ func (du *DefUse) UseLinesAfter(r Reg, i int) []int {
 // next redefinition, so a register the allocator later recycles for an
 // unrelated value is not overcounted.
 func (du *DefUse) ArithUseCountAt(r Reg, defIdx int) int {
-	if r == RZ {
-		return 0
-	}
-	k := du.Kernel
-	next := len(k.Insts)
-	for _, d := range du.Defs[r] {
-		if d > defIdx {
-			next = d
-			break
-		}
-	}
 	n := 0
-	for _, u := range du.Uses[r] {
-		if u > defIdx && u <= next && IsArith(k.Insts[u].Op) {
+	for _, u := range du.UsesAfter(r, defIdx) {
+		if IsArith(du.Kernel.Insts[u].Op) {
 			n++
 		}
 	}

@@ -74,7 +74,10 @@ func (r *Report) ProfileRegion(fromLine, toLine int) (*RegionProfile, error) {
 
 	var regionStalls [sim.NumStalls]float64
 	var kernelTotal float64
-	for pc, integ := range r.Result.Counters.PCStalls {
+	// Sum in PC order, as cupti.Collect does: the sums are floating-point,
+	// and map order would move their low bits from call to call.
+	for _, pc := range sortedKeys(r.Result.Counters.PCStalls) {
+		integ := r.Result.Counters.PCStalls[pc]
 		for s := sim.Stall(0); s < sim.NumStalls; s++ {
 			samples := integ[s] / r.Samples.PeriodCycles
 			if s == sim.StallSelected {
@@ -115,13 +118,8 @@ func (p *RegionProfile) Render() string {
 	fmt.Fprintf(&b, "  %.4g stall samples = %.1f%% of the kernel's stalls\n",
 		p.StallSamples, 100*p.ShareOfKernel)
 	if len(p.MemoryInstructions) > 0 {
-		keys := make([]string, 0, len(p.MemoryInstructions))
-		for k := range p.MemoryInstructions {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		b.WriteString("  memory instructions:")
-		for _, k := range keys {
+		for _, k := range sortedKeys(p.MemoryInstructions) {
 			fmt.Fprintf(&b, " %s=%d", k, p.MemoryInstructions[k])
 		}
 		b.WriteString("\n")

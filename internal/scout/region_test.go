@@ -64,3 +64,29 @@ func TestProfileRegion(t *testing.T) {
 		t.Error("dry-run region profiling succeeded")
 	}
 }
+
+// TestProfileRegionDeterministic: profiling one region of one report
+// gives bit-identical floats every time (the stall sums do not follow
+// map order).
+func TestProfileRegionDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		workload       string
+		scale          int
+		fromLine, last int
+	}{{"jacobi_naive", 128, 1, 100}, {"mixbench_sp_naive", 8, 5, 10}} {
+		rep := analyzeWorkload(t, tc.workload, tc.scale, Options{Sim: sim.Config{SampleSMs: 1}})
+		want, err := rep.ProfileRegion(tc.fromLine, tc.last)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.workload, err)
+		}
+		for i := 0; i < 100; i++ {
+			got, _ := rep.ProfileRegion(tc.fromLine, tc.last)
+			if math.Float64bits(got.StallSamples) != math.Float64bits(want.StallSamples) ||
+				math.Float64bits(got.ShareOfKernel) != math.Float64bits(want.ShareOfKernel) ||
+				math.Float64bits(got.IssuedWarpInsts) != math.Float64bits(want.IssuedWarpInsts) {
+				t.Fatalf("%s call %d: samples %v share %v issued %v, first call %v %v %v", tc.workload, i,
+					got.StallSamples, got.ShareOfKernel, got.IssuedWarpInsts, want.StallSamples, want.ShareOfKernel, want.IssuedWarpInsts)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package scout
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -298,8 +299,10 @@ func correlate(f *Finding, rep *Report) {
 		if rep.view != nil && idx < len(rep.view.Kernel.Insts) {
 			in := &rep.view.Kernel.Insts[idx]
 			for _, r := range in.DstRegs(nil) {
-				for _, l := range rep.view.DefUse.UseLinesAfter(r, idx) {
-					seenLines[l] = false // consumer line: counted, not listed
+				for _, u := range rep.view.DefUse.UsesAfter(r, idx) {
+					if l := rep.view.Kernel.Insts[u].Line; l > 0 {
+						seenLines[l] = false // consumer line: counted, not listed
+					}
 				}
 			}
 		}
@@ -321,13 +324,8 @@ func correlate(f *Finding, rep *Report) {
 	// finding points at, at these lines.
 	// Summed in line order, not map order: float addition does not
 	// associate, and the report must be byte-identical on every run.
-	lines := make([]int, 0, len(seenLines))
-	for line := range seenLines {
-		lines = append(lines, line)
-	}
-	sort.Ints(lines)
 	var atSites, total float64
-	for _, line := range lines {
+	for _, line := range sortedKeys(seenLines) {
 		agg := rep.Samples.AtLine(line)
 		for _, st := range f.RelevantStalls {
 			atSites += agg[st]
@@ -470,6 +468,17 @@ func stallList(ss []sim.Stall) string {
 		out += s.String()
 	}
 	return out
+}
+
+// sortedKeys returns m's keys in ascending order: a report sums and lists
+// in this order, never in map order, so it is byte-identical every run.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // MetricLines is what a detector's derived-metric formula (§2.3, §4.2,

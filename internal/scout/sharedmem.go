@@ -2,7 +2,6 @@ package scout
 
 import (
 	"fmt"
-	"sort"
 
 	"gpuscout/internal/gpu"
 	"gpuscout/internal/sass"
@@ -113,12 +112,7 @@ func (SharedMemAnalysis) Detect(v *KernelView) []Finding {
 	}
 	// flag attaches one pattern's loads to its finding, in program order.
 	flag := func(f *Finding, notes map[int]string) {
-		idxs := make([]int, 0, len(notes))
-		for i := range notes {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		v.addSites(f, idxs, "", func(_, i int) string { return notes[i] })
+		v.addSites(f, sortedKeys(notes), "", func(_, i int) string { return notes[i] })
 	}
 
 	var out []Finding

@@ -82,20 +82,7 @@ func stalledConsumer(view *KernelView, samples *cupti.Report, idx int) (int, flo
 	k := view.Kernel
 	candidates := []int{idx}
 	for _, r := range k.Insts[idx].DstRegs(nil) {
-		// Uses of this definition: after idx, up to and including the next
-		// redefinition (mirrors DefUse.UseLinesAfter, by index).
-		next := len(k.Insts)
-		for _, d := range view.DefUse.Defs[r] {
-			if d > idx {
-				next = d
-				break
-			}
-		}
-		for _, u := range view.DefUse.Uses[r] {
-			if u > idx && u <= next {
-				candidates = append(candidates, u)
-			}
-		}
+		candidates = append(candidates, view.DefUse.UsesAfter(r, idx)...)
 	}
 	best, bestSamples := idx, 0.0
 	var bestStall sim.Stall

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -123,10 +124,10 @@ func (s *Service) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 	uniq := make([]slotJob, len(first))
 	s.batchDeduped.Add(uint64(n - len(first)))
 
-	// Enqueue each unique job, waiting out transient queue-full periods:
-	// a batch is allowed to be larger than the bounded queue — items
-	// trickle in as workers drain it — but a wedged queue fails the
-	// remaining items instead of blocking forever.
+	// Submit each unique job once, waiting for a queue place: a batch may
+	// be larger than the bounded queue — items enter as workers drain it —
+	// but a wedged queue fails the remaining items instead of blocking
+	// forever, and a client that goes away cancels the batch.
 	cancelAll := func() {
 		for _, u := range uniq {
 			if u.job != nil {
@@ -134,35 +135,17 @@ func (s *Service) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	deadline := time.Now().Add(batchEnqueueTimeout)
+	wait, cancel := context.WithTimeout(r.Context(), batchEnqueueTimeout)
+	defer cancel()
 	for k := range uniq {
+		if r.Context().Err() != nil {
+			cancelAll()
+			return
+		}
 		u := &uniq[k]
-		for {
-			if r.Context().Err() != nil {
-				cancelAll()
-				return
-			}
-			j, err := s.Submit(batch.Requests[first[k]])
-			if err == nil {
-				u.job = j
-				break
-			}
-			if !errors.Is(err, ErrQueueFull) {
-				// Quarantined or shutting down: a per-item error entry,
-				// not a batch failure.
-				u.err = err
-				break
-			}
-			if time.Now().After(deadline) {
-				u.err = fmt.Errorf("batch enqueue timed out: %w", err)
-				break
-			}
-			select {
-			case <-time.After(10 * time.Millisecond):
-			case <-r.Context().Done():
-				cancelAll()
-				return
-			}
+		u.job, u.err = s.submit(batch.Requests[first[k]], wait.Done())
+		if errors.Is(u.err, ErrQueueFull) {
+			u.err = fmt.Errorf("batch enqueue timed out: %w", u.err)
 		}
 	}
 

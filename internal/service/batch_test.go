@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"gpuscout/internal/cubin"
 	"gpuscout/internal/sass"
@@ -177,6 +178,106 @@ func TestBatchDedupeKeepsDistinctOptions(t *testing.T) {
 	}
 	if deduped := metricValue(t, ts, "gpuscoutd_batch_deduped_total"); deduped != 1 {
 		t.Errorf("batch deduped = %g, want 1", deduped)
+	}
+}
+
+// TestBatchEnqueuesEachItemOnce: a batch larger than the queue submits
+// each distinct item once and waits for a place, so the journal holds one
+// accept and one tombstone per item (plus the startup ID reservation) and
+// the items' handles are consecutive — a shed-and-resubmit loop would
+// journal an accept and a tombstone for every rejected try.
+func TestBatchEnqueuesEachItemOnce(t *testing.T) {
+	svc, ts := newStoreServer(t, t.TempDir(), Config{Workers: 1, QueueDepth: 1})
+	const n = 6
+	var batch BatchRequest
+	for i := 0; i < n; i++ {
+		batch.Requests = append(batch.Requests, AnalyzeRequest{Workload: "transpose_naive", Scale: 32 * (i + 1), SampleSMs: 1, Sensitivity: true})
+	}
+	resp, out := postBatch(t, ts, batch)
+	if resp.StatusCode != http.StatusOK || len(out.Results) != n {
+		t.Fatalf("batch: status %d, %d results", resp.StatusCode, len(out.Results))
+	}
+	for i, st := range out.Results {
+		if st.State != StateDone {
+			t.Fatalf("result %d: state %s (%s)", i, st.State, st.Error)
+		}
+		if want := fmt.Sprintf("j%08d", i+1); st.ID != want {
+			t.Errorf("result %d: handle %s, want %s", i, st.ID, want)
+		}
+	}
+	if got, want := svc.cfg.Store.Stats().JournalRecords, 2*n+1; got != want {
+		t.Errorf("journal holds %d records, want %d (%d accepts, %d tombstones, 1 ids)", got, want, n, n)
+	}
+}
+
+// TestBatchItemDeadlineStartsAtEnqueue: an item's timeout_ms runs from
+// when it takes a queue place, not from when the batch began waiting for
+// one. Every job holds the only worker for 200 ms, so each item spends
+// about 400 ms queued and running — inside its 500 ms budget — while the
+// batch as a whole takes a second, and a clock started before the wait
+// for a place would read 600 ms for the third item on.
+func TestBatchItemDeadlineStartsAtEnqueue(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	run := svc.pool.run // set before the first job is sent: the worker reads it after receiving one
+	svc.pool.run = func(j *Job) { time.Sleep(200 * time.Millisecond); run(j) }
+	var batch BatchRequest
+	for i := 0; i < 5; i++ {
+		batch.Requests = append(batch.Requests, AnalyzeRequest{Workload: "transpose_naive", Scale: 32 * (i + 1), DryRun: true, TimeoutMS: 500})
+	}
+	resp, out := postBatch(t, ts, batch)
+	if resp.StatusCode != http.StatusOK || len(out.Results) != len(batch.Requests) {
+		t.Fatalf("batch: status %d, %d results", resp.StatusCode, len(out.Results))
+	}
+	for i, st := range out.Results {
+		if st.State != StateDone {
+			t.Errorf("result %d: state %s (%s), want done", i, st.State, st.Error)
+		}
+	}
+}
+
+// TestCloseWakesWaitingBatchItem: Close does not leave a batch item
+// waiting for a queue place until batchEnqueueTimeout; the item reports
+// the shutdown.
+func TestCloseWakesWaitingBatchItem(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	// Slow enough that the first item holds the only worker and the
+	// second the only place while the third waits.
+	var batch BatchRequest
+	for _, scale := range []int{512, 528, 544} {
+		batch.Requests = append(batch.Requests, AnalyzeRequest{Workload: "sgemm_naive", Scale: scale})
+	}
+	body, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan BatchResponse, 1)
+	go func() {
+		var out BatchResponse
+		if resp, err := http.Post(ts.URL+"/v1/analyze/batch", "application/json", bytes.NewReader(body)); err == nil {
+			json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+		}
+		done <- out
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for lastIssuedID(svc) != "j00000003" || svc.pool.depth() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the third item never reached the queue (last handle %s, depth %d)", lastIssuedID(svc), svc.pool.depth())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	start := time.Now()
+	svc.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Close took %v with a batch item waiting for a place", took)
+	}
+	out := <-done
+	if len(out.Results) != 3 {
+		t.Fatalf("batch: %d results, want 3", len(out.Results))
+	}
+	if got := out.Results[2]; got.State != StateFailed || got.Error != ErrClosed.Error() {
+		t.Errorf("waiting item: state %s error %q, want failed with %q", got.State, got.Error, ErrClosed)
 	}
 }
 

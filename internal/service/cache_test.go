@@ -5,9 +5,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gpuscout/internal/scout"
 	"gpuscout/internal/sim"
@@ -169,33 +171,84 @@ func TestMetricsLabelEscaping(t *testing.T) {
 	}
 }
 
+// waitParked returns once a goroutine is blocked in pool.submit waiting
+// for a place.
+func waitParked(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[select") && strings.Contains(g, ".(*pool).submit(") {
+				return
+			}
+		}
+	}
+	t.Fatal("no submission parked waiting for a place")
+}
+
 func TestPoolBackpressureAndShutdown(t *testing.T) {
-	block := make(chan struct{})
+	release := make(chan struct{})
 	started := make(chan string, 8)
 	p := newPool(1, 1, func(j *Job) {
 		started <- j.ID
-		<-block
+		<-release
 		j.finish(StateDone, nil, "", "")
 	})
 
 	j := func(id string) *Job { return newJob(id, AnalyzeRequest{}, context.Background(), func() {}) }
-	if err := p.trySubmit(j("a")); err != nil {
+	if err := p.submit(j("a"), nil); err != nil {
 		t.Fatalf("submit a: %v", err)
 	}
 	<-started // a occupies the worker
-	if err := p.trySubmit(j("b")); err != nil {
+	if err := p.submit(j("b"), nil); err != nil {
 		t.Fatalf("submit b: %v", err)
 	}
-	if err := p.trySubmit(j("c")); err != ErrQueueFull {
+	if err := p.submit(j("c"), nil); err != ErrQueueFull {
 		t.Fatalf("submit c: err = %v, want ErrQueueFull", err)
 	}
 	if d := p.depth(); d != 1 {
 		t.Errorf("depth = %d, want 1", d)
 	}
+	expired := make(chan struct{})
+	close(expired)
+	if err := p.submit(j("c"), expired); err != ErrQueueFull {
+		t.Fatalf("submit c with a closed wait: err = %v, want ErrQueueFull", err)
+	}
 
-	close(block)
-	p.shutdown()
-	if err := p.trySubmit(j("d")); err != ErrClosed {
+	// A waiter is admitted by the place a finished job frees, and comes
+	// first: that place is the waiter's before any new fail-fast
+	// submission can take it.
+	waited := func(id string) chan error {
+		errc := make(chan error, 1)
+		go func() { errc <- p.submit(j(id), make(chan struct{})) }()
+		return errc
+	}
+	w := waited("w")
+	waitParked(t)
+	release <- struct{}{} // a finishes; the worker takes b, handing b's place to w
+	if id := <-started; id != "b" {
+		t.Fatalf("worker took %s, want b", id)
+	}
+	if err := p.submit(j("f"), nil); err != ErrQueueFull {
+		t.Fatalf("fail-fast submit with a waiter parked: err = %v, want ErrQueueFull", err)
+	}
+	if err := <-w; err != nil {
+		t.Fatalf("waiter w: %v, want admitted", err)
+	}
+
+	// Shutdown wakes a waiter before it closes the queue.
+	x := waited("x")
+	down := make(chan struct{})
+	go func() { p.shutdown(); close(down) }()
+	if err := <-x; err != ErrClosed {
+		t.Errorf("waiter x at shutdown: err = %v, want ErrClosed", err)
+	}
+	close(release)
+	<-down
+	if id := <-started; id != "w" {
+		t.Errorf("worker took %s, want the admitted waiter w", id)
+	}
+	if err := p.submit(j("d"), nil); err != ErrClosed {
 		t.Errorf("submit after shutdown: err = %v, want ErrClosed", err)
 	}
 }

@@ -116,6 +116,19 @@ func TestChaosServiceDebugEndpoint(t *testing.T) {
 	}
 	debugReset(t, ts.URL)
 
+	// A static fallback skips the requested verify and sweep: the job
+	// ships, and neither skipped pass is timed as a stage.
+	debugArm(t, ts.URL, "cupti.collect", "error", 0, 1)
+	if st := submitBody(`{"workload":"histogram_global","scale":4,"verify":true,"sensitivity":true}`); st.State != StateDone || st.Degradations == 0 {
+		t.Fatalf("fallback with verify and sweep: state=%s degradations=%d, want degraded done", st.State, st.Degradations)
+	}
+	for _, stage := range []string{"verify", "sweep"} {
+		if n := metricValue(t, ts, `gpuscoutd_stage_seconds_count{stage="`+stage+`"}`); n != 0 {
+			t.Errorf("stage %s timed %g times; a skipped pass records nothing", stage, n)
+		}
+	}
+	debugReset(t, ts.URL)
+
 	// A failing verify variant costs only its own verification.
 	debugArm(t, ts.URL, "advisor.verify", "error", 0, 1)
 	if st := submitBody(`{"workload":"histogram_global","scale":4,"verify":true}`); st.State != StateDone || st.Degradations == 0 {

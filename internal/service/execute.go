@@ -171,17 +171,18 @@ func (s *Service) executeAttempt(j *Job) error {
 }
 
 // observeOutcome feeds one pipeline run into the stage histograms and
-// the verdict counters; a stage the plan did not ask for records nothing.
+// the verdict counters; a stage the plan did not ask for, or that a
+// static fallback skipped, records nothing.
 func (s *Service) observeOutcome(p advisor.Plan, out *advisor.Outcome) {
 	s.stageDuration["analyze"].Observe(out.Analyze.Seconds())
 	if rep := out.Report; rep != nil && rep.Result != nil {
 		s.simWall.Observe(rep.Result.Host.WallSeconds)
 		s.simSpeedup.Observe(rep.Result.Host.Speedup())
 	}
-	if p.Verify {
+	if p.Verify && !out.Fallback {
 		s.stageDuration["verify"].Observe(out.Verify.Seconds())
 	}
-	if p.Sensitivity {
+	if p.Sensitivity && !out.Fallback {
 		s.stageDuration["sweep"].Observe(out.Sweep.Seconds())
 	}
 	if sum := out.Verified; sum != nil {

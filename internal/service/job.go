@@ -147,6 +147,7 @@ type Job struct {
 	req         AnalyzeRequest
 	ctx         context.Context
 	cancel      context.CancelFunc
+	timeout     time.Duration // the deadline pool.submit starts; 0: ctx is final
 	done        chan struct{}
 	fingerprint string                     // quarantine identity of the input
 	onFinish    func(State)                // set by the service to journal the tombstone

@@ -304,15 +304,16 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// recoverJobs replays the journal's pending set through the normal
-// execution path. Each job keeps its original ID (clients may still
-// hold the handle), is re-validated (the journal could have been
-// written by an older build), and respects the reloaded quarantine
-// breaker — a poison input does not get a free re-run just because the
-// daemon restarted mid-job.
+// recoverJobs replays the journal's pending set through the worker
+// pool. Each job is admitted under its original ID (clients may still
+// hold the handle) without a new accept record, is re-validated (the
+// journal could have been written by an older build), and respects the
+// reloaded quarantine breaker — a poison input does not get a free
+// re-run just because the daemon restarted mid-job.
 func (s *Service) recoverJobs(pending []store.PendingJob) {
 	defer s.recovering.Store(false)
 	st := s.cfg.Store
+	never := make(chan struct{}) // a recovered job waits for a place until shutdown
 	for _, p := range pending {
 		var req AnalyzeRequest
 		if err := json.Unmarshal(p.Req, &req); err != nil || req.Validate() != nil {
@@ -325,16 +326,12 @@ func (s *Service) recoverJobs(pending []store.PendingJob) {
 			st.AppendTombstone(p.ID, string(StateCancelled))
 			continue
 		}
+		// The queue may be smaller than the recovery backlog: wait for a
+		// place rather than drop acknowledged work. Shutdown ends the wait
+		// and leaves the rest of the journal for the next start.
 		j := s.admit(p.ID, req, fp, nil)
-
-		// The queue may be smaller than the recovery backlog: wait for
-		// drain rather than dropping acknowledged work.
-		for err := s.pool.trySubmit(j); err != nil; err = s.pool.trySubmit(j) {
-			if errors.Is(err, ErrClosed) {
-				j.cancel()
-				return
-			}
-			time.Sleep(20 * time.Millisecond)
+		if s.pool.submit(j, never) != nil {
+			return
 		}
 		s.register(j)
 		s.recoveredJobs.Inc()
@@ -363,6 +360,7 @@ func (s *Service) Uptime() time.Duration { return time.Since(s.start) }
 // balancer stops routing before the queue starts rejecting.
 func (s *Service) Close() {
 	s.BeginShutdown()
+	s.pool.beginShutdown() // wake waiting submissions first: one enqueued after the loop would run uncancelled
 	s.jobsMu.Lock()
 	for _, j := range s.jobs {
 		j.Cancel()
@@ -412,7 +410,8 @@ func (s *Service) retryAfterSeconds() int {
 	return secs
 }
 
-// admit creates the job for a request — under its own deadline, carrying
+// admit creates the job for a request — with its own timeout, which the
+// pool starts once the job holds a queue place (pool.submit), carrying
 // its quarantine identity and journal hook. Submit and startup recovery
 // share it, so a recovered job is indistinguishable from a fresh one;
 // Submit's resolution (nil on recovery) rides along for the first
@@ -422,8 +421,8 @@ func (s *Service) admit(id string, req AnalyzeRequest, fp string, res *resolutio
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	j := newJob(id, req, ctx, cancel)
+	j := newJob(id, req, context.Background(), func() {}) // no deadline until the pool arms it
+	j.timeout = timeout
 	j.fingerprint = fp
 	j.resolved.Store(res)
 	if st := s.cfg.Store; st != nil { // journal the terminal state: the job's tombstone
@@ -444,7 +443,11 @@ func (s *Service) register(j *Job) { // for GET /v1/jobs/{id}
 // worker or queue slot) and journals and enqueues a miss. It returns
 // ErrQueueFull when the queue is full, ErrClosed during shutdown and
 // ErrDurability on a dead store (hit or not), else a validation error.
-func (s *Service) Submit(req AnalyzeRequest) (*Job, error) {
+func (s *Service) Submit(req AnalyzeRequest) (*Job, error) { return s.submit(req, nil) }
+
+// submit is Submit whose miss waits for a queue place until wait closes
+// (see pool.submit); a nil wait fails fast.
+func (s *Service) submit(req AnalyzeRequest, wait <-chan struct{}) (*Job, error) {
 	if err := req.Validate(); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
@@ -492,13 +495,11 @@ func (s *Service) Submit(req AnalyzeRequest) (*Job, error) {
 			err = st.AppendAccept(id, fp, reqJSON)
 		}
 		if err != nil {
-			j.cancel()
 			return nil, fmt.Errorf("%w: %v", ErrDurability, err)
 		}
 	}
 
-	if err := s.pool.trySubmit(j); err != nil {
-		j.cancel()
+	if err := s.pool.submit(j, wait); err != nil {
 		if st := s.cfg.Store; st != nil {
 			// The accept is journaled but the job was shed: tombstone it
 			// so a restart does not resurrect a job the client was told

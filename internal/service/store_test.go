@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -248,6 +249,40 @@ func TestJournalRecoveryReenqueues(t *testing.T) {
 	}
 	if j.ID <= "j00000007" {
 		t.Errorf("post-recovery job ID %s did not resume past the journal's j00000007", j.ID)
+	}
+}
+
+// TestRecoveryWaitsForQueuePlaces: a journal holding more pending jobs
+// than the queue has places recovers every one under its journaled ID.
+func TestRecoveryWaitsForQueuePlaces(t *testing.T) {
+	dir := t.TempDir()
+	var ids []string
+	{
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			r := AnalyzeRequest{Workload: "transpose_naive", Scale: 32 * (i + 1), SampleSMs: 1}
+			reqJSON, _ := json.Marshal(r)
+			id := fmt.Sprintf("j%08d", 11+i)
+			if err := st.AppendAccept(id, r.Fingerprint(), reqJSON); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		st.Close()
+	}
+
+	svc, ts := newStoreServer(t, dir, Config{Workers: 1, QueueDepth: 1})
+	waitRecovered(t, svc)
+	for _, id := range ids {
+		if st := waitForTerminal(t, ts, id); st.State != StateDone || len(st.Report) == 0 {
+			t.Errorf("recovered job %s ended %s (%s)", id, st.State, st.Error)
+		}
+	}
+	if got := metricValue(t, ts, "gpuscoutd_recovered_jobs_total"); got != float64(len(ids)) {
+		t.Errorf("recovered_jobs_total = %g, want %d", got, len(ids))
 	}
 }
 

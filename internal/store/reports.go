@@ -1,10 +1,11 @@
 package store
 
 import (
-	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -144,35 +145,35 @@ func (s *Store) GetReport(key string) ([]byte, bool) {
 // verifyReport checks an entry's header against its body and returns
 // the body on success.
 func verifyReport(raw []byte) (body []byte, ok bool) {
-	nl := -1
-	limit := len(raw)
-	if limit > reportHeaderMax {
-		limit = reportHeaderMax
-	}
-	for i := 0; i < limit; i++ {
-		if raw[i] == '\n' {
-			nl = i
-			break
-		}
-	}
-	if nl < 0 {
+	digest, n, body, ok := parseHeader(raw)
+	if !ok || n != len(body) {
 		return nil, false
+	}
+	sum := sha256.Sum256(body)
+	if hex.EncodeToString(sum[:]) != digest {
+		return nil, false
+	}
+	return body, true
+}
+
+// parseHeader splits an entry's header line, which must end within
+// reportHeaderMax bytes of raw, into the body's digest and length, and
+// returns the bytes after it; ok is false unless the line is a v1 header.
+func parseHeader(raw []byte) (digest string, n int, rest []byte, ok bool) {
+	nl := bytes.IndexByte(raw[:min(len(raw), reportHeaderMax)], '\n')
+	if nl < 0 {
+		return "", 0, nil, false
 	}
 	fields := strings.Fields(string(raw[:nl]))
 	// "GPUSCOUT-REPORT" "v1" <digest> <len> <fingerprint>
 	if len(fields) != 5 || fields[0]+" "+fields[1] != reportMagic {
-		return nil, false
+		return "", 0, nil, false
 	}
 	n, err := strconv.Atoi(fields[3])
-	if err != nil || n < 0 || n != len(raw)-nl-1 {
-		return nil, false
+	if err != nil || n < 0 {
+		return "", 0, nil, false
 	}
-	body = raw[nl+1:]
-	sum := sha256.Sum256(body)
-	if hex.EncodeToString(sum[:]) != fields[2] {
-		return nil, false
-	}
-	return body, true
+	return fields[2], n, raw[nl+1:], true
 }
 
 // quarantineLocked moves a bad entry to corrupt/ (never deletes it —
@@ -265,11 +266,8 @@ func validEntryHeader(path string) bool {
 		return false
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, reportHeaderMax)
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return false
-	}
-	fields := strings.Fields(strings.TrimSuffix(line, "\n"))
-	return len(fields) == 5 && fields[0]+" "+fields[1] == reportMagic
+	head := make([]byte, reportHeaderMax)
+	n, _ := io.ReadFull(f, head)
+	_, _, _, ok := parseHeader(head[:n])
+	return ok
 }
