@@ -141,9 +141,11 @@ type HostStats struct {
 	// SMSeconds sums each SM's individual host simulation time; with
 	// perfect scaling WallSeconds approaches SMSeconds / Workers.
 	SMSeconds float64
-	// FilledPages counts the 4 KiB pages of Device.Fill'ed memory this
-	// launch filled on first touch: what sampling left it to write of the
-	// input, pages filled before the launch (by a host accessor) excluded.
+	// FilledPages counts the 4 KiB pages under a Device.Fill this launch
+	// backed and filled on first touch: what sampling left it to write of
+	// the input, pages backed before the launch (by a host accessor)
+	// excluded. Pages it backed that no Fill covers, zeroed on first
+	// touch, are not counted.
 	FilledPages int
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,16 +16,20 @@ import (
 // detectable.
 const memBase uint64 = 0x7f0000000
 
-// MaxDeviceBytes bounds the device memory one Device hands out. The
-// simulator backs every allocated byte with host memory, and a workload's
-// footprint grows with a request's scale, so the modeled DRAM size
-// (16 GiB on a V100) is no protection for the host: 128 MiB is ~12x the
-// largest footprint any shipped test, benchmark request, example or
+// MaxDeviceBytes bounds the device addresses one Device hands out. A
+// workload's footprint grows with a request's scale, and a launch may touch
+// — and so back with host memory — any page of it, so the modeled DRAM
+// size (16 GiB on a V100) is no protection for the host: 128 MiB is ~12x
+// the largest footprint any shipped test, benchmark request, example or
 // experiment allocates (10 MiB).
 const MaxDeviceBytes = 128 << 20
 
-// pageShift sets the granule of demand filling: 4 KiB pages of the image.
-const pageShift = 12
+// The image is held in 4 KiB pages, each backed on its first touch.
+const (
+	pageShift = 12
+	pageBytes = 1 << pageShift
+	pageMask  = pageBytes - 1
+)
 
 // Device models one GPU: its global memory arena and texture bindings.
 // It plays the role of the CUDA runtime for examples and benchmarks
@@ -32,18 +37,16 @@ const pageShift = 12
 type Device struct {
 	Arch gpu.Arch
 
-	mem   []byte
 	next  uint64 // next free offset
 	texes []Texture
 
-	// Demand filling (Fill). fills is every generator declared, in order;
-	// nil while none is, which is the one branch an access pays then.
-	// pages holds one state word per page of the image: 0 when the bytes
-	// in mem are its contents, else 1 + the index of the first fill still
-	// to be applied to it. A page is filled under fillMu and published by
-	// an atomic store of 0; filled counts the pages filled so far.
+	// pages is the image: one entry per 4 KiB page of what Alloc handed
+	// out, nil until the page is first touched. fills is every Fill
+	// declared, in order; a page is backed, given every fill over it and
+	// published under fillMu, and filled counts the backed pages a fill
+	// wrote.
+	pages  []atomic.Pointer[[pageBytes]byte]
 	fills  []fill
-	pages  []atomic.Uint32
 	fillMu sync.Mutex
 	filled int
 }
@@ -54,6 +57,33 @@ type fill struct {
 	off, size uint64
 	width     int
 	gen       func(i int) uint64
+}
+
+// covers reports whether f declares words on page p.
+func (f fill) covers(p uint64) bool {
+	return f.off < (p+1)<<pageShift && f.off+f.size > p<<pageShift
+}
+
+// apply writes f's words on page p into pg, the page's contents, and
+// reports whether there were any.
+func (f fill) apply(pg *[pageBytes]byte, p uint64) bool {
+	if !f.covers(p) {
+		return false
+	}
+	lo, w := p<<pageShift, uint64(f.width)
+	i0 := (max(lo, f.off) - f.off) / w
+	i1 := (min(lo+pageBytes, f.off+f.size) - f.off) / w
+	dst, i := pg[f.off+i0*w-lo:f.off+i1*w-lo], int(i0)
+	if w == 4 {
+		for ; len(dst) >= 4; i, dst = i+1, dst[4:] {
+			binary.LittleEndian.PutUint32(dst, uint32(f.gen(i)))
+		}
+	} else {
+		for ; len(dst) >= 8; i, dst = i+1, dst[8:] {
+			binary.LittleEndian.PutUint64(dst, f.gen(i))
+		}
+	}
+	return true
 }
 
 // Buffer is a device memory allocation.
@@ -71,12 +101,25 @@ type Texture struct {
 	Height int
 }
 
+// misalignedError is a lane access whose address is not a multiple of its
+// width, which the hardware faults (misaligned address). No lane access
+// therefore spans two pages.
+type misalignedError struct {
+	addr  uint64
+	width int
+}
+
+func (e *misalignedError) Error() string {
+	return fmt.Sprintf("sim: misaligned device address %#x for a %d-byte access", e.addr, e.width)
+}
+
 // NewDevice creates a device with the given architecture.
 func NewDevice(arch gpu.Arch) *Device {
 	return &Device{Arch: arch}
 }
 
-// Alloc reserves n bytes of device memory (256-byte aligned).
+// Alloc reserves n bytes of device memory (256-byte aligned). It hands out
+// addresses only: a page is backed by host memory when first touched.
 func (d *Device) Alloc(n int) (Buffer, error) {
 	if n <= 0 {
 		return Buffer{}, fmt.Errorf("sim: Alloc(%d)", n)
@@ -91,32 +134,10 @@ func (d *Device) Alloc(n int) (Buffer, error) {
 	}
 	off := d.next
 	d.next += uint64(aligned)
+	if np := int((d.next + pageMask) >> pageShift); np > len(d.pages) {
+		d.pages = slices.Grow(d.pages, np-len(d.pages))[:np]
+	}
 	return Buffer{Addr: memBase + off, Size: n}, nil
-}
-
-// materialize backs every allocated byte with host memory. Alloc only
-// hands out addresses; the host accessors and launch call this before
-// they touch memory, so buffers allocated together — a workload's whole
-// launch — cost one allocation of exactly their total and no copy. Only an
-// image that already holds data grows with headroom.
-func (d *Device) materialize() {
-	need := int(d.next)
-	if need <= len(d.mem) {
-		return
-	}
-	if len(d.mem) > 0 {
-		need = min(need*2, MaxDeviceBytes)
-	}
-	grown := make([]byte, need)
-	copy(grown, d.mem)
-	d.mem = grown
-}
-
-// host is slice for the host side of the device: the accessors below,
-// which may be the first to touch a fresh allocation.
-func (d *Device) host(addr uint64, n int) ([]byte, error) {
-	d.materialize()
-	return d.slice(addr, n)
 }
 
 // MustAlloc is Alloc for tests and examples with static sizes.
@@ -128,31 +149,70 @@ func (d *Device) MustAlloc(n int) Buffer {
 	return b
 }
 
-func (d *Device) slice(addr uint64, n int) ([]byte, error) {
+// offset is the image offset of device bytes addr..addr+n, which must lie
+// within what Alloc handed out.
+func (d *Device) offset(addr uint64, n int) (uint64, error) {
 	off := addr - memBase
 	if addr < memBase || off > d.next || uint64(n) > d.next-off {
-		return nil, fmt.Errorf("sim: device address %#x+%d out of bounds", addr, n)
+		return 0, fmt.Errorf("sim: device address %#x+%d out of bounds", addr, n)
 	}
-	// A lane access spans one page, almost always a ready one: check it
-	// here and leave the rest to touch.
-	if p := off >> pageShift; d.fills != nil && n > 0 && p < uint64(len(d.pages)) &&
-		(d.pages[p].Load() != 0 || (off+uint64(n)-1)>>pageShift != p) {
-		d.touch(off, off+uint64(n))
+	return off, nil
+}
+
+// lane is the door to the image for lane accesses (global, texture,
+// atomic, async copy): the width bytes at addr, naturally aligned, so
+// within one page, which it backs on its first touch.
+func (d *Device) lane(addr uint64, width int) ([]byte, error) {
+	off, err := d.offset(addr, width)
+	if err != nil {
+		return nil, err
 	}
-	return d.mem[off : off+uint64(n)], nil
+	if off&uint64(width-1) != 0 {
+		return nil, &misalignedError{addr, width}
+	}
+	return d.page(off >> pageShift)[off&pageMask:][:width], nil
+}
+
+// page returns page p, backing it if this is its first touch.
+func (d *Device) page(p uint64) *[pageBytes]byte {
+	if pg := d.pages[p].Load(); pg != nil {
+		return pg
+	}
+	return d.back(p)
+}
+
+// back backs page p: it allocates the page, applies every Fill over it in
+// declaration order and publishes it. Concurrent first touches serialize
+// on fillMu; the loser finds the page published.
+func (d *Device) back(p uint64) *[pageBytes]byte {
+	d.fillMu.Lock()
+	defer d.fillMu.Unlock()
+	pg := d.pages[p].Load()
+	if pg != nil {
+		return pg
+	}
+	pg, filled := new([pageBytes]byte), false
+	for _, f := range d.fills {
+		filled = f.apply(pg, p) || filled
+	}
+	if filled {
+		d.filled++
+	}
+	d.pages[p].Store(pg)
+	return pg
 }
 
 // Fill declares that element i of buf holds gen(i), stored as a width-byte
-// (4 or 8) little-endian word, for every i < buf.Size/width. No element is
-// written now (the image is backed, as by any host accessor): each 4 KiB
-// page of the buffer is filled from its generators the first time a lane
-// access, a host accessor or MemorySnapshot touches it, so a launch that
-// samples a few SMs pays only for the pages they read. A later Fill or
-// host write over the same bytes overrides it, as an eager write would.
-// gen must be a pure function of i that does not call the Device: it runs
-// under the device's fill lock, on any goroutine of a launch, for any
-// subset of the elements, in any order. Fill itself, like Alloc, must not
-// run concurrently with a launch on the same device.
+// (4 or 8) little-endian word, for every i < buf.Size/width. It writes
+// only the pages of buf already backed; every other page receives its
+// words when first touched by a lane access, a host accessor or
+// MemorySnapshot, so a launch that samples a few SMs pays only for the
+// pages they touch. A later Fill or host write over the same bytes
+// overrides it, as an eager write would. gen must be a pure function of i
+// that does not call the Device: it runs under the device's fill lock, on
+// any goroutine of a launch, for any subset of the elements, in any order.
+// Fill itself, like Alloc, must not run concurrently with a launch on the
+// same device.
 func (d *Device) Fill(buf Buffer, width int, gen func(i int) uint64) error {
 	off := buf.Addr - memBase
 	switch {
@@ -166,64 +226,37 @@ func (d *Device) Fill(buf Buffer, width int, gen func(i int) uint64) error {
 		return fmt.Errorf("sim: Fill of %d-byte words over a %d-byte buffer at %#x: size or address is not a multiple of the width",
 			width, buf.Size, buf.Addr)
 	}
-	d.materialize()
 	f := fill{off: off, size: uint64(buf.Size), width: width, gen: gen}
-	first, last := off>>pageShift, (off+f.size-1)>>pageShift
-	if n := int(last) + 1; n > len(d.pages) {
-		grown := make([]atomic.Uint32, n)
-		for p := range d.pages {
-			grown[p].Store(d.pages[p].Load())
+	for p := off >> pageShift; p <= (off+f.size-1)>>pageShift; p++ {
+		if pg := d.pages[p].Load(); pg != nil {
+			f.apply(pg, p)
 		}
-		d.pages = grown
-	}
-	for p := first; p <= last; p++ {
-		d.pages[p].CompareAndSwap(0, uint32(len(d.fills))+1)
 	}
 	d.fills = append(d.fills, f)
 	return nil
 }
 
-// touch fills the pending pages overlapping image bytes [lo, hi), lo < hi.
-func (d *Device) touch(lo, hi uint64) {
-	end := min((hi-1)>>pageShift+1, uint64(len(d.pages)))
-	for p := lo >> pageShift; p < end; p++ {
-		if d.pages[p].Load() != 0 {
-			d.fillPage(p)
+// read copies the image from offset off into dst. A page never touched
+// reads as zeros and stays unbacked, unless a Fill covers it.
+func (d *Device) read(dst []byte, off uint64) {
+	for len(dst) > 0 {
+		p, in := off>>pageShift, off&pageMask
+		n := min(len(dst), int(pageBytes-in))
+		if d.pages[p].Load() != nil || slices.ContainsFunc(d.fills, func(f fill) bool { return f.covers(p) }) {
+			copy(dst[:n], d.page(p)[in:])
+		} else {
+			clear(dst[:n])
 		}
+		dst, off = dst[n:], off+uint64(n)
 	}
 }
 
-// fillPage applies to page p, in declaration order, every fill declared
-// since p was last filled. Concurrent first touches serialize on fillMu;
-// the loser finds the page published and returns.
-func (d *Device) fillPage(p uint64) {
-	d.fillMu.Lock()
-	defer d.fillMu.Unlock()
-	first := d.pages[p].Load()
-	if first == 0 {
-		return
+// write copies src into the image from offset off.
+func (d *Device) write(off uint64, src []byte) {
+	for len(src) > 0 {
+		n := copy(d.page(off >> pageShift)[off&pageMask:], src)
+		src, off = src[n:], off+uint64(n)
 	}
-	lo, hi := p<<pageShift, (p+1)<<pageShift
-	for _, f := range d.fills[first-1:] {
-		if f.off >= hi || f.off+f.size <= lo {
-			continue
-		}
-		w := uint64(f.width)
-		i0 := (max(lo, f.off) - f.off) / w
-		i1 := (min(hi, f.off+f.size) - f.off) / w
-		dst, i := d.mem[f.off+i0*w:f.off+i1*w], int(i0)
-		if w == 4 {
-			for ; len(dst) >= 4; i, dst = i+1, dst[4:] {
-				binary.LittleEndian.PutUint32(dst, uint32(f.gen(i)))
-			}
-		} else {
-			for ; len(dst) >= 8; i, dst = i+1, dst[8:] {
-				binary.LittleEndian.PutUint64(dst, f.gen(i))
-			}
-		}
-	}
-	d.filled++
-	d.pages[p].Store(0)
 }
 
 // CopyToDevice writes host bytes into device memory.
@@ -231,11 +264,11 @@ func (d *Device) CopyToDevice(dst Buffer, src []byte) error {
 	if len(src) > dst.Size {
 		return fmt.Errorf("sim: copy of %d bytes into %d-byte buffer", len(src), dst.Size)
 	}
-	s, err := d.host(dst.Addr, len(src))
+	off, err := d.offset(dst.Addr, len(src))
 	if err != nil {
 		return err
 	}
-	copy(s, src)
+	d.write(off, src)
 	return nil
 }
 
@@ -244,81 +277,82 @@ func (d *Device) CopyFromDevice(dst []byte, src Buffer) error {
 	if len(dst) > src.Size {
 		return fmt.Errorf("sim: copy of %d bytes from %d-byte buffer", len(dst), src.Size)
 	}
-	s, err := d.host(src.Addr, len(dst))
+	off, err := d.offset(src.Addr, len(dst))
 	if err != nil {
 		return err
 	}
-	copy(dst, s)
+	d.read(dst, off)
 	return nil
+}
+
+// writeWords stores vals as width-byte words at dst, encoding them a page
+// of bytes at a time.
+func writeWords[T any](d *Device, dst Buffer, vals []T, width int, put func([]byte, T)) error {
+	if len(vals)*width > dst.Size {
+		return fmt.Errorf("sim: %d %d-byte words exceed %d-byte buffer", len(vals), width, dst.Size)
+	}
+	off, err := d.offset(dst.Addr, len(vals)*width)
+	if err != nil {
+		return err
+	}
+	chunk := make([]byte, min(len(vals)*width, pageBytes))
+	for len(vals) > 0 {
+		k := min(len(vals), pageBytes/width)
+		for i, v := range vals[:k] {
+			put(chunk[i*width:], v)
+		}
+		d.write(off, chunk[:k*width])
+		vals, off = vals[k:], off+uint64(k*width)
+	}
+	return nil
+}
+
+// readWords loads n width-byte words from src, decoding them a page of
+// bytes at a time.
+func readWords[T any](d *Device, src Buffer, n, width int, get func([]byte) T) ([]T, error) {
+	if n < 0 || n*width > src.Size {
+		return nil, fmt.Errorf("sim: %d %d-byte words exceed %d-byte buffer", n, width, src.Size)
+	}
+	off, err := d.offset(src.Addr, n*width)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, n)
+	chunk := make([]byte, min(n*width, pageBytes))
+	for vals := out; len(vals) > 0; {
+		k := min(len(vals), pageBytes/width)
+		d.read(chunk[:k*width], off)
+		for i := range vals[:k] {
+			vals[i] = get(chunk[i*width:])
+		}
+		vals, off = vals[k:], off+uint64(k*width)
+	}
+	return out, nil
 }
 
 // WriteF32 fills a buffer with float32 values.
 func (d *Device) WriteF32(dst Buffer, vals []float32) error {
-	if len(vals)*4 > dst.Size {
-		return fmt.Errorf("sim: %d floats exceed %d-byte buffer", len(vals), dst.Size)
-	}
-	s, err := d.host(dst.Addr, len(vals)*4)
-	if err != nil {
-		return err
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(s[i*4:], math.Float32bits(v))
-	}
-	return nil
+	return writeWords(d, dst, vals, 4, func(b []byte, v float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(v)) })
 }
 
 // ReadF32 reads n float32 values from a buffer.
 func (d *Device) ReadF32(src Buffer, n int) ([]float32, error) {
-	s, err := d.host(src.Addr, n*4)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(s[i*4:]))
-	}
-	return out, nil
+	return readWords(d, src, n, 4, func(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) })
 }
 
 // ReadF64 reads n float64 values from a buffer.
 func (d *Device) ReadF64(src Buffer, n int) ([]float64, error) {
-	s, err := d.host(src.Addr, n*8)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(s[i*8:]))
-	}
-	return out, nil
+	return readWords(d, src, n, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
 }
 
 // WriteI32 fills a buffer with int32 values.
 func (d *Device) WriteI32(dst Buffer, vals []int32) error {
-	if len(vals)*4 > dst.Size {
-		return fmt.Errorf("sim: %d ints exceed %d-byte buffer", len(vals), dst.Size)
-	}
-	s, err := d.host(dst.Addr, len(vals)*4)
-	if err != nil {
-		return err
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(s[i*4:], uint32(v))
-	}
-	return nil
+	return writeWords(d, dst, vals, 4, func(b []byte, v int32) { binary.LittleEndian.PutUint32(b, uint32(v)) })
 }
 
 // ReadI32 reads n int32 values from a buffer.
 func (d *Device) ReadI32(src Buffer, n int) ([]int32, error) {
-	s, err := d.host(src.Addr, n*4)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(s[i*4:]))
-	}
-	return out, nil
+	return readWords(d, src, n, 4, func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) })
 }
 
 // BindTexture2D binds a width x height float32 texture over buf and
@@ -343,12 +377,7 @@ func (d *Device) texture(id int) (Texture, error) {
 // arena. Differential tests use it to compare the functional effects of
 // two launches (e.g. sequential vs parallel simulation) byte for byte.
 func (d *Device) MemorySnapshot() []byte {
-	d.materialize()
-	if d.fills != nil {
-		d.touch(0, d.next)
-		d.fills, d.pages = nil, nil
-	}
 	out := make([]byte, d.next)
-	copy(out, d.mem[:d.next])
+	d.read(out, 0)
 	return out
 }

@@ -121,7 +121,7 @@ func (e *engine) locate(w *warp, d *decoded, tex *Texture, lane int, taddr *uint
 		}
 		return e.constMem[off:][:width], nil
 	}
-	return e.dev.slice(*taddr, width)
+	return e.dev.lane(*taddr, width)
 }
 
 func clamp(v, n int) int {

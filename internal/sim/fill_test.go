@@ -8,8 +8,6 @@ import (
 	"gpuscout/internal/gpu"
 )
 
-const pageBytes = 1 << pageShift
-
 // f32Gen is a Fill generator of float32 words.
 func f32Gen(f func(i int) float32) func(int) uint64 {
 	return func(i int) uint64 { return uint64(math.Float32bits(f(i))) }

@@ -170,7 +170,6 @@ func launch(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config, recor
 		arch:      dev.Arch,
 		localBase: memBase + uint64(dev.Arch.DRAMBytes) + (1 << 40),
 	}
-	dev.materialize()
 
 	// Parameter area in constant bank 0.
 	e.constMem = make([]byte, paramBase+8*len(spec.Params))

@@ -556,20 +556,20 @@ func asExecError(err error, target **execError) bool {
 
 // TestAllocHostBound: a device hands out at most MaxDeviceBytes, refuses
 // the allocation that would cross it before backing it with host memory,
-// and never grows its arena past the bound.
+// and never grows its page table past the bound.
 func TestAllocHostBound(t *testing.T) {
 	d := NewDevice(gpu.V100())
 	if _, err := d.Alloc(MaxDeviceBytes + 1); err == nil || !strings.Contains(err.Error(), "128 MiB") {
 		t.Fatalf("oversized Alloc: err = %v, want one naming the 128 MiB bound", err)
 	}
-	if len(d.mem) != 0 {
-		t.Fatalf("refused Alloc still grew the arena to %d B", len(d.mem))
+	if len(d.pages) != 0 {
+		t.Fatalf("refused Alloc still grew the page table to %d pages", len(d.pages))
 	}
 	if _, err := d.Alloc(MaxDeviceBytes - 4096); err != nil {
 		t.Fatalf("Alloc within the bound: %v", err)
 	}
-	if len(d.mem) > MaxDeviceBytes {
-		t.Errorf("arena grew to %d B, past the %d B bound", len(d.mem), MaxDeviceBytes)
+	if len(d.pages) > MaxDeviceBytes/pageBytes {
+		t.Errorf("page table grew to %d pages, past the %d B bound", len(d.pages), MaxDeviceBytes)
 	}
 	if _, err := d.Alloc(4096); err != nil {
 		t.Errorf("Alloc up to exactly the bound: %v", err)

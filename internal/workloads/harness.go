@@ -62,8 +62,8 @@ func generator(fill any) (int, func(int) uint64, error) {
 //     their addresses are part of the device image the differential and
 //     pinned tests compare.
 //   - Contents are declared, never written: each fill becomes one
-//     sim.Device.Fill, so a Prepare writes no input (it backs the zeroed
-//     image), a launch fills the pages its sampled SMs touch, and a scale
+//     sim.Device.Fill, so a Prepare writes no input and backs no page, a
+//     launch backs and fills the pages its sampled SMs touch, and a scale
 //     past sim.MaxDeviceBytes fails at Alloc having built nothing.
 //   - Everything else — generators, checks — is built once, here, and
 //     every Prepare — a sweep's recording run, a Verify variant — starts
