@@ -127,10 +127,11 @@ chaos:
 # loopback, Zipf-skewed load, mid-load failover, batch fan-out — run
 # repeatedly under the race detector as a bounded soak (~30s), plus the
 # worker-side batch/cache/backpressure tests it builds on, the pool's
-# waiting enqueue and startup recovery through it.
+# waiting enqueue, startup recovery through submit, and the one settle
+# step every finished job passes.
 cluster-test:
 	$(GO) test -race -count=3 -timeout 15m ./internal/cluster/
-	$(GO) test -race -run 'Batch|Healthz|Churn|DurationRing|ConcurrentSubmissions|Pool|Recovery' \
+	$(GO) test -race -run 'Batch|Healthz|Churn|DurationRing|ConcurrentSubmissions|Pool|Recovery|RecoveredStoredReports|EveryPathSettlesOnce' \
 		-timeout 10m ./internal/service/
 
 # Durable-state soak: SOAK_CYCLES crash/restart cycles over one

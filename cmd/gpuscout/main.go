@@ -92,7 +92,7 @@ func run(args []string, stdout io.Writer) error {
 		slices   = fs.Bool("slice", false, "attach a backward def-use slice (producer chain) to each finding's highest-stall PC")
 		archName = fs.String("arch", "sm_70", "GPU architecture (sm_70/V100, sm_60/P100, sm_80/A100; sm70/sm80 also accepted)")
 		archCmp  = fs.String("arch-compare", "", "second architecture: analyze -workload on both and print the cross-arch finding comparison")
-		sample   = fs.Int("sample-sms", 2, "SMs to simulate (sampling)")
+		sample   = fs.Int("sample-sms", 0, "SMs to simulate (sampling; 0 = the simulator's default, as for a daemon request without sample_sms)")
 		period   = fs.Float64("sampling-period", 0, "CUPTI sampling period in cycles (0 = default)")
 		list     = fs.Bool("list", false, "list built-in workloads")
 		compare  = fs.String("compare", "", "second workload: print old-vs-new metric comparison")

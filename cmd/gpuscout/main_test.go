@@ -243,10 +243,10 @@ func TestExperimentsSubcommand(t *testing.T) {
 
 // TestCLIAndDaemonAgree pins the one lowering: a request spelled as flags
 // and the same request posted to a daemon yield the same document, byte
-// for byte — for a workload with every pass on, both upload forms and an
-// arch comparison. The answer's report member is the stored document
-// itself, so the two are compared raw; only the file's trailing newline
-// is dropped.
+// for byte — for a workload with every pass on, both upload forms, an
+// arch comparison and a workload with every flag at its default. The
+// answer's report member is the stored document itself, so the two are
+// compared raw; only the file's trailing newline is dropped.
 func TestCLIAndDaemonAgree(t *testing.T) {
 	svc, err := service.New(service.Config{Workers: 1})
 	if err != nil {
@@ -276,6 +276,9 @@ func TestCLIAndDaemonAgree(t *testing.T) {
 			service.AnalyzeRequest{Cubin: cubinBytes, Kernel: "_Z9transposePKfPfi", Arch: "sm80"}},
 		{[]string{"-workload", "sgemm_shared", "-scale", "64", "-sample-sms", "1", "-arch-compare", "sm80", "-verify"},
 			service.AnalyzeRequest{Workload: "sgemm_shared", Scale: 64, SampleSMs: 1, ArchCompare: "sm80", Verify: true}},
+		// No -sample-sms: the flag's default is the request's omitted field.
+		{[]string{"-workload", "jacobi_naive", "-scale", "256"},
+			service.AnalyzeRequest{Workload: "jacobi_naive", Scale: 256}},
 	} {
 		out := filepath.Join(t.TempDir(), "out.json")
 		var stdout bytes.Buffer

@@ -18,21 +18,22 @@ import (
 // fail the batch.
 var siteBatch = faultinject.Register("cluster.batch")
 
-// batchSlot is one distinct fingerprint's pending result. done closes
-// exactly once, after status is set.
+// batchSlot is one distinct fingerprint's pending result: its Status
+// body, in pieces (withReplica). done closes exactly once, after status
+// is set.
 type batchSlot struct {
 	req    service.AnalyzeRequest
 	fp     string
-	status json.RawMessage
+	status net.Buffers
 	done   chan struct{}
 }
 
-func (s *batchSlot) deliver(status json.RawMessage) {
+func (s *batchSlot) deliver(status ...[]byte) {
 	s.status = status
 	close(s.done)
 }
 
-func failStatus(msg string) json.RawMessage {
+func failStatus(msg string) []byte {
 	b, _ := json.Marshal(service.Status{State: service.StateFailed, Error: msg})
 	return b
 }
@@ -66,7 +67,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s := uniq[slot[i]]
 		select {
 		case <-s.done:
-			return net.Buffers{s.status}, true
+			return append(net.Buffers(nil), s.status...), true // writing consumes the pieces: a duplicate gets its own
 		case <-r.Context().Done():
 			return nil, false
 		}
@@ -189,7 +190,7 @@ func (c *Coordinator) sendSubBatch(ctx context.Context, owner string, slots []*b
 			c.members.MarkDown(owner, "batch response truncated: "+err.Error())
 			return slots[i:]
 		}
-		s.deliver(st)
+		s.deliver(withReplica(st, c.repIndex[owner])...)
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,6 +21,7 @@ import (
 
 	"gpuscout/internal/sass"
 	"gpuscout/internal/service"
+	"gpuscout/internal/workloads"
 )
 
 // testCluster is an in-process fleet: n worker replicas on loopback
@@ -970,5 +972,85 @@ func TestForwardReadsDeclaredLength(t *testing.T) {
 	}
 	if data, err := forward(3, `{"a":1}`); err != nil || string(data) != `{"a` {
 		t.Errorf("long body: %q, %v; want the 3 declared bytes", data, err)
+	}
+}
+
+// TestCoordinatorListsWorkloadsWithoutReplicas: the coordinator is the
+// same binary as its workers and answers GET /v1/workloads from its own
+// registry, so the listing survives every replica being down.
+func TestCoordinatorListsWorkloadsWithoutReplicas(t *testing.T) {
+	coord, err := New(Config{Replicas: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Start()
+	t.Cleanup(coord.Close)
+	front := httptest.NewServer(coord.Handler())
+	t.Cleanup(front.Close)
+	if up := coord.Membership().UpCount(); up != 0 {
+		t.Fatalf("%d replicas up, want none", up)
+	}
+	resp, err := http.Get(front.URL + "/v1/workloads")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct {
+		Workloads []string `json:"workloads"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/workloads: status %d, %v", resp.StatusCode, err)
+	}
+	if want := workloads.Names(); len(want) != 23 || !slices.Equal(got.Workloads, want) {
+		t.Errorf("coordinator lists %d workloads %v, want the registry's 23: %v", len(got.Workloads), got.Workloads, want)
+	}
+}
+
+// TestCoordinatorHandlesRouteHome: every job handle a coordinator hands
+// out — in a synchronous answer and in each batch entry — is a cluster
+// id the coordinator routes home, so GET and DELETE /v1/jobs on it find
+// the same job in the same state.
+func TestCoordinatorHandlesRouteHome(t *testing.T) {
+	tc := startCluster(t, 3, service.Config{Workers: 2, QueueDepth: 16})
+	var answers []service.Status
+	for i := 0; i < 3; i++ {
+		resp, body := postJSON(t, tc.front.URL+"/v1/analyze", clusterKernelReq(900+i))
+		var st service.Status
+		if err := json.Unmarshal(body, &st); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("sync analyze %d: status %d, %v (%s)", i, resp.StatusCode, err, body)
+		}
+		answers = append(answers, st)
+	}
+	batch := service.BatchRequest{Requests: []service.AnalyzeRequest{
+		clusterKernelReq(910), clusterKernelReq(911), clusterKernelReq(910), clusterKernelReq(900),
+	}}
+	resp, body := postJSON(t, tc.front.URL+"/v1/analyze/batch", batch)
+	var out service.BatchResponse
+	if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, %v (%s)", resp.StatusCode, err, body)
+	}
+	if out.Results[0].ID != out.Results[2].ID {
+		t.Errorf("duplicate batch items carry handles %s and %s, want one job's", out.Results[0].ID, out.Results[2].ID)
+	}
+	answers = append(answers, out.Results...)
+	for i, want := range answers {
+		if !strings.HasPrefix(want.ID, "r") || want.State != service.StateDone {
+			t.Errorf("answer %d: id %q state %s, want a done job under a cluster id", i, want.ID, want.State)
+			continue
+		}
+		for _, method := range []string{http.MethodGet, http.MethodDelete} {
+			req, _ := http.NewRequest(method, tc.front.URL+"/v1/jobs/"+want.ID, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got service.Status
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || got.ID != want.ID || got.State != want.State ||
+				!bytes.Equal(got.Report, want.Report) {
+				t.Errorf("%s /v1/jobs/%s: status %d, id %q state %s (%v), want the answer's job", method, want.ID, resp.StatusCode, got.ID, got.State, err)
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -167,7 +168,7 @@ func (c *Coordinator) Membership() *Membership { return c.members }
 //	POST   /v1/analyze/batch  dedupe, fan out per owner, stream in order
 //	GET    /v1/jobs/{id}      ids are "r<replica>-<job>" — proxied home
 //	DELETE /v1/jobs/{id}      likewise
-//	GET    /v1/workloads      proxied to any up replica
+//	GET    /v1/workloads      answered here: the registry is the workers' own
 //	GET    /healthz           coordinator liveness + per-replica states
 //	GET    /readyz            200 while >=1 replica is up ("degraded" when not all)
 //	GET    /metrics           coordinator routing metrics
@@ -177,7 +178,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/analyze/batch", c.handleBatch)
 	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleJob)
-	mux.HandleFunc("GET /v1/workloads", c.handleWorkloads)
+	mux.HandleFunc("GET /v1/workloads", service.HandleWorkloads)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("GET /readyz", c.handleReadyz)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
@@ -299,8 +300,9 @@ func (c *Coordinator) forward(ctx context.Context, url, method, pathq string, bo
 }
 
 // relay writes a buffered upstream response through to the client,
-// rewriting async job handles into cluster-wide ids ("r<i>-<job>") so
-// follow-up GET/DELETE /v1/jobs calls can be routed home.
+// rewriting the job handle in it into a cluster-wide id ("r<i>-<job>")
+// so follow-up GET/DELETE /v1/jobs calls can be routed home: a 202's
+// job_id, or the id a Status body opens with (withReplica).
 func (c *Coordinator) relay(w http.ResponseWriter, url string, resp *http.Response, data []byte) {
 	if resp.StatusCode == http.StatusAccepted {
 		var acc struct {
@@ -322,7 +324,24 @@ func (c *Coordinator) relay(w http.ResponseWriter, url string, resp *http.Respon
 		w.Header().Set("Retry-After", ra)
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(data)
+	body := withReplica(data, c.repIndex[url])
+	_, _ = body.WriteTo(w)
+}
+
+// statusHead is how a worker's Status body opens (service.encodeStatus),
+// up to the first byte of its job handle.
+const statusHead = "{\n  \"id\": \""
+
+// withReplica splices replica idx's "r<i>-" prefix into the handle a
+// Status body opens with, making it one the coordinator routes home,
+// without decoding or copying the rest of the body (the report). Any
+// other body — an error document, a failed entry no job stands behind,
+// whose id is empty — passes as is.
+func withReplica(body []byte, idx int) net.Buffers {
+	if n := len(statusHead); len(body) > n && string(body[:n]) == statusHead && body[n] != '"' {
+		return net.Buffers{body[:n], []byte("r" + strconv.Itoa(idx) + "-"), body[n:]}
+	}
+	return net.Buffers{body}
 }
 
 // handleJob proxies job status/cancel calls to the replica encoded in
@@ -350,24 +369,6 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.relay(w, url, resp, data)
-}
-
-// handleWorkloads proxies the workload listing to any up replica — the
-// list is identical fleet-wide (same binary).
-func (c *Coordinator) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	for _, url := range c.cfg.Replicas {
-		if c.members.State(url) != ReplicaUp {
-			continue
-		}
-		resp, data, err := c.forward(r.Context(), url, http.MethodGet, "/v1/workloads", nil)
-		if err != nil {
-			c.members.MarkDown(url, err.Error())
-			continue
-		}
-		c.relay(w, url, resp, data)
-		return
-	}
-	service.WriteError(w, http.StatusServiceUnavailable, "cluster: no replica available")
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {

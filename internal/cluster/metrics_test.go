@@ -156,7 +156,7 @@ counter gpuscoutd_peer_cache_serves_total | Cache entries served to peer replica
 counter gpuscoutd_peer_fill_hits_total | Local cache misses served by a peer replica's cache (two-tier fill).
 counter gpuscoutd_peer_fill_misses_total | Peer cache-fill attempts that fell through to local simulation.
 counter gpuscoutd_quarantined_total | Submissions rejected because the input fingerprint is quarantined.
-counter gpuscoutd_recovered_jobs_total | Journaled jobs re-enqueued by startup recovery.
+counter gpuscoutd_recovered_jobs_total | Journaled jobs resubmitted by startup recovery under their original IDs, answered at admission from a stored report or re-enqueued.
 counter gpuscoutd_retries_total | Job attempts retried after a transient stage failure.
 counter gpuscoutd_stage_panics_total {stage="parse"} {stage="scout"} {stage="sim"} {stage="verify"} | Panics recovered inside the pipeline, by stage.
 counter gpuscoutd_store_hits_total | Memory-cache misses served whole from the persistent report store (warm restarts, rebalanced keys).

@@ -143,7 +143,7 @@ func (s *Service) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		u := &uniq[k]
-		u.job, u.err = s.submit(batch.Requests[first[k]], wait.Done())
+		u.job, u.err = s.submit(batch.Requests[first[k]], "", wait.Done())
 		if errors.Is(u.err, ErrQueueFull) {
 			u.err = fmt.Errorf("batch enqueue timed out: %w", u.err)
 		}

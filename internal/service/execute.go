@@ -19,14 +19,11 @@ import (
 
 // execute runs one job on a worker goroutine, retrying transient stage
 // failures (recovered panics, injected faults) with capped exponential
-// backoff + jitter, and feeding the quarantine breaker on final failure.
+// backoff + jitter. Every way out is a Job.finish, whose settle step
+// counts the job and gives the quarantine breaker its verdict.
 func (s *Service) execute(j *Job) {
-	// abort ends a job whose context expired or was cancelled: no verdict
-	// for the breaker, so a half-open probe slot is freed.
-	abort := func(msg string) {
-		s.breaker.release(j.fingerprint)
-		j.finish(s.countFinish(j.interrupted()), nil, msg, "")
-	}
+	// abort ends a job whose context expired or was cancelled.
+	abort := func(msg string) { j.finish(j.interrupted(), nil, msg, "") }
 	if err := j.ctx.Err(); err != nil {
 		abort("aborted before start: " + err.Error())
 		return
@@ -39,11 +36,7 @@ func (s *Service) execute(j *Job) {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		j.setAttempts(attempt)
-		lastErr = s.executeAttempt(j)
-		if lastErr == nil {
-			if s.breaker.recordSuccess(j.fingerprint) {
-				s.persistBreaker()
-			}
+		if lastErr = s.executeAttempt(j); lastErr == nil {
 			return
 		}
 		s.notePanic(lastErr)
@@ -62,9 +55,7 @@ func (s *Service) execute(j *Job) {
 			return
 		}
 	}
-	s.breaker.recordFailure(j.fingerprint, lastErr.Error())
-	s.persistBreaker()
-	j.finish(s.countFinish(StateFailed), nil, lastErr.Error(), "")
+	j.finish(StateFailed, nil, lastErr.Error(), "")
 }
 
 // notePanic counts a fatal recovered panic in the stage-panic metric.
@@ -92,7 +83,7 @@ func (s *Service) executeAttempt(j *Job) error {
 		return err
 	}
 	res := j.resolved.Swap(nil) // the first attempt's, made at Submit
-	if res == nil {             // a retry, or a job recovered from the journal
+	if res == nil {             // a retry
 		res = s.resolve(j.req)
 	}
 	// "build" is resolve plus, on a miss, each target's lowering.
@@ -105,7 +96,7 @@ func (s *Service) executeAttempt(j *Job) error {
 	// The pipeline is not entered on a hit.
 	plans, key := res.plans, res.key
 	if data, tier := s.lookup(j.ctx, j.fingerprint, key); tier != "" {
-		j.finish(s.countFinish(StateDone), data, "", tier)
+		j.finish(StateDone, data, "", tier)
 		return nil
 	}
 
@@ -166,7 +157,7 @@ func (s *Service) executeAttempt(j *Job) error {
 	if len(ledger) == 0 {
 		s.publish(key, j.fingerprint, data)
 	}
-	j.finish(s.countFinish(StateDone), data, "", tierSimulated)
+	j.finish(StateDone, data, "", tierSimulated)
 	return nil
 }
 
@@ -190,15 +181,6 @@ func (s *Service) observeOutcome(p advisor.Plan, out *advisor.Outcome) {
 		s.verifications[string(scout.VerdictNeutral)].Add(uint64(sum.Neutral))
 		s.verifications[string(scout.VerdictRefuted)].Add(uint64(sum.Refuted))
 	}
-}
-
-// countFinish bumps the per-state finished counter and passes the state
-// through, so finish call sites stay one-liners.
-func (s *Service) countFinish(st State) State {
-	if c, ok := s.jobsFinished[string(st)]; ok {
-		c.Inc()
-	}
-	return st
 }
 
 // siteResolve covers the whole resolution step (workload name and scale

@@ -150,7 +150,8 @@ type Job struct {
 	timeout     time.Duration // the deadline pool.submit starts; 0: ctx is final
 	done        chan struct{}
 	fingerprint string                     // quarantine identity of the input
-	onFinish    func(State)                // set by the service to journal the tombstone
+	journaled   bool                       // an accept record names the job: settle tombstones it
+	svc         *Service                   // settles the job (Service.settle); nil in pool tests
 	resolved    atomic.Pointer[resolution] // Submit's, taken by the first attempt
 
 	mu           sync.Mutex
@@ -211,7 +212,8 @@ func (j *Job) setDegradations(n int) {
 	j.mu.Unlock()
 }
 
-// finish moves the job to a terminal state exactly once.
+// finish moves the job to a terminal state exactly once, running the
+// settle step before Done closes.
 func (j *Job) finish(state State, report []byte, errMsg string, tier string) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -229,15 +231,10 @@ func (j *Job) finish(state State, report []byte, errMsg string, tier string) {
 	// (Journal recovery re-reads the journalled request, not this copy.)
 	j.req.SASS, j.req.Cubin = "", nil
 	j.resolved.Store(nil)
-	hook := j.onFinish
 	j.mu.Unlock()
 	j.cancel() // release the timeout timer
-	if hook != nil {
-		// Journal the terminal state (the job's tombstone) before Done is
-		// observable: once a waiter sees the job finished, a restart will
-		// not resurrect it. A failed append is tolerable — the job just
-		// re-runs after a crash and converges through the report store.
-		hook(state)
+	if j.svc != nil {
+		j.svc.settle(j, state, errMsg)
 	}
 	close(j.done)
 }

@@ -34,7 +34,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/analyze/batch", s.handleAnalyzeBatch)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
+	mux.HandleFunc("GET /v1/workloads", HandleWorkloads)
 	mux.HandleFunc("GET /internal/v1/cache/{key}", s.handleCacheGet)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -231,7 +231,9 @@ func (s *Service) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeStatus(w, http.StatusOK, j.Snapshot())
 }
 
-func (s *Service) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
+// HandleWorkloads answers GET /v1/workloads with the built-in workload
+// names; a coordinator, the same binary, answers it the same way.
+func HandleWorkloads(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string][]string{"workloads": workloads.Names()})
 }
 

@@ -87,7 +87,7 @@ type Config struct {
 	PeerFill func(ctx context.Context, fingerprint, cacheKey string) ([]byte, bool)
 	// Store, when set, is the crash-safe persistence layer under
 	// -data-dir: accepted jobs are journaled before they are
-	// acknowledged (and re-enqueued after a restart), clean reports are
+	// acknowledged (and resubmitted after a restart), clean reports are
 	// written through to the content-addressed disk store (probed
 	// between the memory cache and peer fill), and quarantine-breaker
 	// state survives restarts. Nil runs the service purely in memory.
@@ -164,7 +164,7 @@ type Service struct {
 	breaker    *breaker
 	durations  *durationRing
 	draining   atomic.Bool // readiness flipped off before shutdown
-	recovering atomic.Bool // journal replay re-enqueueing jobs; /readyz 503
+	recovering atomic.Bool // journal replay resubmitting jobs; /readyz 503
 
 	idMu              sync.Mutex
 	nextID, idCeiling uint64 // last handle issued, highest the journal reserved
@@ -238,7 +238,7 @@ func New(cfg Config) (*Service, error) {
 		{"gpuscoutd_cache_bytes", "Total payload bytes held by the in-memory report cache.", nil, func() float64 { return float64(s.cache.bytesUsed()) }},
 		{"gpuscoutd_store_hits_total", "Memory-cache misses served whole from the persistent report store (warm restarts, rebalanced keys).", &s.storeHits, nil},
 		{"gpuscoutd_store_misses_total", "Memory-cache misses that also missed the persistent report store.", &s.storeMisses, nil},
-		{"gpuscoutd_recovered_jobs_total", "Journaled jobs re-enqueued by startup recovery.", &s.recoveredJobs, nil},
+		{"gpuscoutd_recovered_jobs_total", "Journaled jobs resubmitted by startup recovery under their original IDs, answered at admission from a stored report or re-enqueued.", &s.recoveredJobs, nil},
 		{"gpuscoutd_peer_fill_hits_total", "Local cache misses served by a peer replica's cache (two-tier fill).", &s.peerFillHits, nil},
 		{"gpuscoutd_peer_fill_misses_total", "Peer cache-fill attempts that fell through to local simulation.", &s.peerFillMiss, nil},
 		{"gpuscoutd_peer_cache_serves_total", "Cache entries served to peer replicas via /internal/v1/cache.", &s.peerServes, nil},
@@ -293,10 +293,10 @@ func New(cfg Config) (*Service, error) {
 	s.simSpeedup = r.NewHistogram("gpuscoutd_sim_speedup",
 		"Achieved parallel speedup per simulated launch (aggregate per-SM time over wall time).",
 		[]float64{1, 1.25, 1.5, 2, 3, 4, 6, 8, 12, 16})
-	// Startup recovery: re-enqueue every journaled job that never reached
+	// Startup recovery: resubmit every journaled job that never reached
 	// a tombstone. /readyz stays 503 until the replay has drained into
-	// the queue; jobs whose reports already landed on disk resolve as
-	// instant store hits instead of re-simulating.
+	// the queue; a job whose report already landed on disk is answered
+	// at admission instead of re-simulating.
 	if len(pendingJobs) > 0 {
 		s.recovering.Store(true)
 		go s.recoverJobs(pendingJobs)
@@ -304,52 +304,36 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// recoverJobs replays the journal's pending set through the worker
-// pool. Each job is admitted under its original ID (clients may still
-// hold the handle) without a new accept record, is re-validated (the
-// journal could have been written by an older build), and respects the
-// reloaded quarantine breaker — a poison input does not get a free
-// re-run just because the daemon restarted mid-job.
+// recoverJobs resubmits the journal's pending jobs through submit under
+// their original IDs (clients may still hold the handles), so each is
+// re-validated, checked against the reloaded breaker and answered at
+// admission when its report is stored, like any request; a miss waits
+// for a queue place. A refused job is tombstoned; shutdown or a dead
+// store leaves the rest of the journal for the next start.
 func (s *Service) recoverJobs(pending []store.PendingJob) {
 	defer s.recovering.Store(false)
-	st := s.cfg.Store
 	never := make(chan struct{}) // a recovered job waits for a place until shutdown
 	for _, p := range pending {
 		var req AnalyzeRequest
-		if err := json.Unmarshal(p.Req, &req); err != nil || req.Validate() != nil {
-			st.AppendTombstone(p.ID, string(StateFailed))
-			continue
+		err := json.Unmarshal(p.Req, &req)
+		if err == nil {
+			_, err = s.submit(req, p.ID, never)
 		}
-		fp := req.Fingerprint()
-		if err := s.breaker.check(fp); err != nil {
-			s.quarantined.Inc()
-			st.AppendTombstone(p.ID, string(StateCancelled))
-			continue
-		}
-		// The queue may be smaller than the recovery backlog: wait for a
-		// place rather than drop acknowledged work. Shutdown ends the wait
-		// and leaves the rest of the journal for the next start.
-		j := s.admit(p.ID, req, fp, nil)
-		if s.pool.submit(j, never) != nil {
+		switch {
+		case err == nil:
+			s.recoveredJobs.Inc()
+		case errors.Is(err, ErrClosed), errors.Is(err, ErrDurability):
 			return
+		case errors.Is(err, ErrQuarantined):
+			s.cfg.Store.AppendTombstone(p.ID, string(StateCancelled))
+		default: // not a valid request
+			s.cfg.Store.AppendTombstone(p.ID, string(StateFailed))
 		}
-		s.register(j)
-		s.recoveredJobs.Inc()
 	}
-}
-
-// persistBreaker writes the breaker's current state through the store,
-// outside the breaker's lock. Failures are swallowed: breaker
-// persistence is hardening, not a correctness dependency.
-func (s *Service) persistBreaker() {
-	if s.cfg.Store == nil {
-		return
-	}
-	_ = s.cfg.Store.SaveBreaker(s.breaker.exportJSON())
 }
 
 // RecoveredJobs reports how many journaled jobs startup recovery has
-// re-enqueued (surfaced by /healthz).
+// resubmitted (surfaced by /healthz).
 func (s *Service) RecoveredJobs() uint64 { return s.recoveredJobs.Value() }
 
 // Uptime reports how long the service has been running.
@@ -412,10 +396,9 @@ func (s *Service) retryAfterSeconds() int {
 
 // admit creates the job for a request — with its own timeout, which the
 // pool starts once the job holds a queue place (pool.submit), carrying
-// its quarantine identity and journal hook. Submit and startup recovery
-// share it, so a recovered job is indistinguishable from a fresh one;
-// Submit's resolution (nil on recovery) rides along for the first
-// attempt. Each registers the job only once the queue has taken it.
+// its quarantine identity and the service's settle step. Every job is
+// built here, a hit answered at submit included; the request's
+// resolution rides along for the first attempt.
 func (s *Service) admit(id string, req AnalyzeRequest, fp string, res *resolution) *Job {
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -425,10 +408,33 @@ func (s *Service) admit(id string, req AnalyzeRequest, fp string, res *resolutio
 	j.timeout = timeout
 	j.fingerprint = fp
 	j.resolved.Store(res)
-	if st := s.cfg.Store; st != nil { // journal the terminal state: the job's tombstone
-		j.onFinish = func(terminal State) { st.AppendTombstone(id, string(terminal)) }
-	}
+	j.svc = s
 	return j
+}
+
+// settle is every terminal side effect of a job, run by Job.finish before
+// Done closes, so whoever sees the job finished sees them too: the
+// finished counter, the breaker's verdict (saved when it changed the
+// breaker) and, for a journaled job, the tombstone. A lost tombstone
+// only costs a re-run after a crash that converges via the report store.
+func (s *Service) settle(j *Job, state State, errMsg string) {
+	s.jobsFinished[string(state)].Inc()
+	persist := false
+	switch state {
+	case StateDone:
+		persist = s.breaker.recordSuccess(j.fingerprint)
+	case StateFailed:
+		s.breaker.recordFailure(j.fingerprint, errMsg)
+		persist = true
+	default: // interrupted: free a half-open probe slot without a verdict
+		s.breaker.release(j.fingerprint)
+	}
+	if st := s.cfg.Store; st != nil && persist { // hardening: a failed save is swallowed
+		_ = st.SaveBreaker(s.breaker.exportJSON())
+	}
+	if j.journaled {
+		s.cfg.Store.AppendTombstone(j.ID, string(state))
+	}
 }
 
 func (s *Service) register(j *Job) { // for GET /v1/jobs/{id}
@@ -443,11 +449,14 @@ func (s *Service) register(j *Job) { // for GET /v1/jobs/{id}
 // worker or queue slot) and journals and enqueues a miss. It returns
 // ErrQueueFull when the queue is full, ErrClosed during shutdown and
 // ErrDurability on a dead store (hit or not), else a validation error.
-func (s *Service) Submit(req AnalyzeRequest) (*Job, error) { return s.submit(req, nil) }
+func (s *Service) Submit(req AnalyzeRequest) (*Job, error) { return s.submit(req, "", nil) }
 
-// submit is Submit whose miss waits for a queue place until wait closes
-// (see pool.submit); a nil wait fails fast.
-func (s *Service) submit(req AnalyzeRequest, wait <-chan struct{}) (*Job, error) {
+// submit is the one admission, of a new request and of a journaled one
+// alike. A miss waits for a queue place until wait closes (see
+// pool.submit); a nil wait fails fast. An empty id issues a new handle
+// and journals the accept; a journaled id (startup recovery) keeps its
+// handle and accept record, and its shed leaves it in the journal.
+func (s *Service) submit(req AnalyzeRequest, id string, wait <-chan struct{}) (*Job, error) {
 	if err := req.Validate(); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
@@ -459,37 +468,38 @@ func (s *Service) submit(req AnalyzeRequest, wait <-chan struct{}) (*Job, error)
 	if s.pool.closed.Load() {
 		return nil, ErrClosed
 	}
-	if st := s.cfg.Store; st != nil && st.Stats().Dead {
+	st := s.cfg.Store
+	if st != nil && st.Stats().Dead {
 		return nil, fmt.Errorf("%w: %v", ErrDurability, store.ErrDead)
 	}
-	id, err := s.newID()
-	if err != nil {
-		return nil, err
+	fresh := id == ""
+	if fresh {
+		var err error
+		if id, err = s.newID(); err != nil {
+			return nil, err
+		}
 	}
 	// The worker's first step: a miss hands it (or its error) to attempt 1.
 	res := s.resolve(req)
+	j := s.admit(id, req, fp, res)
+	j.journaled = !fresh
 	if res.err == nil {
 		if data, tier := s.lookupLocal(res.key); tier != "" {
 			if tier == tierMemory {
 				s.cacheHits.Inc()
 			}
 			s.stageDuration["build"].Observe(res.took.Seconds())
-			if s.breaker.recordSuccess(fp) {
-				s.persistBreaker()
-			}
-			j := newJob(id, req, context.Background(), func() {})
 			j.started, j.attempts = j.created, 1
-			j.finish(s.countFinish(StateDone), data, "", tier)
+			j.finish(StateDone, data, "", tier)
 			s.register(j)
 			return j, nil
 		}
 	}
-	j := s.admit(id, req, fp, res)
 
 	// Write-ahead: the accept record must be on disk before the client
 	// hears the job ID. A journal that cannot take the record means the
 	// acknowledgement would be a lie — refuse the job instead.
-	if st := s.cfg.Store; st != nil {
+	if st != nil && fresh {
 		reqJSON, err := json.Marshal(req)
 		if err == nil {
 			err = st.AppendAccept(id, fp, reqJSON)
@@ -497,10 +507,11 @@ func (s *Service) submit(req AnalyzeRequest, wait <-chan struct{}) (*Job, error)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrDurability, err)
 		}
+		j.journaled = true
 	}
 
 	if err := s.pool.submit(j, wait); err != nil {
-		if st := s.cfg.Store; st != nil {
+		if st != nil && fresh {
 			// The accept is journaled but the job was shed: tombstone it
 			// so a restart does not resurrect a job the client was told
 			// to retry. Best-effort — a lost tombstone only costs one
