@@ -131,7 +131,8 @@ func TestChaosStaticFallbackSkipsPasses(t *testing.T) {
 			if _, err := faultinject.Arm(faultinject.Fault{Site: "cupti.collect", Mode: faultinject.ModeError, Times: 1}); err != nil {
 				t.Fatal(err)
 			}
-			out, err := Run(context.Background(), Plan{Arch: gpu.V100(), Workload: "histogram_global", Scale: 4,
+			ctx, timed := stageClock()
+			out, err := Run(ctx, Plan{Arch: gpu.V100(), Workload: "histogram_global", Scale: 4,
 				Verify: tc.verify, Sensitivity: tc.sensitivity})
 			if err != nil {
 				t.Fatalf("Run: %v; a static fallback ships a report", err)
@@ -156,8 +157,8 @@ func TestChaosStaticFallbackSkipsPasses(t *testing.T) {
 			if out.Verified != nil {
 				t.Errorf("verified %+v for a report with no baseline", out.Verified)
 			}
-			if !out.Fallback || out.Verify != 0 || out.Sweep != 0 {
-				t.Errorf("outcome: fallback %t, verify %v, sweep %v; want the fallback and no pass timed", out.Fallback, out.Verify, out.Sweep)
+			if timed[scout.TimeAnalyze] != 1 || timed[scout.TimeVerify] != 0 || timed[scout.TimeSweep] != 0 {
+				t.Errorf("clock timed %v; want the analysis and no skipped pass", timed)
 			}
 		})
 	}

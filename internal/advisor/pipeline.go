@@ -3,7 +3,6 @@ package advisor
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"gpuscout/internal/gpu"
 	"gpuscout/internal/sass"
@@ -39,19 +38,13 @@ type baseline struct {
 	rec *sim.Recording
 }
 
-// Outcome is what one Run produced. It is non-nil even when Run fails
-// (Report is nil then), so the time spent up to the failure is recorded.
+// Outcome is what one Run produced, non-nil even when Run fails (Report
+// is nil then). A static fallback is Report.DryRun plus its ledger.
 type Outcome struct {
 	Report *scout.Report
 	// Verified counts the verification verdicts (nil unless the plan
 	// asked for them); the sweep's result is Report.Sensitivity.
 	Verified *Summary
-	// Build, Analyze, Verify and Sweep are the wall time of each stage
-	// that ran (Build: lowering the workload; zero for an upload).
-	Build, Analyze, Verify, Sweep time.Duration
-	// Fallback is set when the dynamic pillars failed and the report fell
-	// back to static: the requested verify and sweep were skipped.
-	Fallback bool
 }
 
 // Run is the lower → analyze → verify → sweep pipeline, the one place
@@ -63,7 +56,7 @@ type Outcome struct {
 // size measured from their own start. An expired slice ships the
 // remaining findings unverified or the remaining perturbations as ledger
 // entries; the caller's deadline and an explicit cancel still abort with
-// an error.
+// an error. Each step that runs reports its time to ctx's clock.
 func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -74,12 +67,12 @@ func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	var base *baseline
 	if kernel == nil {
 		base = &baseline{}
-		t := time.Now()
+		end := scout.Time(ctx, scout.TimeBuild)
 		err := scout.Guard(scout.StageParse, "advisor.lower", func() (err error) {
 			base.w, err = buildArch(p.Workload, p.Scale, p.Arch)
 			return err
 		})
-		out.Build = time.Since(t)
+		end()
 		if err != nil {
 			return out, err
 		}
@@ -102,13 +95,13 @@ func Run(ctx context.Context, p Plan) (*Outcome, error) {
 		budgeted = func() (context.Context, context.CancelFunc) { return context.WithTimeout(ctx, slice) }
 	}
 
-	t := time.Now()
+	end := scout.Time(ctx, scout.TimeAnalyze)
 	rep, err := scout.AnalyzeContext(ctx, p.Arch, kernel, run, p.Opts)
-	out.Analyze = time.Since(t)
+	end()
 	if err != nil {
 		return out, err
 	}
-	if out.Fallback = rep.DryRun && !p.Opts.DryRun; out.Fallback {
+	if rep.DryRun && !p.Opts.DryRun {
 		// With no baseline to re-execute against, each requested pass
 		// ships as one ledger entry instead of failing the job.
 		skipped := func(site string) scout.Degradation {
@@ -125,9 +118,9 @@ func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	}
 	if p.Verify {
 		vctx, cancel := budgeted()
-		t := time.Now()
+		end := scout.Time(ctx, scout.TimeVerify)
 		out.Verified, err = Verify(vctx, rep, p.Workload, p.Scale, p.Arch, p.Opts.Sim)
-		out.Verify = time.Since(t)
+		end()
 		cancel()
 		if err != nil {
 			return out, fmt.Errorf("verify on %s: %w", p.Arch.SM, err)
@@ -135,9 +128,9 @@ func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	}
 	if p.Sensitivity {
 		sctx, cancel := budgeted()
-		t := time.Now()
+		end := scout.Time(ctx, scout.TimeSweep)
 		_, err = sweep(sctx, rep, base, p.Workload, p.Scale, p.Arch, p.Opts.Sim)
-		out.Sweep = time.Since(t)
+		end()
 		cancel()
 		if err != nil {
 			return out, fmt.Errorf("sensitivity sweep on %s: %w", p.Arch.SM, err)

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,6 +22,20 @@ import (
 	"gpuscout/internal/sim"
 	"gpuscout/internal/workloads"
 )
+
+// stageClock returns a context whose clock counts, per stage, the
+// reports of a positive duration.
+func stageClock() (context.Context, map[string]int) {
+	var mu sync.Mutex
+	timed := map[string]int{}
+	return scout.WithClock(context.Background(), func(stage string, took time.Duration) {
+		mu.Lock()
+		defer mu.Unlock()
+		if took > 0 {
+			timed[stage]++
+		}
+	}), timed
+}
 
 // analyzeSliced is analyze with backward stall slicing enabled.
 func analyzeSliced(t *testing.T, name string, scale int, cfg sim.Config) *scout.Report {
@@ -288,14 +303,18 @@ func TestSweepLoweringReuse(t *testing.T) {
 	}{{"plain", plain, 1, 1, 1}, {"dry run", dry, 1, 1, 0}, {"the same Plan twice", plain, 2, 2, 2}} {
 		builds.Store(0)
 		prepares.Store(0)
+		ctx, timed := stageClock()
 		for i := 0; i < tc.runs; i++ {
-			out, err := Run(context.Background(), tc.p)
-			if err != nil || out.Report.DryRun != tc.p.Opts.DryRun || out.Build <= 0 {
+			out, err := Run(ctx, tc.p)
+			if err != nil || out.Report.DryRun != tc.p.Opts.DryRun {
 				t.Fatalf("%s: Run: %v (outcome %+v)", tc.name, err, out)
 			}
 		}
 		if builds.Load() != tc.builds || prepares.Load() != tc.prepare {
 			t.Errorf("%s: %d lowerings and %d executions, want %d and %d", tc.name, builds.Load(), prepares.Load(), tc.builds, tc.prepare)
+		}
+		if timed[scout.TimeBuild] != int(tc.builds) {
+			t.Errorf("%s: the clock timed %d builds, want one per lowering (%d)", tc.name, timed[scout.TimeBuild], tc.builds)
 		}
 	}
 }

@@ -158,6 +158,30 @@ func StageSlice(ctx context.Context, stage string) (time.Duration, bool) {
 	return time.Duration(stageFraction[stage] * float64(time.Until(deadline))), true
 }
 
+// The stages a context's clock times, declared once: TimedStages lists
+// them, and they label the daemon's gpuscoutd_stage_seconds.
+const TimeBuild, TimeAnalyze, TimeVerify, TimeSweep, TimeEncode = "build", "analyze", "verify", "sweep", "encode"
+
+var TimedStages = []string{TimeBuild, TimeAnalyze, TimeVerify, TimeSweep, TimeEncode}
+
+type clockKey struct{}
+
+// WithClock attaches a stage clock to ctx: Time on ctx, or on a context
+// derived from it, reports each stage's wall time to observe.
+func WithClock(ctx context.Context, observe func(stage string, took time.Duration)) context.Context {
+	return context.WithValue(ctx, clockKey{}, observe)
+}
+
+// Time times one run of stage; end reports it to ctx's clock. Without a
+// clock it does nothing.
+func Time(ctx context.Context, stage string) (end func()) {
+	if observe, ok := ctx.Value(clockKey{}).(func(string, time.Duration)); ok {
+		t := time.Now()
+		return func() { observe(stage, time.Since(t)) }
+	}
+	return func() {}
+}
+
 // Fault-injection sites owned by the scout pipeline. The per-detector
 // sites are registered in the init below (they derive from the detector
 // set).

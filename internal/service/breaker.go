@@ -121,24 +121,24 @@ func newBreaker(after int, cooldown time.Duration) *breaker {
 // check admits or rejects a submission for fp. A rejection returns a
 // *QuarantineError (wrapping ErrQuarantined) carrying the prior failure
 // and a Retry-After hint. After the cool-down, exactly one concurrent
-// submission is admitted as the half-open probe — the probing flag holds
-// the slot until the probe's verdict (recordSuccess / recordFailure) or
-// its interruption (release) — so a thundering herd against a poison
-// fingerprint cannot burn more than one worker.
-func (b *breaker) check(fp string) error {
+// submission is admitted as the half-open probe (probe reports it) — the
+// probing flag holds the slot until its verdict or its release — so a
+// thundering herd against a poison fingerprint cannot burn more than one
+// worker.
+func (b *breaker) check(fp string) (probe bool, err error) {
 	if b.after <= 0 {
-		return nil
+		return false, nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e, ok := b.entries[fp]
 	if !ok || e.failures < b.after {
-		return nil
+		return false, nil
 	}
 	if !e.probing && time.Since(e.failedAt) >= b.cooldown {
 		// Half-open: this caller is the one probe.
 		e.probing = true
-		return nil
+		return true, nil
 	}
 	retry := b.cooldown - time.Since(e.failedAt)
 	if retry < time.Second {
@@ -146,7 +146,7 @@ func (b *breaker) check(fp string) error {
 		// within one job, so "come back shortly".
 		retry = time.Second
 	}
-	return &QuarantineError{Failures: e.failures, LastErr: e.lastErr, RetryAfter: retry}
+	return false, &QuarantineError{Failures: e.failures, LastErr: e.lastErr, RetryAfter: retry}
 }
 
 // recordFailure counts one failed execution of fp. A failed half-open
@@ -182,8 +182,8 @@ func (b *breaker) recordSuccess(fp string) bool {
 }
 
 // release frees fp's half-open probe slot without a verdict — the probe
-// job was cancelled or timed out before it could prove anything. Without
-// this, an interrupted probe would wedge the breaker open forever.
+// was refused, cancelled or timed out before it could prove anything.
+// Without this, such a probe would wedge the breaker open forever.
 func (b *breaker) release(fp string) {
 	if b.after <= 0 {
 		return

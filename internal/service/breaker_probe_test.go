@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gpuscout/internal/faultinject"
 )
 
 // TestBreakerHalfOpenSingleProbe hammers an open breaker just past its
@@ -29,7 +31,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func() {
 			defer wg.Done()
-			if err := b.check(fp); err == nil {
+			if probe, err := b.check(fp); err == nil && probe {
 				admitted <- struct{}{}
 			} else {
 				rejected <- err
@@ -54,21 +56,21 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 
 	// The probe's failure re-opens the breaker for a full cool-down.
 	b.recordFailure(fp, "still broken")
-	if err := b.check(fp); err == nil {
+	if _, err := b.check(fp); err == nil {
 		t.Fatal("breaker admitted a submission immediately after a failed probe")
 	}
 	time.Sleep(15 * time.Millisecond)
 
 	// An interrupted probe (cancelled, timed out) must free the slot via
 	// release — otherwise the breaker wedges open forever.
-	if err := b.check(fp); err != nil {
-		t.Fatalf("post-cooldown probe rejected: %v", err)
+	if probe, err := b.check(fp); err != nil || !probe {
+		t.Fatalf("post-cooldown probe: probe %t, err %v; want admitted as the probe", probe, err)
 	}
-	if err := b.check(fp); err == nil {
+	if _, err := b.check(fp); err == nil {
 		t.Fatal("second probe admitted while the first is in flight")
 	}
 	b.release(fp)
-	if err := b.check(fp); err != nil {
+	if _, err := b.check(fp); err != nil {
 		t.Fatalf("probe slot not freed by release: %v", err)
 	}
 
@@ -76,7 +78,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	if !b.recordSuccess(fp) {
 		t.Fatal("recordSuccess reported no entry")
 	}
-	if err := b.check(fp); err != nil {
+	if _, err := b.check(fp); err != nil {
 		t.Fatalf("cleared fingerprint still rejected: %v", err)
 	}
 }
@@ -182,7 +184,7 @@ func TestBreakerStaysBounded(t *testing.T) {
 
 	b.recordFailure("poison", "boom")
 	b.recordFailure("poison", "boom")
-	if err := b.check("poison"); err == nil {
+	if _, err := b.check("poison"); err == nil {
 		t.Fatal("two consecutive failures did not open the breaker")
 	}
 	time.Sleep((forgetOpenAfter + 5) * cooldown)
@@ -198,7 +200,89 @@ func TestBreakerStaysBounded(t *testing.T) {
 	loaded.importJSON([]byte(`{"poison":{"failures":2,"last_err":"boom","opened_at":"` +
 		time.Now().Format(time.RFC3339Nano) + `"}}`))
 	loaded.exportJSON()
-	if err := loaded.check("poison"); !errors.Is(err, ErrQuarantined) {
+	if _, err := loaded.check("poison"); !errors.Is(err, ErrQuarantined) {
 		t.Errorf("a loaded open entry: check = %v, want quarantined", err)
 	}
+}
+
+// TestRefusalReleasesProbe: a submission admitted as a quarantined
+// fingerprint's half-open probe and then refused — the queue is full,
+// the store is dead, the service is shutting down — frees the probe
+// slot. Otherwise the fingerprint is refused as quarantined until a
+// restart: here, the next submission once a queue place frees is
+// admitted as the probe.
+func TestRefusalReleasesProbe(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	const cooldown = 50 * time.Millisecond
+	cfg := Config{Workers: 1, QueueDepth: 1, RetryAttempts: 1, QuarantineAfter: 1, QuarantineCooldown: cooldown}
+	poison := AnalyzeRequest{Cubin: []byte("not a cubin at all")}
+	// quarantine fails poison once and waits out the cool-down.
+	quarantine := func(t *testing.T, svc *Service) {
+		t.Helper()
+		j, err := svc.Submit(poison)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if <-j.Done(); j.StateNow() != StateFailed {
+			t.Fatalf("poison: state %s, want failed", j.StateNow())
+		}
+		time.Sleep(2 * cooldown)
+	}
+	released := func(t *testing.T, svc *Service, refusal error) {
+		t.Helper()
+		if e, ok := breakerEntryOf(svc, poison.Fingerprint()); !ok || e.probing {
+			t.Errorf("after a %v refusal the breaker entry (kept %t) is %+v, want it kept and not probing", refusal, ok, e)
+		}
+	}
+
+	t.Run("queue full", func(t *testing.T) {
+		svc, _ := newTestServer(t, cfg)
+		quarantine(t, svc)
+		// Hold the one worker and take the one queue place.
+		if _, err := faultinject.Arm(faultinject.Fault{
+			Site: "service.attempt", Mode: faultinject.ModeDelay, Delay: 300 * time.Millisecond, Times: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		held, err := svc.Submit(AnalyzeRequest{Workload: "transpose_naive", Scale: 32, DryRun: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for held.StateNow() != StateRunning {
+			time.Sleep(time.Millisecond)
+		}
+		queued, err := svc.Submit(AnalyzeRequest{Workload: "jacobi_naive", Scale: 32, DryRun: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Submit(poison); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("probe with the queue full: err = %v, want ErrQueueFull", err)
+		}
+		released(t, svc, ErrQueueFull)
+		<-queued.Done()
+		j, err := svc.Submit(poison)
+		if err != nil {
+			t.Fatalf("the next submission once a place frees: %v, want it admitted as the probe", err)
+		}
+		<-j.Done()
+	})
+	t.Run("dead store", func(t *testing.T) {
+		svc, _ := newStoreServer(t, t.TempDir(), cfg)
+		quarantine(t, svc)
+		svc.cfg.Store.Close()
+		if _, err := svc.Submit(poison); !errors.Is(err, ErrDurability) {
+			t.Fatalf("probe on a dead store: err = %v, want ErrDurability", err)
+		}
+		released(t, svc, ErrDurability)
+	})
+	t.Run("closed", func(t *testing.T) {
+		svc, _ := newTestServer(t, cfg)
+		quarantine(t, svc)
+		svc.Close()
+		if _, err := svc.Submit(poison); !errors.Is(err, ErrClosed) {
+			t.Fatalf("probe on a closed service: err = %v, want ErrClosed", err)
+		}
+		released(t, svc, ErrClosed)
+	})
 }

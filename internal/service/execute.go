@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,7 +32,7 @@ func (s *Service) execute(j *Job) {
 	j.markRunning()
 	s.jobsInflight.Add(1)
 	defer s.jobsInflight.Add(-1)
-	defer func(t time.Time) { s.durations.record(time.Since(t)) }(time.Now())
+	defer func() { st := j.Snapshot(); s.durations.record(st.FinishedAt.Sub(*st.StartedAt)) }() // every way out finishes j
 
 	var lastErr error
 	for attempt := 1; ; attempt++ {
@@ -84,11 +85,8 @@ func (s *Service) executeAttempt(j *Job) error {
 	}
 	res := j.resolved.Swap(nil) // the first attempt's, made at Submit
 	if res == nil {             // a retry
-		res = s.resolve(j.req)
+		res = s.resolve(j.ctx, j.req)
 	}
-	// "build" is resolve plus, on a miss, each target's lowering.
-	build := res.took
-	defer func() { s.stageDuration["build"].Observe(build.Seconds()) }()
 	if res.err != nil {
 		return res.err
 	}
@@ -107,8 +105,7 @@ func (s *Service) executeAttempt(j *Job) error {
 	var ledger []scout.Degradation
 	for i, p := range plans {
 		out, err := advisor.Run(j.ctx, p)
-		build += out.Build
-		s.observeOutcome(p, out)
+		s.observeOutcome(out)
 		if err != nil {
 			return err
 		}
@@ -144,9 +141,9 @@ func (s *Service) executeAttempt(j *Job) error {
 	// Encode once; publish the immutable bytes — but never a degraded
 	// report, so a later identical request gets a chance at the full
 	// result.
-	t1 := time.Now()
+	end := scout.Time(j.ctx, scout.TimeEncode)
 	data, err := doc.MarshalJSON()
-	s.stageDuration["encode"].Observe(time.Since(t1).Seconds())
+	end()
 	if err != nil {
 		return fmt.Errorf("encode report: %w", err)
 	}
@@ -161,20 +158,12 @@ func (s *Service) executeAttempt(j *Job) error {
 	return nil
 }
 
-// observeOutcome feeds one pipeline run into the stage histograms and
-// the verdict counters; a stage the plan did not ask for, or that a
-// static fallback skipped, records nothing.
-func (s *Service) observeOutcome(p advisor.Plan, out *advisor.Outcome) {
-	s.stageDuration["analyze"].Observe(out.Analyze.Seconds())
+// observeOutcome feeds one pipeline run into the simulator histograms
+// and the verdict counters.
+func (s *Service) observeOutcome(out *advisor.Outcome) {
 	if rep := out.Report; rep != nil && rep.Result != nil {
 		s.simWall.Observe(rep.Result.Host.WallSeconds)
 		s.simSpeedup.Observe(rep.Result.Host.Speedup())
-	}
-	if p.Verify && !out.Fallback {
-		s.stageDuration["verify"].Observe(out.Verify.Seconds())
-	}
-	if p.Sensitivity && !out.Fallback {
-		s.stageDuration["sweep"].Observe(out.Sweep.Seconds())
 	}
 	if sum := out.Verified; sum != nil {
 		s.verifications[string(scout.VerdictConfirmed)].Add(uint64(sum.Confirmed))
@@ -193,15 +182,14 @@ type resolution struct {
 	plans []advisor.Plan
 	key   string
 	err   error
-	took  time.Duration
 }
 
-func (s *Service) resolve(req AnalyzeRequest) *resolution {
-	t0, r := time.Now(), &resolution{}
+func (s *Service) resolve(ctx context.Context, req AnalyzeRequest) *resolution {
+	defer scout.Time(ctx, scout.TimeBuild)()
+	r := &resolution{}
 	if r.plans, r.err = Resolve(req, s.cfg.SimWorkers); r.err == nil {
 		r.key = requestKey(r.plans)
 	}
-	r.took = time.Since(t0)
 	return r
 }
 

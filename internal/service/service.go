@@ -163,8 +163,9 @@ type Service struct {
 	start      time.Time
 	breaker    *breaker
 	durations  *durationRing
-	draining   atomic.Bool // readiness flipped off before shutdown
-	recovering atomic.Bool // journal replay resubmitting jobs; /readyz 503
+	clock      context.Context // every job context's parent: the stage clock
+	draining   atomic.Bool     // readiness flipped off before shutdown
+	recovering atomic.Bool     // journal replay resubmitting jobs; /readyz 503
 
 	idMu              sync.Mutex
 	nextID, idCeiling uint64 // last handle issued, highest the journal reserved
@@ -283,7 +284,7 @@ func New(cfg Config) (*Service, error) {
 	s.degraded = r.NewCounterVec("gpuscoutd_degraded_reports_total",
 		"Reports shipped with a degradation ledger, by stage_kind.", "kind", kinds...)
 	s.stageDuration = map[string]*Histogram{}
-	for _, stage := range []string{"build", "analyze", "verify", "sweep", "encode"} {
+	for _, stage := range scout.TimedStages {
 		s.stageDuration[stage] = r.NewHistogram("gpuscoutd_stage_seconds",
 			"Per-stage job latency: build (request resolution plus, on a miss, lowering), analyze (pipeline), verify (counterfactual re-runs), sweep (perturbation re-simulation), encode (report JSON).",
 			nil, Label{"stage", stage})
@@ -293,6 +294,9 @@ func New(cfg Config) (*Service, error) {
 	s.simSpeedup = r.NewHistogram("gpuscoutd_sim_speedup",
 		"Achieved parallel speedup per simulated launch (aggregate per-SM time over wall time).",
 		[]float64{1, 1.25, 1.5, 2, 3, 4, 6, 8, 12, 16})
+	s.clock = scout.WithClock(context.Background(), func(stage string, took time.Duration) {
+		s.stageDuration[stage].Observe(took.Seconds())
+	})
 	// Startup recovery: resubmit every journaled job that never reached
 	// a tombstone. /readyz stays 503 until the replay has drained into
 	// the queue; a job whose report already landed on disk is answered
@@ -396,18 +400,17 @@ func (s *Service) retryAfterSeconds() int {
 
 // admit creates the job for a request — with its own timeout, which the
 // pool starts once the job holds a queue place (pool.submit), carrying
-// its quarantine identity and the service's settle step. Every job is
-// built here, a hit answered at submit included; the request's
-// resolution rides along for the first attempt.
-func (s *Service) admit(id string, req AnalyzeRequest, fp string, res *resolution) *Job {
+// its quarantine identity, the service's settle step and, on its
+// context, the service's stage clock. Every job is built here, a hit
+// answered at submit included.
+func (s *Service) admit(id string, req AnalyzeRequest, fp string) *Job {
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	j := newJob(id, req, context.Background(), func() {}) // no deadline until the pool arms it
+	j := newJob(id, req, s.clock, func() {}) // no deadline until the pool arms it
 	j.timeout = timeout
 	j.fingerprint = fp
-	j.resolved.Store(res)
 	j.svc = s
 	return j
 }
@@ -461,40 +464,52 @@ func (s *Service) submit(req AnalyzeRequest, id string, wait <-chan struct{}) (*
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	fp := req.Fingerprint()
-	if err := s.breaker.check(fp); err != nil {
+	probe, err := s.breaker.check(fp)
+	if err != nil {
 		s.quarantined.Inc()
 		return nil, err
 	}
+	fresh, accepted := id == "", false
+	// refuse is every refusal past the breaker: it frees the probe this
+	// call was admitted as, and tombstones the accept it journaled so a
+	// restart does not resurrect the job (a lost tombstone costs a re-run).
+	refuse := func(err error) (*Job, error) {
+		if probe {
+			s.breaker.release(fp)
+		}
+		if accepted {
+			s.cfg.Store.AppendTombstone(id, string(StateCancelled))
+		}
+		return nil, err
+	}
 	if s.pool.closed.Load() {
-		return nil, ErrClosed
+		return refuse(ErrClosed)
 	}
 	st := s.cfg.Store
 	if st != nil && st.Stats().Dead {
-		return nil, fmt.Errorf("%w: %v", ErrDurability, store.ErrDead)
+		return refuse(fmt.Errorf("%w: %v", ErrDurability, store.ErrDead))
 	}
-	fresh := id == ""
 	if fresh {
-		var err error
 		if id, err = s.newID(); err != nil {
-			return nil, err
+			return refuse(err)
 		}
 	}
-	// The worker's first step: a miss hands it (or its error) to attempt 1.
-	res := s.resolve(req)
-	j := s.admit(id, req, fp, res)
+	j := s.admit(id, req, fp)
 	j.journaled = !fresh
+	// The worker's first step: a miss hands it (or its error) to attempt 1.
+	res := s.resolve(j.ctx, req)
 	if res.err == nil {
 		if data, tier := s.lookupLocal(res.key); tier != "" {
 			if tier == tierMemory {
 				s.cacheHits.Inc()
 			}
-			s.stageDuration["build"].Observe(res.took.Seconds())
 			j.started, j.attempts = j.created, 1
 			j.finish(StateDone, data, "", tier)
 			s.register(j)
 			return j, nil
 		}
 	}
+	j.resolved.Store(res)
 
 	// Write-ahead: the accept record must be on disk before the client
 	// hears the job ID. A journal that cannot take the record means the
@@ -505,20 +520,13 @@ func (s *Service) submit(req AnalyzeRequest, id string, wait <-chan struct{}) (*
 			err = st.AppendAccept(id, fp, reqJSON)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrDurability, err)
+			return refuse(fmt.Errorf("%w: %v", ErrDurability, err))
 		}
-		j.journaled = true
+		j.journaled, accepted = true, true
 	}
 
 	if err := s.pool.submit(j, wait); err != nil {
-		if st != nil && fresh {
-			// The accept is journaled but the job was shed: tombstone it
-			// so a restart does not resurrect a job the client was told
-			// to retry. Best-effort — a lost tombstone only costs one
-			// redundant re-run.
-			st.AppendTombstone(id, string(StateCancelled))
-		}
-		return nil, err
+		return refuse(err)
 	}
 	s.register(j)
 	return j, nil

@@ -709,7 +709,7 @@ func TestPruneEvictsOldestFinishedFirst(t *testing.T) {
 	var model []entry
 	for n := 1; n <= 3*retain; n++ {
 		id := fmt.Sprintf("t%04d", n)
-		j := svc.admit(id, req, req.Fingerprint(), nil)
+		j := svc.admit(id, req, req.Fingerprint())
 		svc.register(j) // prunes with the new job still queued
 		model = append(model, entry{id: id})
 		over := len(model) - retain
