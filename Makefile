@@ -78,7 +78,7 @@ smoke:
 		echo "smoke: examples/$$e"; $(GO) run ./examples/$$e > /dev/null; \
 	done; \
 	echo "smoke: gpuscout sim -disas | gpuscout -sass"; \
-	$(GO) run ./cmd/gpuscout sim -workload transpose_naive -scale 32 -disas | sed '/^$$/q' > "$$tmp/k.sass"; \
+	$(GO) run ./cmd/gpuscout sim -workload transpose_naive -scale 32 -disas | sed -n '1,/^$$/p' > "$$tmp/k.sass"; \
 	$(GO) run ./cmd/gpuscout -sass "$$tmp/k.sass" -json "$$tmp/k.json" | grep -q 'analysis: readonly_cache'; \
 	test -s "$$tmp/k.json"; \
 	echo "smoke: the same request twice, cmp the reports"; \

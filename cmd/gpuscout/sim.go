@@ -67,9 +67,6 @@ func runSim(args []string, stdout io.Writer) error {
 	}
 	var stalls []sv
 	for s := sim.Stall(0); s < sim.NumStalls; s++ {
-		if s == sim.StallSelected {
-			continue
-		}
 		if share := res.StallShare(s); share > 0 {
 			stalls = append(stalls, sv{s, share})
 		}

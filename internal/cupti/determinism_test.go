@@ -19,11 +19,8 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.TotalSamples != r2.TotalSamples {
-		t.Fatalf("sample totals differ: %v vs %v", r1.TotalSamples, r2.TotalSamples)
-	}
-	if !reflect.DeepEqual(r1.Samples, r2.Samples) {
-		t.Error("sample series differ between identical runs")
+	if !reflect.DeepEqual(r1, r2) {
+		t.Error("PC-sampling profiles differ between identical runs")
 	}
 	if res1.Cycles != res2.Cycles {
 		t.Errorf("cycle counts differ: %v vs %v", res1.Cycles, res2.Cycles)

@@ -1,7 +1,8 @@
 // Package cupti is the stand-in for the NVIDIA CUPTI PC Sampling API
 // (§2.2): it turns the simulator's exact per-PC stall-cycle integrals into
 // periodic PC samples with stall reasons and source-line attribution, the
-// data GPUscout's Warp Stalls pillar consumes.
+// data GPUscout's Warp Stalls pillar consumes: one sim.Stalls vector for
+// the kernel, per PC and per source line.
 //
 // Samples are synthesized deterministically as integral/period — the same
 // statistics a hardware periodic sampler converges to, without sampling
@@ -10,7 +11,7 @@ package cupti
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"gpuscout/internal/faultinject"
 	"gpuscout/internal/sass"
@@ -24,31 +25,24 @@ type Config struct {
 	PeriodCycles float64
 }
 
-// Sample is one aggregated PC-sampling record: how many samples landed on
-// pc with the given stall reason.
-type Sample struct {
-	PC      uint64
-	Line    int
-	File    string
-	Stall   sim.Stall
-	Samples float64
-}
-
-// Report is the result of collecting PC samples for one kernel launch.
+// Report is the PC-sampling profile of one kernel launch: samples per
+// stall reason over the whole kernel, at each sampled PC and on each
+// source line. Which reasons count as stalls is sim.Stalls' decision.
 type Report struct {
-	Kernel       string
 	PeriodCycles float64
-	TotalSamples float64
-	Samples      []Sample // sorted by PC, then stall reason
+	// Kernel holds each reason's StallCycles / PeriodCycles. A report
+	// total is a sum of these quotients; (ΣStallCycles)/PeriodCycles
+	// would move its low bits.
+	Kernel sim.Stalls
 
-	byPC   map[uint64]*[sim.NumStalls]float64
-	byLine map[int]*[sim.NumStalls]float64
+	byPC   map[uint64]sim.Stalls
+	byLine map[int]sim.Stalls
 }
 
 // siteCollect is the fault-injection site covering sample synthesis.
 var siteCollect = faultinject.Register("cupti.collect")
 
-// Collect synthesizes the PC-sampling report for a finished launch.
+// Collect synthesizes the PC-sampling profile of a finished launch.
 func Collect(k *sass.Kernel, res *sim.Result, cfg Config) (*Report, error) {
 	if err := faultinject.Hit(siteCollect); err != nil {
 		return nil, fmt.Errorf("cupti: %w", err)
@@ -61,97 +55,46 @@ func Collect(k *sass.Kernel, res *sim.Result, cfg Config) (*Report, error) {
 		period = 2048
 	}
 	r := &Report{
-		Kernel:       k.Name,
 		PeriodCycles: period,
-		byPC:         map[uint64]*[sim.NumStalls]float64{},
-		byLine:       map[int]*[sim.NumStalls]float64{},
+		byPC:         make(map[uint64]sim.Stalls, len(res.Counters.PCStalls)),
+		byLine:       map[int]sim.Stalls{},
 	}
-	// Iterate PCs in address order: the sums below are floating-point
-	// accumulations, and Go's randomized map order would make the low bits
-	// of TotalSamples and the per-line aggregates vary run to run.
+	for s, x := range res.Counters.StallCycles {
+		r.Kernel[s] = x / period
+	}
+	// Iterate PCs in address order: the per-line sums are floating-point
+	// accumulations, and Go's randomized map order would make their low
+	// bits vary run to run.
 	pcs := make([]uint64, 0, len(res.Counters.PCStalls))
 	for pc := range res.Counters.PCStalls {
 		pcs = append(pcs, pc)
 	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	slices.Sort(pcs)
 	for _, pc := range pcs {
-		integ := res.Counters.PCStalls[pc]
-		in := k.InstAt(pc)
-		line, file := 0, k.SourceFile
-		if in != nil {
+		var at sim.Stalls
+		for s, x := range res.Counters.PCStalls[pc] {
+			at[s] = x / period
+		}
+		r.byPC[pc] = at
+		line := 0
+		if in := k.InstAt(pc); in != nil {
 			line = in.Line
-			if in.File != "" {
-				file = in.File
-			}
 		}
-		for s := sim.Stall(0); s < sim.NumStalls; s++ {
-			if integ[s] == 0 {
-				continue
-			}
-			n := integ[s] / period
-			r.Samples = append(r.Samples, Sample{
-				PC: pc, Line: line, File: file, Stall: s, Samples: n,
-			})
-			r.TotalSamples += n
-			pcAgg := r.byPC[pc]
-			if pcAgg == nil {
-				pcAgg = new([sim.NumStalls]float64)
-				r.byPC[pc] = pcAgg
-			}
-			pcAgg[s] += n
-			lnAgg := r.byLine[line]
-			if lnAgg == nil {
-				lnAgg = new([sim.NumStalls]float64)
-				r.byLine[line] = lnAgg
-			}
-			lnAgg[s] += n
+		ln := r.byLine[line]
+		for s, x := range at {
+			ln[s] += x
 		}
+		r.byLine[line] = ln
 	}
-	sort.Slice(r.Samples, func(i, j int) bool {
-		if r.Samples[i].PC != r.Samples[j].PC {
-			return r.Samples[i].PC < r.Samples[j].PC
-		}
-		return r.Samples[i].Stall < r.Samples[j].Stall
-	})
 	return r, nil
 }
 
-// AtPC returns the per-reason sample counts for one PC.
-func (r *Report) AtPC(pc uint64) [sim.NumStalls]float64 {
-	if a := r.byPC[pc]; a != nil {
-		return *a
-	}
-	return [sim.NumStalls]float64{}
-}
+// AtPC returns the per-reason sample counts at one PC.
+func (r *Report) AtPC(pc uint64) sim.Stalls { return r.byPC[pc] }
 
-// AtLine returns the per-reason sample counts aggregated over all
-// instructions attributed to a source line.
-func (r *Report) AtLine(line int) [sim.NumStalls]float64 {
-	if a := r.byLine[line]; a != nil {
-		return *a
-	}
-	return [sim.NumStalls]float64{}
-}
-
-// TopStallsAtPC returns the stall reasons at pc ordered by sample count,
-// excluding selected/not_selected bookkeeping reasons, limited to max.
-func (r *Report) TopStallsAtPC(pc uint64, max int) []Sample {
-	a := r.AtPC(pc)
-	var out []Sample
-	for s := sim.Stall(0); s < sim.NumStalls; s++ {
-		if s == sim.StallSelected || s == sim.StallNotSelected {
-			continue
-		}
-		if a[s] > 0 {
-			out = append(out, Sample{PC: pc, Stall: s, Samples: a[s]})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Samples > out[j].Samples })
-	if len(out) > max {
-		out = out[:max]
-	}
-	return out
-}
+// AtLine returns the per-reason sample counts summed over the
+// instructions attributed to a source line, in PC order.
+func (r *Report) AtLine(line int) sim.Stalls { return r.byLine[line] }
 
 // CollectionCycles models the runtime cost of PC sampling for the
 // overhead analysis (Fig. 6): the kernel runs once under sampling with a

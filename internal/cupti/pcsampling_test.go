@@ -58,36 +58,39 @@ func TestCollectBasics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	if r.PeriodCycles != 512 || r.TotalSamples <= 0 || len(r.Samples) == 0 {
+	if r.PeriodCycles != 512 || r.Kernel.Stalled() <= 0 {
 		t.Fatalf("empty report: %+v", r)
 	}
-	// Samples sorted by PC then stall.
-	for i := 1; i < len(r.Samples); i++ {
-		a, b := r.Samples[i-1], r.Samples[i]
-		if a.PC > b.PC || (a.PC == b.PC && a.Stall >= b.Stall) {
-			t.Fatalf("samples not sorted at %d", i)
-		}
-	}
-	// Sample totals must match the stall integrals / period.
-	var want float64
-	for _, arr := range res.Counters.PCStalls {
+	// Sample totals must match the stall integrals / period, both in the
+	// kernel vector and summed over the per-PC vectors.
+	var want, kernel, atPCs float64
+	for pc, arr := range res.Counters.PCStalls {
+		at := r.AtPC(pc)
 		for s := sim.Stall(0); s < sim.NumStalls; s++ {
 			want += arr[s]
+			atPCs += at[s]
 		}
 	}
 	want /= 512
-	if math.Abs(r.TotalSamples-want) > 1e-9*want {
-		t.Errorf("TotalSamples = %v, want %v", r.TotalSamples, want)
+	for s := sim.Stall(0); s < sim.NumStalls; s++ {
+		kernel += r.Kernel[s]
+	}
+	if math.Abs(kernel-want) > 1e-9*want {
+		t.Errorf("Kernel samples = %v, want %v", kernel, want)
+	}
+	if math.Abs(atPCs-want) > 1e-9*want {
+		t.Errorf("samples summed over AtPC = %v, want %v", atPCs, want)
 	}
 	// The FMUL at line 4 consumes the load: long_scoreboard must appear.
 	if r.AtLine(4)[sim.StallLongScoreboard] <= 0 {
 		t.Error("no long_scoreboard at the consumer line")
 	}
 	// Line aggregation matches PC aggregation.
-	var pcAgg [sim.NumStalls]float64
-	for _, s := range r.Samples {
-		if s.Line == 4 {
-			pcAgg[s.Stall] += s.Samples
+	var pcAgg sim.Stalls
+	for _, pc := range k.PCsForLine(4) {
+		at := r.AtPC(pc)
+		for s := range at {
+			pcAgg[s] += at[s]
 		}
 	}
 	lineAgg := r.AtLine(4)
@@ -107,19 +110,21 @@ func TestDefaultPeriodAndTopStalls(t *testing.T) {
 	if r.PeriodCycles != 2048 {
 		t.Errorf("default period = %v", r.PeriodCycles)
 	}
-	// TopStallsAtPC excludes bookkeeping reasons and sorts descending.
+	// The top stalls at a PC exclude bookkeeping reasons and sort
+	// descending.
 	for pc := range res.Counters.PCStalls {
-		top := r.TopStallsAtPC(pc, 2)
+		at := r.AtPC(pc)
+		top := at.Top(2)
 		if len(top) > 2 {
-			t.Fatalf("TopStallsAtPC returned %d entries", len(top))
+			t.Fatalf("Top(2) returned %d entries", len(top))
 		}
 		for i := 1; i < len(top); i++ {
-			if top[i].Samples > top[i-1].Samples {
+			if at[top[i]] > at[top[i-1]] {
 				t.Error("top stalls not sorted")
 			}
 		}
-		for _, ts := range top {
-			if ts.Stall == sim.StallSelected || ts.Stall == sim.StallNotSelected {
+		for _, s := range top {
+			if s == sim.StallSelected || s == sim.StallNotSelected {
 				t.Error("bookkeeping stall in top list")
 			}
 		}

@@ -2,7 +2,6 @@ package scout
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"gpuscout/internal/sass"
@@ -47,14 +46,20 @@ func (r *Report) ProfileRegion(fromLine, toLine int) (*RegionProfile, error) {
 		MemoryInstructions: map[string]int{},
 	}
 
-	inRegion := map[uint64]bool{}
+	var region sim.Stalls
 	for i := range r.kernel.Insts {
 		in := &r.kernel.Insts[i]
 		if in.Line < fromLine || in.Line > toLine {
 			continue
 		}
-		inRegion[in.PC] = true
 		p.Instructions = append(p.Instructions, in.PC)
+		for s, x := range r.Samples.AtPC(in.PC) {
+			region[s] += x
+		}
+		if integ := r.Result.Counters.PCStalls[in.PC]; integ != nil {
+			// One "selected" cycle per issued warp instruction.
+			p.IssuedWarpInsts += integ[sim.StallSelected]
+		}
 		switch in.Op {
 		case sass.OpLDG, sass.OpSTG:
 			p.MemoryInstructions["global"]++
@@ -72,40 +77,13 @@ func (r *Report) ProfileRegion(fromLine, toLine int) (*RegionProfile, error) {
 		return nil, fmt.Errorf("scout: no instructions attributed to lines %d..%d", fromLine, toLine)
 	}
 
-	var regionStalls [sim.NumStalls]float64
-	var kernelTotal float64
-	// Sum in PC order, as cupti.Collect does: the sums are floating-point,
-	// and map order would move their low bits from call to call.
-	for _, pc := range sortedKeys(r.Result.Counters.PCStalls) {
-		integ := r.Result.Counters.PCStalls[pc]
-		for s := sim.Stall(0); s < sim.NumStalls; s++ {
-			samples := integ[s] / r.Samples.PeriodCycles
-			if s == sim.StallSelected {
-				if inRegion[pc] {
-					// One "selected" sample per period per issue cycle:
-					// scale back to issued instructions.
-					p.IssuedWarpInsts += integ[s]
-				}
-				continue
-			}
-			if s != sim.StallNotSelected {
-				kernelTotal += samples
-			}
-			if inRegion[pc] && s != sim.StallNotSelected {
-				regionStalls[s] += samples
-				p.StallSamples += samples
-			}
-		}
+	p.StallSamples = region.Exposed()
+	if kernel := r.Samples.Kernel.Exposed(); kernel > 0 {
+		p.ShareOfKernel = p.StallSamples / kernel
 	}
-	if kernelTotal > 0 {
-		p.ShareOfKernel = p.StallSamples / kernelTotal
+	for _, s := range region.Top(len(region)) {
+		p.TopStalls = append(p.TopStalls, RegionStall{s, region[s] / p.StallSamples})
 	}
-	for s := sim.Stall(0); s < sim.NumStalls; s++ {
-		if regionStalls[s] > 0 && p.StallSamples > 0 {
-			p.TopStalls = append(p.TopStalls, RegionStall{s, regionStalls[s] / p.StallSamples})
-		}
-	}
-	sort.Slice(p.TopStalls, func(i, j int) bool { return p.TopStalls[i].Share > p.TopStalls[j].Share })
 	return p, nil
 }
 

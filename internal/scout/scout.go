@@ -228,9 +228,9 @@ func runDynamicPillars(ctx context.Context, arch gpu.Arch, k *sass.Kernel, run R
 	rep.KernelCycles = res.Cycles
 	rep.AchievedOccupancy = res.AchievedOccupancy
 	rep.StallShares = map[sim.Stall]float64{}
-	for s := sim.Stall(0); s < sim.NumStalls; s++ {
-		if share := res.StallShare(s); s != sim.StallSelected && share > 0 {
-			rep.StallShares[s] = share
+	for s := range res.Counters.StallCycles {
+		if share := res.StallShare(sim.Stall(s)); share > 0 {
+			rep.StallShares[sim.Stall(s)] = share
 		}
 	}
 	// The "where should I look first" list: the ten hottest lines.
@@ -313,31 +313,25 @@ func correlate(f *Finding, rep *Report) {
 			continue
 		}
 		seenLines[s.Line] = true
-		top := topLineStalls(rep.Samples, s.Line, 3)
-		for _, ts := range top {
+		agg := rep.Samples.AtLine(s.Line)
+		for _, st := range agg.Top(3) {
 			f.StallSummary = append(f.StallSummary, fmt.Sprintf(
 				"line %d: %s — %.1f%% of stall samples at this line (%s)",
-				s.Line, ts.stall, 100*ts.share, ts.stall.Explain()))
+				s.Line, st, 100*(agg[st]/agg.Exposed()), st.Explain()))
 		}
 	}
 	// Relevance: how much of the kernel's stalls are of the kinds this
 	// finding points at, at these lines.
 	// Summed in line order, not map order: float addition does not
 	// associate, and the report must be byte-identical on every run.
-	var atSites, total float64
+	var atSites float64
 	for _, line := range sortedKeys(seenLines) {
 		agg := rep.Samples.AtLine(line)
 		for _, st := range f.RelevantStalls {
 			atSites += agg[st]
 		}
 	}
-	for st := sim.Stall(0); st < sim.NumStalls; st++ {
-		if st == sim.StallSelected {
-			continue
-		}
-		total += rep.Result.Counters.StallCycles[st] / rep.Samples.PeriodCycles
-	}
-	if total > 0 {
+	if total := rep.Samples.Kernel.Stalled(); total > 0 {
 		relevantShare = atSites / total
 	}
 	switch {
@@ -407,56 +401,12 @@ func exposedStallFraction(res *sim.Result) float64 {
 	if res == nil {
 		return 0
 	}
-	var exposed float64
-	for st := sim.Stall(0); st < sim.NumStalls; st++ {
-		if st == sim.StallSelected || st == sim.StallNotSelected {
-			continue
-		}
-		exposed += res.Counters.StallCycles[st]
-	}
+	exposed := res.Counters.StallCycles.Exposed()
 	denom := exposed + res.Counters.StallCycles[sim.StallSelected]
 	if denom == 0 {
 		return 0
 	}
 	return exposed / denom
-}
-
-type lineStall struct {
-	stall sim.Stall
-	share float64
-}
-
-func topLineStalls(r *cupti.Report, line, max int) []lineStall {
-	agg := r.AtLine(line)
-	var total float64
-	for s := sim.Stall(0); s < sim.NumStalls; s++ {
-		if s == sim.StallSelected || s == sim.StallNotSelected {
-			continue
-		}
-		total += agg[s]
-	}
-	if total == 0 {
-		return nil
-	}
-	var out []lineStall
-	for s := sim.Stall(0); s < sim.NumStalls; s++ {
-		if s == sim.StallSelected || s == sim.StallNotSelected || agg[s] == 0 {
-			continue
-		}
-		out = append(out, lineStall{s, agg[s] / total})
-	}
-	// Selection sort for the top few.
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j].share > out[i].share {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	if len(out) > max {
-		out = out[:max]
-	}
-	return out
 }
 
 func stallList(ss []sim.Stall) string {

@@ -84,8 +84,8 @@ func (r *Report) SourceView() string {
 			in := r.kernel.InstAt(pc)
 			stall := ""
 			if r.Samples != nil {
-				if top := r.Samples.TopStallsAtPC(pc, 1); len(top) > 0 {
-					stall = fmt.Sprintf("   <- %s", top[0].Stall)
+				if top := r.Samples.AtPC(pc).Top(1); len(top) > 0 {
+					stall = fmt.Sprintf("   <- %s", top[0])
 				}
 			}
 			fmt.Fprintf(&b, "      %s| %s%s\n", strings.Repeat(" ", len(heat)), in.String(), stall)
@@ -114,23 +114,13 @@ func (r *Report) lineHeats() []LineHeat {
 	var total float64
 	for _, line := range r.kernel.Lines() {
 		agg := r.Samples.AtLine(line)
-		var lineTotal float64
-		var topStall sim.Stall
-		var topVal float64
-		for s := sim.Stall(0); s < sim.NumStalls; s++ {
-			if s == sim.StallSelected || s == sim.StallNotSelected {
-				continue
-			}
-			lineTotal += agg[s]
-			if agg[s] > topVal {
-				topVal, topStall = agg[s], s
-			}
-		}
-		if lineTotal == 0 {
+		top := agg.Top(1)
+		if len(top) == 0 {
 			continue
 		}
+		lineTotal := agg.Exposed()
 		total += lineTotal
-		out = append(out, LineHeat{Line: line, Samples: lineTotal, TopStall: topStall, Source: r.kernel.SourceLine(line)})
+		out = append(out, LineHeat{Line: line, Samples: lineTotal, TopStall: top[0], Source: r.kernel.SourceLine(line)})
 	}
 	for i := range out {
 		out[i].Share = out[i].Samples / total

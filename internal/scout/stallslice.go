@@ -88,19 +88,8 @@ func stalledConsumer(view *KernelView, samples *cupti.Report, idx int) (int, flo
 	var bestStall sim.Stall
 	for _, c := range candidates {
 		agg := samples.AtPC(k.Insts[c].PC)
-		var total float64
-		top, topSamples := sim.Stall(0), 0.0
-		for st := sim.Stall(0); st < sim.NumStalls; st++ {
-			if st == sim.StallSelected || st == sim.StallNotSelected {
-				continue
-			}
-			total += agg[st]
-			if agg[st] > topSamples {
-				top, topSamples = st, agg[st]
-			}
-		}
-		if total > bestSamples {
-			best, bestSamples, bestStall = c, total, top
+		if total := agg.Exposed(); total > bestSamples {
+			best, bestSamples, bestStall = c, total, agg.Top(1)[0]
 		}
 	}
 	return best, bestSamples, bestStall

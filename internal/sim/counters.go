@@ -44,8 +44,8 @@ type Counters struct {
 	DRAMReadBytes, DRAMWriteBytes uint64
 
 	// Stall integrals: total and per PC, in warp-cycles.
-	StallCycles [NumStalls]float64
-	PCStalls    map[uint64]*[NumStalls]float64
+	StallCycles Stalls
+	PCStalls    map[uint64]*Stalls
 
 	// Occupancy accounting.
 	ActiveWarpCycles float64 // integral of resident, unfinished warps over time
@@ -55,14 +55,14 @@ type Counters struct {
 func newCounters() *Counters {
 	return &Counters{
 		OpcodeDyn: map[sass.Opcode]uint64{},
-		PCStalls:  map[uint64]*[NumStalls]float64{},
+		PCStalls:  map[uint64]*Stalls{},
 	}
 }
 
-func (c *Counters) pcStall(pc uint64) *[NumStalls]float64 {
+func (c *Counters) pcStall(pc uint64) *Stalls {
 	s := c.PCStalls[pc]
 	if s == nil {
-		s = new([NumStalls]float64)
+		s = new(Stalls)
 		c.PCStalls[pc] = s
 	}
 	return s
@@ -205,17 +205,12 @@ func (r *Result) BlockRan(linear int) bool {
 	return linear%r.NumSMs < r.SimulatedSMs
 }
 
-// StallShare returns stall reason r's fraction of all non-selected stall
-// cycles, in [0,1].
+// StallShare returns stall reason s's fraction of all stalled cycles
+// (Stalls.Stalled: not_selected included), in [0,1]. selected is not a
+// stall: its share is 0.
 func (r *Result) StallShare(s Stall) float64 {
-	var total float64
-	for i := Stall(0); i < NumStalls; i++ {
-		if i == StallSelected {
-			continue
-		}
-		total += r.Counters.StallCycles[i]
-	}
-	if total == 0 {
+	total := r.Counters.StallCycles.Stalled()
+	if total == 0 || s == StallSelected {
 		return 0
 	}
 	return r.Counters.StallCycles[s] / total

@@ -412,7 +412,7 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 		sm.rec.warps = make([]warpStream, len(blockIdxs)*sm.arena.warpsPerBlock)
 		sm.rec.budget = maxRecordingBytes / len(e.plans)
 	}
-	sm.pcStalls = make([][NumStalls]float64, len(e.kernel.Insts)+1)
+	sm.pcStalls = make([]Stalls, len(e.kernel.Insts)+1)
 	sm.opcodeDyn = make([]uint64, sass.NumOpcodes)
 	for i := 0; i < resident; i++ {
 		e.launchBlock(sm, blockIdxs[i])

@@ -166,7 +166,7 @@ type smState struct {
 	// once at the end of runSM. pcStalls is indexed by instruction index
 	// (pc / InstBytes) with one extra slot for the synthetic
 	// past-the-end reconvergence PC; opcodeDyn by opcode value.
-	pcStalls  [][NumStalls]float64
+	pcStalls  []Stalls
 	opcodeDyn []uint64
 
 	// Reusable scratch for the memory timing path.
@@ -190,19 +190,11 @@ func (sm *smState) addStall(pc uint64, reason Stall, dt float64) {
 // key only for a PC or opcode that was touched.
 func (sm *smState) foldDense() {
 	for idx := range sm.pcStalls {
-		arr := &sm.pcStalls[idx]
-		touched := false
-		for s := Stall(0); s < NumStalls; s++ {
-			if arr[s] != 0 {
-				touched = true
-				break
-			}
-		}
-		if !touched {
+		if sm.pcStalls[idx] == (Stalls{}) {
 			continue
 		}
-		dst := new([NumStalls]float64)
-		*dst = *arr
+		dst := new(Stalls)
+		*dst = sm.pcStalls[idx]
 		sm.counters.PCStalls[uint64(idx)*sass.InstBytes] = dst
 	}
 	for op, n := range sm.opcodeDyn {

@@ -15,7 +15,11 @@
 // order so the Result is bit-identical for every worker count.
 package sim
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Stall classifies why a warp could not issue (or that it did). The set
 // mirrors the CUPTI/Nsight stall taxonomy the paper discusses; the string
@@ -89,6 +93,44 @@ func (s *Stall) UnmarshalText(text []byte) error {
 		}
 	}
 	return fmt.Errorf("sim: unknown stall %q", text)
+}
+
+// Stalls is one value per stall reason — warp-cycles in the counters,
+// samples in a PC-sampling profile — and the one place that decides which
+// reasons are bookkeeping: selected is progress, not a stall; not_selected
+// is a stall no latency was exposed by (another warp issued).
+type Stalls [NumStalls]float64
+
+// Stalled sums every reason but selected, in reason order.
+func (v Stalls) Stalled() float64 { return v.sum(NumStalls) }
+
+// Exposed sums every reason but selected and not_selected, in reason
+// order: the stalls that cost issue opportunities.
+func (v Stalls) Exposed() float64 { return v.sum(StallNotSelected) }
+
+// sum adds every reason but selected and skip, in reason order: a total
+// is a float sum, and its low bits are part of the report.
+func (v Stalls) sum(skip Stall) float64 {
+	var total float64
+	for s := StallSelected + 1; s < NumStalls; s++ {
+		if s != skip {
+			total += v[s]
+		}
+	}
+	return total
+}
+
+// Top returns up to n exposed reasons with a non-zero value, largest
+// first, ties in reason order.
+func (v Stalls) Top(n int) []Stall {
+	var out []Stall
+	for s := StallSelected + 1; s < NumStalls; s++ {
+		if s != StallNotSelected && v[s] != 0 {
+			out = append(out, s)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b Stall) int { return cmp.Compare(v[b], v[a]) })
+	return out[:min(n, len(out))]
 }
 
 // Explain returns the verbose interpretation GPUscout prints alongside a
