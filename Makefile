@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build loc digest vet test test-faultinject bench-sass pool-width race-sim smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
+.PHONY: check build loc digest vet test test-faultinject bench-sass bench-replay pool-width race-sim smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
 
 check: build vet race
 
@@ -50,6 +50,14 @@ test-faultinject:
 BENCHTIME ?= 1s
 bench-sass:
 	$(GO) test ./internal/sass -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME)
+
+# A sweep's replays alone: every workload on sm_70 and sm_80 at the
+# benchmark's scale, recorded once, then every cell Recording.Inert does
+# not prove replayed per iteration; rec_B is the recordings' bytes. Add
+# -cpuprofile to see where replay time goes. CI's build-test job runs it
+# at BENCHTIME=1x (~3 s).
+bench-replay:
+	$(GO) test ./internal/workloads -run '^$$' -bench Replay -benchmem -benchtime $(BENCHTIME)
 
 # Width-independence of the re-execution passes (CI: build-test). Run
 # fans a sweep's cells and Verify's variants out over GOMAXPROCS workers;

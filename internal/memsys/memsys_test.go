@@ -1,6 +1,9 @@
 package memsys
 
 import (
+	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -178,6 +181,53 @@ func TestBankConflicts(t *testing.T) {
 	}
 	if got := s.BankConflicts(32, addrs, 0, 4); got != 0 {
 		t.Errorf("no active lanes: %d, want 0", got)
+	}
+}
+
+// TestConflictsIgnoreLanes pins what a recording's shared accesses rely
+// on: both conflict counts depend only on the active lanes' addresses in
+// lane order, not on which lanes they sit in, so the addresses compacted
+// to the low lanes (mask 1<<n - 1) count the same as the warp's; and
+// BankConflicts, which counts distinct words, counts the same again when
+// each address is kept only once.
+func TestConflictsIgnoreLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var s BankScratch
+	addrs, packed, distinct := make([]uint64, 32), make([]uint64, 0, 32), make([]uint64, 0, 32)
+	for i := 0; i < 2000; i++ {
+		width := []int{4, 8, 16}[rng.Intn(3)]
+		span := 1 + rng.Intn(256) // words: small spans collide, broadcast and conflict
+		for lane := range addrs {
+			addrs[lane] = uint64(rng.Intn(span) * width)
+		}
+		mask := rng.Uint32()
+		switch i % 4 {
+		case 0:
+			mask = allActive
+		case 1:
+			mask &= rng.Uint32() // sparse
+		}
+		packed, distinct = packed[:0], distinct[:0]
+		for m := mask; m != 0; m &= m - 1 {
+			a := addrs[bits.TrailingZeros32(m)]
+			packed = append(packed, a)
+			if !slices.Contains(distinct, a) {
+				distinct = append(distinct, a)
+			}
+		}
+		low := uint32(1)<<len(packed) - 1
+		for _, banks := range []int{16, 32, 64} {
+			want := s.BankConflicts(banks, addrs, mask, width)
+			if got := s.BankConflicts(banks, packed, low, width); got != want {
+				t.Fatalf("BankConflicts(%d banks, width %d, mask %#x): %d compacted, %d in place", banks, width, mask, got, want)
+			}
+			if got := s.BankConflicts(banks, distinct, uint32(1)<<len(distinct)-1, width); got != want {
+				t.Fatalf("BankConflicts(%d banks, width %d, mask %#x): %d distinct, %d in place", banks, width, mask, got, want)
+			}
+			if got, want := s.AtomicConflicts(banks, packed, low), s.AtomicConflicts(banks, addrs, mask); got != want {
+				t.Fatalf("AtomicConflicts(%d banks, mask %#x): %d compacted, %d in place", banks, mask, got, want)
+			}
+		}
 	}
 }
 

@@ -17,14 +17,19 @@ type memDesc struct {
 	width  int  // bytes per lane
 }
 
-// memAccess describes the memory behaviour of one issued warp instruction
-// for the timing model: the space, per-lane addresses, and access width.
+// memAccess describes the memory behaviour of one executed warp
+// instruction: the space, access width and per-lane addresses, from which
+// engine.words derives what the timing model reads.
 type memAccess struct {
 	memDesc
-	valid bool
 	mask  uint32
 	addrs [32]uint64
 }
+
+// accesses reports whether d, issued under mask, accessed memory: exactly
+// the memory instructions decode a width, and they access memory when at
+// least one lane runs.
+func (d *decoded) accesses(mask uint32) bool { return d.mem.width != 0 && mask != 0 }
 
 // execError wraps a functional-execution fault with its location.
 type execError struct {

@@ -13,7 +13,7 @@ import (
 // address rule (locate, one per space) followed by a word move (one per
 // direction: load, store, atomic read-modify-write, async copy).
 func (e *engine) execMem(w *warp, d *decoded, execMask uint32, ma *memAccess) error {
-	ma.memDesc, ma.valid, ma.mask = d.mem, execMask != 0, execMask
+	ma.memDesc, ma.mask = d.mem, execMask
 	var tex Texture
 	if d.mem.space == sass.ClassTexture {
 		var err error

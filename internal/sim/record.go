@@ -12,19 +12,22 @@ import (
 	"gpuscout/internal/sass"
 )
 
-// maxRecordingBytes bounds what one launch may record; past it the
-// launch finishes unrecorded and its caller re-executes instead. The
-// largest kernel the benchmark sweeps records 1.8 MB, so 16 MiB covers
-// every request of that order while a swept launch at a case-study scale
-// (hundreds of MB of accesses) keeps paying in time, not in memory.
+// maxRecordingBytes bounds what one launch may record, counted as the
+// capacity its streams hold; past it the launch finishes unrecorded and
+// its caller re-executes instead. The largest kernel the benchmark sweeps
+// holds 0.66 MB (sgemm_shared@128 on sm_70, two sampled SMs), so 16 MiB
+// covers every request of that order while a swept launch at a
+// case-study scale (hundreds of MB of accesses) keeps paying in time, not
+// in memory.
 const maxRecordingBytes = 16 << 20
 
 // Recording is what one launch did, apart from when: per warp, the
 // instructions it retired with their guard masks and, for memory
-// instructions, the footprint the memory system saw. It is everything the
-// timing model takes from functional execution, so Replay can time the
-// same launch on differently sized hardware without a device, registers
-// or data. A Recording is immutable; replays may run concurrently.
+// instructions, the words the timing model read (engine.words). It is
+// everything the timing model takes from functional execution, so Replay
+// can time the same launch on differently sized hardware without a
+// device, registers or data. A Recording is immutable; replays may run
+// concurrently.
 type Recording struct {
 	program
 	arch gpu.Arch      // the recorded device's
@@ -38,15 +41,38 @@ type Recording struct {
 // block k/warpsPerBlock.
 type smRecording struct {
 	warps  []warpStream // indexed by gid - gidBase
-	bytes  int
-	budget int      // this SM's share of maxRecordingBytes
-	over   bool     // the budget ran out; the streams were dropped
-	lines  []uint64 // the footprint (see complete)
+	bytes  int          // Σ warpStream.bytes: what the budget charges
+	budget int          // this SM's share of maxRecordingBytes
+	over   bool         // the budget ran out; the streams were dropped
+	lines  []uint64     // the footprint (see complete)
 }
 
 type warpStream struct {
 	insts []recInst
-	mem   []memAccess // of the instructions that accessed memory, in order
+	mem   []recMem // of the instructions that accessed memory, in order
+	words []uint64 // every access's words (see engine.words), back to back
+}
+
+// recMem is one recorded memory access: the PC index of its instruction,
+// whose decoded descriptor says what the access was, and where its words
+// end (they start where the previous access's end).
+type recMem struct{ at, end uint32 }
+
+// access returns the stream's j-th access: its instruction's PC index and
+// its words.
+func (s *warpStream) access(j int) (at uint32, words []uint64) {
+	var start uint32
+	if j > 0 {
+		start = s.mem[j-1].end
+	}
+	return s.mem[j].at, s.words[start:s.mem[j].end]
+}
+
+// bytes is the heap the stream holds: its slices' capacity, not their
+// length, because that is what an append grows.
+func (s *warpStream) bytes() int {
+	return cap(s.insts)*int(unsafe.Sizeof(recInst{})) + cap(s.mem)*int(unsafe.Sizeof(recMem{})) +
+		cap(s.words)*int(unsafe.Sizeof(uint64(0)))
 }
 
 // recInst is one retired warp instruction: the guard mask it issued
@@ -58,9 +84,10 @@ type recInst struct {
 
 const recDone = ^uint32(0)
 
-// add appends the instruction w just executed — under mask, accessing ma
-// if not nil — to its stream.
-func (r *smRecording) add(w *warp, mask uint32, ma *memAccess) {
+// add appends the instruction w just executed — code[at], under mask,
+// with the words of its access if it made one — to its stream, and
+// charges the budget what the stream's slices grew by.
+func (r *smRecording) add(w *warp, at int, d *decoded, mask uint32, words []uint64) {
 	if r.over {
 		return
 	}
@@ -69,13 +96,13 @@ func (r *smRecording) add(w *warp, mask uint32, ma *memAccess) {
 		in.next = uint32(w.pc / sass.InstBytes)
 	}
 	s := w.stream
+	held := s.bytes()
 	s.insts = append(s.insts, in)
-	r.bytes += int(unsafe.Sizeof(in))
-	if ma != nil {
-		s.mem = append(s.mem, *ma)
-		r.bytes += int(unsafe.Sizeof(*ma))
+	if d.accesses(mask) {
+		s.words = append(s.words, words...)
+		s.mem = append(s.mem, recMem{at: uint32(at), end: uint32(len(s.words))})
 	}
-	if r.bytes > r.budget {
+	if r.bytes += s.bytes() - held; r.bytes > r.budget {
 		r.over = true
 		clear(r.warps)
 	}
@@ -83,21 +110,19 @@ func (r *smRecording) add(w *warp, mask uint32, ma *memAccess) {
 
 // next is exec for a replayed warp about to issue d: it moves w past its
 // next recorded instruction and returns that instruction's guard mask
-// and, if it accessed memory, the access.
-func (w *warp) next(d *decoded) (mask uint32, ma *memAccess) {
+// and, if it accessed memory, the access's words.
+func (w *warp) next(d *decoded) (mask uint32, words []uint64) {
 	s := w.stream
 	in := s.insts[w.at]
 	w.at++
 	if w.done = in.next == recDone; !w.done {
 		w.pc = uint64(in.next) * sass.InstBytes
 	}
-	// Exactly the memory instructions decode a width, and exec reports an
-	// access when at least one lane ran.
-	if d.mem.width != 0 && in.mask != 0 {
-		ma = &s.mem[w.memAt]
+	if d.accesses(in.mask) {
+		_, words = s.access(w.memAt)
 		w.memAt++
 	}
-	return in.mask, ma
+	return in.mask, words
 }
 
 // replayable reports whether the kernel's instruction stream is the same
@@ -143,8 +168,9 @@ func readsBeforeOverwrite(code []decoded, from int, reg sass.Reg) bool {
 }
 
 // complete returns r if every SM kept its streams, else nil, taking each
-// SM's footprint: the L1 lines its global, local and texture accesses
-// touched (all its L1 and L2 slice can have held), sorted and distinct.
+// SM's footprint: the L1 lines of the sectors its global, local and
+// texture accesses touched (all its L1 and L2 slice can have held),
+// sorted and distinct.
 func (r *Recording) complete() *Recording {
 	if r == nil {
 		return nil
@@ -154,17 +180,17 @@ func (r *Recording) complete() *Recording {
 		if sm.over {
 			return nil
 		}
-		var bases []uint64
 		var seen [256]uint64 // 1 + a line recently kept, by line mod 256: most repeats stop here
 		for _, ws := range sm.warps {
 			for j := range ws.mem {
-				if ma := &ws.mem[j]; ma.space != sass.ClassShared && ma.space != sass.ClassConst {
-					bases = memsys.CoalesceSectorsInto(bases, r.arch.L1LineBytes, ma.addrs[:], ma.mask, ma.width)
-					for _, b := range bases {
-						if l := b / uint64(r.arch.L1LineBytes); seen[l%256] != l+1 {
-							seen[l%256] = l + 1
-							sm.lines = append(sm.lines, l)
-						}
+				at, sectors := ws.access(j)
+				if sp := r.code[at].mem.space; sp == sass.ClassShared || sp == sass.ClassConst {
+					continue
+				}
+				for _, s := range sectors {
+					if l := s / uint64(r.arch.L1LineBytes); seen[l%256] != l+1 {
+						seen[l%256] = l + 1
+						sm.lines = append(sm.lines, l)
 					}
 				}
 			}
@@ -179,7 +205,8 @@ func (r *Recording) complete() *Recording {
 // replay on the recorded arch does: arch may differ from it in SharedBanks
 // if no shared access changes its cost (nothing else reads them), and in
 // L1Bytes and L2Bytes if on every SM both geometries of that cache (or L2
-// slice) fit the footprint. Any other difference is refused.
+// slice) fit the footprint. Any other difference is refused. A shared
+// access's cost on the recorded banks is the count its words begin with.
 func (r *Recording) Inert(arch gpu.Arch) bool {
 	was := r.arch
 	was.L1Bytes, was.L2Bytes, was.SharedBanks = arch.L1Bytes, arch.L2Bytes, arch.SharedBanks
@@ -197,8 +224,9 @@ func (r *Recording) Inert(arch gpu.Arch) bool {
 		}
 		for _, ws := range sm.warps {
 			for j := range ws.mem {
-				if ma := &ws.mem[j]; ma.space == sass.ClassShared && arch.SharedBanks != r.arch.SharedBanks &&
-					sharedTrans(&banks, r.arch.SharedBanks, ma) != sharedTrans(&banks, arch.SharedBanks, ma) {
+				at, words := ws.access(j)
+				if md := &r.code[at].mem; md.space == sass.ClassShared && arch.SharedBanks != r.arch.SharedBanks &&
+					uint64(sharedTrans(&banks, arch.SharedBanks, md, words[1:])) != words[0] {
 					return false
 				}
 			}
@@ -220,7 +248,8 @@ func Record(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config) (*Res
 // the scheduler and memory-system model alone. arch may differ from the
 // recorded device's in anything the functional core, the block
 // distribution and occupancy do not read — every field a
-// gpu.Perturbation moves.
+// gpu.Perturbation moves — but in its sector size, which the recorded
+// sectors are cut at.
 func (r *Recording) Replay(ctx context.Context, arch gpu.Arch) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -229,9 +258,18 @@ func (r *Recording) Replay(ctx context.Context, arch gpu.Arch) (*Result, error) 
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	occ, err := gpu.ComputeOccupancy(arch, r.kernel.NumRegs, r.kernel.SharedBytes, r.block.Count())
-	if err != nil || occ != r.occ || arch.NumSMs != r.arch.NumSMs || arch.DRAMBytes != r.arch.DRAMBytes {
-		return nil, fmt.Errorf("sim: a recording of %s on %s cannot replay on %s: occupancy, SM count or memory size differ", r.kernel.Name, r.arch.SM, arch.SM)
+	if err != nil || occ != r.occ || arch.NumSMs != r.arch.NumSMs || arch.DRAMBytes != r.arch.DRAMBytes || arch.L1SectorBytes != r.arch.L1SectorBytes {
+		return nil, fmt.Errorf("sim: a recording of %s on %s cannot replay on %s: occupancy, SM count, memory size or sector size differ", r.kernel.Name, r.arch.SM, arch.SM)
 	}
 	e := &engine{program: r.program, ctx: ctx, arch: arch, rec: r, replay: true}
 	return e.run()
+}
+
+// Bytes is what the recording's streams hold, as the budget charges it.
+func (r *Recording) Bytes() int {
+	n := 0
+	for i := range r.sms {
+		n += r.sms[i].bytes
+	}
+	return n
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"gpuscout/internal/memsys"
 	"gpuscout/internal/sass"
@@ -170,8 +171,8 @@ type smState struct {
 	opcodeDyn []uint64
 
 	// Reusable scratch for the memory timing path.
-	sectorBuf []uint64
-	banks     memsys.BankScratch
+	wordBuf []uint64
+	banks   memsys.BankScratch
 }
 
 // addStall attributes dt warp-cycles of stall reason `reason` at pc in
@@ -293,27 +294,29 @@ func stallForClass(c sass.Class) Stall {
 
 // issue executes one instruction for warp w and applies its timing
 // effects. What the instruction did — the lanes it ran on, where it left
-// the warp, the memory it touched — comes from exec or, in a replay, from
-// the warp's recorded stream; that is the only difference between the
-// two, and everything from here down is the timing model they share.
+// the warp, the words of the memory it touched — comes from exec or, in a
+// replay, from the warp's recorded stream; that is the only difference
+// between the two, and everything from here down is the timing model they
+// share.
 func (e *engine) issue(sm *smState, w *warp) error {
-	d := &e.code[w.pc/sass.InstBytes]
+	at := int(w.pc / sass.InstBytes)
+	d := &e.code[at]
 	in := d.in
 	var execMask uint32
-	var ma *memAccess // the instruction's memory access, if it made one
+	var words []uint64 // the instruction's memory access (see words), if it made one
 	if e.replay {
-		execMask, ma = w.next(d)
+		execMask, words = w.next(d)
 	} else {
 		var live memAccess
 		execMask = w.guardMask(in)
 		if err := e.exec(w, d, execMask, &live); err != nil {
 			return err
 		}
-		if live.valid {
-			ma = &live
+		if d.accesses(execMask) {
+			words = e.words(sm, &live)
 		}
 		if w.stream != nil {
-			sm.rec.add(w, execMask, ma)
+			sm.rec.add(w, at, d, execMask, words)
 		}
 	}
 
@@ -342,8 +345,8 @@ func (e *engine) issue(sm *smState, w *warp) error {
 		}
 	}
 
-	if ma != nil {
-		e.memTiming(sm, w, d, ma)
+	if d.accesses(execMask) {
+		e.memTiming(sm, w, d, execMask, words)
 		return nil
 	}
 
@@ -377,32 +380,59 @@ func (e *engine) setDstReady(sm *smState, w *warp, d *decoded, latency float64, 
 	}
 }
 
-// memTiming applies the memory-system cost of an executed access and
-// schedules the destination registers' availability.
-func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma *memAccess) {
+// words is what the timing model reads of a live access, and what a
+// recording keeps of it (in sm's scratch, valid until the next call):
+//   - global, local and texture: the distinct sectors, in first-touch order;
+//   - shared: the MIO transactions it costs on the launch's banks, then the
+//     active lanes' addresses in lane order — each once unless atomic: the
+//     conflict counts ignore lanes and only the atomic one counts repeats,
+//     so a replay on other banks counts again from these;
+//   - constant: none.
+func (e *engine) words(sm *smState, ma *memAccess) []uint64 {
+	switch ma.space {
+	case sass.ClassConst:
+		return nil
+	case sass.ClassShared:
+		words := append(sm.wordBuf[:0], 0)
+		for m := ma.mask; m != 0; m &= m - 1 {
+			if a := ma.addrs[bits.TrailingZeros32(m)]; ma.atomic || !slices.Contains(words[1:], a) {
+				words = append(words, a)
+			}
+		}
+		words[0] = uint64(sharedTrans(&sm.banks, e.arch.SharedBanks, &ma.memDesc, words[1:]))
+		sm.wordBuf = words
+	default:
+		sm.wordBuf = memsys.CoalesceSectorsInto(sm.wordBuf, e.arch.L1SectorBytes, ma.addrs[:], ma.mask, ma.width)
+	}
+	return sm.wordBuf
+}
+
+// memTiming applies the memory-system cost of an access — d under mask,
+// as words describes it — and schedules the destination registers'
+// availability.
+func (e *engine) memTiming(sm *smState, w *warp, d *decoded, mask uint32, words []uint64) {
 	a := &e.arch
 	c := sm.counters
 	now := sm.now
 	op := d.in.Op
+	md := &d.mem
 
-	switch ma.space {
+	switch md.space {
 	case sass.ClassGlobal, sass.ClassLocal:
-		if ma.async {
-			e.asyncCopyTiming(sm, w, ma)
+		if md.async {
+			e.asyncCopyTiming(sm, w, words)
 			return
 		}
 		var done, svcEnd float64
-		if ma.atomic {
+		if md.atomic {
 			// Atomics bypass L1 and resolve at the L2 atomic units. Every
 			// active lane is a read-modify-write: lanes hitting the same
 			// address serialize fully — the §4.4 global-atomic cost.
-			sectors := memsys.CoalesceSectorsInto(sm.sectorBuf, a.L1SectorBytes, ma.addrs[:], ma.mask, ma.width)
-			sm.sectorBuf = sectors[:0]
-			lanes := bits.OnesCount32(ma.mask)
+			lanes := bits.OnesCount32(mask)
 			start := math.Max(now, sm.atomFree)
 			sm.atomFree = start + 2*float64(lanes)
 			done, svcEnd = now, sm.atomFree
-			for _, s := range sectors {
+			for _, s := range words {
 				lat := e.l2Access(sm, s, true)
 				if t := sm.atomFree + lat; t > done {
 					done = t
@@ -411,17 +441,17 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma *memAccess) {
 			c.GlobalAtomics += uint64(lanes)
 		} else {
 			var n, hits uint64
-			done, svcEnd, n, hits = e.sectorWalk(sm, ma, sm.lsu, &sm.lsuMiss, float64(a.L1HitLatency), true)
+			done, svcEnd, n, hits = e.sectorWalk(sm, md.write, words, sm.lsu, &sm.lsuMiss, float64(a.L1HitLatency), true)
 			switch {
-			case ma.nc:
+			case md.nc:
 				c.TexSectors += n
 				c.TexSectorHits += hits
-			case ma.space == sass.ClassGlobal && ma.write:
+			case md.space == sass.ClassGlobal && md.write:
 				c.GlobalStSectors += n
-			case ma.space == sass.ClassGlobal:
+			case md.space == sass.ClassGlobal:
 				c.GlobalLdSectors += n
 				c.GlobalLdSectorHits += hits
-			case ma.write:
+			case md.write:
 				c.LocalStSectors += n
 			default:
 				c.LocalLdSectors += n
@@ -433,7 +463,7 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma *memAccess) {
 		// about issue backlog (§3.2).
 		sm.lgQ.push(svcEnd)
 		if sass.IsLoad(op) || op == sass.OpATOM {
-			e.setDstReady(sm, w, d, done-now, ma.space)
+			e.setDstReady(sm, w, d, done-now, md.space)
 		} else if svcEnd > w.lastStoreDone {
 			// Stores are posted: the warp may exit once the write is
 			// accepted by the memory system, not when it lands in DRAM.
@@ -451,9 +481,12 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma *memAccess) {
 		}
 
 	case sass.ClassShared:
-		trans := sharedTrans(&sm.banks, a.SharedBanks, ma)
-		if ma.atomic {
-			c.SharedAtomics += uint64(bits.OnesCount32(ma.mask))
+		trans := int(words[0])
+		if e.replay && a.SharedBanks != e.rec.arch.SharedBanks {
+			trans = sharedTrans(&sm.banks, a.SharedBanks, md, words[1:])
+		}
+		if md.atomic {
+			c.SharedAtomics += uint64(bits.OnesCount32(mask))
 		}
 		svc := sm.mio.Request(now, trans)
 		done := svc + float64(a.SharedLatency)
@@ -475,7 +508,7 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma *memAccess) {
 		}
 
 	case sass.ClassTexture:
-		done, svcEnd, n, hits := e.sectorWalk(sm, ma, sm.texu, &sm.texMiss, float64(a.TexLatency), true)
+		done, svcEnd, n, hits := e.sectorWalk(sm, md.write, words, sm.texu, &sm.texMiss, float64(a.TexLatency), true)
 		c.TexSectors += n
 		c.TexSectorHits += hits
 		sm.texQ.push(svcEnd)
@@ -493,37 +526,37 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, ma *memAccess) {
 	}
 }
 
-// sharedTrans is the MIO transactions (≥ 1) a shared access costs on numBanks banks.
-func sharedTrans(s *memsys.BankScratch, numBanks int, ma *memAccess) int {
-	if ma.atomic {
+// sharedTrans is the MIO transactions (≥ 1) a shared access of kind md
+// costs on numBanks banks, lanes holding its addresses as words keeps them.
+func sharedTrans(s *memsys.BankScratch, numBanks int, md *memDesc, lanes []uint64) int {
+	mask := uint32(1)<<len(lanes) - 1
+	if md.atomic {
 		// Shared atomics serialize per lane on conflicting banks and words
 		// in the MIO pipe (§4.4: cheaper than global, but loads the MIO
 		// pipeline).
-		return max(s.AtomicConflicts(numBanks, ma.addrs[:], ma.mask), 1)
+		return max(s.AtomicConflicts(numBanks, lanes, mask), 1)
 	}
-	return max(s.BankConflicts(numBanks, ma.addrs[:], ma.mask, ma.width), 1)
+	return max(s.BankConflicts(numBanks, lanes, mask, md.width), 1)
 }
 
-// sectorWalk coalesces a global, local or texture access into sectors and
-// sends each through pipe → L1 (unless bypassed) → MSHR admission → L2. It
-// returns when the last sector's data is back (done), when the pipe has
-// accepted the last sector (svcEnd), and the sector and L1-hit counts for
-// the caller's counters. The floats depend only on the state of pipe,
-// sm.l1, mshr and the L2/DRAM slices, and those see exactly one call
-// sequence per sector, in sector order; nothing else may be interleaved.
-func (e *engine) sectorWalk(sm *smState, ma *memAccess, pipe *memsys.Bandwidth, mshr *mshrTracker, baseLat float64, useL1 bool) (done, svcEnd float64, n, hits uint64) {
+// sectorWalk sends each of a global, local or texture access's sectors
+// through pipe → L1 (unless bypassed) → MSHR admission → L2. It returns
+// when the last sector's data is back (done), when the pipe has accepted
+// the last sector (svcEnd), and the sector and L1-hit counts for the
+// caller's counters. The floats depend only on the state of pipe, sm.l1,
+// mshr and the L2/DRAM slices, and those see exactly one call sequence
+// per sector, in sector order; nothing else may be interleaved.
+func (e *engine) sectorWalk(sm *smState, write bool, sectors []uint64, pipe *memsys.Bandwidth, mshr *mshrTracker, baseLat float64, useL1 bool) (done, svcEnd float64, n, hits uint64) {
 	a := &e.arch
-	sectors := memsys.CoalesceSectorsInto(sm.sectorBuf, a.L1SectorBytes, ma.addrs[:], ma.mask, ma.width)
-	sm.sectorBuf = sectors[:0]
 	done, svcEnd = sm.now, sm.now
 	for _, s := range sectors {
 		svc := pipe.Request(sm.now, a.L1SectorBytes)
 		if svc > svcEnd {
 			svcEnd = svc
 		}
-		hit := useL1 && sm.l1.AccessSector(s, ma.write)
+		hit := useL1 && sm.l1.AccessSector(s, write)
 		lat := baseLat
-		if ma.write {
+		if write {
 			// Volta's L1 is write-through: every store sector goes to L2
 			// regardless of the L1 state (uncoalesced stores therefore
 			// hammer L2 bandwidth).
@@ -551,9 +584,9 @@ func (e *engine) sectorWalk(sm *smState, ma *memAccess, pipe *memsys.Bandwidth, 
 // immediately — the latency is only observed at the next barrier, which
 // waits for the block's outstanding copies (blockState.asyncDone). That
 // deferred wait is exactly how cp.async hides global-load stalls.
-func (e *engine) asyncCopyTiming(sm *smState, w *warp, ma *memAccess) {
+func (e *engine) asyncCopyTiming(sm *smState, w *warp, sectors []uint64) {
 	c := sm.counters
-	done, svcEnd, n, _ := e.sectorWalk(sm, ma, sm.lsu, &sm.lsuMiss, 0, false)
+	done, svcEnd, n, _ := e.sectorWalk(sm, false, sectors, sm.lsu, &sm.lsuMiss, 0, false)
 	c.AsyncCopySectors += n
 	sm.lgQ.push(svcEnd)
 	c.AsyncCopyInsts++

@@ -187,3 +187,45 @@ func TestReplayMatchesResimulation(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkReplay times a sweep's replays alone: every workload on sm_70
+// and sm_80 at the benchmark's scale (replayScales), recorded once with
+// two sampled SMs; an iteration replays each perturbation cell the
+// recording does not prove inert, one SM at a time. rec_B is the
+// recordings' bytes as the budget charges them.
+func BenchmarkReplay(b *testing.B) {
+	ctx := context.Background()
+	type cell struct {
+		rec  *sim.Recording
+		arch gpu.Arch
+	}
+	var cells []cell
+	held := 0
+	for _, arch := range []gpu.Arch{gpu.V100(), gpu.A100()} {
+		for _, name := range Names() {
+			w, err := BuildArch(name, replayScales[name[:strings.IndexByte(name, '_')]][1], arch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, rec, err := RecordContext(ctx, w, sim.NewDevice(arch), sim.Config{SampleSMs: 2, Workers: 1})
+			if err != nil || rec == nil {
+				b.Fatalf("%s on %s: not recorded (%v)", name, arch.SM, err)
+			}
+			held += rec.Bytes()
+			for _, p := range gpu.Perturbations() {
+				if pa := p.Apply(arch); !rec.Inert(pa) {
+					cells = append(cells, cell{rec, pa})
+				}
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cells {
+			if _, err := c.rec.Replay(ctx, c.arch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(held), "rec_B")
+}
