@@ -52,27 +52,33 @@ bench-sass:
 	$(GO) test ./internal/sass -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME)
 
 # A sweep's replays alone: every workload on sm_70 and sm_80 at the
-# benchmark's scale, recorded once, then every cell Recording.Inert does
-# not prove replayed per iteration; rec_B is the recordings' bytes. Add
+# benchmark's scale, recorded once, then every cell's SMs timed per
+# iteration as the sweep times them, one Recording.Finish each (a replay
+# unless the SM is proved inert); rec_B is the recordings' bytes. Add
 # -cpuprofile to see where replay time goes. CI's build-test job runs it
 # at BENCHTIME=1x (~3 s).
 bench-replay:
 	$(GO) test ./internal/workloads -run '^$$' -bench Replay -benchmem -benchtime $(BENCHTIME)
 
 # Width-independence of the re-execution passes (CI: build-test). Run
-# fans a sweep's cells and Verify's variants out over GOMAXPROCS workers;
-# -cpu 1,4 runs the goldens, sweep and verify tests at width 1 (the serial
-# reference) and at width 4, so a report that depends on the width fails
-# a byte comparison at one of them.
+# fans a sweep's per-SM cell items and Verify's variants out over the
+# job's GOMAXPROCS slots, starting the cells while the baseline records;
+# -cpu 1,4 runs the goldens, sweep and verify tests and Run against the
+# passes run by hand at width 1 (the serial reference) and at width 4, so
+# a report that depends on the width or the schedule fails a byte
+# comparison at one of them.
 pool-width:
-	$(GO) test -count=1 -cpu 1,4 -run 'Golden|Sweep|Verify' ./internal/advisor
+	$(GO) test -count=1 -cpu 1,4 -run 'Golden|Sweep|Verify|RunMatchesPasses' ./internal/advisor
 
 # The concurrent first touch of demand-filled device pages, the parallel
-# per-SM differentials and replay, under the race detector (~3.5 min on 2
+# per-SM differentials and replay, and a Run whose sweep starts on a
+# recording other SMs still write, under the race detector (~4 min on 2
 # CPUs; CI: build-test, so every change exercises it, not only the 30-minute
-# race job).
+# race job). TestFinishMatchesReplay replays one SM at a time on one
+# goroutine and would add ~5 min, so it runs without the race detector only.
 race-sim:
-	$(GO) test -race -count=1 -run 'Fill|Parallel|Differential|Replay' ./internal/sim ./internal/workloads
+	$(GO) test -race -count=1 -run 'Fill|Parallel|Differential|Replay' -skip 'TestFinishMatchesReplay' ./internal/sim ./internal/workloads
+	$(GO) test -race -count=1 -run 'TestRunMatchesPasses' ./internal/advisor
 
 # Runs the programs `go build ./...` only compiles: the four examples
 # (each exits non-zero when its own expectation fails), `gpuscout sim`,

@@ -11,13 +11,14 @@
 package advisor
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"gpuscout/internal/faultinject"
 	"gpuscout/internal/gpu"
@@ -135,11 +136,13 @@ type fixedRun struct {
 // Findings without a paired variant are left untouched. A dry-run report
 // cannot be verified: there is no baseline measurement to compare to.
 func Verify(ctx context.Context, rep *scout.Report, workload string, scale int, arch gpu.Arch, cfg sim.Config) (*Summary, error) {
-	if rep == nil {
-		return nil, fmt.Errorf("advisor: nil report")
-	}
-	if rep.DryRun || rep.Result == nil {
-		return nil, fmt.Errorf("advisor: cannot verify a dry-run report (no baseline measurement)")
+	return verify(ctx, newSlots(), rep, workload, scale, arch, cfg)
+}
+
+// verify is Verify with its variants in the job's slots.
+func verify(ctx context.Context, slots slots, rep *scout.Report, workload string, scale int, arch gpu.Arch, cfg sim.Config) (*Summary, error) {
+	if err := measured(rep, "verify"); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -148,19 +151,14 @@ func Verify(ctx context.Context, rep *scout.Report, workload string, scale int, 
 	// Pass 1: group findings by the variant they map to, collecting the
 	// union of metric names each variant's collection must cover.
 	needed := map[string][]string{} // fixed name -> metric names
-	matched := false
 	for i := range rep.Findings {
 		f := &rep.Findings[i]
-		p, ok := PairFor(workload, f.Analysis)
-		if !ok {
-			continue
+		if p, ok := PairFor(workload, f.Analysis); ok {
+			needed[p.Fixed] = appendUnique(appendUnique(needed[p.Fixed], f.RelevantMetrics...), f.CautionMetrics...)
 		}
-		matched = true
-		needed[p.Fixed] = appendUnique(needed[p.Fixed], f.RelevantMetrics...)
-		needed[p.Fixed] = appendUnique(needed[p.Fixed], f.CautionMetrics...)
 	}
 	summary := &Summary{}
-	if !matched {
+	if len(needed) == 0 {
 		return summary, nil
 	}
 
@@ -173,27 +171,30 @@ func Verify(ctx context.Context, rep *scout.Report, workload string, scale int, 
 	}
 	sort.Strings(fixedNames)
 	runs := make([]*fixedRun, len(fixedNames))
-	if err := rerunAll(ctx, rep, siteVerify, "verify budget exhausted; paired findings ship unverified", "unverified", len(fixedNames),
-		func(i int) string { return "variant " + fixedNames[i] }, func(i int) error {
+	p := &pass{ctx: ctx, site: siteVerify, skipped: "verify budget exhausted; paired findings ship unverified", lost: "unverified",
+		n: len(fixedNames), per: 1, out: make([]outcome, len(fixedNames)), label: func(i int) string { return "variant " + fixedNames[i] },
+		fn: func(ctx context.Context, i, _ int) (float64, error) {
 			name := fixedNames[i]
 			// The variant must be lowered for the same backend as the
 			// baseline, or the comparison measures the arch, not the fix.
 			w, err := workloads.BuildArch(name, scale, arch)
 			if err != nil {
-				return fmt.Errorf("build variant: %w", err)
+				return 0, fmt.Errorf("build variant: %w", err)
 			}
 			res, err := workloads.ExecuteContext(ctx, w, sim.NewDevice(arch), cfg)
 			if err != nil {
-				return fmt.Errorf("run variant %s: %w", name, err)
+				return 0, fmt.Errorf("run variant %s: %w", name, err)
 			}
 			ms, err := ncu.Collector{Arch: arch}.Collect(
 				ncu.Context{Kernel: w.Kernel, Result: res}, needed[name])
 			if err != nil {
-				return fmt.Errorf("collect variant metrics %s: %w", name, err)
+				return 0, fmt.Errorf("collect variant metrics %s: %w", name, err)
 			}
 			runs[i] = &fixedRun{result: res, metrics: ms}
-			return nil
-		}); err != nil {
+			return 0, nil
+		}}
+	p.start(slots, 0)
+	if err := p.wait(rep, nil); err != nil {
 		return nil, err
 	}
 
@@ -255,86 +256,123 @@ func Verify(ctx context.Context, rep *scout.Report, workload string, scale int, 
 	return summary, nil
 }
 
-// rerunAll runs a re-execution pass — Verify's variants, the sweep's
-// perturbations — as the n independent items it is: item i, named
-// label(i), is fn(i) under rerun's rule and fills a result slot of its
-// own. Items run on min(GOMAXPROCS, n) goroutines taking indices from one
-// counter (sim's engine recipe one level up); once every worker has
-// exited, the ledger is appended to rep in item order, so the report is
-// the same at any width. An abort means ctx is done, so later items end
-// at rerun's first check; the pass returns the lowest-index abort.
-func rerunAll(ctx context.Context, rep *scout.Report, site, skipped, lost string, n int, label func(int) string, fn func(int) error) error {
-	ledger := make([]*scout.Degradation, n)
-	aborts := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), n) {
-		wg.Add(1)
+// measured refuses a report with no baseline measurement.
+func measured(rep *scout.Report, pass string) error {
+	if rep == nil {
+		return fmt.Errorf("advisor: nil report")
+	}
+	if rep.DryRun || rep.Result == nil {
+		return fmt.Errorf("advisor: cannot %s a dry-run report (no baseline measurement)", pass)
+	}
+	return nil
+}
+
+// slots is one job's width, a semaphore of GOMAXPROCS: Run holds a slot
+// while it records and analyses and every re-execution item takes one, so
+// the baseline, the critical path, competes with at most GOMAXPROCS-1 items.
+type slots chan struct{}
+
+func newSlots() slots { return make(slots, runtime.GOMAXPROCS(0)) }
+
+// pass is a re-execution pass — Verify's variants, the sweep's
+// perturbations — as the independent items it is: cell i, named label(i),
+// is per items, item j being fn(ctx, i, j) under rerun's rule. start may
+// run item j of every cell before the others: a sweep starts an SM's
+// items as the SM records.
+type pass struct {
+	ctx                 context.Context
+	site, skipped, lost string
+	n, per              int
+	label               func(int) string
+	fn                  func(ctx context.Context, i, j int) (float64, error)
+	out                 []outcome // item j of cell i at i*per+j
+	wg                  sync.WaitGroup
+}
+
+// outcome is what one item left: a value, a ledger entry or an abort.
+type outcome struct {
+	v     float64
+	d     *scout.Degradation
+	abort error
+}
+
+// start runs item j of every cell, each on a goroutine once it holds a
+// slot; it does not block.
+func (p *pass) start(s slots, j int) {
+	for i := range p.n {
+		p.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				ledger[i], aborts[i] = rerun(ctx, site, label(i), skipped, lost, func() error { return fn(i) })
-			}
+			defer p.wg.Done()
+			s <- struct{}{}
+			p.out[i*p.per+j] = p.rerun(i, j)
+			<-s
 		}()
 	}
-	wg.Wait()
-	for i, d := range ledger {
-		if aborts[i] != nil {
-			return aborts[i]
+}
+
+// wait returns once every item has exited, reducing the cells in order
+// (the report is the same in any schedule): a cell is its first item's
+// ledger entry, appended to rep, or the max of its items' values, handed
+// to measure. The pass returns its lowest-index abort.
+func (p *pass) wait(rep *scout.Report, measure func(i int, v float64)) error {
+	p.wg.Wait()
+	for i := range p.n {
+		var d *scout.Degradation
+		v := 0.0
+		for _, o := range p.out[i*p.per : (i+1)*p.per] {
+			if o.abort != nil {
+				return o.abort
+			}
+			d, v = cmp.Or(d, o.d), max(v, o.v)
 		}
 		if d != nil {
 			rep.Degradations = append(rep.Degradations, *d)
+		} else if measure != nil {
+			measure(i, v)
 		}
 	}
 	return nil
 }
 
-// rerun runs one item of a re-execution pass under the rule both passes
-// share. An item starts only if its budget (ctx deadline) has not
-// expired, else it is skipped into a ledger entry: the report ships
-// without it rather than the job timing out. fn runs behind the site's
-// fault hook and panic guard; a failing or crashing item — one ended by
-// its own ctx poll when the budget expires mid-flight included — loses
-// only itself, classified into its entry. label names the item, skipped
-// and lost are the loss texts. An explicit cancel is an error: it aborts.
-func rerun(ctx context.Context, site, label, skipped, lost string, fn func() error) (*scout.Degradation, error) {
-	if err := ctx.Err(); err != nil {
+// rerun is item j of cell i under the rule both passes share. It starts
+// only if its budget (ctx deadline) has not expired, else it is skipped
+// into a ledger entry: the report ships without it rather than the job
+// timing out. fn runs behind the site's panic guard and, for item 0, its
+// fault hook; a failing or crashing item — one ended by its own ctx poll
+// when the budget expires mid-flight included — loses only itself,
+// classified into its entry. An explicit cancel is an error: it aborts.
+func (p *pass) rerun(i, j int) (o outcome) {
+	if err := p.ctx.Err(); err != nil {
 		if errors.Is(err, context.Canceled) {
-			return nil, fmt.Errorf("advisor: %w", err)
+			return outcome{abort: fmt.Errorf("advisor: %w", err)}
 		}
-		return &scout.Degradation{
-			Stage: scout.StageVerify, Site: site, Kind: scout.DegradeTimeout,
-			Detail: fmt.Sprintf("%s skipped: %s", label, skipped),
-		}, nil
+		return outcome{d: &scout.Degradation{Stage: scout.StageVerify, Site: p.site, Kind: scout.DegradeTimeout,
+			Detail: fmt.Sprintf("%s skipped: %s", p.label(i), p.skipped)}}
 	}
-	err := scout.Guard(scout.StageVerify, site, func() error {
-		if err := faultinject.Hit(site); err != nil {
-			return err
+	err := scout.Guard(scout.StageVerify, p.site, func() (err error) {
+		if j == 0 {
+			err = faultinject.Hit(p.site)
 		}
-		return fn()
+		if err == nil {
+			o.v, err = p.fn(p.ctx, i, j)
+		}
+		return err
 	})
-	if err == nil {
-		return nil, nil
+	switch {
+	case err == nil:
+		return o
+	case errors.Is(err, context.Canceled) && p.ctx.Err() != nil:
+		return outcome{abort: fmt.Errorf("advisor: %w", err)}
 	}
-	if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-		return nil, fmt.Errorf("advisor: %w", err)
-	}
-	d := scout.DegradationFor(scout.StageVerify, site, err, ctx.Err() != nil)
-	d.Detail = fmt.Sprintf("%s %s: %s", label, lost, d.Detail)
-	return &d, nil
+	d := scout.DegradationFor(scout.StageVerify, p.site, err, p.ctx.Err() != nil)
+	d.Detail = fmt.Sprintf("%s %s: %s", p.label(i), p.lost, d.Detail)
+	return outcome{d: &d}
 }
 
 // appendUnique appends the names not already present, preserving order.
 func appendUnique(dst []string, names ...string) []string {
 	for _, n := range names {
-		dup := false
-		for _, have := range dst {
-			if have == n {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(dst, n) {
 			dst = append(dst, n)
 		}
 	}

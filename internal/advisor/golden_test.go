@@ -44,32 +44,77 @@ func goldenScale(t *testing.T, name string) int {
 }
 
 // goldenAnalyze produces the full advisor-v2 report for one workload at
-// the given simulator parallelism: analysis with backward stall slices,
-// counterfactual verification, and the sensitivity sweep with its
-// payoff-ranked finding order.
+// the given simulator parallelism through Run, as every front end does:
+// analysis with backward stall slices, counterfactual verification, and
+// the sensitivity sweep with its payoff-ranked finding order.
 func goldenAnalyze(t *testing.T, name string, workers int, arch gpu.Arch) *scout.Report {
 	t.Helper()
-	scale := goldenScale(t, name)
-	cfg := sim.Config{SampleSMs: 1, Workers: workers}
-	w, err := workloads.BuildArch(name, scale, arch)
+	out, err := Run(context.Background(), Plan{Arch: arch, Workload: name, Scale: goldenScale(t, name), Verify: true, Sensitivity: true,
+		Opts: scout.Options{Sim: sim.Config{SampleSMs: 1, Workers: workers}, StallSlices: true}})
 	if err != nil {
-		t.Fatalf("build %s: %v", name, err)
+		t.Fatalf("run %s: %v", name, err)
 	}
-	run := func(ctx context.Context, c sim.Config) (*sim.Result, error) {
-		return workloads.ExecuteContext(ctx, w, sim.NewDevice(arch), c)
+	return out.Report
+}
+
+// TestRunMatchesPasses: Run, whose cells start while the baseline still
+// records, writes the bytes of the passes assembled by hand one after
+// another — AnalyzeContext, Verify, Sweep — with two sampled SMs, so
+// each cell is two items that start at different times. The workloads
+// cover a paired baseline, many proved cells and a bandwidth-bound
+// kernel.
+func TestRunMatchesPasses(t *testing.T) {
+	ctx, cfg := context.Background(), sim.Config{SampleSMs: 2}
+	for _, arch := range []gpu.Arch{gpu.V100(), gpu.A100()} {
+		for _, name := range []string{"sgemm_naive", "transpose_shared", "mixbench_sp_naive"} {
+			scale := goldenScale(t, name)
+			w, err := workloads.BuildArch(name, scale, arch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(ctx context.Context, c sim.Config) (*sim.Result, error) {
+				return workloads.ExecuteContext(ctx, w, sim.NewDevice(arch), c)
+			}
+			rep, err := scout.AnalyzeContext(ctx, arch, w.Kernel, run, scout.Options{Sim: cfg, StallSlices: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Verify(ctx, rep, name, scale, arch, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Sweep(ctx, rep, name, scale, arch, cfg); err != nil {
+				t.Fatal(err)
+			}
+			out, err := Run(ctx, Plan{Arch: arch, Workload: name, Scale: scale, Verify: true, Sensitivity: true,
+				Opts: scout.Options{Sim: cfg, StallSlices: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := rep.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := out.Report.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s on %s: Run differs from the passes:\n%s", name, arch.SM, firstDiff(string(got), string(want)))
+			}
+			// A cell's cycles, the max of its SMs' finishes, are the whole
+			// launch's replay.
+			_, rec, err := workloads.RecordContext(ctx, w, sim.NewDevice(arch), cfg)
+			if err != nil || rec == nil || len(out.Report.Sensitivity.Deltas) != len(gpu.Perturbations()) {
+				t.Fatalf("%s on %s: recording %v (%v), sensitivity %+v", name, arch.SM, rec != nil, err, out.Report.Sensitivity)
+			}
+			for i, p := range gpu.Perturbations() {
+				res, err := rec.Replay(ctx, p.Apply(arch))
+				if err != nil || res.Cycles != out.Report.Sensitivity.Deltas[i].Cycles {
+					t.Errorf("%s on %s, %s: Run measured %v cycles, a replay %v (%v)", name, arch.SM, p.ID(), out.Report.Sensitivity.Deltas[i].Cycles, res, err)
+				}
+			}
+		}
 	}
-	rep, err := scout.AnalyzeContext(context.Background(), arch, w.Kernel, run,
-		scout.Options{Sim: cfg, StallSlices: true})
-	if err != nil {
-		t.Fatalf("analyze %s: %v", name, err)
-	}
-	if _, err := Verify(context.Background(), rep, name, scale, arch, cfg); err != nil {
-		t.Fatalf("verify %s: %v", name, err)
-	}
-	if _, err := Sweep(context.Background(), rep, name, scale, arch, cfg); err != nil {
-		t.Fatalf("sweep %s: %v", name, err)
-	}
-	return rep
 }
 
 // goldenReport renders goldenAnalyze's report in both text and JSON

@@ -30,14 +30,6 @@ type Plan struct {
 	Kernel *sass.Kernel
 }
 
-// baseline is the analyzed launch as a sweep needs it: the lowered
-// workload and the recording of its execution — nil when the launch is
-// not replayable (sim.Record) and every cell re-executes.
-type baseline struct {
-	w   *workloads.Workload
-	rec *sim.Recording
-}
-
 // Outcome is what one Run produced, non-nil even when Run fails (Report
 // is nil then). A static fallback is Report.DryRun plus its ledger.
 type Outcome struct {
@@ -49,55 +41,59 @@ type Outcome struct {
 
 // Run is the lower → analyze → verify → sweep pipeline, the one place
 // the four are sequenced and the only place a workload is lowered — under
-// a parse-stage guard, so a crash in codegen is a typed StageError. When
-// ctx carries a deadline, the verify budget slice is derived here, once,
-// from the time left at entry; verification and the sweep (both
-// re-execution passes over the finished report) each get a slice of that
-// size measured from their own start. An expired slice ships the
-// remaining findings unverified or the remaining perturbations as ledger
-// entries; the caller's deadline and an explicit cancel still abort with
-// an error. Each step that runs reports its time to ctx's clock.
+// a parse-stage guard, so a crash in codegen is a typed StageError. The
+// sweep's cells start as the recorded baseline's SMs finish, in the job's
+// slots. When ctx carries a deadline, the verify budget slice is derived
+// here, once, from the time left at entry; verification and the sweep
+// (both re-execution passes) each get a slice of that size measured from
+// their own start. An expired slice ships the remaining findings
+// unverified or the remaining perturbations as ledger entries; the
+// caller's deadline and an explicit cancel still abort with an error,
+// once every item has exited. Each step that runs reports its time to
+// ctx's clock.
 func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	out := &Outcome{}
+	// budgeted derives one re-execution pass's context from the slice.
+	budgeted := func() (context.Context, context.CancelFunc) { return context.WithCancel(ctx) }
+	if slice, ok := scout.StageSlice(ctx, scout.StageVerify); ok {
+		budgeted = func() (context.Context, context.CancelFunc) { return context.WithTimeout(ctx, slice) }
+	}
+	slots := newSlots()
+	sw := &sweeper{slots: slots, budgeted: budgeted, arch: p.Arch, cfg: p.Opts.Sim}
+	defer sw.stop()
 	kernel := p.Kernel
 	var run scout.RunContextFunc
-	var base *baseline
 	if kernel == nil {
-		base = &baseline{}
 		end := scout.Time(ctx, scout.TimeBuild)
 		err := scout.Guard(scout.StageParse, "advisor.lower", func() (err error) {
-			base.w, err = buildArch(p.Workload, p.Scale, p.Arch)
+			sw.w, err = buildArch(p.Workload, p.Scale, p.Arch)
 			return err
 		})
 		end()
 		if err != nil {
 			return out, err
 		}
-		kernel = base.w.Kernel
+		kernel = sw.w.Kernel
 		if !p.Opts.DryRun {
 			// With Sensitivity the sweep times this very execution under
 			// each perturbation, so it is recorded.
-			run = func(ctx context.Context, cfg sim.Config) (res *sim.Result, err error) {
-				if !p.Sensitivity {
-					return workloads.ExecuteContext(ctx, base.w, sim.NewDevice(p.Arch), cfg)
+			run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+				if p.Sensitivity {
+					return sw.record(ctx)
 				}
-				res, base.rec, err = workloads.RecordContext(ctx, base.w, sim.NewDevice(p.Arch), cfg)
-				return res, err
+				return workloads.ExecuteContext(ctx, sw.w, sim.NewDevice(p.Arch), cfg)
 			}
 		}
 	}
-	// budgeted derives one re-execution pass's context from the slice.
-	budgeted := func() (context.Context, context.CancelFunc) { return ctx, func() {} }
-	if slice, ok := scout.StageSlice(ctx, scout.StageVerify); ok {
-		budgeted = func() (context.Context, context.CancelFunc) { return context.WithTimeout(ctx, slice) }
-	}
 
+	slots <- struct{}{}
 	end := scout.Time(ctx, scout.TimeAnalyze)
 	rep, err := scout.AnalyzeContext(ctx, p.Arch, kernel, run, p.Opts)
 	end()
+	<-slots
 	if err != nil {
 		return out, err
 	}
@@ -119,7 +115,7 @@ func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	if p.Verify {
 		vctx, cancel := budgeted()
 		end := scout.Time(ctx, scout.TimeVerify)
-		out.Verified, err = Verify(vctx, rep, p.Workload, p.Scale, p.Arch, p.Opts.Sim)
+		out.Verified, err = verify(vctx, slots, rep, p.Workload, p.Scale, p.Arch, p.Opts.Sim)
 		end()
 		cancel()
 		if err != nil {
@@ -127,12 +123,7 @@ func Run(ctx context.Context, p Plan) (*Outcome, error) {
 		}
 	}
 	if p.Sensitivity {
-		sctx, cancel := budgeted()
-		end := scout.Time(ctx, scout.TimeSweep)
-		_, err = sweep(sctx, rep, base, p.Workload, p.Scale, p.Arch, p.Opts.Sim)
-		end()
-		cancel()
-		if err != nil {
+		if _, err := sw.finish(rep); err != nil {
 			return out, fmt.Errorf("sensitivity sweep on %s: %w", p.Arch.SM, err)
 		}
 	}

@@ -3,6 +3,7 @@ package advisor
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"gpuscout/internal/faultinject"
 	"gpuscout/internal/gpu"
@@ -31,11 +32,11 @@ var buildArch = workloads.BuildArch
 // by the updated payoff.
 //
 // The kernel executes once, recorded, on the unperturbed arch. A cell is
-// a replay of that recording under the perturbed arch (Recording.Replay)
-// unless Recording.Inert proves the replay would measure the baseline:
-// every shared access costs as before on the new bank count, or no set of
-// the old or new cache geometry holds more of an SM's lines than it has
-// ways. A launch that is not replayable executes every cell.
+// the max over the sampled SMs of their finish under the perturbed arch
+// (Recording.Finish): a replay unless Recording.Inert's proof holds for
+// the SM — every shared access costs as before on the new bank count, or
+// no set of the old or new cache geometry holds more of its lines than it
+// has ways. A launch that is not replayable executes every cell.
 // workload/scale/arch/cfg must match the analyzed run, exactly as for
 // Verify: a recording execution that does not reproduce the report's
 // cycle count is an error. A dry-run report cannot be swept (no baseline
@@ -44,74 +45,126 @@ var buildArch = workloads.BuildArch
 // the remaining entries the same way, while an explicit cancellation
 // aborts the pass.
 func Sweep(ctx context.Context, rep *scout.Report, workload string, scale int, arch gpu.Arch, cfg sim.Config) (*scout.Sensitivity, error) {
-	return sweep(ctx, rep, nil, workload, scale, arch, cfg)
-}
-
-// sweep is Sweep over base, the analyzed run's own lowering and recording
-// when the caller (Run) holds them; nil lowers and records here.
-func sweep(ctx context.Context, rep *scout.Report, base *baseline, workload string, scale int, arch gpu.Arch, cfg sim.Config) (*scout.Sensitivity, error) {
-	if rep == nil {
-		return nil, fmt.Errorf("advisor: nil report")
-	}
-	if rep.DryRun || rep.Result == nil {
-		return nil, fmt.Errorf("advisor: cannot sweep a dry-run report (no baseline measurement)")
+	if err := measured(rep, "sweep"); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-
-	sens := &scout.Sensitivity{BaselineCycles: rep.Result.Cycles}
+	s := &sweeper{slots: newSlots(), arch: arch, cfg: cfg,
+		budgeted: func() (context.Context, context.CancelFunc) { return context.WithCancel(ctx) }}
+	defer s.stop()
 	// One lowering and one execution serve the whole matrix (see
-	// gpu.Perturbation.Apply); when missing they are made here, before the
-	// cells, under the site's panic guard: a failing build or recording
-	// fails every cell the same way, one ledger entry per perturbation.
-	var baseErr error
-	if base == nil {
-		var res *sim.Result
-		base = &baseline{}
-		if err := scout.Guard(scout.StageVerify, siteSweep, func() error {
-			if base.w, baseErr = buildArch(workload, scale, arch); baseErr == nil {
-				res, base.rec, baseErr = workloads.RecordContext(ctx, base.w, sim.NewDevice(arch), cfg)
-			}
-			return nil
-		}); err != nil {
-			baseErr = err
+	// gpu.Perturbation.Apply), made here under the site's panic guard: a
+	// failing build or recording fails every cell the same way, one
+	// ledger entry per perturbation.
+	var res *sim.Result
+	s.slots <- struct{}{}
+	if err := scout.Guard(scout.StageVerify, siteSweep, func() error {
+		if s.w, s.baseErr = buildArch(workload, scale, arch); s.baseErr == nil {
+			res, s.baseErr = s.record(ctx)
 		}
-		if baseErr == nil && res.Cycles != sens.BaselineCycles {
-			return nil, fmt.Errorf("advisor: sweep of %s@%d on %s ran %v cycles unperturbed, the report measured %v: not the analyzed run",
-				workload, scale, arch.SM, res.Cycles, sens.BaselineCycles)
-		}
+		return nil
+	}); err != nil {
+		s.baseErr = err
 	}
+	<-s.slots
+	if s.baseErr == nil && res.Cycles != rep.Result.Cycles {
+		return nil, fmt.Errorf("advisor: sweep of %s@%d on %s ran %v cycles unperturbed, the report measured %v: not the analyzed run",
+			workload, scale, arch.SM, res.Cycles, rep.Result.Cycles)
+	}
+	return s.finish(rep)
+}
 
-	perts := gpu.Perturbations()
-	cells := make([]*scout.ResourceDelta, len(perts))
-	if err := rerunAll(ctx, rep, siteSweep, "sweep budget exhausted", "missing from sweep", len(perts),
-		func(i int) string { return "perturbation " + perts[i].ID() }, func(i int) error {
+// sweeper is one sweep in flight, from the baseline's execution to the
+// attached matrix; a baseline that ends unrecorded discards the items its
+// SMs started and executes each cell whole instead.
+type sweeper struct {
+	slots    slots
+	budgeted func() (context.Context, context.CancelFunc) // the pass's context
+	arch     gpu.Arch
+	cfg      sim.Config
+	w        *workloads.Workload
+	rec      *sim.Recording // the baseline's, once it ended recorded
+	baseErr  error          // why there is no lowering or recording
+
+	once   sync.Once
+	p      *pass
+	cancel context.CancelFunc
+	end    func() // the pass's clock
+}
+
+// record executes the baseline under ctx, recorded, and starts SM j's
+// item of every cell as soon as SM j finishes.
+func (s *sweeper) record(ctx context.Context) (res *sim.Result, err error) {
+	ctx = sim.WithRecorded(ctx, func(rec *sim.Recording, j int) {
+		s.once.Do(func() { s.begin(rec) })
+		s.p.start(s.slots, j)
+	})
+	res, s.rec, err = workloads.RecordContext(ctx, s.w, sim.NewDevice(s.arch), s.cfg)
+	return res, err
+}
+
+// begin sets up the pass under its budget and clock: a cell is one item
+// per SM of rec, or one execution without it.
+func (s *sweeper) begin(rec *sim.Recording) {
+	ctx, cancel := s.budgeted()
+	s.cancel, s.end = cancel, scout.Time(ctx, scout.TimeSweep)
+	perts, per := gpu.Perturbations(), 1
+	if rec != nil {
+		per = rec.SMs()
+	}
+	s.p = &pass{ctx: ctx, site: siteSweep, skipped: "sweep budget exhausted", lost: "missing from sweep", n: len(perts), per: per,
+		out: make([]outcome, len(perts)*per), label: func(i int) string { return "perturbation " + perts[i].ID() },
+		fn: func(ctx context.Context, i, j int) (cycles float64, err error) {
 			p := perts[i]
-			if baseErr != nil {
-				return fmt.Errorf("build under %s: %w", p.ID(), baseErr)
-			}
-			pa := p.Apply(arch)
-			res := &sim.Result{Cycles: sens.BaselineCycles} // what a proved cell's replay measures
-			var err error
-			if base.rec == nil {
-				res, err = workloads.ExecuteContext(ctx, base.w, sim.NewDevice(pa), cfg)
-			} else if !base.rec.Inert(pa) {
-				res, err = base.rec.Replay(ctx, pa)
+			switch {
+			case rec != nil:
+				cycles, _, err = rec.Finish(ctx, p.Apply(s.arch), j)
+			case s.baseErr != nil:
+				return 0, fmt.Errorf("build under %s: %w", p.ID(), s.baseErr)
+			default:
+				var res *sim.Result
+				if res, err = workloads.ExecuteContext(ctx, s.w, sim.NewDevice(p.Apply(s.arch)), s.cfg); err == nil {
+					cycles = res.Cycles
+				}
 			}
 			if err != nil {
-				return fmt.Errorf("run under %s: %w", p.ID(), err)
+				return 0, fmt.Errorf("run under %s: %w", p.ID(), err)
 			}
-			cells[i] = &scout.ResourceDelta{Resource: p.Resource, Direction: p.Direction, Factor: p.Factor,
-				Cycles: res.Cycles, Delta: res.Cycles - sens.BaselineCycles, Helps: p.Helps}
-			return nil
-		}); err != nil {
+			return cycles, nil
+		}}
+}
+
+// stop cancels the pass and waits for its items, dropping what they
+// measured.
+func (s *sweeper) stop() {
+	if s.p != nil {
+		s.cancel()
+		s.p.wg.Wait()
+	}
+}
+
+// finish waits for the cells — first starting them, each one execution,
+// when the baseline ended unrecorded — and attaches the matrix to rep.
+func (s *sweeper) finish(rep *scout.Report) (*scout.Sensitivity, error) {
+	if err := measured(rep, "sweep"); err != nil {
 		return nil, err
 	}
-	for _, d := range cells {
-		if d != nil { // a lost cell is already in the ledger
-			sens.Deltas = append(sens.Deltas, *d)
-		}
+	if s.rec == nil {
+		s.stop()
+		s.begin(nil)
+		s.p.start(s.slots, 0)
+	}
+	defer s.end()
+	sens := &scout.Sensitivity{BaselineCycles: rep.Result.Cycles}
+	perts := gpu.Perturbations()
+	if err := s.p.wait(rep, func(i int, cycles float64) {
+		p := perts[i]
+		sens.Deltas = append(sens.Deltas, scout.ResourceDelta{Resource: p.Resource, Direction: p.Direction, Factor: p.Factor,
+			Cycles: cycles, Delta: cycles - sens.BaselineCycles, Helps: p.Helps})
+	}); err != nil {
+		return nil, err
 	}
 	sens.Rank()
 	rep.AttachSensitivity(sens)

@@ -425,7 +425,10 @@ func TestNonReplayableFallsBack(t *testing.T) {
 	rep := &scout.Report{Kernel: k.Name, Arch: arch.SM, Result: res}
 	executions.Store(0)
 	perts := gpu.Perturbations()
-	s, err := sweep(ctx, rep, &baseline{w: w}, w.Name, 0, arch, cfg)
+	sw := &sweeper{slots: newSlots(), arch: arch, cfg: cfg, w: w,
+		budgeted: func() (context.Context, context.CancelFunc) { return context.WithCancel(ctx) }}
+	defer sw.stop()
+	s, err := sw.finish(rep)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"gpuscout/internal/gpu"
 	"gpuscout/internal/kasm"
@@ -168,13 +169,13 @@ func (sp *spiller) rewrite(p *kasm.Program, spilled []kasm.VReg, noSpill map[kas
 					// only store.
 					written, _, _ := sass.OperandWords(in.Op, in.Mods)
 					partial := o.Elem != 0 || written < p.WidthOf(v)
-					if partial && !contains(loads, v) {
+					if partial && !slices.Contains(loads, v) {
 						loads = append(loads, v)
 					}
-					if !contains(stores, v) {
+					if !slices.Contains(stores, v) {
 						stores = append(stores, v)
 					}
-				} else if !contains(loads, v) {
+				} else if !slices.Contains(loads, v) {
 					// Source reads and memory-operand bases reload first.
 					loads = append(loads, v)
 				}
@@ -208,15 +209,6 @@ func (sp *spiller) rewrite(p *kasm.Program, spilled []kasm.VReg, noSpill map[kas
 		p.Labels[name] = oldToNew[idx]
 	}
 	p.Insts = out
-}
-
-func contains(s []kasm.VReg, v kasm.VReg) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 func widthModsFor(widthWords int) []string {

@@ -1,6 +1,9 @@
 package sass
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // OperandKind discriminates the operand union in Operand.
 type OperandKind uint8
@@ -81,16 +84,7 @@ type Inst struct {
 }
 
 // HasMod reports whether the instruction carries the given dot modifier.
-func (in *Inst) HasMod(m string) bool { return hasMod(in.Mods, m) }
-
-func hasMod(mods []string, m string) bool {
-	for _, s := range mods {
-		if s == m {
-			return true
-		}
-	}
-	return false
-}
+func (in *Inst) HasMod(m string) bool { return slices.Contains(in.Mods, m) }
 
 // Mnemonic returns the full dotted mnemonic, e.g. "LDG.E.128.SYS".
 func (in *Inst) Mnemonic() string {
@@ -107,9 +101,9 @@ func (in *Inst) WidthBytes() int { return widthBytes(in.Mods) }
 
 func widthBytes(mods []string) int {
 	switch {
-	case hasMod(mods, "128"):
+	case slices.Contains(mods, "128"):
 		return 16
-	case hasMod(mods, "64"):
+	case slices.Contains(mods, "64"):
 		return 8
 	default:
 		return 4
@@ -153,7 +147,7 @@ func OperandWords(op Opcode, mods []string) (dst, src, last int) {
 	case c == ClassALU:
 		switch op {
 		case OpIMAD:
-			if hasMod(mods, "WIDE") {
+			if slices.Contains(mods, "WIDE") {
 				return 2, 1, 2
 			}
 		case OpF2F, OpI2F, OpI2I:

@@ -44,7 +44,8 @@ type smRecording struct {
 	bytes  int          // Σ warpStream.bytes: what the budget charges
 	budget int          // this SM's share of maxRecordingBytes
 	over   bool         // the budget ran out; the streams were dropped
-	lines  []uint64     // the footprint (see complete)
+	finish float64      // the SM's finish cycle (see seal)
+	lines  []uint64     // the footprint (see seal)
 }
 
 type warpStream struct {
@@ -167,38 +168,34 @@ func readsBeforeOverwrite(code []decoded, from int, reg sass.Reg) bool {
 	return false
 }
 
-// complete returns r if every SM kept its streams, else nil, taking each
-// SM's footprint: the L1 lines of the sectors its global, local and
-// texture accesses touched (all its L1 and L2 slice can have held),
-// sorted and distinct.
-func (r *Recording) complete() *Recording {
-	if r == nil {
-		return nil
+// seal ends SM i's part of the recording, the SM having finished at now:
+// unless the budget ran out it keeps now and the SM's footprint — the L1
+// lines, sorted and distinct, of the sectors its global, local and
+// texture accesses touched (all its L1 and L2 slice can have held).
+func (r *Recording) seal(i int, now float64) bool {
+	sm := &r.sms[i]
+	if sm.over {
+		return false
 	}
-	for i := range r.sms {
-		sm := &r.sms[i]
-		if sm.over {
-			return nil
-		}
-		var seen [256]uint64 // 1 + a line recently kept, by line mod 256: most repeats stop here
-		for _, ws := range sm.warps {
-			for j := range ws.mem {
-				at, sectors := ws.access(j)
-				if sp := r.code[at].mem.space; sp == sass.ClassShared || sp == sass.ClassConst {
-					continue
-				}
-				for _, s := range sectors {
-					if l := s / uint64(r.arch.L1LineBytes); seen[l%256] != l+1 {
-						seen[l%256] = l + 1
-						sm.lines = append(sm.lines, l)
-					}
+	sm.finish = now
+	var seen [256]uint64 // 1 + a line recently kept, by line mod 256: most repeats stop here
+	for _, ws := range sm.warps {
+		for j := range ws.mem {
+			at, sectors := ws.access(j)
+			if sp := r.code[at].mem.space; sp == sass.ClassShared || sp == sass.ClassConst {
+				continue
+			}
+			for _, s := range sectors {
+				if l := s / uint64(r.arch.L1LineBytes); seen[l%256] != l+1 {
+					seen[l%256] = l + 1
+					sm.lines = append(sm.lines, l)
 				}
 			}
 		}
-		slices.Sort(sm.lines)
-		sm.lines = slices.Clip(slices.Compact(sm.lines))
 	}
-	return r
+	slices.Sort(sm.lines)
+	sm.lines = slices.Clip(slices.Compact(sm.lines))
+	return true
 }
 
 // Inert reports whether Replay(ctx, arch) is proved to return what a
@@ -208,6 +205,16 @@ func (r *Recording) complete() *Recording {
 // slice) fit the footprint. Any other difference is refused. A shared
 // access's cost on the recorded banks is the count its words begin with.
 func (r *Recording) Inert(arch gpu.Arch) bool {
+	for i := range r.sms {
+		if !r.inert(arch, i) {
+			return false
+		}
+	}
+	return true
+}
+
+// inert is Inert's proof for SM i alone (SMs share no timing state).
+func (r *Recording) inert(arch gpu.Arch, i int) bool {
 	was := r.arch
 	was.L1Bytes, was.L2Bytes, was.SharedBanks = arch.L1Bytes, arch.L2Bytes, arch.SharedBanks
 	if was != arch {
@@ -215,20 +222,18 @@ func (r *Recording) Inert(arch gpu.Arch) bool {
 	}
 	l1, l2 := caches(&r.arch)
 	pl1, pl2 := caches(&arch)
+	sm := &r.sms[i]
+	if l1 != pl1 && !(l1.Fits(sm.lines) && pl1.Fits(sm.lines)) ||
+		l2 != pl2 && !(l2.LineBytes == l1.LineBytes && l2.Fits(sm.lines) && pl2.Fits(sm.lines)) {
+		return false
+	}
 	var banks memsys.BankScratch
-	for i := range r.sms {
-		sm := &r.sms[i]
-		if l1 != pl1 && !(l1.Fits(sm.lines) && pl1.Fits(sm.lines)) ||
-			l2 != pl2 && !(l2.LineBytes == l1.LineBytes && l2.Fits(sm.lines) && pl2.Fits(sm.lines)) {
-			return false
-		}
-		for _, ws := range sm.warps {
-			for j := range ws.mem {
-				at, words := ws.access(j)
-				if md := &r.code[at].mem; md.space == sass.ClassShared && arch.SharedBanks != r.arch.SharedBanks &&
-					uint64(sharedTrans(&banks, arch.SharedBanks, md, words[1:])) != words[0] {
-					return false
-				}
+	for _, ws := range sm.warps {
+		for j := range ws.mem {
+			at, words := ws.access(j)
+			if md := &r.code[at].mem; md.space == sass.ClassShared && arch.SharedBanks != r.arch.SharedBanks &&
+				uint64(sharedTrans(&banks, arch.SharedBanks, md, words[1:])) != words[0] {
+				return false
 			}
 		}
 	}
@@ -243,6 +248,16 @@ func Record(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config) (*Res
 	return launch(ctx, dev, spec, cfg, true)
 }
 
+type recordedKey struct{}
+
+// WithRecorded attaches fn to ctx: Record under it calls fn(rec, i) on SM
+// i's goroutine once that SM's part of rec is final and within budget, so
+// Finish(_, _, i) may run while later SMs record. The launch may still
+// end unrecorded (another SM over budget, a failure). fn must not block.
+func WithRecorded(ctx context.Context, fn func(rec *Recording, i int)) context.Context {
+	return context.WithValue(ctx, recordedKey{}, fn)
+}
+
 // Replay simulates the recorded launch on arch and returns what
 // LaunchContext would on a device of that architecture, at the cost of
 // the scheduler and memory-system model alone. arch may differ from the
@@ -251,6 +266,32 @@ func Record(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config) (*Res
 // gpu.Perturbation moves — but in its sector size, which the recorded
 // sectors are cut at.
 func (r *Recording) Replay(ctx context.Context, arch gpu.Arch) (*Result, error) {
+	e, err := r.replayOn(ctx, arch)
+	if err != nil {
+		return nil, err
+	}
+	return e.run()
+}
+
+// Finish returns Replay(ctx, arch).SMFinish[i] from a replay of SM i
+// alone, or, where Inert's proof holds for the SM, the recorded finish
+// with no replay and no pass through sim.launch's fault site.
+func (r *Recording) Finish(ctx context.Context, arch gpu.Arch, i int) (cycles float64, replayed bool, err error) {
+	if r.inert(arch, i) {
+		return r.sms[i].finish, false, nil
+	}
+	e, err := r.replayOn(ctx, arch)
+	if err != nil {
+		return 0, true, err
+	}
+	sm := e.newSM(i)
+	err = e.runSM(e.ctx, sm, r.plans[i].blocks)
+	return sm.now, true, err
+}
+
+// replayOn is the engine replaying r on arch, past sim.launch's fault
+// site and Replay's checks.
+func (r *Recording) replayOn(ctx context.Context, arch gpu.Arch) (*engine, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -261,9 +302,11 @@ func (r *Recording) Replay(ctx context.Context, arch gpu.Arch) (*Result, error) 
 	if err != nil || occ != r.occ || arch.NumSMs != r.arch.NumSMs || arch.DRAMBytes != r.arch.DRAMBytes || arch.L1SectorBytes != r.arch.L1SectorBytes {
 		return nil, fmt.Errorf("sim: a recording of %s on %s cannot replay on %s: occupancy, SM count, memory size or sector size differ", r.kernel.Name, r.arch.SM, arch.SM)
 	}
-	e := &engine{program: r.program, ctx: ctx, arch: arch, rec: r, replay: true}
-	return e.run()
+	return &engine{program: r.program, ctx: ctx, arch: arch, rec: r, replay: true}, nil
 }
+
+// SMs is how many SMs the recording holds a part of: Finish's range.
+func (r *Recording) SMs() int { return len(r.sms) }
 
 // Bytes is what the recording's streams hold, as the budget charges it.
 func (r *Recording) Bytes() int {

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,14 +174,9 @@ func launch(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config, recor
 	}
 
 	// Parameter area in constant bank 0.
-	e.constMem = make([]byte, paramBase+8*len(spec.Params))
+	e.constMem = make([]byte, max(paramBase+8*len(spec.Params), k.ConstBytes))
 	for i, p := range spec.Params {
-		putU64(e.constMem[paramBase+8*i:], p)
-	}
-	if k.ConstBytes > len(e.constMem) {
-		grown := make([]byte, k.ConstBytes)
-		copy(grown, e.constMem)
-		e.constMem = grown
+		binary.LittleEndian.PutUint64(e.constMem[paramBase+8*i:], p)
 	}
 
 	if e.code, err = e.decode(); err != nil {
@@ -210,7 +207,10 @@ func launch(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config, recor
 		return nil, nil, err
 	}
 	res.Host.FilledPages = dev.filled - filled
-	return res, e.rec.complete(), nil
+	if e.rec != nil && slices.ContainsFunc(e.rec.sms, func(sm smRecording) bool { return sm.over }) {
+		e.rec = nil // some SM outgrew its budget
+	}
+	return res, e.rec, nil
 }
 
 // simSMs is how many SMs the launch samples.
@@ -255,6 +255,11 @@ func (e *engine) run() (*Result, error) {
 				}
 				smSeconds[i] = time.Since(t0).Seconds()
 				sms[i] = sm
+				if e.rec != nil && !e.replay && e.rec.seal(i, sm.now) {
+					if fn, ok := e.ctx.Value(recordedKey{}).(func(*Recording, int)); ok {
+						fn(e.rec, i)
+					}
+				}
 			}
 		}()
 	}
@@ -328,28 +333,12 @@ func firstSMError(ctx context.Context, errs []error) error {
 	return collateral
 }
 
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
 // blocksForSM lists the block indices assigned to one SM under
 // round-robin rasterization (X-major, then Y, then Z).
 func blocksForSM(grid Dim3, smID, numSMs int) []Dim3 {
 	var out []Dim3
-	gx, gy, gz := grid.X, grid.Y, grid.Z
-	if gx == 0 {
-		gx = 1
-	}
-	if gy == 0 {
-		gy = 1
-	}
-	if gz == 0 {
-		gz = 1
-	}
-	total := gx * gy * gz
-	for lin := smID; lin < total; lin += numSMs {
+	gx, gy, _ := grid.dims()
+	for lin, total := smID, grid.Count(); lin < total; lin += numSMs {
 		out = append(out, Dim3{X: lin % gx, Y: (lin / gx) % gy, Z: lin / (gx * gy)})
 	}
 	return out

@@ -11,17 +11,19 @@ type Dim3 struct{ X, Y, Z int }
 
 // Count returns X*Y*Z (1 substituted for zero components).
 func (d Dim3) Count() int {
-	x, y, z := d.X, d.Y, d.Z
-	if x == 0 {
-		x = 1
-	}
-	if y == 0 {
-		y = 1
-	}
-	if z == 0 {
-		z = 1
-	}
+	x, y, z := d.dims()
 	return x * y * z
+}
+
+// dims returns the components, 1 substituted for zero.
+func (d Dim3) dims() (x, y, z int) {
+	one := func(v int) int {
+		if v == 0 {
+			return 1
+		}
+		return v
+	}
+	return one(d.X), one(d.Y), one(d.Z)
 }
 
 // D1 makes a one-dimensional Dim3.

@@ -188,11 +188,85 @@ func TestReplayMatchesResimulation(t *testing.T) {
 	}
 }
 
+// TestFinishMatchesReplay is the oracle of Recording.Finish, the sweep's
+// unit of work, over TestReplayMatchesResimulation's population with two
+// and four sampled SMs: under every perturbation, SM i's Finish is
+// Replay's SMFinish[i] bit for bit — the recorded finish wherever the
+// SM's part of Inert's proof holds — and the max over the SMs is Replay's
+// Cycles. The recordings are made under sim.WithRecorded, whose hook must
+// hand out each SM's part once, before Record returns.
+func TestFinishMatchesReplay(t *testing.T) {
+	ctx := context.Background()
+	for _, arch := range []gpu.Arch{gpu.V100(), gpu.A100()} {
+		for _, name := range Names() {
+			scales := replayScales[name[:strings.IndexByte(name, '_')]]
+			for i, scale := range scales {
+				if i == 1 && scale == scales[0] {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s/%s@%d", arch.SM, name, scale), func(t *testing.T) {
+					t.Parallel()
+					w, err := BuildArch(name, scale, arch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, sms := range []int{2, 4} {
+						var mu sync.Mutex
+						handed := map[int]*sim.Recording{}
+						hook := sim.WithRecorded(ctx, func(rec *sim.Recording, i int) {
+							mu.Lock()
+							defer mu.Unlock()
+							if handed[i] != nil {
+								t.Errorf("SampleSMs %d: SM %d handed out twice", sms, i)
+							}
+							handed[i] = rec
+						})
+						res, rec, err := RecordContext(hook, w, sim.NewDevice(arch), sim.Config{SampleSMs: sms, Workers: 2})
+						if err != nil || rec == nil {
+							t.Fatalf("SampleSMs %d: not recorded (%v)", sms, err)
+						}
+						for i := range rec.SMs() {
+							if handed[i] != rec {
+								t.Errorf("SampleSMs %d: SM %d of %d was not handed out before Record returned", sms, i, rec.SMs())
+							}
+						}
+						for _, p := range gpu.Perturbations() {
+							pa := p.Apply(arch)
+							want, err := rec.Replay(ctx, pa)
+							if err != nil {
+								t.Fatalf("%s: replay: %v", p.ID(), err)
+							}
+							cycles := 0.0
+							for i := range rec.SMs() {
+								got, replayed, err := rec.Finish(ctx, pa, i)
+								if err != nil {
+									t.Fatalf("%s: SM %d: %v", p.ID(), i, err)
+								}
+								if math.Float64bits(got) != math.Float64bits(want.SMFinish[i]) {
+									t.Errorf("SampleSMs %d, %s: SM %d finishes at %v, its replay at %v", sms, p.ID(), i, got, want.SMFinish[i])
+								}
+								if !replayed && math.Float64bits(got) != math.Float64bits(res.SMFinish[i]) {
+									t.Errorf("SampleSMs %d, %s: SM %d proved at %v, recorded at %v", sms, p.ID(), i, got, res.SMFinish[i])
+								}
+								cycles = max(cycles, got)
+							}
+							if math.Float64bits(cycles) != math.Float64bits(want.Cycles) {
+								t.Errorf("SampleSMs %d, %s: the SMs' max is %v cycles, the replay's %v", sms, p.ID(), cycles, want.Cycles)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkReplay times a sweep's replays alone: every workload on sm_70
 // and sm_80 at the benchmark's scale (replayScales), recorded once with
-// two sampled SMs; an iteration replays each perturbation cell the
-// recording does not prove inert, one SM at a time. rec_B is the
-// recordings' bytes as the budget charges them.
+// two sampled SMs; an iteration takes every perturbation cell's SMs as
+// the sweep does, one Recording.Finish each, so an SM whose part of the
+// proof holds costs nothing and every other SM replays alone. rec_B is
+// the recordings' bytes as the budget charges them.
 func BenchmarkReplay(b *testing.B) {
 	ctx := context.Background()
 	type cell struct {
@@ -213,17 +287,17 @@ func BenchmarkReplay(b *testing.B) {
 			}
 			held += rec.Bytes()
 			for _, p := range gpu.Perturbations() {
-				if pa := p.Apply(arch); !rec.Inert(pa) {
-					cells = append(cells, cell{rec, pa})
-				}
+				cells = append(cells, cell{rec, p.Apply(arch)})
 			}
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range cells {
-			if _, err := c.rec.Replay(ctx, c.arch); err != nil {
-				b.Fatal(err)
+			for sm := range c.rec.SMs() {
+				if _, _, err := c.rec.Finish(ctx, c.arch, sm); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}
