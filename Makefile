@@ -58,7 +58,7 @@ bench-sass:
 # -cpuprofile to see where replay time goes. CI's build-test job runs it
 # at BENCHTIME=1x (~3 s).
 bench-replay:
-	$(GO) test ./internal/workloads -run '^$$' -bench Replay -benchmem -benchtime $(BENCHTIME)
+	$(GO) test ./internal/sim -run '^$$' -bench Replay -benchmem -benchtime $(BENCHTIME)
 
 # Width-independence of the re-execution passes (CI: build-test). Run
 # fans a sweep's per-SM cell items and Verify's variants out over the
@@ -71,13 +71,15 @@ pool-width:
 	$(GO) test -count=1 -cpu 1,4 -run 'Golden|Sweep|Verify|RunMatchesPasses' ./internal/advisor
 
 # The concurrent first touch of demand-filled device pages, the parallel
-# per-SM differentials and replay, and a Run whose sweep starts on a
-# recording other SMs still write, under the race detector (~4 min on 2
-# CPUs; CI: build-test, so every change exercises it, not only the 30-minute
-# race job). TestFinishMatchesReplay replays one SM at a time on one
-# goroutine and would add ~5 min, so it runs without the race detector only.
+# per-SM differentials, recordings made by two SMs at once and replayed
+# SM by SM (TestReplayMatchesResimulation's and TestFinishMatchesReplay's
+# launches but the 12 mixbench ones at scale 8, which would add ~4 min),
+# and a Run whose sweep starts on a recording other SMs still write, under
+# the race detector (~4 min on 2 CPUs; CI: build-test, so every change
+# exercises it, not only the 30-minute race job).
 race-sim:
-	$(GO) test -race -count=1 -run 'Fill|Parallel|Differential|Replay' -skip 'TestFinishMatchesReplay' ./internal/sim ./internal/workloads
+	$(GO) test -race -count=1 -run 'Fill|Parallel|Differential|Replay' -skip 'TestReplayMatchesResimulation|TestFinishMatchesReplay' ./internal/sim ./internal/workloads
+	$(GO) test -race -count=1 -run '(TestReplayMatchesResimulation|TestFinishMatchesReplay)/sm_[78]0/((histogram|jacobi|reduction|sgemm|spill|transpose)_|mixbench_.*@1$$)' ./internal/workloads
 	$(GO) test -race -count=1 -run 'TestRunMatchesPasses' ./internal/advisor
 
 # Runs the programs `go build ./...` only compiles: the four examples

@@ -33,10 +33,10 @@ var buildArch = workloads.BuildArch
 //
 // The kernel executes once, recorded, on the unperturbed arch. A cell is
 // the max over the sampled SMs of their finish under the perturbed arch
-// (Recording.Finish): a replay unless Recording.Inert's proof holds for
-// the SM — every shared access costs as before on the new bank count, or
-// no set of the old or new cache geometry holds more of its lines than it
-// has ways. A launch that is not replayable executes every cell.
+// (Recording.Finish): a replay unless the recording proves the SM inert —
+// every shared access costs as before on the new bank count, or no set of
+// the old or new cache geometry holds more of its lines than it has ways.
+// A launch that is not replayable executes every cell.
 // workload/scale/arch/cfg must match the analyzed run, exactly as for
 // Verify: a recording execution that does not reproduce the report's
 // cycle count is an error. A dry-run report cannot be swept (no baseline

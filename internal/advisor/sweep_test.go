@@ -518,7 +518,15 @@ func TestChaosProvedCellSiteFault(t *testing.T) {
 	}
 	perts, proved := gpu.Perturbations(), 0
 	for _, pert := range perts {
-		if rec.Inert(pert.Apply(p.Arch)) {
+		inert := true
+		for i := range rec.SMs() {
+			_, replayed, err := rec.Finish(context.Background(), pert.Apply(p.Arch), i)
+			if err != nil {
+				t.Fatalf("%s: SM %d: %v", pert.ID(), i, err)
+			}
+			inert = inert && !replayed
+		}
+		if inert {
 			proved++
 		}
 	}

@@ -57,7 +57,7 @@ func (p Perturbation) ID() string { return p.Resource + "/" + p.Direction }
 // it). A resource only codegen reads — ISA.Scoreboards, whose control
 // info the simulator never consults — cannot move cycles and has no
 // place here (TestEveryPerturbationMovesSomeKernel).
-// Second rule: sim.Recording.Inert, which lets the sweep skip a replay,
+// Second rule: the proof that lets sim.Recording.Finish skip a replay
 // must know every field a perturbation moves (it refuses all others).
 func (p Perturbation) Apply(a Arch) Arch {
 	switch p.Resource {

@@ -12,7 +12,8 @@ import (
 
 // recordStride records one block of threads on a V100, thread i touching
 // the word i<<shift bytes into a global buffer (load and store back) or,
-// with shared, into shared memory.
+// with shared, into shared memory. One block runs on one SM, so the
+// recording's whole proof is inert(_, 0).
 func recordStride(t *testing.T, threads int, shift int64, shared bool) *Recording {
 	t.Helper()
 	b := kasm.NewBuilder("stride", "sm_70", "stride.cu")
@@ -54,7 +55,7 @@ func perturbed(t *testing.T, id string) gpu.Arch {
 // every covered axis leaves inert.
 func TestInertRefusesOtherFields(t *testing.T) {
 	rec := recordStride(t, 32, 2, false)
-	if !rec.Inert(gpu.V100()) {
+	if !rec.inert(gpu.V100(), 0) {
 		t.Fatal("the recorded arch itself is not proved inert")
 	}
 	arch := gpu.V100()
@@ -82,7 +83,7 @@ func TestInertRefusesOtherFields(t *testing.T) {
 			default:
 				t.Fatalf("%s: no way to move a %s field", name, f.Kind())
 			}
-			if rec.Inert(arch) {
+			if rec.inert(arch, 0) {
 				t.Errorf("an arch whose %s differs from the recorded one is proved inert", name)
 			}
 			f.Set(old)
@@ -96,10 +97,10 @@ func TestInertRefusesOtherFields(t *testing.T) {
 // 256 and 512: halving the L1 must be refused, doubling it proved.
 func TestInertL1SetOverflow(t *testing.T) {
 	rec := recordStride(t, gpu.V100().L1Ways+1, 14, false)
-	if rec.Inert(perturbed(t, "l1_capacity/down")) {
+	if rec.inert(perturbed(t, "l1_capacity/down"), 0) {
 		t.Error("l1_capacity/down proved inert with ways+1 lines in one set of the halved L1")
 	}
-	if !rec.Inert(perturbed(t, "l1_capacity/up")) {
+	if !rec.inert(perturbed(t, "l1_capacity/up"), 0) {
 		t.Error("l1_capacity/up refused though no set of either geometry overflows")
 	}
 }
@@ -110,10 +111,10 @@ func TestInertL1SetOverflow(t *testing.T) {
 // either, so it is proved.
 func TestInertBankConflictDegree(t *testing.T) {
 	down := perturbed(t, "shared_banks/down")
-	if recordStride(t, 32, 6, true).Inert(down) {
+	if recordStride(t, 32, 6, true).inert(down, 0) {
 		t.Error("shared_banks/down proved inert for a kernel whose conflict degree doubles on 16 banks")
 	}
-	if !recordStride(t, 4, 2, true).Inert(down) {
+	if !recordStride(t, 4, 2, true).inert(down, 0) {
 		t.Error("shared_banks/down refused for a conflict-free kernel")
 	}
 }

@@ -24,10 +24,10 @@ const maxRecordingBytes = 16 << 20
 // Recording is what one launch did, apart from when: per warp, the
 // instructions it retired with their guard masks and, for memory
 // instructions, the words the timing model read (engine.words). It is
-// everything the timing model takes from functional execution, so Replay
+// everything the timing model takes from functional execution, so Finish
 // can time the same launch on differently sized hardware without a
-// device, registers or data. A Recording is immutable; replays may run
-// concurrently.
+// device, registers or data. A Recording is immutable; Finish calls may
+// run concurrently.
 type Recording struct {
 	program
 	arch gpu.Arch      // the recorded device's
@@ -198,22 +198,13 @@ func (r *Recording) seal(i int, now float64) bool {
 	return true
 }
 
-// Inert reports whether Replay(ctx, arch) is proved to return what a
-// replay on the recorded arch does: arch may differ from it in SharedBanks
-// if no shared access changes its cost (nothing else reads them), and in
-// L1Bytes and L2Bytes if on every SM both geometries of that cache (or L2
-// slice) fit the footprint. Any other difference is refused. A shared
-// access's cost on the recorded banks is the count its words begin with.
-func (r *Recording) Inert(arch gpu.Arch) bool {
-	for i := range r.sms {
-		if !r.inert(arch, i) {
-			return false
-		}
-	}
-	return true
-}
-
-// inert is Inert's proof for SM i alone (SMs share no timing state).
+// inert reports whether SM i's replay on arch is proved to finish when
+// the recorded SM did (SMs share no timing state): arch may differ from
+// the recorded arch in SharedBanks if none of the SM's shared accesses
+// changes its cost (nothing else reads them), and in L1Bytes and L2Bytes
+// if both geometries of that cache (or L2 slice) fit the SM's footprint.
+// Any other difference is refused. A shared access's cost on the recorded
+// banks is the count its words begin with.
 func (r *Recording) inert(arch gpu.Arch, i int) bool {
 	was := r.arch
 	was.L1Bytes, was.L2Bytes, was.SharedBanks = arch.L1Bytes, arch.L2Bytes, arch.SharedBanks
@@ -258,24 +249,15 @@ func WithRecorded(ctx context.Context, fn func(rec *Recording, i int)) context.C
 	return context.WithValue(ctx, recordedKey{}, fn)
 }
 
-// Replay simulates the recorded launch on arch and returns what
-// LaunchContext would on a device of that architecture, at the cost of
-// the scheduler and memory-system model alone. arch may differ from the
-// recorded device's in anything the functional core, the block
-// distribution and occupancy do not read — every field a
-// gpu.Perturbation moves — but in its sector size, which the recorded
-// sectors are cut at.
-func (r *Recording) Replay(ctx context.Context, arch gpu.Arch) (*Result, error) {
-	e, err := r.replayOn(ctx, arch)
-	if err != nil {
-		return nil, err
-	}
-	return e.run()
-}
-
-// Finish returns Replay(ctx, arch).SMFinish[i] from a replay of SM i
-// alone, or, where Inert's proof holds for the SM, the recorded finish
-// with no replay and no pass through sim.launch's fault site.
+// Finish returns the cycle SM i finishes at when the recorded launch runs
+// on a device of architecture arch — what LaunchContext there would report
+// as SMFinish[i] — at the cost of the scheduler and memory-system model
+// alone, replaying SM i by itself. Where inert's proof holds for the SM it
+// returns the recorded finish with no replay and no pass through
+// sim.launch's fault site. arch may differ from the recorded device's in
+// anything the functional core, the block distribution and occupancy do
+// not read — every field a gpu.Perturbation moves — but in its sector
+// size, which the recorded sectors are cut at.
 func (r *Recording) Finish(ctx context.Context, arch gpu.Arch, i int) (cycles float64, replayed bool, err error) {
 	if r.inert(arch, i) {
 		return r.sms[i].finish, false, nil
@@ -290,7 +272,7 @@ func (r *Recording) Finish(ctx context.Context, arch gpu.Arch, i int) (cycles fl
 }
 
 // replayOn is the engine replaying r on arch, past sim.launch's fault
-// site and Replay's checks.
+// site and the checks that arch can time the recording.
 func (r *Recording) replayOn(ctx context.Context, arch gpu.Arch) (*engine, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -307,12 +289,3 @@ func (r *Recording) replayOn(ctx context.Context, arch gpu.Arch) (*engine, error
 
 // SMs is how many SMs the recording holds a part of: Finish's range.
 func (r *Recording) SMs() int { return len(r.sms) }
-
-// Bytes is what the recording's streams hold, as the budget charges it.
-func (r *Recording) Bytes() int {
-	n := 0
-	for i := range r.sms {
-		n += r.sms[i].bytes
-	}
-	return n
-}

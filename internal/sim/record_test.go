@@ -10,16 +10,16 @@ import (
 )
 
 // TestReplayRefusesOtherSectorSize: a recording keeps its global accesses
-// as sectors of the recorded size, so a replay on another sector size
+// as sectors of the recorded size, so Finish on another sector size
 // cannot re-cut them and must say so.
 func TestReplayRefusesOtherSectorSize(t *testing.T) {
 	rec := recordStride(t, 64, 2, false)
 	arch := gpu.V100()
 	arch.L1SectorBytes = 64
-	res, err := rec.Replay(context.Background(), arch)
+	cycles, _, err := rec.Finish(context.Background(), arch, 0)
 	if err == nil || !strings.Contains(err.Error(), "sector size") {
-		t.Fatalf("replay on %d-byte sectors of a recording cut at %d: result %v, error %v; want an error naming the sector size",
-			arch.L1SectorBytes, gpu.V100().L1SectorBytes, res != nil, err)
+		t.Fatalf("Finish on %d-byte sectors of a recording cut at %d: %v cycles, error %v; want an error naming the sector size",
+			arch.L1SectorBytes, gpu.V100().L1SectorBytes, cycles, err)
 	}
 }
 

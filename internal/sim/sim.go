@@ -373,7 +373,7 @@ func (e *engine) newSM(i int) *smState {
 	}
 }
 
-// caches returns a's geometry of an SM's L1 and L2 slice: newSM's and Inert's.
+// caches returns a's geometry of an SM's L1 and L2 slice: newSM's and inert's.
 func caches(a *gpu.Arch) (l1, l2 memsys.CacheConfig) {
 	// Keep the slice valid: at least one set of full associativity.
 	set := a.L2LineBytes * a.L2Ways

@@ -177,7 +177,7 @@ func ExecuteContext(ctx context.Context, w *Workload, dev *sim.Device, cfg sim.C
 }
 
 // RecordContext is ExecuteContext that also returns the launch's
-// recording for sim.Recording.Replay — nil when the launch is not
+// recording for sim.Recording.Finish — nil when the launch is not
 // replayable (see sim.Record). The host check has then vouched for the
 // very instruction stream every replay times.
 func RecordContext(ctx context.Context, w *Workload, dev *sim.Device, cfg sim.Config) (*sim.Result, *sim.Recording, error) {
