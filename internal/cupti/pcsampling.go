@@ -11,7 +11,6 @@ package cupti
 
 import (
 	"fmt"
-	"slices"
 
 	"gpuscout/internal/faultinject"
 	"gpuscout/internal/sass"
@@ -35,7 +34,7 @@ type Report struct {
 	// would move its low bits.
 	Kernel sim.Stalls
 
-	byPC   map[uint64]sim.Stalls
+	byPC   []sim.Stalls // indexed by PC / sass.InstBytes, like sim.Counters.PCStalls
 	byLine map[int]sim.Stalls
 }
 
@@ -56,28 +55,24 @@ func Collect(k *sass.Kernel, res *sim.Result, cfg Config) (*Report, error) {
 	}
 	r := &Report{
 		PeriodCycles: period,
-		byPC:         make(map[uint64]sim.Stalls, len(res.Counters.PCStalls)),
+		byPC:         make([]sim.Stalls, len(res.Counters.PCStalls)),
 		byLine:       map[int]sim.Stalls{},
 	}
 	for s, x := range res.Counters.StallCycles {
 		r.Kernel[s] = x / period
 	}
-	// Iterate PCs in address order: the per-line sums are floating-point
-	// accumulations, and Go's randomized map order would make their low
-	// bits vary run to run.
-	pcs := make([]uint64, 0, len(res.Counters.PCStalls))
-	for pc := range res.Counters.PCStalls {
-		pcs = append(pcs, pc)
-	}
-	slices.Sort(pcs)
-	for _, pc := range pcs {
-		var at sim.Stalls
-		for s, x := range res.Counters.PCStalls[pc] {
+	// Walk the instructions in PC order: the per-line sums are
+	// floating-point accumulations, so their order fixes their low bits.
+	for i, integ := range res.Counters.PCStalls {
+		if integ == (sim.Stalls{}) {
+			continue
+		}
+		at := &r.byPC[i]
+		for s, x := range integ {
 			at[s] = x / period
 		}
-		r.byPC[pc] = at
 		line := 0
-		if in := k.InstAt(pc); in != nil {
+		if in := k.InstAt(uint64(i) * sass.InstBytes); in != nil {
 			line = in.Line
 		}
 		ln := r.byLine[line]
@@ -90,7 +85,12 @@ func Collect(k *sass.Kernel, res *sim.Result, cfg Config) (*Report, error) {
 }
 
 // AtPC returns the per-reason sample counts at one PC.
-func (r *Report) AtPC(pc uint64) sim.Stalls { return r.byPC[pc] }
+func (r *Report) AtPC(pc uint64) sim.Stalls {
+	if i := pc / sass.InstBytes; i < uint64(len(r.byPC)) {
+		return r.byPC[i]
+	}
+	return sim.Stalls{}
+}
 
 // AtLine returns the per-reason sample counts summed over the
 // instructions attributed to a source line, in PC order.
@@ -106,6 +106,11 @@ func CollectionCycles(res *sim.Result) float64 {
 		fixedCycles      = 2.0e6
 		perPCCycles      = 5.0e3
 	)
-	return res.Cycles*samplingSlowdown + fixedCycles +
-		perPCCycles*float64(len(res.Counters.PCStalls))
+	sampled := 0
+	for _, integ := range res.Counters.PCStalls {
+		if integ != (sim.Stalls{}) {
+			sampled++
+		}
+	}
+	return res.Cycles*samplingSlowdown + fixedCycles + perPCCycles*float64(sampled)
 }

@@ -64,8 +64,8 @@ func TestCollectBasics(t *testing.T) {
 	// Sample totals must match the stall integrals / period, both in the
 	// kernel vector and summed over the per-PC vectors.
 	var want, kernel, atPCs float64
-	for pc, arr := range res.Counters.PCStalls {
-		at := r.AtPC(pc)
+	for i, arr := range res.Counters.PCStalls {
+		at := r.AtPC(uint64(i) * sass.InstBytes)
 		for s := sim.Stall(0); s < sim.NumStalls; s++ {
 			want += arr[s]
 			atPCs += at[s]
@@ -112,8 +112,8 @@ func TestDefaultPeriodAndTopStalls(t *testing.T) {
 	}
 	// The top stalls at a PC exclude bookkeeping reasons and sort
 	// descending.
-	for pc := range res.Counters.PCStalls {
-		at := r.AtPC(pc)
+	for i := range res.Counters.PCStalls {
+		at := r.AtPC(uint64(i) * sass.InstBytes)
 		top := at.Top(2)
 		if len(top) > 2 {
 			t.Fatalf("Top(2) returned %d entries", len(top))

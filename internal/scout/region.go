@@ -56,10 +56,8 @@ func (r *Report) ProfileRegion(fromLine, toLine int) (*RegionProfile, error) {
 		for s, x := range r.Samples.AtPC(in.PC) {
 			region[s] += x
 		}
-		if integ := r.Result.Counters.PCStalls[in.PC]; integ != nil {
-			// One "selected" cycle per issued warp instruction.
-			p.IssuedWarpInsts += integ[sim.StallSelected]
-		}
+		// One "selected" cycle per issued warp instruction.
+		p.IssuedWarpInsts += r.Result.Counters.PCStalls[in.PC/sass.InstBytes][sim.StallSelected]
 		switch in.Op {
 		case sass.OpLDG, sass.OpSTG:
 			p.MemoryInstructions["global"]++

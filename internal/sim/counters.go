@@ -10,9 +10,9 @@ import (
 // derives PC samples from the per-PC stall integrals.
 type Counters struct {
 	// Issue and instruction mix.
-	WarpInsts   uint64 // warp instructions issued
-	ThreadInsts uint64 // thread instructions (x active lanes)
-	OpcodeDyn   map[sass.Opcode]uint64
+	WarpInsts   uint64                  // warp instructions issued
+	ThreadInsts uint64                  // thread instructions (x active lanes)
+	OpcodeDyn   [sass.NumOpcodes]uint64 // warp instructions issued, by opcode
 
 	// Sector traffic through L1TEX by space and direction. A sector is
 	// Arch.L1SectorBytes wide (32 B on Volta, matching l1tex__t_sectors_*
@@ -43,29 +43,26 @@ type Counters struct {
 	L2ReadSectors, L2WriteSectors uint64
 	DRAMReadBytes, DRAMWriteBytes uint64
 
-	// Stall integrals: total and per PC, in warp-cycles.
+	// Stall integrals in warp-cycles: total, and per instruction (index
+	// PC / sass.InstBytes), the last entry taking every PC past the end.
 	StallCycles Stalls
-	PCStalls    map[uint64]*Stalls
+	PCStalls    []Stalls
 
 	// Occupancy accounting.
 	ActiveWarpCycles float64 // integral of resident, unfinished warps over time
 	SMBusyCycles     float64 // sum over simulated SMs of their busy time
 }
 
-func newCounters() *Counters {
-	return &Counters{
-		OpcodeDyn: map[sass.Opcode]uint64{},
-		PCStalls:  map[uint64]*Stalls{},
-	}
+// newCounters returns zeroed counters for a kernel of insts instructions.
+func newCounters(insts int) *Counters {
+	return &Counters{PCStalls: make([]Stalls, insts+1)}
 }
 
-func (c *Counters) pcStall(pc uint64) *Stalls {
-	s := c.PCStalls[pc]
-	if s == nil {
-		s = new(Stalls)
-		c.PCStalls[pc] = s
-	}
-	return s
+// addStall attributes dt warp-cycles of stall reason `reason` at pc.
+func (c *Counters) addStall(pc uint64, reason Stall, dt float64) {
+	c.StallCycles[reason] += dt
+	idx := min(int(pc/sass.InstBytes), len(c.PCStalls)-1)
+	c.PCStalls[idx][reason] += dt
 }
 
 // merge folds one SM's counters into c. LaunchContext calls it in fixed
@@ -76,8 +73,8 @@ func (c *Counters) pcStall(pc uint64) *Stalls {
 func (c *Counters) merge(o *Counters) {
 	c.WarpInsts += o.WarpInsts
 	c.ThreadInsts += o.ThreadInsts
-	for op, n := range o.OpcodeDyn {
-		c.OpcodeDyn[op] += n
+	for op := range o.OpcodeDyn {
+		c.OpcodeDyn[op] += o.OpcodeDyn[op]
 	}
 
 	c.GlobalLdSectors += o.GlobalLdSectors
@@ -115,10 +112,9 @@ func (c *Counters) merge(o *Counters) {
 	for s := Stall(0); s < NumStalls; s++ {
 		c.StallCycles[s] += o.StallCycles[s]
 	}
-	for pc, arr := range o.PCStalls {
-		dst := c.pcStall(pc)
+	for i := range o.PCStalls {
 		for s := Stall(0); s < NumStalls; s++ {
-			dst[s] += arr[s]
+			c.PCStalls[i][s] += o.PCStalls[i][s]
 		}
 	}
 

@@ -175,6 +175,27 @@ func b32(f float32) uint64 { return uint64(math.Float32bits(f)) }
 func f64(v uint64) float64 { return math.Float64frombits(v) }
 func b64(f float64) uint64 { return math.Float64bits(f) }
 
+// nan32 is an FP32 arithmetic result's register value: a NaN is the
+// canonical 0x7fffffff NVIDIA hardware writes, not the host FPU's payload.
+func nan32(f float32) uint64 {
+	if f != f {
+		return 0x7fffffff
+	}
+	return b32(f)
+}
+
+// f2i converts like F2I.S32, toward zero, saturating, and NaN to 0, where
+// Go leaves an out-of-range conversion to the implementation.
+func f2i(f float32) uint64 {
+	switch {
+	case f != f:
+		return 0
+	case f >= 0x1p31:
+		return math.MaxInt32
+	}
+	return uint64(int32(max(f, -0x1p31)))
+}
+
 // decode builds the launch's instruction table, or returns an error naming
 // the PC of the first instruction the executor could not run: a register
 // outside the kernel's register file, a missing operand or modifier, an
@@ -314,11 +335,11 @@ func (e *engine) decodeInst(d *decoded) error {
 		d.fn, nsrc = func(a, _, _ uint64) uint64 { return uint64(bits.OnesCount32(uint32(a))) }, 1
 
 	case sass.OpFADD:
-		d.fn, nsrc = func(a, b, _ uint64) uint64 { return b32(f32(a) + f32(b)) }, 2
+		d.fn, nsrc = func(a, b, _ uint64) uint64 { return nan32(f32(a) + f32(b)) }, 2
 	case sass.OpFMUL:
-		d.fn, nsrc = func(a, b, _ uint64) uint64 { return b32(f32(a) * f32(b)) }, 2
+		d.fn, nsrc = func(a, b, _ uint64) uint64 { return nan32(f32(a) * f32(b)) }, 2
 	case sass.OpFFMA:
-		d.fn, nsrc = func(a, b, c uint64) uint64 { return b32(f32(a)*f32(b) + f32(c)) }, 3
+		d.fn, nsrc = func(a, b, c uint64) uint64 { return nan32(f32(a)*f32(b) + f32(c)) }, 3
 	case sass.OpFMNMX:
 		// NaN compares false: MAX then yields a, MIN yields b.
 		d.fn, nsrc = func(a, b, _ uint64) uint64 {
@@ -361,7 +382,7 @@ func (e *engine) decodeInst(d *decoded) error {
 			d.fn = func(a, _, _ uint64) uint64 { return b64(float64(int32(a))) }
 		}
 	case sass.OpF2I:
-		d.fn, nsrc = func(a, _, _ uint64) uint64 { return uint64(int32(f32(a))) }, 1
+		d.fn, nsrc = func(a, _, _ uint64) uint64 { return f2i(f32(a)) }, 1
 	case sass.OpF2F:
 		nsrc = 1
 		switch {

@@ -72,12 +72,12 @@ func TestDifferentialRandomALU(t *testing.T) {
 			case 2: // float add
 				b.FAddTo(kasm.VR(vals[d]), av, cv)
 				apply(host, func(x []uint32) uint32 {
-					return math.Float32bits(math.Float32frombits(x[a]) + math.Float32frombits(x[c]))
+					return hostFP32(math.Float32frombits(x[a]) + math.Float32frombits(x[c]))
 				}, d)
 			case 3: // float fma
 				b.FFmaTo(kasm.VR(vals[d]), av, cv, kasm.VR(vals[d]))
 				apply(host, func(x []uint32) uint32 {
-					return math.Float32bits(math.Float32frombits(x[a])*math.Float32frombits(x[c]) + math.Float32frombits(x[d]))
+					return hostFP32(math.Float32frombits(x[a])*math.Float32frombits(x[c]) + math.Float32frombits(x[d]))
 				}, d)
 			case 4: // shift left by 1..3
 				n := int64(r.Intn(3) + 1)
@@ -100,7 +100,7 @@ func TestDifferentialRandomALU(t *testing.T) {
 			case 7: // float -> int
 				cvt := b.F2I(av)
 				vals[d] = cvt
-				apply(host, func(x []uint32) uint32 { return uint32(int32(math.Float32frombits(x[a]))) }, d)
+				apply(host, func(x []uint32) uint32 { return hostF2I(math.Float32frombits(x[a])) }, d)
 			}
 		}
 
@@ -168,6 +168,30 @@ func TestDifferentialRandomALU(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// hostFP32 is the host model's FP32 arithmetic result: the hardware
+// writes every NaN as 0x7fffffff, whatever the operands' payloads.
+func hostFP32(f float32) uint32 {
+	if math.IsNaN(float64(f)) {
+		return 0x7fffffff
+	}
+	return math.Float32bits(f)
+}
+
+// hostF2I is the host model's F2I.S32: truncation toward zero, clamped to
+// the int32 range, with NaN converting to 0.
+func hostF2I(f float32) uint32 {
+	x := float64(f)
+	switch {
+	case math.IsNaN(x):
+		return 0
+	case x > math.MaxInt32:
+		return math.MaxInt32
+	case x < math.MinInt32:
+		return 1 << 31
+	}
+	return uint32(int32(x))
 }
 
 // apply updates every thread's host state for destination slot d.

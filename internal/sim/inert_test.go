@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -116,5 +117,20 @@ func TestInertBankConflictDegree(t *testing.T) {
 	}
 	if !recordStride(t, 4, 2, true).inert(down, 0) {
 		t.Error("shared_banks/down refused for a conflict-free kernel")
+	}
+}
+
+// TestFinishHonoursCancelOnProvedSM: an ended context fails Finish even
+// where inert proves the SM and no replay would run, so a sweep whose
+// budget expired does not ship a cell it should have timed out.
+func TestFinishHonoursCancelOnProvedSM(t *testing.T) {
+	rec := recordStride(t, 32, 2, false)
+	if !rec.inert(gpu.V100(), 0) {
+		t.Fatal("the recorded arch itself is not proved inert")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := rec.Finish(ctx, gpu.V100(), 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("Finish under a cancelled context = %v, want context.Canceled", err)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -62,83 +63,72 @@ func TestBlocksForSM(t *testing.T) {
 	}
 }
 
-// TestCountersMergeCoversAllFields fills every Counters field with
+// TestCountersMergeCoversAllFields fills every Counters field — every
+// element of OpcodeDyn and every entry of PCStalls included — with
 // distinct non-zero values by reflection and checks merge sums each one.
 // A field added to Counters but forgotten in merge stays zero in the
 // merged copy and fails here, keeping the parallel reduction honest.
 func TestCountersMergeCoversAllFields(t *testing.T) {
-	fill := func(c *Counters, base uint64) {
-		v := reflect.ValueOf(c).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			f := v.Field(i)
-			switch f.Kind() {
-			case reflect.Uint64:
-				f.SetUint(base + uint64(i))
-			case reflect.Float64:
-				f.SetFloat(float64(base) + float64(i) + 0.5)
-			case reflect.Array:
-				for j := 0; j < f.Len(); j++ {
-					f.Index(j).SetFloat(float64(base) + float64(i*100+j) + 0.25)
-				}
-			case reflect.Map:
-				// OpcodeDyn and PCStalls are seeded below, outside
-				// reflection.
-			default:
-				t.Fatalf("Counters.%s has unhandled kind %s — extend this test and merge",
-					v.Type().Field(i).Name, f.Kind())
+	const insts = 3
+	// walk visits every number under v, in a fixed order, with its path.
+	var walk func(path string, v reflect.Value, visit func(string, reflect.Value))
+	walk = func(path string, v reflect.Value, visit func(string, reflect.Value)) {
+		switch v.Kind() {
+		case reflect.Uint64, reflect.Float64:
+			visit(path, v)
+		case reflect.Array, reflect.Slice:
+			for j := 0; j < v.Len(); j++ {
+				walk(fmt.Sprintf("%s[%d]", path, j), v.Index(j), visit)
 			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i), visit)
+			}
+		default:
+			t.Fatalf("%s has unhandled kind %s — extend this test and merge", path, v.Kind())
 		}
 	}
+	fill := func(c *Counters, base uint64) {
+		n := base
+		walk("Counters", reflect.ValueOf(c).Elem(), func(_ string, v reflect.Value) {
+			n++
+			if v.Kind() == reflect.Uint64 {
+				v.SetUint(n)
+			} else {
+				v.SetFloat(float64(n) + 0.25)
+			}
+		})
+	}
+	numbers := func(c *Counters) (paths []string, vals []float64) {
+		walk("Counters", reflect.ValueOf(c).Elem(), func(path string, v reflect.Value) {
+			paths = append(paths, path)
+			if v.Kind() == reflect.Uint64 {
+				vals = append(vals, float64(v.Uint()))
+			} else {
+				vals = append(vals, v.Float())
+			}
+		})
+		return paths, vals
+	}
 
-	a, b := newCounters(), newCounters()
+	a, b := newCounters(insts), newCounters(insts)
 	fill(a, 1000)
-	fill(b, 5000)
-	a.OpcodeDyn[sass.OpFADD] = 3
-	b.OpcodeDyn[sass.OpFADD] = 5
-	b.OpcodeDyn[sass.OpLDG] = 7
-	a.pcStall(16)[StallWait] = 1.5
-	b.pcStall(16)[StallWait] = 2.5
-	b.pcStall(32)[StallSelected] = 4
-
-	merged := newCounters()
+	fill(b, 500000)
+	merged := newCounters(insts)
 	merged.merge(a)
 	merged.merge(b)
 
-	mv := reflect.ValueOf(merged).Elem()
-	av := reflect.ValueOf(a).Elem()
-	bv := reflect.ValueOf(b).Elem()
-	for i := 0; i < mv.NumField(); i++ {
-		name := mv.Type().Field(i).Name
-		switch mv.Field(i).Kind() {
-		case reflect.Uint64:
-			if got, want := mv.Field(i).Uint(), av.Field(i).Uint()+bv.Field(i).Uint(); got != want {
-				t.Errorf("merge missed Counters.%s: got %d, want %d", name, got, want)
-			}
-		case reflect.Float64:
-			if got, want := mv.Field(i).Float(), av.Field(i).Float()+bv.Field(i).Float(); got != want {
-				t.Errorf("merge missed Counters.%s: got %v, want %v", name, got, want)
-			}
-		case reflect.Array:
-			for j := 0; j < mv.Field(i).Len(); j++ {
-				got := mv.Field(i).Index(j).Float()
-				want := av.Field(i).Index(j).Float() + bv.Field(i).Index(j).Float()
-				if got != want {
-					t.Errorf("merge missed Counters.%s[%d]: got %v, want %v", name, j, got, want)
-				}
-			}
+	paths, got := numbers(merged)
+	_, av := numbers(a)
+	_, bv := numbers(b)
+	// OpcodeDyn, then PCStalls' insts+1 vectors and StallCycles.
+	if want := sass.NumOpcodes + (insts+2)*int(NumStalls); len(got) < want {
+		t.Fatalf("walked %d numbers, want at least %d", len(got), want)
+	}
+	for i, path := range paths {
+		if want := av[i] + bv[i]; got[i] != want {
+			t.Errorf("merge missed %s: got %v, want %v", path, got[i], want)
 		}
-	}
-	if got := merged.OpcodeDyn[sass.OpFADD]; got != 8 {
-		t.Errorf("OpcodeDyn[FADD] = %d, want 8", got)
-	}
-	if got := merged.OpcodeDyn[sass.OpLDG]; got != 7 {
-		t.Errorf("OpcodeDyn[LDG] = %d, want 7", got)
-	}
-	if got := merged.PCStalls[16][StallWait]; got != 4 {
-		t.Errorf("PCStalls[16][wait] = %v, want 4", got)
-	}
-	if got := merged.PCStalls[32][StallSelected]; got != 4 {
-		t.Errorf("PCStalls[32][selected] = %v, want 4", got)
 	}
 }
 

@@ -257,8 +257,15 @@ func WithRecorded(ctx context.Context, fn func(rec *Recording, i int)) context.C
 // sim.launch's fault site. arch may differ from the recorded device's in
 // anything the functional core, the block distribution and occupancy do
 // not read — every field a gpu.Perturbation moves — but in its sector
-// size, which the recorded sectors are cut at.
+// size, which the recorded sectors are cut at. An ended ctx fails Finish,
+// proved SM or not, as it fails a replay on its first scheduler round.
 func (r *Recording) Finish(ctx context.Context, arch gpu.Arch, i int) (cycles float64, replayed bool, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, false, fmt.Errorf("sim: kernel %s aborted on SM %d: %w", r.kernel.Name, i, err)
+	}
 	if r.inert(arch, i) {
 		return r.sms[i].finish, false, nil
 	}
@@ -274,9 +281,6 @@ func (r *Recording) Finish(ctx context.Context, arch gpu.Arch, i int) (cycles fl
 // replayOn is the engine replaying r on arch, past sim.launch's fault
 // site and the checks that arch can time the recording.
 func (r *Recording) replayOn(ctx context.Context, arch gpu.Arch) (*engine, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := faultinject.Hit(siteLaunch); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}

@@ -271,7 +271,7 @@ func (e *engine) run() (*Result, error) {
 	// Deterministic reduction: merge per-SM counters in fixed SM-ID
 	// order, so float accumulation order — and hence every derived
 	// metric — is identical for any worker count.
-	merged := newCounters()
+	merged := newCounters(len(e.kernel.Insts))
 	var maxFinish, smSecondsTotal float64
 	smFinish := make([]float64, len(sms))
 	simulatedBlocks := 0
@@ -359,7 +359,7 @@ func (e *engine) newSM(i int) *smState {
 		gidBase:  p.gidBase,
 		nextGid:  p.gidBase,
 		rec:      rec,
-		counters: newCounters(),
+		counters: newCounters(len(e.kernel.Insts)),
 		l1:       memsys.NewCache(l1),
 		l2:       memsys.NewCache(l2),
 		lsu:      memsys.NewBandwidth(float64(a.L1SectorBytes)), // 1 sector/cycle
@@ -393,16 +393,12 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 		resident = len(blockIdxs)
 	}
 	// All mutable warp/block state for this SM lives in one arena sized
-	// for the resident-block window; slots recycle as CTAs retire. The
-	// dense stall/opcode counters are folded into the map-shaped Counters
-	// once at the end.
+	// for the resident-block window; slots recycle as CTAs retire.
 	sm.arena = newLaunchArena(e.kernel, e.block, resident, !e.replay)
 	if sm.rec != nil && !e.replay {
 		sm.rec.warps = make([]warpStream, len(blockIdxs)*sm.arena.warpsPerBlock)
 		sm.rec.budget = maxRecordingBytes / len(e.plans)
 	}
-	sm.pcStalls = make([]Stalls, len(e.kernel.Insts)+1)
-	sm.opcodeDyn = make([]uint64, sass.NumOpcodes)
 	for i := 0; i < resident; i++ {
 		e.launchBlock(sm, blockIdxs[i])
 	}
@@ -482,7 +478,7 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 				if w.cls.eligible {
 					reason = StallNotSelected
 				}
-				sm.addStall(w.cls.pc, reason, prevDT)
+				sm.counters.addStall(w.cls.pc, reason, prevDT)
 			}
 			allDone = false
 			liveWarps++
@@ -521,7 +517,7 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 			if err := e.issue(sm, pick); err != nil {
 				return err
 			}
-			sm.addStall(pc, StallSelected, 1)
+			sm.counters.addStall(pc, StallSelected, 1)
 			pick.cls.eligible = false
 			pick.cls.reason = StallSelected
 			pick.clsValid = false
@@ -550,7 +546,6 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 			return fmt.Errorf("sim: kernel %s exceeded %g cycles on SM %d", e.kernel.Name, e.cfg.MaxCycles, sm.id)
 		}
 	}
-	sm.foldDense()
 	sm.counters.SMBusyCycles = sm.now
 	return nil
 }

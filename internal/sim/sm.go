@@ -163,46 +163,9 @@ type smState struct {
 
 	lastPick [8]*warp // per-scheduler greedy pointer (GTO)
 
-	// Dense hot-path counters, folded into the exported Counters maps
-	// once at the end of runSM. pcStalls is indexed by instruction index
-	// (pc / InstBytes) with one extra slot for the synthetic
-	// past-the-end reconvergence PC; opcodeDyn by opcode value.
-	pcStalls  []Stalls
-	opcodeDyn []uint64
-
 	// Reusable scratch for the memory timing path.
 	wordBuf []uint64
 	banks   memsys.BankScratch
-}
-
-// addStall attributes dt warp-cycles of stall reason `reason` at pc in
-// the dense per-instruction slice.
-func (sm *smState) addStall(pc uint64, reason Stall, dt float64) {
-	sm.counters.StallCycles[reason] += dt
-	idx := int(pc / sass.InstBytes)
-	if idx >= len(sm.pcStalls) {
-		idx = len(sm.pcStalls) - 1
-	}
-	sm.pcStalls[idx][reason] += dt
-}
-
-// foldDense materializes the dense stall/opcode counters into the
-// exported Counters maps — once per launch, in instruction order, with a
-// key only for a PC or opcode that was touched.
-func (sm *smState) foldDense() {
-	for idx := range sm.pcStalls {
-		if sm.pcStalls[idx] == (Stalls{}) {
-			continue
-		}
-		dst := new(Stalls)
-		*dst = sm.pcStalls[idx]
-		sm.counters.PCStalls[uint64(idx)*sass.InstBytes] = dst
-	}
-	for op, n := range sm.opcodeDyn {
-		if n != 0 {
-			sm.counters.OpcodeDyn[sass.Opcode(op)] = n
-		}
-	}
 }
 
 // classification of one warp at one instant.
@@ -323,7 +286,7 @@ func (e *engine) issue(sm *smState, w *warp) error {
 	c := sm.counters
 	c.WarpInsts++
 	c.ThreadInsts += uint64(bits.OnesCount32(execMask))
-	sm.opcodeDyn[in.Op]++
+	c.OpcodeDyn[in.Op]++
 
 	a := &e.arch
 	w.readyAt = sm.now + 1
