@@ -96,14 +96,16 @@ func (s *BankScratch) AtomicConflicts(numBanks int, addrs []uint64, mask uint32)
 // per lane. It writes into a caller-provided buffer (reused across calls
 // to keep the simulator's hot path free of heap allocation) and returns
 // buf[:0] extended with the sector bases in first-touch order.
+// sectorBytes must be a power of two, as NewCache requires of a cache's.
 func CoalesceSectorsInto(buf []uint64, sectorBytes int, addrs []uint64, mask uint32, widthBytes int) []uint64 {
 	// A warp produces at most 32 lanes x widthBytes/4 sector candidates;
 	// linear dedup over the output slice beats a map at that size.
 	order := buf[:0]
+	cut := ^uint64(sectorBytes - 1)
 	for m := mask; m != 0; m &= m - 1 {
 		a := addrs[bits.TrailingZeros32(m)]
 		for w := 0; w < widthBytes; w += 4 {
-			s := (a + uint64(w)) / uint64(sectorBytes) * uint64(sectorBytes)
+			s := (a + uint64(w)) & cut
 			// Adjacent lanes usually land in the same sector (that is what
 			// coalescing means), so check the last sector first before the
 			// full dedup scan.

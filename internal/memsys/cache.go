@@ -5,7 +5,10 @@
 // into the full V100 hierarchy.
 package memsys
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CacheConfig sizes a sectored, set-associative, write-through cache.
 // NVIDIA L1/L2 caches operate on 128-byte lines divided into 32-byte
@@ -37,18 +40,24 @@ type cacheLine struct {
 
 // Cache is a sectored set-associative cache with true LRU replacement.
 type Cache struct {
-	cfg            CacheConfig
-	sets           int
-	sectorsPerLine uint
-	lines          []cacheLine // sets*ways, way-major within set
-	clock          uint64
-	stats          CacheStats
+	cfg   CacheConfig
+	sets  uint64
+	lines []cacheLine // sets*ways, way-major within set
+	clock uint64
+	stats CacheStats
+
+	// An address's line is addr >> lineShift, its sector within the line
+	// (addr & lineMask) >> sectorShift.
+	lineShift, sectorShift uint
+	lineMask               uint64
 }
 
-// NewCache builds a cache; it panics on non-power-of-two geometry
-// violations since configurations are static architecture descriptions.
+// NewCache builds a cache; it panics on geometry it cannot cut — a line
+// or sector size that is not a power of two, a line that is not whole
+// sectors, a size that is not whole sets — since configurations are
+// static architecture descriptions.
 func NewCache(cfg CacheConfig) *Cache {
-	if cfg.LineBytes <= 0 || cfg.SectorBytes <= 0 || cfg.LineBytes%cfg.SectorBytes != 0 {
+	if !pow2(cfg.LineBytes) || !pow2(cfg.SectorBytes) || cfg.SectorBytes > cfg.LineBytes {
 		panic(fmt.Sprintf("memsys: bad line/sector geometry %d/%d", cfg.LineBytes, cfg.SectorBytes))
 	}
 	if cfg.Ways <= 0 || cfg.TotalBytes%(cfg.LineBytes*cfg.Ways) != 0 {
@@ -57,12 +66,17 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 	sets := cfg.TotalBytes / (cfg.LineBytes * cfg.Ways)
 	return &Cache{
-		cfg:            cfg,
-		sets:           sets,
-		sectorsPerLine: uint(cfg.LineBytes / cfg.SectorBytes),
-		lines:          make([]cacheLine, sets*cfg.Ways),
+		cfg:         cfg,
+		sets:        uint64(sets),
+		lines:       make([]cacheLine, sets*cfg.Ways),
+		lineShift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		sectorShift: uint(bits.TrailingZeros(uint(cfg.SectorBytes))),
+		lineMask:    uint64(cfg.LineBytes - 1),
 	}
 }
+
+// pow2 reports whether n is a positive power of two.
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Fits reports whether no set is asked for more of lines (distinct address
 // / LineBytes; never for a set geometry NewCache refuses) than it has ways:
@@ -92,12 +106,7 @@ func (c *Cache) AccessSector(addr uint64, write bool) (hit bool) {
 	} else {
 		c.stats.ReadAcc++
 	}
-	lineAddr := addr / uint64(c.cfg.LineBytes)
-	set := int(lineAddr) % c.sets
-	tag := lineAddr / uint64(c.sets)
-	sector := uint32(1) << ((addr % uint64(c.cfg.LineBytes)) / uint64(c.cfg.SectorBytes))
-
-	base := set * c.cfg.Ways
+	base, tag, sector := c.locate(addr)
 	for w := 0; w < c.cfg.Ways; w++ {
 		l := &c.lines[base+w]
 		if l.valid && l.tag == tag {
@@ -136,11 +145,7 @@ func (c *Cache) AccessSector(addr uint64, write bool) (hit bool) {
 // Contains reports whether the sector holding addr is resident (no state
 // change, no stats).
 func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr / uint64(c.cfg.LineBytes)
-	set := int(lineAddr) % c.sets
-	tag := lineAddr / uint64(c.sets)
-	sector := uint32(1) << ((addr % uint64(c.cfg.LineBytes)) / uint64(c.cfg.SectorBytes))
-	base := set * c.cfg.Ways
+	base, tag, sector := c.locate(addr)
 	for w := 0; w < c.cfg.Ways; w++ {
 		l := &c.lines[base+w]
 		if l.valid && l.tag == tag && l.sectors&sector != 0 {
@@ -148,6 +153,14 @@ func (c *Cache) Contains(addr uint64) bool {
 		}
 	}
 	return false
+}
+
+// locate returns where addr's line may live (the index of its set's first
+// way in lines), the line's tag and the sector's bit in the line.
+func (c *Cache) locate(addr uint64) (base int, tag uint64, sector uint32) {
+	line := addr >> c.lineShift
+	tag = line / c.sets
+	return int(line-tag*c.sets) * c.cfg.Ways, tag, uint32(1) << ((addr & c.lineMask) >> c.sectorShift)
 }
 
 // Stats returns a copy of the access counters.

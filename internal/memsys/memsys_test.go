@@ -92,6 +92,27 @@ func TestCacheReset(t *testing.T) {
 	}
 }
 
+// TestCacheRefusesNonPow2Geometry: AccessSector cuts an address with
+// shifts, so a line or sector that is not a power of two must be refused
+// even where the line is whole sectors, and so must a sector wider than
+// its line.
+func TestCacheRefusesNonPow2Geometry(t *testing.T) {
+	for _, cfg := range []CacheConfig{
+		{Name: "sector48", TotalBytes: 96 * 4, LineBytes: 96, SectorBytes: 48, Ways: 4},
+		{Name: "line96", TotalBytes: 96 * 4, LineBytes: 96, SectorBytes: 32, Ways: 4},
+		{Name: "wide", TotalBytes: 128 * 4, LineBytes: 128, SectorBytes: 256, Ways: 4},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCache(%+v) did not panic", cfg)
+				}
+			}()
+			NewCache(cfg)
+		}()
+	}
+}
+
 func TestBandwidthQueueing(t *testing.T) {
 	bw := NewBandwidth(32) // 32 B/cycle
 	t1 := bw.Request(0, 32)

@@ -65,7 +65,7 @@ func TestLaunchAllocsBounded(t *testing.T) {
 	launch() // warm-up: device memory pages and pool state settle
 
 	allocs := testing.AllocsPerRun(5, launch)
-	// Measured 93 allocs per warm Launch for this workload (go1.24); the
+	// Measured 91 allocs per warm Launch for this workload (go1.24); the
 	// bound, about twice that, leaves slack for toolchain variation while
 	// still catching any reintroduction of per-warp or per-instruction
 	// heap traffic.

@@ -51,14 +51,17 @@ type launchArena struct {
 }
 
 // newLaunchArena sizes an arena for `slots` simultaneously resident
-// blocks of the current kernel and carves all per-warp views. Views are
-// carved exactly once — resets only zero their contents. Without
+// blocks of the current kernel and carves all per-warp views, and the
+// scheduler's empty warp sets with room for every resident warp. Views
+// are carved exactly once — resets only zero their contents. Without
 // functional — a replay, which executes nothing — the arena has only the
 // timing state: no register files, local or shared memory or divergence
 // stacks.
-func newLaunchArena(k *sass.Kernel, block Dim3, slots int, functional bool) *launchArena {
+func newLaunchArena(k *sass.Kernel, block Dim3, slots int, functional bool) (*launchArena, warpSets) {
 	wpb := (block.Count() + 31) / 32
-	rows := k.NumRegs + 1 // the kernel's registers and the zero row
+	n := slots * wpb
+	ptrs := make([]*warp, 3*n) // blockWarps, awake, sleep
+	rows := k.NumRegs + 1      // the kernel's registers and the zero row
 	localBytes, sharedBytes, stackCap := k.LocalBytes, k.SharedBytes, initStackCap
 	if !functional {
 		rows, localBytes, sharedBytes, stackCap = 0, 0, 0, 0
@@ -67,7 +70,7 @@ func newLaunchArena(k *sass.Kernel, block Dim3, slots int, functional bool) *lau
 		warpsPerBlock: wpb,
 		warps:         make([]warp, slots*wpb),
 		blocks:        make([]blockState, slots),
-		blockWarps:    make([]*warp, slots*wpb),
+		blockWarps:    ptrs[:n:n],
 		regs:          make([][32]uint32, slots*wpb*rows),
 		regReady:      make([]float64, slots*wpb*k.NumRegs),
 		regSrc:        make([]sass.Class, slots*wpb*k.NumRegs),
@@ -102,7 +105,7 @@ func newLaunchArena(k *sass.Kernel, block Dim3, slots int, functional bool) *lau
 		}
 		a.freeSlots = append(a.freeSlots, s)
 	}
-	return a
+	return a, warpSets{awake: ptrs[n : n : 2*n], sleep: ptrs[2*n : 2*n : 3*n], classes: make([]parkClass, 0, n)}
 }
 
 // takeBlock pops a free slot and resets its block for a new CTA at idx.
@@ -165,6 +168,7 @@ func (a *launchArena) resetWarp(b *blockState, i, gid int) *warp {
 	w.lastStoreDone = 0
 	w.cls = wclass{}
 	w.clsValid = false
+	w.parked = false
 	w.stream, w.at, w.memAt = nil, 0, 0
 	// Activate only lanes whose linear thread id is inside the block.
 	threads := b.dim.Count()

@@ -61,9 +61,11 @@ func newCounters(insts int) *Counters {
 // addStall attributes dt warp-cycles of stall reason `reason` at pc.
 func (c *Counters) addStall(pc uint64, reason Stall, dt float64) {
 	c.StallCycles[reason] += dt
-	idx := min(int(pc/sass.InstBytes), len(c.PCStalls)-1)
-	c.PCStalls[idx][reason] += dt
+	c.PCStalls[c.at(pc)][reason] += dt
 }
+
+// at is the index of pc's entry in PCStalls.
+func (c *Counters) at(pc uint64) int { return min(int(pc/sass.InstBytes), len(c.PCStalls)-1) }
 
 // merge folds one SM's counters into c. LaunchContext calls it in fixed
 // SM-ID order for every worker count, so float accumulation order — and

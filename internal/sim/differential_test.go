@@ -16,7 +16,9 @@ import (
 // tight register budgets that force spilling), executes them on the
 // simulator, and compares every thread's results against a host-side
 // evaluation of the same operation sequence. This is the end-to-end
-// correctness property for the compiler + simulator pair.
+// correctness property for the compiler + simulator pair. FP sources are
+// negated at random and the block's last warp is partial, so operand
+// sign flips and inactive lanes are compared too.
 func TestDifferentialRandomALU(t *testing.T) {
 	f := func(seed int64, budget8 uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -24,7 +26,7 @@ func TestDifferentialRandomALU(t *testing.T) {
 
 		const numVals = 10
 		const numOps = 24
-		const threads = 64
+		threads := 33 + r.Intn(31) // two warps, the second partial
 
 		b := kasm.NewBuilder("_Zdiff", "sm_70", "diff.cu")
 		b.NumParams(2)
@@ -70,14 +72,14 @@ func TestDifferentialRandomALU(t *testing.T) {
 				b.IMadTo(kasm.VR(vals[d]), av, cv, kasm.VImm(3))
 				apply(host, func(x []uint32) uint32 { return uint32(int32(x[a])*int32(x[c]) + 3) }, d)
 			case 2: // float add
+				fa, fc := fpSource(r, &av), fpSource(r, &cv)
 				b.FAddTo(kasm.VR(vals[d]), av, cv)
-				apply(host, func(x []uint32) uint32 {
-					return hostFP32(math.Float32frombits(x[a]) + math.Float32frombits(x[c]))
-				}, d)
+				apply(host, func(x []uint32) uint32 { return hostFP32(fa(x[a]) + fc(x[c])) }, d)
 			case 3: // float fma
+				fa, fc := fpSource(r, &av), fpSource(r, &cv)
 				b.FFmaTo(kasm.VR(vals[d]), av, cv, kasm.VR(vals[d]))
 				apply(host, func(x []uint32) uint32 {
-					return hostFP32(math.Float32frombits(x[a])*math.Float32frombits(x[c]) + math.Float32frombits(x[d]))
+					return hostFP32(fa(x[a])*fc(x[c]) + math.Float32frombits(x[d]))
 				}, d)
 			case 4: // shift left by 1..3
 				n := int64(r.Intn(3) + 1)
@@ -168,6 +170,16 @@ func TestDifferentialRandomALU(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// fpSource negates FP source o at random and returns how the host model
+// reads it. Only the FP cases call it: a negated source flips the sign
+// bit, which is FP negation and not integer negation.
+func fpSource(r *rand.Rand, o *kasm.VOperand) func(uint32) float32 {
+	if o.Neg = r.Intn(2) == 0; o.Neg {
+		return func(x uint32) float32 { return -math.Float32frombits(x) }
+	}
+	return math.Float32frombits
 }
 
 // hostFP32 is the host model's FP32 arithmetic result: the hardware

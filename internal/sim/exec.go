@@ -149,8 +149,19 @@ func (e *engine) exec(w *warp, d *decoded, execMask uint32, ma *memAccess) error
 		// BAR timing handled by the engine; functionally a no-op here.
 
 	default:
-		// Every other opcode decode accepts is register-to-register.
+		// Every other opcode decode accepts is register-to-register. With
+		// a one-word destination and three row operands, each source row
+		// and its XOR mask is read once for the warp, not per lane.
 		lo := &w.regs[d.reg]
+		if s := &d.src; d.words == 1 && s[0].kind == kindReg && s[1].kind == kindReg && s[2].kind == kindReg {
+			a, b, c := &w.regs[s[0].reg], &w.regs[s[1].reg], &w.regs[s[2].reg]
+			xa, xb, xc := s[0].bits, s[1].bits, s[2].bits
+			for m := execMask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				lo[lane] = uint32(d.fn(uint64(a[lane])^xa, uint64(b[lane])^xb, uint64(c[lane])^xc))
+			}
+			break
+		}
 		for m := execMask; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
 			v := d.fn(d.src[0].get(w, lane), d.src[1].get(w, lane), d.src[2].get(w, lane))

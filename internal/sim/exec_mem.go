@@ -88,7 +88,12 @@ func (e *engine) locate(w *warp, d *decoded, tex *Texture, lane int, taddr *uint
 	width := d.mem.width
 	switch d.mem.space {
 	case sass.ClassGlobal:
-		*taddr = d.addr.base.get(w, lane) + uint64(d.addr.off)
+		// The base is a register pair, or RZ as a uniform pair.
+		base := d.addr.base.bits
+		if b := &d.addr.base; b.kind == kindPair {
+			base ^= uint64(w.regs[b.reg][lane]) | uint64(w.regs[b.reg+1][lane])<<32
+		}
+		*taddr = base + uint64(d.addr.off)
 	case sass.ClassTexture:
 		x := clamp(int(int32(d.src[0].get(w, lane))), tex.Width)
 		y := clamp(int(int32(d.src[1].get(w, lane))), tex.Height)

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -394,7 +393,7 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 	}
 	// All mutable warp/block state for this SM lives in one arena sized
 	// for the resident-block window; slots recycle as CTAs retire.
-	sm.arena = newLaunchArena(e.kernel, e.block, resident, !e.replay)
+	sm.arena, sm.warpSets = newLaunchArena(e.kernel, e.block, resident, !e.replay)
 	if sm.rec != nil && !e.replay {
 		sm.rec.warps = make([]warpStream, len(blockIdxs)*sm.arena.warpsPerBlock)
 		sm.rec.budget = maxRecordingBytes / len(e.plans)
@@ -402,7 +401,7 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 	for i := 0; i < resident; i++ {
 		e.launchBlock(sm, blockIdxs[i])
 	}
-	sm.pending = append(sm.pending, blockIdxs[resident:]...)
+	sm.pending = blockIdxs[resident:]
 
 	numSched := e.arch.NumSchedulers
 	if numSched < 1 || numSched > len(sm.lastPick) {
@@ -410,10 +409,8 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 	}
 
 	// prevDT is the last round's time step, attributed to the warps'
-	// end-of-round classifications during the next round's scan. The scan
-	// visits live warps in gid order and skips those without a valid
-	// classification (just issued or just launched), which fixes the
-	// order of every per-counter float accumulation.
+	// end-of-round classifications during the next round. Warps without a
+	// valid classification (just issued, launched or released) get none.
 	prevDT := 0.0
 	for iter := 0; ; iter++ {
 		// Cancellation poll: cheap enough amortized over 1024 scheduler
@@ -427,52 +424,44 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 			default:
 			}
 		}
-		// Housekeeping between scheduler rounds — never mid-iteration, so
-		// snapshots of the warp list below stay valid. First compact done
-		// warps out (every remaining loop skips them anyway; removal keeps
-		// the scans short), then recycle freed arena slots for pending
-		// CTAs. Refill happens only here, between rounds: a new warp is
-		// first considered in the round after its slot was freed, and its
-		// readyAt is a don't-care below sm.now.
+		// Housekeeping between scheduler rounds — never mid-round. First
+		// drop done warps from the awake set (only an issued warp can be
+		// done, and it stays awake until here), then recycle freed arena
+		// slots for pending CTAs. Refill happens only here, between rounds:
+		// a new warp is first considered in the round after its slot was
+		// freed, and its readyAt is a don't-care below sm.now.
 		if sm.needCompact {
 			sm.needCompact = false
-			live := sm.warps[:0]
-			for _, w := range sm.warps {
+			live := sm.awake[:0]
+			for _, w := range sm.awake {
 				if !w.done {
 					live = append(live, w)
 				}
 			}
-			// Nil the tail so retired-block pointers don't pin recycled
-			// slots' previous contents in scans.
-			for i := len(live); i < len(sm.warps); i++ {
-				sm.warps[i] = nil
-			}
-			sm.warps = live
+			sm.awake = live
 		}
 		for len(sm.pending) > 0 && len(sm.arena.freeSlots) > 0 {
 			idx := sm.pending[0]
 			sm.pending = sm.pending[1:]
 			e.launchBlock(sm, idx)
 		}
+		if len(sm.awake)+sm.parked == 0 {
+			break
+		}
 
-		// Single scan: attribute the previous round's stall cycles, check
-		// completion, (re-)classify, and collect this round's scheduling
-		// inputs — each scheduler's first eligible warp in gid order and
-		// the earliest unblock event. Issuing an EXIT can mark warps done
-		// mid-round; they are compacted out only at the top of the next
-		// round, so the snapshot taken here stays valid. Classifications
-		// are cached: a blocked warp cannot unblock before its recorded
-		// event, so it is only re-examined then (or when its own state
-		// changes).
-		warps := sm.warps
-		liveWarps := 0
-		allDone := true
-		nextEvent := math.Inf(1)
+		// Wake the warps whose event has come, attribute the last step to
+		// the warps still parked, then visit the awake ones: attribute
+		// their stall, classify them, park the blocked, and collect each
+		// scheduler's lowest-gid eligible warp. A parked warp cannot
+		// unblock before its event, or before checkBarrier releases it
+		// (which wakes it), so its classification stays exact.
+		sm.wakeDue()
+		if prevDT > 0 {
+			sm.stallParked(prevDT)
+		}
 		var firstElig [8]*warp
-		for _, w := range warps {
-			if w.done {
-				continue
-			}
+		awake := sm.awake[:0]
+		for _, w := range sm.awake {
 			if prevDT > 0 && w.clsValid {
 				reason := w.cls.reason
 				if w.cls.eligible {
@@ -480,29 +469,24 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 				}
 				sm.counters.addStall(w.cls.pc, reason, prevDT)
 			}
-			allDone = false
-			liveWarps++
-			if !w.clsValid || w.cls.eligible || w.cls.event <= sm.now {
-				w.cls = e.classify(sm, w)
-				w.clsValid = true
+			w.cls = e.classify(sm, w)
+			w.clsValid = true
+			if !w.cls.eligible {
+				sm.park(w)
+				continue
 			}
-			if w.cls.eligible {
-				if s := w.gid % numSched; firstElig[s] == nil {
-					firstElig[s] = w
-				}
-			}
-			if w.cls.event < nextEvent {
-				nextEvent = w.cls.event
+			awake = append(awake, w)
+			if s := w.gid % numSched; firstElig[s] == nil || w.gid < firstElig[s].gid {
+				firstElig[s] = w
 			}
 		}
-		if allDone {
-			break
-		}
+		sm.awake = awake
+		liveWarps := len(awake) + sm.parked
 
 		// Scheduling: each scheduler issues at most one eligible warp,
 		// greedy-then-oldest. Issuing never flips another warp's cached
-		// eligibility (barrier releases and retires only clear clsValid),
-		// so the candidates collected above are exact.
+		// eligibility (barrier releases and retires only clear clsValid
+		// and wake), so the candidates collected above are exact.
 		issued := 0
 		for sched := 0; sched < numSched; sched++ {
 			pick := firstElig[sched]
@@ -524,20 +508,16 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 			issued++
 		}
 
-		// Advance time. With no issue this round, nothing changed since
-		// the scan, so the collected nextEvent is still the earliest
-		// possible unblock.
+		// Advance time. With no issue this round no warp was eligible, so
+		// every live warp is parked and nothing changed since: the earliest
+		// possible unblock is the top of sleep, after sm.now.
 		dt := 1.0
 		if issued == 0 {
-			next := nextEvent
-			if math.IsInf(next, 1) {
+			if len(sm.sleep) == 0 {
 				return fmt.Errorf("sim: deadlock on SM %d at cycle %.0f (kernel %s): all %d warps blocked",
 					sm.id, sm.now, e.kernel.Name, liveWarps)
 			}
-			if next <= sm.now {
-				next = sm.now + 1
-			}
-			dt = next - sm.now
+			dt = sm.sleep[0].cls.event - sm.now
 		}
 		sm.counters.ActiveWarpCycles += float64(liveWarps) * dt
 		prevDT = dt

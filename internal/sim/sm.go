@@ -154,10 +154,10 @@ type smState struct {
 	// ones launch.
 	arena *launchArena
 
-	// warps lists live (not yet done) warps in global-warp-ID order. Done
-	// warps are compacted out at the top of the scheduler loop, never
-	// mid-iteration, so snapshots taken by the loop stay valid.
-	warps       []*warp
+	// warpSets holds the live warps as the scheduler sees them. Done
+	// warps leave awake at the top of the scheduler loop, never
+	// mid-round.
+	warpSets
 	needCompact bool
 	pending     []Dim3 // block indices not yet launched
 
@@ -166,6 +166,115 @@ type smState struct {
 	// Reusable scratch for the memory timing path.
 	wordBuf []uint64
 	banks   memsys.BankScratch
+}
+
+// warpSets are an SM's live warps as its scheduler rounds see them. A
+// warp is awake — the next round visits it, because it was just launched,
+// issued, released or woken, or is eligible — or parked: blocked until
+// its classification's event. A parked warp with a finite event waits in
+// sleep, a min-heap on cls.event; one at +Inf (a barrier, or past the
+// last instruction) waits for checkBarrier. classes counts the parked
+// warps per (instruction, stall reason), which is all a round's stall
+// attribution needs of them. The slices are carved with the arena, with
+// room for every resident warp.
+type warpSets struct {
+	awake, sleep []*warp
+	classes      []parkClass
+	parked       int
+}
+
+// parkClass is n parked warps whose stall goes to PCStalls[at][reason].
+type parkClass struct {
+	at, n  int
+	reason Stall
+}
+
+// park takes warp w, classified blocked, out of the rounds' visits.
+func (sm *smState) park(w *warp) {
+	w.parked = true
+	sm.parked++
+	sm.count(w, 1)
+	if !math.IsInf(w.cls.event, 1) {
+		h := append(sm.sleep, w)
+		i := len(h) - 1
+		for i > 0 {
+			p := (i - 1) / 2
+			if h[p].cls.event <= w.cls.event {
+				break
+			}
+			h[i] = h[p]
+			i = p
+		}
+		h[i] = w
+		sm.sleep = h
+	}
+}
+
+// wake returns parked warp w to the awake set, keeping its
+// classification. The caller has taken it out of sleep, if it was there.
+func (sm *smState) wake(w *warp) {
+	w.parked = false
+	sm.parked--
+	sm.count(w, -1)
+	sm.awake = append(sm.awake, w)
+}
+
+// wakeDue wakes every sleeping warp whose event has come.
+func (sm *smState) wakeDue() {
+	for h := sm.sleep; len(h) > 0 && h[0].cls.event <= sm.now; {
+		top, last := h[0], h[len(h)-1]
+		h = h[:len(h)-1]
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				break
+			}
+			if c+1 < len(h) && h[c+1].cls.event < h[c].cls.event {
+				c++
+			}
+			if h[c].cls.event >= last.cls.event {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		if len(h) > 0 {
+			h[i] = last
+		}
+		sm.sleep = h
+		sm.wake(top)
+	}
+}
+
+// count adds d to the parked count of w's class.
+func (sm *smState) count(w *warp, d int) {
+	at, r := sm.counters.at(w.cls.pc), w.cls.reason
+	for i := range sm.classes {
+		if k := &sm.classes[i]; k.at == at && k.reason == r {
+			if k.n += d; k.n == 0 {
+				sm.classes[i] = sm.classes[len(sm.classes)-1]
+				sm.classes = sm.classes[:len(sm.classes)-1]
+			}
+			return
+		}
+	}
+	sm.classes = append(sm.classes, parkClass{at: at, n: d, reason: r})
+}
+
+// stallParked attributes dt warp-cycles to every parked warp's class. Each
+// warp still costs its own add: within a round every add into an
+// accumulator is the same dt, so only their number fixes the sum.
+func (sm *smState) stallParked(dt float64) {
+	c := sm.counters
+	for _, k := range sm.classes {
+		total, at := c.StallCycles[k.reason], c.PCStalls[k.at][k.reason]
+		for n := k.n; n > 0; n-- {
+			total += dt
+			at += dt
+		}
+		c.StallCycles[k.reason], c.PCStalls[k.at][k.reason] = total, at
+	}
 }
 
 // classification of one warp at one instant.
@@ -614,6 +723,9 @@ func (e *engine) checkBarrier(sm *smState, b *blockState) {
 			w.readyAt = release
 			w.waitReason = wait
 			w.clsValid = false
+			if w.parked {
+				sm.wake(w) // at +Inf, so not in sleep
+			}
 		}
 	}
 	b.barArrived = 0
@@ -622,8 +734,8 @@ func (e *engine) checkBarrier(sm *smState, b *blockState) {
 
 // retireWarp handles warp completion. When the whole block retires its
 // arena slot is released; the scheduler loop recycles it for a pending
-// CTA at the top of its next iteration (never mid-iteration, so the
-// loop's warp-list snapshot stays valid).
+// CTA at the top of its next iteration, after the done warps have left
+// the awake set.
 func (e *engine) retireWarp(sm *smState, w *warp) {
 	b := w.block
 	b.liveWarps--
@@ -657,6 +769,6 @@ func (e *engine) launchBlock(sm *smState, idx Dim3) {
 		w.readyAt = sm.now
 		w.waitReason = StallWait
 		nb.warps = append(nb.warps, w)
-		sm.warps = append(sm.warps, w)
+		sm.awake = append(sm.awake, w)
 	}
 }

@@ -87,9 +87,10 @@ type warp struct {
 	lastStoreDone float64
 
 	// Cached scheduler classification (valid until cls.event or until the
-	// warp's state changes).
+	// warp's state changes); parked while it keeps the warp blocked.
 	cls      wclass
 	clsValid bool
+	parked   bool
 
 	// stream is this warp's part of the launch's recording, when there is
 	// one; a replay reads on from insts[at] and mem[memAt].

@@ -16,7 +16,7 @@ import (
 	"gpuscout/internal/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/pinned.json")
+var update = flag.Bool("update", false, "rewrite testdata/pinned.json and testdata/results.txt")
 
 // pinnedScales lists, per family, every distinct scale the rest of the
 // tree builds at — 0 (the default), advisor's goldenScales (also what
