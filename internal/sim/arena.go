@@ -161,7 +161,7 @@ func (a *launchArena) resetWarp(b *blockState, i, gid int) *warp {
 	w.active = 0
 	w.stack = w.stack[:0]
 	w.done = false
-	w.preds = [sass.NumPreds][32]bool{}
+	w.preds = [sass.PT + 1]uint32{sass.PT: ^uint32(0)}
 	w.readyAt = 0
 	w.waitReason = 0
 	w.atBarrier = false

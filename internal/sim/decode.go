@@ -32,10 +32,13 @@ type decoded struct {
 
 	// src are the value operands the opcode reads; unused slots read 0.
 	src [3]operand
-	// fn is the per-lane function of a register-to-register operation
-	// (result in the low 32 bits unless the destination is a pair), and
+	// row is the row kernel of a register-to-register operation with a
+	// one-word destination and one-word sources. fn is the per-lane
+	// function of every other one (a pair source or destination; the
+	// result is in the low 32 bits unless the destination is a pair), and
 	// the read-modify-write combine fn(old, operand, 0) of an atomic.
-	fn func(a, b, c uint64) uint64
+	row func(r, a, b, c *[32]uint32)
+	fn  func(a, b, c uint64) uint64
 	// reg and words name the registers moved per lane: the destination of
 	// an ALU operation, load or atomic, the source of a store. words is 0
 	// when reg is RZ (writes are discarded, stores write zeros).
@@ -64,24 +67,27 @@ type operandKind uint8
 
 const (
 	// kindReg reads one register row. RZ and every lane-invariant 32-bit
-	// source (immediate, in-range constant, PT, a special register fixed
-	// for the launch) are the warp's zero row with the value in bits.
+	// source (immediate, in-range constant, a special register fixed for
+	// the launch) are the warp's zero row with the value in bits.
 	kindReg     operandKind = iota
 	kindPair                // a 64-bit register pair (reg, reg+1)
 	kindUniform             // a lane-invariant 64-bit value: a constant pair, RZ as a pair
 	kindSpecial
-	kindPred
+	kindPred // one bit of a predicate's lane mask; PT is all ones
+	kindNeg  // a register an integer opcode negates in two's complement
 )
 
 // operand is one pre-resolved source. bits is XORed into what is read: the
-// sign bit of a negated register (-R4), 1 for a negated predicate (!P0),
-// the whole value of a lane-invariant operand.
+// sign bit of a floating-point negated register (-R4), 1 for a negated
+// predicate (!P0), the whole value of a lane-invariant operand. neg negates
+// an integer register pair in two's complement after that.
 type operand struct {
 	kind operandKind
 	reg  sass.Reg
 	pred sass.Pred
 	sr   sass.SpecialReg
 	bits uint64
+	neg  bool
 }
 
 // get reads the operand for one lane: zero-extended for a 32-bit source,
@@ -97,21 +103,61 @@ func (o *operand) get(w *warp, lane int) uint64 {
 func (o *operand) getOther(w *warp, lane int) uint64 {
 	switch o.kind {
 	case kindPair:
-		return (uint64(w.regs[o.reg][lane]) | uint64(w.regs[o.reg+1][lane])<<32) ^ o.bits
+		v := (uint64(w.regs[o.reg][lane]) | uint64(w.regs[o.reg+1][lane])<<32) ^ o.bits
+		if o.neg {
+			return -v
+		}
+		return v
 	case kindSpecial:
 		return uint64(w.special(o.sr, lane))
 	case kindPred:
-		if w.preds[o.pred][lane] {
-			return 1 ^ o.bits
-		}
+		return uint64(w.preds[o.pred]>>lane&1) ^ o.bits
+	case kindNeg:
+		return uint64(-w.regs[o.reg][lane])
 	}
 	return o.bits
+}
+
+// row returns the operand's value in every lane as one row: a register
+// row itself when nothing applies to it, else t holding the values.
+func (o *operand) row(w *warp, t *[32]uint32) *[32]uint32 {
+	if o.kind == kindReg && o.bits == 0 {
+		return &w.regs[o.reg]
+	}
+	for l := range t {
+		t[l] = uint32(o.get(w, l))
+	}
+	return t
+}
+
+// lanes is the mask of the lanes where the operand reads non-zero: for a
+// predicate, its word of the predicate file.
+func (o *operand) lanes(w *warp, t *[32]uint32) (m uint32) {
+	if o.kind == kindPred {
+		return w.preds[o.pred] ^ -uint32(o.bits)
+	}
+	for l, v := range o.row(w, t) {
+		if v != 0 {
+			m |= 1 << l
+		}
+	}
+	return m
 }
 
 // address is a memory operand [base+off]; a base of RZ reads 0.
 type address struct {
 	base operand
 	off  int64
+}
+
+// at is a global address for one lane: a register pair, or RZ as a
+// uniform pair, plus the offset.
+func (a *address) at(w *warp, lane int) uint64 {
+	base := a.base.bits
+	if b := &a.base; b.kind == kindPair {
+		base ^= uint64(w.regs[b.reg][lane]) | uint64(w.regs[b.reg+1][lane])<<32
+	}
+	return base + uint64(a.off)
 }
 
 // offset applies the base(+RZ)+imm rule of the segment spaces (local,
@@ -137,7 +183,7 @@ var cmpByName = map[string]cmpOp{
 	"LT": cmpLT, "LE": cmpLE, "GT": cmpGT, "GE": cmpGE, "EQ": cmpEQ, "NE": cmpNE,
 }
 
-func compare[T int32 | uint32 | float32](op cmpOp, a, b T) bool {
+func compare[T uint32 | float32](op cmpOp, a, b T) bool {
 	switch op {
 	case cmpLT:
 		return a < b
@@ -289,82 +335,93 @@ func (e *engine) decodeInst(d *decoded) error {
 		nsrc = 2
 
 	case sass.OpMOV, sass.OpS2R, sass.OpI2I:
-		d.fn, nsrc = func(a, _, _ uint64) uint64 { return a }, 1
+		d.row, nsrc = func(r, a, _, _ *[32]uint32) { *r = *a }, 1
 	case sass.OpIADD3:
-		d.fn, nsrc = iadd3, 3
+		d.row, nsrc = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, iadd3) }, 3
 	case sass.OpIMAD:
 		// The low 32 bits of a*b+c are the 32-bit multiply-add; with
 		// zero-extended a and b all 64 are IMAD.WIDE.U32.
-		d.fn, nsrc = func(a, b, c uint64) uint64 { return a*b + c }, 3
-		if dstW == 2 && !in.HasMod("U32") {
-			d.fn = func(a, b, c uint64) uint64 { return uint64(int64(int32(a))*int64(int32(b))) + c }
+		d.row, nsrc = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, imad) }, 3
+		if dstW == 2 {
+			d.row, d.fn = nil, imad
+			if !in.HasMod("U32") {
+				d.fn = func(a, b, c uint64) uint64 { return uint64(int64(int32(a))*int64(int32(b))) + c }
+			}
 		}
 	case sass.OpLOP3:
-		d.fn, nsrc = func(a, b, _ uint64) uint64 { return a & b }, 2
+		d.row, nsrc = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, func(a, b, _ uint64) uint64 { return a & b }) }, 2
 		switch {
 		case in.HasMod("OR"):
-			d.fn = func(a, b, _ uint64) uint64 { return a | b }
+			d.row = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, func(a, b, _ uint64) uint64 { return a | b }) }
 		case in.HasMod("XOR"):
-			d.fn = func(a, b, _ uint64) uint64 { return a ^ b }
+			d.row = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, func(a, b, _ uint64) uint64 { return a ^ b }) }
 		}
 	case sass.OpSHF:
-		d.fn, nsrc = func(a, b, _ uint64) uint64 { return a >> (b & 31) }, 2
+		d.row, nsrc = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, func(a, b, _ uint64) uint64 { return a >> (b & 31) }) }, 2
 		if in.HasMod("L") {
-			d.fn = func(a, b, _ uint64) uint64 { return a << (b & 31) }
+			d.row = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, func(a, b, _ uint64) uint64 { return a << (b & 31) }) }
 		}
 	case sass.OpSEL:
-		d.fn, nsrc = func(a, b, p uint64) uint64 {
-			if p != 0 {
-				return a
-			}
-			return b
-		}, 3
-	case sass.OpIMNMX:
-		d.fn, nsrc = imax, 2
-		if in.HasMod("MIN") {
-			d.fn = imin
-		}
-	case sass.OpIABS:
-		d.fn, nsrc = func(a, _, _ uint64) uint64 {
-			if int32(a) < 0 {
-				return -a
-			}
-			return a
-		}, 1
-	case sass.OpPOPC:
-		d.fn, nsrc = func(a, _, _ uint64) uint64 { return uint64(bits.OnesCount32(uint32(a))) }, 1
-
-	case sass.OpFADD:
-		d.fn, nsrc = func(a, b, _ uint64) uint64 { return nan32(f32(a) + f32(b)) }, 2
-	case sass.OpFMUL:
-		d.fn, nsrc = func(a, b, _ uint64) uint64 { return nan32(f32(a) * f32(b)) }, 2
-	case sass.OpFFMA:
-		d.fn, nsrc = func(a, b, c uint64) uint64 { return nan32(f32(a)*f32(b) + f32(c)) }, 3
-	case sass.OpFMNMX:
-		// NaN compares false: MAX then yields a, MIN yields b.
-		d.fn, nsrc = func(a, b, _ uint64) uint64 {
-			if f32(a) < f32(b) {
-				return b
-			}
-			return a
-		}, 2
-		if in.HasMod("MIN") {
-			d.fn = func(a, b, _ uint64) uint64 {
-				if f32(a) < f32(b) {
+		d.row, nsrc = func(r, a, b, c *[32]uint32) {
+			rows(r, a, b, c, func(a, b, p uint64) uint64 {
+				if p != 0 {
 					return a
 				}
 				return b
+			})
+		}, 3
+	case sass.OpIMNMX:
+		d.row, nsrc = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, imax) }, 2
+		if in.HasMod("MIN") {
+			d.row = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, imin) }
+		}
+	case sass.OpIABS:
+		d.row, nsrc = func(r, a, b, c *[32]uint32) {
+			rows(r, a, b, c, func(a, _, _ uint64) uint64 {
+				if int32(a) < 0 {
+					return -a
+				}
+				return a
+			})
+		}, 1
+	case sass.OpPOPC:
+		d.row, nsrc = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, popc) }, 1
+
+	case sass.OpFADD:
+		d.row, nsrc = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, fadd) }, 2
+	case sass.OpFMUL:
+		d.row, nsrc = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, fmul) }, 2
+	case sass.OpFFMA:
+		d.row, nsrc = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, ffma) }, 3
+	case sass.OpFMNMX:
+		// NaN compares false: MAX then yields a, MIN yields b.
+		d.row, nsrc = func(r, a, b, c *[32]uint32) {
+			rows(r, a, b, c, func(a, b, _ uint64) uint64 {
+				if f32(a) < f32(b) {
+					return b
+				}
+				return a
+			})
+		}, 2
+		if in.HasMod("MIN") {
+			d.row = func(r, a, b, c *[32]uint32) {
+				rows(r, a, b, c, func(a, b, _ uint64) uint64 {
+					if f32(a) < f32(b) {
+						return a
+					}
+					return b
+				})
 			}
 		}
 	case sass.OpMUFU:
 		nsrc = 1
 		switch {
 		case in.HasMod("RCP"):
-			d.fn = func(a, _, _ uint64) uint64 { return b32(1 / f32(a)) }
+			d.row = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, func(a, _, _ uint64) uint64 { return b32(1 / f32(a)) }) }
 		case in.HasMod("SQRT"):
-			d.fn = func(a, _, _ uint64) uint64 { return b32(float32(math.Sqrt(float64(f32(a))))) }
+			d.row = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, sqrt) }
 		case in.HasMod("RSQ"):
-			d.fn = func(a, _, _ uint64) uint64 { return b32(float32(1 / math.Sqrt(float64(f32(a))))) }
+			d.row = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, rsq) }
 		default:
 			return fmt.Errorf("MUFU variant %v not modeled", in.Mods)
 		}
@@ -377,12 +434,12 @@ func (e *engine) decodeInst(d *decoded) error {
 		d.fn, nsrc = func(a, b, c uint64) uint64 { return b64(f64(a)*f64(b) + f64(c)) }, 3
 
 	case sass.OpI2F:
-		d.fn, nsrc = func(a, _, _ uint64) uint64 { return b32(float32(int32(a))) }, 1
+		d.row, nsrc = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, i2f) }, 1
 		if dstW == 2 {
-			d.fn = func(a, _, _ uint64) uint64 { return b64(float64(int32(a))) }
+			d.row, d.fn = nil, func(a, _, _ uint64) uint64 { return b64(float64(int32(a))) }
 		}
 	case sass.OpF2I:
-		d.fn, nsrc = func(a, _, _ uint64) uint64 { return f2i(f32(a)) }, 1
+		d.row, nsrc = func(r, a, b, c *[32]uint32) { rows(r, a, b, c, func(a, _, _ uint64) uint64 { return f2i(f32(a)) }) }, 1
 	case sass.OpF2F:
 		nsrc = 1
 		switch {
@@ -470,9 +527,28 @@ func (e *engine) decodeMem(d *decoded, dstW, srcW int) error {
 	return err
 }
 
-// Lane functions shared by an ALU opcode and the integer atomic of the
-// same name.
+// rows is a row kernel's loop: lane function f over all 32 lanes of a, b
+// and c into r. Each lane reads its sources before it writes, so r may be
+// one of them. Every row kernel is a literal calling rows with a literal
+// or named f, so the compiler inlines rows and then f: the kernel is one
+// loop with the operation in it, not a call per lane.
+func rows(r, a, b, c *[32]uint32, f func(a, b, c uint64) uint64) {
+	for l := range r {
+		r[l] = uint32(f(uint64(a[l]), uint64(b[l]), uint64(c[l])))
+	}
+}
+
+// Named lane functions of row kernels. iadd3, imin and imax are also the
+// integer atomics' combines, imad IMAD.WIDE.U32's lane function.
 func iadd3(a, b, c uint64) uint64 { return a + b + c }
+func imad(a, b, c uint64) uint64  { return a*b + c }
+func popc(a, _, _ uint64) uint64  { return uint64(bits.OnesCount32(uint32(a))) }
+func fadd(a, b, _ uint64) uint64  { return nan32(f32(a) + f32(b)) }
+func fmul(a, b, _ uint64) uint64  { return nan32(f32(a) * f32(b)) }
+func ffma(a, b, c uint64) uint64  { return nan32(f32(a)*f32(b) + f32(c)) }
+func sqrt(a, _, _ uint64) uint64  { return b32(float32(math.Sqrt(float64(f32(a))))) }
+func rsq(a, _, _ uint64) uint64   { return b32(float32(1 / math.Sqrt(float64(f32(a))))) }
+func i2f(a, _, _ uint64) uint64   { return b32(float32(int32(a))) }
 
 func imin(a, b, _ uint64) uint64 {
 	if int32(a) < int32(b) {
@@ -583,6 +659,19 @@ func (e *engine) uniform(v uint64, words int) operand {
 	return operand{reg: sass.Reg(e.kernel.NumRegs), bits: v}
 }
 
+// signNeg reports whether d's opcode negates a source by flipping its sign
+// bit, as floating-point opcodes do, rather than in two's complement.
+func signNeg(d *decoded) bool {
+	switch d.in.Op {
+	case sass.OpFADD, sass.OpFMUL, sass.OpFFMA, sass.OpFMNMX, sass.OpFSETP, sass.OpMUFU,
+		sass.OpF2I, sass.OpF2F, sass.OpDADD, sass.OpDMUL, sass.OpDFMA:
+		return true
+	case sass.OpATOM, sass.OpATOMS, sass.OpRED:
+		return d.in.HasMod("F32")
+	}
+	return false
+}
+
 // resolve pre-resolves source o for a read of words (1 or 2) registers. An
 // out-of-range constant is not an error here: it is recorded in
 // d.constErr and reads as 0.
@@ -590,17 +679,21 @@ func (e *engine) resolve(d *decoded, o sass.Operand, words int) (operand, error)
 	switch o.Kind {
 	case sass.OpdReg:
 		var flip uint64
-		if o.Neg {
+		neg := o.Neg && !signNeg(d)
+		if o.Neg && !neg {
 			flip = 1 << (32*words - 1)
 		}
 		if o.Reg.IsZ() {
 			return e.uniform(flip, words), nil
 		}
 		kind := kindReg
-		if words == 2 {
+		switch {
+		case words == 2:
 			kind = kindPair
+		case neg:
+			kind = kindNeg
 		}
-		return operand{kind: kind, reg: o.Reg, bits: flip}, e.inFile(o.Reg, words)
+		return operand{kind: kind, reg: o.Reg, bits: flip, neg: neg}, e.inFile(o.Reg, words)
 	case sass.OpdConst:
 		if o.Bank != 0 || o.Imm < 0 || int(o.Imm)+4*words > len(e.constMem) {
 			if words == 2 {
@@ -636,10 +729,7 @@ func (e *engine) resolve(d *decoded, o sass.Operand, words int) (operand, error)
 			if o.Neg {
 				flip = 1
 			}
-			switch {
-			case o.Pred == sass.PT:
-				return e.uniform(1^flip, 1), nil
-			case o.Pred < sass.PT:
+			if o.Pred <= sass.PT {
 				return operand{kind: kindPred, pred: o.Pred, bits: flip}, nil
 			}
 		}

@@ -87,7 +87,9 @@ func lt16(lane int) uint64 {
 }
 
 // operands32 are the operand kinds a 32-bit source may be; operands64 the
-// ones a register-pair source may be.
+// ones a register-pair source may be. A negated register reads as a
+// floating-point opcode reads it, with its sign bit flipped; asInt gives
+// the integer reading.
 var operands32 = []operandCase{
 	{"R0", func(l int) uint64 { return uint64(l) }},
 	{"-R0", func(l int) uint64 { return uint64(l) ^ 1<<31 }},
@@ -190,6 +192,20 @@ var opCases = []opCase{
 	{"DFMA", []bool{true, true, true}, true, func(a, b, c uint64) uint64 { return bd(db(a)*db(b) + db(c)) }},
 }
 
+// asInt is kind as an opcode reads it that negates in two's complement
+// rather than by the sign bit: every opcode but the floating-point ones.
+func asInt(mnemonic string, kind operandCase, wide bool) operandCase {
+	fp := strings.HasPrefix(mnemonic, "F") || strings.HasPrefix(mnemonic, "D") || strings.HasPrefix(mnemonic, "MUFU")
+	if fp || !strings.HasPrefix(kind.text, "-") {
+		return kind
+	}
+	sign, mask := uint64(1<<31), uint64(math.MaxUint32)
+	if wide {
+		sign, mask = 1<<63, math.MaxUint64
+	}
+	return operandCase{kind.text, func(l int) uint64 { return -(kind.val(l) ^ sign) & mask }}
+}
+
 func operandsFor(wide bool) []operandCase {
 	if wide {
 		return operands64
@@ -211,7 +227,7 @@ func TestExecOperandKinds(t *testing.T) {
 				for i := range op.wide {
 					srcs[i] = operandsFor(op.wide[i])[0]
 					if i == pos {
-						srcs[i] = kind
+						srcs[i] = asInt(op.mnemonic, kind, op.wide[i])
 					}
 					texts = append(texts, srcs[i].text)
 				}
@@ -244,7 +260,7 @@ func TestExecOperandKinds(t *testing.T) {
 		for pos := 0; pos < 2; pos++ {
 			for _, kind := range operands32 {
 				srcs := []operandCase{operands32[0], {"0x3", func(int) uint64 { return 3 }}}
-				srcs[pos] = kind
+				srcs[pos] = asInt("SHFL", kind, false)
 				inst := fmt.Sprintf("SHFL.%s R6, %s, %s, 0x1f", mode, srcs[0].text, srcs[1].text)
 				t.Run(inst, func(t *testing.T) {
 					got, err := launchSASS(t, 8, resultKernel(inst))
@@ -273,6 +289,29 @@ func TestExecOperandKinds(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestSetpWritesOnlyExecLanes: a guarded ISETP writes its destination
+// predicate in the lanes it runs on and leaves the other lanes' bits.
+func TestSetpWritesOnlyExecLanes(t *testing.T) {
+	got, err := launchSASS(t, 8, resultKernel(`ISETP.GE.AND P1, PT, R0, 0x8, PT
+		@P1 ISETP.GE.AND P0, PT, R0, 0x18, PT
+		SEL R6, 0x1, RZ, P0
+		MOV R7, RZ`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lane, g := range got {
+		// Lanes 0-7 keep the prologue's P0 (lane < 16); lanes 8-31 hold
+		// lane >= 24.
+		var want uint64
+		if lane < 8 || lane >= 24 {
+			want = 1
+		}
+		if g != want {
+			t.Fatalf("lane %d: P0 = %d, want %d", lane, g, want)
 		}
 	}
 }

@@ -152,11 +152,17 @@ func (d *Device) MustAlloc(n int) Buffer {
 // offset is the image offset of device bytes addr..addr+n, which must lie
 // within what Alloc handed out.
 func (d *Device) offset(addr uint64, n int) (uint64, error) {
-	off := addr - memBase
-	if addr < memBase || off > d.next || uint64(n) > d.next-off {
+	if !d.holds(addr, n) {
 		return 0, fmt.Errorf("sim: device address %#x+%d out of bounds", addr, n)
 	}
-	return off, nil
+	return addr - memBase, nil
+}
+
+// holds reports whether device bytes addr..addr+n lie within what Alloc
+// handed out.
+func (d *Device) holds(addr uint64, n int) bool {
+	off := addr - memBase
+	return addr >= memBase && off <= d.next && uint64(n) <= d.next-off
 }
 
 // lane is the door to the image for lane accesses (global, texture,

@@ -98,6 +98,92 @@ func TestLaneAccessAlignment(t *testing.T) {
 	}
 }
 
+// TestGlobalDoorFaultOrder: an LDG or STG checks the warp's addresses at
+// once, yet faults as a lane-by-lane move would. When lane k is out of
+// bounds or misaligned, the launch fails with lane k's own Device.lane
+// error, the lanes below k have stored and the lanes from k on have not.
+// A warp whose addresses straddle a page boundary loads and stores every
+// lane, and an LDG no lane runs touches nothing and allocates nothing.
+func TestGlobalDoorFaultOrder(t *testing.T) {
+	for _, k := range []int{0, 5, 31} {
+		for _, bad := range []uint64{0x10000, 0x2} { // out of bounds, misaligned
+			d := NewDevice(gpu.V100())
+			buf := d.MustAlloc(2 * pageBytes)
+			_, err := launchAt(t, d, buf, 1, 1,
+				"S2R R0, SR_TID.X",
+				"IADD3 R1, R0, 0x1, RZ",
+				"SHF.L R4, R0, 0x2, RZ",
+				fmt.Sprintf("ISETP.EQ.AND P0, PT, R0, %#x, PT", k),
+				fmt.Sprintf("@P0 IADD3 R4, R4, %#x, RZ", bad),
+				"IMAD.WIDE R2, R4, 0x1, R2",
+				"STG.E.SYS [R2], R1")
+			_, want := d.lane(buf.Addr+uint64(4*k)+bad, 4)
+			var ee *execError
+			if want == nil || !asExecError(err, &ee) || ee.PC != 0x70 || ee.Err.Error() != want.Error() {
+				t.Fatalf("lane %d at +%#x: err = %v, want lane %d's error %v at PC 0x70", k, bad, err, k, want)
+			}
+			got, err := d.ReadI32(buf, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lane, g := range got {
+				if stored := int32(lane + 1); (lane < k) != (g == stored) || (lane >= k && g != 0) {
+					t.Fatalf("lane %d at +%#x: word %d = %d, want it stored only below lane %d", k, bad, lane, g, k)
+				}
+			}
+		}
+	}
+
+	// Words 1 008..1 039 straddle the first page boundary at lane 16.
+	d := NewDevice(gpu.V100())
+	buf := d.MustAlloc(2 * pageBytes)
+	if err := d.Fill(buf, 4, func(i int) uint64 { return uint64(3 * i) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := launchAt(t, d, buf, 1, 1,
+		"S2R R0, SR_TID.X",
+		"SHF.L R4, R0, 0x2, RZ",
+		"IMAD.WIDE R2, R4, 0x1, R2",
+		"LDG.E.SYS R5, [R2+0xfc0]",
+		"IADD3 R5, R5, 0x1, RZ",
+		"STG.E.SYS [R2+0xfc0], R5"); err != nil {
+		t.Fatalf("straddling warp: %v", err)
+	}
+	got, err := d.ReadI32(buf, 2*pageBytes/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range got {
+		want := int32(3 * i)
+		if i >= 0xfc0/4 && i < 0xfc0/4+32 {
+			want++
+		}
+		if g != want {
+			t.Fatalf("straddling warp: word %d = %d, want %d", i, g, want)
+		}
+	}
+
+	// A guarded-off LDG of an out-of-bounds address, run 16 or 64 times by
+	// a warp, allocates nothing either way.
+	allocs := func(n int) float64 {
+		d := NewDevice(gpu.V100())
+		buf := d.MustAlloc(pageBytes)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := launchAt(t, d, buf, 2, 1,
+				"MOV R1, 0x0",
+				"@!PT LDG.E.SYS R4, [R2+0x10000]",
+				"IADD3 R1, R1, 0x1, RZ",
+				fmt.Sprintf("ISETP.LT.AND P0, PT, R1, %#x, PT", n),
+				"@P0 BRA 0x20"); err != nil {
+				t.Fatalf("guarded-off LDG: %v", err)
+			}
+		})
+	}
+	if few, many := allocs(16), allocs(64); few != many {
+		t.Errorf("a guarded-off LDG: %v allocations per launch run 16 times, %v run 64 times", few, many)
+	}
+}
+
 // FuzzDeviceImage is the differential check of the paged image: a random
 // sequence of Alloc, Fill, host writes and reads, aligned lane accesses
 // and MemorySnapshot runs against a flat byte slice written eagerly, and

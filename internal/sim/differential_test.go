@@ -9,6 +9,7 @@ import (
 	"gpuscout/internal/codegen"
 	"gpuscout/internal/gpu"
 	"gpuscout/internal/kasm"
+	"gpuscout/internal/sass"
 )
 
 // TestDifferentialRandomALU generates random straight-line ALU kernels,
@@ -17,8 +18,10 @@ import (
 // simulator, and compares every thread's results against a host-side
 // evaluation of the same operation sequence. This is the end-to-end
 // correctness property for the compiler + simulator pair. FP sources are
-// negated at random and the block's last warp is partial, so operand
-// sign flips and inactive lanes are compared too.
+// negated at random, an integer add subtracts, compares feed a select and
+// guard an add, and the block's last warp is partial, so operand sign
+// flips, two's-complement negation, predicate masks and inactive lanes
+// are compared too.
 func TestDifferentialRandomALU(t *testing.T) {
 	f := func(seed int64, budget8 uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -64,7 +67,7 @@ func TestDifferentialRandomALU(t *testing.T) {
 			a := r.Intn(numVals)
 			c := r.Intn(numVals)
 			av, cv := kasm.VR(vals[a]), kasm.VR(vals[c])
-			switch r.Intn(8) {
+			switch r.Intn(11) {
 			case 0: // integer add
 				b.IAddTo(kasm.VR(vals[d]), av, cv)
 				apply(host, func(x []uint32) uint32 { return uint32(int32(x[a]) + int32(x[c])) }, d)
@@ -103,6 +106,33 @@ func TestDifferentialRandomALU(t *testing.T) {
 				cvt := b.F2I(av)
 				vals[d] = cvt
 				apply(host, func(x []uint32) uint32 { return hostF2I(math.Float32frombits(x[a])) }, d)
+			case 8: // integer subtract: a negated integer source
+				nc := cv
+				nc.Neg = true
+				b.IAddTo(kasm.VR(vals[d]), av, nc)
+				apply(host, func(x []uint32) uint32 { return x[a] - x[c] }, d)
+			case 9: // compare and select
+				cmp, neg := randCompare(r)
+				p := b.Raw2P(cmp.op, cmp.mods, av, cv)
+				vals[d] = b.Raw(sass.OpSEL, nil, av, cv, kasm.VPred(p, neg))
+				b.FreePred(p)
+				apply(host, func(x []uint32) uint32 {
+					if cmp.host(x[a], x[c]) != neg {
+						return x[a]
+					}
+					return x[c]
+				}, d)
+			case 10: // an add guarded by a compare
+				cmp, neg := randCompare(r)
+				p := b.Raw2P(cmp.op, cmp.mods, av, cv)
+				b.WithPred(p, neg, func() { b.IAddTo(kasm.VR(vals[d]), kasm.VR(vals[d]), cv) })
+				b.FreePred(p)
+				apply(host, func(x []uint32) uint32 {
+					if cmp.host(x[a], x[c]) != neg {
+						return x[d] + x[c]
+					}
+					return x[d]
+				}, d)
 			}
 		}
 
@@ -170,6 +200,45 @@ func TestDifferentialRandomALU(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// compareCase is an ISETP or FSETP comparison and the host model of it.
+type compareCase struct {
+	op   sass.Opcode
+	mods []string
+	host func(a, c uint32) bool
+}
+
+// randCompare draws a comparison — signed, unsigned or FP32, any of the
+// six relations — and whether its predicate is read negated.
+func randCompare(r *rand.Rand) (compareCase, bool) {
+	rels := []struct {
+		name string
+		f    func(lt, eq bool) bool
+	}{
+		{"LT", func(lt, _ bool) bool { return lt }}, {"LE", func(lt, eq bool) bool { return lt || eq }},
+		{"GT", func(lt, eq bool) bool { return !lt && !eq }}, {"GE", func(lt, _ bool) bool { return !lt }},
+		{"EQ", func(_, eq bool) bool { return eq }}, {"NE", func(_, eq bool) bool { return !eq }},
+	}
+	rel := rels[r.Intn(len(rels))]
+	c := compareCase{op: sass.OpISETP, mods: []string{rel.name, "AND"}}
+	switch r.Intn(3) {
+	case 0:
+		c.host = func(a, b uint32) bool { return rel.f(int32(a) < int32(b), a == b) }
+	case 1:
+		c.mods = []string{rel.name, "U32", "AND"}
+		c.host = func(a, b uint32) bool { return rel.f(a < b, a == b) }
+	default:
+		c.op = sass.OpFSETP
+		c.host = func(a, b uint32) bool {
+			x, y := math.Float32frombits(a), math.Float32frombits(b)
+			if x != x || y != y { // unordered: only NE holds
+				return rel.name == "NE"
+			}
+			return rel.f(x < y, x == y)
+		}
+	}
+	return c, r.Intn(2) == 0
 }
 
 // fpSource negates FP source o at random and returns how the host model

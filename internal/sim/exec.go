@@ -47,11 +47,11 @@ func (e *execError) Unwrap() error { return e.Err }
 
 // exec functionally executes one decoded instruction for all
 // guarded-active lanes and advances the PC. Memory behaviour is reported
-// for the timing model in *ma, which the caller passes zeroed. execMask is
-// the caller-computed guard mask (issue already needs it for
-// thread-instruction accounting; warp state is unchanged in between, so
-// computing it once is exact).
-func (e *engine) exec(w *warp, d *decoded, execMask uint32, ma *memAccess) error {
+// for the timing model in *ma; t is scratch for operand and result rows.
+// Neither is read before exec writes it. execMask is the caller-computed
+// guard mask (issue already needs it for thread-instruction accounting;
+// warp state is unchanged in between, so computing it once is exact).
+func (e *engine) exec(w *warp, d *decoded, execMask uint32, ma *memAccess, t *[4][32]uint32) error {
 	in := d.in
 	nextPC := in.PC + sass.InstBytes
 	if d.constErr != nil && execMask != 0 {
@@ -66,22 +66,29 @@ func (e *engine) exec(w *warp, d *decoded, execMask uint32, ma *memAccess) error
 		}
 
 	case sass.OpISETP, sass.OpFSETP:
-		for m := execMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			a, b := d.src[0].get(w, lane), d.src[1].get(w, lane)
-			var res bool
-			switch d.num {
-			case numF32:
-				res = compare(d.cmp, f32(a), f32(b))
-			case numU32:
-				res = compare(d.cmp, uint32(a), uint32(b))
-			default:
-				res = compare(d.cmp, int32(a), int32(b))
+		a, b := d.src[0].row(w, &t[0]), d.src[1].row(w, &t[1])
+		var res uint32
+		if d.num == numF32 {
+			for l := range a {
+				if compare(d.cmp, f32(uint64(a[l])), f32(uint64(b[l]))) {
+					res |= 1 << l
+				}
 			}
-			c := d.src[2].get(w, lane) != 0 // .AND with the source predicate
-			w.wrPred(d.dpred[0], lane, res && c)
-			w.wrPred(d.dpred[1], lane, !res && c)
+		} else {
+			// A signed compare is the unsigned one with the sign bits flipped.
+			var flip uint32 = 1 << 31
+			if d.num == numU32 {
+				flip = 0
+			}
+			for l := range a {
+				if compare(d.cmp, a[l]^flip, b[l]^flip) {
+					res |= 1 << l
+				}
+			}
 		}
+		c := d.src[2].lanes(w, &t[2]) // .AND with the source predicate
+		w.setPred(d.dpred[0], execMask, res&c)
+		w.setPred(d.dpred[1], execMask, ^res&c)
 
 	case sass.OpSHFL:
 		// Warp shuffle: every lane reads another lane's pre-shuffle value.
@@ -149,23 +156,15 @@ func (e *engine) exec(w *warp, d *decoded, execMask uint32, ma *memAccess) error
 		// BAR timing handled by the engine; functionally a no-op here.
 
 	default:
-		// Every other opcode decode accepts is register-to-register. With
-		// a one-word destination and three row operands, each source row
-		// and its XOR mask is read once for the warp, not per lane.
-		lo := &w.regs[d.reg]
-		if s := &d.src; d.words == 1 && s[0].kind == kindReg && s[1].kind == kindReg && s[2].kind == kindReg {
-			a, b, c := &w.regs[s[0].reg], &w.regs[s[1].reg], &w.regs[s[2].reg]
-			xa, xb, xc := s[0].bits, s[1].bits, s[2].bits
-			for m := execMask; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				lo[lane] = uint32(d.fn(uint64(a[lane])^xa, uint64(b[lane])^xb, uint64(c[lane])^xc))
-			}
+		// Every other opcode decode accepts is register-to-register.
+		if d.fn == nil {
+			execRow(w, d, execMask, t)
 			break
 		}
 		for m := execMask; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
 			v := d.fn(d.src[0].get(w, lane), d.src[1].get(w, lane), d.src[2].get(w, lane))
-			lo[lane] = uint32(v)
+			w.regs[d.reg][lane] = uint32(v)
 			if d.words == 2 {
 				w.regs[d.reg+1][lane] = uint32(v >> 32)
 			}
@@ -174,6 +173,23 @@ func (e *engine) exec(w *warp, d *decoded, execMask uint32, ma *memAccess) error
 	w.pc = nextPC
 	w.maybeReconverge()
 	return nil
+}
+
+// execRow runs d's row kernel once for the warp. The kernel computes all
+// 32 lanes; under a partial exec mask it writes scratch, and only the
+// exec lanes are copied to the destination.
+func execRow(w *warp, d *decoded, execMask uint32, t *[4][32]uint32) {
+	a, b, c := d.src[0].row(w, &t[0]), d.src[1].row(w, &t[1]), d.src[2].row(w, &t[2])
+	dst := &w.regs[d.reg]
+	if execMask == ^uint32(0) {
+		d.row(dst, a, b, c)
+		return
+	}
+	d.row(&t[3], a, b, c)
+	for m := execMask; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		dst[lane] = t[3][lane]
+	}
 }
 
 func (e *engine) fault(in *sass.Inst, err error) error {

@@ -14,6 +14,9 @@ import (
 // direction: load, store, atomic read-modify-write, async copy).
 func (e *engine) execMem(w *warp, d *decoded, execMask uint32, ma *memAccess) error {
 	ma.memDesc, ma.mask = d.mem, execMask
+	if d.mem.space == sass.ClassGlobal && !d.mem.atomic && !d.mem.async {
+		return e.global(w, d, execMask, ma)
+	}
 	var tex Texture
 	if d.mem.space == sass.ClassTexture {
 		var err error
@@ -21,7 +24,6 @@ func (e *engine) execMem(w *warp, d *decoded, execMask uint32, ma *memAccess) er
 			return err
 		}
 	}
-	le := binary.LittleEndian
 	for m := execMask; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
 		mem, err := e.locate(w, d, &tex, lane, &ma.addrs[lane])
@@ -57,20 +59,69 @@ func (e *engine) execMem(w *warp, d *decoded, execMask uint32, ma *memAccess) er
 			if d.words != 0 {
 				w.regs[d.reg][lane] = v
 			}
-		case d.mem.write:
-			if d.words == 0 {
-				clear(mem) // the stored register is RZ
-			}
-			for i := 0; i < d.words; i++ {
-				le.PutUint32(mem[4*i:], w.regs[d.reg+sass.Reg(i)][lane])
-			}
 		default:
-			for i := 0; i < d.words; i++ {
-				w.regs[d.reg+sass.Reg(i)][lane] = le.Uint32(mem[4*i:])
-			}
+			d.move(w, lane, mem)
 		}
 	}
 	return nil
+}
+
+// global executes an LDG or STG as one operation over the warp: the
+// addresses first, then one bounds check over their range, one alignment
+// check over their OR, and a page lookup per page change. A lane that
+// would fault stops the move where a lane-by-lane one would: the lanes
+// below it move their words and its Device.lane error is returned.
+func (e *engine) global(w *warp, d *decoded, execMask uint32, ma *memAccess) error {
+	if execMask == 0 {
+		return nil
+	}
+	lo, hi, or := ^uint64(0), uint64(0), uint64(0)
+	for m := execMask; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		a := d.addr.at(w, lane)
+		ma.addrs[lane] = a
+		lo, hi, or = min(lo, a), max(hi, a), or|a
+	}
+	width := d.mem.width
+	var err error
+	if or&uint64(width-1) != 0 || !e.dev.holds(lo, width) || !e.dev.holds(hi, width) {
+		for m := execMask; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			if _, err = e.dev.lane(ma.addrs[lane], width); err != nil {
+				execMask &= 1<<lane - 1
+				break
+			}
+		}
+	}
+	var pg *[pageBytes]byte
+	p := ^uint64(0)
+	for m := execMask; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		off := ma.addrs[lane] - memBase
+		if off>>pageShift != p {
+			p = off >> pageShift
+			pg = e.dev.page(p)
+		}
+		d.move(w, lane, pg[off&pageMask:][:width])
+	}
+	return err
+}
+
+// move is a load's or a store's word move for one lane at mem.
+func (d *decoded) move(w *warp, lane int, mem []byte) {
+	le := binary.LittleEndian
+	if !d.mem.write {
+		for i := 0; i < d.words; i++ {
+			w.regs[d.reg+sass.Reg(i)][lane] = le.Uint32(mem[4*i:])
+		}
+		return
+	}
+	if d.words == 0 {
+		clear(mem) // the stored register is RZ
+	}
+	for i := 0; i < d.words; i++ {
+		le.PutUint32(mem[4*i:], w.regs[d.reg+sass.Reg(i)][lane])
+	}
 }
 
 // rmw applies the atomic's combine to the word at mem with operand v and
@@ -88,12 +139,7 @@ func (e *engine) locate(w *warp, d *decoded, tex *Texture, lane int, taddr *uint
 	width := d.mem.width
 	switch d.mem.space {
 	case sass.ClassGlobal:
-		// The base is a register pair, or RZ as a uniform pair.
-		base := d.addr.base.bits
-		if b := &d.addr.base; b.kind == kindPair {
-			base ^= uint64(w.regs[b.reg][lane]) | uint64(w.regs[b.reg+1][lane])<<32
-		}
-		*taddr = base + uint64(d.addr.off)
+		*taddr = d.addr.at(w, lane)
 	case sass.ClassTexture:
 		x := clamp(int(int32(d.src[0].get(w, lane))), tex.Width)
 		y := clamp(int(int32(d.src[1].get(w, lane))), tex.Height)

@@ -64,6 +64,24 @@ func TestOpMufu(t *testing.T) {
 	}
 }
 
+// TestOpIntegerNegation: an integer opcode negates a source in two's
+// complement (IADD3 R, R, -R, RZ subtracts), where a floating-point one
+// flips its sign bit.
+func TestOpIntegerNegation(t *testing.T) {
+	got := runScalarKernel(t, func(b *kasm.Builder, tid kasm.VReg) kasm.VReg {
+		x, y := b.MovImm(5), b.IAdd(kasm.VR(tid), kasm.VImm(3))
+		neg := kasm.VR(y)
+		neg.Neg = true
+		b.IAddTo(kasm.VR(x), kasm.VR(x), neg)
+		return x
+	})
+	for lane, g := range got {
+		if want := uint32(2 - lane); g != want {
+			t.Fatalf("lane %d: 5 + -(%d+3) = %#x, want %#x", lane, lane, g, want)
+		}
+	}
+}
+
 func TestOpMinMaxSelAbsPopc(t *testing.T) {
 	// max(tid, 16)
 	got := runScalarKernel(t, func(b *kasm.Builder, tid kasm.VReg) kasm.VReg {

@@ -163,9 +163,11 @@ type smState struct {
 
 	lastPick [8]*warp // per-scheduler greedy pointer (GTO)
 
-	// Reusable scratch for the memory timing path.
+	// Reusable scratch for the memory timing path and for execution.
 	wordBuf []uint64
 	banks   memsys.BankScratch
+	live    memAccess
+	rows    [4][32]uint32
 }
 
 // warpSets are an SM's live warps as its scheduler rounds see them. A
@@ -379,13 +381,12 @@ func (e *engine) issue(sm *smState, w *warp) error {
 	if e.replay {
 		execMask, words = w.next(d)
 	} else {
-		var live memAccess
 		execMask = w.guardMask(in)
-		if err := e.exec(w, d, execMask, &live); err != nil {
+		if err := e.exec(w, d, execMask, &sm.live, &sm.rows); err != nil {
 			return err
 		}
 		if d.accesses(execMask) {
-			words = e.words(sm, &live)
+			words = e.words(sm, &sm.live)
 		}
 		if w.stream != nil {
 			sm.rec.add(w, at, d, execMask, words)

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-
-	"gpuscout/internal/sass"
-)
+import "gpuscout/internal/sass"
 
 // Dim3 is a CUDA grid/block dimension triple.
 type Dim3 struct{ X, Y, Z int }
@@ -72,8 +68,10 @@ type warp struct {
 	stack  []divEntry
 	done   bool
 
-	regs  [][32]uint32 // [NumRegs+1][lane]; the last row is the zero row
-	preds [sass.NumPreds][32]bool
+	regs [][32]uint32 // [NumRegs+1][lane]; the last row is the zero row
+	// preds holds a lane mask per predicate; preds[PT] is all ones and
+	// never written.
+	preds [sass.PT + 1]uint32
 
 	localMem []byte // 32 * LocalBytes, lane-major segments
 
@@ -134,37 +132,21 @@ func (w *warp) special(sr sass.SpecialReg, lane int) uint32 {
 	return 0
 }
 
-func (w *warp) rdPred(p sass.Pred, lane int) bool {
-	if p == sass.PT {
-		return true
+// setPred writes v into predicate p's lanes of mask; a write to PT is
+// discarded.
+func (w *warp) setPred(p sass.Pred, mask, v uint32) {
+	if p != sass.PT {
+		w.preds[p] = w.preds[p]&^mask | v&mask
 	}
-	return w.preds[p][lane]
-}
-
-func (w *warp) wrPred(p sass.Pred, lane int, v bool) {
-	if p == sass.PT {
-		return
-	}
-	w.preds[p][lane] = v
 }
 
 // guardMask returns the lanes whose guard predicate passes.
 func (w *warp) guardMask(in *sass.Inst) uint32 {
-	if in.Pred == sass.PT && !in.PredNeg {
-		return w.active
+	p := w.preds[in.Pred]
+	if in.PredNeg {
+		p = ^p
 	}
-	var m uint32
-	for act := w.active; act != 0; act &= act - 1 {
-		lane := bits.TrailingZeros32(act)
-		v := w.rdPred(in.Pred, lane)
-		if in.PredNeg {
-			v = !v
-		}
-		if v {
-			m |= 1 << uint(lane)
-		}
-	}
-	return m
+	return w.active & p
 }
 
 // maybeReconverge handles arrival at divergence-stack reconvergence

@@ -153,7 +153,7 @@ func TestPrepareWithinHostBound(t *testing.T) {
 // TestWarmLaunchAllocsBounded holds sim.TestLaunchAllocsBounded's budget
 // on real kernels: a warm launch of an issue-bound, a memory-bound and a
 // stall-bound workload (bench/'s sim_large rows) allocates for launch
-// setup only. Measured 943-1 446 across the three; the per-warp and
+// setup only. Measured 426-468 across the three; the per-warp and
 // per-instruction heap traffic the arena removed was 43k-298k.
 func TestWarmLaunchAllocsBounded(t *testing.T) {
 	const maxAllocs = 5000
