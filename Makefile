@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build loc digest vet test test-faultinject bench-sass bench-replay pool-width race-sim smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
+.PHONY: check build loc digest vet test test-faultinject bench-sass bench-replay bench-sim pool-width race-sim smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
 
 check: build vet race
 
@@ -59,6 +59,15 @@ bench-sass:
 # at BENCHTIME=1x (~3 s).
 bench-replay:
 	$(GO) test ./internal/sim -run '^$$' -bench Replay -benchmem -benchtime $(BENCHTIME)
+
+# The live simulator on the benchmark's sim_large launches (V100, Workers
+# 1, 8 sampled SMs, bench scale): ns per round of three launches, and per
+# launch the cycles, warp instructions and L1TEX sectors it simulated, a
+# work count host noise cannot move. Add -cpuprofile to see where live
+# simulation time goes; claims are made with bench/run.sh, not here. CI's
+# build-test job runs it at BENCHTIME=1x (~1 s).
+bench-sim:
+	$(GO) test ./internal/sim -run '^$$' -bench SimLarge -benchmem -benchtime $(BENCHTIME)
 
 # Width-independence of the re-execution passes (CI: build-test). Run
 # fans a sweep's per-SM cell items and Verify's variants out over the

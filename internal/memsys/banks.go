@@ -98,18 +98,25 @@ func (s *BankScratch) AtomicConflicts(numBanks int, addrs []uint64, mask uint32)
 // buf[:0] extended with the sector bases in first-touch order.
 // sectorBytes must be a power of two, as NewCache requires of a cache's.
 func CoalesceSectorsInto(buf []uint64, sectorBytes int, addrs []uint64, mask uint32, widthBytes int) []uint64 {
-	// A warp produces at most 32 lanes x widthBytes/4 sector candidates;
-	// linear dedup over the output slice beats a map at that size.
+	// A warp produces at most 32 lanes x widthBytes/4 sector candidates. A
+	// sector above every one seen so far (top) is new; only one at or below
+	// it needs the dedup scan, which at this size beats a map.
 	order := buf[:0]
 	cut := ^uint64(sectorBytes - 1)
+	var top uint64
 	for m := mask; m != 0; m &= m - 1 {
 		a := addrs[bits.TrailingZeros32(m)]
 		for w := 0; w < widthBytes; w += 4 {
 			s := (a + uint64(w)) & cut
 			// Adjacent lanes usually land in the same sector (that is what
-			// coalescing means), so check the last sector first before the
-			// full dedup scan.
-			if n := len(order); n > 0 && order[n-1] == s {
+			// coalescing means), so check the last sector first, then top,
+			// before the full dedup scan.
+			n := len(order)
+			if n > 0 && order[n-1] == s {
+				continue
+			}
+			if n == 0 || s > top {
+				order, top = append(order, s), s
 				continue
 			}
 			seen := false

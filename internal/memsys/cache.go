@@ -22,15 +22,6 @@ type CacheConfig struct {
 	Ways        int
 }
 
-// CacheStats aggregates sector-level access counts.
-type CacheStats struct {
-	Accesses uint64 // sector accesses
-	Hits     uint64
-	Misses   uint64
-	ReadAcc  uint64
-	WriteAcc uint64
-}
-
 type cacheLine struct {
 	tag     uint64
 	valid   bool
@@ -44,7 +35,6 @@ type Cache struct {
 	sets  uint64
 	lines []cacheLine // sets*ways, way-major within set
 	clock uint64
-	stats CacheStats
 
 	// An address's line is addr >> lineShift, its sector within the line
 	// (addr & lineMask) >> sectorShift.
@@ -95,82 +85,44 @@ func (cfg CacheConfig) Fits(lines []uint64) bool {
 	return true
 }
 
-// AccessSector looks up the 32-byte (SectorBytes) sector containing addr,
-// fills it on miss, and reports whether it hit. write distinguishes read
-// and write traffic in the stats; the model is write-allocate.
-func (c *Cache) AccessSector(addr uint64, write bool) (hit bool) {
-	c.clock++
-	c.stats.Accesses++
-	if write {
-		c.stats.WriteAcc++
-	} else {
-		c.stats.ReadAcc++
-	}
-	base, tag, sector := c.locate(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		l := &c.lines[base+w]
-		if l.valid && l.tag == tag {
-			l.lastUse = c.clock
-			if l.sectors&sector != 0 {
-				c.stats.Hits++
-				return true
-			}
-			// Line present, sector missing: sector miss fill.
-			l.sectors |= sector
-			c.stats.Misses++
-			return false
-		}
-	}
-	// Miss: fill an invalid way, else evict true-LRU.
-	victim := base
-	for w := 0; w < c.cfg.Ways; w++ {
-		l := &c.lines[base+w]
-		if !l.valid {
-			victim = base + w
-			break
-		}
-		if l.lastUse < c.lines[victim].lastUse {
-			victim = base + w
-		}
-	}
-	v := &c.lines[victim]
-	v.valid = true
-	v.tag = tag
-	v.sectors = sector
-	v.lastUse = c.clock
-	c.stats.Misses++
-	return false
+// AccessSector looks up the sector (SectorBytes) containing addr, fills
+// it on a miss, and reports whether it hit: AccessLine of that one sector.
+// The model is write-allocate, so reads and writes touch it alike.
+func (c *Cache) AccessSector(addr uint64) (hit bool) {
+	return c.AccessLine(addr, c.SectorBit(addr)) != 0
 }
 
-// Contains reports whether the sector holding addr is resident (no state
-// change, no stats).
-func (c *Cache) Contains(addr uint64) bool {
-	base, tag, sector := c.locate(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		l := &c.lines[base+w]
-		if l.valid && l.tag == tag && l.sectors&sector != 0 {
-			return true
-		}
-	}
-	return false
+// SectorBit is the bit of addr's sector in its line's sector mask.
+func (c *Cache) SectorBit(addr uint64) uint32 {
+	return uint32(1) << ((addr & c.lineMask) >> c.sectorShift)
 }
 
-// locate returns where addr's line may live (the index of its set's first
-// way in lines), the line's tag and the sector's bit in the line.
-func (c *Cache) locate(addr uint64) (base int, tag uint64, sector uint32) {
+// AccessLine touches the sectors of sectors (a non-empty mask of
+// SectorBit values) in the line holding addr, filling the missing ones,
+// and returns the mask of those that hit. It is exactly the AccessSector
+// calls of those sectors one after another, in any order: the first
+// either finds the line or evicts for it, the rest find it, so there is
+// one set search and one victim choice, and the LRU clock advances once
+// per sector.
+func (c *Cache) AccessLine(addr uint64, sectors uint32) (hits uint32) {
+	c.clock += uint64(bits.OnesCount32(sectors))
 	line := addr >> c.lineShift
-	tag = line / c.sets
-	return int(line-tag*c.sets) * c.cfg.Ways, tag, uint32(1) << ((addr & c.lineMask) >> c.sectorShift)
-}
-
-// Stats returns a copy of the access counters.
-func (c *Cache) Stats() CacheStats { return c.stats }
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = cacheLine{}
+	tag := line / c.sets
+	set := c.lines[int(line-tag*c.sets)*c.cfg.Ways:][:c.cfg.Ways]
+	victim := 0
+	for w := range set {
+		l := &set[w]
+		if l.valid && l.tag == tag {
+			hits = l.sectors & sectors
+			l.sectors |= sectors
+			l.lastUse = c.clock
+			return hits
+		}
+		// Miss so far: the victim is the first invalid way, else true LRU.
+		if v := &set[victim]; v.valid && (!l.valid || l.lastUse < v.lastUse) {
+			victim = w
+		}
 	}
-	c.clock = 0
-	c.stats = CacheStats{}
+	set[victim] = cacheLine{tag: tag, valid: true, sectors: sectors, lastUse: c.clock}
+	return 0
 }

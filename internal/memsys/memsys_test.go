@@ -16,26 +16,35 @@ func testCache() *Cache {
 
 func TestCacheHitMiss(t *testing.T) {
 	c := testCache()
-	if c.AccessSector(0x1000, false) {
+	if c.AccessSector(0x1000) {
 		t.Error("cold access hit")
 	}
-	if !c.AccessSector(0x1000, false) {
+	if !c.AccessSector(0x1000) {
 		t.Error("warm access missed")
 	}
-	if !c.AccessSector(0x101f, false) {
+	if !c.AccessSector(0x101f) {
 		t.Error("same-sector access missed")
 	}
 	// Different sector of the same line: sector miss.
-	if c.AccessSector(0x1020, false) {
+	if c.AccessSector(0x1020) {
 		t.Error("new sector of resident line hit")
 	}
-	if !c.AccessSector(0x1020, false) {
+	if !c.AccessSector(0x1020) {
 		t.Error("filled sector missed")
 	}
-	s := c.Stats()
-	if s.Accesses != 5 || s.Hits != 3 || s.Misses != 2 {
-		t.Errorf("stats = %+v", s)
+}
+
+// resident reports whether the sector holding addr is in c, changing
+// nothing.
+func (c *Cache) resident(addr uint64) bool {
+	line := addr >> c.lineShift
+	tag := line / c.sets
+	for _, l := range c.lines[int(line-tag*c.sets)*c.cfg.Ways:][:c.cfg.Ways] {
+		if l.valid && l.tag == tag && l.sectors&c.SectorBit(addr) != 0 {
+			return true
+		}
 	}
+	return false
 }
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -44,51 +53,78 @@ func TestCacheLRUEviction(t *testing.T) {
 	// 128*32 = 4 KiB all map to set 0.
 	setStride := uint64(4 << 10)
 	for i := uint64(0); i < 4; i++ {
-		c.AccessSector(i*setStride, false)
+		c.AccessSector(i * setStride)
 	}
 	// Touch line 0 so line 1 is LRU, then bring in a 5th line.
-	c.AccessSector(0, false)
-	c.AccessSector(4*setStride, false)
-	if !c.Contains(0) {
+	c.AccessSector(0)
+	c.AccessSector(4 * setStride)
+	if !c.resident(0) {
 		t.Error("recently used line evicted")
 	}
-	if c.Contains(1 * setStride) {
+	if c.resident(1 * setStride) {
 		t.Error("LRU line survived eviction")
 	}
-	if !c.Contains(4 * setStride) {
+	if !c.resident(4 * setStride) {
 		t.Error("newly inserted line absent")
 	}
 }
 
 func TestCacheInvariants(t *testing.T) {
-	// Property: hits + misses == accesses, and a repeated access always
-	// hits immediately after the first.
+	// Property: a repeated access always hits immediately after the first,
+	// and leaves its sector resident.
 	f := func(addrs []uint32) bool {
 		c := testCache()
 		for _, a := range addrs {
-			c.AccessSector(uint64(a), false)
-			if !c.AccessSector(uint64(a), false) {
+			c.AccessSector(uint64(a))
+			if !c.AccessSector(uint64(a)) || !c.resident(uint64(a)) {
 				return false
 			}
 		}
-		s := c.Stats()
-		return s.Hits+s.Misses == s.Accesses &&
-			s.ReadAcc+s.WriteAcc == s.Accesses
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestCacheReset(t *testing.T) {
-	c := testCache()
-	c.AccessSector(0x40, true)
-	c.Reset()
-	if s := c.Stats(); s.Accesses != 0 {
-		t.Errorf("stats survive reset: %+v", s)
-	}
-	if c.Contains(0x40) {
-		t.Error("contents survive reset")
+// TestAccessLineMatchesSectors drives two copies of small LRU caches with
+// the same random sector streams: one sector at a time through
+// AccessSector, and as the simulator's walk does it, one AccessLine per
+// run of distinct sectors on one line. Every sector's hit and, after each
+// run, the whole cache state — tags, sector bits, LRU stamps and clock —
+// must agree. The streams mix a few hot lines with far ones in few sets,
+// so lines are evicted, refilled sector by sector and hit part-resident.
+func TestAccessLineMatchesSectors(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, cfg := range []CacheConfig{
+		{Name: "direct", TotalBytes: 4 * 128, LineBytes: 128, SectorBytes: 32, Ways: 1},
+		{Name: "2way", TotalBytes: 4 * 128 * 2, LineBytes: 128, SectorBytes: 32, Ways: 2},
+		{Name: "4way", TotalBytes: 2 * 128 * 4, LineBytes: 128, SectorBytes: 32, Ways: 4},
+		{Name: "wide", TotalBytes: 3 * 256 * 4, LineBytes: 256, SectorBytes: 32, Ways: 4},
+	} {
+		one, grouped := NewCache(cfg), NewCache(cfg)
+		sectorsPerLine := cfg.LineBytes / cfg.SectorBytes
+		for run := 0; run < 5000; run++ {
+			line := uint64(rng.Intn(24))
+			if rng.Intn(8) == 0 {
+				line = uint64(rng.Intn(1 << 20))
+			}
+			var mask uint32
+			var order []uint64 // the run's sectors, distinct, in random order
+			for _, i := range rng.Perm(sectorsPerLine)[:1+rng.Intn(sectorsPerLine)] {
+				mask |= 1 << i
+				order = append(order, line*uint64(cfg.LineBytes)+uint64(i*cfg.SectorBytes))
+			}
+			hits := grouped.AccessLine(order[0], mask)
+			for _, s := range order {
+				if got, want := hits&grouped.SectorBit(s) != 0, one.AccessSector(s); got != want {
+					t.Fatalf("%s run %d: sector %#x hit %v grouped, %v alone", cfg.Name, run, s, got, want)
+				}
+			}
+			if one.clock != grouped.clock || !slices.Equal(one.lines, grouped.lines) {
+				t.Fatalf("%s run %d: cache state differs after a grouped access", cfg.Name, run)
+			}
+		}
 	}
 }
 
@@ -286,5 +322,37 @@ func TestCoalesceSectors(t *testing.T) {
 	}
 	if buf = CoalesceSectorsInto(buf, 32, addrs, allActive, 4); len(buf) != 1 {
 		t.Errorf("uniform: %d sectors, want 1", len(buf))
+	}
+}
+
+// TestCoalesceSectorsMatchesScan checks the coalescer against the plain
+// definition, every candidate sector kept on first touch after a scan of
+// all kept so far, on random accesses: clustered, strided, repeated and
+// descending addresses under sparse and full masks, at every width.
+func TestCoalesceSectorsMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]uint64, 32)
+	var got, want []uint64
+	for i := 0; i < 5000; i++ {
+		width := []int{4, 8, 16}[rng.Intn(3)]
+		base, stride := uint64(rng.Intn(1<<16))*4, int64(rng.Intn(9)-4)*int64(width)
+		for lane := range addrs {
+			addrs[lane] = uint64(int64(base)+int64(lane)*stride) + uint64(rng.Intn(3)*width*rng.Intn(2))
+			if rng.Intn(4) == 0 {
+				addrs[lane] = uint64(rng.Intn(1<<12)) * uint64(width)
+			}
+		}
+		mask := rng.Uint32() | allActive*uint32(i%2)
+		want = want[:0]
+		for m := mask; m != 0; m &= m - 1 {
+			for w := 0; w < width; w += 4 {
+				if s := (addrs[bits.TrailingZeros32(m)] + uint64(w)) &^ 31; !slices.Contains(want, s) {
+					want = append(want, s)
+				}
+			}
+		}
+		if got = CoalesceSectorsInto(got, 32, addrs, mask, width); !slices.Equal(got, want) {
+			t.Fatalf("case %d (width %d, mask %#x): sectors %#x, want %#x", i, width, mask, got, want)
+		}
 	}
 }

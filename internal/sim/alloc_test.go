@@ -23,10 +23,10 @@ func TestMSHRTrackerZeroAllocBounded(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		step()
 	}
-	if n := len(m.heap); n > capacity {
+	if n := m.n; n > capacity {
 		t.Errorf("tracker holds %d entries after 100000 pushes, want <= %d", n, capacity)
 	}
-	if c := cap(m.heap); c > 2*capacity {
+	if c := cap(m.ring); c > 2*capacity {
 		t.Errorf("tracker backing array grew to %d, want <= %d", c, 2*capacity)
 	}
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {

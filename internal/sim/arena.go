@@ -44,6 +44,13 @@ type launchArena struct {
 	shared   []byte       // slots*sharedBytes
 	stacks   []divEntry   // slots*warpsPerBlock*initStackCap
 
+	// The rows the per-thread special registers read (warp.sregs): the
+	// thread index (x, y, z) of each lane per warp index in the block,
+	// shared by the slots, the block index per slot, set at takeBlock, and
+	// the lane ids.
+	tids, ctaids [][3][32]uint32
+	laneIDs      [32]uint32
+
 	// freeSlots is the stack of block slots available for the next
 	// pending CTA. Popped and pushed only by the SM that owns the arena,
 	// so re-use order is deterministic.
@@ -60,7 +67,7 @@ type launchArena struct {
 func newLaunchArena(k *sass.Kernel, block Dim3, slots int, functional bool) (*launchArena, warpSets) {
 	wpb := (block.Count() + 31) / 32
 	n := slots * wpb
-	ptrs := make([]*warp, 3*n) // blockWarps, awake, sleep
+	ptrs := make([]*warp, 2*n) // blockWarps, awake
 	rows := k.NumRegs + 1      // the kernel's registers and the zero row
 	localBytes, sharedBytes, stackCap := k.LocalBytes, k.SharedBytes, initStackCap
 	if !functional {
@@ -83,6 +90,17 @@ func newLaunchArena(k *sass.Kernel, block Dim3, slots int, functional bool) (*la
 	if sharedBytes > 0 {
 		a.shared = make([]byte, slots*sharedBytes)
 	}
+	if functional {
+		a.tids, a.ctaids = make([][3][32]uint32, wpb), make([][3][32]uint32, slots)
+		dx, dy, _ := block.dims()
+		for lin := range wpb * 32 {
+			t := &a.tids[lin/32]
+			t[0][lin%32], t[1][lin%32], t[2][lin%32] = uint32(lin%dx), uint32(lin/dx%dy), uint32(lin/(dx*dy))
+		}
+		for l := range a.laneIDs {
+			a.laneIDs[l] = uint32(l)
+		}
+	}
 	for s := 0; s < slots; s++ {
 		b := &a.blocks[s]
 		b.slot = s
@@ -102,10 +120,19 @@ func newLaunchArena(k *sass.Kernel, block Dim3, slots int, functional bool) (*la
 			// Three-index slicing caps the view so a deeper stack
 			// reallocates instead of stomping the neighbor's segment.
 			w.stack = a.stacks[wi*stackCap : wi*stackCap : (wi+1)*stackCap]
+			if functional {
+				t, c := &a.tids[i], &a.ctaids[s]
+				w.sregs = [numSpecialRows]*[32]uint32{&t[0], &t[1], &t[2], &c[0], &c[1], &c[2], &a.laneIDs}
+			}
 		}
 		a.freeSlots = append(a.freeSlots, s)
 	}
-	return a, warpSets{awake: ptrs[n : n : 2*n], sleep: ptrs[2*n : 2*n : 3*n], classes: make([]parkClass, 0, n)}
+	return a, warpSets{
+		awake:   ptrs[n : n : 2*n],
+		far:     make([]sleeper, 0, n),
+		classes: make([]parkClass, 0, n),
+		classAt: make([]int32, (len(k.Insts)+1)*int(NumStalls)),
+	}
 }
 
 // takeBlock pops a free slot and resets its block for a new CTA at idx.
@@ -123,6 +150,12 @@ func (a *launchArena) takeBlock(idx, dim Dim3) *blockState {
 	b.warps = a.blockWarps[s*a.warpsPerBlock : s*a.warpsPerBlock : (s+1)*a.warpsPerBlock]
 	for i := range b.shared {
 		b.shared[i] = 0
+	}
+	if a.ctaids != nil {
+		c := &a.ctaids[s]
+		for l := range 32 {
+			c[0][l], c[1][l], c[2][l] = uint32(idx.X), uint32(idx.Y), uint32(idx.Z)
+		}
 	}
 	return b
 }

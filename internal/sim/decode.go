@@ -72,9 +72,9 @@ const (
 	kindReg     operandKind = iota
 	kindPair                // a 64-bit register pair (reg, reg+1)
 	kindUniform             // a lane-invariant 64-bit value: a constant pair, RZ as a pair
-	kindSpecial
-	kindPred // one bit of a predicate's lane mask; PT is all ones
-	kindNeg  // a register an integer opcode negates in two's complement
+	kindSpecial             // a per-thread special register: a row of the warp's sregs
+	kindPred                // one bit of a predicate's lane mask; PT is all ones
+	kindNeg                 // a register an integer opcode negates in two's complement
 )
 
 // operand is one pre-resolved source. bits is XORed into what is read: the
@@ -109,7 +109,7 @@ func (o *operand) getOther(w *warp, lane int) uint64 {
 		}
 		return v
 	case kindSpecial:
-		return uint64(w.special(o.sr, lane))
+		return uint64(w.sregs[o.sr-sass.SRTidX][lane])
 	case kindPred:
 		return uint64(w.preds[o.pred]>>lane&1) ^ o.bits
 	case kindNeg:
@@ -119,10 +119,14 @@ func (o *operand) getOther(w *warp, lane int) uint64 {
 }
 
 // row returns the operand's value in every lane as one row: a register
-// row itself when nothing applies to it, else t holding the values.
+// row itself when nothing applies to it, a special register's row, else t
+// holding the values.
 func (o *operand) row(w *warp, t *[32]uint32) *[32]uint32 {
-	if o.kind == kindReg && o.bits == 0 {
+	switch {
+	case o.kind == kindReg && o.bits == 0:
 		return &w.regs[o.reg]
+	case o.kind == kindSpecial:
+		return w.sregs[o.sr-sass.SRTidX]
 	}
 	for l := range t {
 		t[l] = uint32(o.get(w, l))
@@ -723,7 +727,10 @@ func (e *engine) resolve(d *decoded, o sass.Operand, words int) (operand, error)
 			case sass.SRNCtaidY:
 				return e.uniform(uint64(uint32(e.grid.Y)), 1), nil
 			}
-			return operand{kind: kindSpecial, sr: o.Special}, nil
+			if o.Special >= sass.SRTidX && o.Special <= sass.SRLaneID {
+				return operand{kind: kindSpecial, sr: o.Special}, nil
+			}
+			return e.uniform(0, 1), nil // no per-thread value: reads 0
 		case sass.OpdPred:
 			var flip uint64
 			if o.Neg {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,6 +100,7 @@ var operands32 = []operandCase{
 	{"c[0x0][0x168]", func(int) uint64 { return uint64(constWord) }},
 	{"SR_LANEID", func(l int) uint64 { return uint64(l) }},
 	{"SR_NTID.X", func(int) uint64 { return 32 }},
+	{"SR_INVALID", func(int) uint64 { return 0 }},
 	{"P0", lt16},
 	{"!P0", func(l int) uint64 { return 1 ^ lt16(l) }},
 	{"PT", func(int) uint64 { return 1 }},
@@ -500,4 +502,54 @@ func TestMalformedKernelIsLaunchError(t *testing.T) {
 	bad("huge local", func(c *sass.Kernel) { c.LocalBytes = 1 << 40 }, "need 0 <= local")
 	bad("huge const", func(c *sass.Kernel) { c.ConstBytes = 1 << 40 }, "const <=")
 	bad("negative regs", func(c *sass.Kernel) { c.NumRegs = -1 }, "regs=-1")
+}
+
+// TestSpecialRegisterRows checks every per-thread special register
+// against the thread's coordinates computed on the host: a 5×3×4 block
+// (two warps, the second partial) on a 7×3×3 grid, all on one SM, so
+// block slots are recycled and the block-index rows refilled. Each thread
+// stores its seven registers at the slot its own registers address.
+func TestSpecialRegisterRows(t *testing.T) {
+	arch := gpu.V100()
+	arch.NumSMs = 1
+	d := NewDevice(arch)
+	block, grid := Dim3{X: 5, Y: 3, Z: 4}, Dim3{X: 7, Y: 3, Z: 3}
+	threads := grid.Count() * block.Count()
+	buf := d.MustAlloc(32 * threads)
+	text := ".kernel k sm_70 regs=12 shared=0 local=0 const=0\n"
+	for i, line := range []string{
+		"S2R R0, SR_TID.X", "S2R R1, SR_TID.Y", "S2R R2, SR_TID.Z",
+		"S2R R3, SR_CTAID.X", "S2R R4, SR_CTAID.Y", "S2R R5, SR_CTAID.Z", "S2R R6, SR_LANEID",
+		"IMAD R7, R2, 0x3, R1", "IMAD R7, R7, 0x5, R0", // thread in block
+		"IMAD R8, R5, 0x3, R4", "IMAD R8, R8, 0x7, R3", // block in grid
+		"IMAD R8, R8, 0x3c, R7", "SHF.L R8, R8, 0x5, RZ",
+		"IMAD.WIDE R8, R8, 0x1, c[0x0][0x160]",
+		"STG.E.SYS [R8], R0", "STG.E.SYS [R8+0x4], R1", "STG.E.SYS [R8+0x8], R2", "STG.E.SYS [R8+0xc], R3",
+		"STG.E.SYS [R8+0x10], R4", "STG.E.SYS [R8+0x14], R5", "STG.E.SYS [R8+0x18], R6",
+		"EXIT",
+	} {
+		text += fmt.Sprintf("/*%04x*/ %s ;\n", i*sass.InstBytes, line)
+	}
+	k, err := sass.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Launch(d, LaunchSpec{Kernel: k, Grid: grid, Block: block, Params: []uint64{buf.Addr}}, Config{SampleSMs: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Occupancy.BlocksPerSM >= grid.Count() {
+		t.Fatalf("%d blocks resident at once: no slot is recycled", res.Occupancy.BlocksPerSM)
+	}
+	got, err := d.ReadI32(buf, 8*threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < threads; g++ {
+		b, lin := g/block.Count(), g%block.Count()
+		want := []int32{int32(lin % 5), int32(lin / 5 % 3), int32(lin / 15), int32(b % 7), int32(b / 7 % 3), int32(b / 21), int32(lin % 32), 0}
+		if !slices.Equal(got[8*g:8*g+8], want) {
+			t.Fatalf("thread %d of block %d: stored %v, want %v", lin, b, got[8*g:8*g+8], want)
+		}
+	}
 }

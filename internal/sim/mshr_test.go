@@ -12,7 +12,7 @@ import (
 // (which the issue queues still use), linearly compacted and
 // quickselected on every admit. It is the definition of the model — "a
 // full unit admits at the (n-capacity+1)-th smallest pending completion"
-// — stated without the heap's equivalence argument.
+// — stated without the tracker's equivalence argument.
 type refRing struct {
 	queueRing
 	scratch []float64
@@ -86,7 +86,7 @@ func kthSmallest(a []float64, k int) float64 {
 // the suites that compare whole launches — the 92 golden reports
 // (internal/scout), TestParallelDifferential and the perturbed
 // Workers=1-vs-4 differential — which pass unmodified and byte-identical
-// across the ring→heap change because every cycle count in them is a
+// across the ring→heap→ordered-ring changes because every cycle count in them is a
 // function of these admit results.
 func TestMSHRTrackerMatchesReference(t *testing.T) {
 	capacities := []int{1, 2, 7, 112, 144, 256, 320, 32, 64, 4096}
@@ -171,8 +171,8 @@ func checkMSHRStream(t *testing.T, capacity int, seed int64) {
 			}
 			pushBoth(c)
 		}
-		if len(got.heap) > capacity {
-			t.Fatalf("capacity %d: tracker holds %d entries", capacity, len(got.heap))
+		if got.n > capacity {
+			t.Fatalf("capacity %d: tracker holds %d entries", capacity, got.n)
 		}
 		// Drain part of the backlog so the next round starts anywhere
 		// between empty and overfull.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -394,6 +395,10 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 	// All mutable warp/block state for this SM lives in one arena sized
 	// for the resident-block window; slots recycle as CTAs retire.
 	sm.arena, sm.warpSets = newLaunchArena(e.kernel, e.block, resident, !e.replay)
+	sm.numSched = e.arch.NumSchedulers
+	if sm.numSched < 1 || sm.numSched > len(sm.lastPick) {
+		sm.numSched = 4
+	}
 	if sm.rec != nil && !e.replay {
 		sm.rec.warps = make([]warpStream, len(blockIdxs)*sm.arena.warpsPerBlock)
 		sm.rec.budget = maxRecordingBytes / len(e.plans)
@@ -402,11 +407,6 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 		e.launchBlock(sm, blockIdxs[i])
 	}
 	sm.pending = blockIdxs[resident:]
-
-	numSched := e.arch.NumSchedulers
-	if numSched < 1 || numSched > len(sm.lastPick) {
-		numSched = 4
-	}
 
 	// prevDT is the last round's time step, attributed to the warps'
 	// end-of-round classifications during the next round. Warps without a
@@ -476,7 +476,7 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 				continue
 			}
 			awake = append(awake, w)
-			if s := w.gid % numSched; firstElig[s] == nil || w.gid < firstElig[s].gid {
+			if s := w.sched; firstElig[s] == nil || w.gid < firstElig[s].gid {
 				firstElig[s] = w
 			}
 		}
@@ -488,7 +488,7 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 		// eligibility (barrier releases and retires only clear clsValid
 		// and wake), so the candidates collected above are exact.
 		issued := 0
-		for sched := 0; sched < numSched; sched++ {
+		for sched := 0; sched < sm.numSched; sched++ {
 			pick := firstElig[sched]
 			if last := sm.lastPick[sched]; last != nil && !last.done && last.cls.eligible {
 				pick = last
@@ -510,14 +510,15 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 
 		// Advance time. With no issue this round no warp was eligible, so
 		// every live warp is parked and nothing changed since: the earliest
-		// possible unblock is the top of sleep, after sm.now.
+		// possible unblock is the soonest sleeper's event, after sm.now.
 		dt := 1.0
 		if issued == 0 {
-			if len(sm.sleep) == 0 {
+			next := sm.nextEvent()
+			if math.IsInf(next, 1) {
 				return fmt.Errorf("sim: deadlock on SM %d at cycle %.0f (kernel %s): all %d warps blocked",
 					sm.id, sm.now, e.kernel.Name, liveWarps)
 			}
-			dt = sm.sleep[0].cls.event - sm.now
+			dt = next - sm.now
 		}
 		sm.counters.ActiveWarpCycles += float64(liveWarps) * dt
 		prevDT = dt

@@ -49,72 +49,58 @@ func (q *queueRing) earliest() float64 {
 // mshrTracker models MSHR admission for one L1 miss path: a miss that
 // finds all capacity slots busy waits for the soonest completion that
 // frees one. It keeps only the capacity largest completion times ever
-// pushed, as a min-heap, so admit and push are O(log capacity) and memory
-// is O(capacity) however far the miss stream runs ahead of the slots.
+// pushed, in ascending order in a ring, so memory is O(capacity) however
+// far the miss stream runs ahead of the slots.
 //
 // With n entries pending at now (completion > now), a full unit admits at
 // the (n-capacity+1)-th smallest pending time, i.e. the capacity-th
-// largest. At least capacity entries are pending exactly when the heap is
-// full and its minimum is > now; the capacity largest times ever pushed
-// are then all pending, so that order statistic is the heap minimum.
+// largest. At least capacity entries are pending exactly when the ring is
+// full and its head (its minimum) is > now; the capacity largest times
+// ever pushed are then all pending, so that order statistic is the head.
+//
+// A miss completes at its pipe service time plus a latency, and service
+// times only move forward, so a push usually lands at or near the tail:
+// push drops the head when full and inserts from the tail, O(1) for an
+// in-order push and O(capacity) at worst.
 //
 // Precondition: successive admit calls see non-decreasing now. (An entry
-// the heap evicted could otherwise become "pending" again for an earlier
+// the ring dropped could otherwise become "pending" again for an earlier
 // now.) It holds because now is always the return value of the pipe's own
 // memsys.Bandwidth.Request, whose busy horizon only moves forward.
 type mshrTracker struct {
-	heap     []float64 // min-heap of the capacity largest completion times
+	ring     []float64 // power-of-two length; ring[head..head+n) ascending, indices mod len
+	head, n  int
 	capacity int
 }
 
 // admit returns the earliest time >= now at which a new miss finds a
 // free slot.
 func (m *mshrTracker) admit(now float64) float64 {
-	if len(m.heap) < m.capacity || m.heap[0] <= now {
+	if m.n < m.capacity || m.ring[m.head] <= now {
 		return now
 	}
-	return m.heap[0]
+	return m.ring[m.head]
 }
 
 // push records a miss completing at t.
 func (m *mshrTracker) push(t float64) {
-	h := m.heap
-	i := len(h)
-	if i < m.capacity {
-		// Not full: append and sift up.
-		h = append(h, t)
-		for i > 0 {
-			parent := (i - 1) / 2
-			if h[parent] <= t {
-				break
-			}
-			h[i] = h[parent]
-			i = parent
-		}
-		h[i] = t
-		m.heap = h
-		return
+	if m.ring == nil {
+		m.ring = make([]float64, 1<<bits.Len(uint(m.capacity-1)))
 	}
-	if t <= h[0] {
-		return // not among the capacity largest
+	wrap := len(m.ring) - 1
+	if m.n == m.capacity {
+		if t <= m.ring[m.head] {
+			return // not among the capacity largest
+		}
+		m.head = (m.head + 1) & wrap
+		m.n--
 	}
-	// Replace the minimum and sift down.
-	i = 0
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if c+1 < len(h) && h[c+1] < h[c] {
-			c++
-		}
-		if h[c] >= t {
-			break
-		}
-		h[i] = h[c]
-		i = c
+	i := m.head + m.n
+	for ; i > m.head && m.ring[(i-1)&wrap] > t; i-- {
+		m.ring[i&wrap] = m.ring[(i-1)&wrap]
 	}
-	h[i] = t
+	m.ring[i&wrap] = t
+	m.n++
 }
 
 // smState is the timing state of one simulated streaming multiprocessor.
@@ -162,6 +148,7 @@ type smState struct {
 	pending     []Dim3 // block indices not yet launched
 
 	lastPick [8]*warp // per-scheduler greedy pointer (GTO)
+	numSched int      // warp schedulers; a warp's is its gid % numSched (warp.sched)
 
 	// Reusable scratch for the memory timing path and for execution.
 	wordBuf []uint64
@@ -173,16 +160,37 @@ type smState struct {
 // warpSets are an SM's live warps as its scheduler rounds see them. A
 // warp is awake — the next round visits it, because it was just launched,
 // issued, released or woken, or is eligible — or parked: blocked until
-// its classification's event. A parked warp with a finite event waits in
-// sleep, a min-heap on cls.event; one at +Inf (a barrier, or past the
-// last instruction) waits for checkBarrier. classes counts the parked
-// warps per (instruction, stall reason), which is all a round's stall
-// attribution needs of them. The slices are carved with the arena, with
-// room for every resident warp.
+// its classification's event. A parked warp at +Inf (a barrier, or past
+// the last instruction) waits for checkBarrier; one with a finite event
+// sleeps until wakeDue finds it come. A sleeper due within wheelTicks
+// cycles waits in the timing wheel, a farther one in far. classes counts
+// the parked warps per (instruction, stall reason), which is all a round's
+// stall attribution needs of them. The slices are carved with the arena,
+// with room for every resident warp and, for classAt, every class.
 type warpSets struct {
-	awake, sleep []*warp
-	classes      []parkClass
-	parked       int
+	awake []*warp
+
+	// slots[t mod wheelTicks] lists, through warp.nextSleep, the sleepers
+	// whose ⌈event⌉ is tick t, for t in [cursor, cursor+wheelTicks); the
+	// same bit of occupied is set when that list is not empty. wakeDue
+	// leaves cursor at ⌊now⌋+1. far is a min-heap of the other sleepers.
+	slots    [wheelTicks]*warp
+	occupied uint64
+	cursor   int64
+	far      []sleeper
+
+	classes []parkClass
+	classAt []int32 // 1 + the index in classes of the class at*NumStalls+reason, 0 if none
+	parked  int
+}
+
+// wheelTicks is the timing wheel's span in cycles, one occupancy bit each.
+const wheelTicks = 64
+
+// sleeper is a parked warp in far, with its event inline.
+type sleeper struct {
+	event float64
+	w     *warp
 }
 
 // parkClass is n parked warps whose stall goes to PCStalls[at][reason].
@@ -196,24 +204,36 @@ func (sm *smState) park(w *warp) {
 	w.parked = true
 	sm.parked++
 	sm.count(w, 1)
-	if !math.IsInf(w.cls.event, 1) {
-		h := append(sm.sleep, w)
-		i := len(h) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if h[p].cls.event <= w.cls.event {
-				break
-			}
-			h[i] = h[p]
-			i = p
-		}
-		h[i] = w
-		sm.sleep = h
+	ev := w.cls.event
+	if ev <= float64(sm.cursor+wheelTicks-1) {
+		// ⌈ev⌉ is inside the wheel. An event this round already reached
+		// (there is none: classify blocks only on later ones) would go to
+		// the slot wakeDue scans first.
+		s := max(int64(math.Ceil(ev)), sm.cursor) & (wheelTicks - 1)
+		w.nextSleep, sm.slots[s] = sm.slots[s], w
+		sm.occupied |= 1 << s
+		return
 	}
+	if math.IsInf(ev, 1) {
+		return
+	}
+	h := append(sm.far, sleeper{ev, w})
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].event <= ev {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = sleeper{ev, w}
+	sm.far = h
 }
 
 // wake returns parked warp w to the awake set, keeping its
-// classification. The caller has taken it out of sleep, if it was there.
+// classification. The caller has taken it out of its sleep set, if it
+// was in one.
 func (sm *smState) wake(w *warp) {
 	w.parked = false
 	sm.parked--
@@ -221,10 +241,49 @@ func (sm *smState) wake(w *warp) {
 	sm.awake = append(sm.awake, w)
 }
 
-// wakeDue wakes every sleeping warp whose event has come.
+// wakeDue wakes exactly the sleepers whose event has come (event <= now):
+// the wheel's whole slots of ticks up to ⌊now⌋, the sleepers of slot
+// ⌊now⌋+1 whose event is at most now, and far's due top.
 func (sm *smState) wakeDue() {
-	for h := sm.sleep; len(h) > 0 && h[0].cls.event <= sm.now; {
-		top, last := h[0], h[len(h)-1]
+	now := sm.now
+	tick := int64(now)
+	if sm.occupied != 0 {
+		// Bit b of rel is the slot of tick cursor+b.
+		rel := bits.RotateLeft64(sm.occupied, -int(sm.cursor&(wheelTicks-1)))
+		d := tick - sm.cursor // ≥ -1: cursor is the last round's ⌊now⌋+1
+		if d >= 0 {
+			whole := rel
+			if d < wheelTicks-1 {
+				whole &= 1<<(d+1) - 1
+			}
+			for ; whole != 0; whole &= whole - 1 {
+				s := (sm.cursor + int64(bits.TrailingZeros64(whole))) & (wheelTicks - 1)
+				for w := sm.slots[s]; w != nil; w = w.nextSleep {
+					sm.wake(w)
+				}
+				sm.slots[s] = nil
+				sm.occupied &^= 1 << s
+			}
+		}
+		if d+1 < wheelTicks && rel>>(d+1)&1 != 0 {
+			s := (tick + 1) & (wheelTicks - 1)
+			link := &sm.slots[s]
+			for w := *link; w != nil; w = w.nextSleep {
+				if w.cls.event <= now {
+					*link = w.nextSleep
+					sm.wake(w)
+				} else {
+					link = &w.nextSleep
+				}
+			}
+			if sm.slots[s] == nil {
+				sm.occupied &^= 1 << s
+			}
+		}
+	}
+	sm.cursor = tick + 1
+	for h := sm.far; len(h) > 0 && h[0].event <= now; {
+		top, last := h[0].w, h[len(h)-1]
 		h = h[:len(h)-1]
 		i := 0
 		for {
@@ -232,10 +291,10 @@ func (sm *smState) wakeDue() {
 			if c >= len(h) {
 				break
 			}
-			if c+1 < len(h) && h[c+1].cls.event < h[c].cls.event {
+			if c+1 < len(h) && h[c+1].event < h[c].event {
 				c++
 			}
-			if h[c].cls.event >= last.cls.event {
+			if h[c].event >= last.event {
 				break
 			}
 			h[i] = h[c]
@@ -244,24 +303,47 @@ func (sm *smState) wakeDue() {
 		if len(h) > 0 {
 			h[i] = last
 		}
-		sm.sleep = h
+		sm.far = h
 		sm.wake(top)
 	}
+}
+
+// nextEvent is the earliest sleeper's event, +Inf when none sleeps: the
+// minimum of far's top and the first occupied slot, whose events all
+// precede the later slots'.
+func (sm *smState) nextEvent() float64 {
+	next := math.Inf(1)
+	if len(sm.far) > 0 {
+		next = sm.far[0].event
+	}
+	if sm.occupied != 0 {
+		rel := bits.RotateLeft64(sm.occupied, -int(sm.cursor&(wheelTicks-1)))
+		for w := sm.slots[(sm.cursor+int64(bits.TrailingZeros64(rel)))&(wheelTicks-1)]; w != nil; w = w.nextSleep {
+			next = min(next, w.cls.event)
+		}
+	}
+	return next
 }
 
 // count adds d to the parked count of w's class.
 func (sm *smState) count(w *warp, d int) {
 	at, r := sm.counters.at(w.cls.pc), w.cls.reason
-	for i := range sm.classes {
-		if k := &sm.classes[i]; k.at == at && k.reason == r {
-			if k.n += d; k.n == 0 {
-				sm.classes[i] = sm.classes[len(sm.classes)-1]
-				sm.classes = sm.classes[:len(sm.classes)-1]
-			}
-			return
-		}
+	key := at*int(NumStalls) + int(r)
+	i := int(sm.classAt[key]) - 1
+	if i < 0 {
+		sm.classAt[key] = int32(len(sm.classes) + 1)
+		sm.classes = append(sm.classes, parkClass{at: at, n: d, reason: r})
+		return
 	}
-	sm.classes = append(sm.classes, parkClass{at: at, n: d, reason: r})
+	if k := &sm.classes[i]; k.n+d != 0 {
+		k.n += d
+		return
+	}
+	last := sm.classes[len(sm.classes)-1]
+	sm.classes[i] = last
+	sm.classAt[last.at*int(NumStalls)+int(last.reason)] = int32(i + 1)
+	sm.classAt[key] = 0
+	sm.classes = sm.classes[:len(sm.classes)-1]
 }
 
 // stallParked attributes dt warp-cycles to every parked warp's class. Each
@@ -506,7 +588,7 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, mask uint32, words 
 			sm.atomFree = start + 2*float64(lanes)
 			done, svcEnd = now, sm.atomFree
 			for _, s := range words {
-				lat := e.l2Access(sm, s, true)
+				lat := e.l2Access(sm, true, sm.l2.AccessSector(s))
 				if t := sm.atomFree + lat; t > done {
 					done = t
 				}
@@ -618,35 +700,61 @@ func sharedTrans(s *memsys.BankScratch, numBanks int, md *memDesc, lanes []uint6
 // the last sector (svcEnd), and the sector and L1-hit counts for the
 // caller's counters. The floats depend only on the state of pipe, sm.l1,
 // mshr and the L2/DRAM slices, and those see exactly one call sequence
-// per sector, in sector order; nothing else may be interleaved.
+// per sector, in sector order; nothing else may be interleaved. Each
+// cache takes a run of sectors on one of its lines as one AccessLine,
+// which is the run's AccessSector calls: the sectors are distinct, and
+// within the walk nothing else touches the L1, or the L2 but the run's
+// own lookups, so a run's lookups may precede its other calls.
 func (e *engine) sectorWalk(sm *smState, write bool, sectors []uint64, pipe *memsys.Bandwidth, mshr *mshrTracker, baseLat float64, useL1 bool) (done, svcEnd float64, n, hits uint64) {
 	a := &e.arch
 	done, svcEnd = sm.now, sm.now
-	for _, s := range sectors {
-		svc := pipe.Request(sm.now, a.L1SectorBytes)
-		if svc > svcEnd {
-			svcEnd = svc
+	line := ^uint64(min(a.L1LineBytes, a.L2LineBytes) - 1)
+	for i := 0; i < len(sectors); {
+		j, mask := i, uint32(0)
+		for ; j < len(sectors) && sectors[j]&line == sectors[i]&line; j++ {
+			mask |= sm.l1.SectorBit(sectors[j])
 		}
-		hit := useL1 && sm.l1.AccessSector(s, write)
-		lat := baseLat
-		if write {
-			// Volta's L1 is write-through: every store sector goes to L2
-			// regardless of the L1 state (uncoalesced stores therefore
-			// hammer L2 bandwidth).
-			e.l2Access(sm, s, true)
-		} else if !hit {
-			// An L1 miss occupies an MSHR until data returns; when all
-			// MSHRs are busy the miss waits for a free slot.
-			start := mshr.admit(svc)
-			lat += (start - svc) + e.l2Access(sm, s, false)
-			mshr.push(svc + lat)
+		var l1Hits, l2Mask uint32
+		if useL1 {
+			l1Hits = sm.l1.AccessLine(sectors[i], mask)
 		}
-		if hit {
-			hits++
+		// Volta's L1 is write-through: every store sector goes to L2
+		// regardless of the L1 state (uncoalesced stores therefore hammer L2
+		// bandwidth), and so does every read that missed.
+		for _, s := range sectors[i:j] {
+			if write || l1Hits&sm.l1.SectorBit(s) == 0 {
+				l2Mask |= sm.l2.SectorBit(s)
+			}
 		}
-		if t := svc + lat; t > done {
-			done = t
+		var l2Hits uint32
+		if l2Mask != 0 {
+			l2Hits = sm.l2.AccessLine(sectors[i], l2Mask)
 		}
+		for _, s := range sectors[i:j] {
+			svc := pipe.Request(sm.now, a.L1SectorBytes)
+			if svc > svcEnd {
+				svcEnd = svc
+			}
+			hit := l1Hits&sm.l1.SectorBit(s) != 0
+			l2Hit := l2Hits&sm.l2.SectorBit(s) != 0
+			lat := baseLat
+			if write {
+				e.l2Access(sm, true, l2Hit)
+			} else if !hit {
+				// An L1 miss occupies an MSHR until data returns; when all
+				// MSHRs are busy the miss waits for a free slot.
+				start := mshr.admit(svc)
+				lat += (start - svc) + e.l2Access(sm, false, l2Hit)
+				mshr.push(svc + lat)
+			}
+			if hit {
+				hits++
+			}
+			if t := svc + lat; t > done {
+				done = t
+			}
+		}
+		i = j
 	}
 	return done, svcEnd, uint64(len(sectors)), hits
 }
@@ -673,14 +781,14 @@ func (e *engine) asyncCopyTiming(sm *smState, w *warp, sectors []uint64) {
 	}
 }
 
-// l2Access models one 32-byte sector request to this SM's L2 slice and,
-// on miss, to DRAM. It returns the added latency beyond L1.
-func (e *engine) l2Access(sm *smState, sector uint64, write bool) float64 {
+// l2Access models one 32-byte sector request to this SM's L2 slice, whose
+// lookup the caller made (hit), and on a miss to DRAM. It returns the
+// added latency beyond L1.
+func (e *engine) l2Access(sm *smState, write, hit bool) float64 {
 	a := &e.arch
 	c := sm.counters
 	q := sm.l2bw.QueueDelay(sm.now)
 	sm.l2bw.Request(sm.now, a.L1SectorBytes)
-	hit := sm.l2.AccessSector(sector, write)
 	c.L2Sectors++
 	if write {
 		c.L2WriteSectors++
@@ -763,6 +871,7 @@ func (e *engine) launchBlock(sm *smState, idx Dim3) {
 	nb.liveWarps = warps
 	for i := 0; i < warps; i++ {
 		w := sm.arena.resetWarp(nb, i, sm.nextGid)
+		w.sched = w.gid % sm.numSched
 		if sm.rec != nil {
 			w.stream = &sm.rec.warps[w.gid-sm.gidBase]
 		}

@@ -69,6 +69,9 @@ type warp struct {
 	done   bool
 
 	regs [][32]uint32 // [NumRegs+1][lane]; the last row is the zero row
+	// sregs[sr-SRTidX] is special register sr's row, carved with the arena
+	// (S2R copies it); nil in a replay.
+	sregs [numSpecialRows]*[32]uint32
 	// preds holds a lane mask per predicate; preds[PT] is all ones and
 	// never written.
 	preds [sass.PT + 1]uint32
@@ -89,6 +92,10 @@ type warp struct {
 	cls      wclass
 	clsValid bool
 	parked   bool
+	// sched is the warp's scheduler; nextSleep links it in its timing
+	// wheel slot while it sleeps there.
+	sched     int
+	nextSleep *warp
 
 	// stream is this warp's part of the launch's recording, when there is
 	// one; a replay reads on from insts[at] and mem[memAt].
@@ -96,41 +103,10 @@ type warp struct {
 	at, memAt int
 }
 
-// laneTid returns the (x,y,z) thread index of a lane in this warp.
-func (w *warp) laneTid(lane int) Dim3 {
-	lin := w.id*32 + lane
-	dx, dy := w.block.dim.X, w.block.dim.Y
-	if dx == 0 {
-		dx = 1
-	}
-	if dy == 0 {
-		dy = 1
-	}
-	return Dim3{X: lin % dx, Y: (lin / dx) % dy, Z: lin / (dx * dy)}
-}
-
-// special reads a per-thread special register (S2R and special-register
-// sources); the launch-constant ones are folded to values at decode.
-func (w *warp) special(sr sass.SpecialReg, lane int) uint32 {
-	tid := w.laneTid(lane)
-	switch sr {
-	case sass.SRTidX:
-		return uint32(tid.X)
-	case sass.SRTidY:
-		return uint32(tid.Y)
-	case sass.SRTidZ:
-		return uint32(tid.Z)
-	case sass.SRCtaidX:
-		return uint32(w.block.idx.X)
-	case sass.SRCtaidY:
-		return uint32(w.block.idx.Y)
-	case sass.SRCtaidZ:
-		return uint32(w.block.idx.Z)
-	case sass.SRLaneID:
-		return uint32(lane)
-	}
-	return 0
-}
+// numSpecialRows is how many per-thread special registers a warp has rows
+// for: SR_TID.X through SR_LANEID (sass.SRTidX..SRLaneID). The
+// launch-constant ones are folded to values at decode.
+const numSpecialRows = int(sass.SRLaneID - sass.SRTidX + 1)
 
 // setPred writes v into predicate p's lanes of mask; a write to PT is
 // discarded.
