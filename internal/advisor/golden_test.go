@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"gpuscout/internal/gpu"
+	"gpuscout/internal/sass"
 	"gpuscout/internal/scout"
 	"gpuscout/internal/sim"
 	"gpuscout/internal/workloads"
@@ -187,6 +188,34 @@ func TestGoldenArchCompare(t *testing.T) {
 			compareGolden(t, filepath.Join("testdata", "golden", "archcompare_"+name+"_sm70_sm80.json"), append(js, '\n'))
 		})
 	}
+}
+
+// TestGoldenUpload pins the report of an uploaded SASS kernel, which has
+// no launch harness and is analyzed statically: nvcc's bounds-check
+// @P0 EXIT, then a loop of adjacent narrow loads. Its findings sit
+// inside a for-loop because the threads that pass the check run on into
+// the loop. Regenerate with:
+// go test ./internal/advisor -run TestGoldenUpload -update
+func TestGoldenUpload(t *testing.T) {
+	text, err := os.ReadFile(filepath.Join("testdata", "pair_sum.sass"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := sass.Parse(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Run(context.Background(), Plan{Arch: gpu.V100(), Kernel: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := out.Report.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join("testdata", "golden", "upload")
+	compareGolden(t, filepath.Join(dir, "pair_sum.txt"), []byte(out.Report.Render()))
+	compareGolden(t, filepath.Join(dir, "pair_sum.json"), append(js, '\n'))
 }
 
 // goldenJSONPaths lists every committed golden JSON document: both

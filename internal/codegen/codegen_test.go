@@ -164,6 +164,31 @@ func TestCompileLoop(t *testing.T) {
 	}
 }
 
+// TestPartialWriteKeepsPairLive: a write through one element of a pair
+// leaves the other element in place, so the pair is live from its first
+// element write to its last use, across every partial write.
+func TestPartialWriteKeepsPairLive(t *testing.T) {
+	b := kasm.NewBuilder("_Zpair", "sm_70", "pair.cu")
+	b.NumParams(1)
+	val := b.MovImm(1)
+	pair := b.MovPair(b.ParamPtr(0)) // MOV pair.0 ; MOV pair.1
+	b.MovTo(kasm.VRElem(pair, 0), kasm.VImm(64))
+	b.Stg(pair, 0, val, 4)
+	b.Exit()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	liveOut := computeVLiveness(p)
+	// MovPair's two MOVs and the MovTo come just before the STG.
+	stg := len(p.Insts) - 2
+	for i := stg - 3; i < stg; i++ {
+		if liveOut[i][pair/64]>>(pair%64)&1 == 0 {
+			t.Errorf("pair dead after inst %d (%s): a partial write must not end it", i, p.Insts[i].Op)
+		}
+	}
+}
+
 func TestScoreboardAssignment(t *testing.T) {
 	p := sumProgram(t, 4)
 	k, err := Compile(p, Options{})

@@ -10,37 +10,6 @@ import (
 	"gpuscout/internal/sass"
 )
 
-// vliveness computes, for each instruction index, the set of virtual
-// registers live immediately after it, via backward dataflow over the
-// VInst control-flow graph.
-type vliveness struct {
-	liveOut []vset
-}
-
-type vset []uint64
-
-func newVset(n int) vset { return make(vset, (n+63)/64) }
-
-func (s vset) add(v kasm.VReg)    { s[v/64] |= 1 << (uint(v) % 64) }
-func (s vset) remove(v kasm.VReg) { s[v/64] &^= 1 << (uint(v) % 64) }
-
-func (s vset) clone() vset {
-	c := make(vset, len(s))
-	copy(c, s)
-	return c
-}
-
-func (s vset) union(o vset) (changed bool) {
-	for i := range s {
-		n := s[i] | o[i]
-		if n != s[i] {
-			s[i] = n
-			changed = true
-		}
-	}
-	return changed
-}
-
 // defsUses extracts the virtual registers written and read by in.
 // fullDef reports whether the write covers the whole vreg (a partial
 // element write both reads and writes it).
@@ -75,66 +44,26 @@ func defsUses(p *kasm.Program, in *kasm.VInst) (defs []kasm.VReg, fullDef bool, 
 	return defs, fullDef, uses
 }
 
-// computeVLiveness runs the dataflow. Successor structure comes from
-// labels/branches; blocks are implicit (per-instruction granularity keeps
-// the code simple and the programs are small).
-func computeVLiveness(p *kasm.Program) *vliveness {
+// computeVLiveness returns, for each instruction index, the set of
+// virtual registers live immediately after it: sass.LiveOut over the
+// instructions, with sass.Succs over labels and branches and defsUses as
+// the transfer. A partial element write keeps the vreg live.
+func computeVLiveness(p *kasm.Program) [][]uint64 {
 	n := len(p.Insts)
-	nv := p.NumVRegs
-	succs := make([][2]int, n) // up to 2 successors; -1 = none
-	for i := range p.Insts {
-		succs[i] = [2]int{-1, -1}
+	succs := func(i int, buf []int) []int {
 		in := &p.Insts[i]
-		switch in.Op {
-		case sass.OpBRA:
-			succs[i][0] = p.Labels[in.Label]
-			if in.Pred != sass.PT && i+1 < n {
-				succs[i][1] = i + 1
-			}
-		case sass.OpEXIT, sass.OpRET:
-			if in.Pred != sass.PT && i+1 < n {
-				// Guarded EXIT falls through for the non-exiting threads.
-				succs[i][0] = i + 1
-			}
-		default:
-			if i+1 < n {
-				succs[i][0] = i + 1
+		return sass.Succs(buf, in.Op, in.Pred != sass.PT, i, p.Labels[in.Label], n)
+	}
+	transfer := func(i int, live []uint64) {
+		defs, fullDef, uses := defsUses(p, &p.Insts[i])
+		if fullDef {
+			for _, d := range defs {
+				live[d/64] &^= 1 << (d % 64)
 			}
 		}
-	}
-
-	lv := &vliveness{liveOut: make([]vset, n)}
-	liveIn := make([]vset, n)
-	for i := 0; i < n; i++ {
-		lv.liveOut[i] = newVset(nv)
-		liveIn[i] = newVset(nv)
-	}
-	changed := true
-	for changed {
-		changed = false
-		for i := n - 1; i >= 0; i-- {
-			out := lv.liveOut[i]
-			for _, s := range succs[i] {
-				if s >= 0 {
-					if out.union(liveIn[s]) {
-						changed = true
-					}
-				}
-			}
-			in := out.clone()
-			defs, fullDef, uses := defsUses(p, &p.Insts[i])
-			if fullDef {
-				for _, d := range defs {
-					in.remove(d)
-				}
-			}
-			for _, u := range uses {
-				in.add(u)
-			}
-			if liveIn[i].union(in) {
-				changed = true
-			}
+		for _, u := range uses {
+			live[u/64] |= 1 << (u % 64)
 		}
 	}
-	return lv
+	return sass.LiveOut(n, p.NumVRegs, succs, transfer)
 }

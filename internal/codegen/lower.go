@@ -186,8 +186,9 @@ func (sp *spiller) rewrite(p *kasm.Program, spilled []kasm.VReg, noSpill map[kas
 		scan(in.Dst, true)
 
 		for _, v := range loads {
+			mods, _ := sass.WidthMods(4 * p.WidthOf(v))
 			out = append(out, kasm.VInst{
-				Op: sass.OpLDL, Mods: widthModsFor(p.WidthOf(v)), Pred: sass.PT,
+				Op: sass.OpLDL, Mods: mods, Pred: sass.PT,
 				Dst:  []kasm.VOperand{kasm.VR(temps[v])},
 				Src:  []kasm.VOperand{kasm.VMem(kasm.NoVReg, sp.slots[v])},
 				Line: in.Line,
@@ -195,8 +196,9 @@ func (sp *spiller) rewrite(p *kasm.Program, spilled []kasm.VReg, noSpill map[kas
 		}
 		out = append(out, in)
 		for _, v := range stores {
+			mods, _ := sass.WidthMods(4 * p.WidthOf(v))
 			out = append(out, kasm.VInst{
-				Op: sass.OpSTL, Mods: widthModsFor(p.WidthOf(v)),
+				Op: sass.OpSTL, Mods: mods,
 				Pred: in.Pred, PredNeg: in.PredNeg,
 				Dst:  []kasm.VOperand{kasm.VMem(kasm.NoVReg, sp.slots[v])},
 				Src:  []kasm.VOperand{kasm.VR(temps[v])},
@@ -209,17 +211,6 @@ func (sp *spiller) rewrite(p *kasm.Program, spilled []kasm.VReg, noSpill map[kas
 		p.Labels[name] = oldToNew[idx]
 	}
 	p.Insts = out
-}
-
-func widthModsFor(widthWords int) []string {
-	switch widthWords {
-	case 2:
-		return []string{"64"}
-	case 4:
-		return []string{"128"}
-	default:
-		return nil
-	}
 }
 
 // translate converts the allocated program into sass instructions.
@@ -308,24 +299,14 @@ func assignScoreboards(k *sass.Kernel, nslots int) {
 	next := 0
 	var scratch []sass.Reg
 
-	intersects := func(regs []sass.Reg, set []sass.Reg) bool {
-		for _, r := range regs {
-			for _, s := range set {
-				if r == s {
-					return true
-				}
-			}
-		}
-		return false
-	}
-
 	for i := range k.Insts {
 		in := &k.Insts[i]
 		srcs := in.SrcRegs(scratch[:0])
 		dsts := in.DstRegs(nil)
 		all := append(append([]sass.Reg(nil), srcs...), dsts...)
 		for s := range slots {
-			if len(slots[s].regs) > 0 && intersects(all, slots[s].regs) {
+			pending := func(r sass.Reg) bool { return slices.Contains(slots[s].regs, r) }
+			if slices.ContainsFunc(all, pending) {
 				in.Ctrl.WaitMask |= 1 << uint(s)
 				slots[s].regs = nil
 			}
@@ -353,9 +334,10 @@ func assignScoreboards(k *sass.Kernel, nslots int) {
 }
 
 func needsWrBar(in *sass.Inst) bool {
-	switch in.Op {
-	case sass.OpLDG, sass.OpLDS, sass.OpLDL, sass.OpLDC, sass.OpTEX:
+	if sass.IsLoad(in.Op) {
 		return true
+	}
+	switch in.Op {
 	case sass.OpATOM, sass.OpATOMS:
 		// Only when a return value is produced into a register.
 		for _, o := range in.Dst {

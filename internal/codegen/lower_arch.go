@@ -18,28 +18,6 @@ func lowerForArch(p *kasm.Program, isa gpu.ISADesc) {
 	}
 }
 
-// vinstHasMod reports whether a virtual instruction carries a modifier.
-func vinstHasMod(in *kasm.VInst, m string) bool {
-	for _, s := range in.Mods {
-		if s == m {
-			return true
-		}
-	}
-	return false
-}
-
-// vinstWidthBytes mirrors sass.Inst.WidthBytes for virtual instructions.
-func vinstWidthBytes(in *kasm.VInst) int {
-	switch {
-	case vinstHasMod(in, "128"):
-		return 16
-	case vinstHasMod(in, "64"):
-		return 8
-	default:
-		return 4
-	}
-}
-
 // writesVReg reports whether the instruction defines any word of vreg v.
 func writesVReg(in *kasm.VInst, v kasm.VReg) bool {
 	for _, o := range in.Dst {
@@ -109,10 +87,10 @@ func fuseAsyncCopies(p *kasm.Program, isa gpu.ISADesc) {
 		if ldg.Op != sass.OpLDG || drop[i] {
 			continue
 		}
-		if vinstHasMod(ldg, "NC") || vinstHasMod(ldg, "CI") {
+		if sass.NC(ldg.Mods) {
 			continue
 		}
-		width := vinstWidthBytes(ldg)
+		width := sass.WidthBytes(ldg.Mods)
 		if isa.AsyncCopyMaxBytes > 0 && width > isa.AsyncCopyMaxBytes {
 			continue
 		}
@@ -138,12 +116,10 @@ func fuseAsyncCopies(p *kasm.Program, isa gpu.ISADesc) {
 				len(in.Src) == 1 && in.Src[0].Kind == kasm.VOpdReg &&
 				in.Src[0].V == v && in.Src[0].Elem == 0 &&
 				len(in.Dst) == 1 && in.Dst[0].Kind == kasm.VOpdMem &&
-				vinstWidthBytes(in) == width &&
+				sass.WidthBytes(in.Mods) == width &&
 				in.Pred == ldg.Pred && in.PredNeg == ldg.PredNeg {
-				mods := []string{"E", "BYPASS"}
-				if wm := widthModsFor(width / 4); wm != nil {
-					mods = append(mods, wm...)
-				}
+				wm, _ := sass.WidthMods(width)
+				mods := append([]string{"E", "BYPASS"}, wm...)
 				p.Insts[j] = kasm.VInst{
 					Op: sass.OpLDGSTS, Mods: mods,
 					Pred: ldg.Pred, PredNeg: ldg.PredNeg,

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"gpuscout/internal/kasm"
@@ -19,8 +20,9 @@ type interval struct {
 	noSpill    bool // spill-reload temporaries must stay in registers
 }
 
-// buildIntervals derives live intervals from the per-instruction liveness.
-func buildIntervals(p *kasm.Program, lv *vliveness, noSpill map[kasm.VReg]bool) []interval {
+// buildIntervals derives live intervals from the per-instruction live-out
+// sets.
+func buildIntervals(p *kasm.Program, liveOut [][]uint64, noSpill map[kasm.VReg]bool) []interval {
 	n := len(p.Insts)
 	start := make([]int, p.NumVRegs)
 	end := make([]int, p.NumVRegs)
@@ -46,13 +48,9 @@ func buildIntervals(p *kasm.Program, lv *vliveness, noSpill map[kasm.VReg]bool) 
 		for _, u := range uses {
 			touch(u, i)
 		}
-		for w := 0; w < len(lv.liveOut[i]); w++ {
-			bits := lv.liveOut[i][w]
-			for bits != 0 {
-				b := bits & (-bits)
-				v := kasm.VReg(w*64 + trailingZeros(bits))
-				touch(v, i+1)
-				bits ^= b
+		for w, set := range liveOut[i] {
+			for ; set != 0; set &= set - 1 {
+				touch(kasm.VReg(w*64+bits.TrailingZeros64(set)), i+1)
 			}
 		}
 	}
@@ -73,15 +71,6 @@ func buildIntervals(p *kasm.Program, lv *vliveness, noSpill map[kasm.VReg]bool) 
 		return ivs[i].v < ivs[j].v
 	})
 	return ivs
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // allocResult is the outcome of one linear-scan pass.

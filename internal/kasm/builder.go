@@ -120,7 +120,7 @@ func (b *Builder) NCtaidX() VReg { return b.Special(sass.SRNCtaidX) }
 // ParamConst returns the constant-bank operand of 32-bit word w of
 // parameter slot i (w=0 low word, w=1 high word).
 func ParamConst(i, w int) VOperand {
-	return VConst(0, int64(ParamBase+8*i+4*w))
+	return VConst(0, int64(sass.ParamBase+8*i+4*w))
 }
 
 // Param32 loads a 32-bit parameter (int/float) into a register.
@@ -414,16 +414,7 @@ func (b *Builder) conv(op sass.Opcode, mods []string, a VOperand, dstWidth int) 
 // compiled form of const __restrict__ pointers.
 func (b *Builder) Ldg(base VReg, off int64, widthBytes int, nc bool) VReg {
 	b.wantPair(VR(base), "Ldg")
-	mods := []string{"E"}
-	switch widthBytes {
-	case 4:
-	case 8:
-		mods = append(mods, "64")
-	case 16:
-		mods = append(mods, "128")
-	default:
-		panic(fmt.Sprintf("kasm: Ldg width %d", widthBytes))
-	}
+	mods := append([]string{"E"}, widthMods(widthBytes, "Ldg")...)
 	if nc {
 		mods = append(mods, "NC")
 	}
@@ -460,16 +451,7 @@ func (b *Builder) LdsTo(dst VReg, addr VReg, off int64, widthBytes int) {
 // Stg stores widthBytes from val to global memory at [base+off].
 func (b *Builder) Stg(base VReg, off int64, val VReg, widthBytes int) {
 	b.wantPair(VR(base), "Stg")
-	mods := []string{"E"}
-	switch widthBytes {
-	case 4:
-	case 8:
-		mods = append(mods, "64")
-	case 16:
-		mods = append(mods, "128")
-	default:
-		panic(fmt.Sprintf("kasm: Stg width %d", widthBytes))
-	}
+	mods := append([]string{"E"}, widthMods(widthBytes, "Stg")...)
 	mods = append(mods, "SYS")
 	b.emit(VInst{Op: sass.OpSTG, Mods: mods, Dst: []VOperand{VMem(base, off)}, Src: []VOperand{VR(val)}})
 }
@@ -488,16 +470,14 @@ func (b *Builder) Sts(addr VReg, off int64, val VReg, widthBytes int) {
 	b.emit(VInst{Op: sass.OpSTS, Mods: mods, Dst: []VOperand{VMem(addr, off)}, Src: []VOperand{VR(val)}})
 }
 
+// widthMods is sass.WidthMods for the builder method what, which panics
+// on a width no access has.
 func widthMods(widthBytes int, what string) []string {
-	switch widthBytes {
-	case 4:
-		return nil
-	case 8:
-		return []string{"64"}
-	case 16:
-		return []string{"128"}
+	mods, ok := sass.WidthMods(widthBytes)
+	if !ok {
+		panic(fmt.Sprintf("kasm: %s width %d", what, widthBytes))
 	}
-	panic(fmt.Sprintf("kasm: %s width %d", what, widthBytes))
+	return mods
 }
 
 // RedAddF32 performs a global atomic float add without return value.

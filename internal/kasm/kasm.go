@@ -104,12 +104,8 @@ type Program struct {
 	NumParams  int     // 8-byte parameter slots
 }
 
-// ParamBase is the constant-bank offset of the kernel parameter area,
-// matching the layout real CUDA drivers use on Volta.
-const ParamBase = 0x160
-
 // ConstBytes returns the size of the kernel's constant parameter area.
-func (p *Program) ConstBytes() int { return ParamBase + 8*p.NumParams }
+func (p *Program) ConstBytes() int { return sass.ParamBase + 8*p.NumParams }
 
 // WidthOf returns the word width of a vreg.
 func (p *Program) WidthOf(v VReg) int {

@@ -24,7 +24,7 @@ func TestBuilderBasics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if p.NumParams != 2 || p.ConstBytes() != ParamBase+16 {
+	if p.NumParams != 2 || p.ConstBytes() != sass.ParamBase+16 {
 		t.Errorf("params: %d, const bytes %d", p.NumParams, p.ConstBytes())
 	}
 	if p.WidthOf(in) != 2 || p.WidthOf(v) != 1 {
@@ -135,10 +135,10 @@ func TestWithPredGuardsEverything(t *testing.T) {
 func programOf(b *Builder) *Program { return b.p }
 
 func TestParamConstLayout(t *testing.T) {
-	if o := ParamConst(0, 0); o.Imm != ParamBase {
+	if o := ParamConst(0, 0); o.Imm != sass.ParamBase {
 		t.Errorf("param 0 at %#x", o.Imm)
 	}
-	if o := ParamConst(2, 1); o.Imm != ParamBase+20 {
+	if o := ParamConst(2, 1); o.Imm != sass.ParamBase+20 {
 		t.Errorf("param 2 high word at %#x", o.Imm)
 	}
 }

@@ -46,29 +46,33 @@ func BuildCFG(k *Kernel) (*CFG, error) {
 		return nil, fmt.Errorf("sass: cannot build CFG of empty kernel %q", k.Name)
 	}
 
-	// Leaders: entry, branch targets, and instructions after branches/exits.
+	// Leaders: the entry, every successor other than the fall-through
+	// (branch targets), and the instruction after a BRA, EXIT or RET.
+	cfg := &CFG{Kernel: k, blockOf: make([]int, n)}
 	leader := make([]bool, n)
 	leader[0] = true
+	var succ []int
 	for i := range k.Insts {
 		in := &k.Insts[i]
 		switch in.Op {
 		case OpBRA:
-			t := int(in.Target / InstBytes)
-			if t < 0 || t >= n {
+			if in.Target/InstBytes >= uint64(n) {
 				return nil, fmt.Errorf("sass: branch at %#x targets out-of-range PC %#x", in.PC, in.Target)
 			}
-			leader[t] = true
-			if i+1 < n {
-				leader[i+1] = true
-			}
+			fallthrough
 		case OpEXIT, OpRET:
 			if i+1 < n {
 				leader[i+1] = true
 			}
 		}
+		succ = cfg.succs(i, succ[:0])
+		for _, s := range succ {
+			if s != i+1 {
+				leader[s] = true
+			}
+		}
 	}
 
-	cfg := &CFG{Kernel: k, blockOf: make([]int, n)}
 	for i := 0; i < n; {
 		j := i + 1
 		for j < n && !leader[j] {
@@ -82,27 +86,14 @@ func BuildCFG(k *Kernel) (*CFG, error) {
 		i = j
 	}
 
-	// Edges.
+	// Edges: a block's successors are its last instruction's.
 	for bi := range cfg.Blocks {
 		b := &cfg.Blocks[bi]
-		last := &k.Insts[b.End-1]
-		addEdge := func(to int) {
+		succ = cfg.succs(b.End-1, succ[:0])
+		for _, s := range succ {
+			to := cfg.blockOf[s]
 			b.Succs = append(b.Succs, to)
 			cfg.Blocks[to].Preds = append(cfg.Blocks[to].Preds, bi)
-		}
-		switch last.Op {
-		case OpBRA:
-			addEdge(cfg.blockOf[int(last.Target/InstBytes)])
-			if last.Pred != PT && b.End < n {
-				// Conditional branch falls through too.
-				addEdge(cfg.blockOf[b.End])
-			}
-		case OpEXIT, OpRET:
-			// No successors.
-		default:
-			if b.End < n {
-				addEdge(cfg.blockOf[b.End])
-			}
 		}
 	}
 
@@ -112,8 +103,33 @@ func BuildCFG(k *Kernel) (*CFG, error) {
 	return cfg, nil
 }
 
-// BlockOf returns the block ID containing instruction index i.
-func (c *CFG) BlockOf(i int) int { return c.blockOf[i] }
+// Succs is the successor rule every control-flow analysis shares. It
+// appends to buf the indices of the instructions that can follow
+// instruction i of an n-instruction program: a BRA's target, plus the
+// next instruction when the branch is guarded; the next instruction
+// after a guarded EXIT or RET, which the threads that stay run, and none
+// after an unguarded one; the next instruction after anything else.
+// Nothing follows the last instruction.
+func Succs(buf []int, op Opcode, guarded bool, i, target, n int) []int {
+	next := i+1 < n
+	switch op {
+	case OpBRA:
+		buf = append(buf, target)
+		next = next && guarded
+	case OpEXIT, OpRET:
+		next = next && guarded
+	}
+	if next {
+		buf = append(buf, i+1)
+	}
+	return buf
+}
+
+// succs appends instruction i's successors (Succs) to buf.
+func (c *CFG) succs(i int, buf []int) []int {
+	in := &c.Kernel.Insts[i]
+	return Succs(buf, in.Op, in.Pred != PT, i, int(in.Target/InstBytes), len(c.Kernel.Insts))
+}
 
 // InLoop reports whether instruction index i is inside a natural loop —
 // the paper's "is the register inside a for-loop" check.

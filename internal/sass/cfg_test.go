@@ -110,8 +110,8 @@ func TestCFGDiamondPostDominators(t *testing.T) {
 		t.Errorf("diamond should have no loops, got %d", len(cfg.Loops))
 	}
 	// Straight-line blocks know their containing block.
-	if cfg.BlockOf(0) != 0 || cfg.BlockOf(5) != 3 {
-		t.Errorf("BlockOf wrong: %d %d", cfg.BlockOf(0), cfg.BlockOf(5))
+	if cfg.blockOf[0] != 0 || cfg.blockOf[5] != 3 {
+		t.Errorf("blockOf wrong: %d %d", cfg.blockOf[0], cfg.blockOf[5])
 	}
 }
 
@@ -123,26 +123,35 @@ func TestCFGBadBranch(t *testing.T) {
 	}
 }
 
-func TestLivenessLoop(t *testing.T) {
-	k := loopKernel()
+// liveOut solves the kernel's register liveness as ComputeLiveness does
+// and reports whether register r is live after each instruction.
+func liveOut(t *testing.T, k *Kernel) (*CFG, func(r Reg, i int) bool) {
+	t.Helper()
 	cfg, err := BuildCFG(k)
 	if err != nil {
 		t.Fatalf("BuildCFG: %v", err)
 	}
+	out := LiveOut(len(k.Insts), NumArchRegs, cfg.succs, regTransfer(k))
+	return cfg, func(r Reg, i int) bool { return out[i][r/64]>>(r%64)&1 != 0 }
+}
+
+func TestLivenessLoop(t *testing.T) {
+	k := loopKernel()
+	cfg, live := liveOut(t, k)
 	lv := ComputeLiveness(cfg)
 
 	// R6 (the accumulator) is live across the loop: after the FFMA at
 	// inst 3 it must be live (used by next iteration and the STG).
-	if !lv.LiveAt(6, 3) {
+	if !live(6, 3) {
 		t.Error("accumulator R6 should be live after inst 3")
 	}
 	// The loaded value R4 dies after its single use in inst 3.
-	if lv.LiveAt(4, 3) {
+	if live(4, 3) {
 		t.Error("R4 should be dead after its last use at inst 3")
 	}
 	// The address pair R2,R3 is live inside the loop (used by the LDG each
 	// iteration via the back edge).
-	if !lv.LiveAt(2, 3) || !lv.LiveAt(3, 3) {
+	if !live(2, 3) || !live(3, 3) {
 		t.Error("address pair R2,R3 should be live inside the loop")
 	}
 	// Pressure is positive inside the loop and bounded by NumRegs.
@@ -154,6 +163,47 @@ func TestLivenessLoop(t *testing.T) {
 	// (R4 becomes live).
 	if lv.ExtraRegs(2) < 1 {
 		t.Errorf("ExtraRegs(LDG) = %d, want >= 1", lv.ExtraRegs(2))
+	}
+}
+
+// TestGuardedExitFallsThrough: nvcc opens most kernels with a bounds
+// check, @P0 EXIT. The threads that stay run on, so the CFG, its loops
+// and liveness continue past it (Succs), as codegen's liveness does.
+func TestGuardedExitFallsThrough(t *testing.T) {
+	k := &Kernel{Name: "_Zbounds", Arch: "sm_70", NumRegs: 8}
+	k.Insts = []Inst{
+		/* 0 */ {Pred: PT, Op: OpS2R, Dst: []Operand{R(0)}, Src: []Operand{SR(SRTidX)}},
+		/* 1 */ {Pred: PT, Op: OpISETP, Mods: []string{"GE", "AND"}, Dst: []Operand{P(0), P(PT)},
+			Src: []Operand{R(0), Const(0, ParamBase), P(PT)}},
+		/* 2 */ {Pred: 0, Op: OpEXIT},
+		/* 3 */ {Pred: PT, Op: OpMOV, Dst: []Operand{R(2)}, Src: []Operand{Imm(0)}},
+		// Loop header: leave when R2 reaches 256.
+		/* 4 */ {Pred: PT, Op: OpISETP, Mods: []string{"GE", "AND"}, Dst: []Operand{P(1), P(PT)},
+			Src: []Operand{R(2), Imm(256), P(PT)}},
+		/* 5 */ {Pred: 1, Op: OpBRA, Target: 8 * InstBytes},
+		// Loop body: reads R0, then the back edge.
+		/* 6 */ {Pred: PT, Op: OpIADD3, Dst: []Operand{R(2)}, Src: []Operand{R(2), R(0), R(RZ)}},
+		/* 7 */ {Pred: PT, Op: OpBRA, Target: 4 * InstBytes},
+		/* 8 */ {Pred: PT, Op: OpEXIT},
+	}
+	k.RenumberPCs()
+	for i := range k.Insts {
+		k.Insts[i].Ctrl = DefaultCtrl()
+	}
+	cfg, live := liveOut(t, k)
+	if len(cfg.Loops) != 1 {
+		t.Fatalf("got %d loops, want 1 (the header at inst 4)", len(cfg.Loops))
+	}
+	for i := 4; i <= 7; i++ {
+		if !cfg.InLoop(i) {
+			t.Errorf("inst %d should be in the loop", i)
+		}
+	}
+	if !live(0, 2) {
+		t.Error("R0 is read in the loop, so it is live after the guarded EXIT")
+	}
+	if p := ComputeLiveness(cfg).PressureAt(2); p < 1 {
+		t.Errorf("pressure after the guarded EXIT = %d, want at least 1 (R0)", p)
 	}
 }
 

@@ -97,9 +97,11 @@ func (in *Inst) Mnemonic() string {
 // WidthBytes returns the per-thread access width of a memory instruction
 // in bytes: 4 by default, 8 with a ".64" modifier, 16 with ".128".
 // Texture fetches return the texel size (4).
-func (in *Inst) WidthBytes() int { return widthBytes(in.Mods) }
+func (in *Inst) WidthBytes() int { return WidthBytes(in.Mods) }
 
-func widthBytes(mods []string) int {
+// WidthBytes is the access-width rule over dot modifiers, the inverse of
+// WidthMods: 16 with ".128", 8 with ".64", 4 otherwise.
+func WidthBytes(mods []string) int {
 	switch {
 	case slices.Contains(mods, "128"):
 		return 16
@@ -110,6 +112,21 @@ func widthBytes(mods []string) int {
 	}
 }
 
+// WidthMods returns the dot modifiers that give a memory access a width
+// of n bytes: none for 4, ".64" for 8, ".128" for 16. ok is false for
+// any other width, which no SASS access has.
+func WidthMods(n int) (mods []string, ok bool) {
+	switch n {
+	case 4:
+		return nil, true
+	case 8:
+		return []string{"64"}, true
+	case 16:
+		return []string{"128"}, true
+	}
+	return nil, false
+}
+
 // IsVectorized reports whether a global load/store uses a 64- or 128-bit
 // access (the §4.1 optimization target).
 func (in *Inst) IsVectorized() bool { return in.HasMod("64") || in.HasMod("128") }
@@ -117,7 +134,10 @@ func (in *Inst) IsVectorized() bool { return in.HasMod("64") || in.HasMod("128")
 // IsNC reports whether a global load is routed through the read-only
 // (non-coherent / texture) data cache — the compiled form of
 // const __restrict__ pointers (§4.5).
-func (in *Inst) IsNC() bool { return in.HasMod("NC") || in.HasMod("CI") }
+func (in *Inst) IsNC() bool { return NC(in.Mods) }
+
+// NC is the read-only rule over dot modifiers: ".NC" or ".CI".
+func NC(mods []string) bool { return slices.Contains(mods, "NC") || slices.Contains(mods, "CI") }
 
 // MemOperand returns the memory operand of a load/store and true, or a zero
 // Operand and false when the instruction has none.
@@ -163,11 +183,11 @@ func OperandWords(op Opcode, mods []string) (dst, src, last int) {
 	case c == ClassFP64:
 		dst, src = 2, 2
 	case IsLoad(op):
-		dst = widthBytes(mods) / 4
+		dst = WidthBytes(mods) / 4
 	case IsStore(op) || op == OpRED:
-		src = widthBytes(mods) / 4
+		src = WidthBytes(mods) / 4
 	case op == OpATOM || op == OpATOMS:
-		dst = widthBytes(mods) / 4
+		dst = WidthBytes(mods) / 4
 		src = dst
 	}
 	return dst, src, src

@@ -24,6 +24,10 @@ type Kernel struct {
 	Source     []string
 }
 
+// ParamBase is the constant-bank offset of the kernel parameter area,
+// matching the layout real CUDA drivers use on Volta.
+const ParamBase = 0x160
+
 // InstAt returns the instruction at the given PC, or nil.
 func (k *Kernel) InstAt(pc uint64) *Inst {
 	i := int(pc / InstBytes)
@@ -76,10 +80,9 @@ func (k *Kernel) Lines() []int {
 	return lines
 }
 
-// RenumberPCs assigns dense PCs (i*InstBytes) to all instructions and
-// retargets branches that referred to instruction indices. It must be
-// called by builders after instruction insertion/removal; Target fields
-// are assumed to already hold final PCs and are left untouched.
+// RenumberPCs assigns dense PCs (i*InstBytes) to all instructions, as
+// Validate requires after instructions are inserted or removed. It does
+// not retarget branches: Target fields must already hold final PCs.
 func (k *Kernel) RenumberPCs() {
 	for i := range k.Insts {
 		k.Insts[i].PC = uint64(i) * InstBytes

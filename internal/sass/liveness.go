@@ -7,11 +7,6 @@ import "math/bits"
 // of additional registers needed by each SASS instruction" (§4.1); both are
 // computed here from a standard backward dataflow over the CFG.
 type Liveness struct {
-	cfg *CFG
-
-	// liveOut[i] is the set of registers live immediately after
-	// instruction i, as a bitset over R0..R254.
-	liveOut []regSet
 	// pressure[i] = |live-out(i)|: the live register pressure at i.
 	pressure []int
 	// extra[i] = max(0, |live-out(i)| - |live-in(i)|): registers newly
@@ -19,116 +14,86 @@ type Liveness struct {
 	extra []int
 }
 
-const regSetWords = (NumArchRegs + 63) / 64
-
-type regSet [regSetWords]uint64
-
-func (s *regSet) add(r Reg) {
-	if r == RZ {
-		return
+// LiveOut is the one backward-liveness solver: the least fixpoint over n
+// nodes whose facts are sets of width bits, returned as each node's
+// live-out bitset. succs appends node i's successors to buf; transfer
+// turns node i's live-out set into its live-in set in place. Nodes are
+// visited last to first, so straight-line code is final after one pass
+// (a second finds no change) and each back edge may cost another.
+func LiveOut(n, width int, succs func(i int, buf []int) []int, transfer func(i int, live []uint64)) [][]uint64 {
+	words := (width + 63) / 64
+	slab := make([]uint64, 2*n*words)
+	out := make([][]uint64, n)
+	for i := range out {
+		out[i] = slab[i*words : (i+1)*words : (i+1)*words]
 	}
-	s[r/64] |= 1 << (r % 64)
-}
-
-func (s *regSet) remove(r Reg) {
-	if r == RZ {
-		return
-	}
-	s[r/64] &^= 1 << (r % 64)
-}
-
-func (s *regSet) has(r Reg) bool {
-	if r == RZ {
-		return false
-	}
-	return s[r/64]&(1<<(r%64)) != 0
-}
-
-func (s *regSet) union(o regSet) (changed bool) {
-	for i := range s {
-		n := s[i] | o[i]
-		if n != s[i] {
-			s[i] = n
-			changed = true
+	in := func(i int) []uint64 { return slab[(n+i)*words : (n+i+1)*words] }
+	live := make([]uint64, words)
+	var buf []int
+	for changed := true; changed; {
+		changed = false
+		for i := n - 1; i >= 0; i-- {
+			buf = succs(i, buf[:0])
+			for _, s := range buf {
+				for w, x := range in(s) {
+					out[i][w] |= x
+				}
+			}
+			copy(live, out[i])
+			transfer(i, live)
+			for w, x := range live {
+				if x&^in(i)[w] != 0 {
+					in(i)[w] |= x
+					changed = true
+				}
+			}
 		}
 	}
-	return changed
+	return out
 }
 
-func (s *regSet) count() int {
+// regTransfer is the transfer over architectural registers: an
+// instruction kills what it writes, then makes live what it reads. RZ is
+// never live.
+func regTransfer(k *Kernel) func(i int, live []uint64) {
+	var scratch []Reg
+	return func(i int, live []uint64) {
+		in := &k.Insts[i]
+		scratch = in.DstRegs(scratch[:0])
+		for _, r := range scratch {
+			live[r/64] &^= 1 << (r % 64)
+		}
+		scratch = in.SrcRegs(scratch[:0])
+		for _, r := range scratch {
+			if r != RZ {
+				live[r/64] |= 1 << (r % 64)
+			}
+		}
+	}
+}
+
+// ComputeLiveness runs backward liveness over the kernel's CFG.
+func ComputeLiveness(cfg *CFG) *Liveness {
+	n := len(cfg.Kernel.Insts)
+	lv := &Liveness{pressure: make([]int, n), extra: make([]int, n)}
+	transfer := regTransfer(cfg.Kernel)
+	out := LiveOut(n, NumArchRegs, cfg.succs, transfer)
+	live := make([]uint64, len(out[0]))
+	for i, o := range out {
+		copy(live, o)
+		transfer(i, live)
+		lv.pressure[i] = count(o)
+		lv.extra[i] = max(0, lv.pressure[i]-count(live))
+	}
+	return lv
+}
+
+func count(s []uint64) int {
 	n := 0
 	for _, w := range s {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// ComputeLiveness runs backward liveness over the kernel's CFG.
-func ComputeLiveness(cfg *CFG) *Liveness {
-	k := cfg.Kernel
-	n := len(k.Insts)
-	lv := &Liveness{
-		cfg:      cfg,
-		liveOut:  make([]regSet, n),
-		pressure: make([]int, n),
-		extra:    make([]int, n),
-	}
-
-	// Per-block live-in sets, iterated to fixpoint.
-	nb := len(cfg.Blocks)
-	blockLiveIn := make([]regSet, nb)
-	var scratch []Reg
-
-	transfer := func(b *Block, liveOutEnd regSet, record bool) regSet {
-		live := liveOutEnd
-		for i := b.End - 1; i >= b.Start; i-- {
-			in := &k.Insts[i]
-			if record {
-				lv.liveOut[i] = live
-				lv.pressure[i] = live.count()
-			}
-			before := live
-			for _, r := range in.DstRegs(scratch[:0]) {
-				live.remove(r)
-			}
-			for _, r := range in.SrcRegs(scratch[:0]) {
-				live.add(r)
-			}
-			if record {
-				outN := before.count()
-				inN := live.count()
-				if d := outN - inN; d > 0 {
-					lv.extra[i] = d
-				}
-			}
-		}
-		return live
-	}
-
-	changed := true
-	for changed {
-		changed = false
-		for bi := nb - 1; bi >= 0; bi-- {
-			b := &cfg.Blocks[bi]
-			var out regSet
-			for _, s := range b.Succs {
-				out.union(blockLiveIn[s])
-			}
-			in := transfer(b, out, false)
-			if blockLiveIn[bi].union(in) {
-				changed = true
-			}
-		}
-	}
-	for bi := range cfg.Blocks {
-		b := &cfg.Blocks[bi]
-		var out regSet
-		for _, s := range b.Succs {
-			out.union(blockLiveIn[s])
-		}
-		transfer(b, out, true)
-	}
-	return lv
 }
 
 // PressureAt returns the live register pressure immediately after
@@ -149,7 +114,3 @@ func (lv *Liveness) MaxPressure() (max, at int) {
 	}
 	return max, at
 }
-
-// LiveAt reports whether register r is live immediately after
-// instruction index i.
-func (lv *Liveness) LiveAt(r Reg, i int) bool { return lv.liveOut[i].has(r) }

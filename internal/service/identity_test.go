@@ -179,20 +179,20 @@ func TestCacheKeyVectors(t *testing.T) {
 		want                     string
 	}{
 		{"static", k, "sm_70", "static", scout.Options{DryRun: true}, false, false,
-			"c836d3c8407353c67dc62f92e51af7579364a56521a6d6d38cb4b39a6c81b50d"},
+			"46de16884b8a73d42c293ff8ad09608078da42339d6d61f4e47edef40eacd13e"},
 		{"simulated", k, "sm_70", simulated, scout.Options{Sim: sim.Config{SampleSMs: 2}}, false, false,
-			"34b504bb9029e9b3b90323ced2325c73caf5d1d03a419c1f6d5b161845a7bfb5"},
+			"98f757b24775044bcc7c025ca0ab4ed3d4e543149647f71af976bec8cf0433a8"},
 		{"every report knob", k, "sm_70", simulated,
 			scout.Options{SamplingPeriod: 512, StallSlices: true, Sim: sim.Config{SampleSMs: 2}}, true, true,
-			"428cd255a0f251e8cb3266ac3ae24955f8d4fdbb4a1fe036ff45a4ebaf672ecf"},
+			"7b16997fbb2cd3756a0bc0aa29539c261a10a04c64826a2d3de74b22ca8b88e5"},
 		{"arch compare", k, "sm_80", "workload=sgemm_shared scale=64 archcmp=sm_80",
 			scout.Options{Sim: sim.Config{SampleSMs: 1, Workers: 4, MaxCycles: 1e6}}, true, false,
-			"bed923dc7c94c3f53eefa60ae94ea705037a96a32ac9e04f1ce1c39a24381a08"},
+			"f694d07c5ee930552e8d13ad8f79ad7e38363791ecc8b5ce583faadec1f789cb"},
 		{"excluded fields set", k, "sm_70", simulated,
 			scout.Options{Sim: sim.Config{SampleSMs: 2, Workers: 8}}, false, false,
-			"34b504bb9029e9b3b90323ced2325c73caf5d1d03a419c1f6d5b161845a7bfb5"},
+			"98f757b24775044bcc7c025ca0ab4ed3d4e543149647f71af976bec8cf0433a8"},
 		{"empty kernel", "", "sm_60", "static", scout.Options{}, false, true,
-			"133cd9aeeb58ca2f52ab972bc71a94fdbb8f27cf59be18ca768df8bc0350b836"},
+			"c4e557780d662ada148d42d802ed46098d5ba7ec5a11a745d6a3d0a7c8231738"},
 	} {
 		if got := CacheKey(v.sass, v.arch, v.launch, v.opts, v.verify, v.sensitivity); got != v.want {
 			t.Errorf("%s: CacheKey = %s, want %s", v.name, got, v.want)

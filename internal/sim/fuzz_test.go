@@ -52,7 +52,7 @@ func FuzzLaunch(f *testing.F) {
 		launchOn := func(arch gpu.Arch, record bool) (*Result, *Recording, error) {
 			dev := NewDevice(arch)
 			buf := dev.MustAlloc(64 << 10)
-			params := make([]uint64, max(1, min(16, (k.ConstBytes-paramBase)/8)))
+			params := make([]uint64, max(1, min(16, (k.ConstBytes-sass.ParamBase)/8)))
 			for i := range params {
 				params[i] = buf.Addr
 			}

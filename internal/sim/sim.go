@@ -47,7 +47,7 @@ type LaunchSpec struct {
 	Block  Dim3
 	// Params are the kernel's 8-byte argument slots (pointers as device
 	// addresses, 32-bit scalars in the low word), written to the constant
-	// bank at kasm.ParamBase.
+	// bank at sass.ParamBase.
 	Params []uint64
 }
 
@@ -112,10 +112,6 @@ const (
 	maxConstBytes = 64 << 10
 )
 
-// paramBase mirrors kasm.ParamBase without importing it (sim is below
-// kasm in the package DAG).
-const paramBase = 0x160
-
 // Launch runs the kernel on the device and returns timing, stalls and
 // counters. Functional effects (buffer contents, atomics) are applied to
 // the device memory.
@@ -174,9 +170,9 @@ func launch(ctx context.Context, dev *Device, spec LaunchSpec, cfg Config, recor
 	}
 
 	// Parameter area in constant bank 0.
-	e.constMem = make([]byte, max(paramBase+8*len(spec.Params), k.ConstBytes))
+	e.constMem = make([]byte, max(sass.ParamBase+8*len(spec.Params), k.ConstBytes))
 	for i, p := range spec.Params {
-		binary.LittleEndian.PutUint64(e.constMem[paramBase+8*i:], p)
+		binary.LittleEndian.PutUint64(e.constMem[sass.ParamBase+8*i:], p)
 	}
 
 	if e.code, err = e.decode(); err != nil {
