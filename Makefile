@@ -55,8 +55,9 @@ bench-sass:
 # benchmark's scale, recorded once, then every cell's SMs timed per
 # iteration as the sweep times them, one Recording.Finish each (a replay
 # unless the SM is proved inert); rec_B is the recordings' bytes. Add
-# -cpuprofile to see where replay time goes. CI's build-test job runs it
-# at BENCHTIME=1x (~3 s).
+# -cpuprofile to see where replay time goes: a Finish replay attributes
+# no stalls, so past the recording set-up the profile is the timing
+# model alone. CI's build-test job runs it at BENCHTIME=1x (~3 s).
 bench-replay:
 	$(GO) test ./internal/sim -run '^$$' -bench Replay -benchmem -benchtime $(BENCHTIME)
 

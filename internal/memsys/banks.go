@@ -2,12 +2,14 @@ package memsys
 
 import "math/bits"
 
-// BankScratch holds reusable buffers for the conflict calculators so the
-// simulator's hot path computes conflicts without heap allocation. The
-// zero value is ready to use; buffers grow on first use and are retained.
+// BankScratch holds the conflict calculators' buffers inline, so that
+// computing conflicts allocates nothing, in the simulator's hot path or in
+// a BankScratch on a caller's stack: the zero value is ready to use. An
+// access of 32 lanes of 16 bytes fills words; more than 64 banks take
+// a transient slice.
 type BankScratch struct {
-	words   []uint64 // distinct word addresses of one access
-	perBank []int    // transaction count per bank
+	words   [32 * 4]uint64 // distinct word addresses of one access
+	perBank [64]int        // transaction count per bank
 }
 
 // BankConflicts computes how many serialized transactions a warp's
@@ -44,7 +46,6 @@ func (s *BankScratch) BankConflicts(numBanks int, addrs []uint64, mask uint32, w
 			}
 		}
 	}
-	s.words = words
 	if len(words) == 0 {
 		return 0
 	}
@@ -61,14 +62,11 @@ func (s *BankScratch) BankConflicts(numBanks int, addrs []uint64, mask uint32, w
 }
 
 func (s *BankScratch) bankCounts(numBanks int) []int {
-	if cap(s.perBank) < numBanks {
-		s.perBank = make([]int, numBanks)
+	if numBanks > len(s.perBank) {
+		return make([]int, numBanks)
 	}
-	s.perBank = s.perBank[:numBanks]
-	for i := range s.perBank {
-		s.perBank[i] = 0
-	}
-	return s.perBank
+	clear(s.perBank[:numBanks])
+	return s.perBank[:numBanks]
 }
 
 // AtomicConflicts computes the serialization factor of a warp's shared

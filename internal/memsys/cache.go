@@ -8,6 +8,8 @@ package memsys
 import (
 	"fmt"
 	"math/bits"
+
+	"gpuscout/internal/gpu"
 )
 
 // CacheConfig sizes a sectored, set-associative, write-through cache.
@@ -40,6 +42,19 @@ type Cache struct {
 	// (addr & lineMask) >> sectorShift.
 	lineShift, sectorShift uint
 	lineMask               uint64
+	// A line's tag, line / sets, is line >> setShift when sets is a power
+	// of two (magic 0), else a multiply by sets' reciprocal (see split).
+	magic    uint64
+	setShift uint
+}
+
+// SMCaches returns a's geometry of one SM's L1 and of its slice of the
+// chip's L2: an even share of the L2 in whole sets, at least one.
+func SMCaches(a *gpu.Arch) (l1, l2 CacheConfig) {
+	set := a.L2LineBytes * a.L2Ways
+	slice := max(a.L2Bytes/a.NumSMs/set*set, set)
+	return CacheConfig{Name: "l1tex", TotalBytes: a.L1Bytes, LineBytes: a.L1LineBytes, SectorBytes: a.L1SectorBytes, Ways: a.L1Ways},
+		CacheConfig{Name: "lts", TotalBytes: slice, LineBytes: a.L2LineBytes, SectorBytes: a.L1SectorBytes, Ways: a.L2Ways}
 }
 
 // NewCache builds a cache; it panics on geometry it cannot cut — a line
@@ -55,7 +70,7 @@ func NewCache(cfg CacheConfig) *Cache {
 			cfg.Name, cfg.TotalBytes, cfg.Ways, cfg.LineBytes))
 	}
 	sets := cfg.TotalBytes / (cfg.LineBytes * cfg.Ways)
-	return &Cache{
+	c := &Cache{
 		cfg:         cfg,
 		sets:        uint64(sets),
 		lines:       make([]cacheLine, sets*cfg.Ways),
@@ -63,6 +78,33 @@ func NewCache(cfg CacheConfig) *Cache {
 		sectorShift: uint(bits.TrailingZeros(uint(cfg.SectorBytes))),
 		lineMask:    uint64(cfg.LineBytes - 1),
 	}
+	// With s the bit length of sets, magic is ⌈2^(64+s)/sets⌉ - 2^64: the
+	// round-up reciprocal that makes ⌊line·(2^64+magic) / 2^(64+s)⌋ equal
+	// line / sets for every 64-bit line (Granlund and Montgomery, "Division
+	// by invariant integers using multiplication", 1994: the divide a
+	// compiler emits for a constant divisor). 2^s - sets < sets keeps the
+	// 128-by-64 divide in range.
+	s := uint(bits.Len64(c.sets))
+	c.setShift = s - 1
+	if !pow2(sets) {
+		var rem uint64
+		c.magic, rem = bits.Div64(1<<s-c.sets, 0, c.sets)
+		if rem != 0 {
+			c.magic++
+		}
+	}
+	return c
+}
+
+// split returns line / sets and line % sets. Since magic < 2^64, hi ≤
+// line, so (line-hi)>>1 + hi is ⌊(line+hi)/2⌋ without the 65th bit.
+func (c *Cache) split(line uint64) (tag, set uint64) {
+	tag = line >> c.setShift
+	if c.magic != 0 {
+		hi, _ := bits.Mul64(c.magic, line)
+		tag = ((line-hi)>>1 + hi) >> c.setShift
+	}
+	return tag, line - tag*c.sets
 }
 
 // pow2 reports whether n is a positive power of two.
@@ -71,14 +113,21 @@ func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 // Fits reports whether no set is asked for more of lines (distinct address
 // / LineBytes; never for a set geometry NewCache refuses) than it has ways:
 // then it never evicts them, and hits exactly when an unbounded cache would.
+// The per-set counts of up to 1024 sets, every modelled geometry's, live
+// on the stack.
 func (cfg CacheConfig) Fits(lines []uint64) bool {
 	if cfg.LineBytes <= 0 || cfg.Ways <= 0 || cfg.TotalBytes <= 0 || cfg.TotalBytes%(cfg.LineBytes*cfg.Ways) != 0 {
 		return false
 	}
-	perSet := make([]int, cfg.TotalBytes/(cfg.LineBytes*cfg.Ways))
+	var counts [1024]int32
+	sets := cfg.TotalBytes / (cfg.LineBytes * cfg.Ways)
+	perSet := counts[:min(sets, len(counts))]
+	if sets > len(counts) {
+		perSet = make([]int32, sets)
+	}
 	for _, l := range lines {
-		set := int(l) % len(perSet)
-		if perSet[set]++; perSet[set] > cfg.Ways {
+		set := l % uint64(sets)
+		if perSet[set]++; int(perSet[set]) > cfg.Ways {
 			return false
 		}
 	}
@@ -106,9 +155,8 @@ func (c *Cache) SectorBit(addr uint64) uint32 {
 // per sector.
 func (c *Cache) AccessLine(addr uint64, sectors uint32) (hits uint32) {
 	c.clock += uint64(bits.OnesCount32(sectors))
-	line := addr >> c.lineShift
-	tag := line / c.sets
-	set := c.lines[int(line-tag*c.sets)*c.cfg.Ways:][:c.cfg.Ways]
+	tag, s := c.split(addr >> c.lineShift)
+	set := c.lines[int(s)*c.cfg.Ways:][:c.cfg.Ways]
 	victim := 0
 	for w := range set {
 		l := &set[w]

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"gpuscout/internal/gpu"
 )
 
 func testCache() *Cache {
@@ -123,6 +125,49 @@ func TestAccessLineMatchesSectors(t *testing.T) {
 			}
 			if one.clock != grouped.clock || !slices.Equal(one.lines, grouped.lines) {
 				t.Fatalf("%s run %d: cache state differs after a grouped access", cfg.Name, run)
+			}
+		}
+	}
+}
+
+// TestSplitMatchesDivide: a cache cuts a line into tag and set with a
+// shift or a multiply by its reciprocal, never a divide, and must get
+// exactly line / sets and line % sets. Checked for every architecture's
+// L1 and L2 slice, as recorded and under every perturbation (V100's slice
+// has 38 sets, A100's 189, A100's L1 at half capacity 125), and for every
+// set count up to 4096, over the line numbers around multiples of the set
+// count, around powers of two, at the top of the range and at random.
+func TestSplitMatchesDivide(t *testing.T) {
+	var sets []uint64
+	for _, a := range []gpu.Arch{gpu.V100(), gpu.P100(), gpu.A100()} {
+		archs := []gpu.Arch{a}
+		for _, p := range gpu.Perturbations() {
+			archs = append(archs, p.Apply(a))
+		}
+		for _, arch := range archs {
+			l1, l2 := SMCaches(&arch)
+			for _, cfg := range []CacheConfig{l1, l2} {
+				sets = append(sets, NewCache(cfg).sets)
+			}
+		}
+	}
+	for d := uint64(1); d <= 4096; d++ {
+		sets = append(sets, d)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, d := range sets {
+		c := NewCache(CacheConfig{TotalBytes: int(d) * 128, LineBytes: 128, SectorBytes: 32, Ways: 1})
+		lines := []uint64{0, 1, d - 1, d, d + 1, 2*d - 1, 2 * d, ^uint64(0), ^uint64(0) - d, ^uint64(0) / d * d, ^uint64(0)/d*d - 1}
+		for b := 1; b < 64; b++ {
+			p := uint64(1) << b
+			lines = append(lines, p-1, p, p+1, p/d*d, p/d*d-1)
+		}
+		for range 200 {
+			lines = append(lines, rng.Uint64()>>rng.Intn(64))
+		}
+		for _, l := range lines {
+			if tag, set := c.split(l); tag != l/d || set != l%d {
+				t.Fatalf("%d sets: line %d splits into tag %d, set %d; want %d, %d", d, l, tag, set, l/d, l%d)
 			}
 		}
 	}

@@ -596,6 +596,11 @@ func TestQueuedMissFindsDiskReport(t *testing.T) {
 		}
 		j, _ := svc.Job(acc.JobID)
 		jobs = append(jobs, j)
+		// The queue holds one job: the twin is submitted once the worker
+		// has taken the first (whose attempt the fault holds for 100 ms).
+		for j.StateNow() == StateQueued {
+			time.Sleep(time.Millisecond)
+		}
 	}
 	for _, j := range jobs {
 		<-j.Done()

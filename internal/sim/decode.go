@@ -88,6 +88,9 @@ type operand struct {
 	sr   sass.SpecialReg
 	bits uint64
 	neg  bool
+	// uni is a lane-invariant 32-bit source's row, every lane bits, when
+	// bits is not 0 (see decode).
+	uni *[32]uint32
 }
 
 // get reads the operand for one lane: zero-extended for a 32-bit source,
@@ -119,12 +122,14 @@ func (o *operand) getOther(w *warp, lane int) uint64 {
 }
 
 // row returns the operand's value in every lane as one row: a register
-// row itself when nothing applies to it, a special register's row, else t
-// holding the values.
+// row itself when nothing applies to it, a lane-invariant value's row, a
+// special register's row, else t holding the values.
 func (o *operand) row(w *warp, t *[32]uint32) *[32]uint32 {
 	switch {
 	case o.kind == kindReg && o.bits == 0:
 		return &w.regs[o.reg]
+	case o.uni != nil:
+		return o.uni
 	case o.kind == kindSpecial:
 		return w.sregs[o.sr-sass.SRTidX]
 	}
@@ -257,9 +262,10 @@ func (e *engine) decode() ([]decoded, error) {
 	}
 	insts := e.kernel.Insts
 	code := make([]decoded, len(insts))
-	// Views carved before an append regrows flat stay valid: their
+	// Views carved before an append regrows flat or uni stay valid: their
 	// contents are final, the old backing array just lives on with them.
 	var flat []sass.Reg
+	var uni [][32]uint32
 	zero := e.uniform(0, 1)
 	for i := range insts {
 		in, d := &insts[i], &code[i]
@@ -278,6 +284,17 @@ func (e *engine) decode() ([]decoded, error) {
 		}
 		if err := e.decodeInst(d); err != nil {
 			return nil, fmt.Errorf("sim: kernel %s at PC %#x: %w", e.kernel.Name, in.PC, err)
+		}
+		// A lane-invariant 32-bit source reads the zero row XOR bits: its
+		// row is built here once, not per issue.
+		for j := range d.src {
+			if o := &d.src[j]; o.kind == kindReg && o.reg == zero.reg && o.bits != 0 {
+				uni = append(uni, [32]uint32{})
+				o.uni = &uni[len(uni)-1]
+				for l := range o.uni {
+					o.uni[l] = uint32(o.bits)
+				}
+			}
 		}
 	}
 	return code, nil

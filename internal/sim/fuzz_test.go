@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -29,7 +30,9 @@ func replay(rec *Recording, arch gpu.Arch) (*Result, error) {
 // recording must return the Result (wall time excepted) — cycles, every
 // counter and stall integral — of the recorded launch on the same arch,
 // and of a launch on a fresh device under every gpu.Perturbations cell:
-// the record/replay seam loses nothing the timing model reads. The
+// the record/replay seam loses nothing the timing model reads. Finish,
+// which replays one SM without counting, must fail as that replay does
+// or return its SMFinish bit for bit (the launch samples one SM). The
 // committed seeds (testdata/fuzz/FuzzLaunch) are the disassembly of every
 // registered workload on sm_70 and sm_80 plus the kernels that used to
 // crash the executor (RZ as a register pair, a read beyond regs=, a
@@ -68,8 +71,15 @@ func FuzzLaunch(f *testing.F) {
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s: replay error %v, launch error %v", cell, err, wantErr)
 			}
+			cycles, _, ferr := rec.Finish(context.Background(), a, 0)
+			if fmt.Sprint(ferr) != fmt.Sprint(err) {
+				t.Fatalf("%s: Finish error %v, replay error %v", cell, ferr, err)
+			}
 			if err != nil {
 				return
+			}
+			if math.Float64bits(cycles) != math.Float64bits(got.SMFinish[0]) {
+				t.Errorf("%s: Finish returns %v cycles, the replay's SM finished at %v", cell, cycles, got.SMFinish[0])
 			}
 			want.Host, got.Host = HostStats{}, HostStats{}
 			if !reflect.DeepEqual(want, got) {

@@ -95,7 +95,9 @@ func TestInertRefusesOtherFields(t *testing.T) {
 
 // TestInertL1SetOverflow: five lines 16 KiB apart share one set of the
 // halved L1 (128 sets of 4 ways) and spread over two sets of the V100's
-// 256 and 512: halving the L1 must be refused, doubling it proved.
+// 256 and 512: halving the L1 must be refused, doubling it proved. Five
+// lines 32 KiB apart share one set of the V100's own L1, so the recording
+// evicted and doubling the L1 must be refused as well.
 func TestInertL1SetOverflow(t *testing.T) {
 	rec := recordStride(t, gpu.V100().L1Ways+1, 14, false)
 	if rec.inert(perturbed(t, "l1_capacity/down"), 0) {
@@ -103,6 +105,9 @@ func TestInertL1SetOverflow(t *testing.T) {
 	}
 	if !rec.inert(perturbed(t, "l1_capacity/up"), 0) {
 		t.Error("l1_capacity/up refused though no set of either geometry overflows")
+	}
+	if recordStride(t, gpu.V100().L1Ways+1, 15, false).inert(perturbed(t, "l1_capacity/up"), 0) {
+		t.Error("l1_capacity/up proved inert with ways+1 lines in one set of the recorded L1")
 	}
 }
 

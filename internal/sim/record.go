@@ -46,6 +46,8 @@ type smRecording struct {
 	over   bool         // the budget ran out; the streams were dropped
 	finish float64      // the SM's finish cycle (see seal)
 	lines  []uint64     // the footprint (see seal)
+	// Whether the recorded L1 and L2 slice fit the footprint (see inert).
+	l1Fits, l2Fits bool
 }
 
 type warpStream struct {
@@ -169,9 +171,10 @@ func readsBeforeOverwrite(code []decoded, from int, reg sass.Reg) bool {
 }
 
 // seal ends SM i's part of the recording, the SM having finished at now:
-// unless the budget ran out it keeps now and the SM's footprint — the L1
+// unless the budget ran out it keeps now, the SM's footprint — the L1
 // lines, sorted and distinct, of the sectors its global, local and
-// texture accesses touched (all its L1 and L2 slice can have held).
+// texture accesses touched (all its L1 and L2 slice can have held) — and
+// whether the recorded caches fit it, which every inert call asks.
 func (r *Recording) seal(i int, now float64) bool {
 	sm := &r.sms[i]
 	if sm.over {
@@ -195,6 +198,9 @@ func (r *Recording) seal(i int, now float64) bool {
 	}
 	slices.Sort(sm.lines)
 	sm.lines = slices.Clip(slices.Compact(sm.lines))
+	l1, l2 := memsys.SMCaches(&r.arch)
+	sm.l1Fits = l1.Fits(sm.lines)
+	sm.l2Fits = l2.LineBytes == l1.LineBytes && l2.Fits(sm.lines)
 	return true
 }
 
@@ -211,11 +217,10 @@ func (r *Recording) inert(arch gpu.Arch, i int) bool {
 	if was != arch {
 		return false
 	}
-	l1, l2 := caches(&r.arch)
-	pl1, pl2 := caches(&arch)
+	l1, l2 := memsys.SMCaches(&r.arch)
+	pl1, pl2 := memsys.SMCaches(&arch)
 	sm := &r.sms[i]
-	if l1 != pl1 && !(l1.Fits(sm.lines) && pl1.Fits(sm.lines)) ||
-		l2 != pl2 && !(l2.LineBytes == l1.LineBytes && l2.Fits(sm.lines) && pl2.Fits(sm.lines)) {
+	if l1 != pl1 && !(sm.l1Fits && pl1.Fits(sm.lines)) || l2 != pl2 && !(sm.l2Fits && pl2.Fits(sm.lines)) {
 		return false
 	}
 	var banks memsys.BankScratch
@@ -273,6 +278,7 @@ func (r *Recording) Finish(ctx context.Context, arch gpu.Arch, i int) (cycles fl
 	if err != nil {
 		return 0, true, err
 	}
+	e.cyclesOnly = true
 	sm := e.newSM(i)
 	err = e.runSM(e.ctx, sm, r.plans[i].blocks)
 	return sm.now, true, err

@@ -101,6 +101,9 @@ type engine struct {
 	// outcome from instead of executing it.
 	rec    *Recording
 	replay bool
+	// cyclesOnly drops stall attribution, which no timing decision reads:
+	// Finish wants the SM's finish cycle alone.
+	cyclesOnly bool
 }
 
 // Bounds on what a kernel header may declare, for the host's sake (like
@@ -349,33 +352,31 @@ func (e *engine) newSM(i int) *smState {
 	if e.rec != nil {
 		rec = &e.rec.sms[i]
 	}
-	l1, l2 := caches(a)
+	var counters *Counters
+	if e.cyclesOnly {
+		counters = &Counters{}
+	} else {
+		counters = newCounters(len(e.kernel.Insts))
+	}
+	l1, l2 := memsys.SMCaches(a)
 	return &smState{
-		id:       p.id,
-		gidBase:  p.gidBase,
-		nextGid:  p.gidBase,
-		rec:      rec,
-		counters: newCounters(len(e.kernel.Insts)),
-		l1:       memsys.NewCache(l1),
-		l2:       memsys.NewCache(l2),
-		lsu:      memsys.NewBandwidth(float64(a.L1SectorBytes)), // 1 sector/cycle
-		texu:     memsys.NewBandwidth(float64(a.L1SectorBytes)), // 1 sector/cycle
-		mio:      memsys.NewBandwidth(1),                        // 1 transaction/cycle
-		l2bw:     memsys.NewBandwidth(a.L2BWBytes / float64(a.NumSMs)),
-		dram:     memsys.NewBandwidth(a.DRAMBWBytes / float64(a.NumSMs)),
+		id:         p.id,
+		gidBase:    p.gidBase,
+		nextGid:    p.gidBase,
+		rec:        rec,
+		counters:   counters,
+		cyclesOnly: e.cyclesOnly,
+		l1:         memsys.NewCache(l1),
+		l2:         memsys.NewCache(l2),
+		lsu:        memsys.NewBandwidth(float64(a.L1SectorBytes)), // 1 sector/cycle
+		texu:       memsys.NewBandwidth(float64(a.L1SectorBytes)), // 1 sector/cycle
+		mio:        memsys.NewBandwidth(1),                        // 1 transaction/cycle
+		l2bw:       memsys.NewBandwidth(a.L2BWBytes / float64(a.NumSMs)),
+		dram:       memsys.NewBandwidth(a.DRAMBWBytes / float64(a.NumSMs)),
 
 		lsuMiss: mshrTracker{capacity: a.LSUMSHRs},
 		texMiss: mshrTracker{capacity: a.TEXMSHRs},
 	}
-}
-
-// caches returns a's geometry of an SM's L1 and L2 slice: newSM's and inert's.
-func caches(a *gpu.Arch) (l1, l2 memsys.CacheConfig) {
-	// Keep the slice valid: at least one set of full associativity.
-	set := a.L2LineBytes * a.L2Ways
-	slice := max(a.L2Bytes/a.NumSMs/set*set, set)
-	return memsys.CacheConfig{Name: "l1tex", TotalBytes: a.L1Bytes, LineBytes: a.L1LineBytes, SectorBytes: a.L1SectorBytes, Ways: a.L1Ways},
-		memsys.CacheConfig{Name: "lts", TotalBytes: slice, LineBytes: a.L2LineBytes, SectorBytes: a.L1SectorBytes, Ways: a.L2Ways}
 }
 
 // runSM simulates all blocks assigned to one SM; sm.now holds its
@@ -450,23 +451,28 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 		// their stall, classify them, park the blocked, and collect each
 		// scheduler's lowest-gid eligible warp. A parked warp cannot
 		// unblock before its event, or before checkBarrier releases it
-		// (which wakes it), so its classification stays exact.
+		// (which wakes it), so its classification stays exact; nor can an
+		// eligible warp whose classification is stable (wclass.stable)
+		// change before it issues, so it is not classified again.
 		sm.wakeDue()
-		if prevDT > 0 {
+		attribute := !sm.cyclesOnly && prevDT > 0
+		if attribute {
 			sm.stallParked(prevDT)
 		}
 		var firstElig [8]*warp
 		awake := sm.awake[:0]
 		for _, w := range sm.awake {
-			if prevDT > 0 && w.clsValid {
+			if attribute && w.clsValid {
 				reason := w.cls.reason
 				if w.cls.eligible {
 					reason = StallNotSelected
 				}
 				sm.counters.addStall(w.cls.pc, reason, prevDT)
 			}
-			w.cls = e.classify(sm, w)
-			w.clsValid = true
+			if !w.clsValid || !w.cls.stable {
+				e.classify(sm, w)
+				w.clsValid = true
+			}
 			if !w.cls.eligible {
 				sm.park(w)
 				continue
@@ -497,7 +503,9 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 			if err := e.issue(sm, pick); err != nil {
 				return err
 			}
-			sm.counters.addStall(pc, StallSelected, 1)
+			if !sm.cyclesOnly {
+				sm.counters.addStall(pc, StallSelected, 1)
+			}
 			pick.cls.eligible = false
 			pick.cls.reason = StallSelected
 			pick.clsValid = false

@@ -112,8 +112,10 @@ type smState struct {
 	now float64
 
 	// counters accumulates this SM's events; LaunchContext merges the
-	// per-SM instances in SM-ID order.
-	counters *Counters
+	// per-SM instances in SM-ID order. In a cycles-only replay no stall
+	// is attributed and counters has no PCStalls.
+	counters   *Counters
+	cyclesOnly bool
 	// nextGid is the next global warp index, seeded per SM (gidBase) so
 	// parallel runs assign the same IDs a sequential pass would.
 	gidBase, nextGid int
@@ -203,7 +205,9 @@ type parkClass struct {
 func (sm *smState) park(w *warp) {
 	w.parked = true
 	sm.parked++
-	sm.count(w, 1)
+	if !sm.cyclesOnly {
+		sm.count(w, 1)
+	}
 	ev := w.cls.event
 	if ev <= float64(sm.cursor+wheelTicks-1) {
 		// ⌈ev⌉ is inside the wheel. An event this round already reached
@@ -237,7 +241,9 @@ func (sm *smState) park(w *warp) {
 func (sm *smState) wake(w *warp) {
 	w.parked = false
 	sm.parked--
-	sm.count(w, -1)
+	if !sm.cyclesOnly {
+		sm.count(w, -1)
+	}
 	sm.awake = append(sm.awake, w)
 }
 
@@ -362,28 +368,43 @@ func (sm *smState) stallParked(dt float64) {
 }
 
 // classification of one warp at one instant.
+//
+// stable marks an eligible warp whose next instruction is of class ALU,
+// Const or Control: classify checks no issue queue or pipe for those, and
+// what it does check — barrier, readyAt, the scoreboard, EXIT's
+// lastStoreDone — only the warp's own issue moves once it is eligible
+// (time passing keeps a past time past). So until the warp issues it
+// stays eligible at the same pc, and the rounds reuse the classification
+// instead of calling classify. Its event, the round's now, is not read
+// for an eligible warp.
 type wclass struct {
 	reason   Stall
 	event    float64 // when the condition may clear (+Inf if externally driven)
 	eligible bool
+	stable   bool
 	pc       uint64
 }
 
-// classify determines whether warp w can issue now, and if not, why and
+// classify sets w.cls to whether warp w can issue now, and if not, why and
 // until when. This function is both the scheduler's eligibility test and
-// the source of stall attribution (and hence of PC sampling data).
-func (e *engine) classify(sm *smState, w *warp) wclass {
+// the source of stall attribution (and hence of PC sampling data). It
+// writes w.cls in place: a returned wclass reached w.cls through a stack
+// copy whose wide load waited on the narrow stores before it.
+func (e *engine) classify(sm *smState, w *warp) {
 	if w.atBarrier {
-		return wclass{reason: StallBarrier, event: math.Inf(1), pc: w.pc}
+		w.cls = wclass{reason: StallBarrier, event: math.Inf(1), pc: w.pc}
+		return
 	}
 	if w.readyAt > sm.now {
-		return wclass{reason: w.waitReason, event: w.readyAt, pc: w.pc}
+		w.cls = wclass{reason: w.waitReason, event: w.readyAt, pc: w.pc}
+		return
 	}
 	idx := int(w.pc / sass.InstBytes)
 	if idx >= len(e.code) {
 		// The warp ran past the last instruction (a path without EXIT):
 		// it never issues again and the launch ends in the deadlock error.
-		return wclass{reason: StallDrain, event: math.Inf(1), pc: w.pc}
+		w.cls = wclass{reason: StallDrain, event: math.Inf(1), pc: w.pc}
+		return
 	}
 	d := &e.code[idx]
 	in := d.in
@@ -402,37 +423,46 @@ func (e *engine) classify(sm *smState, w *warp) wclass {
 		}
 	}
 	if blocked {
-		return wclass{reason: stallForClass(blockClass), event: blockUntil, pc: w.pc}
+		w.cls = wclass{reason: stallForClass(blockClass), event: blockUntil, pc: w.pc}
+		return
 	}
 
 	// Structural hazards.
 	a := &e.arch
-	switch sass.ClassOf(in.Op) {
+	class := sass.ClassOf(in.Op)
+	switch class {
 	case sass.ClassGlobal, sass.ClassLocal:
 		if sm.lgQ.inflight(sm.now) >= a.LGQueueDepth {
-			return wclass{reason: StallLGThrottle, event: sm.lgQ.earliest(), pc: w.pc}
+			w.cls = wclass{reason: StallLGThrottle, event: sm.lgQ.earliest(), pc: w.pc}
+			return
 		}
 	case sass.ClassShared:
 		if sm.mioQ.inflight(sm.now) >= a.MIOQueueDepth {
-			return wclass{reason: StallMIOThrottle, event: sm.mioQ.earliest(), pc: w.pc}
+			w.cls = wclass{reason: StallMIOThrottle, event: sm.mioQ.earliest(), pc: w.pc}
+			return
 		}
 	case sass.ClassTexture:
 		if sm.texQ.inflight(sm.now) >= a.TEXQueueDepth {
-			return wclass{reason: StallTexThrottle, event: sm.texQ.earliest(), pc: w.pc}
+			w.cls = wclass{reason: StallTexThrottle, event: sm.texQ.earliest(), pc: w.pc}
+			return
 		}
 	case sass.ClassFP64:
 		if sm.fp64Free > sm.now {
-			return wclass{reason: StallMathPipeThrottle, event: sm.fp64Free, pc: w.pc}
+			w.cls = wclass{reason: StallMathPipeThrottle, event: sm.fp64Free, pc: w.pc}
+			return
 		}
 	case sass.ClassSFU:
 		if sm.sfuFree > sm.now {
-			return wclass{reason: StallMathPipeThrottle, event: sm.sfuFree, pc: w.pc}
+			w.cls = wclass{reason: StallMathPipeThrottle, event: sm.sfuFree, pc: w.pc}
+			return
 		}
 	}
 	if in.Op == sass.OpEXIT && w.lastStoreDone > sm.now {
-		return wclass{reason: StallDrain, event: w.lastStoreDone, pc: w.pc}
+		w.cls = wclass{reason: StallDrain, event: w.lastStoreDone, pc: w.pc}
+		return
 	}
-	return wclass{reason: StallSelected, eligible: true, event: sm.now, pc: w.pc}
+	w.cls = wclass{reason: StallSelected, eligible: true, event: sm.now, pc: w.pc}
+	w.cls.stable = class == sass.ClassALU || class == sass.ClassConst || class == sass.ClassControl
 }
 
 // stallForClass maps the producing pipe of a pending register to the
