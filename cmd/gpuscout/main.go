@@ -50,18 +50,18 @@ func (e usageError) Error() string { return string(e) }
 // analyze runs one request the way a gpuscoutd worker does: the shared
 // lowering (service.Resolve), then the one pipeline function per plan —
 // two plans for -arch-compare, base architecture first.
-func analyze(ctx context.Context, req service.AnalyzeRequest) ([]*advisor.Outcome, error) {
+func analyze(ctx context.Context, req service.AnalyzeRequest) ([]*scout.Report, error) {
 	plans, err := service.Resolve(req, 0)
 	if err != nil {
 		return nil, err
 	}
-	outs := make([]*advisor.Outcome, len(plans))
+	reps := make([]*scout.Report, len(plans))
 	for i, p := range plans {
-		if outs[i], err = advisor.Run(ctx, p); err != nil {
+		if reps[i], err = advisor.Run(ctx, p); err != nil {
 			return nil, err
 		}
 	}
-	return outs, nil
+	return reps, nil
 }
 
 // run is the whole CLI behind main, separated so tests can drive it
@@ -170,23 +170,31 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	for _, req.Kernel = range kernels {
-		outs, err := analyze(ctx, req)
+		reps, err := analyze(ctx, req)
 		if err != nil {
 			return err
 		}
-		rep := outs[0].Report
+		rep := reps[0]
 		var doc interface {
 			json.Marshaler
 			Render() string
 		} = rep
-		if len(outs) == 2 {
-			doc = scout.CompareReports(rep, outs[1].Report)
+		if len(reps) == 2 {
+			doc = scout.CompareReports(rep, reps[1])
 		}
 		fmt.Fprintln(stdout, doc.Render())
-		if len(outs) == 1 {
-			if v := outs[0].Verified; v != nil {
+		if len(reps) == 1 {
+			// A static fallback was not verified; its ledger says so.
+			if req.Verify && !rep.DryRun {
+				checked, by := 0, map[scout.Verdict]int{}
+				for i := range rep.Findings {
+					if v := rep.Findings[i].Verification; v != nil {
+						checked++
+						by[v.Verdict]++
+					}
+				}
 				fmt.Fprintf(stdout, "verification: %d recommendation(s) re-executed — %d confirmed, %d neutral, %d refuted\n",
-					v.Checked, v.Confirmed, v.Neutral, v.Refuted)
+					checked, by[scout.VerdictConfirmed], by[scout.VerdictNeutral], by[scout.VerdictRefuted])
 			}
 			if swept := rep.Sensitivity; swept != nil {
 				fmt.Fprintf(stdout, "sensitivity: %d perturbation(s) re-simulated — %s\n",
@@ -223,11 +231,11 @@ func run(args []string, stdout io.Writer) error {
 		if *compare != "" {
 			other := req
 			other.Workload, other.Verify, other.Sensitivity = *compare, false, false
-			outs2, err := analyze(ctx, other)
+			newer, err := analyze(ctx, other)
 			if err != nil {
 				return err
 			}
-			cmp, err := gpuscout.Compare(rep, outs2[0].Report)
+			cmp, err := gpuscout.Compare(rep, newer[0])
 			if err != nil {
 				return err
 			}

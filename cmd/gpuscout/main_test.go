@@ -61,6 +61,35 @@ func TestSensitivitySummaryCountsTheMatrix(t *testing.T) {
 	}
 }
 
+// TestVerificationLineCountsTheBlocks: after a -verify report the CLI
+// prints one line counting the findings that carry a Verification block,
+// by verdict (pinned for a run with all three); a static fallback was
+// not verified, and prints none.
+func TestVerificationLineCountsTheBlocks(t *testing.T) {
+	args := []string{"-workload", "jacobi_naive", "-scale", "128", "-sample-sms", "1", "-verify"}
+	var stdout bytes.Buffer
+	if err := run(args, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	const want = "verification: 6 recommendation(s) re-executed — 1 confirmed, 4 neutral, 1 refuted\n"
+	if !strings.Contains(stdout.String(), want) {
+		t.Errorf("output lacks %q", want)
+	}
+
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	if _, err := faultinject.Arm(faultinject.Fault{Site: "cupti.collect", Mode: faultinject.ModeError, Times: 1}); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	if err := run(args, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	if out := stdout.String(); !strings.Contains(out, "fell back to static") || strings.Contains(out, "verification:") {
+		t.Errorf("a static fallback printed a verification line or no fallback entry:\n%s", out)
+	}
+}
+
 // TestTimeoutBoundsVerify: -timeout is split into stage budgets for the
 // CLI exactly as for a daemon job, so a verification pass that overruns
 // its slice ships the findings unverified with a ledger entry instead of

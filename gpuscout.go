@@ -246,8 +246,7 @@ func AnalyzeWorkload(name string, scale int, arch Arch, opts Options) (*Report, 
 // that backend's instruction selection, not just its machine model. It
 // runs the same pipeline function as the gpuscoutd daemon and the CLI.
 func AnalyzeWorkloadContext(ctx context.Context, name string, scale int, arch Arch, opts Options) (*Report, error) {
-	out, err := advisor.Run(ctx, advisor.Plan{Arch: arch, Opts: opts, Workload: name, Scale: scale})
-	return out.Report, err
+	return advisor.Run(ctx, advisor.Plan{Arch: arch, Opts: opts, Workload: name, Scale: scale})
 }
 
 // --- Counterfactual verification (the advisor) ---

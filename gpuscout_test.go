@@ -185,3 +185,36 @@ func TestPublicWorkloads(t *testing.T) {
 		t.Error("ArchByName accepted unknown arch")
 	}
 }
+
+// TestPublicAnalyzeWorkload is the §5.1 loop through the one-call path:
+// the naive Mixbench kernel draws the vectorized-load recommendation, its
+// float4 fix does not, and the fix is faster.
+func TestPublicAnalyzeWorkload(t *testing.T) {
+	opts := gpuscout.Options{Sim: gpuscout.SimConfig{SampleSMs: 1}}
+	fires := func(rep *gpuscout.Report) bool {
+		for i := range rep.Findings {
+			if rep.Findings[i].Analysis == "vectorized_load" {
+				return true
+			}
+		}
+		return false
+	}
+	naive, err := gpuscout.AnalyzeWorkload("mixbench_sp_naive", 8, gpuscout.V100(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec, err := gpuscout.AnalyzeWorkload("mixbench_sp_vec4", 8, gpuscout.V100(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fires(naive) || fires(vec) {
+		t.Errorf("vectorized_load fires on naive %t, on vec4 %t; want only the naive kernel", fires(naive), fires(vec))
+	}
+	cmp, err := gpuscout.Compare(naive, vec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp.SpeedupX <= 1 {
+		t.Errorf("vec4 over naive: %.3fx, want a speedup", cmp.SpeedupX)
+	}
+}

@@ -96,29 +96,6 @@ func PairFor(workload, analysis string) (Pair, bool) {
 	return Pair{}, false
 }
 
-// Summary reports what one verification pass measured.
-type Summary struct {
-	// Checked counts findings that had a paired optimized variant.
-	Checked int
-	// Confirmed/Neutral/Refuted count the verdicts.
-	Confirmed int
-	Neutral   int
-	Refuted   int
-}
-
-// Add records one verdict.
-func (s *Summary) Add(v scout.Verdict) {
-	s.Checked++
-	switch v {
-	case scout.VerdictConfirmed:
-		s.Confirmed++
-	case scout.VerdictRefuted:
-		s.Refuted++
-	default:
-		s.Neutral++
-	}
-}
-
 // fixedRun is one executed optimized variant, shared by all findings that
 // map to it.
 type fixedRun struct {
@@ -135,14 +112,15 @@ type fixedRun struct {
 //
 // Findings without a paired variant are left untouched. A dry-run report
 // cannot be verified: there is no baseline measurement to compare to.
-func Verify(ctx context.Context, rep *scout.Report, workload string, scale int, arch gpu.Arch, cfg sim.Config) (*Summary, error) {
+// The count is the findings that got a Verification block.
+func Verify(ctx context.Context, rep *scout.Report, workload string, scale int, arch gpu.Arch, cfg sim.Config) (int, error) {
 	return verify(ctx, newSlots(), rep, workload, scale, arch, cfg)
 }
 
 // verify is Verify with its variants in the job's slots.
-func verify(ctx context.Context, slots slots, rep *scout.Report, workload string, scale int, arch gpu.Arch, cfg sim.Config) (*Summary, error) {
+func verify(ctx context.Context, slots slots, rep *scout.Report, workload string, scale int, arch gpu.Arch, cfg sim.Config) (int, error) {
 	if err := measured(rep, "verify"); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -157,9 +135,8 @@ func verify(ctx context.Context, slots slots, rep *scout.Report, workload string
 			needed[p.Fixed] = appendUnique(appendUnique(needed[p.Fixed], f.RelevantMetrics...), f.CautionMetrics...)
 		}
 	}
-	summary := &Summary{}
 	if len(needed) == 0 {
-		return summary, nil
+		return 0, nil
 	}
 
 	// Pass 2: execute each distinct variant once, in sorted order, and
@@ -195,12 +172,13 @@ func verify(ctx context.Context, slots slots, rep *scout.Report, workload string
 		}}
 	p.start(slots, 0)
 	if err := p.wait(rep, nil); err != nil {
-		return nil, err
+		return 0, err
 	}
 
 	// Pass 3: attach a Verification block to each paired finding, each
 	// under its own guard — a panicking attach drops only that finding's
 	// block.
+	verified := 0
 	for i := range rep.Findings {
 		f := &rep.Findings[i]
 		p, ok := PairFor(workload, f.Analysis)
@@ -244,7 +222,7 @@ func verify(ctx context.Context, slots slots, rep *scout.Report, workload string
 				})
 			}
 			f.Verification = v
-			summary.Add(v.Verdict)
+			verified++
 			return nil
 		}); err != nil {
 			f.Verification = nil
@@ -253,7 +231,7 @@ func verify(ctx context.Context, slots slots, rep *scout.Report, workload string
 			rep.Degradations = append(rep.Degradations, d)
 		}
 	}
-	return summary, nil
+	return verified, nil
 }
 
 // measured refuses a report with no baseline measurement.

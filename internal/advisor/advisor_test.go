@@ -66,11 +66,11 @@ func TestCaseStudiesConfirmed(t *testing.T) {
 		t.Run(tc.workload+"/"+tc.analysis, func(t *testing.T) {
 			cfg := sim.Config{SampleSMs: 1}
 			rep := analyze(t, tc.workload, tc.scale, cfg)
-			sum, err := Verify(context.Background(), rep, tc.workload, tc.scale, gpu.V100(), cfg)
+			n, err := Verify(context.Background(), rep, tc.workload, tc.scale, gpu.V100(), cfg)
 			if err != nil {
 				t.Fatalf("Verify: %v", err)
 			}
-			if sum.Checked == 0 {
+			if n == 0 {
 				t.Fatal("no findings had paired variants")
 			}
 			f := findingFor(rep, tc.analysis)
@@ -120,12 +120,18 @@ func TestRefutedAtSmallScale(t *testing.T) {
 func TestVerificationSurfacesInReport(t *testing.T) {
 	cfg := sim.Config{SampleSMs: 1}
 	rep := analyze(t, "sgemm_naive", 64, cfg)
-	sum, err := Verify(context.Background(), rep, "sgemm_naive", 64, gpu.V100(), cfg)
+	n, err := Verify(context.Background(), rep, "sgemm_naive", 64, gpu.V100(), cfg)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if sum.Checked != sum.Confirmed+sum.Neutral+sum.Refuted {
-		t.Errorf("summary inconsistent: %+v", sum)
+	blocks := 0
+	for i := range rep.Findings {
+		if rep.Findings[i].Verification != nil {
+			blocks++
+		}
+	}
+	if n == 0 || n != blocks {
+		t.Errorf("Verify counts %d verified findings, the report holds %d blocks", n, blocks)
 	}
 
 	text := rep.Render()
@@ -229,31 +235,20 @@ func TestVerifyHonorsContext(t *testing.T) {
 
 func TestVerifyNoPairedFindings(t *testing.T) {
 	// transpose_naive has no entry in the pairs table, so verification is
-	// a no-op with an empty summary, not an error.
+	// a no-op that verifies nothing, not an error.
 	cfg := sim.Config{SampleSMs: 1}
 	rep := analyze(t, "transpose_naive", 0, cfg)
-	sum, err := Verify(context.Background(), rep, "transpose_naive", 0, gpu.V100(), cfg)
+	n, err := Verify(context.Background(), rep, "transpose_naive", 0, gpu.V100(), cfg)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if sum.Checked != 0 {
-		t.Errorf("Checked = %d, want 0 (no pairs for transpose_naive)", sum.Checked)
+	if n != 0 {
+		t.Errorf("verified %d findings, want 0 (no pairs for transpose_naive)", n)
 	}
 	for i := range rep.Findings {
 		if rep.Findings[i].Verification != nil {
 			t.Errorf("finding %s unexpectedly verified", rep.Findings[i].Analysis)
 		}
-	}
-}
-
-func TestSummaryAdd(t *testing.T) {
-	var s Summary
-	s.Add(scout.VerdictConfirmed)
-	s.Add(scout.VerdictConfirmed)
-	s.Add(scout.VerdictRefuted)
-	s.Add(scout.VerdictNeutral)
-	if s.Checked != 4 || s.Confirmed != 2 || s.Refuted != 1 || s.Neutral != 1 {
-		t.Errorf("summary = %+v", s)
 	}
 }
 

@@ -27,18 +27,18 @@ func budgetExpiresMidPass(t *testing.T, p Plan, site string, pass int) (*scout.R
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	out, err := Run(ctx, p)
+	rep, err := Run(ctx, p)
 	if err != nil {
 		t.Fatalf("Run: %v; an expired slice ships a report", err)
 	}
 	var ledger []scout.Degradation
-	for _, d := range out.Report.Degradations {
+	for _, d := range rep.Degradations {
 		if d.Site != site || d.Kind != scout.DegradeTimeout {
 			t.Errorf("ledger entry %+v, want a %s timeout", d, site)
 		}
 		ledger = append(ledger, d)
 	}
-	return out.Report, ledger
+	return rep, ledger
 }
 
 // accountedOnce checks the budget rule's promise: each of items (in the
@@ -132,12 +132,11 @@ func TestChaosStaticFallbackSkipsPasses(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx, timed := stageClock()
-			out, err := Run(ctx, Plan{Arch: gpu.V100(), Workload: "histogram_global", Scale: 4,
+			rep, err := Run(ctx, Plan{Arch: gpu.V100(), Workload: "histogram_global", Scale: 4,
 				Verify: tc.verify, Sensitivity: tc.sensitivity})
 			if err != nil {
 				t.Fatalf("Run: %v; a static fallback ships a report", err)
 			}
-			rep := out.Report
 			if !rep.DryRun || rep.Sensitivity != nil {
 				t.Fatalf("report: dry_run %t, sensitivity %v; want the static fallback", rep.DryRun, rep.Sensitivity)
 			}
@@ -154,8 +153,10 @@ func TestChaosStaticFallbackSkipsPasses(t *testing.T) {
 			if strings.Join(skipped, ",") != strings.Join(tc.sites, ",") {
 				t.Errorf("skipped passes %v, want %v", skipped, tc.sites)
 			}
-			if out.Verified != nil {
-				t.Errorf("verified %+v for a report with no baseline", out.Verified)
+			for _, f := range rep.Findings {
+				if f.Verification != nil {
+					t.Errorf("%s verified on a report with no baseline", f.Analysis)
+				}
 			}
 			if timed[scout.TimeAnalyze] != 1 || timed[scout.TimeVerify] != 0 || timed[scout.TimeSweep] != 0 {
 				t.Errorf("clock timed %v; want the analysis and no skipped pass", timed)

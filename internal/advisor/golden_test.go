@@ -50,12 +50,12 @@ func goldenScale(t *testing.T, name string) int {
 // the sensitivity sweep with its payoff-ranked finding order.
 func goldenAnalyze(t *testing.T, name string, workers int, arch gpu.Arch) *scout.Report {
 	t.Helper()
-	out, err := Run(context.Background(), Plan{Arch: arch, Workload: name, Scale: goldenScale(t, name), Verify: true, Sensitivity: true,
+	rep, err := Run(context.Background(), Plan{Arch: arch, Workload: name, Scale: goldenScale(t, name), Verify: true, Sensitivity: true,
 		Opts: scout.Options{Sim: sim.Config{SampleSMs: 1, Workers: workers}, StallSlices: true}})
 	if err != nil {
 		t.Fatalf("run %s: %v", name, err)
 	}
-	return out.Report
+	return rep
 }
 
 // TestRunMatchesPasses: Run, whose cells start while the baseline still
@@ -86,7 +86,7 @@ func TestRunMatchesPasses(t *testing.T) {
 			if _, err := Sweep(ctx, rep, name, scale, arch, cfg); err != nil {
 				t.Fatal(err)
 			}
-			out, err := Run(ctx, Plan{Arch: arch, Workload: name, Scale: scale, Verify: true, Sensitivity: true,
+			ran, err := Run(ctx, Plan{Arch: arch, Workload: name, Scale: scale, Verify: true, Sensitivity: true,
 				Opts: scout.Options{Sim: cfg, StallSlices: true}})
 			if err != nil {
 				t.Fatal(err)
@@ -95,7 +95,7 @@ func TestRunMatchesPasses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := out.Report.MarshalJSON()
+			got, err := ran.MarshalJSON()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,13 +104,13 @@ func TestRunMatchesPasses(t *testing.T) {
 			}
 			// A cell's cycles, the max of its SMs' finishes, are the whole
 			// launch's on the perturbed device.
-			if len(out.Report.Sensitivity.Deltas) != len(gpu.Perturbations()) {
-				t.Fatalf("%s on %s: sensitivity %+v", name, arch.SM, out.Report.Sensitivity)
+			if len(ran.Sensitivity.Deltas) != len(gpu.Perturbations()) {
+				t.Fatalf("%s on %s: sensitivity %+v", name, arch.SM, ran.Sensitivity)
 			}
 			for i, p := range gpu.Perturbations() {
 				res, err := workloads.ExecuteContext(ctx, w, sim.NewDevice(p.Apply(arch)), cfg)
-				if err != nil || res.Cycles != out.Report.Sensitivity.Deltas[i].Cycles {
-					t.Errorf("%s on %s, %s: Run measured %v cycles, an execution %v (%v)", name, arch.SM, p.ID(), out.Report.Sensitivity.Deltas[i].Cycles, res, err)
+				if err != nil || res.Cycles != ran.Sensitivity.Deltas[i].Cycles {
+					t.Errorf("%s on %s, %s: Run measured %v cycles, an execution %v (%v)", name, arch.SM, p.ID(), ran.Sensitivity.Deltas[i].Cycles, res, err)
 				}
 			}
 		}
@@ -205,16 +205,16 @@ func TestGoldenUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(context.Background(), Plan{Arch: gpu.V100(), Kernel: k})
+	rep, err := Run(context.Background(), Plan{Arch: gpu.V100(), Kernel: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, err := out.Report.MarshalJSON()
+	js, err := rep.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join("testdata", "golden", "upload")
-	compareGolden(t, filepath.Join(dir, "pair_sum.txt"), []byte(out.Report.Render()))
+	compareGolden(t, filepath.Join(dir, "pair_sum.txt"), []byte(rep.Render()))
 	compareGolden(t, filepath.Join(dir, "pair_sum.json"), append(js, '\n'))
 }
 
@@ -237,12 +237,17 @@ func goldenJSONPaths(t *testing.T) []string {
 }
 
 // TestGoldenJSONDecodes proves the wire tags are symmetric: every golden
-// report and arch comparison decodes into scout.Report /
-// scout.ArchComparison, the types the analysis builds, with no unknown
-// field, and their MarshalJSON re-encodes the same bytes — so a report
-// read back from the cache, the store or a peer loses nothing.
+// report and arch comparison, the uploaded kernel's static report too,
+// decodes into scout.Report / scout.ArchComparison, the types the
+// analysis builds, with no unknown field, and their MarshalJSON
+// re-encodes the same bytes — so a report read back from the cache, the
+// store or a peer loses nothing.
 func TestGoldenJSONDecodes(t *testing.T) {
-	for _, path := range goldenJSONPaths(t) {
+	uploads, err := filepath.Glob(filepath.Join("testdata", "golden", "upload", "*.json"))
+	if err != nil || len(uploads) == 0 {
+		t.Fatalf("no upload golden JSON (%v)", err)
+	}
+	for _, path := range append(goldenJSONPaths(t), uploads...) {
 		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

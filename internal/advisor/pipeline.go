@@ -30,15 +30,6 @@ type Plan struct {
 	Kernel *sass.Kernel
 }
 
-// Outcome is what one Run produced, non-nil even when Run fails (Report
-// is nil then). A static fallback is Report.DryRun plus its ledger.
-type Outcome struct {
-	Report *scout.Report
-	// Verified counts the verification verdicts (nil unless the plan
-	// asked for them); the sweep's result is Report.Sensitivity.
-	Verified *Summary
-}
-
 // Run is the lower → analyze → verify → sweep pipeline, the one place
 // the four are sequenced and the only place a workload is lowered — under
 // a parse-stage guard, so a crash in codegen is a typed StageError. The
@@ -50,12 +41,13 @@ type Outcome struct {
 // unverified or the remaining perturbations as ledger entries; the
 // caller's deadline and an explicit cancel still abort with an error,
 // once every item has exited. Each step that runs reports its time to
-// ctx's clock.
-func Run(ctx context.Context, p Plan) (*Outcome, error) {
+// ctx's clock. The report is the run's whole result: each verdict is on
+// its finding's Verification block, the sweep's on Report.Sensitivity,
+// and a static fallback is Report.DryRun plus its ledger.
+func Run(ctx context.Context, p Plan) (*scout.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := &Outcome{}
 	// budgeted derives one re-execution pass's context from the slice.
 	budgeted := func() (context.Context, context.CancelFunc) { return context.WithCancel(ctx) }
 	if slice, ok := scout.StageSlice(ctx, scout.StageVerify); ok {
@@ -74,7 +66,7 @@ func Run(ctx context.Context, p Plan) (*Outcome, error) {
 		})
 		end()
 		if err != nil {
-			return out, err
+			return nil, err
 		}
 		kernel = sw.w.Kernel
 		if !p.Opts.DryRun {
@@ -95,7 +87,7 @@ func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	end()
 	<-slots
 	if err != nil {
-		return out, err
+		return nil, err
 	}
 	if rep.DryRun && !p.Opts.DryRun {
 		// With no baseline to re-execute against, each requested pass
@@ -115,18 +107,17 @@ func Run(ctx context.Context, p Plan) (*Outcome, error) {
 	if p.Verify {
 		vctx, cancel := budgeted()
 		end := scout.Time(ctx, scout.TimeVerify)
-		out.Verified, err = verify(vctx, slots, rep, p.Workload, p.Scale, p.Arch, p.Opts.Sim)
+		_, err = verify(vctx, slots, rep, p.Workload, p.Scale, p.Arch, p.Opts.Sim)
 		end()
 		cancel()
 		if err != nil {
-			return out, fmt.Errorf("verify on %s: %w", p.Arch.SM, err)
+			return nil, fmt.Errorf("verify on %s: %w", p.Arch.SM, err)
 		}
 	}
 	if p.Sensitivity {
 		if _, err := sw.finish(rep); err != nil {
-			return out, fmt.Errorf("sensitivity sweep on %s: %w", p.Arch.SM, err)
+			return nil, fmt.Errorf("sensitivity sweep on %s: %w", p.Arch.SM, err)
 		}
 	}
-	out.Report = rep
-	return out, nil
+	return rep, nil
 }

@@ -283,12 +283,12 @@ func TestSweepLoweringReuse(t *testing.T) {
 
 	builds.Store(0)
 	prepares.Store(0)
-	out, err := Run(context.Background(), Plan{Arch: gpu.V100(), Opts: scout.Options{Sim: cfg},
+	rep, err = Run(context.Background(), Plan{Arch: gpu.V100(), Opts: scout.Options{Sim: cfg},
 		Workload: "transpose_naive", Scale: 64, Sensitivity: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if swept := out.Report.Sensitivity; swept == nil || len(swept.Deltas) != len(perts) || builds.Load() != 1 || prepares.Load() != 1 {
+	if swept := rep.Sensitivity; swept == nil || len(swept.Deltas) != len(perts) || builds.Load() != 1 || prepares.Load() != 1 {
 		t.Errorf("a swept Run made %d lowerings and %d executions (sensitivity %+v), want one lowering and the baseline execution alone", builds.Load(), prepares.Load(), swept)
 	}
 
@@ -305,9 +305,9 @@ func TestSweepLoweringReuse(t *testing.T) {
 		prepares.Store(0)
 		ctx, timed := stageClock()
 		for i := 0; i < tc.runs; i++ {
-			out, err := Run(ctx, tc.p)
-			if err != nil || out.Report.DryRun != tc.p.Opts.DryRun {
-				t.Fatalf("%s: Run: %v (outcome %+v)", tc.name, err, out)
+			rep, err := Run(ctx, tc.p)
+			if err != nil || rep.DryRun != tc.p.Opts.DryRun {
+				t.Fatalf("%s: Run: %v (report %+v)", tc.name, err, rep)
 			}
 		}
 		if builds.Load() != tc.builds || prepares.Load() != tc.prepare {
@@ -325,13 +325,13 @@ func TestSweepLoweringReuse(t *testing.T) {
 func TestRunGuardsLowering(t *testing.T) {
 	buildArch = func(string, int, gpu.Arch) (*workloads.Workload, error) { panic("codegen bug") }
 	t.Cleanup(func() { buildArch = workloads.BuildArch })
-	out, err := Run(context.Background(), Plan{Arch: gpu.V100(), Workload: "transpose_naive", Scale: 64})
+	rep, err := Run(context.Background(), Plan{Arch: gpu.V100(), Workload: "transpose_naive", Scale: 64})
 	var se *scout.StageError
 	if !errors.As(err, &se) || se.Stage != scout.StageParse || se.PanicValue == nil || !scout.TransientError(err) {
 		t.Fatalf("Run: err = %v, want a transient parse-stage panic StageError", err)
 	}
-	if out == nil || out.Report != nil {
-		t.Errorf("outcome %+v, want non-nil without a report", out)
+	if rep != nil {
+		t.Errorf("report %+v, want none", rep)
 	}
 }
 
@@ -465,12 +465,11 @@ func TestChaosReplayedCellLaunchFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, prepares := countLowerings(t)
-	out, err := Run(context.Background(), Plan{Arch: gpu.V100(), Opts: scout.Options{Sim: sim.Config{SampleSMs: 1}},
+	rep, err := Run(context.Background(), Plan{Arch: gpu.V100(), Opts: scout.Options{Sim: sim.Config{SampleSMs: 1}},
 		Workload: "transpose_naive", Scale: 64, Sensitivity: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	rep := out.Report
 	if prepares.Load() != 1 {
 		t.Fatalf("%d executions: the cells of this sweep were not replays", prepares.Load())
 	}
@@ -536,11 +535,10 @@ func TestChaosProvedCellSiteFault(t *testing.T) {
 	if _, err := faultinject.Arm(faultinject.Fault{Site: "advisor.sweep", Mode: faultinject.ModeError}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(context.Background(), p)
+	rep, err := Run(context.Background(), p)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	rep := out.Report
 	if rep.Sensitivity == nil || len(rep.Sensitivity.Deltas) != 0 || len(rep.Degradations) != len(perts) {
 		t.Fatalf("sensitivity %+v, ledger %+v; want no cell and %d entries", rep.Sensitivity, rep.Degradations, len(perts))
 	}
@@ -570,10 +568,10 @@ func TestRunCancelledMidPass(t *testing.T) {
 		}
 		cancel()
 	}()
-	out, err := Run(ctx, Plan{Arch: gpu.V100(), Opts: scout.Options{Sim: sim.Config{SampleSMs: 1}},
+	rep, err := Run(ctx, Plan{Arch: gpu.V100(), Opts: scout.Options{Sim: sim.Config{SampleSMs: 1}},
 		Workload: "transpose_naive", Scale: 64, Sensitivity: true})
-	if !errors.Is(err, context.Canceled) || out.Report != nil {
-		t.Fatalf("Run: err = %v, report %v; want a wrapped context.Canceled and no report", err, out.Report != nil)
+	if !errors.Is(err, context.Canceled) || rep != nil {
+		t.Fatalf("Run: err = %v, report %v; want a wrapped context.Canceled and no report", err, rep != nil)
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
 		time.Sleep(5 * time.Millisecond)

@@ -5,22 +5,11 @@ import (
 
 	"gpuscout/internal/gpu"
 	"gpuscout/internal/sim"
-	"gpuscout/internal/workloads"
 )
 
 // Ablations probe the design choices DESIGN.md calls out: the MSHR model
 // that produces the §5.2 texture win, the SM-sampling approximation, and
 // the growth of the §5.3 tiling speedup with problem size.
-
-// runOnArch executes a workload on a specific architecture description.
-func runOnArch(arch gpu.Arch, name string, scale int, cfg sim.Config) (*sim.Result, error) {
-	w, err := workloads.Build(name, scale)
-	if err != nil {
-		return nil, err
-	}
-	dev := sim.NewDevice(arch)
-	return workloads.Execute(w, dev, cfg)
-}
 
 // AblateMSHRs sweeps the LSU miss-status-holding-register count and
 // reports the Jacobi texture-vs-naive speedup at each point: the knob
@@ -38,11 +27,11 @@ func AblateMSHRs(size int, mshrs []int, cfg sim.Config) (*Table, error) {
 	for _, m := range mshrs {
 		arch := gpu.V100()
 		arch.LSUMSHRs = m
-		rn, err := runOnArch(arch, "jacobi_naive", size, cfg)
+		_, rn, err := runOn(arch, "jacobi_naive", size, cfg)
 		if err != nil {
 			return nil, err
 		}
-		rt, err := runOnArch(arch, "jacobi_texture", size, cfg)
+		_, rt, err := runOn(arch, "jacobi_texture", size, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +55,7 @@ func AblateSampling(name string, scale int, samples []int) (*Table, error) {
 	t := &Table{ID: "ablation", Title: fmt.Sprintf("SM-sampling fidelity on %s", name)}
 	var base float64
 	for _, s := range samples {
-		res, err := runOnArch(gpu.V100(), name, scale, sim.Config{SampleSMs: s})
+		_, res, err := runOn(gpu.V100(), name, scale, sim.Config{SampleSMs: s})
 		if err != nil {
 			return nil, err
 		}
@@ -92,11 +81,11 @@ func SGEMMScaleSweep(sizes []int, cfg sim.Config) (*Table, error) {
 	}
 	t := &Table{ID: "ablation", Title: "SGEMM shared-memory speedup vs matrix size (paper: 54x at 10240)"}
 	for _, n := range sizes {
-		rn, err := runOnArch(gpu.V100(), "sgemm_naive", n, cfg)
+		_, rn, err := runOn(gpu.V100(), "sgemm_naive", n, cfg)
 		if err != nil {
 			return nil, err
 		}
-		rs, err := runOnArch(gpu.V100(), "sgemm_shared", n, cfg)
+		_, rs, err := runOn(gpu.V100(), "sgemm_shared", n, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +110,7 @@ func AblateLGQueue(depths []int, cfg sim.Config) (*Table, error) {
 	for _, d := range depths {
 		arch := gpu.V100()
 		arch.LGQueueDepth = d
-		res, err := runOnArch(arch, "spill_pressure", 16, cfg)
+		_, res, err := runOn(arch, "spill_pressure", 16, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -50,26 +50,22 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// runOne executes a workload on a fresh V100 and returns its result.
-func runOne(name string, scale int, cfg sim.Config) (*workloads.Workload, *sim.Result, error) {
+// runOn lowers a workload for the V100 and executes it on a fresh device
+// of arch, which the ablations vary: every table's one execution path.
+func runOn(arch gpu.Arch, name string, scale int, cfg sim.Config) (*workloads.Workload, *sim.Result, error) {
 	w, err := workloads.Build(name, scale)
 	if err != nil {
 		return nil, nil, err
 	}
-	dev := sim.NewDevice(gpu.V100())
-	res, err := workloads.Execute(w, dev, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return w, res, nil
+	res, err := workloads.Execute(w, sim.NewDevice(arch), cfg)
+	return w, res, err
 }
 
 // analyzeOne runs the full GPUscout pipeline on a workload, on a V100.
 func analyzeOne(name string, scale int, cfg sim.Config) (*scout.Report, error) {
-	out, err := advisor.Run(context.Background(), advisor.Plan{
+	return advisor.Run(context.Background(), advisor.Plan{
 		Arch: gpu.V100(), Workload: name, Scale: scale, Opts: scout.Options{Sim: cfg},
 	})
-	return out.Report, err
 }
 
 // Fig2Report regenerates the Fig. 2 sample output: the register-spilling
@@ -108,11 +104,11 @@ func Mixbench51(iters int, cfg sim.Config) (*Table, error) {
 		{"mixbench_dp_naive", "mixbench_dp_vec4", "3.86x", "double-precision speedup"},
 		{"mixbench_int_naive", "mixbench_int_vec4", "4.44x", "integer speedup"},
 	} {
-		_, rn, err := runOne(p.naive, iters, cfg)
+		_, rn, err := runOn(gpu.V100(), p.naive, iters, cfg)
 		if err != nil {
 			return nil, err
 		}
-		_, rv, err := runOne(p.vec, iters, cfg)
+		_, rv, err := runOn(gpu.V100(), p.vec, iters, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -152,15 +148,15 @@ func Jacobi52(size int, cfg sim.Config) (*Table, error) {
 		size = 1024
 	}
 	t := &Table{ID: "§5.2", Title: fmt.Sprintf("Heat-transfer Jacobi, %dx%d grid (paper: 8192x8192)", size, size)}
-	wN, rN, err := runOne("jacobi_naive", size, cfg)
+	wN, rN, err := runOn(gpu.V100(), "jacobi_naive", size, cfg)
 	if err != nil {
 		return nil, err
 	}
-	_, rT, err := runOne("jacobi_texture", size, cfg)
+	_, rT, err := runOn(gpu.V100(), "jacobi_texture", size, cfg)
 	if err != nil {
 		return nil, err
 	}
-	_, rR, err := runOne("jacobi_restrict", size, cfg)
+	_, rR, err := runOn(gpu.V100(), "jacobi_restrict", size, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -209,15 +205,15 @@ func SGEMM53(n int, cfg sim.Config) (*Table, error) {
 		n = 256
 	}
 	t := &Table{ID: "§5.3", Title: fmt.Sprintf("SGEMM, %dx%d matrices (paper: 10240x10240)", n, n)}
-	wN, rN, err := runOne("sgemm_naive", n, cfg)
+	wN, rN, err := runOn(gpu.V100(), "sgemm_naive", n, cfg)
 	if err != nil {
 		return nil, err
 	}
-	wS, rS, err := runOne("sgemm_shared", n, cfg)
+	wS, rS, err := runOn(gpu.V100(), "sgemm_shared", n, cfg)
 	if err != nil {
 		return nil, err
 	}
-	wV, rV, err := runOne("sgemm_shared_vec", n, cfg)
+	wV, rV, err := runOn(gpu.V100(), "sgemm_shared_vec", n, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -104,13 +104,13 @@ func (s *Service) executeAttempt(j *Job) error {
 	reps := make([]*scout.Report, len(plans))
 	var ledger []scout.Degradation
 	for i, p := range plans {
-		out, err := advisor.Run(j.ctx, p)
-		s.observeOutcome(out)
+		rep, err := advisor.Run(j.ctx, p)
 		if err != nil {
 			return err
 		}
-		reps[i] = out.Report
-		ledger = append(ledger, out.Report.Degradations...)
+		s.observeReport(rep)
+		reps[i] = rep
+		ledger = append(ledger, rep.Degradations...)
 	}
 	var doc json.Marshaler = reps[0]
 	if len(reps) == 2 {
@@ -158,17 +158,17 @@ func (s *Service) executeAttempt(j *Job) error {
 	return nil
 }
 
-// observeOutcome feeds one pipeline run into the simulator histograms
-// and the verdict counters.
-func (s *Service) observeOutcome(out *advisor.Outcome) {
-	if rep := out.Report; rep != nil && rep.Result != nil {
+// observeReport feeds one pipeline run's report into the simulator
+// histograms and the verdict counters: one tick per Verification block.
+func (s *Service) observeReport(rep *scout.Report) {
+	if rep.Result != nil {
 		s.simWall.Observe(rep.Result.Host.WallSeconds)
 		s.simSpeedup.Observe(rep.Result.Host.Speedup())
 	}
-	if sum := out.Verified; sum != nil {
-		s.verifications[string(scout.VerdictConfirmed)].Add(uint64(sum.Confirmed))
-		s.verifications[string(scout.VerdictNeutral)].Add(uint64(sum.Neutral))
-		s.verifications[string(scout.VerdictRefuted)].Add(uint64(sum.Refuted))
+	for i := range rep.Findings {
+		if v := rep.Findings[i].Verification; v != nil {
+			s.verifications[string(v.Verdict)].Inc()
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func TestLaunchContextDeadline(t *testing.T) {
 	k := loopSumKernel(t, 20000) // long-running loop
 	dev := NewDevice(gpu.V100())
 	in := dev.MustAlloc(4 * 64 * 20000)
-	out := dev.MustAlloc(4 * 64)
+	out := dev.MustAlloc(4 * 64 * 8)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()

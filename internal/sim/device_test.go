@@ -164,7 +164,7 @@ func TestGlobalDoorFaultOrder(t *testing.T) {
 	}
 
 	// A guarded-off LDG of an out-of-bounds address, run 16 or 64 times by
-	// a warp, allocates nothing either way.
+	// a warp, allocates nothing either way (the race runtime allocates).
 	allocs := func(n int) float64 {
 		d := NewDevice(gpu.V100())
 		buf := d.MustAlloc(pageBytes)
@@ -179,7 +179,7 @@ func TestGlobalDoorFaultOrder(t *testing.T) {
 			}
 		})
 	}
-	if few, many := allocs(16), allocs(64); few != many {
+	if few, many := allocs(16), allocs(64); few != many && !raceEnabled {
 		t.Errorf("a guarded-off LDG: %v allocations per launch run 16 times, %v run 64 times", few, many)
 	}
 }

@@ -24,8 +24,10 @@ func replay(rec *Recording, arch gpu.Arch) (*Result, error) {
 }
 
 // FuzzLaunch feeds arbitrary SASS text through the parser and, when it
-// parses and validates, launches one 32-thread block of it: Launch must
+// parses and validates, launches one 128-thread block of it: Launch must
 // return — a result or an error — and never panic, whatever the kernel.
+// Four warps put two on one scheduler under issue_width/down, so the
+// checks below see the greedy pick order, not one warp's lone issue.
 // And whenever the launch succeeds and was recorded, replaying the
 // recording must return the Result (wall time excepted) — cycles, every
 // counter and stall integral — of the recorded launch on the same arch,
@@ -60,7 +62,7 @@ func FuzzLaunch(f *testing.F) {
 				params[i] = buf.Addr
 			}
 			params[len(params)-1] = 64
-			return launch(context.Background(), dev, LaunchSpec{Kernel: k, Grid: D1(1), Block: D1(32), Params: params}, cfg, record)
+			return launch(context.Background(), dev, LaunchSpec{Kernel: k, Grid: D1(1), Block: D1(128), Params: params}, cfg, record)
 		}
 		res, rec, err := launchOn(arch, true)
 		if err != nil || rec == nil {

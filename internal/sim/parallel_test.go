@@ -237,7 +237,7 @@ func TestParallelCancellation(t *testing.T) {
 	k := loopSumKernel(t, 20000)
 	dev := NewDevice(gpu.V100())
 	in := dev.MustAlloc(4 * 64 * 20000)
-	out := dev.MustAlloc(4 * 64)
+	out := dev.MustAlloc(4 * 64 * 8)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()

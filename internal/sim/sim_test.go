@@ -102,7 +102,8 @@ func TestVecAdd(t *testing.T) {
 	}
 }
 
-// loopSumKernel: out[tid] = sum(in[tid*len .. tid*len+len)).
+// loopSumKernel: out[gid] = sum(in[tid*len .. tid*len+len)), gid the
+// global thread id, so the blocks of a multi-SM launch store disjoint words.
 func loopSumKernel(t *testing.T, length int) *sass.Kernel {
 	b := kasm.NewBuilder("_Z7loopsumPfS_", "sm_70", "loopsum.cu")
 	b.NumParams(2)
@@ -123,7 +124,8 @@ func loopSumKernel(t *testing.T, length int) *sass.Kernel {
 	p := b.ISetp("LT", kasm.VR(i), kasm.VImm(int64(length)))
 	b.BraIf(p, false, "loop")
 	b.Line(6)
-	outOff := b.Shl(kasm.VR(tid), 2)
+	gid := b.IMad(kasm.VR(b.CtaidX()), kasm.VR(b.NTidX()), kasm.VR(tid))
+	outOff := b.Shl(kasm.VR(gid), 2)
 	oaddr := b.IMadWide(kasm.VR(outOff), kasm.VImm(1), out)
 	b.Stg(oaddr, 0, acc, 4)
 	b.Exit()

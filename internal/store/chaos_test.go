@@ -151,7 +151,7 @@ func TestChaosMidReportRename(t *testing.T) {
 
 // TestChaosMidCompactRename kills the store between the compacted
 // journal's temp write and its rename: the old journal must stay
-// authoritative and the next Open must discard journal.tmp.
+// authoritative and the next Open must discard the rewrite's temp file.
 func TestChaosMidCompactRename(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{CompactAfter: 4})
@@ -180,16 +180,16 @@ func TestChaosMidCompactRename(t *testing.T) {
 	if !crashed {
 		t.Fatal("compaction never tripped the armed rename site")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "journal.tmp")); err != nil {
-		t.Fatalf("crashed compaction left no journal.tmp: %v", err)
+	if tmps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(tmps) != 1 {
+		t.Fatalf("crashed compaction left temp files %v, want one", tmps)
 	}
 	s.Close()
 
 	// Restart: the uncompacted journal is authoritative, the temp file
 	// is swept, and the live set is exactly what was acknowledged.
 	s2 := openTest(t, dir, Options{CompactAfter: 4})
-	if _, err := os.Stat(filepath.Join(dir, "journal.tmp")); !os.IsNotExist(err) {
-		t.Fatal("journal.tmp survived restart")
+	if tmps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(tmps) != 0 {
+		t.Fatalf("temp files %v survived restart", tmps)
 	}
 	pending := s2.Pending()
 	ids := map[string]bool{}

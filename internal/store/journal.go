@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"strconv"
 	"time"
 
@@ -303,58 +302,31 @@ func (s *Store) AppendTombstone(id, outcome string) error {
 }
 
 // compactLocked rewrites the journal as one snap marker plus an accept
-// per pending job, written to a temp file and renamed over the journal so
-// a crash at any point leaves exactly one valid journal on disk.
+// per pending job, through replaceFileLocked, so a crash at any point
+// leaves exactly one valid journal on disk. The rewrite is synced under
+// every policy: losing it would lose acknowledged jobs. Any failure
+// fail-stops the store.
 func (s *Store) compactLocked() error {
 	if s.dead {
 		return ErrDead
 	}
-	tmpPath := filepath.Join(s.dir, "journal.tmp")
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
 	now := time.Now().UnixNano()
 	var next liveJobs // the state the rewritten journal replays to
-	var newLen int64
+	var journal []byte
 	records := 0
-	write := func(r rec) error {
+	add := func(r rec) {
 		r.T = now
-		frame := encodeRecord(r)
-		if _, err := tmp.Write(frame); err != nil {
-			return err
-		}
+		journal = append(journal, encodeRecord(r)...)
 		next.apply(r)
 		records++
-		newLen += int64(len(frame))
-		return nil
 	}
-	err = write(rec{Op: opSnap, ID: s.live.lastID})
+	add(rec{Op: opSnap, ID: s.live.lastID})
 	for _, p := range s.live.pending() {
-		if err == nil {
-			err = write(rec{Op: opAccept, ID: p.ID, FP: p.Fingerprint, Req: p.Req})
-		}
+		add(rec{Op: opAccept, ID: p.ID, FP: p.Fingerprint, Req: p.Req})
 	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := faultinject.Hit(siteCompactRename); err != nil {
-		// Crash point: the compacted journal exists only as journal.tmp.
-		// The rename never happens, so the old journal stays
-		// authoritative; Open removes the orphan temp file.
+	if err := s.replaceFileLocked(s.journalPath, siteCompactRename, true, journal); err != nil {
 		s.dead = true
 		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := os.Rename(tmpPath, s.journalPath); err != nil {
-		s.dead = true
-		return fmt.Errorf("store: compact rename: %w", err)
 	}
 	// Swap the append handle onto the new file. The old handle still
 	// points at the unlinked inode; close it after the new one is live.
@@ -366,10 +338,7 @@ func (s *Store) compactLocked() error {
 	old := s.journalF
 	s.journalF = f
 	old.Close()
-	if s.opts.FsyncPolicy == FsyncAlways {
-		syncDir(s.dir)
-	}
-	s.journalLen = newLen
+	s.journalLen = int64(len(journal))
 	s.records = records
 	s.live = next
 	s.lastCompaction = time.Now()

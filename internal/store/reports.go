@@ -88,7 +88,7 @@ func (s *Store) PutReport(key, fingerprint string, data []byte) error {
 	// A fired kill site leaves the entry as a temp file only: Open removes
 	// the orphan and the report is recomputed on the next request
 	// (self-heal by recompute).
-	if err := s.replaceFileLocked(path, ".tmp-*", siteReportRename, []byte(header), data); err != nil {
+	if err := s.replaceFileLocked(path, siteReportRename, s.opts.FsyncPolicy == FsyncAlways, []byte(header), data); err != nil {
 		return fmt.Errorf("store: report write: %w", err)
 	}
 	size := int64(len(header) + len(data))
@@ -227,10 +227,9 @@ func (s *Store) gcLocked() {
 	}
 }
 
-// loadReportIndex scans reports/ at Open: orphan temp files from a
-// crashed write are removed, entry headers are checked (header line
-// only — bodies are verified lazily on Get), and the byte/mtime index
-// is rebuilt.
+// loadReportIndex scans reports/ at Open, after the orphan temp files
+// are swept: entry headers are checked (header line only — bodies are
+// verified lazily on Get), and the byte/mtime index is rebuilt.
 func (s *Store) loadReportIndex() error {
 	dir := filepath.Join(s.dir, "reports")
 	des, err := os.ReadDir(dir)
@@ -240,10 +239,6 @@ func (s *Store) loadReportIndex() error {
 	for _, de := range des {
 		name := de.Name()
 		path := filepath.Join(dir, name)
-		if strings.HasPrefix(name, ".tmp-") {
-			os.Remove(path)
-			continue
-		}
 		info, err := de.Info()
 		if err != nil || !info.Mode().IsRegular() {
 			continue

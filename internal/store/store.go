@@ -8,8 +8,9 @@
 //
 //	data-dir/
 //	  journal.wal     append-only framed job journal (journal.go)
-//	  journal.tmp     transient: a compaction rewrite in flight
+//	  .tmp-*          transient: a compaction or breaker save in flight
 //	  reports/<key>   one self-verifying entry per cached report
+//	  reports/.tmp-*  transient: an entry write in flight
 //	  corrupt/<key>   quarantined entries that failed verification
 //	  breaker.json    persisted quarantine-breaker entries
 //
@@ -165,13 +166,13 @@ func Open(dir string, opts Options) (*Store, error) {
 		journalPath: filepath.Join(dir, "journal.wal"),
 		reports:     map[string]reportEntry{},
 	}
-	// A compaction that crashed between temp write and rename leaves
-	// journal.tmp; the old journal is still authoritative. A breaker save
-	// that crashed there leaves a .breaker-* temp beside the old state.
-	os.Remove(filepath.Join(dir, "journal.tmp"))
-	orphans, _ := filepath.Glob(filepath.Join(dir, ".breaker-*"))
-	for _, o := range orphans {
-		os.Remove(o)
+	// A replace that crashed between temp write and rename leaves its
+	// temp file beside the old state, which is still authoritative.
+	for _, d := range []string{dir, filepath.Join(dir, "reports")} {
+		orphans, _ := filepath.Glob(filepath.Join(d, tempPattern))
+		for _, o := range orphans {
+			os.Remove(o)
+		}
 	}
 
 	if err := s.loadReportIndex(); err != nil {
@@ -247,15 +248,19 @@ var syncDir = func(dir string) {
 	}
 }
 
+// tempPattern names every replaceFileLocked temp file; Open sweeps the
+// ones a crash left.
+const tempPattern = ".tmp-*"
+
 // replaceFileLocked atomically replaces dst with the concatenated parts:
-// a temp file (named by pattern) in dst's own directory, fsync per
-// policy, rename onto dst, then a flush of that directory so the new
+// a temp file in dst's own directory, fsynced when syncTemp, renamed
+// onto dst, then under FsyncAlways a flush of that directory so the new
 // name is durable too. A crash at any instruction leaves dst whole —
 // old or new — and at most an orphan temp file, which Open sweeps.
 // killSite, when set, is the crash point between write and rename.
-func (s *Store) replaceFileLocked(dst, pattern, killSite string, parts ...[]byte) error {
-	dir, always := filepath.Dir(dst), s.opts.FsyncPolicy == FsyncAlways
-	tmp, err := os.CreateTemp(dir, pattern)
+func (s *Store) replaceFileLocked(dst, killSite string, syncTemp bool, parts ...[]byte) error {
+	dir := filepath.Dir(dst)
+	tmp, err := os.CreateTemp(dir, tempPattern)
 	if err != nil {
 		return err
 	}
@@ -264,7 +269,7 @@ func (s *Store) replaceFileLocked(dst, pattern, killSite string, parts ...[]byte
 			_, err = tmp.Write(p)
 		}
 	}
-	if err == nil && always {
+	if err == nil && syncTemp {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
@@ -285,7 +290,7 @@ func (s *Store) replaceFileLocked(dst, pattern, killSite string, parts ...[]byte
 		os.Remove(tmp.Name())
 		return err
 	}
-	if always {
+	if s.opts.FsyncPolicy == FsyncAlways {
 		syncDir(dir)
 	}
 	return nil
@@ -327,7 +332,7 @@ func (s *Store) SaveBreaker(data []byte) error {
 	if s.dead {
 		return ErrDead
 	}
-	if err := s.replaceFileLocked(filepath.Join(s.dir, "breaker.json"), ".breaker-*", "", data); err != nil {
+	if err := s.replaceFileLocked(filepath.Join(s.dir, "breaker.json"), "", s.opts.FsyncPolicy == FsyncAlways, data); err != nil {
 		return fmt.Errorf("store: save breaker: %w", err)
 	}
 	return nil

@@ -415,7 +415,7 @@ func TestReportStoreOrphanTempCleanup(t *testing.T) {
 	}
 	orphans := []string{
 		filepath.Join(dir, "reports", ".tmp-crashed123"), // a report write that died before its rename
-		filepath.Join(dir, ".breaker-123"),               // a breaker save that did
+		filepath.Join(dir, ".tmp-123"),                   // a compaction or breaker save that did
 	}
 	for _, orphan := range orphans {
 		if err := os.WriteFile(orphan, []byte("half a file"), 0o644); err != nil {
