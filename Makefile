@@ -82,7 +82,7 @@ pool-width:
 
 # The concurrent first touch of demand-filled device pages, the parallel
 # per-SM differentials, recordings made by two SMs at once and replayed
-# SM by SM (TestReplayMatchesResimulation's and TestFinishMatchesReplay's
+# SM by SM or matched as twins at seal (TestReplayMatchesResimulation's and TestFinishMatchesReplay's
 # launches but the 12 mixbench ones at scale 8, which would add ~4 min),
 # and a Run whose sweep starts on a recording other SMs still write, under
 # the race detector (~4 min on 2 CPUs; CI: build-test, so every change
@@ -90,7 +90,7 @@ pool-width:
 # draws a fresh seed per run; eight more runs (~3 s) make a NaN or F2I
 # result that depends on the host's code generation fail in most CI runs.
 race-sim:
-	$(GO) test -race -count=1 -run 'Fill|Parallel|Differential|Replay' -skip 'TestReplayMatchesResimulation|TestFinishMatchesReplay' ./internal/sim ./internal/workloads
+	$(GO) test -race -count=1 -run 'Fill|Parallel|Differential|Replay|Twin' -skip 'TestReplayMatchesResimulation|TestFinishMatchesReplay' ./internal/sim ./internal/workloads
 	$(GO) test -race -count=8 -run 'TestDifferentialRandomALU$$' ./internal/sim
 	$(GO) test -race -count=1 -run '(TestReplayMatchesResimulation|TestFinishMatchesReplay)/sm_[78]0/((histogram|jacobi|reduction|sgemm|spill|transpose)_|mixbench_.*@1$$)' ./internal/workloads
 	$(GO) test -race -count=1 -run 'TestRunMatchesPasses' ./internal/advisor

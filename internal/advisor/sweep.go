@@ -36,7 +36,9 @@ var buildArch = workloads.BuildArch
 // (Recording.Finish): a replay unless the recording proves the SM inert —
 // every shared access costs as before on the new bank count, or no set of
 // the old or new cache geometry holds more of its lines than it has ways.
-// A launch that is not replayable executes every cell.
+// An SM proved to replay as its twin (Recording.Twin), an SM sealed before
+// it, adds no value: the twin's item is the same finish. A launch that is
+// not replayable executes every cell.
 // workload/scale/arch/cfg must match the analyzed run, exactly as for
 // Verify: a recording execution that does not reproduce the report's
 // cycle count is an error. A dry-run report cannot be swept (no baseline
@@ -117,15 +119,17 @@ func (s *sweeper) begin(rec *sim.Recording) {
 	s.p = &pass{ctx: ctx, site: siteSweep, skipped: "sweep budget exhausted", lost: "missing from sweep", n: len(perts), per: per,
 		out: make([]outcome, len(perts)*per), label: func(i int) string { return "perturbation " + perts[i].ID() },
 		fn: func(ctx context.Context, i, j int) (cycles float64, err error) {
-			p := perts[i]
+			p, pa := perts[i], perts[i].Apply(s.arch)
 			switch {
+			case rec != nil && rec.Twin(pa, j) != j:
+				return 0, nil // the twin's item measures this SM's finish
 			case rec != nil:
-				cycles, _, err = rec.Finish(ctx, p.Apply(s.arch), j)
+				cycles, _, err = rec.Finish(ctx, pa, j)
 			case s.baseErr != nil:
 				return 0, fmt.Errorf("build under %s: %w", p.ID(), s.baseErr)
 			default:
 				var res *sim.Result
-				if res, err = workloads.ExecuteContext(ctx, s.w, sim.NewDevice(p.Apply(s.arch)), s.cfg); err == nil {
+				if res, err = workloads.ExecuteContext(ctx, s.w, sim.NewDevice(pa), s.cfg); err == nil {
 					cycles = res.Cycles
 				}
 			}

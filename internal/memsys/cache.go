@@ -8,6 +8,7 @@ package memsys
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"gpuscout/internal/gpu"
 )
@@ -61,7 +62,11 @@ func SMCaches(a *gpu.Arch) (l1, l2 CacheConfig) {
 // or sector size that is not a power of two, a line that is not whole
 // sectors, a size that is not whole sets — since configurations are
 // static architecture descriptions.
-func NewCache(cfg CacheConfig) *Cache {
+func NewCache(cfg CacheConfig) *Cache { return new(Cache).Reset(cfg) }
+
+// Reset empties c and cuts it to cfg as NewCache would, reusing its line
+// array where that holds cfg's lines, and returns c.
+func (c *Cache) Reset(cfg CacheConfig) *Cache {
 	if !pow2(cfg.LineBytes) || !pow2(cfg.SectorBytes) || cfg.SectorBytes > cfg.LineBytes {
 		panic(fmt.Sprintf("memsys: bad line/sector geometry %d/%d", cfg.LineBytes, cfg.SectorBytes))
 	}
@@ -70,10 +75,12 @@ func NewCache(cfg CacheConfig) *Cache {
 			cfg.Name, cfg.TotalBytes, cfg.Ways, cfg.LineBytes))
 	}
 	sets := cfg.TotalBytes / (cfg.LineBytes * cfg.Ways)
-	c := &Cache{
+	lines := slices.Grow(c.lines[:0], sets*cfg.Ways)[:sets*cfg.Ways]
+	clear(lines)
+	*c = Cache{
 		cfg:         cfg,
 		sets:        uint64(sets),
-		lines:       make([]cacheLine, sets*cfg.Ways),
+		lines:       lines,
 		lineShift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		sectorShift: uint(bits.TrailingZeros(uint(cfg.SectorBytes))),
 		lineMask:    uint64(cfg.LineBytes - 1),
@@ -130,6 +137,37 @@ func (cfg CacheConfig) Fits(lines []uint64) bool {
 		if perSet[set]++; int(perSet[set]) > cfg.Ways {
 			return false
 		}
+	}
+	return true
+}
+
+// Renames reports whether renaming distinct lines a[k] to b[k], one to
+// one, changes nothing a cache of cfg does: every set holding more of
+// either side's lines than it has ways holds exactly the renamed lines of
+// one set of the other side (DESIGN §8, "Twin SMs").
+func (cfg CacheConfig) Renames(a, b []uint64) bool {
+	if len(a) != len(b) || cfg.LineBytes <= 0 || cfg.Ways <= 0 || cfg.TotalBytes <= 0 || cfg.TotalBytes%(cfg.LineBytes*cfg.Ways) != 0 {
+		return false
+	}
+	type set struct{ na, nb, to int32 } // to: 1 + the set of b an oversubscribed set maps onto
+	var stack [1024]set
+	sets := cfg.TotalBytes / (cfg.LineBytes * cfg.Ways)
+	per := stack[:min(sets, len(stack))]
+	if sets > len(stack) {
+		per = make([]set, sets)
+	}
+	for k := range a {
+		per[a[k]%uint64(sets)].na++
+		per[b[k]%uint64(sets)].nb++
+	}
+	// A set of a whose lines all map onto one set of b holding as many
+	// holds their preimages alone, so checking from a's side suffices.
+	for k, l := range a {
+		pa, sb := &per[l%uint64(sets)], int32(b[k]%uint64(sets))
+		if max(pa.na, per[sb].nb) > int32(cfg.Ways) && (pa.na != per[sb].nb || pa.to != 0 && pa.to != sb+1) {
+			return false
+		}
+		pa.to = sb + 1
 	}
 	return true
 }

@@ -401,3 +401,55 @@ func TestCoalesceSectorsMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// TestRenamesKeepsHits: two caches of one geometry take an access stream
+// over random lines and the same stream with every line renamed, one to
+// one — by l·c + d, which moves each set whole when c is 1 mod the set
+// count and crowds or spreads them otherwise, or at random. Wherever
+// Renames holds for the footprint, every access must hit the same sectors
+// on both; each kind of renaming must be both proved and refused, so a
+// rule that always or never holds fails too.
+func TestRenamesKeepsHits(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cfg := CacheConfig{Name: "small", TotalBytes: 6 * 128 * 2, LineBytes: 128, SectorBytes: 32, Ways: 2}
+	// Two crowded sets of three whose lines swap between two crowded sets
+	// of three: every count agrees, but lines 0, 6, 1 evict on one side
+	// only.
+	if cfg.Renames([]uint64{0, 6, 12, 1, 7, 13}, []uint64{100, 106, 101, 112, 107, 113}) {
+		t.Error("proved a renaming that splits a crowded set over two")
+	}
+	proved := map[bool]int{}
+	refused := map[bool]int{}
+	for run := 0; run < 2000; run++ {
+		affine := run%2 == 0
+		var a []uint64
+		for _, l := range rng.Perm(40)[:2+rng.Intn(14)] {
+			a = append(a, uint64(l))
+		}
+		b := slices.Clone(a)
+		c, d := uint64(1+rng.Intn(7)), uint64(rng.Intn(100))
+		for k, l := range rng.Perm(64)[:len(b)] {
+			if b[k] = uint64(l) + 100; affine {
+				b[k] = a[k]*c + d
+			}
+		}
+		if !cfg.Renames(a, b) {
+			refused[affine]++
+			continue
+		}
+		proved[affine]++
+		x, y := NewCache(cfg), NewCache(cfg)
+		for step := 0; step < 200; step++ {
+			k, sector := rng.Intn(len(a)), uint32(1)<<rng.Intn(4)
+			if hx, hy := x.AccessLine(a[k]*128, sector), y.AccessLine(b[k]*128, sector); hx != hy {
+				t.Fatalf("run %d step %d: line %d hits %b, its renaming %d hits %b (footprint %v → %v)", run, step, a[k], hx, b[k], hy, a, b)
+			}
+		}
+	}
+	for _, affine := range []bool{true, false} {
+		if proved[affine] == 0 || refused[affine] == 0 {
+			t.Errorf("affine renaming %v: proved %d, refused %d; want both", affine, proved[affine], refused[affine])
+		}
+	}
+	t.Logf("proved %v, refused %v", proved, refused)
+}

@@ -135,6 +135,18 @@ func newLaunchArena(k *sass.Kernel, block Dim3, slots int, functional bool) (*la
 	}
 }
 
+// reset readies an arena that ran a replay, and the warp sets ws carved
+// with it, for another replay of the recording: takeBlock and resetWarp
+// reset the rest as when a slot recycles.
+func (a *launchArena) reset(ws warpSets) warpSets {
+	a.freeSlots = a.freeSlots[:0]
+	for s := range a.blocks {
+		a.freeSlots = append(a.freeSlots, s)
+	}
+	clear(ws.classAt)
+	return warpSets{awake: ws.awake[:0], far: ws.far[:0], classes: ws.classes[:0], classAt: ws.classAt}
+}
+
 // takeBlock pops a free slot and resets its block for a new CTA at idx.
 // The caller launches the warps via resetWarp. Panics if no slot is free
 // (the engine only refills after a block retired).

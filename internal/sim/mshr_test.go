@@ -7,14 +7,75 @@ import (
 	"testing"
 )
 
+// scanRing is the issue queue the simulator shipped before queueRing kept
+// its times ascending, kept as queueRing's oracle and as refRing's pending
+// set: unordered, compacted by a linear scan on every inflight and
+// scanned again by earliest.
+type scanRing struct {
+	times []float64
+}
+
+func (q *scanRing) push(t float64) { q.times = append(q.times, t) }
+
+func (q *scanRing) inflight(now float64) int {
+	n := 0
+	for _, t := range q.times {
+		if t > now {
+			q.times[n] = t
+			n++
+		}
+	}
+	q.times = q.times[:n]
+	return n
+}
+
+func (q *scanRing) earliest() float64 {
+	e := math.Inf(1)
+	for _, t := range q.times {
+		e = min(e, t)
+	}
+	return e
+}
+
+// TestQueueRingMatchesScan drives queueRing and scanRing with the same
+// seeded streams — non-decreasing now; pushes at or after now, mostly in
+// order as a pipe's service times are, with some behind the tail as a
+// global atomic's atomFree is, and ties — and requires every inflight
+// count and earliest time to be equal.
+func TestQueueRingMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var got queueRing
+		var ref scanRing
+		now, tail := 0.0, 0.0
+		for step := 0; step < 5000; step++ {
+			now += float64(rng.Intn(3)) * 0.5
+			for n := rng.Intn(4); n > 0; n-- {
+				c := max(tail, now) + float64(rng.Intn(6))
+				if rng.Intn(5) == 0 {
+					c = now + float64(rng.Intn(40)) // an atomic's horizon, anywhere past now
+				}
+				tail = max(tail, c)
+				got.push(c)
+				ref.push(c)
+			}
+			if g, w := got.inflight(now), ref.inflight(now); g != w {
+				t.Fatalf("seed %d step %d: inflight(%v) = %d, want %d", seed, step, now, g, w)
+			}
+			if g, w := got.earliest(), ref.earliest(); g != w {
+				t.Fatalf("seed %d step %d: earliest = %v, want %v", seed, step, g, w)
+			}
+		}
+	}
+}
+
 // refRing is the MSHR admission the simulator shipped before mshrTracker,
-// kept as the oracle: the unbounded queueRing of pending completion times
-// (which the issue queues still use), linearly compacted and
+// kept as the oracle: the unbounded scanRing of pending completion times,
 // quickselected on every admit. It is the definition of the model — "a
 // full unit admits at the (n-capacity+1)-th smallest pending completion"
 // — stated without the tracker's equivalence argument.
 type refRing struct {
-	queueRing
+	scanRing
 	scratch []float64
 }
 

@@ -3,7 +3,9 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 	"unsafe"
 
 	"gpuscout/internal/faultinject"
@@ -32,6 +34,10 @@ type Recording struct {
 	program
 	arch gpu.Arch      // the recorded device's
 	sms  []smRecording // one per plan
+
+	mu     sync.Mutex
+	lowest int        // 1 + the lowest index of an SM sealed so far, 0 for none; under mu
+	free   []*smState // replayed SMs' state, for the next Finish to reset; under mu
 }
 
 // smRecording is the part of a recording one SM wrote. Which warp a
@@ -48,6 +54,8 @@ type smRecording struct {
 	lines  []uint64     // the footprint (see seal)
 	// Whether the recorded L1 and L2 slice fit the footprint (see inert).
 	l1Fits, l2Fits bool
+	twin           int // the SM whose streams these are, lines[k] renamed image[k] (see match), or this one
+	image          []uint64
 }
 
 type warpStream struct {
@@ -201,7 +209,85 @@ func (r *Recording) seal(i int, now float64) bool {
 	l1, l2 := memsys.SMCaches(&r.arch)
 	sm.l1Fits = l1.Fits(sm.lines)
 	sm.l2Fits = l2.LineBytes == l1.LineBytes && l2.Fits(sm.lines)
+	sm.twin = i
+	r.mu.Lock()
+	rep := r.lowest - 1
+	if rep < 0 || i < rep {
+		r.lowest = i + 1
+	}
+	r.mu.Unlock()
+	if rep >= 0 {
+		r.match(i, rep)
+	}
 	return true
+}
+
+// match makes sealed SM i the twin of SM j when j's streams are i's with
+// every global, local and texture line renamed, one to one, to a line of
+// i's at the same offsets within it, and all else equal.
+func (r *Recording) match(j, i int) {
+	a, b := &r.sms[j], &r.sms[i]
+	if len(a.warps) != len(b.warps) || len(a.lines) != len(b.lines) {
+		return
+	}
+	image := make([]uint64, len(a.lines))                       // 1 + the renamed line, 0 while unmapped
+	shift := uint(bits.TrailingZeros(uint(r.arch.L1LineBytes))) // a power of two, as the caches require
+	var memo [64][2]uint64                                      // 1 + a line looked up and its index, by line mod 64
+	for w := range a.warps {
+		x, y := &a.warps[w], &b.warps[w]
+		if !slices.Equal(x.insts, y.insts) || !slices.Equal(x.mem, y.mem) {
+			return
+		}
+		for m := range x.mem {
+			at, sx := x.access(m)
+			_, sy := y.access(m)
+			if sp := r.code[at].mem.space; sp == sass.ClassShared || sp == sass.ClassConst {
+				if !slices.Equal(sx, sy) {
+					return
+				}
+				continue
+			}
+			for k, s := range sx {
+				if (s^sy[k])<<(64-shift) != 0 { // another offset within the line
+					return
+				}
+				if m := &memo[s>>shift%64]; m[0] != s>>shift+1 {
+					i, _ := slices.BinarySearch(a.lines, s>>shift)
+					*m = [2]uint64{s>>shift + 1, uint64(i)}
+				}
+				if p := memo[s>>shift%64][1]; image[p] == 0 {
+					image[p] = sy[k]>>shift + 1
+				} else if image[p] != sy[k]>>shift+1 {
+					return
+				}
+			}
+		}
+	}
+	for k := range image {
+		image[k]--
+	}
+	sorted := slices.Clone(image)
+	slices.Sort(sorted)
+	if len(slices.Compact(sorted)) == len(b.lines) {
+		a.twin, a.image = i, image // one to one, so onto b.lines
+	}
+}
+
+// Twin returns the SM, sealed before SM j, whose replay on arch j's is
+// proved to repeat bit for bit, or j itself: match's renaming is invisible
+// when both SMs' warps fall to the same schedulers, both caches cut the
+// recorded lines, and each meets the renamed lines alike (DESIGN §8).
+func (r *Recording) Twin(arch gpu.Arch, j int) int {
+	sm := &r.sms[j]
+	i := sm.twin
+	if i == j || (r.plans[j].gidBase-r.plans[i].gidBase)%schedulers(&arch) != 0 || arch.L1LineBytes != r.arch.L1LineBytes {
+		return j
+	}
+	l1, l2 := memsys.SMCaches(&arch)
+	if l2.LineBytes != l1.LineBytes || !l1.Renames(sm.lines, sm.image) || !l2.Renames(sm.lines, sm.image) {
+		return j
+	}
+	return i
 }
 
 // inert reports whether SM i's replay on arch is proved to finish when
@@ -279,9 +365,19 @@ func (r *Recording) Finish(ctx context.Context, arch gpu.Arch, i int) (cycles fl
 		return 0, true, err
 	}
 	e.cyclesOnly = true
-	sm := e.newSM(i)
+	r.mu.Lock()
+	var old *smState
+	if n := len(r.free); n > 0 {
+		old, r.free = r.free[n-1], r.free[:n-1]
+	}
+	r.mu.Unlock()
+	sm := e.newSM(i, old)
 	err = e.runSM(e.ctx, sm, r.plans[i].blocks)
-	return sm.now, true, err
+	cycles = sm.now
+	r.mu.Lock()
+	r.free = append(r.free, sm)
+	r.mu.Unlock()
+	return cycles, true, err
 }
 
 // replayOn is the engine replaying r on arch, past sim.launch's fault

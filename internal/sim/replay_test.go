@@ -25,11 +25,12 @@ var benchScales = map[string]int{
 // BenchmarkReplay times a sweep's replays alone: every workload on sm_70
 // and sm_80 at the benchmark's scale (benchScales), recorded once with
 // two sampled SMs; an iteration takes every perturbation cell's SMs as
-// the sweep does, one Recording.Finish each, so an SM whose part of the
-// proof holds costs nothing and every other SM replays alone. rec_B is
-// the recordings' bytes as the budget charges them; replayed_SMs/op counts
-// the Finish calls that replayed, a measure of the work that host noise
-// does not move.
+// the sweep does: an SM proved its twin's (Recording.Twin) is skipped,
+// every other one takes one Recording.Finish, so an SM whose part of the
+// inert proof holds costs nothing and every other SM replays alone. rec_B
+// is the recordings' bytes as the budget charges them; replayed_SMs/op
+// counts the Finish calls that replayed and twin_SMs/op the SMs skipped,
+// measures of the work that host noise does not move.
 func BenchmarkReplay(b *testing.B) {
 	ctx := context.Background()
 	type cell struct {
@@ -54,11 +55,15 @@ func BenchmarkReplay(b *testing.B) {
 			}
 		}
 	}
-	replays := 0
+	replays, twins := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range cells {
 			for sm := range c.rec.SMs() {
+				if c.rec.Twin(c.arch, sm) != sm {
+					twins++
+					continue
+				}
 				_, replayed, err := c.rec.Finish(ctx, c.arch, sm)
 				if err != nil {
 					b.Fatal(err)
@@ -71,4 +76,5 @@ func BenchmarkReplay(b *testing.B) {
 	}
 	b.ReportMetric(float64(held), "rec_B")
 	b.ReportMetric(float64(replays)/float64(b.N), "replayed_SMs/op")
+	b.ReportMetric(float64(twins)/float64(b.N), "twin_SMs/op")
 }

@@ -246,7 +246,7 @@ func (e *engine) run() (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(plans); i = int(next.Add(1)) - 1 {
-				sm := e.newSM(i)
+				sm := e.newSM(i, nil)
 				t0 := time.Now()
 				if errs[i] = e.runSM(runCtx, sm, plans[i].blocks); errs[i] != nil {
 					cancel()
@@ -345,8 +345,10 @@ func blocksForSM(grid Dim3, smID, numSMs int) []Dim3 {
 
 // newSM builds the timing state of the SM of plan i with this SM's
 // bandwidth slices, its own counters, its deterministic global-warp-ID
-// base and, when the launch records or replays, its own recording.
-func (e *engine) newSM(i int) *smState {
+// base and, when the launch records or replays, its own recording. Given
+// old, the state of an SM that replayed the same recording, it resets
+// old's caches and, in runSM, its arena instead of allocating them.
+func (e *engine) newSM(i int, old *smState) *smState {
 	a, p := &e.arch, &e.plans[i]
 	var rec *smRecording
 	if e.rec != nil {
@@ -359,15 +361,13 @@ func (e *engine) newSM(i int) *smState {
 		counters = newCounters(len(e.kernel.Insts))
 	}
 	l1, l2 := memsys.SMCaches(a)
-	return &smState{
+	sm := &smState{
 		id:         p.id,
 		gidBase:    p.gidBase,
 		nextGid:    p.gidBase,
 		rec:        rec,
 		counters:   counters,
 		cyclesOnly: e.cyclesOnly,
-		l1:         memsys.NewCache(l1),
-		l2:         memsys.NewCache(l2),
 		lsu:        memsys.NewBandwidth(float64(a.L1SectorBytes)), // 1 sector/cycle
 		texu:       memsys.NewBandwidth(float64(a.L1SectorBytes)), // 1 sector/cycle
 		mio:        memsys.NewBandwidth(1),                        // 1 transaction/cycle
@@ -377,6 +377,21 @@ func (e *engine) newSM(i int) *smState {
 		lsuMiss: mshrTracker{capacity: a.LSUMSHRs},
 		texMiss: mshrTracker{capacity: a.TEXMSHRs},
 	}
+	if old == nil {
+		sm.l1, sm.l2 = memsys.NewCache(l1), memsys.NewCache(l2)
+	} else {
+		sm.l1, sm.l2, sm.arena, sm.warpSets = old.l1.Reset(l1), old.l2.Reset(l2), old.arena, old.warpSets
+	}
+	return sm
+}
+
+// schedulers is a's warp schedulers per SM as runSM clamps them to the
+// picker's width.
+func schedulers(a *gpu.Arch) int {
+	if n := a.NumSchedulers; n >= 1 && n <= len(smState{}.lastPick) {
+		return n
+	}
+	return 4
 }
 
 // runSM simulates all blocks assigned to one SM; sm.now holds its
@@ -391,11 +406,12 @@ func (e *engine) runSM(ctx context.Context, sm *smState, blockIdxs []Dim3) error
 	}
 	// All mutable warp/block state for this SM lives in one arena sized
 	// for the resident-block window; slots recycle as CTAs retire.
-	sm.arena, sm.warpSets = newLaunchArena(e.kernel, e.block, resident, !e.replay)
-	sm.numSched = e.arch.NumSchedulers
-	if sm.numSched < 1 || sm.numSched > len(sm.lastPick) {
-		sm.numSched = 4
+	if a := sm.arena; a != nil && len(a.blocks) == resident {
+		sm.warpSets = a.reset(sm.warpSets)
+	} else {
+		sm.arena, sm.warpSets = newLaunchArena(e.kernel, e.block, resident, !e.replay)
 	}
+	sm.numSched = schedulers(&e.arch)
 	if sm.rec != nil && !e.replay {
 		sm.rec.warps = make([]warpStream, len(blockIdxs)*sm.arena.warpsPerBlock)
 		sm.rec.budget = maxRecordingBytes / len(e.plans)

@@ -10,47 +10,59 @@ import (
 )
 
 // queueRing tracks completion times of in-flight operations in an issue
-// queue (LG / MIO / TEX). Entries whose completion is in the past no
-// longer occupy a slot. Issue queues stay within a few entries of their
-// depth (classify stops issue once one is full), so linear scans are
-// cheap here; MSHR occupancy, which overfills by orders of magnitude,
-// uses mshrTracker.
+// queue (LG / MIO / TEX), ascending in ring[head..head+n) (indices mod its
+// power-of-two length, doubled when full): entries whose completion is
+// past are a prefix, dropped, and push inserts from the tail (DESIGN §8).
 type queueRing struct {
-	times []float64
+	ring    []float64
+	head, n int
 }
 
-func (q *queueRing) push(t float64) { q.times = append(q.times, t) }
-
-// inflight counts entries still pending at time now, compacting as a side
-// effect.
-func (q *queueRing) inflight(now float64) int {
-	n := 0
-	for _, t := range q.times {
-		if t > now {
-			q.times[n] = t
-			n++
+func (q *queueRing) push(t float64) {
+	if q.n == len(q.ring) {
+		grown := make([]float64, max(2*len(q.ring), 8))
+		for k := range q.n {
+			grown[k] = q.ring[(q.head+k)&(len(q.ring)-1)]
 		}
+		q.ring, q.head = grown, 0
 	}
-	q.times = q.times[:n]
-	return n
+	wrap := len(q.ring) - 1
+	i := q.head + q.n
+	for ; i > q.head && q.ring[(i-1)&wrap] > t; i-- {
+		q.ring[i&wrap] = q.ring[(i-1)&wrap]
+	}
+	q.ring[i&wrap] = t
+	q.n++
+}
+
+// drop removes the head.
+func (q *queueRing) drop() {
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+}
+
+// inflight counts entries still pending at time now (> now), dropping the
+// rest; successive calls see non-decreasing now.
+func (q *queueRing) inflight(now float64) int {
+	for q.n > 0 && q.ring[q.head] <= now {
+		q.drop()
+	}
+	return q.n
 }
 
 // earliest returns the soonest completion among pending entries.
 func (q *queueRing) earliest() float64 {
-	e := math.Inf(1)
-	for _, t := range q.times {
-		if t < e {
-			e = t
-		}
+	if q.n == 0 {
+		return math.Inf(1)
 	}
-	return e
+	return q.ring[q.head]
 }
 
 // mshrTracker models MSHR admission for one L1 miss path: a miss that
 // finds all capacity slots busy waits for the soonest completion that
 // frees one. It keeps only the capacity largest completion times ever
-// pushed, in ascending order in a ring, so memory is O(capacity) however
-// far the miss stream runs ahead of the slots.
+// pushed, ascending in a queueRing, so memory is O(capacity) however far
+// the miss stream runs ahead of the slots.
 //
 // With n entries pending at now (completion > now), a full unit admits at
 // the (n-capacity+1)-th smallest pending time, i.e. the capacity-th
@@ -68,8 +80,7 @@ func (q *queueRing) earliest() float64 {
 // now.) It holds because now is always the return value of the pipe's own
 // memsys.Bandwidth.Request, whose busy horizon only moves forward.
 type mshrTracker struct {
-	ring     []float64 // power-of-two length; ring[head..head+n) ascending, indices mod len
-	head, n  int
+	queueRing
 	capacity int
 }
 
@@ -87,20 +98,13 @@ func (m *mshrTracker) push(t float64) {
 	if m.ring == nil {
 		m.ring = make([]float64, 1<<bits.Len(uint(m.capacity-1)))
 	}
-	wrap := len(m.ring) - 1
 	if m.n == m.capacity {
 		if t <= m.ring[m.head] {
 			return // not among the capacity largest
 		}
-		m.head = (m.head + 1) & wrap
-		m.n--
+		m.drop()
 	}
-	i := m.head + m.n
-	for ; i > m.head && m.ring[(i-1)&wrap] > t; i-- {
-		m.ring[i&wrap] = m.ring[(i-1)&wrap]
-	}
-	m.ring[i&wrap] = t
-	m.n++
+	m.queueRing.push(t)
 }
 
 // smState is the timing state of one simulated streaming multiprocessor.

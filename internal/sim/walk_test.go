@@ -50,7 +50,7 @@ func TestSectorWalkMatchesPerSector(t *testing.T) {
 		arch.L1Bytes = arch.L1LineBytes * arch.L1Ways * 4               // four sets
 		arch.L2Bytes = arch.NumSMs * arch.L2LineBytes * arch.L2Ways * 2 // two sets per slice
 		e := &engine{arch: arch, program: program{kernel: &sass.Kernel{}, plans: []smPlan{{}}}}
-		grouped, ref := e.newSM(0), e.newSM(0)
+		grouped, ref := e.newSM(0, nil), e.newSM(0, nil)
 		lines := make([]uint64, 48) // in pairs of neighbours
 		for i := 0; i < len(lines); i += 2 {
 			lines[i] = uint64(rng.Intn(1 << 16))

@@ -83,11 +83,12 @@ func reexecuted(w *Workload, arch gpu.Arch, name string, scale int) (map[string]
 // checkFinishes records the launch under cfg and sim.WithRecorded, whose
 // hook must hand out each SM's part once, before Record returns; then,
 // under every perturbation, requires each SM's Recording.Finish to be the
-// re-execution's SMFinish bit for bit, and, wherever Finish did not
-// replay, the recorded finish. It returns, by perturbation ID, how many
-// SMs' part of inert's proof held.
-func checkFinishes(t *testing.T, arch gpu.Arch, name string, scale int, cfg sim.Config) map[string]int {
-	proved := map[string]int{}
+// re-execution's SMFinish bit for bit, wherever Finish did not replay the
+// recorded finish, and wherever Recording.Twin names another SM that SM's
+// re-executed finish. It returns, by perturbation ID, how many SMs' part
+// of inert's proof held, and how many SM-cells Twin proved.
+func checkFinishes(t *testing.T, arch gpu.Arch, name string, scale int, cfg sim.Config) (proved map[string]int, twins int) {
+	proved = map[string]int{}
 	ctx := context.Background()
 	w, err := BuildArch(name, scale, arch)
 	if err != nil {
@@ -129,6 +130,12 @@ func checkFinishes(t *testing.T, arch gpu.Arch, name string, scale int, cfg sim.
 			if math.Float64bits(got) != math.Float64bits(finish[i]) {
 				t.Errorf("%s: SM %d finishes at %v, its re-execution at %v", p.ID(), i, got, finish[i])
 			}
+			if tw := rec.Twin(pa, i); tw != i {
+				twins++
+				if math.Float64bits(finish[tw]) != math.Float64bits(finish[i]) {
+					t.Errorf("%s: SM %d is proved SM %d's twin, but re-executes to %v, not %v", p.ID(), i, tw, finish[i], finish[tw])
+				}
+			}
 			if replayed {
 				continue
 			}
@@ -138,7 +145,7 @@ func checkFinishes(t *testing.T, arch gpu.Arch, name string, scale int, cfg sim.
 			proved[p.ID()]++
 		}
 	}
-	return proved
+	return proved, twins
 }
 
 // TestReplayMatchesResimulation is the proof that a sweep cell may be
@@ -153,15 +160,19 @@ func checkFinishes(t *testing.T, arch gpu.Arch, name string, scale int, cfg sim.
 // must finish where it was recorded — a mismatch is a wrong proof — and
 // when every subtest ran, each cell the proof covers (l1_capacity,
 // l2_capacity, shared_banks, up and down) must have been proved on some
-// SM, so a proof that never says yes fails too.
+// SM, so a proof that never says yes fails too. The same holds for Twin's
+// proof: some SM-cell must have been proved a twin.
 func TestReplayMatchesResimulation(t *testing.T) {
 	var mu sync.Mutex
 	proved := map[string]int{}
-	cases, ran := 0, 0
+	cases, ran, twins := 0, 0, 0
 	t.Cleanup(func() {
-		t.Logf("%d of %d cases ran; SMs proved inert per cell: %v", ran, cases, proved)
+		t.Logf("%d of %d cases ran; SMs proved inert per cell: %v; twin SM-cells: %d", ran, cases, proved, twins)
 		if ran < cases {
 			return
+		}
+		if twins == 0 {
+			t.Error("no SM is ever proved a twin")
 		}
 		for _, p := range gpu.Perturbations() {
 			if r := p.Resource; (r == gpu.ResourceL1Capacity || r == gpu.ResourceL2Capacity || r == gpu.ResourceSharedBanks) && proved[p.ID()] == 0 {
@@ -173,9 +184,10 @@ func TestReplayMatchesResimulation(t *testing.T) {
 		mu.Lock()
 		ran++
 		mu.Unlock()
-		got := checkFinishes(t, arch, name, scale, sim.Config{SampleSMs: 2, Workers: 1})
+		got, n := checkFinishes(t, arch, name, scale, sim.Config{SampleSMs: 2, Workers: 1})
 		mu.Lock()
 		defer mu.Unlock()
+		twins += n
 		for id, n := range got {
 			proved[id] += n
 		}
@@ -186,8 +198,9 @@ func TestReplayMatchesResimulation(t *testing.T) {
 // recording made by two recorders at once — four sampled SMs on two
 // workers, each SM's part handed out while the other worker still
 // records — over the same population: each SM's Finish under every
-// perturbation is the re-execution's SMFinish bit for bit, and the
-// recorded finish wherever Finish did not replay.
+// perturbation is the re-execution's SMFinish bit for bit, the recorded
+// finish wherever Finish did not replay, and a proved twin's re-executed
+// finish.
 func TestFinishMatchesReplay(t *testing.T) {
 	forEachLaunch(t, func(t *testing.T, arch gpu.Arch, name string, scale int) {
 		checkFinishes(t, arch, name, scale, sim.Config{SampleSMs: 4, Workers: 2})
