@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build loc digest vet test test-faultinject bench-sass bench-replay bench-sim pool-width race-sim smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
+.PHONY: check build loc digest vet test test-faultinject bench-sass bench-codegen bench-replay bench-sim pool-width race-sim smoke sensitivity-smoke race chaos cluster-test soak serve bench-check fmt-check test-arch arch-report
 
 check: build vet race
 
@@ -50,6 +50,15 @@ test-faultinject:
 BENCHTIME ?= 1s
 bench-sass:
 	$(GO) test ./internal/sass -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME)
+
+# The build stage: kasm building plus codegen.Compile on one kernel of
+# the upload corpus's synthetic shape and on TestCompilePinned's seeded
+# population, and workloads.BuildArch over the benchmark's 46 builds.
+# allocs/op is an exact work count for the seeds. CI's build-test job
+# runs it at BENCHTIME=1x (~2 s).
+bench-codegen:
+	$(GO) test ./internal/codegen -run '^$$' -bench Compile -benchmem -benchtime $(BENCHTIME)
+	$(GO) test ./internal/workloads -run '^$$' -bench Build -benchmem -benchtime $(BENCHTIME)
 
 # A sweep's replays alone: every workload on sm_70 and sm_80 at the
 # benchmark's scale, recorded once, then every cell's SMs timed per

@@ -179,7 +179,9 @@ func TestPartialWriteKeepsPairLive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	liveOut := computeVLiveness(p)
+	var du defUse
+	du.compute(p)
+	liveOut := computeVLiveness(p, &du)
 	// MovPair's two MOVs and the MovTo come just before the STG.
 	stg := len(p.Insts) - 2
 	for i := stg - 3; i < stg; i++ {

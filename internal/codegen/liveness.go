@@ -6,62 +6,98 @@
 package codegen
 
 import (
+	"slices"
+
 	"gpuscout/internal/kasm"
 	"gpuscout/internal/sass"
 )
 
-// defsUses extracts the virtual registers written and read by in.
-// fullDef reports whether the write covers the whole vreg (a partial
-// element write both reads and writes it).
-func defsUses(p *kasm.Program, in *kasm.VInst) (defs []kasm.VReg, fullDef bool, uses []kasm.VReg) {
-	fullDef = true
-	written, _, _ := sass.OperandWords(in.Op, in.Mods)
-	for _, o := range in.Dst {
-		switch o.Kind {
-		case kasm.VOpdReg:
-			if o.V == kasm.NoVReg {
-				continue
-			}
-			defs = append(defs, o.V)
-			if o.Elem != 0 || written < p.WidthOf(o.V) {
-				fullDef = false
-				uses = append(uses, o.V)
-			}
-		case kasm.VOpdMem:
-			if o.V != kasm.NoVReg {
-				uses = append(uses, o.V) // store/atomic address
-			}
-		}
-	}
-	for _, o := range in.Src {
-		switch o.Kind {
-		case kasm.VOpdReg, kasm.VOpdMem:
-			if o.V != kasm.NoVReg {
-				uses = append(uses, o.V)
-			}
-		}
-	}
-	return defs, fullDef, uses
+// defUse is one allocation round's def/use table: for each instruction,
+// the vregs it writes and reads, and whether its write covers the whole
+// vreg (a partial element write both reads and writes it). It is flat:
+// instruction i's defs are defs[defOff[i]:defOff[i+1]], its uses
+// likewise. Liveness visits an instruction once per fixpoint pass and
+// buildIntervals once more, so the table is built once per round and
+// read by both; rewrite changes the program, so a spill round rebuilds
+// it (into the same buffers).
+type defUse struct {
+	defs, uses     []kasm.VReg
+	defOff, useOff []int32
+	full           []bool
 }
+
+func (du *defUse) compute(p *kasm.Program) {
+	nd, ns := 0, 0
+	for i := range p.Insts {
+		nd += len(p.Insts[i].Dst)
+		ns += len(p.Insts[i].Src)
+	}
+	n := len(p.Insts)
+	du.defs = slices.Grow(du.defs[:0], nd)
+	du.uses = slices.Grow(du.uses[:0], nd+ns)
+	du.defOff = append(slices.Grow(du.defOff[:0], n+1), 0)
+	du.useOff = append(slices.Grow(du.useOff[:0], n+1), 0)
+	du.full = slices.Grow(du.full[:0], n)
+	for i := range p.Insts {
+		in := &p.Insts[i]
+		full := true
+		written, _, _ := sass.OperandWords(in.Op, in.Mods)
+		for _, o := range in.Dst {
+			switch o.Kind {
+			case kasm.VOpdReg:
+				if o.V == kasm.NoVReg {
+					continue
+				}
+				du.defs = append(du.defs, o.V)
+				if o.Elem != 0 || written < p.WidthOf(o.V) {
+					full = false
+					du.uses = append(du.uses, o.V)
+				}
+			case kasm.VOpdMem:
+				if o.V != kasm.NoVReg {
+					du.uses = append(du.uses, o.V) // store/atomic address
+				}
+			}
+		}
+		for _, o := range in.Src {
+			switch o.Kind {
+			case kasm.VOpdReg, kasm.VOpdMem:
+				if o.V != kasm.NoVReg {
+					du.uses = append(du.uses, o.V)
+				}
+			}
+		}
+		du.defOff = append(du.defOff, int32(len(du.defs)))
+		du.useOff = append(du.useOff, int32(len(du.uses)))
+		du.full = append(du.full, full)
+	}
+}
+
+func (du *defUse) defsOf(i int) []kasm.VReg { return du.defs[du.defOff[i]:du.defOff[i+1]] }
+func (du *defUse) usesOf(i int) []kasm.VReg { return du.uses[du.useOff[i]:du.useOff[i+1]] }
 
 // computeVLiveness returns, for each instruction index, the set of
 // virtual registers live immediately after it: sass.LiveOut over the
-// instructions, with sass.Succs over labels and branches and defsUses as
-// the transfer. A partial element write keeps the vreg live.
-func computeVLiveness(p *kasm.Program) [][]uint64 {
+// instructions, with sass.Succs over labels and branches and the round's
+// def/use table as the transfer. A partial element write keeps the vreg
+// live.
+func computeVLiveness(p *kasm.Program, du *defUse) [][]uint64 {
 	n := len(p.Insts)
 	succs := func(i int, buf []int) []int {
 		in := &p.Insts[i]
-		return sass.Succs(buf, in.Op, in.Pred != sass.PT, i, p.Labels[in.Label], n)
+		target := 0
+		if in.Op == sass.OpBRA {
+			target = p.Labels[in.Label]
+		}
+		return sass.Succs(buf, in.Op, in.Pred != sass.PT, i, target, n)
 	}
 	transfer := func(i int, live []uint64) {
-		defs, fullDef, uses := defsUses(p, &p.Insts[i])
-		if fullDef {
-			for _, d := range defs {
+		if du.full[i] {
+			for _, d := range du.defsOf(i) {
 				live[d/64] &^= 1 << (d % 64)
 			}
 		}
-		for _, u := range uses {
+		for _, u := range du.usesOf(i) {
 			live[u/64] |= 1 << (u % 64)
 		}
 	}

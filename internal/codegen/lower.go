@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"gpuscout/internal/gpu"
@@ -48,22 +49,24 @@ func Compile(p *kasm.Program, opts Options) (*sass.Kernel, error) {
 		return nil, fmt.Errorf("codegen: register budget %d below minimum 8", budget)
 	}
 
-	// Work on a copy: spill rewriting mutates the program.
+	// Work on a copy: spill rewriting mutates the program. Every vreg
+	// numbered from firstTemp on is a reload/store temporary rewrite made.
 	work := cloneProgram(p)
 	lowerForArch(work, arch.ISA)
-	noSpill := map[kasm.VReg]bool{}
-	spilledEver := map[kasm.VReg]bool{}
-	sp := &spiller{}
+	firstTemp := work.NumVRegs
+	sp := newSpiller(firstTemp)
+	var du defUse
 
-	var alloc *allocResult
+	var alloc allocResult
 	for round := 0; ; round++ {
 		if round > 64 {
 			return nil, fmt.Errorf("codegen: spilling did not converge after %d rounds", round)
 		}
-		lv := computeVLiveness(work)
-		ivs := buildIntervals(work, lv, noSpill)
+		du.compute(work)
+		lv := computeVLiveness(work, &du)
+		ivs := buildIntervals(work, &du, lv, firstTemp)
 		var err error
-		alloc, err = linearScan(ivs, budget)
+		alloc, err = linearScan(ivs, budget, work.NumVRegs)
 		if err != nil {
 			return nil, err
 		}
@@ -71,15 +74,14 @@ func Compile(p *kasm.Program, opts Options) (*sass.Kernel, error) {
 			break
 		}
 		for _, v := range alloc.spilled {
-			if spilledEver[v] {
+			if sp.slot[v] >= 0 {
 				return nil, fmt.Errorf("codegen: vreg %d spilled twice; budget %d unworkable", v, budget)
 			}
-			spilledEver[v] = true
 		}
-		sp.rewrite(work, alloc.spilled, noSpill)
+		sp.rewrite(work, alloc.spilled)
 	}
 
-	k := translate(work, alloc)
+	k := translate(work, &alloc)
 	k.LocalBytes = sp.localBytes
 	if opts.Arch.Name != "" {
 		// An explicit target stamps the kernel; otherwise the program's
@@ -93,20 +95,30 @@ func Compile(p *kasm.Program, opts Options) (*sass.Kernel, error) {
 	return k, nil
 }
 
+// cloneProgram copies p deeply enough for rewriting: every instruction's
+// operands are carved from one slab, capacity-capped so that an append
+// to one instruction's list copies it instead of overwriting the next.
 func cloneProgram(p *kasm.Program) *kasm.Program {
 	c := *p
-	c.Insts = make([]kasm.VInst, len(p.Insts))
+	c.Insts = slices.Clone(p.Insts)
+	n := 0
 	for i := range p.Insts {
-		in := p.Insts[i]
-		in.Dst = append([]kasm.VOperand(nil), in.Dst...)
-		in.Src = append([]kasm.VOperand(nil), in.Src...)
-		c.Insts[i] = in
+		n += len(p.Insts[i].Dst) + len(p.Insts[i].Src)
 	}
-	c.Widths = append([]uint8(nil), p.Widths...)
-	c.Labels = make(map[string]int, len(p.Labels))
-	for k, v := range p.Labels {
-		c.Labels[k] = v
+	slab := make([]kasm.VOperand, 0, n)
+	carve := func(o []kasm.VOperand) []kasm.VOperand {
+		if len(o) == 0 {
+			return nil
+		}
+		slab = append(slab, o...)
+		return slab[len(slab)-len(o) : len(slab) : len(slab)]
 	}
+	for i := range c.Insts {
+		c.Insts[i].Dst = carve(c.Insts[i].Dst)
+		c.Insts[i].Src = carve(c.Insts[i].Src)
+	}
+	c.Widths = slices.Clone(p.Widths)
+	c.Labels = maps.Clone(p.Labels)
 	return &c
 }
 
@@ -116,72 +128,92 @@ func cloneProgram(p *kasm.Program) *kasm.Program {
 // consistent across control-flow edges.
 type spiller struct {
 	localBytes int
-	slots      map[kasm.VReg]int64
+	// slot is each original vreg's local-memory offset, -1 until it is
+	// spilled. Only original vregs are ever spilled: the temporaries
+	// rewrite adds are never chosen.
+	slot []int64
 }
 
-func (sp *spiller) rewrite(p *kasm.Program, spilled []kasm.VReg, noSpill map[kasm.VReg]bool) {
-	if sp.slots == nil {
-		sp.slots = map[kasm.VReg]int64{}
+func newSpiller(nvregs int) *spiller {
+	sp := &spiller{slot: make([]int64, nvregs)}
+	for v := range sp.slot {
+		sp.slot[v] = -1
 	}
-	isSpilled := map[kasm.VReg]bool{}
+	return sp
+}
+
+func (sp *spiller) rewrite(p *kasm.Program, spilled []kasm.VReg) {
+	isSpilled := make([]bool, len(sp.slot))
 	for _, v := range spilled {
 		isSpilled[v] = true
 		w := p.WidthOf(v) * 4
 		// Align the slot to the access width.
 		sp.localBytes = (sp.localBytes + w - 1) / w * w
-		sp.slots[v] = int64(sp.localBytes)
+		sp.slot[v] = int64(sp.localBytes)
 		sp.localBytes += w
 	}
 
-	newReg := func(width int) kasm.VReg {
-		v := kasm.VReg(p.NumVRegs)
-		p.NumVRegs++
-		p.Widths = append(p.Widths, uint8(width))
-		noSpill[v] = true
-		return v
+	// The spill code's operands, carved one at a time from shared chunks.
+	var slab []kasm.VOperand
+	one := func(o kasm.VOperand) []kasm.VOperand {
+		if len(slab) == cap(slab) {
+			slab = make([]kasm.VOperand, 0, 256)
+		}
+		slab = append(slab, o)
+		return slab[len(slab)-1 : len(slab) : len(slab)]
 	}
 
-	var out []kasm.VInst
+	// Per instruction: the spilled vregs it touches, which need their value
+	// before it (loads) and their slot updated after it (stores), and the
+	// temporary standing in for each.
+	type temp struct{ v, t kasm.VReg }
+	var loads, stores []kasm.VReg
+	var temps []temp
+	var in kasm.VInst
+	scan := func(opds []kasm.VOperand, isDst bool) {
+		for oi := range opds {
+			o := &opds[oi]
+			if (o.Kind != kasm.VOpdReg && o.Kind != kasm.VOpdMem) || o.V == kasm.NoVReg ||
+				int(o.V) >= len(isSpilled) || !isSpilled[o.V] {
+				continue
+			}
+			v := o.V
+			k := slices.IndexFunc(temps, func(tp temp) bool { return tp.v == v })
+			if k < 0 {
+				t := kasm.VReg(p.NumVRegs)
+				p.NumVRegs++
+				p.Widths = append(p.Widths, uint8(p.WidthOf(v)))
+				k = len(temps)
+				temps = append(temps, temp{v, t})
+			}
+			if isDst && o.Kind == kasm.VOpdReg {
+				// Partial writes must load-modify-store; full writes
+				// only store.
+				written, _, _ := sass.OperandWords(in.Op, in.Mods)
+				partial := o.Elem != 0 || written < p.WidthOf(v)
+				if partial && !slices.Contains(loads, v) {
+					loads = append(loads, v)
+				}
+				if !slices.Contains(stores, v) {
+					stores = append(stores, v)
+				}
+			} else if !slices.Contains(loads, v) {
+				// Source reads and memory-operand bases reload first.
+				loads = append(loads, v)
+			}
+			o.V = temps[k].t
+		}
+	}
+	tempOf := func(v kasm.VReg) kasm.VReg {
+		return temps[slices.IndexFunc(temps, func(tp temp) bool { return tp.v == v })].t
+	}
+
+	out := make([]kasm.VInst, 0, len(p.Insts)+len(p.Insts)/2)
 	oldToNew := make([]int, len(p.Insts)+1)
 	for i := range p.Insts {
 		oldToNew[i] = len(out)
-		in := p.Insts[i]
-
-		// Which spilled vregs does this instruction touch?
-		var loads []kasm.VReg  // need value before inst
-		var stores []kasm.VReg // need slot updated after inst
-		temps := map[kasm.VReg]kasm.VReg{}
-
-		scan := func(opds []kasm.VOperand, isDst bool) {
-			for oi := range opds {
-				o := &opds[oi]
-				if (o.Kind != kasm.VOpdReg && o.Kind != kasm.VOpdMem) || o.V == kasm.NoVReg || !isSpilled[o.V] {
-					continue
-				}
-				v := o.V
-				t, have := temps[v]
-				if !have {
-					t = newReg(p.WidthOf(v))
-					temps[v] = t
-				}
-				if isDst && o.Kind == kasm.VOpdReg {
-					// Partial writes must load-modify-store; full writes
-					// only store.
-					written, _, _ := sass.OperandWords(in.Op, in.Mods)
-					partial := o.Elem != 0 || written < p.WidthOf(v)
-					if partial && !slices.Contains(loads, v) {
-						loads = append(loads, v)
-					}
-					if !slices.Contains(stores, v) {
-						stores = append(stores, v)
-					}
-				} else if !slices.Contains(loads, v) {
-					// Source reads and memory-operand bases reload first.
-					loads = append(loads, v)
-				}
-				o.V = t
-			}
-		}
+		in = p.Insts[i]
+		loads, stores, temps = loads[:0], stores[:0], temps[:0]
 		scan(in.Src, false)
 		scan(in.Dst, true)
 
@@ -189,8 +221,8 @@ func (sp *spiller) rewrite(p *kasm.Program, spilled []kasm.VReg, noSpill map[kas
 			mods, _ := sass.WidthMods(4 * p.WidthOf(v))
 			out = append(out, kasm.VInst{
 				Op: sass.OpLDL, Mods: mods, Pred: sass.PT,
-				Dst:  []kasm.VOperand{kasm.VR(temps[v])},
-				Src:  []kasm.VOperand{kasm.VMem(kasm.NoVReg, sp.slots[v])},
+				Dst:  one(kasm.VR(tempOf(v))),
+				Src:  one(kasm.VMem(kasm.NoVReg, sp.slot[v])),
 				Line: in.Line,
 			})
 		}
@@ -200,8 +232,8 @@ func (sp *spiller) rewrite(p *kasm.Program, spilled []kasm.VReg, noSpill map[kas
 			out = append(out, kasm.VInst{
 				Op: sass.OpSTL, Mods: mods,
 				Pred: in.Pred, PredNeg: in.PredNeg,
-				Dst:  []kasm.VOperand{kasm.VMem(kasm.NoVReg, sp.slots[v])},
-				Src:  []kasm.VOperand{kasm.VR(temps[v])},
+				Dst:  one(kasm.VMem(kasm.NoVReg, sp.slot[v])),
+				Src:  one(kasm.VR(tempOf(v))),
 				Line: in.Line,
 			})
 		}
@@ -251,27 +283,38 @@ func translate(p *kasm.Program, alloc *allocResult) *sass.Kernel {
 		}
 		return sass.Operand{}
 	}
+	// Every instruction's operands come from one slab, as in cloneProgram.
+	n := 0
+	for i := range p.Insts {
+		n += len(p.Insts[i].Dst) + len(p.Insts[i].Src)
+	}
+	slab := make([]sass.Operand, 0, n)
+	mapAll := func(opds []kasm.VOperand) []sass.Operand {
+		if len(opds) == 0 {
+			return nil
+		}
+		for _, o := range opds {
+			slab = append(slab, mapOpd(o))
+		}
+		return slab[len(slab)-len(opds) : len(slab) : len(slab)]
+	}
+	k.Insts = make([]sass.Inst, len(p.Insts))
 	for i := range p.Insts {
 		vin := &p.Insts[i]
-		in := sass.Inst{
+		k.Insts[i] = sass.Inst{
 			PC:      uint64(i) * sass.InstBytes,
 			Pred:    vin.Pred,
 			PredNeg: vin.PredNeg,
 			Op:      vin.Op,
 			Mods:    vin.Mods,
+			Dst:     mapAll(vin.Dst),
+			Src:     mapAll(vin.Src),
 			Line:    vin.Line,
 			Ctrl:    sass.DefaultCtrl(),
 		}
-		for _, o := range vin.Dst {
-			in.Dst = append(in.Dst, mapOpd(o))
-		}
-		for _, o := range vin.Src {
-			in.Src = append(in.Src, mapOpd(o))
-		}
 		if vin.Op == sass.OpBRA {
-			in.Target = uint64(p.Labels[vin.Label]) * sass.InstBytes
+			k.Insts[i].Target = uint64(p.Labels[vin.Label]) * sass.InstBytes
 		}
-		k.Insts = append(k.Insts, in)
 	}
 	k.NumRegs = alloc.maxReg + 1
 	if k.NumRegs < 4 {
@@ -292,23 +335,24 @@ func assignScoreboards(k *sass.Kernel, nslots int) {
 	if nslots <= 0 {
 		nslots = 6
 	}
-	type pending struct {
-		regs []sass.Reg
-	}
-	slots := make([]pending, nslots)
+	// Each slot's pending registers, one bit per architectural register.
+	type regSet [(sass.NumArchRegs + 63) / 64]uint64
+	slots := make([]regSet, nslots)
 	next := 0
-	var scratch []sass.Reg
+	var regs []sass.Reg // the instruction's sources, then its destinations
 
 	for i := range k.Insts {
 		in := &k.Insts[i]
-		srcs := in.SrcRegs(scratch[:0])
-		dsts := in.DstRegs(nil)
-		all := append(append([]sass.Reg(nil), srcs...), dsts...)
+		regs = in.SrcRegs(regs[:0])
+		nsrc := len(regs)
+		regs = in.DstRegs(regs)
 		for s := range slots {
-			pending := func(r sass.Reg) bool { return slices.Contains(slots[s].regs, r) }
-			if slices.ContainsFunc(all, pending) {
-				in.Ctrl.WaitMask |= 1 << uint(s)
-				slots[s].regs = nil
+			for _, r := range regs {
+				if slots[s][r/64]&(1<<(r%64)) != 0 {
+					in.Ctrl.WaitMask |= 1 << uint(s)
+					slots[s] = regSet{}
+					break
+				}
 			}
 		}
 		if needsWrBar(in) {
@@ -316,7 +360,7 @@ func assignScoreboards(k *sass.Kernel, nslots int) {
 			slot := -1
 			for off := 0; off < nslots; off++ {
 				s := (next + off) % nslots
-				if len(slots[s].regs) == 0 {
+				if slots[s] == (regSet{}) {
 					slot = s
 					break
 				}
@@ -324,11 +368,13 @@ func assignScoreboards(k *sass.Kernel, nslots int) {
 			if slot < 0 {
 				slot = next % nslots
 				in.Ctrl.WaitMask |= 1 << uint(slot)
-				slots[slot].regs = nil
 			}
 			next = (slot + 1) % nslots
 			in.Ctrl.WrBar = int8(slot)
-			slots[slot].regs = append([]sass.Reg(nil), dsts...)
+			slots[slot] = regSet{}
+			for _, r := range regs[nsrc:] {
+				slots[slot][r/64] |= 1 << (r % 64)
+			}
 		}
 	}
 }

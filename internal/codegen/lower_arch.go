@@ -123,8 +123,8 @@ func fuseAsyncCopies(p *kasm.Program, isa gpu.ISADesc) {
 				p.Insts[j] = kasm.VInst{
 					Op: sass.OpLDGSTS, Mods: mods,
 					Pred: ldg.Pred, PredNeg: ldg.PredNeg,
-					Dst:  []kasm.VOperand{in.Dst[0]},
-					Src:  []kasm.VOperand{ldg.Src[0]},
+					Dst:  in.Dst, // both one operand, and neither pair member survives
+					Src:  ldg.Src,
 					Line: in.Line,
 				}
 				drop[i] = true

@@ -1,9 +1,10 @@
 package codegen
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"gpuscout/internal/kasm"
 	"gpuscout/internal/sass"
@@ -20,32 +21,28 @@ type interval struct {
 	noSpill    bool // spill-reload temporaries must stay in registers
 }
 
-// buildIntervals derives live intervals from the per-instruction live-out
-// sets.
-func buildIntervals(p *kasm.Program, liveOut [][]uint64, noSpill map[kasm.VReg]bool) []interval {
+// buildIntervals derives live intervals from the round's def/use table
+// and per-instruction live-out sets. Vregs from firstTemp on are
+// spill-reload temporaries.
+func buildIntervals(p *kasm.Program, du *defUse, liveOut [][]uint64, firstTemp int) []interval {
 	n := len(p.Insts)
-	start := make([]int, p.NumVRegs)
-	end := make([]int, p.NumVRegs)
-	seen := make([]bool, p.NumVRegs)
+	// first[v] and last[v] are positions plus one; 0 while v is untouched.
+	first, last := make([]int, p.NumVRegs), make([]int, p.NumVRegs)
+	touched := 0
 	touch := func(v kasm.VReg, i int) {
-		if !seen[v] {
-			seen[v] = true
-			start[v], end[v] = i, i
+		i++
+		if first[v] == 0 {
+			first[v], last[v] = i, i
+			touched++
 			return
 		}
-		if i < start[v] {
-			start[v] = i
-		}
-		if i > end[v] {
-			end[v] = i
-		}
+		first[v], last[v] = min(first[v], i), max(last[v], i)
 	}
 	for i := 0; i < n; i++ {
-		defs, _, uses := defsUses(p, &p.Insts[i])
-		for _, d := range defs {
+		for _, d := range du.defsOf(i) {
 			touch(d, i)
 		}
-		for _, u := range uses {
+		for _, u := range du.usesOf(i) {
 			touch(u, i)
 		}
 		for w, set := range liveOut[i] {
@@ -54,29 +51,26 @@ func buildIntervals(p *kasm.Program, liveOut [][]uint64, noSpill map[kasm.VReg]b
 			}
 		}
 	}
-	var ivs []interval
+	ivs := make([]interval, 0, touched)
 	for v := 0; v < p.NumVRegs; v++ {
-		if !seen[v] {
+		if first[v] == 0 {
 			continue
 		}
 		ivs = append(ivs, interval{
-			v: kasm.VReg(v), start: start[v], end: end[v],
-			width: p.WidthOf(kasm.VReg(v)), noSpill: noSpill[kasm.VReg(v)],
+			v: kasm.VReg(v), start: first[v] - 1, end: last[v] - 1,
+			width: p.WidthOf(kasm.VReg(v)), noSpill: v >= firstTemp,
 		})
 	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].start != ivs[j].start {
-			return ivs[i].start < ivs[j].start
-		}
-		return ivs[i].v < ivs[j].v
+	slices.SortFunc(ivs, func(a, b interval) int {
+		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.v, b.v))
 	})
 	return ivs
 }
 
 // allocResult is the outcome of one linear-scan pass.
 type allocResult struct {
-	phys    map[kasm.VReg]sass.Reg
-	maxReg  int // highest physical register used
+	phys    []sass.Reg // indexed by vreg
+	maxReg  int        // highest physical register used
 	spilled []kasm.VReg
 }
 
@@ -84,14 +78,14 @@ type allocResult struct {
 // budget. When the register file is exhausted it selects spill victims
 // (farthest interval end) and reports them; the caller rewrites the
 // program with spill code and retries.
-func linearScan(ivs []interval, budget int) (*allocResult, error) {
+func linearScan(ivs []interval, budget, nvregs int) (allocResult, error) {
 	type active struct {
 		interval
 		base sass.Reg
 	}
-	res := &allocResult{phys: map[kasm.VReg]sass.Reg{}, maxReg: -1}
+	res := allocResult{phys: make([]sass.Reg, nvregs), maxReg: -1}
 	inUse := make([]bool, budget)
-	var act []active
+	act := make([]active, 0, budget) // each holds at least one register
 
 	findFree := func(width int) (sass.Reg, bool) {
 		align := width
@@ -157,7 +151,6 @@ func linearScan(ivs []interval, budget int) (*allocResult, error) {
 			}
 			if victim >= 0 && (act[victim].end > iv.end || iv.noSpill) {
 				res.spilled = append(res.spilled, act[victim].v)
-				delete(res.phys, act[victim].v)
 				release(victim)
 				base, ok = findFree(iv.width)
 				continue
@@ -166,7 +159,7 @@ func linearScan(ivs []interval, budget int) (*allocResult, error) {
 				res.spilled = append(res.spilled, iv.v)
 				break
 			}
-			return nil, fmt.Errorf("codegen: cannot allocate spill temporary within budget %d", budget)
+			return allocResult{}, fmt.Errorf("codegen: cannot allocate spill temporary within budget %d", budget)
 		}
 		if !ok {
 			continue // the new interval was spilled instead

@@ -17,6 +17,7 @@ import (
 // construction, not runtime conditions.
 type Builder struct {
 	p        *Program
+	opds     []VOperand // the operand slab carve fills
 	line     int
 	predUsed [sass.NumPreds]bool
 	built    bool
@@ -61,20 +62,31 @@ func (b *Builder) newReg(width int) VReg {
 	return v
 }
 
-func (b *Builder) emit(in VInst) {
-	if in.Pred == 0 && !in.PredNeg {
-		// Zero value means "unset"; default to unconditional. Guarded
-		// emission goes through emitPred.
-		in.Pred = sass.PT
-	}
-	in.Line = b.line
-	b.p.Insts = append(b.p.Insts, in)
+// emit appends an unguarded instruction writing dst and reading src.
+func (b *Builder) emit(op sass.Opcode, mods []string, dst []VOperand, src ...VOperand) {
+	b.emitPred(sass.PT, false, op, mods, dst, src...)
 }
 
-func (b *Builder) emitPred(p sass.Pred, neg bool, in VInst) {
-	in.Pred, in.PredNeg = p, neg
-	in.Line = b.line
-	b.p.Insts = append(b.p.Insts, in)
+// emitPred appends an instruction guarded by p (negated when neg). The
+// operand lists are copied into the builder's operand slab, so the
+// callers' literals stay on their stacks.
+func (b *Builder) emitPred(p sass.Pred, neg bool, op sass.Opcode, mods []string, dst []VOperand, src ...VOperand) {
+	b.p.Insts = append(b.p.Insts, VInst{Op: op, Mods: mods, Pred: p, PredNeg: neg,
+		Dst: b.carve(dst), Src: b.carve(src), Line: b.line})
+}
+
+// carve copies o into the operand slab: one allocation per chunk of
+// operands, not per list. The copy's capacity is its length, so an append
+// to one instruction's list never overwrites the next one's.
+func (b *Builder) carve(o []VOperand) []VOperand {
+	if len(o) == 0 {
+		return nil
+	}
+	if cap(b.opds)-len(b.opds) < len(o) {
+		b.opds = make([]VOperand, 0, max(256, len(o)))
+	}
+	b.opds = append(b.opds, o...)
+	return b.opds[len(b.opds)-len(o) : len(b.opds) : len(b.opds)]
 }
 
 func (b *Builder) widthOf(o VOperand) int {
@@ -95,7 +107,7 @@ func (b *Builder) wantPair(o VOperand, what string) {
 // Special reads a special register (thread/block indices and dimensions).
 func (b *Builder) Special(sr sass.SpecialReg) VReg {
 	d := b.newReg(1)
-	b.emit(VInst{Op: sass.OpS2R, Dst: []VOperand{VR(d)}, Src: []VOperand{VSR(sr)}})
+	b.emit(sass.OpS2R, nil, []VOperand{VR(d)}, VSR(sr))
 	return d
 }
 
@@ -126,15 +138,15 @@ func ParamConst(i, w int) VOperand {
 // Param32 loads a 32-bit parameter (int/float) into a register.
 func (b *Builder) Param32(i int) VReg {
 	d := b.newReg(1)
-	b.emit(VInst{Op: sass.OpMOV, Dst: []VOperand{VR(d)}, Src: []VOperand{ParamConst(i, 0)}})
+	b.emit(sass.OpMOV, nil, []VOperand{VR(d)}, ParamConst(i, 0))
 	return d
 }
 
 // ParamPtr loads a 64-bit pointer parameter into a register pair.
 func (b *Builder) ParamPtr(i int) VReg {
 	d := b.newReg(2)
-	b.emit(VInst{Op: sass.OpMOV, Dst: []VOperand{VRElem(d, 0)}, Src: []VOperand{ParamConst(i, 0)}})
-	b.emit(VInst{Op: sass.OpMOV, Dst: []VOperand{VRElem(d, 1)}, Src: []VOperand{ParamConst(i, 1)}})
+	b.emit(sass.OpMOV, nil, []VOperand{VRElem(d, 0)}, ParamConst(i, 0))
+	b.emit(sass.OpMOV, nil, []VOperand{VRElem(d, 1)}, ParamConst(i, 1))
 	return d
 }
 
@@ -146,7 +158,7 @@ func (b *Builder) ParamF64(i int) VReg { return b.ParamPtr(i) }
 // MovImm materializes a 32-bit immediate.
 func (b *Builder) MovImm(v int64) VReg {
 	d := b.newReg(1)
-	b.emit(VInst{Op: sass.OpMOV, Dst: []VOperand{VR(d)}, Src: []VOperand{VImm(v)}})
+	b.emit(sass.OpMOV, nil, []VOperand{VR(d)}, VImm(v))
 	return d
 }
 
@@ -159,29 +171,29 @@ func (b *Builder) MovImmF32(f float32) VReg {
 func (b *Builder) MovImmF64(f float64) VReg {
 	bits := math.Float64bits(f)
 	d := b.newReg(2)
-	b.emit(VInst{Op: sass.OpMOV, Dst: []VOperand{VRElem(d, 0)}, Src: []VOperand{VImm(int64(uint32(bits)))}})
-	b.emit(VInst{Op: sass.OpMOV, Dst: []VOperand{VRElem(d, 1)}, Src: []VOperand{VImm(int64(bits >> 32))}})
+	b.emit(sass.OpMOV, nil, []VOperand{VRElem(d, 0)}, VImm(int64(uint32(bits))))
+	b.emit(sass.OpMOV, nil, []VOperand{VRElem(d, 1)}, VImm(int64(bits>>32)))
 	return d
 }
 
 // Mov copies src into a fresh register.
 func (b *Builder) Mov(src VOperand) VReg {
 	d := b.newReg(1)
-	b.emit(VInst{Op: sass.OpMOV, Dst: []VOperand{VR(d)}, Src: []VOperand{src}})
+	b.emit(sass.OpMOV, nil, []VOperand{VR(d)}, src)
 	return d
 }
 
 // MovTo copies src into an existing destination.
 func (b *Builder) MovTo(dst, src VOperand) {
-	b.emit(VInst{Op: sass.OpMOV, Dst: []VOperand{dst}, Src: []VOperand{src}})
+	b.emit(sass.OpMOV, nil, []VOperand{dst}, src)
 }
 
 // MovPair copies a 64-bit pair.
 func (b *Builder) MovPair(src VReg) VReg {
 	b.wantPair(VR(src), "MovPair")
 	d := b.newReg(2)
-	b.emit(VInst{Op: sass.OpMOV, Dst: []VOperand{VRElem(d, 0)}, Src: []VOperand{VRElem(src, 0)}})
-	b.emit(VInst{Op: sass.OpMOV, Dst: []VOperand{VRElem(d, 1)}, Src: []VOperand{VRElem(src, 1)}})
+	b.emit(sass.OpMOV, nil, []VOperand{VRElem(d, 0)}, VRElem(src, 0))
+	b.emit(sass.OpMOV, nil, []VOperand{VRElem(d, 1)}, VRElem(src, 1))
 	return d
 }
 
@@ -189,7 +201,7 @@ func (b *Builder) MovPair(src VReg) VReg {
 
 func (b *Builder) alu3(op sass.Opcode, mods []string, a, c, d VOperand) VReg {
 	dst := b.newReg(1)
-	b.emit(VInst{Op: op, Mods: mods, Dst: []VOperand{VR(dst)}, Src: []VOperand{a, c, d}})
+	b.emit(op, mods, []VOperand{VR(dst)}, a, c, d)
 	return dst
 }
 
@@ -200,7 +212,7 @@ func (b *Builder) IAdd(a, c VOperand) VReg {
 
 // IAddTo computes dst = a + c in place.
 func (b *Builder) IAddTo(dst VOperand, a, c VOperand) {
-	b.emit(VInst{Op: sass.OpIADD3, Dst: []VOperand{dst}, Src: []VOperand{a, c, VZero()}})
+	b.emit(sass.OpIADD3, nil, []VOperand{dst}, a, c, VZero())
 }
 
 // IMul computes a * c (32-bit).
@@ -215,7 +227,7 @@ func (b *Builder) IMad(a, c, d VOperand) VReg {
 
 // IMadTo computes dst = a*c + d in place (32-bit).
 func (b *Builder) IMadTo(dst VOperand, a, c, d VOperand) {
-	b.emit(VInst{Op: sass.OpIMAD, Dst: []VOperand{dst}, Src: []VOperand{a, c, d}})
+	b.emit(sass.OpIMAD, nil, []VOperand{dst}, a, c, d)
 }
 
 // IMadWide computes base64 + a*c as a 64-bit address pair: the canonical
@@ -223,8 +235,7 @@ func (b *Builder) IMadTo(dst VOperand, a, c, d VOperand) {
 func (b *Builder) IMadWide(a, c VOperand, base64 VReg) VReg {
 	b.wantPair(VR(base64), "IMadWide")
 	d := b.newReg(2)
-	b.emit(VInst{Op: sass.OpIMAD, Mods: []string{"WIDE"},
-		Dst: []VOperand{VR(d)}, Src: []VOperand{a, c, VR(base64)}})
+	b.emit(sass.OpIMAD, []string{"WIDE"}, []VOperand{VR(d)}, a, c, VR(base64))
 	return d
 }
 
@@ -270,7 +281,7 @@ func (b *Builder) WithPred(p sass.Pred, neg bool, f func()) {
 // dedicated builder method (IABS, POPC, FMNMX, LOP3 variants, ...).
 func (b *Builder) Raw(op sass.Opcode, mods []string, srcs ...VOperand) VReg {
 	d := b.newReg(1)
-	b.emit(VInst{Op: op, Mods: mods, Dst: []VOperand{VR(d)}, Src: srcs})
+	b.emit(op, mods, []VOperand{VR(d)}, srcs...)
 	return d
 }
 
@@ -278,9 +289,7 @@ func (b *Builder) Raw(op sass.Opcode, mods []string, srcs ...VOperand) VReg {
 // []string{"LT", "U32", "AND"}) and returns the predicate.
 func (b *Builder) Raw2P(op sass.Opcode, mods []string, a, c VOperand) sass.Pred {
 	p := b.AllocPred()
-	b.emit(VInst{Op: op, Mods: mods,
-		Dst: []VOperand{VPred(p, false), VPred(sass.PT, false)},
-		Src: []VOperand{a, c, VPred(sass.PT, false)}})
+	b.emit(op, mods, []VOperand{VPred(p, false), VPred(sass.PT, false)}, a, c, VPred(sass.PT, false))
 	return p
 }
 
@@ -304,9 +313,7 @@ func (b *Builder) FreePred(p sass.Pred) { b.predUsed[p] = false }
 // returns a fresh predicate holding the result.
 func (b *Builder) ISetp(cmp string, a, c VOperand) sass.Pred {
 	p := b.AllocPred()
-	b.emit(VInst{Op: sass.OpISETP, Mods: []string{cmp, "AND"},
-		Dst: []VOperand{VPred(p, false), VPred(sass.PT, false)},
-		Src: []VOperand{a, c, VPred(sass.PT, false)}})
+	b.emit(sass.OpISETP, []string{cmp, "AND"}, []VOperand{VPred(p, false), VPred(sass.PT, false)}, a, c, VPred(sass.PT, false))
 	return p
 }
 
@@ -320,7 +327,7 @@ func (b *Builder) FMul(a, c VOperand) VReg { return b.alu2(sass.OpFMUL, nil, a, 
 
 func (b *Builder) alu2(op sass.Opcode, mods []string, a, c VOperand) VReg {
 	dst := b.newReg(1)
-	b.emit(VInst{Op: op, Mods: mods, Dst: []VOperand{VR(dst)}, Src: []VOperand{a, c}})
+	b.emit(op, mods, []VOperand{VR(dst)}, a, c)
 	return dst
 }
 
@@ -331,18 +338,18 @@ func (b *Builder) FFma(a, c, d VOperand) VReg {
 
 // FFmaTo computes dst = a*c + d in place (accumulators, vector lanes).
 func (b *Builder) FFmaTo(dst VOperand, a, c, d VOperand) {
-	b.emit(VInst{Op: sass.OpFFMA, Dst: []VOperand{dst}, Src: []VOperand{a, c, d}})
+	b.emit(sass.OpFFMA, nil, []VOperand{dst}, a, c, d)
 }
 
 // FAddTo computes dst = a + c in place.
 func (b *Builder) FAddTo(dst VOperand, a, c VOperand) {
-	b.emit(VInst{Op: sass.OpFADD, Dst: []VOperand{dst}, Src: []VOperand{a, c}})
+	b.emit(sass.OpFADD, nil, []VOperand{dst}, a, c)
 }
 
 // MufuRcp computes an approximate 1/a on the SFU pipe.
 func (b *Builder) MufuRcp(a VOperand) VReg {
 	dst := b.newReg(1)
-	b.emit(VInst{Op: sass.OpMUFU, Mods: []string{"RCP"}, Dst: []VOperand{VR(dst)}, Src: []VOperand{a}})
+	b.emit(sass.OpMUFU, []string{"RCP"}, []VOperand{VR(dst)}, a)
 	return dst
 }
 
@@ -353,7 +360,7 @@ func (b *Builder) dalu(op sass.Opcode, srcs ...VOperand) VReg {
 		b.wantPair(s, op.String())
 	}
 	dst := b.newReg(2)
-	b.emit(VInst{Op: op, Dst: []VOperand{VR(dst)}, Src: srcs})
+	b.emit(op, nil, []VOperand{VR(dst)}, srcs...)
 	return dst
 }
 
@@ -369,13 +376,13 @@ func (b *Builder) DFma(a, c, d VOperand) VReg { return b.dalu(sass.OpDFMA, a, c,
 // DFmaTo computes dst = a*c + d in place on pairs.
 func (b *Builder) DFmaTo(dst VOperand, a, c, d VOperand) {
 	b.wantPair(dst, "DFmaTo")
-	b.emit(VInst{Op: sass.OpDFMA, Dst: []VOperand{dst}, Src: []VOperand{a, c, d}})
+	b.emit(sass.OpDFMA, nil, []VOperand{dst}, a, c, d)
 }
 
 // DAddTo computes dst = a + c in place on pairs.
 func (b *Builder) DAddTo(dst VOperand, a, c VOperand) {
 	b.wantPair(dst, "DAddTo")
-	b.emit(VInst{Op: sass.OpDADD, Dst: []VOperand{dst}, Src: []VOperand{a, c}})
+	b.emit(sass.OpDADD, nil, []VOperand{dst}, a, c)
 }
 
 // --- conversions (§4.7 traffic) ---
@@ -403,7 +410,7 @@ func (b *Builder) F2FNarrow(a VOperand) VReg {
 
 func (b *Builder) conv(op sass.Opcode, mods []string, a VOperand, dstWidth int) VReg {
 	dst := b.newReg(dstWidth)
-	b.emit(VInst{Op: op, Mods: mods, Dst: []VOperand{VR(dst)}, Src: []VOperand{a}})
+	b.emit(op, mods, []VOperand{VR(dst)}, a)
 	return dst
 }
 
@@ -420,7 +427,7 @@ func (b *Builder) Ldg(base VReg, off int64, widthBytes int, nc bool) VReg {
 	}
 	mods = append(mods, "SYS")
 	d := b.newReg(widthBytes / 4)
-	b.emit(VInst{Op: sass.OpLDG, Mods: mods, Dst: []VOperand{VR(d)}, Src: []VOperand{VMem(base, off)}})
+	b.emit(sass.OpLDG, mods, []VOperand{VR(d)}, VMem(base, off))
 	return d
 }
 
@@ -435,7 +442,7 @@ func (b *Builder) LdgTo(dst VReg, base VReg, off int64, widthBytes int, nc bool)
 	// for it goes unused but stays allocated: it numbers every virtual
 	// register after it, which the pinned workload kernels depend on.
 	_ = b.Ldg(base, off, widthBytes, nc)
-	b.p.Insts[n].Dst = []VOperand{VR(dst)}
+	b.p.Insts[n].Dst[0] = VR(dst)
 }
 
 // LdsTo loads widthBytes from shared memory into an existing destination.
@@ -445,7 +452,7 @@ func (b *Builder) LdsTo(dst VReg, addr VReg, off int64, widthBytes int) {
 	}
 	n := len(b.p.Insts)
 	_ = b.Lds(addr, off, widthBytes)
-	b.p.Insts[n].Dst = []VOperand{VR(dst)}
+	b.p.Insts[n].Dst[0] = VR(dst)
 }
 
 // Stg stores widthBytes from val to global memory at [base+off].
@@ -453,21 +460,21 @@ func (b *Builder) Stg(base VReg, off int64, val VReg, widthBytes int) {
 	b.wantPair(VR(base), "Stg")
 	mods := append([]string{"E"}, widthMods(widthBytes, "Stg")...)
 	mods = append(mods, "SYS")
-	b.emit(VInst{Op: sass.OpSTG, Mods: mods, Dst: []VOperand{VMem(base, off)}, Src: []VOperand{VR(val)}})
+	b.emit(sass.OpSTG, mods, []VOperand{VMem(base, off)}, VR(val))
 }
 
 // Lds loads widthBytes from shared memory at [addr32+off].
 func (b *Builder) Lds(addr VReg, off int64, widthBytes int) VReg {
 	mods := widthMods(widthBytes, "Lds")
 	d := b.newReg(widthBytes / 4)
-	b.emit(VInst{Op: sass.OpLDS, Mods: mods, Dst: []VOperand{VR(d)}, Src: []VOperand{VMem(addr, off)}})
+	b.emit(sass.OpLDS, mods, []VOperand{VR(d)}, VMem(addr, off))
 	return d
 }
 
 // Sts stores widthBytes to shared memory at [addr32+off].
 func (b *Builder) Sts(addr VReg, off int64, val VReg, widthBytes int) {
 	mods := widthMods(widthBytes, "Sts")
-	b.emit(VInst{Op: sass.OpSTS, Mods: mods, Dst: []VOperand{VMem(addr, off)}, Src: []VOperand{VR(val)}})
+	b.emit(sass.OpSTS, mods, []VOperand{VMem(addr, off)}, VR(val))
 }
 
 // widthMods is sass.WidthMods for the builder method what, which panics
@@ -483,16 +490,14 @@ func widthMods(widthBytes int, what string) []string {
 // RedAddF32 performs a global atomic float add without return value.
 func (b *Builder) RedAddF32(base VReg, off int64, val VReg) {
 	b.wantPair(VR(base), "RedAddF32")
-	b.emit(VInst{Op: sass.OpRED, Mods: []string{"E", "ADD", "F32"},
-		Dst: []VOperand{VMem(base, off)}, Src: []VOperand{VR(val)}})
+	b.emit(sass.OpRED, []string{"E", "ADD", "F32"}, []VOperand{VMem(base, off)}, VR(val))
 }
 
 // AtomsAddF32 performs a shared-memory atomic float add, returning the
 // old value.
 func (b *Builder) AtomsAddF32(addr VReg, off int64, val VReg) VReg {
 	d := b.newReg(1)
-	b.emit(VInst{Op: sass.OpATOMS, Mods: []string{"ADD", "F32"},
-		Dst: []VOperand{VR(d), VMem(addr, off)}, Src: []VOperand{VR(val)}})
+	b.emit(sass.OpATOMS, []string{"ADD", "F32"}, []VOperand{VR(d), VMem(addr, off)}, VR(val))
 	return d
 }
 
@@ -500,24 +505,21 @@ func (b *Builder) AtomsAddF32(addr VReg, off int64, val VReg) VReg {
 // out-of-range lanes keep their own value (__shfl_down_sync).
 func (b *Builder) ShflDown(v VOperand, delta int64) VReg {
 	d := b.newReg(1)
-	b.emit(VInst{Op: sass.OpSHFL, Mods: []string{"DOWN"},
-		Dst: []VOperand{VR(d)}, Src: []VOperand{v, VImm(delta)}})
+	b.emit(sass.OpSHFL, []string{"DOWN"}, []VOperand{VR(d)}, v, VImm(delta))
 	return d
 }
 
 // ShflBfly reads lane (laneid ^ mask): the butterfly exchange.
 func (b *Builder) ShflBfly(v VOperand, mask int64) VReg {
 	d := b.newReg(1)
-	b.emit(VInst{Op: sass.OpSHFL, Mods: []string{"BFLY"},
-		Dst: []VOperand{VR(d)}, Src: []VOperand{v, VImm(mask)}})
+	b.emit(sass.OpSHFL, []string{"BFLY"}, []VOperand{VR(d)}, v, VImm(mask))
 	return d
 }
 
 // ShflIdx reads an arbitrary lane's value.
 func (b *Builder) ShflIdx(v VOperand, lane VOperand) VReg {
 	d := b.newReg(1)
-	b.emit(VInst{Op: sass.OpSHFL, Mods: []string{"IDX"},
-		Dst: []VOperand{VR(d)}, Src: []VOperand{v, lane}})
+	b.emit(sass.OpSHFL, []string{"IDX"}, []VOperand{VR(d)}, v, lane)
 	return d
 }
 
@@ -525,8 +527,7 @@ func (b *Builder) ShflIdx(v VOperand, lane VOperand) VReg {
 // (x, y), returning one float32 texel.
 func (b *Builder) Tex2D(texID int, x, y VOperand) VReg {
 	d := b.newReg(1)
-	b.emit(VInst{Op: sass.OpTEX, Mods: []string{"2D"},
-		Dst: []VOperand{VR(d)}, Src: []VOperand{x, y, VImm(int64(texID))}})
+	b.emit(sass.OpTEX, []string{"2D"}, []VOperand{VR(d)}, x, y, VImm(int64(texID)))
 	return d
 }
 
@@ -542,27 +543,29 @@ func (b *Builder) LabelName(name string) {
 
 // Bra emits an unconditional branch to a label.
 func (b *Builder) Bra(label string) {
-	b.emit(VInst{Op: sass.OpBRA, Label: label})
+	b.emit(sass.OpBRA, nil, nil)
+	b.p.Insts[len(b.p.Insts)-1].Label = label
 }
 
 // BraIf emits a branch taken when predicate p (negated if neg) holds.
 func (b *Builder) BraIf(p sass.Pred, neg bool, label string) {
-	b.emitPred(p, neg, VInst{Op: sass.OpBRA, Label: label})
+	b.emitPred(p, neg, sass.OpBRA, nil, nil)
+	b.p.Insts[len(b.p.Insts)-1].Label = label
 }
 
 // Bar emits a block-wide barrier (__syncthreads()).
 func (b *Builder) Bar() {
-	b.emit(VInst{Op: sass.OpBAR, Mods: []string{"SYNC"}})
+	b.emit(sass.OpBAR, []string{"SYNC"}, nil)
 }
 
 // Exit emits the kernel's terminating EXIT.
 func (b *Builder) Exit() {
-	b.emit(VInst{Op: sass.OpEXIT})
+	b.emit(sass.OpEXIT, nil, nil)
 }
 
 // ExitPred emits a guarded EXIT (early thread termination).
 func (b *Builder) ExitPred(p sass.Pred, neg bool) {
-	b.emitPred(p, neg, VInst{Op: sass.OpEXIT})
+	b.emitPred(p, neg, sass.OpEXIT, nil, nil)
 }
 
 // Build finalizes and validates the program.

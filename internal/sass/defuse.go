@@ -17,24 +17,61 @@ type DefUse struct {
 	Uses [NumArchRegs][]int
 }
 
-// ComputeDefUse builds the def-use index for a kernel.
+// ComputeDefUse builds the def-use index for a kernel. One pass records
+// every register reference and counts them per register; each register's
+// lists are then capacity-capped sub-slices of one defs slab and one uses
+// slab, filled in program order.
 func ComputeDefUse(k *Kernel) *DefUse {
-	du := &DefUse{Kernel: k}
+	type ref struct {
+		i   int32
+		r   Reg
+		def bool
+	}
+	refs := make([]ref, 0, 4*len(k.Insts))
+	var nDefs, nUses [NumArchRegs]int
 	var scratch []Reg
 	for i := range k.Insts {
 		in := &k.Insts[i]
-		for _, r := range in.DstRegs(scratch[:0]) {
+		scratch = in.DstRegs(scratch[:0])
+		for _, r := range scratch {
 			if r != RZ {
-				du.Defs[r] = append(du.Defs[r], i)
+				refs = append(refs, ref{int32(i), r, true})
+				nDefs[r]++
 			}
 		}
-		for _, r := range in.SrcRegs(scratch[:0]) {
+		scratch = in.SrcRegs(scratch[:0])
+		for _, r := range scratch {
 			if r != RZ {
-				du.Uses[r] = append(du.Uses[r], i)
+				refs = append(refs, ref{int32(i), r, false})
+				nUses[r]++
 			}
 		}
 	}
+	du := &DefUse{Kernel: k, Defs: carveLists(nDefs), Uses: carveLists(nUses)}
+	for _, x := range refs {
+		if x.def {
+			du.Defs[x.r] = append(du.Defs[x.r], int(x.i))
+		} else {
+			du.Uses[x.r] = append(du.Uses[x.r], int(x.i))
+		}
+	}
 	return du
+}
+
+// carveLists returns empty lists with the given capacities, cut from one
+// slab; a register with no entries keeps a nil list.
+func carveLists(n [NumArchRegs]int) (lists [NumArchRegs][]int) {
+	total := 0
+	for _, c := range n {
+		total += c
+	}
+	slab := make([]int, total)
+	for r, c := range n {
+		if c > 0 {
+			lists[r], slab = slab[:0:c], slab[c:]
+		}
+	}
+	return lists
 }
 
 // LastDefBefore returns the index of the last instruction before index i

@@ -100,6 +100,7 @@ func (k *Kernel) Validate() error {
 	}
 	maxPC := uint64(len(k.Insts)) * InstBytes
 	sawExit := false
+	var regs []Reg
 	for i := range k.Insts {
 		in := &k.Insts[i]
 		if in.PC != uint64(i)*InstBytes {
@@ -116,8 +117,8 @@ func (k *Kernel) Validate() error {
 		if in.Op == OpEXIT {
 			sawExit = true
 		}
-		var regs []Reg
-		for _, r := range in.DstRegs(regs[:0]) {
+		regs = in.DstRegs(regs[:0])
+		for _, r := range regs {
 			if int(r) >= k.NumRegs && k.NumRegs > 0 && r != RZ {
 				return fmt.Errorf("%s: instruction at %#x writes R%d beyond NumRegs=%d", k.Name, in.PC, r, k.NumRegs)
 			}

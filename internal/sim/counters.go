@@ -193,14 +193,26 @@ type Result struct {
 	Host HostStats
 }
 
-// BlockRan reports whether the block with the given linearized index
-// (X-major) was simulated. Under SM sampling only blocks assigned to the
-// simulated SMs execute; verification must skip the rest.
-func (r *Result) BlockRan(linear int) bool {
+// RanBlocks returns, in increasing order, the linearized (X-major)
+// indices below n of the blocks that were simulated. Under SM sampling
+// only the blocks dealt to the simulated SMs execute, and verification
+// must skip the rest; this is the one statement of which blocks those are.
+func (r *Result) RanBlocks(n int) []int {
 	if r.NumSMs <= 0 {
-		return true
+		out := make([]int, n)
+		for b := range out {
+			out[b] = b
+		}
+		return out
 	}
-	return linear%r.NumSMs < r.SimulatedSMs
+	per := min(r.SimulatedSMs, r.NumSMs)
+	out := make([]int, 0, (n/r.NumSMs+1)*per)
+	for base := 0; base < n; base += r.NumSMs {
+		for b := base; b < min(base+per, n); b++ {
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 // StallShare returns stall reason s's fraction of all stalled cycles

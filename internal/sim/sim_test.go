@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -578,5 +579,25 @@ func TestAllocHostBound(t *testing.T) {
 	}
 	if _, err := d.Alloc(1); err == nil {
 		t.Error("Alloc past a full device succeeded")
+	}
+}
+
+// TestRanBlocks: the blocks verification visits are exactly those dealt
+// round-robin to the simulated SMs (block b runs on SM b mod NumSMs), in
+// increasing order, whatever the grid's remainder.
+func TestRanBlocks(t *testing.T) {
+	for _, c := range []struct{ numSMs, simulated, n int }{
+		{80, 2, 640}, {80, 2, 256}, {108, 2, 1024}, {80, 4, 3}, {4, 4, 10}, {4, 8, 10}, {0, 0, 5},
+	} {
+		r := &Result{NumSMs: c.numSMs, SimulatedSMs: c.simulated}
+		var want []int
+		for b := 0; b < c.n; b++ {
+			if c.numSMs <= 0 || b%c.numSMs < c.simulated {
+				want = append(want, b)
+			}
+		}
+		if got := r.RanBlocks(c.n); !slices.Equal(got, want) {
+			t.Errorf("%+v: RanBlocks = %v, want %v", c, got, want)
+		}
 	}
 }

@@ -144,12 +144,11 @@ func histogram(name, variant string, perThr int, arch gpu.Arch) (*Workload, erro
 				return err
 			}
 			want := make([]float32, histBins)
-			for th := 0; th < threads; th++ {
-				if !res.BlockRan(th / histBlock) {
-					continue
-				}
-				for e := 0; e < perThr; e++ {
-					want[histInput(e*threads+th)&(histBins-1)]++
+			for _, blk := range res.RanBlocks(histBlocks) {
+				for th := blk * histBlock; th < (blk+1)*histBlock; th++ {
+					for e := 0; e < perThr; e++ {
+						want[histInput(e*threads+th)&(histBins-1)]++
+					}
 				}
 			}
 			for bn := range want {

@@ -25,7 +25,7 @@ type launch struct {
 	params func(bufs []sim.Buffer) []uint64
 	// check compares the device results with the host reference, which it
 	// computes from the same fill functions. It sees the simulation result
-	// so it can skip blocks SM sampling did not run (sim.Result.BlockRan).
+	// so it can skip blocks SM sampling did not run (sim.Result.RanBlocks).
 	check checkFunc
 }
 

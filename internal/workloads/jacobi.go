@@ -256,10 +256,7 @@ func jacobiRef(W, H, x, y int) float32 {
 // of them zeros no block wrote.
 func jacobiVerify(dev *sim.Device, out sim.Buffer, W, H int, res *sim.Result) error {
 	gridX := W / jacobiBx
-	for blk := 0; blk < gridX*(H/jacobiBy); blk++ {
-		if !res.BlockRan(blk) {
-			continue
-		}
+	for _, blk := range res.RanBlocks(gridX * (H / jacobiBy)) {
 		x0, y0 := blk%gridX*jacobiBx, blk/gridX*jacobiBy
 		for y := y0; y < y0+jacobiBy; y++ {
 			got, err := dev.ReadF32(sim.Buffer{Addr: out.Addr + uint64(4*(y*W+x0)), Size: 4 * jacobiBx}, jacobiBx)

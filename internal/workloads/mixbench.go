@@ -160,10 +160,7 @@ func mixLaunch[T float32 | float64 | int32](seed T, seedBits uint64, fill func(i
 			// two-SM sample wrote.
 			const perBlock = mixBlock * mixGranularity
 			size := perBlock * binary.Size(seed)
-			for blk := 0; blk < mixBlocks; blk++ {
-				if !res.BlockRan(blk) {
-					continue
-				}
+			for _, blk := range res.RanBlocks(mixBlocks) {
 				got, err := read(dev, sim.Buffer{Addr: bufs[0].Addr + uint64(blk*size), Size: size}, perBlock)
 				if err != nil {
 					return err

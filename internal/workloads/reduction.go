@@ -94,8 +94,8 @@ func reduction(name, variant string, _ int, arch gpu.Arch) (*Workload, error) {
 				return err
 			}
 			var want float32
-			for th := 0; th < threads; th++ {
-				if res.BlockRan(th / redBlock) {
+			for _, blk := range res.RanBlocks(redBlocks) {
+				for th := blk * redBlock; th < (blk+1)*redBlock; th++ {
 					want += redInput(th)
 				}
 			}

@@ -28,7 +28,7 @@ type Run struct {
 	Spec sim.LaunchSpec
 	// Verify checks the device-side results. It receives the simulation
 	// result so it can skip blocks that were not simulated under SM
-	// sampling (see sim.Result.BlockRan).
+	// sampling (see sim.Result.RanBlocks).
 	Verify func(dev *sim.Device, res *sim.Result) error
 }
 

@@ -339,9 +339,9 @@ func sgemmC(i int) float32 { return float32(i%11) * 0.1 }
 func sgemmVerify(dev *sim.Device, c sim.Buffer, n int, alpha, beta float32, naive bool, res *sim.Result) error {
 	gridX := n / sgemmTile
 	checked := 0
-	for blin := 0; blin < gridX*gridX && checked < 4; blin++ {
-		if !res.BlockRan(blin) {
-			continue
+	for _, blin := range res.RanBlocks(gridX * gridX) {
+		if checked == 4 {
+			break
 		}
 		checked++
 		// Either mapping puts a block's cells in 16 rows of 16 columns.

@@ -106,25 +106,24 @@ func spill(name, variant string, iters int, arch gpu.Arch) (*Workload, error) {
 				return err
 			}
 			var acc [spillValues]float32
-			for th := 0; th < threads; th++ {
-				if !res.BlockRan(th / spillBlock) {
-					continue
-				}
-				for j := range acc {
-					acc[j] = spillInput(th*spillValues + j)
-				}
-				for it := 0; it < iters; it++ {
-					for j := 0; j < spillValues; j++ {
-						acc[j] = acc[j]*acc[(j+1)%spillValues] + 0.1
+			for _, blk := range res.RanBlocks(spillBlocks) {
+				for th := blk * spillBlock; th < (blk+1)*spillBlock; th++ {
+					for j := range acc {
+						acc[j] = spillInput(th*spillValues + j)
 					}
-				}
-				var want float32
-				for j := 0; j < spillValues; j++ {
-					want += acc[j]
-				}
-				if g := got[th]; !almostEqual(float64(g), float64(want), 1e-4) &&
-					!(math.IsInf(float64(want), 0) && math.IsInf(float64(g), 0)) {
-					return fmt.Errorf("thread %d: %v, want %v", th, g, want)
+					for it := 0; it < iters; it++ {
+						for j := 0; j < spillValues; j++ {
+							acc[j] = acc[j]*acc[(j+1)%spillValues] + 0.1
+						}
+					}
+					var want float32
+					for j := 0; j < spillValues; j++ {
+						want += acc[j]
+					}
+					if g := got[th]; !almostEqual(float64(g), float64(want), 1e-4) &&
+						!(math.IsInf(float64(want), 0) && math.IsInf(float64(g), 0)) {
+						return fmt.Errorf("thread %d: %v, want %v", th, g, want)
+					}
 				}
 			}
 			return nil

@@ -161,10 +161,7 @@ func transpose(name, variant string, n int, arch gpu.Arch) (*Workload, error) {
 				return err
 			}
 			gridX := n / transTile
-			for blin := 0; blin < gridX*gridX; blin++ {
-				if !res.BlockRan(blin) {
-					continue
-				}
+			for _, blin := range res.RanBlocks(gridX * gridX) {
 				bxi, byi := blin%gridX, blin/gridX
 				for dy := 0; dy < transTile; dy++ {
 					for dx := 0; dx < transTile; dx++ {
