@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -287,5 +288,28 @@ func TestQuickCompileWithinBudget(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCompileLeavesProgram: Compile shares the program's instructions
+// instead of cloning them, so fusion and spill rounds must copy before
+// they change anything. Over the pinned population (spill rounds at
+// budgets 8-16, LDGSTS fusion on sm_80) the program is unchanged after
+// Compile, and compiling it again gives the same kernel.
+func TestCompileLeavesProgram(t *testing.T) {
+	for i := 0; i < pinnedPrograms; i++ {
+		p, opts := pinnedCase(i)
+		fresh, _ := pinnedCase(i)
+		k, err := Compile(p, opts)
+		if err != nil {
+			t.Fatalf("program %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(p, fresh) {
+			t.Fatalf("program %d (%s, MaxRegs %d) changed by Compile", i, opts.Arch.SM, opts.MaxRegs)
+		}
+		again, err := Compile(p, opts)
+		if err != nil || sass.Print(again) != sass.Print(k) {
+			t.Fatalf("program %d: a second Compile differs (%v)", i, err)
+		}
 	}
 }

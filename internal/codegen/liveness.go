@@ -27,14 +27,9 @@ type defUse struct {
 }
 
 func (du *defUse) compute(p *kasm.Program) {
-	nd, ns := 0, 0
-	for i := range p.Insts {
-		nd += len(p.Insts[i].Dst)
-		ns += len(p.Insts[i].Src)
-	}
-	n := len(p.Insts)
-	du.defs = slices.Grow(du.defs[:0], nd)
-	du.uses = slices.Grow(du.uses[:0], nd+ns)
+	n := len(p.Insts) // about one def and two uses each
+	du.defs = slices.Grow(du.defs[:0], n)
+	du.uses = slices.Grow(du.uses[:0], 2*n)
 	du.defOff = append(slices.Grow(du.defOff[:0], n+1), 0)
 	du.useOff = append(slices.Grow(du.useOff[:0], n+1), 0)
 	du.full = slices.Grow(du.full[:0], n)

@@ -2,7 +2,6 @@ package codegen
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"gpuscout/internal/gpu"
@@ -49,10 +48,14 @@ func Compile(p *kasm.Program, opts Options) (*sass.Kernel, error) {
 		return nil, fmt.Errorf("codegen: register budget %d below minimum 8", budget)
 	}
 
-	// Work on a copy: spill rewriting mutates the program. Every vreg
-	// numbered from firstTemp on is a reload/store temporary rewrite made.
-	work := cloneProgram(p)
-	lowerForArch(work, arch.ISA)
+	// The passes that rewrite the program, fusion and spilling, build new
+	// instruction lists and label maps and copy an operand list before
+	// they change it, so work shares what it does not change with p and p
+	// is never modified. Every vreg numbered from firstTemp on is a
+	// reload/store temporary a spill round made.
+	work := *p
+	work.Widths = slices.Clip(p.Widths)
+	lowerForArch(&work, arch.ISA)
 	firstTemp := work.NumVRegs
 	sp := newSpiller(firstTemp)
 	var du defUse
@@ -62,9 +65,9 @@ func Compile(p *kasm.Program, opts Options) (*sass.Kernel, error) {
 		if round > 64 {
 			return nil, fmt.Errorf("codegen: spilling did not converge after %d rounds", round)
 		}
-		du.compute(work)
-		lv := computeVLiveness(work, &du)
-		ivs := buildIntervals(work, &du, lv, firstTemp)
+		du.compute(&work)
+		lv := computeVLiveness(&work, &du)
+		ivs := buildIntervals(&work, &du, lv, firstTemp)
 		var err error
 		alloc, err = linearScan(ivs, budget, work.NumVRegs)
 		if err != nil {
@@ -78,10 +81,10 @@ func Compile(p *kasm.Program, opts Options) (*sass.Kernel, error) {
 				return nil, fmt.Errorf("codegen: vreg %d spilled twice; budget %d unworkable", v, budget)
 			}
 		}
-		sp.rewrite(work, alloc.spilled)
+		sp.rewrite(&work, alloc.spilled)
 	}
 
-	k := translate(work, &alloc)
+	k := translate(&work, &alloc)
 	k.LocalBytes = sp.localBytes
 	if opts.Arch.Name != "" {
 		// An explicit target stamps the kernel; otherwise the program's
@@ -95,33 +98,6 @@ func Compile(p *kasm.Program, opts Options) (*sass.Kernel, error) {
 	return k, nil
 }
 
-// cloneProgram copies p deeply enough for rewriting: every instruction's
-// operands are carved from one slab, capacity-capped so that an append
-// to one instruction's list copies it instead of overwriting the next.
-func cloneProgram(p *kasm.Program) *kasm.Program {
-	c := *p
-	c.Insts = slices.Clone(p.Insts)
-	n := 0
-	for i := range p.Insts {
-		n += len(p.Insts[i].Dst) + len(p.Insts[i].Src)
-	}
-	slab := make([]kasm.VOperand, 0, n)
-	carve := func(o []kasm.VOperand) []kasm.VOperand {
-		if len(o) == 0 {
-			return nil
-		}
-		slab = append(slab, o...)
-		return slab[len(slab)-len(o) : len(slab) : len(slab)]
-	}
-	for i := range c.Insts {
-		c.Insts[i].Dst = carve(c.Insts[i].Dst)
-		c.Insts[i].Src = carve(c.Insts[i].Src)
-	}
-	c.Widths = slices.Clone(p.Widths)
-	c.Labels = maps.Clone(p.Labels)
-	return &c
-}
-
 // spiller rewrites a program so that the given vregs live in local memory,
 // inserting LDL reloads before uses and STL stores after definitions —
 // the spill-everywhere strategy, which keeps the allocation state
@@ -132,6 +108,7 @@ type spiller struct {
 	// spilled. Only original vregs are ever spilled: the temporaries
 	// rewrite adds are never chosen.
 	slot []int64
+	opds kasm.Operands // the operand lists rewrite makes or changes
 }
 
 func newSpiller(nvregs int) *spiller {
@@ -143,9 +120,7 @@ func newSpiller(nvregs int) *spiller {
 }
 
 func (sp *spiller) rewrite(p *kasm.Program, spilled []kasm.VReg) {
-	isSpilled := make([]bool, len(sp.slot))
 	for _, v := range spilled {
-		isSpilled[v] = true
 		w := p.WidthOf(v) * 4
 		// Align the slot to the access width.
 		sp.localBytes = (sp.localBytes + w - 1) / w * w
@@ -153,38 +128,28 @@ func (sp *spiller) rewrite(p *kasm.Program, spilled []kasm.VReg) {
 		sp.localBytes += w
 	}
 
-	// The spill code's operands, carved one at a time from shared chunks.
-	var slab []kasm.VOperand
-	one := func(o kasm.VOperand) []kasm.VOperand {
-		if len(slab) == cap(slab) {
-			slab = make([]kasm.VOperand, 0, 256)
-		}
-		slab = append(slab, o)
-		return slab[len(slab)-1 : len(slab) : len(slab)]
-	}
-
 	// Per instruction: the spilled vregs it touches, which need their value
-	// before it (loads) and their slot updated after it (stores), and the
-	// temporary standing in for each.
-	type temp struct{ v, t kasm.VReg }
+	// before it (loads) and their slot updated after it (stores). Spilled
+	// vreg v stands in as temp[v], made for instruction at[v]-1. A vreg
+	// spilled in an earlier round no longer occurs.
 	var loads, stores []kasm.VReg
-	var temps []temp
+	temp, at := make([]kasm.VReg, len(sp.slot)), make([]int, len(sp.slot))
 	var in kasm.VInst
-	scan := func(opds []kasm.VOperand, isDst bool) {
-		for oi := range opds {
-			o := &opds[oi]
-			if (o.Kind != kasm.VOpdReg && o.Kind != kasm.VOpdMem) || o.V == kasm.NoVReg ||
-				int(o.V) >= len(isSpilled) || !isSpilled[o.V] {
+	var i int
+	// scan renames in's spilled operands in opds to their temporaries,
+	// on a copy of opds made at the first one.
+	scan := func(opds []kasm.VOperand, isDst bool) []kasm.VOperand {
+		copied := false
+		for oi, o := range opds {
+			v := o.V
+			if (o.Kind != kasm.VOpdReg && o.Kind != kasm.VOpdMem) || v == kasm.NoVReg ||
+				int(v) >= len(sp.slot) || sp.slot[v] < 0 {
 				continue
 			}
-			v := o.V
-			k := slices.IndexFunc(temps, func(tp temp) bool { return tp.v == v })
-			if k < 0 {
-				t := kasm.VReg(p.NumVRegs)
+			if at[v] != i+1 {
+				at[v], temp[v] = i+1, kasm.VReg(p.NumVRegs)
 				p.NumVRegs++
 				p.Widths = append(p.Widths, uint8(p.WidthOf(v)))
-				k = len(temps)
-				temps = append(temps, temp{v, t})
 			}
 			if isDst && o.Kind == kasm.VOpdReg {
 				// Partial writes must load-modify-store; full writes
@@ -201,28 +166,29 @@ func (sp *spiller) rewrite(p *kasm.Program, spilled []kasm.VReg) {
 				// Source reads and memory-operand bases reload first.
 				loads = append(loads, v)
 			}
-			o.V = temps[k].t
+			if !copied {
+				opds, copied = sp.opds.Copy(opds), true
+			}
+			opds[oi].V = temp[v]
 		}
-	}
-	tempOf := func(v kasm.VReg) kasm.VReg {
-		return temps[slices.IndexFunc(temps, func(tp temp) bool { return tp.v == v })].t
+		return opds
 	}
 
 	out := make([]kasm.VInst, 0, len(p.Insts)+len(p.Insts)/2)
 	oldToNew := make([]int, len(p.Insts)+1)
-	for i := range p.Insts {
+	for i = range p.Insts {
 		oldToNew[i] = len(out)
 		in = p.Insts[i]
-		loads, stores, temps = loads[:0], stores[:0], temps[:0]
-		scan(in.Src, false)
-		scan(in.Dst, true)
+		loads, stores = loads[:0], stores[:0]
+		in.Src = scan(in.Src, false)
+		in.Dst = scan(in.Dst, true)
 
 		for _, v := range loads {
 			mods, _ := sass.WidthMods(4 * p.WidthOf(v))
 			out = append(out, kasm.VInst{
 				Op: sass.OpLDL, Mods: mods, Pred: sass.PT,
-				Dst:  one(kasm.VR(tempOf(v))),
-				Src:  one(kasm.VMem(kasm.NoVReg, sp.slot[v])),
+				Dst:  sp.opds.Copy([]kasm.VOperand{kasm.VR(temp[v])}),
+				Src:  sp.opds.Copy([]kasm.VOperand{kasm.VMem(kasm.NoVReg, sp.slot[v])}),
 				Line: in.Line,
 			})
 		}
@@ -232,17 +198,24 @@ func (sp *spiller) rewrite(p *kasm.Program, spilled []kasm.VReg) {
 			out = append(out, kasm.VInst{
 				Op: sass.OpSTL, Mods: mods,
 				Pred: in.Pred, PredNeg: in.PredNeg,
-				Dst:  one(kasm.VMem(kasm.NoVReg, sp.slot[v])),
-				Src:  one(kasm.VR(tempOf(v))),
+				Dst:  sp.opds.Copy([]kasm.VOperand{kasm.VMem(kasm.NoVReg, sp.slot[v])}),
+				Src:  sp.opds.Copy([]kasm.VOperand{kasm.VR(temp[v])}),
 				Line: in.Line,
 			})
 		}
 	}
 	oldToNew[len(p.Insts)] = len(out)
-	for name, idx := range p.Labels {
-		p.Labels[name] = oldToNew[idx]
+	p.Insts, p.Labels = out, remapLabels(p.Labels, oldToNew)
+}
+
+// remapLabels returns a new label map whose instruction indices are moved
+// by oldToNew.
+func remapLabels(labels map[string]int, oldToNew []int) map[string]int {
+	out := make(map[string]int, len(labels))
+	for name, idx := range labels {
+		out[name] = oldToNew[idx]
 	}
-	p.Insts = out
+	return out
 }
 
 // translate converts the allocated program into sass instructions.
@@ -283,7 +256,7 @@ func translate(p *kasm.Program, alloc *allocResult) *sass.Kernel {
 		}
 		return sass.Operand{}
 	}
-	// Every instruction's operands come from one slab, as in cloneProgram.
+	// Every instruction's operands come from one slab.
 	n := 0
 	for i := range p.Insts {
 		n += len(p.Insts[i].Dst) + len(p.Insts[i].Src)
@@ -335,9 +308,7 @@ func assignScoreboards(k *sass.Kernel, nslots int) {
 	if nslots <= 0 {
 		nslots = 6
 	}
-	// Each slot's pending registers, one bit per architectural register.
-	type regSet [(sass.NumArchRegs + 63) / 64]uint64
-	slots := make([]regSet, nslots)
+	slots := make([]regSet, nslots) // each slot's pending registers
 	next := 0
 	var regs []sass.Reg // the instruction's sources, then its destinations
 
@@ -346,13 +317,11 @@ func assignScoreboards(k *sass.Kernel, nslots int) {
 		regs = in.SrcRegs(regs[:0])
 		nsrc := len(regs)
 		regs = in.DstRegs(regs)
+		touched := setOf(regs)
 		for s := range slots {
-			for _, r := range regs {
-				if slots[s][r/64]&(1<<(r%64)) != 0 {
-					in.Ctrl.WaitMask |= 1 << uint(s)
-					slots[s] = regSet{}
-					break
-				}
+			if slots[s].meets(&touched) {
+				in.Ctrl.WaitMask |= 1 << uint(s)
+				slots[s] = regSet{}
 			}
 		}
 		if needsWrBar(in) {
@@ -371,12 +340,28 @@ func assignScoreboards(k *sass.Kernel, nslots int) {
 			}
 			next = (slot + 1) % nslots
 			in.Ctrl.WrBar = int8(slot)
-			slots[slot] = regSet{}
-			for _, r := range regs[nsrc:] {
-				slots[slot][r/64] |= 1 << (r % 64)
-			}
+			slots[slot] = setOf(regs[nsrc:])
 		}
 	}
+}
+
+// regSet is a set of architectural registers, one bit each.
+type regSet [(sass.NumArchRegs + 63) / 64]uint64
+
+func setOf(regs []sass.Reg) (s regSet) {
+	for _, r := range regs {
+		s[r/64] |= 1 << (r % 64)
+	}
+	return s
+}
+
+func (s *regSet) meets(o *regSet) bool {
+	for w := range s {
+		if s[w]&o[w] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func needsWrBar(in *sass.Inst) bool {

@@ -1,6 +1,8 @@
 package codegen
 
 import (
+	"slices"
+
 	"gpuscout/internal/gpu"
 	"gpuscout/internal/kasm"
 	"gpuscout/internal/sass"
@@ -81,7 +83,10 @@ func fuseAsyncCopies(p *kasm.Program, isa gpu.ISADesc) {
 		isTarget[idx] = true
 	}
 
+	// drop marks a fused LDG; fused[j] is 1 + the index of the LDG whose
+	// global read the STS at j takes over as an LDGSTS.
 	drop := make([]bool, len(p.Insts))
+	fused := make([]int, len(p.Insts))
 	for i := range p.Insts {
 		ldg := &p.Insts[i]
 		if ldg.Op != sass.OpLDG || drop[i] {
@@ -112,21 +117,13 @@ func fuseAsyncCopies(p *kasm.Program, isa gpu.ISADesc) {
 				break
 			}
 			in := &p.Insts[j]
-			if in.Op == sass.OpSTS &&
+			if in.Op == sass.OpSTS && fused[j] == 0 &&
 				len(in.Src) == 1 && in.Src[0].Kind == kasm.VOpdReg &&
 				in.Src[0].V == v && in.Src[0].Elem == 0 &&
 				len(in.Dst) == 1 && in.Dst[0].Kind == kasm.VOpdMem &&
 				sass.WidthBytes(in.Mods) == width &&
 				in.Pred == ldg.Pred && in.PredNeg == ldg.PredNeg {
-				wm, _ := sass.WidthMods(width)
-				mods := append([]string{"E", "BYPASS"}, wm...)
-				p.Insts[j] = kasm.VInst{
-					Op: sass.OpLDGSTS, Mods: mods,
-					Pred: ldg.Pred, PredNeg: ldg.PredNeg,
-					Dst:  in.Dst, // both one operand, and neither pair member survives
-					Src:  ldg.Src,
-					Line: in.Line,
-				}
+				fused[j] = i + 1
 				drop[i] = true
 				break
 			}
@@ -143,27 +140,30 @@ func fuseAsyncCopies(p *kasm.Program, isa gpu.ISADesc) {
 		}
 	}
 
-	any := false
-	for _, d := range drop {
-		if d {
-			any = true
-			break
-		}
-	}
-	if !any {
+	if !slices.Contains(drop, true) {
 		return
 	}
-	out := p.Insts[:0:0]
+	// A new instruction list: p's operand lists are shared, not changed.
+	out := make([]kasm.VInst, 0, len(p.Insts))
 	oldToNew := make([]int, len(p.Insts)+1)
-	for i := range p.Insts {
-		oldToNew[i] = len(out)
-		if !drop[i] {
-			out = append(out, p.Insts[i])
+	for j := range p.Insts {
+		oldToNew[j] = len(out)
+		in := &p.Insts[j]
+		switch {
+		case drop[j]:
+		case fused[j] != 0:
+			ldg := &p.Insts[fused[j]-1]
+			wm, _ := sass.WidthMods(sass.WidthBytes(in.Mods))
+			out = append(out, kasm.VInst{
+				Op: sass.OpLDGSTS, Mods: append([]string{"E", "BYPASS"}, wm...),
+				Pred: ldg.Pred, PredNeg: ldg.PredNeg,
+				Dst: in.Dst, Src: ldg.Src, // one operand each
+				Line: in.Line,
+			})
+		default:
+			out = append(out, *in)
 		}
 	}
 	oldToNew[len(p.Insts)] = len(out)
-	for name, idx := range p.Labels {
-		p.Labels[name] = oldToNew[idx]
-	}
-	p.Insts = out
+	p.Insts, p.Labels = out, remapLabels(p.Labels, oldToNew)
 }

@@ -45,11 +45,25 @@ func buildIntervals(p *kasm.Program, du *defUse, liveOut [][]uint64, firstTemp i
 		for _, u := range du.usesOf(i) {
 			touch(u, i)
 		}
+	}
+	// A vreg live out of instruction i is touched at i+1. Only the first
+	// and the last such i can move its interval: one forward and one
+	// backward pass touch each vreg where it first turns up.
+	seen := make([]uint64, (p.NumVRegs+63)/64)
+	visit := func(i int) {
 		for w, set := range liveOut[i] {
-			for ; set != 0; set &= set - 1 {
-				touch(kasm.VReg(w*64+bits.TrailingZeros64(set)), i+1)
+			for fresh := set &^ seen[w]; fresh != 0; fresh &= fresh - 1 {
+				touch(kasm.VReg(w*64+bits.TrailingZeros64(fresh)), i+1)
 			}
+			seen[w] |= set
 		}
+	}
+	for i := 0; i < n; i++ {
+		visit(i)
+	}
+	clear(seen)
+	for i := n - 1; i >= 0; i-- {
+		visit(i)
 	}
 	ivs := make([]interval, 0, touched)
 	for v := 0; v < p.NumVRegs; v++ {

@@ -17,7 +17,7 @@ import (
 // construction, not runtime conditions.
 type Builder struct {
 	p        *Program
-	opds     []VOperand // the operand slab carve fills
+	opds     Operands // every instruction's operand lists
 	line     int
 	predUsed [sass.NumPreds]bool
 	built    bool
@@ -68,25 +68,11 @@ func (b *Builder) emit(op sass.Opcode, mods []string, dst []VOperand, src ...VOp
 }
 
 // emitPred appends an instruction guarded by p (negated when neg). The
-// operand lists are copied into the builder's operand slab, so the
-// callers' literals stay on their stacks.
+// operand lists are copied into the builder's chunks, so the callers'
+// literals stay on their stacks.
 func (b *Builder) emitPred(p sass.Pred, neg bool, op sass.Opcode, mods []string, dst []VOperand, src ...VOperand) {
 	b.p.Insts = append(b.p.Insts, VInst{Op: op, Mods: mods, Pred: p, PredNeg: neg,
-		Dst: b.carve(dst), Src: b.carve(src), Line: b.line})
-}
-
-// carve copies o into the operand slab: one allocation per chunk of
-// operands, not per list. The copy's capacity is its length, so an append
-// to one instruction's list never overwrites the next one's.
-func (b *Builder) carve(o []VOperand) []VOperand {
-	if len(o) == 0 {
-		return nil
-	}
-	if cap(b.opds)-len(b.opds) < len(o) {
-		b.opds = make([]VOperand, 0, max(256, len(o)))
-	}
-	b.opds = append(b.opds, o...)
-	return b.opds[len(b.opds)-len(o) : len(b.opds) : len(b.opds)]
+		Dst: b.opds.Copy(dst), Src: b.opds.Copy(src), Line: b.line})
 }
 
 func (b *Builder) widthOf(o VOperand) int {

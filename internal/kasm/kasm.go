@@ -41,16 +41,34 @@ const (
 	VOpdSpecial
 )
 
-// VOperand is an operand referring to virtual registers.
+// VOperand is an operand referring to virtual registers. The one-byte
+// fields share a word with V.
 type VOperand struct {
 	Kind    VOperandKind
-	V       VReg // VOpdReg / VOpdMem base
-	Elem    int  // word offset into a wide vreg (VOpdReg)
 	Neg     bool // fp negation (VOpdReg) or predicate negation (VOpdPred)
-	Imm     int64
-	Bank    int
 	Pred    sass.Pred
 	Special sass.SpecialReg
+	V       VReg // VOpdReg / VOpdMem base
+	Elem    int  // word offset into a wide vreg (VOpdReg)
+	Imm     int64
+	Bank    int
+}
+
+// Operands hands out copies of operand lists cut from shared chunks: one
+// allocation per chunk, not per list. A copy's capacity is its length,
+// so an append to one list copies it instead of overwriting the next.
+type Operands struct{ chunk []VOperand }
+
+// Copy returns a copy of o (nil when o is empty).
+func (s *Operands) Copy(o []VOperand) []VOperand {
+	if len(o) == 0 {
+		return nil
+	}
+	if cap(s.chunk)-len(s.chunk) < len(o) {
+		s.chunk = make([]VOperand, 0, max(256, len(o)))
+	}
+	s.chunk = append(s.chunk, o...)
+	return s.chunk[len(s.chunk)-len(o) : len(s.chunk) : len(s.chunk)]
 }
 
 // VR makes a virtual-register operand.

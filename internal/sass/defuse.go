@@ -18,60 +18,46 @@ type DefUse struct {
 }
 
 // ComputeDefUse builds the def-use index for a kernel. One pass records
-// every register reference and counts them per register; each register's
-// lists are then capacity-capped sub-slices of one defs slab and one uses
-// slab, filled in program order.
+// every register reference and counts them; each register's lists are
+// then capacity-capped sub-slices of one slab, filled in program order.
 func ComputeDefUse(k *Kernel) *DefUse {
+	du := &DefUse{Kernel: k}
+	lists := [2]*[NumArchRegs][]int{&du.Uses, &du.Defs}
 	type ref struct {
-		i   int32
-		r   Reg
-		def bool
+		i    int32
+		r    Reg
+		kind uint8 // 1 for a write, 0 for a read
 	}
 	refs := make([]ref, 0, 4*len(k.Insts))
-	var nDefs, nUses [NumArchRegs]int
-	var scratch []Reg
+	var count [2][NumArchRegs]int
+	var regs []Reg
 	for i := range k.Insts {
-		in := &k.Insts[i]
-		scratch = in.DstRegs(scratch[:0])
-		for _, r := range scratch {
+		regs = k.Insts[i].DstRegs(regs[:0])
+		nd := len(regs)
+		for j, r := range k.Insts[i].SrcRegs(regs) {
 			if r != RZ {
-				refs = append(refs, ref{int32(i), r, true})
-				nDefs[r]++
-			}
-		}
-		scratch = in.SrcRegs(scratch[:0])
-		for _, r := range scratch {
-			if r != RZ {
-				refs = append(refs, ref{int32(i), r, false})
-				nUses[r]++
+				kind := uint8(0)
+				if j < nd {
+					kind = 1
+				}
+				refs = append(refs, ref{int32(i), r, kind})
+				count[kind][r]++
 			}
 		}
 	}
-	du := &DefUse{Kernel: k, Defs: carveLists(nDefs), Uses: carveLists(nUses)}
-	for _, x := range refs {
-		if x.def {
-			du.Defs[x.r] = append(du.Defs[x.r], int(x.i))
-		} else {
-			du.Uses[x.r] = append(du.Uses[x.r], int(x.i))
+	slab := make([]int, len(refs))
+	for kind := range count {
+		for r, c := range count[kind] {
+			if c > 0 {
+				lists[kind][r], slab = slab[:0:c], slab[c:]
+			}
 		}
+	}
+	for _, x := range refs {
+		l := &lists[x.kind][x.r]
+		*l = append(*l, int(x.i))
 	}
 	return du
-}
-
-// carveLists returns empty lists with the given capacities, cut from one
-// slab; a register with no entries keeps a nil list.
-func carveLists(n [NumArchRegs]int) (lists [NumArchRegs][]int) {
-	total := 0
-	for _, c := range n {
-		total += c
-	}
-	slab := make([]int, total)
-	for r, c := range n {
-		if c > 0 {
-			lists[r], slab = slab[:0:c], slab[c:]
-		}
-	}
-	return lists
 }
 
 // LastDefBefore returns the index of the last instruction before index i

@@ -198,16 +198,12 @@ type Result struct {
 // only the blocks dealt to the simulated SMs execute, and verification
 // must skip the rest; this is the one statement of which blocks those are.
 func (r *Result) RanBlocks(n int) []int {
-	if r.NumSMs <= 0 {
-		out := make([]int, n)
-		for b := range out {
-			out[b] = b
-		}
-		return out
+	every, per := r.NumSMs, min(r.SimulatedSMs, r.NumSMs) // block b runs on SM b mod NumSMs
+	if every <= 0 {
+		every, per = max(n, 1), n
 	}
-	per := min(r.SimulatedSMs, r.NumSMs)
-	out := make([]int, 0, (n/r.NumSMs+1)*per)
-	for base := 0; base < n; base += r.NumSMs {
+	out := make([]int, 0, (n/every+1)*per)
+	for base := 0; base < n; base += every {
 		for b := base; b < min(base+per, n); b++ {
 			out = append(out, b)
 		}
