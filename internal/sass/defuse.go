@@ -17,45 +17,22 @@ type DefUse struct {
 	Uses [NumArchRegs][]int
 }
 
-// ComputeDefUse builds the def-use index for a kernel. One pass records
-// every register reference and counts them; each register's lists are
-// then capacity-capped sub-slices of one slab, filled in program order.
+// ComputeDefUse builds the def-use index for a kernel.
 func ComputeDefUse(k *Kernel) *DefUse {
 	du := &DefUse{Kernel: k}
-	lists := [2]*[NumArchRegs][]int{&du.Uses, &du.Defs}
-	type ref struct {
-		i    int32
-		r    Reg
-		kind uint8 // 1 for a write, 0 for a read
-	}
-	refs := make([]ref, 0, 4*len(k.Insts))
-	var count [2][NumArchRegs]int
-	var regs []Reg
+	var scratch []Reg
 	for i := range k.Insts {
-		regs = k.Insts[i].DstRegs(regs[:0])
-		nd := len(regs)
-		for j, r := range k.Insts[i].SrcRegs(regs) {
+		in := &k.Insts[i]
+		for _, r := range in.DstRegs(scratch[:0]) {
 			if r != RZ {
-				kind := uint8(0)
-				if j < nd {
-					kind = 1
-				}
-				refs = append(refs, ref{int32(i), r, kind})
-				count[kind][r]++
+				du.Defs[r] = append(du.Defs[r], i)
 			}
 		}
-	}
-	slab := make([]int, len(refs))
-	for kind := range count {
-		for r, c := range count[kind] {
-			if c > 0 {
-				lists[kind][r], slab = slab[:0:c], slab[c:]
+		for _, r := range in.SrcRegs(scratch[:0]) {
+			if r != RZ {
+				du.Uses[r] = append(du.Uses[r], i)
 			}
 		}
-	}
-	for _, x := range refs {
-		l := &lists[x.kind][x.r]
-		*l = append(*l, int(x.i))
 	}
 	return du
 }

@@ -18,22 +18,6 @@ type queueRing struct {
 	head, n int
 }
 
-// pushTail appends t when it is at or past the tail and the ring has
-// room, and reports whether it did. That is the usual push, since a
-// pipe's service times only move forward, and it is small enough to
-// inline; push is the general case.
-func (q *queueRing) pushTail(t float64) bool {
-	wrap := len(q.ring) - 1
-	if q.n == len(q.ring) || q.n > 0 && q.ring[(q.head+q.n-1)&wrap] > t {
-		return false
-	}
-	q.ring[(q.head+q.n)&wrap] = t
-	q.n++
-	return true
-}
-
-// push inserts t in order, growing the ring when it is full and walking
-// from the tail past every later entry.
 func (q *queueRing) push(t float64) {
 	if q.n == len(q.ring) {
 		grown := make([]float64, max(2*len(q.ring), 8))
@@ -120,9 +104,7 @@ func (m *mshrTracker) push(t float64) {
 		}
 		m.drop()
 	}
-	if !m.pushTail(t) {
-		m.queueRing.push(t)
-	}
+	m.queueRing.push(t)
 }
 
 // smState is the timing state of one simulated streaming multiprocessor.
@@ -668,9 +650,7 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, mask uint32, words 
 		// The LG instruction queue holds the request until the L1TEX unit
 		// accepts it (service), not until data returns — lg_throttle is
 		// about issue backlog (§3.2).
-		if !sm.lgQ.pushTail(svcEnd) {
-			sm.lgQ.push(svcEnd)
-		}
+		sm.lgQ.push(svcEnd)
 		if sass.IsLoad(op) || op == sass.OpATOM {
 			e.setDstReady(sm, w, d, done-now, md.space)
 		} else if svcEnd > w.lastStoreDone {
@@ -699,9 +679,7 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, mask uint32, words 
 		}
 		svc := sm.mio.Request(now, trans)
 		done := svc + float64(a.SharedLatency)
-		if !sm.mioQ.pushTail(svc) {
-			sm.mioQ.push(svc)
-		}
+		sm.mioQ.push(svc)
 		if op == sass.OpLDS || op == sass.OpATOMS {
 			e.setDstReady(sm, w, d, done-now, sass.ClassShared)
 		} else if svc > w.lastStoreDone {
@@ -722,9 +700,7 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, mask uint32, words 
 		done, svcEnd, n, hits := e.sectorWalk(sm, md.write, words, sm.texu, &sm.texMiss, float64(a.TexLatency), true)
 		c.TexSectors += n
 		c.TexSectorHits += hits
-		if !sm.texQ.pushTail(svcEnd) {
-			sm.texQ.push(svcEnd)
-		}
+		sm.texQ.push(svcEnd)
 		c.TexInsts++
 		e.setDstReady(sm, w, d, done-now, sass.ClassTexture)
 
@@ -827,9 +803,7 @@ func (e *engine) asyncCopyTiming(sm *smState, w *warp, sectors []uint64) {
 	c := sm.counters
 	done, svcEnd, n, _ := e.sectorWalk(sm, false, sectors, sm.lsu, &sm.lsuMiss, 0, false)
 	c.AsyncCopySectors += n
-	if !sm.lgQ.pushTail(svcEnd) {
-		sm.lgQ.push(svcEnd)
-	}
+	sm.lgQ.push(svcEnd)
 	c.AsyncCopyInsts++
 	if b := w.block; done > b.asyncDone {
 		b.asyncDone = done

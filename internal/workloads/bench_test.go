@@ -7,8 +7,10 @@ import (
 	"gpuscout/internal/gpu"
 )
 
-// benchScales mirrors bench/corpus.go's table: the scale each family is
-// requested at by the repository benchmark.
+// benchScales is a copy of bench/corpus.go's table: the scale each
+// family is requested at by the repository benchmark. It must be kept
+// equal to that table by hand, because bench is a separate module that
+// imports this one and cannot be imported from here.
 var benchScales = map[string]int{
 	"histogram": 4, "jacobi": 256, "mixbench": 1, "reduction": 0,
 	"sgemm": 128, "spill": 8, "transpose": 128,
