@@ -41,17 +41,16 @@ const (
 	VOpdSpecial
 )
 
-// VOperand is an operand referring to virtual registers. The one-byte
-// fields share a word with V.
+// VOperand is an operand referring to virtual registers.
 type VOperand struct {
 	Kind    VOperandKind
-	Neg     bool // fp negation (VOpdReg) or predicate negation (VOpdPred)
-	Pred    sass.Pred
-	Special sass.SpecialReg
 	V       VReg // VOpdReg / VOpdMem base
 	Elem    int  // word offset into a wide vreg (VOpdReg)
+	Neg     bool // fp negation (VOpdReg) or predicate negation (VOpdPred)
 	Imm     int64
 	Bank    int
+	Pred    sass.Pred
+	Special sass.SpecialReg
 }
 
 // Operands hands out copies of operand lists cut from shared chunks: one
