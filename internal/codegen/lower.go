@@ -368,8 +368,7 @@ func needsWrBar(in *sass.Inst) bool {
 	if sass.IsLoad(in.Op) {
 		return true
 	}
-	switch in.Op {
-	case sass.OpATOM, sass.OpATOMS:
+	if sass.IsAtomic(in.Op) {
 		// Only when a return value is produced into a register.
 		for _, o := range in.Dst {
 			if o.Kind == sass.OpdReg && !o.Reg.IsZ() {

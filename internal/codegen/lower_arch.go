@@ -127,10 +127,10 @@ func fuseAsyncCopies(p *kasm.Program, isa gpu.ISADesc) {
 				drop[i] = true
 				break
 			}
-			// Moving the global read past any of these is unsafe.
-			switch in.Op {
-			case sass.OpBRA, sass.OpBAR, sass.OpEXIT, sass.OpRET, sass.OpMEMBAR,
-				sass.OpSTG, sass.OpATOM, sass.OpRED:
+			// Moving the global read past control flow, a barrier or a
+			// write to global memory is unsafe.
+			if c := sass.ClassOf(in.Op); c == sass.ClassControl ||
+				c == sass.ClassGlobal && (sass.IsStore(in.Op) || sass.IsAtomic(in.Op)) {
 				break scan
 			}
 			if writesVReg(in, v) || writesVReg(in, gbase) ||

@@ -159,13 +159,7 @@ func (p *Program) Validate() error {
 					p.Name, i, o.Elem, o.V, p.Widths[o.V])
 			}
 			if o.Kind == VOpdMem {
-				// Global-space addresses are 64-bit pairs; shared and
-				// local addresses are 32-bit segment offsets. LDGSTS is the
-				// one dual-space instruction: its destination is a shared
-				// address, its source a global address.
-				wantPair := in.Op == sass.OpLDG || in.Op == sass.OpSTG ||
-					in.Op == sass.OpATOM || in.Op == sass.OpRED ||
-					(in.Op == sass.OpLDGSTS && !isDst)
+				wantPair := sass.BaseWords(in.Op, isDst) == 2
 				if wantPair && p.Widths[o.V] != 2 {
 					return fmt.Errorf("kasm: %s inst %d global memory base v%d is not a 64-bit pair", p.Name, i, o.V)
 				}

@@ -69,12 +69,12 @@ func (du *DefUse) PointerStoredThroughAt(base Reg, loadIdx int) bool {
 	ver := du.LastDefBefore(base, loadIdx)
 	for i := range k.Insts {
 		in := &k.Insts[i]
-		switch in.Op {
-		case OpSTG, OpSTS, OpSTL, OpATOM, OpATOMS, OpRED:
-			if m, ok := in.MemOperand(); ok && m.Reg == base &&
-				du.LastDefBefore(base, i) == ver {
-				return true
-			}
+		if !IsStore(in.Op) && !IsAtomic(in.Op) {
+			continue
+		}
+		if m, ok := in.MemOperand(); ok && m.Reg == base &&
+			du.LastDefBefore(base, i) == ver {
+			return true
 		}
 	}
 	return false

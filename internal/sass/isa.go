@@ -126,68 +126,92 @@ const (
 // per-opcode tables index by Opcode below this bound.
 const NumOpcodes = int(opMax)
 
-var opNames = [...]string{
-	OpInvalid: "<invalid>",
-	OpLDG:     "LDG",
-	OpSTG:     "STG",
-	OpLDS:     "LDS",
-	OpSTS:     "STS",
-	OpLDL:     "LDL",
-	OpSTL:     "STL",
-	OpLDC:     "LDC",
-	OpTEX:     "TEX",
-	OpATOM:    "ATOM",
-	OpATOMS:   "ATOMS",
-	OpRED:     "RED",
-	OpMEMBAR:  "MEMBAR",
-	OpFADD:    "FADD",
-	OpFMUL:    "FMUL",
-	OpFFMA:    "FFMA",
-	OpFMNMX:   "FMNMX",
-	OpFSETP:   "FSETP",
-	OpMUFU:    "MUFU",
-	OpDADD:    "DADD",
-	OpDMUL:    "DMUL",
-	OpDFMA:    "DFMA",
-	OpDSETP:   "DSETP",
-	OpIADD3:   "IADD3",
-	OpIMAD:    "IMAD",
-	OpISETP:   "ISETP",
-	OpLOP3:    "LOP3",
-	OpSHF:     "SHF",
-	OpSEL:     "SEL",
-	OpIMNMX:   "IMNMX",
-	OpIABS:    "IABS",
-	OpPOPC:    "POPC",
-	OpI2F:     "I2F",
-	OpF2I:     "F2I",
-	OpF2F:     "F2F",
-	OpI2I:     "I2I",
-	OpMOV:     "MOV",
-	OpS2R:     "S2R",
-	OpSHFL:    "SHFL",
-	OpPRMT:    "PRMT",
-	OpBRA:     "BRA",
-	OpEXIT:    "EXIT",
-	OpBAR:     "BAR",
-	OpNOP:     "NOP",
-	OpRET:     "RET",
-	OpLDGSTS:  "LDGSTS",
+// Kind bits of an opcode's row.
+const (
+	kLoad   uint8 = 1 << iota // reads memory into registers
+	kStore                    // writes registers to memory
+	kAtomic                   // read-modify-write on memory (ATOM, ATOMS, RED)
+	kConv                     // datatype conversion
+	kArith                    // arithmetic on register values
+	kFloat                    // reads its value sources as floating point
+)
+
+// opInfo is one opcode's row of the ISA table.
+type opInfo struct {
+	name  string
+	class Class
+	dsts  uint8 // leading operands that are destinations
+	kind  uint8
+}
+
+// opTable is the one place an opcode's facts are written: its mnemonic,
+// the pipe that executes it, how many leading operands are destinations
+// (a store's or RED's memory operand, LDGSTS's shared destination, ATOM's
+// return register and address, SETP's predicate pair), and its kind.
+// ClassOf, IsLoad, IsStore, IsAtomic, IsConversion, IsArith, IsFloat,
+// the parser and the printer all read it.
+var opTable = [NumOpcodes]opInfo{
+	OpInvalid: {"<invalid>", ClassALU, 1, 0},
+	OpLDG:     {"LDG", ClassGlobal, 1, kLoad},
+	OpSTG:     {"STG", ClassGlobal, 1, kStore},
+	OpLDS:     {"LDS", ClassShared, 1, kLoad},
+	OpSTS:     {"STS", ClassShared, 1, kStore},
+	OpLDL:     {"LDL", ClassLocal, 1, kLoad},
+	OpSTL:     {"STL", ClassLocal, 1, kStore},
+	OpLDC:     {"LDC", ClassConst, 1, kLoad},
+	OpTEX:     {"TEX", ClassTexture, 1, kLoad},
+	OpATOM:    {"ATOM", ClassGlobal, 2, kAtomic},
+	OpATOMS:   {"ATOMS", ClassShared, 2, kAtomic},
+	OpRED:     {"RED", ClassGlobal, 1, kAtomic},
+	OpMEMBAR:  {"MEMBAR", ClassControl, 0, 0},
+	OpFADD:    {"FADD", ClassALU, 1, kArith | kFloat},
+	OpFMUL:    {"FMUL", ClassALU, 1, kArith | kFloat},
+	OpFFMA:    {"FFMA", ClassALU, 1, kArith | kFloat},
+	OpFMNMX:   {"FMNMX", ClassALU, 1, kArith | kFloat},
+	OpFSETP:   {"FSETP", ClassALU, 2, kFloat},
+	OpMUFU:    {"MUFU", ClassSFU, 1, kArith | kFloat},
+	OpDADD:    {"DADD", ClassFP64, 1, kArith | kFloat},
+	OpDMUL:    {"DMUL", ClassFP64, 1, kArith | kFloat},
+	OpDFMA:    {"DFMA", ClassFP64, 1, kArith | kFloat},
+	OpDSETP:   {"DSETP", ClassFP64, 2, kFloat},
+	OpIADD3:   {"IADD3", ClassALU, 1, kArith},
+	OpIMAD:    {"IMAD", ClassALU, 1, kArith},
+	OpISETP:   {"ISETP", ClassALU, 2, 0},
+	OpLOP3:    {"LOP3", ClassALU, 1, kArith},
+	OpSHF:     {"SHF", ClassALU, 1, kArith},
+	OpSEL:     {"SEL", ClassALU, 1, kArith},
+	OpIMNMX:   {"IMNMX", ClassALU, 1, kArith},
+	OpIABS:    {"IABS", ClassALU, 1, kArith},
+	OpPOPC:    {"POPC", ClassALU, 1, kArith},
+	OpI2F:     {"I2F", ClassALU, 1, kConv},
+	OpF2I:     {"F2I", ClassALU, 1, kConv | kFloat},
+	OpF2F:     {"F2F", ClassALU, 1, kConv | kFloat},
+	OpI2I:     {"I2I", ClassALU, 1, kConv},
+	OpMOV:     {"MOV", ClassALU, 1, 0},
+	OpS2R:     {"S2R", ClassALU, 1, 0},
+	OpSHFL:    {"SHFL", ClassALU, 1, 0},
+	OpPRMT:    {"PRMT", ClassALU, 1, 0},
+	OpBRA:     {"BRA", ClassControl, 0, 0},
+	OpEXIT:    {"EXIT", ClassControl, 0, 0},
+	OpBAR:     {"BAR", ClassControl, 0, 0},
+	OpNOP:     {"NOP", ClassControl, 0, 0},
+	OpRET:     {"RET", ClassControl, 0, 0},
+	OpLDGSTS:  {"LDGSTS", ClassGlobal, 1, 0},
 }
 
 func (o Opcode) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
+	if int(o) < len(opTable) {
+		return opTable[o].name
 	}
 	return fmt.Sprintf("Opcode(%d)", uint8(o))
 }
 
-// opByName is the reverse of opNames, built lazily at init.
+// opByName is the reverse of the table's mnemonics, built at init.
 var opByName = func() map[string]Opcode {
-	m := make(map[string]Opcode, len(opNames))
-	for op, name := range opNames {
+	m := make(map[string]Opcode, len(opTable))
+	for op := range opTable {
 		if Opcode(op) != OpInvalid {
-			m[name] = Opcode(op)
+			m[opTable[op].name] = Opcode(op)
 		}
 	}
 	return m
@@ -207,7 +231,7 @@ const (
 	ClassALU     Class = iota // fixed-latency integer/logic/fp32 pipe
 	ClassFP64                 // fp64 pipe (lower throughput)
 	ClassSFU                  // special function unit (MUFU)
-	ClassGlobal               // L1TEX global path (LDG/STG/ATOM/RED)
+	ClassGlobal               // L1TEX global path (LDG/STG/ATOM/RED/LDGSTS)
 	ClassLocal                // L1TEX local path (LDL/STL)
 	ClassShared               // MIO shared-memory path (LDS/STS/ATOMS)
 	ClassTexture              // TEX path
@@ -215,92 +239,55 @@ const (
 	ClassControl
 )
 
+var classNames = [...]string{"alu", "fp64", "sfu", "global", "local", "shared", "texture", "const", "control"}
+
 func (c Class) String() string {
-	switch c {
-	case ClassALU:
-		return "alu"
-	case ClassFP64:
-		return "fp64"
-	case ClassSFU:
-		return "sfu"
-	case ClassGlobal:
-		return "global"
-	case ClassLocal:
-		return "local"
-	case ClassShared:
-		return "shared"
-	case ClassTexture:
-		return "texture"
-	case ClassConst:
-		return "const"
-	case ClassControl:
-		return "control"
+	if int(c) < len(classNames) {
+		return classNames[c]
 	}
 	return "unknown"
 }
 
+// IsMemory reports whether the class is a memory path: global, local,
+// shared, texture or constant.
+func (c Class) IsMemory() bool { return c >= ClassGlobal && c <= ClassConst }
+
 // ClassOf returns the execution class of an opcode.
-func ClassOf(op Opcode) Class {
-	switch op {
-	case OpLDG, OpSTG, OpATOM, OpRED, OpLDGSTS:
-		return ClassGlobal
-	case OpLDL, OpSTL:
-		return ClassLocal
-	case OpLDS, OpSTS, OpATOMS:
-		return ClassShared
-	case OpTEX:
-		return ClassTexture
-	case OpLDC:
-		return ClassConst
-	case OpDADD, OpDMUL, OpDFMA, OpDSETP:
-		return ClassFP64
-	case OpMUFU:
-		return ClassSFU
-	case OpBRA, OpEXIT, OpBAR, OpRET, OpNOP, OpMEMBAR:
-		return ClassControl
-	default:
-		return ClassALU
-	}
-}
+func ClassOf(op Opcode) Class { return opTable[op].class }
 
 // IsLoad reports whether the opcode reads memory into registers.
-func IsLoad(op Opcode) bool {
-	switch op {
-	case OpLDG, OpLDS, OpLDL, OpLDC, OpTEX:
-		return true
-	}
-	return false
-}
+func IsLoad(op Opcode) bool { return opTable[op].kind&kLoad != 0 }
 
 // IsStore reports whether the opcode writes registers to memory.
-func IsStore(op Opcode) bool {
-	switch op {
-	case OpSTG, OpSTS, OpSTL:
-		return true
-	}
-	return false
-}
+func IsStore(op Opcode) bool { return opTable[op].kind&kStore != 0 }
+
+// IsAtomic reports whether the opcode is a read-modify-write on memory:
+// ATOM and ATOMS return the old value, RED does not.
+func IsAtomic(op Opcode) bool { return opTable[op].kind&kAtomic != 0 }
 
 // IsConversion reports whether the opcode is a datatype conversion
 // (the §4.7 bottleneck class).
-func IsConversion(op Opcode) bool {
-	switch op {
-	case OpI2F, OpF2I, OpF2F, OpI2I:
-		return true
-	}
-	return false
-}
+func IsConversion(op Opcode) bool { return opTable[op].kind&kConv != 0 }
 
 // IsArith reports whether the opcode performs arithmetic on register
 // values (used by the shared-memory detector to count compute uses).
-func IsArith(op Opcode) bool {
-	switch op {
-	case OpFADD, OpFMUL, OpFFMA, OpFMNMX, OpMUFU,
-		OpDADD, OpDMUL, OpDFMA,
-		OpIADD3, OpIMAD, OpLOP3, OpSHF, OpSEL, OpIMNMX, OpIABS, OpPOPC:
-		return true
+func IsArith(op Opcode) bool { return opTable[op].kind&kArith != 0 }
+
+// IsFloat reports whether the opcode reads its value sources as
+// floating-point numbers, so a negated source flips its sign bit.
+// Atomics are typed by modifier (.F32), not by opcode.
+func IsFloat(op Opcode) bool { return opTable[op].kind&kFloat != 0 }
+
+// BaseWords is the base-width rule of a memory operand of op: how many
+// registers its base names. Global addresses are 64-bit pairs; the
+// segment spaces (local, shared, constant, texture) index with one
+// register, and so does LDGSTS's shared destination (dst: the operand is
+// one of the instruction's destinations).
+func BaseWords(op Opcode, dst bool) int {
+	if ClassOf(op) == ClassGlobal && !(dst && op == OpLDGSTS) {
+		return 2
 	}
-	return false
+	return 1
 }
 
 // SpecialReg enumerates the special registers readable via S2R.

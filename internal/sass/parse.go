@@ -18,22 +18,6 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("sass: line %d: %s", e.TextLine, e.Msg)
 }
 
-// numDsts returns how many leading operands of the opcode are destinations.
-func numDsts(op Opcode) int {
-	switch op {
-	case OpSTG, OpSTS, OpSTL, OpRED, OpLDGSTS:
-		return 1 // the memory operand (LDGSTS: the shared destination)
-	case OpATOM, OpATOMS:
-		return 2 // return register + memory operand
-	case OpISETP, OpFSETP, OpDSETP:
-		return 2 // predicate pair
-	case OpBRA, OpEXIT, OpBAR, OpNOP, OpRET, OpMEMBAR:
-		return 0
-	default:
-		return 1
-	}
-}
-
 // Parse reads the text format produced by Print and reconstructs the
 // kernel. It is the GPUscout "Configuration" stage's disassembler
 // ingestion path: the static analysis never needs the CUDA source.
@@ -244,7 +228,7 @@ func (p *parser) inst(in *Inst, s string) error {
 		in.Target = uint64(opds[len(opds)-1].Imm)
 		opds = opds[:len(opds)-1]
 	}
-	nd := min(numDsts(op), len(opds))
+	nd := min(int(opTable[op].dsts), len(opds))
 	if nd > 0 {
 		in.Dst = opds[:nd:nd]
 	}

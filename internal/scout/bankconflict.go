@@ -56,7 +56,7 @@ func (a BankConflictAnalysis) Detect(v *KernelView) []Finding {
 	var strides []int64
 	for i := range k.Insts {
 		in := &k.Insts[i]
-		if in.Op != sass.OpLDS && in.Op != sass.OpSTS {
+		if sass.ClassOf(in.Op) != sass.ClassShared || sass.IsAtomic(in.Op) {
 			continue
 		}
 		mem, ok := in.MemOperand()

@@ -24,10 +24,13 @@ func (DtypeConvAnalysis) Describe() Description {
 		DerivedMetrics: func(m *MetricLines) {
 			total := m.val("smsp__inst_executed.sum")
 			if res := m.rep.Result; total > 0 && res != nil {
-				conv := float64(res.Counters.OpcodeDyn[sass.OpI2F]+
-					res.Counters.OpcodeDyn[sass.OpF2I]+
-					res.Counters.OpcodeDyn[sass.OpF2F]+
-					res.Counters.OpcodeDyn[sass.OpI2I]) * res.Scale
+				var n uint64
+				for op, dyn := range res.Counters.OpcodeDyn {
+					if sass.IsConversion(sass.Opcode(op)) {
+						n += dyn
+					}
+				}
+				conv := float64(n) * res.Scale
 				m.add("conversions are %.2f%% of all executed warp instructions (%.4g of %.4g)",
 					100*conv/total, conv, total)
 			}

@@ -58,17 +58,11 @@ func (r *Report) ProfileRegion(fromLine, toLine int) (*RegionProfile, error) {
 		}
 		// One "selected" cycle per issued warp instruction.
 		p.IssuedWarpInsts += r.Result.Counters.PCStalls[in.PC/sass.InstBytes][sim.StallSelected]
-		switch in.Op {
-		case sass.OpLDG, sass.OpSTG:
-			p.MemoryInstructions["global"]++
-		case sass.OpLDS, sass.OpSTS:
-			p.MemoryInstructions["shared"]++
-		case sass.OpLDL, sass.OpSTL:
-			p.MemoryInstructions["local"]++
-		case sass.OpTEX:
-			p.MemoryInstructions["texture"]++
-		case sass.OpATOM, sass.OpATOMS, sass.OpRED:
+		switch c := sass.ClassOf(in.Op); {
+		case sass.IsAtomic(in.Op):
 			p.MemoryInstructions["atomic"]++
+		case (sass.IsLoad(in.Op) || sass.IsStore(in.Op)) && c != sass.ClassConst:
+			p.MemoryInstructions[c.String()]++
 		}
 	}
 	if len(p.Instructions) == 0 {

@@ -39,11 +39,12 @@ func (SharedAtomicAnalysis) Detect(v *KernelView) []Finding {
 	var idxs []int
 	shared := 0
 	for i := range k.Insts {
-		switch k.Insts[i].Op {
-		case sass.OpATOM, sass.OpRED:
-			idxs = append(idxs, i)
-		case sass.OpATOMS:
+		switch op := k.Insts[i].Op; {
+		case !sass.IsAtomic(op):
+		case sass.ClassOf(op) == sass.ClassShared:
 			shared++
+		default:
+			idxs = append(idxs, i)
 		}
 	}
 	if len(idxs) == 0 {

@@ -306,14 +306,14 @@ func (e *engine) decodeInst(d *decoded) error {
 		return fmt.Errorf("guard predicate %d does not exist", in.Pred)
 	}
 	dstW, srcW, lastW := sass.OperandWords(in.Op, in.Mods)
+	switch c := sass.ClassOf(in.Op); {
+	case c == sass.ClassControl:
+		return nil
+	case c.IsMemory():
+		return e.decodeMem(d, dstW, srcW)
+	}
 	nsrc := 0 // value operands the opcode reads
 	switch in.Op {
-	case sass.OpBRA, sass.OpEXIT, sass.OpBAR, sass.OpNOP, sass.OpMEMBAR, sass.OpRET:
-		return nil
-	case sass.OpLDG, sass.OpSTG, sass.OpLDL, sass.OpSTL, sass.OpLDS, sass.OpSTS,
-		sass.OpLDC, sass.OpTEX, sass.OpATOM, sass.OpATOMS, sass.OpRED, sass.OpLDGSTS:
-		return e.decodeMem(d, dstW, srcW)
-
 	case sass.OpISETP, sass.OpFSETP:
 		if len(in.Mods) == 0 {
 			return fmt.Errorf("%s without a comparison modifier", in.Op)
@@ -512,20 +512,20 @@ func (e *engine) decodeMem(d *decoded, dstW, srcW int) error {
 		}
 		m.async = true
 		mem = in.Src[0]
-		if d.sdst, err = e.address(in.Dst[0], sass.ClassShared); err != nil {
+		if d.sdst, err = e.address(in.Dst[0], sass.BaseWords(in.Op, true)); err != nil {
 			return err
 		}
 	} else if !ok {
 		return fmt.Errorf("%s without memory operand", in.Op)
 	}
-	if d.addr, err = e.address(mem, m.space); err != nil {
+	if d.addr, err = e.address(mem, sass.BaseWords(in.Op, false)); err != nil {
 		return err
 	}
 
-	switch in.Op {
-	case sass.OpLDG, sass.OpLDL, sass.OpLDS, sass.OpLDC:
+	switch {
+	case sass.IsLoad(in.Op):
 		d.reg, d.words, err = e.dest(in, dstW)
-	case sass.OpSTG, sass.OpSTL, sass.OpSTS:
+	case sass.IsStore(in.Op):
 		m.write = true
 		if len(in.Src) == 0 || in.Src[0].Kind != sass.OpdReg {
 			return fmt.Errorf("%s needs a register to store", in.Op)
@@ -534,7 +534,7 @@ func (e *engine) decodeMem(d *decoded, dstW, srcW int) error {
 			d.words = srcW
 			err = e.inFile(d.reg, srcW)
 		}
-	case sass.OpATOM, sass.OpATOMS, sass.OpRED:
+	case sass.IsAtomic(in.Op):
 		m.atomic, m.write = true, true
 		m.width = 4 // atomics are modeled on 32-bit words
 		d.fn = atomFn(in)
@@ -661,13 +661,9 @@ func (e *engine) sources(d *decoded, n, words, lastWords int) error {
 	return nil
 }
 
-// address resolves a memory operand: global addresses are register pairs,
-// the segment spaces (local, shared, constant) index with one register.
-func (e *engine) address(o sass.Operand, space sass.Class) (address, error) {
-	words := 1
-	if space == sass.ClassGlobal {
-		words = 2
-	}
+// address resolves a memory operand whose base is words registers wide
+// (sass.BaseWords).
+func (e *engine) address(o sass.Operand, words int) (address, error) {
 	base, err := e.resolve(nil, sass.R(o.Reg), words)
 	return address{base: base, off: o.Imm}, err
 }
@@ -683,14 +679,10 @@ func (e *engine) uniform(v uint64, words int) operand {
 // signNeg reports whether d's opcode negates a source by flipping its sign
 // bit, as floating-point opcodes do, rather than in two's complement.
 func signNeg(d *decoded) bool {
-	switch d.in.Op {
-	case sass.OpFADD, sass.OpFMUL, sass.OpFFMA, sass.OpFMNMX, sass.OpFSETP, sass.OpMUFU,
-		sass.OpF2I, sass.OpF2F, sass.OpDADD, sass.OpDMUL, sass.OpDFMA:
-		return true
-	case sass.OpATOM, sass.OpATOMS, sass.OpRED:
+	if sass.IsAtomic(d.in.Op) {
 		return d.in.HasMod("F32")
 	}
-	return false
+	return sass.IsFloat(d.in.Op)
 }
 
 // resolve pre-resolves source o for a read of words (1 or 2) registers. An

@@ -59,12 +59,6 @@ func (e *engine) exec(w *warp, d *decoded, execMask uint32, ma *memAccess, t *[4
 	}
 
 	switch d.op {
-	case sass.OpLDG, sass.OpSTG, sass.OpLDL, sass.OpSTL, sass.OpLDS, sass.OpSTS,
-		sass.OpLDC, sass.OpTEX, sass.OpATOM, sass.OpATOMS, sass.OpRED, sass.OpLDGSTS:
-		if err := e.execMem(w, d, execMask, ma); err != nil {
-			return e.fault(in, err)
-		}
-
 	case sass.OpISETP, sass.OpFSETP:
 		a, b := d.src[0].row(w, &t[0]), d.src[1].row(w, &t[1])
 		var res uint32
@@ -152,21 +146,25 @@ func (e *engine) exec(w *warp, d *decoded, execMask uint32, ma *memAccess, t *[4
 		w.maybeReconverge()
 		return nil
 
-	case sass.OpBAR, sass.OpNOP, sass.OpMEMBAR, sass.OpRET:
-		// BAR timing handled by the engine; functionally a no-op here.
-
 	default:
-		// Every other opcode decode accepts is register-to-register.
-		if d.fn == nil {
+		switch c := sass.ClassOf(d.op); {
+		case c.IsMemory():
+			if err := e.execMem(w, d, execMask, ma); err != nil {
+				return e.fault(in, err)
+			}
+		case c == sass.ClassControl:
+			// BAR timing handled by the engine; functionally a no-op here.
+		case d.fn == nil:
+			// Every other opcode decode accepts is register-to-register.
 			execRow(w, d, execMask, t)
-			break
-		}
-		for m := execMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			v := d.fn(d.src[0].get(w, lane), d.src[1].get(w, lane), d.src[2].get(w, lane))
-			w.regs[d.reg][lane] = uint32(v)
-			if d.words == 2 {
-				w.regs[d.reg+1][lane] = uint32(v >> 32)
+		default:
+			for m := execMask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				v := d.fn(d.src[0].get(w, lane), d.src[1].get(w, lane), d.src[2].get(w, lane))
+				w.regs[d.reg][lane] = uint32(v)
+				if d.words == 2 {
+					w.regs[d.reg+1][lane] = uint32(v >> 32)
+				}
 			}
 		}
 	}

@@ -680,7 +680,7 @@ func (e *engine) memTiming(sm *smState, w *warp, d *decoded, mask uint32, words 
 		svc := sm.mio.Request(now, trans)
 		done := svc + float64(a.SharedLatency)
 		sm.mioQ.push(svc)
-		if op == sass.OpLDS || op == sass.OpATOMS {
+		if sass.IsLoad(op) || sass.IsAtomic(op) {
 			e.setDstReady(sm, w, d, done-now, sass.ClassShared)
 		} else if svc > w.lastStoreDone {
 			w.lastStoreDone = svc
