@@ -172,7 +172,7 @@ func (s *Service) publish(key, fingerprint string, data []byte) {
 // or pinned build moves — simulator, detector, renderer, codegen —
 // without reports stored under the older model becoming unreachable. A
 // change no golden scale shows needs a golden that shows it (DESIGN §7).
-const modelDigest = "bf26baa9ddef"
+const modelDigest = "f57714f99646"
 
 // CacheKey is the address of one analysis report: the SHA-256 of the
 // model digest, the target architecture tag, the launch fingerprint, the

@@ -179,20 +179,20 @@ func TestCacheKeyVectors(t *testing.T) {
 		want                     string
 	}{
 		{"static", k, "sm_70", "static", scout.Options{DryRun: true}, false, false,
-			"46de16884b8a73d42c293ff8ad09608078da42339d6d61f4e47edef40eacd13e"},
+			"81ba59dc5f87875198590e7241b2eea4bdd6702ab619c7b33b891fb02b1f600f"},
 		{"simulated", k, "sm_70", simulated, scout.Options{Sim: sim.Config{SampleSMs: 2}}, false, false,
-			"98f757b24775044bcc7c025ca0ab4ed3d4e543149647f71af976bec8cf0433a8"},
+			"24d0ae34a85cf484dd36ba9018234aabfab1a3e8d7c0e422ac3a55b6c954ae86"},
 		{"every report knob", k, "sm_70", simulated,
 			scout.Options{SamplingPeriod: 512, StallSlices: true, Sim: sim.Config{SampleSMs: 2}}, true, true,
-			"7b16997fbb2cd3756a0bc0aa29539c261a10a04c64826a2d3de74b22ca8b88e5"},
+			"e2c84ad5bac0c158e4025a0ef5ede38c2db6fbb6e9687fcc0345a4dcbf2c64a4"},
 		{"arch compare", k, "sm_80", "workload=sgemm_shared scale=64 archcmp=sm_80",
 			scout.Options{Sim: sim.Config{SampleSMs: 1, Workers: 4, MaxCycles: 1e6}}, true, false,
-			"f694d07c5ee930552e8d13ad8f79ad7e38363791ecc8b5ce583faadec1f789cb"},
+			"fa546cb8795931364c6f506922fbd7fc9b4c3a54870b7cc436b6bb3bfec584ec"},
 		{"excluded fields set", k, "sm_70", simulated,
 			scout.Options{Sim: sim.Config{SampleSMs: 2, Workers: 8}}, false, false,
-			"98f757b24775044bcc7c025ca0ab4ed3d4e543149647f71af976bec8cf0433a8"},
+			"24d0ae34a85cf484dd36ba9018234aabfab1a3e8d7c0e422ac3a55b6c954ae86"},
 		{"empty kernel", "", "sm_60", "static", scout.Options{}, false, true,
-			"c4e557780d662ada148d42d802ed46098d5ba7ec5a11a745d6a3d0a7c8231738"},
+			"933f19e3677d4c8f60847f4c22b780b732199fbc2492cb6fdbf83ec5d6953cae"},
 	} {
 		if got := CacheKey(v.sass, v.arch, v.launch, v.opts, v.verify, v.sensitivity); got != v.want {
 			t.Errorf("%s: CacheKey = %s, want %s", v.name, got, v.want)
