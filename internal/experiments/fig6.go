@@ -29,12 +29,9 @@ type Fig6Series struct {
 }
 
 // Fig6Overhead regenerates the Fig. 6 measurement: GPUscout's overhead on
-// the SGEMM kernel across matrix sizes. sizes == nil selects a default
-// sweep (the paper swept up to 8192; the simulator sweeps a scaled range).
+// the SGEMM kernel across matrix sizes (the paper swept up to 8192; the
+// simulator sweeps a scaled range).
 func Fig6Overhead(sizes []int, cfg sim.Config) (*Fig6Series, error) {
-	if sizes == nil {
-		sizes = []int{64, 128, 256, 512}
-	}
 	arch := gpu.V100()
 	toMs := func(cycles float64) float64 {
 		return arch.CyclesToSeconds(uint64(cycles)) * 1e3
