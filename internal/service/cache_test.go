@@ -131,9 +131,7 @@ func TestMetricsExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("test_ops_total", "Ops.", Label{"kind", "x"})
 	c.Add(3)
-	g := r.NewGauge("test_depth", "Depth.")
-	g.Set(2.5)
-	g.Add(-0.5)
+	r.NewGaugeFunc("test_depth", "Depth.", func() float64 { return 2 })
 	r.NewGaugeFunc("test_fn", "Fn.", func() float64 { return 7 })
 	h := r.NewHistogram("test_seconds", "Latency.", []float64{0.1, 1}, Label{"stage", "build"})
 	h.Observe(0.05)

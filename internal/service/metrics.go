@@ -15,7 +15,7 @@ import (
 // gpuscoutd's /metrics endpoint to speak the Prometheus text exposition
 // format (v0.0.4) while keeping go.mod dependency-free. Instruments are
 // registered once at service construction; observation paths are
-// lock-free (counters, gauges) or take one short mutex (histograms).
+// lock-free (counters) or take one short mutex (histograms).
 
 // Label is one metric label pair.
 type Label struct {
@@ -139,42 +139,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 
 func (c *Counter) render(w io.Writer, name string) {
 	fmt.Fprintf(w, "%s%s %d\n", name, c.labels, c.v.Load())
-}
-
-// --- Gauge ---
-
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	labels string
-	bits   atomic.Uint64 // float64 bits
-}
-
-// NewGauge registers a gauge series.
-func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{labels: labelString(labels)}
-	r.familyFor(name, help, "gauge").add(r, g)
-	return g
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta (use a negative delta to decrement).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) render(w io.Writer, name string) {
-	fmt.Fprintf(w, "%s%s %s\n", name, g.labels, formatFloat(g.Value()))
 }
 
 // gaugeFunc samples its value at scrape time (queue depth, cache size).

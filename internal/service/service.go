@@ -175,7 +175,7 @@ type Service struct {
 	order  []string // creation order, for pruning finished jobs
 
 	// Metrics (the observability surface of the request path).
-	jobsInflight  *Gauge
+	jobsInflight  atomic.Int64
 	jobsFinished  map[string]*Counter // by State
 	cacheHits     *Counter
 	cacheMisses   *Counter
@@ -261,8 +261,8 @@ func New(cfg Config) (*Service, error) {
 	}
 	r.Register(table...)
 	RegisterRuntimeGauges(r)
-	s.jobsInflight = r.NewGauge("gpuscoutd_jobs_inflight",
-		"Jobs currently executing on the worker pool.")
+	r.NewGaugeFunc("gpuscoutd_jobs_inflight", "Jobs currently executing on the worker pool.",
+		func() float64 { return float64(s.jobsInflight.Load()) })
 	s.jobsFinished = r.NewCounterVec("gpuscoutd_jobs_finished_total",
 		"Jobs finished, by terminal state.", "state",
 		string(StateDone), string(StateFailed), string(StateCancelled), string(StateTimeout))
